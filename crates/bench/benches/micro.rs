@@ -12,7 +12,7 @@ use overset_grid::curvilinear::Solid;
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
 use overset_grid::Dims;
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
-use overset_solver::kernels::solve_lanes;
+use overset_solver::kernels::{frames_forward_rows, from_char_lanes, solve_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
 use overset_solver::tridiag::{solve_with, TriScratch};
 use overset_solver::{select_isa, Block, FlowConditions, Isa, Scratch, SerialComm, W};
@@ -23,46 +23,84 @@ fn fc() -> FlowConditions {
     fc
 }
 
+/// Deterministic non-uniform state and increment, so no kernel runs on the
+/// all-equal freestream.
+fn perturbed(block: &mut Block) -> overset_grid::field::StateField {
+    for (i, v) in block.q.as_mut_slice().iter_mut().enumerate() {
+        *v *= 1.0 + 1e-3 * ((i * 31) % 17) as f64;
+    }
+    let mut dq = overset_grid::field::StateField::new(block.local_dims);
+    for (i, v) in dq.as_mut_slice().iter_mut().enumerate() {
+        *v = ((i * 31) % 17) as f64 * 1e-6;
+    }
+    dq
+}
+
+/// The flow-phase kernels, each as a pair: the host's lanes (AVX2 where
+/// available) and the scalar lane fallback (`--no-simd` path) of the same
+/// code, so the pair quantifies the batched-kernel host speedup without
+/// cross-build noise.
 fn solver_kernels(c: &mut Criterion) {
-    let g = near_grid(133, 40, 1.1);
-    let block = Block::from_grid(0, &g, g.dims().full_box(), [None; 6], &fc());
-    let mut scratch = Scratch::for_block(&block);
-
-    c.bench_function("rhs/residual_5k_nodes", |b| {
-        b.iter(|| compute_residual(&block, &fc(), &mut scratch.res))
+    let g2 = near_grid(133, 40, 1.1);
+    let mut block2 = Block::from_grid(0, &g2, g2.dims().full_box(), [None; 6], &fc());
+    let dq2 = perturbed(&mut block2);
+    // A viscous 3-D block of about the same size.
+    let d3 = Dims::new(24, 20, 12);
+    let coords = overset_grid::field::Field3::from_fn(d3, |p| {
+        let (x, y, z) = (p.i as f64 * 0.1, p.j as f64 * 0.02, p.k as f64 * 0.1);
+        [x + 0.01 * (3.0 * y).sin(), y * (1.0 + 0.5 * y), z + 0.01 * x.sin()]
     });
+    let mut g3 = overset_grid::CurvilinearGrid::new(
+        "slab",
+        coords,
+        overset_grid::curvilinear::GridKind::NearBody,
+    );
+    g3.viscous = true;
+    let mut block3 = Block::from_grid(0, &g3, d3.full_box(), [None; 6], &fc());
+    perturbed(&mut block3);
 
-    c.bench_function("adi/implicit_sweeps_5k_nodes", |b| {
-        b.iter_batched(
-            || {
-                let mut dq = overset_grid::field::StateField::new(block.local_dims);
-                for (i, v) in dq.as_mut_slice().iter_mut().enumerate() {
-                    *v = ((i * 31) % 17) as f64 * 1e-6;
+    for (suffix, isa) in [("", select_isa(true)), ("_scalar", Isa::Scalar)] {
+        let mut res = Scratch::for_block(&block2).res;
+        let mut ws = SweepScratch::new(isa);
+        c.bench_function(&format!("rhs/compute_residual_2d{suffix}"), |b| {
+            b.iter(|| compute_residual(&block2, &fc(), &mut res, &mut ws))
+        });
+        let mut res = Scratch::for_block(&block3).res;
+        c.bench_function(&format!("rhs/compute_residual_3d_viscous{suffix}"), |b| {
+            b.iter(|| compute_residual(&block3, &fc(), &mut res, &mut ws))
+        });
+        c.bench_function(&format!("adi/implicit_sweeps_5k_nodes{suffix}"), |b| {
+            b.iter_batched(
+                || dq2.clone(),
+                |mut dq| implicit_sweeps(&block2, &fc(), &mut dq, &mut SerialComm, &mut ws),
+                BatchSize::LargeInput,
+            )
+        });
+        // The sweeps' two pointwise stages alone (frames + forward
+        // transform, back transform) over the 3-D block's owned nodes.
+        let ow = block3.owned_local();
+        let (mm, rows) = (ow.count(), Rows::new(block3.local_dims, ow, ow));
+        let mut dw: Vec<f64> = (0..5 * mm).map(|i| ((i * 31) % 17) as f64 * 1e-6).collect();
+        let mut fr = vec![0.0; FR_FIELDS * mm];
+        c.bench_function(&format!("adi/pointwise_stages{suffix}"), |b| {
+            b.iter(|| {
+                for dir in 0..3 {
+                    frames_forward_rows(
+                        isa,
+                        rows,
+                        dir,
+                        block3.q.as_slice(),
+                        block3.metrics.as_slice(),
+                        block3.grid_vel.as_slice(),
+                        mm,
+                        &mut dw,
+                        &mut fr,
+                    );
+                    from_char_lanes(isa, mm, mm, &fr, &mut dw);
                 }
-                dq
-            },
-            |mut dq| implicit_sweeps(&block, &fc(), &mut dq, &mut SerialComm, &mut scratch.sweep),
-            BatchSize::LargeInput,
-        )
-    });
-
-    // The same sweeps through the scalar lane fallback (`--no-simd` path):
-    // the pair quantifies the batched-kernel host speedup without cross-build
-    // noise.
-    let mut scalar_sweep = SweepScratch::new(Isa::Scalar);
-    c.bench_function("adi/implicit_sweeps_5k_nodes_scalar", |b| {
-        b.iter_batched(
-            || {
-                let mut dq = overset_grid::field::StateField::new(block.local_dims);
-                for (i, v) in dq.as_mut_slice().iter_mut().enumerate() {
-                    *v = ((i * 31) % 17) as f64 * 1e-6;
-                }
-                dq
-            },
-            |mut dq| implicit_sweeps(&block, &fc(), &mut dq, &mut SerialComm, &mut scalar_sweep),
-            BatchSize::LargeInput,
-        )
-    });
+            })
+        });
+    }
 }
 
 /// Scalar Thomas (one line at a time) vs the lane-batched kernel solving

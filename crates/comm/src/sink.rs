@@ -320,15 +320,18 @@ pub struct RankStream {
     pub truncation: Option<String>,
 }
 
+/// Magic + schema version + rank.
+const SPAN_HEADER_BYTES: u64 = 12;
+
 /// Parse one binary span file, tolerating truncation after any complete
 /// chunk. Hard errors (bad magic, unsupported version, header cut short)
 /// mean the file is not a readable span stream at all.
 pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
     let bytes =
         fs::read(path).map_err(|e| format!("cannot read span file {}: {e}", path.display()))?;
-    if bytes.len() < 12 {
+    if (bytes.len() as u64) < SPAN_HEADER_BYTES {
         return Err(format!(
-            "{}: too short for a span-file header ({} bytes, need 12)",
+            "{}: too short for a span-file header ({} bytes, need {SPAN_HEADER_BYTES})",
             path.display(),
             bytes.len()
         ));
@@ -489,13 +492,20 @@ fn sink_files(dir: &Path, ext: &str) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-/// Read every `rank-*.spans` file in `dir` (binary format).
+/// Read every `rank-*.spans` file in `dir` (binary format). A file whose
+/// writer died before its header reached disk (a rank group aborted right
+/// after creating it) is a named gap, not an unreadable directory.
 pub fn read_span_dir(dir: &Path) -> Result<SpanDir, String> {
     let mut out = SpanDir { ranks: Vec::new(), gaps: Vec::new() };
     for path in sink_files(dir, "spans")? {
+        let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("<file>").to_string();
+        let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        if len < SPAN_HEADER_BYTES {
+            out.gaps.push(format!("{file}: stream ends inside the file header ({len} bytes)"));
+            continue;
+        }
         let stream = read_span_file(&path)?;
         if let Some(t) = &stream.truncation {
-            let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("<file>").to_string();
             out.gaps.push(format!("rank {} ({file}): {t}", stream.rank));
         }
         out.ranks.push(stream);

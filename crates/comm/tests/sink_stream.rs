@@ -251,8 +251,16 @@ fn truncated_streams_recover_prefix_and_name_the_gap() {
     };
     assert!(hdr_cut.truncation.unwrap().contains("inside a chunk header"));
 
-    // Header-level damage is a hard error, not a recoverable gap.
+    // Header-level damage is a hard error for a single file, not a
+    // recoverable gap ...
     assert!(read_span_file(&cut(&full[..8], "too_short.spans")).is_err());
+    // ... but a directory read names the file whose writer died before its
+    // header reached disk and keeps every other rank's stream.
+    cut(&[], "rank-00099.spans");
+    let sd = read_span_dir(&dir).unwrap();
+    assert!(sd.gaps.iter().any(|g| g.starts_with("rank-00099.spans: ")), "{:?}", sd.gaps);
+    assert!(sd.gaps.iter().any(|g| g.starts_with("too_short.spans: ")), "{:?}", sd.gaps);
+    assert!(sd.ranks.iter().any(|r| r.rank == 0 && r.truncation.is_none()));
     let mut bad_magic = full.clone();
     bad_magic[0] = b'X';
     assert!(read_span_file(&cut(&bad_magic, "bad_magic.spans")).unwrap_err().contains("bad magic"));

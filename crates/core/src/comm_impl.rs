@@ -12,12 +12,16 @@ const TAG_WRAP: u64 = 110; // + sender's wrap face (0..2)
 const TAG_LINE: u64 = 200; // + dir*2 + (0 = forward, 1 = backward)
 
 /// Solver communication over the rank runtime. The halo pool recycles
-/// received exchange buffers into the next pack, so steady-state halo
-/// exchanges perform no transient allocations (sends and receives are
-/// symmetric across a face link, keeping the pool balanced).
+/// received exchange buffers into the next pack and the line pool does the
+/// same for the pipelined line-solve carries, so steady-state halo
+/// exchanges and sweeps perform no transient allocations (sends and
+/// receives are symmetric across a face link, keeping the pools balanced).
+/// The two are kept apart because their buffers differ in size: a halo pack
+/// handed a parked carry buffer would have to grow it.
 pub struct MpSolverComm<'a> {
     pub comm: &'a mut Comm,
     pub halo_pool: &'a mut VecPool<f64>,
+    pub line_pool: &'a mut VecPool<f64>,
 }
 
 /// Is this face of the block a periodic wrap link (as opposed to an
@@ -141,6 +145,14 @@ impl SolverComm for MpSolverComm<'_> {
             block.owned
         );
         data
+    }
+
+    fn take_buf(&mut self) -> Vec<f64> {
+        self.line_pool.take()
+    }
+
+    fn recycle_buf(&mut self, buf: Vec<f64>) {
+        self.line_pool.put(buf);
     }
 
     fn compute(&mut self, flops: u64) {

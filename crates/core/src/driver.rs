@@ -543,8 +543,10 @@ fn run_rank(
     // change — never results or virtual times.
     let mut arena = ConnArena::new();
     arena.isa = overset_solver::select_isa(cfg.use_simd);
-    // Recycled halo-exchange buffers, same lifecycle as the arena.
+    // Recycled halo-exchange and line-solve buffers, same lifecycle as the
+    // arena.
     let mut halo_pool: VecPool<f64> = VecPool::new();
+    let mut line_pool: VecPool<f64> = VecPool::new();
 
     let mut last_step_transform: Vec<Option<RigidTransform>> = vec![None; ngrids];
     let mut phase_elapsed = [0.0f64; NUM_PHASES];
@@ -564,7 +566,11 @@ fn run_rank(
             let mut ph = comm.phase(Phase::Flow);
             let t0 = ph.now();
             {
-                let mut mp = MpSolverComm { comm: &mut ph, halo_pool: &mut halo_pool };
+                let mut mp = MpSolverComm {
+                    comm: &mut ph,
+                    halo_pool: &mut halo_pool,
+                    line_pool: &mut line_pool,
+                };
                 mp.exchange_halo(&mut block);
                 if block.turbulent && block.viscous {
                     if let Some(w) = &wall {
@@ -572,8 +578,10 @@ fn run_rank(
                         mp.comm.compute(flops as f64, WorkClass::Flow);
                     }
                 }
-                let flops = compute_residual(&block, &fc, &mut scratch.res);
+                let t_res = mp.now();
+                let flops = compute_residual(&block, &fc, &mut scratch.res, &mut scratch.sweep);
                 mp.comm.compute(flops as f64, WorkClass::Flow);
+                mp.trace_span("solver", "residual", t_res);
                 for v in scratch.res.as_mut_slice() {
                     *v *= fc.dt;
                 }
@@ -581,7 +589,7 @@ fn run_rank(
                 // Update field nodes.
                 let ow = block.owned_local();
                 let mut update_flops = 0u64;
-                for p in ow.iter().collect::<Vec<_>>() {
+                for p in ow.iter() {
                     if block.iblank[p] != overset_solver::Blank::Field {
                         continue;
                     }
@@ -707,9 +715,14 @@ fn run_rank(
                 arena = ConnArena::new();
                 arena.isa = overset_solver::select_isa(cfg.use_simd);
                 halo_pool = VecPool::new();
+                line_pool = VecPool::new();
             }
             {
-                let mut mp = MpSolverComm { comm: &mut ph, halo_pool: &mut halo_pool };
+                let mut mp = MpSolverComm {
+                    comm: &mut ph,
+                    halo_pool: &mut halo_pool,
+                    line_pool: &mut line_pool,
+                };
                 mp.exchange_halo(&mut block);
             }
             if cfg.use_inverse_map {

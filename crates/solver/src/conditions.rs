@@ -111,12 +111,15 @@ pub fn enforce_positivity(q: &mut [f64; NVAR]) -> bool {
     clamped
 }
 
+/// Sutherland constant over T∞ (sea level).
+pub const SUTHERLAND_S: f64 = 110.4 / 288.15;
+
 /// Sutherland's law for nondimensional molecular viscosity, with
 /// temperature `T = γ p / ρ` normalized so `T∞ = 1` (a∞-based scaling).
 #[inline]
 pub fn sutherland_viscosity(q: &[f64; NVAR]) -> f64 {
     let t = (GAMMA * pressure(q) / q[0]).max(1e-12);
-    const S: f64 = 110.4 / 288.15; // Sutherland constant over T∞ (sea level)
+    const S: f64 = SUTHERLAND_S;
     t.powf(1.5) * (1.0 + S) / (t + S)
 }
 

@@ -29,6 +29,8 @@
 use crate::adi::BETA;
 use crate::lanes::{Lane4, W};
 use overset_grid::field::NVAR;
+use overset_grid::index::{Dims, IndexBox};
+use overset_grid::metrics::Metric;
 
 /// Lane-interleaved footprint of one node row (`NVAR` variables × `W` lanes).
 pub const NVW: usize = NVAR * W;
@@ -70,7 +72,7 @@ macro_rules! lane_kernel {
 }
 
 /// SoA field offsets of the cached characteristic frames (`fr` arrays,
-/// layout `fr[field * mpad + m]` for node index `m`): metric normal `k`,
+/// layout `fr[field * stride + m]` for node index `m`): metric normal `k`,
 /// tangents `t1`/`t2`, density, velocity, sound speed, the five signed
 /// eigenvalues, and the spectral radius.
 pub const FR_K: usize = 0;
@@ -84,15 +86,455 @@ pub const FR_SIG: usize = 19;
 /// Number of SoA frame fields.
 pub const FR_FIELDS: usize = 20;
 
-/// SoA field offsets of the gathered per-node frame inputs (`gin` arrays):
-/// conserved state, metric gradient row of the sweep direction, Jacobian,
-/// grid velocity.
-pub const IN_Q: usize = 0;
-pub const IN_G: usize = 5;
-pub const IN_JAC: usize = 8;
-pub const IN_VG: usize = 9;
-/// Number of SoA gather fields.
-pub const IN_FIELDS: usize = 12;
+/// SoA field offsets of the residual's per-direction node cache: pressure,
+/// JST pressure switch ν, scaled spectral radius σ̂, contravariant flux F̂.
+pub const RC_P: usize = 0;
+pub const RC_NU: usize = 1;
+pub const RC_SIG: usize = 2;
+pub const RC_F: usize = 3;
+/// Number of per-direction node-cache fields.
+pub const RC_FIELDS: usize = 8;
+
+/// SoA field offsets of the thin-layer node cache: velocity, kinetic energy
+/// per unit mass, a² = γp/ρ, Sutherland viscosity.
+pub const VC_U: usize = 0;
+pub const VC_KE: usize = 3;
+pub const VC_A2: usize = 4;
+pub const VC_MUL: usize = 5;
+/// Number of thin-layer node-cache fields.
+pub const VC_FIELDS: usize = 6;
+
+/// Offset strides of an `i`-fastest array of dimensions `d`.
+#[inline]
+pub(crate) fn strides(d: Dims) -> [usize; 3] {
+    [1, d.ni, d.ni * d.nj]
+}
+
+/// The interleaved state of the node at storage offset `s`.
+#[inline(always)]
+pub(crate) fn node_at(q: &[f64], s: usize) -> &[f64; NVAR] {
+    q[s * NVAR..(s + 1) * NVAR].try_into().unwrap()
+}
+
+/// A box of nodes walked row by row in storage order (`i` fastest): where
+/// each row starts in block storage (`src`) and in a flat SoA laid out over
+/// an enclosing box (`dst`). The pointwise kernels run four consecutive
+/// nodes of a row per lane group; a ragged row tail replicates its last
+/// node into the padding lanes and stores only the real ones.
+#[derive(Clone, Copy, Debug)]
+pub struct Rows {
+    /// Row length and row counts.
+    pub ni: usize,
+    pub nj: usize,
+    pub nk: usize,
+    pub src: usize,
+    pub src_j: usize,
+    pub src_k: usize,
+    pub dst: usize,
+    pub dst_j: usize,
+    pub dst_k: usize,
+}
+
+impl Rows {
+    /// Rows of `sub` inside storage of dimensions `storage`, paired with
+    /// their positions in an SoA laid out over `soa` (`sub ⊆ soa`).
+    pub fn new(storage: Dims, sub: IndexBox, soa: IndexBox) -> Rows {
+        let sd = sub.dims();
+        let ([_, src_j, src_k], [_, dst_j, dst_k]) = (strides(storage), strides(soa.dims()));
+        Rows {
+            ni: sd.ni,
+            nj: sd.nj,
+            nk: sd.nk,
+            src: storage.offset(sub.lo),
+            src_j,
+            src_k,
+            dst: (sub.lo.i - soa.lo.i)
+                + (sub.lo.j - soa.lo.j) * dst_j
+                + (sub.lo.k - soa.lo.k) * dst_k,
+            dst_j,
+            dst_k,
+        }
+    }
+
+    /// `(src, dst)` offsets of every row start.
+    #[inline(always)]
+    pub fn starts(self) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.nk).flat_map(move |k| {
+            (0..self.nj).map(move |j| {
+                (
+                    self.src + j * self.src_j + k * self.src_k,
+                    self.dst + j * self.dst_j + k * self.dst_k,
+                )
+            })
+        })
+    }
+}
+
+/// Conserved state of `nv` consecutive nodes from the interleaved storage,
+/// one node per lane (padding lanes replicate node `nv - 1`).
+#[inline(always)]
+fn gather_state<L: Lane4>(q: &[f64], s: usize, nv: usize) -> [L; NVAR] {
+    let q = &q[s * NVAR..(s + nv) * NVAR];
+    std::array::from_fn(|v| L::from_array(std::array::from_fn(|l| q[l.min(nv - 1) * NVAR + v])))
+}
+
+/// Metric row of direction `dir`, Jacobian and grid velocity of `nv`
+/// consecutive nodes, one node per lane.
+#[inline(always)]
+fn gather_geometry<L: Lane4>(
+    met: &[Metric],
+    vel: &[[f64; 3]],
+    dir: usize,
+    s: usize,
+    nv: usize,
+) -> ([L; 3], L, [L; 3]) {
+    let (met, vel) = (&met[s..s + nv], &vel[s..s + nv]);
+    let g: [[f64; 3]; W] = std::array::from_fn(|l| met[l.min(nv - 1)].grad(dir));
+    (
+        std::array::from_fn(|t| L::from_array(std::array::from_fn(|l| g[l][t]))),
+        L::from_array(std::array::from_fn(|l| met[l.min(nv - 1)].jac)),
+        std::array::from_fn(|t| L::from_array(std::array::from_fn(|l| vel[l.min(nv - 1)][t]))),
+    )
+}
+
+/// `pressure(q)` on four lanes, in the scalar operation order.
+#[inline(always)]
+fn pressure_lanes<L: Lane4>(q: &[L; NVAR], inv_rho: L) -> L {
+    let gm1 = L::splat(crate::conditions::GAMMA - 1.0);
+    let ke2 = q[1].mul(q[1]).add(q[2].mul(q[2])).add(q[3].mul(q[3]));
+    gm1.mul(q[4].sub(L::splat(0.5).mul(inv_rho).mul(ke2)))
+}
+
+lane_kernel! {
+    /// Pointwise characteristic frames + forward transform over the owned
+    /// nodes in storage order: for every node of `rows` compute the local
+    /// characteristic frame of direction `dir` straight from the block
+    /// arrays (`q` interleaved state, `met`, `vel`) and transform the
+    /// conservative RHS `dw` (five fields × `stride`, in place) to
+    /// characteristic variables. The frame is written to the SoA `fr`
+    /// ([`FR_K`]..). Each lane performs exactly the operation sequence of
+    /// the scalar `char_frame` + `to_char` pair in the tests of [`crate::adi`], so
+    /// results are bit-identical across lanes and ISAs.
+    pub fn frames_forward_rows<L>(
+        rows: Rows,
+        dir: usize,
+        q: &[f64],
+        met: &[Metric],
+        vel: &[[f64; 3]],
+        stride: usize,
+        dw: &mut [f64],
+        fr: &mut [f64],
+    ) {
+        let zero = L::splat(0.0);
+        let one = L::splat(1.0);
+        let half = L::splat(0.5);
+        let gm1 = L::splat(crate::conditions::GAMMA - 1.0);
+        let gam = L::splat(crate::conditions::GAMMA);
+        for (s0, m0) in rows.starts() {
+            let mut i = 0;
+            while i < rows.ni {
+                let nv = (rows.ni - i).min(W);
+                let m = m0 + i;
+                let qn = gather_state::<L>(q, s0 + i, nv);
+                let [q0, q1, q2, q3, _] = qn;
+                let ([g0, g1, g2], jac, [vg0, vg1, vg2]) =
+                    gather_geometry::<L>(met, vel, dir, s0 + i, nv);
+
+                // char_frame, lanewise in the scalar operation order.
+                let s0v = g0.mul(jac);
+                let s1 = g1.mul(jac);
+                let s2 = g2.mul(jac);
+                let ssq = s0v.mul(s0v).add(s1.mul(s1)).add(s2.mul(s2)).sqrt();
+                let floor = L::splat(1e-300);
+                let s_norm = L::select(ssq.lt(floor), floor, ssq);
+                let k0 = s0v.div(s_norm);
+                let k1 = s1.div(s_norm);
+                let k2 = s2.div(s_norm);
+                // Deterministic tangent basis: branch -> per-lane select of
+                // the reference axis, then the identical cross products.
+                let tangent_x = k0.abs().lt(L::splat(0.9));
+                let ax = L::select(tangent_x, one, zero);
+                let ay = L::select(tangent_x, zero, one);
+                let az = zero;
+                let mut t10 = k1.mul(az).sub(k2.mul(ay));
+                let mut t11 = k2.mul(ax).sub(k0.mul(az));
+                let mut t12 = k0.mul(ay).sub(k1.mul(ax));
+                let n1 = t10.mul(t10).add(t11.mul(t11)).add(t12.mul(t12)).sqrt();
+                t10 = t10.div(n1);
+                t11 = t11.div(n1);
+                t12 = t12.div(n1);
+                let t20 = k1.mul(t12).sub(k2.mul(t11));
+                let t21 = k2.mul(t10).sub(k0.mul(t12));
+                let t22 = k0.mul(t11).sub(k1.mul(t10));
+                let rho = q0;
+                let u0 = q1.div(rho);
+                let u1 = q2.div(rho);
+                let u2 = q3.div(rho);
+                // sound_speed(q) in the scalar operation order.
+                let press = pressure_lanes(&qn, one.div(q0));
+                let carg = gam.mul(press).div(q0);
+                let cfloor = L::splat(1e-12);
+                let c = L::select(carg.lt(cfloor), cfloor, carg).sqrt();
+                let u_rel_n = s0v
+                    .mul(u0.sub(vg0))
+                    .add(s1.mul(u1.sub(vg1)))
+                    .add(s2.mul(u2.sub(vg2)));
+                let u_tilde = u_rel_n.div(jac);
+                let c_tilde = c.mul(s_norm).div(jac);
+                let sigma = u_tilde.abs().add(c_tilde);
+
+                // (A macro, not a closure: a closure body would be compiled
+                // outside the kernel's `target_feature` scope.)
+                macro_rules! put {
+                    ($f:expr, $x:expr) => {
+                        $x.store_n(&mut fr[$f * stride + m..], nv)
+                    };
+                }
+                put!(FR_K, k0);
+                put!(FR_K + 1, k1);
+                put!(FR_K + 2, k2);
+                put!(FR_T1, t10);
+                put!(FR_T1 + 1, t11);
+                put!(FR_T1 + 2, t12);
+                put!(FR_T2, t20);
+                put!(FR_T2 + 1, t21);
+                put!(FR_T2 + 2, t22);
+                put!(FR_RHO, rho);
+                put!(FR_U, u0);
+                put!(FR_U + 1, u1);
+                put!(FR_U + 2, u2);
+                put!(FR_C, c);
+                put!(FR_LAM, u_tilde);
+                put!(FR_LAM + 1, u_tilde);
+                put!(FR_LAM + 2, u_tilde);
+                put!(FR_LAM + 3, u_tilde.add(c_tilde));
+                put!(FR_LAM + 4, u_tilde.sub(c_tilde));
+                put!(FR_SIG, sigma);
+
+                // to_char, lanewise in the scalar operation order.
+                let w0 = L::load_n(&dw[m..], nv);
+                let w1 = L::load_n(&dw[stride + m..], nv);
+                let w2 = L::load_n(&dw[2 * stride + m..], nv);
+                let w3 = L::load_n(&dw[3 * stride + m..], nv);
+                let w4 = L::load_n(&dw[4 * stride + m..], nv);
+                let d_rho = w0;
+                let du0 = w1.sub(u0.mul(d_rho)).div(rho);
+                let du1 = w2.sub(u1.mul(d_rho)).div(rho);
+                let du2 = w3.sub(u2.mul(d_rho)).div(rho);
+                let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
+                let dp = gm1.mul(
+                    w4.add(ke.mul(d_rho)).sub(u0.mul(w1)).sub(u1.mul(w2)).sub(u2.mul(w3)),
+                );
+                let un = k0.mul(du0).add(k1.mul(du1)).add(k2.mul(du2));
+                let c2 = c.mul(c);
+                let dp_rc = dp.div(rho.mul(c));
+                d_rho.sub(dp.div(c2)).store_n(&mut dw[m..], nv);
+                t10.mul(du0).add(t11.mul(du1)).add(t12.mul(du2)).store_n(&mut dw[stride + m..], nv);
+                t20.mul(du0)
+                    .add(t21.mul(du1))
+                    .add(t22.mul(du2))
+                    .store_n(&mut dw[2 * stride + m..], nv);
+                un.add(dp_rc).store_n(&mut dw[3 * stride + m..], nv);
+                un.sub(dp_rc).store_n(&mut dw[4 * stride + m..], nv);
+                i += W;
+            }
+        }
+    }
+}
+
+lane_kernel! {
+    /// Pointwise inverse characteristic transform (`from_char`) over the
+    /// first `mm` nodes of the SoA: `dw` enters holding the characteristic
+    /// solution (five fields × `stride`) and leaves holding conservative
+    /// increments, using the frame SoA written by [`frames_forward_rows`].
+    /// Scalar operation order per lane, so results are bit-identical across
+    /// ISAs.
+    pub fn from_char_lanes<L>(
+        mm: usize,
+        stride: usize,
+        fr: &[f64],
+        dw: &mut [f64],
+    ) {
+        let half = L::splat(0.5);
+        let gm1 = L::splat(crate::conditions::GAMMA - 1.0);
+        let mut m = 0;
+        while m < mm {
+            let nv = (mm - m).min(W);
+            macro_rules! get {
+                ($f:expr) => {
+                    L::load_n(&fr[$f * stride + m..], nv)
+                };
+            }
+            let k0 = get!(FR_K);
+            let k1 = get!(FR_K + 1);
+            let k2 = get!(FR_K + 2);
+            let t10 = get!(FR_T1);
+            let t11 = get!(FR_T1 + 1);
+            let t12 = get!(FR_T1 + 2);
+            let t20 = get!(FR_T2);
+            let t21 = get!(FR_T2 + 1);
+            let t22 = get!(FR_T2 + 2);
+            let rho = get!(FR_RHO);
+            let u0 = get!(FR_U);
+            let u1 = get!(FR_U + 1);
+            let u2 = get!(FR_U + 2);
+            let c = get!(FR_C);
+            let w0 = L::load_n(&dw[m..], nv);
+            let w1 = L::load_n(&dw[stride + m..], nv);
+            let w2 = L::load_n(&dw[2 * stride + m..], nv);
+            let w3 = L::load_n(&dw[3 * stride + m..], nv);
+            let w4 = L::load_n(&dw[4 * stride + m..], nv);
+
+            let dp = half.mul(rho).mul(c).mul(w3.sub(w4));
+            let un = half.mul(w3.add(w4));
+            let d_rho = w0.add(dp.div(c.mul(c)));
+            let du0 = t10.mul(w1).add(t20.mul(w2)).add(k0.mul(un));
+            let du1 = t11.mul(w1).add(t21.mul(w2)).add(k1.mul(un));
+            let du2 = t12.mul(w1).add(t22.mul(w2)).add(k2.mul(un));
+            let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
+            d_rho.store_n(&mut dw[m..], nv);
+            u0.mul(d_rho).add(rho.mul(du0)).store_n(&mut dw[stride + m..], nv);
+            u1.mul(d_rho).add(rho.mul(du1)).store_n(&mut dw[2 * stride + m..], nv);
+            u2.mul(d_rho).add(rho.mul(du2)).store_n(&mut dw[3 * stride + m..], nv);
+            ke.mul(d_rho)
+                .add(rho.mul(u0.mul(du0).add(u1.mul(du1)).add(u2.mul(du2))))
+                .add(dp.div(gm1))
+                .store_n(&mut dw[4 * stride + m..], nv);
+            m += W;
+        }
+    }
+}
+
+lane_kernel! {
+    /// Residual node pass of one direction: for every node of `rows` the
+    /// static pressure, the scaled spectral radius σ̂ = |Û_rel| + c|Ŝ| and the
+    /// contravariant ALE flux F̂ of direction `dir`, written to the node
+    /// cache ([`RC_P`], [`RC_SIG`], [`RC_F`]..). Each lane runs the exact
+    /// operation sequence of the scalar `pressure` / `spectral_radius` /
+    /// `hat_flux` reference in [`crate::rhs`].
+    pub fn flux_node_rows<L>(
+        rows: Rows,
+        dir: usize,
+        q: &[f64],
+        met: &[Metric],
+        vel: &[[f64; 3]],
+        stride: usize,
+        cache: &mut [f64],
+    ) {
+        let one = L::splat(1.0);
+        let gam = L::splat(crate::conditions::GAMMA);
+        for (s0, m0) in rows.starts() {
+            let mut i = 0;
+            while i < rows.ni {
+                let nv = (rows.ni - i).min(W);
+                let m = m0 + i;
+                let qn = gather_state::<L>(q, s0 + i, nv);
+                let ([g0, g1, g2], jac, [vg0, vg1, vg2]) =
+                    gather_geometry::<L>(met, vel, dir, s0 + i, nv);
+                // Ŝ = J ∇ξ.
+                let s0v = g0.mul(jac);
+                let s1 = g1.mul(jac);
+                let s2 = g2.mul(jac);
+                let inv_rho = one.div(qn[0]);
+                let u0 = qn[1].mul(inv_rho);
+                let u1 = qn[2].mul(inv_rho);
+                let u2 = qn[3].mul(inv_rho);
+                let p = pressure_lanes(&qn, inv_rho);
+                let u_s = s0v.mul(u0).add(s1.mul(u1)).add(s2.mul(u2));
+                let ug_s = s0v.mul(vg0).add(s1.mul(vg1)).add(s2.mul(vg2));
+                let u_rel = u_s.sub(ug_s);
+                // σ̂: the relative contravariant speed is re-summed in
+                // `spectral_radius`'s own association.
+                let s_norm = s0v.mul(s0v).add(s1.mul(s1)).add(s2.mul(s2)).sqrt();
+                let u_rel_sr = s0v
+                    .mul(u0.sub(vg0))
+                    .add(s1.mul(u1.sub(vg1)))
+                    .add(s2.mul(u2.sub(vg2)));
+                let c = gam.mul(p).div(qn[0]).max(L::splat(1e-12)).sqrt();
+                let sigma = u_rel_sr.abs().add(c.mul(s_norm));
+
+                macro_rules! put {
+                    ($f:expr, $x:expr) => {
+                        $x.store_n(&mut cache[$f * stride + m..], nv)
+                    };
+                }
+                put!(RC_P, p);
+                put!(RC_SIG, sigma);
+                put!(RC_F, qn[0].mul(u_rel));
+                put!(RC_F + 1, qn[1].mul(u_rel).add(s0v.mul(p)));
+                put!(RC_F + 2, qn[2].mul(u_rel).add(s1.mul(p)));
+                put!(RC_F + 3, qn[3].mul(u_rel).add(s2.mul(p)));
+                put!(RC_F + 4, qn[4].mul(u_rel).add(p.mul(u_s)));
+                i += W;
+            }
+        }
+    }
+}
+
+lane_kernel! {
+    /// JST pressure switch ν = |p₊ − 2p + p₋| / max(p₊ + 2p + p₋, 10⁻¹²)
+    /// for every node of `rows` (SoA positions only), from the cached
+    /// pressures `mstep` entries apart along the differenced direction.
+    pub fn nu_rows<L>(rows: Rows, mstep: usize, p: &[f64], nu: &mut [f64]) {
+        let two = L::splat(2.0);
+        for (_, m0) in rows.starts() {
+            let mut i = 0;
+            while i < rows.ni {
+                let nv = (rows.ni - i).min(W);
+                let m = m0 + i;
+                let pm = L::load_n(&p[m - mstep..], nv);
+                let pc = L::load_n(&p[m..], nv);
+                let pp = L::load_n(&p[m + mstep..], nv);
+                let num = pp.sub(two.mul(pc)).add(pm);
+                let den = pp.add(two.mul(pc)).add(pm).max(L::splat(1e-12));
+                num.div(den).abs().store_n(&mut nu[m..], nv);
+                i += W;
+            }
+        }
+    }
+}
+
+lane_kernel! {
+    /// Thin-layer node pass: velocity, kinetic energy, a² = γp/ρ and the
+    /// Sutherland viscosity of every node of `rows`, written to the node
+    /// cache ([`VC_U`]..) in the operation order of the scalar
+    /// `viscous_face_flux` reference (`powf` stays the libm call, per lane).
+    pub fn viscous_node_rows<L>(rows: Rows, q: &[f64], stride: usize, cache: &mut [f64]) {
+        use crate::conditions::SUTHERLAND_S;
+        let one = L::splat(1.0);
+        let half = L::splat(0.5);
+        let gam = L::splat(crate::conditions::GAMMA);
+        for (s0, m0) in rows.starts() {
+            let mut i = 0;
+            while i < rows.ni {
+                let nv = (rows.ni - i).min(W);
+                let m = m0 + i;
+                let qn = gather_state::<L>(q, s0 + i, nv);
+                let u0 = qn[1].div(qn[0]);
+                let u1 = qn[2].div(qn[0]);
+                let u2 = qn[3].div(qn[0]);
+                let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
+                let a2 = gam.mul(pressure_lanes(&qn, one.div(qn[0]))).div(qn[0]);
+                let t = a2.max(L::splat(1e-12));
+                let t15 = L::from_array(t.to_array().map(|x| x.powf(1.5)));
+                let mu_l = t15.mul(L::splat(1.0 + SUTHERLAND_S)).div(t.add(L::splat(SUTHERLAND_S)));
+
+                macro_rules! put {
+                    ($f:expr, $x:expr) => {
+                        $x.store_n(&mut cache[$f * stride + m..], nv)
+                    };
+                }
+                put!(VC_U, u0);
+                put!(VC_U + 1, u1);
+                put!(VC_U + 2, u2);
+                put!(VC_KE, ke);
+                put!(VC_A2, a2);
+                put!(VC_MUL, mu_l);
+                i += W;
+            }
+        }
+    }
+}
 
 /// One Thomas forward-elimination step on four lanes:
 /// `bp = b - a·cp₋`, `cp = c/bp`, `dp = (d - a·dp₋)/bp` — the exact scalar
@@ -110,7 +552,7 @@ fn thomas_first<L: Lane4>(b: L, c: L, d: L) -> (L, L) {
 }
 
 /// Sweep-row implicit coefficients for one characteristic variable, on four
-/// lanes — the vector form of [`crate::adi`]'s `row_abc` (identity rows are
+/// lanes — the vector form of `row_abc` in the tests of [`crate::adi`] (identity rows are
 /// blended to `(0, 1, 0)` afterwards by the caller).
 #[inline(always)]
 fn coeffs<L: Lane4>(dt: L, tbd: L, lam_m: L, sig_m: L, sig_0: L, lam_p: L, sig_p: L) -> (L, L, L) {
@@ -119,190 +561,6 @@ fn coeffs<L: Lane4>(dt: L, tbd: L, lam_m: L, sig_m: L, sig_0: L, lam_p: L, sig_p
     let b = L::splat(1.0).add(tbd.mul(sig_0));
     let cc = dt.mul(L::splat(0.5).mul(lam_p).sub(beta.mul(sig_p)));
     (a, b, cc)
-}
-
-lane_kernel! {
-    /// Pointwise characteristic frames + forward transform, four nodes per
-    /// lane group: for each of `mpad` nodes (padded to a multiple of [`W`])
-    /// compute the local characteristic frame from the gathered inputs
-    /// `gin` ([`IN_Q`]..) and transform the conservative RHS `dw` (five
-    /// fields × `mpad`, in place) to characteristic variables. The frame is
-    /// written to the SoA `fr` ([`FR_K`]..). Each lane performs exactly the
-    /// operation sequence of the scalar `char_frame` + `to_char` pair in
-    /// [`crate::adi`], so results are bit-identical across lanes and ISAs.
-    pub fn frames_forward_lanes<L>(
-        mpad: usize,
-        gin: &[f64],
-        dw: &mut [f64],
-        fr: &mut [f64],
-    ) {
-        let zero = L::splat(0.0);
-        let one = L::splat(1.0);
-        let half = L::splat(0.5);
-        let gm1 = L::splat(crate::conditions::GAMMA - 1.0);
-        let gam = L::splat(crate::conditions::GAMMA);
-        let mut m = 0;
-        while m < mpad {
-            let q0 = L::load(&gin[IN_Q * mpad + m..]);
-            let q1 = L::load(&gin[(IN_Q + 1) * mpad + m..]);
-            let q2 = L::load(&gin[(IN_Q + 2) * mpad + m..]);
-            let q3 = L::load(&gin[(IN_Q + 3) * mpad + m..]);
-            let q4 = L::load(&gin[(IN_Q + 4) * mpad + m..]);
-            let g0 = L::load(&gin[IN_G * mpad + m..]);
-            let g1 = L::load(&gin[(IN_G + 1) * mpad + m..]);
-            let g2 = L::load(&gin[(IN_G + 2) * mpad + m..]);
-            let jac = L::load(&gin[IN_JAC * mpad + m..]);
-            let vg0 = L::load(&gin[IN_VG * mpad + m..]);
-            let vg1 = L::load(&gin[(IN_VG + 1) * mpad + m..]);
-            let vg2 = L::load(&gin[(IN_VG + 2) * mpad + m..]);
-
-            // char_frame, lanewise in the scalar operation order.
-            let s0 = g0.mul(jac);
-            let s1 = g1.mul(jac);
-            let s2 = g2.mul(jac);
-            let ssq = s0.mul(s0).add(s1.mul(s1)).add(s2.mul(s2)).sqrt();
-            let floor = L::splat(1e-300);
-            let s_norm = L::select(ssq.lt(floor), floor, ssq);
-            let k0 = s0.div(s_norm);
-            let k1 = s1.div(s_norm);
-            let k2 = s2.div(s_norm);
-            // Deterministic tangent basis: branch -> per-lane select of the
-            // reference axis, then the identical cross products.
-            let tangent_x = k0.abs().lt(L::splat(0.9));
-            let ax = L::select(tangent_x, one, zero);
-            let ay = L::select(tangent_x, zero, one);
-            let az = zero;
-            let mut t10 = k1.mul(az).sub(k2.mul(ay));
-            let mut t11 = k2.mul(ax).sub(k0.mul(az));
-            let mut t12 = k0.mul(ay).sub(k1.mul(ax));
-            let n1 = t10.mul(t10).add(t11.mul(t11)).add(t12.mul(t12)).sqrt();
-            t10 = t10.div(n1);
-            t11 = t11.div(n1);
-            t12 = t12.div(n1);
-            let t20 = k1.mul(t12).sub(k2.mul(t11));
-            let t21 = k2.mul(t10).sub(k0.mul(t12));
-            let t22 = k0.mul(t11).sub(k1.mul(t10));
-            let rho = q0;
-            let u0 = q1.div(rho);
-            let u1 = q2.div(rho);
-            let u2 = q3.div(rho);
-            // sound_speed(q) in the scalar operation order.
-            let inv_rho = one.div(q0);
-            let press = gm1.mul(q4.sub(
-                half.mul(inv_rho).mul(q1.mul(q1).add(q2.mul(q2)).add(q3.mul(q3))),
-            ));
-            let carg = gam.mul(press).div(q0);
-            let cfloor = L::splat(1e-12);
-            let c = L::select(carg.lt(cfloor), cfloor, carg).sqrt();
-            let u_rel_n = s0
-                .mul(u0.sub(vg0))
-                .add(s1.mul(u1.sub(vg1)))
-                .add(s2.mul(u2.sub(vg2)));
-            let u_tilde = u_rel_n.div(jac);
-            let c_tilde = c.mul(s_norm).div(jac);
-            let sigma = u_tilde.abs().add(c_tilde);
-
-            k0.store(&mut fr[FR_K * mpad + m..]);
-            k1.store(&mut fr[(FR_K + 1) * mpad + m..]);
-            k2.store(&mut fr[(FR_K + 2) * mpad + m..]);
-            t10.store(&mut fr[FR_T1 * mpad + m..]);
-            t11.store(&mut fr[(FR_T1 + 1) * mpad + m..]);
-            t12.store(&mut fr[(FR_T1 + 2) * mpad + m..]);
-            t20.store(&mut fr[FR_T2 * mpad + m..]);
-            t21.store(&mut fr[(FR_T2 + 1) * mpad + m..]);
-            t22.store(&mut fr[(FR_T2 + 2) * mpad + m..]);
-            rho.store(&mut fr[FR_RHO * mpad + m..]);
-            u0.store(&mut fr[FR_U * mpad + m..]);
-            u1.store(&mut fr[(FR_U + 1) * mpad + m..]);
-            u2.store(&mut fr[(FR_U + 2) * mpad + m..]);
-            c.store(&mut fr[FR_C * mpad + m..]);
-            u_tilde.store(&mut fr[FR_LAM * mpad + m..]);
-            u_tilde.store(&mut fr[(FR_LAM + 1) * mpad + m..]);
-            u_tilde.store(&mut fr[(FR_LAM + 2) * mpad + m..]);
-            u_tilde.add(c_tilde).store(&mut fr[(FR_LAM + 3) * mpad + m..]);
-            u_tilde.sub(c_tilde).store(&mut fr[(FR_LAM + 4) * mpad + m..]);
-            sigma.store(&mut fr[FR_SIG * mpad + m..]);
-
-            // to_char, lanewise in the scalar operation order.
-            let w0 = L::load(&dw[m..]);
-            let w1 = L::load(&dw[mpad + m..]);
-            let w2 = L::load(&dw[2 * mpad + m..]);
-            let w3 = L::load(&dw[3 * mpad + m..]);
-            let w4 = L::load(&dw[4 * mpad + m..]);
-            let d_rho = w0;
-            let du0 = w1.sub(u0.mul(d_rho)).div(rho);
-            let du1 = w2.sub(u1.mul(d_rho)).div(rho);
-            let du2 = w3.sub(u2.mul(d_rho)).div(rho);
-            let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
-            let dp = gm1.mul(
-                w4.add(ke.mul(d_rho)).sub(u0.mul(w1)).sub(u1.mul(w2)).sub(u2.mul(w3)),
-            );
-            let un = k0.mul(du0).add(k1.mul(du1)).add(k2.mul(du2));
-            let c2 = c.mul(c);
-            let dp_rc = dp.div(rho.mul(c));
-            d_rho.sub(dp.div(c2)).store(&mut dw[m..]);
-            t10.mul(du0).add(t11.mul(du1)).add(t12.mul(du2)).store(&mut dw[mpad + m..]);
-            t20.mul(du0).add(t21.mul(du1)).add(t22.mul(du2)).store(&mut dw[2 * mpad + m..]);
-            un.add(dp_rc).store(&mut dw[3 * mpad + m..]);
-            un.sub(dp_rc).store(&mut dw[4 * mpad + m..]);
-            m += W;
-        }
-    }
-}
-
-lane_kernel! {
-    /// Pointwise inverse characteristic transform (`from_char`), four nodes
-    /// per lane group: `dw` enters holding the characteristic solution
-    /// (five fields × `mpad`) and leaves holding conservative increments,
-    /// using the frame SoA written by [`frames_forward_lanes`]. Scalar
-    /// operation order per lane, so results are bit-identical across ISAs.
-    pub fn from_char_lanes<L>(
-        mpad: usize,
-        fr: &[f64],
-        dw: &mut [f64],
-    ) {
-        let half = L::splat(0.5);
-        let gm1 = L::splat(crate::conditions::GAMMA - 1.0);
-        let mut m = 0;
-        while m < mpad {
-            let k0 = L::load(&fr[FR_K * mpad + m..]);
-            let k1 = L::load(&fr[(FR_K + 1) * mpad + m..]);
-            let k2 = L::load(&fr[(FR_K + 2) * mpad + m..]);
-            let t10 = L::load(&fr[FR_T1 * mpad + m..]);
-            let t11 = L::load(&fr[(FR_T1 + 1) * mpad + m..]);
-            let t12 = L::load(&fr[(FR_T1 + 2) * mpad + m..]);
-            let t20 = L::load(&fr[FR_T2 * mpad + m..]);
-            let t21 = L::load(&fr[(FR_T2 + 1) * mpad + m..]);
-            let t22 = L::load(&fr[(FR_T2 + 2) * mpad + m..]);
-            let rho = L::load(&fr[FR_RHO * mpad + m..]);
-            let u0 = L::load(&fr[FR_U * mpad + m..]);
-            let u1 = L::load(&fr[(FR_U + 1) * mpad + m..]);
-            let u2 = L::load(&fr[(FR_U + 2) * mpad + m..]);
-            let c = L::load(&fr[FR_C * mpad + m..]);
-            let w0 = L::load(&dw[m..]);
-            let w1 = L::load(&dw[mpad + m..]);
-            let w2 = L::load(&dw[2 * mpad + m..]);
-            let w3 = L::load(&dw[3 * mpad + m..]);
-            let w4 = L::load(&dw[4 * mpad + m..]);
-
-            let dp = half.mul(rho).mul(c).mul(w3.sub(w4));
-            let un = half.mul(w3.add(w4));
-            let d_rho = w0.add(dp.div(c.mul(c)));
-            let du0 = t10.mul(w1).add(t20.mul(w2)).add(k0.mul(un));
-            let du1 = t11.mul(w1).add(t21.mul(w2)).add(k1.mul(un));
-            let du2 = t12.mul(w1).add(t22.mul(w2)).add(k2.mul(un));
-            let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
-            d_rho.store(&mut dw[m..]);
-            u0.mul(d_rho).add(rho.mul(du0)).store(&mut dw[mpad + m..]);
-            u1.mul(d_rho).add(rho.mul(du1)).store(&mut dw[2 * mpad + m..]);
-            u2.mul(d_rho).add(rho.mul(du2)).store(&mut dw[3 * mpad + m..]);
-            ke.mul(d_rho)
-                .add(rho.mul(u0.mul(du0).add(u1.mul(du1)).add(u2.mul(du2))))
-                .add(dp.div(gm1))
-                .store(&mut dw[4 * mpad + m..]);
-            m += W;
-        }
-    }
 }
 
 lane_kernel! {

@@ -84,6 +84,9 @@ pub trait Lane4: Copy {
     fn sqrt(self) -> Self;
     fn neg(self) -> Self;
     fn abs(self) -> Self;
+    /// Lanewise [`f64::max`]: a NaN lane yields the other operand, so a
+    /// non-finite value read from a blanked node cannot poison the maximum.
+    fn max(self, o: Self) -> Self;
     /// Lanewise `self < o`: all-ones lanes where true, zero where false.
     fn lt(self, o: Self) -> Self;
     /// Lanewise `self <= o` mask.
@@ -92,6 +95,29 @@ pub trait Lane4: Copy {
     /// otherwise `b` (AVX2 `blendv` semantics).
     fn select(mask: Self, a: Self, b: Self) -> Self;
     fn to_array(self) -> [f64; W];
+    fn from_array(a: [f64; W]) -> Self {
+        Self::load(&a)
+    }
+    /// Load the first `n` lanes from `src[..n]`; the rest replicate lane
+    /// `n - 1` (ragged row tails: padding lanes compute on real data and are
+    /// never stored).
+    #[inline(always)]
+    fn load_n(src: &[f64], n: usize) -> Self {
+        if n == W {
+            Self::load(src)
+        } else {
+            Self::from_array(std::array::from_fn(|l| src[l.min(n - 1)]))
+        }
+    }
+    /// Store the first `n` lanes to `dst[..n]`.
+    #[inline(always)]
+    fn store_n(self, dst: &mut [f64], n: usize) {
+        if n == W {
+            self.store(dst);
+        } else {
+            dst[..n].copy_from_slice(&self.to_array()[..n]);
+        }
+    }
     /// Build a select mask from per-lane booleans (sign bit set when true).
     fn mask(flags: [bool; W]) -> Self {
         let mut m = [0.0f64; W];
@@ -156,6 +182,15 @@ impl Lane4 for ScalarLanes {
     #[inline(always)]
     fn abs(self) -> Self {
         ScalarLanes(self.0.map(f64::abs))
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        ScalarLanes([
+            self.0[0].max(o.0[0]),
+            self.0[1].max(o.0[1]),
+            self.0[2].max(o.0[2]),
+            self.0[3].max(o.0[3]),
+        ])
     }
     #[inline(always)]
     fn lt(self, o: Self) -> Self {
@@ -241,6 +276,15 @@ mod avx {
             AvxLanes(unsafe { _mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0) })
         }
         #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            // `vmaxpd(o, self)` is `o > self ? o : self` (a NaN `o` loses);
+            // a NaN `self` is then replaced by `o` — `f64::max` per lane.
+            AvxLanes(unsafe {
+                let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(self.0, self.0);
+                _mm256_blendv_pd(_mm256_max_pd(o.0, self.0), o.0, nan)
+            })
+        }
+        #[inline(always)]
         fn lt(self, o: Self) -> Self {
             AvxLanes(unsafe { _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, o.0) })
         }
@@ -257,6 +301,10 @@ mod avx {
             let mut out = [0.0; W];
             self.store(&mut out);
             out
+        }
+        #[inline(always)]
+        fn from_array(a: [f64; W]) -> Self {
+            AvxLanes(unsafe { _mm256_set_pd(a[3], a[2], a[1], a[0]) })
         }
     }
 }
@@ -279,6 +327,10 @@ mod tests {
             x.sqrt().to_array(),
             x.neg().to_array(),
             x.abs().to_array(),
+            x.max(y).to_array(),
+            L::from_array(a).max(L::splat(f64::NAN)).to_array(),
+            L::splat(f64::NAN).max(y).to_array(),
+            L::load_n(&a, 2).to_array(),
             L::select(x.lt(y), x, y).to_array(),
             L::select(x.le(y), y, x).to_array(),
         ]
@@ -297,7 +349,14 @@ mod tests {
             assert_eq!(got[4][l].to_bits(), a[l].sqrt().to_bits());
             assert_eq!(got[5][l].to_bits(), (-a[l]).to_bits());
             assert_eq!(got[6][l].to_bits(), a[l].abs().to_bits());
+            assert_eq!(got[7][l].to_bits(), a[l].max(b[l]).to_bits());
+            assert_eq!(got[8][l].to_bits(), a[l].to_bits(), "NaN on the right loses");
+            assert_eq!(got[9][l].to_bits(), b[l].to_bits(), "NaN on the left loses");
+            assert_eq!(got[10][l].to_bits(), a[l.min(1)].to_bits());
         }
+        let mut out = [9.0; W];
+        ScalarLanes(a).store_n(&mut out, 3);
+        assert_eq!(out, [a[0], a[1], a[2], 9.0]);
     }
 
     #[test]

@@ -22,6 +22,8 @@ pub mod kernels;
 pub mod lanes;
 pub mod rhs;
 pub mod step;
+#[cfg(test)]
+mod testutil;
 pub mod tridiag;
 pub mod turbulence;
 

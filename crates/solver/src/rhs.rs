@@ -9,85 +9,44 @@
 //! The residual is `dq/dt` (already divided by the cell Jacobian), so
 //! `res = 0` exactly at uniform freestream on any untangled grid — verified
 //! by the freestream-preservation tests.
+//!
+//! Evaluation is a **node pass + face assembly** per direction: every
+//! quantity that depends on one node only (pressure, the pressure switch ν,
+//! the spectral radius σ̂, the contravariant flux F̂; velocity, kinetic
+//! energy, a² and μ_l for the thin-layer term) is computed once per node by
+//! the lane-batched kernels in [`crate::kernels`] into a node cache, and the
+//! assembly then differences cached values, accumulating into `res`
+//! direction by direction. Each cached value is produced by the operation
+//! sequence the per-node form used (kept as `reference` for the bit-equality
+//! tests), so the result is bit-identical to evaluating every stencil from
+//! scratch.
 
+use crate::adi::SweepScratch;
 use crate::block::{Blank, Block};
-use crate::conditions::{
-    pressure, sound_speed, sutherland_viscosity, FlowConditions, GAMMA, PRANDTL, PRANDTL_T,
+use crate::conditions::{pressure, FlowConditions, GAMMA, PRANDTL, PRANDTL_T};
+use crate::kernels::{
+    self, node_at as node, strides, Rows, RC_F, RC_FIELDS, RC_NU, RC_P, RC_SIG, VC_A2, VC_FIELDS,
+    VC_KE, VC_MUL, VC_U,
 };
 use overset_grid::field::{StateField, NVAR};
-use overset_grid::index::Ijk;
+use overset_grid::index::IndexBox;
 
 /// JST dissipation constants (2nd-difference sensor gain, 4th-difference
 /// background gain).
 pub const K2: f64 = 0.5;
 pub const K4: f64 = 1.0 / 16.0;
 
-/// Estimated flops per owned node per active direction for the flux +
-/// dissipation assembly (used for virtual-time accounting).
+/// Modelled flops per owned node per active direction for the flux +
+/// dissipation assembly (virtual-time accounting: the cost of evaluating
+/// every stencil from scratch, which is what the paper's machines did).
 pub const FLOPS_PER_NODE_PER_DIR: u64 = 110;
-/// Estimated extra flops per owned node for thin-layer viscous terms.
+/// Modelled extra flops per owned node for thin-layer viscous terms.
 pub const FLOPS_VISCOUS_PER_NODE: u64 = 90;
-
-#[inline]
-fn offset(p: Ijk, dir: usize, d: isize) -> Ijk {
-    let mut q = p;
-    q.set(dir, (q.get(dir) as isize + d) as usize);
-    q
-}
-
-/// Contravariant flux vector F̂ through the `dir` computational face at a
-/// node, including ALE grid-velocity terms.
-#[inline]
-fn hat_flux(block: &Block, p: Ijk, dir: usize) -> [f64; NVAR] {
-    let q = block.q.node(p);
-    let m = block.metrics[p];
-    let g = m.grad(dir);
-    let jac = m.jac;
-    let s = [g[0] * jac, g[1] * jac, g[2] * jac]; // Ŝ = J ∇ξ
-    let inv_rho = 1.0 / q[0];
-    let u = [q[1] * inv_rho, q[2] * inv_rho, q[3] * inv_rho];
-    let vg = block.grid_vel[p];
-    let p_stat = pressure(q);
-    let u_s = s[0] * u[0] + s[1] * u[1] + s[2] * u[2];
-    let ug_s = s[0] * vg[0] + s[1] * vg[1] + s[2] * vg[2];
-    let u_rel = u_s - ug_s;
-    [
-        q[0] * u_rel,
-        q[1] * u_rel + s[0] * p_stat,
-        q[2] * u_rel + s[1] * p_stat,
-        q[3] * u_rel + s[2] * p_stat,
-        q[4] * u_rel + p_stat * u_s,
-    ]
-}
-
-/// Scaled spectral radius σ̂ = |Û_rel| + c|Ŝ| at a node for direction `dir`.
-#[inline]
-pub fn spectral_radius(block: &Block, p: Ijk, dir: usize) -> f64 {
-    let q = block.q.node(p);
-    let m = block.metrics[p];
-    let g = m.grad(dir);
-    let jac = m.jac;
-    let s = [g[0] * jac, g[1] * jac, g[2] * jac];
-    let s_norm = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt();
-    let inv_rho = 1.0 / q[0];
-    let vg = block.grid_vel[p];
-    let u_rel = s[0] * (q[1] * inv_rho - vg[0])
-        + s[1] * (q[2] * inv_rho - vg[1])
-        + s[2] * (q[3] * inv_rho - vg[2]);
-    u_rel.abs() + sound_speed(q) * s_norm
-}
-
-/// Is the node usable in a difference stencil (inside local storage)?
-#[inline]
-fn in_local(block: &Block, p: Ijk, dir: usize, d: isize) -> bool {
-    let c = p.get(dir) as isize + d;
-    c >= 0 && (c as usize) < block.local_dims.get(dir)
-}
 
 /// Range of local indices along `dir` that have valid ±1 stencil data:
 /// owned nodes, shrunk by one at faces with no neighbor (physical
-/// boundaries are handled by the BC module).
-fn sweep_box(block: &Block) -> overset_grid::index::IndexBox {
+/// boundaries are handled by the BC module). `None` when nothing is left.
+fn sweep_box(block: &Block) -> Option<IndexBox> {
     let mut b = block.owned_local();
     for dir in block.active_dirs().iter().copied() {
         let f_min = 2 * dir;
@@ -103,172 +62,234 @@ fn sweep_box(block: &Block) -> overset_grid::index::IndexBox {
     }
     // Periodic grids: the duplicated seam node (global i = ni-1) mirrors
     // node 0 and is never updated directly.
-    if block.self_wrap_i || block.neighbor[1].is_some() {
-        let gd = block.grid_dims;
-        if block.owned.hi.i == gd.ni && is_periodic(block) {
-            b.hi.set(0, b.hi.get(0) - 1);
-        }
+    if (block.self_wrap_i || block.neighbor[1].is_some())
+        && block.owned.hi.i == block.grid_dims.ni
+        && block.periodic_i_grid
+    {
+        b.hi.set(0, b.hi.get(0) - 1);
     }
-    b
+    (0..3).all(|d| b.lo.get(d) < b.hi.get(d)).then_some(b)
 }
 
-#[inline]
-fn is_periodic(block: &Block) -> bool {
-    block.periodic_i_grid
+/// `b` grown by `w` nodes on both sides along `dir`.
+fn grown(b: IndexBox, dir: usize, w: usize) -> IndexBox {
+    let (mut lo, mut hi) = (b.lo, b.hi);
+    lo.set(dir, lo.get(dir) - w);
+    hi.set(dir, hi.get(dir) + w);
+    IndexBox::new(lo, hi)
 }
 
-/// Assemble the residual into `res` over the block's computable nodes.
-/// Returns estimated flops performed.
-pub fn compute_residual(block: &Block, fc: &FlowConditions, res: &mut StateField) -> u64 {
+/// Assemble the residual into `res` over the block's computable nodes,
+/// using `ws` for the node cache. Returns the modelled flops.
+pub fn compute_residual(
+    block: &Block,
+    fc: &FlowConditions,
+    res: &mut StateField,
+    ws: &mut SweepScratch,
+) -> u64 {
     assert_eq!(res.dims(), block.local_dims);
-    for v in res.as_mut_slice() {
-        *v = 0.0;
-    }
-    let sweep = sweep_box(block);
-    let mut nodes = 0u64;
+    res.as_mut_slice().fill(0.0);
+    let Some(sweep) = sweep_box(block) else { return 0 };
+    let viscous = block.viscous && fc.viscous_coefficient() > 0.0;
+    let ld = block.local_dims;
+    let q = block.q.as_slice();
+    let isa = ws.isa;
 
-    for p in sweep.iter() {
-        if block.iblank[p] != Blank::Field {
-            continue;
-        }
-        nodes += 1;
-        let jac = block.metrics[p].jac;
-        let inv_j = 1.0 / jac;
-        let mut r = [0.0f64; NVAR];
+    // Node-cache stride: the widest footprint of any pass.
+    let dirs = block.active_dirs();
+    let stride = dirs.iter().map(|&d| grown(sweep, d, 2).count()).max().unwrap_or(0);
+    let cache = ws.node_cache(RC_FIELDS.max(VC_FIELDS) * stride);
 
-        for &dir in block.active_dirs() {
-            // Central flux difference.
-            let fp = hat_flux(block, offset(p, dir, 1), dir);
-            let fm = hat_flux(block, offset(p, dir, -1), dir);
-            for v in 0..NVAR {
-                r[v] -= 0.5 * (fp[v] - fm[v]);
-            }
-            // JST scalar dissipation: face-based 2nd/4th differences.
-            let d_hi = face_dissipation(block, p, dir, 1);
-            let d_lo = face_dissipation(block, p, dir, -1);
-            for v in 0..NVAR {
-                r[v] += d_hi[v] - d_lo[v];
-            }
-        }
-
-        if block.viscous && fc.viscous_coefficient() > 0.0 {
-            let fv_hi = viscous_face_flux(block, p, fc, 1);
-            let fv_lo = viscous_face_flux(block, p, fc, -1);
-            for v in 0..NVAR {
-                r[v] += fv_hi[v] - fv_lo[v];
+    for &dir in dirs {
+        // The stencil of a sweep node reaches one node along `dir` for F̂,
+        // σ̂ and ν, two for the pressures under ν — always inside storage.
+        assert_eq!(block.halo[dir], crate::block::HALO);
+        let fb1 = grown(sweep, dir, 1);
+        let fb2 = grown(sweep, dir, 2);
+        let (met, vel) = (block.metrics.as_slice(), block.grid_vel.as_slice());
+        kernels::flux_node_rows(isa, Rows::new(ld, fb1, fb2), dir, q, met, vel, stride, cache);
+        // Pressure alone on the two outermost layers.
+        for layer in [fb2.lo.get(dir), fb2.hi.get(dir) - 1] {
+            let (mut lo, mut hi) = (fb2.lo, fb2.hi);
+            lo.set(dir, layer);
+            hi.set(dir, layer + 1);
+            let rows = Rows::new(ld, IndexBox::new(lo, hi), fb2);
+            for (s0, m0) in rows.starts() {
+                for i in 0..rows.ni {
+                    cache[RC_P * stride + m0 + i] = pressure(node(q, s0 + i));
+                }
             }
         }
-
-        let out = res.node_mut(p);
-        for v in 0..NVAR {
-            out[v] = r[v] * inv_j;
-        }
+        const _: () = assert!(RC_P == 0 && RC_NU == 1);
+        let (p, nu) = cache[..2 * stride].split_at_mut(stride);
+        kernels::nu_rows(isa, Rows::new(ld, fb1, fb2), strides(fb2.dims())[dir], p, nu);
+        assemble_direction(block, dir, sweep, fb2, stride, cache, res);
     }
 
-    let dirs = block.active_dirs().len() as u64;
-    let mut flops = nodes * dirs * FLOPS_PER_NODE_PER_DIR;
-    if block.viscous && fc.viscous_coefficient() > 0.0 {
+    // Thin-layer viscous terms in the body-normal η direction.
+    let vb = grown(sweep, ETA, 1);
+    if viscous {
+        kernels::viscous_node_rows(isa, Rows::new(ld, vb, vb), q, stride, cache);
+    }
+    let nodes = add_viscous_and_scale(block, fc, viscous, sweep, vb, stride, cache, res);
+
+    let mut flops = nodes * dirs.len() as u64 * FLOPS_PER_NODE_PER_DIR;
+    if viscous {
         flops += nodes * FLOPS_VISCOUS_PER_NODE;
     }
     flops
 }
 
-/// JST dissipative flux at the face between `p` and `p + side` along `dir`
-/// (side = ±1).
-fn face_dissipation(block: &Block, p: Ijk, dir: usize, side: isize) -> [f64; NVAR] {
-    let p1 = offset(p, dir, side);
-    // Pressure switch ν at both nodes (guarded near storage edges).
-    let nu_at = |n: Ijk| -> f64 {
-        if !in_local(block, n, dir, 1) || !in_local(block, n, dir, -1) {
-            return 0.0;
+/// Face assembly of one direction: around every field node of the sweep
+/// box, the central difference of the cached F̂ and the two JST dissipative
+/// face fluxes, accumulated into `res`. `cache` is laid out over `fb2`.
+fn assemble_direction(
+    block: &Block,
+    dir: usize,
+    sweep: IndexBox,
+    fb2: IndexBox,
+    stride: usize,
+    cache: &[f64],
+    res: &mut StateField,
+) {
+    let ld = block.local_dims;
+    let (st, mt) = (strides(ld)[dir], strides(fb2.dims())[dir]);
+    let q = block.q.as_slice();
+    let ib = block.iblank.as_slice();
+    let (nu, sig) = (&cache[RC_NU * stride..][..stride], &cache[RC_SIG * stride..][..stride]);
+    let out = res.as_mut_slice();
+    for (s0, m0) in Rows::new(ld, sweep, fb2).starts() {
+        for i in 0..sweep.dims().ni {
+            let (s, m) = (s0 + i, m0 + i);
+            if ib[s] != Blank::Field {
+                continue;
+            }
+            let q0 = node(q, s);
+            // JST dissipative flux at the face between `s` and `s1` (`sm`,
+            // `sp`: the nodes behind `s` and beyond `s1`).
+            let face = |s1: usize, m1: usize, sm: usize, sp: usize, sign: f64| {
+                let eps2 = K2 * nu[m].max(nu[m1]);
+                let eps4 = (K4 - eps2).max(0.0);
+                let sigma = 0.5 * (sig[m] + sig[m1]);
+                let q1 = node(q, s1);
+                let mut d = [0.0f64; NVAR];
+                // Second difference across the face.
+                for v in 0..NVAR {
+                    d[v] = eps2 * (q1[v] - q0[v]);
+                }
+                // Fourth difference needs one more node on each side;
+                // degrade to pure 2nd-difference when the stencil crosses
+                // blanked nodes.
+                if ib[sm] == Blank::Field && ib[sp] == Blank::Field && ib[s1] != Blank::Hole {
+                    let (qm, qp) = (node(q, sm), node(q, sp));
+                    for v in 0..NVAR {
+                        let third = (qp[v] - q1[v]) - 2.0 * (q1[v] - q0[v]) + (q0[v] - qm[v]);
+                        d[v] -= eps4 * third;
+                    }
+                }
+                // Face flux orientation: the residual adds
+                // d(p+1/2) - d(p-1/2).
+                for v in d.iter_mut() {
+                    *v *= sigma * sign;
+                }
+                d
+            };
+            let d_hi = face(s + st, m + mt, s - st, s + 2 * st, 1.0);
+            let d_lo = face(s - st, m - mt, s + st, s - 2 * st, -1.0);
+            let r = &mut out[s * NVAR..(s + 1) * NVAR];
+            for v in 0..NVAR {
+                // Central flux difference.
+                let f = &cache[(RC_F + v) * stride..];
+                r[v] -= 0.5 * (f[m + mt] - f[m - mt]);
+                r[v] += d_hi[v] - d_lo[v];
+            }
         }
-        let pm = pressure(block.q.node(offset(n, dir, -1)));
-        let pc = pressure(block.q.node(n));
-        let pp = pressure(block.q.node(offset(n, dir, 1)));
-        ((pp - 2.0 * pc + pm) / (pp + 2.0 * pc + pm).max(1e-12)).abs()
-    };
-    let eps2 = K2 * nu_at(p).max(nu_at(p1));
-    let eps4 = (K4 - eps2).max(0.0);
-    let sigma = 0.5 * (spectral_radius(block, p, dir) + spectral_radius(block, p1, dir));
-
-    let q0 = block.q.node(p);
-    let q1 = block.q.node(p1);
-    let mut d = [0.0f64; NVAR];
-    // Second difference across the face.
-    for v in 0..NVAR {
-        d[v] = eps2 * (q1[v] - q0[v]);
     }
-    // Fourth difference needs one more node on each side; degrade to pure
-    // 2nd-difference when the stencil leaves local storage or crosses
-    // blanked nodes.
-    let pm = offset(p, dir, -side);
-    let pp = offset(p1, dir, side);
-    let stencil_ok = in_local(block, p, dir, -side)
-        && in_local(block, p1, dir, side)
-        && block.iblank[pm] == Blank::Field
-        && block.iblank[pp] == Blank::Field
-        && block.iblank[p1] != Blank::Hole;
-    if stencil_ok {
-        let qm = block.q.node(pm);
-        let qp = block.q.node(pp);
-        for v in 0..NVAR {
-            let third = (qp[v] - q1[v]) - 2.0 * (q1[v] - q0[v]) + (q0[v] - qm[v]);
-            d[v] -= eps4 * third;
-        }
-    }
-    // Face flux orientation: the residual adds d(p+1/2) - d(p-1/2).
-    let sign = if side > 0 { 1.0 } else { -1.0 };
-    for v in d.iter_mut() {
-        *v *= sigma * sign;
-    }
-    d
 }
 
-/// Thin-layer viscous flux at the η-face between `p` and `p + side`·η̂
-/// (side = ±1), in the Q̂ equation (to be differenced and divided by J).
-fn viscous_face_flux(block: &Block, p: Ijk, fc: &FlowConditions, side: isize) -> [f64; NVAR] {
-    const DIR: usize = 1; // thin layer acts in the body-normal η direction
-    if !in_local(block, p, DIR, side) {
-        return [0.0; NVAR];
-    }
-    let p1 = offset(p, DIR, side);
-    let (qa, qb) = (block.q.node(p), block.q.node(p1));
-    let (ma, mb) = (block.metrics[p], block.metrics[p1]);
-    // Face-averaged Ŝ and J.
-    let s = [
-        0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
-        0.5 * (ma.eta[1] * ma.jac + mb.eta[1] * mb.jac),
-        0.5 * (ma.eta[2] * ma.jac + mb.eta[2] * mb.jac),
-    ];
-    let jf = 0.5 * (ma.jac + mb.jac);
-    let m1 = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) / jf;
+/// The thin layer acts in the body-normal η direction.
+const ETA: usize = 1;
 
-    let ua = [qa[1] / qa[0], qa[2] / qa[0], qa[3] / qa[0]];
-    let ub = [qb[1] / qb[0], qb[2] / qb[0], qb[3] / qb[0]];
-    let du = [ub[0] - ua[0], ub[1] - ua[1], ub[2] - ua[2]];
-    let s_du = s[0] * du[0] + s[1] * du[1] + s[2] * du[2];
-
-    let mu_l = 0.5 * (sutherland_viscosity(qa) + sutherland_viscosity(qb));
-    let mu_t = 0.5 * (block.mu_t[p] + block.mu_t[p1]);
-    let mu = mu_l + mu_t;
+/// Last pass over the field nodes of the sweep box: add the difference of
+/// the two thin-layer viscous face fluxes (when `viscous`; `cache` is laid
+/// out over `vb`) and divide by the cell Jacobian. Returns the node count.
+#[allow(clippy::too_many_arguments)]
+fn add_viscous_and_scale(
+    block: &Block,
+    fc: &FlowConditions,
+    viscous: bool,
+    sweep: IndexBox,
+    vb: IndexBox,
+    stride: usize,
+    cache: &[f64],
+    res: &mut StateField,
+) -> u64 {
+    let ld = block.local_dims;
+    let ib = block.iblank.as_slice();
+    let met = block.metrics.as_slice();
+    let mu_t = block.mu_t.as_slice();
     let coef = fc.viscous_coefficient();
-
-    // Momentum: μ (m1 du + (1/3)(S·du) S / J).
-    let fm = [
-        coef * mu * (m1 * du[0] + s_du * s[0] / (3.0 * jf)),
-        coef * mu * (m1 * du[1] + s_du * s[1] / (3.0 * jf)),
-        coef * mu * (m1 * du[2] + s_du * s[2] / (3.0 * jf)),
-    ];
-    // Energy: shear work + heat conduction on a² = γ p / ρ.
-    let ke_a = 0.5 * (ua[0] * ua[0] + ua[1] * ua[1] + ua[2] * ua[2]);
-    let ke_b = 0.5 * (ub[0] * ub[0] + ub[1] * ub[1] + ub[2] * ub[2]);
-    let a2_a = GAMMA * pressure(qa) / qa[0];
-    let a2_b = GAMMA * pressure(qb) / qb[0];
-    let k_heat = mu_l / PRANDTL + mu_t / PRANDTL_T;
-    let fe = coef * m1 * (mu * (ke_b - ke_a) + k_heat / (GAMMA - 1.0) * (a2_b - a2_a));
-
-    let sign = if side > 0 { 1.0 } else { -1.0 };
-    [0.0, sign * fm[0], sign * fm[1], sign * fm[2], sign * fe]
+    let (st, mt) = (strides(ld)[ETA], strides(vb.dims())[ETA]);
+    let vc = |f: usize, m: usize| cache[f * stride + m];
+    let out = res.as_mut_slice();
+    let mut nodes = 0u64;
+    for (s0, m0) in Rows::new(ld, sweep, vb).starts() {
+        for i in 0..sweep.dims().ni {
+            let (s, m) = (s0 + i, m0 + i);
+            if ib[s] != Blank::Field {
+                continue;
+            }
+            nodes += 1;
+            let r = &mut out[s * NVAR..(s + 1) * NVAR];
+            if viscous {
+                // Viscous flux at the η-face between `s` and `s1`, in the
+                // Q̂ equation (to be differenced and divided by J).
+                let face = |s1: usize, m1: usize, sign: f64| -> [f64; NVAR] {
+                    let (ma, mb) = (met[s], met[s1]);
+                    // Face-averaged Ŝ and J.
+                    let sv = [
+                        0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
+                        0.5 * (ma.eta[1] * ma.jac + mb.eta[1] * mb.jac),
+                        0.5 * (ma.eta[2] * ma.jac + mb.eta[2] * mb.jac),
+                    ];
+                    let jf = 0.5 * (ma.jac + mb.jac);
+                    let m1f = (sv[0] * sv[0] + sv[1] * sv[1] + sv[2] * sv[2]) / jf;
+                    let du = [
+                        vc(VC_U, m1) - vc(VC_U, m),
+                        vc(VC_U + 1, m1) - vc(VC_U + 1, m),
+                        vc(VC_U + 2, m1) - vc(VC_U + 2, m),
+                    ];
+                    let s_du = sv[0] * du[0] + sv[1] * du[1] + sv[2] * du[2];
+                    let mu_l = 0.5 * (vc(VC_MUL, m) + vc(VC_MUL, m1));
+                    let mu_tf = 0.5 * (mu_t[s] + mu_t[s1]);
+                    let mu = mu_l + mu_tf;
+                    // Momentum: μ (m1 du + (1/3)(S·du) S / J).
+                    let fm = [
+                        coef * mu * (m1f * du[0] + s_du * sv[0] / (3.0 * jf)),
+                        coef * mu * (m1f * du[1] + s_du * sv[1] / (3.0 * jf)),
+                        coef * mu * (m1f * du[2] + s_du * sv[2] / (3.0 * jf)),
+                    ];
+                    // Energy: shear work + heat conduction on a² = γ p / ρ.
+                    let k_heat = mu_l / PRANDTL + mu_tf / PRANDTL_T;
+                    let fe = coef
+                        * m1f
+                        * (mu * (vc(VC_KE, m1) - vc(VC_KE, m))
+                            + k_heat / (GAMMA - 1.0) * (vc(VC_A2, m1) - vc(VC_A2, m)));
+                    [0.0, sign * fm[0], sign * fm[1], sign * fm[2], sign * fe]
+                };
+                let fv_hi = face(s + st, m + mt, 1.0);
+                let fv_lo = face(s - st, m - mt, -1.0);
+                for v in 0..NVAR {
+                    r[v] += fv_hi[v] - fv_lo[v];
+                }
+            }
+            let inv_j = 1.0 / met[s].jac;
+            for v in r.iter_mut() {
+                *v *= inv_j;
+            }
+        }
+    }
+    nodes
 }
 
 /// L2 norm of the residual over owned field nodes (diagnostic).
@@ -290,12 +311,236 @@ pub fn residual_l2(block: &Block, res: &StateField) -> f64 {
     }
 }
 
+/// The per-node recomputing form of the residual: every stencil evaluated
+/// from scratch through scalar `pressure` / `hat_flux` / `spectral_radius`
+/// calls. The node-pass implementation above must reproduce it bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{FLOPS_PER_NODE_PER_DIR, FLOPS_VISCOUS_PER_NODE, K2, K4};
+    use crate::block::{Blank, Block};
+    use crate::conditions::{
+        pressure, sound_speed, sutherland_viscosity, FlowConditions, GAMMA, PRANDTL, PRANDTL_T,
+    };
+    use overset_grid::field::{StateField, NVAR};
+    use overset_grid::index::Ijk;
+
+    #[inline]
+    fn offset(p: Ijk, dir: usize, d: isize) -> Ijk {
+        let mut q = p;
+        q.set(dir, (q.get(dir) as isize + d) as usize);
+        q
+    }
+
+    /// Contravariant flux vector F̂ through the `dir` computational face at a
+    /// node, including ALE grid-velocity terms.
+    #[inline]
+    fn hat_flux(block: &Block, p: Ijk, dir: usize) -> [f64; NVAR] {
+        let q = block.q.node(p);
+        let m = block.metrics[p];
+        let g = m.grad(dir);
+        let jac = m.jac;
+        let s = [g[0] * jac, g[1] * jac, g[2] * jac]; // Ŝ = J ∇ξ
+        let inv_rho = 1.0 / q[0];
+        let u = [q[1] * inv_rho, q[2] * inv_rho, q[3] * inv_rho];
+        let vg = block.grid_vel[p];
+        let p_stat = pressure(q);
+        let u_s = s[0] * u[0] + s[1] * u[1] + s[2] * u[2];
+        let ug_s = s[0] * vg[0] + s[1] * vg[1] + s[2] * vg[2];
+        let u_rel = u_s - ug_s;
+        [
+            q[0] * u_rel,
+            q[1] * u_rel + s[0] * p_stat,
+            q[2] * u_rel + s[1] * p_stat,
+            q[3] * u_rel + s[2] * p_stat,
+            q[4] * u_rel + p_stat * u_s,
+        ]
+    }
+
+    /// Scaled spectral radius σ̂ = |Û_rel| + c|Ŝ| at a node for direction `dir`.
+    #[inline]
+    pub fn spectral_radius(block: &Block, p: Ijk, dir: usize) -> f64 {
+        let q = block.q.node(p);
+        let m = block.metrics[p];
+        let g = m.grad(dir);
+        let jac = m.jac;
+        let s = [g[0] * jac, g[1] * jac, g[2] * jac];
+        let s_norm = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt();
+        let inv_rho = 1.0 / q[0];
+        let vg = block.grid_vel[p];
+        let u_rel = s[0] * (q[1] * inv_rho - vg[0])
+            + s[1] * (q[2] * inv_rho - vg[1])
+            + s[2] * (q[3] * inv_rho - vg[2]);
+        u_rel.abs() + sound_speed(q) * s_norm
+    }
+
+    /// Is the node usable in a difference stencil (inside local storage)?
+    #[inline]
+    fn in_local(block: &Block, p: Ijk, dir: usize, d: isize) -> bool {
+        let c = p.get(dir) as isize + d;
+        c >= 0 && (c as usize) < block.local_dims.get(dir)
+    }
+
+    /// Assemble the residual into `res` over the block's computable nodes.
+    /// Returns estimated flops performed.
+    pub fn compute_residual(block: &Block, fc: &FlowConditions, res: &mut StateField) -> u64 {
+        assert_eq!(res.dims(), block.local_dims);
+        for v in res.as_mut_slice() {
+            *v = 0.0;
+        }
+        let Some(sweep) = super::sweep_box(block) else { return 0 };
+        let mut nodes = 0u64;
+
+        for p in sweep.iter() {
+            if block.iblank[p] != Blank::Field {
+                continue;
+            }
+            nodes += 1;
+            let jac = block.metrics[p].jac;
+            let inv_j = 1.0 / jac;
+            let mut r = [0.0f64; NVAR];
+
+            for &dir in block.active_dirs() {
+                // Central flux difference.
+                let fp = hat_flux(block, offset(p, dir, 1), dir);
+                let fm = hat_flux(block, offset(p, dir, -1), dir);
+                for v in 0..NVAR {
+                    r[v] -= 0.5 * (fp[v] - fm[v]);
+                }
+                // JST scalar dissipation: face-based 2nd/4th differences.
+                let d_hi = face_dissipation(block, p, dir, 1);
+                let d_lo = face_dissipation(block, p, dir, -1);
+                for v in 0..NVAR {
+                    r[v] += d_hi[v] - d_lo[v];
+                }
+            }
+
+            if block.viscous && fc.viscous_coefficient() > 0.0 {
+                let fv_hi = viscous_face_flux(block, p, fc, 1);
+                let fv_lo = viscous_face_flux(block, p, fc, -1);
+                for v in 0..NVAR {
+                    r[v] += fv_hi[v] - fv_lo[v];
+                }
+            }
+
+            let out = res.node_mut(p);
+            for v in 0..NVAR {
+                out[v] = r[v] * inv_j;
+            }
+        }
+
+        let dirs = block.active_dirs().len() as u64;
+        let mut flops = nodes * dirs * FLOPS_PER_NODE_PER_DIR;
+        if block.viscous && fc.viscous_coefficient() > 0.0 {
+            flops += nodes * FLOPS_VISCOUS_PER_NODE;
+        }
+        flops
+    }
+
+    /// JST dissipative flux at the face between `p` and `p + side` along `dir`
+    /// (side = ±1).
+    fn face_dissipation(block: &Block, p: Ijk, dir: usize, side: isize) -> [f64; NVAR] {
+        let p1 = offset(p, dir, side);
+        // Pressure switch ν at both nodes (guarded near storage edges).
+        let nu_at = |n: Ijk| -> f64 {
+            if !in_local(block, n, dir, 1) || !in_local(block, n, dir, -1) {
+                return 0.0;
+            }
+            let pm = pressure(block.q.node(offset(n, dir, -1)));
+            let pc = pressure(block.q.node(n));
+            let pp = pressure(block.q.node(offset(n, dir, 1)));
+            ((pp - 2.0 * pc + pm) / (pp + 2.0 * pc + pm).max(1e-12)).abs()
+        };
+        let eps2 = K2 * nu_at(p).max(nu_at(p1));
+        let eps4 = (K4 - eps2).max(0.0);
+        let sigma = 0.5 * (spectral_radius(block, p, dir) + spectral_radius(block, p1, dir));
+
+        let q0 = block.q.node(p);
+        let q1 = block.q.node(p1);
+        let mut d = [0.0f64; NVAR];
+        // Second difference across the face.
+        for v in 0..NVAR {
+            d[v] = eps2 * (q1[v] - q0[v]);
+        }
+        // Fourth difference needs one more node on each side; degrade to pure
+        // 2nd-difference when the stencil leaves local storage or crosses
+        // blanked nodes.
+        let pm = offset(p, dir, -side);
+        let pp = offset(p1, dir, side);
+        let stencil_ok = in_local(block, p, dir, -side)
+            && in_local(block, p1, dir, side)
+            && block.iblank[pm] == Blank::Field
+            && block.iblank[pp] == Blank::Field
+            && block.iblank[p1] != Blank::Hole;
+        if stencil_ok {
+            let qm = block.q.node(pm);
+            let qp = block.q.node(pp);
+            for v in 0..NVAR {
+                let third = (qp[v] - q1[v]) - 2.0 * (q1[v] - q0[v]) + (q0[v] - qm[v]);
+                d[v] -= eps4 * third;
+            }
+        }
+        // Face flux orientation: the residual adds d(p+1/2) - d(p-1/2).
+        let sign = if side > 0 { 1.0 } else { -1.0 };
+        for v in d.iter_mut() {
+            *v *= sigma * sign;
+        }
+        d
+    }
+
+    /// Thin-layer viscous flux at the η-face between `p` and `p + side`·η̂
+    /// (side = ±1), in the Q̂ equation (to be differenced and divided by J).
+    fn viscous_face_flux(block: &Block, p: Ijk, fc: &FlowConditions, side: isize) -> [f64; NVAR] {
+        const DIR: usize = 1; // thin layer acts in the body-normal η direction
+        if !in_local(block, p, DIR, side) {
+            return [0.0; NVAR];
+        }
+        let p1 = offset(p, DIR, side);
+        let (qa, qb) = (block.q.node(p), block.q.node(p1));
+        let (ma, mb) = (block.metrics[p], block.metrics[p1]);
+        // Face-averaged Ŝ and J.
+        let s = [
+            0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
+            0.5 * (ma.eta[1] * ma.jac + mb.eta[1] * mb.jac),
+            0.5 * (ma.eta[2] * ma.jac + mb.eta[2] * mb.jac),
+        ];
+        let jf = 0.5 * (ma.jac + mb.jac);
+        let m1 = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) / jf;
+
+        let ua = [qa[1] / qa[0], qa[2] / qa[0], qa[3] / qa[0]];
+        let ub = [qb[1] / qb[0], qb[2] / qb[0], qb[3] / qb[0]];
+        let du = [ub[0] - ua[0], ub[1] - ua[1], ub[2] - ua[2]];
+        let s_du = s[0] * du[0] + s[1] * du[1] + s[2] * du[2];
+
+        let mu_l = 0.5 * (sutherland_viscosity(qa) + sutherland_viscosity(qb));
+        let mu_t = 0.5 * (block.mu_t[p] + block.mu_t[p1]);
+        let mu = mu_l + mu_t;
+        let coef = fc.viscous_coefficient();
+
+        // Momentum: μ (m1 du + (1/3)(S·du) S / J).
+        let fm = [
+            coef * mu * (m1 * du[0] + s_du * s[0] / (3.0 * jf)),
+            coef * mu * (m1 * du[1] + s_du * s[1] / (3.0 * jf)),
+            coef * mu * (m1 * du[2] + s_du * s[2] / (3.0 * jf)),
+        ];
+        // Energy: shear work + heat conduction on a² = γ p / ρ.
+        let ke_a = 0.5 * (ua[0] * ua[0] + ua[1] * ua[1] + ua[2] * ua[2]);
+        let ke_b = 0.5 * (ub[0] * ub[0] + ub[1] * ub[1] + ub[2] * ub[2]);
+        let a2_a = GAMMA * pressure(qa) / qa[0];
+        let a2_b = GAMMA * pressure(qb) / qb[0];
+        let k_heat = mu_l / PRANDTL + mu_t / PRANDTL_T;
+        let fe = coef * m1 * (mu * (ke_b - ke_a) + k_heat / (GAMMA - 1.0) * (a2_b - a2_a));
+
+        let sign = if side > 0 { 1.0 } else { -1.0 };
+        [0.0, sign * fm[0], sign * fm[1], sign * fm[2], sign * fe]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
     use overset_grid::field::Field3;
-    use overset_grid::index::Dims;
+    use overset_grid::index::{Dims, Ijk};
 
     fn uniform_block(n: usize, fc: &FlowConditions) -> Block {
         let d = Dims::new(n, n, n);
@@ -309,7 +554,7 @@ mod tests {
         let fc = FlowConditions::new(0.8, 3.0, 0.0);
         let b = uniform_block(8, &fc);
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         assert!(residual_l2(&b, &res) < 1e-13);
     }
 
@@ -327,7 +572,7 @@ mod tests {
         let g = CurvilinearGrid::new("s", coords, GridKind::Background);
         let b = Block::from_grid(0, &g, d.full_box(), [None; 6], &fc);
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         // Central metrics + central fluxes commute on linear variation; for
         // generic smooth grids freestream error is at truncation level.
         assert!(residual_l2(&b, &res) < 1e-10, "res = {}", residual_l2(&b, &res));
@@ -339,7 +584,7 @@ mod tests {
         let mut b = uniform_block(8, &fc);
         b.viscous = true;
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         assert!(residual_l2(&b, &res) < 1e-13);
     }
 
@@ -353,7 +598,7 @@ mod tests {
         q[4] *= 1.2;
         b.q.set_node(c, q);
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         // Neighbours see incoming momentum flux (divergence of p at center).
         let right = res.node(Ijk::new(5, 4, 4));
         let left = res.node(Ijk::new(3, 4, 4));
@@ -374,7 +619,7 @@ mod tests {
         // Put garbage in the hole: must not contaminate its own residual.
         b.q.set_node(c, [1.0, 9.0, 9.0, 9.0, 99.0]);
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         assert_eq!(*res.node(c), [0.0; 5]);
         assert_eq!(*res.node(f), [0.0; 5]);
     }
@@ -389,7 +634,7 @@ mod tests {
             *v = [0.5, 0.0, 0.0];
         }
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         assert!(residual_l2(&b, &res) < 1e-13);
     }
 
@@ -398,7 +643,7 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let b = uniform_block(6, &fc);
         let p = Ijk::new(3, 3, 3);
-        let s = spectral_radius(&b, p, 0);
+        let s = reference::spectral_radius(&b, p, 0);
         assert!(s > 0.0);
         // |Û| + c|Ŝ| with h = 0.2: Ŝ = J∇ξ = h² ; σ̂ = (0.8 + 1) h².
         let expect = (0.8 + 1.0) * 0.04;
@@ -421,12 +666,170 @@ mod tests {
             b.q.set_node(p, crate::conditions::conservatives(&prim));
         }
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         // Above the inflection u is concave (u'' < 0) so du/dt < 0; below,
         // convex so du/dt > 0.
         let above = res.node(Ijk::new(6, 8, 6));
         let below = res.node(Ijk::new(6, 4, 6));
         assert!(above[1] < 0.0, "above: {above:?}");
         assert!(below[1] > 0.0, "below: {below:?}");
+    }
+
+    // ---- node pass vs the per-node reference: bit equality ---------------
+
+    use crate::lanes::{select_isa, Isa};
+    use overset_grid::index::IndexBox;
+    use proptest::prelude::*;
+
+    /// xorshift in [0, 1).
+    struct Rand(u64);
+    impl Rand {
+        fn next(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() * n as f64) as usize
+        }
+    }
+
+    /// A random subdomain of a wavy (or, when `periodic`, annular) grid:
+    /// interior-neighbour faces where the owned box stops short of the grid
+    /// edge, physical faces elsewhere; random state, grid velocity and eddy
+    /// viscosity on every local node including the halo; holes and fringes
+    /// scattered everywhere, the storage edges included, with non-finite
+    /// garbage in some holes.
+    fn random_block(seed: u64, three_d: bool, periodic: bool, viscous: bool) -> Block {
+        let mut r = Rand(seed | 1);
+        let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
+        let d = Dims::new(6 + r.below(8), 5 + r.below(7), if three_d { 4 + r.below(5) } else { 1 });
+        let mut g = crate::testutil::wavy_grid(d, periodic);
+        g.viscous = viscous;
+        // Owned sub-box: each face either on the grid edge or interior.
+        let mut lo = Ijk::new(0, 0, 0);
+        let mut hi = Ijk::new(d.ni, d.nj, d.nk);
+        let mut neighbor = [None; 6];
+        let whole_i = periodic && r.below(2) == 0;
+        for dir in 0..if three_d { 3 } else { 2 } {
+            if dir == 0 && whole_i {
+                continue; // self-wrapping O-grid block
+            }
+            let n = d.get(dir);
+            let a = if r.below(2) == 0 { 0 } else { 1 + r.below(n / 3) };
+            let b = if r.below(2) == 0 { n } else { n - 1 - r.below(n / 3) };
+            lo.set(dir, a);
+            hi.set(dir, b);
+            // Interior faces have a neighbour; so do both ends of a split
+            // periodic direction (the wrap link).
+            let wrap = dir == 0 && periodic;
+            neighbor[2 * dir] = (a > 0 || wrap).then_some(1);
+            neighbor[2 * dir + 1] = (b < n || wrap).then_some(2);
+        }
+        let mut b = Block::from_grid(0, &g, IndexBox::new(lo, hi), neighbor, &fc);
+        for p in b.local_dims.iter() {
+            let prim = [
+                0.5 + r.next(),
+                r.next() - 0.5,
+                r.next() - 0.5,
+                r.next() - 0.5,
+                0.3 + 0.9 * r.next(),
+            ];
+            b.q.set_node(p, crate::conditions::conservatives(&prim));
+            b.grid_vel[p] =
+                [0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5)];
+            b.mu_t[p] = if r.below(3) == 0 { 0.0 } else { 40.0 * r.next() };
+            b.iblank[p] = match r.below(12) {
+                0 => Blank::Hole,
+                1 | 2 => Blank::Fringe,
+                _ => Blank::Field,
+            };
+            if b.iblank[p] == Blank::Hole && r.below(2) == 0 {
+                let junk = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0e300];
+                b.q.set_node(p, std::array::from_fn(|_| junk[r.below(junk.len())]));
+            }
+        }
+        b
+    }
+
+    /// Bit equality; two NaNs count as equal (a field node next to a
+    /// non-finite hole is NaN either way, and NaN payloads are not pinned).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_matches_reference(b: &Block, what: &str) -> Result<(), TestCaseError> {
+        let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
+        let mut want = StateField::new(b.local_dims);
+        let want_flops = reference::compute_residual(b, &fc, &mut want);
+        for isa in [Isa::Scalar, select_isa(true)] {
+            let mut got = StateField::new(b.local_dims);
+            got.as_mut_slice().fill(7.0); // stale values must be overwritten
+            let flops = compute_residual(b, &fc, &mut got, &mut SweepScratch::new(isa));
+            prop_assert_eq!(flops, want_flops, "{} {:?}: flops", what, isa);
+            for p in b.local_dims.iter() {
+                for v in 0..NVAR {
+                    prop_assert!(
+                        same(got.node(p)[v], want.node(p)[v]),
+                        "{} {:?}: node {:?} var {}: {:e} vs reference {:e}",
+                        what,
+                        isa,
+                        p,
+                        v,
+                        got.node(p)[v],
+                        want.node(p)[v]
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn node_pass_bit_equals_reference_2d(seed in 1u64..(1 << 60), kind in 0usize..4) {
+            let b = random_block(seed, false, kind & 1 == 1, kind & 2 == 2);
+            assert_matches_reference(&b, "2-D")?;
+        }
+
+        #[test]
+        fn node_pass_bit_equals_reference_3d(seed in 1u64..(1 << 60), kind in 0usize..4) {
+            let b = random_block(seed, true, kind & 1 == 1, kind & 2 == 2);
+            assert_matches_reference(&b, "3-D")?;
+        }
+    }
+
+    #[test]
+    fn non_finite_hole_behind_one_fringe_layer_leaves_field_nodes_finite() {
+        // ν at the fringe node next to the hole is NaN (it differences the
+        // hole's pressure); `max` must drop it exactly as `f64::max` does.
+        let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
+        let mut b = uniform_block(9, &fc);
+        b.viscous = true;
+        let hole = Ijk::new(4, 4, 4);
+        b.iblank[hole] = Blank::Hole;
+        b.q.set_node(hole, [f64::NAN; NVAR]);
+        for (di, dj, dk) in [(1, 0, 0), (0, 1, 0), (0, 0, 1)] {
+            for s in [-1isize, 1] {
+                let at = |c: usize, d: isize| (c as isize + s * d) as usize;
+                b.iblank[Ijk::new(at(4, di), at(4, dj), at(4, dk))] = Blank::Fringe;
+            }
+        }
+        // A non-uniform state so the dissipation is not identically zero.
+        for p in b.local_dims.iter() {
+            if b.iblank[p] != Blank::Hole {
+                let prim =
+                    [1.0 + 0.01 * p.i as f64, 0.5, 0.02 * p.j as f64, 0.0, 0.7 + 0.01 * p.k as f64];
+                b.q.set_node(p, crate::conditions::conservatives(&prim));
+            }
+        }
+        assert_matches_reference(&b, "shielded hole").unwrap();
+        let mut res = StateField::new(b.local_dims);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
+        assert!(res.as_slice().iter().all(|x| x.is_finite()));
+        assert!(res.node(Ijk::new(6, 4, 4)).iter().any(|&x| x != 0.0));
     }
 }

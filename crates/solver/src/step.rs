@@ -12,7 +12,8 @@ use overset_grid::field::{StateField, NVAR};
 /// Reusable scratch fields for stepping (avoids per-step allocation).
 pub struct Scratch {
     pub res: StateField,
-    /// Line-sweep scratch + kernel ISA selection; the driver overrides
+    /// The flow workspace — used first by the residual's node pass, then by
+    /// the line sweeps — plus the kernel ISA selection; the driver overrides
     /// `sweep.isa` when the case disables SIMD (`use_simd = false`).
     pub sweep: SweepScratch,
 }
@@ -59,7 +60,7 @@ pub fn step_block(
     }
 
     let t0 = comm.now();
-    flops += compute_residual(block, fc, &mut scratch.res);
+    flops += compute_residual(block, fc, &mut scratch.res, &mut scratch.sweep);
     let residual = residual_l2(block, &scratch.res);
     comm.trace_span("solver", "residual", t0);
 

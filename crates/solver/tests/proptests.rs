@@ -229,7 +229,7 @@ proptest! {
         let fc = FlowConditions::new(mach, alpha, 0.0);
         let b = wavy_block(7, amp, &fc);
         let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res);
+        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         prop_assert!(residual_l2(&b, &res) < 1e-9, "res {}", residual_l2(&b, &res));
     }
 

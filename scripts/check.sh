@@ -60,6 +60,14 @@ if ! grep -q "SIMD-GATE: PASS" <<< "$SIMD_OUT"; then
     grep "SIMD-GATE" <<< "$SIMD_OUT" >&2 || true
 fi
 
+echo "== repo benchmark smoke (advisory) =="
+# One round of every workload with its output checks (serial reference,
+# orphans, sample-to-sample determinism). Timings on a CI host are noise,
+# so a failure is reported but does not fail the check.
+if ! benchmark/run.sh --smoke > /dev/null; then
+    echo "benchmark/run.sh --smoke: a workload check failed (advisory)" >&2
+fi
+
 echo "== analyzer smoke test =="
 ./target/release/repro analyze table1 --quick > /dev/null
 
