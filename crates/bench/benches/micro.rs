@@ -10,6 +10,7 @@ use overset_connectivity::{
 };
 use overset_grid::curvilinear::Solid;
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
+use overset_grid::gen::store::store_system;
 use overset_grid::Dims;
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, solve_lanes, Rows, FR_FIELDS};
@@ -256,6 +257,17 @@ fn inverse_map_kernels(c: &mut Criterion) {
     let block = Block::from_grid(0, &g, g.dims().full_box(), [None; 6], &fc());
 
     c.bench_function("invmap/build_21k_nodes", |b| b.iter(|| InverseMap::build(&block)));
+
+    // The 3-D lattices the 2-D block above (≤ 48² bins) never reaches, from
+    // the store system at the repo benchmark's scale: the finest Cartesian
+    // background (grid 13, 46×25×35 bins, a tenth of them empty) and the wing
+    // O-grid (grid 10, 53×14×24 bins, a hollow 60 % of them to fill).
+    let store = store_system(0.55);
+    for (name, g) in [("build_3d_cartesian_55k", &store[13]), ("build_3d_ogrid_hollow", &store[10])]
+    {
+        let blk = Block::from_grid(0, g, g.dims().full_box(), [None; 6], &fc());
+        c.bench_function(&format!("invmap/{name}"), |b| b.iter(|| InverseMap::build(&blk)));
+    }
 
     let inv = InverseMap::build(&block);
     c.bench_function("invmap/query", |b| b.iter(|| inv.query([0.9, 0.35, 0.0])));

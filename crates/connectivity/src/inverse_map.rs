@@ -17,10 +17,17 @@
 //!   lattice, so hole cutting runs the detailed containment test only for
 //!   nodes in *boundary* bins (see [`classify_solids`]).
 //!
-//! The structure is rebuilt once per motion event (only for blocks whose
-//! grid moved; static grids reuse it across steps) and its build is charged
-//! to the virtual-time model like any other compute, so the acceleration is
-//! visible — and honest — in the paper's virtual timings.
+//! The structure is built on the cold step, after every repartition, and
+//! for a moved grid whose accumulated rotation has outgrown
+//! [`INCR_MAX_DIAG_GROWTH`]; small rigid motion only advances the map's pose
+//! ([`InverseMap::advance`]) and static grids reuse it untouched. Builds and
+//! advances are charged to the virtual-time model like any other compute, so
+//! the acceleration is visible — and honest — in the paper's virtual timings.
+//!
+//! The build is three passes, O(cells + bins) together: bin every owned cell
+//! (first cell to land in a bin seeds it), fill every empty bin from its
+//! nearest seeded bin (`nearest_filled`), and resolve the seeds into the
+//! final lattice.
 //!
 //! Every pruning decision is *conservative*: occupancy bins are marked from
 //! cell bounding boxes inflated past the walk's acceptance slack, and solid
@@ -175,98 +182,47 @@ impl InverseMap {
         let cells_j = (ow.hi.j - ow.lo.j).max(1);
         let cells_k = if block.two_d { 1 } else { (ow.hi.k - ow.lo.k).max(1) };
         let nb = fine_bins(bounds.extent(), [cells_i, cells_j, cells_k], block.two_d);
-        Self::build_with_bins(block, nb)
+        Self::build_with_bins(block, bounds, nb)
     }
 
-    /// Build with an explicit fine-lattice resolution (tests compare the
-    /// adaptive allocation against the old flat cap through this).
-    fn build_with_bins(block: &Block, nb: [usize; 3]) -> InverseMap {
-        let bounds = owned_bbox(block);
-        let ow = block.owned_local();
-        let hole_nb =
-            [nb[0].min(MAX_HOLE_BINS), nb[1].min(MAX_HOLE_BINS), nb[2].min(MAX_HOLE_BINS)];
-        let nbins = nb[0] * nb[1] * nb[2];
-        let mut seeds: Vec<Option<Ijk>> = vec![None; nbins];
-        let mut occupancy = [0u64; OCC_WORDS];
-        let mut build_flops = 0u64;
+    /// Build over `bounds` (the block's [`owned_bbox`]) with an explicit
+    /// fine-lattice resolution (tests compare the adaptive allocation
+    /// against the old flat cap through this).
+    fn build_with_bins(block: &Block, bounds: Aabb, nb: [usize; 3]) -> InverseMap {
+        let (mut seeds, occupancy, mut build_flops) = bin_cells(block, &bounds, nb);
 
-        // Acceptance slack: the walk accepts trilinear coordinates in
-        // [-TOL, 1+TOL] and Newton can accept before full convergence, so
-        // occupancy marks each cell's bounding box inflated well past that
-        // slack — pruning must never drop a rank that could answer.
-        let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
+        // Fill empty bins from their nearest seeded bin. Bins far from any
+        // cell — the hollow middle of an annulus — still answer with the
+        // closest real cell, which is exactly the right walk start. (Scoped:
+        // the search's scratch is freed before the final lattice exists.)
+        let filled = {
+            let (nearest, _visits) = nearest_filled(nb, |b| seeds[b].is_some());
+            fill_from(&mut seeds, &nearest)
+        };
+        build_flops += FLOPS_PER_BIN_FILL * filled;
 
-        let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
-        for k in ow.lo.k..kmax_anchor {
-            for j in ow.lo.j..ow.hi.j {
-                for i in ow.lo.i..ow.hi.i {
-                    // Cells are anchored at their lower-corner node; the far
-                    // corner must exist in local storage.
-                    if i + 1 >= block.local_dims.ni
-                        || j + 1 >= block.local_dims.nj
-                        || (!block.two_d && k + 1 >= block.local_dims.nk)
-                    {
-                        continue;
-                    }
-                    let cell = Ijk::new(i, j, k);
-                    build_flops += FLOPS_PER_CELL_BUILD;
-                    let mut cb = Aabb::EMPTY;
-                    for n in cell_corners(block, cell) {
-                        cb.include(block.coords[n]);
-                    }
-                    // Seed the fine bin holding the cell midpoint
-                    // (first-write-wins; the row-major sweep is
-                    // deterministic).
-                    let mid = cb.center();
-                    let b = self::bin_index(&bounds, nb, mid);
-                    if seeds[b].is_none() {
-                        seeds[b] = Some(cell);
-                    }
-                    // Conservative occupancy: the cell box inflated by an
-                    // eighth of its own extent plus a global epsilon.
-                    let e = cb.extent();
-                    let pad = 0.125 * e[0].max(e[1]).max(e[2]) + diag_eps;
-                    mark_occupancy(&mut occupancy, &bounds, &cb.inflate(pad));
-                }
-            }
-        }
+        Self::from_seeds(block, bounds, nb, seeds, occupancy, build_flops)
+    }
 
-        // Fill empty bins from their nearest seeded neighbor (rings of
-        // growing Chebyshev radius; deterministic scan order). Bins far from
-        // any cell — the hollow middle of an annulus — still answer with
-        // the closest real cell, which is exactly the right walk start.
-        let filled: Vec<(usize, Ijk)> =
-            seeds.iter().enumerate().filter_map(|(b, s)| s.map(|c| (b, c))).collect();
-        if !filled.is_empty() {
-            for (b, seed) in seeds.iter_mut().enumerate() {
-                if seed.is_some() {
-                    continue;
-                }
-                build_flops += FLOPS_PER_BIN_FILL;
-                let (bi, bj, bk) = unflatten(b, nb);
-                let mut best: Option<(usize, Ijk)> = None;
-                for &(fb, cell) in &filled {
-                    let (fi, fj, fk) = unflatten(fb, nb);
-                    let d = fi.abs_diff(bi).max(fj.abs_diff(bj)).max(fk.abs_diff(bk));
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, cell));
-                    }
-                }
-                *seed = best.map(|(_, c)| c);
-            }
-        }
-
+    /// Last build pass: resolve the per-bin seeds into the final lattice.
+    fn from_seeds(
+        block: &Block,
+        bounds: Aabb,
+        nb: [usize; 3],
+        seeds: Vec<Option<Ijk>>,
+        occupancy: [u64; OCC_WORDS],
+        build_flops: u64,
+    ) -> InverseMap {
         // A block with no owned cells (degenerate slivers) still gets a
         // valid map: every query answers the owned-region corner.
+        let ow = block.owned_local();
         let fallback = Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k);
-        let seeds: Vec<Ijk> = seeds.into_iter().map(|s| s.unwrap_or(fallback)).collect();
-
         InverseMap {
             bounds,
             nb,
-            seeds,
+            seeds: seeds.into_iter().map(|s| s.unwrap_or(fallback)).collect(),
             occupancy,
-            hole_nb,
+            hole_nb: [nb[0].min(MAX_HOLE_BINS), nb[1].min(MAX_HOLE_BINS), nb[2].min(MAX_HOLE_BINS)],
             build_flops,
             pose: RigidTransform::IDENTITY,
             inv_pose: RigidTransform::IDENTITY,
@@ -389,6 +345,134 @@ impl InverseMap {
         let (z0, z1) = f(self.bounds.min[2], ext[2], self.hole_nb[2], bk);
         Aabb::new([x0, y0, z0], [x1, y1, z1])
     }
+}
+
+/// First build pass: bin every owned-anchored cell of `block` into the
+/// `nb` lattice over `bounds`. Returns the per-bin seed cell (`None` where
+/// no cell midpoint landed), the coarse occupancy mask and the flops spent.
+fn bin_cells(
+    block: &Block,
+    bounds: &Aabb,
+    nb: [usize; 3],
+) -> (Vec<Option<Ijk>>, [u64; OCC_WORDS], u64) {
+    let ow = block.owned_local();
+    let mut seeds: Vec<Option<Ijk>> = vec![None; nb[0] * nb[1] * nb[2]];
+    let mut occupancy = [0u64; OCC_WORDS];
+    let mut flops = 0u64;
+
+    // Acceptance slack: the walk accepts trilinear coordinates in
+    // [-TOL, 1+TOL] and Newton can accept before full convergence, so
+    // occupancy marks each cell's bounding box inflated well past that
+    // slack — pruning must never drop a rank that could answer.
+    let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
+
+    let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
+    for k in ow.lo.k..kmax_anchor {
+        for j in ow.lo.j..ow.hi.j {
+            for i in ow.lo.i..ow.hi.i {
+                // Cells are anchored at their lower-corner node; the far
+                // corner must exist in local storage.
+                if i + 1 >= block.local_dims.ni
+                    || j + 1 >= block.local_dims.nj
+                    || (!block.two_d && k + 1 >= block.local_dims.nk)
+                {
+                    continue;
+                }
+                let cell = Ijk::new(i, j, k);
+                flops += FLOPS_PER_CELL_BUILD;
+                let mut cb = Aabb::EMPTY;
+                for n in cell_corners(block, cell) {
+                    cb.include(block.coords[n]);
+                }
+                // Seed the fine bin holding the cell midpoint
+                // (first-write-wins; the row-major sweep is deterministic).
+                let b = bin_index(bounds, nb, cb.center());
+                if seeds[b].is_none() {
+                    seeds[b] = Some(cell);
+                }
+                // Conservative occupancy: the cell box inflated by an
+                // eighth of its own extent plus a global epsilon.
+                let e = cb.extent();
+                let pad = 0.125 * e[0].max(e[1]).max(e[2]) + diag_eps;
+                mark_occupancy(&mut occupancy, bounds, &cb.inflate(pad));
+            }
+        }
+    }
+    (seeds, occupancy, flops)
+}
+
+/// [`nearest_filled`]'s answer for every bin of a lattice with no filled bin.
+const NO_BIN: u32 = u32::MAX;
+
+/// Second build pass: for every bin of the `nb` lattice, the flat index of
+/// its nearest filled bin — minimum Chebyshev distance, ties to the lowest
+/// flat index; a filled bin answers itself. Also returns the number of bins
+/// the search examined (tests bound it: the fill must stay linear).
+///
+/// A layered multi-source breadth-first search over the 26-neighbourhood,
+/// whose hop count *is* the Chebyshev distance on a full lattice. Layer `r`
+/// takes `label(b) = min label(n)` over `b`'s neighbours `n` in layer
+/// `r − 1`. That is exact: stepping from `b` one bin toward a nearest filled
+/// bin `f`, on every axis where they differ, reaches a neighbour at distance
+/// exactly `r − 1` from `f` that can be no closer to anything else, and
+/// conversely every nearest filled bin of such a neighbour is at distance
+/// `≤ r` from `b` — so `b`'s nearest set is the union of theirs. Each bin
+/// expands once: O(bins), against O(empty × filled) for a scan.
+fn nearest_filled(nb: [usize; 3], is_filled: impl Fn(usize) -> bool) -> (Vec<u32>, u64) {
+    let nbins = nb[0] * nb[1] * nb[2];
+    assert!(nbins < NO_BIN as usize, "inverse-map lattice of {nbins} bins overflows u32 labels");
+    let mut label = vec![NO_BIN; nbins];
+    let mut dist = vec![NO_BIN; nbins];
+    let mut frontier: Vec<u32> = Vec::new();
+    for b in 0..nbins {
+        if is_filled(b) {
+            label[b] = b as u32;
+            dist[b] = 0;
+            frontier.push(b as u32);
+        }
+    }
+    let mut next: Vec<u32> = Vec::new();
+    let mut visits = 0u64;
+    let mut r = 0u32;
+    while !frontier.is_empty() {
+        r += 1;
+        for &f in &frontier {
+            let lf = label[f as usize];
+            let (bi, bj, bk) = unflatten(f as usize, nb);
+            let (i0, i1) = (bi.saturating_sub(1), (bi + 1).min(nb[0] - 1));
+            for k in bk.saturating_sub(1)..=(bk + 1).min(nb[2] - 1) {
+                for j in bj.saturating_sub(1)..=(bj + 1).min(nb[1] - 1) {
+                    let row = (k * nb[1] + j) * nb[0];
+                    visits += (i1 - i0 + 1) as u64;
+                    for n in row + i0..=row + i1 {
+                        if dist[n] == NO_BIN {
+                            dist[n] = r;
+                            label[n] = lf;
+                            next.push(n as u32);
+                        } else if dist[n] == r && lf < label[n] {
+                            label[n] = lf;
+                        }
+                    }
+                }
+            }
+        }
+        frontier.clear();
+        std::mem::swap(&mut frontier, &mut next);
+    }
+    (label, visits)
+}
+
+/// Give every empty bin the seed of its `nearest` filled bin (as answered by
+/// [`nearest_filled`]); returns how many bins that filled.
+fn fill_from(seeds: &mut [Option<Ijk>], nearest: &[u32]) -> u64 {
+    let mut filled = 0u64;
+    for (b, &f) in nearest.iter().enumerate() {
+        if f != NO_BIN && f as usize != b {
+            seeds[b] = seeds[f as usize];
+            filled += 1;
+        }
+    }
+    filled
 }
 
 /// Flattened fine/hole-lattice bin index of a point (row-major, i fastest).
@@ -638,7 +722,7 @@ mod tests {
         );
         assert!(adaptive.nb[1] < 17, "thin axis should give up bins: {:?}", adaptive.nb);
         // Exactly what the old flat per-axis cap produced for this block.
-        let flat = InverseMap::build_with_bins(&b, [MAX_FINE_BINS, 17, 1]);
+        let flat = InverseMap::build_with_bins(&b, owned_bbox(&b), [MAX_FINE_BINS, 17, 1]);
         let (mut adaptive_steps, mut flat_steps) = (0u64, 0u64);
         for q in 0..500 {
             // Generic interior points (off any cell face) along the block.
@@ -849,6 +933,152 @@ mod tests {
         }
         // A solid well inside the block yields all three classes.
         assert!(counts[0] > 0 && counts[1] > 0 && counts[2] > 0, "{counts:?}");
+    }
+
+    /// The fill this module shipped before the layered search: for every
+    /// empty bin, scan every filled bin in ascending flat order and keep the
+    /// first at minimum Chebyshev distance. O(empty × filled); kept as the
+    /// reference [`nearest_filled`] must agree with bin for bin.
+    fn nearest_filled_reference(nb: [usize; 3], filled: &[bool]) -> Vec<u32> {
+        let sources: Vec<usize> = (0..filled.len()).filter(|&b| filled[b]).collect();
+        (0..filled.len())
+            .map(|b| {
+                if filled[b] {
+                    return b as u32;
+                }
+                let (bi, bj, bk) = unflatten(b, nb);
+                let mut best: Option<(usize, usize)> = None;
+                for &fb in &sources {
+                    let (fi, fj, fk) = unflatten(fb, nb);
+                    let d = fi.abs_diff(bi).max(fj.abs_diff(bj)).max(fk.abs_diff(bk));
+                    if best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, fb));
+                    }
+                }
+                best.map_or(NO_BIN, |(_, fb)| fb as u32)
+            })
+            .collect()
+    }
+
+    /// [`InverseMap::build_with_bins`] with the reference fill in place of
+    /// the layered search; every other pass is the production one.
+    fn build_reference(block: &Block, bounds: Aabb, nb: [usize; 3]) -> InverseMap {
+        let (mut seeds, occupancy, mut build_flops) = bin_cells(block, &bounds, nb);
+        let filled: Vec<bool> = seeds.iter().map(Option::is_some).collect();
+        let nearest = nearest_filled_reference(nb, &filled);
+        build_flops += FLOPS_PER_BIN_FILL * fill_from(&mut seeds, &nearest);
+        InverseMap::from_seeds(block, bounds, nb, seeds, occupancy, build_flops)
+    }
+
+    /// Deterministic fill patterns for the fill tests. Shapes 0-2 are random
+    /// at 1 %, 50 % and 99 % density; then all-empty, all-filled, one filled
+    /// corner bin, and a hollow shell (only the lattice's outer layer filled).
+    fn fill_pattern(nb: [usize; 3], shape: usize, seed: u64) -> Vec<bool> {
+        let nbins = nb[0] * nb[1] * nb[2];
+        let mut state = seed | 1;
+        let mut coin = |percent: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % 100 < percent
+        };
+        (0..nbins)
+            .map(|b| match shape {
+                0 => coin(1),
+                1 => coin(50),
+                2 => coin(99),
+                3 => false,
+                4 => true,
+                5 => b == [0, nbins - 1][seed as usize % 2],
+                _ => {
+                    let (i, j, k) = unflatten(b, nb);
+                    [(i, nb[0]), (j, nb[1]), (k, nb[2])]
+                        .iter()
+                        .any(|&(x, n)| n > 2 && (x == 0 || x == n - 1))
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The layered search picks the reference scan's winner for every
+        /// bin, on 3-D, 2-D (`nb = 1` axes) and single-bin lattices.
+        #[test]
+        fn fill_picks_the_reference_winner_for_every_bin(
+            ni in 1usize..13, nj in 1usize..13, nk in 1usize..13,
+            shape in 0usize..7, seed in 0u64..1u64 << 32,
+        ) {
+            let nb = [ni, nj, nk];
+            let filled = fill_pattern(nb, shape, seed);
+            let (got, visits) = nearest_filled(nb, |b| filled[b]);
+            let want = nearest_filled_reference(nb, &filled);
+            let diff = (0..filled.len()).find(|&b| got[b] != want[b]);
+            proptest::prop_assert!(
+                diff.is_none(),
+                "bin {:?} of {:?} (shape {}, seed {}): got {:?}, reference {:?}",
+                diff, nb, shape, seed, diff.map(|b| got[b]), diff.map(|b| want[b])
+            );
+            proptest::prop_assert!(visits <= 27 * filled.len() as u64);
+        }
+    }
+
+    /// Host-clock-free complexity guard: on the largest fine lattice the
+    /// allocation can produce in 3-D, at 1 %, 50 % and 99 % fill, the search
+    /// examines at most each bin's 27-bin neighbourhood once — a quadratic
+    /// fill cannot come back unseen.
+    #[test]
+    fn fill_visits_stay_linear_in_the_lattice() {
+        let nb = [MAX_FINE_BINS; 3];
+        let nbins = (nb[0] * nb[1] * nb[2]) as u64;
+        for shape in 0..3 {
+            let filled = fill_pattern(nb, shape, 0x9e3779b97f4a7c15);
+            let (nearest, visits) = nearest_filled(nb, |b| filled[b]);
+            assert!(nearest.iter().all(|&f| filled[f as usize]));
+            assert!(visits <= 27 * nbins, "shape {shape}: {visits} visits over {nbins} bins");
+        }
+    }
+
+    /// Whole-map equality against the reference build on every grid of the
+    /// three paper systems, as whole-grid blocks and under an 18-rank
+    /// static partition: the same seeds, occupancy, lattices and flop charge,
+    /// hence the same walk starts and virtual clocks.
+    #[test]
+    fn builds_equal_the_reference_on_every_paper_grid() {
+        use overset_balance::{fit_np_to_dims_min, static_balance, Partition};
+        use overset_grid::gen::{airfoil, delta_wing, store};
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let mut empty_bins = 0usize;
+        for grids in [
+            store::store_system(0.3),
+            airfoil::airfoil_system(0.5),
+            delta_wing::delta_wing_system(0.1),
+        ] {
+            let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
+            let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+            let min_widths: Vec<[usize; 3]> =
+                grids.iter().map(|g| if g.periodic_i { [2, 1, 1] } else { [1, 1, 1] }).collect();
+            let balanced = static_balance(&sizes, 18).unwrap();
+            let np18 = fit_np_to_dims_min(&sizes, &dims, &balanced.np, &min_widths).unwrap();
+            for np in [vec![1; grids.len()], np18] {
+                let part = Partition::build(&dims, &np);
+                for (rank, a) in part.ranks.iter().enumerate() {
+                    let g = &grids[a.grid];
+                    let nbrs = part.neighbors_of(rank, g.periodic_i);
+                    let block = Block::from_grid(a.grid, g, a.boxx, nbrs, &fc);
+                    let m = InverseMap::build(&block);
+                    let r = build_reference(&block, m.bounds, m.nb);
+                    let what = format!("{} rank {rank} of {}", g.name, part.ranks.len());
+                    assert_eq!(m.seeds, r.seeds, "seeds: {what}");
+                    assert_eq!(m.occupancy, r.occupancy, "occupancy: {what}");
+                    assert_eq!((m.nb, m.hole_nb), (r.nb, r.hole_nb), "lattices: {what}");
+                    assert_eq!(m.build_flops, r.build_flops, "build_flops: {what}");
+                    let binned = bin_cells(&block, &m.bounds, m.nb).0;
+                    empty_bins += binned.iter().filter(|s| s.is_none()).count();
+                }
+            }
+        }
+        // The systems must actually exercise the fill.
+        assert!(empty_bins > 10_000, "only {empty_bins} empty bins filled");
     }
 
     #[test]

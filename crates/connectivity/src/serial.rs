@@ -46,6 +46,11 @@ pub struct SerialConnStats {
     pub orphans: usize,
     pub walk_steps: u64,
     pub flops: u64,
+    /// Warm restarts attempted: IGBPs that had a cached donor to start at.
+    pub warm_attempts: u64,
+    /// Warm restarts that found the donor straight from the cached cell
+    /// (strict acceptance); the rest fell through to the hierarchy search.
+    pub warm_hits: u64,
 }
 
 /// Re-establish domain connectivity serially:
@@ -134,9 +139,11 @@ pub fn connect_serial_arena(
             // Warm start at the cached donor.
             if let Some(&(dg, cell)) = cache.map.get(&key) {
                 let mut cost = SearchCost::default();
+                stats.warm_attempts += 1;
                 if let SearchOutcome::Found(d) =
                     walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, false, isa)
                 {
+                    stats.warm_hits += 1;
                     found = Some((dg, d));
                 }
                 stats.walk_steps += cost.walk_steps;
@@ -258,6 +265,11 @@ mod tests {
         assert!(!cache.is_empty());
         let s2 = connect_serial(&mut blocks, &order(), &[], &mut cache);
         assert_eq!(s1.igbps, s2.igbps);
+        // The cold pass has nothing to warm-start from; on static grids
+        // every cached donor is found again from its own cell.
+        assert_eq!((s1.warm_attempts, s1.warm_hits), (0, 0));
+        assert_eq!(s2.warm_attempts, s1.resolved as u64);
+        assert_eq!(s2.warm_hits, s2.warm_attempts);
         assert!(
             s2.walk_steps < s1.walk_steps / 2,
             "restart not effective: {} vs {}",

@@ -727,6 +727,7 @@ fn run_rank(
             }
             if cfg.use_inverse_map {
                 if inv_dirty {
+                    let t_map = ph.now();
                     // Prefer the incremental path: compose the step's rigid
                     // motion into the existing map's pose instead of
                     // rebuilding the lattice. `advance` refuses (and leaves
@@ -748,13 +749,16 @@ fn run_rank(
                     }
                     inv_dirty = false;
                     pending_motion = None;
+                    ph.trace_complete("conn", "invmap_build", t_map, &[]);
                 }
             } else {
                 inv = None;
             }
+            let t_cut = ph.now();
             let (igbps, hole_flops) =
                 cut_holes_and_find_fringe_arena(&mut block, &solids, inv.as_ref(), &mut arena);
             ph.compute(hole_flops as f64, WorkClass::Search);
+            ph.trace_complete("conn", "hole_cut", t_cut, &[]);
             if !cfg.use_restart {
                 cache.clear();
             }
@@ -1036,6 +1040,7 @@ pub fn run_case_serial(
                     arena.isa = overset_solver::select_isa(cfg.use_simd);
                 }
                 let stats = if cfg.use_inverse_map {
+                    let t_map = ph.now();
                     let mut build_flops = 0u64;
                     if maps.len() != ngrids {
                         maps = blocks.iter().map(InverseMap::build).collect();
@@ -1069,6 +1074,9 @@ pub fn run_case_serial(
                         }
                     }
                     ph.compute(build_flops as f64, WorkClass::Search);
+                    if build_flops > 0 {
+                        ph.trace_complete("conn", "invmap_build", t_map, &[]);
+                    }
                     connect_serial_arena(
                         &mut blocks,
                         &cfg.search_order,
@@ -1090,6 +1098,13 @@ pub fn run_case_serial(
                 ph.compute(stats.flops as f64, WorkClass::Search);
                 ph.metrics_mut().add(names::CONN_SERVICED, stats.igbps as u64);
                 ph.metrics_mut().add(names::CONN_WALK_STEPS, stats.walk_steps);
+                if stats.warm_attempts > 0 {
+                    // Same names the distributed protocol feeds: a failed
+                    // warm start re-walks the IGBP's whole hierarchy.
+                    let m = ph.metrics_mut();
+                    m.add(names::CONN_CACHE_HIT, stats.warm_hits);
+                    m.add(names::CONN_CACHE_MISS, stats.warm_attempts - stats.warm_hits);
+                }
                 igbps_last = stats.igbps;
                 orphans_last = stats.orphans;
                 if cfg.inject_alloc > 0 {

@@ -66,7 +66,38 @@ fn trace_json_matches_chrome_trace_event_schema() {
         assert!(t.events.iter().any(|e| e.cat == "solver"));
         assert!(t.events.iter().any(|e| e.cat == "comm"));
         assert!(t.events.iter().any(|e| e.cat == "conn"));
+        // One hole cut per step.
+        let cuts = t.events.iter().filter(|e| e.cat == "conn" && e.name == "hole_cut").count();
+        assert_eq!(cuts, r.steps, "rank {rank}");
     }
+    // One span per inverse-map build or pose advance, none otherwise.
+    let map_spans = r
+        .trace
+        .iter()
+        .flat_map(|t| t.events.iter())
+        .filter(|e| e.cat == "conn" && e.name == "invmap_build")
+        .count() as u64;
+    let m = &r.metrics;
+    assert!(map_spans >= r.nranks as u64);
+    assert_eq!(
+        map_spans,
+        m.counter(names::CONN_INVMAP_BUILDS) + m.counter(names::CONN_INVMAP_INCR)
+    );
+}
+
+/// The serial driver feeds the same warm-restart counters and the same
+/// inverse-map span as the distributed one.
+#[test]
+fn serial_driver_reports_warm_restarts_and_map_builds() {
+    let mut cfg = airfoil_case(0.3, 4);
+    cfg.trace = TraceConfig::enabled();
+    let r = overflow_d::run_case_serial(&cfg, &MachineModel::ibm_sp2()).unwrap();
+    let rate = r.metrics.cache_hit_rate().expect("no warm restarts recorded");
+    assert!(rate > 0.5, "warm restart hit rate {rate} too low");
+    let maps =
+        r.trace[0].events.iter().filter(|e| e.cat == "conn" && e.name == "invmap_build").count();
+    // The cold build of every grid, then one pose advance per step.
+    assert_eq!(maps, r.steps);
 }
 
 /// Disabling tracing yields no events and identical physics/timing.
