@@ -13,7 +13,7 @@ use crate::offbody::{generate, level_histogram, Brick, OffBodyConfig};
 use overset_balance::{group_grids, Grouping};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, interpolate, walk_search, Igbp, SearchCost, SearchOutcome,
+    cut_holes_and_find_fringe, interpolate, walk_search, ConnArena, Igbp, SearchCost, SearchOutcome,
 };
 use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, Solid};
 use overset_grid::field::{StateField, NVAR};
@@ -168,11 +168,12 @@ impl AdaptiveScheme {
         self.cartesian_locates = 0;
         self.curvilinear_searches = 0;
         let solids = vec![(usize::MAX, self.body_solid)];
+        let mut arena = ConnArena::new();
 
         // Gather fringe lists per brick block.
         let mut fringes: Vec<Vec<Igbp>> = Vec::with_capacity(self.blocks.len());
         for b in self.blocks.iter_mut() {
-            let (igbps, _) = cut_holes_and_find_fringe(b, &solids);
+            let (igbps, _) = cut_holes_and_find_fringe(b, &solids, None, &mut arena);
             fringes.push(igbps);
         }
 
@@ -208,7 +209,7 @@ impl AdaptiveScheme {
         }
 
         // Near-body outer fringe ← bricks (O(1) locates).
-        let (near_igbps, _) = cut_holes_and_find_fringe(&mut self.near, &[]);
+        let (near_igbps, _) = cut_holes_and_find_fringe(&mut self.near, &[], None, &mut arena);
         for ig in &near_igbps {
             self.cartesian_locates += 1;
             if let Some(d) = locate_any(&self.bricks, ig.xyz, None) {

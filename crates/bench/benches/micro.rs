@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use overset_balance::{group_grids, static_balance, AdjacencyMatrix};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, cut_holes_and_find_fringe_with_map, walk_search, InverseMap,
-    SearchCost,
+    cut_holes_and_find_fringe, walk_search, ConnArena, InverseMap, SearchCost,
 };
 use overset_grid::curvilinear::Solid;
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
@@ -235,7 +234,7 @@ fn connectivity_kernels(c: &mut Criterion) {
     c.bench_function("holes/cut_and_fringe_5k_nodes", |b| {
         b.iter_batched(
             || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
-            |mut blk| cut_holes_and_find_fringe(&mut blk, &solids),
+            |mut blk| cut_holes_and_find_fringe(&mut blk, &solids, None, &mut ConnArena::new()),
             BatchSize::LargeInput,
         )
     });
@@ -246,7 +245,9 @@ fn connectivity_kernels(c: &mut Criterion) {
         };
         b.iter_batched(
             || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
-            |mut blk| cut_holes_and_find_fringe_with_map(&mut blk, &solids, Some(&inv)),
+            |mut blk| {
+                cut_holes_and_find_fringe(&mut blk, &solids, Some(&inv), &mut ConnArena::new())
+            },
             BatchSize::LargeInput,
         )
     });

@@ -7,8 +7,8 @@
 //! values for every run.
 
 use overflow_d::{
-    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
-    RunResult,
+    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, Ablation, Ablations,
+    CaseConfig, LbConfig, RunResult,
 };
 use overset_comm::trace::TraceConfig;
 use overset_comm::{MachineModel, Phase, TransportConfig};
@@ -29,26 +29,9 @@ pub struct Effort {
     /// the ranks onto `n` workers (M:N mode). Virtual times are bit-identical
     /// either way, so every table is unaffected — this only caps host load.
     pub max_threads: Option<usize>,
-    /// Inverse-map acceleration (`--no-inverse-map` clears it): seeded cold
-    /// walks, occupancy-pruned candidates, masked hole cutting. Answers are
-    /// identical either way; only the work (and so the virtual time) moves.
-    pub use_inverse_map: bool,
-    /// Persistent connectivity arena (`--no-arena` clears it): per-rank
-    /// step-scoped scratch that keeps its capacity across steps. The same
-    /// code path runs either way — states, walk outcomes and virtual times
-    /// are bit-identical; only host-side allocation counts change.
-    pub use_arena: bool,
-    /// Incremental inverse-map pose advance (`--no-incremental-invmap`
-    /// clears it): small rigid motions compose into the map's pose instead
-    /// of triggering a full lattice rebuild. Answers are identical; the
-    /// virtual time honestly reflects the cheaper update.
-    pub use_incremental_invmap: bool,
-    /// Lane-batched SIMD compute kernels (`--no-simd` clears it): the line
-    /// sweeps, donor Newton walks and hole containment tests run through the
-    /// host's AVX2 units when available. The *same* batched code runs either
-    /// way — states, walk outcomes and virtual times are bit-identical; only
-    /// host wall-clock changes.
-    pub use_simd: bool,
+    /// Features switched off by the `--no-*` flags (see [`Ablation`]); none
+    /// by default.
+    pub ablations: Ablations,
     /// Process-transport group count (`--transport proc[:N]`). `None`
     /// (default, `--transport inproc`): ranks as threads in this process.
     /// `Some(n)`: ranks split across `n` forked rank-group processes.
@@ -72,10 +55,7 @@ impl Effort {
             steps2d: 20,
             steps3d: 12,
             max_threads: None,
-            use_inverse_map: true,
-            use_arena: true,
-            use_incremental_invmap: true,
-            use_simd: true,
+            ablations: Ablations::default(),
             proc_groups: None,
             inject_alloc: 0,
         }
@@ -83,19 +63,7 @@ impl Effort {
 
     /// Reduced effort for CI / quick runs.
     pub fn quick() -> Self {
-        Effort {
-            scale3d: 0.55,
-            scale2d: 0.6,
-            steps2d: 10,
-            steps3d: 5,
-            max_threads: None,
-            use_inverse_map: true,
-            use_arena: true,
-            use_incremental_invmap: true,
-            use_simd: true,
-            proc_groups: None,
-            inject_alloc: 0,
-        }
+        Effort { scale3d: 0.55, scale2d: 0.6, steps2d: 10, steps3d: 5, ..Self::full() }
     }
 }
 
@@ -103,16 +71,21 @@ impl Effort {
 /// case config — the single place CLI flags become configuration.
 pub(crate) fn tuned(mut cfg: CaseConfig, e: Effort) -> CaseConfig {
     cfg.max_threads = e.max_threads;
-    cfg.use_inverse_map = e.use_inverse_map;
-    cfg.use_arena = e.use_arena;
-    cfg.use_incremental_invmap = e.use_incremental_invmap;
-    cfg.use_simd = e.use_simd;
+    cfg.ablations = e.ablations;
     cfg.transport = match e.proc_groups {
         None => TransportConfig::InProcess,
         Some(n) => TransportConfig::process(n),
     };
     cfg.inject_alloc = e.inject_alloc;
     cfg
+}
+
+/// Run `cfg` on `nranks` SP2 nodes with feature `a` on, then off.
+fn on_off(cfg: CaseConfig, e: Effort, nranks: usize, a: Ablation) -> (RunResult, RunResult) {
+    let mut cfg = tuned(cfg, e);
+    let on = run_case(&cfg, nranks, &sp2()).unwrap();
+    cfg.ablations.insert(a);
+    (on, run_case(&cfg, nranks, &sp2()).unwrap())
 }
 
 fn sp2() -> MachineModel {
@@ -470,10 +443,7 @@ pub fn print_host_profile(r: &RunResult) {
 /// time spent in the connectivity solution".
 pub fn ablate_restart(e: Effort) {
     println!("\n== Ablation: nth-level restart (airfoil, SP2, 12 nodes) ==");
-    let with = run_case(&tuned(airfoil_case(e.scale2d, e.steps2d), e), 12, &sp2()).unwrap();
-    let mut cfg = tuned(airfoil_case(e.scale2d, e.steps2d), e);
-    cfg.use_restart = false;
-    let without = run_case(&cfg, 12, &sp2()).unwrap();
+    let (with, without) = on_off(airfoil_case(e.scale2d, e.steps2d), e, 12, Ablation::Restart);
     let per = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
     println!(
         "  restart ON : connectivity {:.4} s/step ({:.1}% of total)",
@@ -498,10 +468,7 @@ pub fn ablate_invmap(e: Effort) {
         ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d)),
         ("store  ", 28, store_case(e.scale3d, e.steps3d)),
     ] {
-        let on = run_case(&tuned(mk.clone(), e), nranks, &sp2()).unwrap();
-        let mut cfg = tuned(mk, e);
-        cfg.use_inverse_map = false;
-        let off = run_case(&cfg, nranks, &sp2()).unwrap();
+        let (on, off) = on_off(mk, e, nranks, Ablation::InverseMap);
         let per = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
         let ctr = |r: &RunResult, m: &str| r.metrics.counter(m);
         println!(
@@ -564,10 +531,7 @@ pub fn ablate_arena(e: Effort) {
         ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d), false),
         ("store  ", 16, store_case(e.scale3d, e.steps3d), true),
     ] {
-        let on = run_case(&tuned(mk.clone(), e), nranks, &sp2()).unwrap();
-        let mut cfg = tuned(mk, e);
-        cfg.use_arena = false;
-        let off = run_case(&cfg, nranks, &sp2()).unwrap();
+        let (on, off) = on_off(mk, e, nranks, Ablation::Arena);
         let a_on = last_step_allocs(&on);
         let a_off = last_step_allocs(&off);
         let ratio = a_off as f64 / a_on.max(1) as f64;
@@ -623,10 +587,7 @@ pub fn ablate_simd(e: Effort) {
         ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d)),
         ("store  ", 16, store_case(e.scale3d, e.steps3d)),
     ] {
-        let on = run_case(&tuned(mk.clone(), e), nranks, &sp2()).unwrap();
-        let mut cfg = tuned(mk, e);
-        cfg.use_simd = false;
-        let off = run_case(&cfg, nranks, &sp2()).unwrap();
+        let (on, off) = on_off(mk, e, nranks, Ablation::Simd);
         let bit_equal = on.state_rms.to_bits() == off.state_rms.to_bits()
             && on.wall_time.to_bits() == off.wall_time.to_bits()
             && ctr(&on, names::CONN_WALK_STEPS) == ctr(&off, names::CONN_WALK_STEPS)
@@ -655,12 +616,9 @@ pub fn ablate_simd(e: Effort) {
     let mut on_ms = Vec::with_capacity(repeats);
     let mut off_ms = Vec::with_capacity(repeats);
     for _ in 0..repeats {
-        let r = run_case(&tuned(airfoil_case(e.scale2d, e.steps2d), e), 12, &sp2()).unwrap();
-        on_ms.push(flow_host(&r) * 1e3);
-        let mut cfg = tuned(airfoil_case(e.scale2d, e.steps2d), e);
-        cfg.use_simd = false;
-        let r = run_case(&cfg, 12, &sp2()).unwrap();
-        off_ms.push(flow_host(&r) * 1e3);
+        let (on, off) = on_off(airfoil_case(e.scale2d, e.steps2d), e, 12, Ablation::Simd);
+        on_ms.push(flow_host(&on) * 1e3);
+        off_ms.push(flow_host(&off) * 1e3);
     }
     on_ms.sort_by(f64::total_cmp);
     off_ms.sort_by(f64::total_cmp);

@@ -3,7 +3,7 @@
 //!
 //! Usage:
 //!   `repro <experiment> [--quick] [--max-threads <N>] [--no-inverse-map]
-//!          [--no-arena] [--no-incremental-invmap]
+//!          [--no-arena] [--no-incremental-invmap] [--no-simd]
 //!          [--transport inproc|proc[:N]] [--trace <out.json>]
 //!          [--trace-stream <dir>] [--metrics] [--host-profile]
 //!          [--trace-filter <cats>] [--trace-sample <N>]`
@@ -21,11 +21,9 @@
 //! table5 fig11 table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo
 //! ablate-grouping ablate-cache ablate-invmap ablate-arena ablate-simd all`.
 //!
-//! `--no-arena` replaces the per-rank connectivity arena with cold buffers
-//! every step (same code path; results and virtual times bit-identical,
-//! only host allocation counts change). `--no-incremental-invmap` forces a
-//! full inverse-map rebuild on every motion event instead of the pose
-//! advance; answers are identical, the virtual time moves.
+//! The `--no-*` flags each switch one run-time feature off; they are the
+//! flags of [`overflow_d::Ablation`], whose variants document what each
+//! feature is and what disabling it leaves bit-identical.
 //!
 //! `--max-threads N` caps the OS threads running an experiment's virtual
 //! ranks: the comm runtime multiplexes the ranks onto `N` workers (M:N
@@ -69,6 +67,7 @@
 //! matrix, imbalance advisor — see docs/OBSERVABILITY.md §Analysis) on an
 //! experiment's representative case or on a previously written trace file.
 
+use overflow_d::{Ablation, Ablations};
 use overset_bench::amr_experiments::{ablate_grouping, fig12};
 use overset_bench::analyze::{run_analyze, run_analyze_diff};
 use overset_bench::experiments::*;
@@ -129,10 +128,7 @@ struct Cli {
     trace_filter: Option<String>,
     trace_sample: u32,
     max_threads: Option<usize>,
-    no_inverse_map: bool,
-    no_arena: bool,
-    no_incremental_invmap: bool,
-    no_simd: bool,
+    ablations: Ablations,
     transport: Option<String>,
     host_profile: bool,
     inject_alloc: usize,
@@ -150,10 +146,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         trace_filter: None,
         trace_sample: 1,
         max_threads: None,
-        no_inverse_map: false,
-        no_arena: false,
-        no_incremental_invmap: false,
-        no_simd: false,
+        ablations: Ablations::default(),
         transport: None,
         host_profile: false,
         inject_alloc: 0,
@@ -163,10 +156,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => cli.quick = true,
-            "--no-inverse-map" => cli.no_inverse_map = true,
-            "--no-arena" => cli.no_arena = true,
-            "--no-incremental-invmap" => cli.no_incremental_invmap = true,
-            "--no-simd" => cli.no_simd = true,
             "--metrics" => cli.show_metrics = true,
             "--host-profile" => cli.host_profile = true,
             "--inject-alloc" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
@@ -218,7 +207,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 Some(n) if n >= 1 => cli.max_threads = Some(n),
                 _ => return Err("--max-threads requires an integer >= 1".to_string()),
             },
-            other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
+            other if other.starts_with("--") => match Ablation::from_flag(other) {
+                Some(a) => cli.ablations.insert(a),
+                None => return Err(format!("unknown flag: {other}")),
+            },
             other => cli.which = other.to_string(),
         }
     }
@@ -228,6 +220,17 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             .to_string());
     }
     Ok(cli)
+}
+
+/// The effort a command line asks for: quick or full size, plus every
+/// scheduler, feature, transport and test-hook flag.
+fn effort_from(cli: &Cli) -> Effort {
+    let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
+    effort.max_threads = cli.max_threads;
+    effort.ablations = cli.ablations;
+    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
+    effort.inject_alloc = cli.inject_alloc;
+    effort
 }
 
 /// Validate `--transport` and map it onto the effort's process-group knob.
@@ -257,14 +260,7 @@ fn run_report_cmd(args: &[String]) -> i32 {
         eprintln!("report does not support --trace-stream (stream a plain experiment run)");
         return 2;
     }
-    let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
-    effort.max_threads = cli.max_threads;
-    effort.use_inverse_map = !cli.no_inverse_map;
-    effort.use_arena = !cli.no_arena;
-    effort.use_incremental_invmap = !cli.no_incremental_invmap;
-    effort.use_simd = !cli.no_simd;
-    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
-    effort.inject_alloc = cli.inject_alloc;
+    let effort = effort_from(&cli);
     let effort_name = if cli.quick { "quick" } else { "full" };
     // Trace spans are not serialized into the report; tracing here only
     // proves observability neutrality (the golden tests rely on it), so
@@ -288,14 +284,7 @@ fn run_bench_host_cmd(args: &[String]) -> i32 {
         eprintln!("bench-host does not support tracing flags");
         return 2;
     }
-    let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
-    effort.max_threads = cli.max_threads;
-    effort.use_inverse_map = !cli.no_inverse_map;
-    effort.use_arena = !cli.no_arena;
-    effort.use_incremental_invmap = !cli.no_incremental_invmap;
-    effort.use_simd = !cli.no_simd;
-    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
-    effort.inject_alloc = cli.inject_alloc;
+    let effort = effort_from(&cli);
     let effort_name = if cli.quick { "quick" } else { "full" };
     let repeats = cli.repeats.unwrap_or(5);
     let doc = build_report_host_bench(&cli.which, effort, effort_name, repeats);
@@ -333,14 +322,7 @@ fn main() {
     }
 
     let cli = exit_usage(parse_cli(&args));
-    let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
-    effort.max_threads = cli.max_threads;
-    effort.use_inverse_map = !cli.no_inverse_map;
-    effort.use_arena = !cli.no_arena;
-    effort.use_incremental_invmap = !cli.no_incremental_invmap;
-    effort.use_simd = !cli.no_simd;
-    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
-    effort.inject_alloc = cli.inject_alloc;
+    let effort = effort_from(&cli);
     let which = cli.which.clone();
     // Validate trace flags before the (long) experiment run, not after.
     let mut trace_cfg = exit_usage(parse_trace_config(&cli.trace_filter, cli.trace_sample));
@@ -477,24 +459,37 @@ mod tests {
         assert!(parse_cli(&s(&["table1", "--trace-stream"])).is_err());
     }
 
+    /// The one table of feature flags: what `repro` accepts is what
+    /// [`Ablation`] lists, one distinct flag per CLI-exposed variant.
     #[test]
-    fn arena_and_incremental_invmap_flags_parse() {
-        let c = parse_cli(&s(&["ablate-arena"])).unwrap();
-        assert!(!c.no_arena && !c.no_incremental_invmap);
-        assert_eq!(c.which, "ablate-arena");
-        let c = parse_cli(&s(&["table1", "--no-arena"])).unwrap();
-        assert!(c.no_arena && !c.no_incremental_invmap);
-        let c = parse_cli(&s(&["table1", "--no-incremental-invmap", "--no-arena"])).unwrap();
-        assert!(c.no_arena && c.no_incremental_invmap);
-    }
-
-    #[test]
-    fn simd_flag_parses() {
-        let c = parse_cli(&s(&["ablate-simd"])).unwrap();
-        assert_eq!(c.which, "ablate-simd");
-        assert!(!c.no_simd);
-        let c = parse_cli(&s(&["table1", "--no-simd", "--quick"])).unwrap();
-        assert!(c.no_simd && c.quick);
+    fn every_ablation_flag_parses_to_exactly_its_variant() {
+        assert_eq!(parse_cli(&s(&["ablate-arena"])).unwrap().ablations, Ablations::default());
+        let mut flags: Vec<&str> = Vec::new();
+        let mut all = Ablations::default();
+        for &a in Ablation::ALL {
+            let Some(flag) = a.flag() else { continue };
+            assert!(!flags.contains(&flag), "{flag} names two ablations");
+            flags.push(flag);
+            let mut only = Ablations::default();
+            only.insert(a);
+            let c = parse_cli(&s(&["table1", flag, "--quick"])).unwrap();
+            assert_eq!(c.ablations, only, "{flag}");
+            assert!(c.quick && c.which == "table1");
+            all.insert(a);
+        }
+        // The flags `repro` accepted before the enum existed, no more, no less.
+        flags.sort_unstable();
+        assert_eq!(
+            flags,
+            ["--no-arena", "--no-incremental-invmap", "--no-inverse-map", "--no-simd"]
+        );
+        let mut args = vec!["table1"];
+        args.extend(&flags);
+        assert_eq!(parse_cli(&s(&args)).unwrap().ablations, all);
+        // Restart has no flag: it is `repro ablate-restart`'s business.
+        assert!(!all.contains(Ablation::Restart));
+        let e = parse_cli(&s(&["table1", "--no-restart"])).unwrap_err();
+        assert_eq!(e, "unknown flag: --no-restart");
     }
 
     #[test]

@@ -1266,20 +1266,6 @@ impl Universe {
             transport: TransportConfig::InProcess,
         }
     }
-
-    /// Shorthand for `Universe::builder().ranks(nranks).machine(machine).run(f)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Universe::builder().ranks(n).machine(m).run(f); the builder also \
-                selects the transport backend, scheduler mode and tracing"
-    )]
-    pub fn run<R, F>(nranks: usize, machine: &MachineModel, f: F) -> Vec<RankOutput<R>>
-    where
-        R: Wire + Send,
-        F: Fn(&mut Comm) -> R + Send + Sync,
-    {
-        Universe::builder().ranks(nranks).machine(machine).run(f)
-    }
 }
 
 impl UniverseBuilder {
@@ -1570,7 +1556,6 @@ mod tests {
         MachineModel::modern()
     }
 
-    /// Builder-form replacement for the deprecated `Universe::run` shim.
     fn run<R, F>(nranks: usize, machine: &MachineModel, f: F) -> Vec<RankOutput<R>>
     where
         R: Wire + Send,

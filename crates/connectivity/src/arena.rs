@@ -32,11 +32,11 @@ use std::collections::HashMap;
 #[derive(Default)]
 pub struct ConnArena {
     /// Lane ISA carrying the batched donor-search and containment kernels.
-    /// Defaults to [`Isa::Scalar`]; the driver upgrades it from the case's
-    /// `use_simd` setting via [`overset_solver::select_isa`]. Results are
-    /// bit-identical either way — the ISA only changes host speed. Lives on
-    /// the arena (not a process global) because tests run cases with
-    /// different settings concurrently in one process.
+    /// Defaults to [`Isa::Scalar`]; the connectivity contexts set it from
+    /// the case's [`crate::Ablations`]. Results are bit-identical either
+    /// way — the ISA only changes host speed. Lives on the arena (not a
+    /// process global) because tests run cases with different settings
+    /// concurrently in one process.
     pub isa: Isa,
 
     // -- distributed protocol scratch --

@@ -1,0 +1,359 @@
+//! The per-run connectivity contexts: what the DCF3D step keeps between
+//! timesteps, and the step itself.
+//!
+//! A [`Connectivity`] is one rank's state — the [`ConnArena`] (with the lane
+//! ISA), the rank's inverse map and its lifecycle ([`MapSlot`]), the restart
+//! donor cache — and [`Connectivity::step`] is the paper's per-timestep
+//! sequence: map refresh → hole cut / IGBP identification → donor search
+//! and interpolation. [`SerialConnectivity`] is the single-address-space
+//! counterpart with one map slot per grid. Both charge their work to the
+//! caller's [`Comm`] and emit the `conn.*` counters and `conn/*` spans; the
+//! driver only tells them when a grid moved or the partition changed.
+
+use crate::ablation::{Ablation, Ablations};
+use crate::arena::ConnArena;
+use crate::holes::cut_holes_and_find_fringe;
+use crate::inverse_map::{InverseMap, FLOPS_PER_INCR_UPDATE};
+use crate::protocol::{connect_distributed, ConnStats, DonorCache, Topology};
+use crate::serial::{connect_serial, SerialCache, SerialConnStats};
+use overset_comm::metrics::names;
+use overset_comm::{Comm, MetricsRegistry, WorkClass};
+use overset_grid::curvilinear::Solid;
+use overset_grid::{Ijk, RigidTransform};
+use overset_solver::{Block, Isa};
+
+/// One block's inverse map and its lifecycle: built lazily, kept across
+/// steps, brought up to date only after the block moved, dropped when the
+/// block is rebuilt.
+#[derive(Default)]
+pub struct MapSlot {
+    map: Option<InverseMap>,
+    /// Rigid motion applied to the block since the map was last brought up
+    /// to date — the candidate for an incremental [`InverseMap::advance`].
+    pending: Option<RigidTransform>,
+}
+
+impl MapSlot {
+    /// The map, if one has been built.
+    pub fn map(&self) -> Option<&InverseMap> {
+        self.map.as_ref()
+    }
+
+    /// Does the next [`MapSlot::refresh`] have work to do?
+    pub fn is_dirty(&self) -> bool {
+        self.map.is_none() || self.pending.is_some()
+    }
+
+    /// The block moved by `t`; motions noted before the next refresh
+    /// compose. Identity / below-epsilon motion (on the scale of the map's
+    /// lattice box; with no map yet, only the exact identity) does not dirty
+    /// the slot — a pointless full rebuild would follow.
+    pub fn note_motion(&mut self, t: &RigidTransform) {
+        let negligible = match &self.map {
+            Some(m) => t.is_negligible_for(&m.bounds()),
+            None => t.is_identity(),
+        };
+        if !negligible {
+            self.pending = Some(match &self.pending {
+                Some(prev) => prev.then(t),
+                None => *t,
+            });
+        }
+    }
+
+    /// The block was rebuilt over a different region: the map is stale, and
+    /// any pending motion refers to the old map's lattice.
+    pub fn invalidate(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Bring the map up to date with `block`, count the update in
+    /// `conn.invmap.{incr,build}` and return its flops (0 for a clean slot).
+    /// With `incremental`, the pending motion is first offered to
+    /// [`InverseMap::advance`], which refuses when the accumulated pose would
+    /// inflate the world routing box past its threshold; a full build
+    /// follows then, and whenever there is no map yet.
+    pub fn refresh(
+        &mut self,
+        block: &Block,
+        incremental: bool,
+        metrics: &mut MetricsRegistry,
+    ) -> u64 {
+        if !self.is_dirty() {
+            return 0;
+        }
+        let advanced = incremental
+            && match (self.map.as_mut(), self.pending.as_ref()) {
+                (Some(m), Some(t)) => m.advance(t),
+                _ => false,
+            };
+        self.pending = None;
+        if advanced {
+            metrics.inc(names::CONN_INVMAP_INCR);
+            FLOPS_PER_INCR_UPDATE
+        } else {
+            let m = InverseMap::build(block);
+            metrics.inc(names::CONN_INVMAP_BUILDS);
+            let flops = m.build_flops();
+            self.map = Some(m);
+            flops
+        }
+    }
+}
+
+/// A cold arena carrying the run's lane ISA.
+fn new_arena(isa: Isa) -> ConnArena {
+    ConnArena { isa, ..ConnArena::default() }
+}
+
+/// One rank's connectivity state for a whole run.
+pub struct Connectivity {
+    off: Ablations,
+    arena: ConnArena,
+    slot: MapSlot,
+    cache: DonorCache,
+}
+
+impl Connectivity {
+    /// A cold context for a run that disables the features in `off` and
+    /// runs its batched kernels on `isa`.
+    pub fn new(off: Ablations, isa: Isa) -> Self {
+        let (slot, cache) = Default::default();
+        Connectivity { off, arena: new_arena(isa), slot, cache }
+    }
+
+    /// This rank's block moved by `t`.
+    pub fn note_motion(&mut self, t: &RigidTransform) {
+        self.slot.note_motion(t);
+    }
+
+    /// The partition changed and this rank's block was rebuilt: the map is
+    /// stale, but cached donor cells survive — only their owning ranks
+    /// changed, so `owner` (donor grid, donor cell → rank) remaps them
+    /// instead of cold-restarting the whole connectivity solution.
+    pub fn repartitioned(&mut self, owner: impl Fn(usize, Ijk) -> usize) {
+        self.slot.invalidate();
+        self.cache.remap_ranks(owner);
+    }
+
+    /// One connectivity solution for this rank's block, whose halo state
+    /// must be freshly exchanged.
+    pub fn step(
+        &mut self,
+        block: &mut Block,
+        solids: &[(usize, Solid)],
+        topo: &Topology,
+        comm: &mut Comm,
+    ) -> ConnStats {
+        if self.off.contains(Ablation::Arena) {
+            self.arena = new_arena(self.arena.isa);
+        }
+        let inv = if self.off.contains(Ablation::InverseMap) {
+            None
+        } else {
+            if self.slot.is_dirty() {
+                let t_map = comm.now();
+                let incremental = !self.off.contains(Ablation::IncrementalInvmap);
+                let flops = self.slot.refresh(block, incremental, comm.metrics_mut());
+                comm.compute(flops as f64, WorkClass::Search);
+                comm.trace_complete("conn", "invmap_build", t_map, &[]);
+            }
+            self.slot.map()
+        };
+        let t_cut = comm.now();
+        let (igbps, hole_flops) = cut_holes_and_find_fringe(block, solids, inv, &mut self.arena);
+        comm.compute(hole_flops as f64, WorkClass::Search);
+        comm.trace_complete("conn", "hole_cut", t_cut, &[]);
+        if self.off.contains(Ablation::Restart) {
+            self.cache.clear();
+        }
+        let stats =
+            connect_distributed(block, &igbps, topo, &mut self.cache, comm, inv, &mut self.arena);
+        self.arena.recycle_igbps(igbps);
+        stats
+    }
+}
+
+/// The serial counterpart of [`Connectivity`]: every grid resident as one
+/// whole block, one map slot per grid.
+pub struct SerialConnectivity {
+    off: Ablations,
+    arena: ConnArena,
+    slots: Vec<MapSlot>,
+    cache: SerialCache,
+}
+
+impl SerialConnectivity {
+    /// A cold context for `ngrids` grids.
+    pub fn new(ngrids: usize, off: Ablations, isa: Isa) -> Self {
+        let slots = (0..ngrids).map(|_| MapSlot::default()).collect();
+        SerialConnectivity { off, arena: new_arena(isa), slots, cache: SerialCache::new() }
+    }
+
+    /// Grid `grid` moved by `t`.
+    pub fn note_motion(&mut self, grid: usize, t: &RigidTransform) {
+        self.slots[grid].note_motion(t);
+    }
+
+    /// One connectivity solution over all grids (`blocks[g]` is grid `g`).
+    /// The whole solve — hole cutting included — is charged in one lump, so
+    /// only the map refresh has a span of its own.
+    pub fn step(
+        &mut self,
+        blocks: &mut [Block],
+        search_order: &[Vec<usize>],
+        solids: &[(usize, Solid)],
+        comm: &mut Comm,
+    ) -> SerialConnStats {
+        if self.off.contains(Ablation::Arena) {
+            self.arena = new_arena(self.arena.isa);
+        }
+        if self.off.contains(Ablation::Restart) {
+            self.cache.clear();
+        }
+        let maps: &[MapSlot] = if self.off.contains(Ablation::InverseMap) {
+            &[]
+        } else {
+            let t_map = comm.now();
+            let incremental = !self.off.contains(Ablation::IncrementalInvmap);
+            let flops: u64 = self
+                .slots
+                .iter_mut()
+                .zip(blocks.iter())
+                .map(|(slot, block)| slot.refresh(block, incremental, comm.metrics_mut()))
+                .sum();
+            comm.compute(flops as f64, WorkClass::Search);
+            if flops > 0 {
+                comm.trace_complete("conn", "invmap_build", t_map, &[]);
+            }
+            &self.slots
+        };
+        let stats =
+            connect_serial(blocks, search_order, solids, &mut self.cache, maps, &mut self.arena);
+        comm.compute(stats.flops as f64, WorkClass::Search);
+        let m = comm.metrics_mut();
+        m.add(names::CONN_SERVICED, stats.igbps as u64);
+        m.add(names::CONN_WALK_STEPS, stats.walk_steps);
+        if stats.warm_attempts > 0 {
+            // Same names the distributed protocol feeds: a failed warm
+            // start re-walks the IGBP's whole hierarchy.
+            m.add(names::CONN_CACHE_HIT, stats.warm_hits);
+            m.add(names::CONN_CACHE_MISS, stats.warm_attempts - stats.warm_hits);
+        }
+        stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
+    use overset_grid::field::Field3;
+    use overset_grid::index::Dims;
+    use overset_solver::FlowConditions;
+
+    fn cart_block() -> Block {
+        let d = Dims::new(9, 9, 9);
+        let coords =
+            Field3::from_fn(d, |p| [p.i as f64 * 0.25, p.j as f64 * 0.25, p.k as f64 * 0.25]);
+        let g = CurvilinearGrid::new("c", coords, GridKind::Background);
+        Block::from_grid(0, &g, d.full_box(), [None; 6], &FlowConditions::new(0.8, 0.0, 0.0))
+    }
+
+    /// (`conn.invmap.build`, `conn.invmap.incr`).
+    fn counts(m: &MetricsRegistry) -> (u64, u64) {
+        (m.counter(names::CONN_INVMAP_BUILDS), m.counter(names::CONN_INVMAP_INCR))
+    }
+
+    /// A slot whose map was just built for `cart_block()`.
+    fn built_slot(block: &Block, m: &mut MetricsRegistry) -> MapSlot {
+        let mut slot = MapSlot::default();
+        assert!(slot.is_dirty() && slot.map().is_none());
+        let flops = slot.refresh(block, true, m);
+        assert!(flops > 0 && flops == slot.map().unwrap().build_flops());
+        assert_eq!(counts(m), (1, 0));
+        slot
+    }
+
+    #[test]
+    fn refreshing_a_clean_slot_is_free() {
+        let b = cart_block();
+        let mut m = MetricsRegistry::new();
+        let mut slot = built_slot(&b, &mut m);
+        assert!(!slot.is_dirty());
+        assert_eq!(slot.refresh(&b, true, &mut m), 0);
+        assert_eq!(counts(&m), (1, 0));
+    }
+
+    #[test]
+    fn negligible_motion_does_not_dirty_the_slot() {
+        let b = cart_block();
+        let mut m = MetricsRegistry::new();
+        let mut slot = built_slot(&b, &mut m);
+        slot.note_motion(&RigidTransform::IDENTITY);
+        let tiny = RigidTransform::translation([1e-15, 0.0, 0.0]);
+        assert!(!tiny.is_identity());
+        slot.note_motion(&tiny);
+        assert!(!slot.is_dirty());
+        assert_eq!(slot.refresh(&b, true, &mut m), 0);
+        assert_eq!(counts(&m), (1, 0));
+        assert!(slot.map().unwrap().pose_is_identity());
+    }
+
+    #[test]
+    fn small_motions_compose_into_one_advance() {
+        let b = cart_block();
+        let mut m = MetricsRegistry::new();
+        let mut slot = built_slot(&b, &mut m);
+        let t1 = RigidTransform::translation([0.01, 0.0, 0.0]);
+        let t2 = RigidTransform::rotation_about([1.0; 3], [0.0, 0.0, 1.0], f64::to_radians(0.5));
+        slot.note_motion(&t1);
+        slot.note_motion(&t2);
+        assert!(slot.is_dirty());
+        assert_eq!(slot.refresh(&b, true, &mut m), FLOPS_PER_INCR_UPDATE);
+        assert_eq!(counts(&m), (1, 1));
+        assert_eq!(*slot.map().unwrap().pose(), t1.then(&t2));
+        assert!(!slot.is_dirty());
+        // With the incremental update disabled the same motion rebuilds.
+        slot.note_motion(&t1);
+        let flops = slot.refresh(&b, false, &mut m);
+        assert_eq!(flops, slot.map().unwrap().build_flops());
+        assert_eq!(counts(&m), (2, 1));
+        assert!(slot.map().unwrap().pose_is_identity());
+    }
+
+    #[test]
+    fn a_pose_past_the_growth_threshold_falls_back_to_a_full_build() {
+        let b = cart_block();
+        let mut m = MetricsRegistry::new();
+        let mut slot = built_slot(&b, &mut m);
+        let center = slot.map().unwrap().bounds().center();
+        // 10 degrees about the box centre inflates the enclosing box well
+        // past `INCR_MAX_DIAG_GROWTH`.
+        slot.note_motion(&RigidTransform::rotation_about(
+            center,
+            [0.0, 0.0, 1.0],
+            f64::to_radians(10.0),
+        ));
+        let flops = slot.refresh(&b, true, &mut m);
+        assert_eq!(flops, slot.map().unwrap().build_flops());
+        assert_ne!(flops, FLOPS_PER_INCR_UPDATE);
+        assert_eq!(counts(&m), (2, 0));
+        assert!(slot.map().unwrap().pose_is_identity() && !slot.is_dirty());
+    }
+
+    #[test]
+    fn invalidate_drops_map_and_pending_pose() {
+        let b = cart_block();
+        let mut m = MetricsRegistry::new();
+        let mut slot = built_slot(&b, &mut m);
+        slot.note_motion(&RigidTransform::translation([0.01, 0.0, 0.0]));
+        slot.invalidate();
+        assert!(slot.map().is_none() && slot.is_dirty());
+        // The pending motion went with the map: the next refresh builds at
+        // the identity pose instead of advancing.
+        assert_eq!(slot.refresh(&b, true, &mut m), slot.map().unwrap().build_flops());
+        assert_eq!(counts(&m), (2, 0));
+        assert!(slot.map().unwrap().pose_is_identity());
+    }
+}

@@ -33,7 +33,7 @@
 //! cell bounding boxes inflated past the walk's acceptance slack, and solid
 //! masks only claim Inside/Outside when convexity proves it, so connectivity
 //! results (donors, weights, blanking, orphans) are bit-identical with the
-//! acceleration on or off. The `use_inverse_map` ablation tests assert this.
+//! acceleration on or off. The `Ablation::InverseMap` tests assert this.
 
 use crate::protocol::owned_bbox;
 use overset_grid::curvilinear::Solid;

@@ -17,13 +17,18 @@
 //!   baseline and validation reference),
 //! * [`protocol`] — the distributed donor-search protocol (bounding-box
 //!   routing, asynchronous request service, candidate forwarding, and the
-//!   "nth-level restart" donor cache).
-
+//!   "nth-level restart" donor cache),
 //! * [`kernels`] — lane-batched (SIMD) forms of the trilinear Newton
 //!   inversion and the hole cutter's containment tests, bit-identical to
-//!   the scalar code per lane.
+//!   the scalar code per lane,
+//! * [`context`] — the per-run contexts ([`Connectivity`] per rank,
+//!   [`SerialConnectivity`] for the single-address-space run) that own the
+//!   arena, the inverse-map lifecycle and the donor cache and run the step,
+//! * [`ablation`] — the one list of run-time features a case can disable.
 
+pub mod ablation;
 pub mod arena;
+pub mod context;
 pub mod donor;
 pub mod holes;
 pub mod interp;
@@ -32,23 +37,17 @@ pub mod kernels;
 pub mod protocol;
 pub mod serial;
 
+pub use ablation::{Ablation, Ablations};
 pub use arena::ConnArena;
+pub use context::{Connectivity, MapSlot, SerialConnectivity};
 pub use donor::{
     walk_search, walk_search_batch, walk_search_isa, BatchQuery, Donor, SearchCost, SearchOutcome,
 };
-pub use holes::{
-    cut_holes_and_find_fringe, cut_holes_and_find_fringe_arena, cut_holes_and_find_fringe_with_map,
-    Igbp,
-};
+pub use holes::{cut_holes_and_find_fringe, Igbp};
 pub use interp::{interpolate, weights};
 pub use inverse_map::{
     classify_solids_into, occupancy_admits, occupancy_admits_posed, BinClass, InverseMap,
     FLOPS_PER_INCR_UPDATE, OCC_ALL, OCC_WORDS,
 };
-pub use protocol::{
-    connect_distributed, connect_distributed_arena, connect_distributed_with_map, ConnStats,
-    DonorCache, Topology,
-};
-pub use serial::{
-    connect_serial, connect_serial_arena, connect_serial_with_maps, SerialCache, SerialConnStats,
-};
+pub use protocol::{connect_distributed, ConnStats, DonorCache, Topology};
+pub use serial::{connect_serial, SerialCache, SerialConnStats};

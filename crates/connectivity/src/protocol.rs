@@ -76,14 +76,6 @@ impl DonorCache {
             *rank = owner(*grid, *cell);
         }
     }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// One rank's connectivity statistics for a step: the quantities Algorithm 2
@@ -275,44 +267,22 @@ impl Pending {
 /// Preconditions: holes cut and `igbps` identified (see [`crate::holes`]),
 /// and the block's halo state freshly exchanged (donor stencils near
 /// subdomain edges read halo values).
-pub fn connect_distributed(
-    block: &mut Block,
-    igbps: &[Igbp],
-    topo: &Topology,
-    cache: &mut DonorCache,
-    comm: &mut Comm,
-) -> ConnStats {
-    connect_distributed_with_map(block, igbps, topo, cache, comm, None)
-}
-
-/// [`connect_distributed`] accelerated by this rank's inverse map (built for
-/// the block's *current* geometry): cold donor searches start from the map's
-/// O(1) seed instead of the block center, and the map's coarse occupancy
-/// mask rides along with the bounding-box broadcast so candidate routing
-/// prunes ranks whose boxes contain a point but whose cells cannot. Donors,
-/// weights and orphans are identical with or without the map — pruning only
-/// removes ranks that would certainly answer Miss. With `inv = None` the
-/// rank broadcasts an all-ones mask and cold-starts from the center (the
-/// exact legacy protocol).
-pub fn connect_distributed_with_map(
-    block: &mut Block,
-    igbps: &[Igbp],
-    topo: &Topology,
-    cache: &mut DonorCache,
-    comm: &mut Comm,
-    inv: Option<&InverseMap>,
-) -> ConnStats {
-    let mut arena = ConnArena::new();
-    connect_distributed_arena(block, igbps, topo, cache, comm, inv, &mut arena)
-}
-
-/// [`connect_distributed_with_map`] running on a caller-owned [`ConnArena`].
+///
+/// With this rank's inverse map (built for the block's *current* geometry)
+/// cold donor searches start from the map's O(1) seed instead of the block
+/// center, and the map's coarse occupancy mask rides along with the
+/// bounding-box broadcast so candidate routing prunes ranks whose boxes
+/// contain a point but whose cells cannot. Donors, weights and orphans are
+/// identical with or without the map — pruning only removes ranks that
+/// would certainly answer Miss. With `inv = None` the rank broadcasts an
+/// all-ones mask and cold-starts from the center.
+///
 /// The arena only changes *where* scratch collections get their memory —
 /// the protocol, its message traffic, and every flop charge are identical
 /// whether the arena is fresh or warm, so states and virtual times are
 /// bit-identical across the two; a persistent arena just drops the
 /// steady-state transient-allocation count to near zero.
-pub fn connect_distributed_arena(
+pub fn connect_distributed(
     block: &mut Block,
     igbps: &[Igbp],
     topo: &Topology,
@@ -766,6 +736,20 @@ mod tests {
         }
     }
 
+    /// The unmasked cutter and the map-less protocol, each on a fresh arena.
+    fn cut(block: &mut Block) -> (Vec<Igbp>, u64) {
+        crate::holes::cut_holes_and_find_fringe(block, &[], None, &mut ConnArena::new())
+    }
+
+    fn connect(
+        block: &mut Block,
+        igbps: &[Igbp],
+        cache: &mut DonorCache,
+        comm: &mut Comm,
+    ) -> ConnStats {
+        connect_distributed(block, igbps, &topo(), cache, comm, None, &mut ConnArena::new())
+    }
+
     fn paint_linear(b: &mut Block) {
         for p in b.local_dims.iter() {
             let [x, y, _] = b.coords[p];
@@ -781,9 +765,9 @@ mod tests {
             if comm.rank() > 0 {
                 paint_linear(&mut block);
             }
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
+            let (igbps, _) = cut(&mut block);
             let mut cache = DonorCache::new();
-            let stats = connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
+            let stats = connect(&mut block, &igbps, &mut cache, comm);
             // Verify resolved fringe values against the analytic field.
             let mut max_err = 0.0f64;
             for ig in &igbps {
@@ -811,10 +795,10 @@ mod tests {
             let mut block = build_block(comm.rank(), &fc);
             paint_linear(&mut block);
             let mut cache = DonorCache::new();
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s1 = connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
-            let (igbps2, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s2 = connect_distributed(&mut block, &igbps2, &topo(), &mut cache, comm);
+            let (igbps, _) = cut(&mut block);
+            let s1 = connect(&mut block, &igbps, &mut cache, comm);
+            let (igbps2, _) = cut(&mut block);
+            let s2 = connect(&mut block, &igbps2, &mut cache, comm);
             (s1, s2)
         });
         // Walk work on the servicing ranks drops with warm hints.
@@ -832,9 +816,9 @@ mod tests {
             Universe::builder().ranks(3).machine(&MachineModel::ibm_sp2()).run(|comm| {
                 let mut block = build_block(comm.rank(), &fc);
                 paint_linear(&mut block);
-                let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
+                let (igbps, _) = cut(&mut block);
                 let mut cache = DonorCache::new();
-                connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
+                connect(&mut block, &igbps, &mut cache, comm);
                 comm.now()
             })
         };
@@ -853,10 +837,10 @@ mod tests {
             let mut block = build_block(comm.rank(), &fc);
             paint_linear(&mut block);
             let mut cache = DonorCache::new();
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s1 = connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
-            let (igbps2, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s2 = connect_distributed(&mut block, &igbps2, &topo(), &mut cache, comm);
+            let (igbps, _) = cut(&mut block);
+            let s1 = connect(&mut block, &igbps, &mut cache, comm);
+            let (igbps2, _) = cut(&mut block);
+            let s2 = connect(&mut block, &igbps2, &mut cache, comm);
             (s1, s2)
         });
         // Per-rank: the registry's serviced counter is exactly the sum of
@@ -887,9 +871,9 @@ mod tests {
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
             let mut block = build_block(comm.rank(), &fc);
             paint_linear(&mut block);
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
+            let (igbps, _) = cut(&mut block);
             let mut cache = DonorCache::new();
-            connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm)
+            connect(&mut block, &igbps, &mut cache, comm)
         });
         assert_eq!(out[1].result.igbps + out[2].result.igbps, 0);
         assert_eq!(out[0].result.serviced, 0);

@@ -4,10 +4,10 @@
 //! protocol is validated against.
 
 use crate::arena::ConnArena;
+use crate::context::MapSlot;
 use crate::donor::{center_start, walk_search_isa, Donor, SearchCost, SearchOutcome};
-use crate::holes::cut_holes_and_find_fringe_arena;
+use crate::holes::cut_holes_and_find_fringe;
 use crate::interp::{interpolate, FLOPS_PER_INTERP};
-use crate::inverse_map::InverseMap;
 use overset_grid::curvilinear::Solid;
 use overset_grid::index::Ijk;
 use overset_solver::Block;
@@ -58,49 +58,29 @@ pub struct SerialConnStats {
 /// 2. for each IGBP, search its grid's hierarchy list for a donor (warm
 ///    started from the cache when possible),
 /// 3. interpolate and impose the fringe values.
+///
+/// `maps[g]` is the slot of grid `g`'s inverse map, refreshed for
+/// `blocks[g]`'s current geometry; `&[]` runs without maps. With maps, hole
+/// cutting is masked by each map's ternary solid lattice and cold donor
+/// searches start from the map's O(1) seed instead of the donor grid's
+/// center. Results (blanking, donors, orphans, fringe values) are identical
+/// with or without maps — only the flop charge drops.
+///
+/// Per-grid IGBP lists, the deferred-write buffer and the grid bounding
+/// boxes live on the caller's [`ConnArena`]; results are bit-identical with
+/// a fresh or warm arena — only host allocation counts differ.
 pub fn connect_serial(
     blocks: &mut [Block],
     search_order: &[Vec<usize>],
     solids: &[(usize, Solid)],
     cache: &mut SerialCache,
-) -> SerialConnStats {
-    connect_serial_with_maps(blocks, search_order, solids, cache, None)
-}
-
-/// [`connect_serial`] accelerated by per-grid inverse maps (`maps[g]` built
-/// for `blocks[g]`'s current geometry): hole cutting is masked by each map's
-/// ternary solid lattice and cold donor searches start from the map's O(1)
-/// seed instead of the donor grid's center. Results (blanking, donors,
-/// orphans, fringe values) are identical with or without maps — only the
-/// flop charge drops. With `maps = None` this *is* the legacy serial path.
-pub fn connect_serial_with_maps(
-    blocks: &mut [Block],
-    search_order: &[Vec<usize>],
-    solids: &[(usize, Solid)],
-    cache: &mut SerialCache,
-    maps: Option<&[InverseMap]>,
-) -> SerialConnStats {
-    let mut arena = ConnArena::new();
-    connect_serial_arena(blocks, search_order, solids, cache, maps, &mut arena)
-}
-
-/// [`connect_serial_with_maps`] running on a caller-owned [`ConnArena`]:
-/// per-grid IGBP lists, the deferred-write buffer and the grid bounding
-/// boxes keep their capacity across steps. Results are bit-identical with
-/// a fresh or warm arena — only host allocation counts differ.
-pub fn connect_serial_arena(
-    blocks: &mut [Block],
-    search_order: &[Vec<usize>],
-    solids: &[(usize, Solid)],
-    cache: &mut SerialCache,
-    maps: Option<&[InverseMap]>,
+    maps: &[MapSlot],
     arena: &mut ConnArena,
 ) -> SerialConnStats {
     let ngrids = blocks.len();
     assert_eq!(search_order.len(), ngrids);
-    if let Some(ms) = maps {
-        assert_eq!(ms.len(), ngrids);
-    }
+    assert!(maps.is_empty() || maps.len() == ngrids);
+    let map_of = |g: usize| maps.get(g).and_then(MapSlot::map);
     let mut stats = SerialConnStats::default();
 
     // Phase 1: hole cutting and fringe identification. Last step's IGBP
@@ -109,8 +89,7 @@ pub fn connect_serial_arena(
         arena.igbp_pool.put(v);
     }
     for (g, b) in blocks.iter_mut().enumerate() {
-        let (igbps, flops) =
-            cut_holes_and_find_fringe_arena(b, solids, maps.map(|ms| &ms[g]), arena);
+        let (igbps, flops) = cut_holes_and_find_fringe(b, solids, map_of(g), arena);
         stats.flops += flops;
         arena.igbps_per_grid.push(igbps);
     }
@@ -161,10 +140,10 @@ pub fn connect_serial_arena(
                         continue;
                     }
                     let mut cost = SearchCost::default();
-                    let start = match maps {
-                        Some(ms) => {
-                            stats.flops += ms[dg].query_flops();
-                            ms[dg].query(ig.xyz)
+                    let start = match map_of(dg) {
+                        Some(m) => {
+                            stats.flops += m.query_flops();
+                            m.query(ig.xyz)
                         }
                         None => center_start(&blocks[dg]),
                     };
@@ -234,6 +213,16 @@ mod tests {
         ]
     }
 
+    /// The map-less solution on a fresh arena.
+    fn connect(
+        blocks: &mut [Block],
+        order: &[Vec<usize>],
+        solids: &[(usize, Solid)],
+        cache: &mut SerialCache,
+    ) -> SerialConnStats {
+        connect_serial(blocks, order, solids, cache, &[], &mut ConnArena::new())
+    }
+
     fn order() -> Vec<Vec<usize>> {
         vec![vec![1], vec![0]]
     }
@@ -248,7 +237,7 @@ mod tests {
             bg.q.set_node(p, [1.0 + x + 2.0 * y, 0.0, 0.0, 0.0, 1.0]);
         }
         let mut cache = SerialCache::new();
-        let stats = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let stats = connect(&mut blocks, &order(), &[], &mut cache);
         assert!(stats.igbps > 0);
         assert_eq!(stats.orphans, 0, "stats: {stats:?}");
         // Check an inner outer-boundary node got the background value.
@@ -261,9 +250,9 @@ mod tests {
     fn second_pass_uses_cache_and_is_cheaper() {
         let mut blocks = two_grid_system();
         let mut cache = SerialCache::new();
-        let s1 = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let s1 = connect(&mut blocks, &order(), &[], &mut cache);
         assert!(!cache.is_empty());
-        let s2 = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let s2 = connect(&mut blocks, &order(), &[], &mut cache);
         assert_eq!(s1.igbps, s2.igbps);
         // The cold pass has nothing to warm-start from; on static grids
         // every cached donor is found again from its own cell.
@@ -285,7 +274,7 @@ mod tests {
         let solids =
             vec![(0usize, Solid::Ellipsoid { center: [2.0, 2.0, 0.0], radii: [0.4, 0.4, 10.0] })];
         let mut cache = SerialCache::new();
-        let stats = connect_serial(&mut blocks, &order(), &solids, &mut cache);
+        let stats = connect(&mut blocks, &order(), &solids, &mut cache);
         // Background has a hole with fringe; those fringes find donors on
         // the fine inner grid (which covers [1,3]^2).
         let bg_holes = blocks[1]
@@ -301,12 +290,12 @@ mod tests {
     fn moving_inner_grid_updates_connectivity() {
         let mut blocks = two_grid_system();
         let mut cache = SerialCache::new();
-        connect_serial(&mut blocks, &order(), &[], &mut cache);
+        connect(&mut blocks, &order(), &[], &mut cache);
         let n0 = cache.len();
         // Move the inner grid; donors must re-resolve.
         let t = overset_grid::RigidTransform::translation([0.05, 0.02, 0.0]);
         blocks[0].apply_motion(&t, 0.1);
-        let stats = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let stats = connect(&mut blocks, &order(), &[], &mut cache);
         assert_eq!(stats.orphans, 0);
         assert!(cache.len() >= n0);
     }
@@ -317,9 +306,16 @@ mod tests {
         let mut b = two_grid_system();
         let mut ca = SerialCache::new();
         let mut cb = SerialCache::new();
-        let sa = connect_serial(&mut a, &order(), &[], &mut ca);
-        let maps: Vec<InverseMap> = b.iter().map(InverseMap::build).collect();
-        let sb = connect_serial_with_maps(&mut b, &order(), &[], &mut cb, Some(&maps));
+        let sa = connect(&mut a, &order(), &[], &mut ca);
+        let maps: Vec<MapSlot> = b
+            .iter()
+            .map(|blk| {
+                let mut slot = MapSlot::default();
+                slot.refresh(blk, true, &mut overset_comm::MetricsRegistry::new());
+                slot
+            })
+            .collect();
+        let sb = connect_serial(&mut b, &order(), &[], &mut cb, &maps, &mut ConnArena::new());
         assert_eq!(sa.igbps, sb.igbps);
         assert_eq!(sa.resolved, sb.resolved);
         assert_eq!(sa.orphans, sb.orphans);
@@ -337,7 +333,7 @@ mod tests {
         // Restrict the search so the inner grid's fringe finds nothing.
         let bad_order = vec![vec![], vec![0]];
         let mut cache = SerialCache::new();
-        let stats = connect_serial(&mut blocks, &bad_order, &[], &mut cache);
+        let stats = connect(&mut blocks, &bad_order, &[], &mut cache);
         assert!(stats.orphans > 0);
     }
 }

@@ -13,23 +13,20 @@ use overset_comm::metrics::names;
 use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
 use overset_comm::{
     AllocRecord, AllocTotals, Comm, MachineModel, MetricsRegistry, OversetError, PerfSummary,
-    Phase, RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader,
-    WorkClass, NUM_PHASES,
+    Phase, RankOutput, RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError,
+    WireReader, WorkClass, NUM_PHASES,
 };
 use overset_connectivity::{
-    connect_distributed_arena, connect_serial_arena, cut_holes_and_find_fringe,
-    cut_holes_and_find_fringe_arena, ConnArena, DonorCache, InverseMap, SerialCache,
-    FLOPS_PER_INCR_UPDATE,
+    cut_holes_and_find_fringe, Ablation, Ablations, ConnArena, Connectivity, SerialConnectivity,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::transform::RigidTransform;
-use overset_grid::Dims;
+use overset_grid::{Dims, Ijk};
 use overset_motion::{BodyMotion, Loads};
-use overset_solver::adi::implicit_sweeps;
 use overset_solver::bc::apply_bcs;
-use overset_solver::rhs::compute_residual;
-use overset_solver::turbulence::compute_mu_t;
-use overset_solver::{FlowConditions, Scratch, SerialComm, SolverComm};
+use overset_solver::{
+    step_block, Blank, Block, FlowConditions, Isa, Scratch, SerialComm, SolverComm, WallGeometry,
+};
 
 /// Load-balance configuration: the user-specified factor `f_o` and how often
 /// the dynamic scheme checks the measured service loads (Algorithm 2's
@@ -66,28 +63,11 @@ pub struct CaseConfig {
     /// Collect the full final state into [`RunResult::states`] (debugging /
     /// validation; off by default).
     pub collect_state: bool,
-    /// Use the nth-level-restart donor cache (Barszcz). Disabling forces a
-    /// from-scratch donor search every step (the A1 ablation).
-    pub use_restart: bool,
-    /// Use the DCF3D-style inverse-map acceleration structures: O(1) walk
-    /// seeds for cold donor searches, occupancy-pruned candidate routing,
-    /// and masked hole cutting. Connectivity results are identical either
-    /// way; disabling (the ablation) only changes where the virtual time
-    /// goes. Maps are rebuilt per motion event, only for grids that moved.
-    pub use_inverse_map: bool,
-    /// Keep one [`ConnArena`] per rank for the whole run so steady-state
-    /// connectivity steps reuse buffer capacity instead of reallocating.
-    /// Disabling (the ablation) resets the arena every step — the *same*
-    /// code path runs, so states, walk outcomes and virtual times are
-    /// bit-identical; only host-side allocation counts differ.
-    pub use_arena: bool,
-    /// Advance an existing inverse map under a small rigid motion (pose
-    /// composition) instead of rebuilding it from scratch. Falls back to a
-    /// full rebuild when the accumulated pose would inflate the map's
-    /// world-space routing box past its threshold. Connectivity results are
-    /// bit-identical either way; virtual time honestly reflects the cheaper
-    /// incremental update (and the costlier posed queries).
-    pub use_incremental_invmap: bool,
+    /// Run-time features this case switches off (none by default): the
+    /// restart donor cache, inverse maps, the persistent arena, incremental
+    /// inverse-map updates, SIMD lanes. Each is a one-code-path ablation;
+    /// [`Ablation`] documents what each leaves bit-identical.
+    pub ablations: Ablations,
     /// Event tracing (virtual-time spans collected into
     /// [`RunResult::trace`]). Disabled by default; zero-cost when off.
     pub trace: TraceConfig,
@@ -108,13 +88,6 @@ pub struct CaseConfig {
     /// so `repro compare` can be proven to fail on an injected host-cost
     /// regression (`--inject-alloc`).
     pub inject_alloc: usize,
-    /// Run the lane-batched compute kernels on the host's SIMD units
-    /// (AVX2) when available. Disabling (the `--no-simd` ablation) runs the
-    /// *same* batched code through the portable scalar lanes — states, walk
-    /// outcomes, and virtual times are bit-identical; only host wall-clock
-    /// changes. On hosts without AVX2 this flag is inert (the scalar lanes
-    /// are the only path).
-    pub use_simd: bool,
 }
 
 impl CaseConfig {
@@ -123,9 +96,9 @@ impl CaseConfig {
     }
 
     /// Start building a case from its required geometry and flow inputs;
-    /// every runtime toggle (restart cache, inverse map, tracing, thread
-    /// bound, transport backend, load balancing) has a default and a
-    /// setter — the single place CLI flags map onto configuration.
+    /// every runtime toggle (tracing, thread bound, transport backend, load
+    /// balancing) has a default and a setter; feature ablations start empty
+    /// and are switched on [`CaseConfig::ablations`] directly.
     pub fn builder(
         name: impl Into<String>,
         grids: Vec<CurvilinearGrid>,
@@ -142,15 +115,11 @@ impl CaseConfig {
                 steps: 1,
                 lb: LbConfig::static_only(),
                 collect_state: false,
-                use_restart: true,
-                use_inverse_map: true,
-                use_arena: true,
-                use_incremental_invmap: true,
+                ablations: Ablations::default(),
                 trace: TraceConfig::disabled(),
                 max_threads: None,
                 transport: TransportConfig::InProcess,
                 inject_alloc: 0,
-                use_simd: true,
             },
         }
     }
@@ -181,31 +150,6 @@ impl CaseConfigBuilder {
 
     pub fn collect_state(mut self, on: bool) -> Self {
         self.cfg.collect_state = on;
-        self
-    }
-
-    pub fn use_restart(mut self, on: bool) -> Self {
-        self.cfg.use_restart = on;
-        self
-    }
-
-    pub fn use_inverse_map(mut self, on: bool) -> Self {
-        self.cfg.use_inverse_map = on;
-        self
-    }
-
-    pub fn use_arena(mut self, on: bool) -> Self {
-        self.cfg.use_arena = on;
-        self
-    }
-
-    pub fn use_incremental_invmap(mut self, on: bool) -> Self {
-        self.cfg.use_incremental_invmap = on;
-        self
-    }
-
-    pub fn use_simd(mut self, on: bool) -> Self {
-        self.cfg.use_simd = on;
         self
     }
 
@@ -287,8 +231,11 @@ pub struct RunResult {
     /// [`RunResult::step_records`]. Deterministic like `alloc_by_rank`.
     pub alloc_records: Vec<Vec<AllocRecord>>,
     /// Final state per (grid, node) when `collect_state` was set.
-    pub states: Vec<(usize, overset_grid::Ijk, [f64; 5])>,
+    pub states: Vec<NodeState>,
 }
+
+/// One node's final state: (grid, global node, q).
+type NodeState = (usize, Ijk, [f64; 5]);
 
 impl RunResult {
     /// The paper's "% time in DCF3D" (connectivity elapsed over total).
@@ -322,7 +269,7 @@ struct RankReturn {
     phase_elapsed: [f64; NUM_PHASES],
     state_sum_sq: f64,
     state_count: usize,
-    states: Vec<(usize, overset_grid::Ijk, [f64; 5])>,
+    states: Vec<NodeState>,
     igbps_last: usize,
     serviced_last: usize,
     orphans_last: usize,
@@ -361,8 +308,7 @@ impl Wire for RankReturn {
         let mut states = Vec::with_capacity(n.min(r.remaining().max(16)));
         for _ in 0..n {
             let grid = usize::decode(r)?;
-            let cell =
-                overset_grid::Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?);
+            let cell = Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?);
             states.push((grid, cell, <[f64; 5]>::decode(r)?));
         }
         Ok(RankReturn {
@@ -423,11 +369,16 @@ pub fn run_case(
     }
     let outputs =
         builder.try_run(|comm| run_rank(cfg, &sizes, &dims, base_partition.clone(), comm))?;
+    Ok(assemble(cfg, &outputs))
+}
 
+/// Fold the ranks' outputs into the run's result. Replicated quantities
+/// (phase times, repartition count, final partition) are read off rank 0.
+fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
     let rank_stats: Vec<RankStats> = outputs.iter().map(|o| o.stats.clone()).collect();
     let summary = PerfSummary::from_ranks(&rank_stats);
     let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
+    for o in outputs {
         metrics.merge_from(&o.metrics);
     }
     let trace: Vec<RankTrace> = if cfg.trace.enabled {
@@ -442,22 +393,18 @@ pub fn run_case(
     let sum_sq: f64 = outputs.iter().map(|o| o.result.state_sum_sq).sum();
     let count: usize = outputs.iter().map(|o| o.result.state_count).sum();
     let r0 = &outputs[0].result;
-    let mut states = Vec::new();
-    if cfg.collect_state {
-        for o in &outputs {
-            states.extend_from_slice(&o.result.states);
+    // Per-phase host wall-clock elapsed: max over ranks, since the slowest
+    // rank bounds real time the way the barrier does in virtual time.
+    let mut host_phase_elapsed = [0.0f64; NUM_PHASES];
+    for o in outputs {
+        for (max, &x) in host_phase_elapsed.iter_mut().zip(o.host_time.iter()) {
+            *max = max.max(x);
         }
     }
-    let step_records: Vec<Vec<StepRecord>> = outputs.iter().map(|o| o.steps.clone()).collect();
-    let steps_dropped: u64 = outputs.iter().map(|o| o.steps_dropped).sum();
-    let host_phase_elapsed = host_phase_max(outputs.iter().map(|o| &o.host_time));
-    let host_phase_by_rank: Vec<[f64; NUM_PHASES]> = outputs.iter().map(|o| o.host_time).collect();
-    let alloc_by_rank: Vec<AllocTotals> = outputs.iter().map(|o| o.alloc).collect();
-    let alloc_records: Vec<Vec<AllocRecord>> =
-        outputs.iter().map(|o| o.alloc_steps.clone()).collect();
-    Ok(RunResult {
-        nranks,
-        states,
+    RunResult {
+        nranks: outputs.len(),
+        // Empty per rank unless `collect_state` was set.
+        states: outputs.iter().flat_map(|o| o.result.states.iter().copied()).collect(),
         state_rms: (sum_sq / count.max(1) as f64).sqrt(),
         steps: cfg.steps,
         total_points: cfg.total_points(),
@@ -471,26 +418,101 @@ pub fn run_case(
         rank_stats,
         trace,
         metrics,
-        step_records,
-        steps_dropped,
+        step_records: outputs.iter().map(|o| o.steps.clone()).collect(),
+        steps_dropped: outputs.iter().map(|o| o.steps_dropped).sum(),
         host_phase_elapsed,
-        host_phase_by_rank,
-        alloc_by_rank,
-        alloc_records,
+        host_phase_by_rank: outputs.iter().map(|o| o.host_time).collect(),
+        alloc_by_rank: outputs.iter().map(|o| o.alloc).collect(),
+        alloc_records: outputs.iter().map(|o| o.alloc_steps.clone()).collect(),
         summary,
-    })
+    }
 }
 
-/// Per-phase host wall-clock elapsed: max over ranks, since the slowest
-/// rank bounds real time the way the barrier does in virtual time.
-fn host_phase_max<'a>(ranks: impl Iterator<Item = &'a [f64; NUM_PHASES]>) -> [f64; NUM_PHASES] {
-    let mut out = [0.0f64; NUM_PHASES];
-    for h in ranks {
-        for (o, &x) in out.iter_mut().zip(h.iter()) {
-            *o = o.max(x);
+/// Every grid's solids, tagged with the owning grid. Replicated: each rank
+/// moves all of them, so solid positions stay in sync without communication.
+fn tagged_solids(grids: &[CurvilinearGrid]) -> Vec<(usize, Solid)> {
+    grids
+        .iter()
+        .enumerate()
+        .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
+        .collect()
+}
+
+fn move_solids(solids: &mut [(usize, Solid)], grid: usize, t: &RigidTransform) {
+    for (sg, s) in solids.iter_mut() {
+        if *sg == grid {
+            *s = s.transformed(t);
         }
     }
-    out
+}
+
+/// A block's flow workspace, on the run's lane ISA.
+fn flow_scratch(block: &Block, isa: Isa) -> Scratch {
+    let mut scratch = Scratch::for_block(block);
+    scratch.sweep.isa = isa;
+    scratch
+}
+
+/// Add the aerodynamic loads on `block`'s wall patches, taken about `refp`,
+/// to `acc`. Returns the flops spent.
+fn add_wall_loads(block: &Block, refp: [f64; 3], fc: &FlowConditions, acc: &mut Loads) -> u64 {
+    // Gauge pressure: open per-grid patches must not feel the uniform
+    // freestream.
+    let p_inf = overset_solver::conditions::pressure(&fc.freestream());
+    let mut flops = 0u64;
+    for face in 0..6 {
+        if let Some((nu, nv, coords, press)) = overset_solver::bc::wall_surface(block, face) {
+            let gauge: Vec<f64> = press.iter().map(|p| p - p_inf).collect();
+            let l = overset_motion::integrate_surface_loads(nu, nv, &coords, &gauge, refp, 1.0);
+            *acc = acc.add(&l);
+            flops += (nu * nv) as u64 * 30;
+        }
+    }
+    flops
+}
+
+/// Move a block and its wall geometry by one body-step transform, then
+/// re-apply the wall BCs with the *new* grid velocity: the wall state must
+/// move with the wall, otherwise the stale no-slip velocity acts as an
+/// impulsive slip over the tiny wall cells. Returns the BC flops.
+fn move_block(
+    block: &mut Block,
+    wall: &mut Option<WallGeometry>,
+    t: &RigidTransform,
+    fc: &FlowConditions,
+) -> u64 {
+    block.apply_motion(t, fc.dt);
+    if let Some(w) = wall {
+        for p in &mut w.wall_xyz {
+            *p = t.apply(*p);
+        }
+    }
+    apply_bcs(block, fc)
+}
+
+/// Physics checksum over the blocks' owned field nodes: (Σ q², node count)
+/// and, when `collect` is set, every such node's state.
+fn checksum<'a>(
+    blocks: impl IntoIterator<Item = &'a Block>,
+    collect: bool,
+) -> (f64, usize, Vec<NodeState>) {
+    let mut sum_sq = 0.0f64;
+    let mut count = 0usize;
+    let mut states = Vec::new();
+    for block in blocks {
+        for p in block.owned_local().iter() {
+            if block.iblank[p] != Blank::Field {
+                continue;
+            }
+            let q = block.q.node(p);
+            sum_sq += q.iter().map(|v| v * v).sum::<f64>();
+            count += 1;
+            if collect {
+                states.push((block.grid_id, block.to_global(p), *q));
+            }
+        }
+    }
+    (sum_sq, count, states)
 }
 
 /// One rank's SPMD body.
@@ -513,38 +535,22 @@ fn run_rank(
     // remain bitwise identical on every rank.
     let mut motions: Vec<BodyMotion> = cfg.motions.clone();
     let mut cumulative: Vec<RigidTransform> = vec![RigidTransform::IDENTITY; ngrids];
-    let mut solids: Vec<(usize, Solid)> = cfg
-        .grids
-        .iter()
-        .enumerate()
-        .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
-        .collect();
+    let mut solids = tagged_solids(&cfg.grids);
 
+    // Connectivity state for the whole run: arena, inverse map, donor cache.
+    let isa = cfg.ablations.isa();
+    let mut conn = Connectivity::new(cfg.ablations, isa);
     // Inputs were validated by `run_case` before the threads spawned: a
     // failure here is an internal invariant violation, not bad input.
     let (mut block, mut wall) = build_block(me, &partition, &cfg.grids, &cumulative, &fc)
         .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-    let mut scratch = Scratch::for_block(&block);
-    scratch.sweep.isa = overset_solver::select_isa(cfg.use_simd);
+    let mut scratch = flow_scratch(&block, isa);
     let mut topo =
         build_topology(&partition, &cfg.search_order).unwrap_or_else(|e| panic!("rank {me}: {e}"));
-    let mut cache = DonorCache::new();
-    // Inverse-map lifecycle: build lazily in the connectivity phase, reuse
-    // across steps, and mark dirty whenever this rank's grid moves or the
-    // block is rebuilt by a repartition.
-    let mut inv: Option<InverseMap> = None;
-    let mut inv_dirty = true;
-    // Rigid motion applied to this rank's grid since the inverse map was
-    // last brought up to date — the candidate for an incremental `advance`.
-    let mut pending_motion: Option<RigidTransform> = None;
-    // Step-scoped connectivity scratch. With `use_arena` the buffers keep
-    // their capacity across steps; the ablation replaces the arena each
-    // step (same code path, cold buffers), so only allocation counts
-    // change — never results or virtual times.
-    let mut arena = ConnArena::new();
-    arena.isa = overset_solver::select_isa(cfg.use_simd);
     // Recycled halo-exchange and line-solve buffers, same lifecycle as the
-    // arena.
+    // connectivity arena: kept for the whole run unless the arena ablation
+    // replaces them each step (same code path, cold buffers — only
+    // allocation counts change, never results or virtual times).
     let mut halo_pool: VecPool<f64> = VecPool::new();
     let mut line_pool: VecPool<f64> = VecPool::new();
 
@@ -555,7 +561,6 @@ fn run_rank(
     let mut svc = ServiceWindow::begin(comm.metrics());
     let mut repartitions = 0usize;
     let mut last_conn = Default::default();
-    let mut igbps_last = 0usize;
 
     comm.set_working_set(block.working_set_bytes());
     comm.barrier();
@@ -565,46 +570,12 @@ fn run_rank(
         {
             let mut ph = comm.phase(Phase::Flow);
             let t0 = ph.now();
-            {
-                let mut mp = MpSolverComm {
-                    comm: &mut ph,
-                    halo_pool: &mut halo_pool,
-                    line_pool: &mut line_pool,
-                };
-                mp.exchange_halo(&mut block);
-                if block.turbulent && block.viscous {
-                    if let Some(w) = &wall {
-                        let flops = compute_mu_t(&mut block, w);
-                        mp.comm.compute(flops as f64, WorkClass::Flow);
-                    }
-                }
-                let t_res = mp.now();
-                let flops = compute_residual(&block, &fc, &mut scratch.res, &mut scratch.sweep);
-                mp.comm.compute(flops as f64, WorkClass::Flow);
-                mp.trace_span("solver", "residual", t_res);
-                for v in scratch.res.as_mut_slice() {
-                    *v *= fc.dt;
-                }
-                implicit_sweeps(&block, &fc, &mut scratch.res, &mut mp, &mut scratch.sweep);
-                // Update field nodes.
-                let ow = block.owned_local();
-                let mut update_flops = 0u64;
-                for p in ow.iter() {
-                    if block.iblank[p] != overset_solver::Blank::Field {
-                        continue;
-                    }
-                    update_flops += 5;
-                    let dq = *scratch.res.node(p);
-                    let q = block.q.node_mut(p);
-                    for v in 0..5 {
-                        q[v] += dq[v];
-                    }
-                    overset_solver::conditions::enforce_positivity(q);
-                }
-                mp.comm.compute(update_flops as f64, WorkClass::Flow);
-                let bc_flops = apply_bcs(&mut block, &fc);
-                mp.comm.compute(bc_flops as f64, WorkClass::Flow);
-            }
+            let mut mp = MpSolverComm {
+                comm: &mut ph,
+                halo_pool: &mut halo_pool,
+                line_pool: &mut line_pool,
+            };
+            step_block(&mut block, &fc, wall.as_ref(), &mut mp, &mut scratch);
             ph.barrier();
             phase_elapsed[Phase::Flow as usize] += ph.now() - t0;
         }
@@ -614,90 +585,36 @@ fn run_rank(
             let mut ph = comm.phase(Phase::Motion);
             let t0 = ph.now();
             for body in motions.iter_mut() {
+                let mine = body.grids.contains(&block.grid_id);
                 // 6-DOF bodies: integrate aerodynamic loads over this rank's
                 // wall patches of the body's grids, then allreduce. Every rank
                 // participates in the collective (zero contribution if it owns
                 // no wall of this body).
                 let aero = if body.needs_aero() {
                     let mut local = Loads::ZERO;
-                    if body.grids.contains(&block.grid_id) {
-                        let refp = body.moment_reference();
-                        let mut flops = 0u64;
-                        for face in 0..6 {
-                            if let Some((nu, nv, coords, press)) =
-                                overset_solver::bc::wall_surface(&block, face)
-                            {
-                                // Gauge pressure: open per-grid patches must not
-                                // feel the uniform freestream.
-                                let p_inf = overset_solver::conditions::pressure(&fc.freestream());
-                                let gauge: Vec<f64> = press.iter().map(|p| p - p_inf).collect();
-                                let l = overset_motion::integrate_surface_loads(
-                                    nu, nv, &coords, &gauge, refp, 1.0,
-                                );
-                                local = local.add(&l);
-                                flops += (nu * nv) as u64 * 30;
-                            }
-                        }
+                    if mine {
+                        let flops =
+                            add_wall_loads(&block, body.moment_reference(), &fc, &mut local);
                         ph.compute(flops as f64, WorkClass::Other);
                     }
-                    let flat = [
-                        local.force[0],
-                        local.force[1],
-                        local.force[2],
-                        local.moment[0],
-                        local.moment[1],
-                        local.moment[2],
-                    ];
-                    let all: Vec<[f64; 6]> = ph.allgather(flat, 48);
-                    let mut sum = [0.0f64; 6];
-                    for a in &all {
-                        for i in 0..6 {
-                            sum[i] += a[i];
-                        }
-                    }
-                    Loads { force: [sum[0], sum[1], sum[2]], moment: [sum[3], sum[4], sum[5]] }
+                    let [fx, fy, fz] = local.force;
+                    let [mx, my, mz] = local.moment;
+                    let all: Vec<[f64; 6]> = ph.allgather([fx, fy, fz, mx, my, mz], 48);
+                    all.iter().fold(Loads::ZERO, |sum, a| {
+                        sum.add(&Loads { force: [a[0], a[1], a[2]], moment: [a[3], a[4], a[5]] })
+                    })
                 } else {
                     Loads::ZERO
                 };
                 let t = body.motion.step(fc.dt, &aero);
                 for &g in &body.grids {
                     cumulative[g] = cumulative[g].then(&t);
-                    for (sg, s) in solids.iter_mut() {
-                        if *sg == g {
-                            *s = s.transformed(&t);
-                        }
-                    }
+                    move_solids(&mut solids, g, &t);
                     last_step_transform[g] = Some(t);
                 }
-                if body.grids.contains(&block.grid_id) {
-                    block.apply_motion(&t, fc.dt);
-                    // Identity / below-epsilon motion must not mark the grid
-                    // "moved": a pointless full inverse-map rebuild would
-                    // follow. `apply_motion` still ran above — it refreshes
-                    // the (zero) grid velocity — only the dirty-marking is
-                    // skipped. Scale comes from the map's lattice box; with
-                    // no map yet, only an exact identity is skippable.
-                    let negligible = match &inv {
-                        Some(m) => t.is_negligible_for(&m.bounds()),
-                        None => t.is_identity(),
-                    };
-                    if !negligible {
-                        inv_dirty = true;
-                        pending_motion = Some(match &pending_motion {
-                            Some(prev) => prev.then(&t),
-                            None => t,
-                        });
-                    }
-                    if let Some(w) = &mut wall {
-                        for p in &mut w.wall_xyz {
-                            *p = t.apply(*p);
-                        }
-                    }
-                    // Re-apply wall BCs with the *new* grid velocity: the wall
-                    // state must move with the wall, otherwise the stale no-slip
-                    // velocity acts as an impulsive slip over the tiny wall
-                    // cells.
-                    let bc_flops = apply_bcs(&mut block, &fc);
+                if mine {
+                    conn.note_motion(&t);
+                    let bc_flops = move_block(&mut block, &mut wall, &t, &fc);
                     ph.compute(bc_flops as f64, WorkClass::Other);
                 }
                 ph.compute(500.0, WorkClass::Other);
@@ -710,10 +627,7 @@ fn run_rank(
         {
             let mut ph = comm.phase(Phase::Connectivity);
             let t0 = ph.now();
-            if !cfg.use_arena {
-                // Ablation: cold buffers every step, identical code path.
-                arena = ConnArena::new();
-                arena.isa = overset_solver::select_isa(cfg.use_simd);
+            if cfg.ablations.contains(Ablation::Arena) {
                 halo_pool = VecPool::new();
                 line_pool = VecPool::new();
             }
@@ -725,55 +639,7 @@ fn run_rank(
                 };
                 mp.exchange_halo(&mut block);
             }
-            if cfg.use_inverse_map {
-                if inv_dirty {
-                    let t_map = ph.now();
-                    // Prefer the incremental path: compose the step's rigid
-                    // motion into the existing map's pose instead of
-                    // rebuilding the lattice. `advance` refuses (and leaves
-                    // the map untouched) when the accumulated pose would
-                    // inflate the world routing box past its threshold.
-                    let advanced = cfg.use_incremental_invmap
-                        && match (inv.as_mut(), pending_motion.as_ref()) {
-                            (Some(m), Some(t)) => m.advance(t),
-                            _ => false,
-                        };
-                    if advanced {
-                        ph.compute(FLOPS_PER_INCR_UPDATE as f64, WorkClass::Search);
-                        ph.metrics_mut().inc(names::CONN_INVMAP_INCR);
-                    } else {
-                        let m = InverseMap::build(&block);
-                        ph.compute(m.build_flops() as f64, WorkClass::Search);
-                        ph.metrics_mut().inc(names::CONN_INVMAP_BUILDS);
-                        inv = Some(m);
-                    }
-                    inv_dirty = false;
-                    pending_motion = None;
-                    ph.trace_complete("conn", "invmap_build", t_map, &[]);
-                }
-            } else {
-                inv = None;
-            }
-            let t_cut = ph.now();
-            let (igbps, hole_flops) =
-                cut_holes_and_find_fringe_arena(&mut block, &solids, inv.as_ref(), &mut arena);
-            ph.compute(hole_flops as f64, WorkClass::Search);
-            ph.trace_complete("conn", "hole_cut", t_cut, &[]);
-            if !cfg.use_restart {
-                cache.clear();
-            }
-            let stats = connect_distributed_arena(
-                &mut block,
-                &igbps,
-                &topo,
-                &mut cache,
-                &mut ph,
-                inv.as_ref(),
-                &mut arena,
-            );
-            last_conn = stats;
-            igbps_last = igbps.len();
-            arena.recycle_igbps(igbps);
+            last_conn = conn.step(&mut block, &solids, &topo, &mut ph);
             svc.note_step();
             if cfg.inject_alloc > 0 {
                 // Synthetic host-cost regression for gate tests: one extra
@@ -814,36 +680,24 @@ fn run_rank(
                 redistribute_state(&block, &mut new_block, &partition, &new_partition, &mut ph);
                 block = new_block;
                 wall = new_wall;
-                scratch = Scratch::for_block(&block);
-                scratch.sweep.isa = overset_solver::select_isa(cfg.use_simd);
+                scratch = flow_scratch(&block, isa);
                 partition = new_partition;
                 topo = build_topology(&partition, &cfg.search_order)
                     .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-                // Donor cells survive a repartition; only their owning
-                // ranks changed. Remap instead of cold-restarting the
-                // whole connectivity solution.
                 let part_ref = &partition;
-                let gd: Vec<overset_grid::Dims> = dims.to_vec();
-                cache.remap_ranks(move |grid, cell| {
+                let gd: Vec<Dims> = dims.to_vec();
+                conn.repartitioned(move |grid, cell| {
                     let d = gd[grid];
-                    let clamped = overset_grid::Ijk::new(
-                        cell.i.min(d.ni - 1),
-                        cell.j.min(d.nj - 1),
-                        cell.k.min(d.nk - 1),
-                    );
+                    let clamped =
+                        Ijk::new(cell.i.min(d.ni - 1), cell.j.min(d.nj - 1), cell.k.min(d.nk - 1));
                     part_ref.owner_of(grid, clamped)
                 });
                 ph.set_working_set(block.working_set_bytes());
-                // The rebuilt block covers a different region: the inverse
-                // map is stale until the next connectivity phase, and any
-                // pending rigid motion refers to the old map's lattice.
-                inv = None;
-                inv_dirty = true;
-                pending_motion = None;
                 // Restore blanking on the new block immediately: the next
                 // flow step must not treat redistributed hole values as
                 // live field points.
-                let (_, hole_flops) = cut_holes_and_find_fringe(&mut block, &solids);
+                let (_, hole_flops) =
+                    cut_holes_and_find_fringe(&mut block, &solids, None, &mut ConnArena::new());
                 ph.compute(hole_flops as f64, WorkClass::Search);
                 // Restore the ALE grid velocities of a moving grid (the
                 // rebuilt block is at the current pose with zero velocity).
@@ -869,29 +723,14 @@ fn run_rank(
         comm.end_step();
     }
 
-    // Physics checksum over owned field nodes.
     let _ph = comm.phase(Phase::Other);
-    let mut state_sum_sq = 0.0f64;
-    let mut state_count = 0usize;
-    let mut states = Vec::new();
-    for p in block.owned_local().iter() {
-        if block.iblank[p] != overset_solver::Blank::Field {
-            continue;
-        }
-        let q = block.q.node(p);
-        state_sum_sq += q.iter().map(|v| v * v).sum::<f64>();
-        state_count += 1;
-        if cfg.collect_state {
-            states.push((block.grid_id, block.to_global(p), *q));
-        }
-    }
-
+    let (state_sum_sq, state_count, states) = checksum([&block], cfg.collect_state);
     RankReturn {
         phase_elapsed,
         state_sum_sq,
         state_count,
         states,
-        igbps_last,
+        igbps_last: last_conn.igbps,
         serviced_last: last_conn.serviced,
         orphans_last: last_conn.orphans,
         repartitions,
@@ -914,13 +753,10 @@ pub fn run_case_serial(
     let outputs = Universe::builder().machine(machine).trace(cfg.trace.clone()).run(|comm| {
         let fc = cfg.fc;
         let mut motions = cfg.motions.clone();
-        let mut solids: Vec<(usize, Solid)> = cfg
-            .grids
-            .iter()
-            .enumerate()
-            .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
-            .collect();
-        let mut blocks: Vec<overset_solver::Block> = Vec::with_capacity(ngrids);
+        let mut solids = tagged_solids(&cfg.grids);
+        let isa = cfg.ablations.isa();
+        let mut conn = SerialConnectivity::new(ngrids, cfg.ablations, isa);
+        let mut blocks: Vec<Block> = Vec::with_capacity(ngrids);
         let mut walls = Vec::with_capacity(ngrids);
         let mut scratches = Vec::with_capacity(ngrids);
         let cum = vec![RigidTransform::IDENTITY; ngrids];
@@ -929,34 +765,21 @@ pub fn run_case_serial(
             // rank mapping; serial holds all of them).
             let (b, w) = build_block(single.start[g], &single, &cfg.grids, &cum, &fc)
                 .unwrap_or_else(|e| panic!("{e}"));
-            let mut sc = Scratch::for_block(&b);
-            sc.sweep.isa = overset_solver::select_isa(cfg.use_simd);
-            scratches.push(sc);
+            scratches.push(flow_scratch(&b, isa));
             blocks.push(b);
             walls.push(w);
         }
         let ws: f64 = blocks.iter().map(|b| b.working_set_bytes()).sum();
         comm.set_working_set(ws);
-        let mut cache = SerialCache::new();
-        // Per-grid inverse maps, rebuilt only for grids whose pose changed.
-        let mut maps: Vec<InverseMap> = Vec::new();
-        let mut moved: Vec<bool> = vec![true; ngrids];
-        // Rigid motion accumulated per grid since its map was last brought
-        // up to date (the incremental `advance` candidate).
-        let mut pending_t: Vec<Option<RigidTransform>> = vec![None; ngrids];
-        // Connectivity scratch, persistent across steps under `use_arena`.
-        let mut arena = ConnArena::new();
-        arena.isa = overset_solver::select_isa(cfg.use_simd);
         let mut phase_elapsed = [0.0f64; NUM_PHASES];
-        let mut igbps_last = 0usize;
-        let mut orphans_last = 0usize;
+        let mut last_conn = Default::default();
 
         for _step in 0..cfg.steps {
             {
                 let mut ph = comm.phase(Phase::Flow);
                 let t0 = ph.now();
                 for g in 0..ngrids {
-                    let rep = overset_solver::step_block(
+                    let rep = step_block(
                         &mut blocks[g],
                         &fc,
                         walls[g].as_ref(),
@@ -973,23 +796,15 @@ pub fn run_case_serial(
                 let t0 = ph.now();
                 for body in motions.iter_mut() {
                     let aero = if body.needs_aero() {
-                        let refp = body.moment_reference();
-                        let p_inf = overset_solver::conditions::pressure(&fc.freestream());
                         let mut total = Loads::ZERO;
                         let mut flops = 0u64;
                         for &g in &body.grids {
-                            for face in 0..6 {
-                                if let Some((nu, nv, coords, press)) =
-                                    overset_solver::bc::wall_surface(&blocks[g], face)
-                                {
-                                    let gauge: Vec<f64> = press.iter().map(|p| p - p_inf).collect();
-                                    let l = overset_motion::integrate_surface_loads(
-                                        nu, nv, &coords, &gauge, refp, 1.0,
-                                    );
-                                    total = total.add(&l);
-                                    flops += (nu * nv) as u64 * 30;
-                                }
-                            }
+                            flops += add_wall_loads(
+                                &blocks[g],
+                                body.moment_reference(),
+                                &fc,
+                                &mut total,
+                            );
                         }
                         ph.compute(flops as f64, WorkClass::Other);
                         total
@@ -998,33 +813,9 @@ pub fn run_case_serial(
                     };
                     let t = body.motion.step(fc.dt, &aero);
                     for &g in &body.grids {
-                        for (sg, s) in solids.iter_mut() {
-                            if *sg == g {
-                                *s = s.transformed(&t);
-                            }
-                        }
-                        blocks[g].apply_motion(&t, fc.dt);
-                        // Identity / below-epsilon motion: don't mark the
-                        // grid moved (see the parallel driver's rationale).
-                        let negligible = if maps.len() == ngrids {
-                            t.is_negligible_for(&maps[g].bounds())
-                        } else {
-                            t.is_identity()
-                        };
-                        if !negligible {
-                            moved[g] = true;
-                            pending_t[g] = Some(match &pending_t[g] {
-                                Some(prev) => prev.then(&t),
-                                None => t,
-                            });
-                        }
-                        if let Some(w) = &mut walls[g] {
-                            for p in &mut w.wall_xyz {
-                                *p = t.apply(*p);
-                            }
-                        }
-                        // Keep the wall state consistent with the new velocity.
-                        let bc_flops = apply_bcs(&mut blocks[g], &fc);
+                        move_solids(&mut solids, g, &t);
+                        conn.note_motion(g, &t);
+                        let bc_flops = move_block(&mut blocks[g], &mut walls[g], &t, &fc);
                         ph.compute(bc_flops as f64, WorkClass::Other);
                     }
                 }
@@ -1034,79 +825,7 @@ pub fn run_case_serial(
             {
                 let mut ph = comm.phase(Phase::Connectivity);
                 let t0 = ph.now();
-                if !cfg.use_arena {
-                    // Ablation: cold buffers every step, same code path.
-                    arena = ConnArena::new();
-                    arena.isa = overset_solver::select_isa(cfg.use_simd);
-                }
-                let stats = if cfg.use_inverse_map {
-                    let t_map = ph.now();
-                    let mut build_flops = 0u64;
-                    if maps.len() != ngrids {
-                        maps = blocks.iter().map(InverseMap::build).collect();
-                        build_flops = maps.iter().map(|m| m.build_flops()).sum();
-                        ph.metrics_mut().add(names::CONN_INVMAP_BUILDS, ngrids as u64);
-                        moved.iter_mut().for_each(|f| *f = false);
-                        pending_t.iter_mut().for_each(|p| *p = None);
-                    } else {
-                        for g in 0..ngrids {
-                            if !moved[g] {
-                                continue;
-                            }
-                            // Incremental pose advance when enabled and the
-                            // accumulated motion is small enough; full
-                            // rebuild otherwise.
-                            let advanced = cfg.use_incremental_invmap
-                                && match pending_t[g].as_ref() {
-                                    Some(t) => maps[g].advance(t),
-                                    None => false,
-                                };
-                            if advanced {
-                                build_flops += FLOPS_PER_INCR_UPDATE;
-                                ph.metrics_mut().inc(names::CONN_INVMAP_INCR);
-                            } else {
-                                maps[g] = InverseMap::build(&blocks[g]);
-                                build_flops += maps[g].build_flops();
-                                ph.metrics_mut().inc(names::CONN_INVMAP_BUILDS);
-                            }
-                            moved[g] = false;
-                            pending_t[g] = None;
-                        }
-                    }
-                    ph.compute(build_flops as f64, WorkClass::Search);
-                    if build_flops > 0 {
-                        ph.trace_complete("conn", "invmap_build", t_map, &[]);
-                    }
-                    connect_serial_arena(
-                        &mut blocks,
-                        &cfg.search_order,
-                        &solids,
-                        &mut cache,
-                        Some(&maps),
-                        &mut arena,
-                    )
-                } else {
-                    connect_serial_arena(
-                        &mut blocks,
-                        &cfg.search_order,
-                        &solids,
-                        &mut cache,
-                        None,
-                        &mut arena,
-                    )
-                };
-                ph.compute(stats.flops as f64, WorkClass::Search);
-                ph.metrics_mut().add(names::CONN_SERVICED, stats.igbps as u64);
-                ph.metrics_mut().add(names::CONN_WALK_STEPS, stats.walk_steps);
-                if stats.warm_attempts > 0 {
-                    // Same names the distributed protocol feeds: a failed
-                    // warm start re-walks the IGBP's whole hierarchy.
-                    let m = ph.metrics_mut();
-                    m.add(names::CONN_CACHE_HIT, stats.warm_hits);
-                    m.add(names::CONN_CACHE_MISS, stats.warm_attempts - stats.warm_hits);
-                }
-                igbps_last = stats.igbps;
-                orphans_last = stats.orphans;
+                last_conn = conn.step(&mut blocks, &cfg.search_order, &solids, &mut ph);
                 if cfg.inject_alloc > 0 {
                     std::hint::black_box(vec![0u8; cfg.inject_alloc]);
                 }
@@ -1115,66 +834,19 @@ pub fn run_case_serial(
             comm.end_step();
         }
         let _ph = comm.phase(Phase::Other);
-        let mut sum_sq = 0.0f64;
-        let mut count = 0usize;
-        for b in &blocks {
-            for p in b.owned_local().iter() {
-                if b.iblank[p] != overset_solver::Blank::Field {
-                    continue;
-                }
-                let q = b.q.node(p);
-                sum_sq += q.iter().map(|v| v * v).sum::<f64>();
-                count += 1;
-            }
+        let (state_sum_sq, state_count, states) = checksum(&blocks, cfg.collect_state);
+        RankReturn {
+            phase_elapsed,
+            state_sum_sq,
+            state_count,
+            states,
+            igbps_last: last_conn.igbps,
+            // The one processor services every search it issues.
+            serviced_last: last_conn.igbps,
+            orphans_last: last_conn.orphans,
+            repartitions: 0,
+            np_final: vec![1; ngrids],
         }
-        (phase_elapsed, igbps_last, orphans_last, sum_sq, count)
     });
-
-    let rank_stats: Vec<RankStats> = outputs.iter().map(|o| o.stats.clone()).collect();
-    let summary = PerfSummary::from_ranks(&rank_stats);
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge_from(&o.metrics);
-    }
-    let trace: Vec<RankTrace> = if cfg.trace.enabled {
-        outputs
-            .iter()
-            .enumerate()
-            .map(|(rank, o)| RankTrace { rank, events: o.trace.clone() })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let (phase_elapsed, igbps_last, orphans_last, sum_sq, count) = outputs[0].result;
-    let step_records: Vec<Vec<StepRecord>> = outputs.iter().map(|o| o.steps.clone()).collect();
-    let steps_dropped: u64 = outputs.iter().map(|o| o.steps_dropped).sum();
-    let host_phase_elapsed = host_phase_max(outputs.iter().map(|o| &o.host_time));
-    let host_phase_by_rank: Vec<[f64; NUM_PHASES]> = outputs.iter().map(|o| o.host_time).collect();
-    let alloc_by_rank: Vec<AllocTotals> = outputs.iter().map(|o| o.alloc).collect();
-    let alloc_records: Vec<Vec<AllocRecord>> =
-        outputs.iter().map(|o| o.alloc_steps.clone()).collect();
-    Ok(RunResult {
-        nranks: 1,
-        states: Vec::new(),
-        state_rms: (sum_sq / count.max(1) as f64).sqrt(),
-        steps: cfg.steps,
-        total_points: cfg.total_points(),
-        phase_elapsed,
-        wall_time: summary.wall_time,
-        igbps_last,
-        serviced_last: vec![igbps_last],
-        orphans_last,
-        repartitions: 0,
-        np_final: vec![1; cfg.grids.len()],
-        rank_stats,
-        trace,
-        metrics,
-        step_records,
-        steps_dropped,
-        host_phase_elapsed,
-        host_phase_by_rank,
-        alloc_by_rank,
-        alloc_records,
-        summary,
-    })
+    Ok(assemble(cfg, &outputs))
 }

@@ -7,7 +7,7 @@
 //! bit-identical with the arena disabled, and the deterministic allocation
 //! counters must show the recycling actually happened.
 
-use overflow_d::{airfoil_case, run_case, store_case, LbConfig, RunResult};
+use overflow_d::{airfoil_case, run_case, store_case, Ablation, LbConfig, RunResult};
 use overset_comm::{MachineModel, Phase, TransportConfig};
 
 /// Connectivity-phase allocation count on the final (steady-state) step,
@@ -46,9 +46,9 @@ fn arena_survives_repartitions_bit_identically() {
     // boundary.
     let mut cfg = airfoil_case(0.3, 8);
     cfg.lb = LbConfig::dynamic(1.05, 2);
-    cfg.use_arena = true;
+    cfg.ablations.remove(Ablation::Arena);
     let on = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
-    cfg.use_arena = false;
+    cfg.ablations.insert(Ablation::Arena);
     let off = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
 
     assert!(on.repartitions >= 1, "case never repartitioned; the test lost its point");
@@ -65,9 +65,9 @@ fn arena_bit_identical_under_mn_scheduler() {
     // ranks, not threads, so scheduling must not perturb anything.
     let mut cfg = store_case(0.3, 3);
     cfg.max_threads = Some(4);
-    cfg.use_arena = true;
+    cfg.ablations.remove(Ablation::Arena);
     let on = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
-    cfg.use_arena = false;
+    cfg.ablations.insert(Ablation::Arena);
     let off = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
     assert_bit_identical(&on, &off, "m:n scheduler");
     let (a_on, a_off) = (conn_allocs_last_step(&on), conn_allocs_last_step(&off));
@@ -77,7 +77,7 @@ fn arena_bit_identical_under_mn_scheduler() {
     // arena on — allocation counters included (they are deterministic).
     let mut cfg2 = store_case(0.3, 3);
     cfg2.max_threads = None;
-    cfg2.use_arena = true;
+    cfg2.ablations.remove(Ablation::Arena);
     let plain = run_case(&cfg2, 16, &MachineModel::modern()).unwrap();
     assert_bit_identical(&on, &plain, "m:n vs 1:1");
     assert_eq!(
@@ -99,11 +99,11 @@ fn arena_bit_identical_on_process_transport() {
     let mut cfg = store_case(0.3, 3);
     cfg.transport =
         TransportConfig::process_for_test(2, "arena_bit_identical_on_process_transport");
-    cfg.use_arena = true;
+    cfg.ablations.remove(Ablation::Arena);
     let proc_on = run_case(&cfg, 16, &machine).unwrap();
     cfg.transport =
         TransportConfig::process_for_test(2, "arena_bit_identical_on_process_transport");
-    cfg.use_arena = false;
+    cfg.ablations.insert(Ablation::Arena);
     let proc_off = run_case(&cfg, 16, &machine).unwrap();
     assert_bit_identical(&proc_on, &proc_off, "proc transport");
     let (a_on, a_off) = (conn_allocs_last_step(&proc_on), conn_allocs_last_step(&proc_off));
@@ -111,7 +111,7 @@ fn arena_bit_identical_on_process_transport() {
 
     // Cross-transport: same arena-on case in-process must agree bit-for-bit.
     cfg.transport = TransportConfig::InProcess;
-    cfg.use_arena = true;
+    cfg.ablations.remove(Ablation::Arena);
     let inproc_on = run_case(&cfg, 16, &machine).unwrap();
     assert_bit_identical(&proc_on, &inproc_on, "proc vs in-process");
 }

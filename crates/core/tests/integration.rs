@@ -1,7 +1,9 @@
 //! End-to-end integration tests spanning the whole stack: grids, balancer,
 //! solver, connectivity, motion, driver.
 
-use overflow_d::{airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, LbConfig};
+use overflow_d::{
+    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, Ablation, LbConfig,
+};
 use overset_comm::MachineModel;
 
 fn modern() -> MachineModel {
@@ -43,6 +45,45 @@ fn parallel_matches_serial_physics() {
     // already-updated fringe), so agreement is close but not bitwise.
     let rel = (par.state_rms - ser.state_rms).abs() / ser.state_rms;
     assert!(rel < 1e-4, "parallel {} vs serial {} (rel {rel})", par.state_rms, ser.state_rms);
+}
+
+#[test]
+fn serial_restart_off_searches_from_scratch_every_step() {
+    use overset_comm::metrics::names;
+    let on = run_case_serial(&airfoil_case(0.3, 4), &modern()).unwrap();
+    let mut cfg = airfoil_case(0.3, 4);
+    cfg.ablations.insert(Ablation::Restart);
+    let off = run_case_serial(&cfg, &modern()).unwrap();
+    let warm_starts = |r: &overflow_d::RunResult| {
+        r.metrics.counter(names::CONN_CACHE_HIT) + r.metrics.counter(names::CONN_CACHE_MISS)
+    };
+    assert!(warm_starts(&on) > 0);
+    assert_eq!(warm_starts(&off), 0, "restart-off run still warm-started");
+    let (w_on, w_off) =
+        (on.metrics.counter(names::CONN_WALK_STEPS), off.metrics.counter(names::CONN_WALK_STEPS));
+    assert!(w_off > w_on, "cold searches every step must walk more: {w_off} vs {w_on}");
+    assert_eq!(off.orphans_last, on.orphans_last);
+}
+
+#[test]
+fn serial_collect_state_returns_every_field_node() {
+    let mut cfg = airfoil_case(0.3, 3);
+    let plain = run_case_serial(&cfg, &modern()).unwrap();
+    assert!(plain.states.is_empty());
+    cfg.collect_state = true;
+    let r = run_case_serial(&cfg, &modern()).unwrap();
+    assert_eq!(r.state_rms.to_bits(), plain.state_rms.to_bits());
+    // One entry per field node, in the checksum's own order, so the same
+    // sum reproduces `state_rms` to the bit.
+    let sum_sq: f64 = r.states.iter().map(|(_, _, q)| q.iter().map(|v| v * v).sum::<f64>()).sum();
+    assert_eq!((sum_sq / r.states.len() as f64).sqrt().to_bits(), r.state_rms.to_bits());
+    let mut nodes: Vec<_> = r.states.iter().map(|&(g, n, _)| (g, n.i, n.j, n.k)).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    assert_eq!(nodes.len(), r.states.len(), "a node was collected twice");
+    assert!(r.states.len() < cfg.total_points(), "holes and fringes are not field nodes");
+    assert!(r.states.len() > cfg.total_points() / 2);
+    assert!((0..cfg.grids.len()).all(|g| r.states.iter().any(|s| s.0 == g)));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Inverse-map ablation: the acceleration layer must change *work*, never
-//! *answers*. With `use_inverse_map` off, cold donor searches start from the
+//! *answers*. With `Ablation::InverseMap`, cold donor searches start from the
 //! block center and candidate ranks are pruned only by bounding box; with it
 //! on, searches start from a map-seeded cell and ranks are additionally
 //! pruned by the occupancy mask. Both paths must land on the same donor
@@ -7,14 +7,14 @@
 //! the same orphan census, while the accelerated path performs measurably
 //! fewer walk steps and forwards fewer requests between ranks.
 
-use overflow_d::{airfoil_case, run_case, store_case, CaseConfig, RunResult};
+use overflow_d::{airfoil_case, run_case, store_case, Ablation, CaseConfig, RunResult};
 use overset_comm::{metrics::names, MachineModel};
 use overset_motion::BodyMotion;
 
 fn ablate(mut cfg: CaseConfig, nranks: usize) -> (RunResult, RunResult) {
-    cfg.use_inverse_map = true;
+    cfg.ablations.remove(Ablation::InverseMap);
     let on = run_case(&cfg, nranks, &MachineModel::modern()).unwrap();
-    cfg.use_inverse_map = false;
+    cfg.ablations.insert(Ablation::InverseMap);
     let off = run_case(&cfg, nranks, &MachineModel::modern()).unwrap();
     (on, off)
 }
@@ -68,9 +68,9 @@ fn store_donors_identical_with_fewer_walk_steps() {
 #[test]
 fn serial_driver_honors_the_flag_too() {
     let mut cfg = airfoil_case(0.35, 3);
-    cfg.use_inverse_map = true;
+    cfg.ablations.remove(Ablation::InverseMap);
     let on = overflow_d::run_case_serial(&cfg, &MachineModel::modern()).unwrap();
-    cfg.use_inverse_map = false;
+    cfg.ablations.insert(Ablation::InverseMap);
     let off = overflow_d::run_case_serial(&cfg, &MachineModel::modern()).unwrap();
     assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits());
     let (w_on, w_off) =
@@ -79,7 +79,7 @@ fn serial_driver_honors_the_flag_too() {
 }
 
 // ---------------------------------------------------------------------------
-// Arena ablation: `use_arena` may only change *where buffers come from*
+// Arena ablation: `Ablation::Arena` may only change *where buffers come from*
 // (pooled capacity vs cold Vec::new), never what any of them contain. The
 // same code path runs either way, so physics AND virtual time must agree to
 // the bit; the host-side allocation counters are the only legal difference.
@@ -97,9 +97,9 @@ fn conn_allocs_last_step(r: &RunResult) -> u64 {
 #[test]
 fn arena_toggle_is_bit_identical_with_fewer_allocations() {
     let mut cfg = store_case(0.3, 4);
-    cfg.use_arena = true;
+    cfg.ablations.remove(Ablation::Arena);
     let on = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
-    cfg.use_arena = false;
+    cfg.ablations.insert(Ablation::Arena);
     let off = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
 
     assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits(), "state diverged");
@@ -129,9 +129,9 @@ fn arena_toggle_is_bit_identical_with_fewer_allocations() {
 fn incremental_invmap_is_bit_identical_and_rebuilds_less() {
     let mut cfg = airfoil_case(0.3, 12);
     cfg.fc.dt = 0.01; // appreciable per-step motion, still far below fallback
-    cfg.use_incremental_invmap = true;
+    cfg.ablations.remove(Ablation::IncrementalInvmap);
     let on = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
-    cfg.use_incremental_invmap = false;
+    cfg.ablations.insert(Ablation::IncrementalInvmap);
     let off = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
 
     assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits(), "state diverged");
@@ -168,9 +168,9 @@ fn incremental_invmap_falls_back_past_rotation_threshold() {
             time: 0.0,
         },
     )];
-    cfg.use_incremental_invmap = true;
+    cfg.ablations.remove(Ablation::IncrementalInvmap);
     let on = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
-    cfg.use_incremental_invmap = false;
+    cfg.ablations.insert(Ablation::IncrementalInvmap);
     let off = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
 
     assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits(), "state diverged");

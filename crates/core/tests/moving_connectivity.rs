@@ -1,7 +1,7 @@
 //! Connectivity behaviour under sustained motion: holes migrate, fringe
 //! sets track the bodies, and the donor cache keeps the warm path warm.
 
-use overflow_d::{airfoil_case, run_case, store_case};
+use overflow_d::{airfoil_case, run_case, store_case, Ablation};
 use overset_comm::MachineModel;
 
 fn modern() -> MachineModel {
@@ -38,7 +38,7 @@ fn warm_connectivity_stays_cheap_through_motion() {
     // The flip side: disabling the map reverts cold searches to
     // center-start walks, which must cost measurably more than seeded ones.
     let mut unseeded_cfg = airfoil_case(0.3, 1);
-    unseeded_cfg.use_inverse_map = false;
+    unseeded_cfg.ablations.insert(Ablation::InverseMap);
     let unseeded = run_case(&unseeded_cfg, 6, &MachineModel::ibm_sp2()).unwrap();
     assert!(
         cold < conn(&unseeded),

@@ -1,4 +1,4 @@
-//! Driver-level SIMD ablation: `use_simd` selects the lane-batched AVX2
+//! Driver-level SIMD ablation: `Ablation::Simd` deselects the lane-batched AVX2
 //! kernels for the implicit sweeps, the donor-search Newton inversions and
 //! the hole-cutter containment tests. The batched kernels replay the scalar
 //! operation order lane by lane, so turning them off may change host speed
@@ -12,7 +12,7 @@
 //! moved to storage order — on rank threads, under the M:N scheduler and
 //! across the process transport, with and without SIMD.
 
-use overflow_d::{airfoil_case, run_case, store_case, RunResult};
+use overflow_d::{airfoil_case, run_case, store_case, Ablation, RunResult};
 use overset_comm::{MachineModel, TransportConfig};
 
 /// Everything that must not notice the instruction set: physics checksum,
@@ -36,9 +36,9 @@ fn assert_bit_identical(on: &RunResult, off: &RunResult, what: &str) {
 #[test]
 fn simd_ablation_airfoil_bit_identical() {
     let mut cfg = airfoil_case(0.3, 8);
-    cfg.use_simd = true;
+    cfg.ablations.remove(Ablation::Simd);
     let on = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
-    cfg.use_simd = false;
+    cfg.ablations.insert(Ablation::Simd);
     let off = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
     assert_bit_identical(&on, &off, "airfoil");
 }
@@ -50,9 +50,9 @@ fn simd_ablation_store_bit_identical_under_mn_scheduler() {
     // between polls must not perturb anything.
     let mut cfg = store_case(0.3, 3);
     cfg.max_threads = Some(4);
-    cfg.use_simd = true;
+    cfg.ablations.remove(Ablation::Simd);
     let on = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
-    cfg.use_simd = false;
+    cfg.ablations.insert(Ablation::Simd);
     let off = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
     assert_bit_identical(&on, &off, "m:n scheduler");
 }
@@ -65,17 +65,17 @@ fn simd_ablation_bit_identical_on_process_transport() {
     let mut cfg = store_case(0.3, 3);
     cfg.transport =
         TransportConfig::process_for_test(2, "simd_ablation_bit_identical_on_process_transport");
-    cfg.use_simd = true;
+    cfg.ablations.remove(Ablation::Simd);
     let proc_on = run_case(&cfg, 16, &machine).unwrap();
     cfg.transport =
         TransportConfig::process_for_test(2, "simd_ablation_bit_identical_on_process_transport");
-    cfg.use_simd = false;
+    cfg.ablations.insert(Ablation::Simd);
     let proc_off = run_case(&cfg, 16, &machine).unwrap();
     assert_bit_identical(&proc_on, &proc_off, "proc transport");
 
     // Cross-transport: the SIMD-on case in-process must agree bit-for-bit.
     cfg.transport = TransportConfig::InProcess;
-    cfg.use_simd = true;
+    cfg.ablations.remove(Ablation::Simd);
     let inproc_on = run_case(&cfg, 16, &machine).unwrap();
     assert_bit_identical(&proc_on, &inproc_on, "proc vs in-process");
 }
@@ -135,14 +135,16 @@ fn assert_all_modes_match_recorded(
     let r = run_case(&cfg, nranks, &machine).unwrap();
     assert_matches_recorded(&r, want, &format!("{test_name} proc"));
     cfg.transport = TransportConfig::InProcess;
-    for use_simd in [true, false] {
-        cfg.use_simd = use_simd;
+    for simd in [true, false] {
+        if !simd {
+            cfg.ablations.insert(Ablation::Simd);
+        }
         cfg.max_threads = None;
         let r = run_case(&cfg, nranks, &machine).unwrap();
-        assert_matches_recorded(&r, want, &format!("{test_name} threads simd={use_simd}"));
+        assert_matches_recorded(&r, want, &format!("{test_name} threads simd={simd}"));
         cfg.max_threads = Some(2);
         let r = run_case(&cfg, nranks, &machine).unwrap();
-        assert_matches_recorded(&r, want, &format!("{test_name} m:n simd={use_simd}"));
+        assert_matches_recorded(&r, want, &format!("{test_name} m:n simd={simd}"));
     }
 }
 

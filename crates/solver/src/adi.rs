@@ -116,7 +116,7 @@ pub fn implicit_neighbor(block: &Block, dir: usize, downstream: bool) -> Option<
 /// allocates is bounded per rank and independent of the block size: line
 /// buffers that outgrow the ones the rank's pool holds.
 pub struct SweepScratch {
-    /// Kernel instruction set, chosen once per run from `use_simd` plus
+    /// Kernel instruction set, chosen once per run from `--no-simd` plus
     /// runtime feature detection (see [`crate::lanes::select_isa`]). The
     /// scalar and SIMD paths run the same lane-batched code and produce
     /// bit-identical results.

@@ -8,7 +8,7 @@
 //! exactly the scalar operation sequence on each lane. Because AVX2's
 //! `add/sub/mul/div/sqrt` are IEEE-754 correctly rounded *per lane* and no
 //! horizontal operations (or FMA contractions) are ever used, each lane's
-//! result is bit-identical to the scalar code — the `use_simd` ablation and
+//! result is bit-identical to the scalar code — the `--no-simd` ablation and
 //! the batched-vs-scalar proptests pin this.
 //!
 //! Dispatch is resolved once per run: [`select_isa`] feature-detects AVX2
@@ -56,10 +56,10 @@ pub fn avx2_supported() -> bool {
 }
 
 /// Resolve the dispatch for a run: AVX2 when requested *and* available,
-/// scalar lanes otherwise. `use_simd = false` (the `--no-simd` ablation)
+/// scalar lanes otherwise. `simd = false` (the `--no-simd` ablation)
 /// always selects [`Isa::Scalar`].
-pub fn select_isa(use_simd: bool) -> Isa {
-    if use_simd && avx2_supported() {
+pub fn select_isa(simd: bool) -> Isa {
+    if simd && avx2_supported() {
         Isa::Avx2
     } else {
         Isa::Scalar

@@ -14,7 +14,7 @@ pub struct Scratch {
     pub res: StateField,
     /// The flow workspace — used first by the residual's node pass, then by
     /// the line sweeps — plus the kernel ISA selection; the driver overrides
-    /// `sweep.isa` when the case disables SIMD (`use_simd = false`).
+    /// `sweep.isa` when the case disables SIMD (`--no-simd`).
     pub sweep: SweepScratch,
 }
 
@@ -41,6 +41,12 @@ pub struct StepReport {
 /// 4. factored implicit sweeps (pipelined across subdomains),
 /// 5. state update on field nodes,
 /// 6. physical boundary conditions.
+///
+/// Each stage's work is charged through [`SolverComm::compute`] as it
+/// completes, so a message-passing communicator stamps the pipelined carries
+/// with the right clocks; a serial caller charges the returned
+/// [`StepReport::flops`] in one lump instead (the 5-flop/node update is
+/// charged per stage only and is not part of that total).
 pub fn step_block(
     block: &mut Block,
     fc: &FlowConditions,
@@ -49,18 +55,20 @@ pub fn step_block(
     scratch: &mut Scratch,
 ) -> StepReport {
     let mut flops = 0u64;
-    let t0 = comm.now();
     comm.exchange_halo(block);
-    comm.trace_span("solver", "exchange_halo", t0);
 
     if block.turbulent && block.viscous {
         if let Some(w) = wall {
-            flops += compute_mu_t(block, w);
+            let mu_t_flops = compute_mu_t(block, w);
+            comm.compute(mu_t_flops);
+            flops += mu_t_flops;
         }
     }
 
     let t0 = comm.now();
-    flops += compute_residual(block, fc, &mut scratch.res, &mut scratch.sweep);
+    let res_flops = compute_residual(block, fc, &mut scratch.res, &mut scratch.sweep);
+    comm.compute(res_flops);
+    flops += res_flops;
     let residual = residual_l2(block, &scratch.res);
     comm.trace_span("solver", "residual", t0);
 
@@ -68,14 +76,17 @@ pub fn step_block(
     for v in scratch.res.as_mut_slice() {
         *v *= fc.dt;
     }
+    // The sweeps charge their own work as they go.
     flops += implicit_sweeps(block, fc, &mut scratch.res, comm, &mut scratch.sweep);
 
     // Update field nodes.
     let ow = block.owned_local();
+    let mut update_flops = 0u64;
     for p in ow.iter() {
         if block.iblank[p] != Blank::Field {
             continue;
         }
+        update_flops += NVAR as u64;
         let dq = *scratch.res.node(p);
         let q = block.q.node_mut(p);
         for v in 0..NVAR {
@@ -84,9 +95,11 @@ pub fn step_block(
         // Positivity floors keep impulsive-start transients from crashing.
         crate::conditions::enforce_positivity(q);
     }
+    comm.compute(update_flops);
 
-    flops += apply_bcs(block, fc);
-    StepReport { flops, residual }
+    let bc_flops = apply_bcs(block, fc);
+    comm.compute(bc_flops);
+    StepReport { flops: flops + bc_flops, residual }
 }
 
 #[cfg(test)]
