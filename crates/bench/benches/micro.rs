@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use overset_balance::{group_grids, static_balance, AdjacencyMatrix};
+use overset_comm::{MachineModel, Universe};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
     cut_holes_and_find_fringe, walk_search, ConnArena, InverseMap, SearchCost,
@@ -315,6 +316,25 @@ fn balance_kernels(c: &mut Criterion) {
     });
 }
 
+/// The collective that opens every donor-search round at the rank count
+/// where it dominates: 256 ranks as coroutines on one worker, each
+/// contributing a 256-entry count row, 24 rounds (one capped step's worth).
+/// One iteration also spawns the universe (~1 ms of it).
+fn comm_kernels(c: &mut Criterion) {
+    const P: usize = 256;
+    let machine = MachineModel::ibm_sp2();
+    c.bench_function("comm/allgather_counts_p256", |b| {
+        b.iter(|| {
+            Universe::builder().ranks(P).machine(&machine).max_threads(1).run(|c| {
+                for _ in 0..24 {
+                    let rows = c.allgather(vec![c.rank() as u32; P], 4 * P);
+                    std::hint::black_box(rows[P - 1][c.rank()]);
+                }
+            })
+        })
+    });
+}
+
 criterion_group!(
     benches,
     solver_kernels,
@@ -322,6 +342,7 @@ criterion_group!(
     trilinear_kernels,
     connectivity_kernels,
     inverse_map_kernels,
-    balance_kernels
+    balance_kernels,
+    comm_kernels
 );
 criterion_main!(benches);

@@ -41,7 +41,7 @@ pub use error::OversetError;
 pub use flight::{FlightRecorder, StepRecord, DEFAULT_STEP_CAPACITY};
 pub use machine::{CacheModel, MachineModel, WorkClass};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use runtime::{Comm, PhaseGuard, RankOutput, Universe, UniverseBuilder};
+pub use runtime::{Comm, Gathered, PhaseGuard, RankOutput, Universe, UniverseBuilder};
 pub use sink::{
     assemble_chrome, read_span_dir, read_span_file, RankStream, SpanDir, StreamConfig,
     StreamFormat, SPAN_SCHEMA_VERSION,

@@ -29,6 +29,11 @@ pub mod names {
     pub const CONN_ORPHANS: &str = "conn.orphans";
     /// Donor-search protocol rounds summed over steps.
     pub const CONN_ROUNDS: &str = "conn.rounds";
+    /// Steps whose donor search stopped at the round cap while requests
+    /// were still pending on some rank (those requests become orphans).
+    /// Recorded by every rank, and only when the cap fires, so runs that
+    /// quiesce on their own never carry the name.
+    pub const CONN_ROUNDS_CAPPED: &str = "conn.rounds.capped";
     /// Inverse maps rebuilt from scratch (full lattice builds).
     pub const CONN_INVMAP_BUILDS: &str = "conn.invmap.build";
     /// Inverse maps advanced incrementally under small rigid motion

@@ -331,7 +331,8 @@ fn child_router(shared: &Shared, sock: &UnixStream) {
                     ProcRound {
                         round_clock,
                         poison,
-                        blobs: Arc::new(blobs),
+                        blobs,
+                        decoded: None,
                         readers_left: link.hi - link.lo,
                     },
                 );
@@ -390,6 +391,39 @@ impl Collective {
             }),
             cv: Condvar::new(),
         }
+    }
+}
+
+/// A collective's result: the contributions of every rank, in rank order,
+/// as a read-only view that derefs to `[T]`.
+///
+/// The buffer behind the view is shared, not copied: on the in-process
+/// fabric every rank views the one vector the last arriver published; on
+/// the process fabric each rank group decodes the round once and its ranks
+/// view that vector. It is freed when the last view of it drops. Whichever
+/// rank that is depends on host timing, so the free is excluded from
+/// allocation attribution exactly as the buffer's allocation is.
+///
+/// A contribution that is itself a shared handle (an `Arc`) comes back to
+/// unique ownership once every rank has dropped its view — guaranteed once
+/// a collective that every rank enters after dropping its view has
+/// completed — which lets a rank refill a buffer it contributes every round
+/// in place.
+pub struct Gathered<T>(Option<Arc<Vec<T>>>);
+
+impl<T> Deref for Gathered<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.0.as_ref().expect("view holds its buffer until dropped")
+    }
+}
+
+impl<T> Drop for Gathered<T> {
+    fn drop(&mut self) {
+        // `Some` until here: released by hand because fields drop only
+        // after this body, outside the guard.
+        let _quiet = alloc::suspend();
+        self.0 = None;
     }
 }
 
@@ -847,38 +881,40 @@ impl Comm {
     /// Synchronize all ranks: everyone leaves with the same clock (round max
     /// plus the collective cost).
     pub fn barrier(&mut self) {
-        let _: Vec<u8> = self.allgather_inner("barrier", 0u8, 8).unwrap_or_else(|e| panic!("{e}"));
+        self.allgather_inner("barrier", 0u8, 8).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// All-gather: every rank contributes `value` (logical size `bytes`) and
-    /// receives the vector of all contributions indexed by rank.
+    /// receives a view of all contributions indexed by rank. The
+    /// contributions are moved, never copied: every rank of a process reads
+    /// the same buffer (see [`Gathered`]).
     ///
     /// Convenience wrapper over [`Comm::try_allgather`] that treats failure
     /// as an internal protocol invariant violation (panics).
-    pub fn allgather<T: Wire + Clone + Send + Sync + 'static>(
+    pub fn allgather<T: Wire + Send + Sync + 'static>(
         &mut self,
         value: T,
         bytes: usize,
-    ) -> Vec<T> {
+    ) -> Gathered<T> {
         self.try_allgather(value, bytes).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// All-gather surfacing mixed-type collectives and peer failures as
     /// [`OversetError`].
-    pub fn try_allgather<T: Wire + Clone + Send + Sync + 'static>(
+    pub fn try_allgather<T: Wire + Send + Sync + 'static>(
         &mut self,
         value: T,
         bytes: usize,
-    ) -> Result<Vec<T>, OversetError> {
+    ) -> Result<Gathered<T>, OversetError> {
         self.allgather_inner("allgather", value, bytes)
     }
 
-    fn allgather_inner<T: Wire + Clone + Send + Sync + 'static>(
+    fn allgather_inner<T: Wire + Send + Sync + 'static>(
         &mut self,
         span_name: &'static str,
         value: T,
         bytes: usize,
-    ) -> Result<Vec<T>, OversetError> {
+    ) -> Result<Gathered<T>, OversetError> {
         // Rendezvous buffers (which rank gathers, how many wait-loop
         // iterations run) depend on host timing — excluded from attribution.
         let _quiet = alloc::suspend();
@@ -909,12 +945,12 @@ impl Comm {
     }
 
     /// In-process collective: rendezvous through the shared [`Collective`];
-    /// the last arriver gathers and publishes. Returns the contributions in
-    /// rank order plus the round clock.
-    fn local_allgather<T: Clone + Send + Sync + 'static>(
+    /// the last arriver gathers and publishes. Returns a view of the
+    /// published contributions (rank order) plus the round clock.
+    fn local_allgather<T: Send + Sync + 'static>(
         &mut self,
         value: T,
-    ) -> Result<(Vec<T>, f64), OversetError> {
+    ) -> Result<(Gathered<T>, f64), OversetError> {
         let gen = self.coll_gen;
         self.coll_gen += 1;
         let shared = Arc::clone(&self.shared);
@@ -1026,27 +1062,26 @@ impl Comm {
             }
         }
         drop(inner);
-        let result = match arc.downcast::<Vec<T>>() {
-            Ok(v) => v.as_ref().clone(),
-            Err(_) => {
-                return Err(OversetError::CollectiveMismatch {
-                    rank: self.rank,
-                    expected: std::any::type_name::<T>(),
-                })
-            }
-        };
-        Ok((result, round_clock))
+        match arc.downcast::<Vec<T>>() {
+            Ok(v) => Ok((Gathered(Some(v)), round_clock)),
+            Err(_) => Err(OversetError::CollectiveMismatch {
+                rank: self.rank,
+                expected: std::any::type_name::<T>(),
+            }),
+        }
     }
 
     /// Process-backed collective: ship this rank's contribution to the
-    /// parent router, wait for the aggregated round, decode every rank's
-    /// blob. Round numbers are each rank's private collective counter —
-    /// every rank executes the same collective sequence, so counter values
-    /// agree globally without coordination.
-    fn proc_allgather<T: Wire + 'static>(
+    /// parent router and wait for the aggregated round. The first local
+    /// rank to reach the result decodes every rank's blob, once for the
+    /// whole process; its siblings share the decoded vector. Round numbers
+    /// are each rank's private collective counter — every rank executes the
+    /// same collective sequence, so counter values agree globally without
+    /// coordination.
+    fn proc_allgather<T: Wire + Send + Sync + 'static>(
         &mut self,
         value: T,
-    ) -> Result<(Vec<T>, f64), OversetError> {
+    ) -> Result<(Gathered<T>, f64), OversetError> {
         let round = self.coll_gen;
         self.coll_gen += 1;
         let shared = Arc::clone(&self.shared);
@@ -1059,29 +1094,38 @@ impl Comm {
             }
             if let Some(r) = inner.rounds.get_mut(&round) {
                 let round_clock = r.round_clock;
-                let poison = r.poison;
-                let blobs = Arc::clone(&r.blobs);
+                let mismatch = OversetError::CollectiveMismatch {
+                    rank: self.rank,
+                    expected: std::any::type_name::<T>(),
+                };
+                // Decode under the lock: siblings arriving meanwhile would
+                // only wait for this very vector.
+                let decoded = if r.poison {
+                    Err(mismatch)
+                } else if let Some(shared) = &r.decoded {
+                    Arc::clone(shared).downcast::<Vec<T>>().map_err(|_| mismatch)
+                } else {
+                    let decode = |(src, blob): (usize, &Vec<u8>)| {
+                        T::from_wire_bytes(blob).map_err(|e| OversetError::WireDecode {
+                            rank: self.rank,
+                            src,
+                            tag: round,
+                            detail: format!("collective round {round}: {e}"),
+                        })
+                    };
+                    let out: Result<Vec<T>, _> = r.blobs.iter().enumerate().map(decode).collect();
+                    out.map(|v| {
+                        let v = Arc::new(v);
+                        r.decoded = Some(Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
+                        r.blobs = Vec::new();
+                        v
+                    })
+                };
                 r.readers_left -= 1;
                 if r.readers_left == 0 {
                     inner.rounds.remove(&round);
                 }
-                drop(inner);
-                if poison {
-                    return Err(OversetError::CollectiveMismatch {
-                        rank: self.rank,
-                        expected: std::any::type_name::<T>(),
-                    });
-                }
-                let mut out = Vec::with_capacity(blobs.len());
-                for (src, blob) in blobs.iter().enumerate() {
-                    out.push(T::from_wire_bytes(blob).map_err(|e| OversetError::WireDecode {
-                        rank: self.rank,
-                        src,
-                        tag: round,
-                        detail: format!("collective round {round}: {e}"),
-                    })?);
-                }
-                return Ok((out, round_clock));
+                return decoded.map(|v| (Gathered(Some(v)), round_clock));
             }
             if shared.mn.is_some() {
                 inner.waiters.push(self.rank);
@@ -1113,17 +1157,17 @@ impl Comm {
 
     /// All-reduce max over f64.
     pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        self.allgather(value, 8).into_iter().fold(f64::NEG_INFINITY, f64::max)
+        self.allgather(value, 8).iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// All-reduce sum over f64.
     pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        self.allgather(value, 8).into_iter().sum()
+        self.allgather(value, 8).iter().sum()
     }
 
     /// All-reduce sum over usize.
     pub fn allreduce_sum_usize(&mut self, value: usize) -> usize {
-        self.allgather(value, 8).into_iter().sum()
+        self.allgather(value, 8).iter().sum()
     }
 
     /// Finalize statistics (closes the open phase) and return them together
@@ -1627,7 +1671,7 @@ mod tests {
 
     #[test]
     fn allgather_returns_rank_ordered_values() {
-        let out = run(5, &modern(), |c| c.allgather(c.rank() * 10, 8));
+        let out = run(5, &modern(), |c| c.allgather(c.rank() * 10, 8).to_vec());
         for o in &out {
             assert_eq!(o.result, vec![0, 10, 20, 30, 40]);
         }

@@ -38,6 +38,7 @@
 
 use crate::error::OversetError;
 use crate::wire::{Wire, WireError, WireReader, WIRE_SCHEMA_VERSION};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::env;
 use std::fmt;
@@ -595,11 +596,14 @@ pub(crate) struct ProcCollInner {
     pub(crate) waiters: Vec<usize>,
 }
 
-/// A resolved collective round, consumed once by each local rank.
+/// A resolved collective round, read once by each local rank.
 pub(crate) struct ProcRound {
     pub(crate) round_clock: f64,
     pub(crate) poison: bool,
-    pub(crate) blobs: Arc<Vec<Vec<u8>>>,
+    /// Every rank's wire blob, until the first local reader decodes them.
+    pub(crate) blobs: Vec<Vec<u8>>,
+    /// The decoded `Arc<Vec<T>>` every local reader shares.
+    pub(crate) decoded: Option<Arc<dyn Any + Send + Sync>>,
     pub(crate) readers_left: usize,
 }
 

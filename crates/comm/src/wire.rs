@@ -23,7 +23,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version of the wire schema spoken by this build. Bump whenever any
 /// `Wire` impl or the frame protocol in [`crate::transport`] changes shape;
@@ -347,6 +347,18 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
+/// A shared handle travels as the value it points at. On the in-process
+/// fabric the handle itself is what moves, so a sender that keeps a clone
+/// gets its buffer back once every receiver has dropped theirs.
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Arc::new(T::decode(r)?))
+    }
+}
+
 macro_rules! wire_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Wire),+> Wire for ($($name,)+) {
@@ -415,6 +427,7 @@ mod tests {
         roundtrip(Ok::<u32, String>(7));
         roundtrip(Err::<u32, String>("boom".into()));
         roundtrip(Box::new(99u64));
+        roundtrip(Arc::new(vec![3u32, 1, 2]));
         roundtrip((1u32, 2.0f64));
         roundtrip((1u32, 2.0f64, String::from("x")));
         roundtrip((1u8, 2u8, 3u8, 4u8));

@@ -133,6 +133,39 @@ fn alloc_counts_are_bit_identical_run_to_run() {
     }
 }
 
+/// A collective's gathered buffer is freed by whichever rank drops its view
+/// last, which host timing decides. Neither its allocation nor that free
+/// may be attributed, or the per-rank free counts wander run to run: 16
+/// preemptible 1:1 threads and many rounds, so lucky scheduling cannot
+/// hide it. The payload vectors themselves are rank code and are counted.
+#[test]
+fn shared_collective_buffers_stay_out_of_attribution() {
+    const WIDE: usize = 16;
+    const ROUNDS: usize = 40;
+    let run = || {
+        Universe::builder().ranks(WIDE).machine(&MachineModel::modern()).run(|c| {
+            let mut ph = c.phase(Phase::Connectivity);
+            let mut seen = 0u64;
+            for round in 0..ROUNDS {
+                let mine = vec![(ph.rank() + round) as u32; 64];
+                let view = ph.allgather(mine, 256);
+                seen += view.iter().map(|v| u64::from(v[0])).sum::<u64>();
+            }
+            seen
+        })
+    };
+    let first = run();
+    for r in &first {
+        assert_eq!(r.alloc.allocs[CONN], ROUNDS as u64, "one payload vector per round");
+        assert_eq!(r.alloc.frees[CONN], 0, "a shared buffer's free was attributed");
+    }
+    for _ in 0..4 {
+        for (a, b) in first.iter().zip(&run()) {
+            assert_eq!(a.alloc, b.alloc, "per-phase totals must be deterministic");
+        }
+    }
+}
+
 /// Frees are attributed too: the extra vectors die in the phase that made
 /// them, so rank 1's connectivity frees grow by the same amount.
 #[test]

@@ -65,7 +65,9 @@ proptest! {
         rounds in 1usize..12,
     ) {
         let out = Universe::builder().ranks(nranks).machine(&machine()).run(move |c| {
-            (0..rounds).map(|round| c.allgather(c.rank() * 1000 + round, 8)).collect::<Vec<_>>()
+            (0..rounds)
+                .map(|round| c.allgather(c.rank() * 1000 + round, 8).to_vec())
+                .collect::<Vec<_>>()
         });
         for o in &out {
             for (round, v) in o.result.iter().enumerate() {

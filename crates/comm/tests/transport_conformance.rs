@@ -10,6 +10,7 @@
 
 use overset_comm::runtime::UniverseBuilder;
 use overset_comm::{MachineModel, OversetError, RankOutput, TransportConfig, Universe, Wire};
+use std::sync::Arc;
 
 const NRANKS: usize = 4;
 
@@ -88,7 +89,7 @@ type CollectiveRound = (Vec<usize>, f64, usize, f64);
 fn scenario_collectives(b: UniverseBuilder) -> Vec<RankOutput<CollectiveRound>> {
     b.run(|c| {
         c.compute(1.0e6 * (c.rank() + 1) as f64, overset_comm::WorkClass::Flow);
-        let gathered = c.allgather(c.rank() * 3, 8);
+        let gathered = c.allgather(c.rank() * 3, 8).to_vec();
         let m = c.allreduce_max(c.rank() as f64 * 1.5);
         let s = c.allreduce_sum_usize(c.rank());
         c.barrier();
@@ -121,6 +122,82 @@ fn collectives_proc() {
     for (a, b) in out.iter().zip(&reference) {
         assert_eq!(a.result.3.to_bits(), b.result.3.to_bits(), "collective clock diverged");
         assert_eq!(a.stats.collectives, b.stats.collectives);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A collective's result is shared, never copied
+// ---------------------------------------------------------------------------
+
+/// Deliberately not `Clone`: gathering it compiles only while `allgather`
+/// moves contributions into one buffer instead of copying them per rank.
+struct Row(Vec<u32>);
+
+impl Wire for Row {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(r: &mut overset_comm::WireReader<'_>) -> Result<Self, overset_comm::WireError> {
+        Ok(Row(Vec::decode(r)?))
+    }
+}
+
+/// What one rank saw: (address of the gathered buffer in the last round,
+/// every round held every rank's row, own row came back un-copied, clock).
+type SharedResult = (usize, bool, bool, f64);
+
+const SHARED_ROUNDS: u32 = 3;
+
+/// The donor-search round pattern: each rank owns one row, contributes a
+/// shared handle to it every round and refills it in place for the next —
+/// which requires that every view of the previous round is gone once a
+/// later collective (here the barrier) has completed.
+fn scenario_shared_result(b: UniverseBuilder) -> Vec<RankOutput<SharedResult>> {
+    b.run(|c| {
+        let me = c.rank();
+        let mut mine = Arc::new(Row(Vec::new()));
+        let (mut addr, mut complete, mut own_aliased) = (0, true, true);
+        for round in 0..SHARED_ROUNDS {
+            let row = Arc::get_mut(&mut mine).expect("a view of the previous round is alive");
+            row.0.clear();
+            row.0.extend([me as u32, round]);
+            let view = c.allgather(Arc::clone(&mine), 8);
+            addr = view.as_ptr() as usize;
+            complete &= view.len() == c.size()
+                && view.iter().enumerate().all(|(r, row)| row.0 == [r as u32, round]);
+            own_aliased &= Arc::ptr_eq(&view[me], &mine);
+            drop(view);
+            c.barrier();
+        }
+        (addr, complete, own_aliased, c.now())
+    })
+}
+
+#[test]
+fn collective_result_is_one_buffer_inproc() {
+    for out in [scenario_shared_result(base()), scenario_shared_result(mn())] {
+        for (r, o) in out.iter().enumerate() {
+            assert!(o.result.1, "rank {r} read a wrong or short row");
+            assert!(o.result.2, "rank {r}'s own row was copied");
+            assert_eq!(o.result.0, out[0].result.0, "rank {r} viewed a private copy");
+        }
+    }
+}
+
+/// Across a process boundary rows are decoded — once per rank group, whose
+/// ranks then share the decoded vector — and clocks match the in-process run.
+#[test]
+fn collective_result_is_one_buffer_per_process_proc() {
+    let out = scenario_shared_result(proc("collective_result_is_one_buffer_per_process_proc"));
+    let reference = scenario_shared_result(base());
+    for (o, r) in out.iter().zip(&reference) {
+        assert!(o.result.1, "a rank read a wrong or short row");
+        assert!(!o.result.2, "a row cannot alias across a socket");
+        assert_eq!(o.result.3.to_bits(), r.result.3.to_bits(), "collective clock diverged");
+        assert_eq!(o.stats.collectives, r.stats.collectives);
+    }
+    for group in out.chunks(2) {
+        assert_eq!(group[0].result.0, group[1].result.0, "rank group decoded the round twice");
     }
 }
 

@@ -95,7 +95,7 @@ fn scenario_healthy_run() {
             c.recv::<u8>(0, 3);
         }
         c.barrier();
-        c.allgather(c.rank(), 8)
+        c.allgather(c.rank(), 8).to_vec()
     });
 }
 

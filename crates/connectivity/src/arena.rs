@@ -24,6 +24,7 @@ use overset_grid::curvilinear::Solid;
 use overset_grid::{Aabb, Ijk};
 use overset_solver::Isa;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Reusable scratch for one rank's connectivity work (distributed protocol,
 /// hole cutting, and the serial path). Construction allocates nothing;
@@ -66,10 +67,11 @@ pub struct ConnArena {
     pub(crate) req_pool: VecPool<ReqPoint>,
     /// Recycled answer buffers, symmetric to `req_pool`.
     pub(crate) ans_pool: VecPool<(u32, Answer)>,
-    /// Recycled per-round count vectors: the allgathered count lists come
-    /// back from the collective; one is parked here and refilled as the
-    /// next round's outgoing-count vector.
-    pub(crate) counts_pool: VecPool<u32>,
+    /// This rank's per-destination request counts. Each round's allgather
+    /// is handed a shared handle to the row, and the row is refilled in
+    /// place once every rank has dropped its view of the previous round.
+    /// `None` until the first round, so construction stays allocation-free.
+    pub(crate) count_row: Option<Arc<Vec<u32>>>,
 
     // -- hole-cutting scratch --
     /// Field nodes adjacent to holes (promoted to Fringe after the scan).

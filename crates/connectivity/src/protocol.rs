@@ -34,6 +34,7 @@ use overset_grid::index::{Ijk, IndexBox};
 use overset_grid::{Aabb, RigidTransform};
 use overset_solver::Block;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Message tag base for connectivity traffic (distinct from solver tags).
 const TAG_BASE: u64 = 10_000;
@@ -310,7 +311,7 @@ pub fn connect_distributed(
         routes,
         req_pool,
         ans_pool,
-        counts_pool,
+        count_row,
         walk_queries,
         walk_outcomes,
         walk_costs,
@@ -340,13 +341,14 @@ pub fn connect_distributed(
     ];
     let lflat: [f64; 6] =
         [my_lat.min[0], my_lat.min[1], my_lat.min[2], my_lat.max[0], my_lat.max[1], my_lat.max[2]];
-    let gathered: Vec<RouteMsg> = comm.allgather((wflat, lflat, my_pose, my_occ), ROUTE_BYTES);
+    let gathered = comm.allgather::<RouteMsg>((wflat, lflat, my_pose, my_occ), ROUTE_BYTES);
     routes.extend(gathered.iter().map(|(w, l, p, o)| RankRoute {
         world: Aabb::new([w[0], w[1], w[2]], [w[3], w[4], w[5]]),
         lat: Aabb::new([l[0], l[1], l[2]], [l[3], l[4], l[5]]),
         inv_pose: RigidTransform::from_flat(*p),
         occ: *o,
     }));
+    drop(gathered);
 
     // 2. Seed pending requests: cached donors first, hierarchy otherwise.
     for (idx, ig) in igbps.iter().enumerate() {
@@ -402,10 +404,13 @@ pub fn connect_distributed(
     //    chains, which would otherwise shift arrival rounds between the
     //    map-on and map-off modes and perturb values at the last bit).
     let mut round = 0usize;
-    loop {
+    let capped = loop {
         let active: usize = comm.allreduce_sum_usize(pending.len());
-        if active == 0 || round >= MAX_ROUNDS {
-            break;
+        if active == 0 {
+            break false;
+        }
+        if round >= MAX_ROUNDS {
+            break true;
         }
         stats.rounds = round + 1;
 
@@ -420,13 +425,17 @@ pub fn connect_distributed(
                 relaxed: p.relaxed,
             });
         }
-        // The count vector is consumed by the collective, but the gathered
-        // result hands back `nranks` freshly decoded vectors — one is
-        // recycled through the pool for the next round, so steady-state
-        // rounds allocate no count storage.
-        let mut my_counts = counts_pool.take();
-        my_counts.extend(outgoing.iter().map(|v| v.len() as u32));
-        let mut all_counts: Vec<Vec<u32>> = comm.allgather(my_counts, 4 * nranks);
+        // This rank's count row stays its own: the collective gets a shared
+        // handle to it and every rank reads its column `all_counts[src][me]`
+        // from the gathered rows, so nothing is copied and steady-state
+        // rounds allocate no count storage. Refilling the row in place is
+        // sound because the allreduce that opened this round completed only
+        // after every rank had dropped its view of the previous round's rows.
+        let row = count_row.get_or_insert_with(Default::default);
+        let counts = Arc::get_mut(row).expect("a view of last round's counts is still alive");
+        counts.clear();
+        counts.extend(outgoing.iter().map(|v| v.len() as u32));
+        let all_counts = comm.allgather(Arc::clone(row), 4 * nranks);
 
         // Send requests. Each request carries an empty reply buffer from
         // the requester's answer pool, and the servicer sends both buffers
@@ -510,10 +519,7 @@ pub fn connect_distributed(
             );
         }
 
-        // Park one gathered count vector for the next round's fill.
-        if let Some(v) = all_counts.pop() {
-            counts_pool.put(v);
-        }
+        drop(all_counts);
 
         // Collect replies and update pending set.
         answers_by_id.clear();
@@ -573,7 +579,7 @@ pub fn connect_distributed(
         }
         std::mem::swap(pending, next_pending);
         round += 1;
-    }
+    };
 
     for &(node, value) in writes.iter() {
         block.q.set_node(node, value);
@@ -587,6 +593,9 @@ pub fn connect_distributed(
     let m = comm.metrics_mut();
     m.add(names::CONN_ORPHANS, stats.orphans as u64);
     m.add(names::CONN_ROUNDS, stats.rounds as u64);
+    if capped {
+        m.inc(names::CONN_ROUNDS_CAPPED);
+    }
     comm.trace_complete(
         "conn",
         "connect",

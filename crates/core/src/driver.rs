@@ -599,7 +599,7 @@ fn run_rank(
                     }
                     let [fx, fy, fz] = local.force;
                     let [mx, my, mz] = local.moment;
-                    let all: Vec<[f64; 6]> = ph.allgather([fx, fy, fz, mx, my, mz], 48);
+                    let all = ph.allgather([fx, fy, fz, mx, my, mz], 48);
                     all.iter().fold(Loads::ZERO, |sum, a| {
                         sum.add(&Loads { force: [a[0], a[1], a[2]], moment: [a[3], a[4], a[5]] })
                     })
@@ -659,7 +659,7 @@ fn run_rank(
             let mut ph = comm.phase(Phase::Balance);
             let t0 = ph.now();
             let mean_i = svc.mean_per_step(ph.metrics());
-            let all_i: Vec<usize> = ph.allgather(mean_i, 8);
+            let all_i = ph.allgather(mean_i, 8);
             let decision = dynamic_rebalance(
                 &all_i,
                 &partition.grid_of_rank_vec(),

@@ -6,20 +6,19 @@
 use overflow_d::{run_case, store_case};
 use overset_comm::{MachineModel, OversetError};
 
-/// Full-driver determinism across scheduler modes: the same store-separation
-/// case run 1:1 and M:N must agree on every virtual-time observable, not
-/// just complete.
-#[test]
-fn store_case_clocks_identical_across_scheduler_modes() {
+/// The store-separation case (x0.3, 2 steps) run 1:1 and M:N on `workers`
+/// threads must agree on every virtual-time observable and on the physics
+/// checksum, not just complete.
+fn assert_scheduler_modes_agree(nranks: usize, workers: usize) {
     let machine = MachineModel::ibm_sp2();
-    let nranks = 24;
     let mut cfg = store_case(0.3, 2);
     let one_to_one = run_case(&cfg, nranks, &machine).expect("1:1 run failed");
-    cfg.max_threads = Some(4);
+    cfg.max_threads = Some(workers);
     let mn = run_case(&cfg, nranks, &machine).expect("M:N run failed");
     assert_eq!(one_to_one.wall_time.to_bits(), mn.wall_time.to_bits());
     assert_eq!(one_to_one.state_rms.to_bits(), mn.state_rms.to_bits());
     assert_eq!(one_to_one.serviced_last, mn.serviced_last);
+    assert_eq!(one_to_one.orphans_last, mn.orphans_last);
     assert_eq!(one_to_one.np_final, mn.np_final);
     for (a, b) in one_to_one.rank_stats.iter().zip(&mn.rank_stats) {
         assert_eq!(
@@ -32,6 +31,22 @@ fn store_case_clocks_identical_across_scheduler_modes() {
         assert_eq!(a.bytes_sent, b.bytes_sent);
         assert_eq!(a.collectives, b.collectives);
     }
+}
+
+#[test]
+fn store_case_clocks_identical_across_scheduler_modes() {
+    assert_scheduler_modes_agree(24, 4);
+}
+
+/// 128 preemptible OS threads against 128 coroutines on 2 workers: every
+/// donor-search round refills each rank's count row in place, which is
+/// sound only if no rank still views the previous round's rows — the 1:1
+/// side is where the host scheduler gets to try. Expensive, so ignored by
+/// default; `scripts/check.sh` runs it in release.
+#[test]
+#[ignore = "128 OS threads; run explicitly (scripts/check.sh does, in release)"]
+fn store_case_128_ranks_identical_across_scheduler_modes() {
+    assert_scheduler_modes_agree(128, 2);
 }
 
 /// The ISSUE's scale target: a 512-virtual-rank store-separation universe

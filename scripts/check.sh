@@ -10,6 +10,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustfmt check =="
 cargo fmt --all -- --check
 
+echo "== repo benchmark type-checks against the workspace API =="
+# benchmark/ is its own package outside the workspace, so nothing else here
+# compiles it: an API change can break it unseen. Type-check only (same
+# target dir as benchmark/run.sh), and ahead of the test run, so that a
+# signature change is proven benchmark-compatible before anything slower
+# runs; its timing smoke below stays advisory.
+cargo check --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir "${CARGO_TARGET_DIR:-target/benchmark}"
+
 echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
@@ -17,7 +26,7 @@ cargo test -q
 echo "== golden trace schema + determinism =="
 cargo test -q -p overflow-d --test observability
 
-echo "== M:N scheduler: 512 virtual ranks on 8 OS threads =="
+echo "== M:N scheduler: 512 virtual ranks on 8 OS threads; 128 ranks 1:1 vs M:N =="
 cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 
 echo "== criterion microbenches compile =="
@@ -25,13 +34,6 @@ cargo bench --no-run
 
 echo "== repro smoke test =="
 ./target/release/repro table1 --quick > /dev/null
-
-echo "== repo benchmark type-checks against the workspace API =="
-# benchmark/ is its own package outside the workspace, so nothing above
-# compiles it: an API change can break it unseen. Type-check only (same
-# target dir as benchmark/run.sh); its timing smoke below stays advisory.
-cargo check --release --offline --manifest-path benchmark/Cargo.toml \
-    --target-dir "${CARGO_TARGET_DIR:-target/benchmark}"
 
 echo "== ablation smoke tests: invmap, arena, simd =="
 # Each ablation must leave states (and, where promised, virtual clocks and
