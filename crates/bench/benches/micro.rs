@@ -38,7 +38,7 @@ fn perturbed(block: &mut Block) -> overset_grid::field::StateField {
 }
 
 /// The flow-phase kernels, each as a pair: the host's lanes (AVX2 where
-/// available) and the scalar lane fallback (`--no-simd` path) of the same
+/// available) and the scalar lane fallback (`Isa::Scalar`) of the same
 /// code, so the pair quantifies the batched-kernel host speedup without
 /// cross-build noise.
 fn solver_kernels(c: &mut Criterion) {
@@ -60,7 +60,7 @@ fn solver_kernels(c: &mut Criterion) {
     let mut block3 = Block::from_grid(0, &g3, d3.full_box(), [None; 6], &fc());
     perturbed(&mut block3);
 
-    for (suffix, isa) in [("", select_isa(true)), ("_scalar", Isa::Scalar)] {
+    for (suffix, isa) in [("", select_isa()), ("_scalar", Isa::Scalar)] {
         let mut res = Scratch::for_block(&block2).res;
         let mut ws = SweepScratch::new(isa);
         c.bench_function(&format!("rhs/compute_residual_2d{suffix}"), |b| {
@@ -107,7 +107,7 @@ fn solver_kernels(c: &mut Criterion) {
 /// Scalar Thomas (one line at a time) vs the lane-batched kernel solving
 /// [`W`] lines per call, at short and long line lengths.
 fn tridiag_kernels(c: &mut Criterion) {
-    let isa = select_isa(true);
+    let isa = select_isa();
     for n in [32usize, 128] {
         // W independent diagonally dominant systems.
         let a: Vec<f64> = (0..n * W).map(|i| -0.4 - 0.01 * (i / W) as f64).collect();
@@ -151,8 +151,8 @@ fn tridiag_kernels(c: &mut Criterion) {
 }
 
 /// The batched trilinear Newton inversion ([`W`] candidate cells per call)
-/// through the AVX2 lanes vs the portable scalar lanes (the `--no-simd`
-/// path) — the donor-search half of the SIMD ablation pair.
+/// through the AVX2 lanes vs the portable scalar lanes — the donor-search
+/// half of the kernel-level SIMD-vs-scalar pair.
 fn trilinear_kernels(c: &mut Criterion) {
     use overset_connectivity::kernels::{invert_cells_lanes, CORNERS};
     let g = near_grid(133, 40, 1.1);
@@ -183,7 +183,7 @@ fn trilinear_kernels(c: &mut Criterion) {
             targets[m * W + l] = centroid[m] + 1e-3 * (l as f64 + 1.0);
         }
     }
-    for (name, isa) in [("batched", select_isa(true)), ("scalar", Isa::Scalar)] {
+    for (name, isa) in [("batched", select_isa()), ("scalar", Isa::Scalar)] {
         c.bench_function(&format!("donor/trilinear_invert_4cells_{name}"), |b| {
             b.iter(|| {
                 let mut t_out = [0.0f64; 3 * W];

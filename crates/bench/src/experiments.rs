@@ -7,8 +7,8 @@
 //! values for every run.
 
 use overflow_d::{
-    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, Ablation, Ablations,
-    CaseConfig, LbConfig, RunResult,
+    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
+    RunResult,
 };
 use overset_comm::trace::TraceConfig;
 use overset_comm::{MachineModel, Phase, TransportConfig};
@@ -29,9 +29,6 @@ pub struct Effort {
     /// the ranks onto `n` workers (M:N mode). Virtual times are bit-identical
     /// either way, so every table is unaffected — this only caps host load.
     pub max_threads: Option<usize>,
-    /// Features switched off by the `--no-*` flags (see [`Ablation`]); none
-    /// by default.
-    pub ablations: Ablations,
     /// Process-transport group count (`--transport proc[:N]`). `None`
     /// (default, `--transport inproc`): ranks as threads in this process.
     /// `Some(n)`: ranks split across `n` forked rank-group processes.
@@ -55,7 +52,6 @@ impl Effort {
             steps2d: 20,
             steps3d: 12,
             max_threads: None,
-            ablations: Ablations::default(),
             proc_groups: None,
             inject_alloc: 0,
         }
@@ -67,25 +63,16 @@ impl Effort {
     }
 }
 
-/// Apply the effort's scheduler bound, feature toggles and transport to a
-/// case config — the single place CLI flags become configuration.
+/// Apply the effort's scheduler bound and transport to a case config — the
+/// single place CLI flags become configuration.
 pub(crate) fn tuned(mut cfg: CaseConfig, e: Effort) -> CaseConfig {
     cfg.max_threads = e.max_threads;
-    cfg.ablations = e.ablations;
     cfg.transport = match e.proc_groups {
         None => TransportConfig::InProcess,
         Some(n) => TransportConfig::process(n),
     };
     cfg.inject_alloc = e.inject_alloc;
     cfg
-}
-
-/// Run `cfg` on `nranks` SP2 nodes with feature `a` on, then off.
-fn on_off(cfg: CaseConfig, e: Effort, nranks: usize, a: Ablation) -> (RunResult, RunResult) {
-    let mut cfg = tuned(cfg, e);
-    let on = run_case(&cfg, nranks, &sp2()).unwrap();
-    cfg.ablations.insert(a);
-    (on, run_case(&cfg, nranks, &sp2()).unwrap())
 }
 
 fn sp2() -> MachineModel {
@@ -443,7 +430,10 @@ pub fn print_host_profile(r: &RunResult) {
 /// time spent in the connectivity solution".
 pub fn ablate_restart(e: Effort) {
     println!("\n== Ablation: nth-level restart (airfoil, SP2, 12 nodes) ==");
-    let (with, without) = on_off(airfoil_case(e.scale2d, e.steps2d), e, 12, Ablation::Restart);
+    let mut cfg = tuned(airfoil_case(e.scale2d, e.steps2d), e);
+    let with = run_case(&cfg, 12, &sp2()).unwrap();
+    cfg.restart = false;
+    let without = run_case(&cfg, 12, &sp2()).unwrap();
     let per = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
     println!(
         "  restart ON : connectivity {:.4} s/step ({:.1}% of total)",
@@ -456,186 +446,6 @@ pub fn ablate_restart(e: Effort) {
         100.0 * without.connectivity_fraction()
     );
     println!("  restart speedup of the connectivity solution: {:.1}x", per(&without) / per(&with));
-}
-
-/// Ablation: the inverse-map acceleration layer (map-seeded cold walks,
-/// occupancy-pruned candidate rotation, masked hole cutting). Answers are
-/// bit-identical either way — the table shows pure search-effort movement.
-pub fn ablate_invmap(e: Effort) {
-    use overset_comm::metrics::names;
-    println!("\n== Ablation: inverse maps (airfoil @ 12 / store @ 28, SP2) ==");
-    for (name, nranks, mk) in [
-        ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d)),
-        ("store  ", 28, store_case(e.scale3d, e.steps3d)),
-    ] {
-        let (on, off) = on_off(mk, e, nranks, Ablation::InverseMap);
-        let per = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
-        let ctr = |r: &RunResult, m: &str| r.metrics.counter(m);
-        println!(
-            "  {name} map ON : connectivity {:.4} s/step, {:>8} walk steps, {:>6} forwards",
-            per(&on),
-            ctr(&on, names::CONN_WALK_STEPS),
-            ctr(&on, names::CONN_FORWARDS),
-        );
-        println!(
-            "  {name} map OFF: connectivity {:.4} s/step, {:>8} walk steps, {:>6} forwards",
-            per(&off),
-            ctr(&off, names::CONN_WALK_STEPS),
-            ctr(&off, names::CONN_FORWARDS),
-        );
-        println!(
-            "  {name} identical answers: state {} | walk-step cut {:.1}% | connectivity speedup {:.2}x",
-            if on.state_rms.to_bits() == off.state_rms.to_bits() { "bit-equal" } else { "DIVERGED" },
-            100.0 * (1.0 - ctr(&on, names::CONN_WALK_STEPS) as f64
-                / ctr(&off, names::CONN_WALK_STEPS).max(1) as f64),
-            per(&off) / per(&on)
-        );
-    }
-}
-
-/// Last-step flow-phase allocations a rank may make with the arena on
-/// (ALLOC-GATE): the workspace and the recycled line buffers leave only
-/// the occasional carry buffer that outgrows the one the pool handed out.
-const FLOW_ALLOCS_PER_RANK_MAX: u64 = 8;
-
-/// Ablation: the per-rank connectivity arena. The arena never changes what
-/// the protocol computes — states AND virtual times must be bit-equal on
-/// vs off — it only removes per-step transient heap allocations, which
-/// this experiment measures on the steady-state last step and gates at
-/// the 10x reduction the observability docs promise (store case). The
-/// same gate bounds the flow phase's last step on both cases: its buffers
-/// (flow workspace, halo and line-solve pools) share the arena's lifecycle.
-pub fn ablate_arena(e: Effort) {
-    println!("\n== Ablation: connectivity arena (airfoil @ 12 / store @ 16, SP2) ==");
-    // Steady-state connectivity allocations: last-step Connectivity-phase
-    // alloc count, summed over ranks (the first steps pay the one-time
-    // buffer growth; the last step is the recurring cost).
-    let last_step_allocs = |r: &RunResult| -> u64 {
-        r.alloc_records
-            .iter()
-            .map(|recs| recs.last().map_or(0, |a| a.allocs[Phase::Connectivity as usize]))
-            .sum()
-    };
-    // The solver (flow) phase, same step: the flow workspace and the pooled
-    // halo / line-solve buffers keep its steady state (almost)
-    // allocation-free too.
-    let last_step_flow_allocs = |r: &RunResult| -> u64 {
-        r.alloc_records
-            .iter()
-            .map(|recs| recs.last().map_or(0, |a| a.allocs[Phase::Flow as usize]))
-            .sum()
-    };
-    let mut gate_ratio = f64::INFINITY;
-    let mut flow_ok = true;
-    for (name, nranks, mk, gated) in [
-        ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d), false),
-        ("store  ", 16, store_case(e.scale3d, e.steps3d), true),
-    ] {
-        let (on, off) = on_off(mk, e, nranks, Ablation::Arena);
-        let a_on = last_step_allocs(&on);
-        let a_off = last_step_allocs(&off);
-        let ratio = a_off as f64 / a_on.max(1) as f64;
-        let bit_equal = on.state_rms.to_bits() == off.state_rms.to_bits()
-            && on.wall_time.to_bits() == off.wall_time.to_bits();
-        println!("  {name} arena ON : {a_on:>7} connectivity allocs/step (last step, all ranks)");
-        println!("  {name} arena OFF: {a_off:>7} connectivity allocs/step (last step, all ranks)");
-        let flow_on = last_step_flow_allocs(&on);
-        println!(
-            "  {name} solver phase: {flow_on} (ON) / {} (OFF) allocs/step (last step, all ranks)",
-            last_step_flow_allocs(&off),
-        );
-        flow_ok &= flow_on <= FLOW_ALLOCS_PER_RANK_MAX * nranks as u64;
-        println!(
-            "  {name} state+virtual-time {} | alloc reduction {ratio:.1}x",
-            if bit_equal { "bit-equal" } else { "DIVERGED" },
-        );
-        if gated {
-            gate_ratio = ratio;
-        }
-    }
-    if gate_ratio < 10.0 {
-        println!("  ALLOC-GATE: FAIL (>=10x required on the store case, got {gate_ratio:.1}x)");
-    } else if !flow_ok {
-        println!(
-            "  ALLOC-GATE: FAIL (solver phase above {FLOW_ALLOCS_PER_RANK_MAX} allocs/step per rank with the arena on)"
-        );
-    } else {
-        println!(
-            "  ALLOC-GATE: PASS ({gate_ratio:.1}x >= 10x, store case; solver phase <= {FLOW_ALLOCS_PER_RANK_MAX} allocs/step per rank)"
-        );
-    }
-}
-
-/// Ablation: the lane-batched SIMD compute kernels (`--no-simd` runs the
-/// same batched code through the portable scalar lanes). Three properties
-/// are checked:
-///
-/// 1. **Bit-equality** — states, donor-walk outcomes and virtual clocks
-///    must be identical SIMD on vs off (per-lane vertical IEEE arithmetic
-///    only; no horizontal ops, no FMA).
-/// 2. **Host speedup** — the solver (flow) phase's host wall-clock, medians
-///    over interleaved repeats in one process (so code/frequency/cache
-///    conditions are shared), gated at 1.5x on AVX2 hosts.
-/// 3. On hosts without AVX2 both paths select the scalar lanes, so the
-///    speedup gate is reported as dormant rather than failed.
-pub fn ablate_simd(e: Effort) {
-    use overset_comm::metrics::names;
-    use overset_solver::avx2_supported;
-    println!("\n== Ablation: lane-batched SIMD kernels (airfoil @ 12 / store @ 16, SP2) ==");
-    let ctr = |r: &RunResult, m: &str| r.metrics.counter(m);
-    for (name, nranks, mk) in [
-        ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d)),
-        ("store  ", 16, store_case(e.scale3d, e.steps3d)),
-    ] {
-        let (on, off) = on_off(mk, e, nranks, Ablation::Simd);
-        let bit_equal = on.state_rms.to_bits() == off.state_rms.to_bits()
-            && on.wall_time.to_bits() == off.wall_time.to_bits()
-            && ctr(&on, names::CONN_WALK_STEPS) == ctr(&off, names::CONN_WALK_STEPS)
-            && ctr(&on, names::CONN_FORWARDS) == ctr(&off, names::CONN_FORWARDS);
-        println!(
-            "  {name} state+virtual-time+walks {} (walk steps {}, state rms {:.6e})",
-            if bit_equal { "bit-equal" } else { "DIVERGED" },
-            ctr(&on, names::CONN_WALK_STEPS),
-            on.state_rms,
-        );
-        if !bit_equal {
-            println!("  SIMD-GATE: FAIL (bit-equality violated on the {} case)", name.trim());
-            return;
-        }
-    }
-
-    // Host speedup of the solver phase: repeat the quick airfoil case with
-    // the ISA toggled between otherwise-identical runs in this one process,
-    // and compare per-phase host-clock medians (sum over ranks — on an
-    // oversubscribed host the cumulative rank-thread time is the stable
-    // signal; the max over ranks is scheduling noise).
-    let flow_host = |r: &RunResult| -> f64 {
-        r.host_phase_by_rank.iter().map(|t| t[Phase::Flow as usize]).sum()
-    };
-    let repeats = 5;
-    let mut on_ms = Vec::with_capacity(repeats);
-    let mut off_ms = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let (on, off) = on_off(airfoil_case(e.scale2d, e.steps2d), e, 12, Ablation::Simd);
-        on_ms.push(flow_host(&on) * 1e3);
-        off_ms.push(flow_host(&off) * 1e3);
-    }
-    on_ms.sort_by(f64::total_cmp);
-    off_ms.sort_by(f64::total_cmp);
-    let med = |v: &[f64]| v[v.len() / 2];
-    let speedup = med(&off_ms) / med(&on_ms);
-    println!(
-        "  airfoil solver-phase host clock: SIMD ON {:.1} ms / OFF {:.1} ms (medians of {repeats} interleaved runs, all ranks)",
-        med(&on_ms),
-        med(&off_ms),
-    );
-    if !avx2_supported() {
-        println!("  SIMD-GATE: DORMANT (no AVX2 on this host; both paths ran the scalar lanes)");
-    } else if speedup >= 1.5 {
-        println!("  SIMD-GATE: PASS (solver-phase host speedup {speedup:.2}x >= 1.5x)");
-    } else {
-        println!("  SIMD-GATE: FAIL (solver-phase host speedup {speedup:.2}x < 1.5x required on AVX2 hosts)");
-    }
 }
 
 /// Ablation: prescribed vs 6-DOF-computed store motion — the paper: "the

@@ -1,7 +1,7 @@
 //! The benchmark harness of the OVERFLOW-D reproduction: one entry point
 //! per table and figure of the paper's evaluation (Section 4) plus the
-//! design-choice ablations listed in DESIGN.md. The `repro` binary drives
-//! these from the command line.
+//! design-choice experiments (`ablate-*`, A1–A4) listed in DESIGN.md. The
+//! `repro` binary drives these from the command line.
 
 pub mod amr_experiments;
 pub mod analyze;

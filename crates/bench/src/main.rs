@@ -2,8 +2,7 @@
 //! run reports, and gate perf regressions.
 //!
 //! Usage:
-//!   `repro <experiment> [--quick] [--max-threads <N>] [--no-inverse-map]
-//!          [--no-arena] [--no-incremental-invmap] [--no-simd]
+//!   `repro <experiment> [--quick] [--max-threads <N>]
 //!          [--transport inproc|proc[:N]] [--trace <out.json>]
 //!          [--trace-stream <dir>] [--metrics] [--host-profile]
 //!          [--trace-filter <cats>] [--trace-sample <N>]`
@@ -19,11 +18,7 @@
 //!
 //! where experiment is one of `table1 fig5 table2 table3 fig7 table4 fig10
 //! table5 fig11 table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo
-//! ablate-grouping ablate-cache ablate-invmap ablate-arena ablate-simd all`.
-//!
-//! The `--no-*` flags each switch one run-time feature off; they are the
-//! flags of [`overflow_d::Ablation`], whose variants document what each
-//! feature is and what disabling it leaves bit-identical.
+//! ablate-grouping ablate-cache all`.
 //!
 //! `--max-threads N` caps the OS threads running an experiment's virtual
 //! ranks: the comm runtime multiplexes the ranks onto `N` workers (M:N
@@ -67,7 +62,6 @@
 //! matrix, imbalance advisor — see docs/OBSERVABILITY.md §Analysis) on an
 //! experiment's representative case or on a previously written trace file.
 
-use overflow_d::{Ablation, Ablations};
 use overset_bench::amr_experiments::{ablate_grouping, fig12};
 use overset_bench::analyze::{run_analyze, run_analyze_diff};
 use overset_bench::experiments::*;
@@ -128,7 +122,6 @@ struct Cli {
     trace_filter: Option<String>,
     trace_sample: u32,
     max_threads: Option<usize>,
-    ablations: Ablations,
     transport: Option<String>,
     host_profile: bool,
     inject_alloc: usize,
@@ -146,7 +139,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         trace_filter: None,
         trace_sample: 1,
         max_threads: None,
-        ablations: Ablations::default(),
         transport: None,
         host_profile: false,
         inject_alloc: 0,
@@ -207,10 +199,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 Some(n) if n >= 1 => cli.max_threads = Some(n),
                 _ => return Err("--max-threads requires an integer >= 1".to_string()),
             },
-            other if other.starts_with("--") => match Ablation::from_flag(other) {
-                Some(a) => cli.ablations.insert(a),
-                None => return Err(format!("unknown flag: {other}")),
-            },
+            other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
             other => cli.which = other.to_string(),
         }
     }
@@ -223,11 +212,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
 }
 
 /// The effort a command line asks for: quick or full size, plus every
-/// scheduler, feature, transport and test-hook flag.
+/// scheduler, transport and test-hook flag.
 fn effort_from(cli: &Cli) -> Effort {
     let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
     effort.max_threads = cli.max_threads;
-    effort.ablations = cli.ablations;
     effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
     effort.inject_alloc = cli.inject_alloc;
     effort
@@ -348,9 +336,6 @@ fn main() {
         "ablate-fo" => ablate_fo(effort),
         "ablate-grouping" => ablate_grouping(),
         "ablate-cache" => ablate_cache(effort),
-        "ablate-invmap" => ablate_invmap(effort),
-        "ablate-arena" => ablate_arena(effort),
-        "ablate-simd" => ablate_simd(effort),
         "all" => {
             let rows1 = table1(effort);
             print_perf_table("Table 1: 2D oscillating airfoil", &rows1);
@@ -370,16 +355,13 @@ fn main() {
             ablate_fo(effort);
             ablate_grouping();
             ablate_cache(effort);
-            ablate_invmap(effort);
-            ablate_arena(effort);
-            ablate_simd(effort);
         }
         other => {
             eprintln!("unknown experiment: {other}");
             eprintln!(
                 "choose from: table1 fig5 table2 table3 fig7 table4 fig10 table5 fig11 \
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
-                 ablate-cache ablate-invmap ablate-arena ablate-simd all\n\
+                 ablate-cache all\n\
                  or a subcommand: report <experiment> | bench-host <experiment> | \
                  compare <baseline.json> <new.json> | analyze <experiment>|<trace.json> | smoke"
             );
@@ -459,37 +441,14 @@ mod tests {
         assert!(parse_cli(&s(&["table1", "--trace-stream"])).is_err());
     }
 
-    /// The one table of feature flags: what `repro` accepts is what
-    /// [`Ablation`] lists, one distinct flag per CLI-exposed variant.
+    /// The retired feature flags (and a flag the restart switch never had)
+    /// are rejected like any other unknown flag.
     #[test]
-    fn every_ablation_flag_parses_to_exactly_its_variant() {
-        assert_eq!(parse_cli(&s(&["ablate-arena"])).unwrap().ablations, Ablations::default());
-        let mut flags: Vec<&str> = Vec::new();
-        let mut all = Ablations::default();
-        for &a in Ablation::ALL {
-            let Some(flag) = a.flag() else { continue };
-            assert!(!flags.contains(&flag), "{flag} names two ablations");
-            flags.push(flag);
-            let mut only = Ablations::default();
-            only.insert(a);
-            let c = parse_cli(&s(&["table1", flag, "--quick"])).unwrap();
-            assert_eq!(c.ablations, only, "{flag}");
-            assert!(c.quick && c.which == "table1");
-            all.insert(a);
+    fn retired_feature_flags_are_unknown() {
+        for flag in ["--no-inverse-map", "--no-arena", "--no-simd", "--no-restart"] {
+            let e = parse_cli(&s(&["table1", flag, "--quick"])).unwrap_err();
+            assert_eq!(e, format!("unknown flag: {flag}"));
         }
-        // The flags `repro` accepted before the enum existed, no more, no less.
-        flags.sort_unstable();
-        assert_eq!(
-            flags,
-            ["--no-arena", "--no-incremental-invmap", "--no-inverse-map", "--no-simd"]
-        );
-        let mut args = vec!["table1"];
-        args.extend(&flags);
-        assert_eq!(parse_cli(&s(&args)).unwrap().ablations, all);
-        // Restart has no flag: it is `repro ablate-restart`'s business.
-        assert!(!all.contains(Ablation::Restart));
-        let e = parse_cli(&s(&["table1", "--no-restart"])).unwrap_err();
-        assert_eq!(e, "unknown flag: --no-restart");
     }
 
     #[test]

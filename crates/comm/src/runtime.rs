@@ -56,7 +56,7 @@ use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// How a message's value travels: in-process messages hand the boxed value
@@ -171,6 +171,47 @@ impl Shared {
         }
     }
 
+    /// Park the calling rank until a waker may have changed what `guard`
+    /// protects; the caller has registered itself under the lock (`waiting`
+    /// set, or its rank pushed onto `waiters`) and re-checks its predicate
+    /// on return. M:N: release the lock and give the OS thread back to the
+    /// worker; a waker resumes this rank through the scheduler. 1:1: wait
+    /// on `cv`, and with the watchdog on call `stuck` on the re-acquired
+    /// state each time a period passes without a wake.
+    fn park<'a, T>(
+        &self,
+        m: &'a Mutex<T>,
+        cv: &Condvar,
+        guard: MutexGuard<'a, T>,
+        poisoned: &str,
+        stuck: impl FnOnce(&T),
+    ) -> MutexGuard<'a, T> {
+        if self.mn.is_some() {
+            drop(guard);
+            sched::mn_yield();
+            return m.lock().expect(poisoned);
+        }
+        match watchdog_period() {
+            None => cv.wait(guard).expect(poisoned),
+            Some(period) => {
+                let (g, to) = cv.wait_timeout(guard, period).expect(poisoned);
+                if to.timed_out() {
+                    stuck(&g);
+                }
+                g
+            }
+        }
+    }
+
+    /// Wake ranks parked by [`Shared::park`]: everything waiting on `cv`
+    /// (1:1), and each of `ranks` through the scheduler (M:N).
+    fn wake(&self, cv: &Condvar, ranks: impl IntoIterator<Item = usize>) {
+        cv.notify_all();
+        if let Some(mn) = &self.mn {
+            ranks.into_iter().for_each(|r| mn.wake(r));
+        }
+    }
+
     /// Record a rank-body panic and unblock every peer. First failure wins:
     /// later failures (typically peers panicking on `AbortedByPeer` inside
     /// `recv`/`allgather` wrappers) are dropped, since the wake-all has
@@ -201,34 +242,22 @@ impl Shared {
             }
         }
         self.aborted.store(true, Ordering::Release);
-        for mb in &self.mailboxes {
+        for (r, mb) in self.mailboxes.iter().enumerate() {
             let mut inner = mb.m.lock().expect("mailbox poisoned");
             inner.waiting = false;
-            mb.cv.notify_all();
+            // Every virtual rank is woken, wherever it is: parked ones
+            // re-check `aborted`, finished ones are skipped by their worker.
+            self.wake(&mb.cv, Some(r));
         }
         {
             let mut inner = self.coll.m.lock().expect("collective mutex poisoned");
             inner.waiters.clear();
-            self.coll.cv.notify_all();
+            self.wake(&self.coll.cv, None);
         }
         if let Some(link) = &self.proc {
             // Ranks parked on a process-backed collective round.
-            let mut inner = link.coll.lock().expect("proc collective poisoned");
-            let waiters = std::mem::take(&mut inner.waiters);
-            drop(inner);
-            link.collcv.notify_all();
-            if let Some(mn) = &self.mn {
-                for r in waiters {
-                    mn.wake(r);
-                }
-            }
-        }
-        if let Some(mn) = &self.mn {
-            // Wake every virtual rank; parked ones re-check `aborted`,
-            // finished ones are skipped by their worker.
-            for r in 0..self.size {
-                mn.wake(r);
-            }
+            link.coll.lock().expect("proc collective poisoned").waiters.clear();
+            self.wake(&link.collcv, None);
         }
     }
 
@@ -257,10 +286,7 @@ impl Shared {
             let mut inner = mb.m.lock().expect("mailbox poisoned");
             if inner.waiting {
                 inner.waiting = false;
-                mb.cv.notify_all();
-                if let Some(mn) = &self.mn {
-                    mn.wake(r);
-                }
+                self.wake(&mb.cv, Some(r));
             }
         }
     }
@@ -318,10 +344,7 @@ fn child_router(shared: &Shared, sock: &UnixStream) {
                 inner.queue.push_back(env);
                 if inner.waiting {
                     inner.waiting = false;
-                    mb.cv.notify_all();
-                    if let Some(mn) = &shared.mn {
-                        mn.wake(dst);
-                    }
+                    shared.wake(&mb.cv, Some(dst));
                 }
             }
             transport::Frame::CollResult { round, round_clock, poison, blobs } => {
@@ -338,12 +361,7 @@ fn child_router(shared: &Shared, sock: &UnixStream) {
                 );
                 let waiters = std::mem::take(&mut inner.waiters);
                 drop(inner);
-                link.collcv.notify_all();
-                if let Some(mn) = &shared.mn {
-                    for r in waiters {
-                        mn.wake(r);
-                    }
-                }
+                shared.wake(&link.collcv, waiters);
             }
             transport::Frame::Finish { rank } if rank < shared.size => {
                 shared.rank_finished_remote(rank);
@@ -365,9 +383,10 @@ struct CollInner {
     published: Option<Arc<dyn Any + Send + Sync>>,
     published_clock: f64,
     readers_left: usize,
-    /// M:N mode: virtual ranks parked in a collective wait, to be woken
-    /// when the round publishes or advances. Duplicates are harmless
-    /// (parked ranks re-check their predicate on every resume).
+    /// Ranks parked in a collective wait, to be woken when the round
+    /// publishes or advances (the M:N scheduler resumes exactly these).
+    /// Duplicates are harmless: parked ranks re-check their predicate on
+    /// every resume.
     waiters: Vec<usize>,
 }
 
@@ -737,10 +756,7 @@ impl Comm {
         inner.queue.push_back(env);
         if inner.waiting {
             inner.waiting = false;
-            mb.cv.notify_all();
-            if let Some(mn) = &self.shared.mn {
-                mn.wake(dst);
-            }
+            self.shared.wake(&mb.cv, Some(dst));
         }
     }
 
@@ -850,31 +866,17 @@ impl Comm {
             if shared.finished[src].load(Ordering::Acquire) {
                 return Err(OversetError::Disconnected { rank: self.rank, src, tag });
             }
+            // A deliverer (or abort/finish) wakes this rank.
             inner.waiting = true;
-            if shared.mn.is_some() {
-                // M:N: give the OS thread back to the worker; a deliverer
-                // (or abort/finish) wakes this rank through the scheduler.
-                drop(inner);
-                sched::mn_yield();
-                inner = mb.m.lock().expect("mailbox poisoned");
-            } else {
-                inner = match watchdog_period() {
-                    None => mb.cv.wait(inner).expect("mailbox poisoned"),
-                    Some(period) => {
-                        let (g, to) = mb.cv.wait_timeout(inner, period).expect("mailbox poisoned");
-                        if to.timed_out() {
-                            let buffered: Vec<(usize, u64)> =
-                                self.pending.iter().map(|e| (e.src, e.tag)).collect();
-                            eprintln!(
-                                "[overset-comm watchdog] rank {} stuck in recv(src={src}, tag={tag}); \
-                                 buffered={buffered:?}",
-                                self.rank
-                            );
-                        }
-                        g
-                    }
-                };
-            }
+            inner = shared.park(&mb.m, &mb.cv, inner, "mailbox poisoned", |_| {
+                let buffered: Vec<(usize, u64)> =
+                    self.pending.iter().map(|e| (e.src, e.tag)).collect();
+                eprintln!(
+                    "[overset-comm watchdog] rank {} stuck in recv(src={src}, tag={tag}); \
+                     buffered={buffered:?}",
+                    self.rank
+                );
+            });
         }
     }
 
@@ -961,28 +963,14 @@ impl Comm {
             if shared.aborted.load(Ordering::Acquire) {
                 return Err(self.abort_error());
             }
-            if shared.mn.is_some() {
-                inner.waiters.push(self.rank);
-                drop(inner);
-                sched::mn_yield();
-                inner = coll.m.lock().expect("collective mutex poisoned");
-            } else {
-                inner = match watchdog_period() {
-                    None => coll.cv.wait(inner).expect("collective mutex poisoned"),
-                    Some(period) => {
-                        let (g, to) =
-                            coll.cv.wait_timeout(inner, period).expect("collective mutex poisoned");
-                        if to.timed_out() {
-                            eprintln!(
-                                "[overset-comm watchdog] rank {} stuck opening collective round \
-                                 gen={gen} (current generation={}, arrived={}/{}, readers_left={})",
-                                self.rank, g.generation, g.arrived, self.size, g.readers_left
-                            );
-                        }
-                        g
-                    }
-                };
-            }
+            inner.waiters.push(self.rank);
+            inner = shared.park(&coll.m, &coll.cv, inner, "collective mutex poisoned", |g| {
+                eprintln!(
+                    "[overset-comm watchdog] rank {} stuck opening collective round \
+                     gen={gen} (current generation={}, arrived={}/{}, readers_left={})",
+                    self.rank, g.generation, g.arrived, self.size, g.readers_left
+                );
+            });
         }
         inner.slots[self.rank] = Some(Box::new(value));
         inner.arrived += 1;
@@ -1006,45 +994,23 @@ impl Comm {
             inner.readers_left = self.size;
             inner.arrived = 0;
             inner.max_clock = f64::NEG_INFINITY;
-            let waiters = std::mem::take(&mut inner.waiters);
-            coll.cv.notify_all();
-            if let Some(mn) = &shared.mn {
-                for r in waiters {
-                    mn.wake(r);
-                }
-            }
+            shared.wake(&coll.cv, inner.waiters.drain(..));
         } else {
             while inner.published.is_none() || inner.generation != gen {
                 if shared.aborted.load(Ordering::Acquire) {
                     return Err(self.abort_error());
                 }
-                if shared.mn.is_some() {
-                    inner.waiters.push(self.rank);
-                    drop(inner);
-                    sched::mn_yield();
-                    inner = coll.m.lock().expect("collective mutex poisoned");
-                } else {
-                    inner = match watchdog_period() {
-                        None => coll.cv.wait(inner).expect("collective mutex poisoned"),
-                        Some(period) => {
-                            let (g, to) = coll
-                                .cv
-                                .wait_timeout(inner, period)
-                                .expect("collective mutex poisoned");
-                            if to.timed_out() {
-                                eprintln!(
-                                    "[overset-comm watchdog] rank {} stuck in collective round \
-                                     gen={gen} (arrived={}/{}, published={})",
-                                    self.rank,
-                                    g.arrived,
-                                    self.size,
-                                    g.published.is_some()
-                                );
-                            }
-                            g
-                        }
-                    };
-                }
+                inner.waiters.push(self.rank);
+                inner = shared.park(&coll.m, &coll.cv, inner, "collective mutex poisoned", |g| {
+                    eprintln!(
+                        "[overset-comm watchdog] rank {} stuck in collective round \
+                         gen={gen} (arrived={}/{}, published={})",
+                        self.rank,
+                        g.arrived,
+                        self.size,
+                        g.published.is_some()
+                    );
+                });
             }
         }
         let arc = inner.published.clone().expect("published result");
@@ -1053,13 +1019,7 @@ impl Comm {
         if inner.readers_left == 0 {
             inner.published = None;
             inner.generation = gen + 1;
-            let waiters = std::mem::take(&mut inner.waiters);
-            coll.cv.notify_all();
-            if let Some(mn) = &shared.mn {
-                for r in waiters {
-                    mn.wake(r);
-                }
-            }
+            shared.wake(&coll.cv, inner.waiters.drain(..));
         }
         drop(inner);
         match arc.downcast::<Vec<T>>() {
@@ -1127,31 +1087,15 @@ impl Comm {
                 }
                 return decoded.map(|v| (Gathered(Some(v)), round_clock));
             }
-            if shared.mn.is_some() {
-                inner.waiters.push(self.rank);
-                drop(inner);
-                sched::mn_yield();
-                inner = link.coll.lock().expect("proc collective poisoned");
-            } else {
-                inner = match watchdog_period() {
-                    None => link.collcv.wait(inner).expect("proc collective poisoned"),
-                    Some(period) => {
-                        let (g, to) = link
-                            .collcv
-                            .wait_timeout(inner, period)
-                            .expect("proc collective poisoned");
-                        if to.timed_out() {
-                            eprintln!(
-                                "[overset-comm watchdog] rank {} stuck in process-backed \
-                                 collective round {round} (resolved rounds: {:?})",
-                                self.rank,
-                                g.rounds.keys().collect::<Vec<_>>()
-                            );
-                        }
-                        g
-                    }
-                };
-            }
+            inner.waiters.push(self.rank);
+            inner = shared.park(&link.coll, &link.collcv, inner, "proc collective poisoned", |g| {
+                eprintln!(
+                    "[overset-comm watchdog] rank {} stuck in process-backed \
+                     collective round {round} (resolved rounds: {:?})",
+                    self.rank,
+                    g.rounds.keys().collect::<Vec<_>>()
+                );
+            });
         }
     }
 

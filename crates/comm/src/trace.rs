@@ -366,7 +366,10 @@ pub struct RankTrace {
     pub events: Vec<TraceEvent>,
 }
 
-fn escape_json(s: &str, out: &mut String) {
+/// Append `s` to `out` escaped for a JSON string literal (quotes not
+/// included) — the one escaper behind the trace, report and analysis
+/// writers.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

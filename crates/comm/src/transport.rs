@@ -591,8 +591,8 @@ pub(crate) struct ProcLink {
 
 pub(crate) struct ProcCollInner {
     pub(crate) rounds: BTreeMap<u64, ProcRound>,
-    /// Ranks blocked on a round under the M:N scheduler; the reader thread
-    /// drains and wakes these when a result lands.
+    /// Ranks blocked on a round; the reader thread drains and wakes these
+    /// when a result lands.
     pub(crate) waiters: Vec<usize>,
 }
 

@@ -12,8 +12,9 @@
 //! The arena changes nothing about *what* the protocol computes: the same
 //! code path runs whether the arena is fresh (allocating on first use) or
 //! warm (reusing capacity), so states, walk outcomes and virtual times are
-//! bit-identical with the arena on or off — only host-side allocation
-//! counts differ. The `arena` ablation tests assert exactly this.
+//! bit-identical with a cold arena every step — only host-side allocation
+//! counts differ. `protocol::tests::map_and_arena_change_work_never_answers`
+//! asserts exactly this.
 
 use crate::donor::{BatchQuery, SearchCost, SearchOutcome};
 use crate::holes::Igbp;
@@ -33,11 +34,10 @@ use std::sync::Arc;
 #[derive(Default)]
 pub struct ConnArena {
     /// Lane ISA carrying the batched donor-search and containment kernels.
-    /// Defaults to [`Isa::Scalar`]; the connectivity contexts set it from
-    /// the case's [`crate::Ablations`]. Results are bit-identical either
-    /// way — the ISA only changes host speed. Lives on the arena (not a
-    /// process global) because tests run cases with different settings
-    /// concurrently in one process.
+    /// Defaults to [`Isa::Scalar`]; the connectivity contexts set it to
+    /// what the host supports. Results are bit-identical either way — the
+    /// ISA only changes host speed. Lives on the arena (not a process
+    /// global) so tests can run both ISAs side by side in one process.
     pub isa: Isa,
 
     // -- distributed protocol scratch --

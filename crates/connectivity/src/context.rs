@@ -10,7 +10,6 @@
 //! caller's [`Comm`] and emit the `conn.*` counters and `conn/*` spans; the
 //! driver only tells them when a grid moved or the partition changed.
 
-use crate::ablation::{Ablation, Ablations};
 use crate::arena::ConnArena;
 use crate::holes::cut_holes_and_find_fringe;
 use crate::inverse_map::{InverseMap, FLOPS_PER_INCR_UPDATE};
@@ -20,7 +19,7 @@ use overset_comm::metrics::names;
 use overset_comm::{Comm, MetricsRegistry, WorkClass};
 use overset_grid::curvilinear::Solid;
 use overset_grid::{Ijk, RigidTransform};
-use overset_solver::{Block, Isa};
+use overset_solver::{select_isa, Block};
 
 /// One block's inverse map and its lifecycle: built lazily, kept across
 /// steps, brought up to date only after the block moved, dropped when the
@@ -69,24 +68,18 @@ impl MapSlot {
 
     /// Bring the map up to date with `block`, count the update in
     /// `conn.invmap.{incr,build}` and return its flops (0 for a clean slot).
-    /// With `incremental`, the pending motion is first offered to
-    /// [`InverseMap::advance`], which refuses when the accumulated pose would
-    /// inflate the world routing box past its threshold; a full build
-    /// follows then, and whenever there is no map yet.
-    pub fn refresh(
-        &mut self,
-        block: &Block,
-        incremental: bool,
-        metrics: &mut MetricsRegistry,
-    ) -> u64 {
+    /// The pending motion is first offered to [`InverseMap::advance`], which
+    /// refuses when the accumulated pose would inflate the world routing box
+    /// past its threshold; a full build follows then, and whenever there is
+    /// no map yet.
+    pub fn refresh(&mut self, block: &Block, metrics: &mut MetricsRegistry) -> u64 {
         if !self.is_dirty() {
             return 0;
         }
-        let advanced = incremental
-            && match (self.map.as_mut(), self.pending.as_ref()) {
-                (Some(m), Some(t)) => m.advance(t),
-                _ => false,
-            };
+        let advanced = match (self.map.as_mut(), self.pending.as_ref()) {
+            (Some(m), Some(t)) => m.advance(t),
+            _ => false,
+        };
         self.pending = None;
         if advanced {
             metrics.inc(names::CONN_INVMAP_INCR);
@@ -101,25 +94,25 @@ impl MapSlot {
     }
 }
 
-/// A cold arena carrying the run's lane ISA.
-fn new_arena(isa: Isa) -> ConnArena {
-    ConnArena { isa, ..ConnArena::default() }
+/// A cold arena on the host's lane ISA.
+fn host_arena() -> ConnArena {
+    ConnArena { isa: select_isa(), ..ConnArena::default() }
 }
 
 /// One rank's connectivity state for a whole run.
 pub struct Connectivity {
-    off: Ablations,
+    restart: bool,
     arena: ConnArena,
     slot: MapSlot,
     cache: DonorCache,
 }
 
 impl Connectivity {
-    /// A cold context for a run that disables the features in `off` and
-    /// runs its batched kernels on `isa`.
-    pub fn new(off: Ablations, isa: Isa) -> Self {
+    /// A cold context. With `restart` (nth-level restart) the donor cache
+    /// survives between steps; without it every step searches from scratch.
+    pub fn new(restart: bool) -> Self {
         let (slot, cache) = Default::default();
-        Connectivity { off, arena: new_arena(isa), slot, cache }
+        Connectivity { restart, arena: host_arena(), slot, cache }
     }
 
     /// This rank's block moved by `t`.
@@ -145,26 +138,18 @@ impl Connectivity {
         topo: &Topology,
         comm: &mut Comm,
     ) -> ConnStats {
-        if self.off.contains(Ablation::Arena) {
-            self.arena = new_arena(self.arena.isa);
+        if self.slot.is_dirty() {
+            let t_map = comm.now();
+            let flops = self.slot.refresh(block, comm.metrics_mut());
+            comm.compute(flops as f64, WorkClass::Search);
+            comm.trace_complete("conn", "invmap_build", t_map, &[]);
         }
-        let inv = if self.off.contains(Ablation::InverseMap) {
-            None
-        } else {
-            if self.slot.is_dirty() {
-                let t_map = comm.now();
-                let incremental = !self.off.contains(Ablation::IncrementalInvmap);
-                let flops = self.slot.refresh(block, incremental, comm.metrics_mut());
-                comm.compute(flops as f64, WorkClass::Search);
-                comm.trace_complete("conn", "invmap_build", t_map, &[]);
-            }
-            self.slot.map()
-        };
+        let inv = self.slot.map();
         let t_cut = comm.now();
         let (igbps, hole_flops) = cut_holes_and_find_fringe(block, solids, inv, &mut self.arena);
         comm.compute(hole_flops as f64, WorkClass::Search);
         comm.trace_complete("conn", "hole_cut", t_cut, &[]);
-        if self.off.contains(Ablation::Restart) {
+        if !self.restart {
             self.cache.clear();
         }
         let stats =
@@ -177,17 +162,17 @@ impl Connectivity {
 /// The serial counterpart of [`Connectivity`]: every grid resident as one
 /// whole block, one map slot per grid.
 pub struct SerialConnectivity {
-    off: Ablations,
+    restart: bool,
     arena: ConnArena,
     slots: Vec<MapSlot>,
     cache: SerialCache,
 }
 
 impl SerialConnectivity {
-    /// A cold context for `ngrids` grids.
-    pub fn new(ngrids: usize, off: Ablations, isa: Isa) -> Self {
+    /// A cold context for `ngrids` grids; `restart` as for [`Connectivity`].
+    pub fn new(ngrids: usize, restart: bool) -> Self {
         let slots = (0..ngrids).map(|_| MapSlot::default()).collect();
-        SerialConnectivity { off, arena: new_arena(isa), slots, cache: SerialCache::new() }
+        SerialConnectivity { restart, arena: host_arena(), slots, cache: SerialCache::new() }
     }
 
     /// Grid `grid` moved by `t`.
@@ -205,31 +190,28 @@ impl SerialConnectivity {
         solids: &[(usize, Solid)],
         comm: &mut Comm,
     ) -> SerialConnStats {
-        if self.off.contains(Ablation::Arena) {
-            self.arena = new_arena(self.arena.isa);
-        }
-        if self.off.contains(Ablation::Restart) {
+        if !self.restart {
             self.cache.clear();
         }
-        let maps: &[MapSlot] = if self.off.contains(Ablation::InverseMap) {
-            &[]
-        } else {
-            let t_map = comm.now();
-            let incremental = !self.off.contains(Ablation::IncrementalInvmap);
-            let flops: u64 = self
-                .slots
-                .iter_mut()
-                .zip(blocks.iter())
-                .map(|(slot, block)| slot.refresh(block, incremental, comm.metrics_mut()))
-                .sum();
-            comm.compute(flops as f64, WorkClass::Search);
-            if flops > 0 {
-                comm.trace_complete("conn", "invmap_build", t_map, &[]);
-            }
-            &self.slots
-        };
-        let stats =
-            connect_serial(blocks, search_order, solids, &mut self.cache, maps, &mut self.arena);
+        let t_map = comm.now();
+        let flops: u64 = self
+            .slots
+            .iter_mut()
+            .zip(blocks.iter())
+            .map(|(slot, block)| slot.refresh(block, comm.metrics_mut()))
+            .sum();
+        comm.compute(flops as f64, WorkClass::Search);
+        if flops > 0 {
+            comm.trace_complete("conn", "invmap_build", t_map, &[]);
+        }
+        let stats = connect_serial(
+            blocks,
+            search_order,
+            solids,
+            &mut self.cache,
+            &self.slots,
+            &mut self.arena,
+        );
         comm.compute(stats.flops as f64, WorkClass::Search);
         let m = comm.metrics_mut();
         m.add(names::CONN_SERVICED, stats.igbps as u64);
@@ -269,7 +251,7 @@ mod tests {
     fn built_slot(block: &Block, m: &mut MetricsRegistry) -> MapSlot {
         let mut slot = MapSlot::default();
         assert!(slot.is_dirty() && slot.map().is_none());
-        let flops = slot.refresh(block, true, m);
+        let flops = slot.refresh(block, m);
         assert!(flops > 0 && flops == slot.map().unwrap().build_flops());
         assert_eq!(counts(m), (1, 0));
         slot
@@ -281,7 +263,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         let mut slot = built_slot(&b, &mut m);
         assert!(!slot.is_dirty());
-        assert_eq!(slot.refresh(&b, true, &mut m), 0);
+        assert_eq!(slot.refresh(&b, &mut m), 0);
         assert_eq!(counts(&m), (1, 0));
     }
 
@@ -295,7 +277,7 @@ mod tests {
         assert!(!tiny.is_identity());
         slot.note_motion(&tiny);
         assert!(!slot.is_dirty());
-        assert_eq!(slot.refresh(&b, true, &mut m), 0);
+        assert_eq!(slot.refresh(&b, &mut m), 0);
         assert_eq!(counts(&m), (1, 0));
         assert!(slot.map().unwrap().pose_is_identity());
     }
@@ -310,16 +292,10 @@ mod tests {
         slot.note_motion(&t1);
         slot.note_motion(&t2);
         assert!(slot.is_dirty());
-        assert_eq!(slot.refresh(&b, true, &mut m), FLOPS_PER_INCR_UPDATE);
+        assert_eq!(slot.refresh(&b, &mut m), FLOPS_PER_INCR_UPDATE);
         assert_eq!(counts(&m), (1, 1));
         assert_eq!(*slot.map().unwrap().pose(), t1.then(&t2));
         assert!(!slot.is_dirty());
-        // With the incremental update disabled the same motion rebuilds.
-        slot.note_motion(&t1);
-        let flops = slot.refresh(&b, false, &mut m);
-        assert_eq!(flops, slot.map().unwrap().build_flops());
-        assert_eq!(counts(&m), (2, 1));
-        assert!(slot.map().unwrap().pose_is_identity());
     }
 
     #[test]
@@ -335,7 +311,7 @@ mod tests {
             [0.0, 0.0, 1.0],
             f64::to_radians(10.0),
         ));
-        let flops = slot.refresh(&b, true, &mut m);
+        let flops = slot.refresh(&b, &mut m);
         assert_eq!(flops, slot.map().unwrap().build_flops());
         assert_ne!(flops, FLOPS_PER_INCR_UPDATE);
         assert_eq!(counts(&m), (2, 0));
@@ -352,7 +328,7 @@ mod tests {
         assert!(slot.map().is_none() && slot.is_dirty());
         // The pending motion went with the map: the next refresh builds at
         // the identity pose instead of advancing.
-        assert_eq!(slot.refresh(&b, true, &mut m), slot.map().unwrap().build_flops());
+        assert_eq!(slot.refresh(&b, &mut m), slot.map().unwrap().build_flops());
         assert_eq!(counts(&m), (2, 0));
         assert!(slot.map().unwrap().pose_is_identity());
     }

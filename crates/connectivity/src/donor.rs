@@ -234,8 +234,8 @@ fn walk_search_mode(
         // Failed or ambiguous: fall back to the canonical chain. The chain
         // is the same no matter where the first walk began, so the
         // *outcome* of a search never depends on its start — only its cost
-        // does. The inverse-map ablation guarantee (seeding changes work,
-        // not donors) rests on this.
+        // does. The inverse-map guarantee (seeding changes work, not
+        // donors) rests on this.
         _ => canonical_search(block, target, cost, relaxed, isa),
     }
 }
@@ -1038,7 +1038,7 @@ mod tests {
                     }
                 }
             }
-            for isa in [Isa::Scalar, select_isa(true)] {
+            for isa in [Isa::Scalar, select_isa()] {
                 for chunk in cases.chunks(W) {
                     let mut corners = [0.0f64; CORNERS * 3 * W];
                     let mut targets = [0.0f64; 3 * W];
@@ -1100,7 +1100,7 @@ mod tests {
             relaxed: false,
         });
         let (mut outs, mut costs) = (Vec::new(), Vec::new());
-        for isa in [Isa::Scalar, select_isa(true)] {
+        for isa in [Isa::Scalar, select_isa()] {
             walk_search_batch(&b, &queries, isa, &mut outs, &mut costs);
             assert_eq!(outs.len(), queries.len());
             for (q, (o, c)) in queries.iter().zip(outs.iter().zip(costs.iter())) {

@@ -32,8 +32,9 @@
 //! Every pruning decision is *conservative*: occupancy bins are marked from
 //! cell bounding boxes inflated past the walk's acceptance slack, and solid
 //! masks only claim Inside/Outside when convexity proves it, so connectivity
-//! results (donors, weights, blanking, orphans) are bit-identical with the
-//! acceleration on or off. The `Ablation::InverseMap` tests assert this.
+//! results (donors, weights, blanking, orphans) are bit-identical with or
+//! without a map; the map-vs-none tests of `serial` and `protocol` assert
+//! this.
 
 use crate::protocol::owned_bbox;
 use overset_grid::curvilinear::Solid;

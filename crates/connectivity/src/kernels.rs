@@ -10,8 +10,7 @@
 //! reductions, no FMA), so every lane's result is bit-identical to the
 //! scalar reference: donors, walk outcomes, blanking verdicts and the
 //! flop charges derived from them do not depend on the selected
-//! [`Isa`]. The `--no-simd` ablation and the batched-vs-scalar proptests
-//! pin this.
+//! [`Isa`]. The batched-vs-scalar tests and proptests pin this.
 //!
 //! Dispatch reuses the solver's exported [`overset_solver::lane_kernel!`]
 //! macro: one generic body, monomorphized to `[f64; 4]` scalar lanes or to
@@ -332,7 +331,7 @@ mod tests {
                     }
                     pads[l] = 0.3 * rng(&mut seed);
                 }
-                for isa in [Isa::Scalar, overset_solver::select_isa(true)] {
+                for isa in [Isa::Scalar, overset_solver::select_isa()] {
                     let (mut inb, mut ins) = ([false; W], [false; W]);
                     containment_lanes(isa, solid, &bb, &xs, &pads, &mut inb, &mut ins);
                     for l in 0..W {

@@ -23,10 +23,8 @@
 //!   the scalar code per lane,
 //! * [`context`] — the per-run contexts ([`Connectivity`] per rank,
 //!   [`SerialConnectivity`] for the single-address-space run) that own the
-//!   arena, the inverse-map lifecycle and the donor cache and run the step,
-//! * [`ablation`] — the one list of run-time features a case can disable.
+//!   arena, the inverse-map lifecycle and the donor cache and run the step.
 
-pub mod ablation;
 pub mod arena;
 pub mod context;
 pub mod donor;
@@ -37,7 +35,6 @@ pub mod kernels;
 pub mod protocol;
 pub mod serial;
 
-pub use ablation::{Ablation, Ablations};
 pub use arena::ConnArena;
 pub use context::{Connectivity, MapSlot, SerialConnectivity};
 pub use donor::{

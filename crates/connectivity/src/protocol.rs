@@ -690,7 +690,9 @@ fn clamp_to_local_cell(block: &Block, global_cell: Ijk) -> Ijk {
 mod tests {
     use super::*;
     use overset_comm::{MachineModel, Universe};
-    use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind};
+    use overset_grid::curvilinear::{
+        BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind, Solid,
+    };
     use overset_grid::field::Field3;
     use overset_grid::index::{Dims, IndexBox};
     use overset_solver::FlowConditions;
@@ -836,6 +838,96 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.result.to_bits(), y.result.to_bits());
         }
+    }
+
+    /// Four solutions on this rank of the fixture; before each, the inner
+    /// grid and the solid it carries (which cuts a hole in the outer grid)
+    /// take a small step. `map`: cut and search with this rank's inverse
+    /// map, refreshed per cut, or with `None`. `warm`: one arena for all
+    /// cuts, or a fresh one per cut. Returns the per-cut stats, the answers
+    /// (per-cut census, then blanking, state bits and sorted donor-cache
+    /// entries after the last cut) and the final virtual clock.
+    fn moved_cuts(comm: &mut Comm, map: bool, warm: bool) -> (Vec<ConnStats>, Vec<u64>, f64) {
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let mut block = build_block(comm.rank(), &fc);
+        paint_linear(&mut block);
+        let step = RigidTransform::translation([0.03, 0.02, 0.0]);
+        let mut solids =
+            vec![(0usize, Solid::Ellipsoid { center: [2.0, 2.0, 0.0], radii: [0.4, 0.4, 10.0] })];
+        let mut slot = crate::MapSlot::default();
+        let mut cache = DonorCache::new();
+        let mut arena = ConnArena::new();
+        let (mut stats, mut answers) = (Vec::new(), Vec::new());
+        for _ in 0..4 {
+            solids[0].1 = solids[0].1.transformed(&step);
+            if comm.rank() == 0 {
+                block.apply_motion(&step, 0.1);
+                slot.note_motion(&step);
+            }
+            if !warm {
+                arena = ConnArena::new();
+            }
+            let inv = if map {
+                slot.refresh(&block, comm.metrics_mut());
+                slot.map()
+            } else {
+                None
+            };
+            let (igbps, _) =
+                crate::holes::cut_holes_and_find_fringe(&mut block, &solids, inv, &mut arena);
+            let topo = topo();
+            let s =
+                connect_distributed(&mut block, &igbps, &topo, &mut cache, comm, inv, &mut arena);
+            arena.recycle_igbps(igbps);
+            answers.extend([s.igbps, s.resolved, s.orphans].map(|n| n as u64));
+            stats.push(s);
+        }
+        answers.extend(block.iblank.as_slice().iter().map(|&b| b as u64));
+        answers.extend(block.q.as_slice().iter().map(|v| v.to_bits()));
+        let mut donors: Vec<_> = cache
+            .map
+            .iter()
+            .map(|(n, &(r, g, c, relaxed))| [n.i, n.j, n.k, r, g, c.i, c.j, c.k, relaxed as usize])
+            .collect();
+        donors.sort_unstable();
+        answers.extend(donors.iter().flatten().map(|&n| n as u64));
+        (stats, answers, comm.now())
+    }
+
+    /// The off-paths the driver no longer takes — `inv = None`, a cold
+    /// arena per step — against its own (map, one warm arena): identical
+    /// censuses, blanking, fringe values and donor caches on every rank; the
+    /// arena moves no virtual clock and no counter; the map only cuts walk
+    /// work.
+    #[test]
+    fn map_and_arena_change_work_never_answers() {
+        let run = |map: bool, warm: bool| {
+            Universe::builder()
+                .ranks(3)
+                .machine(&MachineModel::ibm_sp2())
+                .run(move |comm| moved_cuts(comm, map, warm))
+        };
+        let legs = [run(false, false), run(false, true), run(true, false), run(true, true)];
+        for (rank, reference) in legs[0].iter().enumerate() {
+            let of = |leg: usize| &legs[leg][rank].result;
+            // The hole fringe on the outer ranks and the inner grid's outer
+            // boundary all found donors.
+            let cuts = &reference.result.0;
+            assert!(cuts.iter().all(|s| s.igbps > 0 && s.orphans == 0), "rank {rank}: {cuts:?}");
+            for leg in 1..4 {
+                assert!(of(0).1 == of(leg).1, "rank {rank} leg {leg}: answers diverged");
+            }
+            // Cold vs warm arena at fixed `inv`: the same protocol to the bit.
+            for (cold, warm) in [(0, 1), (2, 3)] {
+                let (c, w) = (of(cold), of(warm));
+                assert_eq!(c.2.to_bits(), w.2.to_bits(), "rank {rank}: clock, legs {cold}/{warm}");
+                assert_eq!(c.0.to_wire_bytes(), w.0.to_wire_bytes(), "rank {rank}: stats");
+            }
+        }
+        let walks = |leg: usize| -> u64 {
+            legs[leg].iter().flat_map(|o| &o.result.0).map(|s| s.walk_steps).sum()
+        };
+        assert!(walks(3) < walks(0), "map did not cut walk steps: {} vs {}", walks(3), walks(0));
     }
 
     #[test]

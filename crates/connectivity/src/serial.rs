@@ -182,9 +182,12 @@ pub fn connect_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overset_comm::metrics::names;
+    use overset_comm::MetricsRegistry;
     use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind};
     use overset_grid::field::Field3;
     use overset_grid::index::Dims;
+    use overset_grid::RigidTransform;
     use overset_solver::FlowConditions;
 
     /// Two overlapping 2-D Cartesian grids: a fine inner grid with overset
@@ -311,7 +314,7 @@ mod tests {
             .iter()
             .map(|blk| {
                 let mut slot = MapSlot::default();
-                slot.refresh(blk, true, &mut overset_comm::MetricsRegistry::new());
+                slot.refresh(blk, &mut overset_comm::MetricsRegistry::new());
                 slot
             })
             .collect();
@@ -324,6 +327,152 @@ mod tests {
             "seeded {} vs cold {} walk steps",
             sb.walk_steps,
             sa.walk_steps
+        );
+    }
+
+    /// One leg of the paper-system comparison, with its own copy of the run
+    /// state. Leg 0 is the map-less reference on a fresh arena per step; legs
+    /// 1 and 2 refresh one `MapSlot` per grid and keep their arena, leg 2
+    /// invalidating every dirty slot first so each motion costs a full build
+    /// (what the production refresh does only past its growth threshold).
+    struct Leg {
+        blocks: Vec<Block>,
+        slots: Vec<MapSlot>,
+        cache: SerialCache,
+        arena: ConnArena,
+        metrics: MetricsRegistry,
+    }
+
+    fn bits(b: &Block) -> impl Iterator<Item = u64> + '_ {
+        b.q.as_slice().iter().map(|v| v.to_bits())
+    }
+
+    /// Five connectivity solutions of a paper system whose `movers` take one
+    /// small rigid step before each (the driver's motion → connectivity
+    /// order), on all three legs in lockstep.
+    fn paper_system_legs_agree(
+        name: &str,
+        grids: &[CurvilinearGrid],
+        order: &[Vec<usize>],
+        movers: &[usize],
+        step: &RigidTransform,
+    ) {
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+        let part = overset_balance::Partition::build(&dims, &vec![1; grids.len()]);
+        let mut legs: Vec<Leg> = (0..3)
+            .map(|_| Leg {
+                blocks: (0..grids.len())
+                    .map(|g| {
+                        let nbrs = part.neighbors_of(g, grids[g].periodic_i);
+                        let mut b = Block::from_grid(g, &grids[g], dims[g].full_box(), nbrs, &fc);
+                        // A position-dependent state, so a different donor or
+                        // weight shows up in the interpolated fringe values.
+                        for p in b.local_dims.iter() {
+                            let [x, y, z] = b.coords[p];
+                            b.q.set_node(p, [1.0 + 0.1 * x, 0.2 * y, 0.3 * z, x * y, 2.0 + z]);
+                        }
+                        b
+                    })
+                    .collect(),
+                slots: grids.iter().map(|_| MapSlot::default()).collect(),
+                cache: SerialCache::new(),
+                arena: ConnArena::new(),
+                metrics: MetricsRegistry::new(),
+            })
+            .collect();
+        let mut solids: Vec<(usize, Solid)> = grids
+            .iter()
+            .enumerate()
+            .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
+            .collect();
+        for n in 0..5 {
+            for (g, s) in solids.iter_mut() {
+                if movers.contains(g) {
+                    *s = s.transformed(step);
+                }
+            }
+            let mut stats = Vec::new();
+            for (l, leg) in legs.iter_mut().enumerate() {
+                for &g in movers {
+                    leg.blocks[g].apply_motion(step, 0.01);
+                    leg.slots[g].note_motion(step);
+                }
+                let maps: &[MapSlot] = if l == 0 {
+                    leg.arena = ConnArena::new();
+                    &[]
+                } else {
+                    for (slot, b) in leg.slots.iter_mut().zip(&leg.blocks) {
+                        if l == 2 && slot.is_dirty() {
+                            slot.invalidate();
+                        }
+                        slot.refresh(b, &mut leg.metrics);
+                    }
+                    &leg.slots
+                };
+                let Leg { blocks, cache, arena, .. } = leg;
+                stats.push(connect_serial(blocks, order, &solids, cache, maps, arena));
+            }
+            let (plain, a) = (&legs[0], &stats[0]);
+            assert!(a.igbps > 0 && a.resolved > 0, "{name} step {n}: {a:?}");
+            for l in 1..3 {
+                let what = format!("{name} step {n} leg {l}");
+                let b = &stats[l];
+                assert_eq!(
+                    (a.igbps, a.resolved, a.orphans, a.warm_attempts, a.warm_hits),
+                    (b.igbps, b.resolved, b.orphans, b.warm_attempts, b.warm_hits),
+                    "{what}: census"
+                );
+                for (pb, lb) in plain.blocks.iter().zip(&legs[l].blocks) {
+                    assert!(pb.iblank.as_slice() == lb.iblank.as_slice(), "{what}: iblank");
+                    assert!(bits(pb).eq(bits(lb)), "{what}: fringe values");
+                }
+                assert!(plain.cache.map == legs[l].cache.map, "{what}: donor cache");
+                // Map seeds shorten the cold step's searches. (A warm step
+                // only searches the hierarchy after a failed warm start, and
+                // a seed does not shorten that miss chain: on the store
+                // system warm steps come out ~5 % longer with maps.)
+                if n == 0 {
+                    assert!(b.walk_steps < a.walk_steps, "{what}: {b:?} vs {a:?}");
+                }
+            }
+        }
+        // One build per grid on the cold step, then one pose advance per
+        // mover per moved step — or, rebuilding, that many more builds
+        // (store: 16 + 40 against 56, as EXPERIMENTS.md records).
+        let counts = |l: usize| {
+            let m = &legs[l].metrics;
+            (m.counter(names::CONN_INVMAP_BUILDS), m.counter(names::CONN_INVMAP_INCR))
+        };
+        let (ng, moved) = (grids.len() as u64, 4 * movers.len() as u64);
+        assert_eq!(counts(1), (ng, moved), "{name}: incremental");
+        assert_eq!(counts(2), (ng + moved, 0), "{name}: full rebuilds");
+    }
+
+    /// The two off-paths the drivers no longer take — no inverse maps with a
+    /// cold arena every step, and a full map rebuild per motion — give the
+    /// answers of the production path (maps advanced incrementally, one
+    /// arena) bit for bit on the paper's store and airfoil systems.
+    #[test]
+    fn paper_systems_agree_without_maps_and_with_full_rebuilds() {
+        use overset_grid::gen::{airfoil, store};
+        let drop = RigidTransform::translation([0.0, 0.0, -0.004])
+            .then(&RigidTransform::rotation_about(store::STORE_CARRIAGE, [0.0, 1.0, 0.0], 1e-3));
+        paper_system_legs_agree(
+            "store",
+            &store::store_system(0.3),
+            &store::store_search_order(),
+            &store::STORE_GRID_IDS,
+            &drop,
+        );
+        let pitch =
+            RigidTransform::rotation_about([0.25, 0.0, 0.0], [0.0, 0.0, 1.0], f64::to_radians(0.1));
+        paper_system_legs_agree(
+            "airfoil",
+            &airfoil::airfoil_system(0.5),
+            &airfoil::airfoil_search_order(),
+            &[0],
+            &pitch,
         );
     }
 

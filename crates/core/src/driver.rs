@@ -17,7 +17,7 @@ use overset_comm::{
     WireReader, WorkClass, NUM_PHASES,
 };
 use overset_connectivity::{
-    cut_holes_and_find_fringe, Ablation, Ablations, ConnArena, Connectivity, SerialConnectivity,
+    cut_holes_and_find_fringe, ConnArena, Connectivity, SerialConnectivity,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::transform::RigidTransform;
@@ -25,7 +25,7 @@ use overset_grid::{Dims, Ijk};
 use overset_motion::{BodyMotion, Loads};
 use overset_solver::bc::apply_bcs;
 use overset_solver::{
-    step_block, Blank, Block, FlowConditions, Isa, Scratch, SerialComm, SolverComm, WallGeometry,
+    step_block, Blank, Block, FlowConditions, Scratch, SerialComm, SolverComm, WallGeometry,
 };
 
 /// Load-balance configuration: the user-specified factor `f_o` and how often
@@ -63,11 +63,11 @@ pub struct CaseConfig {
     /// Collect the full final state into [`RunResult::states`] (debugging /
     /// validation; off by default).
     pub collect_state: bool,
-    /// Run-time features this case switches off (none by default): the
-    /// restart donor cache, inverse maps, the persistent arena, incremental
-    /// inverse-map updates, SIMD lanes. Each is a one-code-path ablation;
-    /// [`Ablation`] documents what each leaves bit-identical.
-    pub ablations: Ablations,
+    /// The nth-level-restart donor cache (Barszcz): each fringe point's
+    /// search starts at last step's donor. On by default; off, every step
+    /// searches from scratch (`repro ablate-restart`): more walk steps,
+    /// more time.
+    pub restart: bool,
     /// Event tracing (virtual-time spans collected into
     /// [`RunResult::trace`]). Disabled by default; zero-cost when off.
     pub trace: TraceConfig,
@@ -97,8 +97,7 @@ impl CaseConfig {
 
     /// Start building a case from its required geometry and flow inputs;
     /// every runtime toggle (tracing, thread bound, transport backend, load
-    /// balancing) has a default and a setter; feature ablations start empty
-    /// and are switched on [`CaseConfig::ablations`] directly.
+    /// balancing) has a default and a setter.
     pub fn builder(
         name: impl Into<String>,
         grids: Vec<CurvilinearGrid>,
@@ -115,7 +114,7 @@ impl CaseConfig {
                 steps: 1,
                 lb: LbConfig::static_only(),
                 collect_state: false,
-                ablations: Ablations::default(),
+                restart: true,
                 trace: TraceConfig::disabled(),
                 max_threads: None,
                 transport: TransportConfig::InProcess,
@@ -446,13 +445,6 @@ fn move_solids(solids: &mut [(usize, Solid)], grid: usize, t: &RigidTransform) {
     }
 }
 
-/// A block's flow workspace, on the run's lane ISA.
-fn flow_scratch(block: &Block, isa: Isa) -> Scratch {
-    let mut scratch = Scratch::for_block(block);
-    scratch.sweep.isa = isa;
-    scratch
-}
-
 /// Add the aerodynamic loads on `block`'s wall patches, taken about `refp`,
 /// to `acc`. Returns the flops spent.
 fn add_wall_loads(block: &Block, refp: [f64; 3], fc: &FlowConditions, acc: &mut Loads) -> u64 {
@@ -538,19 +530,16 @@ fn run_rank(
     let mut solids = tagged_solids(&cfg.grids);
 
     // Connectivity state for the whole run: arena, inverse map, donor cache.
-    let isa = cfg.ablations.isa();
-    let mut conn = Connectivity::new(cfg.ablations, isa);
+    let mut conn = Connectivity::new(cfg.restart);
     // Inputs were validated by `run_case` before the threads spawned: a
     // failure here is an internal invariant violation, not bad input.
     let (mut block, mut wall) = build_block(me, &partition, &cfg.grids, &cumulative, &fc)
         .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-    let mut scratch = flow_scratch(&block, isa);
+    let mut scratch = Scratch::for_block(&block);
     let mut topo =
         build_topology(&partition, &cfg.search_order).unwrap_or_else(|e| panic!("rank {me}: {e}"));
     // Recycled halo-exchange and line-solve buffers, same lifecycle as the
-    // connectivity arena: kept for the whole run unless the arena ablation
-    // replaces them each step (same code path, cold buffers — only
-    // allocation counts change, never results or virtual times).
+    // connectivity arena: kept for the whole run.
     let mut halo_pool: VecPool<f64> = VecPool::new();
     let mut line_pool: VecPool<f64> = VecPool::new();
 
@@ -627,10 +616,6 @@ fn run_rank(
         {
             let mut ph = comm.phase(Phase::Connectivity);
             let t0 = ph.now();
-            if cfg.ablations.contains(Ablation::Arena) {
-                halo_pool = VecPool::new();
-                line_pool = VecPool::new();
-            }
             {
                 let mut mp = MpSolverComm {
                     comm: &mut ph,
@@ -680,7 +665,7 @@ fn run_rank(
                 redistribute_state(&block, &mut new_block, &partition, &new_partition, &mut ph);
                 block = new_block;
                 wall = new_wall;
-                scratch = flow_scratch(&block, isa);
+                scratch = Scratch::for_block(&block);
                 partition = new_partition;
                 topo = build_topology(&partition, &cfg.search_order)
                     .unwrap_or_else(|e| panic!("rank {me}: {e}"));
@@ -740,6 +725,8 @@ fn run_rank(
 
 /// Run a case serially (one processor holding every grid) — the Cray Y-MP
 /// baseline of Table 6 and the reference for parallel-equivalence tests.
+/// Fails like [`run_case`]: configuration errors up front, a panic in the
+/// body as [`OversetError::RankPanicked`].
 pub fn run_case_serial(
     cfg: &CaseConfig,
     machine: &MachineModel,
@@ -750,12 +737,12 @@ pub fn run_case_serial(
     // Same up-front hierarchy validation as the parallel path.
     build_topology(&single, &cfg.search_order)?;
 
-    let outputs = Universe::builder().machine(machine).trace(cfg.trace.clone()).run(|comm| {
+    let universe = Universe::builder().machine(machine).trace(cfg.trace.clone());
+    let outputs = universe.try_run(|comm| {
         let fc = cfg.fc;
         let mut motions = cfg.motions.clone();
         let mut solids = tagged_solids(&cfg.grids);
-        let isa = cfg.ablations.isa();
-        let mut conn = SerialConnectivity::new(ngrids, cfg.ablations, isa);
+        let mut conn = SerialConnectivity::new(ngrids, cfg.restart);
         let mut blocks: Vec<Block> = Vec::with_capacity(ngrids);
         let mut walls = Vec::with_capacity(ngrids);
         let mut scratches = Vec::with_capacity(ngrids);
@@ -765,7 +752,7 @@ pub fn run_case_serial(
             // rank mapping; serial holds all of them).
             let (b, w) = build_block(single.start[g], &single, &cfg.grids, &cum, &fc)
                 .unwrap_or_else(|e| panic!("{e}"));
-            scratches.push(flow_scratch(&b, isa));
+            scratches.push(Scratch::for_block(&b));
             blocks.push(b);
             walls.push(w);
         }
@@ -847,6 +834,6 @@ pub fn run_case_serial(
             repartitions: 0,
             np_final: vec![1; ngrids],
         }
-    });
+    })?;
     Ok(assemble(cfg, &outputs))
 }

@@ -29,4 +29,3 @@ pub mod setup;
 
 pub use cases::{airfoil_case, delta_wing_case, store_case, store_case_sixdof};
 pub use driver::{run_case, run_case_serial, CaseConfig, LbConfig, RunResult};
-pub use overset_connectivity::{Ablation, Ablations};

@@ -1,9 +1,7 @@
 //! End-to-end integration tests spanning the whole stack: grids, balancer,
 //! solver, connectivity, motion, driver.
 
-use overflow_d::{
-    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, Ablation, LbConfig,
-};
+use overflow_d::{airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, LbConfig};
 use overset_comm::MachineModel;
 
 fn modern() -> MachineModel {
@@ -52,7 +50,7 @@ fn serial_restart_off_searches_from_scratch_every_step() {
     use overset_comm::metrics::names;
     let on = run_case_serial(&airfoil_case(0.3, 4), &modern()).unwrap();
     let mut cfg = airfoil_case(0.3, 4);
-    cfg.ablations.insert(Ablation::Restart);
+    cfg.restart = false;
     let off = run_case_serial(&cfg, &modern()).unwrap();
     let warm_starts = |r: &overflow_d::RunResult| {
         r.metrics.counter(names::CONN_CACHE_HIT) + r.metrics.counter(names::CONN_CACHE_MISS)
@@ -63,6 +61,21 @@ fn serial_restart_off_searches_from_scratch_every_step() {
         (on.metrics.counter(names::CONN_WALK_STEPS), off.metrics.counter(names::CONN_WALK_STEPS));
     assert!(w_off > w_on, "cold searches every step must walk more: {w_off} vs {w_on}");
     assert_eq!(off.orphans_last, on.orphans_last);
+}
+
+#[test]
+fn a_motion_naming_a_missing_grid_is_an_error_from_both_drivers() {
+    use overset_comm::OversetError;
+    let mut cfg = airfoil_case(0.3, 2);
+    cfg.motions[0].grids = vec![cfg.grids.len()];
+    for (driver, r) in
+        [("serial", run_case_serial(&cfg, &modern())), ("parallel", run_case(&cfg, 3, &modern()))]
+    {
+        match r {
+            Err(OversetError::RankPanicked { phase: "motion", .. }) => {}
+            other => panic!("{driver}: expected RankPanicked in motion, got {other:?}"),
+        }
+    }
 }
 
 #[test]

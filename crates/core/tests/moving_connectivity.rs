@@ -1,8 +1,9 @@
 //! Connectivity behaviour under sustained motion: holes migrate, fringe
 //! sets track the bodies, and the donor cache keeps the warm path warm.
 
-use overflow_d::{airfoil_case, run_case, store_case, Ablation};
-use overset_comm::MachineModel;
+use overflow_d::{airfoil_case, run_case, store_case};
+use overset_comm::{metrics::names, MachineModel};
+use overset_motion::{BodyMotion, Prescribed};
 
 fn modern() -> MachineModel {
     MachineModel::modern()
@@ -34,18 +35,6 @@ fn warm_connectivity_stays_cheap_through_motion() {
     let cold = conn(&one);
     let warm_avg = (conn(&many) - cold) / 29.0;
     assert!(warm_avg < 0.8 * cold, "warm connectivity not cheap: {warm_avg} vs cold {cold}");
-
-    // The flip side: disabling the map reverts cold searches to
-    // center-start walks, which must cost measurably more than seeded ones.
-    let mut unseeded_cfg = airfoil_case(0.3, 1);
-    unseeded_cfg.ablations.insert(Ablation::InverseMap);
-    let unseeded = run_case(&unseeded_cfg, 6, &MachineModel::ibm_sp2()).unwrap();
-    assert!(
-        cold < conn(&unseeded),
-        "map-seeded cold step {} not cheaper than center-start {}",
-        cold,
-        conn(&unseeded)
-    );
 }
 
 #[test]
@@ -85,6 +74,46 @@ fn dynamic_scheme_reduces_measured_service_imbalance() {
             "dynamic did not tame imbalance: {} vs static {}",
             d.f_max(),
             s.f_max()
+        );
+    }
+}
+
+/// A step whose rigid transform is the identity, or moves the grid by less
+/// than epsilon·diagonal, must not mark the grid moved: no inverse-map
+/// rebuild, no pose advance, walk outcomes identical to no motion at all.
+#[test]
+fn negligible_motion_never_marks_grids_moved() {
+    let run = |motion: Option<Prescribed>| {
+        let mut cfg = airfoil_case(0.3, 6);
+        cfg.motions = motion.map(|p| BodyMotion::prescribed(vec![0], p)).into_iter().collect();
+        run_case(&cfg, 6, &modern()).unwrap()
+    };
+    let none = run(None);
+    // Zero-amplitude pitch: every step's transform is the exact identity.
+    let zero = run(Some(Prescribed::PitchOscillation {
+        alpha0: 0.0,
+        omega: std::f64::consts::FRAC_PI_2,
+        pivot: [0.25, 0.0, 0.0],
+        axis: [0.0, 0.0, 1.0],
+        time: 0.0,
+    }));
+    // Displaces every node by ~1e-21 of the domain per step: real motion,
+    // far under the negligibility threshold.
+    let tiny = run(Some(Prescribed::ConstantVelocity { velocity: [0.0, 0.0, 1.0e-18], time: 0.0 }));
+    assert_eq!(zero.state_rms.to_bits(), none.state_rms.to_bits(), "identity motion moved state");
+    // One build per rank on the cold first step and never again, nothing
+    // ever advances a pose, and the walks are those of the static run.
+    let walks = none.metrics.counter(names::CONN_WALK_STEPS);
+    for (what, r) in [("no", &none), ("identity", &zero), ("below-epsilon", &tiny)] {
+        let m = &r.metrics;
+        assert_eq!(
+            (
+                m.counter(names::CONN_INVMAP_BUILDS),
+                m.counter(names::CONN_INVMAP_INCR),
+                m.counter(names::CONN_WALK_STEPS)
+            ),
+            (6, 0, walks),
+            "{what} motion: map builds, pose advances, walk steps"
         );
     }
 }

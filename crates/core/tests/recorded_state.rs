@@ -1,0 +1,118 @@
+//! Recorded values the driver must keep reproducing: final state, every
+//! virtual clock and the fringe / orphan census of two runs, equal to the
+//! bits recorded before the flow phase's data path changed (residual as
+//! node pass + face assembly, sweeps in storage order) — on rank threads,
+//! under the M:N scheduler and across the process transport — and the
+//! steady-state allocation floor the per-rank arena and pools hold.
+
+use overflow_d::{airfoil_case, run_case, store_case, RunResult};
+use overset_comm::{MachineModel, Phase, TransportConfig};
+
+/// Final state and virtual clocks of one run, as IEEE bit patterns.
+struct Recorded {
+    state_rms: u64,
+    wall_time: u64,
+    /// Flow, connectivity, motion (balance and other are zero).
+    phase_elapsed: [u64; 3],
+    orphans_last: usize,
+    igbps_last: usize,
+}
+
+/// `airfoil_case(0.3, 8)` on 6 ranks of `MachineModel::modern()`, recorded
+/// at the commit before the flow-phase data path changed.
+const AIRFOIL_6: Recorded = Recorded {
+    state_rms: 0x400339a7d5334b83,
+    wall_time: 0x3f6db9f324663b3e,
+    phase_elapsed: [0x3f68893c827a86e0, 0x3f4231b56f30a742, 0x3f12f58a29019ac8],
+    orphans_last: 0,
+    igbps_last: 192,
+};
+
+/// `store_case(0.3, 3)` on 18 ranks of `MachineModel::modern()`, likewise.
+const STORE_18: Recorded = Recorded {
+    state_rms: 0x400bc3623698b3d2,
+    wall_time: 0x3fae0535003afb40,
+    phase_elapsed: [0x3f72573f818ccdde, 0x3fabad212e27cb00, 0x3f17b3d81eb750e0],
+    orphans_last: 0,
+    igbps_last: 7394,
+};
+
+fn assert_matches_recorded(r: &RunResult, want: &Recorded, what: &str) {
+    assert_eq!(r.state_rms.to_bits(), want.state_rms, "{what}: state {}", r.state_rms);
+    assert_eq!(r.wall_time.to_bits(), want.wall_time, "{what}: virtual time {}", r.wall_time);
+    for (p, (got, want)) in r.phase_elapsed.iter().zip(want.phase_elapsed).enumerate() {
+        assert_eq!(got.to_bits(), want, "{what}: phase {p} time {got}");
+    }
+    assert!(r.phase_elapsed[3..].iter().all(|&t| t == 0.0), "{what}: balance/other time");
+    assert_eq!(r.orphans_last, want.orphans_last, "{what}: orphan census");
+    assert_eq!(r.igbps_last, want.igbps_last, "{what}: fringe census");
+}
+
+/// Allocation count of `phase` on the final (steady-state) step, summed
+/// over ranks. Deterministic for a fixed configuration.
+fn last_step_allocs(r: &RunResult, phase: Phase) -> u64 {
+    r.alloc_records.iter().filter_map(|recs| recs.last()).map(|a| a.allocs[phase as usize]).sum()
+}
+
+/// Run `cfg` on rank threads, under the M:N scheduler and across the
+/// process transport against the recorded values.
+fn assert_all_modes_match_recorded(
+    mut cfg: overflow_d::CaseConfig,
+    nranks: usize,
+    want: &Recorded,
+    test_name: &str,
+) {
+    let machine = MachineModel::modern();
+    // The process transport goes first: its children replay this test from
+    // the top, so anything before it would be run once more per child.
+    cfg.transport = TransportConfig::process_for_test(2, test_name);
+    let r = run_case(&cfg, nranks, &machine).unwrap();
+    assert_matches_recorded(&r, want, &format!("{test_name} proc"));
+    cfg.transport = TransportConfig::InProcess;
+    let threads = run_case(&cfg, nranks, &machine).unwrap();
+    assert_matches_recorded(&threads, want, &format!("{test_name} threads"));
+    cfg.max_threads = Some(2);
+    let mn = run_case(&cfg, nranks, &machine).unwrap();
+    assert_matches_recorded(&mn, want, &format!("{test_name} m:n"));
+    // Arenas and pools belong to ranks, not threads: what a rank allocates
+    // must not depend on which worker polls it.
+    for phase in [Phase::Flow, Phase::Connectivity] {
+        assert_eq!(
+            last_step_allocs(&threads, phase),
+            last_step_allocs(&mn, phase),
+            "{test_name}: {phase:?} alloc counters depend on the scheduler"
+        );
+    }
+}
+
+#[test]
+fn airfoil_6_ranks_matches_recorded_state_and_clocks() {
+    assert_all_modes_match_recorded(
+        airfoil_case(0.3, 8),
+        6,
+        &AIRFOIL_6,
+        "airfoil_6_ranks_matches_recorded_state_and_clocks",
+    );
+}
+
+#[test]
+fn store_18_ranks_matches_recorded_state_and_clocks() {
+    assert_all_modes_match_recorded(
+        store_case(0.3, 3),
+        18,
+        &STORE_18,
+        "store_18_ranks_matches_recorded_state_and_clocks",
+    );
+}
+
+/// The quick airfoil case on 12 SP2 nodes (`repro table1 --quick`'s 12-node
+/// row): once the arena and the halo / line-solve pools are warm, a
+/// connectivity step allocates nothing and a flow step at most 8 buffers
+/// per rank (carry buffers that outgrow the one the pool handed out).
+#[test]
+fn airfoil_12_ranks_steady_state_allocation_floor() {
+    let r = run_case(&airfoil_case(0.6, 10), 12, &MachineModel::ibm_sp2()).unwrap();
+    assert_eq!(last_step_allocs(&r, Phase::Connectivity), 0, "connectivity allocs, last step");
+    let flow = last_step_allocs(&r, Phase::Flow);
+    assert!(flow <= 8 * 12, "flow-phase allocs on the last step: {flow} > 8 per rank");
+}

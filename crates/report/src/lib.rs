@@ -151,7 +151,6 @@ fn summary_value(r: &RunResult, series: &[StepSeries]) -> Value {
         ("cache_hit_rate".to_string(), opt_num(r.metrics.cache_hit_rate())),
         // Whole-run donor-search effort, read from the metrics counters
         // (exact even when the flight-recorder ring evicted early steps).
-        // The inverse-map ablation reads its win off these two.
         (
             "walk_steps_total".to_string(),
             Value::Num(r.metrics.counter(names::CONN_WALK_STEPS) as f64),

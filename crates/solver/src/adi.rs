@@ -116,10 +116,10 @@ pub fn implicit_neighbor(block: &Block, dir: usize, downstream: bool) -> Option<
 /// allocates is bounded per rank and independent of the block size: line
 /// buffers that outgrow the ones the rank's pool holds.
 pub struct SweepScratch {
-    /// Kernel instruction set, chosen once per run from `--no-simd` plus
-    /// runtime feature detection (see [`crate::lanes::select_isa`]). The
-    /// scalar and SIMD paths run the same lane-batched code and produce
-    /// bit-identical results.
+    /// Kernel instruction set, chosen once per run by runtime feature
+    /// detection (see [`crate::lanes::select_isa`]). The scalar and SIMD
+    /// paths run the same lane-batched code and produce bit-identical
+    /// results.
     pub isa: Isa,
     /// Increment / characteristic work vectors and the frame SoA (see
     /// `kernels::FR_*`) over the owned nodes in storage order.
@@ -178,7 +178,7 @@ impl SweepScratch {
 
 impl Default for SweepScratch {
     fn default() -> Self {
-        Self::new(select_isa(true))
+        Self::new(select_isa())
     }
 }
 
@@ -1491,7 +1491,7 @@ mod tests {
             let (b, dq0) = keyed_block(&g, d.full_box(), [None; 6], seed);
             let mut want = dq0.clone();
             sweeps_reference(&b, &fc, &mut want);
-            for isa in [Isa::Scalar, select_isa(true)] {
+            for isa in [Isa::Scalar, select_isa()] {
                 let mut got = dq0.clone();
                 implicit_sweeps(&b, &fc, &mut got, &mut SerialComm, &mut SweepScratch::new(isa));
                 for p in b.local_dims.iter() {
@@ -1544,7 +1544,7 @@ mod tests {
                 comms[r + 1].up_tx = Some(tx);
                 comms[r].down_rx = Some(rx);
             }
-            let isa = if seed % 2 == 0 { Isa::Scalar } else { select_isa(true) };
+            let isa = if seed % 2 == 0 { Isa::Scalar } else { select_isa() };
             std::thread::scope(|s| {
                 for ((b, dq), comm) in blocks.iter_mut().zip(comms.iter_mut()) {
                     s.spawn(move || {

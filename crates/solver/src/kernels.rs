@@ -6,9 +6,8 @@
 //! [`crate::tridiag`] / [`crate::adi`]. Only vertical (per-lane) `add`,
 //! `sub`, `mul`, `div` are used: no horizontal reductions, no FMA. AVX2
 //! executes those correctly rounded per lane, so the batched results are
-//! **bit-identical** to the scalar ones; the `Isa::Scalar` path runs the
-//! same batched structure with `[f64; 4]` lanes, making `--no-simd` a
-//! one-code-path ablation.
+//! **bit-identical** to the scalar ones; the `Isa::Scalar` path (hosts
+//! without AVX2) runs the same batched structure with `[f64; 4]` lanes.
 //!
 //! Two families live here:
 //!
@@ -1019,7 +1018,7 @@ mod tests {
 
     #[test]
     fn solve_lanes_bit_matches_scalar_each_lane() {
-        for isa in [Isa::Scalar, select_isa(true)] {
+        for isa in [Isa::Scalar, select_isa()] {
             let n = 33;
             let (a, b, c, d0) = lane_systems(n, 7);
             let mut d = d0.clone();
@@ -1042,7 +1041,7 @@ mod tests {
 
     #[test]
     fn periodic_lanes_bit_matches_scalar_each_lane() {
-        for isa in [Isa::Scalar, select_isa(true)] {
+        for isa in [Isa::Scalar, select_isa()] {
             let n = 17;
             let (a, b, c, d0) = lane_systems(n, 21);
             let mut d = d0.clone();
@@ -1065,7 +1064,7 @@ mod tests {
 
     #[test]
     fn segment_lanes_bit_match_scalar_segments() {
-        for isa in [Isa::Scalar, select_isa(true)] {
+        for isa in [Isa::Scalar, select_isa()] {
             let n = 40;
             let (a, b, c, d0) = lane_systems(n, 3);
             let cuts = [0usize, 13, 27, n];

@@ -8,16 +8,16 @@
 //! exactly the scalar operation sequence on each lane. Because AVX2's
 //! `add/sub/mul/div/sqrt` are IEEE-754 correctly rounded *per lane* and no
 //! horizontal operations (or FMA contractions) are ever used, each lane's
-//! result is bit-identical to the scalar code — the `--no-simd` ablation and
-//! the batched-vs-scalar proptests pin this.
+//! result is bit-identical to the scalar code — the batched-vs-scalar tests
+//! and proptests pin this.
 //!
 //! Dispatch is resolved once per run: [`select_isa`] feature-detects AVX2
 //! the first time it is called and caches the answer; kernels take the
 //! resulting [`Isa`] value and monomorphize over the [`Lane4`] trait, whose
 //! two implementations ([`ScalarLanes`], and `AvxLanes` on x86-64) execute
-//! the same per-lane arithmetic. `Isa::Scalar` is therefore a *one-code-path*
-//! ablation: the batched structure runs unchanged, only the lane arithmetic
-//! is carried out by scalar instructions.
+//! the same per-lane arithmetic. Under `Isa::Scalar` the batched structure
+//! runs unchanged, only the lane arithmetic is carried out by scalar
+//! instructions.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -55,11 +55,10 @@ pub fn avx2_supported() -> bool {
     }
 }
 
-/// Resolve the dispatch for a run: AVX2 when requested *and* available,
-/// scalar lanes otherwise. `simd = false` (the `--no-simd` ablation)
-/// always selects [`Isa::Scalar`].
-pub fn select_isa(simd: bool) -> Isa {
-    if simd && avx2_supported() {
+/// The dispatch for a run: AVX2 when the host has it, scalar lanes
+/// otherwise.
+pub fn select_isa() -> Isa {
+    if avx2_supported() {
         Isa::Avx2
     } else {
         Isa::Scalar
@@ -383,13 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn isa_selection_honors_the_ablation_flag() {
-        assert_eq!(select_isa(false), Isa::Scalar);
-        if avx2_supported() {
-            assert_eq!(select_isa(true), Isa::Avx2);
-        } else {
-            assert_eq!(select_isa(true), Isa::Scalar);
-        }
+    fn isa_selection_follows_the_host() {
+        let want = if avx2_supported() { Isa::Avx2 } else { Isa::Scalar };
+        assert_eq!(select_isa(), want);
     }
 
     #[test]

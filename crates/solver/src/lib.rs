@@ -32,7 +32,7 @@ pub use block::{Blank, Block, HALO};
 pub use conditions::{FlowConditions, GAMMA};
 #[cfg(target_arch = "x86_64")]
 pub use lanes::AvxLanes;
-pub use lanes::{avx2_supported, select_isa, Isa, Lane4, ScalarLanes, W};
+pub use lanes::{select_isa, Isa, Lane4, ScalarLanes, W};
 pub use step::{step_block, Scratch, StepReport};
 pub use tridiag::TriScratch;
 pub use turbulence::WallGeometry;

@@ -763,7 +763,7 @@ mod tests {
         let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
         let mut want = StateField::new(b.local_dims);
         let want_flops = reference::compute_residual(b, &fc, &mut want);
-        for isa in [Isa::Scalar, select_isa(true)] {
+        for isa in [Isa::Scalar, select_isa()] {
             let mut got = StateField::new(b.local_dims);
             got.as_mut_slice().fill(7.0); // stale values must be overwritten
             let flops = compute_residual(b, &fc, &mut got, &mut SweepScratch::new(isa));

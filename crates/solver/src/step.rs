@@ -13,8 +13,8 @@ use overset_grid::field::{StateField, NVAR};
 pub struct Scratch {
     pub res: StateField,
     /// The flow workspace — used first by the residual's node pass, then by
-    /// the line sweeps — plus the kernel ISA selection; the driver overrides
-    /// `sweep.isa` when the case disables SIMD (`--no-simd`).
+    /// the line sweeps — plus the kernel ISA (`sweep.isa`: the host's, until
+    /// a test or bench sets `Isa::Scalar`).
     pub sweep: SweepScratch,
 }
 

@@ -52,10 +52,10 @@ fn lane_of(src: &[f64], l: usize) -> Vec<f64> {
 }
 
 /// Both ISAs worth testing on this host: the portable scalar lanes and, on
-/// AVX2 hardware, the vector path (`select_isa(true)` degrades to Scalar
+/// AVX2 hardware, the vector path (`select_isa()` degrades to Scalar
 /// elsewhere, making the comparison trivially true rather than wrong).
 fn isas() -> [Isa; 2] {
-    [Isa::Scalar, select_isa(true)]
+    [Isa::Scalar, select_isa()]
 }
 
 proptest! {

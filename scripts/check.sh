@@ -32,37 +32,9 @@ cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 echo "== criterion microbenches compile =="
 cargo bench --no-run
 
-echo "== repro smoke test =="
+echo "== repro smoke test (one table, the one run-time switch) =="
 ./target/release/repro table1 --quick > /dev/null
-
-echo "== ablation smoke tests: invmap, arena, simd =="
-# Each ablation must leave states (and, where promised, virtual clocks and
-# walk censuses) bit-equal between feature on and off.
-for exp in ablate-invmap ablate-arena ablate-simd; do
-    OUT="$(./target/release/repro "$exp" --quick)"
-    if grep -q "DIVERGED" <<< "$OUT" || ! grep -q "bit-equal" <<< "$OUT"; then
-        echo "$exp: results diverged between feature on/off" >&2
-        exit 1
-    fi
-    case "$exp" in
-        ablate-arena)
-            if ! grep -q "ALLOC-GATE: PASS" <<< "$OUT"; then
-                echo "ablate-arena: allocation-reduction gate failed" >&2
-                grep "ALLOC-GATE" <<< "$OUT" >&2 || true
-                exit 1
-            fi
-            ;;
-        ablate-simd)
-            # The host-speedup gate (SIMD-GATE) is advisory at quick effort:
-            # the quick cases are small and CI hosts are noisy/often
-            # oversubscribed, so a FAIL is reported but does not fail the check.
-            if ! grep -q "SIMD-GATE: PASS" <<< "$OUT"; then
-                echo "ablate-simd: host-speedup gate did not pass (advisory at quick effort):" >&2
-                grep "SIMD-GATE" <<< "$OUT" >&2 || true
-            fi
-            ;;
-    esac
-done
+./target/release/repro ablate-restart --quick > /dev/null
 
 echo "== repo benchmark smoke (advisory) =="
 # One round of every workload with its output checks (serial reference,
