@@ -2,15 +2,16 @@
 //! blocks whose costs the virtual-time model charges.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use overset_balance::{group_grids, static_balance, AdjacencyMatrix};
+use overset_balance::{group_grids, static_balance, AdjacencyMatrix, Partition};
 use overset_comm::{MachineModel, Universe};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, walk_search, ConnArena, InverseMap, SearchCost,
+    connect_serial, cut_holes_and_find_fringe, walk_search, ConnArena, InverseMap, MapSlot,
+    SearchCost, SerialCache,
 };
-use overset_grid::curvilinear::Solid;
+use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
-use overset_grid::gen::store::store_system;
+use overset_grid::gen::store::{store_search_order, store_system, STORE_CARRIAGE};
 use overset_grid::Dims;
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, solve_lanes, Rows, FR_FIELDS};
@@ -204,6 +205,11 @@ fn trilinear_kernels(c: &mut Criterion) {
     }
 }
 
+/// Every grid's hole-cutting solids, tagged with the owning grid.
+fn tagged_solids(grids: &[CurvilinearGrid]) -> Vec<(usize, Solid)> {
+    grids.iter().enumerate().flat_map(|(g, gr)| gr.solids.iter().map(move |s| (g, *s))).collect()
+}
+
 fn connectivity_kernels(c: &mut Criterion) {
     let g = near_grid(265, 80, 1.1);
     let block = Block::from_grid(0, &g, g.dims().full_box(), [None; 6], &fc());
@@ -230,8 +236,7 @@ fn connectivity_kernels(c: &mut Criterion) {
     });
 
     let sys = airfoil_system(0.5);
-    let solids: Vec<(usize, Solid)> =
-        sys.iter().enumerate().flat_map(|(g, gr)| gr.solids.iter().map(move |s| (g, *s))).collect();
+    let solids = tagged_solids(&sys);
     c.bench_function("holes/cut_and_fringe_5k_nodes", |b| {
         b.iter_batched(
             || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
@@ -274,6 +279,29 @@ fn inverse_map_kernels(c: &mut Criterion) {
     let inv = InverseMap::build(&block);
     c.bench_function("invmap/query", |b| b.iter(|| inv.query([0.9, 0.35, 0.0])));
 
+    // What a miss costs: a point on the store axis lies in the fore-body
+    // shell's box and in no cell of it. The walk learns that from the whole
+    // canonical chain (centre walk, greedy descent, quarter-azimuth
+    // restarts); the fine occupancy mask from one lattice lookup.
+    let shell = &store[1];
+    let shell_blk = {
+        let part = Partition::build(&[shell.dims()], &[1]);
+        let nbrs = part.neighbors_of(0, shell.periodic_i);
+        Block::from_grid(1, shell, shell.dims().full_box(), nbrs, &fc())
+    };
+    let shell_inv = InverseMap::build(&shell_blk);
+    let hollow = [STORE_CARRIAGE[0] + 1.0, STORE_CARRIAGE[1], STORE_CARRIAGE[2]];
+    assert!(!shell_inv.admits(hollow));
+    c.bench_function("donor/miss_hollow_ogrid_walk", |b| {
+        b.iter(|| {
+            let mut cost = SearchCost::default();
+            walk_search(&shell_blk, hollow, shell_inv.query(hollow), &mut cost)
+        })
+    });
+    c.bench_function("donor/miss_hollow_ogrid_admits", |b| {
+        b.iter(|| shell_inv.admits(std::hint::black_box(hollow)))
+    });
+
     // The pair the virtual-time savings come from: a cold search from the
     // block-center cell vs the same search from the O(1) map seed.
     let target = [0.9, 0.35, 0.0];
@@ -288,6 +316,40 @@ fn inverse_map_kernels(c: &mut Criterion) {
             let mut cost = SearchCost::default();
             walk_search(&block, target, inv.query(target), &mut cost)
         })
+    });
+}
+
+/// One warm serial connectivity solution of the store system (x0.3, static):
+/// hole cut, 7.4 K warm starts from last step's donors, interpolation.
+fn serial_connectivity(c: &mut Criterion) {
+    let grids = store_system(0.3);
+    let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+    let part = Partition::build(&dims, &vec![1; grids.len()]);
+    let mut blocks: Vec<Block> = grids
+        .iter()
+        .enumerate()
+        .map(|(g, grid)| {
+            let nbrs = part.neighbors_of(g, grid.periodic_i);
+            Block::from_grid(g, grid, dims[g].full_box(), nbrs, &fc())
+        })
+        .collect();
+    let solids = tagged_solids(&grids);
+    let mut metrics = overset_comm::MetricsRegistry::new();
+    let slots: Vec<MapSlot> = blocks
+        .iter()
+        .map(|b| {
+            let mut slot = MapSlot::default();
+            slot.refresh(b, &mut metrics);
+            slot
+        })
+        .collect();
+    let order = store_search_order();
+    let mut cache = SerialCache::new();
+    let mut arena = ConnArena::new();
+    arena.isa = select_isa();
+    connect_serial(&mut blocks, &order, &solids, &mut cache, &slots, &mut arena);
+    c.bench_function("connect_serial/store_0p3_steady", |b| {
+        b.iter(|| connect_serial(&mut blocks, &order, &solids, &mut cache, &slots, &mut arena))
     });
 }
 
@@ -342,6 +404,7 @@ criterion_group!(
     trilinear_kernels,
     connectivity_kernels,
     inverse_map_kernels,
+    serial_connectivity,
     balance_kernels,
     comm_kernels
 );

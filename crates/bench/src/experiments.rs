@@ -10,6 +10,7 @@ use overflow_d::{
     airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
     RunResult,
 };
+use overset_comm::metrics::names;
 use overset_comm::trace::TraceConfig;
 use overset_comm::{MachineModel, Phase, TransportConfig};
 
@@ -127,8 +128,6 @@ pub fn sweep(cfg_for: impl Fn() -> CaseConfig, nodes: &[usize]) -> Vec<PerfRow> 
     }
     // Speedups relative to the smallest node count.
     for mi in 0..2 {
-        let base = rows[0].time_per_step[mi] * rows[0].nodes as f64 / rows[0].nodes as f64;
-        let _ = base;
         let t0 = rows[0].time_per_step[mi];
         for row in rows.iter_mut() {
             row.speedup[mi] = t0 / row.time_per_step[mi];
@@ -233,6 +232,28 @@ pub fn table4(e: Effort) -> Vec<PerfRow> {
     sweep(|| tuned(store_case(e.scale3d, e.steps3d), e), &[16, 18, 22, 28, 35, 42, 52, 61])
 }
 
+/// The store case at each of `nodes` on the SP2 with dynamic load balancing
+/// (f_o = 3, checked every 6 steps) and with static balancing only, in node
+/// order: (dynamic, static).
+fn table5_runs(e: Effort, nodes: &[usize]) -> (Vec<RunResult>, Vec<RunResult>) {
+    let steps = (2 * e.steps3d).max(16);
+    let mut dyn_rows: Vec<RunResult> = Vec::new();
+    let mut stat_rows: Vec<RunResult> = Vec::new();
+    for &n in nodes {
+        let mut cfg = tuned(store_case(e.scale3d, steps), e);
+        cfg.lb = LbConfig::dynamic(3.0, 6);
+        dyn_rows.push(run_case(&cfg, n, &sp2()).unwrap());
+        let cfg = tuned(store_case(e.scale3d, steps), e);
+        stat_rows.push(run_case(&cfg, n, &sp2()).unwrap());
+    }
+    (dyn_rows, stat_rows)
+}
+
+/// Connectivity-phase elapsed time per step.
+fn conn_per_step(r: &RunResult) -> f64 {
+    r.summary.phase_time(Phase::Connectivity) / r.steps as f64
+}
+
 /// Table 5 / Fig. 11: static vs dynamic load balancing on the store case.
 ///
 /// The paper measured a maximum connectivity service imbalance f(p) ≈ 7 and
@@ -253,17 +274,7 @@ pub fn table5(e: Effort) {
         "repart"
     );
     let nodes = [16usize, 18, 28, 52];
-    let steps = (2 * e.steps3d).max(16);
-    let mut dyn_rows: Vec<RunResult> = Vec::new();
-    let mut stat_rows: Vec<RunResult> = Vec::new();
-    for &n in &nodes {
-        let mut cfg = tuned(store_case(e.scale3d, steps), e);
-        cfg.lb = LbConfig::dynamic(3.0, 6);
-        dyn_rows.push(run_case(&cfg, n, &sp2()).unwrap());
-        let cfg = tuned(store_case(e.scale3d, steps), e);
-        stat_rows.push(run_case(&cfg, n, &sp2()).unwrap());
-    }
-    let conn = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
+    let (dyn_rows, stat_rows) = table5_runs(e, &nodes);
     for (i, &n) in nodes.iter().enumerate() {
         let (d, s) = (&dyn_rows[i], &stat_rows[i]);
         println!(
@@ -271,8 +282,8 @@ pub fn table5(e: Effort) {
             n,
             100.0 * d.connectivity_fraction(),
             100.0 * s.connectivity_fraction(),
-            conn(&dyn_rows[0]) / conn(d),
-            conn(&stat_rows[0]) / conn(s),
+            conn_per_step(&dyn_rows[0]) / conn_per_step(d),
+            conn_per_step(&stat_rows[0]) / conn_per_step(s),
             dyn_rows[0].time_per_step() / d.time_per_step(),
             stat_rows[0].time_per_step() / s.time_per_step(),
             d.repartitions,
@@ -285,32 +296,196 @@ pub fn table5(e: Effort) {
     );
 }
 
-/// Table 6: wallclock speedup vs single-processor Cray Y-MP ("YMP units").
-pub fn table6(e: Effort) {
-    println!("\n== Table 6: wallclock speedup vs Cray Y-MP (store case) ==");
+/// One row of Table 6: the store case on `nodes` nodes of [SP2, SP].
+struct YmpRow {
+    nodes: usize,
+    /// Wallclock speedup over the single-processor Y-MP run.
+    overall: [f64; 2],
+    dcf3d_pct: [f64; 2],
+}
+
+/// The Y-MP reference time per step and the rows of Table 6.
+fn table6_rows(e: Effort) -> (f64, Vec<YmpRow>) {
     let ymp = run_case_serial(&store_case(e.scale3d, e.steps3d.min(6)), &MachineModel::cray_ymp())
         .unwrap();
     let t_ymp = ymp.time_per_step();
+    let rows = [18usize, 28, 42, 61]
+        .iter()
+        .map(|&nodes| {
+            let mut row = YmpRow { nodes, overall: [0.0; 2], dcf3d_pct: [0.0; 2] };
+            for (mi, m) in [sp2(), sp()].iter().enumerate() {
+                let r = run_case(&tuned(store_case(e.scale3d, e.steps3d), e), nodes, m).unwrap();
+                row.overall[mi] = t_ymp / r.time_per_step();
+                row.dcf3d_pct[mi] = 100.0 * r.connectivity_fraction();
+            }
+            row
+        })
+        .collect();
+    (t_ymp, rows)
+}
+
+/// Table 6: wallclock speedup vs single-processor Cray Y-MP ("YMP units").
+pub fn table6(e: Effort) {
+    println!("\n== Table 6: wallclock speedup vs Cray Y-MP (store case) ==");
+    let (t_ymp, rows) = table6_rows(e);
     println!("  (Y-MP reference: {:.3} virtual s/step)", t_ymp);
     println!(
         "{:>6} | {:>10} {:>10} | {:>10} {:>10}",
         "Nodes", "Ovrl SP2", "Ovrl SP", "PerNd SP2", "PerNd SP"
     );
-    for &n in &[18usize, 28, 42, 61] {
-        let mut overall = [0.0f64; 2];
-        for (mi, m) in [sp2(), sp()].iter().enumerate() {
-            let r = run_case(&tuned(store_case(e.scale3d, e.steps3d), e), n, m).unwrap();
-            overall[mi] = t_ymp / r.time_per_step();
-        }
+    for r in &rows {
         println!(
             "{:>6} | {:>10.1} {:>10.1} | {:>10.2} {:>10.2}",
-            n,
-            overall[0],
-            overall[1],
-            overall[0] / n as f64,
-            overall[1] / n as f64
+            r.nodes,
+            r.overall[0],
+            r.overall[1],
+            r.overall[0] / r.nodes as f64,
+            r.overall[1] / r.nodes as f64
         );
     }
+}
+
+/// One shape of DESIGN.md §4, checked.
+pub struct Shape {
+    pub name: &'static str,
+    pub holds: bool,
+    /// Recorded as not reproducing: the gate fails when it starts to hold,
+    /// so the fix has to flip this line.
+    pub expected_fail: bool,
+    pub detail: String,
+}
+
+impl Shape {
+    fn new(name: &'static str, holds: bool, detail: String) -> Self {
+        Shape { name, holds, expected_fail: false, detail }
+    }
+
+    pub fn verdict(&self) -> &'static str {
+        match (self.holds, self.expected_fail) {
+            (true, false) => "PASS",
+            (false, false) => "FAIL",
+            (false, true) => "XFAIL",
+            (true, true) => "XPASS",
+        }
+    }
+
+    /// Neither a FAIL nor the unexpected pass of an XFAIL.
+    pub fn ok(&self) -> bool {
+        self.holds != self.expected_fail
+    }
+}
+
+const MACHINES: [&str; 2] = ["SP2", "SP"];
+
+/// The Table-1 shapes: DCF3D scales worse than OVERFLOW at every node count
+/// above the base, and its share of the step never falls as nodes are added.
+pub fn table1_shapes(rows: &[PerfRow]) -> Vec<Shape> {
+    let mut closest = (f64::INFINITY, String::new());
+    let mut monotone = true;
+    for (mi, machine) in MACHINES.iter().enumerate() {
+        for pair in rows.windows(2) {
+            monotone &= pair[1].dcf3d_pct[mi] >= pair[0].dcf3d_pct[mi];
+        }
+        for r in &rows[1..] {
+            let dcf = rows[0].conn_elapsed[mi] / r.conn_elapsed[mi];
+            let flow = rows[0].flow_elapsed[mi] / r.flow_elapsed[mi];
+            if flow - dcf < closest.0 {
+                let at = format!("{} nodes, {machine}", r.nodes);
+                closest = (
+                    flow - dcf,
+                    format!("closest: DCF3D {dcf:.2}x vs OVERFLOW {flow:.2}x at {at}"),
+                );
+            }
+        }
+    }
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    vec![
+        Shape::new("SHAPE-T1-DCF-LT-FLOW", closest.0 > 0.0, closest.1),
+        Shape::new(
+            "SHAPE-T1-PCT-MONOTONE",
+            monotone,
+            format!(
+                "%DCF3D {:.1} -> {:.1} (SP2), {:.1} -> {:.1} (SP) over {} -> {} nodes",
+                first.dcf3d_pct[0],
+                last.dcf3d_pct[0],
+                first.dcf3d_pct[1],
+                last.dcf3d_pct[1],
+                first.nodes,
+                last.nodes
+            ),
+        ),
+    ]
+}
+
+/// `repro verify-shapes`: the paper's shapes (DESIGN.md §4) as named verdict
+/// lines. Returns the exit code: 1 on any FAIL or unexpected pass of an
+/// XFAIL, else 0.
+pub fn verify_shapes(e: Effort) -> i32 {
+    println!("\n== Paper shapes (DESIGN.md §4) ==");
+    let rows1 = table1(e);
+    let mut shapes = table1_shapes(&rows1);
+
+    // The store case's Table-4 row at 18 nodes is Table 6's first row.
+    let (_, rows6) = table6_rows(e);
+    let (air, store) = (rows1.iter().find(|r| r.nodes == 18).unwrap(), &rows6[0]);
+    shapes.push(Shape::new(
+        "SHAPE-T4-PCT-ABOVE-T1",
+        (0..2).all(|mi| store.dcf3d_pct[mi] > air.dcf3d_pct[mi]),
+        format!(
+            "%DCF3D at 18 nodes: store {:.1} / {:.1} vs airfoil {:.1} / {:.1} (SP2 / SP)",
+            store.dcf3d_pct[0], store.dcf3d_pct[1], air.dcf3d_pct[0], air.dcf3d_pct[1]
+        ),
+    ));
+
+    let (dynamic, stat) = table5_runs(e, &[16, 52]);
+    let comb = |rows: &[RunResult]| rows[0].time_per_step() / rows[1].time_per_step();
+    let dcf = |rows: &[RunResult]| conn_per_step(&rows[0]) / conn_per_step(&rows[1]);
+    shapes.push(Shape::new(
+        "SHAPE-T5-STATIC-COMBINED-AHEAD",
+        comb(&stat) > comb(&dynamic),
+        format!(
+            "combined speedup at 52 nodes: static {:.2}x vs dynamic {:.2}x",
+            comb(&stat),
+            comb(&dynamic)
+        ),
+    ));
+    shapes.push(Shape {
+        expected_fail: true,
+        ..Shape::new(
+            "SHAPE-T5-DYN-DCF-AHEAD",
+            dcf(&dynamic) > dcf(&stat),
+            format!(
+                "DCF3D speedup at 52 nodes: dynamic {:.2}x vs static {:.2}x (paper: 4.10 vs 3.28)",
+                dcf(&dynamic),
+                dcf(&stat)
+            ),
+        )
+    });
+
+    let ratios: Vec<f64> = rows6.iter().map(|r| r.overall[1] / r.overall[0]).collect();
+    shapes.push(Shape::new(
+        "SHAPE-T6-SP-OVER-SP2",
+        ratios.iter().all(|q| (1.35..=1.6).contains(q)),
+        format!(
+            "overall SP/SP2 {} at {} nodes",
+            ratios.iter().map(|q| format!("{q:.2}")).collect::<Vec<_>>().join(" / "),
+            rows6.iter().map(|r| r.nodes.to_string()).collect::<Vec<_>>().join(" / ")
+        ),
+    ));
+    let upto42 = &rows6[..3];
+    shapes.push(Shape::new(
+        "SHAPE-T6-OVERALL-RISES",
+        (0..2).all(|mi| upto42.windows(2).all(|w| w[1].overall[mi] > w[0].overall[mi])),
+        format!(
+            "overall speedup over the Y-MP, 18 -> 42 nodes: {:.1} -> {:.1} (SP2), {:.1} -> {:.1} (SP)",
+            upto42[0].overall[0], upto42[2].overall[0], upto42[0].overall[1], upto42[2].overall[1]
+        ),
+    ));
+
+    for s in &shapes {
+        println!("  {}: {} ({})", s.name, s.verdict(), s.detail);
+    }
+    i32::from(!shapes.iter().all(Shape::ok))
 }
 
 /// A representative traced run for `--trace` / `--metrics`: the given
@@ -389,6 +564,12 @@ pub fn print_metrics(r: &RunResult) {
     for (name, v) in r.metrics.counters() {
         println!("  {name:<26} {v:>14}");
     }
+    let walked = r.metrics.counter(names::CONN_WALK_STEPS);
+    if walked > 0 {
+        let missed = r.metrics.counter(names::CONN_WALK_STEPS_MISS);
+        let useful = 1.0 - missed as f64 / walked as f64;
+        println!("  {:<26} {useful:>14.4}", "walk steps useful/attempted");
+    }
     for (name, h) in r.metrics.histograms() {
         println!(
             "  {name:<26} n={:<8} mean={:<12.6} min={:<12.6} max={:.6}",
@@ -434,18 +615,20 @@ pub fn ablate_restart(e: Effort) {
     let with = run_case(&cfg, 12, &sp2()).unwrap();
     cfg.restart = false;
     let without = run_case(&cfg, 12, &sp2()).unwrap();
-    let per = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
     println!(
         "  restart ON : connectivity {:.4} s/step ({:.1}% of total)",
-        per(&with),
+        conn_per_step(&with),
         100.0 * with.connectivity_fraction()
     );
     println!(
         "  restart OFF: connectivity {:.4} s/step ({:.1}% of total)",
-        per(&without),
+        conn_per_step(&without),
         100.0 * without.connectivity_fraction()
     );
-    println!("  restart speedup of the connectivity solution: {:.1}x", per(&without) / per(&with));
+    println!(
+        "  restart speedup of the connectivity solution: {:.1}x",
+        conn_per_step(&without) / conn_per_step(&with)
+    );
 }
 
 /// Ablation: prescribed vs 6-DOF-computed store motion — the paper: "the
@@ -552,5 +735,21 @@ pub fn ablate_cache(e: Effort) {
         )
         .unwrap();
         println!("{:>6} | {:>12.1} {:>12.1}", n, with.mflops_per_node(), flat.mflops_per_node());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The Table-1 half of `repro verify-shapes --quick`: a change that bends
+    /// the airfoil curves fails tier-1, not only `scripts/check.sh`.
+    #[test]
+    fn table1_shapes_hold_at_quick_effort() {
+        let shapes = table1_shapes(&table1(Effort::quick()));
+        assert_eq!(shapes.len(), 2);
+        for s in &shapes {
+            assert!(s.ok() && !s.expected_fail, "{}: {} ({})", s.name, s.verdict(), s.detail);
+        }
     }
 }

@@ -18,7 +18,12 @@
 //!
 //! where experiment is one of `table1 fig5 table2 table3 fig7 table4 fig10
 //! table5 fig11 table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo
-//! ablate-grouping ablate-cache all`.
+//! ablate-grouping ablate-cache verify-shapes all`.
+//!
+//! `verify-shapes` checks the shapes the reproduction targets (DESIGN.md §4)
+//! and prints one named verdict line each — PASS, FAIL, or XFAIL for the one
+//! recorded as not reproducing; it exits 1 on any FAIL and on the
+//! unexpected pass of an XFAIL.
 //!
 //! `--max-threads N` caps the OS threads running an experiment's virtual
 //! ranks: the comm runtime multiplexes the ranks onto `N` workers (M:N
@@ -336,6 +341,12 @@ fn main() {
         "ablate-fo" => ablate_fo(effort),
         "ablate-grouping" => ablate_grouping(),
         "ablate-cache" => ablate_cache(effort),
+        "verify-shapes" => {
+            let rc = verify_shapes(effort);
+            if rc != 0 {
+                std::process::exit(rc);
+            }
+        }
         "all" => {
             let rows1 = table1(effort);
             print_perf_table("Table 1: 2D oscillating airfoil", &rows1);
@@ -361,7 +372,7 @@ fn main() {
             eprintln!(
                 "choose from: table1 fig5 table2 table3 fig7 table4 fig10 table5 fig11 \
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
-                 ablate-cache all\n\
+                 ablate-cache verify-shapes all\n\
                  or a subcommand: report <experiment> | bench-host <experiment> | \
                  compare <baseline.json> <new.json> | analyze <experiment>|<trace.json> | smoke"
             );

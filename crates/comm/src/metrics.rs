@@ -25,6 +25,15 @@ pub mod names {
     pub const CONN_FORWARDS: &str = "conn.forwards";
     /// Stencil-walk steps performed while servicing donor searches.
     pub const CONN_WALK_STEPS: &str = "conn.walk_steps";
+    /// Of `conn.walk_steps`, the steps of searches that returned no donor:
+    /// useful / attempted walk work is `1 - miss / total`.
+    pub const CONN_WALK_STEPS_MISS: &str = "conn.walk_steps.miss";
+    /// Donor searches an inverse map's fine occupancy mask answered `Miss`
+    /// without a walk.
+    pub const CONN_PREFILTER_REJECTS: &str = "conn.prefilter.rejects";
+    /// Donors held under relaxed acceptance (stencil touching holes) at the
+    /// end of a step, summed over steps.
+    pub const CONN_DONORS_RELAXED: &str = "conn.donors.relaxed";
     /// IGBPs left unresolved (orphans) summed over steps.
     pub const CONN_ORPHANS: &str = "conn.orphans";
     /// Donor-search protocol rounds summed over steps.

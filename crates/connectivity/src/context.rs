@@ -16,6 +16,7 @@ use crate::inverse_map::{InverseMap, FLOPS_PER_INCR_UPDATE};
 use crate::protocol::{connect_distributed, ConnStats, DonorCache, Topology};
 use crate::serial::{connect_serial, SerialCache, SerialConnStats};
 use overset_comm::metrics::names;
+use overset_comm::trace::ArgVal;
 use overset_comm::{Comm, MetricsRegistry, WorkClass};
 use overset_grid::curvilinear::Solid;
 use overset_grid::{Ijk, RigidTransform};
@@ -180,9 +181,9 @@ impl SerialConnectivity {
         self.slots[grid].note_motion(t);
     }
 
-    /// One connectivity solution over all grids (`blocks[g]` is grid `g`).
-    /// The whole solve — hole cutting included — is charged in one lump, so
-    /// only the map refresh has a span of its own.
+    /// One connectivity solution over all grids (`blocks[g]` is grid `g`),
+    /// charged and traced like [`Connectivity::step`]: map refresh, hole
+    /// cut, then the donor search (`conn/connect`).
     pub fn step(
         &mut self,
         blocks: &mut [Block],
@@ -212,10 +213,23 @@ impl SerialConnectivity {
             &self.slots,
             &mut self.arena,
         );
+        let t_cut = comm.now();
+        comm.compute(stats.hole_flops as f64, WorkClass::Search);
+        comm.trace_complete("conn", "hole_cut", t_cut, &[]);
+        let t_conn = comm.now();
         comm.compute(stats.flops as f64, WorkClass::Search);
+        comm.trace_complete(
+            "conn",
+            "connect",
+            t_conn,
+            &[("igbps", ArgVal::U64(stats.igbps as u64))],
+        );
         let m = comm.metrics_mut();
         m.add(names::CONN_SERVICED, stats.igbps as u64);
         m.add(names::CONN_WALK_STEPS, stats.walk_steps);
+        m.add(names::CONN_WALK_STEPS_MISS, stats.walk_steps_miss);
+        m.add(names::CONN_PREFILTER_REJECTS, stats.prefilter_rejects);
+        m.add(names::CONN_DONORS_RELAXED, stats.relaxed_donors);
         if stats.warm_attempts > 0 {
             // Same names the distributed protocol feeds: a failed warm
             // start re-walks the IGBP's whole hierarchy.

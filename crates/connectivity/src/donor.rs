@@ -30,6 +30,22 @@ pub struct Donor {
     pub loc: [f64; 3],
 }
 
+/// What nth-level restart remembers of a resolved fringe point, in both the
+/// serial and the per-rank cache: where its donor was found and under which
+/// acceptance. The next step's warm start searches from `cell` with the same
+/// `relaxed` flag, so a donor whose stencil touches holes is found again
+/// from its own cell instead of failing a strict search and re-walking the
+/// whole hierarchy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CachedDonor {
+    pub grid: usize,
+    /// Donor cell in the indices the owning cache searches by: local to the
+    /// whole-grid block (serial), global donor-grid indices (distributed).
+    pub cell: Ijk,
+    /// Found by the relaxed last-resort pass.
+    pub relaxed: bool,
+}
+
 /// Outcome of a local donor search.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SearchOutcome {

@@ -13,6 +13,11 @@
 //!   prune ranks whose *box* contains a point but whose *cells* cannot
 //!   (curved grids — an O-grid annulus most of whose bounding box is empty
 //!   interior — generate exactly these false positives),
+//! * a **fine occupancy bitset** over the same box (up to 48³ bits, 14 KB),
+//!   kept by the rank itself: [`InverseMap::admits`] settles *whether* a
+//!   cell of the block can hold a point before a walk asks *where*, so a
+//!   point the box admits but the cells do not costs a lattice lookup, not
+//!   a failed walk through the whole canonical chain,
 //! * per-solid **inside/outside/boundary ternary masks** over a hole
 //!   lattice, so hole cutting runs the detailed containment test only for
 //!   nodes in *boundary* bins (see [`classify_solids`]).
@@ -30,7 +35,8 @@
 //! final lattice.
 //!
 //! Every pruning decision is *conservative*: occupancy bins are marked from
-//! cell bounding boxes inflated past the walk's acceptance slack, and solid
+//! cell bounding boxes inflated past the walk's acceptance slack (the
+//! trilinear image of a cell lies inside the box of its corners), and solid
 //! masks only claim Inside/Outside when convexity proves it, so connectivity
 //! results (donors, weights, blanking, orphans) are bit-identical with or
 //! without a map; the map-vs-none tests of `serial` and `protocol` assert
@@ -74,6 +80,19 @@ const MAX_FINE_BINS: usize = 48;
 const MAX_HOLE_BINS: usize = 8;
 /// Coarse occupancy resolution per axis: [`OCC_NB`]³ = 512 bins = `[u64; 8]`.
 pub const OCC_NB: usize = 8;
+/// Bit budget of the fine occupancy mask, 2-D and 3-D alike (13.5 KB).
+const MASK_MAX_BITS: usize = MAX_FINE_BINS * MAX_FINE_BINS * MAX_FINE_BINS;
+/// ... and at most this many mask bins per owned cell and active axis: finer
+/// bins than that resolve nothing, and a 500-cell subdomain block should not
+/// carry a 14 KB mask.
+const MASK_BINS_PER_CELL_AXIS: usize = 4;
+/// The fine mask marks each cell's bounding box inflated by this fraction of
+/// its largest extent. A donor is accepted at trilinear coordinates within
+/// 10⁻⁹ of the unit cube once Newton has converged to 10⁻⁸, which puts the
+/// point within ~10⁻⁸ extents of the box; the pad leaves five orders of
+/// margin and still lets the mask follow a curved boundary (the coarse
+/// routing mask keeps its blanket 1/8).
+const MASK_PAD: f64 = 1.0 / 256.0;
 
 /// Occupancy bitmask words per rank ([`OCC_NB`]³ bins / 64 bits).
 pub const OCC_WORDS: usize = OCC_NB * OCC_NB * OCC_NB / 64;
@@ -107,6 +126,11 @@ pub struct InverseMap {
     /// Coarse occupancy: bit set ⇔ some owned-anchored cell's (inflated)
     /// bounding box overlaps the bin.
     occupancy: [u64; OCC_WORDS],
+    /// Fine occupancy lattice: bins per axis, and one bit per bin (bin-major
+    /// like `seeds`), set ⇔ some owned-anchored cell's box, inflated by
+    /// [`MASK_PAD`], overlaps the bin.
+    mask_nb: [usize; 3],
+    mask: Vec<u64>,
     /// Hole-lattice bins per axis for [`classify_solids`].
     hole_nb: [usize; 3],
     /// Flops spent building (the caller charges them to virtual time).
@@ -128,7 +152,9 @@ fn axis_bin(x: f64, lo: f64, hi: f64, nb: usize) -> usize {
         return 0;
     }
     let t = (x - lo) / (hi - lo) * nb as f64;
-    (t.floor().max(0.0) as usize).min(nb - 1)
+    // The cast truncates, which is `floor` from zero up, and saturates; what
+    // lies below zero (or is NaN) clamps to bin 0 first. No libm call.
+    (t.max(0.0) as usize).min(nb - 1)
 }
 
 /// Hard per-axis bin ceiling of the adaptive allocation: a memory backstop
@@ -149,8 +175,15 @@ const MAX_AXIS_BINS: usize = 512;
 /// about how much physical resolution the remaining axes can use.
 /// Deterministic: a pure function of extents and cell counts.
 fn fine_bins(ext: [f64; 3], cells: [usize; 3], two_d: bool) -> [usize; 3] {
+    let naxes = if two_d { 2 } else { 3 };
+    equal_edge_bins(ext, (MAX_FINE_BINS as f64).powi(naxes), cells, two_d)
+}
+
+/// `budget` bins spread over the active axes in proportion to `ext` (equal
+/// bin edge length), each axis rounded and clamped to `[1, cap_d]` and the
+/// [`MAX_AXIS_BINS`] backstop.
+fn equal_edge_bins(ext: [f64; 3], budget: f64, cap: [usize; 3], two_d: bool) -> [usize; 3] {
     let naxes: usize = if two_d { 2 } else { 3 };
-    let budget = (MAX_FINE_BINS as f64).powi(naxes as i32);
     let prod: f64 = ext.iter().take(naxes).map(|e| e.max(1e-300)).product();
     // nb_d = ext_d · s with s chosen so the active axes' product fills the
     // budget (before clamping).
@@ -158,9 +191,35 @@ fn fine_bins(ext: [f64; 3], cells: [usize; 3], two_d: bool) -> [usize; 3] {
     let mut nb = [1usize; 3];
     for d in 0..naxes {
         let want = (ext[d].max(1e-300) * s).round().clamp(1.0, MAX_AXIS_BINS as f64) as usize;
-        nb[d] = want.clamp(1, cells[d]);
+        nb[d] = want.clamp(1, cap[d]);
     }
     nb
+}
+
+/// Resolution of the fine occupancy mask: equal-edge bins like the seed
+/// lattice, but sized by what a bit costs, not by what a seed costs — up to
+/// [`MASK_MAX_BITS`] in all, [`MASK_BINS_PER_CELL_AXIS`] per cell and axis on
+/// average, and *not* clamped to the per-axis cell counts (on a curvilinear
+/// grid an index direction is no Cartesian axis, and the clamp leaves an
+/// O-grid's hollow a handful of bins wide).
+fn mask_bins(ext: [f64; 3], cells: [usize; 3], two_d: bool) -> [usize; 3] {
+    let naxes = if two_d { 2 } else { 3 };
+    let per_cell = MASK_BINS_PER_CELL_AXIS.pow(naxes);
+    let budget = (cells[0] * cells[1] * cells[2] * per_cell).min(MASK_MAX_BITS);
+    let mut nb = equal_edge_bins(ext, budget as f64, [MAX_AXIS_BINS; 3], two_d);
+    // Rounding up can overshoot the budget by a few percent: hold the bound.
+    while nb[0] * nb[1] * nb[2] > budget {
+        let widest = (0..3).max_by_key(|&d| nb[d]).unwrap();
+        nb[widest] -= 1;
+    }
+    nb
+}
+
+/// Owned cells per index direction (≥ 1; 1 in k for 2-D blocks).
+fn owned_cells(block: &Block) -> [usize; 3] {
+    let ow = block.owned_local();
+    let cells_k = if block.two_d { 1 } else { (ow.hi.k - ow.lo.k).max(1) };
+    [(ow.hi.i - ow.lo.i).max(1), (ow.hi.j - ow.lo.j).max(1), cells_k]
 }
 
 /// The corner nodes of the cell anchored at `cell` (4 in 2-D, 8 in 3-D).
@@ -178,11 +237,7 @@ impl InverseMap {
     /// same block produces bit-identical seeds and occupancy.
     pub fn build(block: &Block) -> InverseMap {
         let bounds = owned_bbox(block);
-        let ow = block.owned_local();
-        let cells_i = (ow.hi.i - ow.lo.i).max(1);
-        let cells_j = (ow.hi.j - ow.lo.j).max(1);
-        let cells_k = if block.two_d { 1 } else { (ow.hi.k - ow.lo.k).max(1) };
-        let nb = fine_bins(bounds.extent(), [cells_i, cells_j, cells_k], block.two_d);
+        let nb = fine_bins(bounds.extent(), owned_cells(block), block.two_d);
         Self::build_with_bins(block, bounds, nb)
     }
 
@@ -190,30 +245,24 @@ impl InverseMap {
     /// fine-lattice resolution (tests compare the adaptive allocation
     /// against the old flat cap through this).
     fn build_with_bins(block: &Block, bounds: Aabb, nb: [usize; 3]) -> InverseMap {
-        let (mut seeds, occupancy, mut build_flops) = bin_cells(block, &bounds, nb);
+        let mut binned = bin_cells(block, &bounds, nb);
 
         // Fill empty bins from their nearest seeded bin. Bins far from any
         // cell — the hollow middle of an annulus — still answer with the
         // closest real cell, which is exactly the right walk start. (Scoped:
         // the search's scratch is freed before the final lattice exists.)
         let filled = {
-            let (nearest, _visits) = nearest_filled(nb, |b| seeds[b].is_some());
-            fill_from(&mut seeds, &nearest)
+            let (nearest, _visits) = nearest_filled(nb, |b| binned.seeds[b].is_some());
+            fill_from(&mut binned.seeds, &nearest)
         };
-        build_flops += FLOPS_PER_BIN_FILL * filled;
+        binned.flops += FLOPS_PER_BIN_FILL * filled;
 
-        Self::from_seeds(block, bounds, nb, seeds, occupancy, build_flops)
+        Self::from_seeds(block, bounds, nb, binned)
     }
 
     /// Last build pass: resolve the per-bin seeds into the final lattice.
-    fn from_seeds(
-        block: &Block,
-        bounds: Aabb,
-        nb: [usize; 3],
-        seeds: Vec<Option<Ijk>>,
-        occupancy: [u64; OCC_WORDS],
-        build_flops: u64,
-    ) -> InverseMap {
+    fn from_seeds(block: &Block, bounds: Aabb, nb: [usize; 3], binned: Binned) -> InverseMap {
+        let Binned { seeds, occupancy, mask_nb, mask, flops: build_flops } = binned;
         // A block with no owned cells (degenerate slivers) still gets a
         // valid map: every query answers the owned-region corner.
         let ow = block.owned_local();
@@ -223,6 +272,8 @@ impl InverseMap {
             nb,
             seeds: seeds.into_iter().map(|s| s.unwrap_or(fallback)).collect(),
             occupancy,
+            mask_nb,
+            mask,
             hole_nb: [nb[0].min(MAX_HOLE_BINS), nb[1].min(MAX_HOLE_BINS), nb[2].min(MAX_HOLE_BINS)],
             build_flops,
             pose: RigidTransform::IDENTITY,
@@ -281,9 +332,10 @@ impl InverseMap {
         }
     }
 
-    /// Flops one seed query costs at the current pose (posed queries pay
-    /// for the inverse transform). Deterministic — a pure function of the
-    /// map's state, never of the host.
+    /// Flops one lattice lookup — a seed [`query`](Self::query) or an
+    /// [`admits`](Self::admits) test — costs at the current pose (posed
+    /// lookups pay for the inverse transform). Deterministic — a pure
+    /// function of the map's state, never of the host.
     pub fn query_flops(&self) -> u64 {
         if self.pose.is_identity() {
             FLOPS_PER_QUERY
@@ -312,8 +364,27 @@ impl InverseMap {
     /// Under a non-identity pose the point is first mapped back into the
     /// lattice frame; the identity path is byte-for-byte the legacy one.
     pub fn query(&self, p: [f64; 3]) -> Ijk {
-        let q = if self.pose.is_identity() { p } else { self.inv_pose.apply(p) };
-        self.seeds[bin_index(&self.bounds, self.nb, q)]
+        self.seeds[bin_index(&self.bounds, self.nb, self.to_lattice(p))]
+    }
+
+    /// Could a cell of this block hold `p`? `false` only when no
+    /// owned-anchored cell's (slightly inflated) bounding box reaches the
+    /// mask bin `p` falls in, so a donor search for `p` on this block is
+    /// certain to miss and need not walk. Binned through the same inverse
+    /// pose as [`query`](Self::query), points outside the bounds clamping
+    /// into an edge bin; costs the same [`query_flops`](Self::query_flops).
+    pub fn admits(&self, p: [f64; 3]) -> bool {
+        let b = bin_index(&self.bounds, self.mask_nb, self.to_lattice(p));
+        self.mask[b / 64] & (1u64 << (b % 64)) != 0
+    }
+
+    /// A world point in the lattice frame at the current pose.
+    fn to_lattice(&self, p: [f64; 3]) -> [f64; 3] {
+        if self.pose.is_identity() {
+            p
+        } else {
+            self.inv_pose.apply(p)
+        }
     }
 
     /// Hole-lattice bin index of a node coordinate (used with the classes
@@ -348,23 +419,33 @@ impl InverseMap {
     }
 }
 
+/// What the first build pass leaves: the per-bin seed cell (`None` where no
+/// cell midpoint landed), the coarse occupancy mask, the fine one with its
+/// resolution, and the flops spent.
+struct Binned {
+    seeds: Vec<Option<Ijk>>,
+    occupancy: [u64; OCC_WORDS],
+    mask_nb: [usize; 3],
+    mask: Vec<u64>,
+    flops: u64,
+}
+
 /// First build pass: bin every owned-anchored cell of `block` into the
-/// `nb` lattice over `bounds`. Returns the per-bin seed cell (`None` where
-/// no cell midpoint landed), the coarse occupancy mask and the flops spent.
-fn bin_cells(
-    block: &Block,
-    bounds: &Aabb,
-    nb: [usize; 3],
-) -> (Vec<Option<Ijk>>, [u64; OCC_WORDS], u64) {
+/// `nb` seed lattice, the coarse occupancy lattice and the fine occupancy
+/// lattice over `bounds`.
+fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
     let ow = block.owned_local();
+    let mask_nb = mask_bins(bounds.extent(), owned_cells(block), block.two_d);
     let mut seeds: Vec<Option<Ijk>> = vec![None; nb[0] * nb[1] * nb[2]];
     let mut occupancy = [0u64; OCC_WORDS];
+    let mut mask = vec![0u64; (mask_nb[0] * mask_nb[1] * mask_nb[2]).div_ceil(64)];
     let mut flops = 0u64;
 
     // Acceptance slack: the walk accepts trilinear coordinates in
     // [-TOL, 1+TOL] and Newton can accept before full convergence, so
-    // occupancy marks each cell's bounding box inflated well past that
-    // slack — pruning must never drop a rank that could answer.
+    // both occupancy masks mark each cell's bounding box inflated past that
+    // slack — pruning must never drop a rank, or reject a point, that could
+    // answer.
     let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
 
     let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
@@ -391,15 +472,17 @@ fn bin_cells(
                 if seeds[b].is_none() {
                     seeds[b] = Some(cell);
                 }
-                // Conservative occupancy: the cell box inflated by an
-                // eighth of its own extent plus a global epsilon.
+                // Conservative occupancy: the cell box inflated by an eighth
+                // (coarse mask) or a 256th (fine mask) of its own extent
+                // plus a global epsilon.
                 let e = cb.extent();
-                let pad = 0.125 * e[0].max(e[1]).max(e[2]) + diag_eps;
-                mark_occupancy(&mut occupancy, bounds, &cb.inflate(pad));
+                let longest = e[0].max(e[1]).max(e[2]);
+                mark_occupancy(&mut occupancy, bounds, &cb.inflate(0.125 * longest + diag_eps));
+                mark_mask(&mut mask, bounds, mask_nb, &cb.inflate(MASK_PAD * longest + diag_eps));
             }
         }
     }
-    (seeds, occupancy, flops)
+    Binned { seeds, occupancy, mask_nb, mask, flops }
 }
 
 /// [`nearest_filled`]'s answer for every bin of a lattice with no filled bin.
@@ -510,6 +593,35 @@ fn mark_occupancy(occ: &mut [u64; OCC_WORDS], bounds: &Aabb, cell_box: &Aabb) {
             for i in i0..=i1 {
                 let bit = (k * OCC_NB + j) * OCC_NB + i;
                 occ[bit / 64] |= 1u64 << (bit % 64);
+            }
+        }
+    }
+}
+
+/// Set every fine-mask bit whose bin overlaps `cell_box`: per (j, k) row of
+/// bins one contiguous run of bits, set a word at a time.
+fn mark_mask(bits: &mut [u64], bounds: &Aabb, nb: [usize; 3], cell_box: &Aabb) {
+    let range = |d: usize| -> (usize, usize) {
+        let lo = axis_bin(cell_box.min[d], bounds.min[d], bounds.max[d], nb[d]);
+        let hi = axis_bin(cell_box.max[d], bounds.min[d], bounds.max[d], nb[d]);
+        (lo, hi)
+    };
+    let (i0, i1) = range(0);
+    let (j0, j1) = range(1);
+    let (k0, k1) = range(2);
+    for k in k0..=k1 {
+        for j in j0..=j1 {
+            let row = (k * nb[1] + j) * nb[0];
+            let (first, last) = (row + i0, row + i1);
+            let (wf, wl) = (first / 64, last / 64);
+            let from_first = u64::MAX << (first % 64);
+            let upto_last = u64::MAX >> (63 - last % 64);
+            if wf == wl {
+                bits[wf] |= from_first & upto_last;
+            } else {
+                bits[wf] |= from_first;
+                bits[wf + 1..wl].fill(u64::MAX);
+                bits[wl] |= upto_last;
             }
         }
     }
@@ -765,11 +877,19 @@ mod tests {
             let th = -f64::to_radians(th_deg);
             let p = [r * th.cos(), r * th.sin(), 0.0];
             assert!(occupancy_admits(&occ, &bounds, p), "pruned a real donor point {p:?}");
+            assert!(inv.admits(p), "fine mask rejected a real donor point {p:?}");
         }
         // The hollow center of the annulus is inside the bbox but holds no
         // cells: occupancy must prune it.
         assert!(bounds.contains([0.0, 0.0, 0.0]));
         assert!(!occupancy_admits(&occ, &bounds, [0.0, 0.0, 0.0]));
+        // The fine mask follows the ring where the 8³ one cannot: inside the
+        // inner radius, and outside the outer one (3.25: the cells anchored
+        // at the outermost owned nodes reach one halo layer further).
+        for r in [0.0, 2.0, 3.6] {
+            let p = [r * 0.6, -r * 0.8, 0.0];
+            assert!(bounds.contains(p) && !inv.admits(p), "fine mask admitted r = {r}");
+        }
         // The all-ones mask admits everything.
         assert!(occupancy_admits(&OCC_ALL, &bounds, [0.0, 0.0, 0.0]));
     }
@@ -889,9 +1009,11 @@ mod tests {
         assert!(inv.advance(&RigidTransform::translation(shift)));
         let inv_pose = *inv.inv_pose();
         assert!(!occupancy_admits_posed(&occ, &bounds, &inv_pose, [100.0, 0.0, 0.0]));
+        assert!(!inv.admits([100.0, 0.0, 0.0]));
         let th = -f64::to_radians(13.0);
         let p = [100.0 + 2.55 * th.cos(), 2.55 * th.sin(), 0.0];
         assert!(occupancy_admits_posed(&occ, &bounds, &inv_pose, p));
+        assert!(inv.admits(p));
     }
 
     #[test]
@@ -964,11 +1086,11 @@ mod tests {
     /// [`InverseMap::build_with_bins`] with the reference fill in place of
     /// the layered search; every other pass is the production one.
     fn build_reference(block: &Block, bounds: Aabb, nb: [usize; 3]) -> InverseMap {
-        let (mut seeds, occupancy, mut build_flops) = bin_cells(block, &bounds, nb);
-        let filled: Vec<bool> = seeds.iter().map(Option::is_some).collect();
+        let mut binned = bin_cells(block, &bounds, nb);
+        let filled: Vec<bool> = binned.seeds.iter().map(Option::is_some).collect();
         let nearest = nearest_filled_reference(nb, &filled);
-        build_flops += FLOPS_PER_BIN_FILL * fill_from(&mut seeds, &nearest);
-        InverseMap::from_seeds(block, bounds, nb, seeds, occupancy, build_flops)
+        binned.flops += FLOPS_PER_BIN_FILL * fill_from(&mut binned.seeds, &nearest);
+        InverseMap::from_seeds(block, bounds, nb, binned)
     }
 
     /// Deterministic fill patterns for the fill tests. Shapes 0-2 are random
@@ -1072,8 +1194,13 @@ mod tests {
                     assert_eq!(m.seeds, r.seeds, "seeds: {what}");
                     assert_eq!(m.occupancy, r.occupancy, "occupancy: {what}");
                     assert_eq!((m.nb, m.hole_nb), (r.nb, r.hole_nb), "lattices: {what}");
+                    assert_eq!((m.mask_nb, &m.mask), (r.mask_nb, &r.mask), "fine mask: {what}");
+                    // At most 48³ bits, and at most 64 per cell: cutting a
+                    // grid over more ranks does not multiply its mask.
+                    let cells: usize = owned_cells(&block).iter().product();
+                    assert!(m.mask.len() * 64 < MASK_MAX_BITS.min(64 * cells) + 64, "{what}");
                     assert_eq!(m.build_flops, r.build_flops, "build_flops: {what}");
-                    let binned = bin_cells(&block, &m.bounds, m.nb).0;
+                    let binned = bin_cells(&block, &m.bounds, m.nb).seeds;
                     empty_bins += binned.iter().filter(|s| s.is_none()).count();
                 }
             }

@@ -38,7 +38,8 @@ pub mod serial;
 pub use arena::ConnArena;
 pub use context::{Connectivity, MapSlot, SerialConnectivity};
 pub use donor::{
-    walk_search, walk_search_batch, walk_search_isa, BatchQuery, Donor, SearchCost, SearchOutcome,
+    walk_search, walk_search_batch, walk_search_isa, BatchQuery, CachedDonor, Donor, SearchCost,
+    SearchOutcome,
 };
 pub use holes::{cut_holes_and_find_fringe, Igbp};
 pub use interp::{interpolate, weights};

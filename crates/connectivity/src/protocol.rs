@@ -23,7 +23,7 @@
 //! everything it received before waiting on its own replies.
 
 use crate::arena::ConnArena;
-use crate::donor::{center_start, walk_search_batch, BatchQuery, SearchOutcome};
+use crate::donor::{center_start, walk_search_batch, BatchQuery, CachedDonor, SearchOutcome};
 use crate::holes::Igbp;
 use crate::interp::{interpolate, FLOPS_PER_INTERP};
 use crate::inverse_map::{occupancy_admits_posed, InverseMap, OCC_ALL, OCC_WORDS};
@@ -52,10 +52,10 @@ pub struct Topology {
 }
 
 /// Per-rank donor cache for nth-level restart: fringe node → (donor rank,
-/// donor grid, donor cell in *global* donor-grid indices, relaxed donor).
+/// its donor, the cell in *global* donor-grid indices).
 #[derive(Clone, Debug, Default)]
 pub struct DonorCache {
-    map: HashMap<Ijk, (usize, usize, Ijk, bool)>,
+    map: HashMap<Ijk, (usize, CachedDonor)>,
 }
 
 impl DonorCache {
@@ -73,8 +73,8 @@ impl DonorCache {
     /// maps (donor grid, donor cell anchor) to the new rank. Far cheaper
     /// than re-searching everything from scratch.
     pub fn remap_ranks(&mut self, owner: impl Fn(usize, Ijk) -> usize) {
-        for (_, (rank, grid, cell, _)) in self.map.iter_mut() {
-            *rank = owner(*grid, *cell);
+        for (rank, donor) in self.map.values_mut() {
+            *rank = owner(donor.grid, donor.cell);
         }
     }
 }
@@ -352,7 +352,7 @@ pub fn connect_distributed(
 
     // 2. Seed pending requests: cached donors first, hierarchy otherwise.
     for (idx, ig) in igbps.iter().enumerate() {
-        if let Some(&(rank, _grid, cell, relaxed)) = cache.map.get(&ig.node) {
+        if let Some(&(rank, CachedDonor { cell, relaxed, .. })) = cache.map.get(&ig.node) {
             let cand_start = cand_pool.len() as u32;
             cand_pool.push(rank);
             pending.push(Pending {
@@ -404,6 +404,7 @@ pub fn connect_distributed(
     //    chains, which would otherwise shift arrival rounds between the
     //    map-on and map-off modes and perturb values at the last bit).
     let mut round = 0usize;
+    let mut relaxed_donors = 0u64;
     let capped = loop {
         let active: usize = comm.allreduce_sum_usize(pending.len());
         if active == 0 {
@@ -470,30 +471,48 @@ pub fn connect_distributed(
             stats.serviced += n_in;
             comm.metrics_mut().add(names::CONN_SERVICED, n_in as u64);
             let mut service_flops = 0u64;
-            let steps_before = stats.walk_steps;
-            // Lane-lockstep donor search over the whole request batch: up
-            // to W pending points walk side by side, one SIMD lane each.
-            // Outcomes and per-point costs are bit-identical to searching
-            // the points one at a time with the scalar code.
+            let (mut steps, mut miss_steps, mut rejects) = (0u64, 0u64, 0u64);
+            // A cold request the fine occupancy mask rejects is answered
+            // `Miss` here; the rest, compacted to the front of `pts`, walk.
+            // Lane-lockstep donor search over that batch: up to W pending
+            // points walk side by side, one SIMD lane each. Outcomes and
+            // per-point costs are bit-identical to searching the points one
+            // at a time with the scalar code.
+            // (Scratch is sized for the whole batch, walked or not, so that
+            // it stops growing on the cold step, when the batches are largest.)
             walk_queries.clear();
-            walk_queries.extend(pts.iter().map(|pt| {
+            walk_queries.reserve(n_in);
+            walk_outcomes.clear();
+            walk_outcomes.reserve(n_in);
+            walk_costs.clear();
+            walk_costs.reserve(n_in);
+            for i in 0..n_in {
+                let pt = pts[i];
                 let start = match (pt.hint, inv) {
                     // Warm restart hint beats everything.
                     (Some(gc), _) => clamp_to_local_cell(block, gc),
-                    // Cold search: O(1) inverse-map seed near the target
-                    // (posed queries charge for the inverse transform).
+                    // Cold search: no walk when no cell can hold the point,
+                    // else the O(1) inverse-map seed near the target (posed
+                    // lookups charge for the inverse transform).
                     (None, Some(m)) => {
+                        service_flops += m.query_flops();
+                        if !m.admits(pt.xyz) {
+                            rejects += 1;
+                            answers.push((pt.id, Answer::Miss));
+                            continue;
+                        }
                         service_flops += m.query_flops();
                         m.query(pt.xyz)
                     }
                     // Legacy cold start from the block center.
                     (None, None) => center_start(block),
                 };
-                BatchQuery { xyz: pt.xyz, start, relaxed: pt.relaxed }
-            }));
+                pts[walk_queries.len()] = pt;
+                walk_queries.push(BatchQuery { xyz: pt.xyz, start, relaxed: pt.relaxed });
+            }
             walk_search_batch(block, walk_queries, isa, walk_outcomes, walk_costs);
             for (pt, (out, cost)) in pts.iter().zip(walk_outcomes.iter().zip(walk_costs.iter())) {
-                stats.walk_steps += cost.walk_steps;
+                steps += cost.walk_steps;
                 service_flops += cost.flops();
                 let ans = match out {
                     SearchOutcome::Found(d) => {
@@ -501,12 +520,19 @@ pub fn connect_distributed(
                         service_flops += FLOPS_PER_INTERP;
                         Answer::Found { value, cell_global: block.to_global(d.cell) }
                     }
-                    _ => Answer::Miss,
+                    _ => {
+                        miss_steps += cost.walk_steps;
+                        Answer::Miss
+                    }
                 };
                 answers.push((pt.id, ans));
             }
+            stats.walk_steps += steps;
             comm.compute(service_flops as f64, WorkClass::Search);
-            comm.metrics_mut().add(names::CONN_WALK_STEPS, stats.walk_steps - steps_before);
+            let m = comm.metrics_mut();
+            m.add(names::CONN_WALK_STEPS, steps);
+            m.add(names::CONN_WALK_STEPS_MISS, miss_steps);
+            m.add(names::CONN_PREFILTER_REJECTS, rejects);
             // Hand both buffers back to their owner (the request vector
             // emptied: its capacity, not its contents, travels home).
             pts.clear();
@@ -541,10 +567,14 @@ pub fn connect_distributed(
                     }
                     let ig = &igbps[p.igbp];
                     writes.push((ig.node, value));
-                    cache
-                        .map
-                        .insert(ig.node, (from, topo.grid_of_rank[from], cell_global, p.relaxed));
+                    let donor = CachedDonor {
+                        grid: topo.grid_of_rank[from],
+                        cell: cell_global,
+                        relaxed: p.relaxed,
+                    };
+                    cache.map.insert(ig.node, (from, donor));
                     stats.resolved += 1;
+                    relaxed_donors += u64::from(p.relaxed);
                 }
                 Answer::Miss => {
                     // Advance to the next candidate / hierarchy level; after
@@ -592,6 +622,7 @@ pub fn connect_distributed(
     stats.orphans = orphaned.len();
     let m = comm.metrics_mut();
     m.add(names::CONN_ORPHANS, stats.orphans as u64);
+    m.add(names::CONN_DONORS_RELAXED, relaxed_donors);
     m.add(names::CONN_ROUNDS, stats.rounds as u64);
     if capped {
         m.inc(names::CONN_ROUNDS_CAPPED);
@@ -689,7 +720,7 @@ fn clamp_to_local_cell(block: &Block, global_cell: Ijk) -> Ijk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overset_comm::{MachineModel, Universe};
+    use overset_comm::{MachineModel, MetricsRegistry, Universe};
     use overset_grid::curvilinear::{
         BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind, Solid,
     };
@@ -820,6 +851,53 @@ mod tests {
         assert!(out[0].result.1.rounds <= out[0].result.0.rounds);
     }
 
+    /// The serial cache's relaxed-donor assertion through the per-rank
+    /// cache: same system, same solid, same helper.
+    #[test]
+    fn relaxed_donor_is_a_warm_hit_on_the_next_step() {
+        use crate::serial::tests::{
+            assert_relaxed_donors_restart_warm, holed_stencil_solids, RestartCensus,
+        };
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
+            let mut block = build_block(comm.rank(), &fc);
+            paint_linear(&mut block);
+            let mut cache = DonorCache::new();
+            let mut resolved = Vec::new();
+            for _ in 0..2 {
+                let (igbps, _) = crate::holes::cut_holes_and_find_fringe(
+                    &mut block,
+                    &holed_stencil_solids(),
+                    None,
+                    &mut ConnArena::new(),
+                );
+                let s = connect(&mut block, &igbps, &mut cache, comm);
+                resolved.push((s.resolved as u64, comm.metrics().clone()));
+            }
+            resolved
+        });
+        // Counters are cumulative: a solution's census is the difference
+        // of the rank-summed registries after and before it.
+        let census = |step: usize| {
+            let summed = |s: usize| {
+                let regs: Vec<_> = out.iter().map(|o| o.result[s].1.clone()).collect();
+                MetricsRegistry::aggregate(&regs)
+            };
+            let now = summed(step);
+            let before = if step == 0 { MetricsRegistry::new() } else { summed(step - 1) };
+            let delta = |name: &str| now.counter(name) - before.counter(name);
+            RestartCensus {
+                resolved: out.iter().map(|o| o.result[step].0).sum(),
+                relaxed_donors: delta(names::CONN_DONORS_RELAXED),
+                warm_attempts: delta(names::CONN_CACHE_HIT) + delta(names::CONN_CACHE_MISS),
+                warm_hits: delta(names::CONN_CACHE_HIT),
+                walk_steps: delta(names::CONN_WALK_STEPS),
+                walk_steps_miss: delta(names::CONN_WALK_STEPS_MISS),
+            }
+        };
+        assert_relaxed_donors_restart_warm(&census(0), &census(1));
+    }
+
     #[test]
     fn deterministic_virtual_times() {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
@@ -887,7 +965,9 @@ mod tests {
         let mut donors: Vec<_> = cache
             .map
             .iter()
-            .map(|(n, &(r, g, c, relaxed))| [n.i, n.j, n.k, r, g, c.i, c.j, c.k, relaxed as usize])
+            .map(|(n, &(r, CachedDonor { grid: g, cell: c, relaxed }))| {
+                [n.i, n.j, n.k, r, g, c.i, c.j, c.k, relaxed as usize]
+            })
             .collect();
         donors.sort_unstable();
         answers.extend(donors.iter().flatten().map(|&n| n as u64));
@@ -932,7 +1012,6 @@ mod tests {
 
     #[test]
     fn metrics_registry_matches_protocol_stats_across_ranks() {
-        use overset_comm::metrics::MetricsRegistry;
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
             let mut block = build_block(comm.rank(), &fc);

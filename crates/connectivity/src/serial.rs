@@ -5,7 +5,7 @@
 
 use crate::arena::ConnArena;
 use crate::context::MapSlot;
-use crate::donor::{center_start, walk_search_isa, Donor, SearchCost, SearchOutcome};
+use crate::donor::{center_start, walk_search_isa, CachedDonor, Donor, SearchCost, SearchOutcome};
 use crate::holes::cut_holes_and_find_fringe;
 use crate::interp::{interpolate, FLOPS_PER_INTERP};
 use overset_grid::curvilinear::Solid;
@@ -14,10 +14,10 @@ use overset_solver::Block;
 use std::collections::HashMap;
 
 /// Donor cache for nth-level restart, serial form: per (grid, fringe node) →
-/// (donor grid, donor cell in that grid's local indices).
+/// its donor, the cell in that grid's local indices.
 #[derive(Clone, Debug, Default)]
 pub struct SerialCache {
-    map: HashMap<(usize, Ijk), (usize, Ijk)>,
+    map: HashMap<(usize, Ijk), CachedDonor>,
 }
 
 impl SerialCache {
@@ -45,12 +45,34 @@ pub struct SerialConnStats {
     pub resolved: usize,
     pub orphans: usize,
     pub walk_steps: u64,
+    /// Of `walk_steps`, those of searches that returned no donor.
+    pub walk_steps_miss: u64,
+    /// Hierarchy candidates a map's fine occupancy mask rejected, so that
+    /// no walk was started on them.
+    pub prefilter_rejects: u64,
+    /// Of `resolved`, the donors held under relaxed acceptance.
+    pub relaxed_donors: u64,
+    /// Flops of hole cutting and fringe identification.
+    pub hole_flops: u64,
+    /// Flops of the donor search and the interpolation.
     pub flops: u64,
     /// Warm restarts attempted: IGBPs that had a cached donor to start at.
     pub warm_attempts: u64,
-    /// Warm restarts that found the donor straight from the cached cell
-    /// (strict acceptance); the rest fell through to the hierarchy search.
+    /// Warm restarts that found the donor straight from the cached cell,
+    /// under the acceptance it was cached with; the rest fell through to
+    /// the hierarchy search.
     pub warm_hits: u64,
+}
+
+impl SerialConnStats {
+    /// Account for one finished walk.
+    fn charge(&mut self, cost: &SearchCost, out: &SearchOutcome) {
+        self.walk_steps += cost.walk_steps;
+        self.flops += cost.flops();
+        if !matches!(out, SearchOutcome::Found(_)) {
+            self.walk_steps_miss += cost.walk_steps;
+        }
+    }
 }
 
 /// Re-establish domain connectivity serially:
@@ -61,10 +83,12 @@ pub struct SerialConnStats {
 ///
 /// `maps[g]` is the slot of grid `g`'s inverse map, refreshed for
 /// `blocks[g]`'s current geometry; `&[]` runs without maps. With maps, hole
-/// cutting is masked by each map's ternary solid lattice and cold donor
-/// searches start from the map's O(1) seed instead of the donor grid's
-/// center. Results (blanking, donors, orphans, fringe values) are identical
-/// with or without maps — only the flop charge drops.
+/// cutting is masked by each map's ternary solid lattice, a grid whose
+/// bounding box holds a point but whose fine occupancy mask does not is
+/// passed over without a walk, and cold donor searches start from the map's
+/// O(1) seed instead of the donor grid's center. Results (blanking, donors,
+/// orphans, fringe values) are identical with or without maps — only the
+/// work and its flop charge drop.
 ///
 /// Per-grid IGBP lists, the deferred-write buffer and the grid bounding
 /// boxes live on the caller's [`ConnArena`]; results are bit-identical with
@@ -90,7 +114,7 @@ pub fn connect_serial(
     }
     for (g, b) in blocks.iter_mut().enumerate() {
         let (igbps, flops) = cut_holes_and_find_fringe(b, solids, map_of(g), arena);
-        stats.flops += flops;
+        stats.hole_flops += flops;
         arena.igbps_per_grid.push(igbps);
     }
 
@@ -113,20 +137,20 @@ pub fn connect_serial(
         stats.igbps += igbps.len();
         for ig in igbps.iter() {
             let key = (g, ig.node);
-            let mut found: Option<(usize, Donor)> = None;
+            // Donor grid, donor, and whether the relaxed pass found it.
+            let mut found: Option<(usize, Donor, bool)> = None;
 
-            // Warm start at the cached donor.
-            if let Some(&(dg, cell)) = cache.map.get(&key) {
+            // Warm start at the cached donor, under the acceptance it was
+            // cached with.
+            if let Some(&CachedDonor { grid: dg, cell, relaxed }) = cache.map.get(&key) {
                 let mut cost = SearchCost::default();
                 stats.warm_attempts += 1;
-                if let SearchOutcome::Found(d) =
-                    walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, false, isa)
-                {
+                let out = walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, relaxed, isa);
+                stats.charge(&cost, &out);
+                if let SearchOutcome::Found(d) = out {
                     stats.warm_hits += 1;
-                    found = Some((dg, d));
+                    found = Some((dg, d, relaxed));
                 }
-                stats.walk_steps += cost.walk_steps;
-                stats.flops += cost.flops();
             }
 
             // Hierarchy search: strict pass, then a relaxed last-resort
@@ -139,31 +163,36 @@ pub fn connect_serial(
                     if !bboxes[dg].contains(ig.xyz) {
                         continue;
                     }
-                    let mut cost = SearchCost::default();
                     let start = match map_of(dg) {
                         Some(m) => {
+                            stats.flops += m.query_flops();
+                            if !m.admits(ig.xyz) {
+                                stats.prefilter_rejects += 1;
+                                continue;
+                            }
                             stats.flops += m.query_flops();
                             m.query(ig.xyz)
                         }
                         None => center_start(&blocks[dg]),
                     };
+                    let mut cost = SearchCost::default();
                     let out = walk_search_isa(&blocks[dg], ig.xyz, start, &mut cost, relaxed, isa);
-                    stats.walk_steps += cost.walk_steps;
-                    stats.flops += cost.flops();
+                    stats.charge(&cost, &out);
                     if let SearchOutcome::Found(d) = out {
-                        found = Some((dg, d));
+                        found = Some((dg, d, relaxed));
                         break;
                     }
                 }
             }
 
             match found {
-                Some((dg, d)) => {
+                Some((dg, d, relaxed)) => {
                     let value = interpolate(&blocks[dg], &d);
                     stats.flops += FLOPS_PER_INTERP;
                     writes.push((g, ig.node, value));
-                    cache.map.insert(key, (dg, d.cell));
+                    cache.map.insert(key, CachedDonor { grid: dg, cell: d.cell, relaxed });
                     stats.resolved += 1;
+                    stats.relaxed_donors += u64::from(relaxed);
                 }
                 None => {
                     // Orphan: keep the previous value.
@@ -180,7 +209,7 @@ pub fn connect_serial(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use overset_comm::metrics::names;
     use overset_comm::MetricsRegistry;
@@ -268,6 +297,57 @@ mod tests {
             s2.walk_steps,
             s1.walk_steps
         );
+    }
+
+    /// One solution's restart census, as either driver can report it.
+    #[derive(Debug)]
+    pub(crate) struct RestartCensus {
+        pub resolved: u64,
+        pub relaxed_donors: u64,
+        pub warm_attempts: u64,
+        pub warm_hits: u64,
+        pub walk_steps: u64,
+        pub walk_steps_miss: u64,
+    }
+
+    /// A solid of the inner grid that blanks exactly the background node at
+    /// (1, 2), on the inner grid's outer boundary: every background cell
+    /// around the inner fringe points next to it has that hole in its
+    /// stencil, so their only donors are relaxed ones.
+    pub(crate) fn holed_stencil_solids() -> Vec<(usize, Solid)> {
+        vec![(0, Solid::Ellipsoid { center: [1.0, 2.0, 0.0], radii: [0.1, 0.1, 10.0] })]
+    }
+
+    /// The cold and the following warm solution of a static system in which
+    /// some fringe point's only donor has a holed stencil — the one
+    /// assertion that pins the serial and the per-rank cache: the donor is
+    /// found relaxed, stays relaxed, and is found again from its own cell.
+    pub(crate) fn assert_relaxed_donors_restart_warm(cold: &RestartCensus, warm: &RestartCensus) {
+        assert!(cold.relaxed_donors > 0, "no holed-stencil donor in the fixture: {cold:?}");
+        assert_eq!((cold.warm_attempts, cold.warm_hits), (0, 0), "{cold:?}");
+        assert_eq!(warm.relaxed_donors, cold.relaxed_donors, "{warm:?}");
+        assert_eq!(warm.warm_attempts, cold.resolved, "{warm:?}");
+        // A relaxed donor warm-started strictly is refused at its own cell.
+        assert_eq!(warm.warm_hits, warm.warm_attempts, "{warm:?}");
+        let hit_steps = warm.walk_steps - warm.walk_steps_miss;
+        assert!(hit_steps <= 3 * warm.warm_hits, "warm hits walked: {warm:?}");
+    }
+
+    #[test]
+    fn relaxed_donor_is_a_warm_hit_on_the_next_step() {
+        let mut blocks = two_grid_system();
+        let mut cache = SerialCache::new();
+        let census = |s: &SerialConnStats| RestartCensus {
+            resolved: s.resolved as u64,
+            relaxed_donors: s.relaxed_donors,
+            warm_attempts: s.warm_attempts,
+            warm_hits: s.warm_hits,
+            walk_steps: s.walk_steps,
+            walk_steps_miss: s.walk_steps_miss,
+        };
+        let cold = connect(&mut blocks, &order(), &holed_stencil_solids(), &mut cache);
+        let warm = connect(&mut blocks, &order(), &holed_stencil_solids(), &mut cache);
+        assert_relaxed_donors_restart_warm(&census(&cold), &census(&warm));
     }
 
     #[test]
@@ -419,8 +499,22 @@ mod tests {
                 let what = format!("{name} step {n} leg {l}");
                 let b = &stats[l];
                 assert_eq!(
-                    (a.igbps, a.resolved, a.orphans, a.warm_attempts, a.warm_hits),
-                    (b.igbps, b.resolved, b.orphans, b.warm_attempts, b.warm_hits),
+                    (
+                        a.igbps,
+                        a.resolved,
+                        a.orphans,
+                        a.relaxed_donors,
+                        a.warm_attempts,
+                        a.warm_hits
+                    ),
+                    (
+                        b.igbps,
+                        b.resolved,
+                        b.orphans,
+                        b.relaxed_donors,
+                        b.warm_attempts,
+                        b.warm_hits
+                    ),
                     "{what}: census"
                 );
                 for (pb, lb) in plain.blocks.iter().zip(&legs[l].blocks) {
@@ -428,11 +522,16 @@ mod tests {
                     assert!(bits(pb).eq(bits(lb)), "{what}: fringe values");
                 }
                 assert!(plain.cache.map == legs[l].cache.map, "{what}: donor cache");
-                // Map seeds shorten the cold step's searches. (A warm step
-                // only searches the hierarchy after a failed warm start, and
-                // a seed does not shorten that miss chain: on the store
-                // system warm steps come out ~5 % longer with maps.)
+                // On the cold step, where every IGBP searches its hierarchy,
+                // the mask spares walks that find nothing and the seeds
+                // shorten the rest. (A warm step searches the hierarchy only
+                // after a failed warm start — a handful of points, whose
+                // seeded walk comes on top of the canonical chain when it
+                // misses too.)
+                assert_eq!(a.prefilter_rejects, 0, "{what}: no map, no mask");
                 if n == 0 {
+                    assert!(b.prefilter_rejects > 0, "{what}: the mask never fired");
+                    assert!(b.walk_steps_miss < a.walk_steps_miss, "{what}: {b:?} vs {a:?}");
                     assert!(b.walk_steps < a.walk_steps, "{what}: {b:?} vs {a:?}");
                 }
             }

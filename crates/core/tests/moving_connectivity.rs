@@ -117,3 +117,27 @@ fn negligible_motion_never_marks_grids_moved() {
         );
     }
 }
+
+/// The serial driver's steady steps restart as well as the distributed
+/// protocol's: a donor accepted relaxed is warm-started relaxed, so (nearly)
+/// every warm start hits, and the one processor walks about what the 18
+/// ranks walk together. With the serial cache warm-starting relaxed donors
+/// strictly, 3.4 % of its warm starts failed and each re-walked the whole
+/// hierarchy: 4-5x the distributed run's steps.
+#[test]
+fn serial_steady_steps_restart_like_the_distributed_ones() {
+    let cfg = store_case(0.3, 5);
+    let serial = overflow_d::run_case_serial(&cfg, &modern()).unwrap();
+    let ranks = run_case(&cfg, 18, &modern()).unwrap();
+    // Rank-summed walk steps of one timestep.
+    let walked = |r: &overflow_d::RunResult, step: usize| -> u64 {
+        r.step_records.iter().map(|recs| recs[step].walk_steps).sum()
+    };
+    for step in 1..cfg.steps {
+        let rec = &serial.step_records[0][step];
+        let rate = rec.cache_hit_rate().expect("a steady step warm-starts");
+        assert!(rate >= 0.995, "step {step}: serial warm-hit rate {rate}");
+        let (one, many) = (walked(&serial, step), walked(&ranks, step));
+        assert!(2 * one <= 3 * many, "step {step}: serial walks {one} steps, 18 ranks {many}");
+    }
+}

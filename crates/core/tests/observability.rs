@@ -85,8 +85,8 @@ fn trace_json_matches_chrome_trace_event_schema() {
     );
 }
 
-/// The serial driver feeds the same warm-restart counters and the same
-/// inverse-map span as the distributed one.
+/// The serial driver feeds the same warm-restart counters and opens the
+/// same connectivity spans as the distributed one.
 #[test]
 fn serial_driver_reports_warm_restarts_and_map_builds() {
     let mut cfg = airfoil_case(0.3, 4);
@@ -94,10 +94,19 @@ fn serial_driver_reports_warm_restarts_and_map_builds() {
     let r = overflow_d::run_case_serial(&cfg, &MachineModel::ibm_sp2()).unwrap();
     let rate = r.metrics.cache_hit_rate().expect("no warm restarts recorded");
     assert!(rate > 0.5, "warm restart hit rate {rate} too low");
-    let maps =
-        r.trace[0].events.iter().filter(|e| e.cat == "conn" && e.name == "invmap_build").count();
+    let spans = |name: &str| -> Vec<f64> {
+        let conn = r.trace[0].events.iter().filter(|e| e.cat == "conn" && e.name == name);
+        conn.map(|e| e.dur).collect()
+    };
     // The cold build of every grid, then one pose advance per step.
-    assert_eq!(maps, r.steps);
+    assert_eq!(spans("invmap_build").len(), r.steps);
+    // The hole cut and the donor search are charged one after the other,
+    // each over a virtual interval of its own.
+    for name in ["hole_cut", "connect"] {
+        let durs = spans(name);
+        assert_eq!(durs.len(), r.steps, "{name} spans");
+        assert!(durs.iter().all(|&d| d > 0.0), "{name}: {durs:?}");
+    }
 }
 
 /// Disabling tracing yields no events and identical physics/timing.

@@ -1,9 +1,15 @@
 //! Recorded values the driver must keep reproducing: final state, every
-//! virtual clock and the fringe / orphan census of two runs, equal to the
-//! bits recorded before the flow phase's data path changed (residual as
-//! node pass + face assembly, sweeps in storage order) — on rank threads,
-//! under the M:N scheduler and across the process transport — and the
-//! steady-state allocation floor the per-rank arena and pools hold.
+//! virtual clock and the fringe / orphan census of two runs — on rank
+//! threads, under the M:N scheduler and across the process transport — and
+//! the steady-state allocation floor the per-rank arena and pools hold.
+//!
+//! The state bits are those recorded before the flow phase's data path
+//! changed (residual as node pass + face assembly, sweeps in storage
+//! order). The clocks were re-recorded when the serving rank started
+//! answering cold requests its fine occupancy mask rejects without a walk:
+//! less search work, so the connectivity and total clocks moved (and the
+//! airfoil's flow clock by one ulp, a difference of later absolute times),
+//! but the same answers — the state bits did not.
 
 use overflow_d::{airfoil_case, run_case, store_case, RunResult};
 use overset_comm::{MachineModel, Phase, TransportConfig};
@@ -18,12 +24,11 @@ struct Recorded {
     igbps_last: usize,
 }
 
-/// `airfoil_case(0.3, 8)` on 6 ranks of `MachineModel::modern()`, recorded
-/// at the commit before the flow-phase data path changed.
+/// `airfoil_case(0.3, 8)` on 6 ranks of `MachineModel::modern()`.
 const AIRFOIL_6: Recorded = Recorded {
     state_rms: 0x400339a7d5334b83,
-    wall_time: 0x3f6db9f324663b3e,
-    phase_elapsed: [0x3f68893c827a86e0, 0x3f4231b56f30a742, 0x3f12f58a29019ac8],
+    wall_time: 0x3f6dba8a71cfb7ed,
+    phase_elapsed: [0x3f68893c827a86e1, 0x3f423412a4d699fa, 0x3f12f58a29019ac8],
     orphans_last: 0,
     igbps_last: 192,
 };
@@ -31,8 +36,8 @@ const AIRFOIL_6: Recorded = Recorded {
 /// `store_case(0.3, 3)` on 18 ranks of `MachineModel::modern()`, likewise.
 const STORE_18: Recorded = Recorded {
     state_rms: 0x400bc3623698b3d2,
-    wall_time: 0x3fae0535003afb40,
-    phase_elapsed: [0x3f72573f818ccdde, 0x3fabad212e27cb00, 0x3f17b3d81eb750e0],
+    wall_time: 0x3fabd10aaec92569,
+    phase_elapsed: [0x3f72573f818ccdde, 0x3fa978f6dcb5f529, 0x3f17b3d81eb750e0],
     orphans_last: 0,
     igbps_last: 7394,
 };

@@ -36,6 +36,9 @@ echo "== repro smoke test (one table, the one run-time switch) =="
 ./target/release/repro table1 --quick > /dev/null
 ./target/release/repro ablate-restart --quick > /dev/null
 
+echo "== the paper's shapes (DESIGN.md §4): exit 1 on a FAIL or an unexpected pass =="
+./target/release/repro verify-shapes --quick
+
 echo "== repo benchmark smoke (advisory) =="
 # One round of every workload with its output checks (serial reference,
 # orphans, sample-to-sample determinism). Timings on a CI host are noise,

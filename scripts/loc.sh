@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Production line count, per crate and for the workspace: every line of
 # crates/*/src/**/*.rs up to the file's first inline `#[cfg(test)] mod ... {`
+# (or `pub(crate) mod`, for a test module that lends a helper to another's)
 # (unit tests and test-only references trail each file; tests/ and benches/
 # are not under src/). Two columns: all lines, and code lines only (no blank
 # and no comment-only lines). Run it on the parent and on the PR and report
@@ -18,7 +19,7 @@ count() { # files... -> "<lines> <code lines>"
         function flush(   i, cut) {
             cut = n
             for (i = 1; i < n; i++)
-                if (line[i] == "#[cfg(test)]" && line[i + 1] ~ /^mod [a-z_]+ \{/) {
+                if (line[i] == "#[cfg(test)]" && line[i + 1] ~ /^(pub\(crate\) )?mod [a-z_]+ \{/) {
                     cut = i - 1
                     break
                 }
