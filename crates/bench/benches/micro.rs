@@ -2,22 +2,28 @@
 //! blocks whose costs the virtual-time model charges.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use overset_balance::{group_grids, static_balance, AdjacencyMatrix, Partition};
+use overflow_d::driver::grid_min_widths;
+use overflow_d::setup::{build_block, build_topology};
+use overflow_d::store_case;
+use overset_balance::{
+    fit_np_to_dims_min, group_grids, static_balance, AdjacencyMatrix, Partition,
+};
 use overset_comm::{MachineModel, Universe};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    connect_serial, cut_holes_and_find_fringe, walk_search, ConnArena, InverseMap, MapSlot,
-    SearchCost, SerialCache,
+    connect_serial, cut_holes_and_find_fringe, walk_search, ConnArena, Connectivity, InverseMap,
+    MapSlot, SearchCost, SerialCache,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
 use overset_grid::gen::store::{store_search_order, store_system, STORE_CARRIAGE};
-use overset_grid::Dims;
+use overset_grid::{Dims, RigidTransform};
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, solve_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
 use overset_solver::tridiag::{solve_with, TriScratch};
 use overset_solver::{select_isa, Block, FlowConditions, Isa, Scratch, SerialComm, W};
+use std::time::{Duration, Instant};
 
 fn fc() -> FlowConditions {
     let mut fc = FlowConditions::new(0.8, 0.0, 1.0e6);
@@ -397,6 +403,45 @@ fn comm_kernels(c: &mut Criterion) {
     });
 }
 
+/// One warm distributed connectivity solution of the store system (x0.4,
+/// static) on 64 ranks — coroutines on one worker, so rank 0's time between
+/// two barriers is the whole universe's: hole cut, routing gather, one round
+/// of 13 K warm requests, interpolation. The universe, the blocks and the
+/// cold solution (maps, first donors) are set up per batch and not timed.
+fn distributed_connectivity(c: &mut Criterion) {
+    const P: usize = 64;
+    let cfg = store_case(0.4, 1);
+    let sizes: Vec<usize> = cfg.grids.iter().map(|g| g.num_points()).collect();
+    let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+    // The partition `run_case` builds.
+    let balanced = static_balance(&sizes, P).unwrap();
+    let widths = grid_min_widths(&cfg.grids);
+    let np = fit_np_to_dims_min(&sizes, &dims, &balanced.np, &widths).unwrap();
+    let partition = Partition::build(&dims, &np);
+    let topo = build_topology(&partition, &cfg.search_order).unwrap();
+    let solids = tagged_solids(&cfg.grids);
+    let unmoved = vec![RigidTransform::IDENTITY; cfg.grids.len()];
+    let machine = MachineModel::ibm_sp2();
+    c.bench_function("connect_distributed/store_0p4_p64_steady", |b| {
+        b.iter_custom(|iters| {
+            let out = Universe::builder().ranks(P).machine(&machine).max_threads(1).run(|comm| {
+                let (mut block, _) =
+                    build_block(comm.rank(), &partition, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+                let mut conn = Connectivity::new(true);
+                conn.step(&mut block, &solids, &topo, comm);
+                comm.barrier();
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    conn.step(&mut block, &solids, &topo, comm);
+                }
+                comm.barrier();
+                t0.elapsed().as_secs_f64()
+            });
+            Duration::from_secs_f64(out[0].result)
+        })
+    });
+}
+
 criterion_group!(
     benches,
     solver_kernels,
@@ -406,6 +451,7 @@ criterion_group!(
     inverse_map_kernels,
     serial_connectivity,
     balance_kernels,
-    comm_kernels
+    comm_kernels,
+    distributed_connectivity
 );
 criterion_main!(benches);

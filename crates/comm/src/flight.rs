@@ -43,8 +43,9 @@ pub struct StepRecord {
     /// direct measure of how well the inverse-map seeds (and warm restart
     /// hints) are working.
     pub walk_steps: u64,
-    /// Search requests forwarded to another candidate rank this step —
-    /// false-positive routing that occupancy pruning exists to cut.
+    /// Request points sent this step after an IGBP's first (its level's
+    /// other candidate ranks, later levels) — false-positive routing that
+    /// occupancy pruning exists to cut.
     pub forwards: u64,
     /// Orphan points left without donors this step.
     pub orphans: u64,

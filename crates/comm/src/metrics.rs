@@ -21,7 +21,8 @@ pub mod names {
     pub const CONN_CACHE_HIT: &str = "conn.cache.hit";
     /// Warm hints that missed and fell back to the hierarchy.
     pub const CONN_CACHE_MISS: &str = "conn.cache.miss";
-    /// Requests forwarded to another candidate rank after a miss.
+    /// Request points sent after an IGBP's first: to the other candidate
+    /// ranks of its hierarchy level, then to every later level's.
     pub const CONN_FORWARDS: &str = "conn.forwards";
     /// Stencil-walk steps performed while servicing donor searches.
     pub const CONN_WALK_STEPS: &str = "conn.walk_steps";
@@ -38,11 +39,6 @@ pub mod names {
     pub const CONN_ORPHANS: &str = "conn.orphans";
     /// Donor-search protocol rounds summed over steps.
     pub const CONN_ROUNDS: &str = "conn.rounds";
-    /// Steps whose donor search stopped at the round cap while requests
-    /// were still pending on some rank (those requests become orphans).
-    /// Recorded by every rank, and only when the cap fires, so runs that
-    /// quiesce on their own never carry the name.
-    pub const CONN_ROUNDS_CAPPED: &str = "conn.rounds.capped";
     /// Inverse maps rebuilt from scratch (full lattice builds).
     pub const CONN_INVMAP_BUILDS: &str = "conn.invmap.build";
     /// Inverse maps advanced incrementally under small rigid motion

@@ -3,7 +3,7 @@
 //!
 //! Every collection the connectivity phase allocates per step — pending-walk
 //! queues, flattened candidate lists, per-destination request buffers,
-//! reply maps, deferred q-writes, hole-fringe lists — lives here and keeps
+//! reply slots, deferred q-writes, hole-fringe lists — lives here and keeps
 //! its capacity across steps. The driver owns one [`ConnArena`] per rank
 //! for the whole run; steady-state connectivity steps then perform
 //! near-zero transient allocations, which the exact alloc gate in
@@ -19,12 +19,11 @@
 use crate::donor::{BatchQuery, SearchCost, SearchOutcome};
 use crate::holes::Igbp;
 use crate::inverse_map::BinClass;
-use crate::protocol::{Answer, Pending, RankRoute, ReqPoint};
+use crate::protocol::{Answer, BestReply, Pending, ReqPoint};
 use overset_comm::VecPool;
 use overset_grid::curvilinear::Solid;
 use overset_grid::{Aabb, Ijk};
 use overset_solver::Isa;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Reusable scratch for one rank's connectivity work (distributed protocol,
@@ -57,11 +56,9 @@ pub struct ConnArena {
     pub(crate) sent_to: Vec<usize>,
     /// Deferred fringe q-writes, applied after the round loop.
     pub(crate) writes: Vec<(Ijk, [f64; 5])>,
-    /// Reply lookup for the collection pass (cleared per round; `HashMap`
-    /// keeps its capacity across clears).
-    pub(crate) answers_by_id: HashMap<u32, (usize, Answer)>,
-    /// Decoded routing broadcast (one entry per rank).
-    pub(crate) routes: Vec<RankRoute>,
+    /// Per round, parallel to `pending`: the donor from the most preferred
+    /// candidate rank that found one.
+    pub(crate) best: Vec<BestReply>,
     /// Recycled request buffers: received request vectors are parked here
     /// and reused for the next round's outgoing sends.
     pub(crate) req_pool: VecPool<ReqPoint>,
@@ -72,6 +69,9 @@ pub struct ConnArena {
     /// place once every rank has dropped its view of the previous round.
     /// `None` until the first round, so construction stays allocation-free.
     pub(crate) count_row: Option<Arc<Vec<u32>>>,
+    /// A round bound below the hierarchy's, to force the abort.
+    #[cfg(test)]
+    pub(crate) short_bound: Option<usize>,
 
     // -- hole-cutting scratch --
     /// Field nodes adjacent to holes (promoted to Fringe after the scan).
@@ -111,6 +111,12 @@ impl ConnArena {
         Self::default()
     }
 
+    /// An arena whose protocol aborts after `rounds` rounds.
+    #[cfg(test)]
+    pub(crate) fn with_short_bound(rounds: usize) -> Self {
+        ConnArena { short_bound: Some(rounds), ..Self::default() }
+    }
+
     /// Return an IGBP list (obtained from the hole cutter) to the arena so
     /// its capacity is reused next step.
     pub fn recycle_igbps(&mut self, igbps: Vec<Igbp>) {
@@ -126,8 +132,6 @@ impl ConnArena {
         self.orphaned.clear();
         self.sent_to.clear();
         self.writes.clear();
-        self.answers_by_id.clear();
-        self.routes.clear();
         if self.outgoing.len() == nranks {
             for v in &mut self.outgoing {
                 v.clear();

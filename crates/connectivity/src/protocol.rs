@@ -6,12 +6,16 @@
 //!    "bounding box information ... broadcast globally"),
 //! 2. each rank consults its grid's hierarchical search list and the boxes
 //!    to decide which processor to send each IGBP search request to,
-//! 3. requests are sent asynchronously; every rank services the requests it
-//!    receives (the *donor search* — step 3 of Fig. 3, the dominant and
-//!    load-imbalanced cost), interpolates, and replies,
-//! 4. a request whose walk leaves the serving rank's subdomain is retried on
-//!    the next candidate processor (equivalent to the paper's forwarding
-//!    across processor boundaries), then on the next grid in the hierarchy.
+//! 3. a pending IGBP's request goes to *every* admitted candidate
+//!    processor of its current hierarchy level at once; every rank services
+//!    the requests it receives (the *donor search* — step 3 of Fig. 3, the
+//!    dominant and load-imbalanced cost), interpolates, and replies,
+//! 4. of a level's replies the first `Found` in candidate order (nearest
+//!    routing-box centre first, rank id as tie-break) wins — the donor the
+//!    paper's forwarding across processor boundaries would have reached —
+//!    and a level that answers all-`Miss` hands the point to the next
+//!    non-empty level of the hierarchy, then once through the hierarchy
+//!    with relaxed donor acceptance, then to the orphans.
 //!
 //! "nth-level restart": each rank caches its fringe points' donors
 //! (rank + global donor cell) and sends the next step's first request
@@ -20,7 +24,10 @@
 //! The protocol runs in deterministic rounds (an allgather of per-rank send
 //! counts opens each round) so virtual times are bit-reproducible; the
 //! paper's asynchronous overlap is retained within a round — a rank services
-//! everything it received before waiting on its own replies.
+//! everything it received before waiting on its own replies. A round visits
+//! a whole hierarchy level, so the loop ends by quiescence within
+//! [`round_bound`] rounds whatever the rank count; passing the bound is a
+//! bug and aborts the run.
 
 use crate::arena::ConnArena;
 use crate::donor::{center_start, walk_search_batch, BatchQuery, CachedDonor, SearchOutcome};
@@ -38,7 +45,6 @@ use std::sync::Arc;
 
 /// Message tag base for connectivity traffic (distinct from solver tags).
 const TAG_BASE: u64 = 10_000;
-const MAX_ROUNDS: usize = 24;
 
 /// Global, rank-replicated description of the partition, needed for routing.
 #[derive(Clone, Debug)]
@@ -200,11 +206,12 @@ impl Wire for Answer {
     }
 }
 
-/// One rank's entry in the routing broadcast, decoded: the world-frame box
-/// requests are routed by, the lattice box its occupancy bits were marked
-/// in, and the inverse pose mapping world points back into that lattice.
-/// For static ranks (and ranks without a map) the pose is the identity and
+/// One rank's entry in the routing broadcast: the world-frame box requests
+/// are routed by, the lattice box its occupancy bits were marked in, and the
+/// inverse pose mapping world points back into that lattice. For static
+/// ranks (and ranks without a map) the pose is the identity and
 /// `world == lat`, reproducing the legacy box+occupancy routing exactly.
+/// Every rank routes from the one gathered table of these.
 pub(crate) struct RankRoute {
     world: Aabb,
     lat: Aabb,
@@ -226,9 +233,30 @@ impl RankRoute {
 /// (6 f64 each), flattened inverse pose (10 f64), occupancy words.
 const ROUTE_BYTES: usize = 48 + 48 + 80 + 8 * OCC_WORDS;
 
-/// One rank's routing broadcast: world-frame routing box, lattice box,
-/// flattened inverse pose, and the coarse occupancy mask.
-type RouteMsg = ([f64; 6], [f64; 6], [f64; 10], [u64; OCC_WORDS]);
+// `Aabb` and `RigidTransform` are grid-crate types like `Ijk`: encoded
+// inline, boxes as min then max, the pose flattened.
+impl Wire for RankRoute {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for bb in [&self.world, &self.lat] {
+            bb.min.encode(out);
+            bb.max.encode(out);
+        }
+        self.inv_pose.to_flat().encode(out);
+        self.occ.encode(out);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let mut aabb = || -> Result<Aabb, WireError> {
+            Ok(Aabb::new(<[f64; 3]>::decode(r)?, <[f64; 3]>::decode(r)?))
+        };
+        Ok(RankRoute {
+            world: aabb()?,
+            lat: aabb()?,
+            inv_pose: RigidTransform::from_flat(<[f64; 10]>::decode(r)?),
+            occ: <[u64; OCC_WORDS]>::decode(r)?,
+        })
+    }
+}
 
 /// Pending state of one unresolved IGBP during the round loop. `Copy`, and
 /// candidate ranks live as a range into the arena's flat `cand_pool` — the
@@ -239,28 +267,36 @@ pub(crate) struct Pending {
     /// Index into the search hierarchy of this rank's grid (usize::MAX when
     /// trying the cached donor first).
     level: usize,
-    /// Start of this IGBP's candidate ranks in the arena `cand_pool`.
+    /// Start of this IGBP's candidate ranks in the arena `cand_pool`: the
+    /// ranks of the level that admit the point, in order of preference.
     cand_start: u32,
-    /// Number of candidate ranks in the range.
+    /// Number of candidate ranks in the range; every one is asked in the
+    /// same round.
     cand_len: u32,
-    /// Cursor into the range: the next candidate to try. Advancing the
-    /// cursor on a miss is O(1).
-    cand_idx: u32,
     hint: Option<Ijk>,
     /// Second sweep through the hierarchy with relaxed donor acceptance.
     relaxed: bool,
 }
 
 impl Pending {
-    /// No candidate rank left to try at the current hierarchy level.
-    fn exhausted(&self) -> bool {
-        self.cand_idx >= self.cand_len
+    /// The candidate ranks of the current level, most preferred first.
+    fn candidates<'a>(&self, cand_pool: &'a [usize]) -> &'a [usize] {
+        &cand_pool[self.cand_start as usize..][..self.cand_len as usize]
     }
+}
 
-    /// The candidate rank the cursor points at.
-    fn current(&self, cand_pool: &[usize]) -> usize {
-        cand_pool[(self.cand_start + self.cand_idx) as usize]
-    }
+/// Best reply to a pending request so far in a round: the position of the
+/// answering rank among the request's candidates and its answer, or
+/// [`NO_DONOR`] while every reply was a `Miss`.
+pub(crate) type BestReply = (u32, Answer);
+
+const NO_DONOR: BestReply = (u32::MAX, Answer::Miss);
+
+/// Rounds within which the search is quiescent by construction: one for the
+/// cached donors, then one per level of the longest hierarchy, strict and
+/// relaxed. Independent of the rank count.
+fn round_bound(topo: &Topology) -> usize {
+    1 + 2 * topo.search_order.iter().map(Vec::len).max().unwrap_or(0)
 }
 
 /// Run the distributed connectivity solution for this rank's block.
@@ -299,6 +335,9 @@ pub fn connect_distributed(
     let t_conn = comm.now();
     arena.begin_protocol(nranks);
     let isa = arena.isa;
+    let bound = round_bound(topo);
+    #[cfg(test)]
+    let bound = arena.short_bound.unwrap_or(bound);
     let ConnArena {
         pending,
         next_pending,
@@ -307,8 +346,7 @@ pub fn connect_distributed(
         outgoing,
         sent_to,
         writes,
-        answers_by_id,
-        routes,
+        best,
         req_pool,
         ans_pool,
         count_row,
@@ -324,107 +362,82 @@ pub fn connect_distributed(
     //    the inverse pose that maps world points back into the lattice;
     //    while the pose is the identity — always, for static grids — the
     //    two boxes coincide and routing is exactly the legacy behavior.
-    let (my_world, my_lat, my_pose, my_occ) = match inv {
-        Some(m) => (m.world_bounds(), m.bounds(), m.inv_pose().to_flat(), m.occupancy()),
+    //    Every rank reads the one gathered table until the protocol ends.
+    let my_route = match inv {
+        Some(m) => RankRoute {
+            world: m.world_bounds(),
+            lat: m.bounds(),
+            inv_pose: *m.inv_pose(),
+            occ: m.occupancy(),
+        },
         None => {
             let bb = owned_bbox(block);
-            (bb, bb, RigidTransform::IDENTITY.to_flat(), OCC_ALL)
+            RankRoute { world: bb, lat: bb, inv_pose: RigidTransform::IDENTITY, occ: OCC_ALL }
         }
     };
-    let wflat: [f64; 6] = [
-        my_world.min[0],
-        my_world.min[1],
-        my_world.min[2],
-        my_world.max[0],
-        my_world.max[1],
-        my_world.max[2],
-    ];
-    let lflat: [f64; 6] =
-        [my_lat.min[0], my_lat.min[1], my_lat.min[2], my_lat.max[0], my_lat.max[1], my_lat.max[2]];
-    let gathered = comm.allgather::<RouteMsg>((wflat, lflat, my_pose, my_occ), ROUTE_BYTES);
-    routes.extend(gathered.iter().map(|(w, l, p, o)| RankRoute {
-        world: Aabb::new([w[0], w[1], w[2]], [w[3], w[4], w[5]]),
-        lat: Aabb::new([l[0], l[1], l[2]], [l[3], l[4], l[5]]),
-        inv_pose: RigidTransform::from_flat(*p),
-        occ: *o,
-    }));
-    drop(gathered);
+    let routes = comm.allgather(my_route, ROUTE_BYTES);
 
     // 2. Seed pending requests: cached donors first, hierarchy otherwise.
     for (idx, ig) in igbps.iter().enumerate() {
+        let mut p = Pending {
+            igbp: idx,
+            level: usize::MAX,
+            cand_start: cand_pool.len() as u32,
+            cand_len: 0,
+            hint: None,
+            relaxed: false,
+        };
         if let Some(&(rank, CachedDonor { cell, relaxed, .. })) = cache.map.get(&ig.node) {
-            let cand_start = cand_pool.len() as u32;
             cand_pool.push(rank);
-            pending.push(Pending {
-                igbp: idx,
-                level: usize::MAX,
-                cand_start,
-                cand_len: 1,
-                cand_idx: 0,
-                hint: Some(cell),
-                relaxed,
-            });
-        } else {
-            let mut p = Pending {
-                igbp: idx,
-                level: 0,
-                cand_start: 0,
-                cand_len: 0,
-                cand_idx: 0,
-                hint: None,
-                relaxed: false,
-            };
-            // Advance through the hierarchy until some grid's boxes contain
-            // the point (the first listed grid need not).
-            refill_candidates(&mut p, cand_pool, ig, my_grid, topo, routes);
-            while p.exhausted() {
-                p.level += 1;
-                if p.level >= topo.search_order[my_grid].len() {
-                    break;
-                }
-                refill_candidates(&mut p, cand_pool, ig, my_grid, topo, routes);
-            }
-            pending.push(p);
+            p.cand_len = 1;
+            p.hint = Some(cell);
+            p.relaxed = relaxed;
+        } else if !next_level(&mut p, cand_pool, ig, my_grid, topo, &routes) {
+            // No rank of any grid admits the point: an orphan at once.
+            orphaned.push(idx);
+            continue;
         }
+        pending.push(p);
     }
-    // Drop IGBPs with no candidates anywhere (instant orphans).
-    pending.retain(|p| {
-        if p.exhausted() {
-            orphaned.push(p.igbp);
-            false
-        } else {
-            true
-        }
-    });
+    let first_requests = pending.len() as u64;
 
     // 3. Round loop. Interpolated values are buffered and applied only
     //    after the loop: every donor rank then serves from its
     //    pre-connectivity state, so an answer cannot depend on which round
-    //    a request happens to arrive in (occupancy pruning shortens miss
-    //    chains, which would otherwise shift arrival rounds between the
-    //    map-on and map-off modes and perturb values at the last bit).
+    //    a request happens to arrive in — which is what lets a level's
+    //    candidates be asked side by side instead of one after the other
+    //    (and keeps values equal to the last bit with and without the map,
+    //    whose occupancy pruning shifts arrival rounds).
     let mut round = 0usize;
     let mut relaxed_donors = 0u64;
-    let capped = loop {
+    let mut requests = 0u64;
+    loop {
         let active: usize = comm.allreduce_sum_usize(pending.len());
         if active == 0 {
-            break false;
+            break;
         }
-        if round >= MAX_ROUNDS {
-            break true;
-        }
+        assert!(
+            round < bound,
+            "rank {me}: donor search still has {} requests pending here ({active} on all ranks) \
+             after round {round}, the hierarchy bound",
+            pending.len()
+        );
         stats.rounds = round + 1;
 
-        // Build per-destination request lists.
-        for p in pending.iter() {
-            let dst = p.current(cand_pool);
+        // Build per-destination request lists: every candidate of a pending
+        // point's level gets the request, identified by the point's slot in
+        // `pending`.
+        for (slot, p) in pending.iter().enumerate() {
             let ig = &igbps[p.igbp];
-            outgoing[dst].push(ReqPoint {
-                id: p.igbp as u32,
-                xyz: ig.xyz,
-                hint: p.hint,
-                relaxed: p.relaxed,
-            });
+            for &dst in p.candidates(cand_pool) {
+                outgoing[dst].push(ReqPoint {
+                    id: slot as u32,
+                    xyz: ig.xyz,
+                    hint: p.hint,
+                    relaxed: p.relaxed,
+                });
+            }
+            requests += u64::from(p.cand_len);
         }
         // This rank's count row stays its own: the collective gets a shared
         // handle to it and every rank reads its column `all_counts[src][me]`
@@ -547,25 +560,37 @@ pub fn connect_distributed(
 
         drop(all_counts);
 
-        // Collect replies and update pending set.
-        answers_by_id.clear();
+        // Collect replies: of the donors a level's candidates found, each
+        // pending point keeps the one from its most preferred candidate —
+        // the donor that asking them one after the other would have taken.
+        best.clear();
+        best.resize(pending.len(), NO_DONOR);
         for &dst in sent_to.iter() {
             let (reqv, answers): (Vec<ReqPoint>, Vec<(u32, Answer)>) = comm.recv(dst, tag_rep);
             req_pool.put(reqv);
             for &(id, a) in &answers {
-                answers_by_id.insert(id, (dst, a));
+                if matches!(a, Answer::Miss) {
+                    continue;
+                }
+                let asked = pending[id as usize].candidates(cand_pool);
+                let pos =
+                    asked.iter().position(|&r| r == dst).expect("reply from a rank not asked");
+                let slot = &mut best[id as usize];
+                if (pos as u32) < slot.0 {
+                    *slot = (pos as u32, a);
+                }
             }
             ans_pool.put(answers);
         }
         next_pending.clear();
-        for &(mut p) in pending.iter() {
-            let (from, ans) = answers_by_id[&(p.igbp as u32)];
+        for (&(mut p), &(pos, ans)) in pending.iter().zip(best.iter()) {
+            let ig = &igbps[p.igbp];
             match ans {
                 Answer::Found { value, cell_global } => {
                     if p.level == usize::MAX {
                         comm.metrics_mut().inc(names::CONN_CACHE_HIT);
                     }
-                    let ig = &igbps[p.igbp];
+                    let from = p.candidates(cand_pool)[pos as usize];
                     writes.push((ig.node, value));
                     let donor = CachedDonor {
                         grid: topo.grid_of_rank[from],
@@ -577,56 +602,37 @@ pub fn connect_distributed(
                     relaxed_donors += u64::from(p.relaxed);
                 }
                 Answer::Miss => {
-                    // Advance to the next candidate / hierarchy level; after
-                    // the strict hierarchy is exhausted, sweep it once more
-                    // with relaxed donor acceptance before giving up.
+                    // The whole level missed: on to the next one that admits
+                    // the point; after the strict hierarchy is exhausted,
+                    // sweep it once more with relaxed donor acceptance
+                    // before giving up.
                     if p.level == usize::MAX {
                         comm.metrics_mut().inc(names::CONN_CACHE_MISS);
                     }
-                    let ig = igbps[p.igbp];
                     p.hint = None;
-                    p.cand_idx += 1;
-                    while p.exhausted() {
-                        p.level = if p.level == usize::MAX { 0 } else { p.level + 1 };
-                        if p.level >= topo.search_order[my_grid].len() {
-                            if p.relaxed {
-                                break;
-                            }
-                            p.relaxed = true;
-                            p.level = 0;
-                        }
-                        refill_candidates(&mut p, cand_pool, &ig, my_grid, topo, routes);
-                    }
-                    if p.exhausted() {
+                    if next_level(&mut p, cand_pool, ig, my_grid, topo, &routes) {
+                        next_pending.push(p);
+                    } else {
                         orphaned.push(p.igbp);
                         cache.map.remove(&ig.node);
-                    } else {
-                        comm.metrics_mut().inc(names::CONN_FORWARDS);
-                        next_pending.push(p);
                     }
                 }
             }
         }
         std::mem::swap(pending, next_pending);
         round += 1;
-    };
+    }
 
     for &(node, value) in writes.iter() {
         block.q.set_node(node, value);
     }
 
-    // Anything still pending at the round cap is an orphan this step.
-    for p in pending.iter() {
-        orphaned.push(p.igbp);
-    }
     stats.orphans = orphaned.len();
     let m = comm.metrics_mut();
     m.add(names::CONN_ORPHANS, stats.orphans as u64);
     m.add(names::CONN_DONORS_RELAXED, relaxed_donors);
     m.add(names::CONN_ROUNDS, stats.rounds as u64);
-    if capped {
-        m.inc(names::CONN_ROUNDS_CAPPED);
-    }
+    m.add(names::CONN_FORWARDS, requests - first_requests);
     comm.trace_complete(
         "conn",
         "connect",
@@ -636,31 +642,55 @@ pub fn connect_distributed(
     stats
 }
 
-/// Candidate ranks for one IGBP at its current hierarchy level: the ranks of
-/// the level's grid whose bounding boxes contain the point — and whose
-/// occupancy masks admit it, pruning ranks whose *box* overlaps but whose
-/// *cells* cannot hold the point (the hollow of an O-grid) — nearest
-/// bounding box center first (deterministic rank-id tie-break). Proximity
-/// ordering makes the first candidate almost always the owner, so cold
-/// searches rarely pay for a miss.
-fn refill_candidates(
+/// Move `p` on to the next level of its grid's hierarchy that has a
+/// candidate rank for it (`usize::MAX`, the cached donor, is followed by the
+/// first level), wrapping once from the strict into the relaxed sweep.
+/// `false` when the relaxed sweep is exhausted too: the point is an orphan.
+fn next_level(
     p: &mut Pending,
     cand_pool: &mut Vec<usize>,
     ig: &Igbp,
     my_grid: usize,
     topo: &Topology,
     routes: &[RankRoute],
-) {
-    let level = if p.level == usize::MAX { 0 } else { p.level };
-    p.cand_idx = 0;
-    let Some(&grid) = topo.search_order[my_grid].get(level) else {
+) -> bool {
+    let levels = &topo.search_order[my_grid];
+    let mut level = p.level.wrapping_add(1);
+    loop {
+        if level >= levels.len() {
+            if p.relaxed {
+                return false;
+            }
+            p.relaxed = true;
+            level = 0;
+            continue;
+        }
         p.cand_start = cand_pool.len() as u32;
-        p.cand_len = 0;
-        return;
-    };
-    p.level = level;
+        push_candidates(cand_pool, ig, &topo.ranks_of_grid[levels[level]], routes);
+        p.cand_len = cand_pool.len() as u32 - p.cand_start;
+        if p.cand_len > 0 {
+            p.level = level;
+            return true;
+        }
+        level += 1;
+    }
+}
+
+/// Append the candidate ranks for one IGBP on one grid of its hierarchy: the
+/// grid's `ranks` whose bounding boxes contain the point — and whose
+/// occupancy masks admit it, pruning ranks whose *box* overlaps but whose
+/// *cells* cannot hold the point (the hollow of an O-grid) — nearest
+/// bounding box center first (deterministic rank-id tie-break). Proximity
+/// ordering makes the first candidate almost always the owner, and it is
+/// the order of preference among several donors found in one round.
+fn push_candidates(
+    cand_pool: &mut Vec<usize>,
+    ig: &Igbp,
+    ranks: &std::ops::Range<usize>,
+    routes: &[RankRoute],
+) {
     let start = cand_pool.len();
-    cand_pool.extend(topo.ranks_of_grid[grid].clone().filter(|&r| routes[r].admits(ig.xyz)));
+    cand_pool.extend(ranks.clone().filter(|&r| routes[r].admits(ig.xyz)));
     let dist2 = |r: usize| -> f64 {
         let c = routes[r].world.center();
         (c[0] - ig.xyz[0]).powi(2) + (c[1] - ig.xyz[1]).powi(2) + (c[2] - ig.xyz[2]).powi(2)
@@ -669,8 +699,6 @@ fn refill_candidates(
     // deterministic and allocation-free.
     cand_pool[start..]
         .sort_unstable_by(|&a, &b| dist2(a).partial_cmp(&dist2(b)).unwrap().then(a.cmp(&b)));
-    p.cand_start = start as u32;
-    p.cand_len = (cand_pool.len() - start) as u32;
 }
 
 /// Bounding box of a block's owned region *plus one halo layer of nodes*:
@@ -898,6 +926,155 @@ mod tests {
         assert_relaxed_donors_restart_warm(&census(0), &census(1));
     }
 
+    /// The fixture with each outer rank posing as a grid of its own, so
+    /// that `order` — the inner grid's hierarchy over them — decides which
+    /// outer rank is asked first: what asking candidates one after the
+    /// other looks like.
+    fn split_topo(order: [usize; 2]) -> Topology {
+        Topology {
+            grid_of_rank: vec![0, 1, 2],
+            ranks_of_grid: vec![0..1, 1..2, 2..3],
+            search_order: vec![order.to_vec(), vec![0], vec![0]],
+        }
+    }
+
+    /// Rank 0 asks for a donor for the one point `xyz`: the rounds it took,
+    /// the rank that gave the donor, and the requests sent after the first.
+    fn lone_request(topo: Topology, xyz: [f64; 3]) -> (usize, Option<usize>, u64) {
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(move |comm| {
+            let mut block = build_block(comm.rank(), &fc);
+            paint_linear(&mut block);
+            let node = Ijk::new(0, 0, 0);
+            let igbps = if comm.rank() == 0 { vec![Igbp { node, xyz }] } else { vec![] };
+            let mut cache = DonorCache::new();
+            let mut arena = ConnArena::new();
+            let s =
+                connect_distributed(&mut block, &igbps, &topo, &mut cache, comm, None, &mut arena);
+            let donor_rank = cache.map.get(&node).map(|&(rank, _)| rank);
+            (s.rounds, donor_rank, comm.metrics().counter(names::CONN_FORWARDS))
+        });
+        out[0].result
+    }
+
+    /// A point in the halo strip both outer ranks' boxes cover, nearer to
+    /// rank 2's box centre but held only by a cell of rank 1: asked one
+    /// after the other, rank 2 misses first; asked side by side, rank 1's
+    /// donor is there in the first round.
+    #[test]
+    fn the_farther_rank_of_a_level_answers_in_the_first_round() {
+        let p = [2.125, 1.5, 0.0];
+        assert_eq!(lone_request(split_topo([1, 2]), p), (1, Some(1), 0));
+        assert_eq!(lone_request(split_topo([2, 1]), p), (2, Some(1), 1), "rank 2 holds it too?");
+        assert_eq!(lone_request(topo(), p), (1, Some(1), 1));
+    }
+
+    /// A point on the seam between the outer ranks is in a cell of each:
+    /// whichever is asked first finds it. Asked side by side, the donor of
+    /// the nearer box centre (rank 2) is kept, the one asking in order of
+    /// preference would have stopped at.
+    #[test]
+    fn of_two_donors_in_one_round_the_nearer_rank_wins() {
+        let p = [2.25, 1.5, 0.0];
+        assert_eq!(lone_request(split_topo([1, 2]), p), (1, Some(1), 0));
+        assert_eq!(lone_request(split_topo([2, 1]), p), (1, Some(2), 0));
+        assert_eq!(lone_request(topo(), p), (1, Some(2), 1));
+    }
+
+    /// One solution of the holed-stencil fixture (some inner fringe points
+    /// have only a relaxed donor, on rank 1) with rank 1 as the *last* level
+    /// of the inner grid's hierarchy: per rank its stats and registry.
+    fn relaxed_on_the_last_level(
+        comm: &mut Comm,
+        arena: &mut ConnArena,
+    ) -> (ConnStats, MetricsRegistry) {
+        use crate::serial::tests::holed_stencil_solids;
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let mut block = build_block(comm.rank(), &fc);
+        paint_linear(&mut block);
+        let (igbps, _) = crate::holes::cut_holes_and_find_fringe(
+            &mut block,
+            &holed_stencil_solids(),
+            None,
+            &mut ConnArena::new(),
+        );
+        let topo = split_topo([2, 1]);
+        let mut cache = DonorCache::new();
+        let s = connect_distributed(&mut block, &igbps, &topo, &mut cache, comm, None, arena);
+        (s, comm.metrics().clone())
+    }
+
+    #[test]
+    fn relaxed_only_donor_on_the_last_level_is_found_within_the_bound() {
+        let out = Universe::builder()
+            .ranks(3)
+            .machine(&MachineModel::modern())
+            .run(|comm| relaxed_on_the_last_level(comm, &mut ConnArena::new()));
+        let regs: Vec<_> = out.iter().map(|o| o.result.1.clone()).collect();
+        let agg = MetricsRegistry::aggregate(&regs);
+        assert!(agg.counter(names::CONN_DONORS_RELAXED) > 0);
+        // (The hole's own fringe on rank 1 reaches outside the inner grid.)
+        assert_eq!(out[0].result.0.orphans, 0);
+        for o in &out {
+            let s = &o.result.0;
+            // Rank 2 does not admit the points next to the hole: they go
+            // straight to level 1, strict, then once more, relaxed.
+            assert_eq!(s.rounds, 2, "{s:?}");
+            assert!(s.rounds <= round_bound(&split_topo([2, 1])));
+        }
+    }
+
+    /// The loop has no other exit than quiescence: a run that needs more
+    /// rounds than its bound stops the universe, naming rank, round and the
+    /// requests left.
+    #[test]
+    fn passing_the_round_bound_aborts_the_run() {
+        let err = Universe::builder()
+            .ranks(3)
+            .machine(&MachineModel::modern())
+            .try_run(|comm| relaxed_on_the_last_level(comm, &mut ConnArena::with_short_bound(1)))
+            .unwrap_err();
+        match err {
+            overset_comm::OversetError::RankPanicked { message, .. } => {
+                assert!(message.contains("after round 1, the hierarchy bound"), "{message}");
+                assert!(message.contains("requests pending here"), "{message}");
+            }
+            other => panic!("expected RankPanicked, got {other:?}"),
+        }
+    }
+
+    /// `conn.forwards` counts every request point sent after an IGBP's
+    /// first, so with every IGBP routed somewhere the points serviced are
+    /// the IGBPs plus the forwards — over the cold step (fringe points in
+    /// the strip both outer boxes cover are sent to both) and the warm one
+    /// (one request each, to the cached donor).
+    #[test]
+    fn serviced_points_are_first_requests_plus_forwards() {
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
+            let mut block = build_block(comm.rank(), &fc);
+            paint_linear(&mut block);
+            let mut cache = DonorCache::new();
+            // Per solution: [IGBPs, orphans, points serviced, forwards so far].
+            let mut steps = Vec::new();
+            for _ in 0..2 {
+                let (igbps, _) = cut(&mut block);
+                let s = connect(&mut block, &igbps, &mut cache, comm);
+                let forwards = comm.metrics().counter(names::CONN_FORWARDS);
+                steps.push([s.igbps as u64, s.orphans as u64, s.serviced as u64, forwards]);
+            }
+            steps
+        });
+        let sum =
+            |step: usize, col: usize| -> u64 { out.iter().map(|o| o.result[step][col]).sum() };
+        let (igbps, orphans, serviced, forwards) = (0, 1, 2, 3);
+        assert_eq!(sum(0, orphans) + sum(1, orphans), 0);
+        assert!(sum(0, forwards) > 0);
+        assert_eq!(sum(0, serviced), sum(0, igbps) + sum(0, forwards));
+        assert_eq!(sum(1, forwards), sum(0, forwards), "a warm step forwards nothing");
+        assert_eq!(sum(1, serviced), sum(1, igbps));
+    }
+
     #[test]
     fn deterministic_virtual_times() {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
@@ -1097,6 +1274,27 @@ mod tests {
                 _ => panic!("variant changed across the wire"),
             }
         }
+        // The routing entry travels as the tuple of flat arrays it always
+        // was: boxes as min then max, the pose flattened, the mask words.
+        let pose = RigidTransform::translation([0.5, -1.0, 2.0]);
+        let route = RankRoute {
+            world: Aabb::new([0.0, 1.0, 2.0], [3.0, 4.0, 5.0]),
+            lat: Aabb::new([-1.0, -2.0, -3.0], [1.5, 2.5, 3.5]),
+            inv_pose: pose,
+            occ: std::array::from_fn(|w| 0x0123_4567_89ab_cdef_u64.rotate_left(w as u32)),
+        };
+        let tuple = (
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+            [-1.0, -2.0, -3.0, 1.5, 2.5, 3.5],
+            pose.to_flat(),
+            route.occ,
+        );
+        let bytes = route.to_wire_bytes();
+        assert_eq!(bytes, tuple.to_wire_bytes());
+        assert_eq!(bytes.len(), ROUTE_BYTES);
+        let back = RankRoute::from_wire_bytes(&bytes).unwrap();
+        assert_eq!((back.world, back.lat, back.occ), (route.world, route.lat, route.occ));
+        assert_eq!(back.inv_pose.to_flat(), pose.to_flat());
         // Corrupt discriminants are rejected, not misread.
         assert!(Answer::from_wire_bytes(&[9]).is_err());
         let s =

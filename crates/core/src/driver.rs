@@ -327,7 +327,7 @@ impl Wire for RankReturn {
 /// Minimum subdomain widths per grid for partition-count repair: a periodic
 /// O-grid needs every `i`-piece to keep at least 2 nodes, because the seam
 /// piece drops the duplicated wrap node from its cyclic solve.
-fn grid_min_widths(grids: &[CurvilinearGrid]) -> Vec<[usize; 3]> {
+pub fn grid_min_widths(grids: &[CurvilinearGrid]) -> Vec<[usize; 3]> {
     grids.iter().map(|g| if g.periodic_i { [2, 1, 1] } else { [1, 1, 1] }).collect()
 }
 

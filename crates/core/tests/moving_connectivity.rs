@@ -141,3 +141,18 @@ fn serial_steady_steps_restart_like_the_distributed_ones() {
         assert!(2 * one <= 3 * many, "step {step}: serial walks {one} steps, 18 ranks {many}");
     }
 }
+
+/// `conn.forwards` has one meaning: every request point sent after an
+/// IGBP's first (its level's other candidates, then each later level's).
+/// So the points serviced on all ranks in a step are the IGBPs that were
+/// routed anywhere — here all of them — plus the forwards, also on a moving
+/// step, where warm misses fall back to the hierarchy.
+#[test]
+fn serviced_points_are_first_requests_plus_forwards() {
+    let r = run_case(&store_case(0.3, 3), 18, &modern()).unwrap();
+    assert_eq!(r.orphans_last, 0, "an IGBP no rank admits sends no request");
+    let serviced: usize = r.serviced_last.iter().sum();
+    let forwards: u64 = r.step_records.iter().map(|recs| recs.last().unwrap().forwards).sum();
+    assert!(forwards > 0, "a moving step forwards some requests");
+    assert_eq!(serviced as u64, r.igbps_last as u64 + forwards);
+}

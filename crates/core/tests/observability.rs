@@ -2,7 +2,7 @@
 //! Chrome trace_event schema, metrics aggregation, and the exact per-phase
 //! elapsed times surfaced through `PerfSummary`.
 
-use overflow_d::{airfoil_case, run_case, store_case};
+use overflow_d::{airfoil_case, run_case, store_case, CaseConfig};
 use overset_comm::metrics::names;
 use overset_comm::trace::TraceConfig;
 use overset_comm::{chrome_trace_json, MachineModel, Phase};
@@ -141,24 +141,28 @@ fn metrics_registry_reflects_the_run() {
     assert!(m.counter(names::CONN_ORPHANS) >= r.orphans_last as u64);
 }
 
-/// `conn.rounds.capped` names the steps whose donor search was cut off by
-/// the round cap with requests still pending, and nothing else: a run that
-/// quiesces on its own does not even carry the name (so its reports stay
-/// byte-identical), while store x0.4 on 64 ranks — the smallest case found
-/// that runs into the cap — records it on every rank, with the cut-off
-/// requests reported as orphans.
-#[test]
-fn round_cap_is_counted_only_when_it_fires() {
-    let quiet = run_case(&airfoil_case(0.3, 2), 6, &MachineModel::ibm_sp2()).unwrap();
-    assert!(quiet.metrics.counters().all(|(name, _)| name != names::CONN_ROUNDS_CAPPED));
+/// Rounds within which a donor search is quiescent by construction: one for
+/// the cached donors, one per hierarchy level strict and relaxed.
+fn hierarchy_bound(cfg: &CaseConfig) -> u64 {
+    1 + 2 * cfg.search_order.iter().map(Vec::len).max().unwrap() as u64
+}
 
+/// Store x0.4 on 64 ranks was the smallest case that ran into the old
+/// 24-round cap (every rank ran every round and the requests still pending
+/// were reported as orphans). A round now visits a whole hierarchy level,
+/// so the search ends by quiescence inside the hierarchy bound and leaves
+/// no orphan on any rank.
+#[test]
+fn the_smallest_capped_case_now_quiesces() {
     let mut cfg = store_case(0.4, 1);
     cfg.max_threads = Some(2);
-    let capped = run_case(&cfg, 64, &MachineModel::ibm_sp2()).unwrap();
-    let m = &capped.metrics;
-    assert_eq!(m.counter(names::CONN_ROUNDS_CAPPED), 64, "one capped step on each of 64 ranks");
-    assert_eq!(m.counter(names::CONN_ROUNDS), 24 * 64, "a capped step runs every round");
-    assert!(capped.orphans_last > 0, "requests pending at the cap are orphans");
+    let r = run_case(&cfg, 64, &MachineModel::ibm_sp2()).unwrap();
+    assert_eq!(r.orphans_last, 0);
+    for (rank, steps) in r.step_records.iter().enumerate() {
+        assert!(steps.iter().all(|s| s.orphans == 0), "rank {rank}: {steps:?}");
+    }
+    let rounds = r.metrics.counter(names::CONN_ROUNDS);
+    assert!(rounds <= hierarchy_bound(&cfg) * 64, "{rounds} rounds on 64 ranks");
 }
 
 /// `PerfSummary::phase_time` is the exact elapsed per phase: with

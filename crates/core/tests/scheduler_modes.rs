@@ -65,6 +65,25 @@ fn store_case_512_virtual_ranks_on_8_threads() {
     assert!(r.state_rms.is_finite() && r.state_rms > 0.0);
 }
 
+/// The benchmark's `store_ranks` geometry, one step: 256 ranks resolve
+/// every IGBP, in at most twice the rounds 18 ranks need — the round count
+/// follows the hierarchy, not the rank count.
+#[test]
+#[ignore = "256-rank store case; run explicitly (scripts/check.sh does, in release)"]
+fn store_on_256_ranks_quiesces_like_18() {
+    let per_rank = |nranks: usize| {
+        let mut cfg = store_case(0.55, 1);
+        cfg.max_threads = Some(2);
+        let r = run_case(&cfg, nranks, &MachineModel::ibm_sp2()).unwrap();
+        assert_eq!(r.orphans_last, 0, "{nranks} ranks");
+        let rounds = r.metrics.counter(overset_comm::metrics::names::CONN_ROUNDS);
+        assert_eq!(rounds % nranks as u64, 0, "every rank counts every round");
+        rounds / nranks as u64
+    };
+    let (small, large) = (per_rank(18), per_rank(256));
+    assert!(large <= 2 * small, "{large} rounds per rank on 256 ranks, {small} on 18");
+}
+
 /// A panic inside a rank body must come back as `RankPanicked` naming the
 /// rank and phase — not hang the universe or abort the process. Driven
 /// through the raw runtime with a store-sized rank count.

@@ -26,7 +26,7 @@ cargo test -q
 echo "== golden trace schema + determinism =="
 cargo test -q -p overflow-d --test observability
 
-echo "== M:N scheduler: 512 virtual ranks on 8 OS threads; 128 ranks 1:1 vs M:N =="
+echo "== M:N scheduler: 512 virtual ranks on 8 OS threads; 128 ranks 1:1 vs M:N; 256-rank donor search quiesces =="
 cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 
 echo "== criterion microbenches compile =="
