@@ -12,7 +12,7 @@ use crate::critical_path::CriticalPath;
 use crate::input::{AnalysisInput, PHASE_NAMES};
 use crate::waits::WaitStates;
 use overset_balance::service_imbalance;
-use overset_comm::Phase;
+use overset_comm::{Counter, Phase};
 
 /// `f(p) = I(p)/mean` above which Algorithm 2 would grant a processor
 /// (mirrors the typical `f_o` the dynamic-LB experiments run with).
@@ -85,7 +85,8 @@ fn serve_imbalance(input: &AnalysisInput, out: &mut Vec<Finding>) {
     } else {
         let last: Option<Vec<_>> = input.steps.iter().map(|r| r.last()).collect();
         let Some(last) = last else { return };
-        let serviced: Vec<usize> = last.iter().map(|rec| rec.serviced as usize).collect();
+        let serviced: Vec<usize> =
+            last.iter().map(|rec| rec.count(Counter::ConnServiced) as usize).collect();
         if serviced.is_empty() {
             return;
         }
@@ -157,11 +158,13 @@ fn repartition_effects(input: &AnalysisInput, cp: &CriticalPath, out: &mut Vec<F
     }
     let nsteps = cp.steps.len().min(input.steps.iter().map(Vec::len).min().unwrap_or(0));
     let f_max_at = |s: usize| -> f64 {
-        let serviced: Vec<usize> = input.steps.iter().map(|r| r[s].serviced as usize).collect();
+        let serviced: Vec<usize> =
+            input.steps.iter().map(|r| r[s].count(Counter::ConnServiced) as usize).collect();
         service_imbalance(&serviced)
     };
-    let repart_steps: Vec<usize> =
-        (0..nsteps).filter(|&s| input.steps.iter().any(|r| r[s].repartitions > 0)).collect();
+    let repart_steps: Vec<usize> = (0..nsteps)
+        .filter(|&s| input.steps.iter().any(|r| r[s].count(Counter::LbRepartitions) > 0))
+        .collect();
     let shown = repart_steps.len().min(REPARTITION_WINDOW);
     for &s in repart_steps.iter().take(shown) {
         if s + 1 >= nsteps {

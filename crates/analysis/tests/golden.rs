@@ -4,7 +4,7 @@
 //! golden pin of the JSON layout).
 
 use overset_analysis::{analyze, AnalysisInput};
-use overset_comm::metrics::names as metric_names;
+use overset_comm::metrics::Counter;
 use overset_comm::trace::TraceConfig;
 use overset_comm::{ArgVal, MachineModel, Phase, RankTrace, StepRecord, Universe, WorkClass};
 
@@ -42,7 +42,7 @@ fn skewed_run_with(skew_flops: f64) -> (Vec<RankTrace>, Vec<Vec<StepRecord>>) {
                     };
                     ph.compute(flops, WorkClass::Search);
                     ph.trace_complete("conn", "serve", t0, &[("points", ArgVal::U64(serviced))]);
-                    ph.metrics_mut().add(metric_names::CONN_SERVICED, serviced);
+                    ph.metrics_mut().add(Counter::ConnServiced, serviced);
                     let dst = (ph.rank() + 1) % ph.size();
                     let src = (ph.rank() + ph.size() - 1) % ph.size();
                     ph.send(dst, 7, 1u8, 256);

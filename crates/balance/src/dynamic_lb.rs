@@ -13,7 +13,7 @@
 //! — the central trade-off of the paper.
 
 use crate::static_lb::{static_balance_with_minima, BalanceError, StaticBalance};
-use overset_comm::metrics::{names, MetricsRegistry};
+use overset_comm::metrics::{Counter, MetricsRegistry};
 use overset_comm::OversetError;
 
 impl From<BalanceError> for OversetError {
@@ -39,7 +39,7 @@ pub struct ServiceWindow {
 impl ServiceWindow {
     /// Open a window at the counter's current value.
     pub fn begin(metrics: &MetricsRegistry) -> Self {
-        ServiceWindow { start: metrics.counter(names::CONN_SERVICED), steps: 0 }
+        ServiceWindow { start: metrics.get(Counter::ConnServiced), steps: 0 }
     }
 
     /// Record that one connectivity step ran inside the window.
@@ -50,13 +50,13 @@ impl ServiceWindow {
     /// Mean serviced points per step over the window. Integer division —
     /// Algorithm 2 consumes integer I(p) counts.
     pub fn mean_per_step(&self, metrics: &MetricsRegistry) -> usize {
-        let total = metrics.counter(names::CONN_SERVICED).saturating_sub(self.start);
+        let total = metrics.get(Counter::ConnServiced).saturating_sub(self.start);
         total as usize / self.steps.max(1)
     }
 
     /// Re-open the window at the counter's current value.
     pub fn reset(&mut self, metrics: &MetricsRegistry) {
-        self.start = metrics.counter(names::CONN_SERVICED);
+        self.start = metrics.get(Counter::ConnServiced);
         self.steps = 0;
     }
 }
@@ -253,16 +253,16 @@ mod tests {
     #[test]
     fn service_window_reads_counter_deltas() {
         let mut m = MetricsRegistry::new();
-        m.add(names::CONN_SERVICED, 100); // pre-window history is excluded
+        m.add(Counter::ConnServiced, 100); // pre-window history is excluded
         let mut w = ServiceWindow::begin(&m);
-        m.add(names::CONN_SERVICED, 7);
+        m.add(Counter::ConnServiced, 7);
         w.note_step();
-        m.add(names::CONN_SERVICED, 8);
+        m.add(Counter::ConnServiced, 8);
         w.note_step();
         assert_eq!(w.mean_per_step(&m), 7); // 15 / 2, integer division
         w.reset(&m);
         assert_eq!(w.mean_per_step(&m), 0);
-        m.add(names::CONN_SERVICED, 9);
+        m.add(Counter::ConnServiced, 9);
         w.note_step();
         assert_eq!(w.mean_per_step(&m), 9);
     }

@@ -384,14 +384,13 @@ mod tests {
 
     #[test]
     fn span_dir_mode_analyzes_complete_streams_and_rejects_truncated_ones() {
-        use overset_comm::{MachineModel, Phase, StreamConfig, Universe};
+        use overset_comm::{MachineModel, Phase, Universe};
         let dir = std::env::temp_dir().join("overset_bench_span_dir_mode");
         let _ = std::fs::remove_dir_all(&dir);
-        let stream = StreamConfig::binary(&dir);
         Universe::builder()
             .ranks(2)
             .machine(&MachineModel::modern())
-            .trace(TraceConfig::enabled().with_stream(stream))
+            .trace(TraceConfig::enabled().with_stream(&dir))
             .run(|c| {
                 for _ in 0..2 {
                     let mut ph = c.phase(Phase::Flow);

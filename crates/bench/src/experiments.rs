@@ -10,7 +10,7 @@ use overflow_d::{
     airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
     RunResult,
 };
-use overset_comm::metrics::names;
+use overset_comm::metrics::Counter;
 use overset_comm::trace::TraceConfig;
 use overset_comm::{MachineModel, Phase, TransportConfig};
 
@@ -502,7 +502,7 @@ pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> RunResult {
 /// `repro smoke`: prove the transport-determinism contract from the CLI.
 /// Runs the store case once over the multi-process backend (two forked
 /// rank-group processes) and once in-process, then compares physics, global
-/// clock and every rank's clocks and communication counters bit for bit.
+/// clock and every rank's clocks and per-step counters bit for bit.
 /// Exit 0 on bit-equality, 1 on divergence or a failed run.
 ///
 /// The process-backed run goes first: its forked children re-execute
@@ -540,9 +540,10 @@ pub fn transport_smoke() -> i32 {
         if p.final_clock.to_bits() != i.final_clock.to_bits() {
             diverged.push(format!("rank {} clock {} vs {}", p.rank, p.final_clock, i.final_clock));
         }
-        if (p.msgs_sent, p.bytes_sent, p.collectives) != (i.msgs_sent, i.bytes_sent, i.collectives)
-        {
-            diverged.push(format!("rank {} comm counters", p.rank));
+    }
+    for (rank, (p, i)) in proc.step_records.iter().zip(&inproc.step_records).enumerate() {
+        if !p.iter().map(|r| r.counts).eq(i.iter().map(|r| r.counts)) {
+            diverged.push(format!("rank {rank} step counters"));
         }
     }
     if diverged.is_empty() {
@@ -564,9 +565,9 @@ pub fn print_metrics(r: &RunResult) {
     for (name, v) in r.metrics.counters() {
         println!("  {name:<26} {v:>14}");
     }
-    let walked = r.metrics.counter(names::CONN_WALK_STEPS);
+    let walked = r.metrics.get(Counter::ConnWalkSteps);
     if walked > 0 {
-        let missed = r.metrics.counter(names::CONN_WALK_STEPS_MISS);
+        let missed = r.metrics.get(Counter::ConnWalkStepsMiss);
         let useful = 1.0 - missed as f64 / walked as f64;
         println!("  {:<26} {useful:>14.4}", "walk steps useful/attempted");
     }

@@ -72,7 +72,7 @@ use overset_bench::analyze::{run_analyze, run_analyze_diff};
 use overset_bench::experiments::*;
 use overset_bench::report::{build_report, build_report_host_bench, compare_reports};
 use overset_comm::trace::TraceConfig;
-use overset_comm::{CategoryFilter, StreamConfig};
+use overset_comm::CategoryFilter;
 
 /// Build the trace config from validated CLI values. Rejects a zero sample
 /// stride and malformed filter lists with a usage-style message; callers
@@ -320,7 +320,7 @@ fn main() {
     // Validate trace flags before the (long) experiment run, not after.
     let mut trace_cfg = exit_usage(parse_trace_config(&cli.trace_filter, cli.trace_sample));
     if let Some(dir) = &cli.trace_stream {
-        trace_cfg = trace_cfg.with_stream(StreamConfig::binary(dir));
+        trace_cfg = trace_cfg.with_stream(dir);
     }
 
     let t0 = std::time::Instant::now();

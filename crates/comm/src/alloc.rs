@@ -155,32 +155,6 @@ impl Wire for AllocTotals {
     }
 }
 
-/// Per-step allocation deltas for one rank (flight-recorder ring entry).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocRecord {
-    /// 0-based step index, same numbering as `StepRecord::step`.
-    pub step: u64,
-    /// Allocations performed during this step, per phase.
-    pub allocs: [u64; NUM_PHASES],
-    /// Bytes requested during this step, per phase.
-    pub bytes: [u64; NUM_PHASES],
-}
-
-impl Wire for AllocRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.step.encode(out);
-        self.allocs.encode(out);
-        self.bytes.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(AllocRecord {
-            step: Wire::decode(r)?,
-            allocs: Wire::decode(r)?,
-            bytes: Wire::decode(r)?,
-        })
-    }
-}
-
 /// Thread-local attribution context. `Copy` + const-init `Cell` so the
 /// allocator's fast path never allocates, never drops, and never trips TLS
 /// destructor recursion.
@@ -455,11 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn alloc_record_wire_round_trip() {
-        let rec = AllocRecord { step: 7, allocs: [1, 2, 3, 4, 5], bytes: [10, 20, 30, 40, 50] };
-        let bytes = rec.to_wire_bytes();
-        let back = AllocRecord::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(rec, back);
+    fn alloc_totals_wire_round_trip() {
         let tot = AllocTotals {
             allocs: [1; NUM_PHASES],
             bytes: [2; NUM_PHASES],

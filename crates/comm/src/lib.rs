@@ -35,17 +35,14 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use alloc::{AllocRecord, AllocSnapshot, AllocTotals, CountingAlloc, RankAllocCounters};
+pub use alloc::{AllocSnapshot, AllocTotals, CountingAlloc, RankAllocCounters};
 pub use arena::VecPool;
 pub use error::OversetError;
 pub use flight::{FlightRecorder, StepRecord, DEFAULT_STEP_CAPACITY};
 pub use machine::{CacheModel, MachineModel, WorkClass};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::{Counter, Hist, Histogram, MetricsRegistry};
 pub use runtime::{Comm, Gathered, PhaseGuard, RankOutput, Universe, UniverseBuilder};
-pub use sink::{
-    assemble_chrome, read_span_dir, read_span_file, RankStream, SpanDir, StreamConfig,
-    StreamFormat, SPAN_SCHEMA_VERSION,
-};
+pub use sink::{read_span_dir, read_span_file, RankStream, SpanDir, SPAN_SCHEMA_VERSION};
 pub use stats::{PerfSummary, Phase, RankStats, NUM_PHASES};
 pub use trace::{
     chrome_trace_json, ArgVal, CategoryFilter, RankTrace, TraceConfig, TraceEvent, Tracer,
@@ -56,13 +53,12 @@ pub use wire::{intern, wire_type_hash, Wire, WireError, WireReader, WIRE_SCHEMA_
 /// One-stop imports for writing a rank program:
 /// `use overset_comm::prelude::*;`.
 pub mod prelude {
-    pub use crate::alloc::{AllocRecord, AllocTotals};
+    pub use crate::alloc::AllocTotals;
     pub use crate::error::OversetError;
     pub use crate::flight::StepRecord;
     pub use crate::machine::{MachineModel, WorkClass};
-    pub use crate::metrics::{names as metric_names, MetricsRegistry};
+    pub use crate::metrics::{Counter, Hist, MetricsRegistry};
     pub use crate::runtime::{Comm, PhaseGuard, RankOutput, Universe, UniverseBuilder};
-    pub use crate::sink::{StreamConfig, StreamFormat};
     pub use crate::stats::{PerfSummary, Phase, RankStats, NUM_PHASES};
     pub use crate::trace::{
         chrome_trace_json, ArgVal, CategoryFilter, RankTrace, TraceConfig, TraceEvent,

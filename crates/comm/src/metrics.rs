@@ -1,80 +1,151 @@
-//! Named counters and histograms: the run-time metrics registry.
+//! The metric vocabulary and the run-time metrics registry.
 //!
-//! One registry lives on every rank's [`crate::Comm`]; subsystems record
-//! into it through well-known names (the consts in [`names`]) instead of
-//! keeping private tallies. After a run, per-rank registries come back in
-//! [`crate::RankOutput::metrics`] and can be aggregated with
+//! Every count a rank keeps is a slot of one array indexed by [`Counter`]:
+//! the registry on the rank's [`crate::Comm`] holds the running totals,
+//! [`crate::StepRecord::counts`] their per-step deltas, and reports read
+//! either by variant or by dotted name. Subsystems record through the
+//! registry instead of keeping private tallies; after a run, per-rank
+//! registries come back in [`crate::RankOutput::metrics`] and are folded with
 //! [`MetricsRegistry::aggregate`]. The Algorithm 2 balancer reads its
-//! service-load input `I(p)` from [`names::CONN_SERVICED`] — the registry is
-//! the single source of truth for measured load.
+//! service-load input `I(p)` from [`Counter::ConnServiced`].
 
-use crate::stats::Phase;
-use crate::wire::{intern, Wire, WireError, WireReader};
-use std::collections::BTreeMap;
+use crate::stats::{Phase, NUM_PHASES};
+use crate::wire::{Wire, WireError, WireReader};
 
-/// Well-known metric names. Counter names are dotted paths; per-phase
-/// message counters are resolved with [`msgs_in`] / [`bytes_in`].
-pub mod names {
-    /// Search-request points serviced by this rank (the paper's `I(p)`).
-    pub const CONN_SERVICED: &str = "conn.serviced";
-    /// Requests answered from a warm nth-level-restart hint.
-    pub const CONN_CACHE_HIT: &str = "conn.cache.hit";
-    /// Warm hints that missed and fell back to the hierarchy.
-    pub const CONN_CACHE_MISS: &str = "conn.cache.miss";
-    /// Request points sent after an IGBP's first: to the other candidate
-    /// ranks of its hierarchy level, then to every later level's.
-    pub const CONN_FORWARDS: &str = "conn.forwards";
-    /// Stencil-walk steps performed while servicing donor searches.
-    pub const CONN_WALK_STEPS: &str = "conn.walk_steps";
-    /// Of `conn.walk_steps`, the steps of searches that returned no donor:
-    /// useful / attempted walk work is `1 - miss / total`.
-    pub const CONN_WALK_STEPS_MISS: &str = "conn.walk_steps.miss";
-    /// Donor searches an inverse map's fine occupancy mask answered `Miss`
-    /// without a walk.
-    pub const CONN_PREFILTER_REJECTS: &str = "conn.prefilter.rejects";
-    /// Donors held under relaxed acceptance (stencil touching holes) at the
-    /// end of a step, summed over steps.
-    pub const CONN_DONORS_RELAXED: &str = "conn.donors.relaxed";
-    /// IGBPs left unresolved (orphans) summed over steps.
-    pub const CONN_ORPHANS: &str = "conn.orphans";
-    /// Donor-search protocol rounds summed over steps.
-    pub const CONN_ROUNDS: &str = "conn.rounds";
-    /// Inverse maps rebuilt from scratch (full lattice builds).
-    pub const CONN_INVMAP_BUILDS: &str = "conn.invmap.build";
-    /// Inverse maps advanced incrementally under small rigid motion
-    /// (pose composition instead of a full rebuild).
-    pub const CONN_INVMAP_INCR: &str = "conn.invmap.incr";
-    /// Repartitions executed by the dynamic balancer.
-    pub const LB_REPARTITIONS: &str = "lb.repartitions";
-    /// Collectives entered by this rank.
-    pub const COMM_COLLECTIVES: &str = "comm.collectives";
-    /// Histogram: measured `f(p) = I(p)/mean` at each balance check.
-    pub const LB_F_RATIO: &str = "lb.f_ratio";
-    /// Histogram: receive stall (virtual seconds the clock jumped forward
-    /// waiting for a message to arrive) — pipeline stall time.
-    pub const COMM_RECV_STALL: &str = "comm.recv.stall_s";
+/// One closed list per metric kind: variant, dotted name, doc. `ALL` is the
+/// declaration order, which is also the array and wire order.
+macro_rules! vocabulary {
+    ($(#[$enum_meta:meta])* $kind:ident { $($(#[$meta:meta])* $variant:ident = $name:literal,)* }) => {
+        $(#[$enum_meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $kind { $($(#[$meta])* $variant,)* }
 
-    /// Messages sent while the given phase was active.
-    pub fn msgs_in(phase: super::Phase) -> &'static str {
-        match phase {
-            super::Phase::Flow => "comm.msgs.flow",
-            super::Phase::Connectivity => "comm.msgs.connectivity",
-            super::Phase::Motion => "comm.msgs.motion",
-            super::Phase::Balance => "comm.msgs.balance",
-            super::Phase::Other => "comm.msgs.other",
+        impl $kind {
+            pub const ALL: [$kind; [$($name),*].len()] = [$($kind::$variant),*];
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// The dotted name reports and docs use.
+            pub const fn name(self) -> &'static str {
+                match self { $($kind::$variant => $name,)* }
+            }
+
+            /// The variant a dotted name stands for.
+            pub fn from_name(name: &str) -> Option<$kind> {
+                Self::ALL.into_iter().find(|k| k.name() == name)
+            }
+
+            /// Every variant in name order (the order reports print).
+            pub fn by_name() -> [$kind; Self::COUNT] {
+                let mut all = Self::ALL;
+                all.sort_unstable_by_key(|k| k.name());
+                all
+            }
         }
+    };
+}
+
+vocabulary! {
+    /// Monotonic counters. The per-phase `comm.msgs.*` / `comm.bytes.*` rows
+    /// are in [`Phase`] order so [`Counter::msgs_in`] / [`Counter::bytes_in`]
+    /// are index arithmetic.
+    Counter {
+        /// IGBPs this rank identified and searched donors for, summed over
+        /// steps.
+        ConnIgbps = "conn.igbps",
+        /// Search-request points serviced by this rank (the paper's `I(p)`).
+        ConnServiced = "conn.serviced",
+        /// Requests answered from a warm nth-level-restart hint.
+        ConnCacheHit = "conn.cache.hit",
+        /// Warm hints that missed and fell back to the hierarchy.
+        ConnCacheMiss = "conn.cache.miss",
+        /// Request points sent after an IGBP's first: to the other candidate
+        /// ranks of its hierarchy level, then to every later level's.
+        ConnForwards = "conn.forwards",
+        /// Stencil-walk steps performed while servicing donor searches.
+        ConnWalkSteps = "conn.walk_steps",
+        /// Of `conn.walk_steps`, the steps of searches that returned no
+        /// donor: useful / attempted walk work is `1 - miss / total`.
+        ConnWalkStepsMiss = "conn.walk_steps.miss",
+        /// Donor searches an inverse map's fine occupancy mask answered
+        /// `Miss` without a walk.
+        ConnPrefilterRejects = "conn.prefilter.rejects",
+        /// Donors held under relaxed acceptance (stencil touching holes) at
+        /// the end of a step, summed over steps.
+        ConnDonorsRelaxed = "conn.donors.relaxed",
+        /// IGBPs left unresolved (orphans) summed over steps.
+        ConnOrphans = "conn.orphans",
+        /// Donor-search protocol rounds summed over steps.
+        ConnRounds = "conn.rounds",
+        /// Inverse maps rebuilt from scratch (full lattice builds).
+        ConnInvmapBuild = "conn.invmap.build",
+        /// Inverse maps advanced incrementally under small rigid motion
+        /// (pose composition instead of a full rebuild).
+        ConnInvmapIncr = "conn.invmap.incr",
+        /// Repartitions executed by the dynamic balancer.
+        LbRepartitions = "lb.repartitions",
+        /// Collectives entered by this rank.
+        CommCollectives = "comm.collectives",
+        /// Messages sent while the flow phase was active.
+        CommMsgsFlow = "comm.msgs.flow",
+        /// Messages sent while the connectivity phase was active.
+        CommMsgsConnectivity = "comm.msgs.connectivity",
+        /// Messages sent while the motion phase was active.
+        CommMsgsMotion = "comm.msgs.motion",
+        /// Messages sent while the balance phase was active.
+        CommMsgsBalance = "comm.msgs.balance",
+        /// Messages sent outside the four timestep phases.
+        CommMsgsOther = "comm.msgs.other",
+        /// Payload bytes sent while the flow phase was active.
+        CommBytesFlow = "comm.bytes.flow",
+        /// Payload bytes sent while the connectivity phase was active.
+        CommBytesConnectivity = "comm.bytes.connectivity",
+        /// Payload bytes sent while the motion phase was active.
+        CommBytesMotion = "comm.bytes.motion",
+        /// Payload bytes sent while the balance phase was active.
+        CommBytesBalance = "comm.bytes.balance",
+        /// Payload bytes sent outside the four timestep phases.
+        CommBytesOther = "comm.bytes.other",
+    }
+}
+
+vocabulary! {
+    /// Histograms.
+    Hist {
+        /// Measured `f(p) = I(p)/mean` at each balance check.
+        LbFRatio = "lb.f_ratio",
+        /// Receive stall (virtual seconds the clock jumped forward waiting
+        /// for a message to arrive) — pipeline stall time.
+        CommRecvStall = "comm.recv.stall_s",
+    }
+}
+
+impl Counter {
+    /// Messages sent while `phase` was active.
+    pub const fn msgs_in(phase: Phase) -> Counter {
+        Counter::ALL[Counter::CommMsgsFlow as usize + phase as usize]
     }
 
-    /// Payload bytes sent while the given phase was active.
-    pub fn bytes_in(phase: super::Phase) -> &'static str {
-        match phase {
-            super::Phase::Flow => "comm.bytes.flow",
-            super::Phase::Connectivity => "comm.bytes.connectivity",
-            super::Phase::Motion => "comm.bytes.motion",
-            super::Phase::Balance => "comm.bytes.balance",
-            super::Phase::Other => "comm.bytes.other",
-        }
+    /// Payload bytes sent while `phase` was active.
+    pub const fn bytes_in(phase: Phase) -> Counter {
+        Counter::ALL[Counter::CommBytesFlow as usize + phase as usize]
     }
+}
+
+/// A rank's (or a step's, or a run's) value of every [`Counter`].
+pub type Counts = [u64; Counter::COUNT];
+
+/// Messages / payload bytes sent in all phases together.
+pub fn traffic(counts: &Counts) -> (u64, u64) {
+    let sum = |first: Counter| counts[first as usize..][..NUM_PHASES].iter().sum();
+    (sum(Counter::CommMsgsFlow), sum(Counter::CommBytesFlow))
+}
+
+/// Warm-restart hit rate in `counts`: hits / (hits + misses), or `None` when
+/// the cache was never consulted.
+pub fn cache_hit_rate(counts: &Counts) -> Option<f64> {
+    let h = counts[Counter::ConnCacheHit as usize];
+    let m = counts[Counter::ConnCacheMiss as usize];
+    (h + m > 0).then(|| h as f64 / (h + m) as f64)
 }
 
 /// Buckets per decade of the fixed log-spaced quantile grid.
@@ -186,32 +257,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Dense bucket-count encoding: count/sum/min/max then the fixed grid.
-    /// `counts` is private, so the impl lives here rather than in `wire`.
-    fn wire_encode(&self, buf: &mut Vec<u8>) {
-        self.count.encode(buf);
-        self.sum.encode(buf);
-        self.min.encode(buf);
-        self.max.encode(buf);
-        for c in &self.counts {
-            c.encode(buf);
-        }
-    }
-
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut h = Histogram {
-            count: u64::decode(r)?,
-            sum: f64::decode(r)?,
-            min: f64::decode(r)?,
-            max: f64::decode(r)?,
-            counts: [0; NUM_BUCKETS],
-        };
-        for c in h.counts.iter_mut() {
-            *c = u32::decode(r)?;
-        }
-        Ok(h)
-    }
-
     fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum += other.sum;
@@ -223,12 +268,19 @@ impl Histogram {
     }
 }
 
-/// A set of named counters and histograms. Iteration order is the name
-/// order (`BTreeMap`), so reports are deterministic.
-#[derive(Clone, Debug, Default)]
+/// A value of every [`Counter`] and every [`Hist`]. Name-order iteration
+/// ([`MetricsRegistry::counters`], [`MetricsRegistry::histograms`]) keeps
+/// reports deterministic.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counts: Counts,
+    hists: [Histogram; Hist::COUNT],
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry { counts: [0; Counter::COUNT], hists: [Histogram::default(); Hist::COUNT] }
+    }
 }
 
 impl MetricsRegistry {
@@ -238,50 +290,64 @@ impl MetricsRegistry {
 
     /// Increment a counter by one.
     #[inline]
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
+    pub fn inc(&mut self, c: Counter) {
+        self.add(c, 1);
     }
 
     /// Increment a counter by `v`.
     #[inline]
-    pub fn add(&mut self, name: &'static str, v: u64) {
-        *self.counters.entry(name).or_insert(0) += v;
+    pub fn add(&mut self, c: Counter, v: u64) {
+        self.counts[c as usize] += v;
     }
 
-    /// Current counter value (0 if never incremented).
+    /// Current value of `c`.
+    #[inline]
+    pub fn get(&self, c: Counter) -> u64 {
+        self.counts[c as usize]
+    }
+
+    /// Every counter's current value, indexed by `Counter as usize`.
+    pub fn counts(&self) -> &Counts {
+        &self.counts
+    }
+
+    /// Current counter value by dotted name (0 for a name outside the
+    /// vocabulary).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        Counter::from_name(name).map_or(0, |c| self.get(c))
     }
 
     /// Record one observation into a histogram.
     #[inline]
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        self.histograms.entry(name).or_default().record(v);
+    pub fn observe(&mut self, h: Hist, v: f64) {
+        self.hists[h as usize].record(v);
     }
 
+    /// The histogram of that dotted name, once it holds an observation.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        Hist::from_name(name).map(|h| &self.hists[h as usize]).filter(|h| h.count > 0)
     }
 
+    /// The whole counter vocabulary in name order, zeros included.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        Counter::by_name().into_iter().map(|c| (c.name(), self.get(c)))
     }
 
+    /// The histograms that hold an observation, in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&k, v)| (k, v))
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        Hist::by_name()
+            .into_iter()
+            .map(|h| (h.name(), &self.hists[h as usize]))
+            .filter(|(_, h)| h.count > 0)
     }
 
     /// Fold `other` into `self` (counters add, histograms merge).
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
-        for (&k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
+        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
+            a.merge(b);
         }
     }
 
@@ -294,59 +360,43 @@ impl MetricsRegistry {
         out
     }
 
-    /// Warm-restart hit rate: hits / (hits + misses), or `None` when the
-    /// cache was never consulted.
+    /// Warm-restart hit rate over the registry's lifetime.
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        let h = self.counter(names::CONN_CACHE_HIT);
-        let m = self.counter(names::CONN_CACHE_MISS);
-        if h + m == 0 {
-            None
-        } else {
-            Some(h as f64 / (h + m) as f64)
-        }
+        cache_hit_rate(&self.counts)
     }
 }
 
+// Dense bucket-count encoding: count/sum/min/max then the fixed grid.
 impl Wire for Histogram {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.wire_encode(buf);
+        self.count.encode(buf);
+        self.sum.encode(buf);
+        self.min.encode(buf);
+        self.max.encode(buf);
+        self.counts.encode(buf);
     }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Histogram::wire_decode(r)
+        Ok(Histogram {
+            count: Wire::decode(r)?,
+            sum: Wire::decode(r)?,
+            min: Wire::decode(r)?,
+            max: Wire::decode(r)?,
+            counts: Wire::decode(r)?,
+        })
     }
 }
 
-// Registries return from child processes inside `RankOutput`; metric names
-// are a fixed vocabulary of `&'static str`, re-interned on decode.
+// Registries return from child processes inside `RankOutput`: the two
+// arrays, in vocabulary order.
 impl Wire for MetricsRegistry {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.counters.len() as u64).to_le_bytes());
-        for (&k, &v) in &self.counters {
-            k.to_string().encode(buf);
-            v.encode(buf);
-        }
-        buf.extend_from_slice(&(self.histograms.len() as u64).to_le_bytes());
-        for (&k, h) in &self.histograms {
-            k.to_string().encode(buf);
-            h.encode(buf);
-        }
+        self.counts.encode(buf);
+        self.hists.encode(buf);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut m = MetricsRegistry::new();
-        let nc = r.len_prefix()?;
-        for _ in 0..nc {
-            let k = intern(&String::decode(r)?);
-            let v = u64::decode(r)?;
-            m.counters.insert(k, v);
-        }
-        let nh = r.len_prefix()?;
-        for _ in 0..nh {
-            let k = intern(&String::decode(r)?);
-            let h = Histogram::decode(r)?;
-            m.histograms.insert(k, h);
-        }
-        Ok(m)
+        Ok(MetricsRegistry { counts: Wire::decode(r)?, hists: Wire::decode(r)? })
     }
 }
 
@@ -357,38 +407,34 @@ mod tests {
     #[test]
     fn registry_wire_roundtrip() {
         let mut m = MetricsRegistry::new();
-        m.add(names::CONN_SERVICED, 42);
-        m.add(names::CONN_ORPHANS, 7);
-        m.observe(names::LB_F_RATIO, 0.5);
-        m.observe(names::LB_F_RATIO, 123.456);
-        m.observe(names::COMM_RECV_STALL, 1.0e-9);
+        m.add(Counter::ConnServiced, 42);
+        m.add(Counter::ConnOrphans, 7);
+        m.observe(Hist::LbFRatio, 0.5);
+        m.observe(Hist::LbFRatio, 123.456);
+        m.observe(Hist::CommRecvStall, 1.0e-9);
         let back = MetricsRegistry::from_wire_bytes(&m.to_wire_bytes()).unwrap();
-        assert_eq!(back.counter(names::CONN_SERVICED), 42);
-        assert_eq!(back.counter(names::CONN_ORPHANS), 7);
-        let (ha, hb) =
-            (m.histogram(names::LB_F_RATIO).unwrap(), back.histogram(names::LB_F_RATIO).unwrap());
+        assert_eq!(back.get(Counter::ConnServiced), 42);
+        assert_eq!(back.get(Counter::ConnOrphans), 7);
+        let (ha, hb) = (m.histogram("lb.f_ratio").unwrap(), back.histogram("lb.f_ratio").unwrap());
         assert_eq!(ha, hb);
-        assert_eq!(
-            back.histogram(names::COMM_RECV_STALL).unwrap().sum.to_bits(),
-            1.0e-9f64.to_bits()
-        );
+        assert_eq!(back.histogram("comm.recv.stall_s").unwrap().sum.to_bits(), 1.0e-9f64.to_bits());
     }
 
     #[test]
     fn counters_accumulate() {
         let mut m = MetricsRegistry::new();
-        m.inc(names::CONN_SERVICED);
-        m.add(names::CONN_SERVICED, 41);
-        assert_eq!(m.counter(names::CONN_SERVICED), 42);
+        m.inc(Counter::ConnServiced);
+        m.add(Counter::ConnServiced, 41);
+        assert_eq!(m.get(Counter::ConnServiced), 42);
         assert_eq!(m.counter("never.touched"), 0);
     }
 
     #[test]
     fn histogram_summary() {
         let mut m = MetricsRegistry::new();
-        m.observe(names::COMM_RECV_STALL, 1.0);
-        m.observe(names::COMM_RECV_STALL, 3.0);
-        let h = m.histogram(names::COMM_RECV_STALL).unwrap();
+        m.observe(Hist::CommRecvStall, 1.0);
+        m.observe(Hist::CommRecvStall, 3.0);
+        let h = m.histogram("comm.recv.stall_s").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.mean(), 2.0);
         assert_eq!(h.min, 1.0);
@@ -398,16 +444,16 @@ mod tests {
     #[test]
     fn aggregation_sums_ranks() {
         let mut a = MetricsRegistry::new();
-        a.add(names::CONN_SERVICED, 10);
-        a.observe(names::LB_F_RATIO, 0.5);
+        a.add(Counter::ConnServiced, 10);
+        a.observe(Hist::LbFRatio, 0.5);
         let mut b = MetricsRegistry::new();
-        b.add(names::CONN_SERVICED, 30);
-        b.add(names::CONN_ORPHANS, 2);
-        b.observe(names::LB_F_RATIO, 1.5);
+        b.add(Counter::ConnServiced, 30);
+        b.add(Counter::ConnOrphans, 2);
+        b.observe(Hist::LbFRatio, 1.5);
         let agg = MetricsRegistry::aggregate(&[a, b]);
-        assert_eq!(agg.counter(names::CONN_SERVICED), 40);
-        assert_eq!(agg.counter(names::CONN_ORPHANS), 2);
-        let h = agg.histogram(names::LB_F_RATIO).unwrap();
+        assert_eq!(agg.get(Counter::ConnServiced), 40);
+        assert_eq!(agg.get(Counter::ConnOrphans), 2);
+        let h = agg.histogram("lb.f_ratio").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 1.5);
     }
@@ -416,8 +462,8 @@ mod tests {
     fn hit_rate() {
         let mut m = MetricsRegistry::new();
         assert_eq!(m.cache_hit_rate(), None);
-        m.add(names::CONN_CACHE_HIT, 3);
-        m.add(names::CONN_CACHE_MISS, 1);
+        m.add(Counter::ConnCacheHit, 3);
+        m.add(Counter::ConnCacheMiss, 1);
         assert_eq!(m.cache_hit_rate(), Some(0.75));
     }
 
@@ -455,7 +501,7 @@ mod tests {
         let mk = |vals: &[f64]| {
             let mut m = MetricsRegistry::new();
             for &v in vals {
-                m.observe(names::LB_F_RATIO, v);
+                m.observe(Hist::LbFRatio, v);
             }
             m
         };
@@ -464,8 +510,8 @@ mod tests {
         let c = mk(&[0.9]);
         let fwd = MetricsRegistry::aggregate(&[a.clone(), b.clone(), c.clone()]);
         let rev = MetricsRegistry::aggregate(&[c, b, a]);
-        let hf = fwd.histogram(names::LB_F_RATIO).unwrap();
-        let hr = rev.histogram(names::LB_F_RATIO).unwrap();
+        let hf = fwd.histogram("lb.f_ratio").unwrap();
+        let hr = rev.histogram("lb.f_ratio").unwrap();
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(hf.quantile(q).to_bits(), hr.quantile(q).to_bits());
         }
@@ -477,11 +523,30 @@ mod tests {
     #[test]
     fn per_phase_names_are_distinct() {
         use crate::stats::Phase::*;
-        let all = [Flow, Connectivity, Motion, Balance, Other];
-        let mut seen = std::collections::HashSet::new();
-        for p in all {
-            assert!(seen.insert(names::msgs_in(p)));
-            assert!(seen.insert(names::bytes_in(p)));
+        for p in [Flow, Connectivity, Motion, Balance, Other] {
+            assert_eq!(Counter::msgs_in(p).name(), format!("comm.msgs.{}", p.name()));
+            assert_eq!(Counter::bytes_in(p).name(), format!("comm.bytes.{}", p.name()));
         }
+        let names: std::collections::HashSet<_> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), Counter::COUNT);
+        assert!(Counter::ALL.iter().enumerate().all(|(i, &c)| c as usize == i));
+        assert_eq!(Counter::from_name("conn.walk_steps.miss"), Some(Counter::ConnWalkStepsMiss));
+        assert_eq!(Counter::from_name("never.touched"), None);
+    }
+
+    /// docs/OBSERVABILITY.md's counter table is the vocabulary: one row per
+    /// counter, in `Counter::ALL` order, between its two marker comments.
+    #[test]
+    fn observability_doc_lists_exactly_the_counter_vocabulary() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let table = doc
+            .split("<!-- counter-table:begin -->")
+            .nth(1)
+            .and_then(|rest| rest.split("<!-- counter-table:end -->").next())
+            .expect("counter table markers missing");
+        let listed: Vec<&str> =
+            table.lines().filter_map(|l| l.strip_prefix("| `")?.split('`').next()).collect();
+        let vocabulary: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(listed, vocabulary);
     }
 }

@@ -41,11 +41,11 @@
 //! (zero-cost-when-disabled). Phase attribution is RAII-scoped through
 //! [`Comm::phase`] — see [`PhaseGuard`].
 
-use crate::alloc::{self, AllocRecord, AllocTotals, RankAllocCounters};
+use crate::alloc::{self, AllocTotals, RankAllocCounters};
 use crate::error::OversetError;
 use crate::flight::{FlightRecorder, StepRecord, DEFAULT_STEP_CAPACITY};
 use crate::machine::{MachineModel, WorkClass};
-use crate::metrics::{names, MetricsRegistry};
+use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::sched;
 use crate::stats::{Phase, RankStats, NUM_PHASES};
 use crate::trace::{ArgVal, TraceConfig, TraceEvent, Tracer};
@@ -583,9 +583,9 @@ impl Comm {
 
     /// Close the current timestep for the flight recorder: flushes the open
     /// phase's elapsed time and appends one [`StepRecord`] of per-step
-    /// deltas (phase times, service/orphan/cache counters, traffic,
-    /// repartitions). Reads only existing state — never advances the
-    /// virtual clock, so recording is physics- and timing-neutral.
+    /// deltas (phase times, every counter of the registry, allocations).
+    /// Reads only existing state — never advances the virtual clock, so
+    /// recording is physics- and timing-neutral.
     ///
     /// In M:N mode a step boundary is also a fairness point: the rank
     /// requeues itself and yields so sibling ranks on the same worker make
@@ -596,15 +596,17 @@ impl Comm {
         let _quiet = alloc::suspend();
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time, keep the phase
-        let (rec, arec) = self.flight.end_step(
-            &self.stats,
-            &self.metrics,
-            self.clock,
-            self.alloc_counters.snapshot(),
-        );
+        let alloc = self.alloc_counters.snapshot();
+        let rec = self.flight.end_step(StepRecord {
+            step: 0,
+            clock: self.clock,
+            time: self.stats.time,
+            counts: *self.metrics.counts(),
+            allocs: alloc.allocs,
+            alloc_bytes: alloc.bytes,
+        });
         if let Some(t) = &mut self.tracer {
             t.record_step(&rec);
-            t.record_alloc_step(&arec);
         }
         if let Some(mn) = &self.shared.mn {
             mn.wake(self.rank);
@@ -709,10 +711,8 @@ impl Comm {
         let t0 = self.clock;
         self.clock += self.machine.send_overhead;
         let arrival = self.clock + self.machine.transit_time(bytes);
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        self.metrics.inc(names::msgs_in(self.phase));
-        self.metrics.add(names::bytes_in(self.phase), bytes as u64);
+        self.metrics.inc(Counter::msgs_in(self.phase));
+        self.metrics.add(Counter::bytes_in(self.phase), bytes as u64);
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
             t.complete(
@@ -789,7 +789,7 @@ impl Comm {
         // the Scalasca-style "late receiver" complement of `stall`.
         let idle = (self.clock - env.arrival).max(0.0);
         self.clock = self.clock.max(env.arrival);
-        self.metrics.observe(names::COMM_RECV_STALL, stall);
+        self.metrics.observe(Hist::CommRecvStall, stall);
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
             t.complete(
@@ -931,8 +931,7 @@ impl Comm {
             self.local_allgather(value)?
         };
         self.clock = round_clock + self.machine.collective_time(self.size, bytes * self.size);
-        self.stats.collectives += 1;
-        self.metrics.inc(names::COMM_COLLECTIVES);
+        self.metrics.inc(Counter::CommCollectives);
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
             t.complete(
@@ -1123,7 +1122,7 @@ impl Comm {
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time into the current bucket
         self.stats.final_clock = self.clock;
-        let (steps, alloc_steps, dropped) = self.flight.into_records();
+        let (steps, dropped) = self.flight.into_records();
         let trace = self.tracer.take().map(|t| t.finish(dropped)).unwrap_or_default();
         FinishedRank {
             stats: self.stats,
@@ -1132,7 +1131,6 @@ impl Comm {
             steps,
             steps_dropped: dropped,
             host_time: self.host_time,
-            alloc_steps,
             alloc: self.alloc_counters.totals(),
         }
     }
@@ -1147,7 +1145,6 @@ struct FinishedRank {
     steps: Vec<StepRecord>,
     steps_dropped: u64,
     host_time: [f64; NUM_PHASES],
-    alloc_steps: Vec<AllocRecord>,
     alloc: AllocTotals,
 }
 
@@ -1171,10 +1168,6 @@ pub struct RankOutput<R> {
     /// useful for advisory profiling (`repro compare` host notes, `repro
     /// analyze --host`), never bit-compared.
     pub host_time: [f64; NUM_PHASES],
-    /// Per-step allocation deltas, in lockstep with `steps` (same ring, so
-    /// `steps_dropped` covers both). Counts/bytes are deterministic for
-    /// deterministic rank code — see [`crate::alloc`].
-    pub alloc_steps: Vec<AllocRecord>,
     /// End-of-run allocation totals for this rank. All fields deterministic
     /// except `peak_bytes` (allocation-order-dependent, advisory only).
     pub alloc: AllocTotals,
@@ -1182,8 +1175,7 @@ pub struct RankOutput<R> {
 
 // A child process ships each rank's whole output (result, stats, trace,
 // metrics, flight telemetry, host timings, allocation telemetry) back to
-// the parent as one wire value. Wire schema v2 appended `host_time`; v3
-// appended `alloc_steps` + `alloc` — see docs/TRANSPORT.md.
+// the parent as one wire value — see docs/TRANSPORT.md for the layout.
 impl<R: Wire> Wire for RankOutput<R> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.result.encode(buf);
@@ -1193,7 +1185,6 @@ impl<R: Wire> Wire for RankOutput<R> {
         self.steps.encode(buf);
         self.steps_dropped.encode(buf);
         self.host_time.encode(buf);
-        self.alloc_steps.encode(buf);
         self.alloc.encode(buf);
     }
 
@@ -1206,7 +1197,6 @@ impl<R: Wire> Wire for RankOutput<R> {
             steps: Vec::decode(r)?,
             steps_dropped: u64::decode(r)?,
             host_time: <[f64; NUM_PHASES]>::decode(r)?,
-            alloc_steps: Vec::decode(r)?,
             alloc: AllocTotals::decode(r)?,
         })
     }
@@ -1238,7 +1228,6 @@ pub struct UniverseBuilder {
     trace: TraceConfig,
     step_capacity: usize,
     max_threads: Option<usize>,
-    stack_size: usize,
     transport: TransportConfig,
 }
 
@@ -1250,7 +1239,6 @@ impl Universe {
             trace: TraceConfig::disabled(),
             step_capacity: DEFAULT_STEP_CAPACITY,
             max_threads: None,
-            stack_size: sched::DEFAULT_STACK_SIZE,
             transport: TransportConfig::InProcess,
         }
     }
@@ -1293,13 +1281,6 @@ impl UniverseBuilder {
     pub fn max_threads(mut self, n: usize) -> Self {
         assert!(n >= 1, "max_threads must be at least 1");
         self.max_threads = Some(n);
-        self
-    }
-
-    /// Per-virtual-rank coroutine stack size in M:N mode, bytes (default
-    /// 2 MiB, minimum 64 KiB). Ignored in 1:1 mode.
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
         self
     }
 
@@ -1422,7 +1403,6 @@ impl UniverseBuilder {
         }
         let trace = self.trace;
         let step_capacity = self.step_capacity;
-        let stack_size = self.stack_size;
         let outputs: Mutex<Vec<Option<RankOutput<R>>>> =
             Mutex::new((0..nlocal).map(|_| None).collect());
         {
@@ -1474,7 +1454,6 @@ impl UniverseBuilder {
                             steps: fin.steps,
                             steps_dropped: fin.steps_dropped,
                             host_time: fin.host_time,
-                            alloc_steps: fin.alloc_steps,
                             alloc: fin.alloc,
                         });
                     }
@@ -1498,7 +1477,7 @@ impl UniverseBuilder {
                         let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || rank_main(rank));
                         let task: Box<dyn FnOnce() + Send + 'static> =
                             unsafe { std::mem::transmute(task) };
-                        per_worker[rank % nworkers].push(sched::Coro::new(rank, stack_size, task));
+                        per_worker[rank % nworkers].push(sched::Coro::new(rank, task));
                     }
                     for (widx, coros) in per_worker.into_iter().enumerate() {
                         let mn = Arc::clone(mn);
@@ -1738,9 +1717,8 @@ mod tests {
                 c.recv::<()>(0, 1);
             }
         });
-        assert_eq!(out[0].stats.msgs_sent, 2);
-        assert_eq!(out[0].stats.bytes_sent, 1200);
-        assert_eq!(out[1].stats.msgs_sent, 0);
+        assert_eq!(crate::metrics::traffic(out[0].metrics.counts()), (2, 1200));
+        assert_eq!(crate::metrics::traffic(out[1].metrics.counts()), (0, 0));
     }
 
     #[test]
@@ -1763,12 +1741,12 @@ mod tests {
             }
         });
         let m = &out[0].metrics;
-        assert_eq!(m.counter(names::msgs_in(Phase::Flow)), 1);
-        assert_eq!(m.counter(names::bytes_in(Phase::Flow)), 100);
-        assert_eq!(m.counter(names::msgs_in(Phase::Connectivity)), 2);
-        assert_eq!(m.counter(names::bytes_in(Phase::Connectivity)), 350);
+        assert_eq!(m.get(Counter::msgs_in(Phase::Flow)), 1);
+        assert_eq!(m.get(Counter::bytes_in(Phase::Flow)), 100);
+        assert_eq!(m.get(Counter::msgs_in(Phase::Connectivity)), 2);
+        assert_eq!(m.get(Counter::bytes_in(Phase::Connectivity)), 350);
         // Receiver recorded stall observations.
-        let stall = out[1].metrics.histogram(names::COMM_RECV_STALL).unwrap();
+        let stall = out[1].metrics.histogram("comm.recv.stall_s").unwrap();
         assert_eq!(stall.count, 3);
         assert!(stall.max > 0.0);
     }
@@ -1894,7 +1872,7 @@ mod tests {
                     }
                     ph.barrier();
                 }
-                c.metrics_mut().add(names::CONN_SERVICED, 10 * (step + 1));
+                c.metrics_mut().add(Counter::ConnServiced, 10 * (step + 1));
                 c.end_step();
             }
         });
@@ -1911,7 +1889,7 @@ mod tests {
                     o.stats.rank,
                     rec.time
                 );
-                assert_eq!(rec.serviced, 10 * (i as u64 + 1));
+                assert_eq!(rec.count(Counter::ConnServiced), 10 * (i as u64 + 1));
             }
             // The per-step deltas partition the rank's cumulative phase time.
             let flow_sum: f64 = o.steps.iter().map(|r| r.time[Phase::Flow as usize]).sum();
@@ -1920,9 +1898,9 @@ mod tests {
             // Clocks are the rank clock at each boundary, nondecreasing.
             assert!(o.steps.windows(2).all(|w| w[0].clock <= w[1].clock));
         }
-        assert_eq!(out[0].steps[0].msgs_sent, 1);
-        assert_eq!(out[0].steps[0].bytes_sent, 100);
-        assert_eq!(out[1].steps[0].msgs_sent, 0);
+        assert_eq!(out[0].steps[0].count(Counter::CommMsgsFlow), 1);
+        assert_eq!(out[0].steps[0].count(Counter::CommBytesFlow), 100);
+        assert_eq!(out[1].steps[0].count(Counter::CommMsgsFlow), 0);
     }
 
     #[test]
@@ -2041,8 +2019,7 @@ mod tests {
                 a.stats.rank
             );
             assert_eq!(a.stats.final_clock.to_bits(), b.stats.final_clock.to_bits());
-            assert_eq!(a.stats.msgs_sent, b.stats.msgs_sent);
-            assert_eq!(a.stats.collectives, b.stats.collectives);
+            assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.steps.len(), b.steps.len());
         }
     }

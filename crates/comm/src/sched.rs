@@ -24,8 +24,9 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Default coroutine stack size (matches the Rust default thread stack).
-pub(crate) const DEFAULT_STACK_SIZE: usize = 2 * 1024 * 1024;
+/// Coroutine stack size (matches the Rust default thread stack; a multiple
+/// of 16 so the top stays aligned).
+const STACK_SIZE: usize = 2 * 1024 * 1024;
 
 /// Is the M:N scheduler available on this target? The context switch is
 /// x86-64-only; elsewhere the builder falls back to rank-per-thread.
@@ -90,14 +91,12 @@ struct StackMem {
 }
 
 impl StackMem {
-    fn new(size: usize) -> StackMem {
-        // Keep at least room for the runtime's own frames, and a multiple of
-        // 16 so the top stays aligned. Pages are committed lazily by the OS,
-        // so a big virtual reservation per rank is cheap.
-        let size = size.max(64 * 1024) & !15usize;
-        let layout = std::alloc::Layout::from_size_align(size, 16).expect("stack layout");
+    fn new() -> StackMem {
+        // Pages are committed lazily by the OS, so a big virtual reservation
+        // per rank is cheap.
+        let layout = std::alloc::Layout::from_size_align(STACK_SIZE, 16).expect("stack layout");
         let ptr = unsafe { std::alloc::alloc(layout) };
-        assert!(!ptr.is_null(), "coroutine stack allocation failed ({size} bytes)");
+        assert!(!ptr.is_null(), "coroutine stack allocation failed ({STACK_SIZE} bytes)");
         StackMem { ptr, layout }
     }
 
@@ -135,13 +134,9 @@ pub(crate) struct Coro {
 unsafe impl Send for Coro {}
 
 impl Coro {
-    pub(crate) fn new(
-        rank: usize,
-        stack_size: usize,
-        task: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Coro {
+    pub(crate) fn new(rank: usize, task: Box<dyn FnOnce() + Send + 'static>) -> Coro {
         Coro {
-            stack: StackMem::new(stack_size),
+            stack: StackMem::new(),
             rsp: std::ptr::null_mut(),
             task: Some(task),
             alloc_ctx: crate::alloc::SavedCtx::EMPTY,
@@ -342,7 +337,6 @@ mod tests {
         let n2 = Arc::clone(&n);
         let mut coros = vec![Coro::new(
             0,
-            DEFAULT_STACK_SIZE,
             Box::new(move || {
                 for _ in 0..3 {
                     n2.fetch_add(1, Ordering::SeqCst);
@@ -373,7 +367,6 @@ mod tests {
                 let shared = Arc::clone(&shared);
                 Coro::new(
                     rank,
-                    DEFAULT_STACK_SIZE,
                     Box::new(move || {
                         for round in 0..3 {
                             log.lock().unwrap().push((rank, round));

@@ -1,49 +1,39 @@
-//! Streaming telemetry sinks: bounded-memory, on-disk span recording.
+//! Streaming telemetry sink: bounded-memory, on-disk span recording.
 //!
 //! The in-memory tracer and flight recorder hold every span and step record
 //! until the run ends — fine for the paper's table sizes, fatal for
-//! full-length table5/6 histories or 1024–4096-rank sweeps. A
-//! [`StreamConfig`] on [`crate::TraceConfig`] instead routes telemetry to a
-//! per-rank file *as spans close*, so peak memory is O(open spans + one
-//! chunk) regardless of run length. Two formats:
+//! full-length table5/6 histories or 1024–4096-rank sweeps. A stream
+//! directory on [`crate::TraceConfig`] instead routes telemetry to a
+//! per-rank binary span file *as spans close*, so peak memory is O(open
+//! spans + one chunk) regardless of run length. The format is compact and
+//! versioned, built on the same [`crate::Wire`] encoding discipline the
+//! process transport uses (see docs/TRANSPORT.md). Step records are flushed
+//! at every step boundary, so even a rank killed mid-run leaves a
+//! truncated-but-parseable stream; [`read_span_dir`] recovers the prefix and
+//! reports the gap.
 //!
-//! - **Chrome fragments** ([`StreamFormat::Chrome`]): each rank writes
-//!   exactly the bytes [`crate::chrome_trace_json`] would emit for that
-//!   rank; [`assemble_chrome`] concatenates the fragments into a document
-//!   byte-identical to the in-memory exporter's.
-//! - **Binary spans** ([`StreamFormat::Binary`]): a compact, versioned
-//!   format built on the same [`crate::Wire`] encoding discipline the
-//!   process transport uses (see docs/TRANSPORT.md). Step records are
-//!   flushed at every step boundary, so even a rank killed mid-run leaves a
-//!   truncated-but-parseable stream; [`read_span_dir`] recovers the prefix
-//!   and reports the gap.
-//!
-//! ## Binary span file layout (schema v2)
+//! ## Binary span file layout (schema v3)
 //!
 //! All integers little-endian, payloads encoded per the `Wire` rules:
 //!
 //! ```text
-//! header:  magic "OSPN" | u32 version (=2) | u32 rank
+//! header:  magic "OSPN" | u32 version (=3) | u32 rank
 //! chunks:  u32 len | body (len bytes) — body = u8 kind + payload
 //!   kind 1: payload = Vec<TraceEvent>   (events, recording order)
-//!   kind 2: payload = StepRecord        (one per step boundary)
-//!   kind 3: payload = AllocRecord       (one per step boundary, after its
-//!           kind-2 chunk — per-phase allocation deltas for the step)
+//!   kind 2: payload = StepRecord        (one per step boundary: phase
+//!           times, every counter's delta, per-phase allocation deltas)
 //!   kind 0: payload = (u64 total_events, u64 total_steps,
-//!                      u64 steps_dropped, u64 total_alloc_steps)
+//!                      u64 steps_dropped)
 //!           — the footer; must be the last chunk
 //! ```
 //!
-//! v1 had no kind-3 chunks and a three-field footer.
-//!
 //! A file whose last chunk is incomplete (killed writer) is readable up to
 //! the last complete chunk; the missing footer marks the truncation — and
-//! because alloc records flush at every step boundary, a dead rank still
-//! yields a partial per-step host allocation profile.
+//! because a step's allocation deltas are part of its record, a dead rank
+//! still yields a partial per-step host allocation profile.
 
-use crate::alloc::AllocRecord;
 use crate::flight::StepRecord;
-use crate::trace::{write_event_json, write_process_meta, RankTrace, TraceEvent};
+use crate::trace::{RankTrace, TraceEvent};
 use crate::wire::Wire;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -54,8 +44,10 @@ use std::path::{Path, PathBuf};
 /// `tests/sink_stream.rs` pins the current version.
 ///
 /// v2: added per-step allocation-record chunks (kind 3) and a fourth footer
-/// field counting them.
-pub const SPAN_SCHEMA_VERSION: u32 = 2;
+/// field counting them. v3: the step chunk is the whole-vocabulary
+/// [`StepRecord`] with the allocation deltas inside; kind 3 and its footer
+/// field are gone.
+pub const SPAN_SCHEMA_VERSION: u32 = 3;
 
 /// Magic prefix of a binary span file.
 pub const SPAN_MAGIC: [u8; 4] = *b"OSPN";
@@ -63,48 +55,10 @@ pub const SPAN_MAGIC: [u8; 4] = *b"OSPN";
 const CHUNK_FOOTER: u8 = 0;
 const CHUNK_EVENTS: u8 = 1;
 const CHUNK_STEP: u8 = 2;
-const CHUNK_ALLOC: u8 = 3;
 
 /// Events buffered per rank before an event chunk is flushed (spans also
 /// flush at every step boundary). Bounds sink memory at O(chunk).
 const EVENT_CHUNK_LEN: usize = 1024;
-
-/// Bytes buffered in the Chrome fragment writer before hitting the file.
-const CHROME_FLUSH_BYTES: usize = 64 * 1024;
-
-/// On-disk telemetry format of a streaming sink.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamFormat {
-    /// Per-rank Chrome `trace_event` fragments; [`assemble_chrome`] yields
-    /// a document byte-identical to [`crate::chrome_trace_json`].
-    Chrome,
-    /// Compact versioned binary spans + step records (schema above).
-    Binary,
-}
-
-/// Where and how a traced universe streams telemetry to disk.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Directory receiving one file per rank (created if absent).
-    pub dir: PathBuf,
-    pub format: StreamFormat,
-}
-
-impl StreamConfig {
-    /// Stream binary span files (`rank-NNNNN.spans`) into `dir`.
-    pub fn binary(dir: impl Into<PathBuf>) -> Self {
-        StreamConfig { dir: dir.into(), format: StreamFormat::Binary }
-    }
-
-    /// Stream Chrome JSON fragments (`rank-NNNNN.chrome`) into `dir`.
-    pub fn chrome(dir: impl Into<PathBuf>) -> Self {
-        StreamConfig { dir: dir.into(), format: StreamFormat::Chrome }
-    }
-}
-
-fn rank_path(dir: &Path, rank: usize, ext: &str) -> PathBuf {
-    dir.join(format!("rank-{rank:05}.{ext}"))
-}
 
 /// Streaming telemetry is on the failure path of nothing — an unwritable
 /// sink aborts the rank like any other rank panic, with a message naming
@@ -113,101 +67,8 @@ fn io_fail(path: &Path, what: &str, e: std::io::Error) -> ! {
     panic!("telemetry stream: {what} {} failed: {e}", path.display());
 }
 
-/// One rank's open streaming sink (held by the tracer).
-#[derive(Debug)]
-pub(crate) enum SinkWriter {
-    Chrome(ChromeSink),
-    Binary(SpanSink),
-}
-
-impl SinkWriter {
-    pub(crate) fn create(cfg: &StreamConfig, rank: usize) -> SinkWriter {
-        if let Err(e) = fs::create_dir_all(&cfg.dir) {
-            io_fail(&cfg.dir, "creating directory", e);
-        }
-        match cfg.format {
-            StreamFormat::Chrome => SinkWriter::Chrome(ChromeSink::create(&cfg.dir, rank)),
-            StreamFormat::Binary => SinkWriter::Binary(SpanSink::create(&cfg.dir, rank)),
-        }
-    }
-
-    pub(crate) fn push_event(&mut self, e: TraceEvent) {
-        match self {
-            SinkWriter::Chrome(s) => s.push_event(&e),
-            SinkWriter::Binary(s) => s.push_event(e),
-        }
-    }
-
-    /// Record one closed step. Binary sinks persist it immediately (so a
-    /// killed rank leaves all closed steps on disk); Chrome fragments carry
-    /// spans only.
-    pub(crate) fn push_step(&mut self, rec: &StepRecord) {
-        match self {
-            SinkWriter::Chrome(_) => {}
-            SinkWriter::Binary(s) => s.push_step(rec),
-        }
-    }
-
-    /// Record one closed step's allocation deltas (binary sinks only),
-    /// persisted immediately like the step record it follows.
-    pub(crate) fn push_alloc_step(&mut self, rec: &AllocRecord) {
-        match self {
-            SinkWriter::Chrome(_) => {}
-            SinkWriter::Binary(s) => s.push_alloc_step(rec),
-        }
-    }
-
-    pub(crate) fn finish(&mut self, steps_dropped: u64) {
-        match self {
-            SinkWriter::Chrome(s) => s.flush(),
-            SinkWriter::Binary(s) => s.write_footer(steps_dropped),
-        }
-    }
-}
-
-/// Per-rank Chrome `trace_event` fragment writer. The fragment holds the
-/// rank's process-metadata event followed by each span's rendering — the
-/// exact byte ranges [`crate::chrome_trace_json`] would produce for this
-/// rank, sharing its rendering helpers.
-#[derive(Debug)]
-pub(crate) struct ChromeSink {
-    file: File,
-    path: PathBuf,
-    rank: usize,
-    buf: String,
-}
-
-impl ChromeSink {
-    fn create(dir: &Path, rank: usize) -> ChromeSink {
-        let path = rank_path(dir, rank, "chrome");
-        let file = match File::create(&path) {
-            Ok(f) => f,
-            Err(e) => io_fail(&path, "creating", e),
-        };
-        let mut buf = String::new();
-        write_process_meta(&mut buf, rank);
-        ChromeSink { file, path, rank, buf }
-    }
-
-    fn push_event(&mut self, e: &TraceEvent) {
-        write_event_json(&mut self.buf, self.rank, e);
-        if self.buf.len() >= CHROME_FLUSH_BYTES {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        if let Err(e) = self.file.write_all(self.buf.as_bytes()) {
-            io_fail(&self.path, "writing", e);
-        }
-        self.buf.clear();
-    }
-}
-
-/// Per-rank binary span writer (schema v1, layout in the module docs).
+/// One rank's open binary span writer, held by the tracer (layout in the
+/// module docs).
 #[derive(Debug)]
 pub(crate) struct SpanSink {
     file: File,
@@ -215,24 +76,20 @@ pub(crate) struct SpanSink {
     events: Vec<TraceEvent>,
     total_events: u64,
     total_steps: u64,
-    total_alloc_steps: u64,
 }
 
 impl SpanSink {
-    fn create(dir: &Path, rank: usize) -> SpanSink {
-        let path = rank_path(dir, rank, "spans");
+    /// Open rank `rank`'s stream in `dir` (created if absent).
+    pub(crate) fn create(dir: &Path, rank: usize) -> SpanSink {
+        if let Err(e) = fs::create_dir_all(dir) {
+            io_fail(dir, "creating directory", e);
+        }
+        let path = dir.join(format!("rank-{rank:05}.spans"));
         let file = match File::create(&path) {
             Ok(f) => f,
             Err(e) => io_fail(&path, "creating", e),
         };
-        let mut s = SpanSink {
-            file,
-            path,
-            events: Vec::new(),
-            total_events: 0,
-            total_steps: 0,
-            total_alloc_steps: 0,
-        };
+        let mut s = SpanSink { file, path, events: Vec::new(), total_events: 0, total_steps: 0 };
         let mut header = Vec::with_capacity(12);
         header.extend_from_slice(&SPAN_MAGIC);
         header.extend_from_slice(&SPAN_SCHEMA_VERSION.to_le_bytes());
@@ -255,7 +112,7 @@ impl SpanSink {
         self.write_all(&out);
     }
 
-    fn push_event(&mut self, e: TraceEvent) {
+    pub(crate) fn push_event(&mut self, e: TraceEvent) {
         self.events.push(e);
         if self.events.len() >= EVENT_CHUNK_LEN {
             self.flush_events();
@@ -272,7 +129,9 @@ impl SpanSink {
         self.write_chunk(CHUNK_EVENTS, &payload);
     }
 
-    fn push_step(&mut self, rec: &StepRecord) {
+    /// Persist one closed step immediately, so a killed rank leaves every
+    /// closed step on disk.
+    pub(crate) fn push_step(&mut self, rec: &StepRecord) {
         // Flush buffered spans first so the file reads as "everything up to
         // and including step k" at every step boundary.
         self.flush_events();
@@ -281,16 +140,9 @@ impl SpanSink {
         self.write_chunk(CHUNK_STEP, &payload);
     }
 
-    fn push_alloc_step(&mut self, rec: &AllocRecord) {
-        self.total_alloc_steps += 1;
-        let payload = rec.to_wire_bytes();
-        self.write_chunk(CHUNK_ALLOC, &payload);
-    }
-
-    fn write_footer(&mut self, steps_dropped: u64) {
+    pub(crate) fn write_footer(&mut self, steps_dropped: u64) {
         self.flush_events();
-        let payload = (self.total_events, self.total_steps, steps_dropped, self.total_alloc_steps)
-            .to_wire_bytes();
+        let payload = (self.total_events, self.total_steps, steps_dropped).to_wire_bytes();
         self.write_chunk(CHUNK_FOOTER, &payload);
         if let Err(e) = self.file.flush() {
             io_fail(&self.path, "flushing", e);
@@ -310,10 +162,6 @@ pub struct RankStream {
     pub rank: usize,
     pub events: Vec<TraceEvent>,
     pub steps: Vec<StepRecord>,
-    /// Per-step allocation deltas, streamed in lockstep with `steps`; a
-    /// truncated stream may hold one fewer alloc record than step records
-    /// (writer died between the two chunks).
-    pub alloc_steps: Vec<AllocRecord>,
     /// Step records evicted by the writer's ring, from the footer (0 when
     /// the footer is missing).
     pub steps_dropped: u64,
@@ -351,12 +199,11 @@ pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
         rank,
         events: Vec::new(),
         steps: Vec::new(),
-        alloc_steps: Vec::new(),
         steps_dropped: 0,
         truncation: None,
     };
     let mut pos = 12usize;
-    let mut footer: Option<(u64, u64, u64, u64)> = None;
+    let mut footer: Option<(u64, u64, u64)> = None;
     while pos < bytes.len() {
         let remaining = bytes.len() - pos;
         if remaining < 4 {
@@ -396,14 +243,7 @@ pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
                     return Ok(out);
                 }
             },
-            CHUNK_ALLOC => match AllocRecord::from_wire_bytes(payload) {
-                Ok(rec) => out.alloc_steps.push(rec),
-                Err(e) => {
-                    out.truncation = Some(format!("corrupt alloc chunk: {e:?}"));
-                    return Ok(out);
-                }
-            },
-            CHUNK_FOOTER => match <(u64, u64, u64, u64)>::from_wire_bytes(payload) {
+            CHUNK_FOOTER => match <(u64, u64, u64)>::from_wire_bytes(payload) {
                 Ok(f) => {
                     footer = Some(f);
                     if pos != bytes.len() {
@@ -424,19 +264,14 @@ pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
         }
     }
     match footer {
-        Some((ev, st, dropped, al)) => {
+        Some((ev, st, dropped)) => {
             out.steps_dropped = dropped;
-            if ev != out.events.len() as u64
-                || st != out.steps.len() as u64
-                || al != out.alloc_steps.len() as u64
-            {
+            if ev != out.events.len() as u64 || st != out.steps.len() as u64 {
                 out.truncation = Some(format!(
                     "footer counts disagree with stream contents \
-                     (footer: {ev} events / {st} steps / {al} alloc records; \
-                     read: {} / {} / {})",
+                     (footer: {ev} events / {st} steps; read: {} / {})",
                     out.events.len(),
-                    out.steps.len(),
-                    out.alloc_steps.len()
+                    out.steps.len()
                 ));
             }
         }
@@ -471,33 +306,24 @@ impl SpanDir {
     pub fn step_records(&self) -> Vec<Vec<StepRecord>> {
         self.ranks.iter().map(|r| r.steps.clone()).collect()
     }
-
-    /// Per-rank allocation records, rank-major.
-    pub fn alloc_records(&self) -> Vec<Vec<AllocRecord>> {
-        self.ranks.iter().map(|r| r.alloc_steps.clone()).collect()
-    }
-}
-
-fn sink_files(dir: &Path, ext: &str) -> Result<Vec<PathBuf>, String> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| format!("cannot read sink dir {}: {e}", dir.display()))?;
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().and_then(|x| x.to_str()) == Some(ext))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no .{ext} files in {}", dir.display()));
-    }
-    Ok(files)
 }
 
 /// Read every `rank-*.spans` file in `dir` (binary format). A file whose
 /// writer died before its header reached disk (a rank group aborted right
 /// after creating it) is a named gap, not an unreadable directory.
 pub fn read_span_dir(dir: &Path) -> Result<SpanDir, String> {
+    let entries =
+        fs::read_dir(dir).map_err(|e| format!("cannot read sink dir {}: {e}", dir.display()))?;
+    let mut files: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().and_then(|x| x.to_str()) == Some("spans"))
+        .collect();
+    files.sort();
+    if files.is_empty() {
+        return Err(format!("no .spans files in {}", dir.display()));
+    }
     let mut out = SpanDir { ranks: Vec::new(), gaps: Vec::new() };
-    for path in sink_files(dir, "spans")? {
+    for path in files {
         let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("<file>").to_string();
         let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         if len < SPAN_HEADER_BYTES {
@@ -511,22 +337,5 @@ pub fn read_span_dir(dir: &Path) -> Result<SpanDir, String> {
         out.ranks.push(stream);
     }
     out.ranks.sort_by_key(|r| r.rank);
-    Ok(out)
-}
-
-/// Concatenate a Chrome-fragment sink directory into one `trace_event`
-/// document — byte-identical to what [`crate::chrome_trace_json`] produces
-/// from the same run's in-memory traces.
-pub fn assemble_chrome(dir: &Path) -> Result<String, String> {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, path) in sink_files(dir, "chrome")?.iter().enumerate() {
-        let frag = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read fragment {}: {e}", path.display()))?;
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&frag);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"virtual\"}}\n");
     Ok(out)
 }

@@ -1,6 +1,7 @@
 //! Per-rank and aggregated performance statistics: the quantities the
 //! paper's tables report (Mflops/node, parallel speedup, % time in DCF3D).
 
+use crate::metrics::{traffic, Counts};
 use crate::wire::{Wire, WireError, WireReader};
 
 /// Execution phases matching the three-step OVERFLOW-D1 timestep loop (plus
@@ -37,24 +38,13 @@ pub struct RankStats {
     pub time: [f64; NUM_PHASES],
     /// Flops performed per phase.
     pub flops: [f64; NUM_PHASES],
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub collectives: u64,
     /// Final virtual clock value.
     pub final_clock: f64,
 }
 
 impl RankStats {
     pub fn new(rank: usize) -> Self {
-        RankStats {
-            rank,
-            time: [0.0; NUM_PHASES],
-            flops: [0.0; NUM_PHASES],
-            msgs_sent: 0,
-            bytes_sent: 0,
-            collectives: 0,
-            final_clock: 0.0,
-        }
+        RankStats { rank, time: [0.0; NUM_PHASES], flops: [0.0; NUM_PHASES], final_clock: 0.0 }
     }
 
     pub fn total_time(&self) -> f64 {
@@ -73,9 +63,6 @@ impl Wire for RankStats {
         self.rank.encode(buf);
         self.time.encode(buf);
         self.flops.encode(buf);
-        self.msgs_sent.encode(buf);
-        self.bytes_sent.encode(buf);
-        self.collectives.encode(buf);
         self.final_clock.encode(buf);
     }
 
@@ -84,9 +71,6 @@ impl Wire for RankStats {
             rank: usize::decode(r)?,
             time: <[f64; NUM_PHASES]>::decode(r)?,
             flops: <[f64; NUM_PHASES]>::decode(r)?,
-            msgs_sent: u64::decode(r)?,
-            bytes_sent: u64::decode(r)?,
-            collectives: u64::decode(r)?,
             final_clock: f64::decode(r)?,
         })
     }
@@ -105,20 +89,24 @@ pub struct PerfSummary {
     pub phase_elapsed: [f64; NUM_PHASES],
     /// Sum over ranks of per-phase flops.
     pub flops: [f64; NUM_PHASES],
+    /// Messages / payload bytes sent, all ranks and phases.
     pub msgs: u64,
     pub bytes: u64,
 }
 
 impl PerfSummary {
-    pub fn from_ranks(stats: &[RankStats]) -> Self {
+    /// Fold the ranks' statistics; the traffic totals are read off `counts`,
+    /// the run's merged counter array.
+    pub fn from_ranks(stats: &[RankStats], counts: &Counts) -> Self {
+        let (msgs, bytes) = traffic(counts);
         let mut s = PerfSummary {
             nranks: stats.len(),
             wall_time: 0.0,
             time: [0.0; NUM_PHASES],
             phase_elapsed: [0.0; NUM_PHASES],
             flops: [0.0; NUM_PHASES],
-            msgs: 0,
-            bytes: 0,
+            msgs,
+            bytes,
         };
         for r in stats {
             s.wall_time = s.wall_time.max(r.final_clock);
@@ -127,8 +115,6 @@ impl PerfSummary {
                 s.phase_elapsed[p] = s.phase_elapsed[p].max(r.time[p]);
                 s.flops[p] += r.flops[p];
             }
-            s.msgs += r.msgs_sent;
-            s.bytes += r.bytes_sent;
         }
         s
     }
@@ -171,6 +157,7 @@ impl PerfSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Counter;
 
     fn mk(rank: usize, flow: f64, conn: f64, flops: f64) -> RankStats {
         let mut s = RankStats::new(rank);
@@ -184,7 +171,12 @@ mod tests {
     #[test]
     fn summary_aggregates() {
         let ranks = vec![mk(0, 8.0, 2.0, 100.0e6), mk(1, 6.0, 4.0, 80.0e6)];
-        let s = PerfSummary::from_ranks(&ranks);
+        let mut counts = [0; Counter::COUNT];
+        counts[Counter::CommMsgsFlow as usize] = 3;
+        counts[Counter::CommMsgsBalance as usize] = 4;
+        counts[Counter::CommBytesOther as usize] = 512;
+        let s = PerfSummary::from_ranks(&ranks, &counts);
+        assert_eq!((s.msgs, s.bytes), (7, 512));
         assert_eq!(s.nranks, 2);
         assert_eq!(s.wall_time, 10.0);
         assert!((s.connectivity_fraction() - 6.0 / 20.0).abs() < 1e-12);
@@ -198,7 +190,7 @@ mod tests {
 
     #[test]
     fn empty_phase_fraction_is_zero() {
-        let s = PerfSummary::from_ranks(&[RankStats::new(0)]);
+        let s = PerfSummary::from_ranks(&[RankStats::new(0)], &[0; Counter::COUNT]);
         assert_eq!(s.connectivity_fraction(), 0.0);
         assert_eq!(s.mflops_per_node(), 0.0);
     }

@@ -15,9 +15,10 @@
 //! (repartition). See docs/OBSERVABILITY.md.
 
 use crate::flight::StepRecord;
-use crate::sink::{SinkWriter, StreamConfig};
+use crate::sink::SpanSink;
 use crate::wire::{intern, Wire, WireError, WireReader};
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// The span categories the workspace emits, in the order of their
 /// [`CategoryFilter`] bits.
@@ -99,10 +100,10 @@ pub struct TraceConfig {
     /// per-rank modulo counter over the deterministic span stream, so the
     /// sampled subset is itself deterministic.
     pub sample_every: u32,
-    /// When set, spans (and, in the binary format, step records) stream to
-    /// one file per rank as they close instead of accumulating in memory;
-    /// the run's `RankTrace`s come back empty. See [`crate::sink`].
-    pub stream: Option<StreamConfig>,
+    /// When set, spans and step records stream to one binary span file per
+    /// rank in this directory as they close instead of accumulating in
+    /// memory; the run's `RankTrace`s come back empty. See [`crate::sink`].
+    pub stream: Option<PathBuf>,
 }
 
 impl Default for TraceConfig {
@@ -134,10 +135,11 @@ impl TraceConfig {
         self
     }
 
-    /// Stream telemetry to disk per rank instead of buffering in memory.
+    /// Stream telemetry to per-rank files in `dir` instead of buffering in
+    /// memory.
     #[must_use]
-    pub fn with_stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = Some(stream);
+    pub fn with_stream(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.stream = Some(dir.into());
         self
     }
 }
@@ -253,7 +255,7 @@ pub struct Tracer {
     sample_every: u32,
     /// Filter-passing spans seen so far (drives the 1-in-N sampler).
     seen: u64,
-    sink: Option<SinkWriter>,
+    sink: Option<SpanSink>,
 }
 
 impl Default for Tracer {
@@ -290,7 +292,7 @@ impl Tracer {
         // sink framing) runs with attribution suspended.
         let _quiet = crate::alloc::suspend();
         let mut t = Tracer::with_config(cfg.clone());
-        t.sink = cfg.stream.as_ref().map(|s| SinkWriter::create(s, rank));
+        t.sink = cfg.stream.as_ref().map(|dir| SpanSink::create(dir, rank));
         t
     }
 
@@ -321,22 +323,11 @@ impl Tracer {
     }
 
     /// Forward one closed step record to the streaming sink (no-op without
-    /// a binary sink — in-memory runs return steps via the flight recorder).
+    /// one — in-memory runs return steps via the flight recorder).
     pub fn record_step(&mut self, rec: &StepRecord) {
         let _quiet = crate::alloc::suspend();
         if let Some(s) = &mut self.sink {
             s.push_step(rec);
-        }
-    }
-
-    /// Forward one closed per-step allocation record to the streaming sink
-    /// (no-op without a binary sink). Streamed in lockstep with
-    /// [`Tracer::record_step`], so a truncated stream from a dead rank still
-    /// yields a partial host allocation profile.
-    pub fn record_alloc_step(&mut self, rec: &crate::alloc::AllocRecord) {
-        let _quiet = crate::alloc::suspend();
-        if let Some(s) = &mut self.sink {
-            s.push_alloc_step(rec);
         }
     }
 
@@ -353,7 +344,7 @@ impl Tracer {
     pub fn finish(mut self, steps_dropped: u64) -> Vec<TraceEvent> {
         let _quiet = crate::alloc::suspend();
         if let Some(s) = &mut self.sink {
-            s.finish(steps_dropped);
+            s.write_footer(steps_dropped);
         }
         self.events
     }
@@ -413,9 +404,8 @@ fn write_arg(out: &mut String, v: &ArgVal) {
 }
 
 /// Render one rank's process-metadata event (names the Chrome "process"
-/// after the rank). Shared verbatim by the in-memory exporter and the
-/// streaming fragment sink so the two stay byte-identical.
-pub(crate) fn write_process_meta(out: &mut String, rank: usize) {
+/// after the rank).
+fn write_process_meta(out: &mut String, rank: usize) {
     let _ = write!(
         out,
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{rank},\"tid\":0,\
@@ -424,8 +414,7 @@ pub(crate) fn write_process_meta(out: &mut String, rank: usize) {
 }
 
 /// Render one complete ("X") event, including its leading `,\n` separator.
-/// Shared by the in-memory exporter and the streaming fragment sink.
-pub(crate) fn write_event_json(out: &mut String, rank: usize, e: &TraceEvent) {
+fn write_event_json(out: &mut String, rank: usize, e: &TraceEvent) {
     let _ = write!(out, ",\n{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\"", e.name, e.cat);
     let _ = write!(out, ",\"pid\":{rank},\"tid\":0,\"ts\":");
     write_us(out, e.ts);

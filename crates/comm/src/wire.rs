@@ -30,13 +30,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the golden byte test pins the encoding for the current version.
 ///
 /// v2: `RankOutput` gained a trailing `host_time: [f64; NUM_PHASES]` field
-/// (host wall-clock seconds per phase). Primitive encodings are unchanged.
-///
-/// v3: `RankOutput` gained trailing `alloc_steps: Vec<AllocRecord>` and
-/// `alloc: AllocTotals` fields (per-step and end-of-run allocation
-/// attribution; the alloc ring evicts in lockstep with the step ring, so
-/// `steps_dropped` covers both). Primitive encodings are unchanged.
-pub const WIRE_SCHEMA_VERSION: u32 = 3;
+/// (host wall-clock seconds per phase). v3: it gained per-step and
+/// end-of-run allocation attribution. v4: one step record, one tally —
+/// `StepRecord` is `step`, `clock`, then its four arrays (`time`, `counts`
+/// over the whole `Counter` vocabulary, `allocs`, `alloc_bytes`) and is the
+/// only per-step record `RankOutput` carries; `RankStats` keeps no message
+/// or collective tallies; `MetricsRegistry` is its counter array and its
+/// histogram array, no names on the wire. Primitive encodings are unchanged
+/// throughout. Layouts: docs/TRANSPORT.md.
+pub const WIRE_SCHEMA_VERSION: u32 = 4;
 
 /// Decode-side failure. Encoding is infallible.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -85,14 +85,18 @@ fn assert_exact_delta(base: &[RankOutput<u64>], extra: &[RankOutput<u64>]) {
             );
         }
         // The per-step series localizes the same delta to every step.
-        assert_eq!(b.alloc_steps.len(), STEPS);
-        assert_eq!(e.alloc_steps.len(), STEPS);
-        for (s, (bs, es)) in b.alloc_steps.iter().zip(&e.alloc_steps).enumerate() {
+        assert_eq!(b.steps.len(), STEPS);
+        assert_eq!(e.steps.len(), STEPS);
+        for (s, (bs, es)) in b.steps.iter().zip(&e.steps).enumerate() {
             assert_eq!(bs.step, s as u64);
             assert_eq!(es.step, s as u64);
             let (da, db) = if r == 1 { (2u64, (2 * EXTRA_BYTES) as u64) } else { (0, 0) };
             assert_eq!(es.allocs[CONN] - bs.allocs[CONN], da, "rank {r} step {s} conn allocs");
-            assert_eq!(es.bytes[CONN] - bs.bytes[CONN], db, "rank {r} step {s} conn bytes");
+            assert_eq!(
+                es.alloc_bytes[CONN] - bs.alloc_bytes[CONN],
+                db,
+                "rank {r} step {s} conn bytes"
+            );
         }
     }
 }
@@ -128,7 +132,7 @@ fn alloc_counts_are_bit_identical_run_to_run() {
         let b = scenario(build(), true);
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.alloc, rb.alloc, "per-phase totals must be deterministic");
-            assert_eq!(ra.alloc_steps, rb.alloc_steps, "per-step series must be deterministic");
+            assert_eq!(ra.steps, rb.steps, "per-step series must be deterministic");
         }
     }
 }

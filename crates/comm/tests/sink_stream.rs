@@ -1,12 +1,11 @@
 //! Streaming-sink acceptance tests: the binary span format's golden byte
-//! pin (schema v2), truncation recovery, Chrome fragment byte-identity with
-//! the in-memory exporter, and full-series recovery from disk when the
-//! in-memory flight ring has evicted records.
+//! pin (schema v3), truncation recovery, and full-series recovery from disk
+//! when the in-memory flight ring has evicted records.
 
 use overset_comm::trace::{TraceConfig, Tracer};
 use overset_comm::{
-    assemble_chrome, chrome_trace_json, read_span_dir, read_span_file, ArgVal, MachineModel, Phase,
-    RankTrace, StreamConfig, Universe, WorkClass,
+    read_span_dir, read_span_file, ArgVal, Counter, MachineModel, Phase, StepRecord, Universe,
+    WorkClass, NUM_PHASES,
 };
 use std::path::PathBuf;
 
@@ -17,7 +16,8 @@ fn temp_dir(test: &str) -> PathBuf {
 }
 
 /// A small traced workload: `steps` timesteps of flow compute, a ring halo
-/// exchange in connectivity, a barrier per phase.
+/// exchange in connectivity with a per-step heap allocation, a barrier per
+/// phase.
 fn run_workload(trace: TraceConfig, steps: usize, step_capacity: usize) -> Vec<RankOutputLite> {
     Universe::builder()
         .ranks(3)
@@ -37,6 +37,7 @@ fn run_workload(trace: TraceConfig, steps: usize, step_capacity: usize) -> Vec<R
                     let mut ph = c.phase(Phase::Connectivity);
                     let dst = (ph.rank() + 1) % ph.size();
                     let src = (ph.rank() + ph.size() - 1) % ph.size();
+                    std::hint::black_box(vec![0u8; 64 * (s + 1)]);
                     ph.send(dst, 3, s as u64, 128);
                     let _: u64 = ph.recv(src, 3);
                     ph.barrier();
@@ -45,69 +46,78 @@ fn run_workload(trace: TraceConfig, steps: usize, step_capacity: usize) -> Vec<R
             }
         })
         .into_iter()
-        .map(|o| RankOutputLite {
-            trace: o.trace,
-            steps: o.steps,
-            alloc_steps: o.alloc_steps,
-            steps_dropped: o.steps_dropped,
-        })
+        .map(|o| RankOutputLite { trace: o.trace, steps: o.steps, steps_dropped: o.steps_dropped })
         .collect()
 }
 
 struct RankOutputLite {
     trace: Vec<overset_comm::TraceEvent>,
-    steps: Vec<overset_comm::StepRecord>,
-    alloc_steps: Vec<overset_comm::AllocRecord>,
+    steps: Vec<StepRecord>,
     steps_dropped: u64,
 }
 
-/// Golden byte pin of binary span schema v2: one rank-0 stream holding a
-/// single argless `phase`/`flow` span, one per-step allocation record, and
-/// a clean footer, built with the writer and compared against
-/// hand-assembled literal bytes. Any header, framing, or payload-layout
-/// change breaks this test — that's a conscious `SPAN_SCHEMA_VERSION`
-/// bump, not a refresh.
+/// Bytes of one step chunk: length prefix, kind, `step`, `clock`, then the
+/// four arrays.
+const STEP_CHUNK_BYTES: usize = 4 + 1 + 8 * (2 + 3 * NUM_PHASES + Counter::COUNT);
+
+/// Golden byte pin of binary span schema v3: one rank-0 stream holding a
+/// single argless `phase`/`flow` span, one step record carrying a counter
+/// and an allocation delta, and a clean footer, built with the writer and
+/// compared against hand-assembled literal bytes. Any header, framing, or
+/// payload-layout change breaks this test — that's a conscious
+/// `SPAN_SCHEMA_VERSION` bump, not a refresh. The `counts` array is as long
+/// as the `Counter` vocabulary, in its order.
 #[test]
-fn golden_bytes_pin_span_schema_v2() {
-    let dir = temp_dir("golden_v2");
-    let cfg = TraceConfig::enabled().with_stream(StreamConfig::binary(&dir));
+fn golden_bytes_pin_span_schema_v3() {
+    const CONN: usize = Phase::Connectivity as usize;
+    let dir = temp_dir("golden_v3");
+    let cfg = TraceConfig::enabled().with_stream(&dir);
     let mut t = Tracer::for_rank(&cfg, 0);
     t.complete("phase", "flow", 0.0, 2.0, Vec::new());
-    let arec =
-        overset_comm::AllocRecord { step: 0, allocs: [0, 3, 0, 0, 0], bytes: [0, 256, 0, 0, 0] };
-    t.record_alloc_step(&arec);
+    let mut rec = StepRecord { step: 0, clock: 2.0, ..StepRecord::ZERO };
+    rec.time[Phase::Flow as usize] = 2.0;
+    rec.counts[Counter::ConnServiced as usize] = 9;
+    rec.allocs[CONN] = 3;
+    rec.alloc_bytes[CONN] = 256;
+    t.record_step(&rec);
     t.finish(0);
 
+    let two = [0, 0, 0, 0, 0, 0, 0, 0x40]; // 2.0 (IEEE bits)
     let got = std::fs::read(dir.join("rank-00000.spans")).unwrap();
     let mut want: Vec<u8> = Vec::new();
     want.extend(*b"OSPN"); // magic
-    want.extend([2, 0, 0, 0]); // schema version 2
+    want.extend([3, 0, 0, 0]); // schema version 3
     want.extend([0, 0, 0, 0]); // rank 0
-    want.extend([89, 0, 0, 0]); // chunk len: 1 kind + 88 payload
-    want.push(3); // kind 3: alloc record
-    want.extend([0; 8]); // step 0
-    want.extend([0; 8]); // allocs[flow]
-    want.extend([3, 0, 0, 0, 0, 0, 0, 0]); // allocs[connectivity]
-    want.extend([0; 24]); // allocs[motion..other]
-    want.extend([0; 8]); // bytes[flow]
-    want.extend([0, 1, 0, 0, 0, 0, 0, 0]); // bytes[connectivity] = 256
-    want.extend([0; 24]); // bytes[motion..other]
     want.extend([58, 0, 0, 0]); // chunk len: 1 kind + 57 payload
-    want.push(1); // kind 1: events
+    want.push(1); // kind 1: events, flushed ahead of the step that closes
     want.extend([1, 0, 0, 0, 0, 0, 0, 0]); // Vec len: 1 event
     want.extend([5, 0, 0, 0, 0, 0, 0, 0]); // cat len
     want.extend(*b"phase");
     want.extend([4, 0, 0, 0, 0, 0, 0, 0]); // name len
     want.extend(*b"flow");
     want.extend([0; 8]); // ts = 0.0 (IEEE bits)
-    want.extend([0, 0, 0, 0, 0, 0, 0, 0x40]); // dur = 2.0 (IEEE bits)
+    want.extend(two); // dur
     want.extend([0; 8]); // 0 args
-    want.extend([33, 0, 0, 0]); // chunk len: 1 kind + 32 payload
+    want.extend(((STEP_CHUNK_BYTES - 4) as u32).to_le_bytes()); // chunk len
+    want.push(2); // kind 2: step record
+    want.extend([0; 8]); // step 0
+    want.extend(two); // clock
+    want.extend(two); // time[flow]
+    want.extend([0; 8 * (NUM_PHASES - 1)]); // time[connectivity..other]
+    let mut counts = [0u8; 8 * Counter::COUNT];
+    counts[8 * Counter::ConnServiced as usize] = 9;
+    want.extend(counts); // counts, vocabulary order
+    want.extend([0; 8]); // allocs[flow]
+    want.extend([3, 0, 0, 0, 0, 0, 0, 0]); // allocs[connectivity]
+    want.extend([0; 24]); // allocs[motion..other]
+    want.extend([0; 8]); // alloc_bytes[flow]
+    want.extend([0, 1, 0, 0, 0, 0, 0, 0]); // alloc_bytes[connectivity] = 256
+    want.extend([0; 24]); // alloc_bytes[motion..other]
+    want.extend([25, 0, 0, 0]); // chunk len: 1 kind + 24 payload
     want.push(0); // kind 0: footer
     want.extend([1, 0, 0, 0, 0, 0, 0, 0]); // total events
-    want.extend([0; 8]); // total steps
+    want.extend([1, 0, 0, 0, 0, 0, 0, 0]); // total steps
     want.extend([0; 8]); // steps dropped
-    want.extend([1, 0, 0, 0, 0, 0, 0, 0]); // total alloc records
     assert_eq!(got, want, "binary span layout drifted without a schema bump");
 
     let back = read_span_file(&dir.join("rank-00000.spans")).unwrap();
@@ -115,6 +125,7 @@ fn golden_bytes_pin_span_schema_v2() {
     assert_eq!(back.events.len(), 1);
     assert_eq!(back.events[0].cat, "phase");
     assert_eq!(back.events[0].dur, 2.0);
+    assert_eq!(back.steps, vec![rec]);
     assert!(back.truncation.is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -126,8 +137,7 @@ fn golden_bytes_pin_span_schema_v2() {
 fn binary_stream_matches_in_memory_run() {
     let dir = temp_dir("roundtrip");
     let in_mem = run_workload(TraceConfig::enabled(), 4, 1024);
-    let streamed =
-        run_workload(TraceConfig::enabled().with_stream(StreamConfig::binary(&dir)), 4, 1024);
+    let streamed = run_workload(TraceConfig::enabled().with_stream(&dir), 4, 1024);
 
     // Streaming leaves nothing in memory...
     for o in &streamed {
@@ -139,33 +149,15 @@ fn binary_stream_matches_in_memory_run() {
     assert_eq!(sd.ranks.len(), in_mem.len());
     for ((mem, disk), streamed) in in_mem.iter().zip(&sd.ranks).zip(&streamed) {
         assert_eq!(mem.trace, disk.events);
-        assert_eq!(mem.steps, disk.steps);
         // Tracing is allocation-invisible (tracer internals run with
         // attribution suspended), so the buffered and streamed runs agree
-        // on alloc counts too — and the disk series carries them exactly.
-        assert_eq!(mem.alloc_steps, streamed.alloc_steps);
-        assert_eq!(streamed.alloc_steps, disk.alloc_steps);
+        // on the records' alloc counts too — and the disk series carries
+        // them exactly.
+        assert_eq!(mem.steps, streamed.steps);
+        assert_eq!(streamed.steps, disk.steps);
+        assert!(disk.steps.iter().all(|r| r.allocs[Phase::Connectivity as usize] >= 1));
         assert_eq!(disk.steps_dropped, 0);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Chrome fragment streaming: assembling the per-rank fragments yields a
-/// document byte-identical to the in-memory exporter's.
-#[test]
-fn chrome_fragments_assemble_byte_identical_to_in_memory_export() {
-    let dir = temp_dir("chrome_identity");
-    let in_mem = run_workload(TraceConfig::enabled(), 5, 1024);
-    run_workload(TraceConfig::enabled().with_stream(StreamConfig::chrome(&dir)), 5, 1024);
-
-    let traces: Vec<RankTrace> = in_mem
-        .into_iter()
-        .enumerate()
-        .map(|(rank, o)| RankTrace { rank, events: o.trace })
-        .collect();
-    let memory_doc = chrome_trace_json(&traces);
-    let streamed_doc = assemble_chrome(&dir).unwrap();
-    assert_eq!(streamed_doc, memory_doc, "streamed Chrome JSON must be byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -177,8 +169,7 @@ fn capped_ring_long_run_recovers_full_series_from_disk() {
     const STEPS: usize = 12;
     const CAP: usize = 4;
     let dir = temp_dir("ring_recovery");
-    let outs =
-        run_workload(TraceConfig::enabled().with_stream(StreamConfig::binary(&dir)), STEPS, CAP);
+    let outs = run_workload(TraceConfig::enabled().with_stream(&dir), STEPS, CAP);
 
     for o in &outs {
         assert_eq!(o.steps.len(), CAP, "ring must cap the in-memory series");
@@ -188,11 +179,9 @@ fn capped_ring_long_run_recovers_full_series_from_disk() {
     assert_eq!(sd.gaps, Vec::<String>::new());
     for (disk, mem) in sd.ranks.iter().zip(&outs) {
         assert_eq!(disk.steps.len(), STEPS, "disk must hold every step");
-        assert_eq!(disk.alloc_steps.len(), STEPS, "disk must hold every alloc record");
         assert_eq!(disk.steps_dropped, mem.steps_dropped, "footer carries ring evictions");
         // The in-memory window is exactly the tail of the streamed series.
         assert_eq!(&disk.steps[STEPS - CAP..], &mem.steps[..]);
-        assert_eq!(&disk.alloc_steps[STEPS - CAP..], &mem.alloc_steps[..]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -202,8 +191,9 @@ fn capped_ring_long_run_recovers_full_series_from_disk() {
 /// corrupting the header is a hard error.
 #[test]
 fn truncated_streams_recover_prefix_and_name_the_gap() {
+    const CONN: usize = Phase::Connectivity as usize;
     let dir = temp_dir("truncation");
-    run_workload(TraceConfig::enabled().with_stream(StreamConfig::binary(&dir)), 3, 1024);
+    run_workload(TraceConfig::enabled().with_stream(&dir), 3, 1024);
     let path = dir.join("rank-00000.spans");
     let full = std::fs::read(&path).unwrap();
     let cut = |bytes: &[u8], name: &str| -> PathBuf {
@@ -215,33 +205,31 @@ fn truncated_streams_recover_prefix_and_name_the_gap() {
     // Complete stream: full step count, no gap.
     let whole = read_span_file(&path).unwrap();
     assert_eq!(whole.steps.len(), 3);
-    assert_eq!(whole.alloc_steps.len(), 3);
     assert!(whole.truncation.is_none());
 
-    // Footer removed (37 = 4-byte length prefix + kind + (u64,u64,u64,u64)
-    // payload): prefix intact, gap named.
-    let no_footer = read_span_file(&cut(&full[..full.len() - 37], "no_footer.spans")).unwrap();
-    assert_eq!(no_footer.steps.len(), 3);
-    assert_eq!(no_footer.alloc_steps.len(), 3);
+    // Footer removed (29 = 4-byte length prefix + kind + (u64,u64,u64)
+    // payload): a killed writer still leaves every closed step readable,
+    // with its allocation deltas — they are part of the step's one chunk.
+    let no_footer = read_span_file(&cut(&full[..full.len() - 29], "no_footer.spans")).unwrap();
+    assert_eq!(no_footer.steps, whole.steps);
+    assert!(no_footer.steps.iter().all(|r| r.allocs[CONN] >= 1 && r.alloc_bytes[CONN] >= 64));
     assert_eq!(no_footer.events, whole.events);
     let msg = no_footer.truncation.unwrap();
     assert!(msg.contains("without a footer"), "{msg}");
 
-    // Mid-body cut (one byte into the last pre-footer chunk, the step's
-    // alloc record): the wounded chunk is dropped, everything before it
-    // stays — a dead rank still yields a partial host profile.
-    let mid = read_span_file(&cut(&full[..full.len() - 38], "mid_body.spans")).unwrap();
+    // Mid-body cut (one byte into the last pre-footer chunk, the last
+    // step's record): the wounded chunk is dropped whole, everything before
+    // it stays — a dead rank still yields a partial host profile.
+    let mid = read_span_file(&cut(&full[..full.len() - 30], "mid_body.spans")).unwrap();
     assert!(mid.truncation.unwrap().contains("inside a chunk body"));
-    assert_eq!(mid.steps.len(), 3, "step chunks before the cut must survive");
-    assert_eq!(mid.alloc_steps.len(), 2, "the cut alloc chunk must be dropped, earlier ones kept");
+    assert_eq!(mid.steps, whole.steps[..2], "step chunks before the cut must survive");
 
-    // Cut one byte into the last step chunk (93-byte alloc chunk follows
-    // it): both the step and the trailing alloc record are lost.
+    // Cut one byte into that chunk: same two steps.
     let step_cut =
-        read_span_file(&cut(&full[..full.len() - 37 - 93 - 1], "step_cut.spans")).unwrap();
-    assert!(step_cut.truncation.unwrap().contains("inside a chunk body"));
-    assert_eq!(step_cut.steps.len(), 2, "the cut step chunk must be dropped, earlier ones kept");
-    assert_eq!(step_cut.alloc_steps.len(), 2);
+        read_span_file(&cut(&full[..full.len() - 29 - STEP_CHUNK_BYTES + 1], "step_cut.spans"))
+            .unwrap();
+    assert!(step_cut.truncation.unwrap().contains("inside a chunk"));
+    assert_eq!(step_cut.steps, whole.steps[..2]);
 
     // Cut inside a chunk header (leave 2 of the 4 length bytes).
     let hdr_cut = {

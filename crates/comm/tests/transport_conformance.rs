@@ -74,8 +74,7 @@ fn ordering_and_tag_matching_proc() {
     let reference = scenario_ordering(base());
     for (a, b) in out.iter().zip(&reference) {
         assert_eq!(a.result.2.to_bits(), b.result.2.to_bits(), "clock diverged across backends");
-        assert_eq!(a.stats.msgs_sent, b.stats.msgs_sent);
-        assert_eq!(a.stats.bytes_sent, b.stats.bytes_sent);
+        assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.stats.final_clock.to_bits(), b.stats.final_clock.to_bits());
     }
 }
@@ -121,7 +120,7 @@ fn collectives_proc() {
     let reference = scenario_collectives(base());
     for (a, b) in out.iter().zip(&reference) {
         assert_eq!(a.result.3.to_bits(), b.result.3.to_bits(), "collective clock diverged");
-        assert_eq!(a.stats.collectives, b.stats.collectives);
+        assert_eq!(a.metrics, b.metrics);
     }
 }
 
@@ -194,7 +193,7 @@ fn collective_result_is_one_buffer_per_process_proc() {
         assert!(o.result.1, "a rank read a wrong or short row");
         assert!(!o.result.2, "a row cannot alias across a socket");
         assert_eq!(o.result.3.to_bits(), r.result.3.to_bits(), "collective clock diverged");
-        assert_eq!(o.stats.collectives, r.stats.collectives);
+        assert_eq!(o.metrics, r.metrics);
     }
     for group in out.chunks(2) {
         assert_eq!(group[0].result.0, group[1].result.0, "rank group decoded the round twice");
@@ -358,7 +357,7 @@ fn killed_child_process_surfaces_rank_panicked() {
 #[test]
 fn killed_child_leaves_truncated_but_parseable_stream() {
     use overset_comm::trace::TraceConfig;
-    use overset_comm::{read_span_dir, Phase, StreamConfig, WorkClass};
+    use overset_comm::{read_span_dir, Phase, WorkClass};
 
     let dir = std::env::temp_dir().join("overset_conformance_killed_stream");
     // The forked children replay this test body before `try_run`; only the
@@ -370,7 +369,7 @@ fn killed_child_leaves_truncated_but_parseable_stream() {
     }
 
     let err = proc("killed_child_leaves_truncated_but_parseable_stream")
-        .trace(TraceConfig::enabled().with_stream(StreamConfig::binary(&dir)))
+        .trace(TraceConfig::enabled().with_stream(&dir))
         .try_run(|c| {
             for s in 0..4 {
                 {
@@ -444,9 +443,8 @@ fn mixed_workload_is_bit_identical_across_backends() {
         assert_eq!(pa.result.0.to_bits(), aa.result.0.to_bits(), "rank {r} clock proc vs 1:1");
         assert_eq!(aa.result.0.to_bits(), ba.result.0.to_bits(), "rank {r} clock 1:1 vs M:N");
         assert_eq!(pa.result.1.to_bits(), aa.result.1.to_bits(), "rank {r} reduced clock");
-        assert_eq!(pa.stats.msgs_sent, aa.stats.msgs_sent, "rank {r} msgs");
-        assert_eq!(pa.stats.bytes_sent, aa.stats.bytes_sent, "rank {r} bytes");
-        assert_eq!(pa.stats.collectives, aa.stats.collectives, "rank {r} collectives");
+        assert_eq!(pa.metrics, aa.metrics, "rank {r} registry proc vs 1:1");
+        assert_eq!(aa.metrics, ba.metrics, "rank {r} registry 1:1 vs M:N");
         assert_eq!(
             pa.stats.final_clock.to_bits(),
             aa.stats.final_clock.to_bits(),

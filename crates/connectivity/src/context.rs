@@ -13,9 +13,9 @@
 use crate::arena::ConnArena;
 use crate::holes::cut_holes_and_find_fringe;
 use crate::inverse_map::{InverseMap, FLOPS_PER_INCR_UPDATE};
-use crate::protocol::{connect_distributed, ConnStats, DonorCache, Topology};
-use crate::serial::{connect_serial, SerialCache, SerialConnStats};
-use overset_comm::metrics::names;
+use crate::protocol::{connect_distributed, DonorCache, Topology};
+use crate::serial::{connect_serial, SerialCache};
+use overset_comm::metrics::Counter;
 use overset_comm::trace::ArgVal;
 use overset_comm::{Comm, MetricsRegistry, WorkClass};
 use overset_grid::curvilinear::Solid;
@@ -83,11 +83,11 @@ impl MapSlot {
         };
         self.pending = None;
         if advanced {
-            metrics.inc(names::CONN_INVMAP_INCR);
+            metrics.inc(Counter::ConnInvmapIncr);
             FLOPS_PER_INCR_UPDATE
         } else {
             let m = InverseMap::build(block);
-            metrics.inc(names::CONN_INVMAP_BUILDS);
+            metrics.inc(Counter::ConnInvmapBuild);
             let flops = m.build_flops();
             self.map = Some(m);
             flops
@@ -138,7 +138,7 @@ impl Connectivity {
         solids: &[(usize, Solid)],
         topo: &Topology,
         comm: &mut Comm,
-    ) -> ConnStats {
+    ) {
         if self.slot.is_dirty() {
             let t_map = comm.now();
             let flops = self.slot.refresh(block, comm.metrics_mut());
@@ -153,10 +153,8 @@ impl Connectivity {
         if !self.restart {
             self.cache.clear();
         }
-        let stats =
-            connect_distributed(block, &igbps, topo, &mut self.cache, comm, inv, &mut self.arena);
+        connect_distributed(block, &igbps, topo, &mut self.cache, comm, inv, &mut self.arena);
         self.arena.recycle_igbps(igbps);
-        stats
     }
 }
 
@@ -190,7 +188,7 @@ impl SerialConnectivity {
         search_order: &[Vec<usize>],
         solids: &[(usize, Solid)],
         comm: &mut Comm,
-    ) -> SerialConnStats {
+    ) {
         if !self.restart {
             self.cache.clear();
         }
@@ -225,18 +223,20 @@ impl SerialConnectivity {
             &[("igbps", ArgVal::U64(stats.igbps as u64))],
         );
         let m = comm.metrics_mut();
-        m.add(names::CONN_SERVICED, stats.igbps as u64);
-        m.add(names::CONN_WALK_STEPS, stats.walk_steps);
-        m.add(names::CONN_WALK_STEPS_MISS, stats.walk_steps_miss);
-        m.add(names::CONN_PREFILTER_REJECTS, stats.prefilter_rejects);
-        m.add(names::CONN_DONORS_RELAXED, stats.relaxed_donors);
+        m.add(Counter::ConnIgbps, stats.igbps as u64);
+        // The one processor services every search it issues.
+        m.add(Counter::ConnServiced, stats.igbps as u64);
+        m.add(Counter::ConnOrphans, stats.orphans as u64);
+        m.add(Counter::ConnWalkSteps, stats.walk_steps);
+        m.add(Counter::ConnWalkStepsMiss, stats.walk_steps_miss);
+        m.add(Counter::ConnPrefilterRejects, stats.prefilter_rejects);
+        m.add(Counter::ConnDonorsRelaxed, stats.relaxed_donors);
         if stats.warm_attempts > 0 {
             // Same names the distributed protocol feeds: a failed warm
             // start re-walks the IGBP's whole hierarchy.
-            m.add(names::CONN_CACHE_HIT, stats.warm_hits);
-            m.add(names::CONN_CACHE_MISS, stats.warm_attempts - stats.warm_hits);
+            m.add(Counter::ConnCacheHit, stats.warm_hits);
+            m.add(Counter::ConnCacheMiss, stats.warm_attempts - stats.warm_hits);
         }
-        stats
     }
 }
 
@@ -258,7 +258,7 @@ mod tests {
 
     /// (`conn.invmap.build`, `conn.invmap.incr`).
     fn counts(m: &MetricsRegistry) -> (u64, u64) {
-        (m.counter(names::CONN_INVMAP_BUILDS), m.counter(names::CONN_INVMAP_INCR))
+        (m.get(Counter::ConnInvmapBuild), m.get(Counter::ConnInvmapIncr))
     }
 
     /// A slot whose map was just built for `cart_block()`.

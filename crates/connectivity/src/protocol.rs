@@ -34,7 +34,7 @@ use crate::donor::{center_start, walk_search_batch, BatchQuery, CachedDonor, Sea
 use crate::holes::Igbp;
 use crate::interp::{interpolate, FLOPS_PER_INTERP};
 use crate::inverse_map::{occupancy_admits_posed, InverseMap, OCC_ALL, OCC_WORDS};
-use overset_comm::metrics::names;
+use overset_comm::metrics::Counter;
 use overset_comm::trace::ArgVal;
 use overset_comm::{Comm, Wire, WireError, WireReader, WorkClass};
 use overset_grid::index::{Ijk, IndexBox};
@@ -482,7 +482,7 @@ pub fn connect_distributed(
                 comm.recv(src, tag_req);
             assert_eq!(pts.len(), n_in);
             stats.serviced += n_in;
-            comm.metrics_mut().add(names::CONN_SERVICED, n_in as u64);
+            comm.metrics_mut().add(Counter::ConnServiced, n_in as u64);
             let mut service_flops = 0u64;
             let (mut steps, mut miss_steps, mut rejects) = (0u64, 0u64, 0u64);
             // A cold request the fine occupancy mask rejects is answered
@@ -543,9 +543,9 @@ pub fn connect_distributed(
             stats.walk_steps += steps;
             comm.compute(service_flops as f64, WorkClass::Search);
             let m = comm.metrics_mut();
-            m.add(names::CONN_WALK_STEPS, steps);
-            m.add(names::CONN_WALK_STEPS_MISS, miss_steps);
-            m.add(names::CONN_PREFILTER_REJECTS, rejects);
+            m.add(Counter::ConnWalkSteps, steps);
+            m.add(Counter::ConnWalkStepsMiss, miss_steps);
+            m.add(Counter::ConnPrefilterRejects, rejects);
             // Hand both buffers back to their owner (the request vector
             // emptied: its capacity, not its contents, travels home).
             pts.clear();
@@ -588,7 +588,7 @@ pub fn connect_distributed(
             match ans {
                 Answer::Found { value, cell_global } => {
                     if p.level == usize::MAX {
-                        comm.metrics_mut().inc(names::CONN_CACHE_HIT);
+                        comm.metrics_mut().inc(Counter::ConnCacheHit);
                     }
                     let from = p.candidates(cand_pool)[pos as usize];
                     writes.push((ig.node, value));
@@ -607,7 +607,7 @@ pub fn connect_distributed(
                     // sweep it once more with relaxed donor acceptance
                     // before giving up.
                     if p.level == usize::MAX {
-                        comm.metrics_mut().inc(names::CONN_CACHE_MISS);
+                        comm.metrics_mut().inc(Counter::ConnCacheMiss);
                     }
                     p.hint = None;
                     if next_level(&mut p, cand_pool, ig, my_grid, topo, &routes) {
@@ -629,10 +629,11 @@ pub fn connect_distributed(
 
     stats.orphans = orphaned.len();
     let m = comm.metrics_mut();
-    m.add(names::CONN_ORPHANS, stats.orphans as u64);
-    m.add(names::CONN_DONORS_RELAXED, relaxed_donors);
-    m.add(names::CONN_ROUNDS, stats.rounds as u64);
-    m.add(names::CONN_FORWARDS, requests - first_requests);
+    m.add(Counter::ConnIgbps, stats.igbps as u64);
+    m.add(Counter::ConnOrphans, stats.orphans as u64);
+    m.add(Counter::ConnDonorsRelaxed, relaxed_donors);
+    m.add(Counter::ConnRounds, stats.rounds as u64);
+    m.add(Counter::ConnForwards, requests - first_requests);
     comm.trace_complete(
         "conn",
         "connect",
@@ -913,14 +914,14 @@ mod tests {
             };
             let now = summed(step);
             let before = if step == 0 { MetricsRegistry::new() } else { summed(step - 1) };
-            let delta = |name: &str| now.counter(name) - before.counter(name);
+            let delta = |c: Counter| now.get(c) - before.get(c);
             RestartCensus {
                 resolved: out.iter().map(|o| o.result[step].0).sum(),
-                relaxed_donors: delta(names::CONN_DONORS_RELAXED),
-                warm_attempts: delta(names::CONN_CACHE_HIT) + delta(names::CONN_CACHE_MISS),
-                warm_hits: delta(names::CONN_CACHE_HIT),
-                walk_steps: delta(names::CONN_WALK_STEPS),
-                walk_steps_miss: delta(names::CONN_WALK_STEPS_MISS),
+                relaxed_donors: delta(Counter::ConnDonorsRelaxed),
+                warm_attempts: delta(Counter::ConnCacheHit) + delta(Counter::ConnCacheMiss),
+                warm_hits: delta(Counter::ConnCacheHit),
+                walk_steps: delta(Counter::ConnWalkSteps),
+                walk_steps_miss: delta(Counter::ConnWalkStepsMiss),
             }
         };
         assert_relaxed_donors_restart_warm(&census(0), &census(1));
@@ -952,7 +953,7 @@ mod tests {
             let s =
                 connect_distributed(&mut block, &igbps, &topo, &mut cache, comm, None, &mut arena);
             let donor_rank = cache.map.get(&node).map(|&(rank, _)| rank);
-            (s.rounds, donor_rank, comm.metrics().counter(names::CONN_FORWARDS))
+            (s.rounds, donor_rank, comm.metrics().get(Counter::ConnForwards))
         });
         out[0].result
     }
@@ -1012,7 +1013,7 @@ mod tests {
             .run(|comm| relaxed_on_the_last_level(comm, &mut ConnArena::new()));
         let regs: Vec<_> = out.iter().map(|o| o.result.1.clone()).collect();
         let agg = MetricsRegistry::aggregate(&regs);
-        assert!(agg.counter(names::CONN_DONORS_RELAXED) > 0);
+        assert!(agg.get(Counter::ConnDonorsRelaxed) > 0);
         // (The hole's own fringe on rank 1 reaches outside the inner grid.)
         assert_eq!(out[0].result.0.orphans, 0);
         for o in &out {
@@ -1060,7 +1061,7 @@ mod tests {
             for _ in 0..2 {
                 let (igbps, _) = cut(&mut block);
                 let s = connect(&mut block, &igbps, &mut cache, comm);
-                let forwards = comm.metrics().counter(names::CONN_FORWARDS);
+                let forwards = comm.metrics().get(Counter::ConnForwards);
                 steps.push([s.igbps as u64, s.orphans as u64, s.serviced as u64, forwards]);
             }
             steps
@@ -1204,7 +1205,7 @@ mod tests {
         // the per-step stats — single source of truth for I(p).
         for o in &out {
             let expect = (o.result.0.serviced + o.result.1.serviced) as u64;
-            assert_eq!(o.metrics.counter(names::CONN_SERVICED), expect);
+            assert_eq!(o.metrics.get(Counter::ConnServiced), expect);
         }
         // Cross-rank aggregation sums counters and merges histograms.
         let regs: Vec<MetricsRegistry> = out.iter().map(|o| o.metrics.clone()).collect();
@@ -1212,9 +1213,9 @@ mod tests {
         let total: u64 =
             out.iter().map(|o| (o.result.0.serviced + o.result.1.serviced) as u64).sum();
         assert!(total > 0);
-        assert_eq!(agg.counter(names::CONN_SERVICED), total);
+        assert_eq!(agg.get(Counter::ConnServiced), total);
         // The warm second pass produced cache hits on the requesting rank.
-        assert!(agg.counter(names::CONN_CACHE_HIT) > 0);
+        assert!(agg.get(Counter::ConnCacheHit) > 0);
         assert!(agg.cache_hit_rate().unwrap() > 0.5);
     }
 

@@ -211,7 +211,7 @@ pub fn connect_serial(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use overset_comm::metrics::names;
+    use overset_comm::metrics::Counter;
     use overset_comm::MetricsRegistry;
     use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind};
     use overset_grid::field::Field3;
@@ -541,7 +541,7 @@ pub(crate) mod tests {
         // (store: 16 + 40 against 56, as EXPERIMENTS.md records).
         let counts = |l: usize| {
             let m = &legs[l].metrics;
-            (m.counter(names::CONN_INVMAP_BUILDS), m.counter(names::CONN_INVMAP_INCR))
+            (m.get(Counter::ConnInvmapBuild), m.get(Counter::ConnInvmapIncr))
         };
         let (ng, moved) = (grids.len() as u64, 4 * movers.len() as u64);
         assert_eq!(counts(1), (ng, moved), "{name}: incremental");

@@ -9,12 +9,12 @@ use crate::setup::{build_block, build_topology};
 use overset_balance::{
     dynamic_rebalance, fit_np_to_dims_min, static_balance, Partition, ServiceWindow,
 };
-use overset_comm::metrics::names;
+use overset_comm::metrics::{Counter, Hist};
 use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
 use overset_comm::{
-    AllocRecord, AllocTotals, Comm, MachineModel, MetricsRegistry, OversetError, PerfSummary,
-    Phase, RankOutput, RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError,
-    WireReader, WorkClass, NUM_PHASES,
+    AllocTotals, Comm, MachineModel, MetricsRegistry, OversetError, PerfSummary, Phase, RankOutput,
+    RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader,
+    WorkClass, NUM_PHASES,
 };
 use overset_connectivity::{
     cut_holes_and_find_fringe, ConnArena, Connectivity, SerialConnectivity,
@@ -226,11 +226,23 @@ pub struct RunResult {
     /// Counts and bytes are deterministic for a fixed configuration
     /// (`peak_bytes` is allocation-order-dependent and advisory).
     pub alloc_by_rank: Vec<AllocTotals>,
-    /// Per-step allocation deltas per rank (rank order), in lockstep with
-    /// [`RunResult::step_records`]. Deterministic like `alloc_by_rank`.
+    /// Per-step allocation deltas per rank (rank order): the allocation
+    /// arrays of [`RunResult::step_records`]. Deterministic like
+    /// `alloc_by_rank`.
     pub alloc_records: Vec<Vec<AllocRecord>>,
     /// Final state per (grid, node) when `collect_state` was set.
     pub states: Vec<NodeState>,
+}
+
+/// The allocation arrays of one [`StepRecord`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AllocRecord {
+    /// 0-based step index, same numbering as `StepRecord::step`.
+    pub step: u64,
+    /// Allocations performed during this step, per phase.
+    pub allocs: [u64; NUM_PHASES],
+    /// Bytes requested during this step, per phase.
+    pub bytes: [u64; NUM_PHASES],
 }
 
 /// One node's final state: (grid, global node, q).
@@ -269,10 +281,6 @@ struct RankReturn {
     state_sum_sq: f64,
     state_count: usize,
     states: Vec<NodeState>,
-    igbps_last: usize,
-    serviced_last: usize,
-    orphans_last: usize,
-    repartitions: usize,
     np_final: Vec<usize>,
 }
 
@@ -292,10 +300,6 @@ impl Wire for RankReturn {
             cell.k.encode(out);
             q.encode(out);
         }
-        self.igbps_last.encode(out);
-        self.serviced_last.encode(out);
-        self.orphans_last.encode(out);
-        self.repartitions.encode(out);
         self.np_final.encode(out);
     }
 
@@ -315,10 +319,6 @@ impl Wire for RankReturn {
             state_sum_sq,
             state_count,
             states,
-            igbps_last: usize::decode(r)?,
-            serviced_last: usize::decode(r)?,
-            orphans_last: usize::decode(r)?,
-            repartitions: usize::decode(r)?,
             np_final: Vec::<usize>::decode(r)?,
         })
     }
@@ -372,14 +372,16 @@ pub fn run_case(
 }
 
 /// Fold the ranks' outputs into the run's result. Replicated quantities
-/// (phase times, repartition count, final partition) are read off rank 0.
+/// (phase times, repartition count, final partition) are read off rank 0,
+/// the last step's census off each rank's last step record.
 fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
     let rank_stats: Vec<RankStats> = outputs.iter().map(|o| o.stats.clone()).collect();
-    let summary = PerfSummary::from_ranks(&rank_stats);
     let mut metrics = MetricsRegistry::new();
     for o in outputs {
         metrics.merge_from(&o.metrics);
     }
+    let summary = PerfSummary::from_ranks(&rank_stats, metrics.counts());
+    let last = |c: Counter| outputs.iter().map(move |o| o.steps.last().map_or(0, |r| r.count(c)));
     let trace: Vec<RankTrace> = if cfg.trace.enabled {
         outputs
             .iter()
@@ -409,10 +411,10 @@ fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
         total_points: cfg.total_points(),
         phase_elapsed: r0.phase_elapsed,
         wall_time: summary.wall_time,
-        igbps_last: outputs.iter().map(|o| o.result.igbps_last).sum(),
-        serviced_last: outputs.iter().map(|o| o.result.serviced_last).collect(),
-        orphans_last: outputs.iter().map(|o| o.result.orphans_last).sum(),
-        repartitions: r0.repartitions,
+        igbps_last: last(Counter::ConnIgbps).sum::<u64>() as usize,
+        serviced_last: last(Counter::ConnServiced).map(|n| n as usize).collect(),
+        orphans_last: last(Counter::ConnOrphans).sum::<u64>() as usize,
+        repartitions: outputs[0].metrics.get(Counter::LbRepartitions) as usize,
         np_final: r0.np_final.clone(),
         rank_stats,
         trace,
@@ -422,7 +424,15 @@ fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
         host_phase_elapsed,
         host_phase_by_rank: outputs.iter().map(|o| o.host_time).collect(),
         alloc_by_rank: outputs.iter().map(|o| o.alloc).collect(),
-        alloc_records: outputs.iter().map(|o| o.alloc_steps.clone()).collect(),
+        alloc_records: outputs
+            .iter()
+            .map(|o| {
+                o.steps
+                    .iter()
+                    .map(|r| AllocRecord { step: r.step, allocs: r.allocs, bytes: r.alloc_bytes })
+                    .collect()
+            })
+            .collect(),
         summary,
     }
 }
@@ -548,8 +558,6 @@ fn run_rank(
     // I(p) over the current balance window, read from the metrics registry
     // (the single source of truth for service load).
     let mut svc = ServiceWindow::begin(comm.metrics());
-    let mut repartitions = 0usize;
-    let mut last_conn = Default::default();
 
     comm.set_working_set(block.working_set_bytes());
     comm.barrier();
@@ -624,7 +632,7 @@ fn run_rank(
                 };
                 mp.exchange_halo(&mut block);
             }
-            last_conn = conn.step(&mut block, &solids, &topo, &mut ph);
+            conn.step(&mut block, &solids, &topo, &mut ph);
             svc.note_step();
             if cfg.inject_alloc > 0 {
                 // Synthetic host-cost regression for gate tests: one extra
@@ -653,7 +661,7 @@ fn run_rank(
                 cfg.lb.fo,
             )
             .unwrap_or_else(|e| panic!("rank {me}: dynamic rebalance failed: {e}"));
-            ph.metrics_mut().observe(names::LB_F_RATIO, decision.f[me]);
+            ph.metrics_mut().observe(Hist::LbFRatio, decision.f[me]);
             if let Some(rb) = decision.rebalance {
                 // Deterministic repair: every rank computes the same counts.
                 let np = fit_np_to_dims_min(sizes, dims, &rb.np, &grid_min_widths(&cfg.grids))
@@ -689,8 +697,7 @@ fn run_rank(
                 if let Some(t) = &last_step_transform[block.grid_id] {
                     block.set_grid_velocity_from(t, fc.dt);
                 }
-                repartitions += 1;
-                ph.metrics_mut().inc(names::LB_REPARTITIONS);
+                ph.metrics_mut().inc(Counter::LbRepartitions);
                 ph.trace_complete(
                     "lb",
                     "repartition",
@@ -710,17 +717,7 @@ fn run_rank(
 
     let _ph = comm.phase(Phase::Other);
     let (state_sum_sq, state_count, states) = checksum([&block], cfg.collect_state);
-    RankReturn {
-        phase_elapsed,
-        state_sum_sq,
-        state_count,
-        states,
-        igbps_last: last_conn.igbps,
-        serviced_last: last_conn.serviced,
-        orphans_last: last_conn.orphans,
-        repartitions,
-        np_final: partition.np.clone(),
-    }
+    RankReturn { phase_elapsed, state_sum_sq, state_count, states, np_final: partition.np.clone() }
 }
 
 /// Run a case serially (one processor holding every grid) — the Cray Y-MP
@@ -759,7 +756,6 @@ pub fn run_case_serial(
         let ws: f64 = blocks.iter().map(|b| b.working_set_bytes()).sum();
         comm.set_working_set(ws);
         let mut phase_elapsed = [0.0f64; NUM_PHASES];
-        let mut last_conn = Default::default();
 
         for _step in 0..cfg.steps {
             {
@@ -812,7 +808,7 @@ pub fn run_case_serial(
             {
                 let mut ph = comm.phase(Phase::Connectivity);
                 let t0 = ph.now();
-                last_conn = conn.step(&mut blocks, &cfg.search_order, &solids, &mut ph);
+                conn.step(&mut blocks, &cfg.search_order, &solids, &mut ph);
                 if cfg.inject_alloc > 0 {
                     std::hint::black_box(vec![0u8; cfg.inject_alloc]);
                 }
@@ -822,18 +818,7 @@ pub fn run_case_serial(
         }
         let _ph = comm.phase(Phase::Other);
         let (state_sum_sq, state_count, states) = checksum(&blocks, cfg.collect_state);
-        RankReturn {
-            phase_elapsed,
-            state_sum_sq,
-            state_count,
-            states,
-            igbps_last: last_conn.igbps,
-            // The one processor services every search it issues.
-            serviced_last: last_conn.igbps,
-            orphans_last: last_conn.orphans,
-            repartitions: 0,
-            np_final: vec![1; ngrids],
-        }
+        RankReturn { phase_elapsed, state_sum_sq, state_count, states, np_final: vec![1; ngrids] }
     })?;
     Ok(assemble(cfg, &outputs))
 }

@@ -28,4 +28,4 @@ pub mod redistribute;
 pub mod setup;
 
 pub use cases::{airfoil_case, delta_wing_case, store_case, store_case_sixdof};
-pub use driver::{run_case, run_case_serial, CaseConfig, LbConfig, RunResult};
+pub use driver::{run_case, run_case_serial, AllocRecord, CaseConfig, LbConfig, RunResult};

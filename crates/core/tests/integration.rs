@@ -34,31 +34,99 @@ fn physics_is_independent_of_rank_count() {
     }
 }
 
+/// The serial driver is the oracle every parallel `state_rms` is checked
+/// against. Both drivers buffer their fringe writes until the search is
+/// over, so no donor ever sees an updated fringe; what is left between them
+/// is summation order in the flow phase (airfoil, ~1e-15) and, on the 3-D
+/// cases, field nodes beside a hole across a subdomain face (store x0.3:
+/// 1.7e-8; see `igbp_census_is_independent_of_rank_count`).
 #[test]
 fn parallel_matches_serial_physics() {
-    let par = run_case(&airfoil_case(0.3, 5), 6, &modern()).unwrap();
-    let ser = run_case_serial(&airfoil_case(0.3, 5), &MachineModel::cray_ymp()).unwrap();
-    // Serial and distributed connectivity resolve fringe points in
-    // different orders (a donor may or may not see a neighbour's
-    // already-updated fringe), so agreement is close but not bitwise.
-    let rel = (par.state_rms - ser.state_rms).abs() / ser.state_rms;
-    assert!(rel < 1e-4, "parallel {} vs serial {} (rel {rel})", par.state_rms, ser.state_rms);
+    for (cfg, nranks, tol) in [(airfoil_case(0.3, 5), 6, 1e-12), (store_case(0.3, 3), 18, 1e-6)] {
+        let par = run_case(&cfg, nranks, &modern()).unwrap();
+        let ser = run_case_serial(&cfg, &MachineModel::cray_ymp()).unwrap();
+        let rel = (par.state_rms - ser.state_rms).abs() / ser.state_rms;
+        assert!(
+            rel < tol,
+            "{}: parallel {} vs serial {} (rel {rel})",
+            cfg.name,
+            par.state_rms,
+            ser.state_rms
+        );
+    }
+}
+
+/// The serial driver counts its orphans where it reports them: the last
+/// step's `conn.orphans` is `orphans_last`, and the step series sums to the
+/// run total, exactly as on rank threads.
+#[test]
+fn serial_orphans_are_counted_where_they_are_reported() {
+    use overset_comm::metrics::Counter;
+    // The near-body grid searches nowhere: its outer fringe is orphaned.
+    let mut cfg = airfoil_case(0.3, 1);
+    cfg.search_order[0].clear();
+    for r in [run_case_serial(&cfg, &modern()).unwrap(), run_case(&cfg, 6, &modern()).unwrap()] {
+        assert!(r.orphans_last > 0, "{} ranks: no orphans", r.nranks);
+        let total = r.metrics.get(Counter::ConnOrphans);
+        let series: u64 =
+            r.step_records.iter().flatten().map(|s| s.count(Counter::ConnOrphans)).sum();
+        assert_eq!(r.orphans_last as u64, total, "{} ranks: last step vs run total", r.nranks);
+        assert_eq!(series, total, "{} ranks: step series vs run total", r.nranks);
+    }
+}
+
+/// How many IGBPs a case has is a property of its grids and solids, not of
+/// the partition: serial, 6 and 18 ranks must count the same fringe.
+///
+/// Recorded expected-fail: the delta wing on 18 ranks misses four —
+/// background-grid nodes (15..=18, 9, 16), the field nodes under the
+/// one-row tip (j = 10) of the hole the wing cuts. At P = 18 the background
+/// is split 3 x 3 x 1 with a face between j = 9 and j = 10, and nothing ever
+/// writes a halo node's `iblank`: the cutter blanks owned nodes only, so the
+/// subdomain below the face sees `Field` where its neighbour holds a hole
+/// and promotes no fringe (ROADMAP item 9a). When a fix makes the counts
+/// agree this test fails: delete the `known_gap` row.
+#[test]
+fn igbp_census_is_independent_of_rank_count() {
+    let known_gap = |case: &str, nranks: usize| -> usize {
+        if case.starts_with("descending-delta-wing") && nranks == 18 {
+            4
+        } else {
+            0
+        }
+    };
+    for cfg in [airfoil_case(0.3, 1), store_case(0.3, 1), delta_wing_case(0.4, 3)] {
+        let serial = run_case_serial(&cfg, &modern()).unwrap().igbps_last;
+        assert!(serial > 0);
+        for nranks in [6usize, 18] {
+            if nranks < cfg.grids.len() {
+                continue; // every grid needs a processor
+            }
+            let par = run_case(&cfg, nranks, &modern()).unwrap().igbps_last;
+            assert_eq!(
+                par + known_gap(&cfg.name, nranks),
+                serial,
+                "{} on {nranks} ranks: {par} IGBPs vs {serial} serially",
+                cfg.name
+            );
+        }
+    }
 }
 
 #[test]
 fn serial_restart_off_searches_from_scratch_every_step() {
-    use overset_comm::metrics::names;
+    use overset_comm::metrics::Counter;
     let on = run_case_serial(&airfoil_case(0.3, 4), &modern()).unwrap();
     let mut cfg = airfoil_case(0.3, 4);
     cfg.restart = false;
     let off = run_case_serial(&cfg, &modern()).unwrap();
     let warm_starts = |r: &overflow_d::RunResult| {
-        r.metrics.counter(names::CONN_CACHE_HIT) + r.metrics.counter(names::CONN_CACHE_MISS)
+        r.metrics.get(Counter::ConnCacheHit) + r.metrics.get(Counter::ConnCacheMiss)
     };
     assert!(warm_starts(&on) > 0);
     assert_eq!(warm_starts(&off), 0, "restart-off run still warm-started");
     let (w_on, w_off) =
-        (on.metrics.counter(names::CONN_WALK_STEPS), off.metrics.counter(names::CONN_WALK_STEPS));
+        (on.metrics.get(Counter::ConnWalkSteps), off.metrics.get(Counter::ConnWalkSteps));
     assert!(w_off > w_on, "cold searches every step must walk more: {w_off} vs {w_on}");
     assert_eq!(off.orphans_last, on.orphans_last);
 }

@@ -2,7 +2,7 @@
 //! sets track the bodies, and the donor cache keeps the warm path warm.
 
 use overflow_d::{airfoil_case, run_case, store_case};
-use overset_comm::{metrics::names, MachineModel};
+use overset_comm::{metrics::Counter, MachineModel};
 use overset_motion::{BodyMotion, Prescribed};
 
 fn modern() -> MachineModel {
@@ -103,14 +103,14 @@ fn negligible_motion_never_marks_grids_moved() {
     assert_eq!(zero.state_rms.to_bits(), none.state_rms.to_bits(), "identity motion moved state");
     // One build per rank on the cold first step and never again, nothing
     // ever advances a pose, and the walks are those of the static run.
-    let walks = none.metrics.counter(names::CONN_WALK_STEPS);
+    let walks = none.metrics.get(Counter::ConnWalkSteps);
     for (what, r) in [("no", &none), ("identity", &zero), ("below-epsilon", &tiny)] {
         let m = &r.metrics;
         assert_eq!(
             (
-                m.counter(names::CONN_INVMAP_BUILDS),
-                m.counter(names::CONN_INVMAP_INCR),
-                m.counter(names::CONN_WALK_STEPS)
+                m.get(Counter::ConnInvmapBuild),
+                m.get(Counter::ConnInvmapIncr),
+                m.get(Counter::ConnWalkSteps)
             ),
             (6, 0, walks),
             "{what} motion: map builds, pose advances, walk steps"
@@ -131,7 +131,7 @@ fn serial_steady_steps_restart_like_the_distributed_ones() {
     let ranks = run_case(&cfg, 18, &modern()).unwrap();
     // Rank-summed walk steps of one timestep.
     let walked = |r: &overflow_d::RunResult, step: usize| -> u64 {
-        r.step_records.iter().map(|recs| recs[step].walk_steps).sum()
+        r.step_records.iter().map(|recs| recs[step].count(Counter::ConnWalkSteps)).sum()
     };
     for step in 1..cfg.steps {
         let rec = &serial.step_records[0][step];
@@ -152,7 +152,8 @@ fn serviced_points_are_first_requests_plus_forwards() {
     let r = run_case(&store_case(0.3, 3), 18, &modern()).unwrap();
     assert_eq!(r.orphans_last, 0, "an IGBP no rank admits sends no request");
     let serviced: usize = r.serviced_last.iter().sum();
-    let forwards: u64 = r.step_records.iter().map(|recs| recs.last().unwrap().forwards).sum();
+    let forwards: u64 =
+        r.step_records.iter().map(|recs| recs.last().unwrap().count(Counter::ConnForwards)).sum();
     assert!(forwards > 0, "a moving step forwards some requests");
     assert_eq!(serviced as u64, r.igbps_last as u64 + forwards);
 }

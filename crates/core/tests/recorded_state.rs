@@ -15,8 +15,8 @@
 //! connectivity and total clocks (flow and motion kept theirs), and where
 //! the old 24-round cap never fired — as here — the donors are the same.
 
-use overflow_d::{airfoil_case, run_case, store_case, RunResult};
-use overset_comm::{MachineModel, Phase, TransportConfig};
+use overflow_d::{airfoil_case, run_case, store_case, LbConfig, RunResult};
+use overset_comm::{Counter, MachineModel, Phase, TransportConfig, NUM_PHASES};
 
 /// Final state and virtual clocks of one run, as IEEE bit patterns.
 struct Recorded {
@@ -55,6 +55,35 @@ fn assert_matches_recorded(r: &RunResult, want: &Recorded, what: &str) {
     assert!(r.phase_elapsed[3..].iter().all(|&t| t == 0.0), "{what}: balance/other time");
     assert_eq!(r.orphans_last, want.orphans_last, "{what}: orphan census");
     assert_eq!(r.igbps_last, want.igbps_last, "{what}: fringe census");
+    assert_records_sum_to_totals(r, what);
+}
+
+/// One tally: what the step records add up to is what the run's registry and
+/// allocation counters hold. The recorder's running totals start at zero, so
+/// whatever set-up counted before step 0 is step 0's; `other` alone keeps
+/// what a rank allocates after its last step (its return value).
+fn assert_records_sum_to_totals(r: &RunResult, what: &str) {
+    let records = || r.step_records.iter().flatten();
+    assert_eq!(r.steps_dropped, 0);
+    for c in Counter::ALL {
+        let sum: u64 = records().map(|s| s.count(c)).sum();
+        assert_eq!(sum, r.metrics.get(c), "{what}: step series of {} vs run total", c.name());
+    }
+    for p in 0..NUM_PHASES {
+        let steps = (
+            records().map(|s| s.allocs[p]).sum::<u64>(),
+            records().map(|s| s.alloc_bytes[p]).sum::<u64>(),
+        );
+        let run = (
+            r.alloc_by_rank.iter().map(|a| a.allocs[p]).sum::<u64>(),
+            r.alloc_by_rank.iter().map(|a| a.bytes[p]).sum::<u64>(),
+        );
+        if p == Phase::Other as usize {
+            assert!(steps.0 <= run.0 && steps.1 <= run.1, "{what}: other-phase allocations");
+        } else {
+            assert_eq!(steps, run, "{what}: phase {p} allocations, step series vs run total");
+        }
+    }
 }
 
 /// Allocation count of `phase` on the final (steady-state) step, summed
@@ -66,23 +95,14 @@ fn last_step_allocs(r: &RunResult, phase: Phase) -> u64 {
 /// Run `cfg` on rank threads, under the M:N scheduler and across the
 /// process transport against the recorded values.
 fn assert_all_modes_match_recorded(
-    mut cfg: overflow_d::CaseConfig,
+    cfg: overflow_d::CaseConfig,
     nranks: usize,
     want: &Recorded,
     test_name: &str,
 ) {
-    let machine = MachineModel::modern();
-    // The process transport goes first: its children replay this test from
-    // the top, so anything before it would be run once more per child.
-    cfg.transport = TransportConfig::process_for_test(2, test_name);
-    let r = run_case(&cfg, nranks, &machine).unwrap();
-    assert_matches_recorded(&r, want, &format!("{test_name} proc"));
-    cfg.transport = TransportConfig::InProcess;
-    let threads = run_case(&cfg, nranks, &machine).unwrap();
-    assert_matches_recorded(&threads, want, &format!("{test_name} threads"));
-    cfg.max_threads = Some(2);
-    let mn = run_case(&cfg, nranks, &machine).unwrap();
-    assert_matches_recorded(&mn, want, &format!("{test_name} m:n"));
+    let [_, threads, mn] = run_all_modes(cfg, nranks, test_name, |r, what| {
+        assert_matches_recorded(r, want, what);
+    });
     // Arenas and pools belong to ranks, not threads: what a rank allocates
     // must not depend on which worker polls it.
     for phase in [Phase::Flow, Phase::Connectivity] {
@@ -92,6 +112,29 @@ fn assert_all_modes_match_recorded(
             "{test_name}: {phase:?} alloc counters depend on the scheduler"
         );
     }
+}
+
+/// Run `cfg` across the process transport, on rank threads and under the
+/// M:N scheduler, handing each result to `check` as it arrives.
+fn run_all_modes(
+    mut cfg: overflow_d::CaseConfig,
+    nranks: usize,
+    test_name: &str,
+    check: impl Fn(&RunResult, &str),
+) -> [RunResult; 3] {
+    let machine = MachineModel::modern();
+    // The process transport goes first: its children replay this test from
+    // the top, so anything before it would be run once more per child.
+    cfg.transport = TransportConfig::process_for_test(2, test_name);
+    let proc = run_case(&cfg, nranks, &machine).unwrap();
+    check(&proc, &format!("{test_name} proc"));
+    cfg.transport = TransportConfig::InProcess;
+    let threads = run_case(&cfg, nranks, &machine).unwrap();
+    check(&threads, &format!("{test_name} threads"));
+    cfg.max_threads = Some(2);
+    let mn = run_case(&cfg, nranks, &machine).unwrap();
+    check(&mn, &format!("{test_name} m:n"));
+    [proc, threads, mn]
 }
 
 #[test]
@@ -112,6 +155,33 @@ fn store_18_ranks_matches_recorded_state_and_clocks() {
         &STORE_18,
         "store_18_ranks_matches_recorded_state_and_clocks",
     );
+}
+
+/// The same store run with Algorithm 2 acting on it: a repartition rebuilds
+/// every block mid-run, and the step records still add up to the registry
+/// and the allocation totals in every mode — which agree with each other on
+/// every counter of every step.
+#[test]
+fn store_18_ranks_step_records_sum_to_totals_across_a_repartition() {
+    let mut cfg = store_case(0.3, 6);
+    cfg.lb = LbConfig::dynamic(1.5, 2);
+    let runs = run_all_modes(
+        cfg,
+        18,
+        "store_18_ranks_step_records_sum_to_totals_across_a_repartition",
+        |r, what| {
+            assert!(r.repartitions >= 1, "{what}: no repartition fired");
+            let fired: u64 =
+                r.step_records[0].iter().map(|s| s.count(Counter::LbRepartitions)).sum();
+            assert_eq!(fired, r.repartitions as u64, "{what}: rank 0's series vs the run's count");
+            assert_records_sum_to_totals(r, what);
+        },
+    );
+    let counts = |r: &RunResult| -> Vec<_> {
+        r.step_records.iter().flatten().map(|s| (s.clock.to_bits(), s.counts)).collect()
+    };
+    assert_eq!(counts(&runs[0]), counts(&runs[1]), "proc vs threads");
+    assert_eq!(counts(&runs[1]), counts(&runs[2]), "threads vs m:n");
 }
 
 /// The quick airfoil case on 12 SP2 nodes (`repro table1 --quick`'s 12-node

@@ -27,9 +27,14 @@ fn assert_scheduler_modes_agree(nranks: usize, workers: usize) {
             "rank {} clock differs between scheduler modes",
             a.rank
         );
-        assert_eq!(a.msgs_sent, b.msgs_sent);
-        assert_eq!(a.bytes_sent, b.bytes_sent);
-        assert_eq!(a.collectives, b.collectives);
+    }
+    // Every rank's every counter, step by step (messages, bytes and
+    // collectives among them).
+    for (rank, (a, b)) in one_to_one.step_records.iter().zip(&mn.step_records).enumerate() {
+        assert!(
+            a.iter().map(|r| r.counts).eq(b.iter().map(|r| r.counts)),
+            "rank {rank} counters differ between scheduler modes"
+        );
     }
 }
 
@@ -76,7 +81,7 @@ fn store_on_256_ranks_quiesces_like_18() {
         cfg.max_threads = Some(2);
         let r = run_case(&cfg, nranks, &MachineModel::ibm_sp2()).unwrap();
         assert_eq!(r.orphans_last, 0, "{nranks} ranks");
-        let rounds = r.metrics.counter(overset_comm::metrics::names::CONN_ROUNDS);
+        let rounds = r.metrics.get(overset_comm::metrics::Counter::ConnRounds);
         assert_eq!(rounds % nranks as u64, 0, "every rank counts every round");
         rounds / nranks as u64
     };

@@ -28,8 +28,8 @@ pub use json::{parse, Value};
 use json::{obj, opt_num};
 use overflow_d::{CaseConfig, RunResult};
 use overset_balance::service_imbalance;
-use overset_comm::metrics::names;
-use overset_comm::{AllocRecord, Phase, StepRecord, NUM_PHASES};
+use overset_comm::metrics::{cache_hit_rate, traffic, Counter, Counts};
+use overset_comm::{Phase, StepRecord, NUM_PHASES};
 
 /// Version of the report document layout. See the module docs for the bump
 /// policy.
@@ -52,59 +52,45 @@ pub struct StepSeries {
     pub phase_elapsed: [f64; NUM_PHASES],
     /// Service-load imbalance f_max = max(I)/mean(I) over ranks this step.
     pub f_max: f64,
-    pub serviced_total: u64,
     pub serviced_min: u64,
     pub serviced_max: u64,
-    /// Stencil-walk steps spent servicing donor searches, summed over ranks.
-    pub walk_steps: u64,
-    /// Search requests forwarded to another candidate rank, summed over
-    /// ranks (false-positive routing).
-    pub forwards: u64,
-    pub orphans: u64,
-    /// Warm-restart hit rate over all ranks, `None` when no lookups ran.
-    pub cache_hit_rate: Option<f64>,
-    pub msgs: u64,
-    pub bytes: u64,
-    /// Did any rank repartition this step?
-    pub repartition: bool,
+    /// Every counter's increment this step, summed over ranks.
+    pub counts: Counts,
+    /// Heap allocations / bytes requested this step, summed over ranks and
+    /// phases.
+    pub allocs: u64,
+    pub alloc_bytes: u64,
 }
 
 /// Aggregate per-rank step records (rank-major) into the run-level series.
 /// Byte-deterministic: sums/maxima over ranks are order-independent, and
-/// every input is virtual-time data.
+/// every input is virtual-time data or an allocation count.
 pub fn aggregate_steps(step_records: &[Vec<StepRecord>]) -> Vec<StepSeries> {
     let nsteps = step_records.iter().map(Vec::len).min().unwrap_or(0);
     let mut series = Vec::with_capacity(nsteps);
     for s in 0..nsteps {
-        let recs: Vec<&StepRecord> = step_records.iter().map(|r| &r[s]).collect();
-        let mut phase_elapsed = [0.0f64; NUM_PHASES];
-        for rec in &recs {
-            for (p, t) in phase_elapsed.iter_mut().enumerate() {
-                *t = t.max(rec.time[p]);
+        let recs = || step_records.iter().map(move |r| &r[s]);
+        let serviced: Vec<usize> =
+            recs().map(|r| r.count(Counter::ConnServiced) as usize).collect();
+        let mut agg = StepSeries {
+            step: step_records[0][s].step,
+            phase_elapsed: [0.0; NUM_PHASES],
+            f_max: service_imbalance(&serviced),
+            serviced_min: serviced.iter().min().map_or(0, |&n| n as u64),
+            serviced_max: serviced.iter().max().map_or(0, |&n| n as u64),
+            counts: [0; Counter::COUNT],
+            allocs: recs().flat_map(|r| r.allocs).sum(),
+            alloc_bytes: recs().flat_map(|r| r.alloc_bytes).sum(),
+        };
+        for rec in recs() {
+            for (t, x) in agg.phase_elapsed.iter_mut().zip(rec.time) {
+                *t = t.max(x);
+            }
+            for (sum, x) in agg.counts.iter_mut().zip(rec.counts) {
+                *sum += x;
             }
         }
-        let serviced: Vec<usize> = recs.iter().map(|r| r.serviced as usize).collect();
-        let hits: u64 = recs.iter().map(|r| r.cache_hits).sum();
-        let misses: u64 = recs.iter().map(|r| r.cache_misses).sum();
-        series.push(StepSeries {
-            step: recs[0].step,
-            phase_elapsed,
-            f_max: service_imbalance(&serviced),
-            serviced_total: recs.iter().map(|r| r.serviced).sum(),
-            serviced_min: recs.iter().map(|r| r.serviced).min().unwrap_or(0),
-            serviced_max: recs.iter().map(|r| r.serviced).max().unwrap_or(0),
-            walk_steps: recs.iter().map(|r| r.walk_steps).sum(),
-            forwards: recs.iter().map(|r| r.forwards).sum(),
-            orphans: recs.iter().map(|r| r.orphans).sum(),
-            cache_hit_rate: if hits + misses == 0 {
-                None
-            } else {
-                Some(hits as f64 / (hits + misses) as f64)
-            },
-            msgs: recs.iter().map(|r| r.msgs_sent).sum(),
-            bytes: recs.iter().map(|r| r.bytes_sent).sum(),
-            repartition: recs.iter().any(|r| r.repartitions > 0),
-        });
+        series.push(agg);
     }
     series
 }
@@ -114,18 +100,20 @@ fn series_value(s: &StepSeries) -> Value {
     for &p in &PHASES {
         pairs.push((phase_key(p), Value::Num(s.phase_elapsed[p as usize])));
     }
+    let count = |c: Counter| Value::Num(s.counts[c as usize] as f64);
+    let (msgs, bytes) = traffic(&s.counts);
     pairs.extend([
         ("f_max".to_string(), Value::Num(s.f_max)),
-        ("serviced_total".to_string(), Value::Num(s.serviced_total as f64)),
+        ("serviced_total".to_string(), count(Counter::ConnServiced)),
         ("serviced_min".to_string(), Value::Num(s.serviced_min as f64)),
         ("serviced_max".to_string(), Value::Num(s.serviced_max as f64)),
-        ("walk_steps".to_string(), Value::Num(s.walk_steps as f64)),
-        ("forwards".to_string(), Value::Num(s.forwards as f64)),
-        ("orphans".to_string(), Value::Num(s.orphans as f64)),
-        ("cache_hit_rate".to_string(), opt_num(s.cache_hit_rate)),
-        ("msgs".to_string(), Value::Num(s.msgs as f64)),
-        ("bytes".to_string(), Value::Num(s.bytes as f64)),
-        ("repartition".to_string(), Value::Bool(s.repartition)),
+        ("walk_steps".to_string(), count(Counter::ConnWalkSteps)),
+        ("forwards".to_string(), count(Counter::ConnForwards)),
+        ("orphans".to_string(), count(Counter::ConnOrphans)),
+        ("cache_hit_rate".to_string(), opt_num(cache_hit_rate(&s.counts))),
+        ("msgs".to_string(), Value::Num(msgs as f64)),
+        ("bytes".to_string(), Value::Num(bytes as f64)),
+        ("repartition".to_string(), Value::Bool(s.counts[Counter::LbRepartitions as usize] > 0)),
     ]);
     Value::Obj(pairs)
 }
@@ -151,11 +139,8 @@ fn summary_value(r: &RunResult, series: &[StepSeries]) -> Value {
         ("cache_hit_rate".to_string(), opt_num(r.metrics.cache_hit_rate())),
         // Whole-run donor-search effort, read from the metrics counters
         // (exact even when the flight-recorder ring evicted early steps).
-        (
-            "walk_steps_total".to_string(),
-            Value::Num(r.metrics.counter(names::CONN_WALK_STEPS) as f64),
-        ),
-        ("forwards_total".to_string(), Value::Num(r.metrics.counter(names::CONN_FORWARDS) as f64)),
+        ("walk_steps_total".to_string(), Value::Num(r.metrics.get(Counter::ConnWalkSteps) as f64)),
+        ("forwards_total".to_string(), Value::Num(r.metrics.get(Counter::ConnForwards) as f64)),
         // Flight-recorder ring evictions: when > 0 the series above covers
         // only the trailing window of the run, and `compare` warns.
         ("steps_dropped".to_string(), Value::Num(r.steps_dropped as f64)),
@@ -199,31 +184,12 @@ fn per_phase_value(per_phase: &[u64; NUM_PHASES]) -> Value {
     Value::Obj(pairs)
 }
 
-/// Aggregate per-rank per-step allocation records into the run-level step
-/// series (summed over ranks and phases per step, like `aggregate_steps`
-/// the length is the minimum over ranks).
-fn alloc_steps_value(alloc_records: &[Vec<AllocRecord>]) -> Value {
-    let nsteps = alloc_records.iter().map(Vec::len).min().unwrap_or(0);
-    let mut steps = Vec::with_capacity(nsteps);
-    for s in 0..nsteps {
-        let recs: Vec<&AllocRecord> = alloc_records.iter().map(|r| &r[s]).collect();
-        let allocs: u64 = recs.iter().map(|r| r.allocs.iter().sum::<u64>()).sum();
-        let bytes: u64 = recs.iter().map(|r| r.bytes.iter().sum::<u64>()).sum();
-        steps.push(obj(vec![
-            ("step", Value::Num(recs[0].step as f64)),
-            ("allocs", Value::Num(allocs as f64)),
-            ("bytes", Value::Num(bytes as f64)),
-        ]));
-    }
-    Value::Arr(steps)
-}
-
 /// Allocation-attribution section of a case report. Everything here is
 /// deterministic for a fixed configuration (counts and bytes are sums, so
 /// order-invariant across scheduling), and `compare` gates it **exactly**.
 /// Peak heap bytes are scheduling-order dependent and live in the advisory
 /// `host` section instead.
-fn alloc_value(r: &RunResult) -> Value {
+fn alloc_value(r: &RunResult, series: &[StepSeries]) -> Value {
     let mut allocs = [0u64; NUM_PHASES];
     let mut bytes = [0u64; NUM_PHASES];
     for a in &r.alloc_by_rank {
@@ -247,7 +213,21 @@ fn alloc_value(r: &RunResult) -> Value {
         ("allocs", per_phase_value(&allocs)),
         ("bytes", per_phase_value(&bytes)),
         ("by_rank", by_rank),
-        ("steps", alloc_steps_value(&r.alloc_records)),
+        (
+            "steps",
+            Value::Arr(
+                series
+                    .iter()
+                    .map(|s| {
+                        obj(vec![
+                            ("step", Value::Num(s.step as f64)),
+                            ("allocs", Value::Num(s.allocs as f64)),
+                            ("bytes", Value::Num(s.alloc_bytes as f64)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ])
 }
 
@@ -277,7 +257,7 @@ pub fn case_report(label: &str, cfg: &CaseConfig, machine: &str, r: &RunResult) 
         ("series", Value::Arr(series.iter().map(series_value).collect())),
         ("summary", summary_value(r, &series)),
         ("metrics", metrics_value(r)),
-        ("alloc", alloc_value(r)),
+        ("alloc", alloc_value(r, &series)),
         ("steps_dropped", Value::Num(r.steps_dropped as f64)),
     ])
 }
@@ -306,22 +286,23 @@ mod tests {
     use super::*;
 
     fn rec(step: u64, flow: f64, serviced: u64, reparts: u64) -> StepRecord {
-        let mut time = [0.0; NUM_PHASES];
-        time[Phase::Flow as usize] = flow;
-        StepRecord {
-            step,
-            time,
-            clock: 0.0,
-            serviced,
-            walk_steps: serviced * 3,
-            forwards: 1,
-            orphans: 0,
-            cache_hits: serviced / 2,
-            cache_misses: serviced - serviced / 2,
-            msgs_sent: 1,
-            bytes_sent: 100,
-            repartitions: reparts,
+        let mut r = StepRecord { step, ..StepRecord::ZERO };
+        r.time[Phase::Flow as usize] = flow;
+        for (c, n) in [
+            (Counter::ConnServiced, serviced),
+            (Counter::ConnWalkSteps, serviced * 3),
+            (Counter::ConnForwards, 1),
+            (Counter::ConnCacheHit, serviced / 2),
+            (Counter::ConnCacheMiss, serviced - serviced / 2),
+            (Counter::CommMsgsFlow, 1),
+            (Counter::CommBytesFlow, 100),
+            (Counter::LbRepartitions, reparts),
+        ] {
+            r.counts[c as usize] = n;
         }
+        r.allocs[Phase::Connectivity as usize] = 2;
+        r.alloc_bytes[Phase::Flow as usize] = 64;
+        r
     }
 
     #[test]
@@ -335,12 +316,15 @@ mod tests {
         assert_eq!(s[0].phase_elapsed[Phase::Flow as usize], 3.0);
         // f_max = max(30,10)/mean(20) = 1.5
         assert!((s[0].f_max - 1.5).abs() < 1e-12);
-        assert_eq!(s[0].serviced_total, 40);
-        assert_eq!(s[0].walk_steps, 120);
-        assert_eq!(s[0].forwards, 2);
-        assert!(!s[0].repartition);
-        assert!(s[1].repartition);
-        assert_eq!(s[0].cache_hit_rate, Some(0.5));
+        assert_eq!((s[0].serviced_min, s[0].serviced_max), (10, 30));
+        assert_eq!(s[0].counts[Counter::ConnServiced as usize], 40);
+        assert_eq!(s[0].counts[Counter::ConnWalkSteps as usize], 120);
+        assert_eq!(s[0].counts[Counter::ConnForwards as usize], 2);
+        assert_eq!(s[0].counts[Counter::LbRepartitions as usize], 0);
+        assert_eq!(s[1].counts[Counter::LbRepartitions as usize], 1);
+        assert_eq!(cache_hit_rate(&s[0].counts), Some(0.5));
+        assert_eq!(traffic(&s[1].counts), (2, 200));
+        assert_eq!((s[0].allocs, s[0].alloc_bytes), (4, 128));
     }
 
     #[test]
