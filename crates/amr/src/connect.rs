@@ -3,10 +3,9 @@
 //! "The bulk of the connectivity solution can be performed at very low cost
 //! because no donor searches are required when donor elements reside in
 //! Cartesian grid components": locating the containing cell of a point in a
-//! seven-parameter grid is index arithmetic ([`CartesianGrid::locate`]).
+//! seven-parameter grid is index arithmetic ([`overset_grid::CartesianGrid::locate`]).
 
 use crate::offbody::Brick;
-use overset_grid::CartesianGrid;
 
 /// Flops for one O(1) Cartesian donor location (compare with the hundreds
 /// per stencil-walk search in the curvilinear case).
@@ -93,11 +92,6 @@ pub fn build_adjacency(bricks: &[Brick]) -> overset_balance::AdjacencyMatrix {
         }
     }
     adj
-}
-
-/// Check whether a grid kind participates in cheap Cartesian connectivity.
-pub fn is_cartesian(_g: &CartesianGrid) -> bool {
-    true
 }
 
 #[cfg(test)]

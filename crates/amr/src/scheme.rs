@@ -289,10 +289,7 @@ impl AdaptiveScheme {
         let fs = self.cfg.fc.freestream();
         let (new_bricks, new_states, stats) =
             adapt_cycle(&self.cfg.offbody, &self.bricks, &states, &oracle, fs);
-        let (mut blocks, scratches) = build_brick_blocks(&self.cfg, &new_bricks, Some(&new_states));
-        for b in blocks.iter_mut() {
-            let _ = b;
-        }
+        let (blocks, scratches) = build_brick_blocks(&self.cfg, &new_bricks, Some(&new_states));
         self.bricks = new_bricks;
         self.blocks = blocks;
         self.scratches = scratches;

@@ -12,7 +12,7 @@ use crate::critical_path::CriticalPath;
 use crate::input::{AnalysisInput, PHASE_NAMES};
 use crate::waits::WaitStates;
 use overset_balance::service_imbalance;
-use overset_comm::{Counter, Phase};
+use overset_comm::Counter;
 
 /// `f(p) = I(p)/mean` above which Algorithm 2 would grant a processor
 /// (mirrors the typical `f_o` the dynamic-LB experiments run with).
@@ -211,11 +211,6 @@ fn repartition_effects(input: &AnalysisInput, cp: &CriticalPath, out: &mut Vec<F
             data: vec![("omitted", (repart_steps.len() - shown) as f64)],
         });
     }
-}
-
-/// Convenience for tests and callers that label phases.
-pub fn phase_name(p: Phase) -> &'static str {
-    p.name()
 }
 
 #[cfg(test)]

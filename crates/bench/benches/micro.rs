@@ -11,12 +11,12 @@ use overset_balance::{
 use overset_comm::{MachineModel, Universe};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    connect_serial, cut_holes_and_find_fringe, walk_search, ConnArena, Connectivity, InverseMap,
-    MapSlot, SearchCost, SerialCache,
+    cut_holes_and_find_fringe, walk_search, ConnArena, Connectivity, InverseMap, RankBlock,
+    SearchCost,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
-use overset_grid::gen::store::{store_search_order, store_system, STORE_CARRIAGE};
+use overset_grid::gen::store::{store_system, STORE_CARRIAGE};
 use overset_grid::{Dims, RigidTransform};
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, solve_lanes, Rows, FR_FIELDS};
@@ -327,35 +327,37 @@ fn inverse_map_kernels(c: &mut Criterion) {
 
 /// One warm serial connectivity solution of the store system (x0.3, static):
 /// hole cut, 7.4 K warm starts from last step's donors, interpolation.
+/// One warm connectivity solution of the store system (x0.3) the way a
+/// single-processor run takes it: one rank owning every grid whole, every
+/// search served in place. Set-up and the cold solution are not timed.
 fn serial_connectivity(c: &mut Criterion) {
-    let grids = store_system(0.3);
-    let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
-    let part = Partition::build(&dims, &vec![1; grids.len()]);
-    let mut blocks: Vec<Block> = grids
-        .iter()
-        .enumerate()
-        .map(|(g, grid)| {
-            let nbrs = part.neighbors_of(g, grid.periodic_i);
-            Block::from_grid(g, grid, dims[g].full_box(), nbrs, &fc())
+    let cfg = store_case(0.3, 1);
+    let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+    let whole = Partition::build(&dims, &vec![1; dims.len()]);
+    let topo = build_topology(&whole, &cfg.search_order, 1).unwrap();
+    let solids = tagged_solids(&cfg.grids);
+    let unmoved = vec![RigidTransform::IDENTITY; dims.len()];
+    let machine = MachineModel::cray_ymp();
+    c.bench_function("connect_one_rank/store_0p3_steady", |b| {
+        b.iter_custom(|iters| {
+            let out = Universe::builder().machine(&machine).run(|comm| {
+                let mut mine: Vec<RankBlock> = (0..dims.len())
+                    .map(|g| {
+                        let (block, wall) =
+                            build_block(g, &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+                        RankBlock::new(g, block, wall)
+                    })
+                    .collect();
+                let mut conn = Connectivity::new(true);
+                conn.step(&mut mine, &solids, &topo, comm);
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    conn.step(&mut mine, &solids, &topo, comm);
+                }
+                t0.elapsed().as_secs_f64()
+            });
+            Duration::from_secs_f64(out[0].result)
         })
-        .collect();
-    let solids = tagged_solids(&grids);
-    let mut metrics = overset_comm::MetricsRegistry::new();
-    let slots: Vec<MapSlot> = blocks
-        .iter()
-        .map(|b| {
-            let mut slot = MapSlot::default();
-            slot.refresh(b, &mut metrics);
-            slot
-        })
-        .collect();
-    let order = store_search_order();
-    let mut cache = SerialCache::new();
-    let mut arena = ConnArena::new();
-    arena.isa = select_isa();
-    connect_serial(&mut blocks, &order, &solids, &mut cache, &slots, &mut arena);
-    c.bench_function("connect_serial/store_0p3_steady", |b| {
-        b.iter(|| connect_serial(&mut blocks, &order, &solids, &mut cache, &slots, &mut arena))
     });
 }
 
@@ -418,21 +420,22 @@ fn distributed_connectivity(c: &mut Criterion) {
     let widths = grid_min_widths(&cfg.grids);
     let np = fit_np_to_dims_min(&sizes, &dims, &balanced.np, &widths).unwrap();
     let partition = Partition::build(&dims, &np);
-    let topo = build_topology(&partition, &cfg.search_order).unwrap();
+    let topo = build_topology(&partition, &cfg.search_order, P).unwrap();
     let solids = tagged_solids(&cfg.grids);
     let unmoved = vec![RigidTransform::IDENTITY; cfg.grids.len()];
     let machine = MachineModel::ibm_sp2();
     c.bench_function("connect_distributed/store_0p4_p64_steady", |b| {
         b.iter_custom(|iters| {
             let out = Universe::builder().ranks(P).machine(&machine).max_threads(1).run(|comm| {
-                let (mut block, _) =
+                let (block, wall) =
                     build_block(comm.rank(), &partition, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+                let mut mine = [RankBlock::new(comm.rank(), block, wall)];
                 let mut conn = Connectivity::new(true);
-                conn.step(&mut block, &solids, &topo, comm);
+                conn.step(&mut mine, &solids, &topo, comm);
                 comm.barrier();
                 let t0 = Instant::now();
                 for _ in 0..iters {
-                    conn.step(&mut block, &solids, &topo, comm);
+                    conn.step(&mut mine, &solids, &topo, comm);
                 }
                 comm.barrier();
                 t0.elapsed().as_secs_f64()

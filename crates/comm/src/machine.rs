@@ -89,9 +89,11 @@ impl MachineModel {
         self.latency + bytes as f64 / self.bandwidth
     }
 
-    /// Cost of a barrier / small collective among `nranks` ranks.
+    /// Cost of a barrier / small collective among `nranks` ranks: one
+    /// latency-and-transfer stage per doubling, so a rank synchronising
+    /// with itself pays nothing.
     pub fn collective_time(&self, nranks: usize, bytes: usize) -> f64 {
-        let stages = (nranks.max(1) as f64).log2().ceil().max(1.0);
+        let stages = (nranks.max(1) as f64).log2().ceil();
         stages * (self.latency + bytes as f64 / self.bandwidth)
     }
 
@@ -205,6 +207,8 @@ mod tests {
         let t2 = m.collective_time(2, 8);
         let t64 = m.collective_time(64, 8);
         assert!((t64 / t2 - 6.0).abs() < 1e-9);
+        assert_eq!(t2, m.latency + 8.0 / m.bandwidth, "two ranks: one stage");
+        assert_eq!(m.collective_time(1, 8), 0.0, "a one-rank collective is free");
     }
 
     #[test]

@@ -553,12 +553,6 @@ impl Comm {
         &mut self.metrics
     }
 
-    /// Is event tracing active on this rank?
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Record a completed span from virtual time `start` to now. No-op
     /// (one branch) when tracing is disabled.
     #[inline]

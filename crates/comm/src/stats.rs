@@ -50,10 +50,6 @@ impl RankStats {
     pub fn total_time(&self) -> f64 {
         self.time.iter().sum()
     }
-
-    pub fn total_flops(&self) -> f64 {
-        self.flops.iter().sum()
-    }
 }
 
 // Rank statistics travel back from child processes to the parent, so the

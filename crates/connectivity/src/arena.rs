@@ -3,8 +3,9 @@
 //!
 //! Every collection the connectivity phase allocates per step — pending-walk
 //! queues, flattened candidate lists, per-destination request buffers,
-//! reply slots, deferred q-writes, hole-fringe lists — lives here and keeps
-//! its capacity across steps. The driver owns one [`ConnArena`] per rank
+//! reply slots, hole-fringe lists — lives here and keeps its capacity
+//! across steps (the deferred q-writes stay with their block, on its
+//! `RankBlock`). The driver owns one [`ConnArena`] per rank
 //! for the whole run; steady-state connectivity steps then perform
 //! near-zero transient allocations, which the exact alloc gate in
 //! `repro compare` pins (docs/OBSERVABILITY.md, "Arena allocation").
@@ -26,8 +27,8 @@ use overset_grid::{Aabb, Ijk};
 use overset_solver::Isa;
 use std::sync::Arc;
 
-/// Reusable scratch for one rank's connectivity work (distributed protocol,
-/// hole cutting, and the serial path). Construction allocates nothing;
+/// Reusable scratch for one rank's connectivity work (distributed protocol
+/// and hole cutting). Construction allocates nothing;
 /// buffers grow to their working-set high-water mark within the first step
 /// or two and are cleared — never shrunk — between steps.
 #[derive(Default)]
@@ -50,21 +51,21 @@ pub struct ConnArena {
     pub(crate) cand_pool: Vec<usize>,
     /// IGBP indices that exhausted every candidate.
     pub(crate) orphaned: Vec<usize>,
-    /// Per-destination request buffers (outer vec sized to `nranks`).
+    /// Per-destination-block request buffers (outer vec sized to the block
+    /// count of the partition).
     pub(crate) outgoing: Vec<Vec<ReqPoint>>,
-    /// Destinations this rank sent requests to in the current round.
+    /// Blocks of other ranks this rank sent requests to in the current
+    /// round.
     pub(crate) sent_to: Vec<usize>,
-    /// Deferred fringe q-writes, applied after the round loop.
-    pub(crate) writes: Vec<(Ijk, [f64; 5])>,
     /// Per round, parallel to `pending`: the donor from the most preferred
-    /// candidate rank that found one.
+    /// candidate block that found one.
     pub(crate) best: Vec<BestReply>,
     /// Recycled request buffers: received request vectors are parked here
     /// and reused for the next round's outgoing sends.
     pub(crate) req_pool: VecPool<ReqPoint>,
     /// Recycled answer buffers, symmetric to `req_pool`.
     pub(crate) ans_pool: VecPool<(u32, Answer)>,
-    /// This rank's per-destination request counts. Each round's allgather
+    /// This rank's per-destination-block request counts. Each round's allgather
     /// is handed a shared handle to the row, and the row is refilled in
     /// place once every rank has dropped its view of the previous round.
     /// `None` until the first round, so construction stays allocation-free.
@@ -87,21 +88,19 @@ pub struct ConnArena {
     /// it after connectivity consumes it).
     pub(crate) igbp_pool: VecPool<Igbp>,
 
-    // -- batched donor-search scratch --
-    /// Pending query points of one service batch.
-    pub(crate) walk_queries: Vec<BatchQuery>,
-    /// Per-query outcomes of the lane-lockstep search.
-    pub(crate) walk_outcomes: Vec<SearchOutcome>,
-    /// Per-query walk costs, parallel to `walk_outcomes`.
-    pub(crate) walk_costs: Vec<SearchCost>,
+    /// Batched donor-search scratch.
+    pub(crate) walk: WalkScratch,
+}
 
-    // -- serial-path scratch --
-    /// Per-grid IGBP lists of the serial connectivity solution.
-    pub(crate) igbps_per_grid: Vec<Vec<Igbp>>,
-    /// Deferred (grid, node, value) writes of the serial path.
-    pub(crate) serial_writes: Vec<(usize, Ijk, [f64; 5])>,
-    /// Whole-grid bounding boxes for the serial donor rejection.
-    pub(crate) grid_bboxes: Vec<Aabb>,
+/// Scratch of one service batch's lane-lockstep donor search.
+#[derive(Default)]
+pub(crate) struct WalkScratch {
+    /// Pending query points.
+    pub(crate) queries: Vec<BatchQuery>,
+    /// Per-query outcomes.
+    pub(crate) outcomes: Vec<SearchOutcome>,
+    /// Per-query walk costs, parallel to `outcomes`.
+    pub(crate) costs: Vec<SearchCost>,
 }
 
 impl ConnArena {
@@ -124,21 +123,20 @@ impl ConnArena {
     }
 
     /// Reset the distributed-protocol scratch for a new step. Capacities
-    /// survive; the outer `outgoing` vector is (re)sized to `nranks`.
-    pub(crate) fn begin_protocol(&mut self, nranks: usize) {
+    /// survive; the outer `outgoing` vector is (re)sized to `nblocks`.
+    pub(crate) fn begin_protocol(&mut self, nblocks: usize) {
         self.pending.clear();
         self.next_pending.clear();
         self.cand_pool.clear();
         self.orphaned.clear();
         self.sent_to.clear();
-        self.writes.clear();
-        if self.outgoing.len() == nranks {
+        if self.outgoing.len() == nblocks {
             for v in &mut self.outgoing {
                 v.clear();
             }
         } else {
             self.outgoing.clear();
-            self.outgoing.resize_with(nranks, Vec::new);
+            self.outgoing.resize_with(nblocks, Vec::new);
         }
     }
 }

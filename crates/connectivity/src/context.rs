@@ -1,26 +1,23 @@
-//! The per-run connectivity contexts: what the DCF3D step keeps between
-//! timesteps, and the step itself.
+//! What a rank keeps between timesteps, and the DCF3D step itself.
 //!
-//! A [`Connectivity`] is one rank's state — the [`ConnArena`] (with the lane
-//! ISA), the rank's inverse map and its lifecycle ([`MapSlot`]), the restart
-//! donor cache — and [`Connectivity::step`] is the paper's per-timestep
-//! sequence: map refresh → hole cut / IGBP identification → donor search
-//! and interpolation. [`SerialConnectivity`] is the single-address-space
-//! counterpart with one map slot per grid. Both charge their work to the
-//! caller's [`Comm`] and emit the `conn.*` counters and `conn/*` spans; the
-//! driver only tells them when a grid moved or the partition changed.
+//! A rank owns a list of [`RankBlock`]s — each a block with its flow-solver
+//! companions, its inverse map and the map's lifecycle ([`MapSlot`]) and its
+//! restart donor cache — and one [`Connectivity`] (the [`ConnArena`] with
+//! the lane ISA). [`Connectivity::step`] is the paper's per-timestep
+//! sequence over that list: map refresh → hole cut / IGBP identification →
+//! donor search and interpolation. It charges its work to the caller's
+//! [`Comm`] and emits the `conn.*` counters and `conn/*` spans; the driver
+//! only tells a block when it moved or was rebuilt.
 
 use crate::arena::ConnArena;
-use crate::holes::cut_holes_and_find_fringe;
+use crate::holes::{cut_holes_and_find_fringe, Igbp};
 use crate::inverse_map::{InverseMap, FLOPS_PER_INCR_UPDATE};
-use crate::protocol::{connect_distributed, DonorCache, Topology};
-use crate::serial::{connect_serial, SerialCache};
+use crate::protocol::{connect_distributed, DonorCache, RankRoute, Topology};
 use overset_comm::metrics::Counter;
-use overset_comm::trace::ArgVal;
 use overset_comm::{Comm, MetricsRegistry, WorkClass};
 use overset_grid::curvilinear::Solid;
 use overset_grid::{Ijk, RigidTransform};
-use overset_solver::{select_isa, Block};
+use overset_solver::{select_isa, Block, Scratch, WallGeometry};
 
 /// One block's inverse map and its lifecycle: built lazily, kept across
 /// steps, brought up to date only after the block moved, dropped when the
@@ -95,147 +92,115 @@ impl MapSlot {
     }
 }
 
-/// A cold arena on the host's lane ISA.
-fn host_arena() -> ConnArena {
-    ConnArena { isa: select_isa(), ..ConnArena::default() }
+/// One block of a rank and everything the rank keeps for it between
+/// steps. The flow solver's per-block companions ride along so that a rank
+/// is one list, not five.
+pub struct RankBlock {
+    /// The block's id in the partition: its subdomain. Search hierarchies
+    /// resolve to ids, donor caches and the routing table name blocks by id.
+    pub id: usize,
+    pub block: Block,
+    /// Wall geometry, when the block's grid has a wall (turbulence model).
+    pub wall: Option<WallGeometry>,
+    /// The flow solver's scratch for this block.
+    pub scratch: Scratch,
+    pub(crate) slot: MapSlot,
+    pub(crate) cache: DonorCache,
+    /// This step's IGBPs, between the hole cut and the end of the search.
+    pub(crate) igbps: Vec<Igbp>,
+    /// This step's routing entry of the block.
+    pub(crate) route: RankRoute,
+    /// Interpolated fringe values, applied when the search is over.
+    pub(crate) writes: Vec<(Ijk, [f64; 5])>,
+}
+
+impl RankBlock {
+    /// A block with nothing cached: no map, no donors.
+    pub fn new(id: usize, block: Block, wall: Option<WallGeometry>) -> Self {
+        RankBlock {
+            id,
+            scratch: Scratch::for_block(&block),
+            block,
+            wall,
+            slot: MapSlot::default(),
+            cache: DonorCache::new(),
+            igbps: Vec::new(),
+            route: RankRoute::NOWHERE,
+            writes: Vec::new(),
+        }
+    }
+
+    /// The block moved by `t`.
+    pub fn note_motion(&mut self, t: &RigidTransform) {
+        self.slot.note_motion(t);
+    }
+
+    /// The partition changed and the block was rebuilt over another region:
+    /// the map is stale, but cached donor cells survive — only the blocks
+    /// owning them changed, so `owner` (donor grid, donor cell → block)
+    /// remaps them instead of cold-restarting the connectivity solution.
+    pub fn rebuilt(
+        &mut self,
+        block: Block,
+        wall: Option<WallGeometry>,
+        owner: impl Fn(usize, Ijk) -> usize,
+    ) {
+        self.block = block;
+        self.wall = wall;
+        self.scratch = Scratch::for_block(&self.block);
+        self.slot.invalidate();
+        self.cache.remap_blocks(owner);
+    }
 }
 
 /// One rank's connectivity state for a whole run.
 pub struct Connectivity {
     restart: bool,
     arena: ConnArena,
-    slot: MapSlot,
-    cache: DonorCache,
 }
 
 impl Connectivity {
-    /// A cold context. With `restart` (nth-level restart) the donor cache
-    /// survives between steps; without it every step searches from scratch.
+    /// A cold context on the host's lane ISA. With `restart` (nth-level
+    /// restart) the donor caches survive between steps; without it every
+    /// step searches from scratch.
     pub fn new(restart: bool) -> Self {
-        let (slot, cache) = Default::default();
-        Connectivity { restart, arena: host_arena(), slot, cache }
+        Connectivity { restart, arena: ConnArena { isa: select_isa(), ..ConnArena::default() } }
     }
 
-    /// This rank's block moved by `t`.
-    pub fn note_motion(&mut self, t: &RigidTransform) {
-        self.slot.note_motion(t);
-    }
-
-    /// The partition changed and this rank's block was rebuilt: the map is
-    /// stale, but cached donor cells survive — only their owning ranks
-    /// changed, so `owner` (donor grid, donor cell → rank) remaps them
-    /// instead of cold-restarting the whole connectivity solution.
-    pub fn repartitioned(&mut self, owner: impl Fn(usize, Ijk) -> usize) {
-        self.slot.invalidate();
-        self.cache.remap_ranks(owner);
-    }
-
-    /// One connectivity solution for this rank's block, whose halo state
+    /// One connectivity solution for this rank's blocks, whose halo state
     /// must be freshly exchanged.
     pub fn step(
         &mut self,
-        block: &mut Block,
+        blocks: &mut [RankBlock],
         solids: &[(usize, Solid)],
         topo: &Topology,
         comm: &mut Comm,
     ) {
-        if self.slot.is_dirty() {
+        if blocks.iter().any(|rb| rb.slot.is_dirty()) {
             let t_map = comm.now();
-            let flops = self.slot.refresh(block, comm.metrics_mut());
+            let flops: u64 =
+                blocks.iter_mut().map(|rb| rb.slot.refresh(&rb.block, comm.metrics_mut())).sum();
             comm.compute(flops as f64, WorkClass::Search);
             comm.trace_complete("conn", "invmap_build", t_map, &[]);
         }
-        let inv = self.slot.map();
         let t_cut = comm.now();
-        let (igbps, hole_flops) = cut_holes_and_find_fringe(block, solids, inv, &mut self.arena);
+        let mut hole_flops = 0u64;
+        for rb in blocks.iter_mut() {
+            let (igbps, flops) =
+                cut_holes_and_find_fringe(&mut rb.block, solids, rb.slot.map(), &mut self.arena);
+            rb.igbps = igbps;
+            hole_flops += flops;
+            if !self.restart {
+                rb.cache.clear();
+            }
+        }
         comm.compute(hole_flops as f64, WorkClass::Search);
         comm.trace_complete("conn", "hole_cut", t_cut, &[]);
-        if !self.restart {
-            self.cache.clear();
-        }
-        connect_distributed(block, &igbps, topo, &mut self.cache, comm, inv, &mut self.arena);
-        self.arena.recycle_igbps(igbps);
-    }
-}
-
-/// The serial counterpart of [`Connectivity`]: every grid resident as one
-/// whole block, one map slot per grid.
-pub struct SerialConnectivity {
-    restart: bool,
-    arena: ConnArena,
-    slots: Vec<MapSlot>,
-    cache: SerialCache,
-}
-
-impl SerialConnectivity {
-    /// A cold context for `ngrids` grids; `restart` as for [`Connectivity`].
-    pub fn new(ngrids: usize, restart: bool) -> Self {
-        let slots = (0..ngrids).map(|_| MapSlot::default()).collect();
-        SerialConnectivity { restart, arena: host_arena(), slots, cache: SerialCache::new() }
-    }
-
-    /// Grid `grid` moved by `t`.
-    pub fn note_motion(&mut self, grid: usize, t: &RigidTransform) {
-        self.slots[grid].note_motion(t);
-    }
-
-    /// One connectivity solution over all grids (`blocks[g]` is grid `g`),
-    /// charged and traced like [`Connectivity::step`]: map refresh, hole
-    /// cut, then the donor search (`conn/connect`).
-    pub fn step(
-        &mut self,
-        blocks: &mut [Block],
-        search_order: &[Vec<usize>],
-        solids: &[(usize, Solid)],
-        comm: &mut Comm,
-    ) {
-        if !self.restart {
-            self.cache.clear();
-        }
-        let t_map = comm.now();
-        let flops: u64 = self
-            .slots
-            .iter_mut()
-            .zip(blocks.iter())
-            .map(|(slot, block)| slot.refresh(block, comm.metrics_mut()))
-            .sum();
-        comm.compute(flops as f64, WorkClass::Search);
-        if flops > 0 {
-            comm.trace_complete("conn", "invmap_build", t_map, &[]);
-        }
-        let stats = connect_serial(
-            blocks,
-            search_order,
-            solids,
-            &mut self.cache,
-            &self.slots,
-            &mut self.arena,
-        );
-        let t_cut = comm.now();
-        comm.compute(stats.hole_flops as f64, WorkClass::Search);
-        comm.trace_complete("conn", "hole_cut", t_cut, &[]);
-        let t_conn = comm.now();
-        comm.compute(stats.flops as f64, WorkClass::Search);
-        comm.trace_complete(
-            "conn",
-            "connect",
-            t_conn,
-            &[("igbps", ArgVal::U64(stats.igbps as u64))],
-        );
-        let m = comm.metrics_mut();
-        m.add(Counter::ConnIgbps, stats.igbps as u64);
-        // The one processor services every search it issues.
-        m.add(Counter::ConnServiced, stats.igbps as u64);
-        m.add(Counter::ConnOrphans, stats.orphans as u64);
-        m.add(Counter::ConnWalkSteps, stats.walk_steps);
-        m.add(Counter::ConnWalkStepsMiss, stats.walk_steps_miss);
-        m.add(Counter::ConnPrefilterRejects, stats.prefilter_rejects);
-        m.add(Counter::ConnDonorsRelaxed, stats.relaxed_donors);
-        if stats.warm_attempts > 0 {
-            // Same names the distributed protocol feeds: a failed warm
-            // start re-walks the IGBP's whole hierarchy.
-            m.add(Counter::ConnCacheHit, stats.warm_hits);
-            m.add(Counter::ConnCacheMiss, stats.warm_attempts - stats.warm_hits);
+        connect_distributed(blocks, topo, comm, &mut self.arena);
+        // Last block's list first: the cutter takes them back in block
+        // order, so every block keeps the list it grew.
+        for rb in blocks.iter_mut().rev() {
+            self.arena.recycle_igbps(std::mem::take(&mut rb.igbps));
         }
     }
 }
@@ -345,5 +310,122 @@ mod tests {
         assert_eq!(slot.refresh(&b, &mut m), slot.map().unwrap().build_flops());
         assert_eq!(counts(&m), (2, 0));
         assert!(slot.map().unwrap().pose_is_identity());
+    }
+    /// A donor as both caches can name it: (grid, global cell, relaxed).
+    type DonorId = (usize, [usize; 3], bool);
+
+    /// Four solutions of a paper system whose `movers` take one rigid step
+    /// before each (the driver's motion → connectivity order): the protocol
+    /// on one rank owning every grid whole against [`connect_serial`], both
+    /// with maps and restart. Returns, per point whose donor or fringe value
+    /// differs after some step, a line naming it and both answers, and the
+    /// number of relaxed donors the oracle held over all steps.
+    fn protocol_vs_oracle(
+        name: &str,
+        grids: &[CurvilinearGrid],
+        order: &[Vec<usize>],
+        movers: &[usize],
+        step: &RigidTransform,
+    ) -> (Vec<String>, u64) {
+        use crate::serial::tests::{painted_whole_blocks, tagged_solids};
+        use crate::serial::{connect_serial, SerialCache};
+        use overset_comm::{MachineModel, Universe};
+        let out = Universe::builder().machine(&MachineModel::modern()).run(|comm| {
+            let topo = Topology {
+                blocks_of_grid: (0..grids.len()).map(|g| g..g + 1).collect(),
+                rank_of_block: vec![0; grids.len()],
+                search_order: order.to_vec(),
+            };
+            let mut solids = tagged_solids(grids);
+            let mut mine: Vec<RankBlock> = painted_whole_blocks(grids)
+                .into_iter()
+                .enumerate()
+                .map(|(g, b)| RankBlock::new(g, b, None))
+                .collect();
+            let mut conn = Connectivity::new(true);
+            let mut blocks = painted_whole_blocks(grids);
+            let mut slots: Vec<MapSlot> = grids.iter().map(|_| MapSlot::default()).collect();
+            let (mut cache, mut arena) = (SerialCache::new(), ConnArena::new());
+            let (mut differing, mut oracle_relaxed) = (Vec::new(), 0);
+            for n in 0..4 {
+                for (g, s) in solids.iter_mut() {
+                    if movers.contains(g) {
+                        *s = s.transformed(step);
+                    }
+                }
+                for &g in movers {
+                    mine[g].block.apply_motion(step, 0.01);
+                    mine[g].note_motion(step);
+                    blocks[g].apply_motion(step, 0.01);
+                    slots[g].note_motion(step);
+                }
+                conn.step(&mut mine, &solids, &topo, comm);
+                for (slot, b) in slots.iter_mut().zip(&blocks) {
+                    slot.refresh(b, &mut MetricsRegistry::new());
+                }
+                let s = connect_serial(&mut blocks, order, &solids, &mut cache, &slots, &mut arena);
+                assert!(s.igbps > 0 && s.resolved > 0, "{name} step {n}: {s:?}");
+                oracle_relaxed += s.relaxed_donors;
+
+                for (g, (rb, b)) in mine.iter().zip(&blocks).enumerate() {
+                    assert!(
+                        rb.block.iblank.as_slice() == b.iblank.as_slice(),
+                        "{name} {n}: iblank"
+                    );
+                    let ours = |node: &Ijk| -> Option<DonorId> {
+                        let &(block, d) = rb.cache.map.get(node)?;
+                        assert_eq!(block, d.grid, "a grid is one block here");
+                        Some((d.grid, [d.cell.i, d.cell.j, d.cell.k], d.relaxed))
+                    };
+                    let theirs = |node: &Ijk| -> Option<DonorId> {
+                        let d = cache.map.get(&(g, *node))?;
+                        let c = blocks[d.grid].to_global(d.cell);
+                        Some((d.grid, [c.i, c.j, c.k], d.relaxed))
+                    };
+                    for node in b.local_dims.iter() {
+                        let same_value = rb.block.q.node(node).map(f64::to_bits)
+                            == b.q.node(node).map(f64::to_bits);
+                        if ours(&node) != theirs(&node) || !same_value {
+                            differing.push(format!(
+                                "{name} step {n} grid {g} node {node:?}: protocol {:?}, oracle \
+                                 {:?}, value {}",
+                                ours(&node),
+                                theirs(&node),
+                                if same_value { "equal" } else { "differs" }
+                            ));
+                        }
+                    }
+                }
+            }
+            (differing, oracle_relaxed)
+        });
+        out.into_iter().next().unwrap().result
+    }
+    /// The protocol on one rank and the serial oracle agree donor for donor
+    /// (grid, cell, relaxed flag) and fringe value bit for bit over moving
+    /// steps of the three paper systems — or this test names every point
+    /// that differs. Where the two are known to part (a failed relaxed warm
+    /// start: `protocol::tests::after_a_failed_relaxed_warm_start_…`) does
+    /// not show in these steps, though the 3-D systems hold relaxed donors.
+    #[test]
+    fn one_rank_protocol_agrees_with_the_serial_oracle_on_the_paper_systems() {
+        use overset_grid::gen::{airfoil, delta_wing, store};
+        let pitch =
+            RigidTransform::rotation_about([0.25, 0.0, 0.0], [0.0, 0.0, 1.0], f64::to_radians(0.1));
+        let descent = RigidTransform::translation([0.0, 0.0, -0.064 * 0.02]);
+        let drop = RigidTransform::translation([0.0, 0.0, -0.004])
+            .then(&RigidTransform::rotation_about(store::STORE_CARRIAGE, [0.0, 1.0, 0.0], 1e-3));
+        let airfoil = (airfoil::airfoil_system(0.3), airfoil::airfoil_search_order());
+        let wing = (delta_wing::delta_wing_system(0.4), delta_wing::delta_wing_search_order());
+        let store = (store::store_system(0.3), store::store_search_order());
+        for (name, (grids, order), movers, step) in [
+            ("airfoil", &airfoil, &[0][..], &pitch),
+            ("delta wing", &wing, &[0, 1, 2][..], &descent),
+            ("store", &store, &store::STORE_GRID_IDS[..], &drop),
+        ] {
+            let (differing, oracle_relaxed) = protocol_vs_oracle(name, grids, order, movers, step);
+            assert!(differing.is_empty(), "{}", differing.join("\n"));
+            assert_eq!(oracle_relaxed > 0, name != "airfoil", "{name}: relaxed donors");
+        }
     }
 }

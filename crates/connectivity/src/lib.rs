@@ -13,17 +13,18 @@
 //!   walk seeds, coarse occupancy masks for request pruning, and ternary
 //!   solid masks for masked hole cutting,
 //! * [`interp`] — trilinear interpolation of the conserved state,
-//! * [`serial`] — the single-address-space connectivity solution (Y-MP
-//!   baseline and validation reference),
+//! * `serial` (tests only) — the single-address-space connectivity
+//!   solution: the independent reference the protocol on one rank is tested
+//!   against,
 //! * [`protocol`] — the distributed donor-search protocol (bounding-box
-//!   routing, asynchronous request service, candidate forwarding, and the
-//!   "nth-level restart" donor cache),
+//!   routing, asynchronous request service in place or by message,
+//!   candidate forwarding, and the "nth-level restart" donor cache),
 //! * [`kernels`] — lane-batched (SIMD) forms of the trilinear Newton
 //!   inversion and the hole cutter's containment tests, bit-identical to
 //!   the scalar code per lane,
-//! * [`context`] — the per-run contexts ([`Connectivity`] per rank,
-//!   [`SerialConnectivity`] for the single-address-space run) that own the
-//!   arena, the inverse-map lifecycle and the donor cache and run the step.
+//! * [`context`] — what a rank keeps for a run: its [`RankBlock`]s (block,
+//!   inverse-map lifecycle, donor cache) and the [`Connectivity`] that owns
+//!   the arena and runs the step over them.
 
 pub mod arena;
 pub mod context;
@@ -33,10 +34,11 @@ pub mod interp;
 pub mod inverse_map;
 pub mod kernels;
 pub mod protocol;
-pub mod serial;
+#[cfg(test)]
+mod serial;
 
 pub use arena::ConnArena;
-pub use context::{Connectivity, MapSlot, SerialConnectivity};
+pub use context::{Connectivity, MapSlot, RankBlock};
 pub use donor::{
     walk_search, walk_search_batch, walk_search_isa, BatchQuery, CachedDonor, Donor, SearchCost,
     SearchOutcome,
@@ -48,4 +50,3 @@ pub use inverse_map::{
     FLOPS_PER_INCR_UPDATE, OCC_ALL, OCC_WORDS,
 };
 pub use protocol::{connect_distributed, ConnStats, DonorCache, Topology};
-pub use serial::{connect_serial, SerialCache, SerialConnStats};

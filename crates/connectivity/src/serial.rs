@@ -1,15 +1,17 @@
 //! Serial domain-connectivity solution: all component grids resident in one
-//! address space (one block per grid). Used by the single-processor (Cray
-//! Y-MP) baseline of Table 6 and as the physics reference the distributed
-//! protocol is validated against.
+//! address space (one block per grid), every IGBP searched on its own, one
+//! scalar walk at a time. No run takes this path — a single-processor run is
+//! the distributed protocol on one rank — it is the independent reference
+//! that protocol is tested against.
 
 use crate::arena::ConnArena;
 use crate::context::MapSlot;
 use crate::donor::{center_start, walk_search_isa, CachedDonor, Donor, SearchCost, SearchOutcome};
-use crate::holes::cut_holes_and_find_fringe;
-use crate::interp::{interpolate, FLOPS_PER_INTERP};
+use crate::holes::{cut_holes_and_find_fringe, Igbp};
+use crate::interp::interpolate;
 use overset_grid::curvilinear::Solid;
 use overset_grid::index::Ijk;
+use overset_grid::Aabb;
 use overset_solver::Block;
 use std::collections::HashMap;
 
@@ -17,16 +19,12 @@ use std::collections::HashMap;
 /// its donor, the cell in that grid's local indices.
 #[derive(Clone, Debug, Default)]
 pub struct SerialCache {
-    map: HashMap<(usize, Ijk), CachedDonor>,
+    pub(crate) map: HashMap<(usize, Ijk), CachedDonor>,
 }
 
 impl SerialCache {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 
     pub fn len(&self) -> usize {
@@ -52,10 +50,6 @@ pub struct SerialConnStats {
     pub prefilter_rejects: u64,
     /// Of `resolved`, the donors held under relaxed acceptance.
     pub relaxed_donors: u64,
-    /// Flops of hole cutting and fringe identification.
-    pub hole_flops: u64,
-    /// Flops of the donor search and the interpolation.
-    pub flops: u64,
     /// Warm restarts attempted: IGBPs that had a cached donor to start at.
     pub warm_attempts: u64,
     /// Warm restarts that found the donor straight from the cached cell,
@@ -68,7 +62,6 @@ impl SerialConnStats {
     /// Account for one finished walk.
     fn charge(&mut self, cost: &SearchCost, out: &SearchOutcome) {
         self.walk_steps += cost.walk_steps;
-        self.flops += cost.flops();
         if !matches!(out, SearchOutcome::Found(_)) {
             self.walk_steps_miss += cost.walk_steps;
         }
@@ -90,9 +83,8 @@ impl SerialConnStats {
 /// orphans, fringe values) are identical with or without maps — only the
 /// work and its flop charge drop.
 ///
-/// Per-grid IGBP lists, the deferred-write buffer and the grid bounding
-/// boxes live on the caller's [`ConnArena`]; results are bit-identical with
-/// a fresh or warm arena — only host allocation counts differ.
+/// The hole cutter works on the caller's [`ConnArena`]; results are
+/// bit-identical with a fresh or warm arena.
 pub fn connect_serial(
     blocks: &mut [Block],
     search_order: &[Vec<usize>],
@@ -107,26 +99,23 @@ pub fn connect_serial(
     let map_of = |g: usize| maps.get(g).and_then(MapSlot::map);
     let mut stats = SerialConnStats::default();
 
-    // Phase 1: hole cutting and fringe identification. Last step's IGBP
-    // lists go back to the pool first, so the cutter reuses their capacity.
-    while let Some(v) = arena.igbps_per_grid.pop() {
-        arena.igbp_pool.put(v);
-    }
-    for (g, b) in blocks.iter_mut().enumerate() {
-        let (igbps, flops) = cut_holes_and_find_fringe(b, solids, map_of(g), arena);
-        stats.hole_flops += flops;
-        arena.igbps_per_grid.push(igbps);
-    }
+    // Phase 1: hole cutting and fringe identification.
+    let igbps_per_grid: Vec<Vec<Igbp>> = blocks
+        .iter_mut()
+        .enumerate()
+        .map(|(g, b)| cut_holes_and_find_fringe(b, solids, map_of(g), arena).0)
+        .collect();
 
     // Donor-grid bounding boxes for cheap rejection.
-    arena.grid_bboxes.clear();
-    arena.grid_bboxes.extend(blocks.iter().map(|b| {
-        let bb = overset_grid::Aabb::from_points(b.coords.as_slice().iter());
-        bb.inflate(1e-9 * bb.diagonal().max(1.0))
-    }));
-    arena.serial_writes.clear();
+    let bboxes: Vec<Aabb> = blocks
+        .iter()
+        .map(|b| {
+            let bb = Aabb::from_points(b.coords.as_slice().iter());
+            bb.inflate(1e-9 * bb.diagonal().max(1.0))
+        })
+        .collect();
+    let mut writes = Vec::new();
     let isa = arena.isa;
-    let ConnArena { igbps_per_grid, serial_writes: writes, grid_bboxes: bboxes, .. } = &mut *arena;
 
     // Phase 2/3: search and interpolate. Interpolated values are buffered
     // and applied after every IGBP is resolved, so each donor reads the
@@ -165,12 +154,10 @@ pub fn connect_serial(
                     }
                     let start = match map_of(dg) {
                         Some(m) => {
-                            stats.flops += m.query_flops();
                             if !m.admits(ig.xyz) {
                                 stats.prefilter_rejects += 1;
                                 continue;
                             }
-                            stats.flops += m.query_flops();
                             m.query(ig.xyz)
                         }
                         None => center_start(&blocks[dg]),
@@ -188,7 +175,6 @@ pub fn connect_serial(
             match found {
                 Some((dg, d, relaxed)) => {
                     let value = interpolate(&blocks[dg], &d);
-                    stats.flops += FLOPS_PER_INTERP;
                     writes.push((g, ig.node, value));
                     cache.map.insert(key, CachedDonor { grid: dg, cell: d.cell, relaxed });
                     stats.resolved += 1;
@@ -202,8 +188,11 @@ pub fn connect_serial(
             }
         }
     }
-    for &(g, node, value) in writes.iter() {
+    for (g, node, value) in writes {
         blocks[g].q.set_node(node, value);
+    }
+    for igbps in igbps_per_grid {
+        arena.recycle_igbps(igbps);
     }
     stats
 }
@@ -423,6 +412,35 @@ pub(crate) mod tests {
         metrics: MetricsRegistry,
     }
 
+    /// Every grid of a system as one whole block, with a position-dependent
+    /// state, so that a different donor or weight shows up in the
+    /// interpolated fringe values.
+    pub(crate) fn painted_whole_blocks(grids: &[CurvilinearGrid]) -> Vec<Block> {
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+        let part = overset_balance::Partition::build(&dims, &vec![1; grids.len()]);
+        (0..grids.len())
+            .map(|g| {
+                let nbrs = part.neighbors_of(g, grids[g].periodic_i);
+                let mut b = Block::from_grid(g, &grids[g], dims[g].full_box(), nbrs, &fc);
+                for p in b.local_dims.iter() {
+                    let [x, y, z] = b.coords[p];
+                    b.q.set_node(p, [1.0 + 0.1 * x, 0.2 * y, 0.3 * z, x * y, 2.0 + z]);
+                }
+                b
+            })
+            .collect()
+    }
+
+    /// Every grid's solids, tagged with the owning grid.
+    pub(crate) fn tagged_solids(grids: &[CurvilinearGrid]) -> Vec<(usize, Solid)> {
+        grids
+            .iter()
+            .enumerate()
+            .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
+            .collect()
+    }
+
     fn bits(b: &Block) -> impl Iterator<Item = u64> + '_ {
         b.q.as_slice().iter().map(|v| v.to_bits())
     }
@@ -437,35 +455,16 @@ pub(crate) mod tests {
         movers: &[usize],
         step: &RigidTransform,
     ) {
-        let fc = FlowConditions::new(0.8, 0.0, 0.0);
-        let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
-        let part = overset_balance::Partition::build(&dims, &vec![1; grids.len()]);
         let mut legs: Vec<Leg> = (0..3)
             .map(|_| Leg {
-                blocks: (0..grids.len())
-                    .map(|g| {
-                        let nbrs = part.neighbors_of(g, grids[g].periodic_i);
-                        let mut b = Block::from_grid(g, &grids[g], dims[g].full_box(), nbrs, &fc);
-                        // A position-dependent state, so a different donor or
-                        // weight shows up in the interpolated fringe values.
-                        for p in b.local_dims.iter() {
-                            let [x, y, z] = b.coords[p];
-                            b.q.set_node(p, [1.0 + 0.1 * x, 0.2 * y, 0.3 * z, x * y, 2.0 + z]);
-                        }
-                        b
-                    })
-                    .collect(),
+                blocks: painted_whole_blocks(grids),
                 slots: grids.iter().map(|_| MapSlot::default()).collect(),
                 cache: SerialCache::new(),
                 arena: ConnArena::new(),
                 metrics: MetricsRegistry::new(),
             })
             .collect();
-        let mut solids: Vec<(usize, Solid)> = grids
-            .iter()
-            .enumerate()
-            .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
-            .collect();
+        let mut solids = tagged_solids(grids);
         for n in 0..5 {
             for (g, s) in solids.iter_mut() {
                 if movers.contains(g) {

@@ -16,17 +16,13 @@ use overset_comm::{
     RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader,
     WorkClass, NUM_PHASES,
 };
-use overset_connectivity::{
-    cut_holes_and_find_fringe, ConnArena, Connectivity, SerialConnectivity,
-};
+use overset_connectivity::{cut_holes_and_find_fringe, ConnArena, Connectivity, RankBlock};
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::transform::RigidTransform;
 use overset_grid::{Dims, Ijk};
 use overset_motion::{BodyMotion, Loads};
 use overset_solver::bc::apply_bcs;
-use overset_solver::{
-    step_block, Blank, Block, FlowConditions, Scratch, SerialComm, SolverComm, WallGeometry,
-};
+use overset_solver::{step_block, Blank, Block, FlowConditions, SolverComm, WallGeometry};
 
 /// Load-balance configuration: the user-specified factor `f_o` and how often
 /// the dynamic scheme checks the measured service loads (Algorithm 2's
@@ -79,8 +75,8 @@ pub struct CaseConfig {
     pub max_threads: Option<usize>,
     /// Communication backend for the parallel run: in-process mailboxes
     /// (default) or rank-group OS processes over Unix sockets. Virtual
-    /// times are bit-identical either way; the serial driver always runs
-    /// in-process.
+    /// times are bit-identical either way; a single-processor run always
+    /// runs in-process.
     pub transport: TransportConfig,
     /// Test hook for the allocation gate: when nonzero, every rank makes
     /// one synthetic heap allocation of this many bytes per timestep inside
@@ -275,7 +271,7 @@ impl RunResult {
     }
 }
 
-/// Per-rank return value collected by `run_case`.
+/// Per-rank return value of the rank body.
 struct RankReturn {
     phase_elapsed: [f64; NUM_PHASES],
     state_sum_sq: f64,
@@ -356,7 +352,7 @@ pub fn run_case(
     let base_partition = Partition::build(&dims, &np);
     // Validate the search hierarchy once up front; per-rank rebuilds after a
     // repartition reuse the same (already validated) hierarchy.
-    build_topology(&base_partition, &cfg.search_order)?;
+    build_topology(&base_partition, &cfg.search_order, nranks)?;
 
     let mut builder = Universe::builder()
         .ranks(nranks)
@@ -366,9 +362,50 @@ pub fn run_case(
     if let Some(n) = cfg.max_threads {
         builder = builder.max_threads(n);
     }
-    let outputs =
-        builder.try_run(|comm| run_rank(cfg, &sizes, &dims, base_partition.clone(), comm))?;
+    // One block per rank: block `r` on rank `r`.
+    let start = vec![RigidTransform::IDENTITY; cfg.grids.len()];
+    let outputs = builder.try_run(|comm| {
+        let mut mine = [own_block(cfg, &base_partition, &start, comm.rank())];
+        run_rank(cfg, &sizes, &dims, base_partition.clone(), &mut mine, comm)
+    })?;
     Ok(assemble(cfg, &outputs))
+}
+
+/// Run a case on one processor holding every grid whole — the Cray Y-MP
+/// baseline of Table 6 and the reference for parallel-equivalence tests:
+/// the rank body on a one-rank in-process universe that owns one block per
+/// grid. Every donor search is served in place and no message is sent.
+/// Fails like [`run_case`].
+pub fn run_case_serial(
+    cfg: &CaseConfig,
+    machine: &MachineModel,
+) -> Result<RunResult, OversetError> {
+    let sizes: Vec<usize> = cfg.grids.iter().map(|g| g.num_points()).collect();
+    let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+    let whole = Partition::build(&dims, &vec![1; dims.len()]);
+    build_topology(&whole, &cfg.search_order, 1)?;
+    let universe = Universe::builder().machine(machine).trace(cfg.trace.clone());
+    let start = vec![RigidTransform::IDENTITY; dims.len()];
+    let outputs = universe.try_run(|comm| {
+        let mut mine: Vec<RankBlock> =
+            (0..dims.len()).map(|grid| own_block(cfg, &whole, &start, grid)).collect();
+        run_rank(cfg, &sizes, &dims, whole.clone(), &mut mine, comm)
+    })?;
+    Ok(assemble(cfg, &outputs))
+}
+
+/// Block `id` of `partition` with its grid at pose `cumulative`, nothing
+/// cached for it. Inputs were validated before the rank threads spawned: a
+/// failure here is an internal invariant violation, not bad input.
+fn own_block(
+    cfg: &CaseConfig,
+    partition: &Partition,
+    cumulative: &[RigidTransform],
+    id: usize,
+) -> RankBlock {
+    let (block, wall) = build_block(id, partition, &cfg.grids, cumulative, &cfg.fc)
+        .unwrap_or_else(|e| panic!("block {id}: {e}"));
+    RankBlock::new(id, block, wall)
 }
 
 /// Fold the ranks' outputs into the run's result. Replicated quantities
@@ -517,12 +554,14 @@ fn checksum<'a>(
     (sum_sq, count, states)
 }
 
-/// One rank's SPMD body.
+/// One rank's SPMD body over the blocks it owns (`mine`, consecutive ids of
+/// `partition`).
 fn run_rank(
     cfg: &CaseConfig,
     sizes: &[usize],
     dims: &[Dims],
     mut partition: Partition,
+    mine: &mut [RankBlock],
     comm: &mut Comm,
 ) -> RankReturn {
     let me = comm.rank();
@@ -539,15 +578,11 @@ fn run_rank(
     let mut cumulative: Vec<RigidTransform> = vec![RigidTransform::IDENTITY; ngrids];
     let mut solids = tagged_solids(&cfg.grids);
 
-    // Connectivity state for the whole run: arena, inverse map, donor cache.
+    // Connectivity scratch for the whole run; maps and donor caches stay
+    // with their blocks.
     let mut conn = Connectivity::new(cfg.restart);
-    // Inputs were validated by `run_case` before the threads spawned: a
-    // failure here is an internal invariant violation, not bad input.
-    let (mut block, mut wall) = build_block(me, &partition, &cfg.grids, &cumulative, &fc)
+    let mut topo = build_topology(&partition, &cfg.search_order, comm.size())
         .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-    let mut scratch = Scratch::for_block(&block);
-    let mut topo =
-        build_topology(&partition, &cfg.search_order).unwrap_or_else(|e| panic!("rank {me}: {e}"));
     // Recycled halo-exchange and line-solve buffers, same lifecycle as the
     // connectivity arena: kept for the whole run.
     let mut halo_pool: VecPool<f64> = VecPool::new();
@@ -559,7 +594,7 @@ fn run_rank(
     // (the single source of truth for service load).
     let mut svc = ServiceWindow::begin(comm.metrics());
 
-    comm.set_working_set(block.working_set_bytes());
+    comm.set_working_set(mine.iter().map(|rb| rb.block.working_set_bytes()).sum());
     comm.barrier();
 
     for step in 0..cfg.steps {
@@ -572,7 +607,9 @@ fn run_rank(
                 halo_pool: &mut halo_pool,
                 line_pool: &mut line_pool,
             };
-            step_block(&mut block, &fc, wall.as_ref(), &mut mp, &mut scratch);
+            for rb in mine.iter_mut() {
+                step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut rb.scratch);
+            }
             ph.barrier();
             phase_elapsed[Phase::Flow as usize] += ph.now() - t0;
         }
@@ -582,16 +619,15 @@ fn run_rank(
             let mut ph = comm.phase(Phase::Motion);
             let t0 = ph.now();
             for body in motions.iter_mut() {
-                let mine = body.grids.contains(&block.grid_id);
                 // 6-DOF bodies: integrate aerodynamic loads over this rank's
                 // wall patches of the body's grids, then allreduce. Every rank
                 // participates in the collective (zero contribution if it owns
                 // no wall of this body).
                 let aero = if body.needs_aero() {
                     let mut local = Loads::ZERO;
-                    if mine {
+                    for rb in mine.iter().filter(|rb| body.grids.contains(&rb.block.grid_id)) {
                         let flops =
-                            add_wall_loads(&block, body.moment_reference(), &fc, &mut local);
+                            add_wall_loads(&rb.block, body.moment_reference(), &fc, &mut local);
                         ph.compute(flops as f64, WorkClass::Other);
                     }
                     let [fx, fy, fz] = local.force;
@@ -609,9 +645,9 @@ fn run_rank(
                     move_solids(&mut solids, g, &t);
                     last_step_transform[g] = Some(t);
                 }
-                if mine {
-                    conn.note_motion(&t);
-                    let bc_flops = move_block(&mut block, &mut wall, &t, &fc);
+                for rb in mine.iter_mut().filter(|rb| body.grids.contains(&rb.block.grid_id)) {
+                    rb.note_motion(&t);
+                    let bc_flops = move_block(&mut rb.block, &mut rb.wall, &t, &fc);
                     ph.compute(bc_flops as f64, WorkClass::Other);
                 }
                 ph.compute(500.0, WorkClass::Other);
@@ -630,9 +666,11 @@ fn run_rank(
                     halo_pool: &mut halo_pool,
                     line_pool: &mut line_pool,
                 };
-                mp.exchange_halo(&mut block);
+                for rb in mine.iter_mut() {
+                    mp.exchange_halo(&mut rb.block);
+                }
             }
-            conn.step(&mut block, &solids, &topo, &mut ph);
+            conn.step(mine, &solids, &topo, &mut ph);
             svc.note_step();
             if cfg.inject_alloc > 0 {
                 // Synthetic host-cost regression for gate tests: one extra
@@ -644,10 +682,12 @@ fn run_rank(
         }
 
         // ---- Phase 4: dynamic load balance check (Algorithm 2) -------
+        // Moves subdomains between processors: nothing to do with one.
         let check = cfg.lb.fo.is_finite()
             && cfg.lb.check_interval != usize::MAX
             && (step + 1) % cfg.lb.check_interval == 0
-            && step + 1 < cfg.steps;
+            && step + 1 < cfg.steps
+            && comm.size() > 1;
         if check {
             let mut ph = comm.phase(Phase::Balance);
             let t0 = ph.now();
@@ -662,35 +702,35 @@ fn run_rank(
             )
             .unwrap_or_else(|e| panic!("rank {me}: dynamic rebalance failed: {e}"));
             ph.metrics_mut().observe(Hist::LbFRatio, decision.f[me]);
-            if let Some(rb) = decision.rebalance {
+            if let Some(rebalance) = decision.rebalance {
+                // One block per rank, before and after.
+                let [rb] = &mut *mine else { panic!("rank {me}: rebalancing several blocks") };
                 // Deterministic repair: every rank computes the same counts.
-                let np = fit_np_to_dims_min(sizes, dims, &rb.np, &grid_min_widths(&cfg.grids))
-                    .unwrap_or_else(|e| panic!("rank {me}: rebalance infeasible: {e}"));
+                let np =
+                    fit_np_to_dims_min(sizes, dims, &rebalance.np, &grid_min_widths(&cfg.grids))
+                        .unwrap_or_else(|e| panic!("rank {me}: rebalance infeasible: {e}"));
                 let new_partition = Partition::build(dims, &np);
                 let (mut new_block, new_wall) =
                     build_block(me, &new_partition, &cfg.grids, &cumulative, &fc)
                         .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-                redistribute_state(&block, &mut new_block, &partition, &new_partition, &mut ph);
-                block = new_block;
-                wall = new_wall;
-                scratch = Scratch::for_block(&block);
+                redistribute_state(&rb.block, &mut new_block, &partition, &new_partition, &mut ph);
                 partition = new_partition;
-                topo = build_topology(&partition, &cfg.search_order)
+                topo = build_topology(&partition, &cfg.search_order, ph.size())
                     .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-                let part_ref = &partition;
                 let gd: Vec<Dims> = dims.to_vec();
-                conn.repartitioned(move |grid, cell| {
+                rb.rebuilt(new_block, new_wall, |grid, cell| {
                     let d = gd[grid];
                     let clamped =
                         Ijk::new(cell.i.min(d.ni - 1), cell.j.min(d.nj - 1), cell.k.min(d.nk - 1));
-                    part_ref.owner_of(grid, clamped)
+                    partition.owner_of(grid, clamped)
                 });
+                let block = &mut rb.block;
                 ph.set_working_set(block.working_set_bytes());
                 // Restore blanking on the new block immediately: the next
                 // flow step must not treat redistributed hole values as
                 // live field points.
                 let (_, hole_flops) =
-                    cut_holes_and_find_fringe(&mut block, &solids, None, &mut ConnArena::new());
+                    cut_holes_and_find_fringe(block, &solids, None, &mut ConnArena::new());
                 ph.compute(hole_flops as f64, WorkClass::Search);
                 // Restore the ALE grid velocities of a moving grid (the
                 // rebuilt block is at the current pose with zero velocity).
@@ -716,109 +756,7 @@ fn run_rank(
     }
 
     let _ph = comm.phase(Phase::Other);
-    let (state_sum_sq, state_count, states) = checksum([&block], cfg.collect_state);
+    let (state_sum_sq, state_count, states) =
+        checksum(mine.iter().map(|rb| &rb.block), cfg.collect_state);
     RankReturn { phase_elapsed, state_sum_sq, state_count, states, np_final: partition.np.clone() }
-}
-
-/// Run a case serially (one processor holding every grid) — the Cray Y-MP
-/// baseline of Table 6 and the reference for parallel-equivalence tests.
-/// Fails like [`run_case`]: configuration errors up front, a panic in the
-/// body as [`OversetError::RankPanicked`].
-pub fn run_case_serial(
-    cfg: &CaseConfig,
-    machine: &MachineModel,
-) -> Result<RunResult, OversetError> {
-    let ngrids = cfg.grids.len();
-    let single =
-        Partition::build(&cfg.grids.iter().map(|g| g.dims()).collect::<Vec<_>>(), &vec![1; ngrids]);
-    // Same up-front hierarchy validation as the parallel path.
-    build_topology(&single, &cfg.search_order)?;
-
-    let universe = Universe::builder().machine(machine).trace(cfg.trace.clone());
-    let outputs = universe.try_run(|comm| {
-        let fc = cfg.fc;
-        let mut motions = cfg.motions.clone();
-        let mut solids = tagged_solids(&cfg.grids);
-        let mut conn = SerialConnectivity::new(ngrids, cfg.restart);
-        let mut blocks: Vec<Block> = Vec::with_capacity(ngrids);
-        let mut walls = Vec::with_capacity(ngrids);
-        let mut scratches = Vec::with_capacity(ngrids);
-        let cum = vec![RigidTransform::IDENTITY; ngrids];
-        for g in 0..ngrids {
-            // Build each grid as a whole single block (ignore the partition
-            // rank mapping; serial holds all of them).
-            let (b, w) = build_block(single.start[g], &single, &cfg.grids, &cum, &fc)
-                .unwrap_or_else(|e| panic!("{e}"));
-            scratches.push(Scratch::for_block(&b));
-            blocks.push(b);
-            walls.push(w);
-        }
-        let ws: f64 = blocks.iter().map(|b| b.working_set_bytes()).sum();
-        comm.set_working_set(ws);
-        let mut phase_elapsed = [0.0f64; NUM_PHASES];
-
-        for _step in 0..cfg.steps {
-            {
-                let mut ph = comm.phase(Phase::Flow);
-                let t0 = ph.now();
-                for g in 0..ngrids {
-                    let rep = step_block(
-                        &mut blocks[g],
-                        &fc,
-                        walls[g].as_ref(),
-                        &mut SerialComm,
-                        &mut scratches[g],
-                    );
-                    ph.compute(rep.flops as f64, WorkClass::Flow);
-                }
-                phase_elapsed[Phase::Flow as usize] += ph.now() - t0;
-            }
-
-            {
-                let mut ph = comm.phase(Phase::Motion);
-                let t0 = ph.now();
-                for body in motions.iter_mut() {
-                    let aero = if body.needs_aero() {
-                        let mut total = Loads::ZERO;
-                        let mut flops = 0u64;
-                        for &g in &body.grids {
-                            flops += add_wall_loads(
-                                &blocks[g],
-                                body.moment_reference(),
-                                &fc,
-                                &mut total,
-                            );
-                        }
-                        ph.compute(flops as f64, WorkClass::Other);
-                        total
-                    } else {
-                        Loads::ZERO
-                    };
-                    let t = body.motion.step(fc.dt, &aero);
-                    for &g in &body.grids {
-                        move_solids(&mut solids, g, &t);
-                        conn.note_motion(g, &t);
-                        let bc_flops = move_block(&mut blocks[g], &mut walls[g], &t, &fc);
-                        ph.compute(bc_flops as f64, WorkClass::Other);
-                    }
-                }
-                phase_elapsed[Phase::Motion as usize] += ph.now() - t0;
-            }
-
-            {
-                let mut ph = comm.phase(Phase::Connectivity);
-                let t0 = ph.now();
-                conn.step(&mut blocks, &cfg.search_order, &solids, &mut ph);
-                if cfg.inject_alloc > 0 {
-                    std::hint::black_box(vec![0u8; cfg.inject_alloc]);
-                }
-                phase_elapsed[Phase::Connectivity as usize] += ph.now() - t0;
-            }
-            comm.end_step();
-        }
-        let _ph = comm.phase(Phase::Other);
-        let (state_sum_sq, state_count, states) = checksum(&blocks, cfg.collect_state);
-        RankReturn { phase_elapsed, state_sum_sq, state_count, states, np_final: vec![1; ngrids] }
-    })?;
-    Ok(assemble(cfg, &outputs))
 }

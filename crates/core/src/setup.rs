@@ -1,5 +1,6 @@
 //! Per-rank system setup: building blocks, wall geometry and the routing
-//! topology from a partition.
+//! topology from a partition. A partition's "ranks" are its subdomains —
+//! block ids; which rank owns a block is the topology's to say.
 
 use overset_balance::Partition;
 use overset_comm::OversetError;
@@ -10,13 +11,23 @@ use overset_solver::bc::apply_bcs;
 use overset_solver::conditions::conservatives;
 use overset_solver::{Block, FlowConditions, WallGeometry};
 
-/// Build the routing topology (replicated on every rank). Fails when the
-/// search hierarchy does not describe every grid or names an unknown grid.
+/// Build the routing topology (replicated on every rank) of the partition's
+/// blocks laid out over `nranks` ranks. The two layouts that have callers
+/// exist: one block per rank, and every block on the one rank of a
+/// single-processor run. Fails on any other rank count, and when the search
+/// hierarchy does not describe every grid or names an unknown grid.
 pub fn build_topology(
     partition: &Partition,
     search_order: &[Vec<usize>],
+    nranks: usize,
 ) -> Result<Topology, OversetError> {
     let ngrids = partition.np.len();
+    let nblocks = partition.nranks();
+    if nranks != 1 && nranks != nblocks {
+        return Err(OversetError::Setup(format!(
+            "{nblocks} blocks on {nranks} ranks: neither one block per rank nor all on one"
+        )));
+    }
     if search_order.len() != ngrids {
         return Err(OversetError::Setup(format!(
             "search_order describes {} grids but the partition has {ngrids}",
@@ -27,8 +38,8 @@ pub fn build_topology(
         return Err(OversetError::Setup(format!("search_order references grid {bad} of {ngrids}")));
     }
     Ok(Topology {
-        grid_of_rank: partition.grid_of_rank_vec(),
-        ranks_of_grid: (0..ngrids).map(|g| partition.ranks_of_grid(g)).collect(),
+        blocks_of_grid: (0..ngrids).map(|g| partition.ranks_of_grid(g)).collect(),
+        rank_of_block: (0..nblocks).map(|b| if nranks == 1 { 0 } else { b }).collect(),
         search_order: search_order.to_vec(),
     })
 }
@@ -136,13 +147,19 @@ mod tests {
         let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
         let bal = overset_balance::static_balance(&sizes, 6).unwrap();
         let p = Partition::build(&dims, &bal.np);
-        let topo = build_topology(&p, &overset_grid::gen::airfoil::airfoil_search_order()).unwrap();
-        assert_eq!(topo.grid_of_rank.len(), 6);
+        let order = overset_grid::gen::airfoil::airfoil_search_order();
+        let topo = build_topology(&p, &order, 6).unwrap();
+        assert_eq!(topo.rank_of_block, [0, 1, 2, 3, 4, 5]);
         for g in 0..3 {
-            for r in topo.ranks_of_grid[g].clone() {
-                assert_eq!(topo.grid_of_rank[r], g);
+            assert_eq!(topo.blocks_of_grid[g], p.ranks_of_grid(g));
+            for b in topo.blocks_of_grid[g].clone() {
+                assert_eq!(topo.grid_of_block(b), g);
             }
         }
+        // The single-processor layout: the same blocks, all on rank 0.
+        let serial = build_topology(&p, &order, 1).unwrap();
+        assert_eq!(serial.rank_of_block, [0; 6]);
+        assert_eq!(serial.blocks_of_grid, topo.blocks_of_grid);
     }
 
     #[test]
@@ -187,11 +204,15 @@ mod tests {
         let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
         let p = Partition::build(&dims, &[1, 1, 1]);
         // Hierarchy shorter than the grid count.
-        let e = build_topology(&p, &[vec![1]]).unwrap_err();
+        let e = build_topology(&p, &[vec![1]], 3).unwrap_err();
         assert!(e.to_string().contains("search_order"));
         // Hierarchy naming a grid that does not exist.
-        let e = build_topology(&p, &[vec![9], vec![0], vec![0]]).unwrap_err();
+        let e = build_topology(&p, &[vec![9], vec![0], vec![0]], 3).unwrap_err();
         assert!(e.to_string().contains("grid 9"));
+        // A layout between the two that exist.
+        let order = overset_grid::gen::airfoil::airfoil_search_order();
+        let e = build_topology(&p, &order, 2).unwrap_err();
+        assert!(e.to_string().contains("3 blocks on 2 ranks"));
         // Rank outside the partition.
         let fc = FlowConditions::new(0.8, 0.0, 1.0e6);
         let cum = vec![RigidTransform::IDENTITY; 3];

@@ -34,10 +34,10 @@ fn physics_is_independent_of_rank_count() {
     }
 }
 
-/// The serial driver is the oracle every parallel `state_rms` is checked
-/// against. Both drivers buffer their fringe writes until the search is
-/// over, so no donor ever sees an updated fringe; what is left between them
-/// is summation order in the flow phase (airfoil, ~1e-15) and, on the 3-D
+/// The single-processor run (the same rank body, every grid whole on one
+/// rank) is the oracle every parallel `state_rms` is checked against. Fringe
+/// writes are buffered until the search is over, so no donor ever sees an
+/// updated fringe; what is left between the two is summation order in the flow phase (airfoil, ~1e-15) and, on the 3-D
 /// cases, field nodes beside a hole across a subdomain face (store x0.3:
 /// 1.7e-8; see `igbp_census_is_independent_of_rank_count`).
 #[test]
@@ -56,7 +56,7 @@ fn parallel_matches_serial_physics() {
     }
 }
 
-/// The serial driver counts its orphans where it reports them: the last
+/// A single-processor run counts its orphans where it reports them: the last
 /// step's `conn.orphans` is `orphans_last`, and the step series sums to the
 /// run total, exactly as on rank threads.
 #[test]

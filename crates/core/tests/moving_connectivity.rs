@@ -118,12 +118,12 @@ fn negligible_motion_never_marks_grids_moved() {
     }
 }
 
-/// The serial driver's steady steps restart as well as the distributed
-/// protocol's: a donor accepted relaxed is warm-started relaxed, so (nearly)
+/// A single-processor run's steady steps restart as well as an 18-rank
+/// run's: a donor accepted relaxed is warm-started relaxed, so (nearly)
 /// every warm start hits, and the one processor walks about what the 18
-/// ranks walk together. With the serial cache warm-starting relaxed donors
+/// ranks walk together. (When a serial cache warm-started relaxed donors
 /// strictly, 3.4 % of its warm starts failed and each re-walked the whole
-/// hierarchy: 4-5x the distributed run's steps.
+/// hierarchy: 4-5x the distributed run's steps.)
 #[test]
 fn serial_steady_steps_restart_like_the_distributed_ones() {
     let cfg = store_case(0.3, 5);

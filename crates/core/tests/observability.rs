@@ -4,13 +4,29 @@
 
 use overflow_d::{airfoil_case, run_case, store_case, CaseConfig};
 use overset_comm::metrics::Counter;
-use overset_comm::trace::TraceConfig;
+use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
 use overset_comm::{chrome_trace_json, MachineModel, Phase};
 
 fn traced_airfoil() -> overflow_d::RunResult {
     let mut cfg = airfoil_case(0.3, 3);
     cfg.trace = TraceConfig::enabled();
     run_case(&cfg, 6, &MachineModel::ibm_sp2()).unwrap()
+}
+
+/// The `conn/serve` spans of a rank whose requests came from the rank
+/// itself: (how many, how many request points).
+fn served_from_itself(t: &RankTrace) -> (usize, u64) {
+    let arg = |e: &overset_comm::TraceEvent, key: &str| -> u64 {
+        match e.args.iter().find(|(k, _)| *k == key) {
+            Some((_, ArgVal::U64(v))) => *v,
+            other => panic!("serve span without a {key} count: {other:?}"),
+        }
+    };
+    let own = t
+        .events
+        .iter()
+        .filter(|e| e.cat == "conn" && e.name == "serve" && arg(e, "src") == t.rank as u64);
+    own.fold((0, 0), |(n, pts), e| (n + 1, pts + arg(e, "points")))
 }
 
 /// Two identical runs must serialize to byte-identical trace JSON — the
@@ -82,8 +98,20 @@ fn trace_json_matches_chrome_trace_event_schema() {
     assert_eq!(map_spans, m.get(Counter::ConnInvmapBuild) + m.get(Counter::ConnInvmapIncr));
 }
 
-/// The serial driver feeds the same warm-restart counters and opens the
-/// same connectivity spans as the distributed one.
+/// With a block per rank no search is served in place: every batch a rank
+/// serves came from another rank, by message.
+#[test]
+fn a_block_per_rank_serves_nothing_in_place() {
+    let r = traced_airfoil();
+    assert!(r.metrics.get(Counter::ConnServiced) > 0);
+    for t in &r.trace {
+        assert_eq!(served_from_itself(t), (0, 0), "rank {}", t.rank);
+    }
+}
+
+/// A single-processor run is the rank body on one rank: it feeds the same
+/// warm-restart counters and opens the same connectivity spans as any
+/// rank, serves every search in place and sends no message.
 #[test]
 fn serial_driver_reports_warm_restarts_and_map_builds() {
     let mut cfg = airfoil_case(0.3, 4);
@@ -91,6 +119,13 @@ fn serial_driver_reports_warm_restarts_and_map_builds() {
     let r = overflow_d::run_case_serial(&cfg, &MachineModel::ibm_sp2()).unwrap();
     let rate = r.metrics.cache_hit_rate().expect("no warm restarts recorded");
     assert!(rate > 0.5, "warm restart hit rate {rate} too low");
+    let phases = [Phase::Flow, Phase::Motion, Phase::Connectivity, Phase::Balance, Phase::Other];
+    for phase in phases {
+        assert_eq!(r.metrics.get(Counter::msgs_in(phase)), 0, "{} messages", phase.name());
+    }
+    let (batches, points) = served_from_itself(&r.trace[0]);
+    assert!(batches > 0);
+    assert_eq!(points, r.metrics.get(Counter::ConnServiced));
     let spans = |name: &str| -> Vec<f64> {
         let conn = r.trace[0].events.iter().filter(|e| e.cat == "conn" && e.name == name);
         conn.map(|e| e.dur).collect()

@@ -100,15 +100,6 @@ pub fn descent_velocity(freestream_sound_speed: f64) -> [f64; 3] {
     [0.0, 0.0, -0.064 * freestream_sound_speed]
 }
 
-/// Solid bodies of the whole configuration (wing ellipsoid + pipe cylinder),
-/// used in tests to verify hole cutting.
-pub fn delta_wing_solids() -> Vec<Solid> {
-    vec![
-        Solid::Ellipsoid { center: [0.0; 3], radii: [2.0, 1.5, 0.125] },
-        Solid::Cylinder { p0: [-0.5, 0.0, -0.6], p1: [1.5, 0.0, -0.6], radius: 0.15 },
-    ]
-}
-
 /// Sanity helper used by tests: angular positions should cover the azimuth.
 pub fn full_circle() -> f64 {
     2.0 * PI

@@ -230,22 +230,6 @@ impl IndexBox {
             None
         }
     }
-
-    /// Grow by `n` nodes in every direction, clamped to `dims`.
-    pub fn inflate_clamped(&self, n: usize, dims: Dims) -> IndexBox {
-        IndexBox::new(
-            Ijk::new(
-                self.lo.i.saturating_sub(n),
-                self.lo.j.saturating_sub(n),
-                self.lo.k.saturating_sub(n),
-            ),
-            Ijk::new(
-                (self.hi.i + n).min(dims.ni),
-                (self.hi.j + n).min(dims.nj),
-                (self.hi.k + n).min(dims.nk),
-            ),
-        )
-    }
 }
 
 #[cfg(test)]

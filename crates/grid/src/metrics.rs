@@ -9,7 +9,7 @@
 
 use crate::curvilinear::CurvilinearGrid;
 use crate::field::Field3;
-use crate::index::{Dims, Ijk};
+use crate::index::Ijk;
 
 /// Metric data at one node.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -142,17 +142,11 @@ pub fn total_volume(metrics: &MetricField) -> f64 {
     metrics.as_slice().iter().map(|m| m.jac).sum()
 }
 
-/// Estimated flops to evaluate the metric field (used by the virtual-time
-/// machine model): coordinate differences, two cross products, three scaled
-/// cofactor rows per node.
-pub fn metric_flops(dims: Dims) -> u64 {
-    dims.count() as u64 * 90
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::curvilinear::GridKind;
+    use crate::index::Dims;
 
     fn cartesian_grid(n: usize, h: f64) -> CurvilinearGrid {
         let d = Dims::new(n, n, n);

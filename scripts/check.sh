@@ -108,4 +108,7 @@ cargo test -q --release -p overset-comm --test transport_conformance killed_chil
 echo "== perf regression gate =="
 ./scripts/bench_gate.sh
 
+echo "== line ledger (scripts/loc.sh: production lines / code lines per crate) =="
+./scripts/loc.sh
+
 echo "All checks passed."
