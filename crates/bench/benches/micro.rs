@@ -11,8 +11,8 @@ use overset_balance::{
 use overset_comm::{MachineModel, Universe};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, walk_search, ConnArena, Connectivity, InverseMap, RankBlock,
-    SearchCost,
+    cut_holes_and_find_fringe, walk_search, walk_search_isa, ConnArena, Connectivity, InverseMap,
+    RankBlock, SearchCost, SearchOutcome,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
@@ -307,6 +307,43 @@ fn inverse_map_kernels(c: &mut Criterion) {
     c.bench_function("donor/miss_hollow_ogrid_admits", |b| {
         b.iter(|| shell_inv.admits(std::hint::black_box(hollow)))
     });
+
+    // What a walk leaves open, settled by the canonical chain (no map) and
+    // from the map's cell lists, same seed, same verdict. A point a twentieth
+    // of a cell inside the shell's wall: its mask bin reaches wall cells, the
+    // seeded walk is pinned at the wall, no cell holds it. And the midpoint
+    // of a cell in the second polar ring, warm-started from that cell: found
+    // at once, and in a band where the donor stands only once no cell apart
+    // holds the point too.
+    let ow = shell_blk.owned_local();
+    let (mid_i, mid_j) = ((ow.lo.i + ow.hi.i) / 2, (ow.lo.j + ow.hi.j) / 2);
+    let at = |i: usize, j: usize, k: usize| shell_blk.coords[overset_grid::Ijk::new(i, j, k)];
+    let mid_k = (ow.lo.k + ow.hi.k) / 2;
+    let (wall, off) = (at(mid_i, ow.lo.j, mid_k), at(mid_i, ow.lo.j + 1, mid_k));
+    let beside_wall: [f64; 3] = std::array::from_fn(|m| wall[m] - 0.05 * (off[m] - wall[m]));
+    assert!(shell_inv.admits(beside_wall));
+    let polar_cell = overset_grid::Ijk::new(mid_i, mid_j, ow.lo.k + 1);
+    let polar: [f64; 3] = std::array::from_fn(|m| {
+        let corners =
+            (0..8).map(|n| at(mid_i + (n & 1), mid_j + (n >> 1 & 1), ow.lo.k + 1 + (n >> 2)));
+        corners.map(|x| x[m]).sum::<f64>() / 8.0
+    });
+    for (name, p, start, found) in [
+        ("fail_resolved", beside_wall, shell_inv.query(beside_wall), false),
+        ("polar_band_found", polar, polar_cell, true),
+    ] {
+        for (how, inv) in [("chain", None), ("candidates", Some(&shell_inv))] {
+            let search = |cost: &mut SearchCost| {
+                walk_search_isa(&shell_blk, p, start, cost, false, select_isa(), inv)
+            };
+            let mut cost = SearchCost::default();
+            assert_eq!(matches!(search(&mut cost), SearchOutcome::Found(_)), found, "{name}");
+            assert_eq!(cost.fallbacks, 0, "{name} ({how}) went to the chain after all");
+            c.bench_function(&format!("donor/{name}_{how}"), |b| {
+                b.iter(|| search(&mut SearchCost::default()))
+            });
+        }
+    }
 
     // The pair the virtual-time savings come from: a cold search from the
     // block-center cell vs the same search from the O(1) map seed.

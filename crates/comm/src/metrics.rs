@@ -69,6 +69,13 @@ vocabulary! {
         /// Donor searches an inverse map's fine occupancy mask answered
         /// `Miss` without a walk.
         ConnPrefilterRejects = "conn.prefilter.rejects",
+        /// Listed cells inverted to prove a search's answer — a failed walk's
+        /// miss, a polar-band donor's uniqueness — from an inverse map's cell
+        /// lists instead of re-walking. Not walk steps.
+        ConnCandidatesTested = "conn.candidates.tested",
+        /// Searches whose candidates held the point in cells apart (the axis
+        /// of a revolution shell) and went to the canonical chain.
+        ConnChainFallbacks = "conn.chain.fallbacks",
         /// Donors held under relaxed acceptance (stencil touching holes) at
         /// the end of a step, summed over steps.
         ConnDonorsRelaxed = "conn.donors.relaxed",

@@ -9,6 +9,7 @@
 //! which is why restart "yields a considerable reduction in the time spent
 //! in the connectivity solution".
 
+use crate::inverse_map::{InverseMap, FLOPS_PER_CANDIDATE_BOX};
 use crate::kernels::{invert_cells_lanes, CORNERS};
 use overset_grid::index::Ijk;
 use overset_solver::{Blank, Block, Isa, W};
@@ -59,15 +60,29 @@ pub enum SearchOutcome {
 }
 
 /// Statistics of one search (for virtual-time accounting).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchCost {
     pub walk_steps: u64,
+    /// Newton iterations of the walk steps, of the face-tie polish and of
+    /// the candidate inversions alike.
     pub newton_iters: u64,
+    /// Listed cells of an inverse map whose corner box was tested against
+    /// the point ([`settle_by_candidates`]).
+    pub listed: u64,
+    /// Of those, the cells inverted: what proving a search's answer cost.
+    pub candidates: u64,
+    /// Proofs that found the point in cells apart and handed the search to
+    /// the canonical chain (0 or 1).
+    pub fallbacks: u64,
 }
 
 impl SearchCost {
+    /// An inverted candidate costs the gather of a walk step and its Newton
+    /// iterations; a listed cell that its box rules out, the box test.
     pub fn flops(&self) -> u64 {
-        self.walk_steps * FLOPS_PER_WALK_STEP + self.newton_iters * FLOPS_PER_NEWTON
+        (self.walk_steps + self.candidates) * FLOPS_PER_WALK_STEP
+            + self.newton_iters * FLOPS_PER_NEWTON
+            + self.listed * FLOPS_PER_CANDIDATE_BOX
     }
 }
 
@@ -195,7 +210,7 @@ pub fn walk_search(
     start: Ijk,
     cost: &mut SearchCost,
 ) -> SearchOutcome {
-    walk_search_mode(block, target, start, cost, false, Isa::Scalar)
+    walk_search_isa(block, target, start, cost, false, Isa::Scalar, None)
 }
 
 /// Relaxed variant: accepts a containing cell even when its stencil touches
@@ -208,13 +223,16 @@ pub fn walk_search_relaxed(
     start: Ijk,
     cost: &mut SearchCost,
 ) -> SearchOutcome {
-    walk_search_mode(block, target, start, cost, true, Isa::Scalar)
+    walk_search_isa(block, target, start, cost, true, Isa::Scalar, None)
 }
 
-/// [`walk_search`] with an explicit lane [`Isa`] carrying the batched
-/// candidate inversions. The outcome and cost are bit-identical for every
-/// `Isa` (the lanes execute the scalar operation sequence); only host
-/// speed changes.
+/// [`walk_search`] with an explicit acceptance, a lane [`Isa`] carrying the
+/// batched candidate inversions, and the block's inverse map when it has
+/// one. The outcome and cost are bit-identical for every `Isa` (the lanes
+/// execute the scalar operation sequence); only host speed changes. With a
+/// map a walk that fails, or succeeds where containment can be ambiguous, is
+/// settled from the map's cell lists ([`settle_by_candidates`]); without
+/// one by the canonical chain — the same answer at a different cost.
 pub fn walk_search_isa(
     block: &Block,
     target: [f64; 3],
@@ -222,38 +240,118 @@ pub fn walk_search_isa(
     cost: &mut SearchCost,
     relaxed: bool,
     isa: Isa,
+    inv: Option<&InverseMap>,
 ) -> SearchOutcome {
-    walk_search_mode(block, target, start, cost, relaxed, isa)
+    let start = clamp_cell(block, start);
+    if inv.is_none() && start == clamp_cell(block, center_start(block)) {
+        return canonical_search(block, target, cost, relaxed, isa);
+    }
+    let out = newton_walk(block, target, start, cost, relaxed, isa);
+    settle(block, inv, target, out, cost, relaxed, isa)
 }
 
-fn walk_search_mode(
+/// What the outcome `out` of a search's first walk is worth. A donor found
+/// where containment is unique stands. Near the polar caps of revolution
+/// shells the trilinear hulls of azimuthal sliver cells overlap across the
+/// axis: several non-adjacent cells legitimately contain the point, and
+/// which one a walk reaches depends on its start; and a walk that failed
+/// says little about whether a donor exists. Both are settled so that the
+/// *outcome* of a search never depends on its start — only its cost does
+/// (the inverse-map guarantee, seeding changes work and not donors, rests on
+/// this): from the map's cell lists when they prove the answer, else by the
+/// canonical chain, which is the same no matter where the first walk began.
+fn settle(
     block: &Block,
+    inv: Option<&InverseMap>,
     target: [f64; 3],
-    start: Ijk,
+    out: SearchOutcome,
     cost: &mut SearchCost,
     relaxed: bool,
     isa: Isa,
 ) -> SearchOutcome {
-    let start = clamp_cell(block, start);
-    let center = clamp_cell(block, center_start(block));
-    if start == center {
-        return canonical_search(block, target, cost, relaxed, isa);
+    if matches!(out, SearchOutcome::Found(d) if !polar_cap(block, d.cell)) {
+        return out;
     }
-    let out = newton_walk(block, target, start, cost, relaxed, isa);
-    match out {
-        // Near the polar caps of revolution shells the trilinear hulls of
-        // azimuthal sliver cells overlap across the axis: several
-        // non-adjacent cells legitimately contain the point, and which one
-        // a walk reaches depends on its start. Redo the search through the
-        // canonical chain so the answer matches a center-started search.
-        SearchOutcome::Found(d) if !polar_cap(block, d.cell) => out,
-        // Failed or ambiguous: fall back to the canonical chain. The chain
-        // is the same no matter where the first walk began, so the
-        // *outcome* of a search never depends on its start — only its cost
-        // does. The inverse-map guarantee (seeding changes work, not
-        // donors) rests on this.
-        _ => canonical_search(block, target, cost, relaxed, isa),
+    if let Some(map) = inv {
+        match settle_by_candidates(block, map, target, cost, relaxed, isa) {
+            Some(proven) => return proven,
+            None => cost.fallbacks += 1,
+        }
     }
+    canonical_search(block, target, cost, relaxed, isa)
+}
+
+/// Cells a point can sit in and still have one answer: a cell and the seven
+/// neighbours across the faces, edges and corner it is tied on.
+const MAX_TIED: usize = 8;
+
+/// Is `t` inside the unit cube to within the walk's tolerance?
+fn inside(t: [f64; 3]) -> bool {
+    (0..3).all(|d| t[d] >= -TOL && t[d] <= 1.0 + TOL)
+}
+
+/// Settle a search for `target` without walking: invert every cell the
+/// map lists for the point's bin whose corner box can hold it — the list is
+/// complete, so the cells found containing are *all* the block's
+/// owned-anchored cells that contain the point. None: no donor here, and no
+/// walk can find one. One, or several tied across shared faces: the face-tie
+/// rule's answer from any of them is the answer, whatever it is — a donor, a
+/// holed stencil, a cell anchored on another block. Cells apart (the axis of
+/// a revolution shell): `None`, and the canonical chain picks.
+fn settle_by_candidates(
+    block: &Block,
+    map: &InverseMap,
+    target: [f64; 3],
+    cost: &mut SearchCost,
+    relaxed: bool,
+    isa: Isa,
+) -> Option<SearchOutcome> {
+    let mut holding = [(Ijk::default(), [0.0f64; 3]); MAX_TIED];
+    let mut nheld = 0usize;
+    let list = map.listed(target);
+    cost.listed += list.len() as u64;
+    let mut admitted = list.iter().filter(|&&c| map.cell_box_admits(block, c, target));
+    loop {
+        // Two lane groups at a time; few points have more cells to invert.
+        let mut batch = [Ijk::default(); 2 * W];
+        let mut n = 0;
+        for &flat in admitted.by_ref().take(batch.len()) {
+            batch[n] = map.cell_at(flat);
+            n += 1;
+        }
+        if n == 0 {
+            break;
+        }
+        let mut results = [None; 2 * W];
+        invert_cells_batch(block, &batch[..n], target, isa, &mut results);
+        cost.candidates += n as u64;
+        for (&cell, res) in batch[..n].iter().zip(results) {
+            let Some((t, iters)) = res else { continue };
+            cost.newton_iters += iters;
+            if !inside(t) {
+                continue;
+            }
+            if nheld == MAX_TIED {
+                return None;
+            }
+            holding[nheld] = (cell, t);
+            nheld += 1;
+        }
+    }
+    let holding = &holding[..nheld];
+    let Some(&(cell, t)) = holding.first() else {
+        return Some(SearchOutcome::WalkedOut);
+    };
+    // Every holding cell must see every other across a tied face: then the
+    // face-tie rule weighs the same cells from whichever it starts.
+    let sees = |&(a, ta): &(Ijk, [f64; 3]), b: Ijk| {
+        let (tied, n) = tied_neighbours(block, a, ta);
+        tied[..n].iter().any(|&c| canonical_cell(block, c) == b)
+    };
+    if holding.iter().any(|a| holding.iter().any(|&(b, _)| a.0 != b && !sees(a, b))) {
+        return None;
+    }
+    Some(resolve_containing(block, target, cell, t, cost, relaxed, isa))
 }
 
 /// The start-independent donor search every mode agrees on: a Newton walk
@@ -332,19 +430,8 @@ fn resolve_containing(
     isa: Isa,
 ) -> SearchOutcome {
     let first = accept(block, cell, t, relaxed);
-    let dirs: &[usize] = if block.two_d { &[0, 1] } else { &[0, 1, 2] };
-    let mut shift = [0isize; 3];
-    let mut tied = false;
-    for &ax in dirs {
-        if t[ax] >= 1.0 - FACE_BAND {
-            shift[ax] = 1;
-            tied = true;
-        } else if t[ax] <= FACE_BAND {
-            shift[ax] = -1;
-            tied = true;
-        }
-    }
-    if !tied {
+    let (cands, ncand) = tied_neighbours(block, cell, t);
+    if ncand == 0 {
         return first;
     }
     let mut best: Option<Donor> = match first {
@@ -352,10 +439,48 @@ fn resolve_containing(
         _ => None,
     };
     let key = |c: Ijk| (c.i, c.j, c.k);
-    // Collect the tied face/edge/corner neighbours (up to 7), then invert
-    // them through the lane-batched Newton kernel, W candidates at a time.
+    // Invert the tied neighbours through the lane-batched Newton kernel, W
+    // candidates at a time.
+    let mut results = [None; 7];
+    invert_cells_batch(block, &cands[..ncand], target, isa, &mut results);
+    for (i, res) in results.iter().enumerate().take(ncand) {
+        let Some((ct, iters)) = *res else {
+            continue;
+        };
+        cost.newton_iters += iters;
+        if !inside(ct) {
+            continue;
+        }
+        if let SearchOutcome::Found(cd) = accept(block, cands[i], ct, relaxed) {
+            if best.is_none_or(|b| key(cd.cell) < key(b.cell)) {
+                best = Some(cd);
+            }
+        }
+    }
+    match best {
+        Some(d) => SearchOutcome::Found(d),
+        None => first,
+    }
+}
+
+/// The face, edge and corner neighbours (up to 7, in local storage) that
+/// `cell` shares a point at local coordinates `t` with: those across every
+/// face the point sits within [`FACE_BAND`] of.
+fn tied_neighbours(block: &Block, cell: Ijk, t: [f64; 3]) -> ([Ijk; 7], usize) {
+    let dirs: &[usize] = if block.two_d { &[0, 1] } else { &[0, 1, 2] };
+    let mut shift = [0isize; 3];
+    for &ax in dirs {
+        if t[ax] >= 1.0 - FACE_BAND {
+            shift[ax] = 1;
+        } else if t[ax] <= FACE_BAND {
+            shift[ax] = -1;
+        }
+    }
     let mut cands = [cell; 7];
     let mut ncand = 0usize;
+    if shift == [0; 3] {
+        return (cands, 0);
+    }
     for mask in 1u8..8 {
         let mut cand = cell;
         let mut valid = true;
@@ -388,26 +513,7 @@ fn resolve_containing(
         cands[ncand] = cand;
         ncand += 1;
     }
-    let mut results = [None; 7];
-    invert_cells_batch(block, &cands[..ncand], target, isa, &mut results);
-    for (i, res) in results.iter().enumerate().take(ncand) {
-        let Some((ct, iters)) = *res else {
-            continue;
-        };
-        cost.newton_iters += iters;
-        if !(0..3).all(|ax| ct[ax] >= -TOL && ct[ax] <= 1.0 + TOL) {
-            continue;
-        }
-        if let SearchOutcome::Found(cd) = accept(block, cands[i], ct, relaxed) {
-            if best.is_none_or(|b| key(cd.cell) < key(b.cell)) {
-                best = Some(cd);
-            }
-        }
-    }
-    match best {
-        Some(d) => SearchOutcome::Found(d),
-        None => first,
-    }
+    (cands, ncand)
 }
 
 /// Gather one `(cell, target)` problem into lane `l` of the SoA buffers
@@ -437,7 +543,7 @@ fn gather_lane_problem(
     }
 }
 
-/// Invert up to 7 candidate cells against one target through the batched
+/// Invert a handful of candidate cells against one target through the batched
 /// Newton kernel, `W` lanes at a time (unused lanes replicate the chunk's
 /// first problem and are discarded). Each entry of `results` matches what
 /// scalar `invert_cell` returns for that candidate, bit for bit.
@@ -532,8 +638,7 @@ enum StepAction {
 /// walk only fails when it is pinned at a boundary and still wants to
 /// leave.
 fn walk_step_action(block: &Block, cell: Ijk, t: [f64; 3]) -> StepAction {
-    let inside = (0..3).all(|d| t[d] >= -TOL && t[d] <= 1.0 + TOL);
-    if inside {
+    if inside(t) {
         return StepAction::Contain(t);
     }
     let mut moved = false;
@@ -618,9 +723,11 @@ pub struct BatchQuery {
 /// sequence of inverted `(cell, target)` problems — and therefore the
 /// outcome, the walk-step count and the Newton-iteration count — is
 /// exactly what a scalar [`walk_search`] performs, so `outcomes`/`costs`
-/// are bit-identical to the one-query-at-a-time path for every [`Isa`].
+/// are bit-identical to the one-query-at-a-time path ([`walk_search_isa`]
+/// with the same `inv`) for every [`Isa`].
 pub fn walk_search_batch(
     block: &Block,
+    inv: Option<&InverseMap>,
     queries: &[BatchQuery],
     isa: Isa,
     outcomes: &mut Vec<SearchOutcome>,
@@ -645,19 +752,16 @@ pub fn walk_search_batch(
     let mut iters = [0u64; W];
     let mut okl = [true; W];
 
-    // Wrap a finished front-end walk exactly as `walk_search_mode` does.
+    // Wrap a finished front-end walk exactly as `walk_search_isa` does.
     let finish = |qi: usize, out: SearchOutcome, costs: &mut Vec<SearchCost>| {
         let q = &queries[qi];
-        match out {
-            SearchOutcome::Found(d) if !polar_cap(block, d.cell) => out,
-            _ => canonical_search(block, q.xyz, &mut costs[qi], q.relaxed, isa),
-        }
+        settle(block, inv, q.xyz, out, &mut costs[qi], q.relaxed, isa)
     };
 
     loop {
-        // Refill idle lanes with fresh walks. Center-started queries take
-        // the canonical chain directly (as the scalar mode does) and never
-        // occupy a lane.
+        // Refill idle lanes with fresh walks. Without a map, center-started
+        // queries take the canonical chain directly (as the scalar mode
+        // does) and never occupy a lane.
         for lane in lanes.iter_mut() {
             if lane.is_some() {
                 continue;
@@ -667,7 +771,7 @@ pub fn walk_search_batch(
                 next_q += 1;
                 let q = &queries[qi];
                 let start = clamp_cell(block, q.start);
-                if start == center {
+                if inv.is_none() && start == center {
                     outcomes[qi] = canonical_search(block, q.xyz, &mut costs[qi], q.relaxed, isa);
                 } else {
                     *lane = Some(LaneWalk { qi, cell: start, steps_left: MAX_WALK_STEPS });
@@ -732,17 +836,12 @@ pub fn walk_search_batch(
     }
 }
 
-/// Validate an inside-cell result: donor cell must be anchored in the owned
-/// region (unique ownership across ranks) and its stencil must be hole-free
-/// (unless `relaxed`: then any cell with at least one clean corner passes,
-/// and the interpolation renormalizes over clean corners).
-fn accept(block: &Block, cell: Ijk, t: [f64; 3], relaxed: bool) -> SearchOutcome {
-    let mut cell = cell;
-    // Periodic shells store a duplicated seam column, so the cells anchored
-    // at global `i` and `i ± period` are bit-exact copies of each other and
-    // a walk can legitimately terminate in either. Reduce to the canonical
-    // representative (anchor in `[0, period)` global) so the donor identity
-    // never depends on which duplicate the walk happened to reach.
+/// Periodic shells store a duplicated seam column, so the cells anchored at
+/// global `i` and `i ± period` are bit-exact copies of each other and a walk
+/// can legitimately terminate in either. Reduces to the canonical
+/// representative (anchor in `[0, period)` global) so the donor identity
+/// never depends on which duplicate the walk happened to reach.
+fn canonical_cell(block: &Block, mut cell: Ijk) -> Ijk {
     if block.self_wrap_i {
         let period = block.owned.dims().ni - 1;
         let h = block.halo[0];
@@ -753,6 +852,15 @@ fn accept(block: &Block, cell: Ijk, t: [f64; 3], relaxed: bool) -> SearchOutcome
             cell.i += period;
         }
     }
+    cell
+}
+
+/// Validate an inside-cell result: donor cell must be anchored in the owned
+/// region (unique ownership across ranks) and its stencil must be hole-free
+/// (unless `relaxed`: then any cell with at least one clean corner passes,
+/// and the interpolation renormalizes over clean corners).
+fn accept(block: &Block, cell: Ijk, t: [f64; 3], relaxed: bool) -> SearchOutcome {
+    let cell = canonical_cell(block, cell);
     let ow = block.owned_local();
     let anchored = cell.i >= ow.lo.i
         && cell.i < ow.hi.i
@@ -1087,6 +1195,191 @@ mod tests {
         }
     }
 
+    /// Every canonical owned-anchored cell of `b` that holds `p`: inverted
+    /// to inside the walk's tolerance, the inversion mapping back onto `p`
+    /// (an unconverged Newton iterate may sit in the unit cube by accident).
+    fn cells_holding(b: &Block, p: [f64; 3]) -> Vec<Ijk> {
+        let ow = b.owned_local();
+        let d = b.local_dims;
+        let khi = if b.two_d { ow.lo.k + 1 } else { ow.hi.k.min(d.nk - 1) };
+        let mut held = Vec::new();
+        for k in ow.lo.k..khi {
+            for j in ow.lo.j..ow.hi.j.min(d.nj - 1) {
+                for i in ow.lo.i..ow.hi.i.min(d.ni - 1) {
+                    let cell = Ijk::new(i, j, k);
+                    if canonical_cell(b, cell) != cell {
+                        continue;
+                    }
+                    let Some((t, _)) = invert_cell(b, cell, p) else { continue };
+                    let (x, dx) = cell_map(b, cell, t);
+                    let size = dx.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+                    if inside(t) && (0..3).all(|m| (x[m] - p[m]).abs() <= 1e-6 * size) {
+                        held.push(cell);
+                    }
+                }
+            }
+        }
+        held
+    }
+
+    /// A xorshift stream of draws in [0, 1) and below `n`.
+    struct Draw(u64);
+
+    impl Draw {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            ((self.unit() * n as f64) as usize).min(n - 1)
+        }
+    }
+
+    /// The blocks the completeness property is drawn over: a jittered 3-D
+    /// lattice of non-affine cells, a 2-D annulus wrapping onto itself, a
+    /// 2-D Cartesian plane, a shell of revolution of the store (3-D,
+    /// self-wrapping, polar caps) and its half — a periodic seam with halos
+    /// where the other half begins.
+    fn completeness_block(kind: usize, seed: u64) -> Block {
+        use overset_grid::gen::store;
+        use overset_grid::index::IndexBox;
+        match kind % 5 {
+            0 => jittered_block(seed | 1, 0.3),
+            1 => annulus_block(33, 7),
+            2 => {
+                let d = Dims::new(9, 8, 1);
+                let coords = Field3::from_fn(d, |p| [p.i as f64 * 0.3, p.j as f64 * 0.2, 0.0]);
+                let g = CurvilinearGrid::new("p", coords, GridKind::Background);
+                Block::from_grid(
+                    0,
+                    &g,
+                    d.full_box(),
+                    [None; 6],
+                    &FlowConditions::new(0.8, 0.0, 0.0),
+                )
+            }
+            kind => {
+                let shell = &store::store_system(0.15)[1];
+                assert!(shell.periodic_i && !shell.dims().is_two_d());
+                let d = shell.dims();
+                let (owned, nbrs) = if kind == 3 {
+                    (d.full_box(), [None; 6])
+                } else {
+                    let half = IndexBox::new(Ijk::new(0, 0, 0), Ijk::new(d.ni / 2, d.nj, d.nk));
+                    (half, [Some(1), Some(1), None, None, None, None])
+                };
+                Block::from_grid(1, shell, owned, nbrs, &FlowConditions::new(0.8, 0.0, 0.0))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The one property all pruning by candidates rests on: whatever
+        /// cell of a block holds a point — inside, on a face, a hair outside
+        /// it, in a polar sliver, across the seam — is listed for the
+        /// point's bin and passes the box test, at the build pose and after
+        /// the map has followed the block through small rigid motions. So
+        /// the cells a proof inverts are all the cells there are.
+        #[test]
+        fn candidate_lists_hold_every_containing_cell(
+            kind in 0usize..5,
+            moves in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use overset_grid::RigidTransform;
+            let mut b = completeness_block(kind, seed);
+            let mut map = InverseMap::build(&b);
+            let mut draw = Draw(seed | 1);
+            for _ in 0..moves {
+                let mut v = || 2.0 * draw.unit() - 1.0;
+                let axis = if b.two_d { [0.0, 0.0, 1.0] } else { [v(), v(), v()] };
+                let pivot = map.world_bounds().center();
+                let t = RigidTransform::rotation_about(pivot, axis, f64::to_radians(0.8 * v()))
+                    .then(&RigidTransform::translation([0.05 * v(), 0.05 * v(), 0.0]));
+                if !map.advance(&t) {
+                    break;
+                }
+                b.apply_motion(&t, 0.01);
+            }
+            let ow = b.owned_local();
+            let d = b.local_dims;
+            let cells = |lo: usize, hi: usize, n: usize| hi.min(n - 1) - lo;
+            let (ci, cj) = (cells(ow.lo.i, ow.hi.i, d.ni), cells(ow.lo.j, ow.hi.j, d.nj));
+            let ck = if b.two_d { 1 } else { cells(ow.lo.k, ow.hi.k, d.nk) };
+            let mut held_total = 0usize;
+            for n in 0..12 {
+                let mut cell = Ijk::new(
+                    ow.lo.i + draw.below(ci),
+                    ow.lo.j + draw.below(cj),
+                    ow.lo.k + draw.below(ck),
+                );
+                if n % 3 == 1 {
+                    // The polar-cap rings and the seam column.
+                    cell.k = ow.lo.k + [0, ck - 1][draw.below(2)];
+                    cell.i = ow.lo.i + [0, ci - 1, draw.below(ci)][draw.below(3)];
+                }
+                let mut t = || match draw.below(5) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => -1e-10 + draw.unit() * 2e-10,
+                    _ => -0.05 + 1.1 * draw.unit(),
+                };
+                let t = [t(), t(), if b.two_d { 0.0 } else { t() }];
+                let (p, _) = cell_map(&b, cell, t);
+                let listed = map.listed(p);
+                for held in cells_holding(&b, p) {
+                    held_total += 1;
+                    let flat = d.offset(held) as u32;
+                    prop_assert!(
+                        listed.contains(&flat),
+                        "kind {}: cell {:?} holds {:?} and is not among the {} listed",
+                        kind, held, p, listed.len()
+                    );
+                    prop_assert!(
+                        map.cell_box_admits(&b, flat, p),
+                        "kind {}: the box of cell {:?} rejects {:?}, which it holds",
+                        kind, held, p
+                    );
+                }
+            }
+            prop_assert!(held_total > 0, "kind {}: no sampled point in any cell", kind);
+        }
+    }
+
+    /// A point in the hollow of an O-grid a hair inside the wall: the fine
+    /// mask admits it (its bin reaches wall cells), the seeded walk is pinned
+    /// at the wall, and the wall cells listed for its bin, inverted, all put
+    /// it outside — a final `Miss`, without the chain's centre walk, greedy
+    /// descent and restarts.
+    #[test]
+    fn a_miss_beside_the_wall_is_proven_without_the_chain() {
+        let b = annulus_block(65, 9);
+        let map = InverseMap::build(&b);
+        let th = -(33.3f64.to_radians());
+        let p = [0.9995 * th.cos(), 0.9995 * th.sin(), 0.0];
+        assert!(map.admits(p), "the mask already rejects the point");
+        assert!(cells_holding(&b, p).is_empty());
+        let mut first = SearchCost::default();
+        let walked = newton_walk(&b, p, map.query(p), &mut first, false, Isa::Scalar);
+        assert_eq!(walked, SearchOutcome::WalkedOut);
+
+        let mut cost = SearchCost::default();
+        let out = walk_search_isa(&b, p, map.query(p), &mut cost, false, Isa::Scalar, Some(&map));
+        assert_eq!(out, SearchOutcome::WalkedOut);
+        assert_eq!((cost.walk_steps, cost.fallbacks), (first.walk_steps, 0), "{cost:?}");
+        assert!(cost.listed > 0 && cost.candidates > 0, "nothing to invert: {cost:?}");
+        // What the chain spent on the same verdict.
+        let mut chain = SearchCost::default();
+        let out = walk_search_isa(&b, p, map.query(p), &mut chain, false, Isa::Scalar, None);
+        assert!(!matches!(out, SearchOutcome::Found(_)));
+        assert!(chain.walk_steps > 4 * cost.walk_steps + cost.candidates, "{chain:?} vs {cost:?}");
+    }
+
     #[test]
     fn batch_walk_matches_sequential_scalar() {
         use overset_solver::{select_isa, Isa};
@@ -1116,15 +1409,25 @@ mod tests {
             relaxed: false,
         });
         let (mut outs, mut costs) = (Vec::new(), Vec::new());
-        for isa in [Isa::Scalar, select_isa()] {
-            walk_search_batch(&b, &queries, isa, &mut outs, &mut costs);
+        let map = InverseMap::build(&b);
+        for (isa, inv) in [
+            (Isa::Scalar, None),
+            (select_isa(), None),
+            (Isa::Scalar, Some(&map)),
+            (select_isa(), Some(&map)),
+        ] {
+            walk_search_batch(&b, inv, &queries, isa, &mut outs, &mut costs);
             assert_eq!(outs.len(), queries.len());
             for (q, (o, c)) in queries.iter().zip(outs.iter().zip(costs.iter())) {
                 let mut sc = SearchCost::default();
-                let so = walk_search_isa(&b, q.xyz, q.start, &mut sc, q.relaxed, Isa::Scalar);
-                assert_eq!(*o, so, "outcome diverged at {:?} ({isa:?})", q.xyz);
-                assert_eq!(c.walk_steps, sc.walk_steps, "walk steps at {:?} ({isa:?})", q.xyz);
-                assert_eq!(c.newton_iters, sc.newton_iters, "iters at {:?} ({isa:?})", q.xyz);
+                let so = walk_search_isa(&b, q.xyz, q.start, &mut sc, q.relaxed, Isa::Scalar, inv);
+                let what = format!("at {:?} ({isa:?}, map {})", q.xyz, inv.is_some());
+                assert_eq!(*o, so, "outcome diverged {what}");
+                assert_eq!(*c, sc, "cost diverged {what}");
+                // The points outside the block are proven out, not chased.
+                if inv.is_some() && !matches!(o, SearchOutcome::Found(_)) {
+                    assert_eq!((c.fallbacks, c.candidates), (0, 0), "{what}: {c:?}");
+                }
             }
         }
     }

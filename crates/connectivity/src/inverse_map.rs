@@ -18,6 +18,11 @@
 //!   cell of the block can hold a point before a walk asks *where*, so a
 //!   point the box admits but the cells do not costs a lattice lookup, not
 //!   a failed walk through the whole canonical chain,
+//! * per-bin **cell lists** on the seed lattice (CSR, `u32`): every
+//!   owned-anchored cell whose box — inflated like the fine mask's — reaches
+//!   the bin, so [`InverseMap::listed`] names every cell that can hold a
+//!   point and a failed or ambiguous walk is settled by inverting that
+//!   handful instead of re-walking the block (see `donor.rs`),
 //! * per-solid **inside/outside/boundary ternary masks** over a hole
 //!   lattice, so hole cutting runs the detailed containment test only for
 //!   nodes in *boundary* bins (see [`classify_solids`]).
@@ -29,10 +34,10 @@
 //! advances are charged to the virtual-time model like any other compute, so
 //! the acceleration is visible — and honest — in the paper's virtual timings.
 //!
-//! The build is three passes, O(cells + bins) together: bin every owned cell
-//! (first cell to land in a bin seeds it), fill every empty bin from its
-//! nearest seeded bin (`nearest_filled`), and resolve the seeds into the
-//! final lattice.
+//! The build is three passes, O(cells + bins + list entries) together: bin
+//! every owned cell (first cell to land in a bin seeds it; every bin its box
+//! reaches lists it), fill every empty bin from its nearest seeded bin
+//! (`nearest_filled`), and resolve the seeds into the final lattice.
 //!
 //! Every pruning decision is *conservative*: occupancy bins are marked from
 //! cell bounding boxes inflated past the walk's acceptance slack (the
@@ -44,7 +49,7 @@
 
 use crate::protocol::owned_bbox;
 use overset_grid::curvilinear::Solid;
-use overset_grid::index::Ijk;
+use overset_grid::index::{Dims, Ijk};
 use overset_grid::{Aabb, RigidTransform};
 use overset_solver::Block;
 
@@ -53,6 +58,11 @@ use overset_solver::Block;
 pub const FLOPS_PER_CELL_BUILD: u64 = 12;
 /// Flops to fill one empty bin from its nearest seeded neighbor.
 pub const FLOPS_PER_BIN_FILL: u64 = 4;
+/// Flops to enter one cell into one bin's candidate list (count, then store).
+pub const FLOPS_PER_LIST_ENTRY: u64 = 2;
+/// Flops to test one listed cell's corner box against a point (8 corners'
+/// min / max, the inflation, 6 compares) before it is worth an inversion.
+pub const FLOPS_PER_CANDIDATE_BOX: u64 = 50;
 /// Flops per seed query (three scaled subtractions + clamps).
 pub const FLOPS_PER_QUERY: u64 = 10;
 /// Flops for the bounding-box rejection of one (solid, hole-lattice bin).
@@ -111,7 +121,8 @@ pub enum BinClass {
     Boundary,
 }
 
-/// Per-block inverse map: seed lattice + coarse occupancy + hole lattice.
+/// Per-block inverse map: seed lattice with its cell lists + coarse and fine
+/// occupancy + hole lattice.
 #[derive(Clone, Debug)]
 pub struct InverseMap {
     /// Physical bounds of every lattice: the block's owned bbox plus one
@@ -121,8 +132,22 @@ pub struct InverseMap {
     bounds: Aabb,
     /// Fine-lattice bins per axis (≥ 1; 1 in k for 2-D blocks).
     nb: [usize; 3],
-    /// Seed cell (local indices) per fine bin, bin-major (i fastest).
-    seeds: Vec<Ijk>,
+    /// The block's local storage dimensions: cells are kept as the flat
+    /// offset of their anchor node in it (`u32`, a sixth of an [`Ijk`]).
+    dims: Dims,
+    /// Seed cell per fine bin, bin-major (i fastest).
+    seeds: Vec<u32>,
+    /// Candidate cells per fine bin, CSR: bin `b` lists
+    /// `list_cells[list_start[b]..list_start[b + 1]]`, in ascending cell
+    /// order — every owned-anchored cell whose corner box, inflated by
+    /// [`MASK_PAD`] like the fine mask's, overlaps the bin. On a block that
+    /// wraps onto itself in `i` the duplicate seam column is left out: its
+    /// cells are bit-exact copies of the first column's.
+    list_start: Vec<u32>,
+    list_cells: Vec<u32>,
+    /// The global part of the boxes' inflation (`1e-9` of the lattice
+    /// diagonal), kept for [`InverseMap::cell_box_admits`].
+    diag_eps: f64,
     /// Coarse occupancy: bit set ⇔ some owned-anchored cell's (inflated)
     /// bounding box overlaps the bin.
     occupancy: [u64; OCC_WORDS],
@@ -148,13 +173,22 @@ pub struct InverseMap {
 /// range (queries slightly outside the box land in an edge bin).
 #[inline]
 fn axis_bin(x: f64, lo: f64, hi: f64, nb: usize) -> usize {
-    if nb <= 1 || hi <= lo {
+    if hi <= lo {
         return 0;
     }
-    let t = (x - lo) / (hi - lo) * nb as f64;
+    unit_bin((x - lo) / (hi - lo), nb)
+}
+
+/// [`axis_bin`] of a coordinate already scaled to the axis: `u` is
+/// `(x - lo) / (hi - lo)`, which every lattice over the same bounds shares.
+#[inline]
+fn unit_bin(u: f64, nb: usize) -> usize {
+    if nb <= 1 {
+        return 0;
+    }
     // The cast truncates, which is `floor` from zero up, and saturates; what
     // lies below zero (or is NaN) clamps to bin 0 first. No libm call.
-    (t.max(0.0) as usize).min(nb - 1)
+    ((u * nb as f64).max(0.0) as usize).min(nb - 1)
 }
 
 /// Hard per-axis bin ceiling of the adaptive allocation: a memory backstop
@@ -222,14 +256,21 @@ fn owned_cells(block: &Block) -> [usize; 3] {
     [(ow.hi.i - ow.lo.i).max(1), (ow.hi.j - ow.lo.j).max(1), cells_k]
 }
 
-/// The corner nodes of the cell anchored at `cell` (4 in 2-D, 8 in 3-D).
-fn cell_corners(block: &Block, cell: Ijk) -> impl Iterator<Item = Ijk> + '_ {
-    let kmax = if block.two_d { 1 } else { 2 };
-    (0..kmax).flat_map(move |dk| {
-        (0..2).flat_map(move |dj| {
-            (0..2).map(move |di| Ijk::new(cell.i + di, cell.j + dj, cell.k + dk))
-        })
-    })
+/// The box of the corner nodes (4 in 2-D, 8 in 3-D) of the cell whose
+/// anchor node sits at offset `flat` of the block's local storage, and the
+/// box's longest edge.
+#[inline]
+fn cell_box(block: &Block, flat: usize) -> (Aabb, f64) {
+    let coords = block.coords.as_slice();
+    let (si, sj) = (1, block.local_dims.ni);
+    let sk = sj * block.local_dims.nj;
+    let corners = [0, si, sj, si + sj, sk, sk + si, sk + sj, sk + si + sj];
+    let mut cb = Aabb::EMPTY;
+    for corner in &corners[..if block.two_d { 4 } else { 8 }] {
+        cb.include(coords[flat + corner]);
+    }
+    let e = cb.extent();
+    (cb, e[0].max(e[1]).max(e[2]))
 }
 
 impl InverseMap {
@@ -262,20 +303,25 @@ impl InverseMap {
 
     /// Last build pass: resolve the per-bin seeds into the final lattice.
     fn from_seeds(block: &Block, bounds: Aabb, nb: [usize; 3], binned: Binned) -> InverseMap {
-        let Binned { seeds, occupancy, mask_nb, mask, flops: build_flops } = binned;
+        let Binned { seeds, list_start, list_cells, diag_eps, occupancy, mask_nb, mask, flops } =
+            binned;
         // A block with no owned cells (degenerate slivers) still gets a
         // valid map: every query answers the owned-region corner.
-        let ow = block.owned_local();
-        let fallback = Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k);
+        let dims = block.local_dims;
+        let fallback = dims.offset(block.owned_local().lo) as u32;
         InverseMap {
             bounds,
             nb,
+            dims,
             seeds: seeds.into_iter().map(|s| s.unwrap_or(fallback)).collect(),
+            list_start,
+            list_cells,
+            diag_eps,
             occupancy,
             mask_nb,
             mask,
             hole_nb: [nb[0].min(MAX_HOLE_BINS), nb[1].min(MAX_HOLE_BINS), nb[2].min(MAX_HOLE_BINS)],
-            build_flops,
+            build_flops: flops,
             pose: RigidTransform::IDENTITY,
             inv_pose: RigidTransform::IDENTITY,
         }
@@ -364,7 +410,44 @@ impl InverseMap {
     /// Under a non-identity pose the point is first mapped back into the
     /// lattice frame; the identity path is byte-for-byte the legacy one.
     pub fn query(&self, p: [f64; 3]) -> Ijk {
-        self.seeds[bin_index(&self.bounds, self.nb, self.to_lattice(p))]
+        self.dims
+            .unoffset(self.seeds[bin_index(&self.bounds, self.nb, self.to_lattice(p))] as usize)
+    }
+
+    /// Every cell listed for the fine bin holding `p` (binned like
+    /// [`query`](Self::query)), in ascending storage order, each as the flat
+    /// offset of its anchor node ([`cell_at`](Self::cell_at) names it).
+    /// Complete: an owned-anchored cell of the block that contains `p` to
+    /// within the walk's tolerance is in the list, or is the seam duplicate
+    /// of one that is — so a cell that is not listed need never be inverted
+    /// for `p`.
+    pub fn listed(&self, p: [f64; 3]) -> &[u32] {
+        let b = bin_index(&self.bounds, self.nb, self.to_lattice(p));
+        &self.list_cells[self.list_start[b] as usize..self.list_start[b + 1] as usize]
+    }
+
+    /// The cell a list entry stands for.
+    pub fn cell_at(&self, flat: u32) -> Ijk {
+        self.dims.unoffset(flat as usize)
+    }
+
+    /// Can the listed cell `flat` of `block` — the block at its *current*
+    /// geometry — hold `p`? `false` only when `p` lies outside the box of
+    /// the cell's corners inflated as the lists' and the fine mask's boxes
+    /// were: a listed cell that fails this is not worth an inversion
+    /// ([`FLOPS_PER_CANDIDATE_BOX`] instead of a Newton solve).
+    pub fn cell_box_admits(&self, block: &Block, flat: u32, p: [f64; 3]) -> bool {
+        let (cb, longest) = cell_box(block, flat as usize);
+        cb.inflate(MASK_PAD * longest + self.diag_eps).contains(p)
+    }
+
+    /// Heap bytes of the lattices: (seeds, cell lists, fine mask).
+    pub fn heap_bytes(&self) -> (usize, usize, usize) {
+        (
+            self.seeds.len() * std::mem::size_of::<u32>(),
+            (self.list_start.len() + self.list_cells.len()) * std::mem::size_of::<u32>(),
+            self.mask.len() * std::mem::size_of::<u64>(),
+        )
     }
 
     /// Could a cell of this block hold `p`? `false` only when no
@@ -420,33 +503,81 @@ impl InverseMap {
 }
 
 /// What the first build pass leaves: the per-bin seed cell (`None` where no
-/// cell midpoint landed), the coarse occupancy mask, the fine one with its
+/// cell midpoint landed), the per-bin cell lists with the global part of
+/// their boxes' inflation, the coarse occupancy mask, the fine one with its
 /// resolution, and the flops spent.
 struct Binned {
-    seeds: Vec<Option<Ijk>>,
+    seeds: Vec<Option<u32>>,
+    list_start: Vec<u32>,
+    list_cells: Vec<u32>,
+    diag_eps: f64,
     occupancy: [u64; OCC_WORDS],
     mask_nb: [usize; 3],
     mask: Vec<u64>,
     flops: u64,
 }
 
+/// `cell_box` scaled to `bounds`, per axis `(min, max)` (a flat axis of
+/// `bounds` scales everything to 0): computed once per box, it bins on any
+/// lattice over `bounds` exactly as [`axis_bin`] would.
+#[inline]
+fn unit_box(bounds: &Aabb, cell_box: &Aabb) -> [(f64, f64); 3] {
+    std::array::from_fn(|d| {
+        let (lo, hi) = (bounds.min[d], bounds.max[d]);
+        if hi <= lo {
+            return (0.0, 0.0);
+        }
+        ((cell_box.min[d] - lo) / (hi - lo), (cell_box.max[d] - lo) / (hi - lo))
+    })
+}
+
+/// The inclusive range of `nb`-lattice bins per axis that a [`unit_box`]
+/// reaches.
+#[inline]
+fn bin_ranges(unit: &[(f64, f64); 3], nb: [usize; 3]) -> [(usize, usize); 3] {
+    std::array::from_fn(|d| (unit_bin(unit[d].0, nb[d]), unit_bin(unit[d].1, nb[d])))
+}
+
+/// Call `f` with the flat index of every bin in `ranges`, row by row.
+#[inline]
+fn for_bins_in(ranges: [(usize, usize); 3], nb: [usize; 3], mut f: impl FnMut(usize)) {
+    let [(i0, i1), (j0, j1), (k0, k1)] = ranges;
+    for k in k0..=k1 {
+        for j in j0..=j1 {
+            let row = (k * nb[1] + j) * nb[0];
+            for b in row + i0..=row + i1 {
+                f(b);
+            }
+        }
+    }
+}
+
 /// First build pass: bin every owned-anchored cell of `block` into the
-/// `nb` seed lattice, the coarse occupancy lattice and the fine occupancy
-/// lattice over `bounds`.
+/// `nb` seed lattice and its cell lists, the coarse occupancy lattice and
+/// the fine occupancy lattice over `bounds`.
 fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
     let ow = block.owned_local();
+    let dims = block.local_dims;
+    assert!(dims.count() < u32::MAX as usize, "block of {dims:?} overflows u32 cell indices");
     let mask_nb = mask_bins(bounds.extent(), owned_cells(block), block.two_d);
-    let mut seeds: Vec<Option<Ijk>> = vec![None; nb[0] * nb[1] * nb[2]];
+    let nbins = nb[0] * nb[1] * nb[2];
+    let mut seeds: Vec<Option<u32>> = vec![None; nbins];
     let mut occupancy = [0u64; OCC_WORDS];
     let mut mask = vec![0u64; (mask_nb[0] * mask_nb[1] * mask_nb[2]).div_ceil(64)];
     let mut flops = 0u64;
+    // The lists are filled once their lengths are known: the sweep counts
+    // each bin's entries and keeps every listed cell's bin ranges.
+    let mut list_start = vec![0u32; nbins + 1];
+    let mut listed: Vec<(u32, [(u16, u16); 3])> = Vec::with_capacity(ow.count());
 
     // Acceptance slack: the walk accepts trilinear coordinates in
     // [-TOL, 1+TOL] and Newton can accept before full convergence, so
-    // both occupancy masks mark each cell's bounding box inflated past that
-    // slack — pruning must never drop a rank, or reject a point, that could
-    // answer.
+    // both occupancy masks and the lists take each cell's bounding box
+    // inflated past that slack — pruning must never drop a rank, reject a
+    // point or leave out a cell that could answer.
     let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
+    // A block that wraps onto itself stores the seam column twice.
+    let seam = block.self_wrap_i.then(|| block.halo[0] + block.owned.dims().ni - 1);
 
     let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
     for k in ow.lo.k..kmax_anchor {
@@ -454,35 +585,51 @@ fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
             for i in ow.lo.i..ow.hi.i {
                 // Cells are anchored at their lower-corner node; the far
                 // corner must exist in local storage.
-                if i + 1 >= block.local_dims.ni
-                    || j + 1 >= block.local_dims.nj
-                    || (!block.two_d && k + 1 >= block.local_dims.nk)
-                {
+                if i + 1 >= dims.ni || j + 1 >= dims.nj || (!block.two_d && k + 1 >= dims.nk) {
                     continue;
                 }
-                let cell = Ijk::new(i, j, k);
+                let flat = dims.offset(Ijk::new(i, j, k));
                 flops += FLOPS_PER_CELL_BUILD;
-                let mut cb = Aabb::EMPTY;
-                for n in cell_corners(block, cell) {
-                    cb.include(block.coords[n]);
-                }
+                let (cb, longest) = cell_box(block, flat);
+                let flat = flat as u32;
                 // Seed the fine bin holding the cell midpoint
                 // (first-write-wins; the row-major sweep is deterministic).
                 let b = bin_index(bounds, nb, cb.center());
                 if seeds[b].is_none() {
-                    seeds[b] = Some(cell);
+                    seeds[b] = Some(flat);
                 }
                 // Conservative occupancy: the cell box inflated by an eighth
-                // (coarse mask) or a 256th (fine mask) of its own extent
-                // plus a global epsilon.
-                let e = cb.extent();
-                let longest = e[0].max(e[1]).max(e[2]);
+                // (coarse mask) or a 256th (fine mask, lists) of its own
+                // extent plus a global epsilon.
                 mark_occupancy(&mut occupancy, bounds, &cb.inflate(0.125 * longest + diag_eps));
-                mark_mask(&mut mask, bounds, mask_nb, &cb.inflate(MASK_PAD * longest + diag_eps));
+                let fine = unit_box(bounds, &cb.inflate(MASK_PAD * longest + diag_eps));
+                mark_mask(&mut mask, mask_nb, &fine);
+                if seam.is_some_and(|s| i >= s) {
+                    continue;
+                }
+                let ranges = bin_ranges(&fine, nb);
+                for_bins_in(ranges, nb, |b| list_start[b + 1] += 1);
+                listed.push((flat, ranges.map(|(lo, hi)| (lo as u16, hi as u16))));
             }
         }
     }
-    Binned { seeds, occupancy, mask_nb, mask, flops }
+    // Counts (of bin `b` at `b + 1`) to starts, shifted one down: every
+    // entry filled in moves its bin's slot `b + 1` on by one, from the
+    // bin's start to its end — the next bin's start, where CSR wants it.
+    let mut start = 0u32;
+    for slot in list_start[1..].iter_mut() {
+        start += std::mem::replace(slot, start);
+    }
+    let entries = start as usize;
+    flops += FLOPS_PER_LIST_ENTRY * entries as u64;
+    let mut list_cells = vec![0u32; entries];
+    for (flat, ranges) in listed {
+        for_bins_in(ranges.map(|(lo, hi)| (lo as usize, hi as usize)), nb, |b| {
+            list_cells[list_start[b + 1] as usize] = flat;
+            list_start[b + 1] += 1;
+        });
+    }
+    Binned { seeds, list_start, list_cells, diag_eps, occupancy, mask_nb, mask, flops }
 }
 
 /// [`nearest_filled`]'s answer for every bin of a lattice with no filled bin.
@@ -548,7 +695,7 @@ fn nearest_filled(nb: [usize; 3], is_filled: impl Fn(usize) -> bool) -> (Vec<u32
 
 /// Give every empty bin the seed of its `nearest` filled bin (as answered by
 /// [`nearest_filled`]); returns how many bins that filled.
-fn fill_from(seeds: &mut [Option<Ijk>], nearest: &[u32]) -> u64 {
+fn fill_from(seeds: &mut [Option<u32>], nearest: &[u32]) -> u64 {
     let mut filled = 0u64;
     for (b, &f) in nearest.iter().enumerate() {
         if f != NO_BIN && f as usize != b {
@@ -598,17 +745,10 @@ fn mark_occupancy(occ: &mut [u64; OCC_WORDS], bounds: &Aabb, cell_box: &Aabb) {
     }
 }
 
-/// Set every fine-mask bit whose bin overlaps `cell_box`: per (j, k) row of
-/// bins one contiguous run of bits, set a word at a time.
-fn mark_mask(bits: &mut [u64], bounds: &Aabb, nb: [usize; 3], cell_box: &Aabb) {
-    let range = |d: usize| -> (usize, usize) {
-        let lo = axis_bin(cell_box.min[d], bounds.min[d], bounds.max[d], nb[d]);
-        let hi = axis_bin(cell_box.max[d], bounds.min[d], bounds.max[d], nb[d]);
-        (lo, hi)
-    };
-    let (i0, i1) = range(0);
-    let (j0, j1) = range(1);
-    let (k0, k1) = range(2);
+/// Set every fine-mask bit whose bin overlaps the [`unit_box`] `unit`: per
+/// (j, k) row of bins one contiguous run of bits, set a word at a time.
+fn mark_mask(bits: &mut [u64], nb: [usize; 3], unit: &[(f64, f64); 3]) {
+    let [(i0, i1), (j0, j1), (k0, k1)] = bin_ranges(unit, nb);
     for k in k0..=k1 {
         for j in j0..=j1 {
             let row = (k * nb[1] + j) * nb[0];
@@ -916,6 +1056,7 @@ mod tests {
         let a = InverseMap::build(&b);
         let c = InverseMap::build(&b);
         assert_eq!(a.seeds, c.seeds);
+        assert_eq!((&a.list_start, &a.list_cells), (&c.list_start, &c.list_cells));
         assert_eq!(a.occupancy, c.occupancy);
         assert_eq!(a.build_flops, c.build_flops);
     }
@@ -1192,6 +1333,23 @@ mod tests {
                     let r = build_reference(&block, m.bounds, m.nb);
                     let what = format!("{} rank {rank} of {}", g.name, part.ranks.len());
                     assert_eq!(m.seeds, r.seeds, "seeds: {what}");
+                    assert!(m.list_start == r.list_start && m.list_cells == r.list_cells, "{what}");
+                    // CSR over the seed lattice, a list ascending, and short:
+                    // a cell's box reaches the few bins around it, so the
+                    // lists hold some ten entries per cell whatever the cut.
+                    assert_eq!(m.list_start.len(), m.seeds.len() + 1, "{what}");
+                    assert_eq!(
+                        *m.list_start.last().unwrap() as usize,
+                        m.list_cells.len(),
+                        "{what}"
+                    );
+                    for bin in m.list_start.windows(2) {
+                        let list = &m.list_cells[bin[0] as usize..bin[1] as usize];
+                        assert!(list.windows(2).all(|c| c[0] < c[1]), "unsorted list: {what}");
+                    }
+                    let cells: usize = owned_cells(&block).iter().product();
+                    assert!(m.list_cells.len() <= 16 * cells, "{what}");
+                    assert_eq!(m.heap_bytes().0, 4 * m.seeds.len(), "a seed is a u32: {what}");
                     assert_eq!(m.occupancy, r.occupancy, "occupancy: {what}");
                     assert_eq!((m.nb, m.hole_nb), (r.nb, r.hole_nb), "lattices: {what}");
                     assert_eq!((m.mask_nb, &m.mask), (r.mask_nb, &r.mask), "fine mask: {what}");

@@ -134,7 +134,8 @@ pub fn connect_serial(
             if let Some(&CachedDonor { grid: dg, cell, relaxed }) = cache.map.get(&key) {
                 let mut cost = SearchCost::default();
                 stats.warm_attempts += 1;
-                let out = walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, relaxed, isa);
+                let out =
+                    walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, relaxed, isa, map_of(dg));
                 stats.charge(&cost, &out);
                 if let SearchOutcome::Found(d) = out {
                     stats.warm_hits += 1;
@@ -163,7 +164,15 @@ pub fn connect_serial(
                         None => center_start(&blocks[dg]),
                     };
                     let mut cost = SearchCost::default();
-                    let out = walk_search_isa(&blocks[dg], ig.xyz, start, &mut cost, relaxed, isa);
+                    let out = walk_search_isa(
+                        &blocks[dg],
+                        ig.xyz,
+                        start,
+                        &mut cost,
+                        relaxed,
+                        isa,
+                        map_of(dg),
+                    );
                     stats.charge(&cost, &out);
                     if let SearchOutcome::Found(d) = out {
                         found = Some((dg, d, relaxed));
@@ -206,7 +215,7 @@ pub(crate) mod tests {
     use overset_grid::field::Field3;
     use overset_grid::index::Dims;
     use overset_grid::RigidTransform;
-    use overset_solver::FlowConditions;
+    use overset_solver::{Blank, FlowConditions};
 
     /// Two overlapping 2-D Cartesian grids: a fine inner grid with overset
     /// outer boundaries embedded in a coarse background.
@@ -445,9 +454,32 @@ pub(crate) mod tests {
         b.q.as_slice().iter().map(|v| v.to_bits())
     }
 
+    /// A leg's answer for every point that was an IGBP of some step so far:
+    /// its donor as (grid, global cell, relaxed) — `None` for an orphan —
+    /// and the bits of its fringe value.
+    type Answers = std::collections::BTreeMap<(usize, [usize; 3]), (Option<DonorId>, [u64; 5])>;
+    type DonorId = (usize, [usize; 3], bool);
+
+    fn answers(leg: &Leg, asked: &std::collections::HashSet<(usize, Ijk)>) -> Answers {
+        let donor = |key: &(usize, Ijk)| -> Option<DonorId> {
+            let d = leg.cache.map.get(key)?;
+            let c = leg.blocks[d.grid].to_global(d.cell);
+            Some((d.grid, [c.i, c.j, c.k], d.relaxed))
+        };
+        asked
+            .iter()
+            .map(|key| {
+                let &(g, n) = key;
+                ((g, [n.i, n.j, n.k]), (donor(key), leg.blocks[g].q.node(n).map(f64::to_bits)))
+            })
+            .collect()
+    }
+
     /// Five connectivity solutions of a paper system whose `movers` take one
     /// small rigid step before each (the driver's motion → connectivity
-    /// order), on all three legs in lockstep.
+    /// order), on all three legs in lockstep: leg 0 settles every failed or
+    /// polar-band walk by the canonical chain, legs 1 and 2 from their maps'
+    /// cell lists.
     fn paper_system_legs_agree(
         name: &str,
         grids: &[CurvilinearGrid],
@@ -465,6 +497,7 @@ pub(crate) mod tests {
             })
             .collect();
         let mut solids = tagged_solids(grids);
+        let mut asked = std::collections::HashSet::new();
         for n in 0..5 {
             for (g, s) in solids.iter_mut() {
                 if movers.contains(g) {
@@ -497,6 +530,33 @@ pub(crate) mod tests {
             for l in 1..3 {
                 let what = format!("{name} step {n} leg {l}");
                 let b = &stats[l];
+                for (pb, lb) in plain.blocks.iter().zip(&legs[l].blocks) {
+                    assert!(pb.iblank.as_slice() == lb.iblank.as_slice(), "{what}: iblank");
+                }
+                // Point by point: a point whose donor or value differs is
+                // named with both answers.
+                if l == 1 {
+                    for (g, b) in plain.blocks.iter().enumerate() {
+                        let ow = b.owned_local();
+                        asked.extend(
+                            ow.iter().filter(|&p| b.iblank[p] == Blank::Fringe).map(|p| (g, p)),
+                        );
+                    }
+                    asked.extend(plain.cache.map.keys().copied());
+                }
+                let (chain, listed) = (answers(plain, &asked), answers(&legs[l], &asked));
+                let differing: Vec<String> = chain
+                    .iter()
+                    .zip(&listed)
+                    .filter(|(c, m)| c != m)
+                    .map(|(c, m)| {
+                        format!(
+                            "grid {} node {:?}: chain {:?}, maps {:?}",
+                            c.0 .0, c.0 .1, c.1, m.1
+                        )
+                    })
+                    .collect();
+                assert!(differing.is_empty(), "{what}:\n{}", differing.join("\n"));
                 assert_eq!(
                     (
                         a.igbps,
@@ -517,17 +577,17 @@ pub(crate) mod tests {
                     "{what}: census"
                 );
                 for (pb, lb) in plain.blocks.iter().zip(&legs[l].blocks) {
-                    assert!(pb.iblank.as_slice() == lb.iblank.as_slice(), "{what}: iblank");
-                    assert!(bits(pb).eq(bits(lb)), "{what}: fringe values");
+                    assert!(bits(pb).eq(bits(lb)), "{what}: state off the fringe");
                 }
                 assert!(plain.cache.map == legs[l].cache.map, "{what}: donor cache");
-                // On the cold step, where every IGBP searches its hierarchy,
-                // the mask spares walks that find nothing and the seeds
-                // shorten the rest. (A warm step searches the hierarchy only
-                // after a failed warm start — a handful of points, whose
-                // seeded walk comes on top of the canonical chain when it
-                // misses too.)
+                // The mask spares walks that find nothing, the seeds shorten
+                // the rest, and what a walk leaves open the lists settle
+                // without walking: never more walk work, and less on the cold
+                // step (every IGBP searches its hierarchy) and on any step
+                // with a polar-band donor or a failed warm start.
                 assert_eq!(a.prefilter_rejects, 0, "{what}: no map, no mask");
+                assert!(b.walk_steps_miss <= a.walk_steps_miss, "{what}: {b:?} vs {a:?}");
+                assert!(b.walk_steps <= a.walk_steps, "{what}: {b:?} vs {a:?}");
                 if n == 0 {
                     assert!(b.prefilter_rejects > 0, "{what}: the mask never fired");
                     assert!(b.walk_steps_miss < a.walk_steps_miss, "{what}: {b:?} vs {a:?}");
@@ -547,13 +607,16 @@ pub(crate) mod tests {
         assert_eq!(counts(2), (ng + moved, 0), "{name}: full rebuilds");
     }
 
-    /// The two off-paths the drivers no longer take — no inverse maps with a
-    /// cold arena every step, and a full map rebuild per motion — give the
-    /// answers of the production path (maps advanced incrementally, one
-    /// arena) bit for bit on the paper's store and airfoil systems.
+    /// The two off-paths the drivers no longer take — no inverse maps (every
+    /// open search settled by the canonical chain) with a cold arena every
+    /// step, and a full map rebuild per motion — give the answers of the
+    /// production path (maps advanced incrementally, open searches settled
+    /// from their cell lists, one arena) bit for bit on the paper's store,
+    /// delta-wing and airfoil systems: every IGBP's donor (grid, cell,
+    /// relaxed), the orphan census, every fringe value.
     #[test]
     fn paper_systems_agree_without_maps_and_with_full_rebuilds() {
-        use overset_grid::gen::{airfoil, store};
+        use overset_grid::gen::{airfoil, delta_wing, store};
         let drop = RigidTransform::translation([0.0, 0.0, -0.004])
             .then(&RigidTransform::rotation_about(store::STORE_CARRIAGE, [0.0, 1.0, 0.0], 1e-3));
         paper_system_legs_agree(
@@ -571,6 +634,14 @@ pub(crate) mod tests {
             &airfoil::airfoil_search_order(),
             &[0],
             &pitch,
+        );
+        let descent = RigidTransform::translation([0.0, 0.0, -0.064 * 0.02]);
+        paper_system_legs_agree(
+            "delta wing",
+            &delta_wing::delta_wing_system(0.4),
+            &delta_wing::delta_wing_search_order(),
+            &[0, 1, 2],
+            &descent,
         );
     }
 

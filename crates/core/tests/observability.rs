@@ -104,6 +104,7 @@ fn trace_json_matches_chrome_trace_event_schema() {
 fn a_block_per_rank_serves_nothing_in_place() {
     let r = traced_airfoil();
     assert!(r.metrics.get(Counter::ConnServiced) > 0);
+    assert_eq!(r.metrics.get(Counter::ConnChainFallbacks), 0);
     for t in &r.trace {
         assert_eq!(served_from_itself(t), (0, 0), "rank {}", t.rank);
     }
@@ -123,6 +124,9 @@ fn serial_driver_reports_warm_restarts_and_map_builds() {
     for phase in phases {
         assert_eq!(r.metrics.get(Counter::msgs_in(phase)), 0, "{} messages", phase.name());
     }
+    // Plane grids hold no point in two cells apart: no search of the run
+    // reached the canonical chain.
+    assert_eq!(r.metrics.get(Counter::ConnChainFallbacks), 0);
     let (batches, points) = served_from_itself(&r.trace[0]);
     assert!(batches > 0);
     assert_eq!(points, r.metrics.get(Counter::ConnServiced));
@@ -195,6 +199,12 @@ fn the_smallest_capped_case_now_quiesces() {
     }
     let rounds = r.metrics.get(Counter::ConnRounds);
     assert!(rounds <= hierarchy_bound(&cfg) * 64, "{rounds} rounds on 64 ranks");
+    // What the cold walks left open the cell lists settled: thousands of
+    // candidate inversions, and a handful of points held by cells apart —
+    // the only searches that still ran the canonical chain.
+    assert!(r.metrics.get(Counter::ConnCandidatesTested) > 1000);
+    let fallbacks = r.metrics.get(Counter::ConnChainFallbacks);
+    assert!(fallbacks <= 10, "{fallbacks} searches went to the canonical chain");
 }
 
 /// `PerfSummary::phase_time` is the exact elapsed per phase: with

@@ -14,6 +14,17 @@
 //! of a hierarchy level: fewer rounds and more requests per round move the
 //! connectivity and total clocks (flow and motion kept theirs), and where
 //! the old 24-round cap never fired — as here — the donors are the same.
+//! And a third time when a search its first walk left open — a failed walk,
+//! a donor in the polar band of a self-wrapping shell — stopped re-walking
+//! the block through the canonical chain and was settled by inverting the
+//! cells the inverse map lists for the point's bin: the map build charges
+//! for its lists, a proof charges a box test per listed cell and a walk
+//! step per inverted one, and the chain's tens of steps per open search are
+//! gone, so the connectivity and total clocks fell (store: 0.0497 → 0.0256
+//! and 0.0543 → 0.0302 virtual seconds; the store's flow and motion clocks
+//! moved by a few ulps, differences of later absolute times). Every donor
+//! is the one the chain picked — where cells apart hold a point the chain
+//! still picks — so state bits, orphans and IGBPs are untouched.
 
 use overflow_d::{airfoil_case, run_case, store_case, LbConfig, RunResult};
 use overset_comm::{Counter, MachineModel, Phase, TransportConfig, NUM_PHASES};
@@ -31,8 +42,8 @@ struct Recorded {
 /// `airfoil_case(0.3, 8)` on 6 ranks of `MachineModel::modern()`.
 const AIRFOIL_6: Recorded = Recorded {
     state_rms: 0x400339a7d5334b83,
-    wall_time: 0x3f6d9a13d1dedb6c,
-    phase_elapsed: [0x3f68893c827a86e1, 0x3f41b238251327f6, 0x3f12f58a29019ac8],
+    wall_time: 0x3f6d939a53698e2e,
+    phase_elapsed: [0x3f68893c827a86e1, 0x3f4198522b3df2fe, 0x3f12f58a29019ac8],
     orphans_last: 0,
     igbps_last: 192,
 };
@@ -40,8 +51,8 @@ const AIRFOIL_6: Recorded = Recorded {
 /// `store_case(0.3, 3)` on 18 ranks of `MachineModel::modern()`, likewise.
 const STORE_18: Recorded = Recorded {
     state_rms: 0x400bc3623698b3d2,
-    wall_time: 0x3fabcfea4191fd32,
-    phase_elapsed: [0x3f72573f818ccdde, 0x3fa977d66f7eccf2, 0x3f17b3d81eb750e0],
+    wall_time: 0x3f9ef2d570b1e822,
+    phase_elapsed: [0x3f72573f818ccdda, 0x3f9a42adcc8b87a1, 0x3f17b3d81eb752e0],
     orphans_last: 0,
     igbps_last: 7394,
 };

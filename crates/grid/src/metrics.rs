@@ -93,10 +93,48 @@ pub fn compute_metrics(g: &CurvilinearGrid) -> MetricField {
 
 /// Metric terms at a single node.
 pub fn metric_at(g: &CurvilinearGrid, p: Ijk) -> Metric {
-    let x_xi = coord_deriv(g, p, 0);
-    let x_eta = coord_deriv(g, p, 1);
-    let x_zeta = coord_deriv(g, p, 2);
+    metric_from_derivs(coord_deriv(g, p, 0), coord_deriv(g, p, 1), coord_deriv(g, p, 2))
+}
 
+/// Metric terms at every node of a non-periodic coordinate field, written
+/// over `out` (same dimensions): node for node what [`metric_at`] returns on
+/// a grid of these coordinates, to the bit — the same differences in the
+/// same order, read through strides instead of a per-node index closure, so
+/// a moved block refreshes its metrics without copying its coordinates.
+pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) {
+    let d = coords.dims();
+    assert_eq!(out.dims(), d, "metric field of another block");
+    let x = coords.as_slice();
+    let n = [d.ni, d.nj, d.nk];
+    let stride = [1, d.ni, d.ni * d.nj];
+    // One-sided at the ends, central inside, the unit normal on a flat axis.
+    let deriv = |at: usize, c: usize, dir: usize| -> [f64; 3] {
+        let (n, s) = (n[dir], stride[dir]);
+        if n == 1 {
+            [0.0, 0.0, 1.0]
+        } else if c == 0 {
+            sub(x[at + s], x[at])
+        } else if c == n - 1 {
+            sub(x[at], x[at - s])
+        } else {
+            scale(sub(x[at + s], x[at - s]), 0.5)
+        }
+    };
+    let mut at = 0;
+    let m = out.as_mut_slice();
+    for k in 0..d.nk {
+        for j in 0..d.nj {
+            for i in 0..d.ni {
+                m[at] = metric_from_derivs(deriv(at, i, 0), deriv(at, j, 1), deriv(at, k, 2));
+                at += 1;
+            }
+        }
+    }
+}
+
+/// Metric terms from the coordinate derivatives along ξ, η, ζ.
+#[inline]
+fn metric_from_derivs(x_xi: [f64; 3], x_eta: [f64; 3], x_zeta: [f64; 3]) -> Metric {
     // J = x_xi . (x_eta x x_zeta)
     let cx = [
         x_eta[1] * x_zeta[2] - x_eta[2] * x_zeta[1],

@@ -10,7 +10,7 @@ use crate::conditions::FlowConditions;
 use overset_grid::curvilinear::{BcKind, CurvilinearGrid, Face};
 use overset_grid::field::{Field3, StateField, NVAR};
 use overset_grid::index::{Dims, Ijk, IndexBox};
-use overset_grid::metrics::{metric_at, Metric, MetricField};
+use overset_grid::metrics::{metrics_into, Metric, MetricField};
 use overset_grid::transform::RigidTransform;
 
 /// Halo width (2 layers: enough for the 4th-difference dissipation stencil).
@@ -242,25 +242,17 @@ impl Block {
 
     /// Recompute metric terms from current coordinates (after grid motion).
     pub fn recompute_metrics(&mut self) {
-        // Metrics via a lightweight grid view over local coords.
-        let tmp = CurvilinearGrid::new(
-            "block",
-            self.coords.clone(),
-            overset_grid::curvilinear::GridKind::NearBody,
-        );
         // Periodicity is irrelevant here: halo layers carry real wrapped
         // geometry, so one-sided differences never straddle the seam.
+        metrics_into(&self.coords, &mut self.metrics);
         // Halo nodes past a physical boundary have clamped (duplicate)
         // coordinates and hence degenerate metrics; they are never used by
         // any stencil, so replace them with a benign identity metric.
-        self.metrics = Field3::from_fn(self.local_dims, |p| {
-            let m = metric_at(&tmp, p);
-            if m.jac.is_finite() {
-                m
-            } else {
-                Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 }
+        for m in self.metrics.as_mut_slice() {
+            if !m.jac.is_finite() {
+                *m = Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 };
             }
-        });
+        }
     }
 
     /// Apply a rigid motion to the block geometry (and set grid velocities
@@ -554,6 +546,64 @@ mod tests {
         assert!((after[0] - before[0] - 0.3).abs() < 1e-12);
         let v = b.grid_vel[Ijk::new(3, 3, 0)];
         assert!((v[0] - 3.0).abs() < 1e-12);
+    }
+
+    /// The metrics the block shipped before it computed them in place: a
+    /// grid over a copy of the local coordinates, [`metric_at`] node by node.
+    fn metrics_by_the_oracle(b: &Block) -> MetricField {
+        use overset_grid::metrics::metric_at;
+        let tmp = CurvilinearGrid::new("block", b.coords.clone(), GridKind::NearBody);
+        Field3::from_fn(b.local_dims, |p| {
+            let m = metric_at(&tmp, p);
+            if m.jac.is_finite() {
+                m
+            } else {
+                Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 }
+            }
+        })
+    }
+
+    /// In-place metrics equal the oracle's to the bit on every grid of the
+    /// three paper systems (2-D, periodic O-grids, 3-D shells and boxes),
+    /// whole and as an interior subdomain with halos on every side, as
+    /// built and after a rigid motion.
+    #[test]
+    fn in_place_metrics_bit_equal_the_oracle_on_every_paper_grid() {
+        use overset_grid::gen::{airfoil, delta_wing, store};
+        let bits = |m: &MetricField| -> Vec<u64> {
+            let terms = m.as_slice().iter();
+            terms
+                .flat_map(|m| [m.xi, m.eta, m.zeta, [m.jac, 0.0, 0.0]])
+                .flatten()
+                .map(f64::to_bits)
+                .collect()
+        };
+        let motion = RigidTransform::translation([0.01, -0.02, 0.005])
+            .then(&RigidTransform::rotation_about([0.3, 0.1, 0.0], [0.2, 0.1, 1.0], 0.03));
+        let mut checked = 0;
+        for grids in [
+            airfoil::airfoil_system(0.3),
+            delta_wing::delta_wing_system(0.2),
+            store::store_system(0.2),
+        ] {
+            for g in &grids {
+                let d = g.dims();
+                let lo = Ijk::new(d.ni / 3, d.nj / 3, d.nk / 3);
+                let hi = Ijk::new(2 * d.ni / 3 + 1, 2 * d.nj / 3 + 1, 2 * d.nk / 3 + 1);
+                for owned in [d.full_box(), IndexBox::new(lo, hi)] {
+                    let mut b = Block::from_grid(0, g, owned, [None; 6], &fc());
+                    assert!(bits(&b.metrics) == bits(&metrics_by_the_oracle(&b)), "{}", g.name);
+                    b.apply_motion(&motion, 0.01);
+                    assert!(
+                        bits(&b.metrics) == bits(&metrics_by_the_oracle(&b)),
+                        "{} moved",
+                        g.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 2 * (3 + 3 + 16));
     }
 
     #[test]
