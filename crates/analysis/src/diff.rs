@@ -51,7 +51,7 @@ pub struct WaitDelta {
     pub class: &'static str,
     pub a: f64,
     pub b: f64,
-    /// Grew beyond tolerance ([`REL_TOL`]/[`ABS_TOL`]).
+    /// Grew beyond tolerance (`REL_TOL` / `ABS_TOL`).
     pub regressed: bool,
     /// Present for regressed `late_sender` entries when the newer document
     /// carries culprit attribution.

@@ -1,6 +1,6 @@
 //! Owned span model and input adapters.
 //!
-//! The tracer's [`TraceEvent`] uses `&'static str` names — fine in-process,
+//! The tracer's [`overset_comm::TraceEvent`] uses `&'static str` names — fine in-process,
 //! impossible to materialize from a trace *file*. The analyzer therefore
 //! works on an owned [`Span`] mirror (string category/name, numeric-only
 //! args) with two constructors: straight from a live run's `RankTrace`s, or

@@ -81,7 +81,7 @@ const HEATMAP_MAX_CELLS: usize = 64;
 /// Render a rank×rank matrix as a deterministic text heatmap: one density
 /// glyph per cell, scaled to the matrix maximum, rows = sender. For small
 /// matrices (≤ 16 ranks) the numeric values are printed alongside; above
-/// [`HEATMAP_MAX_CELLS`] ranks, cells are summed into rank-range buckets.
+/// `HEATMAP_MAX_CELLS` ranks, cells are summed into rank-range buckets.
 pub fn render_heatmap(m: &[Vec<u64>], label: &str) -> String {
     let n = m.len();
     if n > HEATMAP_MAX_CELLS {

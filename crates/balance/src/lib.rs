@@ -22,6 +22,6 @@ pub use dynamic_lb::{dynamic_rebalance, service_imbalance, DynamicDecision, Serv
 pub use grouping::{group_grids, round_robin, AdjacencyMatrix, Connectivity, Grouping};
 pub use partition::{Partition, RankAssignment};
 pub use static_lb::{
-    fit_np_to_dims, fit_np_to_dims_min, imbalance_tau, static_balance, static_balance_with_minima,
-    BalanceError, StaticBalance,
+    fit_np_to_dims_min, imbalance_tau, static_balance, static_balance_with_minima, BalanceError,
+    StaticBalance,
 };

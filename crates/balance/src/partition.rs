@@ -92,13 +92,6 @@ impl Partition {
         self.ranks.iter().map(|r| r.grid).collect()
     }
 
-    /// Flow-solve load imbalance: max points per rank / mean points per rank.
-    pub fn flow_imbalance(&self) -> f64 {
-        let counts: Vec<usize> = self.ranks.iter().map(|r| r.boxx.count()).collect();
-        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
-        counts.iter().copied().max().unwrap_or(0) as f64 / mean
-    }
-
     /// Locate the rank owning node `p` of `grid` (every node belongs to
     /// exactly one subdomain box).
     pub fn owner_of(&self, grid: usize, p: overset_grid::Ijk) -> usize {
@@ -146,8 +139,10 @@ mod tests {
 
     #[test]
     fn flow_imbalance_unit_for_even_split() {
+        // Max over mean points per rank is 1: every rank owns as many.
         let p = Partition::build(&[Dims::new(16, 16, 16)], &[8]);
-        assert!((p.flow_imbalance() - 1.0).abs() < 1e-12);
+        let counts: Vec<usize> = p.ranks.iter().map(|r| r.boxx.count()).collect();
+        assert_eq!(counts.iter().max(), counts.iter().min());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub enum BalanceError {
     MinimaExceedProcessors { minima_sum: usize, processors: usize },
     /// No gridpoints at all.
     EmptySystem,
-    /// [`fit_np_to_dims`] could not find splittable per-grid counts that sum
+    /// [`fit_np_to_dims_min`] could not find splittable per-grid counts that sum
     /// to NP (pathological dimensions, e.g. all grids a single point wide).
     NoFeasibleFit { processors: usize },
 }
@@ -215,17 +215,9 @@ fn feasible_above(dims: Dims, cur: usize, min: [usize; 3]) -> Option<usize> {
 /// feasible count fits the remaining deficit (shrinking the least loaded
 /// grid one notch when no grant fits). Assignments that are already feasible
 /// — every configuration the seed could run — pass through unchanged.
-pub fn fit_np_to_dims(
-    g: &[usize],
-    dims: &[Dims],
-    np: &[usize],
-) -> Result<Vec<usize>, BalanceError> {
-    fit_np_to_dims_min(g, dims, np, &vec![[1, 1, 1]; g.len()])
-}
-
-/// [`fit_np_to_dims`] with per-grid minimum subdomain widths (see
-/// [`lattice_feasible_min`]): `min_widths[n][t]` is the fewest nodes every
-/// piece of grid `n` must keep along direction `t`. The driver passes
+///
+/// `min_widths[n][t]` is the fewest nodes every piece of grid `n` must keep
+/// along direction `t` (see [`lattice_feasible_min`]). The driver passes
 /// `[2, 1, 1]` for periodic O-grids so the seam subdomain's cyclic solve is
 /// never empty.
 pub fn fit_np_to_dims_min(
@@ -278,7 +270,6 @@ pub fn fit_np_to_dims_min(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overset_grid::lattice_feasible;
 
     #[test]
     fn equal_grids_divisible() {
@@ -387,7 +378,7 @@ mod tests {
         let dims = [Dims::new(30, 20, 10), Dims::new(24, 18, 12)];
         let g = [6_000, 5_184];
         let np = [12, 8];
-        assert_eq!(fit_np_to_dims(&g, &dims, &np).unwrap(), vec![12, 8]);
+        assert_eq!(fit_np_to_dims_min(&g, &dims, &np, &[[1, 1, 1]; 2]).unwrap(), vec![12, 8]);
     }
 
     #[test]
@@ -397,10 +388,10 @@ mod tests {
         let dims = [Dims::new(29, 8, 15), Dims::new(32, 21, 28)];
         let g = [29 * 8 * 15, 32 * 21 * 28];
         let np = [37, 13];
-        let fit = fit_np_to_dims(&g, &dims, &np).unwrap();
+        let fit = fit_np_to_dims_min(&g, &dims, &np, &[[1, 1, 1]; 2]).unwrap();
         assert_eq!(fit.iter().sum::<usize>(), 50);
         for (i, (&d, &n)) in dims.iter().zip(&fit).enumerate() {
-            assert!(lattice_feasible(d, n), "grid {i}: np {n} infeasible for {d:?}");
+            assert!(lattice_feasible_min(d, n, [1, 1, 1]), "grid {i}: np {n} infeasible for {d:?}");
         }
     }
 
@@ -417,10 +408,13 @@ mod tests {
         let g: Vec<usize> = dims.iter().map(|d| d.count()).collect();
         for nproc in [256usize, 512, 1024] {
             let b = static_balance(&g, nproc).unwrap();
-            let fit = fit_np_to_dims(&g, &dims, &b.np).unwrap();
+            let fit = fit_np_to_dims_min(&g, &dims, &b.np, &[[1, 1, 1]; 4]).unwrap();
             assert_eq!(fit.iter().sum::<usize>(), nproc, "nproc = {nproc}");
             for (i, (&d, &n)) in dims.iter().zip(&fit).enumerate() {
-                assert!(lattice_feasible(d, n), "nproc {nproc} grid {i}: np {n} for {d:?}");
+                assert!(
+                    lattice_feasible_min(d, n, [1, 1, 1]),
+                    "nproc {nproc} grid {i}: np {n} for {d:?}"
+                );
             }
         }
     }

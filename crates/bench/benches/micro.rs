@@ -19,9 +19,8 @@ use overset_grid::gen::airfoil::{airfoil_system, near_grid};
 use overset_grid::gen::store::{store_system, STORE_CARRIAGE};
 use overset_grid::{Dims, RigidTransform};
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
-use overset_solver::kernels::{frames_forward_rows, from_char_lanes, solve_lanes, Rows, FR_FIELDS};
+use overset_solver::kernels::{frames_forward_rows, from_char_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
-use overset_solver::tridiag::{solve_with, TriScratch};
 use overset_solver::{select_isa, Block, FlowConditions, Isa, Scratch, SerialComm, W};
 use std::time::{Duration, Instant};
 
@@ -107,52 +106,6 @@ fn solver_kernels(c: &mut Criterion) {
                     from_char_lanes(isa, mm, mm, &fr, &mut dw);
                 }
             })
-        });
-    }
-}
-
-/// Scalar Thomas (one line at a time) vs the lane-batched kernel solving
-/// [`W`] lines per call, at short and long line lengths.
-fn tridiag_kernels(c: &mut Criterion) {
-    let isa = select_isa();
-    for n in [32usize, 128] {
-        // W independent diagonally dominant systems.
-        let a: Vec<f64> = (0..n * W).map(|i| -0.4 - 0.01 * (i / W) as f64).collect();
-        let bd: Vec<f64> = (0..n * W).map(|i| 2.0 + 0.05 * (i / W) as f64).collect();
-        let cc: Vec<f64> = (0..n * W).map(|i| -0.3 - 0.02 * (i / W) as f64).collect();
-        let d0: Vec<f64> = (0..n * W).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-
-        // De-interleave for the scalar reference.
-        let lane = |v: &[f64], l: usize| -> Vec<f64> { (0..n).map(|i| v[i * W + l]).collect() };
-        let las: Vec<Vec<f64>> = (0..W).map(|l| lane(&a, l)).collect();
-        let lbs: Vec<Vec<f64>> = (0..W).map(|l| lane(&bd, l)).collect();
-        let lcs: Vec<Vec<f64>> = (0..W).map(|l| lane(&cc, l)).collect();
-        let lds: Vec<Vec<f64>> = (0..W).map(|l| lane(&d0, l)).collect();
-
-        let mut ws = TriScratch::default();
-        c.bench_function(&format!("tridiag/thomas_scalar_4lines_n{n}"), |b| {
-            b.iter_batched(
-                || lds.clone(),
-                |mut ds| {
-                    for l in 0..W {
-                        solve_with(&las[l], &lbs[l], &lcs[l], &mut ds[l], &mut ws);
-                    }
-                    ds
-                },
-                BatchSize::SmallInput,
-            )
-        });
-
-        let mut cp = vec![0.0; n * W];
-        c.bench_function(&format!("tridiag/thomas_batched_4lines_n{n}"), |b| {
-            b.iter_batched(
-                || d0.clone(),
-                |mut d| {
-                    solve_lanes(isa, &a, &bd, &cc, &mut d, &mut cp);
-                    d
-                },
-                BatchSize::SmallInput,
-            )
         });
     }
 }
@@ -485,7 +438,6 @@ fn distributed_connectivity(c: &mut Criterion) {
 criterion_group!(
     benches,
     solver_kernels,
-    tridiag_kernels,
     trilinear_kernels,
     connectivity_kernels,
     inverse_map_kernels,

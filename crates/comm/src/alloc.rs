@@ -3,8 +3,8 @@
 //! Every crate in the workspace links `overset-comm`, so the
 //! [`#[global_allocator]`](CountingAlloc) registered here observes every heap
 //! allocation in every binary and test. Attribution works through a
-//! thread-local [`Ctx`] holding a raw pointer to the current rank's
-//! [`RankAllocCounters`] plus the current [`Phase`](crate::stats::Phase):
+//! thread-local `Ctx` holding a raw pointer to the current rank's
+//! [`RankAllocCounters`] plus the current [`Phase`]:
 //!
 //! - `runtime::run_ranks` installs the context at rank start and clears it
 //!   when the rank body returns (or unwinds), so allocator bookkeeping never
@@ -27,7 +27,7 @@
 //!
 //! - Runtime-internal allocations whose count depends on *host* timing
 //!   (mailbox queue growth, rendezvous buffers, out-of-order pending lists)
-//!   are excluded via [`suspend`] guards around the comm runtime's internals.
+//!   are excluded via `suspend` guards around the comm runtime's internals.
 //!   Only allocations made by rank code (and deterministic observability
 //!   paths) are attributed.
 //! - **Peak bytes depend on allocation order**, which legitimately varies

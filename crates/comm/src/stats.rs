@@ -140,14 +140,6 @@ impl PerfSummary {
     pub fn phase_time(&self, p: Phase) -> f64 {
         self.phase_elapsed[p as usize]
     }
-
-    /// *Average* per-rank phase time (summed phase time / nranks). This is
-    /// an average, not an elapsed time: it equals [`PerfSummary::phase_time`]
-    /// only when the phase is perfectly balanced, and bounds it from below
-    /// otherwise. Use `phase_time` for table rows.
-    pub fn mean_phase_time(&self, p: Phase) -> f64 {
-        self.time[p as usize] / self.nranks as f64
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +170,6 @@ mod tests {
         assert!((s.connectivity_fraction() - 6.0 / 20.0).abs() < 1e-12);
         // 180 Mflop over 10 s over 2 nodes = 9 Mflops/node.
         assert!((s.mflops_per_node() - 9.0).abs() < 1e-12);
-        assert!((s.mean_phase_time(Phase::Flow) - 7.0).abs() < 1e-12);
         // Elapsed is the max over ranks, not the mean.
         assert!((s.phase_time(Phase::Flow) - 8.0).abs() < 1e-12);
         assert!((s.phase_time(Phase::Connectivity) - 4.0).abs() < 1e-12);

@@ -67,7 +67,7 @@ pub struct SearchCost {
     /// the candidate inversions alike.
     pub newton_iters: u64,
     /// Listed cells of an inverse map whose corner box was tested against
-    /// the point ([`settle_by_candidates`]).
+    /// the point (`settle_by_candidates`).
     pub listed: u64,
     /// Of those, the cells inverted: what proving a search's answer cost.
     pub candidates: u64,
@@ -231,7 +231,7 @@ pub fn walk_search_relaxed(
 /// one. The outcome and cost are bit-identical for every `Isa` (the lanes
 /// execute the scalar operation sequence); only host speed changes. With a
 /// map a walk that fails, or succeeds where containment can be ambiguous, is
-/// settled from the map's cell lists ([`settle_by_candidates`]); without
+/// settled from the map's cell lists (`settle_by_candidates`); without
 /// one by the canonical chain — the same answer at a different cost.
 pub fn walk_search_isa(
     block: &Block,

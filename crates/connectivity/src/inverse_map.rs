@@ -25,7 +25,7 @@
 //!   handful instead of re-walking the block (see `donor.rs`),
 //! * per-solid **inside/outside/boundary ternary masks** over a hole
 //!   lattice, so hole cutting runs the detailed containment test only for
-//!   nodes in *boundary* bins (see [`classify_solids`]).
+//!   nodes in *boundary* bins (see [`classify_solids_into`]).
 //!
 //! The structure is built on the cold step, after every repartition, and
 //! for a moved grid whose accumulated rotation has outgrown
@@ -156,7 +156,7 @@ pub struct InverseMap {
     /// [`MASK_PAD`], overlaps the bin.
     mask_nb: [usize; 3],
     mask: Vec<u64>,
-    /// Hole-lattice bins per axis for [`classify_solids`].
+    /// Hole-lattice bins per axis for [`classify_solids_into`].
     hole_nb: [usize; 3],
     /// Flops spent building (the caller charges them to virtual time).
     build_flops: u64,
@@ -471,7 +471,7 @@ impl InverseMap {
     }
 
     /// Hole-lattice bin index of a node coordinate (used with the classes
-    /// from [`classify_solids`]). Lattice-frame only: hole classification
+    /// from [`classify_solids_into`]). Lattice-frame only: hole classification
     /// is gated on an identity pose (see `holes.rs`), so no inverse
     /// transform is applied here.
     pub fn hole_bin(&self, p: [f64; 3]) -> usize {
@@ -813,24 +813,12 @@ pub fn occupancy_admits(occ: &[u64; OCC_WORDS], rank_box: &Aabb, p: [f64; 3]) ->
 pub const OCC_ALL: [u64; OCC_WORDS] = [u64::MAX; OCC_WORDS];
 
 /// Classify every hole-lattice bin of `inv` against each solid in `solids`
-/// (one `Vec<BinClass>` per solid, bin-major). `pad_hint` must be the same
-/// padded-bbox inflation the unmasked cutter uses, so an `Outside` verdict
-/// reproduces its bounding-box rejection exactly. Returns the classes and
-/// the flops spent.
-pub fn classify_solids(
-    inv: &InverseMap,
-    solids: &[&Solid],
-    pad_hint: f64,
-) -> (Vec<Vec<BinClass>>, u64) {
-    let owned: Vec<Solid> = solids.iter().map(|s| **s).collect();
-    let mut classes = Vec::new();
-    let flops = classify_solids_into(inv, &owned, pad_hint, &mut classes);
-    (classes, flops)
-}
-
-/// [`classify_solids`] writing into caller-owned storage: the outer vector
-/// is resized to the solid count and the inner per-bin vectors keep their
-/// capacity, so a steady-state re-classification allocates nothing.
+/// into `classes` (one `Vec<BinClass>` per solid, bin-major). `pad_hint`
+/// must be the same padded-bbox inflation the unmasked cutter uses, so an
+/// `Outside` verdict reproduces its bounding-box rejection exactly. Returns
+/// the flops spent. The outer vector is resized to the solid count and the
+/// inner per-bin vectors keep their capacity, so a steady-state
+/// re-classification allocates nothing.
 pub fn classify_solids_into(
     inv: &InverseMap,
     solids: &[Solid],
@@ -1162,8 +1150,8 @@ mod tests {
         let b = cart_block(21, 0.2); // covers [0,4]^3
         let inv = InverseMap::build(&b);
         let solid = Solid::Ellipsoid { center: [2.0, 2.0, 2.0], radii: [1.3, 1.1, 1.2] };
-        let (classes, flops) = classify_solids(&inv, &[&solid], 0.1);
-        assert!(flops > 0);
+        let mut classes = Vec::new();
+        assert!(classify_solids_into(&inv, &[solid], 0.1, &mut classes) > 0);
         let classes = &classes[0];
         let mut counts = [0usize; 3];
         for (bin, cls) in classes.iter().enumerate() {

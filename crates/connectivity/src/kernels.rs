@@ -10,7 +10,7 @@
 //! reductions, no FMA), so every lane's result is bit-identical to the
 //! scalar reference: donors, walk outcomes, blanking verdicts and the
 //! flop charges derived from them do not depend on the selected
-//! [`Isa`]. The batched-vs-scalar tests and proptests pin this.
+//! [`Isa`](overset_solver::Isa). The batched-vs-scalar tests and proptests pin this.
 //!
 //! Dispatch reuses the solver's exported [`overset_solver::lane_kernel!`]
 //! macro: one generic body, monomorphized to `[f64; 4]` scalar lanes or to

@@ -46,7 +46,7 @@ pub use donor::{
 pub use holes::{cut_holes_and_find_fringe, Igbp};
 pub use interp::{interpolate, weights};
 pub use inverse_map::{
-    classify_solids_into, occupancy_admits, occupancy_admits_posed, BinClass, InverseMap,
-    FLOPS_PER_INCR_UPDATE, OCC_ALL, OCC_WORDS,
+    classify_solids_into, occupancy_admits_posed, BinClass, InverseMap, FLOPS_PER_INCR_UPDATE,
+    OCC_WORDS,
 };
-pub use protocol::{connect_distributed, ConnStats, DonorCache, Topology};
+pub use protocol::{connect_distributed, DonorCache, Topology};

@@ -20,9 +20,10 @@
 //! A rank owns a list of blocks. A request for a block of another rank
 //! travels as a message; what the blocks of one rank ask of each other is
 //! served in place by the same kernel, at the cost of the walk alone. (A
-//! rank with one block has no such neighbour: should that block ask itself
-//! — no hierarchy names its own grid, a donor cache gone stale in a
-//! repartition can — the request travels like any other.)
+//! rank with one block has no such neighbour. No hierarchy can have a block
+//! ask itself — `build_topology` rejects one that names its own grid — but
+//! a donor cache gone stale in a repartition still can, and that request
+//! travels like any other.)
 //!
 //! "nth-level restart": each block caches its fringe points' donors
 //! (block + global donor cell) and sends the next step's first request
@@ -33,7 +34,7 @@
 //! paper's asynchronous overlap is retained within a round — a rank services
 //! everything it received before waiting on its own replies. A round visits
 //! a whole hierarchy level, so the loop ends by quiescence within
-//! [`round_bound`] rounds whatever the rank count; passing the bound is a
+//! `round_bound` rounds whatever the rank count; passing the bound is a
 //! bug and aborts the run.
 
 use crate::arena::{ConnArena, WalkScratch};
@@ -85,7 +86,7 @@ impl DonorCache {
         Self::default()
     }
 
-    /// Invalidate everything (the A1 restart-off ablation).
+    /// Invalidate everything (restart off).
     pub fn clear(&mut self) {
         self.map.clear();
     }
@@ -98,45 +99,6 @@ impl DonorCache {
         for (block, donor) in self.map.values_mut() {
             *block = owner(donor.grid, donor.cell);
         }
-    }
-}
-
-/// One rank's connectivity statistics for a step: the quantities Algorithm 2
-/// and the paper's tables consume.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ConnStats {
-    /// IGBPs owned by this rank.
-    pub igbps: usize,
-    /// Search-request points *serviced* by this rank: the paper's I(p).
-    pub serviced: usize,
-    /// Of the owned IGBPs, how many were resolved.
-    pub resolved: usize,
-    pub orphans: usize,
-    /// Total walk steps performed while servicing.
-    pub walk_steps: u64,
-    /// Rounds until global quiescence.
-    pub rounds: usize,
-}
-
-impl Wire for ConnStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.igbps.encode(out);
-        self.serviced.encode(out);
-        self.resolved.encode(out);
-        self.orphans.encode(out);
-        self.walk_steps.encode(out);
-        self.rounds.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ConnStats {
-            igbps: usize::decode(r)?,
-            serviced: usize::decode(r)?,
-            resolved: usize::decode(r)?,
-            orphans: usize::decode(r)?,
-            walk_steps: u64::decode(r)?,
-            rounds: usize::decode(r)?,
-        })
     }
 }
 
@@ -390,15 +352,14 @@ pub fn connect_distributed(
     topo: &Topology,
     comm: &mut Comm,
     arena: &mut ConnArena,
-) -> ConnStats {
+) {
     let me = comm.rank();
     // Does block `b` answer this rank's requests in place?
     let siblings = blocks.len() > 1;
     let in_place = |b: usize| siblings && topo.rank_of_block[b] == me;
     debug_assert!(blocks.iter().zip(blocks[0].id..).all(|(rb, id)| rb.id == id));
     debug_assert!(!siblings || comm.size() == 1, "one routing entry travels per rank");
-    let mut stats =
-        ConnStats { igbps: blocks.iter().map(|rb| rb.igbps.len()).sum(), ..Default::default() };
+    let igbps: usize = blocks.iter().map(|rb| rb.igbps.len()).sum();
     let t_conn = comm.now();
     arena.begin_protocol(topo.rank_of_block.len());
     let isa = arena.isa;
@@ -481,7 +442,6 @@ pub fn connect_distributed(
              after round {round}, the hierarchy bound",
             pending.len()
         );
-        stats.rounds = round + 1;
 
         // Build per-destination request lists: every candidate of a pending
         // point's level gets the request, identified by the point's slot in
@@ -553,8 +513,7 @@ pub fn connect_distributed(
                     comm.recv(src, tag_req)
                 };
                 assert_eq!(pts.len(), n_in);
-                stats.serviced += n_in;
-                stats.walk_steps += serve(rb, isa, &mut pts, &mut answers, walk, comm);
+                serve(rb, isa, &mut pts, &mut answers, walk, comm);
                 if local {
                     // (The request list is let go: a rank that holds a whole
                     // system would keep every request of it resident.)
@@ -603,7 +562,6 @@ pub fn connect_distributed(
                         relaxed: p.relaxed,
                     };
                     rb.cache.map.insert(ig.node, (from, donor));
-                    stats.resolved += 1;
                     relaxed_donors += u64::from(p.relaxed);
                 }
                 Answer::Miss => {
@@ -634,25 +592,23 @@ pub fn connect_distributed(
         }
     }
 
-    stats.orphans = orphaned.len();
     let m = comm.metrics_mut();
-    m.add(Counter::ConnIgbps, stats.igbps as u64);
-    m.add(Counter::ConnOrphans, stats.orphans as u64);
+    m.add(Counter::ConnIgbps, igbps as u64);
+    m.add(Counter::ConnOrphans, orphaned.len() as u64);
     m.add(Counter::ConnDonorsRelaxed, relaxed_donors);
-    m.add(Counter::ConnRounds, stats.rounds as u64);
+    m.add(Counter::ConnRounds, round as u64);
     m.add(Counter::ConnForwards, requests - first_requests);
     comm.trace_complete(
         "conn",
         "connect",
         t_conn,
-        &[("igbps", ArgVal::U64(stats.igbps as u64)), ("rounds", ArgVal::U64(stats.rounds as u64))],
+        &[("igbps", ArgVal::U64(igbps as u64)), ("rounds", ArgVal::U64(round as u64))],
     );
-    stats
 }
 
 /// Serve one batch of search requests on a block: walk, interpolate, push an
 /// answer per request in request order, charge the work and feed the service
-/// counters. Returns the walk steps taken.
+/// counters.
 ///
 /// A cold request the fine occupancy mask of the block's map rejects is
 /// answered `Miss` at once; the rest, compacted to the front of `pts`, walk.
@@ -666,7 +622,7 @@ fn serve(
     answers: &mut Vec<(u32, Answer)>,
     walk: &mut WalkScratch,
     comm: &mut Comm,
-) -> u64 {
+) {
     let (block, inv) = (&rb.block, rb.slot.map());
     let n_in = pts.len();
     comm.metrics_mut().add(Counter::ConnServiced, n_in as u64);
@@ -732,7 +688,6 @@ fn serve(
     m.add(Counter::ConnPrefilterRejects, rejects);
     m.add(Counter::ConnCandidatesTested, tested);
     m.add(Counter::ConnChainFallbacks, fallbacks);
-    steps
 }
 
 /// Fold the answers of block `from` into the round's best replies: a donor
@@ -937,22 +892,35 @@ mod tests {
         RankBlock::new(id, block, None)
     }
 
+    /// What `f` added to this rank's counters: the `conn.*` tally a run
+    /// reads (a solution's resolved points are `conn.igbps − conn.orphans`).
+    fn tally(comm: &mut Comm, f: impl FnOnce(&mut Comm)) -> MetricsRegistry {
+        let before = comm.metrics().clone();
+        f(comm);
+        let mut added = MetricsRegistry::new();
+        for c in Counter::ALL {
+            added.add(c, comm.metrics().get(c) - before.get(c));
+        }
+        added
+    }
+
     /// One solution for the one block of this rank: the unmasked cutter on
-    /// a fresh arena, then the protocol on `topo` and `arena`.
+    /// a fresh arena, then the protocol on `topo` and `arena`. Returns the
+    /// solution's tally.
     fn solve(
         rb: &mut RankBlock,
         solids: &[(usize, Solid)],
         topo: &Topology,
         comm: &mut Comm,
         arena: &mut ConnArena,
-    ) -> ConnStats {
+    ) -> MetricsRegistry {
         let cutter = &mut ConnArena::new();
         rb.igbps = crate::holes::cut_holes_and_find_fringe(&mut rb.block, solids, None, cutter).0;
-        connect_distributed(std::slice::from_mut(rb), topo, comm, arena)
+        tally(comm, |comm| connect_distributed(std::slice::from_mut(rb), topo, comm, arena))
     }
 
     /// `solve` with no solids, on the fixture's topology and a fresh arena.
-    fn connect(rb: &mut RankBlock, comm: &mut Comm) -> ConnStats {
+    fn connect(rb: &mut RankBlock, comm: &mut Comm) -> MetricsRegistry {
         solve(rb, &[], &topo(), comm, &mut ConnArena::new())
     }
 
@@ -976,14 +944,13 @@ mod tests {
             (stats, max_err)
         });
         let (s0, err0) = &out[0].result;
-        assert!(s0.igbps > 0);
-        assert_eq!(s0.orphans, 0, "{s0:?}");
-        assert_eq!(s0.resolved, s0.igbps);
+        let igbps = s0.get(Counter::ConnIgbps);
+        assert!(igbps > 0);
+        assert_eq!(s0.get(Counter::ConnOrphans), 0, "every IGBP resolved");
         assert!(*err0 < 1e-10, "interp err {err0}");
         // The two outer ranks serviced the inner grid's requests.
-        let (s1, _) = &out[1].result;
-        let (s2, _) = &out[2].result;
-        assert!(s1.serviced + s2.serviced >= s0.igbps);
+        let serviced = |r: usize| out[r].result.0.get(Counter::ConnServiced);
+        assert!(serviced(1) + serviced(2) >= igbps);
     }
 
     #[test]
@@ -996,11 +963,12 @@ mod tests {
             (s1, s2)
         });
         // Walk work on the servicing ranks drops with warm hints.
-        let cold: u64 = out.iter().map(|o| o.result.0.walk_steps).sum();
-        let warm: u64 = out.iter().map(|o| o.result.1.walk_steps).sum();
+        let cold: u64 = out.iter().map(|o| o.result.0.get(Counter::ConnWalkSteps)).sum();
+        let warm: u64 = out.iter().map(|o| o.result.1.get(Counter::ConnWalkSteps)).sum();
         assert!(warm < cold, "restart not effective: {warm} vs {cold}");
         // Warm pass resolves in a single round.
-        assert!(out[0].result.1.rounds <= out[0].result.0.rounds);
+        let rounds = |s: &MetricsRegistry| s.get(Counter::ConnRounds);
+        assert!(rounds(&out[0].result.1) <= rounds(&out[0].result.0));
     }
 
     /// The serial cache's relaxed-donor assertion through the per-rank
@@ -1013,31 +981,23 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
             let mut rb = rank_block(comm.rank(), &fc);
-            let mut resolved = Vec::new();
-            for _ in 0..2 {
-                let arena = &mut ConnArena::new();
-                let s = solve(&mut rb, &holed_stencil_solids(), &topo(), comm, arena);
-                resolved.push((s.resolved as u64, comm.metrics().clone()));
-            }
-            resolved
+            (0..2)
+                .map(|_| {
+                    solve(&mut rb, &holed_stencil_solids(), &topo(), comm, &mut ConnArena::new())
+                })
+                .collect::<Vec<_>>()
         });
-        // Counters are cumulative: a solution's census is the difference
-        // of the rank-summed registries after and before it.
+        // A solution's census: its tallies summed over the ranks.
         let census = |step: usize| {
-            let summed = |s: usize| {
-                let regs: Vec<_> = out.iter().map(|o| o.result[s].1.clone()).collect();
-                MetricsRegistry::aggregate(&regs)
-            };
-            let now = summed(step);
-            let before = if step == 0 { MetricsRegistry::new() } else { summed(step - 1) };
-            let delta = |c: Counter| now.get(c) - before.get(c);
+            let regs: Vec<_> = out.iter().map(|o| o.result[step].clone()).collect();
+            let t = MetricsRegistry::aggregate(&regs);
             RestartCensus {
-                resolved: out.iter().map(|o| o.result[step].0).sum(),
-                relaxed_donors: delta(Counter::ConnDonorsRelaxed),
-                warm_attempts: delta(Counter::ConnCacheHit) + delta(Counter::ConnCacheMiss),
-                warm_hits: delta(Counter::ConnCacheHit),
-                walk_steps: delta(Counter::ConnWalkSteps),
-                walk_steps_miss: delta(Counter::ConnWalkStepsMiss),
+                resolved: t.get(Counter::ConnIgbps) - t.get(Counter::ConnOrphans),
+                relaxed_donors: t.get(Counter::ConnDonorsRelaxed),
+                warm_attempts: t.get(Counter::ConnCacheHit) + t.get(Counter::ConnCacheMiss),
+                warm_hits: t.get(Counter::ConnCacheHit),
+                walk_steps: t.get(Counter::ConnWalkSteps),
+                walk_steps_miss: t.get(Counter::ConnWalkStepsMiss),
             }
         };
         assert_relaxed_donors_restart_warm(&census(0), &census(1));
@@ -1140,16 +1100,17 @@ mod tests {
 
     /// Rank 0 asks for a donor for the one point `xyz`: the rounds it took,
     /// the rank that gave the donor, and the requests sent after the first.
-    fn lone_request(topo: Topology, xyz: [f64; 3]) -> (usize, Option<usize>, u64) {
+    fn lone_request(topo: Topology, xyz: [f64; 3]) -> (u64, Option<usize>, u64) {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(move |comm| {
             let mut rb = rank_block(comm.rank(), &fc);
             let node = Ijk::new(0, 0, 0);
             rb.igbps = if comm.rank() == 0 { vec![Igbp { node, xyz }] } else { vec![] };
             let arena = &mut ConnArena::new();
-            let s = connect_distributed(std::slice::from_mut(&mut rb), &topo, comm, arena);
+            connect_distributed(std::slice::from_mut(&mut rb), &topo, comm, arena);
             let donor_rank = rb.cache.map.get(&node).map(|&(block, _)| block);
-            (s.rounds, donor_rank, comm.metrics().get(Counter::ConnForwards))
+            let m = comm.metrics();
+            (m.get(Counter::ConnRounds), donor_rank, m.get(Counter::ConnForwards))
         });
         out[0].result
     }
@@ -1180,16 +1141,12 @@ mod tests {
 
     /// One solution of the holed-stencil fixture (some inner fringe points
     /// have only a relaxed donor, on rank 1) with rank 1 as the *last* level
-    /// of the inner grid's hierarchy: per rank its stats and registry.
-    fn relaxed_on_the_last_level(
-        comm: &mut Comm,
-        arena: &mut ConnArena,
-    ) -> (ConnStats, MetricsRegistry) {
+    /// of the inner grid's hierarchy: per rank its tally.
+    fn relaxed_on_the_last_level(comm: &mut Comm, arena: &mut ConnArena) -> MetricsRegistry {
         use crate::serial::tests::holed_stencil_solids;
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let mut rb = rank_block(comm.rank(), &fc);
-        let s = solve(&mut rb, &holed_stencil_solids(), &split_topo([2, 1]), comm, arena);
-        (s, comm.metrics().clone())
+        solve(&mut rb, &holed_stencil_solids(), &split_topo([2, 1]), comm, arena)
     }
 
     #[test]
@@ -1198,17 +1155,17 @@ mod tests {
             .ranks(3)
             .machine(&MachineModel::modern())
             .run(|comm| relaxed_on_the_last_level(comm, &mut ConnArena::new()));
-        let regs: Vec<_> = out.iter().map(|o| o.result.1.clone()).collect();
+        let regs: Vec<_> = out.iter().map(|o| o.result.clone()).collect();
         let agg = MetricsRegistry::aggregate(&regs);
         assert!(agg.get(Counter::ConnDonorsRelaxed) > 0);
         // (The hole's own fringe on rank 1 reaches outside the inner grid.)
-        assert_eq!(out[0].result.0.orphans, 0);
-        for o in &out {
-            let s = &o.result.0;
+        assert_eq!(out[0].result.get(Counter::ConnOrphans), 0);
+        for (rank, o) in out.iter().enumerate() {
+            let rounds = o.result.get(Counter::ConnRounds);
             // Rank 2 does not admit the points next to the hole: they go
             // straight to level 1, strict, then once more, relaxed.
-            assert_eq!(s.rounds, 2, "{s:?}");
-            assert!(s.rounds <= round_bound(&split_topo([2, 1])));
+            assert_eq!(rounds, 2, "rank {rank}");
+            assert!(rounds as usize <= round_bound(&split_topo([2, 1])));
         }
     }
 
@@ -1241,22 +1198,20 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
             let mut rb = rank_block(comm.rank(), &fc);
-            // Per solution: [IGBPs, orphans, points serviced, forwards so far].
-            let mut steps = Vec::new();
-            for _ in 0..2 {
-                let s = connect(&mut rb, comm);
-                let forwards = comm.metrics().get(Counter::ConnForwards);
-                steps.push([s.igbps as u64, s.orphans as u64, s.serviced as u64, forwards]);
-            }
-            steps
+            (0..2).map(|_| connect(&mut rb, comm)).collect::<Vec<_>>()
         });
         let sum =
-            |step: usize, col: usize| -> u64 { out.iter().map(|o| o.result[step][col]).sum() };
-        let (igbps, orphans, serviced, forwards) = (0, 1, 2, 3);
+            |step: usize, c: Counter| -> u64 { out.iter().map(|o| o.result[step].get(c)).sum() };
+        let (igbps, orphans, serviced, forwards) = (
+            Counter::ConnIgbps,
+            Counter::ConnOrphans,
+            Counter::ConnServiced,
+            Counter::ConnForwards,
+        );
         assert_eq!(sum(0, orphans) + sum(1, orphans), 0);
         assert!(sum(0, forwards) > 0);
         assert_eq!(sum(0, serviced), sum(0, igbps) + sum(0, forwards));
-        assert_eq!(sum(1, forwards), sum(0, forwards), "a warm step forwards nothing");
+        assert_eq!(sum(1, forwards), 0, "a warm step forwards nothing");
         assert_eq!(sum(1, serviced), sum(1, igbps));
     }
 
@@ -1280,7 +1235,7 @@ mod tests {
     /// grid and the solid it carries (which cuts a hole in the outer grid)
     /// take a small step. `map`: cut and search with this rank's inverse
     /// map, refreshed per cut, or with `None`. `warm`: one arena for all
-    /// cuts, or a fresh one per cut. Returns the per-cut stats, the answers
+    /// cuts, or a fresh one per cut. Returns the per-cut tallies, the answers
     /// in named sections (per-cut census; then, after the last cut, blanking,
     /// state bits, and the sorted donor-cache entries as rows of fringe node,
     /// block, grid, global donor cell, relaxed), the final virtual clock, and
@@ -1320,9 +1275,12 @@ mod tests {
                 &mut arena,
             );
             rb.igbps = igbps;
-            let s = connect_distributed(std::slice::from_mut(&mut rb), &topo(), comm, &mut arena);
+            let s = tally(comm, |comm| {
+                connect_distributed(std::slice::from_mut(&mut rb), &topo(), comm, &mut arena)
+            });
             arena.recycle_igbps(std::mem::take(&mut rb.igbps));
-            census.extend([s.igbps, s.resolved, s.orphans].map(|n| n as u64));
+            let (igbps, orphans) = (s.get(Counter::ConnIgbps), s.get(Counter::ConnOrphans));
+            census.extend([igbps, igbps - orphans, orphans]);
             stats.push(s);
         }
         let iblank = rb.block.iblank.as_slice().iter().map(|&b| b as u64).collect();
@@ -1350,7 +1308,7 @@ mod tests {
 
     /// Named sections of answers, each a flat list of fixed-width rows.
     type Answers = Vec<(String, usize, Vec<u64>)>;
-    type MovedCuts = (Vec<ConnStats>, Answers, f64, (u64, u64));
+    type MovedCuts = (Vec<MetricsRegistry>, Answers, f64, (u64, u64));
 
     /// The first row two answer sets differ in, with both versions of it.
     fn first_difference(a: &Answers, b: &Answers) -> Option<String> {
@@ -1386,9 +1344,9 @@ mod tests {
             // The inner grid's outer boundary and the fringe of the hole in
             // its middle all found donors (the small hole on its boundary
             // has fringe points outside it: orphans of rank 1).
-            let cuts = &reference.result.0;
-            assert!(cuts.iter().all(|s| s.igbps > 0), "rank {rank}: {cuts:?}");
-            assert!(rank == 1 || cuts.iter().all(|s| s.orphans == 0), "rank {rank}: {cuts:?}");
+            let census = &reference.result.1[0].2;
+            assert!(census.chunks(3).all(|c| c[0] > 0), "rank {rank}: {census:?}");
+            assert!(rank == 1 || census.chunks(3).all(|c| c[2] == 0), "rank {rank}: {census:?}");
             for leg in 1..4 {
                 let differs = first_difference(&of(0).1, &of(leg).1);
                 assert!(differs.is_none(), "rank {rank}, leg 0 vs leg {leg}: {}", differs.unwrap());
@@ -1397,11 +1355,11 @@ mod tests {
             for (cold, warm) in [(0, 1), (2, 3)] {
                 let (c, w) = (of(cold), of(warm));
                 assert_eq!(c.2.to_bits(), w.2.to_bits(), "rank {rank}: clock, legs {cold}/{warm}");
-                assert_eq!(c.0.to_wire_bytes(), w.0.to_wire_bytes(), "rank {rank}: stats");
+                assert!(c.0 == w.0, "rank {rank}: counters, legs {cold}/{warm}");
             }
         }
         let walks = |leg: usize| -> u64 {
-            legs[leg].iter().flat_map(|o| &o.result.0).map(|s| s.walk_steps).sum()
+            legs[leg].iter().flat_map(|o| &o.result.0).map(|s| s.get(Counter::ConnWalkSteps)).sum()
         };
         assert!(walks(3) < walks(0), "map did not cut walk steps: {} vs {}", walks(3), walks(0));
         // Without a map every open search is the chain's; with one, the
@@ -1424,16 +1382,16 @@ mod tests {
             (s1, s2)
         });
         // Per-rank: the registry's serviced counter is exactly the sum of
-        // the per-step stats — single source of truth for I(p).
+        // the per-step tallies — one source of truth for I(p).
+        let serviced = |s: &MetricsRegistry| s.get(Counter::ConnServiced);
         for o in &out {
-            let expect = (o.result.0.serviced + o.result.1.serviced) as u64;
+            let expect = serviced(&o.result.0) + serviced(&o.result.1);
             assert_eq!(o.metrics.get(Counter::ConnServiced), expect);
         }
         // Cross-rank aggregation sums counters and merges histograms.
         let regs: Vec<MetricsRegistry> = out.iter().map(|o| o.metrics.clone()).collect();
         let agg = MetricsRegistry::aggregate(&regs);
-        let total: u64 =
-            out.iter().map(|o| (o.result.0.serviced + o.result.1.serviced) as u64).sum();
+        let total: u64 = out.iter().map(|o| serviced(&o.result.0) + serviced(&o.result.1)).sum();
         assert!(total > 0);
         assert_eq!(agg.get(Counter::ConnServiced), total);
         // The warm second pass produced cache hits on the requesting rank.
@@ -1452,10 +1410,11 @@ mod tests {
             .ranks(3)
             .machine(&MachineModel::modern())
             .run(|comm| connect(&mut rank_block(comm.rank(), &fc), comm));
-        assert_eq!(out[1].result.igbps + out[2].result.igbps, 0);
-        assert_eq!(out[0].result.serviced, 0);
-        assert!(out[1].result.serviced > 0);
-        assert!(out[2].result.serviced > 0);
+        let (igbps, serviced) = (Counter::ConnIgbps, Counter::ConnServiced);
+        assert_eq!(out[1].result.get(igbps) + out[2].result.get(igbps), 0);
+        assert_eq!(out[0].result.get(serviced), 0);
+        assert!(out[1].result.get(serviced) > 0);
+        assert!(out[2].result.get(serviced) > 0);
     }
 
     #[test]
@@ -1517,10 +1476,5 @@ mod tests {
         assert_eq!(back.inv_pose.to_flat(), pose.to_flat());
         // Corrupt discriminants are rejected, not misread.
         assert!(Answer::from_wire_bytes(&[9]).is_err());
-        let s =
-            ConnStats { igbps: 4, serviced: 9, resolved: 4, orphans: 0, walk_steps: 77, rounds: 2 };
-        let back = ConnStats::from_wire_bytes(&s.to_wire_bytes()).unwrap();
-        assert_eq!(back.serviced, 9);
-        assert_eq!(back.walk_steps, 77);
     }
 }

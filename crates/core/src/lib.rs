@@ -23,7 +23,6 @@
 pub mod cases;
 pub mod comm_impl;
 pub mod driver;
-pub mod export;
 pub mod redistribute;
 pub mod setup;
 

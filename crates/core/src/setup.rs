@@ -15,7 +15,8 @@ use overset_solver::{Block, FlowConditions, WallGeometry};
 /// blocks laid out over `nranks` ranks. The two layouts that have callers
 /// exist: one block per rank, and every block on the one rank of a
 /// single-processor run. Fails on any other rank count, and when the search
-/// hierarchy does not describe every grid or names an unknown grid.
+/// hierarchy does not describe every grid, names an unknown grid, or has a
+/// grid search itself for donors.
 pub fn build_topology(
     partition: &Partition,
     search_order: &[Vec<usize>],
@@ -36,6 +37,9 @@ pub fn build_topology(
     }
     if let Some(&bad) = search_order.iter().flatten().find(|&&g| g >= ngrids) {
         return Err(OversetError::Setup(format!("search_order references grid {bad} of {ngrids}")));
+    }
+    if let Some(g) = (0..ngrids).find(|&g| search_order[g].contains(&g)) {
+        return Err(OversetError::Setup(format!("search_order of grid {g} names grid {g} itself")));
     }
     Ok(Topology {
         blocks_of_grid: (0..ngrids).map(|g| partition.ranks_of_grid(g)).collect(),
@@ -209,6 +213,9 @@ mod tests {
         // Hierarchy naming a grid that does not exist.
         let e = build_topology(&p, &[vec![9], vec![0], vec![0]], 3).unwrap_err();
         assert!(e.to_string().contains("grid 9"));
+        // Hierarchy asking a grid's own blocks for its donors.
+        let e = build_topology(&p, &[vec![1], vec![1, 2], vec![0]], 3).unwrap_err();
+        assert!(e.to_string().contains("grid 1 names grid 1 itself"), "{e}");
         // A layout between the two that exist.
         let order = overset_grid::gen::airfoil::airfoil_search_order();
         let e = build_topology(&p, &order, 2).unwrap_err();

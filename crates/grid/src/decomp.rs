@@ -127,21 +127,16 @@ fn fit_factors(dims: Dims, np: usize) -> Result<[usize; 3], usize> {
     Ok(pgrid)
 }
 
-/// Can [`lattice_split`] decompose `dims` into `np` subdomains? The
-/// prime-factor rule places each prime factor of `np` whole into one index
-/// direction, so e.g. a prime `np` larger than every dimension is
-/// infeasible even when the grid has plenty of points. Balancers use this
-/// to keep per-grid processor counts splittable (large-`P` universes
-/// otherwise hand a grid a prime count that fits nowhere).
-pub fn lattice_feasible(dims: Dims, np: usize) -> bool {
-    lattice_feasible_min(dims, np, [1, 1, 1])
-}
-
-/// [`lattice_feasible`] with a minimum subdomain width per direction: every
-/// piece of the lattice [`lattice_split`] would build must keep at least
-/// `min[t]` nodes along direction `t`. Periodic O-grids need `min = [2,1,1]`
-/// — the seam subdomain excludes the duplicated wrap node from its cyclic
-/// solve, so a 1-node-wide piece there owns an empty system.
+/// Can [`lattice_split`] decompose `dims` into `np` subdomains, every piece
+/// keeping at least `min[t]` nodes along direction `t`? The prime-factor
+/// rule places each prime factor of `np` whole into one index direction, so
+/// e.g. a prime `np` larger than every dimension is infeasible even when the
+/// grid has plenty of points. Balancers use this to keep per-grid processor
+/// counts splittable (large-`P` universes otherwise hand a grid a prime count
+/// that fits nowhere). `min = [1, 1, 1]` asks only for a non-empty piece;
+/// periodic O-grids need `[2, 1, 1]` — the seam subdomain excludes the
+/// duplicated wrap node from its cyclic solve, so a 1-node-wide piece there
+/// owns an empty system.
 pub fn lattice_feasible_min(dims: Dims, np: usize, min: [usize; 3]) -> bool {
     if np < 1 || np > dims.count() {
         return false;
@@ -187,24 +182,6 @@ pub fn lattice_split(dims: Dims, np: usize) -> Decomp {
     Decomp { pgrid, subs }
 }
 
-/// Split a grid's index space into `np` subdomains by prime factors (the
-/// flat list view of [`lattice_split`]).
-pub fn split_prime_factors(dims: Dims, np: usize) -> Vec<Subdomain> {
-    lattice_split(dims, np).subs
-}
-
-/// Total surface area of a decomposition (the quantity minimized to reduce
-/// inter-subdomain communication).
-pub fn total_surface_area(subs: &[Subdomain]) -> usize {
-    subs.iter().map(|s| s.boxx.surface_area()).sum()
-}
-
-/// Maximum over subdomains of owned node count — the flow-solve load-balance
-/// bottleneck for this grid.
-pub fn max_points(subs: &[Subdomain]) -> usize {
-    subs.iter().map(|s| s.boxx.count()).max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +199,7 @@ mod tests {
     fn split_preserves_node_count_and_disjointness() {
         let dims = Dims::new(20, 12, 8);
         for np in [1, 2, 3, 4, 6, 12, 24] {
-            let subs = split_prime_factors(dims, np);
+            let subs = lattice_split(dims, np).subs;
             assert_eq!(subs.len(), np);
             let total: usize = subs.iter().map(|s| s.boxx.count()).sum();
             assert_eq!(total, dims.count());
@@ -242,7 +219,7 @@ mod tests {
         // np = 12 -> factors 3, 2, 2: largest dim split by 3, then largest
         // dim of each piece by 2, then by 2 again.
         let dims = Dims::new(30, 20, 10);
-        let subs = split_prime_factors(dims, 12);
+        let subs = lattice_split(dims, 12).subs;
         assert_eq!(subs.len(), 12);
         // Every piece is near-cubic with extents {5, 10, 10}.
         for s in &subs {
@@ -256,7 +233,7 @@ mod tests {
     #[test]
     fn split_balances_counts_with_remainders() {
         let dims = Dims::new(11, 7, 3);
-        let subs = split_prime_factors(dims, 5);
+        let subs = lattice_split(dims, 5).subs;
         let counts: Vec<usize> = subs.iter().map(|s| s.boxx.count()).collect();
         let (mn, mx) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         // Near-equal: within one i-slab row of each other.
@@ -266,7 +243,7 @@ mod tests {
     #[test]
     fn near_cubic_beats_slabs() {
         let dims = Dims::new(32, 32, 32);
-        let prime_split = split_prime_factors(dims, 8);
+        let prime_split = lattice_split(dims, 8).subs;
         // Slab decomposition for comparison.
         let slabs: Vec<Subdomain> = dims
             .full_box()
@@ -275,13 +252,15 @@ mod tests {
             .enumerate()
             .map(|(ordinal, boxx)| Subdomain { boxx, ordinal })
             .collect();
-        assert!(total_surface_area(&prime_split) < total_surface_area(&slabs));
+        let area =
+            |subs: &[Subdomain]| -> usize { subs.iter().map(|s| s.boxx.surface_area()).sum() };
+        assert!(area(&prime_split) < area(&slabs));
     }
 
     #[test]
     fn single_subdomain_is_whole_grid() {
         let dims = Dims::new(9, 9, 1);
-        let subs = split_prime_factors(dims, 1);
+        let subs = lattice_split(dims, 1).subs;
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].boxx, dims.full_box());
         assert_eq!(subs[0].boxx.lo, Ijk::new(0, 0, 0));
@@ -326,10 +305,10 @@ mod tests {
     #[test]
     fn two_d_grid_splits_in_plane() {
         let dims = Dims::new(40, 30, 1);
-        let subs = split_prime_factors(dims, 6);
+        let subs = lattice_split(dims, 6).subs;
         for s in &subs {
             assert_eq!(s.boxx.dims().nk, 1);
         }
-        assert!(max_points(&subs) * 6 >= dims.count());
+        assert!(subs.iter().map(|s| s.boxx.count()).max().unwrap() * 6 >= dims.count());
     }
 }

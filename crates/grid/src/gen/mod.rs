@@ -11,13 +11,14 @@
 //! * [`revolution`] — body-of-revolution shell grids and spherical caps used
 //!   as building blocks for the 3-D cases,
 //! * [`delta_wing`] — the 4-grid descending delta wing system,
-//! * [`store`] — the 16-grid wing/pylon/finned-store system,
-//! * [`refine`] — pointwise coarsening/refinement for the Table 2 scaling
-//!   study.
+//! * [`store`] — the 16-grid wing/pylon/finned-store system.
+//!
+//! Each generator takes a resolution scale per index direction: Table 2's
+//! coarsened / original / refined airfoil systems are the airfoil system
+//! generated at 0.5×, 1× and 1.4×, not one system coarsened and refined.
 
 pub mod airfoil;
 pub mod delta_wing;
-pub mod refine;
 pub mod revolution;
 pub mod store;
 

@@ -15,9 +15,8 @@
 //! * [`decomp`] — prime-factor subdomain splitting used by the static load
 //!   balancer (Algorithm 1 of the paper),
 //! * [`gen`] — analytic grid generators for the paper's three test cases
-//!   (oscillating airfoil, descending delta wing, finned-store separation)
-//!   plus coarsen/refine used by the Table 2 scaling study,
-//! * [`io`] — Plot3D multi-grid XYZ / Q file I/O.
+//!   (oscillating airfoil, descending delta wing, finned-store separation),
+//!   each at a chosen resolution scale (Table 2's scaling study).
 
 pub mod bbox;
 pub mod cartesian;
@@ -26,16 +25,13 @@ pub mod decomp;
 pub mod field;
 pub mod gen;
 pub mod index;
-pub mod io;
 pub mod metrics;
 pub mod transform;
 
 pub use bbox::Aabb;
 pub use cartesian::CartesianGrid;
 pub use curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, GridKind};
-pub use decomp::{
-    lattice_feasible, lattice_feasible_min, prime_factors, split_prime_factors, Subdomain,
-};
+pub use decomp::{lattice_feasible_min, prime_factors, Subdomain};
 pub use field::{Field3, StateField};
 pub use index::{Dims, Ijk, IndexBox};
 pub use transform::RigidTransform;

@@ -14,7 +14,7 @@
 //! ## Schema versioning policy
 //!
 //! `schema_version` is bumped when a field is *removed or re-typed*; adding
-//! fields is backward compatible and does not bump. [`compare`] refuses to
+//! fields is backward compatible and does not bump. [`compare()`] refuses to
 //! compare documents whose versions differ from its own
 //! [`SCHEMA_VERSION`] — regenerate the baseline in the same PR that bumps
 //! the schema.
@@ -265,7 +265,7 @@ pub fn case_report(label: &str, cfg: &CaseConfig, machine: &str, r: &RunResult) 
 /// Assemble the top-level report document.
 ///
 /// `host` is the only wall-clock (nondeterministic) section; pass `None`
-/// for byte-reproducible documents (the golden tests do). [`compare`]
+/// for byte-reproducible documents (the golden tests do). [`compare()`]
 /// ignores it either way.
 pub fn run_report(experiment: &str, effort: &str, cases: Vec<Value>, host: Option<Value>) -> Value {
     let mut pairs = vec![

@@ -17,8 +17,10 @@
 //! dominates the explicit JST terms (β ≥ 2·k₄ rule).
 //!
 //! Lines that cross subdomain boundaries are solved with the *pipelined
-//! distributed Thomas* algorithm (see [`crate::tridiag`]): implicitness is
-//! maintained across subdomains, so the update is independent of the
+//! distributed Thomas* algorithm (the chunk carries of the sweep kernels in
+//! [`crate::kernels`]): the upstream rank eliminates its segment and hands
+//! the boundary-coupling coefficients downstream, so implicitness is
+//! maintained across subdomains and the update is independent of the
 //! processor count — the N-rank result is bit-identical to the serial one.
 
 use crate::block::{Blank, Block};

@@ -1,29 +1,21 @@
 //! Lane-batched compute kernels for the implicit line sweeps.
 //!
-//! Every kernel here processes up to [`W`] *independent* tridiagonal
-//! problems side by side — one SIMD lane per implicit line — and performs,
-//! on each lane, exactly the operation sequence of the scalar code in
-//! [`crate::tridiag`] / [`crate::adi`]. Only vertical (per-lane) `add`,
-//! `sub`, `mul`, `div` are used: no horizontal reductions, no FMA. AVX2
-//! executes those correctly rounded per lane, so the batched results are
-//! **bit-identical** to the scalar ones; the `Isa::Scalar` path (hosts
-//! without AVX2) runs the same batched structure with `[f64; 4]` lanes.
+//! Every kernel here processes up to [`W`] *independent* problems side by
+//! side — one SIMD lane per implicit line or per node — and performs, on
+//! each lane, exactly the operation sequence of the scalar reference forms
+//! in the tests of [`crate::adi`] and [`crate::rhs`]. Only vertical
+//! (per-lane) `add`, `sub`, `mul`, `div` are used: no horizontal
+//! reductions, no FMA. AVX2 executes those correctly rounded per lane, so
+//! the batched results are **bit-identical** to the scalar ones; the
+//! `Isa::Scalar` path (hosts without AVX2) runs the same batched structure
+//! with `[f64; 4]` lanes.
 //!
-//! Two families live here:
-//!
-//! * the *sweep group* kernels ([`sweep_forward_group`] and friends) that
-//!   [`crate::adi::implicit_sweeps`] drives over lane-transposed scratch —
-//!   including the Sherman–Morrison periodic variant and the pipelined
-//!   chunk carries;
-//! * lane-interleaved ports of the [`crate::tridiag`] API
-//!   ([`solve_lanes`], [`solve_periodic_lanes`], [`forward_segment_lanes`],
-//!   [`backward_segment_lanes`]) used by the equality proptests and the
-//!   micro benchmarks.
-//!
-//! Layouts. Sweep kernels: row `c`, variable `v`, lane `l` of a value array
-//! at `(c * NVAR + v) * W + l`; eigenvalue rows are shifted by one
-//! (`r = c + 1`) so rows `-1` and `n` hold the halo frames. Lane-interleaved
-//! tridiag arrays: element `(i, l)` at `i * W + l`.
+//! The *sweep group* kernels ([`sweep_forward_group`] and friends) are what
+//! [`crate::adi::implicit_sweeps`] drives over lane-transposed scratch —
+//! including the Sherman–Morrison periodic variant and the pipelined chunk
+//! carries. Layout: row `c`, variable `v`, lane `l` of a value array at
+//! `(c * NVAR + v) * W + l`; eigenvalue rows are shifted by one (`r = c + 1`)
+//! so rows `-1` and `n` hold the halo frames.
 
 use crate::adi::BETA;
 use crate::lanes::{Lane4, W};
@@ -536,8 +528,8 @@ lane_kernel! {
 }
 
 /// One Thomas forward-elimination step on four lanes:
-/// `bp = b - a·cp₋`, `cp = c/bp`, `dp = (d - a·dp₋)/bp` — the exact scalar
-/// operation order of [`crate::tridiag::solve`]'s inner loop.
+/// `bp = b - a·cp₋`, `cp = c/bp`, `dp = (d - a·dp₋)/bp` — the exact
+/// operation order of the scalar Thomas algorithm's inner loop.
 #[inline(always)]
 fn thomas_step<L: Lane4>(a: L, b: L, c: L, d: L, prev_cp: L, prev_dp: L) -> (L, L) {
     let bp = b.sub(a.mul(prev_cp));
@@ -819,309 +811,6 @@ lane_kernel! {
                 let row = (c * NVAR + v) * W;
                 let yv = L::load(&y[row..]).sub(f.mul(L::load(&z[row..])));
                 yv.store(&mut y[row..]);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane-interleaved ports of the `tridiag` API (proptests + micro benches).
-// ---------------------------------------------------------------------------
-
-/// Open-line Thomas solve on the lane-interleaved arrays (shared core of
-/// [`solve_lanes`] and [`solve_periodic_lanes`]).
-#[inline(always)]
-fn solve_core<L: Lane4>(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64], cp: &mut [f64]) {
-    let n = d.len() / W;
-    let (bp0, c0, d0) = (L::load(b), L::load(c), L::load(d));
-    let (cp0, dp0) = thomas_first(bp0, c0, d0);
-    cp0.store(cp);
-    dp0.store(d);
-    let mut prev_cp = cp0;
-    let mut prev_dp = dp0;
-    for i in 1..n {
-        let (av, bv, cv, dv) = (
-            L::load(&a[i * W..]),
-            L::load(&b[i * W..]),
-            L::load(&c[i * W..]),
-            L::load(&d[i * W..]),
-        );
-        let (cpv, dpv) = thomas_step(av, bv, cv, dv, prev_cp, prev_dp);
-        cpv.store(&mut cp[i * W..]);
-        dpv.store(&mut d[i * W..]);
-        prev_cp = cpv;
-        prev_dp = dpv;
-    }
-    let mut next = prev_dp;
-    for i in (0..n - 1).rev() {
-        let x = L::load(&d[i * W..]).sub(L::load(&cp[i * W..]).mul(next));
-        x.store(&mut d[i * W..]);
-        next = x;
-    }
-}
-
-lane_kernel! {
-    /// [`crate::tridiag::solve`] on [`W`] independent systems at once.
-    /// All arrays are lane-interleaved with `n` rows (`d.len() == n * W`);
-    /// `cp` is caller-provided scratch of the same length.
-    pub fn solve_lanes<L>(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64], cp: &mut [f64]) {
-        solve_core::<L>(a, b, c, d, cp);
-    }
-}
-
-lane_kernel! {
-    /// [`crate::tridiag::solve_periodic`] on [`W`] independent systems:
-    /// Sherman–Morrison with the same scalar operation order. `bb`, `z`,
-    /// and `cp` are caller-provided scratch (`n * W` each).
-    pub fn solve_periodic_lanes<L>(
-        a: &[f64],
-        b: &[f64],
-        c: &[f64],
-        d: &mut [f64],
-        bb: &mut [f64],
-        z: &mut [f64],
-        cp: &mut [f64],
-    ) {
-        let n = d.len() / W;
-        let alpha = L::load(a);
-        let beta = L::load(&c[(n - 1) * W..]);
-        let gamma = L::load(b).neg();
-
-        // Modified diagonal.
-        bb.copy_from_slice(b);
-        L::load(b).sub(gamma).store(bb);
-        let blast = L::load(&b[(n - 1) * W..]).sub(alpha.mul(beta).div(gamma));
-        blast.store(&mut bb[(n - 1) * W..]);
-
-        // Solve A' y = d.
-        solve_core::<L>(a, bb, c, d, cp);
-
-        // Solve A' z = u, u = (gamma, 0, ..., 0, beta).
-        z.fill(0.0);
-        gamma.store(z);
-        beta.store(&mut z[(n - 1) * W..]);
-        solve_core::<L>(a, bb, c, z, cp);
-
-        let a0 = L::load(a);
-        let dlast = L::load(&d[(n - 1) * W..]);
-        let zlast = L::load(&z[(n - 1) * W..]);
-        let num = L::load(d).add(a0.mul(dlast).div(gamma));
-        let den = L::splat(1.0).add(L::load(z)).add(a0.mul(zlast).div(gamma));
-        let fact = num.div(den);
-        for i in 0..n {
-            let x = L::load(&d[i * W..]).sub(fact.mul(L::load(&z[i * W..])));
-            x.store(&mut d[i * W..]);
-        }
-    }
-}
-
-lane_kernel! {
-    /// [`crate::tridiag::forward_segment`] on [`W`] independent lines.
-    /// `carry` holds the upstream `(cp, dp)` lanes, `None` at the start of
-    /// the lines. Returns this segment's last-row `(cp, dp)` lanes.
-    pub fn forward_segment_lanes<L>(
-        a: &[f64],
-        b: &[f64],
-        c: &[f64],
-        d: &mut [f64],
-        cp_out: &mut [f64],
-        carry: Option<(&[f64; W], &[f64; W])>,
-    ) -> ([f64; W], [f64; W]) {
-        let n = d.len() / W;
-        let (cp0, dp0) = match carry {
-            None => thomas_first(L::load(b), L::load(c), L::load(d)),
-            Some((ccp, cdp)) => thomas_step(
-                L::load(a),
-                L::load(b),
-                L::load(c),
-                L::load(d),
-                L::load(ccp),
-                L::load(cdp),
-            ),
-        };
-        cp0.store(cp_out);
-        dp0.store(d);
-        let mut prev_cp = cp0;
-        let mut prev_dp = dp0;
-        for i in 1..n {
-            let (cpv, dpv) = thomas_step(
-                L::load(&a[i * W..]),
-                L::load(&b[i * W..]),
-                L::load(&c[i * W..]),
-                L::load(&d[i * W..]),
-                prev_cp,
-                prev_dp,
-            );
-            cpv.store(&mut cp_out[i * W..]);
-            dpv.store(&mut d[i * W..]);
-            prev_cp = cpv;
-            prev_dp = dpv;
-        }
-        (prev_cp.to_array(), prev_dp.to_array())
-    }
-}
-
-lane_kernel! {
-    /// [`crate::tridiag::backward_segment`] on [`W`] independent lines.
-    /// Returns the segment's first unknowns to pass upstream.
-    pub fn backward_segment_lanes<L>(
-        cp: &[f64],
-        d: &mut [f64],
-        x_downstream: Option<&[f64; W]>,
-    ) -> [f64; W] {
-        let n = d.len() / W;
-        let mut next = L::load(&d[(n - 1) * W..]);
-        if let Some(x) = x_downstream {
-            next = next.sub(L::load(&cp[(n - 1) * W..]).mul(L::load(x)));
-            next.store(&mut d[(n - 1) * W..]);
-        }
-        for i in (0..n - 1).rev() {
-            let x = L::load(&d[i * W..]).sub(L::load(&cp[i * W..]).mul(next));
-            x.store(&mut d[i * W..]);
-            next = x;
-        }
-        next.to_array()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lanes::{select_isa, Isa};
-    use crate::tridiag;
-
-    /// Deterministic pseudo-random lane systems (diagonally dominant).
-    fn lane_systems(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let mut a = vec![0.0; n * W];
-        let mut c = vec![0.0; n * W];
-        let mut b = vec![0.0; n * W];
-        let mut d = vec![0.0; n * W];
-        for i in 0..n * W {
-            a[i] = -(0.2 + 0.3 * next().abs());
-            c[i] = -(0.2 + 0.3 * next().abs());
-            b[i] = 1.5 + a[i].abs() + c[i].abs() + next().abs();
-            d[i] = 4.0 * next();
-        }
-        (a, b, c, d)
-    }
-
-    fn lane_of(src: &[f64], l: usize) -> Vec<f64> {
-        src.chunks(W).map(|r| r[l]).collect()
-    }
-
-    #[test]
-    fn solve_lanes_bit_matches_scalar_each_lane() {
-        for isa in [Isa::Scalar, select_isa()] {
-            let n = 33;
-            let (a, b, c, d0) = lane_systems(n, 7);
-            let mut d = d0.clone();
-            let mut cp = vec![0.0; n * W];
-            solve_lanes(isa, &a, &b, &c, &mut d, &mut cp);
-            for l in 0..W {
-                let (la, lb, lc) = (lane_of(&a, l), lane_of(&b, l), lane_of(&c, l));
-                let mut ld = lane_of(&d0, l);
-                tridiag::solve(&la, &lb, &lc, &mut ld);
-                for i in 0..n {
-                    assert_eq!(
-                        d[i * W + l].to_bits(),
-                        ld[i].to_bits(),
-                        "isa {isa:?} lane {l} row {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn periodic_lanes_bit_matches_scalar_each_lane() {
-        for isa in [Isa::Scalar, select_isa()] {
-            let n = 17;
-            let (a, b, c, d0) = lane_systems(n, 21);
-            let mut d = d0.clone();
-            let (mut bb, mut z, mut cp) = (vec![0.0; n * W], vec![0.0; n * W], vec![0.0; n * W]);
-            solve_periodic_lanes(isa, &a, &b, &c, &mut d, &mut bb, &mut z, &mut cp);
-            for l in 0..W {
-                let (la, lb, lc) = (lane_of(&a, l), lane_of(&b, l), lane_of(&c, l));
-                let mut ld = lane_of(&d0, l);
-                tridiag::solve_periodic(&la, &lb, &lc, &mut ld);
-                for i in 0..n {
-                    assert_eq!(
-                        d[i * W + l].to_bits(),
-                        ld[i].to_bits(),
-                        "isa {isa:?} lane {l} row {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn segment_lanes_bit_match_scalar_segments() {
-        for isa in [Isa::Scalar, select_isa()] {
-            let n = 40;
-            let (a, b, c, d0) = lane_systems(n, 3);
-            let cuts = [0usize, 13, 27, n];
-            // Batched pipeline.
-            let mut d = d0.clone();
-            let mut cp = vec![0.0; n * W];
-            let mut carry: Option<([f64; W], [f64; W])> = None;
-            for s in 0..3 {
-                let r = cuts[s] * W..cuts[s + 1] * W;
-                let out = forward_segment_lanes(
-                    isa,
-                    &a[r.clone()],
-                    &b[r.clone()],
-                    &c[r.clone()],
-                    &mut d[r.clone()],
-                    &mut cp[r],
-                    carry.as_ref().map(|(x, y)| (x, y)),
-                );
-                carry = Some(out);
-            }
-            let mut xd: Option<[f64; W]> = None;
-            for s in (0..3).rev() {
-                let r = cuts[s] * W..cuts[s + 1] * W;
-                let first = backward_segment_lanes(isa, &cp[r.clone()], &mut d[r], xd.as_ref());
-                xd = Some(first);
-            }
-            // Scalar reference, lane by lane.
-            for l in 0..W {
-                let (la, lb, lc) = (lane_of(&a, l), lane_of(&b, l), lane_of(&c, l));
-                let mut ld = lane_of(&d0, l);
-                let mut lcp = vec![0.0; n];
-                let mut cin = None;
-                for s in 0..3 {
-                    let r = cuts[s]..cuts[s + 1];
-                    let out = tridiag::forward_segment(
-                        &la[r.clone()],
-                        &lb[r.clone()],
-                        &lc[r.clone()],
-                        &mut ld[r.clone()],
-                        &mut lcp[r],
-                        cin,
-                    );
-                    cin = Some(out);
-                }
-                let mut x = None;
-                for s in (0..3).rev() {
-                    let r = cuts[s]..cuts[s + 1];
-                    let first = tridiag::backward_segment(&lcp[r.clone()], &mut ld[r], x);
-                    x = Some(first);
-                }
-                for i in 0..n {
-                    assert_eq!(
-                        d[i * W + l].to_bits(),
-                        ld[i].to_bits(),
-                        "isa {isa:?} lane {l} row {i}"
-                    );
-                }
             }
         }
     }

@@ -24,7 +24,8 @@ pub mod rhs;
 pub mod step;
 #[cfg(test)]
 mod testutil;
-pub mod tridiag;
+#[cfg(test)]
+mod tridiag;
 pub mod turbulence;
 
 pub use adi::{SerialComm, SolverComm, SweepScratch};
@@ -34,5 +35,4 @@ pub use conditions::{FlowConditions, GAMMA};
 pub use lanes::AvxLanes;
 pub use lanes::{select_isa, Isa, Lane4, ScalarLanes, W};
 pub use step::{step_block, Scratch, StepReport};
-pub use tridiag::TriScratch;
 pub use turbulence::WallGeometry;

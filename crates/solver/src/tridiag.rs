@@ -1,42 +1,16 @@
-//! Tridiagonal line solvers for the approximate-factorization scheme.
-//!
-//! Three variants:
+//! The scalar Thomas algorithm, one line at a time: the oracle the batched
+//! sweep kernels are held to (`adi::tests::sweeps_reference`). No run calls
+//! it; [`crate::kernels`] carries the production line solves.
 //!
 //! * [`solve`] — the Thomas algorithm for an open line,
-//! * [`solve_periodic`] — Sherman–Morrison wrap-around for O-grid lines,
-//! * [`forward_segment`] / [`backward_segment`] — the *pipelined distributed*
-//!   Thomas used when an implicit line crosses subdomain boundaries: the
-//!   upstream rank eliminates its segment and hands the boundary-coupling
-//!   coefficients to the downstream rank (2 numbers per line forward, 1 back).
-//!   This is how implicitness is maintained across subdomains so that
-//!   "solution convergence characteristics remain unchanged with different
-//!   numbers of processors" (Section 2.1 of the paper).
-
-/// Reusable elimination buffers for [`solve_with`] / [`solve_periodic_with`]:
-/// the normalized super-diagonal, the Sherman–Morrison modified diagonal, and
-/// the correction column. Buffers grow to the longest line seen and are then
-/// recycled, so steady-state line solves allocate nothing.
-#[derive(Default)]
-pub struct TriScratch {
-    cp: Vec<f64>,
-    bb: Vec<f64>,
-    z: Vec<f64>,
-}
+//! * [`solve_periodic`] — Sherman–Morrison wrap-around for O-grid lines.
 
 /// Solve `a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i]` in place; the answer
 /// lands in `d`. `a[0]` and `c[n-1]` are ignored.
 pub fn solve(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
-    solve_with(a, b, c, d, &mut TriScratch::default());
-}
-
-/// [`solve`] with caller-owned scratch (bit-identical; no allocation once
-/// `ws` has grown to the line length).
-pub fn solve_with(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64], ws: &mut TriScratch) {
     let n = d.len();
     assert!(n >= 1 && a.len() == n && b.len() == n && c.len() == n);
-    ws.cp.clear();
-    ws.cp.resize(n, 0.0);
-    let cp = &mut ws.cp[..n];
+    let mut cp = vec![0.0; n];
     let mut bp = b[0];
     assert!(bp != 0.0);
     cp[0] = c[0] / bp;
@@ -54,111 +28,30 @@ pub fn solve_with(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64], ws: &mut TriSc
 /// Solve a periodic tridiagonal system (wrap coupling `a[0] x[n-1]` and
 /// `c[n-1] x[0]`) via the Sherman–Morrison formula. `n >= 3` required.
 pub fn solve_periodic(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
-    solve_periodic_with(a, b, c, d, &mut TriScratch::default());
-}
-
-/// [`solve_periodic`] with caller-owned scratch (bit-identical; no
-/// allocation once `ws` has grown to the line length).
-pub fn solve_periodic_with(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64], ws: &mut TriScratch) {
     let n = d.len();
     assert!(n >= 3);
     let alpha = a[0];
     let beta = c[n - 1];
     let gamma = -b[0];
 
-    // Modified diagonal. The inner solves borrow `ws.cp`, so the diagonal
-    // and correction column live in their own buffers, moved out of the
-    // scratch for the duration of the call.
-    let mut bb = std::mem::take(&mut ws.bb);
-    bb.clear();
-    bb.extend_from_slice(b);
+    // Modified diagonal.
+    let mut bb = b.to_vec();
     bb[0] = b[0] - gamma;
     bb[n - 1] = b[n - 1] - alpha * beta / gamma;
 
     // Solve A' y = d.
-    solve_with(a, &bb, c, d, ws);
+    solve(a, &bb, c, d);
 
     // Solve A' z = u, u = (gamma, 0, ..., 0, beta).
-    let mut z = std::mem::take(&mut ws.z);
-    z.clear();
-    z.resize(n, 0.0);
+    let mut z = vec![0.0; n];
     z[0] = gamma;
     z[n - 1] = beta;
-    solve_with(a, &bb, c, &mut z, ws);
+    solve(a, &bb, c, &mut z);
 
     let fact = (d[0] + a[0] * d[n - 1] / gamma) / (1.0 + z[0] + a[0] * z[n - 1] / gamma);
     for i in 0..n {
         d[i] -= fact * z[i];
     }
-    ws.bb = bb;
-    ws.z = z;
-}
-
-/// State carried across a subdomain boundary during the forward sweep of a
-/// pipelined distributed Thomas solve: the normalized super-diagonal and RHS
-/// of the last row of the upstream segment.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct ForwardCarry {
-    pub cp: f64,
-    pub dp: f64,
-}
-
-/// Forward-eliminate one segment of a distributed line. `carry_in` is the
-/// upstream boundary state (`None` when this rank owns the start of the
-/// line). On return `d` and `cp_out` hold the segment's normalized
-/// coefficients for back substitution, and the returned carry feeds the next
-/// (downstream) rank.
-pub fn forward_segment(
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    d: &mut [f64],
-    cp_out: &mut [f64],
-    carry_in: Option<ForwardCarry>,
-) -> ForwardCarry {
-    let n = d.len();
-    assert!(n >= 1 && cp_out.len() == n);
-    let start;
-    match carry_in {
-        None => {
-            let bp = b[0];
-            cp_out[0] = c[0] / bp;
-            d[0] /= bp;
-            start = 1;
-        }
-        Some(cin) => {
-            // Row 0 couples to the upstream rank's last unknown.
-            let bp = b[0] - a[0] * cin.cp;
-            cp_out[0] = c[0] / bp;
-            d[0] = (d[0] - a[0] * cin.dp) / bp;
-            start = 1;
-        }
-    }
-    for i in start..n {
-        let bp = b[i] - a[i] * cp_out[i - 1];
-        cp_out[i] = c[i] / bp;
-        d[i] = (d[i] - a[i] * d[i - 1]) / bp;
-    }
-    ForwardCarry { cp: cp_out[n - 1], dp: d[n - 1] }
-}
-
-/// Back-substitute one segment. `x_downstream` is the first unknown of the
-/// downstream rank's segment (`None` when this rank owns the end of the
-/// line). Returns this segment's first unknown to pass upstream.
-pub fn backward_segment(cp: &[f64], d: &mut [f64], x_downstream: Option<f64>) -> f64 {
-    let n = d.len();
-    if let Some(x) = x_downstream {
-        d[n - 1] -= cp[n - 1] * x;
-    }
-    for i in (0..n - 1).rev() {
-        d[i] -= cp[i] * d[i + 1];
-    }
-    d[0]
-}
-
-/// Estimated flops of a Thomas solve of length `n` (forward 5n, backward 2n).
-pub fn thomas_flops(n: usize) -> u64 {
-    7 * n as u64
 }
 
 #[cfg(test)]
@@ -223,64 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_solve_matches_monolithic() {
-        let n = 40;
-        let (a, b, c, x) = sample_system(n);
-        let rhs = mat_vec(&a, &b, &c, &x, false);
-
-        // Monolithic reference.
-        let mut mono = rhs.clone();
-        solve(&a, &b, &c, &mut mono);
-
-        // Split into 3 segments like 3 ranks along one line.
-        let cuts = [0usize, 13, 27, n];
-        let mut segs: Vec<Vec<f64>> = (0..3).map(|s| rhs[cuts[s]..cuts[s + 1]].to_vec()).collect();
-        let mut cps: Vec<Vec<f64>> = segs.iter().map(|s| vec![0.0; s.len()]).collect();
-
-        // Forward pipeline.
-        let mut carry = None;
-        for s in 0..3 {
-            let r = cuts[s]..cuts[s + 1];
-            let out = forward_segment(
-                &a[r.clone()],
-                &b[r.clone()],
-                &c[r],
-                &mut segs[s],
-                &mut cps[s],
-                carry,
-            );
-            carry = Some(out);
-        }
-        // Backward pipeline.
-        let mut xd = None;
-        for s in (0..3).rev() {
-            let first = backward_segment(&cps[s], &mut segs[s], xd);
-            xd = Some(first);
-        }
-
-        let joined: Vec<f64> = segs.concat();
-        for i in 0..n {
-            assert!((joined[i] - mono[i]).abs() < 1e-10, "i={i}: {} vs {}", joined[i], mono[i]);
-        }
-    }
-
-    #[test]
-    fn segmented_single_segment_equals_solve() {
-        let n = 12;
-        let (a, b, c, x) = sample_system(n);
-        let rhs = mat_vec(&a, &b, &c, &x, false);
-        let mut d = rhs.clone();
-        let mut cp = vec![0.0; n];
-        forward_segment(&a, &b, &c, &mut d, &mut cp, None);
-        backward_segment(&cp, &mut d, None);
-        let mut mono = rhs;
-        solve(&a, &b, &c, &mut mono);
-        for i in 0..n {
-            assert!((d[i] - mono[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn diagonally_dominant_stability() {
         // Large random-ish diagonally dominant system solves accurately.
         let n = 500;
@@ -292,39 +127,5 @@ mod tests {
         solve(&a, &b, &c, &mut d);
         let err: f64 = d.iter().zip(&x).map(|(u, v)| (u - v).abs()).fold(0.0, f64::max);
         assert!(err < 1e-11, "max err {err}");
-    }
-
-    #[test]
-    fn flops_formula() {
-        assert_eq!(thomas_flops(10), 70);
-    }
-
-    #[test]
-    fn scratch_threaded_variants_bit_identical_across_reuse() {
-        // One scratch reused across lines of different lengths (including a
-        // shrink) must reproduce the allocating wrappers bit for bit.
-        let mut ws = TriScratch::default();
-        for n in [25usize, 7, 17, 4] {
-            let (a, b, c, x) = sample_system(n);
-            let mut d1 = mat_vec(&a, &b, &c, &x, false);
-            let mut d2 = d1.clone();
-            solve(&a, &b, &c, &mut d1);
-            solve_with(&a, &b, &c, &mut d2, &mut ws);
-            assert_eq!(
-                d1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                d2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "open n={n}"
-            );
-
-            let mut p1 = mat_vec(&a, &b, &c, &x, true);
-            let mut p2 = p1.clone();
-            solve_periodic(&a, &b, &c, &mut p1);
-            solve_periodic_with(&a, &b, &c, &mut p2, &mut ws);
-            assert_eq!(
-                p1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                p2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "periodic n={n}"
-            );
-        }
     }
 }

@@ -7,12 +7,8 @@ use overset_solver::adi::{implicit_sweeps, SerialComm, SweepScratch};
 use overset_solver::conditions::{
     conservatives, enforce_positivity, pressure, primitives, FlowConditions,
 };
-use overset_solver::kernels::{
-    backward_segment_lanes, forward_segment_lanes, solve_lanes, solve_periodic_lanes,
-};
 use overset_solver::rhs::{compute_residual, residual_l2};
-use overset_solver::tridiag::{self, ForwardCarry};
-use overset_solver::{select_isa, Block, Isa, W};
+use overset_solver::{select_isa, Block, Isa};
 use proptest::prelude::*;
 
 fn wavy_block(n: usize, amp: f64, fc: &FlowConditions) -> Block {
@@ -25,32 +21,6 @@ fn wavy_block(n: usize, amp: f64, fc: &FlowConditions) -> Block {
     Block::from_grid(0, &g, d.full_box(), [None; 6], fc)
 }
 
-/// Deterministic diagonally-dominant random systems, lane-interleaved
-/// (`len == n * W`).
-fn lane_systems(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    };
-    let (mut a, mut b, mut c, mut d) =
-        (vec![0.0; n * W], vec![0.0; n * W], vec![0.0; n * W], vec![0.0; n * W]);
-    for i in 0..n * W {
-        a[i] = -(0.2 + 0.3 * next().abs());
-        c[i] = -(0.2 + 0.3 * next().abs());
-        b[i] = 1.5 + a[i].abs() + c[i].abs() + next().abs();
-        d[i] = 4.0 * next();
-    }
-    (a, b, c, d)
-}
-
-/// Deinterleave one lane from a lane-major array.
-fn lane_of(src: &[f64], l: usize) -> Vec<f64> {
-    src.chunks(W).map(|r| r[l]).collect()
-}
-
 /// Both ISAs worth testing on this host: the portable scalar lanes and, on
 /// AVX2 hardware, the vector path (`select_isa()` degrades to Scalar
 /// elsewhere, making the comparison trivially true rather than wrong).
@@ -60,117 +30,6 @@ fn isas() -> [Isa; 2] {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The lane-batched open Thomas solve is bit-identical, lane by lane,
-    /// to the scalar solver on every ISA.
-    #[test]
-    fn batched_thomas_bit_equals_scalar(n in 2usize..48, seed in 1u64..(1 << 60)) {
-        let (a, b, c, d0) = lane_systems(n, seed);
-        for isa in isas() {
-            let mut d = d0.clone();
-            let mut cp = vec![0.0; n * W];
-            solve_lanes(isa, &a, &b, &c, &mut d, &mut cp);
-            for l in 0..W {
-                let mut ds = lane_of(&d0, l);
-                tridiag::solve(&lane_of(&a, l), &lane_of(&b, l), &lane_of(&c, l), &mut ds);
-                for i in 0..n {
-                    prop_assert_eq!(
-                        d[i * W + l].to_bits(), ds[i].to_bits(),
-                        "row {} lane {} ({:?})", i, l, isa
-                    );
-                }
-            }
-        }
-    }
-
-    /// The lane-batched periodic (Sherman–Morrison) solve is bit-identical
-    /// to the scalar one.
-    #[test]
-    fn batched_periodic_thomas_bit_equals_scalar(n in 3usize..48, seed in 1u64..(1 << 60)) {
-        let (a, b, c, d0) = lane_systems(n, seed);
-        for isa in isas() {
-            let mut d = d0.clone();
-            let (mut bb, mut z, mut cp) =
-                (vec![0.0; n * W], vec![0.0; n * W], vec![0.0; n * W]);
-            solve_periodic_lanes(isa, &a, &b, &c, &mut d, &mut bb, &mut z, &mut cp);
-            for l in 0..W {
-                let mut ds = lane_of(&d0, l);
-                tridiag::solve_periodic(&lane_of(&a, l), &lane_of(&b, l), &lane_of(&c, l), &mut ds);
-                for i in 0..n {
-                    prop_assert_eq!(
-                        d[i * W + l].to_bits(), ds[i].to_bits(),
-                        "row {} lane {} ({:?})", i, l, isa
-                    );
-                }
-            }
-        }
-    }
-
-    /// The pipelined segment kernels — forward elimination with a carry,
-    /// back substitution with a downstream unknown — are bit-identical to
-    /// the scalar segment functions across an arbitrary 3-way split of the
-    /// line.
-    #[test]
-    fn batched_pipelined_segments_bit_equal_scalar(
-        n1 in 1usize..12, n2 in 1usize..12, n3 in 1usize..12,
-        seed in 1u64..(1 << 60),
-    ) {
-        let ns = [n1, n2, n3];
-        let n: usize = ns.iter().sum();
-        let (a, b, c, d0) = lane_systems(n, seed);
-        for isa in isas() {
-            // Lane-batched pipeline over the three segments.
-            let mut d = d0.clone();
-            let mut cp = vec![0.0; n * W];
-            let mut carry: Option<([f64; W], [f64; W])> = None;
-            let mut row = 0;
-            for &len in &ns {
-                let (lo, hi) = (row * W, (row + len) * W);
-                let c_in = carry.as_ref().map(|(cc, dd)| (cc, dd));
-                carry = Some(forward_segment_lanes(
-                    isa, &a[lo..hi], &b[lo..hi], &c[lo..hi], &mut d[lo..hi],
-                    &mut cp[lo..hi], c_in,
-                ));
-                row += len;
-            }
-            let mut x_down: Option<[f64; W]> = None;
-            for &len in ns.iter().rev() {
-                row -= len;
-                let (lo, hi) = (row * W, (row + len) * W);
-                x_down = Some(backward_segment_lanes(
-                    isa, &cp[lo..hi], &mut d[lo..hi], x_down.as_ref(),
-                ));
-            }
-            // Scalar pipeline per lane.
-            for l in 0..W {
-                let (al, bl, cl) = (lane_of(&a, l), lane_of(&b, l), lane_of(&c, l));
-                let mut ds = lane_of(&d0, l);
-                let mut cps = vec![0.0; n];
-                let mut sc: Option<ForwardCarry> = None;
-                let mut row = 0;
-                for &len in &ns {
-                    let (lo, hi) = (row, row + len);
-                    sc = Some(tridiag::forward_segment(
-                        &al[lo..hi], &bl[lo..hi], &cl[lo..hi], &mut ds[lo..hi],
-                        &mut cps[lo..hi], sc,
-                    ));
-                    row += len;
-                }
-                let mut xd: Option<f64> = None;
-                for &len in ns.iter().rev() {
-                    row -= len;
-                    let (lo, hi) = (row, row + len);
-                    xd = Some(tridiag::backward_segment(&cps[lo..hi], &mut ds[lo..hi], xd));
-                }
-                for i in 0..n {
-                    prop_assert_eq!(
-                        d[i * W + l].to_bits(), ds[i].to_bits(),
-                        "row {} lane {} ({:?})", i, l, isa
-                    );
-                }
-            }
-        }
-    }
 
     /// Whole-sweep bit-equality on ragged line counts: a 5³/6³/7³ block has
     /// 25/36/49 implicit lines per direction — mostly not divisible by the

@@ -10,6 +10,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustfmt check =="
 cargo fmt --all -- --check
 
+echo "== rustdoc (deny warnings): no intra-doc link left dangling =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== repo benchmark type-checks against the workspace API =="
 # benchmark/ is its own package outside the workspace, so nothing else here
 # compiles it: an API change can break it unseen. Type-check only (same
