@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use overflow_d::driver::grid_min_widths;
 use overflow_d::setup::{build_block, build_topology};
-use overflow_d::store_case;
+use overflow_d::{airfoil_case, store_case};
 use overset_balance::{
     fit_np_to_dims_min, group_grids, static_balance, AdjacencyMatrix, Partition,
 };
@@ -21,7 +21,7 @@ use overset_grid::{Dims, RigidTransform};
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
-use overset_solver::{select_isa, Block, FlowConditions, Isa, Scratch, SerialComm, W};
+use overset_solver::{select_isa, step_block, Block, FlowConditions, Isa, Scratch, SerialComm, W};
 use std::time::{Duration, Instant};
 
 fn fc() -> FlowConditions {
@@ -30,17 +30,13 @@ fn fc() -> FlowConditions {
     fc
 }
 
-/// Deterministic non-uniform state and increment, so no kernel runs on the
-/// all-equal freestream.
-fn perturbed(block: &mut Block) -> overset_grid::field::StateField {
+/// Deterministic non-uniform state, so no kernel runs on the all-equal
+/// freestream, and an increment for the sweeps (owned nodes, SoA).
+fn perturbed(block: &mut Block) -> Vec<f64> {
     for (i, v) in block.q.as_mut_slice().iter_mut().enumerate() {
         *v *= 1.0 + 1e-3 * ((i * 31) % 17) as f64;
     }
-    let mut dq = overset_grid::field::StateField::new(block.local_dims);
-    for (i, v) in dq.as_mut_slice().iter_mut().enumerate() {
-        *v = ((i * 31) % 17) as f64 * 1e-6;
-    }
-    dq
+    (0..5 * block.owned_count()).map(|i| ((i * 31) % 17) as f64 * 1e-6).collect()
 }
 
 /// The flow-phase kernels, each as a pair: the host's lanes (AVX2 where
@@ -67,26 +63,31 @@ fn solver_kernels(c: &mut Criterion) {
     perturbed(&mut block3);
 
     for (suffix, isa) in [("", select_isa()), ("_scalar", Isa::Scalar)] {
-        let mut res = Scratch::for_block(&block2).res;
         let mut ws = SweepScratch::new(isa);
         c.bench_function(&format!("rhs/compute_residual_2d{suffix}"), |b| {
-            b.iter(|| compute_residual(&block2, &fc(), &mut res, &mut ws))
+            b.iter(|| compute_residual(&block2, &fc(), &mut ws))
         });
-        let mut res = Scratch::for_block(&block3).res;
         c.bench_function(&format!("rhs/compute_residual_3d_viscous{suffix}"), |b| {
-            b.iter(|| compute_residual(&block3, &fc(), &mut res, &mut ws))
+            b.iter(|| compute_residual(&block3, &fc(), &mut ws))
         });
+        // The sweeps solve the increment in place: it is reloaded, untimed,
+        // before each one.
         c.bench_function(&format!("adi/implicit_sweeps_5k_nodes{suffix}"), |b| {
-            b.iter_batched(
-                || dq2.clone(),
-                |mut dq| implicit_sweeps(&block2, &fc(), &mut dq, &mut SerialComm, &mut ws),
-                BatchSize::LargeInput,
-            )
+            b.iter_custom(|iters| {
+                let mut t = Duration::ZERO;
+                for _ in 0..iters {
+                    ws.increment(&block2).copy_from_slice(&dq2);
+                    let t0 = Instant::now();
+                    implicit_sweeps(&block2, &fc(), &mut SerialComm, &mut ws);
+                    t += t0.elapsed();
+                }
+                t
+            })
         });
         // The sweeps' two pointwise stages alone (frames + forward
         // transform, back transform) over the 3-D block's owned nodes.
         let ow = block3.owned_local();
-        let (mm, rows) = (ow.count(), Rows::new(block3.local_dims, ow, ow));
+        let (mm, rows) = (ow.count(), Rows::new(ow, block3.local_dims.full_box(), ow));
         let mut dw: Vec<f64> = (0..5 * mm).map(|i| ((i * 31) % 17) as f64 * 1e-6).collect();
         let mut fr = vec![0.0; FR_FIELDS * mm];
         c.bench_function(&format!("adi/pointwise_stages{suffix}"), |b| {
@@ -96,6 +97,7 @@ fn solver_kernels(c: &mut Criterion) {
                         isa,
                         rows,
                         dir,
+                        dir == 0,
                         block3.q.as_slice(),
                         block3.metrics.as_slice(),
                         block3.grid_vel.as_slice(),
@@ -105,6 +107,45 @@ fn solver_kernels(c: &mut Criterion) {
                     );
                     from_char_lanes(isa, mm, mm, &fr, &mut dw);
                 }
+            })
+        });
+    }
+}
+
+/// The flow phase of the `airfoil_flow` system at the kernel layer: one
+/// `step_block` on each of the three airfoil grids, whole and serial (the
+/// benchmark probe's job), from the state they were built with, which is
+/// restored untimed between iterations.
+fn solver_step(c: &mut Criterion) {
+    let cfg = airfoil_case(1.0, 1);
+    let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+    let whole = Partition::build(&dims, &vec![1; dims.len()]);
+    let unmoved = vec![RigidTransform::IDENTITY; dims.len()];
+    for (suffix, isa) in [("", select_isa()), ("_scalar", Isa::Scalar)] {
+        let mut blocks: Vec<_> = (0..dims.len())
+            .map(|g| {
+                let (block, wall) =
+                    build_block(whole.start[g], &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+                let mut scratch = Scratch::for_block(&block);
+                scratch.sweep.isa = isa;
+                let q0 = block.q.clone();
+                (block, wall, scratch, q0)
+            })
+            .collect();
+        c.bench_function(&format!("solver/step_block_airfoil{suffix}"), |b| {
+            b.iter_custom(|iters| {
+                let mut t = Duration::ZERO;
+                for _ in 0..iters {
+                    for (block, _, _, q0) in blocks.iter_mut() {
+                        block.q.as_mut_slice().copy_from_slice(q0.as_slice());
+                    }
+                    let t0 = Instant::now();
+                    for (block, wall, scratch, _) in blocks.iter_mut() {
+                        step_block(block, &cfg.fc, wall.as_ref(), &mut SerialComm, scratch);
+                    }
+                    t += t0.elapsed();
+                }
+                t
             })
         });
     }
@@ -438,6 +479,7 @@ fn distributed_connectivity(c: &mut Criterion) {
 criterion_group!(
     benches,
     solver_kernels,
+    solver_step,
     trilinear_kernels,
     connectivity_kernels,
     inverse_map_kernels,

@@ -25,9 +25,11 @@
 
 use crate::block::{Blank, Block};
 use crate::conditions::{sound_speed, FlowConditions};
-use crate::kernels::{self, Rows, NVW};
+use crate::kernels::{
+    self, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, E_FIELDS, FR_LAM, NCLASS, NVW,
+};
 use crate::lanes::{select_isa, Isa, W};
-use overset_grid::field::{StateField, NVAR};
+use overset_grid::field::NVAR;
 
 /// Implicit second-difference smoothing coefficient (×σ).
 pub const BETA: f64 = 0.25;
@@ -123,19 +125,18 @@ pub struct SweepScratch {
     /// paths run the same lane-batched code and produce bit-identical
     /// results.
     pub isa: Isa,
-    /// Increment / characteristic work vectors and the frame SoA (see
-    /// `kernels::FR_*`) over the owned nodes in storage order.
+    /// The increment ([`SweepScratch::increment`]) and the frame SoA (see
+    /// `kernels::FR_*`), both over the owned nodes in storage order.
     dw: Vec<f64>,
     fr: Vec<f64>,
     /// Per-line edge rows (`c = -1` and `c = n`), two per line.
     edge: Vec<EdgeRow>,
-    /// Lane-transposed eigenvalues / spectral radii / identity masks for the
-    /// group currently being eliminated.
-    lam: Vec<f64>,
-    sig: Vec<f64>,
-    idm: Vec<f64>,
-    /// Group-major lane-transposed RHS, normalized super-diagonals, and the
-    /// Sherman–Morrison correction column (every group padded to [`W`] lanes).
+    /// Lane-transposed operator rows of the group being eliminated, when its
+    /// lines are not neighbours in memory.
+    eig: Vec<f64>,
+    /// Group-major lane-transposed RHS (groups eliminated out of place),
+    /// normalized super-diagonals, and the Sherman–Morrison correction
+    /// column (every group padded to [`W`] lanes).
     d: Vec<f64>,
     cp: Vec<f64>,
     z: Vec<f64>,
@@ -155,9 +156,7 @@ impl SweepScratch {
             dw: Vec::new(),
             fr: Vec::new(),
             edge: Vec::new(),
-            lam: Vec::new(),
-            sig: Vec::new(),
-            idm: Vec::new(),
+            eig: Vec::new(),
             d: Vec::new(),
             cp: Vec::new(),
             z: Vec::new(),
@@ -170,11 +169,27 @@ impl SweepScratch {
         }
     }
 
-    /// The residual's node cache: `len` doubles of the frame SoA, which is
-    /// idle until the sweeps start.
-    pub(crate) fn node_cache(&mut self, len: usize) -> &mut [f64] {
+    /// The increment of `block`: left by the residual as Δt·R, solved in
+    /// place by [`implicit_sweeps`], read by the update. SoA over the owned
+    /// nodes in storage order — variable `v` of the `t`-th owned node at
+    /// `v * n + t`, `n` the owned node count.
+    pub fn increment(&mut self, block: &Block) -> &mut [f64] {
+        let len = NVAR * block.owned_count();
+        ensure_len(&mut self.dw, len);
+        &mut self.dw[..len]
+    }
+
+    /// The residual's buffers: a node cache of `len` doubles in the frame
+    /// SoA, idle until the sweeps start, and the increment of `block`.
+    pub(crate) fn residual_buffers(
+        &mut self,
+        block: &Block,
+        len: usize,
+    ) -> (&mut [f64], &mut [f64]) {
         ensure_len(&mut self.fr, len);
-        &mut self.fr[..len]
+        let inc = NVAR * block.owned_count();
+        ensure_len(&mut self.dw, inc);
+        (&mut self.fr[..len], &mut self.dw[..inc])
     }
 }
 
@@ -202,15 +217,12 @@ fn line_buf(comm: &mut impl SolverComm, send: bool, len: usize) -> Vec<f64> {
 }
 
 /// Eigenvalues and spectral radius of the node just outside a line's owned
-/// range: all the implicit rows need of a neighbor's frame.
-#[derive(Clone, Copy)]
-struct EdgeRow {
-    lam: [f64; NVAR],
-    sigma: f64,
-}
+/// range (`[Ũ, Ũ + c̃, Ũ − c̃, σ]`): all the implicit rows need of a
+/// neighbor's frame.
+type EdgeRow = [f64; EDGE_FIELDS];
 
-/// `lam` / `sigma` of the characteristic frame at storage offset `s`, in
-/// the operation order of the frame kernel.
+/// The edge row of the characteristic frame at storage offset `s`, in the
+/// operation order of the frame kernel.
 fn edge_row(block: &Block, s: usize, dir: usize) -> EdgeRow {
     let q = kernels::node_at(block.q.as_slice(), s);
     let m = block.metrics.as_slice()[s];
@@ -225,10 +237,7 @@ fn edge_row(block: &Block, s: usize, dir: usize) -> EdgeRow {
     let u_rel_n = sv[0] * (u[0] - vg[0]) + sv[1] * (u[1] - vg[1]) + sv[2] * (u[2] - vg[2]);
     let u_tilde = u_rel_n / jac;
     let c_tilde = c * s_norm / jac;
-    EdgeRow {
-        lam: [u_tilde, u_tilde, u_tilde, u_tilde + c_tilde, u_tilde - c_tilde],
-        sigma: u_tilde.abs() + c_tilde,
-    }
+    [u_tilde, u_tilde + c_tilde, u_tilde - c_tilde, u_tilde.abs() + c_tilde]
 }
 
 /// Where the implicit lines of one direction live: line `li` starts at SoA
@@ -279,154 +288,109 @@ impl Lines {
     }
 
     /// SoA start index of each lane's line in the group `gb..gb + gl`
-    /// (padding lanes replicate the last real line), and whether the lanes
-    /// are consecutive in memory.
+    /// (padding lanes replicate the last real line).
     #[inline]
-    fn group(&self, gb: usize, gl: usize) -> ([usize; W], bool) {
-        let m0: [usize; W] = std::array::from_fn(|l| self.m0(gb + l.min(gl - 1)));
-        (m0, (1..W).all(|l| m0[l] == m0[0] + l))
+    fn group(&self, gb: usize, gl: usize) -> [usize; W] {
+        std::array::from_fn(|l| self.m0(gb + l.min(gl - 1)))
+    }
+
+    /// Where a group's operator rows and increment are eliminated in place
+    /// in the SoA (`mm` nodes): when its four lines are neighbours in
+    /// memory. `None` sends the group through the transposed buffers.
+    fn in_place(&self, gb: usize, gl: usize, mm: usize) -> Option<(LaneRows, LaneRows)> {
+        let m0 = self.group(gb, gl);
+        let contiguous = gl == W && (1..W).all(|l| m0[l] == m0[0] + l);
+        contiguous.then(|| {
+            let at = |base| LaneRows { base, row: self.mstep, field: mm };
+            (at(FR_LAM * mm + m0[0]), at(m0[0]))
+        })
     }
 }
 
-/// Gather one lane group into the transposed sweep layout: eigenvalue rows
-/// (shifted by one so rows `0` / `n + 1` are the edge frames), spectral
-/// radii, sign-bit identity masks, and the characteristic RHS — all read
-/// from the SoA (`dw`, `fr`) the forward transform left. `n` rows are
-/// solved; row `n` is the edge frame unless the line owns more nodes (the
-/// cyclic sweep's duplicated seam node). Ragged groups replicate their last
-/// real line into the padding lanes (padding output is never read).
+/// Transpose one lane group of lines that are not neighbours in memory into
+/// the group buffers: its `n` operator rows (from `fr`) into `eig` and its
+/// characteristic RHS (from `dw`) into `d`. Padding lanes of a ragged group
+/// replicate its last line (their output is never read).
 #[allow(clippy::too_many_arguments)]
 fn pack_group(
-    block: &Block,
+    isa: Isa,
     ln: &Lines,
-    stride: usize,
-    dw: &[f64],
+    mm: usize,
     fr: &[f64],
-    edge: &[EdgeRow],
+    dw: &[f64],
     gb: usize,
     gl: usize,
     n: usize,
-    lam: &mut [f64],
-    sig: &mut [f64],
-    idm: &mut [f64],
+    eig: &mut [f64],
     d: &mut [f64],
 ) {
-    let ib = block.iblank.as_slice();
-    let (m0, contiguous) = ln.group(gb, gl);
-    for l in 0..W {
-        let li = gb + l.min(gl - 1);
-        let mut put_edge = |r: usize, e: &EdgeRow| {
-            for v in 0..NVAR {
-                lam[(r * NVAR + v) * W + l] = e.lam[v];
-            }
-            sig[r * W + l] = e.sigma;
-        };
-        put_edge(0, &edge[li * 2]);
-        if n == ln.n {
-            put_edge(n + 1, &edge[li * 2 + 1]);
-        }
-        let s0 = ln.s0(li);
-        for c in 0..n {
-            idm[c * W + l] = if ib[s0 + c * ln.sstep] != Blank::Field {
-                f64::from_bits(1u64 << 63)
-            } else {
-                0.0
-            };
-        }
-    }
-    // Owned rows of the eigenvalue table (one more than solved when the
-    // cyclic sweep leaves out the duplicated seam node: its frame closes
-    // the last row) and the RHS.
-    let rows_lam = ln.n.min(n + 1);
-    if contiguous {
-        for c in 0..rows_lam {
-            let m = m0[0] + c * ln.mstep;
-            for v in 0..NVAR {
-                let f = (kernels::FR_LAM + v) * stride + m;
-                lam[((c + 1) * NVAR + v) * W..][..W].copy_from_slice(&fr[f..f + W]);
-            }
-            let f = kernels::FR_SIG * stride + m;
-            sig[(c + 1) * W..][..W].copy_from_slice(&fr[f..f + W]);
-        }
-        for c in 0..n {
-            let m = m0[0] + c * ln.mstep;
-            for v in 0..NVAR {
-                d[(c * NVAR + v) * W..][..W].copy_from_slice(&dw[v * stride + m..][..W]);
-            }
-        }
-    } else {
-        for (l, &ml) in m0.iter().enumerate() {
-            for c in 0..rows_lam {
-                let m = ml + c * ln.mstep;
-                for v in 0..NVAR {
-                    lam[((c + 1) * NVAR + v) * W + l] = fr[(kernels::FR_LAM + v) * stride + m];
-                }
-                sig[(c + 1) * W + l] = fr[kernels::FR_SIG * stride + m];
-            }
-            for c in 0..n {
-                let m = ml + c * ln.mstep;
-                for v in 0..NVAR {
-                    d[(c * NVAR + v) * W + l] = dw[v * stride + m];
-                }
-            }
-        }
-    }
+    let m0 = ln.group(gb, gl);
+    kernels::pack_lines(isa, &fr[FR_LAM * mm..], mm, m0, ln.mstep, n, E_FIELDS, eig);
+    kernels::pack_lines(isa, dw, mm, m0, ln.mstep, n, NVAR, d);
 }
 
-/// Scatter the solved rows of one lane group back into the SoA `dw`.
+/// Scatter the solved rows of one transposed lane group back into `dw`.
+#[allow(clippy::too_many_arguments)]
 fn unpack_group(
+    isa: Isa,
     ln: &Lines,
-    stride: usize,
+    mm: usize,
     dw: &mut [f64],
     gb: usize,
     gl: usize,
     n: usize,
     d: &[f64],
 ) {
-    let (m0, contiguous) = ln.group(gb, gl);
-    if contiguous && gl == W {
-        for c in 0..n {
-            let m = m0[0] + c * ln.mstep;
-            for v in 0..NVAR {
-                dw[v * stride + m..][..W].copy_from_slice(&d[(c * NVAR + v) * W..][..W]);
-            }
-        }
-    } else {
-        for (l, &ml) in m0.iter().enumerate().take(gl) {
-            for c in 0..n {
-                let m = ml + c * ln.mstep;
-                for v in 0..NVAR {
-                    dw[v * stride + m] = d[(c * NVAR + v) * W + l];
-                }
-            }
-        }
-    }
+    kernels::unpack_lines(isa, d, NVAR, ln.group(gb, gl), gl, ln.mstep, n, mm, dw);
 }
 
-/// Perform the factored characteristic sweeps in place on `dq` (which enters
-/// holding `Δt·R` in conservative variables), batching up to [`W`] lines per
-/// SIMD lane group through the kernels in [`crate::kernels`]. The increment
-/// is transposed into the SoA `dw` once, stays there through every
-/// direction's forward transform, line solve and back transform, and is
-/// written back to `dq` once at the end. Returns estimated flops.
+/// The edge frames of a lane group, lane-interleaved (`kernels::EDGE_LEN`):
+/// row `-1` from each line's lower edge row; row `n` from its upper one or —
+/// when the cyclic sweep leaves out the duplicated seam node (`n < ln.n`) —
+/// from that owned node's frame, which closes the last row.
+fn edge_lanes(
+    ln: &Lines,
+    edge: &[EdgeRow],
+    fr: &[f64],
+    mm: usize,
+    gb: usize,
+    gl: usize,
+    n: usize,
+) -> [f64; EDGE_LEN] {
+    let mut out = [0.0; EDGE_LEN];
+    for l in 0..W {
+        let li = gb + l.min(gl - 1);
+        let seam = ln.m0(li) + n * ln.mstep;
+        for f in 0..EDGE_FIELDS {
+            out[f * W + l] = edge[2 * li][f];
+            out[(EDGE_FIELDS + f) * W + l] =
+                if n == ln.n { edge[2 * li + 1][f] } else { fr[(FR_LAM + f) * mm + seam] };
+        }
+    }
+    out
+}
+
+/// Perform the factored characteristic sweeps in place on the increment
+/// `ws.increment(block)`, which enters holding `Δt·R` in conservative
+/// variables, batching up to [`W`] lines per SIMD lane group through the
+/// kernels in [`crate::kernels`]. Every direction's forward transform, line
+/// solve and back transform work on that SoA: groups of four neighbouring
+/// `j`- or `k`-lines in place, the others through a transposed group buffer.
+/// Returns estimated flops.
 pub fn implicit_sweeps(
     block: &Block,
     fc: &FlowConditions,
-    dq: &mut StateField,
     comm: &mut impl SolverComm,
     ws: &mut SweepScratch,
 ) -> u64 {
     let dt = fc.dt;
-    let ow = block.owned_local();
+    let isa = ws.isa;
     let mut flops = 0u64;
     let t0 = comm.now();
-    // SoA over the owned nodes in storage order, stride = node count.
-    let mm = ow.count();
-    let rows = Rows::new(block.local_dims, ow, ow);
-    load_increment(dq, rows, mm, ws);
+    let (rows, mm) = prepare_frames(block, ws);
 
-    for &dir in block.active_dirs() {
-        let ln = forward_stage(block, dir, rows, mm, ws);
+    for (d, &dir) in block.active_dirs().iter().enumerate() {
+        let ln = forward_stage(block, dir, d == 0, rows, mm, ws);
         let (n, nlines) = (ln.n, ln.nlines);
         let upstream = implicit_neighbor(block, dir, false);
         let downstream = implicit_neighbor(block, dir, true);
@@ -457,7 +421,7 @@ pub fn implicit_sweeps(
                 let hi = nlines * (ch + 1) / nchunks;
                 (lo, hi)
             };
-            let gstride = n * NVAR * W;
+            let (gstride, cstride) = (n * NVAR * W, n * NCLASS * W);
             let ngroups: usize = (0..nchunks)
                 .map(|ch| {
                     let (lo, hi) = chunk_bounds(ch);
@@ -465,10 +429,8 @@ pub fn implicit_sweeps(
                 })
                 .sum();
             ensure_len(&mut ws.d, ngroups * gstride);
-            ensure_len(&mut ws.cp, ngroups * gstride);
-            ensure_len(&mut ws.lam, (n + 2) * NVAR * W);
-            ensure_len(&mut ws.sig, (n + 2) * W);
-            ensure_len(&mut ws.idm, n * W);
+            ensure_len(&mut ws.cp, ngroups * cstride);
+            ensure_len(&mut ws.eig, n * E_FIELDS * W);
 
             let mut g = 0usize;
             for ch in 0..nchunks {
@@ -480,23 +442,18 @@ pub fn implicit_sweeps(
                 let mut gb = clo;
                 while gb < chi {
                     let gl = (chi - gb).min(W);
-                    let goff = g * gstride;
+                    let (goff, coff) = (g * gstride, g * cstride);
                     g += 1;
-                    pack_group(
-                        block,
-                        &ln,
-                        mm,
-                        &ws.dw,
-                        &ws.fr,
-                        &ws.edge,
-                        gb,
-                        gl,
-                        n,
-                        &mut ws.lam,
-                        &mut ws.sig,
-                        &mut ws.idm,
-                        &mut ws.d[goff..goff + gstride],
-                    );
+                    let edge = edge_lanes(&ln, &ws.edge, &ws.fr, mm, gb, gl, n);
+                    let (eig, e_at, d, d_at) = match ln.in_place(gb, gl, mm) {
+                        Some((e_at, d_at)) => (&ws.fr[..], e_at, &mut ws.dw[..], d_at),
+                        None => {
+                            let d = &mut ws.d[goff..goff + gstride];
+                            pack_group(isa, &ln, mm, &ws.fr, &ws.dw, gb, gl, n, &mut ws.eig, d);
+                            let (e_at, d_at) = (LaneRows::packed(E_FIELDS), LaneRows::packed(NVAR));
+                            (&ws.eig[..], e_at, d, d_at)
+                        }
+                    };
                     let mut ccp = [0.0f64; NVW];
                     let mut cdp = [0.0f64; NVW];
                     if let Some(ci) = &carries_in {
@@ -509,14 +466,15 @@ pub fn implicit_sweeps(
                         }
                     }
                     kernels::sweep_forward_group(
-                        ws.isa,
+                        isa,
                         dt,
                         n,
-                        &ws.lam,
-                        &ws.sig,
-                        &ws.idm,
-                        &mut ws.d[goff..goff + gstride],
-                        &mut ws.cp[goff..goff + gstride],
+                        eig,
+                        e_at,
+                        &edge,
+                        d,
+                        d_at,
+                        &mut ws.cp[coff..coff + cstride],
                         &mut ccp,
                         &mut cdp,
                         carries_in.is_some(),
@@ -555,7 +513,7 @@ pub fn implicit_sweeps(
                 let mut gb = clo;
                 while gb < chi {
                     let gl = (chi - gb).min(W);
-                    let goff = g * gstride;
+                    let (goff, coff) = (g * gstride, g * cstride);
                     g += 1;
                     let seed: Option<[f64; NVW]> = x_down.as_ref().map(|xd| {
                         let mut s = [0.0f64; NVW];
@@ -567,20 +525,29 @@ pub fn implicit_sweeps(
                         }
                         s
                     });
+                    let in_place = ln.in_place(gb, gl, mm);
+                    let (d, d_at) = match in_place {
+                        Some((_, d_at)) => (&mut ws.dw[..], d_at),
+                        None => (&mut ws.d[goff..goff + gstride], LaneRows::packed(NVAR)),
+                    };
                     kernels::sweep_backward_group(
-                        ws.isa,
+                        isa,
                         n,
-                        &ws.cp[goff..goff + gstride],
-                        &mut ws.d[goff..goff + gstride],
+                        &ws.cp[coff..coff + cstride],
+                        d,
+                        d_at,
                         seed.as_ref(),
                     );
-                    unpack_group(&ln, mm, &mut ws.dw, gb, gl, n, &ws.d[goff..goff + gstride]);
                     if upstream.is_some() {
                         for l in 0..gl {
                             for v in 0..NVAR {
-                                firsts.push(ws.d[goff + v * W + l]);
+                                firsts.push(d[d_at.at(0, v) + l]);
                             }
                         }
+                    }
+                    if in_place.is_none() {
+                        let d = &ws.d[goff..goff + gstride];
+                        unpack_group(isa, &ln, mm, &mut ws.dw, gb, gl, n, d);
                     }
                     gb += gl;
                 }
@@ -595,7 +562,7 @@ pub fn implicit_sweeps(
         }
 
         // Transform back to conservative increments (lane-batched).
-        kernels::from_char_lanes(ws.isa, mm, mm, &ws.fr, &mut ws.dw);
+        kernels::from_char_lanes(isa, mm, mm, &ws.fr, &mut ws.dw);
 
         if !periodic {
             let rest = (n * nlines) as u64
@@ -607,47 +574,48 @@ pub fn implicit_sweeps(
         }
     }
 
-    store_increment(dq, rows, mm, &ws.dw);
     comm.trace_span("solver", "implicit_sweeps", t0);
     flops
 }
 
-/// Size the SoA work arrays for `mm` owned nodes and transpose the owned
-/// part of the interleaved increment `dq` into `ws.dw`.
-fn load_increment(dq: &StateField, rows: Rows, mm: usize, ws: &mut SweepScratch) {
-    ensure_len(&mut ws.dw, NVAR * mm);
+/// Size the frame SoA for the block's `mm` owned nodes and write its
+/// identity masks (sign bit set on blanked nodes: their rows are solved as
+/// `x = 0`). Returns the owned nodes' rows (storage → SoA) and `mm`.
+fn prepare_frames(block: &Block, ws: &mut SweepScratch) -> (Rows, usize) {
+    let ow = block.owned_local();
+    let mm = ow.count();
+    assert!(ws.dw.len() >= NVAR * mm, "the increment of the block is not loaded");
     ensure_len(&mut ws.fr, kernels::FR_FIELDS * mm);
+    let rows = Rows::new(ow, block.local_dims.full_box(), ow);
+    let ib = block.iblank.as_slice();
+    let idm = &mut ws.fr[kernels::FR_IDM * mm..][..mm];
     for (s0, m0) in rows.starts() {
-        let src = &dq.as_slice()[s0 * NVAR..(s0 + rows.ni) * NVAR];
-        for (i, w) in src.chunks_exact(NVAR).enumerate() {
-            for (v, &wv) in w.iter().enumerate() {
-                ws.dw[v * mm + m0 + i] = wv;
-            }
+        for (x, &b) in idm[m0..m0 + rows.ni].iter_mut().zip(&ib[s0..s0 + rows.ni]) {
+            *x = if b != Blank::Field { -0.0 } else { 0.0 };
         }
     }
-}
-
-/// Transpose the SoA increment back into the owned part of `dq`.
-fn store_increment(dq: &mut StateField, rows: Rows, mm: usize, dw: &[f64]) {
-    for (s0, m0) in rows.starts() {
-        let dst = &mut dq.as_mut_slice()[s0 * NVAR..(s0 + rows.ni) * NVAR];
-        for (i, w) in dst.chunks_exact_mut(NVAR).enumerate() {
-            for (v, wv) in w.iter_mut().enumerate() {
-                *wv = dw[v * mm + m0 + i];
-            }
-        }
-    }
+    (rows, mm)
 }
 
 /// Lane-batched frame computation + forward transform (`ws.dw` → char) of
-/// one direction over the owned nodes in storage order: the SoA frames land
-/// in `ws.fr`, the two edge rows per line in `ws.edge`.
-fn forward_stage(block: &Block, dir: usize, rows: Rows, mm: usize, ws: &mut SweepScratch) -> Lines {
+/// one direction over the owned nodes in storage order (`fresh`: the
+/// block's first direction, which also computes the direction-independent
+/// state fields): the SoA frames land in `ws.fr`, the two edge rows per line
+/// in `ws.edge`.
+fn forward_stage(
+    block: &Block,
+    dir: usize,
+    fresh: bool,
+    rows: Rows,
+    mm: usize,
+    ws: &mut SweepScratch,
+) -> Lines {
     let ln = Lines::new(block, dir);
     kernels::frames_forward_rows(
         ws.isa,
         rows,
         dir,
+        fresh,
         block.q.as_slice(),
         block.metrics.as_slice(),
         block.grid_vel.as_slice(),
@@ -687,6 +655,7 @@ fn periodic_sweep_i(
     ws: &mut SweepScratch,
 ) -> u64 {
     const DIR: usize = 0;
+    let isa = ws.isa;
     let nlines = ln.nlines;
     let is_first = block.owned.lo.i == 0;
     let is_last = block.owned.hi.i == block.grid_dims.ni;
@@ -705,9 +674,9 @@ fn periodic_sweep_i(
         |ch: usize| -> (usize, usize) { (nlines * ch / nchunks, nlines * (ch + 1) / nchunks) };
 
     // Lane-transposed per-row storage (group-major, padded to `W` lanes):
-    // the physical RHS y, the normalized super-diagonals, and the rank-one
-    // correction column z.
-    let gstride = n * NVAR * W;
+    // the physical RHS y per field, the normalized super-diagonals and the
+    // rank-one correction column z per eigenvalue class.
+    let (gstride, cstride) = (n * NVAR * W, n * NCLASS * W);
     let ngroups: usize = (0..nchunks)
         .map(|ch| {
             let (lo, hi) = chunk_bounds(ch);
@@ -715,11 +684,9 @@ fn periodic_sweep_i(
         })
         .sum();
     ensure_len(&mut ws.d, ngroups * gstride);
-    ensure_len(&mut ws.cp, ngroups * gstride);
-    ensure_len(&mut ws.z, ngroups * gstride);
-    ensure_len(&mut ws.lam, (n + 2) * NVAR * W);
-    ensure_len(&mut ws.sig, (n + 2) * W);
-    ensure_len(&mut ws.idm, n * W);
+    ensure_len(&mut ws.cp, ngroups * cstride);
+    ensure_len(&mut ws.z, ngroups * cstride);
+    ensure_len(&mut ws.eig, n * E_FIELDS * W);
     // Per-line S-M parameters (alpha, gamma per variable), valid on every
     // rank after the forward pass (carried down the chain).
     ws.alpha.clear();
@@ -746,23 +713,11 @@ fn periodic_sweep_i(
         let mut gb = clo;
         while gb < chi {
             let gl = (chi - gb).min(W);
-            let goff = g * gstride;
+            let (goff, coff) = (g * gstride, g * cstride);
             g += 1;
-            pack_group(
-                block,
-                ln,
-                stride,
-                &ws.dw,
-                &ws.fr,
-                &ws.edge,
-                gb,
-                gl,
-                n,
-                &mut ws.lam,
-                &mut ws.sig,
-                &mut ws.idm,
-                &mut ws.d[goff..goff + gstride],
-            );
+            let edge = edge_lanes(ln, &ws.edge, &ws.fr, stride, gb, gl, n);
+            let d = &mut ws.d[goff..goff + gstride];
+            pack_group(isa, ln, stride, &ws.fr, &ws.dw, gb, gl, n, &mut ws.eig, d);
             let mut ccp = [0.0f64; NVW];
             let mut cy = [0.0f64; NVW];
             let mut cz = [0.0f64; NVW];
@@ -784,15 +739,15 @@ fn periodic_sweep_i(
                 }
             }
             kernels::periodic_forward_group(
-                ws.isa,
+                isa,
                 dt,
                 n,
-                &ws.lam,
-                &ws.sig,
-                &ws.idm,
+                &ws.eig,
+                LaneRows::packed(E_FIELDS),
+                &edge,
                 &mut ws.d[goff..goff + gstride],
-                &mut ws.z[goff..goff + gstride],
-                &mut ws.cp[goff..goff + gstride],
+                &mut ws.z[coff..coff + cstride],
+                &mut ws.cp[coff..coff + cstride],
                 &mut al,
                 &mut ga,
                 &mut ccp,
@@ -853,7 +808,7 @@ fn periodic_sweep_i(
         let mut gb = clo;
         while gb < chi {
             let gl = (chi - gb).min(W);
-            let goff = g * gstride;
+            let (goff, coff) = (g * gstride, g * cstride);
             g += 1;
             let seed: Option<([f64; NVW], [f64; NVW])> = x_down.as_ref().map(|xd| {
                 let mut sy = [0.0f64; NVW];
@@ -868,11 +823,11 @@ fn periodic_sweep_i(
                 (sy, sz)
             });
             kernels::periodic_backward_group(
-                ws.isa,
+                isa,
                 n,
-                &ws.cp[goff..goff + gstride],
+                &ws.cp[coff..coff + cstride],
                 &mut ws.d[goff..goff + gstride],
-                &mut ws.z[goff..goff + gstride],
+                &mut ws.z[coff..coff + cstride],
                 seed.as_ref().map(|(sy, sz)| (sy, sz)),
             );
             for l in 0..gl {
@@ -883,17 +838,17 @@ fn periodic_sweep_i(
                     ws.z_last[li].copy_from_slice(&xd[base + 3 * NVAR..base + 4 * NVAR]);
                 } else {
                     // This rank owns the end of the chain: the last solved row.
-                    for v in 0..NVAR {
+                    for (v, &e) in CLASS.iter().enumerate() {
                         ws.y_last[li][v] = ws.d[goff + ((n - 1) * NVAR + v) * W + l];
-                        ws.z_last[li][v] = ws.z[goff + ((n - 1) * NVAR + v) * W + l];
+                        ws.z_last[li][v] = ws.z[coff + ((n - 1) * NCLASS + e) * W + l];
                     }
                 }
                 if upstream.is_some() {
                     for v in 0..NVAR {
                         ups.push(ws.d[goff + v * W + l]);
                     }
-                    for v in 0..NVAR {
-                        ups.push(ws.z[goff + v * W + l]);
+                    for &e in &CLASS {
+                        ups.push(ws.z[coff + e * W + l]);
                     }
                     ups.extend_from_slice(&ws.y_last[li]);
                     ups.extend_from_slice(&ws.z_last[li]);
@@ -923,11 +878,12 @@ fn periodic_sweep_i(
         ws.x0.resize(chunk_lines, [0.0f64; NVAR]);
         if is_first {
             for li in clo..chi {
-                let goff = (g + (li - clo) / W) * gstride;
+                let group = g + (li - clo) / W;
+                let (goff, coff) = (group * gstride, group * cstride);
                 let lane = (li - clo) % W;
-                for v in 0..NVAR {
+                for (v, &e) in CLASS.iter().enumerate() {
                     let y0 = ws.d[goff + v * W + lane];
-                    let z0 = ws.z[goff + v * W + lane];
+                    let z0 = ws.z[coff + e * W + lane];
                     let gam = ws.gamma[li][v];
                     let al = ws.alpha[li][v];
                     let denom = 1.0 + z0 + al * ws.z_last[li][v] / gam;
@@ -947,7 +903,7 @@ fn periodic_sweep_i(
         let mut gb = clo;
         while gb < chi {
             let gl = (chi - gb).min(W);
-            let goff = g * gstride;
+            let (goff, coff) = (g * gstride, g * cstride);
             g += 1;
             let mut factl = [0.0f64; NVW];
             for l in 0..W {
@@ -957,13 +913,13 @@ fn periodic_sweep_i(
                 }
             }
             kernels::periodic_correct_group(
-                ws.isa,
+                isa,
                 n,
                 &factl,
                 &mut ws.d[goff..goff + gstride],
-                &ws.z[goff..goff + gstride],
+                &ws.z[coff..coff + cstride],
             );
-            unpack_group(ln, stride, &mut ws.dw, gb, gl, n, &ws.d[goff..goff + gstride]);
+            unpack_group(isa, ln, stride, &mut ws.dw, gb, gl, n, &ws.d[goff..goff + gstride]);
             if is_last {
                 // Duplicated seam node mirrors node 0's solution.
                 for li in gb..gb + gl {
@@ -998,12 +954,42 @@ fn other_dirs(dir: usize) -> (usize, usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::conditions::GAMMA;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
-    use overset_grid::field::Field3;
+    use overset_grid::field::{Field3, StateField};
     use overset_grid::index::{Dims, Ijk};
+
+    /// Copy the owned nodes of `dq` into the increment, or back.
+    fn load(b: &Block, dq: &StateField, ws: &mut SweepScratch) {
+        let (ow, inc) = (b.owned_local(), ws.increment(b));
+        for (t, p) in ow.iter().enumerate() {
+            for (v, &x) in dq.node(p).iter().enumerate() {
+                inc[v * ow.count() + t] = x;
+            }
+        }
+    }
+
+    fn store(b: &Block, ws: &mut SweepScratch, dq: &mut StateField) {
+        let (ow, inc) = (b.owned_local(), ws.increment(b));
+        for (t, p) in ow.iter().enumerate() {
+            dq.set_node(p, std::array::from_fn(|v| inc[v * ow.count() + t]));
+        }
+    }
+
+    /// [`implicit_sweeps`] on the owned nodes of an interleaved `dq`.
+    fn sweep_field(
+        b: &Block,
+        fc: &FlowConditions,
+        dq: &mut StateField,
+        comm: &mut impl SolverComm,
+        ws: &mut SweepScratch,
+    ) {
+        load(b, dq, ws);
+        implicit_sweeps(b, fc, comm, ws);
+        store(b, ws, dq);
+    }
 
     // ---- scalar reference forms of the pointwise kernels ---------------------
 
@@ -1187,7 +1173,7 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let b = uniform_block(7, &fc);
         let mut dq = StateField::new(b.local_dims);
-        implicit_sweeps(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
         for v in dq.as_slice() {
             assert!(v.abs() < 1e-15);
         }
@@ -1200,7 +1186,7 @@ mod tests {
         let mut dq = StateField::new(b.local_dims);
         let c = Ijk::new(3, 3, 3);
         dq.set_node(c, [1.0, 0.0, 0.0, 0.0, 0.0]);
-        implicit_sweeps(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
         let v = dq.node(c)[0];
         assert!(v > 0.0 && v < 1.0, "center update {v}");
     }
@@ -1214,7 +1200,7 @@ mod tests {
         let mut dq = StateField::new(b.local_dims);
         dq.set_node(hole, [5.0; 5]); // must be zeroed by the identity row
         dq.set_node(Ijk::new(4, 3, 3), [1.0, 0.0, 0.0, 0.0, 0.0]);
-        implicit_sweeps(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
         assert_eq!(*dq.node(hole), [0.0; 5]);
         assert!(dq.node(Ijk::new(4, 3, 3))[0] != 0.0);
     }
@@ -1287,21 +1273,17 @@ mod tests {
             }
         }
         let mut ws = SweepScratch::default();
-        let mm = ow.count();
-        let rows = Rows::new(b.local_dims, ow, ow);
-        // The SoA (fields × `mm`) as an interleaved field over the block.
-        let unload = |ws: &SweepScratch| {
+        let unload = |ws: &mut SweepScratch| {
             let mut out = StateField::new(b.local_dims);
-            for (t, p) in ow.iter().enumerate() {
-                out.set_node(p, std::array::from_fn(|v| ws.dw[v * mm + t]));
-            }
+            store(&b, ws, &mut out);
             out
         };
-        load_increment(&dq, rows, mm, &mut ws);
-        let ln = forward_stage(&b, 0, rows, mm, &mut ws);
-        let rhs_char = unload(&ws);
+        load(&b, &dq, &mut ws);
+        let (rows, mm) = prepare_frames(&b, &mut ws);
+        let ln = forward_stage(&b, 0, true, rows, mm, &mut ws);
+        let rhs_char = unload(&mut ws);
         periodic_sweep_i(&b, fc.dt, &mut SerialComm, &ln, mm, &mut ws);
-        let dq = unload(&ws);
+        let dq = unload(&mut ws);
 
         // Verify A x = rhs for each line and variable, with A the cyclic
         // tridiagonal built from the same row coefficients.
@@ -1346,7 +1328,7 @@ mod tests {
         let run = |fc: &FlowConditions| -> f64 {
             let mut dq = StateField::new(b.local_dims);
             dq.set_node(c, [1.0, 0.0, 0.0, 0.0, 0.0]);
-            implicit_sweeps(&b, fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+            sweep_field(&b, fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
             dq.node(c)[0]
         };
         fc.dt = 0.05;
@@ -1367,7 +1349,7 @@ mod tests {
     /// characteristic field at a time, through the scalar `char_frame` /
     /// `to_char` / `row_abc` / `tridiag` / `from_char` forms.
     #[allow(clippy::needless_range_loop)]
-    fn sweeps_reference(block: &Block, fc: &FlowConditions, dq: &mut StateField) {
+    pub(crate) fn sweeps_reference(block: &Block, fc: &FlowConditions, dq: &mut StateField) {
         let ow = block.owned_local();
         for &dir in block.active_dirs() {
             let (d1, d2) = other_dirs(dir);
@@ -1428,7 +1410,7 @@ mod tests {
     /// Deterministic pseudo-random values in [0, 1) keyed by a *global*
     /// node, so a subdomain block and the whole-grid block agree wherever
     /// they overlap, halo layers included.
-    fn keyed(seed: u64, g: [isize; 3], salt: u64) -> f64 {
+    pub(crate) fn keyed(seed: u64, g: [isize; 3], salt: u64) -> f64 {
         let mut h = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         for x in g {
             h = (h ^ x as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1476,6 +1458,30 @@ mod tests {
         dq.node(p).map(f64::to_bits)
     }
 
+    /// A grid of dimensions `d` cut into a chain of `parts` subdomains along
+    /// `split`: each piece's owned box and face neighbours (rank = position
+    /// in the chain; both ends of a split periodic direction wrap).
+    pub(crate) fn chain_pieces(
+        d: Dims,
+        periodic: bool,
+        split: usize,
+        parts: usize,
+    ) -> Vec<(IndexBox, [Option<usize>; 6])> {
+        let wrap = split == 0 && periodic;
+        let pieces = d.full_box().split(split, parts);
+        let link = |r: usize| {
+            let mut neighbor = [None; 6];
+            if r > 0 || wrap {
+                neighbor[2 * split] = Some((r + parts - 1) % parts);
+            }
+            if r + 1 < parts || wrap {
+                neighbor[2 * split + 1] = Some((r + 1) % parts);
+            }
+            neighbor
+        };
+        pieces.into_iter().enumerate().map(|(r, owned)| (owned, link(r))).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1495,7 +1501,7 @@ mod tests {
             sweeps_reference(&b, &fc, &mut want);
             for isa in [Isa::Scalar, select_isa()] {
                 let mut got = dq0.clone();
-                implicit_sweeps(&b, &fc, &mut got, &mut SerialComm, &mut SweepScratch::new(isa));
+                sweep_field(&b, &fc, &mut got, &mut SerialComm, &mut SweepScratch::new(isa));
                 for p in b.local_dims.iter() {
                     prop_assert_eq!(bits(&got, p), bits(&want, p), "{:?} at {:?} dims {:?}", isa, p, d);
                 }
@@ -1520,37 +1526,16 @@ mod tests {
             let mut want = dq0;
             sweeps_reference(&whole, &fc, &mut want);
 
-            let pieces = d.full_box().split(split, parts);
-            let mut blocks: Vec<(Block, StateField)> = pieces
-                .iter()
-                .enumerate()
-                .map(|(r, &owned)| {
-                    let mut neighbor = [None; 6];
-                    let wrap = split == 0 && g.periodic_i;
-                    if r > 0 || wrap {
-                        neighbor[2 * split] = Some((r + parts - 1) % parts);
-                    }
-                    if r + 1 < parts || wrap {
-                        neighbor[2 * split + 1] = Some((r + 1) % parts);
-                    }
-                    keyed_block(&g, owned, neighbor, seed)
-                })
+            let mut blocks: Vec<(Block, StateField)> = chain_pieces(d, g.periodic_i, split, parts)
+                .into_iter()
+                .map(|(owned, neighbor)| keyed_block(&g, owned, neighbor, seed))
                 .collect();
-            // Links between consecutive subdomains, one channel each way.
-            let mut comms: Vec<ChanComm> = (0..parts).map(|_| ChanComm::default()).collect();
-            for r in 0..parts - 1 {
-                let (tx, rx) = channel();
-                comms[r].down_tx = Some(tx);
-                comms[r + 1].up_rx = Some(rx);
-                let (tx, rx) = channel();
-                comms[r + 1].up_tx = Some(tx);
-                comms[r].down_rx = Some(rx);
-            }
             let isa = if seed % 2 == 0 { Isa::Scalar } else { select_isa() };
             std::thread::scope(|s| {
-                for ((b, dq), comm) in blocks.iter_mut().zip(comms.iter_mut()) {
+                for ((b, dq), comm) in blocks.iter_mut().zip(chain(parts)) {
                     s.spawn(move || {
-                        implicit_sweeps(b, &fc, dq, comm, &mut SweepScratch::new(isa));
+                        let mut comm = comm;
+                        sweep_field(b, &fc, dq, &mut comm, &mut SweepScratch::new(isa));
                     });
                 }
             });
@@ -1566,25 +1551,40 @@ mod tests {
         }
     }
 
-    /// Line-solve links of one subdomain in a chain, over channels, with a
-    /// small buffer pool so the recycling hooks are exercised.
+    /// Line-solve links of one subdomain in a chain, over channels (index
+    /// 0: the upstream neighbour, 1: the downstream one), with a small
+    /// buffer pool so the recycling hooks are exercised. Halos are left as
+    /// they are.
     #[derive(Default)]
-    struct ChanComm {
-        up_tx: Option<Sender<Vec<f64>>>,
-        up_rx: Option<Receiver<Vec<f64>>>,
-        down_tx: Option<Sender<Vec<f64>>>,
-        down_rx: Option<Receiver<Vec<f64>>>,
+    pub(crate) struct ChanComm {
+        tx: [Option<Sender<Vec<f64>>>; 2],
+        rx: [Option<Receiver<Vec<f64>>>; 2],
         pool: Vec<Vec<f64>>,
+    }
+
+    /// The links of a chain of `parts` subdomains, one channel each way
+    /// between consecutive ones.
+    pub(crate) fn chain(parts: usize) -> Vec<ChanComm> {
+        let mut comms: Vec<ChanComm> = (0..parts).map(|_| ChanComm::default()).collect();
+        for r in 1..parts {
+            let (tx, rx) = channel();
+            comms[r - 1].tx[1] = Some(tx);
+            comms[r].rx[0] = Some(rx);
+            let (tx, rx) = channel();
+            comms[r].tx[0] = Some(tx);
+            comms[r - 1].rx[1] = Some(rx);
+        }
+        comms
     }
 
     impl SolverComm for ChanComm {
         fn exchange_halo(&mut self, _: &mut Block) {}
         fn send_line(&mut self, _: &Block, _: usize, downstream: bool, data: Vec<f64>) {
-            let tx = if downstream { &self.down_tx } else { &self.up_tx };
+            let tx = &self.tx[usize::from(downstream)];
             tx.as_ref().expect("send toward a missing neighbor").send(data).unwrap();
         }
         fn recv_line(&mut self, _: &Block, _: usize, from_upstream: bool, len: usize) -> Vec<f64> {
-            let rx = if from_upstream { &self.up_rx } else { &self.down_rx };
+            let rx = &self.rx[usize::from(!from_upstream)];
             let data = rx.as_ref().expect("receive from a missing neighbor").recv().unwrap();
             assert_eq!(data.len(), len);
             data

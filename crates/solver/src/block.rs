@@ -410,10 +410,14 @@ impl Block {
         }
     }
 
-    /// Memory footprint of the block's hot arrays (for the cache model).
+    /// The modelled working set of the block on the paper's machines: 26
+    /// doubles per local node — state (5), metrics (10), coordinates (3),
+    /// grid velocity (3) and a residual array (5) — the input of the
+    /// virtual machine's cache term. A model constant, not a measure of this
+    /// program's buffers: the host keeps the increment in its own layout,
+    /// and changing host scratch must not move the virtual clocks.
     pub fn working_set_bytes(&self) -> f64 {
         let n = self.local_dims.count() as f64;
-        // q (5) + metrics (10) + coords (3) + velocities (3) + rhs scratch (5)
         n * 8.0 * 26.0
     }
 }
@@ -604,6 +608,15 @@ mod tests {
             }
         }
         assert!(checked >= 2 * (3 + 3 + 16));
+    }
+
+    #[test]
+    fn working_set_is_the_modelled_26_doubles_per_local_node() {
+        let g = test_grid(12, 10, 8);
+        let owned = IndexBox::new(Ijk::new(2, 0, 1), Ijk::new(9, 6, 5));
+        let b = Block::from_grid(0, &g, owned, [None; 6], &fc());
+        assert_eq!(b.local_dims.count(), 11 * 10 * 8);
+        assert_eq!(b.working_set_bytes(), (11 * 10 * 8 * 26 * 8) as f64);
     }
 
     #[test]

@@ -93,6 +93,9 @@ pub trait Lane4: Copy {
     /// Per-lane select: lanes where `mask`'s sign bit is set take `a`,
     /// otherwise `b` (AVX2 `blendv` semantics).
     fn select(mask: Self, a: Self, b: Self) -> Self;
+    /// The 4 × 4 transpose: lane `l` of output `r` is lane `r` of input `l`
+    /// (data movement only, exact).
+    fn transpose(rows: [Self; W]) -> [Self; W];
     fn to_array(self) -> [f64; W];
     fn from_array(a: [f64; W]) -> Self {
         Self::load(&a)
@@ -105,16 +108,20 @@ pub trait Lane4: Copy {
         if n == W {
             Self::load(src)
         } else {
-            Self::from_array(std::array::from_fn(|l| src[l.min(n - 1)]))
+            let src = &src[..n];
+            Self::from_array([src[0], src[1.min(n - 1)], src[2.min(n - 1)], src[n - 1]])
         }
     }
-    /// Store the first `n` lanes to `dst[..n]`.
+    /// Store the first `n` lanes to `dst[..n]` (lane by lane: a `memcpy`
+    /// call would cost a tail more than its arithmetic).
     #[inline(always)]
     fn store_n(self, dst: &mut [f64], n: usize) {
         if n == W {
             self.store(dst);
         } else {
-            dst[..n].copy_from_slice(&self.to_array()[..n]);
+            for (d, x) in dst[..n].iter_mut().zip(self.to_array()) {
+                *d = x;
+            }
         }
     }
     /// Build a select mask from per-lane booleans (sign bit set when true).
@@ -210,6 +217,16 @@ impl Lane4 for ScalarLanes {
         ScalarLanes([pick(0), pick(1), pick(2), pick(3)])
     }
     #[inline(always)]
+    fn transpose(r: [Self; W]) -> [Self; W] {
+        let [a, b, c, d] = r.map(|x| x.0);
+        [
+            ScalarLanes([a[0], b[0], c[0], d[0]]),
+            ScalarLanes([a[1], b[1], c[1], d[1]]),
+            ScalarLanes([a[2], b[2], c[2], d[2]]),
+            ScalarLanes([a[3], b[3], c[3], d[3]]),
+        ]
+    }
+    #[inline(always)]
     fn to_array(self) -> [f64; W] {
         self.0
     }
@@ -296,6 +313,24 @@ mod avx {
             AvxLanes(unsafe { _mm256_blendv_pd(b.0, a.0, mask.0) })
         }
         #[inline(always)]
+        fn transpose(r: [Self; W]) -> [Self; W] {
+            // SAFETY: register shuffles only, on a host with AVX2 (see the
+            // type's doc).
+            unsafe {
+                // Pairs within 128-bit halves, then the halves across.
+                let t0 = _mm256_unpacklo_pd(r[0].0, r[1].0);
+                let t1 = _mm256_unpackhi_pd(r[0].0, r[1].0);
+                let t2 = _mm256_unpacklo_pd(r[2].0, r[3].0);
+                let t3 = _mm256_unpackhi_pd(r[2].0, r[3].0);
+                [
+                    AvxLanes(_mm256_permute2f128_pd::<0x20>(t0, t2)),
+                    AvxLanes(_mm256_permute2f128_pd::<0x20>(t1, t3)),
+                    AvxLanes(_mm256_permute2f128_pd::<0x31>(t0, t2)),
+                    AvxLanes(_mm256_permute2f128_pd::<0x31>(t1, t3)),
+                ]
+            }
+        }
+        #[inline(always)]
         fn to_array(self) -> [f64; W] {
             let mut out = [0.0; W];
             self.store(&mut out);
@@ -318,7 +353,12 @@ mod tests {
 
     fn run_ops<L: Lane4>(a: [f64; W], b: [f64; W]) -> Vec<[f64; W]> {
         let (x, y) = (L::load(&a), L::load(&b));
+        let t = L::transpose([x, y, x.neg(), y.neg()]);
         vec![
+            t[0].to_array(),
+            t[1].to_array(),
+            t[2].to_array(),
+            t[3].to_array(),
             x.add(y).to_array(),
             x.sub(y).to_array(),
             x.mul(y).to_array(),
@@ -339,7 +379,11 @@ mod tests {
     fn scalar_lanes_match_plain_f64() {
         let a = [1.5, -2.25, 3.0, 0.1];
         let b = [0.5, 4.0, -1.5, 7.0];
-        let got = ops_scalar(a, b);
+        let all = ops_scalar(a, b);
+        let (t, got) = all.split_at(W);
+        for (r, row) in t.iter().enumerate() {
+            assert_eq!(*row, [a[r], b[r], -a[r], -b[r]], "transpose row {r}");
+        }
         for l in 0..W {
             assert_eq!(got[0][l].to_bits(), (a[l] + b[l]).to_bits());
             assert_eq!(got[1][l].to_bits(), (a[l] - b[l]).to_bits());

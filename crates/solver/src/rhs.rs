@@ -12,24 +12,21 @@
 //!
 //! Evaluation is a **node pass + face assembly** per direction: every
 //! quantity that depends on one node only (pressure, the pressure switch ν,
-//! the spectral radius σ̂, the contravariant flux F̂; velocity, kinetic
-//! energy, a² and μ_l for the thin-layer term) is computed once per node by
-//! the lane-batched kernels in [`crate::kernels`] into a node cache, and the
-//! assembly then differences cached values, accumulating into `res`
-//! direction by direction. Each cached value is produced by the operation
-//! sequence the per-node form used (kept as `reference` for the bit-equality
-//! tests), so the result is bit-identical to evaluating every stencil from
-//! scratch.
+//! the spectral radius σ̂, the contravariant flux F̂, the state and its
+//! blanking; velocity, kinetic energy, a², μ_l, Ŝ and μ_t for the thin-layer
+//! term) is computed once per node by the lane-batched kernels in
+//! [`crate::kernels`] into a node cache, and the lane-batched assembly then
+//! differences cached values, accumulating straight into the sweeps'
+//! increment direction by direction. Each cached value is produced by the
+//! operation sequence the per-node form used (kept as `reference` for the
+//! bit-equality tests), so the result is bit-identical to evaluating every
+//! stencil from scratch.
 
 use crate::adi::SweepScratch;
 use crate::block::{Blank, Block};
-use crate::conditions::{pressure, FlowConditions, GAMMA, PRANDTL, PRANDTL_T};
-use crate::kernels::{
-    self, node_at as node, strides, Rows, RC_F, RC_FIELDS, RC_NU, RC_P, RC_SIG, VC_A2, VC_FIELDS,
-    VC_KE, VC_MUL, VC_U,
-};
-use overset_grid::field::{StateField, NVAR};
-use overset_grid::index::IndexBox;
+use crate::conditions::FlowConditions;
+use crate::kernels::{self, Rows, RC_FIELDS};
+use overset_grid::index::{Ijk, IndexBox};
 
 /// JST dissipation constants (2nd-difference sensor gain, 4th-difference
 /// background gain).
@@ -42,6 +39,9 @@ pub const K4: f64 = 1.0 / 16.0;
 pub const FLOPS_PER_NODE_PER_DIR: u64 = 110;
 /// Modelled extra flops per owned node for thin-layer viscous terms.
 pub const FLOPS_VISCOUS_PER_NODE: u64 = 90;
+
+/// The thin layer acts in the body-normal η direction.
+const ETA: usize = 1;
 
 /// Range of local indices along `dir` that have valid ±1 stencil data:
 /// owned nodes, shrunk by one at faces with no neighbor (physical
@@ -71,251 +71,135 @@ fn sweep_box(block: &Block) -> Option<IndexBox> {
     (0..3).all(|d| b.lo.get(d) < b.hi.get(d)).then_some(b)
 }
 
-/// `b` grown by `w` nodes on both sides along `dir`.
-fn grown(b: IndexBox, dir: usize, w: usize) -> IndexBox {
-    let (mut lo, mut hi) = (b.lo, b.hi);
-    lo.set(dir, lo.get(dir) - w);
-    hi.set(dir, hi.get(dir) + w);
-    IndexBox::new(lo, hi)
-}
-
-/// Assemble the residual into `res` over the block's computable nodes,
-/// using `ws` for the node cache. Returns the modelled flops.
-pub fn compute_residual(
-    block: &Block,
-    fc: &FlowConditions,
-    res: &mut StateField,
-    ws: &mut SweepScratch,
-) -> u64 {
-    assert_eq!(res.dims(), block.local_dims);
-    res.as_mut_slice().fill(0.0);
-    let Some(sweep) = sweep_box(block) else { return 0 };
+/// Assemble the residual R over the block's computable nodes into the
+/// sweeps' increment ([`SweepScratch::increment`]), which leaves holding
+/// Δt·R on field nodes (R already divided by J) and zero elsewhere. Returns
+/// the modelled flops and the L2 norm of R over the owned field nodes
+/// (diagnostic).
+///
+/// Every pass walks rows of the sweep box (`i` fastest) and caches node
+/// quantities for the few rows its stencil spans: a row's own ±2
+/// neighbours along `i`, a ring of five rows along a `j` or `k` pencil,
+/// three rows along η for the thin layer. The node cache stays in the
+/// first cache levels whatever the block size.
+pub fn compute_residual(block: &Block, fc: &FlowConditions, ws: &mut SweepScratch) -> (u64, f64) {
+    let ow = block.owned_local();
+    let (ld, od) = (block.local_dims, ow.dims());
+    let ib = block.iblank.as_slice();
+    let field_nodes: usize = Rows::new(ow, ld.full_box(), ow)
+        .starts()
+        .map(|(s0, _)| ib[s0..s0 + od.ni].iter().filter(|&&b| b == Blank::Field).count())
+        .sum();
+    let Some(sweep) = sweep_box(block) else {
+        ws.increment(block).fill(0.0);
+        return (0, 0.0);
+    };
     let viscous = block.viscous && fc.viscous_coefficient() > 0.0;
-    let ld = block.local_dims;
-    let q = block.q.as_slice();
-    let isa = ws.isa;
+    let (q, met, vel) = (block.q.as_slice(), block.metrics.as_slice(), block.grid_vel.as_slice());
+    let (isa, mm, n) = (ws.isa, ow.count(), sweep.dims().ni);
+    // The widest cache: five rows of `n + 4` nodes.
+    const _: () = assert!(kernels::VC_FIELDS <= RC_FIELDS);
+    let (cache, dw) = ws.residual_buffers(block, RC_FIELDS * 5 * (n + 4));
+    dw.fill(0.0);
+    // Storage offset of a node; increment offset of an owned node.
+    let s_at = |p: Ijk| ld.offset(p);
+    let t_at = |p: Ijk| od.offset(Ijk::new(p.i - ow.lo.i, p.j - ow.lo.j, p.k - ow.lo.k));
+    // The first nodes of the sweep box's rows along the pencils of `dir`.
+    let pencils = |dir: usize| {
+        let o = 3 - dir;
+        (sweep.lo.get(o)..sweep.hi.get(o)).map(move |c| {
+            let mut p = sweep.lo;
+            p.set(o, c);
+            p
+        })
+    };
 
-    // Node-cache stride: the widest footprint of any pass.
-    let dirs = block.active_dirs();
-    let stride = dirs.iter().map(|&d| grown(sweep, d, 2).count()).max().unwrap_or(0);
-    let cache = ws.node_cache(RC_FIELDS.max(VC_FIELDS) * stride);
-
-    for &dir in dirs {
+    for &dir in block.active_dirs() {
         // The stencil of a sweep node reaches one node along `dir` for F̂,
-        // σ̂ and ν, two for the pressures under ν — always inside storage.
+        // σ̂ and ν, two for the state and the pressures under ν — always
+        // inside storage.
         assert_eq!(block.halo[dir], crate::block::HALO);
-        let fb1 = grown(sweep, dir, 1);
-        let fb2 = grown(sweep, dir, 2);
-        let (met, vel) = (block.metrics.as_slice(), block.grid_vel.as_slice());
-        kernels::flux_node_rows(isa, Rows::new(ld, fb1, fb2), dir, q, met, vel, stride, cache);
-        // Pressure alone on the two outermost layers.
-        for layer in [fb2.lo.get(dir), fb2.hi.get(dir) - 1] {
-            let (mut lo, mut hi) = (fb2.lo, fb2.hi);
-            lo.set(dir, layer);
-            hi.set(dir, layer + 1);
-            let rows = Rows::new(ld, IndexBox::new(lo, hi), fb2);
-            for (s0, m0) in rows.starts() {
-                for i in 0..rows.ni {
-                    cache[RC_P * stride + m0 + i] = pressure(node(q, s0 + i));
+        if dir == 0 {
+            // Row by row: node `i` of a sweep row at cache position `i + 2`.
+            let stride = n + 4;
+            for k in sweep.lo.k..sweep.hi.k {
+                for j in sweep.lo.j..sweep.hi.j {
+                    let p = Ijk::new(sweep.lo.i, j, k);
+                    let s = s_at(p) - 2;
+                    kernels::flux_node_row(isa, n + 4, s, 0, 0, q, ib, met, vel, stride, cache);
+                    kernels::nu_row(isa, n + 2, [0, 1, 2], stride, cache);
+                    kernels::assemble_row(isa, n, [0, 1, 2, 3, 4], stride, cache, mm, t_at(p), dw);
+                }
+            }
+            continue;
+        }
+        // Pencils of rows along `dir` through a ring of five: row `c` in
+        // slot `c % 5`. Row `c`'s node pass completes row `c - 1`'s ν
+        // stencil and row `c - 2`'s assembly stencil.
+        let (stride, slot) = (5 * n, |c: usize| (c % 5) * n);
+        let (lo, hi) = (sweep.lo.get(dir), sweep.hi.get(dir));
+        for p0 in pencils(dir) {
+            let row = |c: usize| {
+                let mut p = p0;
+                p.set(dir, c);
+                p
+            };
+            for c in lo - 2..hi + 2 {
+                let s = s_at(row(c));
+                kernels::flux_node_row(isa, n, s, slot(c), dir, q, ib, met, vel, stride, cache);
+                if c >= lo {
+                    let at = [slot(c - 2), slot(c - 1), slot(c)];
+                    kernels::nu_row(isa, n, at, stride, cache);
+                }
+                if c >= lo + 2 {
+                    let at = [slot(c - 4), slot(c - 3), slot(c - 2), slot(c - 1), slot(c)];
+                    let t = t_at(row(c - 2));
+                    kernels::assemble_row(isa, n, at, stride, cache, mm, t, dw);
                 }
             }
         }
-        const _: () = assert!(RC_P == 0 && RC_NU == 1);
-        let (p, nu) = cache[..2 * stride].split_at_mut(stride);
-        kernels::nu_rows(isa, Rows::new(ld, fb1, fb2), strides(fb2.dims())[dir], p, nu);
-        assemble_direction(block, dir, sweep, fb2, stride, cache, res);
     }
 
-    // Thin-layer viscous terms in the body-normal η direction.
-    let vb = grown(sweep, ETA, 1);
-    if viscous {
-        kernels::viscous_node_rows(isa, Rows::new(ld, vb, vb), q, stride, cache);
+    // Thin-layer viscous terms in the body-normal η direction, 1/J and Δt,
+    // through a ring of three rows along η.
+    let (stride, slot) = (3 * n, |c: usize| (c % 3) * n);
+    let (lo, hi) = (sweep.lo.get(ETA), sweep.hi.get(ETA));
+    let (coef, mu_t) = (fc.viscous_coefficient(), block.mu_t.as_slice());
+    let (mut nodes, mut sum) = (0u64, 0.0f64);
+    for p0 in pencils(ETA) {
+        let row = |c: usize| {
+            let mut p = p0;
+            p.set(ETA, c);
+            p
+        };
+        for c in lo - 1..hi + 1 {
+            let s = s_at(row(c));
+            kernels::viscous_node_row(isa, n, s, slot(c), viscous, q, ib, met, mu_t, stride, cache);
+            if c > lo {
+                let (at, t) = ([slot(c - 2), slot(c - 1), slot(c)], t_at(row(c - 1)));
+                let (row_nodes, row_sum) = kernels::finish_row(
+                    isa, n, at, viscous, coef, stride, cache, fc.dt, mm, t, dw, sum,
+                );
+                nodes += row_nodes;
+                sum = row_sum;
+            }
+        }
     }
-    let nodes = add_viscous_and_scale(block, fc, viscous, sweep, vb, stride, cache, res);
 
-    let mut flops = nodes * dirs.len() as u64 * FLOPS_PER_NODE_PER_DIR;
+    let mut flops = nodes * block.active_dirs().len() as u64 * FLOPS_PER_NODE_PER_DIR;
     if viscous {
         flops += nodes * FLOPS_VISCOUS_PER_NODE;
     }
-    flops
-}
-
-/// Face assembly of one direction: around every field node of the sweep
-/// box, the central difference of the cached F̂ and the two JST dissipative
-/// face fluxes, accumulated into `res`. `cache` is laid out over `fb2`.
-fn assemble_direction(
-    block: &Block,
-    dir: usize,
-    sweep: IndexBox,
-    fb2: IndexBox,
-    stride: usize,
-    cache: &[f64],
-    res: &mut StateField,
-) {
-    let ld = block.local_dims;
-    let (st, mt) = (strides(ld)[dir], strides(fb2.dims())[dir]);
-    let q = block.q.as_slice();
-    let ib = block.iblank.as_slice();
-    let (nu, sig) = (&cache[RC_NU * stride..][..stride], &cache[RC_SIG * stride..][..stride]);
-    let out = res.as_mut_slice();
-    for (s0, m0) in Rows::new(ld, sweep, fb2).starts() {
-        for i in 0..sweep.dims().ni {
-            let (s, m) = (s0 + i, m0 + i);
-            if ib[s] != Blank::Field {
-                continue;
-            }
-            let q0 = node(q, s);
-            // JST dissipative flux at the face between `s` and `s1` (`sm`,
-            // `sp`: the nodes behind `s` and beyond `s1`).
-            let face = |s1: usize, m1: usize, sm: usize, sp: usize, sign: f64| {
-                let eps2 = K2 * nu[m].max(nu[m1]);
-                let eps4 = (K4 - eps2).max(0.0);
-                let sigma = 0.5 * (sig[m] + sig[m1]);
-                let q1 = node(q, s1);
-                let mut d = [0.0f64; NVAR];
-                // Second difference across the face.
-                for v in 0..NVAR {
-                    d[v] = eps2 * (q1[v] - q0[v]);
-                }
-                // Fourth difference needs one more node on each side;
-                // degrade to pure 2nd-difference when the stencil crosses
-                // blanked nodes.
-                if ib[sm] == Blank::Field && ib[sp] == Blank::Field && ib[s1] != Blank::Hole {
-                    let (qm, qp) = (node(q, sm), node(q, sp));
-                    for v in 0..NVAR {
-                        let third = (qp[v] - q1[v]) - 2.0 * (q1[v] - q0[v]) + (q0[v] - qm[v]);
-                        d[v] -= eps4 * third;
-                    }
-                }
-                // Face flux orientation: the residual adds
-                // d(p+1/2) - d(p-1/2).
-                for v in d.iter_mut() {
-                    *v *= sigma * sign;
-                }
-                d
-            };
-            let d_hi = face(s + st, m + mt, s - st, s + 2 * st, 1.0);
-            let d_lo = face(s - st, m - mt, s + st, s - 2 * st, -1.0);
-            let r = &mut out[s * NVAR..(s + 1) * NVAR];
-            for v in 0..NVAR {
-                // Central flux difference.
-                let f = &cache[(RC_F + v) * stride..];
-                r[v] -= 0.5 * (f[m + mt] - f[m - mt]);
-                r[v] += d_hi[v] - d_lo[v];
-            }
-        }
-    }
-}
-
-/// The thin layer acts in the body-normal η direction.
-const ETA: usize = 1;
-
-/// Last pass over the field nodes of the sweep box: add the difference of
-/// the two thin-layer viscous face fluxes (when `viscous`; `cache` is laid
-/// out over `vb`) and divide by the cell Jacobian. Returns the node count.
-#[allow(clippy::too_many_arguments)]
-fn add_viscous_and_scale(
-    block: &Block,
-    fc: &FlowConditions,
-    viscous: bool,
-    sweep: IndexBox,
-    vb: IndexBox,
-    stride: usize,
-    cache: &[f64],
-    res: &mut StateField,
-) -> u64 {
-    let ld = block.local_dims;
-    let ib = block.iblank.as_slice();
-    let met = block.metrics.as_slice();
-    let mu_t = block.mu_t.as_slice();
-    let coef = fc.viscous_coefficient();
-    let (st, mt) = (strides(ld)[ETA], strides(vb.dims())[ETA]);
-    let vc = |f: usize, m: usize| cache[f * stride + m];
-    let out = res.as_mut_slice();
-    let mut nodes = 0u64;
-    for (s0, m0) in Rows::new(ld, sweep, vb).starts() {
-        for i in 0..sweep.dims().ni {
-            let (s, m) = (s0 + i, m0 + i);
-            if ib[s] != Blank::Field {
-                continue;
-            }
-            nodes += 1;
-            let r = &mut out[s * NVAR..(s + 1) * NVAR];
-            if viscous {
-                // Viscous flux at the η-face between `s` and `s1`, in the
-                // Q̂ equation (to be differenced and divided by J).
-                let face = |s1: usize, m1: usize, sign: f64| -> [f64; NVAR] {
-                    let (ma, mb) = (met[s], met[s1]);
-                    // Face-averaged Ŝ and J.
-                    let sv = [
-                        0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
-                        0.5 * (ma.eta[1] * ma.jac + mb.eta[1] * mb.jac),
-                        0.5 * (ma.eta[2] * ma.jac + mb.eta[2] * mb.jac),
-                    ];
-                    let jf = 0.5 * (ma.jac + mb.jac);
-                    let m1f = (sv[0] * sv[0] + sv[1] * sv[1] + sv[2] * sv[2]) / jf;
-                    let du = [
-                        vc(VC_U, m1) - vc(VC_U, m),
-                        vc(VC_U + 1, m1) - vc(VC_U + 1, m),
-                        vc(VC_U + 2, m1) - vc(VC_U + 2, m),
-                    ];
-                    let s_du = sv[0] * du[0] + sv[1] * du[1] + sv[2] * du[2];
-                    let mu_l = 0.5 * (vc(VC_MUL, m) + vc(VC_MUL, m1));
-                    let mu_tf = 0.5 * (mu_t[s] + mu_t[s1]);
-                    let mu = mu_l + mu_tf;
-                    // Momentum: μ (m1 du + (1/3)(S·du) S / J).
-                    let fm = [
-                        coef * mu * (m1f * du[0] + s_du * sv[0] / (3.0 * jf)),
-                        coef * mu * (m1f * du[1] + s_du * sv[1] / (3.0 * jf)),
-                        coef * mu * (m1f * du[2] + s_du * sv[2] / (3.0 * jf)),
-                    ];
-                    // Energy: shear work + heat conduction on a² = γ p / ρ.
-                    let k_heat = mu_l / PRANDTL + mu_tf / PRANDTL_T;
-                    let fe = coef
-                        * m1f
-                        * (mu * (vc(VC_KE, m1) - vc(VC_KE, m))
-                            + k_heat / (GAMMA - 1.0) * (vc(VC_A2, m1) - vc(VC_A2, m)));
-                    [0.0, sign * fm[0], sign * fm[1], sign * fm[2], sign * fe]
-                };
-                let fv_hi = face(s + st, m + mt, 1.0);
-                let fv_lo = face(s - st, m - mt, -1.0);
-                for v in 0..NVAR {
-                    r[v] += fv_hi[v] - fv_lo[v];
-                }
-            }
-            let inv_j = 1.0 / met[s].jac;
-            for v in r.iter_mut() {
-                *v *= inv_j;
-            }
-        }
-    }
-    nodes
-}
-
-/// L2 norm of the residual over owned field nodes (diagnostic).
-pub fn residual_l2(block: &Block, res: &StateField) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for p in block.owned_local().iter() {
-        if block.iblank[p] != Blank::Field {
-            continue;
-        }
-        let r = res.node(p);
-        sum += r.iter().map(|x| x * x).sum::<f64>();
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        (sum / count as f64).sqrt()
-    }
+    let l2 = if field_nodes == 0 { 0.0 } else { (sum / field_nodes as f64).sqrt() };
+    (flops, l2)
 }
 
 /// The per-node recomputing form of the residual: every stencil evaluated
 /// from scratch through scalar `pressure` / `hat_flux` / `spectral_radius`
-/// calls. The node-pass implementation above must reproduce it bit for bit.
+/// calls, into an interleaved field over the block. The node-pass
+/// implementation above must reproduce it bit for bit (times Δt).
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{FLOPS_PER_NODE_PER_DIR, FLOPS_VISCOUS_PER_NODE, K2, K4};
     use crate::block::{Blank, Block};
     use crate::conditions::{
@@ -323,6 +207,25 @@ mod reference {
     };
     use overset_grid::field::{StateField, NVAR};
     use overset_grid::index::Ijk;
+
+    /// L2 norm of the residual over owned field nodes.
+    pub fn residual_l2(block: &Block, res: &StateField) -> f64 {
+        let mut sum = 0.0;
+        let mut count = 0usize;
+        for p in block.owned_local().iter() {
+            if block.iblank[p] != Blank::Field {
+                continue;
+            }
+            let r = res.node(p);
+            sum += r.iter().map(|x| x * x).sum::<f64>();
+            count += 1;
+        }
+        if count == 0 {
+            0.0
+        } else {
+            (sum / count as f64).sqrt()
+        }
+    }
 
     #[inline]
     fn offset(p: Ijk, dir: usize, d: isize) -> Ijk {
@@ -538,8 +441,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::GAMMA;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
-    use overset_grid::field::Field3;
+    use overset_grid::field::{Field3, StateField, NVAR};
     use overset_grid::index::{Dims, Ijk};
 
     fn uniform_block(n: usize, fc: &FlowConditions) -> Block {
@@ -549,13 +453,28 @@ mod tests {
         Block::from_grid(0, &g, d.full_box(), [None; 6], fc)
     }
 
+    /// The increment the residual leaves (Δt·R on the owned nodes, zero
+    /// elsewhere) as an interleaved field over the block, with the flops and
+    /// the L2 norm of R.
+    fn residual(b: &Block, fc: &FlowConditions, ws: &mut SweepScratch) -> (StateField, u64, f64) {
+        let (flops, l2) = compute_residual(b, fc, ws);
+        let (ow, inc) = (b.owned_local(), ws.increment(b));
+        let mut out = StateField::new(b.local_dims);
+        for (t, p) in ow.iter().enumerate() {
+            out.set_node(p, std::array::from_fn(|v| inc[v * ow.count() + t]));
+        }
+        (out, flops, l2)
+    }
+
+    fn l2(b: &Block, fc: &FlowConditions) -> f64 {
+        compute_residual(b, fc, &mut SweepScratch::default()).1
+    }
+
     #[test]
     fn freestream_preserved_on_cartesian_grid() {
         let fc = FlowConditions::new(0.8, 3.0, 0.0);
         let b = uniform_block(8, &fc);
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
-        assert!(residual_l2(&b, &res) < 1e-13);
+        assert!(l2(&b, &fc) < 1e-13);
     }
 
     #[test]
@@ -571,11 +490,9 @@ mod tests {
         });
         let g = CurvilinearGrid::new("s", coords, GridKind::Background);
         let b = Block::from_grid(0, &g, d.full_box(), [None; 6], &fc);
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
         // Central metrics + central fluxes commute on linear variation; for
         // generic smooth grids freestream error is at truncation level.
-        assert!(residual_l2(&b, &res) < 1e-10, "res = {}", residual_l2(&b, &res));
+        assert!(l2(&b, &fc) < 1e-10, "res = {}", l2(&b, &fc));
     }
 
     #[test]
@@ -583,9 +500,7 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 1.0e6);
         let mut b = uniform_block(8, &fc);
         b.viscous = true;
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
-        assert!(residual_l2(&b, &res) < 1e-13);
+        assert!(l2(&b, &fc) < 1e-13);
     }
 
     #[test]
@@ -597,8 +512,7 @@ mod tests {
         let mut q = *b.q.node(c);
         q[4] *= 1.2;
         b.q.set_node(c, q);
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
         // Neighbours see incoming momentum flux (divergence of p at center).
         let right = res.node(Ijk::new(5, 4, 4));
         let left = res.node(Ijk::new(3, 4, 4));
@@ -618,8 +532,7 @@ mod tests {
         b.iblank[f] = Blank::Fringe;
         // Put garbage in the hole: must not contaminate its own residual.
         b.q.set_node(c, [1.0, 9.0, 9.0, 9.0, 99.0]);
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
         assert_eq!(*res.node(c), [0.0; 5]);
         assert_eq!(*res.node(f), [0.0; 5]);
     }
@@ -633,9 +546,7 @@ mod tests {
         for v in b.grid_vel.as_mut_slice() {
             *v = [0.5, 0.0, 0.0];
         }
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
-        assert!(residual_l2(&b, &res) < 1e-13);
+        assert!(l2(&b, &fc) < 1e-13);
     }
 
     #[test]
@@ -665,8 +576,7 @@ mod tests {
             let prim = [1.0, u, 0.0, 0.0, 1.0 / GAMMA];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
         }
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
         // Above the inflection u is concave (u'' < 0) so du/dt < 0; below,
         // convex so du/dt > 0.
         let above = res.node(Ijk::new(6, 8, 6));
@@ -763,22 +673,25 @@ mod tests {
         let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
         let mut want = StateField::new(b.local_dims);
         let want_flops = reference::compute_residual(b, &fc, &mut want);
+        let want_l2 = reference::residual_l2(b, &want);
         for isa in [Isa::Scalar, select_isa()] {
-            let mut got = StateField::new(b.local_dims);
-            got.as_mut_slice().fill(7.0); // stale values must be overwritten
-            let flops = compute_residual(b, &fc, &mut got, &mut SweepScratch::new(isa));
+            let mut ws = SweepScratch::new(isa);
+            ws.increment(b).fill(7.0); // stale values must be overwritten
+            let (got, flops, l2) = residual(b, &fc, &mut ws);
             prop_assert_eq!(flops, want_flops, "{} {:?}: flops", what, isa);
+            prop_assert!(same(l2, want_l2), "{} {:?}: L2 {:e} vs {:e}", what, isa, l2, want_l2);
             for p in b.local_dims.iter() {
                 for v in 0..NVAR {
+                    let want = want.node(p)[v] * fc.dt;
                     prop_assert!(
-                        same(got.node(p)[v], want.node(p)[v]),
+                        same(got.node(p)[v], want),
                         "{} {:?}: node {:?} var {}: {:e} vs reference {:e}",
                         what,
                         isa,
                         p,
                         v,
                         got.node(p)[v],
-                        want.node(p)[v]
+                        want
                     );
                 }
             }
@@ -827,8 +740,7 @@ mod tests {
             }
         }
         assert_matches_reference(&b, "shielded hole").unwrap();
-        let mut res = StateField::new(b.local_dims);
-        compute_residual(&b, &fc, &mut res, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
         assert!(res.as_slice().iter().all(|x| x.is_finite()));
         assert!(res.node(Ijk::new(6, 4, 4)).iter().any(|&x| x != 0.0));
     }

@@ -5,22 +5,24 @@ use crate::adi::{implicit_sweeps, SolverComm, SweepScratch};
 use crate::bc::apply_bcs;
 use crate::block::{Blank, Block};
 use crate::conditions::FlowConditions;
-use crate::rhs::{compute_residual, residual_l2};
+use crate::kernels::Rows;
+use crate::rhs::compute_residual;
 use crate::turbulence::{compute_mu_t, WallGeometry};
-use overset_grid::field::{StateField, NVAR};
+use overset_grid::field::NVAR;
 
-/// Reusable scratch fields for stepping (avoids per-step allocation).
+/// Reusable scratch for stepping (avoids per-step allocation).
 pub struct Scratch {
-    pub res: StateField,
-    /// The flow workspace — used first by the residual's node pass, then by
-    /// the line sweeps — plus the kernel ISA (`sweep.isa`: the host's, until
-    /// a test or bench sets `Isa::Scalar`).
+    /// The flow workspace — the increment from residual to update, the
+    /// residual's node cache, the line sweeps' buffers — plus the kernel ISA
+    /// (`sweep.isa`: the host's, until a test or bench sets `Isa::Scalar`).
     pub sweep: SweepScratch,
 }
 
 impl Scratch {
-    pub fn for_block(block: &Block) -> Scratch {
-        Scratch { res: StateField::new(block.local_dims), sweep: SweepScratch::default() }
+    /// Scratch for stepping `block`; its buffers are sized by the first
+    /// step.
+    pub fn for_block(_block: &Block) -> Scratch {
+        Scratch { sweep: SweepScratch::default() }
     }
 }
 
@@ -37,8 +39,8 @@ pub struct StepReport {
 ///
 /// 1. halo exchange (interfaces and periodic wraps),
 /// 2. turbulence model (when active),
-/// 3. explicit residual,
-/// 4. factored implicit sweeps (pipelined across subdomains),
+/// 3. explicit residual, left as Δt·R in the sweeps' increment,
+/// 4. factored implicit sweeps (pipelined across subdomains), in place,
 /// 5. state update on field nodes,
 /// 6. physical boundary conditions.
 ///
@@ -66,34 +68,33 @@ pub fn step_block(
     }
 
     let t0 = comm.now();
-    let res_flops = compute_residual(block, fc, &mut scratch.res, &mut scratch.sweep);
+    let (res_flops, residual) = compute_residual(block, fc, &mut scratch.sweep);
     comm.compute(res_flops);
     flops += res_flops;
-    let residual = residual_l2(block, &scratch.res);
     comm.trace_span("solver", "residual", t0);
 
-    // dq enters the factored solve holding Δt·R.
-    for v in scratch.res.as_mut_slice() {
-        *v *= fc.dt;
-    }
     // The sweeps charge their own work as they go.
-    flops += implicit_sweeps(block, fc, &mut scratch.res, comm, &mut scratch.sweep);
+    flops += implicit_sweeps(block, fc, comm, &mut scratch.sweep);
 
     // Update field nodes.
     let ow = block.owned_local();
+    let (mm, ni) = (ow.count(), ow.dims().ni);
+    let dq = scratch.sweep.increment(block);
+    let ib = block.iblank.as_slice();
     let mut update_flops = 0u64;
-    for p in ow.iter() {
-        if block.iblank[p] != Blank::Field {
-            continue;
+    for (s0, t0) in Rows::new(ow, block.local_dims.full_box(), ow).starts() {
+        let row = block.q.as_mut_slice()[s0 * NVAR..(s0 + ni) * NVAR].chunks_exact_mut(NVAR);
+        for (i, (q, &b)) in row.zip(&ib[s0..s0 + ni]).enumerate() {
+            if b != Blank::Field {
+                continue;
+            }
+            update_flops += NVAR as u64;
+            for (v, x) in q.iter_mut().enumerate() {
+                *x += dq[v * mm + t0 + i];
+            }
+            // Positivity floors keep impulsive-start transients from crashing.
+            crate::conditions::enforce_positivity(q.try_into().expect("a node holds NVAR values"));
         }
-        update_flops += NVAR as u64;
-        let dq = *scratch.res.node(p);
-        let q = block.q.node_mut(p);
-        for v in 0..NVAR {
-            q[v] += dq[v];
-        }
-        // Positivity floors keep impulsive-start transients from crashing.
-        crate::conditions::enforce_positivity(q);
     }
     comm.compute(update_flops);
 
@@ -191,5 +192,228 @@ mod tests {
         let mut s = Scratch::for_block(&b);
         step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
         assert_eq!(*b.q.node(f), imposed, "fringe overwritten by solver");
+    }
+
+    // ---- step_block vs the composition of the scalar references ----------
+
+    use crate::adi::tests::{chain, chain_pieces, keyed, sweeps_reference};
+    use crate::adi::FLOPS_PER_NODE_PER_DIR as SWEEP_FLOPS;
+    use crate::lanes::{select_isa, Isa};
+    use crate::rhs::reference;
+    use overset_grid::field::StateField;
+    use overset_grid::index::IndexBox;
+    use proptest::prelude::*;
+
+    /// One timestep of a whole-grid block through the scalar references:
+    /// the per-node residual and its L2 norm, the Δt scaling, the
+    /// line-by-line sweeps, the update and the BCs.
+    fn reference_step(b: &mut Block, fc: &FlowConditions) -> StepReport {
+        SerialComm.exchange_halo(b);
+        let mut dq = StateField::new(b.local_dims);
+        let mut flops = reference::compute_residual(b, fc, &mut dq);
+        let residual = reference::residual_l2(b, &dq);
+        for v in dq.as_mut_slice() {
+            *v *= fc.dt;
+        }
+        sweeps_reference(b, fc, &mut dq);
+        let od = b.owned_local().dims();
+        for &dir in b.active_dirs() {
+            let (n, lines) = (od.get(dir), od.count() / od.get(dir));
+            flops += if dir == 0 && b.periodic_i_grid {
+                ((n - 1) * lines) as u64 * SWEEP_FLOPS * 2
+            } else {
+                (n * lines) as u64 * SWEEP_FLOPS
+            };
+        }
+        for p in b.owned_local().iter() {
+            if b.iblank[p] == Blank::Field {
+                let q = b.q.node_mut(p);
+                for (x, d) in q.iter_mut().zip(dq.node(p)) {
+                    *x += d;
+                }
+                crate::conditions::enforce_positivity(q);
+            }
+        }
+        flops += apply_bcs(b, fc);
+        StepReport { flops, residual }
+    }
+
+    /// A smooth grid with a wall, a far field and extrapolated faces.
+    fn keyed_grid(d: Dims, periodic: bool, viscous: bool) -> CurvilinearGrid {
+        let mut g = crate::testutil::wavy_grid(d, periodic);
+        g.viscous = viscous;
+        let kind = |f: Face| match f {
+            Face::JMin => BcKind::Wall { viscous },
+            Face::JMax | Face::IMin => BcKind::Farfield,
+            _ => BcKind::Extrapolate,
+        };
+        let faces = Face::ALL.iter().filter(|f| f.dir() < 2 || !d.is_two_d());
+        let faces = faces.filter(|f| f.dir() != 0 || !periodic);
+        g.patches = faces.map(|&f| BoundaryPatch { face: f, kind: kind(f) }).collect();
+        g
+    }
+
+    /// The block of `owned` in `g`: state, grid velocity, eddy viscosity
+    /// and blanking keyed by global node, so that every subdomain agrees
+    /// with the whole grid, halos included. One node in twelve is a hole;
+    /// with `garbage`, half of the holes hold non-finite values.
+    fn keyed_block(
+        g: &CurvilinearGrid,
+        owned: IndexBox,
+        neighbor: [Option<usize>; 6],
+        fc: &FlowConditions,
+        seed: u64,
+        garbage: bool,
+    ) -> Block {
+        let mut b = Block::from_grid(0, g, owned, neighbor, fc);
+        let period = g.dims().ni as isize - 1;
+        for p in b.local_dims.iter() {
+            let mut gl =
+                [0, 1, 2].map(|d| (p.get(d) + owned.lo.get(d)) as isize - b.halo[d] as isize);
+            if g.periodic_i {
+                gl[0] = gl[0].rem_euclid(period);
+            }
+            let r = |salt: u64| keyed(seed, gl, salt);
+            let prim = [0.6 + r(1), r(2) - 0.5, r(3) - 0.5, r(4) - 0.5, 0.4 + 0.8 * r(5)];
+            b.q.set_node(p, crate::conditions::conservatives(&prim));
+            b.grid_vel[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
+            b.mu_t[p] = if r(10) < 0.3 { 0.0 } else { 40.0 * r(11) };
+            b.iblank[p] = match (r(9) * 12.0) as usize {
+                0 => Blank::Hole,
+                1 | 2 => Blank::Fringe,
+                _ => Blank::Field,
+            };
+            if garbage && b.iblank[p] == Blank::Hole && r(12) < 0.5 {
+                let junk = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0e300];
+                b.q.set_node(p, std::array::from_fn(|v| junk[(r(13 + v as u64) * 5.0) as usize]));
+            }
+        }
+        b
+    }
+
+    /// The halo exchange of a chain of subdomains (and the self-wrap of a
+    /// whole O-grid): every local node outside the owned box, and the
+    /// duplicated seam node, takes the value of the owned node it mirrors.
+    fn exchange(pieces: &mut [Block], gd: Dims, periodic: bool) {
+        let mut global = StateField::new(gd);
+        for b in pieces.iter() {
+            for p in b.owned_local().iter() {
+                global.set_node(b.to_global(p), *b.q.node(p));
+            }
+        }
+        let period = gd.ni as isize - 1;
+        for b in pieces.iter_mut() {
+            let ow = b.owned_local();
+            for p in b.local_dims.iter() {
+                let mut gl =
+                    [0, 1, 2].map(|d| (p.get(d) + b.owned.lo.get(d)) as isize - b.halo[d] as isize);
+                let seam = periodic && gl[0] == period;
+                if ow.contains(p) && !seam {
+                    continue;
+                }
+                if periodic {
+                    gl[0] = gl[0].rem_euclid(period);
+                }
+                if (0..3).all(|d| gl[d] >= 0 && (gl[d] as usize) < gd.get(d)) {
+                    let g = Ijk::new(gl[0] as usize, gl[1] as usize, gl[2] as usize);
+                    b.q.set_node(p, *global.node(g));
+                }
+            }
+        }
+    }
+
+    /// Equal bits, signed zeros included; two NaNs count as equal (their
+    /// payloads are not pinned).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Three steps of `step_block` on both ISAs against the reference
+        /// step: 2-D and 3-D, open grids and O-grids (whole, or cut with the
+        /// seam on the last piece), inviscid and viscous, with and without
+        /// non-finite garbage in holes, the whole grid on one block or cut
+        /// into a chain of pipelined subdomains. State bits on every step,
+        /// and flops and the residual norm of the whole grid (a chain's
+        /// flops summed over its pieces).
+        #[test]
+        fn step_bit_equals_reference_step(
+            seed in 1u64..(1 << 60),
+            kind in 0usize..16,
+            parts in 1usize..4,
+            split in 0usize..3,
+        ) {
+            let (three_d, periodic, viscous) = (kind & 1 == 1, kind & 2 == 2, kind & 4 == 4);
+            let garbage = kind & 8 == 8;
+            let (ni, nj) = (9 + (seed % 5) as usize, 7 + (seed % 3) as usize);
+            let d = Dims::new(ni, nj, if three_d { 7 } else { 1 });
+            let split = if three_d { split } else { split % 2 };
+            let g = keyed_grid(d, periodic, viscous);
+            let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
+            let mut reference = keyed_block(&g, d.full_box(), [None; 6], &fc, seed, garbage);
+            let want: Vec<(StepReport, StateField)> = (0..3)
+                .map(|_| (reference_step(&mut reference, &fc), reference.q.clone()))
+                .collect();
+            for isa in [Isa::Scalar, select_isa()] {
+                let pieces = if parts == 1 {
+                    vec![(d.full_box(), [None; 6])]
+                } else {
+                    chain_pieces(d, periodic, split, parts)
+                };
+                let mut blocks: Vec<Block> = pieces
+                    .into_iter()
+                    .map(|(owned, neighbor)| keyed_block(&g, owned, neighbor, &fc, seed, garbage))
+                    .collect();
+                let mut scratch: Vec<Scratch> = blocks
+                    .iter()
+                    .map(|b| {
+                        let mut s = Scratch::for_block(b);
+                        s.sweep.isa = isa;
+                        s
+                    })
+                    .collect();
+                for (step, (want_report, want_q)) in want.iter().enumerate() {
+                    let reports: Vec<StepReport> = if parts == 1 {
+                        let (b, s) = (&mut blocks[0], &mut scratch[0]);
+                        vec![step_block(b, &fc, None, &mut SerialComm, s)]
+                    } else {
+                        exchange(&mut blocks, d, periodic);
+                        std::thread::scope(|s| {
+                            let runs: Vec<_> = blocks
+                                .iter_mut()
+                                .zip(scratch.iter_mut())
+                                .zip(chain(parts))
+                                .map(|((b, sc), mut comm)| {
+                                    s.spawn(move || step_block(b, &fc, None, &mut comm, sc))
+                                })
+                                .collect();
+                            runs.into_iter().map(|r| r.join().unwrap()).collect()
+                        })
+                    };
+                    let what =
+                        format!("{isa:?} {d:?} kind {kind} x{parts} split {split} step {step}");
+                    let flops: u64 = reports.iter().map(|r| r.flops).sum();
+                    prop_assert_eq!(flops, want_report.flops, "{}: flops", what);
+                    if parts == 1 {
+                        let (got, want) = (reports[0].residual, want_report.residual);
+                        prop_assert!(same(got, want), "{}: residual {:e} vs {:e}", what, got, want);
+                    }
+                    for b in &blocks {
+                        for p in b.owned_local().iter() {
+                            let w = want_q.node(reference.to_local(b.to_global(p)));
+                            for (v, (&x, &y)) in b.q.node(p).iter().zip(w).enumerate() {
+                                prop_assert!(
+                                    same(x, y),
+                                    "{}: owned {:?} node {:?} var {}: {:e} vs {:e}",
+                                    what, b.owned, p, v, x, y
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -26,6 +26,9 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== solver bit-equality proptests (kernels vs scalar references, step vs reference step): release, 256 cases each =="
+PROPTEST_CASES=256 cargo test -q --release -p overset-solver -- bit_equal
+
 echo "== golden trace schema + determinism =="
 cargo test -q -p overflow-d --test observability
 
