@@ -1,4 +1,4 @@
-//! `repro analyze --host`: the host-cost view of a schema-v1 run report.
+//! `repro analyze --host`: the host-cost view of a run report.
 //!
 //! The other analyses explain *virtual* time — where the simulated machine
 //! spends its seconds. This one explains *host* cost: which phase×rank
@@ -7,8 +7,8 @@
 //! measured host share (a misprediction worth retuning), and what the
 //! deterministic allocation profile looks like per phase and rank.
 //!
-//! Input is a report document written by `repro report` / `repro
-//! bench-host` (not an analysis document). Rendering is a pure function of
+//! Input is a report document written by `repro report` (not an analysis
+//! document). Rendering is a pure function of
 //! the document, so the output is byte-deterministic and golden-tested;
 //! the *wall-clock numbers inside* the document are machine-dependent, the
 //! allocation numbers are not.
@@ -29,7 +29,7 @@ pub const DISAGREE_FACTOR: f64 = 2.0;
 pub const SHARE_FLOOR: f64 = 0.02;
 
 /// Render the host-cost report for a run-report document. Errors are
-/// structural (not a report, missing `host` section).
+/// structural (not a report, missing `host` section or per-rank timings).
 pub fn render_host_report(doc: &Value) -> Result<String, String> {
     let cases = doc
         .get("cases")
@@ -38,52 +38,39 @@ pub fn render_host_report(doc: &Value) -> Result<String, String> {
     let host = doc
         .get("host")
         .ok_or("report has no host section; regenerate it with a current `repro report`")?;
+    let Some(Value::Obj(per_rank)) = host.get("phase_ms_by_rank") else {
+        return Err("report has no host.phase_ms_by_rank; regenerate it with a current \
+                    `repro report`"
+            .into());
+    };
 
     let mut out = String::new();
     let _ = writeln!(out, "== Host-cost analysis ==");
-    render_hotspots(&mut out, host);
+    render_hotspots(&mut out, per_rank);
     render_disagreement(&mut out, cases, host);
     render_alloc_profile(&mut out, cases);
     Ok(out)
 }
 
-/// Top-N host phase×rank hotspots, across all cases. Prefers the per-rank
-/// series (`host.phase_ms_by_rank`); reports containing only the older
-/// max-over-ranks `host.phase_ms` degrade to one row per phase with rank
-/// shown as `max`.
-fn render_hotspots(out: &mut String, host: &Value) {
+/// Top-N host phase×rank hotspots across all cases, from the per-rank
+/// series `host.phase_ms_by_rank` (`{label: [{phase: ms}, ...]}`).
+fn render_hotspots(out: &mut String, per_rank: &[(String, Value)]) {
     // (ms, label, phase index, rank label) — sorted by ms descending, ties
     // broken textually so equal timings render in a stable order.
-    let mut rows: Vec<(f64, String, usize, String)> = Vec::new();
-    let per_rank = host.get("phase_ms_by_rank");
-    match per_rank {
-        Some(Value::Obj(labels)) => {
-            for (label, ranks) in labels {
-                let Some(ranks) = ranks.as_arr() else { continue };
-                for (rank, phases) in ranks.iter().enumerate() {
-                    for (p, name) in PHASE_NAMES.iter().enumerate() {
-                        if let Some(ms) = phases.get(name).and_then(Value::as_f64) {
-                            rows.push((ms, label.clone(), p, format!("{rank}")));
-                        }
-                    }
-                }
-            }
-        }
-        _ => {
-            if let Some(Value::Obj(labels)) = host.get("phase_ms") {
-                for (label, phases) in labels {
-                    for (p, name) in PHASE_NAMES.iter().enumerate() {
-                        if let Some(ms) = phases.get(name).and_then(Value::as_f64) {
-                            rows.push((ms, label.clone(), p, "max".to_string()));
-                        }
-                    }
+    let mut rows: Vec<(f64, &str, usize, String)> = Vec::new();
+    for (label, ranks) in per_rank {
+        let Some(ranks) = ranks.as_arr() else { continue };
+        for (rank, phases) in ranks.iter().enumerate() {
+            for (p, name) in PHASE_NAMES.iter().enumerate() {
+                if let Some(ms) = phases.get(name).and_then(Value::as_f64) {
+                    rows.push((ms, label, p, rank.to_string()));
                 }
             }
         }
     }
     rows.sort_by(|a, b| {
         b.0.total_cmp(&a.0)
-            .then_with(|| a.1.cmp(&b.1))
+            .then_with(|| a.1.cmp(b.1))
             .then_with(|| a.2.cmp(&b.2))
             .then_with(|| a.3.cmp(&b.3))
     });

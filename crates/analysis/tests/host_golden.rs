@@ -6,12 +6,12 @@
 use overset_analysis::render_host_report;
 use overset_report::parse;
 
-/// A hand-built schema-v1 report: one case whose host time concentrates in
+/// A hand-built report: one case whose host time concentrates in
 /// connectivity (while the virtual model predicts flow dominates — a
 /// misprediction the disagreement table must flag), with a full alloc
 /// section and two ranks of host phase timings.
 const REPORT: &str = r#"{
-  "schema_version": 1,
+  "schema_version": 2,
   "generator": "overset-report",
   "experiment": "golden",
   "effort": "quick",
@@ -49,9 +49,6 @@ const REPORT: &str = r#"{
         {"flow": 120.5, "connectivity": 300.25, "motion": 10.0, "balance": 5.0, "other": 2.0},
         {"flow": 110.0, "connectivity": 95.0, "motion": 8.0, "balance": 4.0, "other": 1.0}
       ]
-    },
-    "phase_ms_median": {
-      "representative": {"flow": 110.0, "connectivity": 95.0, "motion": 8.0, "balance": 4.0, "other": 1.0}
     },
     "alloc_peak_bytes": {"representative": 524288}
   }
@@ -106,21 +103,16 @@ fn host_report_is_deterministic() {
 }
 
 #[test]
-fn reports_without_per_rank_timings_degrade_to_max_rows() {
-    // Strip phase_ms_by_rank: the hotspot table falls back to the
-    // max-over-ranks series with rank shown as `max`.
+fn structural_errors_are_reported_not_panicked() {
+    let no_cases = parse(r#"{"schema_version": 2}"#).unwrap();
+    assert!(render_host_report(&no_cases).unwrap_err().contains("no cases"));
+    let no_host = parse(r#"{"schema_version": 2, "cases": []}"#).unwrap();
+    assert!(render_host_report(&no_host).unwrap_err().contains("no host section"));
+    // A report without per-rank host timings is not the current schema.
     let stripped = REPORT.replace("phase_ms_by_rank", "phase_ms_by_rank_absent");
     let doc = parse(&stripped).expect("parses");
-    let text = render_host_report(&doc).unwrap();
-    assert!(text.contains("  representative     connectivity     max       300.25"), "{text}");
-}
-
-#[test]
-fn structural_errors_are_reported_not_panicked() {
-    let no_cases = parse(r#"{"schema_version": 1}"#).unwrap();
-    assert!(render_host_report(&no_cases).unwrap_err().contains("no cases"));
-    let no_host = parse(r#"{"schema_version": 1, "cases": []}"#).unwrap();
-    assert!(render_host_report(&no_host).unwrap_err().contains("no host section"));
+    let e = render_host_report(&doc).unwrap_err();
+    assert!(e.contains("no host.phase_ms_by_rank"), "{e}");
 }
 
 #[test]

@@ -9,8 +9,7 @@
 //!   `repro report <experiment> [--quick] [-o <out.json>]
 //!          [--trace-filter <cats>] [--trace-sample <N>]
 //!          [--inject-alloc <bytes>]`
-//!   `repro bench-host <experiment> [--quick] [--repeats <N>] [-o <out.json>]`
-//!   `repro compare <baseline.json> <new.json> [--tol-pct <N>]`
+//!   `repro compare <baseline.json> <new.json>`
 //!   `repro analyze <experiment>|<trace.json>|<span-dir>|<report.json> [--quick]
 //!          [--json] [--host] [-o <path>]`
 //!   `repro analyze-diff <baseline.json> <new.json> [--json] [-o <path>]`
@@ -48,20 +47,17 @@
 //! every Nth filter-passing span. `--metrics` prints the aggregated metrics
 //! registry of the same run.
 //!
-//! `report` writes a schema-v1 JSON report (per-step telemetry series,
+//! `report` writes a versioned JSON report (per-step telemetry series,
 //! end-of-run summary, metrics dump, allocation attribution — see
-//! docs/OBSERVABILITY.md); `compare` exits 0 when `new` is within
-//! `--tol-pct` percent (default 5) of `baseline` on every gated metric
-//! (allocation counts gate *exactly*, tolerance zero), 1 on regression, 2
-//! on usage/IO errors.
+//! docs/OBSERVABILITY.md); `compare` exits 0 when every value under the
+//! two reports' `cases` is identical (the wall-clock `host` section is not
+//! read), 1 on any difference — printing the first 20 by dotted path — and
+//! 2 on usage/IO errors or a schema-version mismatch.
 //!
-//! `bench-host` runs the report's cases `--repeats` times (default 5) and
-//! adds a `host.bench` section of median/IQR host phase timings; `compare`
-//! gates those medians with an IQR-derived tolerance (the noise-aware host
-//! gate). `--host-profile` prints a per-phase host wall-clock and
-//! allocation table after an experiment; `--inject-alloc <bytes>` is a
-//! test hook that plants one synthetic allocation per rank per step inside
-//! the connectivity phase so the alloc gate can be exercised end to end.
+//! `--host-profile` prints a per-phase host wall-clock and allocation table
+//! after an experiment; `--inject-alloc <bytes>` is a test hook that plants
+//! one synthetic allocation per rank per step inside the connectivity phase
+//! so the gate can be exercised end to end.
 //!
 //! `analyze` runs the trace analyzer (critical path, wait states, comm
 //! matrix, imbalance advisor — see docs/OBSERVABILITY.md §Analysis) on an
@@ -70,7 +66,7 @@
 use overset_bench::amr_experiments::{ablate_grouping, fig12};
 use overset_bench::analyze::{run_analyze, run_analyze_diff};
 use overset_bench::experiments::*;
-use overset_bench::report::{build_report, build_report_host_bench, compare_reports};
+use overset_bench::report::{build_report, compare_reports};
 use overset_comm::trace::TraceConfig;
 use overset_comm::CategoryFilter;
 
@@ -90,30 +86,15 @@ fn parse_trace_config(filter: &Option<String>, sample: u32) -> Result<TraceConfi
 }
 
 fn run_compare(args: &[String]) -> i32 {
-    let mut tol_pct = 5.0;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tol-pct" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => tol_pct = v,
-                _ => {
-                    eprintln!("--tol-pct requires a non-negative number");
-                    return 2;
-                }
-            },
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                return 2;
-            }
-            _ => paths.push(a),
-        }
-    }
-    if paths.len() != 2 {
-        eprintln!("usage: repro compare <baseline.json> <new.json> [--tol-pct N]");
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag: {flag}");
         return 2;
     }
-    compare_reports(paths[0], paths[1], tol_pct)
+    let [baseline, new] = args else {
+        eprintln!("usage: repro compare <baseline.json> <new.json>");
+        return 2;
+    };
+    compare_reports(baseline, new)
 }
 
 #[derive(Debug)]
@@ -130,7 +111,6 @@ struct Cli {
     transport: Option<String>,
     host_profile: bool,
     inject_alloc: usize,
-    repeats: Option<usize>,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -147,8 +127,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         transport: None,
         host_profile: false,
         inject_alloc: 0,
-        repeats: None,
     };
+    let mut named = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -158,10 +138,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--inject-alloc" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => cli.inject_alloc = n,
                 None => return Err("--inject-alloc requires a byte count".to_string()),
-            },
-            "--repeats" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cli.repeats = Some(n),
-                _ => return Err("--repeats requires an integer >= 1".to_string()),
             },
             "--trace" => match it.next() {
                 Some(p) => cli.trace_path = Some(p.clone()),
@@ -205,7 +181,13 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 _ => return Err("--max-threads requires an integer >= 1".to_string()),
             },
             other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
-            other => cli.which = other.to_string(),
+            // One experiment per run: a word before it names a subcommand
+            // this binary does not have.
+            _ if named => return Err(format!("unknown subcommand: {}", cli.which)),
+            other => {
+                cli.which = other.to_string();
+                named = true;
+            }
         }
     }
     if cli.trace_path.is_some() && cli.trace_stream.is_some() {
@@ -263,30 +245,8 @@ fn run_report_cmd(args: &[String]) -> i32 {
     } else {
         TraceConfig::disabled()
     };
-    let doc = build_report(&cli.which, effort, effort_name, trace);
-    write_report_doc(&doc, &cli.out_path)
-}
-
-/// `repro bench-host <experiment>`: the noise-aware host benchmark. Runs
-/// the report's cases `--repeats` times (default 5) and writes a report
-/// whose `host.bench` section carries median/IQR host phase timings for
-/// `repro compare` to gate on.
-fn run_bench_host_cmd(args: &[String]) -> i32 {
-    let cli = exit_usage(parse_cli(args));
-    if cli.trace_path.is_some() || cli.trace_stream.is_some() {
-        eprintln!("bench-host does not support tracing flags");
-        return 2;
-    }
-    let effort = effort_from(&cli);
-    let effort_name = if cli.quick { "quick" } else { "full" };
-    let repeats = cli.repeats.unwrap_or(5);
-    let doc = build_report_host_bench(&cli.which, effort, effort_name, repeats);
-    write_report_doc(&doc, &cli.out_path)
-}
-
-fn write_report_doc(doc: &overset_report::Value, out_path: &Option<String>) -> i32 {
-    let text = doc.to_json();
-    match out_path {
+    let text = build_report(&cli.which, effort, effort_name, trace).to_json();
+    match &cli.out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, text.as_bytes()) {
                 eprintln!("failed to write report to {path}: {e}");
@@ -304,7 +264,6 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("compare") => std::process::exit(run_compare(&args[1..])),
         Some("report") => std::process::exit(run_report_cmd(&args[1..])),
-        Some("bench-host") => std::process::exit(run_bench_host_cmd(&args[1..])),
         Some("analyze") => std::process::exit(run_analyze(&args[1..])),
         Some("analyze-diff") => std::process::exit(run_analyze_diff(&args[1..])),
         // Dispatched before flag parsing: the forked rank-group children of
@@ -373,7 +332,7 @@ fn main() {
                 "choose from: table1 fig5 table2 table3 fig7 table4 fig10 table5 fig11 \
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
                  ablate-cache verify-shapes all\n\
-                 or a subcommand: report <experiment> | bench-host <experiment> | \
+                 or a subcommand: report <experiment> | \
                  compare <baseline.json> <new.json> | analyze <experiment>|<trace.json> | smoke"
             );
             std::process::exit(2);
@@ -460,6 +419,18 @@ mod tests {
             let e = parse_cli(&s(&["table1", flag, "--quick"])).unwrap_err();
             assert_eq!(e, format!("unknown flag: {flag}"));
         }
+    }
+
+    /// The compare tolerance, the host-bench repeat count and the
+    /// `bench-host` subcommand are gone too.
+    #[test]
+    fn retired_gate_flags_are_unknown() {
+        let e = parse_cli(&s(&["table1", "--repeats", "3"])).unwrap_err();
+        assert_eq!(e, "unknown flag: --repeats");
+        let e = parse_cli(&s(&["bench-host", "table1", "--quick"])).unwrap_err();
+        assert_eq!(e, "unknown subcommand: bench-host");
+        assert_eq!(run_compare(&s(&["a.json", "b.json", "--tol-pct", "5"])), 2);
+        assert_eq!(run_compare(&s(&["a.json"])), 2);
     }
 
     #[test]

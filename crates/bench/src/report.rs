@@ -1,5 +1,5 @@
 //! `repro report` / `repro compare`: machine-readable run reports and the
-//! perf-regression verdict (schema v1, see `overset-report`).
+//! exact verdict between two of them (see `overset-report`).
 //!
 //! A report always carries two runs: the experiment family's
 //! *representative* case (the same one `--trace` uses) and a *dynamic-LB*
@@ -46,28 +46,9 @@ fn dynamic_store_case(e: Effort) -> CaseConfig {
     c
 }
 
-/// Run the report's cases and assemble the schema-v1 document. Everything
+/// Run the report's cases and assemble the report document. Everything
 /// except the `host` section is virtual-time deterministic.
 pub fn build_report(which: &str, e: Effort, effort_name: &str, trace: TraceConfig) -> Value {
-    build_report_inner(which, e, effort_name, trace, 1)
-}
-
-/// `repro bench-host`: like [`build_report`] but each case is run `repeats`
-/// times and the host phase timings (max over ranks) are summarized as
-/// median/IQR per phase in `host.bench.{label}.{phase}`. `repro compare`
-/// gates on those medians with an IQR-derived tolerance — the noise-aware
-/// host gate — when both sides carry a bench section.
-pub fn build_report_host_bench(which: &str, e: Effort, effort_name: &str, repeats: usize) -> Value {
-    build_report_inner(which, e, effort_name, TraceConfig::disabled(), repeats.max(1))
-}
-
-fn build_report_inner(
-    which: &str,
-    e: Effort,
-    effort_name: &str,
-    trace: TraceConfig,
-    repeats: usize,
-) -> Value {
     let machine = MachineModel::ibm_sp2();
     let (mut rep_cfg, rep_nodes) = representative_case(which, e);
     rep_cfg.trace = trace;
@@ -80,9 +61,7 @@ fn build_report_inner(
     let mut host_cases: Vec<(String, Value)> = Vec::with_capacity(runs.len());
     let mut host_phases: Vec<(String, Value)> = Vec::with_capacity(runs.len());
     let mut host_by_rank: Vec<(String, Value)> = Vec::with_capacity(runs.len());
-    let mut host_medians: Vec<(String, Value)> = Vec::with_capacity(runs.len());
     let mut alloc_peaks: Vec<(String, Value)> = Vec::with_capacity(runs.len());
-    let mut host_bench: Vec<(String, Value)> = Vec::new();
     let t_total = std::time::Instant::now();
     for (label, cfg, nodes) in runs {
         let t0 = std::time::Instant::now();
@@ -93,38 +72,23 @@ fn build_report_inner(
             label.to_string(),
             Value::Arr(r.host_phase_by_rank.iter().map(host_phase_ms).collect()),
         ));
-        host_medians.push((label.to_string(), host_phase_ms(&median_over_ranks(&r))));
         let peak = r.alloc_by_rank.iter().map(|a| a.peak_bytes).max().unwrap_or(0);
         alloc_peaks.push((label.to_string(), Value::Num(peak as f64)));
         cases.push(case_report(label, &cfg, machine.name, &r));
-        if repeats > 1 {
-            let mut samples: Vec<[f64; NUM_PHASES]> = vec![r.host_phase_elapsed];
-            for _ in 1..repeats {
-                let rr = run_case(&cfg, nodes, &machine).expect("bench-host repeat failed");
-                samples.push(rr.host_phase_elapsed);
-            }
-            host_bench.push((label.to_string(), bench_value(&samples)));
-        }
     }
-    let mut host = vec![
-        ("wall_seconds".to_string(), Value::Obj(host_cases)),
-        ("phase_ms".to_string(), Value::Obj(host_phases)),
-        ("phase_ms_by_rank".to_string(), Value::Obj(host_by_rank)),
-        ("phase_ms_median".to_string(), Value::Obj(host_medians)),
-        ("alloc_peak_bytes".to_string(), Value::Obj(alloc_peaks)),
-    ];
-    if !host_bench.is_empty() {
-        host.push(("bench".to_string(), Value::Obj(host_bench)));
-    }
-    host.push(("total_seconds".to_string(), Value::Num(t_total.elapsed().as_secs_f64())));
-    run_report(which, effort_name, cases, Some(Value::Obj(host)))
+    let host = obj(vec![
+        ("wall_seconds", Value::Obj(host_cases)),
+        ("phase_ms", Value::Obj(host_phases)),
+        ("phase_ms_by_rank", Value::Obj(host_by_rank)),
+        ("alloc_peak_bytes", Value::Obj(alloc_peaks)),
+        ("total_seconds", Value::Num(t_total.elapsed().as_secs_f64())),
+    ]);
+    run_report(which, effort_name, cases, Some(host))
 }
 
-/// Host wall-clock milliseconds per phase (max over ranks) — the runtime's
-/// `Instant`-based timers, folded into the report's advisory `host` section.
-/// `repro compare` notes large drifts here but never gates on them (the
-/// repeated-run `host.bench` section is the one host gate; see
-/// [`build_report_host_bench`]).
+/// Host wall-clock milliseconds per phase — the runtime's `Instant`-based
+/// timers, folded into the report's `host` section, which `repro compare`
+/// never reads.
 fn host_phase_ms(elapsed: &[f64; NUM_PHASES]) -> Value {
     Value::Obj(
         overset_analysis::PHASE_NAMES
@@ -135,58 +99,17 @@ fn host_phase_ms(elapsed: &[f64; NUM_PHASES]) -> Value {
     )
 }
 
-/// Per-phase median over ranks of the host phase timers — pairs with the
-/// max-over-ranks `phase_ms` so `compare`'s drift note can tell a single
-/// straggler rank apart from a fleet-wide slowdown.
-fn median_over_ranks(r: &RunResult) -> [f64; NUM_PHASES] {
-    let mut out = [0.0; NUM_PHASES];
-    for (p, slot) in out.iter_mut().enumerate() {
-        let mut v: Vec<f64> = r.host_phase_by_rank.iter().map(|t| t[p]).collect();
-        v.sort_by(f64::total_cmp);
-        *slot = quantile_nearest(&v, 0.5);
-    }
-    out
-}
-
-/// Nearest-rank quantile of a sorted non-empty slice.
-fn quantile_nearest(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
-/// Summarize repeated host phase timings as `{phase: {median_ms, iqr_ms,
-/// repeats}}`. Median and quartiles use the nearest-rank method, so every
-/// reported number is one of the measured samples.
-fn bench_value(samples: &[[f64; NUM_PHASES]]) -> Value {
-    Value::Obj(
-        overset_analysis::PHASE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(p, name)| {
-                let mut v: Vec<f64> = samples.iter().map(|s| s[p] * 1e3).collect();
-                v.sort_by(f64::total_cmp);
-                let median = quantile_nearest(&v, 0.5);
-                let iqr = quantile_nearest(&v, 0.75) - quantile_nearest(&v, 0.25);
-                (
-                    name.to_string(),
-                    obj(vec![
-                        ("median_ms", Value::Num(median)),
-                        ("iqr_ms", Value::Num(iqr)),
-                        ("repeats", Value::Num(samples.len() as f64)),
-                    ]),
-                )
-            })
-            .collect(),
-    )
-}
-
 fn rep_cfg_is_dynamic(which: &str) -> bool {
     matches!(which, "table5" | "fig11" | "ablate-fo")
 }
 
+/// Differences printed on FAIL; the rest are counted.
+const SHOWN_DIFFERENCES: usize = 20;
+
 /// `repro compare` entry point: parse both documents, compare, print the
-/// verdict. Returns the process exit code (0 pass, 1 regression, 2 error).
-pub fn compare_reports(baseline_path: &str, new_path: &str, tol_pct: f64) -> i32 {
+/// verdict. Returns the process exit code (0 identical, 1 a difference, 2
+/// error).
+pub fn compare_reports(baseline_path: &str, new_path: &str) -> i32 {
     let read = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         overset_report::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -198,24 +121,25 @@ pub fn compare_reports(baseline_path: &str, new_path: &str, tol_pct: f64) -> i32
             return 2;
         }
     };
-    match overset_report::compare(&base, &new, tol_pct) {
+    match overset_report::compare(&base, &new) {
         Ok(out) => {
-            for note in &out.notes {
-                eprintln!("note: {note}");
-            }
             if out.passed() {
-                println!("PASS: {} metric(s) within {tol_pct}% of {baseline_path}", out.checked);
-                0
-            } else {
-                println!(
-                    "FAIL: {} regression(s) vs {baseline_path} (tolerance {tol_pct}%):",
-                    out.regressions.len()
-                );
-                for r in &out.regressions {
-                    println!("  {}", r.describe());
-                }
-                1
+                println!("PASS: {} value(s) identical to {baseline_path}", out.checked);
+                return 0;
             }
+            let diffs = &out.differences;
+            println!(
+                "FAIL: {} of {} value(s) differ from {baseline_path}:",
+                diffs.len(),
+                out.checked
+            );
+            for d in diffs.iter().take(SHOWN_DIFFERENCES) {
+                println!("  {}", d.describe());
+            }
+            if diffs.len() > SHOWN_DIFFERENCES {
+                println!("  ... and {} more", diffs.len() - SHOWN_DIFFERENCES);
+            }
+            1
         }
         Err(e) => {
             eprintln!("error: {e}");

@@ -47,7 +47,7 @@ pub use stats::{PerfSummary, Phase, RankStats, NUM_PHASES};
 pub use trace::{
     chrome_trace_json, ArgVal, CategoryFilter, RankTrace, TraceConfig, TraceEvent, Tracer,
 };
-pub use transport::{Transport, TransportConfig};
+pub use transport::TransportConfig;
 pub use wire::{intern, wire_type_hash, Wire, WireError, WireReader, WIRE_SCHEMA_VERSION};
 
 /// One-stop imports for writing a rank program:

@@ -49,7 +49,7 @@ use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::sched;
 use crate::stats::{Phase, RankStats, NUM_PHASES};
 use crate::trace::{ArgVal, TraceConfig, TraceEvent, Tracer};
-use crate::transport::{self, FabricInner, ProcLink, ProcRound, TransportConfig};
+use crate::transport::{self, Fabric, ProcLink, ProcRound, TransportConfig};
 use crate::wire::{intern, wire_type_hash, Wire, WireError, WireReader};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -1320,10 +1320,9 @@ impl UniverseBuilder {
     {
         let nranks = self.ranks;
         assert!(nranks >= 1);
-        let fabric = self.transport.instantiate().establish(nranks)?;
-        match fabric.0 {
-            FabricInner::Local => self.run_ranks(&f, 0, nranks, None),
-            FabricInner::Child(cf) => {
+        match self.transport.establish(nranks)? {
+            Fabric::Local => self.run_ranks(&f, 0, nranks, None),
+            Fabric::Child(cf) => {
                 if cf.nranks != nranks {
                     return Err(OversetError::Setup(format!(
                         "process transport: parent established {} ranks but this child's \
@@ -1348,7 +1347,7 @@ impl UniverseBuilder {
                 // rank group; nothing after the universe may run twice.
                 std::process::exit(0);
             }
-            FabricInner::Parent(pf) => pf.run::<R>(),
+            Fabric::Parent(pf) => pf.run::<R>(),
         }
     }
 

@@ -1,18 +1,17 @@
-//! Pluggable transport backends: one communication protocol, several ways
-//! to move the bytes.
+//! Transport backends: one communication protocol, two ways to move the
+//! bytes.
 //!
 //! The runtime in [`crate::runtime`] speaks a single rank-to-rank protocol
 //! (tagged sends, deterministic virtual-time collectives, abort/finish
-//! notifications). A [`Transport`] decides where the ranks live:
+//! notifications). A [`TransportConfig`] decides where the ranks live:
 //!
-//! * [`InProcess`] — every rank is a thread (or M:N coroutine) in this
-//!   process, messages hop across in-memory mailboxes. This is the original
-//!   backend, now one implementation among equals.
-//! * [`ProcessPool`] — ranks are split into groups, each group runs in a
-//!   **forked OS process** (a re-execution of the current executable), and
-//!   all inter-group traffic travels over Unix sockets in the versioned
-//!   wire format of [`crate::wire`]. The parent process runs no ranks; it
-//!   is a star-topology router and collective aggregator.
+//! * [`TransportConfig::InProcess`] — every rank is a thread (or M:N
+//!   coroutine) in this process, messages hop across in-memory mailboxes.
+//! * [`TransportConfig::Process`] — ranks are split into groups, each group
+//!   runs in a **forked OS process** (a re-execution of the current
+//!   executable), and all inter-group traffic travels over Unix sockets in
+//!   the versioned wire format of [`crate::wire`]. The parent process runs
+//!   no ranks; it is a star-topology router and collective aggregator.
 //!
 //! Virtual time is bit-identical across backends: message arrival stamps
 //! are computed on the sending rank and travel in the frame, and collective
@@ -21,11 +20,11 @@
 //!
 //! ### Child process lifecycle
 //!
-//! `ProcessPool::establish` re-executes `current_exe()` once per rank
-//! group, passing the group's socket as **stdin** and an
+//! A process transport's `establish` re-executes `current_exe()` once per
+//! rank group, passing the group's socket as **stdin** and an
 //! `OVERSET_PROC_CHILD=<call>:<group>:<groups>:<ranks>` environment
 //! variable. The child runs the same program; a global counter of
-//! `ProcessPool::establish` calls identifies *which* universe the child
+//! process-transport `establish` calls identifies *which* universe the child
 //! was spawned for (`<call>`). When the counter matches, the child adopts
 //! the Child role for that universe, runs its rank group, ships results
 //! back as wire frames and exits — so code after the universe never runs
@@ -115,14 +114,39 @@ impl TransportConfig {
         }
     }
 
-    /// Build the backend this configuration names.
-    pub fn instantiate(&self) -> Box<dyn Transport> {
-        match self {
-            TransportConfig::InProcess => Box::new(InProcess),
-            TransportConfig::Process { processes, spawn_args } => {
-                Box::new(ProcessPool { processes: *processes, spawn_args: spawn_args.clone() })
-            }
+    /// Connect an `nranks`-rank universe: decide which role this *process*
+    /// plays in it (run every rank locally, run a rank subrange as a child,
+    /// or route frames as the parent). Called once per `try_run`; the
+    /// process transport may fork and blocks on the children's handshakes.
+    pub(crate) fn establish(&self, nranks: usize) -> Result<Fabric, OversetError> {
+        let TransportConfig::Process { processes, spawn_args } = self else {
+            return Ok(Fabric::Local);
+        };
+        if nranks == 0 {
+            return Err(OversetError::Setup("cannot establish a 0-rank fabric".into()));
         }
+        let my_index = ESTABLISH_CALLS.fetch_add(1, Ordering::SeqCst);
+        if let Ok(spec) = env::var(ENV_CHILD) {
+            let spec = ChildSpec::parse(&spec)?;
+            if spec.call_index == my_index {
+                if spec.nranks != nranks {
+                    return Err(OversetError::Setup(format!(
+                        "child spawned for a {}-rank universe reached a {}-rank establish \
+                         (non-deterministic replay?)",
+                        spec.nranks, nranks
+                    )));
+                }
+                return Ok(Fabric::Child(ChildFabric::connect(&spec)?));
+            }
+            // Not our universe: the program must still execute it so control
+            // flow reaches the establish call we were actually spawned for,
+            // but its *results* are all we need — and those are bit-identical
+            // in-process (the determinism contract). Running it locally
+            // instead of as a parent keeps an n-universe program's replay
+            // cost quadratic rather than forking grandchildren exponentially.
+            return Ok(Fabric::Local);
+        }
+        spawn_children(*processes, spawn_args.as_deref(), nranks).map(Fabric::Parent)
     }
 }
 
@@ -136,48 +160,11 @@ impl fmt::Display for TransportConfig {
 }
 
 // ---------------------------------------------------------------------------
-// The trait and its two backends
+// Establishing a universe
 // ---------------------------------------------------------------------------
 
-/// A way to connect `nranks` ranks into one universe.
-///
-/// `establish` is called once per `try_run`; the returned [`Fabric`] tells
-/// the runtime which role this *process* plays (run everything locally,
-/// run a rank subrange as a child, or route frames as the parent).
-pub trait Transport: fmt::Debug + Send + Sync {
-    /// Stable short name (`"inproc"`, `"proc"`) used in logs and metrics.
-    fn name(&self) -> &'static str;
-
-    /// Connect the universe. May fork processes and block on handshakes.
-    fn establish(&self, nranks: usize) -> Result<Fabric, OversetError>;
-}
-
-/// The original single-process backend: all ranks share this process.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct InProcess;
-
-impl Transport for InProcess {
-    fn name(&self) -> &'static str {
-        "inproc"
-    }
-
-    fn establish(&self, _nranks: usize) -> Result<Fabric, OversetError> {
-        Ok(Fabric(FabricInner::Local))
-    }
-}
-
-/// Multi-process backend: rank groups in forked re-executions of the
-/// current binary, wired to a router in the parent over Unix sockets.
-#[derive(Clone, Debug)]
-pub struct ProcessPool {
-    pub processes: usize,
-    pub spawn_args: Option<Vec<String>>,
-}
-
-/// What `establish` decided this process is.
-pub struct Fabric(pub(crate) FabricInner);
-
-pub(crate) enum FabricInner {
+/// What [`TransportConfig::establish`] decided this process is.
+pub(crate) enum Fabric {
     /// Run every rank in this process (the in-process backend).
     Local,
     /// This process is a forked child owning ranks `lo..hi`.
@@ -192,7 +179,7 @@ pub(crate) fn group_range(g: usize, ngroups: usize, nranks: usize) -> (usize, us
     (g * nranks / ngroups, (g + 1) * nranks / ngroups)
 }
 
-/// Global count of `ProcessPool::establish` calls in this process. A child
+/// Global count of process-transport `establish` calls in this process. A child
 /// identifies "its" universe by this counter matching the `<call_index>`
 /// in [`ENV_CHILD`]; the parent uses per-spawn-key counters instead (see
 /// [`next_call_index`]) because its own global count includes universes the
@@ -232,111 +219,82 @@ impl ChildSpec {
     }
 }
 
-impl Transport for ProcessPool {
-    fn name(&self) -> &'static str {
-        "proc"
-    }
+/// Fork `processes` rank groups (re-executions of the current binary with
+/// `spawn_args`, this process's own arguments when `None`) and wait for
+/// every child's handshake.
+fn spawn_children(
+    processes: usize,
+    spawn_args: Option<&[String]>,
+    nranks: usize,
+) -> Result<ParentFabric, OversetError> {
+    let ngroups = processes.max(1).min(nranks);
+    let spawn_args: Vec<String> = match spawn_args {
+        Some(a) => a.to_vec(),
+        None => env::args().skip(1).collect(),
+    };
+    let key = spawn_args.join("\u{1f}");
+    let call_index = next_call_index(&key);
+    let exe = env::current_exe()
+        .map_err(|e| OversetError::Io(format!("cannot locate current executable: {e}")))?;
 
-    fn establish(&self, nranks: usize) -> Result<Fabric, OversetError> {
-        if nranks == 0 {
-            return Err(OversetError::Setup("cannot establish a 0-rank fabric".into()));
+    let mut children: Vec<Child> = Vec::with_capacity(ngroups);
+    let mut sockets: Vec<UnixStream> = Vec::with_capacity(ngroups);
+    let result = (|| {
+        for g in 0..ngroups {
+            let (parent_sock, child_sock) =
+                UnixStream::pair().map_err(|e| OversetError::Io(format!("socketpair: {e}")))?;
+            let child_fd: OwnedFd = child_sock.into();
+            let spec = format!("{call_index}:{g}:{ngroups}:{nranks}");
+            let child = Command::new(&exe)
+                .args(&spawn_args)
+                .stdin(Stdio::from(child_fd))
+                .stdout(Stdio::null())
+                .env(ENV_CHILD, &spec)
+                .spawn()
+                .map_err(|e| OversetError::Io(format!("spawn rank-group process: {e}")))?;
+            children.push(child);
+            sockets.push(parent_sock);
         }
-        let my_index = ESTABLISH_CALLS.fetch_add(1, Ordering::SeqCst);
-        if let Ok(spec) = env::var(ENV_CHILD) {
-            let spec = ChildSpec::parse(&spec)?;
-            if spec.call_index == my_index {
-                if spec.nranks != nranks {
-                    return Err(OversetError::Setup(format!(
-                        "child spawned for a {}-rank universe reached a {}-rank establish \
-                         (non-deterministic replay?)",
-                        spec.nranks, nranks
-                    )));
-                }
-                return Ok(Fabric(FabricInner::Child(ChildFabric::connect(&spec)?)));
-            }
-            // Not our universe: the program must still execute it so control
-            // flow reaches the establish call we were actually spawned for,
-            // but its *results* are all we need — and those are bit-identical
-            // in-process (the determinism contract). Running it locally
-            // instead of as a parent keeps an n-universe program's replay
-            // cost quadratic rather than forking grandchildren exponentially.
-            return Ok(Fabric(FabricInner::Local));
-        }
-        self.spawn_children(nranks).map(|pf| Fabric(FabricInner::Parent(pf)))
-    }
-}
-
-impl ProcessPool {
-    fn spawn_children(&self, nranks: usize) -> Result<ParentFabric, OversetError> {
-        let ngroups = self.processes.max(1).min(nranks);
-        let spawn_args: Vec<String> = match &self.spawn_args {
-            Some(a) => a.clone(),
-            None => env::args().skip(1).collect(),
-        };
-        let key = spawn_args.join("\u{1f}");
-        let call_index = next_call_index(&key);
-        let exe = env::current_exe()
-            .map_err(|e| OversetError::Io(format!("cannot locate current executable: {e}")))?;
-
-        let mut children: Vec<Child> = Vec::with_capacity(ngroups);
-        let mut sockets: Vec<UnixStream> = Vec::with_capacity(ngroups);
-        let result = (|| {
-            for g in 0..ngroups {
-                let (parent_sock, child_sock) =
-                    UnixStream::pair().map_err(|e| OversetError::Io(format!("socketpair: {e}")))?;
-                let child_fd: OwnedFd = child_sock.into();
-                let spec = format!("{call_index}:{g}:{ngroups}:{nranks}");
-                let child = Command::new(&exe)
-                    .args(&spawn_args)
-                    .stdin(Stdio::from(child_fd))
-                    .stdout(Stdio::null())
-                    .env(ENV_CHILD, &spec)
-                    .spawn()
-                    .map_err(|e| OversetError::Io(format!("spawn rank-group process: {e}")))?;
-                children.push(child);
-                sockets.push(parent_sock);
-            }
-            // Handshake: every child announces itself before any rank runs,
-            // so a child that dies during startup is caught here.
-            for (g, sock) in sockets.iter().enumerate() {
-                let (lo, hi) = group_range(g, ngroups, nranks);
-                match read_frame(sock) {
-                    Ok(Some(Frame::Hello { version, group, lo: clo, hi: chi, nranks: cn })) => {
-                        if version != WIRE_SCHEMA_VERSION
-                            || group != g
-                            || clo != lo
-                            || chi != hi
-                            || cn != nranks
-                        {
-                            return Err(OversetError::Setup(format!(
-                                "rank-group {g} handshake mismatch \
-                                 (got v{version} group {group} ranks {clo}..{chi}/{cn}, \
-                                 expected v{WIRE_SCHEMA_VERSION} group {g} ranks {lo}..{hi}/{nranks})"
-                            )));
-                        }
-                    }
-                    Ok(other) => {
+        // Handshake: every child announces itself before any rank runs,
+        // so a child that dies during startup is caught here.
+        for (g, sock) in sockets.iter().enumerate() {
+            let (lo, hi) = group_range(g, ngroups, nranks);
+            match read_frame(sock) {
+                Ok(Some(Frame::Hello { version, group, lo: clo, hi: chi, nranks: cn })) => {
+                    if version != WIRE_SCHEMA_VERSION
+                        || group != g
+                        || clo != lo
+                        || chi != hi
+                        || cn != nranks
+                    {
                         return Err(OversetError::Setup(format!(
-                            "rank-group {g} {} before handshake",
-                            if other.is_none() { "exited" } else { "sent a non-hello frame" }
+                            "rank-group {g} handshake mismatch \
+                             (got v{version} group {group} ranks {clo}..{chi}/{cn}, \
+                             expected v{WIRE_SCHEMA_VERSION} group {g} ranks {lo}..{hi}/{nranks})"
                         )));
                     }
-                    Err(e) => {
-                        return Err(OversetError::Io(format!("rank-group {g} handshake: {e}")));
-                    }
+                }
+                Ok(other) => {
+                    return Err(OversetError::Setup(format!(
+                        "rank-group {g} {} before handshake",
+                        if other.is_none() { "exited" } else { "sent a non-hello frame" }
+                    )));
+                }
+                Err(e) => {
+                    return Err(OversetError::Io(format!("rank-group {g} handshake: {e}")));
                 }
             }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            for child in &mut children {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            return Err(e);
         }
-        Ok(ParentFabric { children, sockets, nranks, ngroups })
+        Ok(())
+    })();
+    if let Err(e) = result {
+        for child in &mut children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        return Err(e);
     }
+    Ok(ParentFabric { children, sockets, nranks, ngroups })
 }
 
 // ---------------------------------------------------------------------------
@@ -972,7 +930,7 @@ mod tests {
 
     #[test]
     fn establish_inproc_is_local() {
-        let fabric = InProcess.establish(4).unwrap();
-        assert!(matches!(fabric.0, FabricInner::Local));
+        let fabric = TransportConfig::InProcess.establish(4).unwrap();
+        assert!(matches!(fabric, Fabric::Local));
     }
 }

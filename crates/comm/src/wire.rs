@@ -118,7 +118,7 @@ impl<'a> WireReader<'a> {
 }
 
 /// A value with an explicit byte representation, exchangeable across any
-/// [`crate::transport::Transport`] backend.
+/// [`crate::transport::TransportConfig`] backend.
 ///
 /// Laws: `decode(encode(x)) == x` for every value, and `encode` is a pure
 /// function of the value (no ambient state), so two processes encoding the

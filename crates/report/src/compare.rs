@@ -1,92 +1,52 @@
-//! Pass/fail comparison of two schema-v1 reports (the bench-gate verdict).
+//! Pass/fail comparison of two run reports (the bench-gate verdict).
 //!
-//! Three classes of check, in decreasing strictness:
-//!
-//! 1. **Exact** — each case's `alloc` section (allocation counts and bytes
-//!    per phase/rank/step) is deterministic for a fixed configuration, so
-//!    any difference at all is a regression: zero tolerance, bit-gated.
-//! 2. **Tolerance-banded** — the virtual-time `summary` metrics regress
-//!    when they move in the *bad* direction by more than `tol_pct` percent
-//!    of the baseline value (strictly worse at a zero baseline also
-//!    counts: orphans appearing where there were none is a regression at
-//!    any tolerance).
-//! 3. **Noise-aware** — the optional `host.bench` section carries
-//!    median/IQR host phase times from repeated runs (`repro bench-host`);
-//!    a phase regresses only when the new median exceeds the baseline
-//!    median by more than an IQR-derived tolerance, so genuine host-cost
-//!    growth gates while machine noise does not.
-//!
-//! Single-run wall-clock data (`host.phase_ms` et al.) never gates — it
-//! only produces advisory drift notes.
+//! Everything under a report's `cases` is virtual-time data or an
+//! allocation count, so a run reproduces it to the bit and the verdict is
+//! an exact diff: the two documents must name the same `experiment` and
+//! `effort`, hold the same cases — matched by (name, label) in both
+//! directions — and agree on every leaf of every case. Any difference, an
+//! improvement included, fails; a missing or an extra key, element or case
+//! is a difference like any other. The wall-clock `host` section is never
+//! read. A `schema_version` other than [`SCHEMA_VERSION`] on either side is
+//! an `Err`, not a verdict.
 
 use crate::json::Value;
 use crate::SCHEMA_VERSION;
 
-/// Summary metrics where a larger value is worse.
-const HIGHER_IS_WORSE: [&str; 10] = [
-    "wall_time",
-    "time_per_step",
-    "t_flow",
-    "t_connectivity",
-    "t_motion",
-    "t_balance",
-    "t_other",
-    "f_max_last",
-    "f_max_peak",
-    "orphans_last",
-];
-
-/// Summary metrics where a smaller value is worse.
-const LOWER_IS_WORSE: [&str; 1] = ["cache_hit_rate"];
-
-/// One metric that moved past tolerance in the bad direction.
+/// One leaf (or whole subtree, when one side lacks it) that differs.
 #[derive(Clone, Debug)]
-pub struct Regression {
-    /// `"<case name> [<label>]"` identifying the run within the report.
-    pub case: String,
-    pub metric: String,
-    pub baseline: f64,
-    pub new: f64,
-    /// Signed relative change in percent (infinite when baseline is 0).
-    pub delta_pct: f64,
+pub struct Difference {
+    /// Dotted path from the document root, e.g.
+    /// `cases[store/dynamic-lb].series[4].walk_steps`.
+    pub path: String,
+    pub baseline: String,
+    pub new: String,
 }
 
-impl Regression {
+impl Difference {
     pub fn describe(&self) -> String {
-        if self.delta_pct.is_finite() {
-            format!(
-                "{}: {} {} -> {} ({:+.2}%)",
-                self.case, self.metric, self.baseline, self.new, self.delta_pct
-            )
-        } else {
-            format!(
-                "{}: {} {} -> {} (from zero baseline)",
-                self.case, self.metric, self.baseline, self.new
-            )
-        }
+        format!("{}: {} -> {}", self.path, self.baseline, self.new)
     }
 }
 
 /// Result of comparing two reports.
 #[derive(Clone, Debug, Default)]
 pub struct CompareOutcome {
-    pub regressions: Vec<Regression>,
-    /// Number of metric comparisons performed across all cases.
+    pub differences: Vec<Difference>,
+    /// Number of leaves compared across all cases.
     pub checked: usize,
-    /// Non-fatal observations (skipped metrics, improvements worth noting).
-    pub notes: Vec<String>,
 }
 
 impl CompareOutcome {
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.differences.is_empty()
     }
 }
 
 fn case_key(case: &Value) -> String {
     let name = case.get("name").and_then(Value::as_str).unwrap_or("?");
     let label = case.get("label").and_then(Value::as_str).unwrap_or("?");
-    format!("{name} [{label}]")
+    format!("{name}/{label}")
 }
 
 fn check_schema(doc: &Value, which: &str) -> Result<(), String> {
@@ -100,310 +60,79 @@ fn check_schema(doc: &Value, which: &str) -> Result<(), String> {
     }
 }
 
-/// Compare `new` against `baseline` with a relative tolerance of `tol_pct`
-/// percent. Errors (`Err`) are structural — wrong schema version, missing
-/// sections — and distinct from a regression verdict.
-pub fn compare(baseline: &Value, new: &Value, tol_pct: f64) -> Result<CompareOutcome, String> {
+/// Compare `new` against `baseline` exactly. Errors (`Err`) are structural
+/// — wrong schema version, no cases array — and distinct from a verdict.
+pub fn compare(baseline: &Value, new: &Value) -> Result<CompareOutcome, String> {
     check_schema(baseline, "baseline")?;
     check_schema(new, "new")?;
-    let tol = tol_pct / 100.0;
-
-    let base_cases = baseline
-        .get("cases")
-        .and_then(Value::as_arr)
-        .ok_or("baseline report has no cases array")?;
-    let new_cases =
-        new.get("cases").and_then(Value::as_arr).ok_or("new report has no cases array")?;
-
+    // Cases keyed by (name, label), so they match in both directions
+    // whatever order each report lists them in.
+    let cases = |doc: &Value, which: &str| -> Result<Vec<(String, Value)>, String> {
+        let arr = doc
+            .get("cases")
+            .and_then(Value::as_arr)
+            .ok_or(format!("{which} report has no cases array"))?;
+        Ok(arr.iter().map(|c| (case_key(c), c.clone())).collect())
+    };
     let mut out = CompareOutcome::default();
-    for bc in base_cases {
-        let key = case_key(bc);
-        let Some(nc) = new_cases.iter().find(|c| case_key(c) == key) else {
-            out.regressions.push(Regression {
-                case: key,
-                metric: "<case missing from new report>".into(),
-                baseline: 1.0,
-                new: 0.0,
-                delta_pct: -100.0,
-            });
-            continue;
-        };
-        let bsum = bc.get("summary").ok_or_else(|| format!("{key}: baseline has no summary"))?;
-        let nsum = nc.get("summary").ok_or_else(|| format!("{key}: new has no summary"))?;
-        // Ring evictions mean the per-step series is a trailing window, not
-        // the whole run; warn (a note, not a regression — the gated summary
-        // metrics are end-of-run values and remain exact).
-        for (side, sum) in [("baseline", bsum), ("new", nsum)] {
-            if let Some(d) = sum.get("steps_dropped").and_then(Value::as_f64) {
-                if d > 0.0 {
-                    out.notes.push(format!(
-                        "{key}: warning: {side} dropped {d} step records (flight-recorder \
-                         ring eviction); its series covers a truncated window"
-                    ));
-                }
-            }
-        }
-        for metric in HIGHER_IS_WORSE {
-            compare_metric(&mut out, &key, metric, bsum, nsum, tol, /*higher_bad=*/ true);
-        }
-        for metric in LOWER_IS_WORSE {
-            compare_metric(&mut out, &key, metric, bsum, nsum, tol, /*higher_bad=*/ false);
-        }
-        // Search-effort counters (walk steps, forwarded donor requests) are a
-        // leading indicator for connectivity slowdowns — a blown-up walk count
-        // often precedes a t_connectivity regression by one grid refinement.
-        // They are advisory: warn past 20% growth, never fail the gate (the
-        // virtual-time phase metrics above are the authoritative verdict).
-        for metric in ["walk_steps_total", "forwards_total"] {
-            warn_counter_growth(&mut out, &key, metric, bsum, nsum);
-        }
-        compare_alloc_exact(&mut out, &key, bc, nc);
+    for key in ["experiment", "effort"] {
+        diff_exact(&mut out, key, baseline.get(key), new.get(key));
     }
-    note_host_phase_drift(&mut out, baseline, new);
-    gate_host_bench(&mut out, baseline, new);
+    let (base_cases, new_cases) = (cases(baseline, "baseline")?, cases(new, "new")?);
+    diff_keyed(&mut out, &|k| format!("cases[{k}]"), &base_cases, &new_cases);
     Ok(out)
 }
 
-/// Allocation attribution is deterministic for a fixed configuration, so
-/// the `alloc` section is compared **exactly**: any numeric or structural
-/// difference is a regression, regardless of `tol_pct`. Reports lacking
-/// the section on either side (older baseline) are skipped with a note.
-fn compare_alloc_exact(out: &mut CompareOutcome, case: &str, bc: &Value, nc: &Value) {
-    match (bc.get("alloc"), nc.get("alloc")) {
-        (Some(b), Some(n)) => diff_exact(out, case, "alloc", b, n),
-        (None, None) => {}
-        _ => out.notes.push(format!(
-            "{case}: alloc section not present in both reports, exact alloc gate skipped"
-        )),
+/// Diff two keyed lists entry by entry: the baseline's keys in its order,
+/// then the keys only `new` has.
+fn diff_keyed(
+    out: &mut CompareOutcome,
+    path_of: &dyn Fn(&str) -> String,
+    b: &[(String, Value)],
+    n: &[(String, Value)],
+) {
+    fn get<'a>(pairs: &'a [(String, Value)], k: &str) -> Option<&'a Value> {
+        pairs.iter().find(|(pk, _)| pk == k).map(|(_, v)| v)
+    }
+    let only_new = n.iter().filter(|(k, _)| get(b, k).is_none());
+    for (k, _) in b.iter().chain(only_new) {
+        diff_exact(out, &path_of(k), get(b, k), get(n, k));
     }
 }
 
-/// Recursive exact diff of two JSON values; every numeric leaf compared
-/// counts toward `checked`, every mismatch becomes a `Regression` whose
-/// metric is the dotted path to the differing leaf.
-fn diff_exact(out: &mut CompareOutcome, case: &str, path: &str, b: &Value, n: &Value) {
-    let mismatch = |out: &mut CompareOutcome, b: f64, n: f64| {
-        let delta_pct = if b != 0.0 { (n - b) / b * 100.0 } else { f64::INFINITY };
-        out.regressions.push(Regression {
-            case: case.to_string(),
-            metric: path.to_string(),
-            baseline: b,
-            new: n,
-            delta_pct,
-        });
-    };
+/// Recursive exact diff; every leaf compared counts toward `checked`, every
+/// mismatch (or one-sided key, element or case) becomes a [`Difference`]
+/// named by its dotted path.
+fn diff_exact(out: &mut CompareOutcome, path: &str, b: Option<&Value>, n: Option<&Value>) {
     match (b, n) {
-        (Value::Obj(bp), Value::Obj(np)) => {
-            for (k, bv) in bp {
-                match n.get(k) {
-                    Some(nv) => diff_exact(out, case, &format!("{path}.{k}"), bv, nv),
-                    None => {
-                        out.checked += 1;
-                        out.regressions.push(Regression {
-                            case: case.to_string(),
-                            metric: format!("{path}.{k} <missing from new report>"),
-                            baseline: 1.0,
-                            new: 0.0,
-                            delta_pct: -100.0,
-                        });
-                    }
-                }
-            }
-            for (k, _) in np {
-                if b.get(k).is_none() {
-                    out.checked += 1;
-                    out.regressions.push(Regression {
-                        case: case.to_string(),
-                        metric: format!("{path}.{k} <absent from baseline>"),
-                        baseline: 0.0,
-                        new: 1.0,
-                        delta_pct: f64::INFINITY,
-                    });
-                }
-            }
+        (Some(Value::Obj(bp)), Some(Value::Obj(np))) => {
+            diff_keyed(out, &|k| format!("{path}.{k}"), bp, np);
         }
-        (Value::Arr(ba), Value::Arr(na)) => {
-            out.checked += 1;
-            if ba.len() != na.len() {
-                mismatch(out, ba.len() as f64, na.len() as f64);
-                return;
-            }
-            for (i, (bv, nv)) in ba.iter().zip(na).enumerate() {
-                diff_exact(out, case, &format!("{path}[{i}]"), bv, nv);
-            }
-        }
-        (Value::Num(bx), Value::Num(nx)) => {
-            out.checked += 1;
-            if bx != nx {
-                mismatch(out, *bx, *nx);
+        (Some(Value::Arr(ba)), Some(Value::Arr(na))) => {
+            for i in 0..ba.len().max(na.len()) {
+                diff_exact(out, &format!("{path}[{i}]"), ba.get(i), na.get(i));
             }
         }
         _ => {
-            // Non-numeric leaves (and type mismatches) in the alloc section
-            // are unexpected; flag anything that is not identical.
             out.checked += 1;
-            if b.to_json() != n.to_json() {
-                mismatch(out, 0.0, 0.0);
-            }
-        }
-    }
-}
-
-/// IQR multiplier for the noise-aware host gate: the tolerance band around
-/// the baseline median is `max(floor, HOST_BENCH_IQR_MULT * max(IQRs))`.
-const HOST_BENCH_IQR_MULT: f64 = 3.0;
-
-/// The noise-aware host gate. `host.bench.{label}.{phase}` carries
-/// `{median_ms, iqr_ms, repeats}` from a repeated-run benchmark (`repro
-/// bench-host`); a phase **regresses** (this is the one host check that
-/// gates the verdict) when the new median exceeds the baseline median by
-/// more than an IQR-derived tolerance. Phases whose medians sit under the
-/// comparison floor on both sides are ignored; reports without a bench
-/// section on both sides are skipped silently.
-fn gate_host_bench(out: &mut CompareOutcome, base: &Value, new: &Value) {
-    let (Some(bb), Some(nb)) = (
-        base.get("host").and_then(|h| h.get("bench")),
-        new.get("host").and_then(|h| h.get("bench")),
-    ) else {
-        return;
-    };
-    let Value::Obj(bcases) = bb else { return };
-    for (label, bphases) in bcases {
-        let (Some(nphases), Value::Obj(bpairs)) = (nb.get(label), bphases) else { continue };
-        for (phase, bent) in bpairs {
-            let (Some(bm), Some(biqr)) = (
-                bent.get("median_ms").and_then(Value::as_f64),
-                bent.get("iqr_ms").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            let Some(nent) = nphases.get(phase) else { continue };
-            let (Some(nm), Some(niqr)) = (
-                nent.get("median_ms").and_then(Value::as_f64),
-                nent.get("iqr_ms").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            if bm < HOST_PHASE_FLOOR_MS && nm < HOST_PHASE_FLOOR_MS {
-                continue; // too fast to measure: machine noise territory
-            }
-            out.checked += 1;
-            let tol = (HOST_BENCH_IQR_MULT * biqr.max(niqr)).max(HOST_PHASE_FLOOR_MS);
-            if nm > bm + tol {
-                let delta_pct = if bm != 0.0 { (nm - bm) / bm * 100.0 } else { f64::INFINITY };
-                out.regressions.push(Regression {
-                    case: label.clone(),
-                    metric: format!("host_bench.{phase}_median_ms"),
-                    baseline: bm,
-                    new: nm,
-                    delta_pct,
+            if b != n {
+                out.differences.push(Difference {
+                    path: path.to_string(),
+                    baseline: show(b),
+                    new: show(n),
                 });
             }
         }
     }
 }
 
-/// Host phase times below this baseline are too small to compare (ms).
-const HOST_PHASE_FLOOR_MS: f64 = 50.0;
-/// Advisory threshold: note host phase growth beyond this factor.
-const HOST_PHASE_GROWTH: f64 = 1.5;
-
-/// Note (never a regression) when a case's host wall-clock per phase grew
-/// substantially between reports. Host timings are machine- and load-
-/// dependent, so the band is wide (x1.5) with a floor under which phases
-/// are ignored entirely; reports without a `host.phase_ms` section (older
-/// schema) are silently skipped. `host.phase_ms` is the max over ranks;
-/// when both reports also carry the median over ranks
-/// (`host.phase_ms_median`) the note reports both, so a drift confined to
-/// one straggler rank is distinguishable from a fleet-wide slowdown.
-fn note_host_phase_drift(out: &mut CompareOutcome, base: &Value, new: &Value) {
-    let (Some(bp), Some(np)) = (
-        base.get("host").and_then(|h| h.get("phase_ms")),
-        new.get("host").and_then(|h| h.get("phase_ms")),
-    ) else {
-        return;
-    };
-    let median_of = |doc: &Value, label: &str, phase: &str| -> Option<f64> {
-        doc.get("host")?.get("phase_ms_median")?.get(label)?.get(phase).and_then(Value::as_f64)
-    };
-    let Value::Obj(bcases) = bp else { return };
-    for (label, bphases) in bcases {
-        let (Some(nphases), Value::Obj(bpairs)) = (np.get(label), bphases) else { continue };
-        for (phase, bv) in bpairs {
-            let (Some(b), Some(n)) = (bv.as_f64(), nphases.get(phase).and_then(Value::as_f64))
-            else {
-                continue;
-            };
-            if b >= HOST_PHASE_FLOOR_MS && n > b * HOST_PHASE_GROWTH {
-                let medians = match (median_of(base, label, phase), median_of(new, label, phase)) {
-                    (Some(bm), Some(nm)) => {
-                        format!("; median over ranks {bm:.0} ms -> {nm:.0} ms")
-                    }
-                    _ => String::new(),
-                };
-                out.notes.push(format!(
-                    "{label}: advisory: host {phase} wall-clock grew {b:.0} ms -> {n:.0} ms \
-                     ({:+.1}%, max over ranks{medians}); host timings are machine-dependent \
-                     and this note never gates the verdict",
-                    (n - b) / b * 100.0
-                ));
-            }
-        }
-    }
-}
-
-fn compare_metric(
-    out: &mut CompareOutcome,
-    case: &str,
-    metric: &str,
-    bsum: &Value,
-    nsum: &Value,
-    tol: f64,
-    higher_bad: bool,
-) {
-    let b = bsum.get(metric).and_then(Value::as_f64);
-    let n = nsum.get(metric).and_then(Value::as_f64);
-    let (Some(b), Some(n)) = (b, n) else {
-        // `cache_hit_rate` is null when a run performs no donor-cache
-        // lookups; a metric absent/null on either side is not comparable.
-        out.notes.push(format!("{case}: {metric} not present in both reports, skipped"));
-        return;
-    };
-    out.checked += 1;
-    let regressed = if higher_bad { n > b * (1.0 + tol) && n > b } else { n < b * (1.0 - tol) };
-    if regressed {
-        let delta_pct = if b != 0.0 { (n - b) / b * 100.0 } else { f64::INFINITY };
-        out.regressions.push(Regression {
-            case: case.to_string(),
-            metric: metric.to_string(),
-            baseline: b,
-            new: n,
-            delta_pct,
-        });
-    }
-}
-
-/// Note (not a regression) when an advisory counter grows past 20%.
-fn warn_counter_growth(
-    out: &mut CompareOutcome,
-    case: &str,
-    metric: &str,
-    bsum: &Value,
-    nsum: &Value,
-) {
-    let (Some(b), Some(n)) =
-        (bsum.get(metric).and_then(Value::as_f64), nsum.get(metric).and_then(Value::as_f64))
-    else {
-        return; // absent on either side (older baseline): nothing to say
-    };
-    let grew = if b > 0.0 { n > b * 1.2 } else { n > 0.0 };
-    if grew {
-        let pct =
-            if b > 0.0 { format!("{:+.1}%", (n - b) / b * 100.0) } else { "from zero".into() };
-        out.notes.push(format!(
-            "{case}: warning: {metric} grew {b} -> {n} ({pct}); search effort is up even if \
-             phase times still pass — check donor-cache hit rate and inverse-map coverage"
-        ));
+/// A value as a difference line shows it: leaves in JSON, subtrees elided.
+fn show(v: Option<&Value>) -> String {
+    match v {
+        None => "<absent>".into(),
+        Some(Value::Obj(_)) => "{...}".into(),
+        Some(Value::Arr(_)) => "[...]".into(),
+        Some(leaf) => leaf.to_json().trim_end().to_string(),
     }
 }
 
@@ -412,392 +141,197 @@ mod tests {
     use super::*;
     use crate::json::obj;
 
-    fn summary(wall: f64, conn: f64, orphans: f64, hit: f64) -> Value {
+    fn case(name: &str, label: &str) -> Value {
+        let step = |k: f64| {
+            obj(vec![
+                ("step", Value::Num(k)),
+                ("t_flow", Value::Num(0.25 + k)),
+                ("walk_steps", Value::Num(100.0 * k)),
+                ("repartition", Value::Bool(false)),
+            ])
+        };
         obj(vec![
-            ("wall_time", Value::Num(wall)),
-            ("time_per_step", Value::Num(wall / 10.0)),
-            ("t_flow", Value::Num(wall * 0.7)),
-            ("t_connectivity", Value::Num(conn)),
-            ("t_motion", Value::Num(0.5)),
-            ("t_balance", Value::Num(0.1)),
-            ("t_other", Value::Num(0.0)),
-            ("f_max_last", Value::Num(1.2)),
-            ("f_max_peak", Value::Num(1.9)),
-            ("orphans_last", Value::Num(orphans)),
-            ("cache_hit_rate", Value::Num(hit)),
+            ("name", Value::Str(name.to_string())),
+            ("label", Value::Str(label.to_string())),
+            ("series", Value::Arr((0..3).map(|k| step(k as f64)).collect())),
+            (
+                "summary",
+                obj(vec![
+                    ("time_per_step", Value::Num(0.396131)),
+                    ("msgs", Value::Num(1234.0)),
+                    ("orphans_last", Value::Num(0.0)),
+                    ("cache_hit_rate", Value::Null),
+                ]),
+            ),
+            ("alloc", obj(vec![("allocs", obj(vec![("connectivity", Value::Num(500.0))]))])),
         ])
     }
 
-    fn report(cases: Vec<(&str, Value)>) -> Value {
+    fn report(cases: Vec<Value>) -> Value {
         obj(vec![
             ("schema_version", Value::Num(SCHEMA_VERSION as f64)),
-            (
-                "cases",
-                Value::Arr(
-                    cases
-                        .into_iter()
-                        .map(|(name, s)| {
-                            obj(vec![
-                                ("name", Value::Str(name.to_string())),
-                                ("label", Value::Str("representative".into())),
-                                ("summary", s),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("experiment", Value::Str("table1".into())),
+            ("effort", Value::Str("quick".into())),
+            ("cases", Value::Arr(cases)),
         ])
+    }
+
+    fn base() -> Value {
+        report(vec![case("airfoil", "representative"), case("store", "dynamic-lb")])
+    }
+
+    /// Apply `f` to the first case of a fresh baseline.
+    fn edited(f: impl FnOnce(&mut Vec<(String, Value)>)) -> Value {
+        let mut r = base();
+        let Value::Obj(top) = &mut r else { unreachable!() };
+        let Value::Arr(cases) = &mut top[3].1 else { unreachable!() };
+        let Value::Obj(c) = &mut cases[0] else { unreachable!() };
+        f(c);
+        r
+    }
+
+    fn field<'a>(pairs: &'a mut [(String, Value)], key: &str) -> &'a mut Value {
+        &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// The first case's summary value `key`, in a fresh baseline edited by `f`.
+    fn edited_summary(key: &str, f: impl FnOnce(&mut Value)) -> Value {
+        edited(|c| {
+            let Value::Obj(s) = field(c, "summary") else { unreachable!() };
+            f(field(s, key))
+        })
+    }
+
+    fn paths(out: &CompareOutcome) -> Vec<&str> {
+        out.differences.iter().map(|d| d.path.as_str()).collect()
     }
 
     #[test]
     fn identical_reports_pass() {
-        let r = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        let out = compare(&r, &r, 5.0).unwrap();
-        assert!(out.passed(), "{:?}", out.regressions);
-        assert_eq!(out.checked, 11);
+        let out = compare(&base(), &base()).unwrap();
+        assert!(out.passed(), "{:?}", out.differences);
+        // experiment, effort + per case: name, label, 3 x 4 series leaves,
+        // 4 summary leaves, 1 alloc leaf.
+        assert_eq!(out.checked, 2 + 2 * (2 + 12 + 4 + 1));
     }
 
     #[test]
-    fn inflated_phase_time_fails_beyond_tolerance() {
-        let base = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        let worse = report(vec![("airfoil", summary(100.0, 22.0, 0.0, 0.9))]);
-        // 10% inflation of t_connectivity: passes at 15% tol, fails at 5%.
-        assert!(compare(&base, &worse, 15.0).unwrap().passed());
-        let out = compare(&base, &worse, 5.0).unwrap();
-        assert!(!out.passed());
-        assert_eq!(out.regressions.len(), 1);
-        assert_eq!(out.regressions[0].metric, "t_connectivity");
-        assert!((out.regressions[0].delta_pct - 10.0).abs() < 1e-9);
+    fn one_ulp_in_a_summary_value_fails_and_names_its_path() {
+        let new = edited_summary("time_per_step", |v| {
+            let Value::Num(x) = v else { unreachable!() };
+            *x = f64::from_bits(x.to_bits() + 1);
+        });
+        let out = compare(&base(), &new).unwrap();
+        assert_eq!(paths(&out), ["cases[airfoil/representative].summary.time_per_step"]);
+        // Both sides print in shortest round-trip form, so the line shows
+        // exactly the two values.
+        let d = &out.differences[0];
+        assert_eq!(d.baseline, "0.396131");
+        assert_eq!(d.new.parse::<f64>().unwrap(), f64::from_bits(0.396131f64.to_bits() + 1));
     }
 
+    #[test]
+    fn a_changed_series_counter_fails_with_its_dotted_path() {
+        let new = edited(|c| {
+            let Value::Arr(series) = field(c, "series") else { unreachable!() };
+            let Value::Obj(s) = &mut series[2] else { unreachable!() };
+            *field(s, "walk_steps") = Value::Num(230.0);
+        });
+        let out = compare(&base(), &new).unwrap();
+        assert_eq!(paths(&out), ["cases[airfoil/representative].series[2].walk_steps"]);
+        // An improvement is a difference too: the gate asks "did anything
+        // deterministic move", not "is it worse".
+        assert!(!compare(&new, &base()).unwrap().passed());
+    }
+
+    #[test]
+    fn an_extra_or_missing_case_fails() {
+        let mut cases = vec![case("airfoil", "representative"), case("store", "dynamic-lb")];
+        cases.push(case("airfoil", "extra"));
+        let extra = report(cases);
+        let out = compare(&base(), &extra).unwrap();
+        assert_eq!(paths(&out), ["cases[airfoil/extra]"]);
+        assert_eq!(out.differences[0].describe(), "cases[airfoil/extra]: <absent> -> {...}");
+        let out = compare(&extra, &base()).unwrap();
+        assert_eq!(paths(&out), ["cases[airfoil/extra]"]);
+        // Cases are matched by (name, label), not by position.
+        let swapped = report(vec![case("store", "dynamic-lb"), case("airfoil", "representative")]);
+        assert!(compare(&base(), &swapped).unwrap().passed());
+    }
+
+    #[test]
+    fn an_extra_or_missing_key_or_element_fails() {
+        let added = edited(|c| {
+            let Value::Obj(s) = field(c, "summary") else { unreachable!() };
+            s.push(("steps_dropped".into(), Value::Num(0.0)));
+        });
+        let out = compare(&base(), &added).unwrap();
+        assert_eq!(paths(&out), ["cases[airfoil/representative].summary.steps_dropped"]);
+        let out = compare(&added, &base()).unwrap();
+        assert_eq!(out.differences[0].describe(), format!("{}: 0 -> <absent>", paths(&out)[0]));
+        // A whole section absent on one side is one difference, not a skip.
+        let no_alloc = edited(|c| c.retain(|(k, _)| k != "alloc"));
+        assert_eq!(
+            paths(&compare(&base(), &no_alloc).unwrap()),
+            ["cases[airfoil/representative].alloc"]
+        );
+        let short = edited(|c| {
+            let Value::Arr(series) = field(c, "series") else { unreachable!() };
+            series.pop();
+        });
+        assert_eq!(
+            paths(&compare(&base(), &short).unwrap()),
+            ["cases[airfoil/representative].series[2]"]
+        );
+    }
+
+    #[test]
+    fn experiment_and_effort_must_match() {
+        let mut full = base();
+        let Value::Obj(top) = &mut full else { unreachable!() };
+        top[2].1 = Value::Str("full".into());
+        assert_eq!(paths(&compare(&base(), &full).unwrap()), ["effort"]);
+    }
+
+    #[test]
+    fn null_on_both_sides_passes() {
+        // `cache_hit_rate` is null when a run makes no donor-cache lookups.
+        let out = compare(&base(), &base()).unwrap();
+        assert!(out.passed());
+        let hit = edited_summary("cache_hit_rate", |v| *v = Value::Num(0.5));
+        let out = compare(&base(), &hit).unwrap();
+        assert_eq!(out.differences[0].describe(), format!("{}: null -> 0.5", paths(&out)[0]));
+    }
+
+    /// No relative band to fall through: a count rising from zero fails.
     #[test]
     fn orphans_from_zero_baseline_always_fail() {
-        let base = report(vec![("store", summary(100.0, 20.0, 0.0, 0.9))]);
-        let worse = report(vec![("store", summary(100.0, 20.0, 3.0, 0.9))]);
-        let out = compare(&base, &worse, 50.0).unwrap();
-        assert!(!out.passed());
-        assert_eq!(out.regressions[0].metric, "orphans_last");
-        assert!(!out.regressions[0].delta_pct.is_finite());
+        let orphans = edited_summary("orphans_last", |v| *v = Value::Num(3.0));
+        let out = compare(&base(), &orphans).unwrap();
+        assert_eq!(out.differences[0].describe(), format!("{}: 0 -> 3", paths(&out)[0]));
     }
 
     #[test]
-    fn cache_hit_rate_drop_fails_and_rise_passes() {
-        let base = report(vec![("wing", summary(100.0, 20.0, 0.0, 0.9))]);
-        let drop = report(vec![("wing", summary(100.0, 20.0, 0.0, 0.5))]);
-        let rise = report(vec![("wing", summary(100.0, 20.0, 0.0, 0.99))]);
-        assert!(!compare(&base, &drop, 5.0).unwrap().passed());
-        assert!(compare(&base, &rise, 5.0).unwrap().passed());
-    }
-
-    #[test]
-    fn missing_case_is_a_regression_and_null_metric_is_skipped() {
-        let base = report(vec![
-            ("airfoil", summary(100.0, 20.0, 0.0, 0.9)),
-            ("store", summary(200.0, 40.0, 0.0, 0.9)),
-        ]);
-        let only_one = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        let out = compare(&base, &only_one, 5.0).unwrap();
-        assert_eq!(out.regressions.len(), 1);
-        assert!(out.regressions[0].metric.contains("missing"));
-
-        let mut s = summary(100.0, 20.0, 0.0, 0.9);
-        if let Value::Obj(pairs) = &mut s {
-            pairs.retain(|(k, _)| k != "cache_hit_rate");
-            pairs.push(("cache_hit_rate".into(), Value::Null));
-        }
-        let base_one = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        let null_hit = report(vec![("airfoil", s)]);
-        let out = compare(&base_one, &null_hit, 5.0).unwrap();
-        assert!(out.passed());
-        assert!(out.notes.iter().any(|n| n.contains("cache_hit_rate")));
-    }
-
-    #[test]
-    fn dropped_step_records_produce_a_warning_note_on_either_side() {
-        let with_drops = |n: f64| {
-            let mut s = summary(100.0, 20.0, 0.0, 0.9);
-            if let Value::Obj(pairs) = &mut s {
-                pairs.push(("steps_dropped".into(), Value::Num(n)));
-            }
-            report(vec![("airfoil", s)])
-        };
-        let clean = with_drops(0.0);
-        let dropped = with_drops(7.0);
-        let out = compare(&clean, &dropped, 5.0).unwrap();
-        assert!(out.passed());
-        assert!(out.notes.iter().any(|n| n.contains("warning") && n.contains("new dropped 7")));
-        let out = compare(&dropped, &clean, 5.0).unwrap();
-        assert!(out
-            .notes
-            .iter()
-            .any(|n| n.contains("warning") && n.contains("baseline dropped 7")));
-        let out = compare(&clean, &clean, 5.0).unwrap();
-        assert!(!out.notes.iter().any(|n| n.contains("warning")));
-    }
-
-    #[test]
-    fn walk_step_growth_warns_but_never_fails() {
-        let with_walks = |walks: f64, fwd: f64| {
-            let mut s = summary(100.0, 20.0, 0.0, 0.9);
-            if let Value::Obj(pairs) = &mut s {
-                pairs.push(("walk_steps_total".into(), Value::Num(walks)));
-                pairs.push(("forwards_total".into(), Value::Num(fwd)));
-            }
-            report(vec![("store", s)])
-        };
-        let base = with_walks(1000.0, 50.0);
-        // +10% walks, same forwards: inside the 20% advisory band, silent.
-        let mild = with_walks(1100.0, 50.0);
-        let out = compare(&base, &mild, 5.0).unwrap();
-        assert!(out.passed());
-        assert!(!out.notes.iter().any(|n| n.contains("walk_steps_total")));
-        // +50% walks and forwards appearing from zero both warn; still passes
-        // and the checked count is unchanged (advisory, not gated).
-        let base_zero_fwd = with_walks(1000.0, 0.0);
-        let worse = with_walks(1500.0, 8.0);
-        let out = compare(&base_zero_fwd, &worse, 5.0).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.checked, 11);
-        assert!(out.notes.iter().any(|n| n.contains("walk_steps_total") && n.contains("+50.0%")));
-        assert!(out.notes.iter().any(|n| n.contains("forwards_total") && n.contains("from zero")));
-        // Counters absent entirely (old baseline): no note about them.
-        let old = report(vec![("store", summary(100.0, 20.0, 0.0, 0.9))]);
-        let out = compare(&old, &old, 5.0).unwrap();
-        assert!(!out.notes.iter().any(|n| n.contains("walk_steps_total")));
-    }
-
-    #[test]
-    fn host_phase_drift_notes_but_never_fails() {
-        let with_host = |flow_ms: f64, conn_ms: f64| {
-            let mut r = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-            if let Value::Obj(pairs) = &mut r {
-                pairs.push((
-                    "host".into(),
-                    obj(vec![(
-                        "phase_ms",
-                        obj(vec![(
-                            "representative",
-                            obj(vec![
-                                ("flow", Value::Num(flow_ms)),
-                                ("connectivity", Value::Num(conn_ms)),
-                            ]),
-                        )]),
-                    )]),
-                ));
-            }
+    fn the_host_section_is_never_read() {
+        let with_host = |ms: f64| {
+            let mut r = base();
+            let Value::Obj(top) = &mut r else { unreachable!() };
+            top.push(("host".into(), obj(vec![("phase_ms", Value::Num(ms))])));
             r
         };
-        // Connectivity host time triples past the floor: one advisory note,
-        // verdict still PASS, gated count unchanged.
-        let base = with_host(200.0, 100.0);
-        let slow = with_host(210.0, 300.0);
-        let out = compare(&base, &slow, 5.0).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.checked, 11);
-        let note = out
-            .notes
-            .iter()
-            .find(|n| n.contains("host connectivity wall-clock"))
-            .expect("drift note");
-        assert!(note.contains("100 ms -> 300 ms") && note.contains("+200.0%"), "{note}");
-        assert!(!out.notes.iter().any(|n| n.contains("host flow")));
-        // Below the 50 ms floor: machine noise, no note even at 10x.
-        let tiny_base = with_host(2.0, 3.0);
-        let tiny_slow = with_host(30.0, 40.0);
-        assert!(!compare(&tiny_base, &tiny_slow, 5.0)
-            .unwrap()
-            .notes
-            .iter()
-            .any(|n| n.contains("wall-clock")));
-        // Reports without a host section (older schema): silent.
-        let old = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        assert!(!compare(&old, &slow, 5.0).unwrap().notes.iter().any(|n| n.contains("host")));
-    }
-
-    fn alloc_section(conn_allocs: f64) -> Value {
-        obj(vec![
-            (
-                "allocs",
-                obj(vec![
-                    ("total", Value::Num(100.0 + conn_allocs)),
-                    ("flow", Value::Num(100.0)),
-                    ("connectivity", Value::Num(conn_allocs)),
-                ]),
-            ),
-            (
-                "bytes",
-                obj(vec![("total", Value::Num(4096.0)), ("connectivity", Value::Num(4096.0))]),
-            ),
-            (
-                "by_rank",
-                Value::Arr(vec![obj(vec![
-                    ("allocs", Value::Num(50.0 + conn_allocs / 2.0)),
-                    ("bytes", Value::Num(2048.0)),
-                ])]),
-            ),
-        ])
-    }
-
-    fn report_with_alloc(conn_allocs: f64) -> Value {
-        let mut r = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        if let Some(Value::Arr(cases)) = r.get("cases").cloned() {
-            let mut cases = cases;
-            if let Value::Obj(pairs) = &mut cases[0] {
-                pairs.push(("alloc".into(), alloc_section(conn_allocs)));
-            }
-            if let Value::Obj(rpairs) = &mut r {
-                rpairs.retain(|(k, _)| k != "cases");
-                rpairs.push(("cases".into(), Value::Arr(cases)));
-            }
-        }
-        r
-    }
-
-    /// The alloc gate is exact: a 1-count drift fails even at huge
-    /// tolerance, and the regression names the dotted path to the leaf.
-    #[test]
-    fn alloc_counts_gate_exactly_regardless_of_tolerance() {
-        let base = report_with_alloc(500.0);
-        let same = report_with_alloc(500.0);
-        let out = compare(&base, &same, 5.0).unwrap();
-        assert!(out.passed(), "{:?}", out.regressions);
-        // 11 summary metrics + 7 alloc leaves (2 totals + 2 phase counts +
-        // 1 bytes leaf... counted dynamically): just require growth.
-        assert!(out.checked > 11);
-
-        let drifted = report_with_alloc(501.0);
-        let out = compare(&base, &drifted, 99.0).unwrap();
-        assert!(!out.passed());
-        let metrics: Vec<&str> = out.regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"alloc.allocs.total"), "{metrics:?}");
-        assert!(metrics.contains(&"alloc.allocs.connectivity"), "{metrics:?}");
-        assert!(metrics.contains(&"alloc.by_rank[0].allocs"), "{metrics:?}");
-        // Improvements (fewer allocations) are also exact mismatches: the
-        // gate asks "did the deterministic profile change", not "is it worse".
-        assert!(!compare(&drifted, &base, 99.0).unwrap().passed());
-    }
-
-    #[test]
-    fn alloc_missing_on_one_side_skips_with_a_note() {
-        let with = report_with_alloc(500.0);
-        let without = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        let out = compare(&without, &with, 5.0).unwrap();
-        assert!(out.passed());
-        assert!(out.notes.iter().any(|n| n.contains("exact alloc gate skipped")));
-        assert_eq!(out.checked, 11);
-    }
-
-    fn report_with_bench(conn_median: f64, conn_iqr: f64) -> Value {
-        let mut r = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        if let Value::Obj(pairs) = &mut r {
-            pairs.push((
-                "host".into(),
-                obj(vec![(
-                    "bench",
-                    obj(vec![(
-                        "representative",
-                        obj(vec![
-                            (
-                                "flow",
-                                obj(vec![
-                                    ("median_ms", Value::Num(400.0)),
-                                    ("iqr_ms", Value::Num(10.0)),
-                                    ("repeats", Value::Num(5.0)),
-                                ]),
-                            ),
-                            (
-                                "connectivity",
-                                obj(vec![
-                                    ("median_ms", Value::Num(conn_median)),
-                                    ("iqr_ms", Value::Num(conn_iqr)),
-                                    ("repeats", Value::Num(5.0)),
-                                ]),
-                            ),
-                        ]),
-                    )]),
-                )]),
-            ));
-        }
-        r
-    }
-
-    /// The noise-aware host gate: drift within the IQR-derived band passes,
-    /// a median jump beyond it fails — and unlike the drift *note*, this is
-    /// a real regression.
-    #[test]
-    fn host_bench_gates_on_median_beyond_iqr_tolerance() {
-        let base = report_with_bench(200.0, 20.0);
-        // +70 ms is inside the band: tol = max(50, 3*20) = 60... 270 > 260,
-        // so use +55 ms which sits inside it.
-        let noisy = report_with_bench(255.0, 20.0);
-        let out = compare(&base, &noisy, 5.0).unwrap();
-        assert!(out.passed(), "{:?}", out.regressions);
-        assert_eq!(out.checked, 13); // 11 summary + 2 bench phases
-
-        let slow = report_with_bench(300.0, 20.0);
-        let out = compare(&base, &slow, 5.0).unwrap();
-        assert!(!out.passed());
-        assert_eq!(out.regressions.len(), 1);
-        assert_eq!(out.regressions[0].metric, "host_bench.connectivity_median_ms");
-        assert!((out.regressions[0].delta_pct - 50.0).abs() < 1e-9);
-
-        // A tight IQR still gets the 50 ms floor: 240 < 200 + 50 passes.
-        let tight = report_with_bench(240.0, 1.0);
-        assert!(compare(&report_with_bench(200.0, 1.0), &tight, 5.0).unwrap().passed());
-
-        // Bench on one side only: gate dormant, summary still compared.
-        let plain = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        let out = compare(&plain, &slow, 5.0).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.checked, 11);
-    }
-
-    /// The drift note (still never a regression) reports both the max- and
-    /// median-over-ranks host time when the median series is present.
-    #[test]
-    fn host_drift_note_includes_median_when_available() {
-        let with_median = |max_conn: f64, med_conn: f64| {
-            let mut r = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-            if let Value::Obj(pairs) = &mut r {
-                pairs.push((
-                    "host".into(),
-                    obj(vec![
-                        (
-                            "phase_ms",
-                            obj(vec![(
-                                "representative",
-                                obj(vec![("connectivity", Value::Num(max_conn))]),
-                            )]),
-                        ),
-                        (
-                            "phase_ms_median",
-                            obj(vec![(
-                                "representative",
-                                obj(vec![("connectivity", Value::Num(med_conn))]),
-                            )]),
-                        ),
-                    ]),
-                ));
-            }
-            r
-        };
-        let base = with_median(100.0, 80.0);
-        let slow = with_median(300.0, 90.0);
-        let out = compare(&base, &slow, 5.0).unwrap();
-        assert!(out.passed());
-        let note = out.notes.iter().find(|n| n.contains("wall-clock")).expect("drift note");
-        assert!(note.contains("max over ranks"), "{note}");
-        assert!(note.contains("median over ranks 80 ms -> 90 ms"), "{note}");
+        assert!(compare(&with_host(10.0), &with_host(900.0)).unwrap().passed());
+        assert!(compare(&with_host(10.0), &base()).unwrap().passed());
+        assert!(compare(&base(), &with_host(10.0)).unwrap().passed());
     }
 
     #[test]
     fn schema_mismatch_is_an_error_not_a_verdict() {
-        let mut bad = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        if let Value::Obj(pairs) = &mut bad {
-            pairs[0].1 = Value::Num(99.0);
-        }
-        let good = report(vec![("airfoil", summary(100.0, 20.0, 0.0, 0.9))]);
-        assert!(compare(&bad, &good, 5.0).is_err());
-        assert!(compare(&good, &bad, 5.0).is_err());
+        let mut bad = base();
+        let Value::Obj(top) = &mut bad else { unreachable!() };
+        top[0].1 = Value::Num(99.0);
+        assert!(compare(&bad, &base()).is_err());
+        assert!(compare(&base(), &bad).is_err());
+        let no_cases = obj(vec![("schema_version", Value::Num(SCHEMA_VERSION as f64))]);
+        assert!(compare(&base(), &no_cases).is_err());
     }
 }

@@ -1,28 +1,29 @@
-//! Machine-readable run reports (schema v1) and perf-regression comparison.
+//! Machine-readable run reports and their exact comparison.
 //!
 //! The paper's evidence is *time histories* — f(p), connectivity cost, and
 //! repartition events evolving step by step (Figs. 10–12). This crate turns
 //! the flight-recorder telemetry ([`overset_comm::StepRecord`]) and
 //! end-of-run aggregates of a [`RunResult`] into a versioned JSON document
-//! (`BENCH_*.json`) that future sessions can diff mechanically, and
-//! implements the pass/fail comparison the CI bench gate runs.
+//! (`BENCH_*.json`), and implements the pass/fail comparison the CI bench
+//! gate runs.
 //!
-//! Determinism: everything serialized from a run is virtual-time data, so
-//! two identical runs produce **byte-identical** reports (golden-tested);
-//! host wall-clock timings are an optional section the comparator ignores.
+//! Determinism: everything serialized under `cases` is virtual-time data or
+//! an allocation count, so two identical runs produce **byte-identical**
+//! cases (golden-tested) and [`compare()`] diffs them exactly; host
+//! wall-clock timings are an optional `host` section it never reads.
 //!
 //! ## Schema versioning policy
 //!
-//! `schema_version` is bumped when a field is *removed or re-typed*; adding
-//! fields is backward compatible and does not bump. [`compare()`] refuses to
-//! compare documents whose versions differ from its own
-//! [`SCHEMA_VERSION`] — regenerate the baseline in the same PR that bumps
-//! the schema.
+//! `schema_version` is bumped when a field is *removed or re-typed*. Adding
+//! a field does not bump it, but the exact comparison reports the new key
+//! as a difference, so either change re-baselines `BENCH_quick.json` in the
+//! PR that makes it. [`compare()`] refuses documents whose version differs
+//! from its own [`SCHEMA_VERSION`].
 
 pub mod compare;
 pub mod json;
 
-pub use compare::{compare, CompareOutcome, Regression};
+pub use compare::{compare, CompareOutcome, Difference};
 pub use json::{parse, Value};
 
 use json::{obj, opt_num};
@@ -33,7 +34,7 @@ use overset_comm::{Phase, StepRecord, NUM_PHASES};
 
 /// Version of the report document layout. See the module docs for the bump
 /// policy.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Phase order used for per-phase keys (matches the `Phase` discriminants).
 const PHASES: [Phase; NUM_PHASES] =
@@ -141,8 +142,8 @@ fn summary_value(r: &RunResult, series: &[StepSeries]) -> Value {
         // (exact even when the flight-recorder ring evicted early steps).
         ("walk_steps_total".to_string(), Value::Num(r.metrics.get(Counter::ConnWalkSteps) as f64)),
         ("forwards_total".to_string(), Value::Num(r.metrics.get(Counter::ConnForwards) as f64)),
-        // Flight-recorder ring evictions: when > 0 the series above covers
-        // only the trailing window of the run, and `compare` warns.
+        // Flight-recorder ring evictions: when > 0 the series covers only
+        // the trailing window of the run.
         ("steps_dropped".to_string(), Value::Num(r.steps_dropped as f64)),
     ]);
     Value::Obj(pairs)
@@ -186,9 +187,9 @@ fn per_phase_value(per_phase: &[u64; NUM_PHASES]) -> Value {
 
 /// Allocation-attribution section of a case report. Everything here is
 /// deterministic for a fixed configuration (counts and bytes are sums, so
-/// order-invariant across scheduling), and `compare` gates it **exactly**.
-/// Peak heap bytes are scheduling-order dependent and live in the advisory
-/// `host` section instead.
+/// order-invariant across scheduling), and `compare` gates it **exactly**
+/// like the rest of the case. Peak heap bytes are scheduling-order
+/// dependent and live in the uncompared `host` section instead.
 fn alloc_value(r: &RunResult, series: &[StepSeries]) -> Value {
     let mut allocs = [0u64; NUM_PHASES];
     let mut bytes = [0u64; NUM_PHASES];
@@ -258,7 +259,6 @@ pub fn case_report(label: &str, cfg: &CaseConfig, machine: &str, r: &RunResult) 
         ("summary", summary_value(r, &series)),
         ("metrics", metrics_value(r)),
         ("alloc", alloc_value(r, &series)),
-        ("steps_dropped", Value::Num(r.steps_dropped as f64)),
     ])
 }
 

@@ -6,7 +6,7 @@
 use overflow_d::{airfoil_case, run_case, CaseConfig};
 use overset_comm::trace::TraceConfig;
 use overset_comm::MachineModel;
-use overset_report::{case_report, parse, run_report, Value};
+use overset_report::{case_report, parse, run_report, Value, SCHEMA_VERSION};
 
 const NRANKS: usize = 4;
 
@@ -42,7 +42,7 @@ fn report_is_byte_identical_across_trace_on_off() {
 fn report_has_expected_shape_and_roundtrips() {
     let text = report_json(TraceConfig::disabled());
     let doc = parse(&text).expect("report parses back");
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(1));
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(SCHEMA_VERSION));
     let cases = doc.get("cases").and_then(Value::as_arr).expect("cases array");
     assert_eq!(cases.len(), 1);
     let series = cases[0].get("series").and_then(Value::as_arr).expect("series array");

@@ -2,42 +2,43 @@
 # Perf regression gate: regenerate the quick run report and compare it
 # against the committed baseline (BENCH_quick.json at the repo root).
 #
-# The gated metrics are virtual-time quantities and allocation counts, so
-# they are byte-stable across hosts; any drift is a real behaviour change.
-# The baseline additionally carries a host.bench section (median/IQR host
-# phase times from repeated runs) so the noise-aware host gate has data to
-# compare against when a fresh bench-host report is offered. Exit codes:
-# 0 pass, 1 regression, 2 usage/IO error.
+# Every value under the report's `cases` is a virtual-time quantity or an
+# allocation count, reproduced to the bit by any run on any host, so the
+# comparison is exact: any difference is a real behaviour change. The
+# wall-clock `host` section is not compared. Exit codes: 0 identical,
+# 1 a difference, 2 usage/IO error.
 #
-#   BENCH_TOL_PCT   relative tolerance in percent (default 5)
 #   BENCH_UPDATE=1  rewrite the baseline instead of comparing (use when a
-#                   PR intentionally shifts performance; commit the result)
-#   BENCH_REPEATS   bench-host repeats when (re)writing the baseline (default 3)
+#                   PR intentionally moves a deterministic value; commit
+#                   the result with the change)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_quick.json
-TOL="${BENCH_TOL_PCT:-5}"
-REPEATS="${BENCH_REPEATS:-3}"
 
 cargo build --release -p overset-bench --bin repro
 
 if [[ ! -f "$BASELINE" ]]; then
     echo "== bench gate: no baseline found, bootstrapping $BASELINE =="
-    ./target/release/repro bench-host table1 --quick --repeats "$REPEATS" -o "$BASELINE"
+    ./target/release/repro report table1 --quick -o "$BASELINE"
     echo "Baseline written; commit $BASELINE to arm the gate."
     exit 0
 fi
 
 if [[ "${BENCH_UPDATE:-0}" == "1" ]]; then
     echo "== bench gate: rewriting baseline $BASELINE (BENCH_UPDATE=1) =="
-    ./target/release/repro bench-host table1 --quick --repeats "$REPEATS" -o "$BASELINE"
+    ./target/release/repro report table1 --quick -o "$BASELINE"
     echo "Baseline updated; commit $BASELINE with the change that moved it."
     exit 0
 fi
 
 NEW="$(mktemp /tmp/BENCH_quick.XXXXXX.json)"
 trap 'rm -f "$NEW"' EXIT
-echo "== bench gate: quick report vs $BASELINE (tolerance ${TOL}%) =="
+echo "== bench gate: quick report vs $BASELINE (exact) =="
 ./target/release/repro report table1 --quick -o "$NEW"
-./target/release/repro compare "$BASELINE" "$NEW" --tol-pct "$TOL"
+RC=0
+./target/release/repro compare "$BASELINE" "$NEW" || RC=$?
+if [[ "$RC" == "1" ]]; then
+    echo "intentional? \`BENCH_UPDATE=1 scripts/bench_gate.sh\` and commit $BASELINE with the change"
+fi
+exit "$RC"

@@ -76,20 +76,21 @@ grep -q "no wait-state regressions beyond tolerance" "$DIFF_TMP/d1.txt" || {
     exit 1
 }
 
-echo "== alloc determinism smoke: identical runs must gate-compare clean =="
+echo "== report determinism smoke: two fresh quick reports agree on every value under cases =="
 ./target/release/repro report table1 --quick -o "$DIFF_TMP/r1.json" > /dev/null
 ./target/release/repro report table1 --quick -o "$DIFF_TMP/r2.json" > /dev/null
 ./target/release/repro compare "$DIFF_TMP/r1.json" "$DIFF_TMP/r2.json" > /dev/null || {
-    echo "alloc determinism: two identical quick runs failed the exact gate" >&2
+    echo "report determinism: two identical quick runs failed the exact gate" >&2
     exit 1
 }
 
-echo "== alloc gate smoke: injected allocations must fail the compare =="
+echo "== alloc gate smoke: injected allocations must fail the compare, naming the phase =="
 ./target/release/repro report table1 --quick --inject-alloc 64 -o "$DIFF_TMP/r3.json" > /dev/null
 INJECT_RC=0
-./target/release/repro compare "$DIFF_TMP/r1.json" "$DIFF_TMP/r3.json" > /dev/null || INJECT_RC=$?
-if [[ "$INJECT_RC" != "1" ]]; then
-    echo "alloc gate: --inject-alloc 64 should make compare exit 1 (got $INJECT_RC)" >&2
+./target/release/repro compare "$DIFF_TMP/r1.json" "$DIFF_TMP/r3.json" > "$DIFF_TMP/c3.txt" || INJECT_RC=$?
+if [[ "$INJECT_RC" != "1" ]] || ! grep -q "alloc.allocs.connectivity" "$DIFF_TMP/c3.txt"; then
+    echo "alloc gate: --inject-alloc 64 should make compare exit 1 naming" \
+        "alloc.allocs.connectivity (got $INJECT_RC)" >&2
     exit 1
 fi
 
