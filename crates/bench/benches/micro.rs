@@ -18,6 +18,7 @@ use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
 use overset_grid::gen::store::{store_system, STORE_CARRIAGE};
 use overset_grid::{Dims, RigidTransform};
+use overset_motion::Loads;
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
@@ -356,40 +357,67 @@ fn inverse_map_kernels(c: &mut Criterion) {
     });
 }
 
-/// One warm serial connectivity solution of the store system (x0.3, static):
-/// hole cut, 7.4 K warm starts from last step's donors, interpolation.
 /// One warm connectivity solution of the store system (x0.3) the way a
 /// single-processor run takes it: one rank owning every grid whole, every
 /// search served in place. Set-up and the cold solution are not timed.
+///
+/// `steady`: the grids stand still, so every map keeps its build pose.
+/// `moving`: before each solution the store's grids and solids take a step
+/// of the case's ejection trajectory — eight steps out, then the same eight
+/// undone, over and over, so that the store stays near the pylon — which
+/// keeps their maps posed: the hole cutter's posed path and the polar-band
+/// proofs on the store shells are timed. The motion itself is not.
 fn serial_connectivity(c: &mut Criterion) {
     let cfg = store_case(0.3, 1);
     let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
     let whole = Partition::build(&dims, &vec![1; dims.len()]);
     let topo = build_topology(&whole, &cfg.search_order, 1).unwrap();
-    let solids = tagged_solids(&cfg.grids);
     let unmoved = vec![RigidTransform::IDENTITY; dims.len()];
     let machine = MachineModel::cray_ymp();
-    c.bench_function("connect_one_rank/store_0p3_steady", |b| {
-        b.iter_custom(|iters| {
-            let out = Universe::builder().machine(&machine).run(|comm| {
-                let mut mine: Vec<RankBlock> = (0..dims.len())
-                    .map(|g| {
-                        let (block, wall) =
-                            build_block(g, &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
-                        RankBlock::new(g, block, wall)
-                    })
-                    .collect();
-                let mut conn = Connectivity::new(true);
-                conn.step(&mut mine, &solids, &topo, comm);
-                let t0 = Instant::now();
-                for _ in 0..iters {
+    let body = &cfg.motions[0];
+    let mut trajectory = body.motion.clone();
+    let out: Vec<RigidTransform> =
+        (0..8).map(|_| trajectory.step(cfg.fc.dt, &Loads::ZERO)).collect();
+    let back: Vec<RigidTransform> = out.iter().rev().map(RigidTransform::inverse).collect();
+    for (name, cycle) in [("steady", vec![]), ("moving", [out, back].concat())] {
+        c.bench_function(&format!("connect_one_rank/store_0p3_{name}"), |b| {
+            b.iter_custom(|iters| {
+                let out = Universe::builder().machine(&machine).run(|comm| {
+                    let mut solids = tagged_solids(&cfg.grids);
+                    let mut mine: Vec<RankBlock> = (0..dims.len())
+                        .map(|g| {
+                            let (block, wall) =
+                                build_block(g, &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+                            RankBlock::new(g, block, wall)
+                        })
+                        .collect();
+                    let mut conn = Connectivity::new(true);
                     conn.step(&mut mine, &solids, &topo, comm);
-                }
-                t0.elapsed().as_secs_f64()
-            });
-            Duration::from_secs_f64(out[0].result)
-        })
-    });
+                    let mut timed = Duration::ZERO;
+                    for n in 0..iters as usize {
+                        if let Some(t) = cycle.get(n % cycle.len().max(1)) {
+                            for (g, s) in solids.iter_mut() {
+                                if body.grids.contains(g) {
+                                    *s = s.transformed(t);
+                                }
+                            }
+                            let moving =
+                                |rb: &&mut RankBlock| body.grids.contains(&rb.block.grid_id);
+                            for rb in mine.iter_mut().filter(moving) {
+                                rb.block.apply_motion(t, cfg.fc.dt);
+                                rb.note_motion(t);
+                            }
+                        }
+                        let t0 = Instant::now();
+                        conn.step(&mut mine, &solids, &topo, comm);
+                        timed += t0.elapsed();
+                    }
+                    timed.as_secs_f64()
+                });
+                Duration::from_secs_f64(out[0].result)
+            })
+        });
+    }
 }
 
 fn balance_kernels(c: &mut Criterion) {

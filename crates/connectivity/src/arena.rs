@@ -3,7 +3,7 @@
 //!
 //! Every collection the connectivity phase allocates per step — pending-walk
 //! queues, flattened candidate lists, per-destination request buffers,
-//! reply slots, hole-fringe lists — lives here and keeps its capacity
+//! reply slots, the hole cutter's solid boxes — lives here and keeps its capacity
 //! across steps (the deferred q-writes stay with their block, on its
 //! `RankBlock`). The driver owns one [`ConnArena`] per rank
 //! for the whole run; steady-state connectivity steps then perform
@@ -23,7 +23,7 @@ use crate::inverse_map::BinClass;
 use crate::protocol::{Answer, BestReply, Pending, ReqPoint};
 use overset_comm::VecPool;
 use overset_grid::curvilinear::Solid;
-use overset_grid::{Aabb, Ijk};
+use overset_grid::Aabb;
 use overset_solver::Isa;
 use std::sync::Arc;
 
@@ -75,8 +75,6 @@ pub struct ConnArena {
     pub(crate) short_bound: Option<usize>,
 
     // -- hole-cutting scratch --
-    /// Field nodes adjacent to holes (promoted to Fringe after the scan).
-    pub(crate) fringe_nodes: Vec<Ijk>,
     /// Foreign solids (other grids') for the containment tests.
     pub(crate) foreign_solids: Vec<Solid>,
     /// Padded bounding boxes, parallel to `foreign_solids`.
@@ -84,6 +82,9 @@ pub struct ConnArena {
     /// Per-solid hole-lattice classifications of the masked cutter (outer
     /// len = number of foreign solids; inner vecs keep their capacity).
     pub(crate) bin_classes: Vec<Vec<BinClass>>,
+    /// Where the masked cutter's solids reach: per solid, the box of its
+    /// hole-lattice bins not classified `Outside`.
+    pub(crate) reach_boxes: Vec<Aabb>,
     /// Recycled IGBP lists (the hole cutter takes one, the caller recycles
     /// it after connectivity consumes it).
     pub(crate) igbp_pool: VecPool<Igbp>,

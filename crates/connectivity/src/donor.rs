@@ -291,7 +291,8 @@ fn inside(t: [f64; 3]) -> bool {
 }
 
 /// Settle a search for `target` without walking: invert every cell the
-/// map lists for the point's bin whose corner box can hold it — the list is
+/// map lists for the point's bin whose corner box can hold it (box-testing
+/// only the cells of the point's sub-bin) — the list is
 /// complete, so the cells found containing are *all* the block's
 /// owned-anchored cells that contain the point. None: no donor here, and no
 /// walk can find one. One, or several tied across shared faces: the face-tie
@@ -308,9 +309,12 @@ fn settle_by_candidates(
 ) -> Option<SearchOutcome> {
     let mut holding = [(Ijk::default(), [0.0f64; 3]); MAX_TIED];
     let mut nheld = 0usize;
-    let list = map.listed(target);
+    let (list, sub_bin) = map.listed(target);
+    // Charged as box tests, all of them: the cells whose sub-bin mask
+    // misses the point's are cells whose box would have rejected it.
     cost.listed += list.len() as u64;
-    let mut admitted = list.iter().filter(|&&c| map.cell_box_admits(block, c, target));
+    let mut admitted =
+        list.iter().filter(|&&e| e & sub_bin != 0 && map.cell_box_admits(block, e, target));
     loop {
         // Two lane groups at a time; few points have more cells to invert.
         let mut batch = [Ijk::default(); 2 * W];
@@ -905,6 +909,7 @@ pub fn center_start(block: &Block) -> Ijk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inverse_map::ENTRY_CELL;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
     use overset_grid::field::Field3;
     use overset_grid::index::Dims;
@@ -1282,9 +1287,12 @@ mod tests {
         /// The one property all pruning by candidates rests on: whatever
         /// cell of a block holds a point — inside, on a face, a hair outside
         /// it, in a polar sliver, across the seam — is listed for the
-        /// point's bin and passes the box test, at the build pose and after
-        /// the map has followed the block through small rigid motions. So
-        /// the cells a proof inverts are all the cells there are.
+        /// point's bin, carries the point's sub-bin in its mask and passes
+        /// the box test, at the build pose and after the map has followed
+        /// the block through small rigid motions. So the cells a proof
+        /// inverts are all the cells there are. And the masks prune only box
+        /// tests that fail: a listed cell whose box admits the point passes
+        /// the sub-bin selector too, so the cells inverted do not change.
         #[test]
         fn candidate_lists_hold_every_containing_cell(
             kind in 0usize..5,
@@ -1331,14 +1339,20 @@ mod tests {
                 };
                 let t = [t(), t(), if b.two_d { 0.0 } else { t() }];
                 let (p, _) = cell_map(&b, cell, t);
-                let listed = map.listed(p);
+                let (listed, sub_bin) = (map.listed(p).0, map.sub_bin_of(p));
                 for held in cells_holding(&b, p) {
                     held_total += 1;
                     let flat = d.offset(held) as u32;
+                    let entry = listed.iter().find(|&&e| e & ENTRY_CELL == flat);
                     prop_assert!(
-                        listed.contains(&flat),
+                        entry.is_some(),
                         "kind {}: cell {:?} holds {:?} and is not among the {} listed",
                         kind, held, p, listed.len()
+                    );
+                    prop_assert!(
+                        entry.unwrap() & sub_bin != 0,
+                        "kind {}: cell {:?} holds {:?} and its mask {:#04x} misses sub-bin {:#04x}",
+                        kind, held, p, entry.unwrap() >> 24, sub_bin >> 24
                     );
                     prop_assert!(
                         map.cell_box_admits(&b, flat, p),
@@ -1348,6 +1362,33 @@ mod tests {
                 }
             }
             prop_assert!(held_total > 0, "kind {}: no sampled point in any cell", kind);
+            // Points at a corner of a cell's current box, a hair out: where
+            // the box of a turned cell reaches furthest past the box it had
+            // in the lattice frame, which its mask was made from.
+            for _ in 0..64 {
+                let cell =
+                    Ijk::new(ow.lo.i + draw.below(ci), ow.lo.j + draw.below(cj), ow.lo.k + draw.below(ck));
+                let mut bb = overset_grid::Aabb::EMPTY;
+                for c in 0..8 {
+                    let t = [c & 1, c >> 1 & 1, if b.two_d { 0 } else { c >> 2 }];
+                    bb.include(cell_map(&b, cell, t.map(|t| t as f64)).0);
+                }
+                let e = bb.extent();
+                let hair = e[0].max(e[1]).max(e[2]) / 300.0;
+                let p: [f64; 3] = std::array::from_fn(|m| {
+                    let corner = [bb.min[m] - hair, bb.max[m] + hair][draw.below(2)];
+                    if b.two_d && m == 2 { 0.0 } else { corner }
+                });
+                let (listed, selector) = map.listed(p);
+                for &e in listed.iter().filter(|&&e| map.cell_box_admits(&b, e, p)) {
+                    prop_assert!(
+                        e & selector != 0,
+                        "kind {}, {} moves: the box of cell {:?} admits {:?}, its mask {:#04x} \
+                         not the sub-bin {:#04x}",
+                        kind, moves, map.cell_at(e), p, e >> 24, selector >> 24
+                    );
+                }
+            }
         }
     }
 

@@ -12,7 +12,8 @@ use crate::inverse_map::{classify_solids_into, BinClass, InverseMap};
 use crate::kernels::containment_lanes;
 use overset_grid::curvilinear::{BcKind, Solid};
 use overset_grid::index::Ijk;
-use overset_solver::{Blank, Block, W};
+use overset_grid::Aabb;
+use overset_solver::{Blank, Block, Isa, W};
 
 /// Safety pad (in local cell widths) around solids when blanking.
 pub const HOLE_PAD_CELLS: f64 = 0.25;
@@ -36,18 +37,30 @@ pub struct Igbp {
 }
 
 /// Re-cut holes and identify fringe points on a block against the solids of
-/// *other* grids. Resets all previous blanking. Returns (IGBP list,
-/// estimated flops).
+/// *other* grids. Returns (IGBP list, estimated flops).
+///
+/// The cut starts over on the block's *owned* nodes, every one reset to
+/// `Field` first. Halo nodes keep the blanking they have — nothing carries
+/// `iblank` across a subdomain face yet (the open halo-blanking item of
+/// ROADMAP.md) — and the fringe test reads them as they are.
 ///
 /// With an inverse map, the map's hole lattice is classified per solid
 /// (inside / outside / boundary) once, and the per-node detailed containment
 /// test runs only for nodes in *boundary* bins. Blanking is bit-identical to
 /// the unmasked cutter (`inv = None`) — only the flop charge changes.
 ///
-/// The fringe-node scratch lives on the caller's [`ConnArena`] and the
-/// returned IGBP list comes from its pool (hand it back with
-/// [`ConnArena::recycle_igbps`] once connectivity has consumed it); a fresh
-/// arena gives the same answer with cold buffers.
+/// The host visits only the nodes a solid can reach: the padded solid boxes
+/// (no map), or the hole-lattice bins some solid does not classify `Outside`
+/// (map). Any other node is neither cut nor charged differently from its
+/// neighbours — its per-solid box checks all fail, or its bin resolves every
+/// solid to `Outside` — so one box test passes it over, and the flop charge
+/// still pays for it what the per-node sweep charged: `FLOPS_PER_NODE_BBOX`
+/// per solid and node plus one per node, or with a map the node's bin
+/// lookup. The virtual clock keeps the full sweep; the host does not.
+///
+/// The returned IGBP list, in storage order, comes from the arena's pool
+/// (hand it back with [`ConnArena::recycle_igbps`] once connectivity has
+/// consumed it); a fresh arena gives the same answer with cold buffers.
 ///
 /// An inverse map with a non-identity pose is ignored here: solid masks
 /// are classified in the map's *lattice* frame, and re-deriving them
@@ -63,173 +76,81 @@ pub fn cut_holes_and_find_fringe(
 ) -> (Vec<Igbp>, u64) {
     let inv = inv.filter(|m| m.pose_is_identity());
     let ow = block.owned_local();
-    // Reset: every owned node back to Field.
-    for p in ow.iter() {
-        block.iblank[p] = Blank::Field;
-    }
-
+    let d = block.local_dims;
     let isa = arena.isa;
-    let ConnArena { fringe_nodes, foreign_solids, solid_boxes, bin_classes, igbp_pool, .. } = arena;
+    let ConnArena { foreign_solids, solid_boxes, bin_classes, reach_boxes, igbp_pool, .. } = arena;
 
-    // Containment tests against foreign solids: cheap bounding-box
-    // pre-check, detailed test only inside a solid's (padded) box.
     foreign_solids.clear();
     foreign_solids.extend(solids.iter().filter(|(g, _)| *g != block.grid_id).map(|(_, s)| *s));
+    let has_solids = !foreign_solids.is_empty();
     let mut flops = 0u64;
-    if !foreign_solids.is_empty() {
+    // Where a solid can reach (and with a map, its hole-lattice classes).
+    let mut classes: Option<&[Vec<BinClass>]> = None;
+    let mut reach: &[Aabb] = &[];
+    if has_solids {
         // Pad boxes by the largest plausible pad once.
-        let probe = overset_grid::Ijk::new(
-            (ow.lo.i + ow.hi.i) / 2,
-            (ow.lo.j + ow.hi.j) / 2,
-            (ow.lo.k + ow.hi.k) / 2,
-        );
-        let pad_hint = HOLE_PAD_CELLS * local_spacing(block, probe) * 4.0;
+        let probe =
+            Ijk::new((ow.lo.i + ow.hi.i) / 2, (ow.lo.j + ow.hi.j) / 2, (ow.lo.k + ow.hi.k) / 2);
+        let at = d.offset(probe);
+        let pad_hint = HOLE_PAD_CELLS * local_spacing(block.coords.as_slice(), d.ni, probe.i, at);
+        let pad_hint = pad_hint * 4.0;
         solid_boxes.clear();
         solid_boxes.extend(foreign_solids.iter().map(|s| s.bbox().inflate(pad_hint)));
         // With an inverse map, classify its hole lattice against each solid
         // once; whole bins then resolve without per-node detailed tests.
-        let classes: Option<&[Vec<BinClass>]> = if let Some(m) = inv {
-            flops += classify_solids_into(m, foreign_solids, pad_hint, bin_classes);
-            Some(bin_classes)
-        } else {
-            None
+        reach = match inv {
+            Some(m) => {
+                flops += classify_solids_into(m, foreign_solids, pad_hint, bin_classes);
+                reach_boxes.clear();
+                reach_boxes.extend(bin_classes.iter().filter_map(|c| m.hole_reach(c)));
+                classes = Some(bin_classes);
+                &reach_boxes[..]
+            }
+            None => &solid_boxes[..],
         };
-        // Lane-batched containment: test W nodes at a time, one node per
-        // SIMD lane. The per-lane masks replay the scalar control flow —
-        // bin-class skips, bbox pre-check, detailed test, first-hit break —
-        // so the blanking verdicts *and* the flop charges are bit-identical
-        // to the scalar per-node loop for every `Isa`.
-        let mut nodes = [Ijk::new(0, 0, 0); W];
-        let mut xs = [0.0f64; 3 * W];
-        let mut pads = [0.0f64; W];
-        let mut bins = [None; W];
-        let mut n_chunk = 0usize;
-        let mut it = ow.iter();
-        loop {
-            match it.next() {
-                Some(p) => {
-                    let x = block.coords[p];
-                    nodes[n_chunk] = p;
-                    for (m, &xm) in x.iter().enumerate() {
-                        xs[m * W + n_chunk] = xm;
-                    }
-                    pads[n_chunk] = HOLE_PAD_CELLS * local_spacing(block, p);
-                    bins[n_chunk] = inv.map(|m| m.hole_bin(x));
-                    n_chunk += 1;
-                    if n_chunk < W {
-                        continue;
-                    }
-                }
-                None => {
-                    if n_chunk == 0 {
-                        break;
-                    }
-                    // Ragged tail: idle lanes replicate lane 0 (their
-                    // results are masked out).
-                    for l in n_chunk..W {
-                        for m in 0..3 {
-                            xs[m * W + l] = xs[m * W];
-                        }
-                        pads[l] = pads[0];
-                    }
-                }
-            }
-            // One charge per node: the per-solid loop overhead (unmasked)
-            // or the hole-lattice bin lookup (masked).
-            flops += n_chunk as u64 * FLOPS_PER_NODE_BBOX;
-            let mut hole = [false; W];
-            let mut alive = [false; W];
-            for a in alive.iter_mut().take(n_chunk) {
-                *a = true;
-            }
-            let mut inb = [false; W];
-            let mut ins = [false; W];
-            for (si, (s, bb)) in foreign_solids.iter().zip(solid_boxes.iter()).enumerate() {
-                // Per-lane bin-class routing, exactly the scalar verdicts.
-                let mut test = [false; W];
-                let mut any = false;
-                for l in 0..n_chunk {
-                    if !alive[l] {
-                        continue;
-                    }
-                    if let (Some(c), Some(b)) = (&classes, bins[l]) {
-                        match c[si][b] {
-                            // No point of this bin reaches the padded box:
-                            // the unmasked cutter's bbox pre-check would
-                            // skip too — without its per-solid flops.
-                            BinClass::Outside => continue,
-                            // Whole bin inside at zero pad; any per-node
-                            // pad ≥ 0 only blanks more: verdict certain.
-                            BinClass::Inside => {
-                                hole[l] = true;
-                                alive[l] = false;
-                                continue;
-                            }
-                            BinClass::Boundary => {}
-                        }
-                    }
-                    flops += FLOPS_PER_NODE_BBOX;
-                    test[l] = true;
-                    any = true;
-                }
-                if any {
-                    containment_lanes(isa, s, bb, &xs, &pads, &mut inb, &mut ins);
-                    for l in 0..n_chunk {
-                        if !test[l] || !inb[l] {
-                            continue;
-                        }
-                        flops += FLOPS_PER_DETAILED_TEST;
-                        if ins[l] {
-                            hole[l] = true;
-                            alive[l] = false;
-                        }
-                    }
-                }
-                if !alive.iter().any(|&a| a) {
-                    break;
-                }
-            }
-            for l in 0..n_chunk {
-                if hole[l] {
-                    block.iblank[nodes[l]] = Blank::Hole;
-                }
-            }
-            if n_chunk < W {
-                break;
-            }
-            n_chunk = 0;
-        }
     }
+    let hull = reach.iter().fold(Aabb::EMPTY, |h, b| h.union(b));
 
-    // Hole fringe: field nodes with a hole neighbour (6-connectivity,
-    // in-plane for 2-D blocks).
-    fringe_nodes.clear();
-    if !foreign_solids.is_empty() {
-        for p in ow.iter() {
-            if block.iblank[p] != Blank::Field {
+    // One pass over the owned rows: reset them, and cut the nodes a solid
+    // reaches, `W` at a time.
+    let (coords, iblank) = (block.coords.as_slice(), block.iblank.as_mut_slice());
+    let mut lanes = Lanes::new(isa, foreign_solids, solid_boxes, classes);
+    let mut reached = 0usize;
+    for k in ow.lo.k..ow.hi.k {
+        for j in ow.lo.j..ow.hi.j {
+            let row = d.offset(Ijk::new(0, j, k));
+            iblank[row + ow.lo.i..row + ow.hi.i].fill(Blank::Field);
+            if !has_solids {
                 continue;
             }
-            let mut near_hole = false;
-            for &dir in block.active_dirs() {
-                for d in [-1isize, 1] {
-                    let c = p.get(dir) as isize + d;
-                    if c < 0 || c as usize >= block.local_dims.get(dir) {
-                        continue;
-                    }
-                    let mut q = p;
-                    q.set(dir, c as usize);
-                    if block.iblank[q] == Blank::Hole {
-                        near_hole = true;
-                    }
+            for i in ow.lo.i..ow.hi.i {
+                let x = coords[row + i];
+                if !reaches(&hull, reach, x) {
+                    continue;
                 }
-            }
-            if near_hole {
-                fringe_nodes.push(p);
+                reached += 1;
+                let l = lanes.n;
+                lanes.nodes[l] = row + i;
+                for (m, &xm) in x.iter().enumerate() {
+                    lanes.xs[m * W + l] = xm;
+                }
+                lanes.pads[l] = HOLE_PAD_CELLS * local_spacing(coords, d.ni, i, row + i);
+                lanes.bins[l] = inv.map_or(0, |m| m.hole_bin(x));
+                lanes.n += 1;
+                if lanes.n == W {
+                    flops += lanes.cut(iblank);
+                }
             }
         }
     }
-    for &p in fringe_nodes.iter() {
-        block.iblank[p] = Blank::Fringe;
+    flops += lanes.cut(iblank);
+    if has_solids {
+        // The nodes passed over, charged as the per-node sweep charged them.
+        let per_node = match classes {
+            Some(_) => FLOPS_PER_NODE_BBOX,
+            None => FLOPS_PER_NODE_BBOX * (1 + foreign_solids.len() as u64),
+        };
+        flops += (ow.count() - reached) as u64 * per_node;
     }
 
     // Outer-boundary fringe: layers of faces carrying OversetOuter patches.
@@ -245,20 +166,168 @@ pub fn cut_holes_and_find_fringe(
         }
     }
 
-    // Collect all fringe nodes as IGBPs (into a recycled buffer).
+    // Hole fringe — field nodes with a hole neighbour (6-connectivity,
+    // in-plane for 2-D blocks) — and the IGBPs, every fringe node, in one
+    // pass. (A node turned fringe here is no hole to the nodes after it.)
+    let (coords, iblank) = (block.coords.as_slice(), block.iblank.as_mut_slice());
+    let (sj, sk) = (d.ni, d.ni * d.nj);
     let mut igbps = igbp_pool.take();
-    for p in ow.iter() {
-        if block.iblank[p] == Blank::Fringe {
-            igbps.push(Igbp { node: p, xyz: block.coords[p] });
+    for k in ow.lo.k..ow.hi.k {
+        let (k_lo, k_hi) = (!block.two_d && k > 0, !block.two_d && k + 1 < d.nk);
+        for j in ow.lo.j..ow.hi.j {
+            let (j_lo, j_hi) = (j > 0, j + 1 < d.nj);
+            let row = d.offset(Ijk::new(0, j, k));
+            for i in ow.lo.i..ow.hi.i {
+                let o = row + i;
+                if has_solids && iblank[o] == Blank::Field {
+                    let hole = |q: usize| iblank[q] == Blank::Hole;
+                    if (i > 0 && hole(o - 1))
+                        || (i + 1 < d.ni && hole(o + 1))
+                        || (j_lo && hole(o - sj))
+                        || (j_hi && hole(o + sj))
+                        || (k_lo && hole(o - sk))
+                        || (k_hi && hole(o + sk))
+                    {
+                        iblank[o] = Blank::Fringe;
+                    }
+                }
+                if iblank[o] == Blank::Fringe {
+                    igbps.push(Igbp { node: Ijk::new(i, j, k), xyz: coords[o] });
+                }
+            }
         }
     }
     (igbps, flops)
 }
 
-fn local_spacing(block: &Block, p: Ijk) -> f64 {
-    let d = block.local_dims;
-    let q = if p.i + 1 < d.ni { Ijk::new(p.i + 1, p.j, p.k) } else { Ijk::new(p.i - 1, p.j, p.k) };
-    let (a, b) = (block.coords[p], block.coords[q]);
+/// Is `x` in some box of `reach` (`hull`: their union)? A NaN coordinate is
+/// no evidence of being outside: such a node is cut like any other.
+#[inline]
+fn reaches(hull: &Aabb, reach: &[Aabb], x: [f64; 3]) -> bool {
+    let outside = |b: &Aabb| (0..3).any(|d| x[d] < b.min[d] || x[d] > b.max[d]);
+    !outside(hull) && reach.iter().any(|b| !outside(b))
+}
+
+/// The solids a block is cut against, and up to `W` of its reached nodes —
+/// one per SIMD lane — waiting to be cut together.
+struct Lanes<'a> {
+    isa: Isa,
+    solids: &'a [Solid],
+    /// The solids' padded boxes.
+    boxes: &'a [Aabb],
+    /// With a map, the solids' hole-lattice classes.
+    classes: Option<&'a [Vec<BinClass>]>,
+    /// Flat storage offsets of the nodes.
+    nodes: [usize; W],
+    /// Coordinate `m` of lane `l` at `m * W + l`.
+    xs: [f64; 3 * W],
+    /// The nodes' hole pads.
+    pads: [f64; W],
+    /// The nodes' hole-lattice bins (read with `classes` only).
+    bins: [usize; W],
+    /// Lanes filled.
+    n: usize,
+}
+
+impl<'a> Lanes<'a> {
+    fn new(
+        isa: Isa,
+        solids: &'a [Solid],
+        boxes: &'a [Aabb],
+        classes: Option<&'a [Vec<BinClass>]>,
+    ) -> Self {
+        Lanes {
+            isa,
+            solids,
+            boxes,
+            classes,
+            nodes: [0; W],
+            xs: [0.0; 3 * W],
+            pads: [0.0; W],
+            bins: [0; W],
+            n: 0,
+        }
+    }
+
+    /// Cut the filled lanes, blank their holes in `iblank`, empty the lanes
+    /// and return the flops. Per-lane masks replay the scalar per-node loop —
+    /// bin-class skips, box pre-check, detailed test, first-hit break — so
+    /// the verdicts *and* the flop charges are those of testing one node at
+    /// a time, for every `Isa`. The box pre-check runs per node first, and a
+    /// solid whose box holds no lane costs no containment call.
+    fn cut(&mut self, iblank: &mut [Blank]) -> u64 {
+        let n = std::mem::take(&mut self.n);
+        if n == 0 {
+            return 0;
+        }
+        // Idle lanes replicate lane 0 (their results are masked out).
+        for l in n..W {
+            for m in 0..3 {
+                self.xs[m * W + l] = self.xs[m * W];
+            }
+            self.pads[l] = self.pads[0];
+        }
+        // One charge per node: the per-solid loop overhead (unmasked) or the
+        // hole-lattice bin lookup (masked).
+        let mut flops = n as u64 * FLOPS_PER_NODE_BBOX;
+        let mut hole = [false; W];
+        let mut alive = [false; W];
+        alive[..n].fill(true);
+        for (si, (s, bb)) in self.solids.iter().zip(self.boxes).enumerate() {
+            let mut in_box = [false; W];
+            for l in 0..n {
+                if !alive[l] {
+                    continue;
+                }
+                if let Some(c) = self.classes {
+                    match c[si][self.bins[l]] {
+                        // No point of this bin reaches the padded box: the
+                        // unmasked cutter's bbox pre-check would skip too —
+                        // without its per-solid flops.
+                        BinClass::Outside => continue,
+                        // Whole bin inside at zero pad; any per-node pad ≥ 0
+                        // only blanks more: verdict certain.
+                        BinClass::Inside => {
+                            hole[l] = true;
+                            alive[l] = false;
+                            continue;
+                        }
+                        BinClass::Boundary => {}
+                    }
+                }
+                flops += FLOPS_PER_NODE_BBOX;
+                in_box[l] = bb.contains([self.xs[l], self.xs[W + l], self.xs[2 * W + l]]);
+            }
+            if in_box.contains(&true) {
+                let (mut inb, mut ins) = ([false; W], [false; W]);
+                containment_lanes(self.isa, s, bb, &self.xs, &self.pads, &mut inb, &mut ins);
+                for l in 0..n {
+                    if in_box[l] {
+                        flops += FLOPS_PER_DETAILED_TEST;
+                        if ins[l] {
+                            hole[l] = true;
+                            alive[l] = false;
+                        }
+                    }
+                }
+            }
+            if !alive.contains(&true) {
+                break;
+            }
+        }
+        for l in 0..n {
+            if hole[l] {
+                iblank[self.nodes[l]] = Blank::Hole;
+            }
+        }
+        flops
+    }
+}
+
+/// Distance from the node at `i` (flat offset `at`) of a row to its `+i`
+/// neighbour, or its `−i` one at the row's end.
+fn local_spacing(coords: &[[f64; 3]], ni: usize, i: usize, at: usize) -> f64 {
+    let (a, b) = (coords[at], coords[if i + 1 < ni { at + 1 } else { at - 1 }]);
     ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
 }
 
@@ -423,5 +492,306 @@ mod tests {
         let right_hole = b.iblank[b.to_local(Ijk::new(13, 10, 0))] == Blank::Hole;
         assert!(left_hole && right_hole);
         assert_ne!(b.iblank[b.to_local(Ijk::new(7, 10, 0))], Blank::Hole);
+    }
+
+    /// The cutter this module shipped before it visited only the nodes a
+    /// solid reaches: every owned node padded, binned and tested against
+    /// every foreign solid, `W` nodes at a time, then a scan for the hole
+    /// fringe and one for the IGBPs. The reference the cutter must agree with
+    /// bit for bit: blanking, IGBP list, flop charge.
+    fn cut_holes_reference(
+        block: &mut Block,
+        solids: &[(usize, Solid)],
+        inv: Option<&InverseMap>,
+        isa: Isa,
+    ) -> (Vec<Igbp>, u64) {
+        fn local_spacing(block: &Block, p: Ijk) -> f64 {
+            let d = block.local_dims;
+            let q = if p.i + 1 < d.ni {
+                Ijk::new(p.i + 1, p.j, p.k)
+            } else {
+                Ijk::new(p.i - 1, p.j, p.k)
+            };
+            let (a, b) = (block.coords[p], block.coords[q]);
+            ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
+        }
+        let inv = inv.filter(|m| m.pose_is_identity());
+        let ow = block.owned_local();
+        for p in ow.iter() {
+            block.iblank[p] = Blank::Field;
+        }
+        let foreign_solids: Vec<Solid> =
+            solids.iter().filter(|(g, _)| *g != block.grid_id).map(|(_, s)| *s).collect();
+        let mut flops = 0u64;
+        if !foreign_solids.is_empty() {
+            let probe =
+                Ijk::new((ow.lo.i + ow.hi.i) / 2, (ow.lo.j + ow.hi.j) / 2, (ow.lo.k + ow.hi.k) / 2);
+            let pad_hint = HOLE_PAD_CELLS * local_spacing(block, probe) * 4.0;
+            let solid_boxes: Vec<Aabb> =
+                foreign_solids.iter().map(|s| s.bbox().inflate(pad_hint)).collect();
+            let mut bin_classes = Vec::new();
+            let classes: Option<&[Vec<BinClass>]> = if let Some(m) = inv {
+                flops += classify_solids_into(m, &foreign_solids, pad_hint, &mut bin_classes);
+                Some(&bin_classes)
+            } else {
+                None
+            };
+            let mut nodes = [Ijk::new(0, 0, 0); W];
+            let mut xs = [0.0f64; 3 * W];
+            let mut pads = [0.0f64; W];
+            let mut bins = [None; W];
+            let mut n_chunk = 0usize;
+            let mut it = ow.iter();
+            loop {
+                match it.next() {
+                    Some(p) => {
+                        let x = block.coords[p];
+                        nodes[n_chunk] = p;
+                        for (m, &xm) in x.iter().enumerate() {
+                            xs[m * W + n_chunk] = xm;
+                        }
+                        pads[n_chunk] = HOLE_PAD_CELLS * local_spacing(block, p);
+                        bins[n_chunk] = inv.map(|m| m.hole_bin(x));
+                        n_chunk += 1;
+                        if n_chunk < W {
+                            continue;
+                        }
+                    }
+                    None => {
+                        if n_chunk == 0 {
+                            break;
+                        }
+                        for l in n_chunk..W {
+                            for m in 0..3 {
+                                xs[m * W + l] = xs[m * W];
+                            }
+                            pads[l] = pads[0];
+                        }
+                    }
+                }
+                flops += n_chunk as u64 * FLOPS_PER_NODE_BBOX;
+                let mut hole = [false; W];
+                let mut alive = [false; W];
+                for a in alive.iter_mut().take(n_chunk) {
+                    *a = true;
+                }
+                let mut inb = [false; W];
+                let mut ins = [false; W];
+                for (si, (s, bb)) in foreign_solids.iter().zip(solid_boxes.iter()).enumerate() {
+                    let mut test = [false; W];
+                    let mut any = false;
+                    for l in 0..n_chunk {
+                        if !alive[l] {
+                            continue;
+                        }
+                        if let (Some(c), Some(b)) = (&classes, bins[l]) {
+                            match c[si][b] {
+                                BinClass::Outside => continue,
+                                BinClass::Inside => {
+                                    hole[l] = true;
+                                    alive[l] = false;
+                                    continue;
+                                }
+                                BinClass::Boundary => {}
+                            }
+                        }
+                        flops += FLOPS_PER_NODE_BBOX;
+                        test[l] = true;
+                        any = true;
+                    }
+                    if any {
+                        containment_lanes(isa, s, bb, &xs, &pads, &mut inb, &mut ins);
+                        for l in 0..n_chunk {
+                            if !test[l] || !inb[l] {
+                                continue;
+                            }
+                            flops += FLOPS_PER_DETAILED_TEST;
+                            if ins[l] {
+                                hole[l] = true;
+                                alive[l] = false;
+                            }
+                        }
+                    }
+                    if !alive.iter().any(|&a| a) {
+                        break;
+                    }
+                }
+                for l in 0..n_chunk {
+                    if hole[l] {
+                        block.iblank[nodes[l]] = Blank::Hole;
+                    }
+                }
+                if n_chunk < W {
+                    break;
+                }
+                n_chunk = 0;
+            }
+        }
+        let mut fringe_nodes = Vec::new();
+        if !foreign_solids.is_empty() {
+            for p in ow.iter() {
+                if block.iblank[p] != Blank::Field {
+                    continue;
+                }
+                let mut near_hole = false;
+                for &dir in block.active_dirs() {
+                    for d in [-1isize, 1] {
+                        let c = p.get(dir) as isize + d;
+                        if c < 0 || c as usize >= block.local_dims.get(dir) {
+                            continue;
+                        }
+                        let mut q = p;
+                        q.set(dir, c as usize);
+                        if block.iblank[q] == Blank::Hole {
+                            near_hole = true;
+                        }
+                    }
+                }
+                if near_hole {
+                    fringe_nodes.push(p);
+                }
+            }
+        }
+        for &p in fringe_nodes.iter() {
+            block.iblank[p] = Blank::Fringe;
+        }
+        for face in 0..6 {
+            if block.face_bc[face] != Some(BcKind::OversetOuter) {
+                continue;
+            }
+            let layers = block.layer_box(face, OUTER_FRINGE_LAYERS, false);
+            for p in layers.iter() {
+                if block.iblank[p] != Blank::Hole {
+                    block.iblank[p] = Blank::Fringe;
+                }
+            }
+        }
+        let mut igbps = Vec::new();
+        for p in ow.iter() {
+            if block.iblank[p] == Blank::Fringe {
+                igbps.push(Igbp { node: p, xyz: block.coords[p] });
+            }
+        }
+        (igbps, flops)
+    }
+
+    /// The blocks of a paper system the cutter is checked on, each with the
+    /// grid it belongs to: every grid whole; every periodic grid cut in two
+    /// halves in `i`, so that a block boundary lies on the seam; the 18-rank
+    /// static partition.
+    fn oracle_blocks(grids: &[CurvilinearGrid]) -> Vec<(usize, Block)> {
+        use overset_balance::{fit_np_to_dims_min, static_balance, Partition};
+        use overset_grid::index::IndexBox;
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
+        let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+        let mut blocks = Vec::new();
+        let min_widths: Vec<[usize; 3]> =
+            grids.iter().map(|g| if g.periodic_i { [2, 1, 1] } else { [1, 1, 1] }).collect();
+        let balanced = static_balance(&sizes, 18).unwrap();
+        let np18 = fit_np_to_dims_min(&sizes, &dims, &balanced.np, &min_widths).unwrap();
+        for np in [vec![1; grids.len()], np18] {
+            let part = Partition::build(&dims, &np);
+            for (rank, a) in part.ranks.iter().enumerate() {
+                let g = &grids[a.grid];
+                let nbrs = part.neighbors_of(rank, g.periodic_i);
+                blocks.push((a.grid, Block::from_grid(a.grid, g, a.boxx, nbrs, &fc)));
+            }
+        }
+        for (gi, g) in grids.iter().enumerate().filter(|(_, g)| g.periodic_i) {
+            let d = g.dims();
+            let half = d.ni / 2;
+            for (lo, hi, other) in [(0, half, 1), (half, d.ni, 0)] {
+                let owned = IndexBox::new(Ijk::new(lo, 0, 0), Ijk::new(hi, d.nj, d.nk));
+                let nbrs = [Some(other), Some(other), None, None, None, None];
+                blocks.push((gi, Block::from_grid(gi, g, owned, nbrs, &fc)));
+            }
+        }
+        blocks
+    }
+
+    /// The cutter against [`cut_holes_reference`] over four moving steps of
+    /// the three paper systems (store ×0.3, delta wing ×0.4, airfoil ×0.3),
+    /// every block of [`oracle_blocks`], with its map and without one: the
+    /// maps are built on the first step (identity pose), advanced on the
+    /// second and fourth (the movers' maps posed), and rebuilt on the third
+    /// (the movers' maps at the identity again, at moved geometry). Blanking
+    /// of every local node, the IGBP list — order, nodes, coordinate bits —
+    /// and the flop charge must be the reference's.
+    #[test]
+    fn cutter_agrees_with_the_per_node_sweep_on_the_paper_systems() {
+        use crate::context::MapSlot;
+        use overset_comm::MetricsRegistry;
+        use overset_grid::gen::{airfoil, delta_wing, store};
+        use overset_grid::RigidTransform;
+        let drop = RigidTransform::translation([0.0, 0.0, -0.004])
+            .then(&RigidTransform::rotation_about(store::STORE_CARRIAGE, [0.0, 1.0, 0.0], 1e-3));
+        let descent = RigidTransform::translation([0.0, 0.0, -0.064 * 0.02]);
+        let pitch =
+            RigidTransform::rotation_about([0.25, 0.0, 0.0], [0.0, 0.0, 1.0], f64::to_radians(0.1));
+        let isa = overset_solver::select_isa();
+        let mut arena = ConnArena { isa, ..ConnArena::default() };
+        let (mut posed, mut masked, mut cut_nodes) = (0usize, 0usize, 0usize);
+        for (name, grids, movers, step) in [
+            ("store", store::store_system(0.3), &store::STORE_GRID_IDS[..], &drop),
+            ("delta wing", delta_wing::delta_wing_system(0.4), &[0, 1, 2][..], &descent),
+            ("airfoil", airfoil::airfoil_system(0.3), &[0][..], &pitch),
+        ] {
+            let mut solids: Vec<(usize, Solid)> = grids
+                .iter()
+                .enumerate()
+                .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
+                .collect();
+            let mut blocks = oracle_blocks(&grids);
+            let mut slots: Vec<MapSlot> = blocks.iter().map(|_| MapSlot::default()).collect();
+            for n in 0..4 {
+                for (g, s) in solids.iter_mut() {
+                    if movers.contains(g) {
+                        *s = s.transformed(step);
+                    }
+                }
+                for ((g, block), slot) in blocks.iter_mut().zip(slots.iter_mut()) {
+                    if movers.contains(g) {
+                        block.apply_motion(step, 0.01);
+                        slot.note_motion(step);
+                        if n == 2 {
+                            slot.invalidate();
+                        }
+                    }
+                    slot.refresh(block, &mut MetricsRegistry::new());
+                }
+                for (b, ((g, block), slot)) in blocks.iter_mut().zip(&slots).enumerate() {
+                    let map = slot.map();
+                    posed += usize::from(map.is_some_and(|m| !m.pose_is_identity()));
+                    for inv in [map, None] {
+                        masked += usize::from(inv.is_some_and(|m| m.pose_is_identity()));
+                        let (want, want_flops) = cut_holes_reference(block, &solids, inv, isa);
+                        let want_iblank = block.iblank.as_slice().to_vec();
+                        let (got, got_flops) =
+                            cut_holes_and_find_fringe(block, &solids, inv, &mut arena);
+                        let what = format!(
+                            "{name} step {n}, block {b} of grid {g}, map {}",
+                            inv.map_or("none", |m| if m.pose_is_identity() {
+                                "at identity"
+                            } else {
+                                "posed"
+                            })
+                        );
+                        assert!(block.iblank.as_slice() == want_iblank, "{what}: blanking");
+                        assert_eq!(got.len(), want.len(), "{what}: IGBPs");
+                        for (a, w) in got.iter().zip(&want) {
+                            let bits = |ig: &Igbp| ig.xyz.map(f64::to_bits);
+                            assert!(a.node == w.node && bits(a) == bits(w), "{what}: {a:?} {w:?}");
+                        }
+                        assert_eq!(got_flops, want_flops, "{what}: flops");
+                        let holes = want_iblank.iter().filter(|&&b| b == Blank::Hole).count();
+                        cut_nodes += holes;
+                        arena.recycle_igbps(got);
+                    }
+                }
+            }
+        }
+        // Every path ran, and cut something.
+        assert!(posed > 0 && masked > 0 && cut_nodes > 0, "{posed} {masked} {cut_nodes}");
     }
 }

@@ -22,7 +22,9 @@
 //!   owned-anchored cell whose box — inflated like the fine mask's — reaches
 //!   the bin, so [`InverseMap::listed`] names every cell that can hold a
 //!   point and a failed or ambiguous walk is settled by inverting that
-//!   handful instead of re-walking the block (see `donor.rs`),
+//!   handful instead of re-walking the block (see `donor.rs`); each entry
+//!   carries in its high byte the 2×2×2 sub-bins of its bin that the cell
+//!   reaches, so a proof box-tests only the cells of the point's sub-bin,
 //! * per-solid **inside/outside/boundary ternary masks** over a hole
 //!   lattice, so hole cutting runs the detailed containment test only for
 //!   nodes in *boundary* bins (see [`classify_solids_into`]).
@@ -103,6 +105,21 @@ const MASK_BINS_PER_CELL_AXIS: usize = 4;
 /// margin and still lets the mask follow a curved boundary (the coarse
 /// routing mask keeps its blanket 1/8).
 const MASK_PAD: f64 = 1.0 / 256.0;
+/// The sub-bin masks of the cell lists mark each cell's box inflated further
+/// than the lists' own box: by this fraction of its longest extent and one
+/// more global epsilon. That covers the box a cell has at its *current*
+/// geometry — which `InverseMap::cell_box_admits` tests — as long as the
+/// map's pose has turned the block by at most [`SUB_MAX_TURN`], so the masks
+/// drop only cells the box test would drop (DESIGN.md §8 has the bound).
+const SUB_PAD: f64 = 1.0 / 32.0;
+/// `‖R − I‖ = 2 sin(θ/2)` of the pose's rotation up to which the sub-bin
+/// masks are consulted (θ ≈ 0.9°); past it every listed cell is box-tested.
+const SUB_MAX_TURN: f64 = SUB_PAD / 2.0;
+/// The low 24 bits of a cell-list entry: the flat offset of the cell's
+/// anchor node in the block's local storage. The high byte is the entry's
+/// sub-bin mask: bit `h_i + 2 h_j + 4 h_k` for the half `h_d` of the bin
+/// along each axis.
+pub(crate) const ENTRY_CELL: u32 = (1 << 24) - 1;
 
 /// Occupancy bitmask words per rank ([`OCC_NB`]³ bins / 64 bits).
 pub const OCC_WORDS: usize = OCC_NB * OCC_NB * OCC_NB / 64;
@@ -142,12 +159,17 @@ pub struct InverseMap {
     /// order — every owned-anchored cell whose corner box, inflated by
     /// [`MASK_PAD`] like the fine mask's, overlaps the bin. On a block that
     /// wraps onto itself in `i` the duplicate seam column is left out: its
-    /// cells are bit-exact copies of the first column's.
+    /// cells are bit-exact copies of the first column's. An entry is the
+    /// cell ([`ENTRY_CELL`]) under the mask of the bin's 2×2×2 sub-bins that
+    /// the cell's box, inflated by [`SUB_PAD`] more, reaches.
     list_start: Vec<u32>,
     list_cells: Vec<u32>,
     /// The global part of the boxes' inflation (`1e-9` of the lattice
     /// diagonal), kept for [`InverseMap::cell_box_admits`].
     diag_eps: f64,
+    /// The pose has turned the block by at most [`SUB_MAX_TURN`] since the
+    /// build: [`InverseMap::listed`] may prune by the sub-bin masks.
+    sub_bins: bool,
     /// Coarse occupancy: bit set ⇔ some owned-anchored cell's (inflated)
     /// bounding box overlaps the bin.
     occupancy: [u64; OCC_WORDS],
@@ -317,6 +339,7 @@ impl InverseMap {
             list_start,
             list_cells,
             diag_eps,
+            sub_bins: true,
             occupancy,
             mask_nb,
             mask,
@@ -347,6 +370,9 @@ impl InverseMap {
         }
         self.inv_pose = pose.inverse();
         self.pose = pose;
+        let q = pose.rotation;
+        let (v2, w2) = (q.x * q.x + q.y * q.y + q.z * q.z, q.w * q.w);
+        self.sub_bins = 2.0 * (v2 / (v2 + w2)).sqrt() <= SUB_MAX_TURN;
         true
     }
 
@@ -415,29 +441,59 @@ impl InverseMap {
     }
 
     /// Every cell listed for the fine bin holding `p` (binned like
-    /// [`query`](Self::query)), in ascending storage order, each as the flat
-    /// offset of its anchor node ([`cell_at`](Self::cell_at) names it).
-    /// Complete: an owned-anchored cell of the block that contains `p` to
-    /// within the walk's tolerance is in the list, or is the seam duplicate
-    /// of one that is — so a cell that is not listed need never be inverted
-    /// for `p`.
-    pub fn listed(&self, p: [f64; 3]) -> &[u32] {
-        let b = bin_index(&self.bounds, self.nb, self.to_lattice(p));
-        &self.list_cells[self.list_start[b] as usize..self.list_start[b + 1] as usize]
+    /// [`query`](Self::query)), in ascending storage order, each entry the
+    /// flat offset of its anchor node under its sub-bin mask
+    /// ([`cell_at`](Self::cell_at) names it); and the selector of `p`'s
+    /// sub-bin. Complete: an owned-anchored cell of the block that contains
+    /// `p` to within the walk's tolerance is in the list, or is the seam
+    /// duplicate of one that is — so a cell that is not listed need never be
+    /// inverted for `p`. And an entry with `entry & selector == 0` is a cell
+    /// whose box [`cell_box_admits`](Self::cell_box_admits) rejects `p`: its
+    /// box test may be skipped. (Once the pose has turned the block by more
+    /// than a degree or so the selector passes every entry.)
+    pub fn listed(&self, p: [f64; 3]) -> (&[u32], u32) {
+        let (b, sub) = self.locate(self.to_lattice(p));
+        let selector = if self.sub_bins { sub << 24 } else { !ENTRY_CELL };
+        (&self.list_cells[self.list_start[b] as usize..self.list_start[b + 1] as usize], selector)
+    }
+
+    /// The seed-lattice bin of a lattice-frame point (as [`bin_index`] bins
+    /// it) and the bit of its sub-bin: the bin's halves along each axis are
+    /// the bins of the lattice of twice the resolution, a point's half
+    /// `unit_bin(u, 2 nb) − 2 unit_bin(u, nb)` — 0 or 1, because doubling
+    /// `u · nb` is exact and the floor and the clamps respect it.
+    fn locate(&self, q: [f64; 3]) -> (usize, u32) {
+        let (mut b, mut half) = (0, 0);
+        for d in (0..3).rev() {
+            let (lo, hi, nb) = (self.bounds.min[d], self.bounds.max[d], self.nb[d]);
+            let u = if hi <= lo { 0.0 } else { (q[d] - lo) / (hi - lo) };
+            let bd = unit_bin(u, nb);
+            let hd = unit_bin(u, 2 * nb) - 2 * bd;
+            debug_assert!(hd <= 1);
+            b = b * nb + bd;
+            half |= hd << d;
+        }
+        (b, 1 << half)
+    }
+
+    /// The sub-bin selector of `p` whether or not the masks are consulted.
+    #[cfg(test)]
+    pub(crate) fn sub_bin_of(&self, p: [f64; 3]) -> u32 {
+        self.locate(self.to_lattice(p)).1 << 24
     }
 
     /// The cell a list entry stands for.
-    pub fn cell_at(&self, flat: u32) -> Ijk {
-        self.dims.unoffset(flat as usize)
+    pub fn cell_at(&self, entry: u32) -> Ijk {
+        self.dims.unoffset((entry & ENTRY_CELL) as usize)
     }
 
-    /// Can the listed cell `flat` of `block` — the block at its *current*
+    /// Can the listed cell `entry` of `block` — the block at its *current*
     /// geometry — hold `p`? `false` only when `p` lies outside the box of
     /// the cell's corners inflated as the lists' and the fine mask's boxes
     /// were: a listed cell that fails this is not worth an inversion
     /// ([`FLOPS_PER_CANDIDATE_BOX`] instead of a Newton solve).
-    pub fn cell_box_admits(&self, block: &Block, flat: u32, p: [f64; 3]) -> bool {
-        let (cb, longest) = cell_box(block, flat as usize);
+    pub fn cell_box_admits(&self, block: &Block, entry: u32, p: [f64; 3]) -> bool {
+        let (cb, longest) = cell_box(block, (entry & ENTRY_CELL) as usize);
         cb.inflate(MASK_PAD * longest + self.diag_eps).contains(p)
     }
 
@@ -481,6 +537,38 @@ impl InverseMap {
     /// Number of hole-lattice bins.
     pub fn hole_bins(&self) -> usize {
         self.hole_nb[0] * self.hole_nb[1] * self.hole_nb[2]
+    }
+
+    /// Where a solid classified into `classes` can reach: a box outside of
+    /// which every point lies in an `Outside` bin ([`hole_bin`](Self::hole_bin)
+    /// binning it), or `None` when every bin is. The box of the bins not
+    /// `Outside`, unbounded where they touch the lattice's edge (points
+    /// beyond the bounds clamp into the edge bins) and widened by a margin
+    /// far above the rounding of the bin arithmetic.
+    pub(crate) fn hole_reach(&self, classes: &[BinClass]) -> Option<Aabb> {
+        let (mut lo, mut hi) = ([usize::MAX; 3], [0usize; 3]);
+        for (b, _) in classes.iter().enumerate().filter(|(_, &c)| c != BinClass::Outside) {
+            let (i, j, k) = unflatten(b, self.hole_nb);
+            for (d, at) in [i, j, k].into_iter().enumerate() {
+                lo[d] = lo[d].min(at);
+                hi[d] = hi[d].max(at + 1);
+            }
+        }
+        if lo[0] == usize::MAX {
+            return None;
+        }
+        let edge = |d: usize, at: usize, outward: f64| {
+            let (min, max, n) = (self.bounds.min[d], self.bounds.max[d], self.hole_nb[d]);
+            if at == 0 || at == n {
+                return outward * f64::INFINITY;
+            }
+            let margin = 1e-9 * (min.abs() + max.abs());
+            min + (max - min) / n as f64 * at as f64 + outward * margin
+        };
+        Some(Aabb::new(
+            std::array::from_fn(|d| edge(d, lo[d], -1.0)),
+            std::array::from_fn(|d| edge(d, hi[d], 1.0)),
+        ))
     }
 
     /// Physical box of one hole-lattice bin.
@@ -538,6 +626,47 @@ fn bin_ranges(unit: &[(f64, f64); 3], nb: [usize; 3]) -> [(usize, usize); 3] {
     std::array::from_fn(|d| (unit_bin(unit[d].0, nb[d]), unit_bin(unit[d].1, nb[d])))
 }
 
+/// The bins of the `nb` lattice that a cell's list box `fine` (a
+/// [`unit_box`]) reaches — the ranges [`bin_ranges`] gives — and which
+/// halves at the ends of those ranges the box reaches once widened by `widen`
+/// (in units of the lattice's extent) per axis `d`: bit `2d` the lower half
+/// of the first bin, bit `2d + 1` the upper half of the last. The widened box
+/// reaches every other half of the range, so these six bits are the cell's
+/// masks in all its bins. (A half is reached when the widened end passes its
+/// middle; the widening dwarfs the rounding of that test.)
+#[inline]
+fn list_bins(
+    fine: &[(f64, f64); 3],
+    widen: [f64; 3],
+    nb: [usize; 3],
+) -> ([(usize, usize); 3], u32) {
+    let (mut ranges, mut edges) = ([(0, 0); 3], 0);
+    for d in 0..3 {
+        let n = nb[d] as f64;
+        let (lo, hi) = (fine[d].0 * n, fine[d].1 * n);
+        // `unit_bin` on the products already formed (in `i32`: a lattice
+        // axis has at most `MAX_AXIS_BINS` bins, and the clamps agree).
+        let bin = |y: f64| (y.max(0.0) as i32).min(nb[d] as i32 - 1);
+        let (b0, b1) = (bin(lo), bin(hi));
+        ranges[d] = (b0 as usize, b1 as usize);
+        edges |= u32::from(lo - widen[d] * n < f64::from(b0) + 0.5) << (2 * d);
+        edges |= u32::from(hi + widen[d] * n >= f64::from(b1) + 0.5) << (2 * d + 1);
+    }
+    (ranges, edges)
+}
+
+/// The part of a sub-bin mask along axis `d` for the bin `at` of the cell's
+/// range `(b0, b1)` on that axis, `edges` from [`list_bins`]: the halves the
+/// cell reaches, each as the mask bits of the four sub-bins it holds.
+#[inline]
+fn sub_halves(d: usize, at: usize, (b0, b1): (usize, usize), edges: u32) -> u32 {
+    const HALVES: [[u32; 2]; 3] = [[0x55, 0xAA], [0x33, 0xCC], [0x0F, 0xF0]];
+    // Branch-free: the edge bits are as good as random to a predictor.
+    let lower = u32::from(at > b0) | edges >> (2 * d) & 1;
+    let upper = u32::from(at < b1) | edges >> (2 * d + 1) & 1;
+    (HALVES[d][0] * lower) | (HALVES[d][1] * upper)
+}
+
 /// Call `f` with the flat index of every bin in `ranges`, row by row.
 #[inline]
 fn for_bins_in(ranges: [(usize, usize); 3], nb: [usize; 3], mut f: impl FnMut(usize)) {
@@ -558,7 +687,7 @@ fn for_bins_in(ranges: [(usize, usize); 3], nb: [usize; 3], mut f: impl FnMut(us
 fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
     let ow = block.owned_local();
     let dims = block.local_dims;
-    assert!(dims.count() < u32::MAX as usize, "block of {dims:?} overflows u32 cell indices");
+    assert!(dims.count() <= 1 << 24, "block of {dims:?} overflows the lists' 24-bit cell offsets");
     let mask_nb = mask_bins(bounds.extent(), owned_cells(block), block.two_d);
     let nbins = nb[0] * nb[1] * nb[2];
     let mut seeds: Vec<Option<u32>> = vec![None; nbins];
@@ -566,7 +695,8 @@ fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
     let mut mask = vec![0u64; (mask_nb[0] * mask_nb[1] * mask_nb[2]).div_ceil(64)];
     let mut flops = 0u64;
     // The lists are filled once their lengths are known: the sweep counts
-    // each bin's entries and keeps every listed cell's bin ranges.
+    // each bin's entries and keeps every listed cell's bin ranges, and its
+    // sub-bin edges in the high byte of its offset.
     let mut list_start = vec![0u32; nbins + 1];
     let mut listed: Vec<(u32, [(u16, u16); 3])> = Vec::with_capacity(ow.count());
 
@@ -578,6 +708,7 @@ fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
     let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
     // A block that wraps onto itself stores the seam column twice.
     let seam = block.self_wrap_i.then(|| block.halo[0] + block.owned.dims().ni - 1);
+    let per_extent: [f64; 3] = bounds.extent().map(|e| if e > 0.0 { 1.0 / e } else { 0.0 });
 
     let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
     for k in ow.lo.k..kmax_anchor {
@@ -607,9 +738,12 @@ fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
                 if seam.is_some_and(|s| i >= s) {
                     continue;
                 }
-                let ranges = bin_ranges(&fine, nb);
+                // The list box `SUB_PAD` wider for the sub-bin masks, in
+                // lattice units (no division: the margin dwarfs rounding).
+                let widen = per_extent.map(|r| (SUB_PAD * longest + diag_eps) * r);
+                let (ranges, edges) = list_bins(&fine, widen, nb);
                 for_bins_in(ranges, nb, |b| list_start[b + 1] += 1);
-                listed.push((flat, ranges.map(|(lo, hi)| (lo as u16, hi as u16))));
+                listed.push((flat | edges << 24, ranges.map(|(lo, hi)| (lo as u16, hi as u16))));
             }
         }
     }
@@ -623,11 +757,30 @@ fn bin_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
     let entries = start as usize;
     flops += FLOPS_PER_LIST_ENTRY * entries as u64;
     let mut list_cells = vec![0u32; entries];
-    for (flat, ranges) in listed {
-        for_bins_in(ranges.map(|(lo, hi)| (lo as usize, hi as usize)), nb, |b| {
-            list_cells[list_start[b + 1] as usize] = flat;
-            list_start[b + 1] += 1;
-        });
+    for (packed, ranges) in listed {
+        let (flat, edges) = (packed & ENTRY_CELL, packed >> 24);
+        let [ri, rj, rk] = ranges.map(|(lo, hi)| (lo as usize, hi as usize));
+        // Along `i` only the ends of the range can miss a half.
+        let (first, last) = (sub_halves(0, ri.0, ri, edges), sub_halves(0, ri.1, ri, edges));
+        for k in rk.0..=rk.1 {
+            let mk = sub_halves(2, k, rk, edges);
+            for j in rj.0..=rj.1 {
+                let mjk = mk & sub_halves(1, j, rj, edges);
+                let row = (k * nb[1] + j) * nb[0] + 1;
+                let mut put = |b: usize, mask: u32| {
+                    let slot = &mut list_start[row + b];
+                    list_cells[*slot as usize] = flat | mask << 24;
+                    *slot += 1;
+                };
+                put(ri.0, mjk & first);
+                for i in ri.0 + 1..ri.1 {
+                    put(i, mjk);
+                }
+                if ri.1 > ri.0 {
+                    put(ri.1, mjk & last);
+                }
+            }
+        }
     }
     Binned { seeds, list_start, list_cells, diag_eps, occupancy, mask_nb, mask, flops }
 }
@@ -1333,7 +1486,10 @@ mod tests {
                     );
                     for bin in m.list_start.windows(2) {
                         let list = &m.list_cells[bin[0] as usize..bin[1] as usize];
-                        assert!(list.windows(2).all(|c| c[0] < c[1]), "unsorted list: {what}");
+                        let cells = |c: &[u32]| c[0] & ENTRY_CELL < c[1] & ENTRY_CELL;
+                        assert!(list.windows(2).all(cells), "unsorted list: {what}");
+                        // A listed cell's box reaches its bin: some sub-bin.
+                        assert!(list.iter().all(|e| e >> 24 != 0), "empty mask: {what}");
                     }
                     let cells: usize = owned_cells(&block).iter().product();
                     assert!(m.list_cells.len() <= 16 * cells, "{what}");

@@ -50,6 +50,7 @@ use overset_grid::index::{Ijk, IndexBox};
 use overset_grid::{Aabb, RigidTransform};
 use overset_solver::{Block, Isa};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Message tag base for connectivity traffic (distinct from solver tags).
@@ -78,7 +79,31 @@ impl Topology {
 /// its donor, the cell in *global* donor-grid indices).
 #[derive(Clone, Debug, Default)]
 pub struct DonorCache {
-    pub(crate) map: HashMap<Ijk, (usize, CachedDonor)>,
+    pub(crate) map: HashMap<Ijk, (usize, CachedDonor), BuildHasherDefault<NodeHasher>>,
+}
+
+/// The donor cache's hash of a node: one rotate, xor and multiply per index
+/// (the "Fx" step), deterministic and a few cycles — the keys are a block's
+/// own node indices, nothing an adversary picks, so SipHash's
+/// flood resistance buys nothing here. No answer depends on the map's
+/// iteration order: the protocol only looks entries up.
+#[derive(Default)]
+pub(crate) struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b.into());
+        }
+    }
 }
 
 impl DonorCache {
