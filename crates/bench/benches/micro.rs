@@ -11,18 +11,20 @@ use overset_balance::{
 use overset_comm::{MachineModel, Universe};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, walk_search, walk_search_isa, ConnArena, Connectivity, InverseMap,
-    RankBlock, SearchCost, SearchOutcome,
+    classify_solids_into, cut_holes_and_find_fringe, walk_search, walk_search_isa, ConnArena,
+    Connectivity, InverseMap, RankBlock, SearchCost, SearchOutcome,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
 use overset_grid::gen::store::{store_system, STORE_CARRIAGE};
-use overset_grid::{Dims, RigidTransform};
+use overset_grid::{Dims, Ijk, IndexBox, RigidTransform};
 use overset_motion::Loads;
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
-use overset_solver::{select_isa, step_block, Block, FlowConditions, Isa, Scratch, SerialComm, W};
+use overset_solver::{
+    select_isa, step_block, Block, FlowConditions, Isa, Scratch, SerialComm, HALO, W,
+};
 use std::time::{Duration, Instant};
 
 fn fc() -> FlowConditions {
@@ -111,6 +113,99 @@ fn solver_kernels(c: &mut Criterion) {
             })
         });
     }
+}
+
+/// The thin-block overheads of the `store_ranks` step (store ×0.55 on 256
+/// ranks, whose subdomains own 3 to 9 nodes in `i`) at the kernel layer: a
+/// 5×12×9 interior subdomain's six halo faces packed and unpacked, its frame
+/// pass (three directions, the first fresh) on both ISAs, and one of the
+/// partition's `bg-fine` blocks classifying its hole lattice against the
+/// store system's foreign solids: rank 160, which five of the eight solids
+/// reach (on 94 of the 256 blocks no solid reaches a bin).
+fn thin_block_kernels(c: &mut Criterion) {
+    let gd = Dims::new(9, 16, 13);
+    let coords = overset_grid::field::Field3::from_fn(gd, |p| {
+        let (x, y, z) = (p.i as f64 * 0.1, p.j as f64 * 0.05, p.k as f64 * 0.1);
+        [x + 0.01 * (3.0 * y).sin(), y * (1.0 + 0.5 * y), z + 0.01 * x.sin()]
+    });
+    let g = CurvilinearGrid::new("thin", coords, overset_grid::curvilinear::GridKind::NearBody);
+    let owned = IndexBox::new(Ijk::new(2, 2, 2), Ijk::new(7, 14, 11));
+    let mut block = Block::from_grid(0, &g, owned, [Some(1); 6], &fc());
+    perturbed(&mut block);
+
+    let mut bufs: [Vec<f64>; 6] = Default::default();
+    c.bench_function("halo/pack_unpack_faces_5x12x9", |b| {
+        b.iter(|| {
+            for (face, buf) in bufs.iter_mut().enumerate() {
+                block.pack_face_into(face, HALO, buf);
+            }
+            for (face, buf) in bufs.iter().enumerate() {
+                block.unpack_face(face, HALO, buf);
+            }
+        })
+    });
+
+    // The frame pass transforms the increment in place: it is reloaded,
+    // untimed, before each one.
+    let ow = block.owned_local();
+    let (mm, rows) = (ow.count(), Rows::new(ow, block.local_dims.full_box(), ow));
+    let dw0: Vec<f64> = (0..5 * mm).map(|i| ((i * 31) % 17) as f64 * 1e-6).collect();
+    let (mut dw, mut fr) = (dw0.clone(), vec![0.0; FR_FIELDS * mm]);
+    for (suffix, isa) in [("", select_isa()), ("_scalar", Isa::Scalar)] {
+        c.bench_function(&format!("kernels/frames_forward_5x12x9{suffix}"), |b| {
+            b.iter_custom(|iters| {
+                let mut t = Duration::ZERO;
+                for _ in 0..iters {
+                    dw.copy_from_slice(&dw0);
+                    let t0 = Instant::now();
+                    for dir in 0..3 {
+                        frames_forward_rows(
+                            isa,
+                            rows,
+                            dir,
+                            dir == 0,
+                            block.q.as_slice(),
+                            block.metrics.as_slice(),
+                            block.grid_vel.as_slice(),
+                            mm,
+                            &mut dw,
+                            &mut fr,
+                        );
+                    }
+                    t += t0.elapsed();
+                }
+                t
+            })
+        });
+    }
+
+    const P: usize = 256;
+    const RANK: usize = 160;
+    let cfg = store_case(0.55, 1);
+    let sizes: Vec<usize> = cfg.grids.iter().map(|g| g.num_points()).collect();
+    let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+    let balanced = static_balance(&sizes, P).unwrap();
+    let widths = grid_min_widths(&cfg.grids);
+    let np = fit_np_to_dims_min(&sizes, &dims, &balanced.np, &widths).unwrap();
+    let partition = Partition::build(&dims, &np);
+    let unmoved = vec![RigidTransform::IDENTITY; cfg.grids.len()];
+    let (blk, _) = build_block(RANK, &partition, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+    assert_eq!(cfg.grids[blk.grid_id].name, "bg-fine");
+    let inv = InverseMap::build(&blk);
+    let solids: Vec<Solid> = tagged_solids(&cfg.grids)
+        .into_iter()
+        .filter(|(g, _)| *g != blk.grid_id)
+        .map(|(_, s)| s)
+        .collect();
+    // The cutter's pad: four times a quarter of the spacing at the middle.
+    let ow = blk.owned_local();
+    let mid = Ijk::new((ow.lo.i + ow.hi.i) / 2, (ow.lo.j + ow.hi.j) / 2, (ow.lo.k + ow.hi.k) / 2);
+    let (a, b) = (blk.coords[mid], blk.coords[Ijk::new(mid.i + 1, mid.j, mid.k)]);
+    let pad = ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
+    let (mut classes, mut reach) = (Vec::new(), Vec::new());
+    c.bench_function("holes/classify_store_p256", |b| {
+        b.iter(|| classify_solids_into(&inv, &solids, pad, &mut classes, &mut reach))
+    });
 }
 
 /// The flow phase of the `airfoil_flow` system at the kernel layer: one
@@ -507,6 +602,7 @@ fn distributed_connectivity(c: &mut Criterion) {
 criterion_group!(
     benches,
     solver_kernels,
+    thin_block_kernels,
     solver_step,
     trilinear_kernels,
     connectivity_kernels,

@@ -100,9 +100,8 @@ pub fn cut_holes_and_find_fringe(
         // once; whole bins then resolve without per-node detailed tests.
         reach = match inv {
             Some(m) => {
-                flops += classify_solids_into(m, foreign_solids, pad_hint, bin_classes);
-                reach_boxes.clear();
-                reach_boxes.extend(bin_classes.iter().filter_map(|c| m.hole_reach(c)));
+                flops +=
+                    classify_solids_into(m, foreign_solids, pad_hint, bin_classes, reach_boxes);
                 classes = Some(bin_classes);
                 &reach_boxes[..]
             }
@@ -153,15 +152,22 @@ pub fn cut_holes_and_find_fringe(
         flops += (ow.count() - reached) as u64 * per_node;
     }
 
-    // Outer-boundary fringe: layers of faces carrying OversetOuter patches.
+    // Outer-boundary fringe: layers of faces carrying OversetOuter patches,
+    // row by row.
     for face in 0..6 {
         if block.face_bc[face] != Some(BcKind::OversetOuter) {
             continue;
         }
-        let layers = block.layer_box(face, OUTER_FRINGE_LAYERS, false);
-        for p in layers.iter() {
-            if block.iblank[p] != Blank::Hole {
-                block.iblank[p] = Blank::Fringe;
+        let b = block.layer_box(face, OUTER_FRINGE_LAYERS, false);
+        let iblank = block.iblank.as_mut_slice();
+        for k in b.lo.k..b.hi.k {
+            for j in b.lo.j..b.hi.j {
+                let row = d.offset(Ijk::new(0, j, k));
+                for x in &mut iblank[row + b.lo.i..row + b.hi.i] {
+                    if *x != Blank::Hole {
+                        *x = Blank::Fringe;
+                    }
+                }
             }
         }
     }
@@ -334,6 +340,7 @@ fn local_spacing(coords: &[[f64; 3]], ni: usize, i: usize, at: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inverse_map::tests::classify_solids_reference;
     use overset_grid::curvilinear::{BoundaryPatch, CurvilinearGrid, Face, GridKind};
     use overset_grid::field::Field3;
     use overset_grid::index::Dims;
@@ -531,7 +538,7 @@ mod tests {
                 foreign_solids.iter().map(|s| s.bbox().inflate(pad_hint)).collect();
             let mut bin_classes = Vec::new();
             let classes: Option<&[Vec<BinClass>]> = if let Some(m) = inv {
-                flops += classify_solids_into(m, &foreign_solids, pad_hint, &mut bin_classes);
+                flops += classify_solids_reference(m, &foreign_solids, pad_hint, &mut bin_classes);
                 Some(&bin_classes)
             } else {
                 None

@@ -90,6 +90,8 @@ const MAX_FINE_BINS: usize = 48;
 /// skipping per-node detailed tests for whole bins, so bins must hold many
 /// nodes for classification to pay for itself.
 const MAX_HOLE_BINS: usize = 8;
+// A hole-lattice axis's slabs fit one `u32` mask (`InverseMap::hole_slabs`).
+const _: () = assert!(MAX_HOLE_BINS <= 32);
 /// Coarse occupancy resolution per axis: [`OCC_NB`]³ = 512 bins = `[u64; 8]`.
 pub const OCC_NB: usize = 8;
 /// Bit budget of the fine occupancy mask, 2-D and 3-D alike (13.5 KB).
@@ -539,24 +541,13 @@ impl InverseMap {
         self.hole_nb[0] * self.hole_nb[1] * self.hole_nb[2]
     }
 
-    /// Where a solid classified into `classes` can reach: a box outside of
-    /// which every point lies in an `Outside` bin ([`hole_bin`](Self::hole_bin)
-    /// binning it), or `None` when every bin is. The box of the bins not
-    /// `Outside`, unbounded where they touch the lattice's edge (points
+    /// Where a solid whose bins not `Outside` span the bin ranges
+    /// `lo[d]..hi[d]` can reach: a box outside of which every point lies in
+    /// an `Outside` bin ([`hole_bin`](Self::hole_bin) binning it). The box of
+    /// those ranges, unbounded where they touch the lattice's edge (points
     /// beyond the bounds clamp into the edge bins) and widened by a margin
     /// far above the rounding of the bin arithmetic.
-    pub(crate) fn hole_reach(&self, classes: &[BinClass]) -> Option<Aabb> {
-        let (mut lo, mut hi) = ([usize::MAX; 3], [0usize; 3]);
-        for (b, _) in classes.iter().enumerate().filter(|(_, &c)| c != BinClass::Outside) {
-            let (i, j, k) = unflatten(b, self.hole_nb);
-            for (d, at) in [i, j, k].into_iter().enumerate() {
-                lo[d] = lo[d].min(at);
-                hi[d] = hi[d].max(at + 1);
-            }
-        }
-        if lo[0] == usize::MAX {
-            return None;
-        }
+    fn hole_reach(&self, lo: [usize; 3], hi: [usize; 3]) -> Aabb {
         let edge = |d: usize, at: usize, outward: f64| {
             let (min, max, n) = (self.bounds.min[d], self.bounds.max[d], self.hole_nb[d]);
             if at == 0 || at == n {
@@ -565,28 +556,52 @@ impl InverseMap {
             let margin = 1e-9 * (min.abs() + max.abs());
             min + (max - min) / n as f64 * at as f64 + outward * margin
         };
-        Some(Aabb::new(
+        Aabb::new(
             std::array::from_fn(|d| edge(d, lo[d], -1.0)),
             std::array::from_fn(|d| edge(d, hi[d], 1.0)),
-        ))
+        )
     }
 
-    /// Physical box of one hole-lattice bin.
-    fn hole_bin_box(&self, b: usize) -> Aabb {
-        let (bi, bj, bk) = unflatten(b, self.hole_nb);
-        let ext = self.bounds.extent();
-        let f = |lo: f64, e: f64, n: usize, i: usize| -> (f64, f64) {
-            if n <= 1 {
-                (lo, lo + e)
-            } else {
-                let w = e / n as f64;
-                (lo + w * i as f64, lo + w * (i + 1) as f64)
+    /// Slab `i` of the hole lattice along axis `d`: the extent of its bins
+    /// there (the whole axis when it has one bin).
+    fn hole_slab(&self, d: usize, i: usize) -> (f64, f64) {
+        let (lo, n) = (self.bounds.min[d], self.hole_nb[d]);
+        let e = self.bounds.max[d] - lo;
+        if n <= 1 {
+            (lo, lo + e)
+        } else {
+            let w = e / n as f64;
+            (lo + w * i as f64, lo + w * (i + 1) as f64)
+        }
+    }
+
+    /// Physical box of the hole-lattice bin `(i, j, k)`.
+    fn hole_bin_box(&self, at: [usize; 3]) -> Aabb {
+        let slabs: [(f64, f64); 3] = std::array::from_fn(|d| self.hole_slab(d, at[d]));
+        Aabb::new(slabs.map(|s| s.0), slabs.map(|s| s.1))
+    }
+
+    /// The slabs of the hole lattice that overlap `b`, one bit mask per axis
+    /// (bit `i`: slab `i`), or `None` when no bin's box intersects `b`.
+    /// [`Aabb::intersects`] is a conjunction over the axes, each reading
+    /// only its own axis of the two boxes — the bin box's emptiness
+    /// included — once `b` is not empty; so bin `(i, j, k)`'s box intersects
+    /// `b` exactly when slabs `i`, `j` and `k` each do.
+    fn hole_slabs(&self, b: &Aabb) -> Option<[u32; 3]> {
+        if b.is_empty() {
+            return None;
+        }
+        let mut masks = [0u32; 3];
+        for (d, mask) in masks.iter_mut().enumerate() {
+            for i in 0..self.hole_nb[d] {
+                let (lo, hi) = self.hole_slab(d, i);
+                let empty = lo > hi;
+                if !empty && lo <= b.max[d] && hi >= b.min[d] {
+                    *mask |= 1 << i;
+                }
             }
-        };
-        let (x0, x1) = f(self.bounds.min[0], ext[0], self.hole_nb[0], bi);
-        let (y0, y1) = f(self.bounds.min[1], ext[1], self.hole_nb[1], bj);
-        let (z0, z1) = f(self.bounds.min[2], ext[2], self.hole_nb[2], bk);
-        Aabb::new([x0, y0, z0], [x1, y1, z1])
+        }
+        masks.iter().all(|&m| m != 0).then_some(masks)
     }
 }
 
@@ -966,62 +981,83 @@ pub fn occupancy_admits(occ: &[u64; OCC_WORDS], rank_box: &Aabb, p: [f64; 3]) ->
 pub const OCC_ALL: [u64; OCC_WORDS] = [u64::MAX; OCC_WORDS];
 
 /// Classify every hole-lattice bin of `inv` against each solid in `solids`
-/// into `classes` (one `Vec<BinClass>` per solid, bin-major). `pad_hint`
-/// must be the same padded-bbox inflation the unmasked cutter uses, so an
-/// `Outside` verdict reproduces its bounding-box rejection exactly. Returns
-/// the flops spent. The outer vector is resized to the solid count and the
-/// inner per-bin vectors keep their capacity, so a steady-state
+/// into `classes` (one `Vec<BinClass>` per solid, bin-major), and put in
+/// `reach`, in solid order, the box each solid that is not `Outside`
+/// everywhere can reach (`InverseMap::hole_reach`). `pad_hint` must be the same
+/// padded-bbox inflation the unmasked cutter uses, so an `Outside` verdict
+/// reproduces its bounding-box rejection exactly.
+///
+/// A bin is `Outside` when its box misses the solid's padded box, which
+/// happens exactly when one of its three slabs does (`InverseMap::hole_slabs`):
+/// the slabs are tested once per solid, the bins they leave are filled
+/// `Outside` at once, and only the bins in the product of the overlapping
+/// slabs take the probes. The charge is still that of testing every bin's
+/// box, [`FLOPS_PER_BIN_BBOX`] each, plus the probes taken. Returns the
+/// flops. The outer vector is resized to the solid count and the inner
+/// per-bin vectors keep their capacity, so a steady-state
 /// re-classification allocates nothing.
 pub fn classify_solids_into(
     inv: &InverseMap,
     solids: &[Solid],
     pad_hint: f64,
     classes: &mut Vec<Vec<BinClass>>,
+    reach: &mut Vec<Aabb>,
 ) -> u64 {
-    let nbins = inv.hole_bins();
+    let (nb, nbins) = (inv.hole_nb, inv.hole_bins());
     let mut flops = 0u64;
     classes.truncate(solids.len());
     while classes.len() < solids.len() {
         classes.push(Vec::new());
     }
+    reach.clear();
     for (s, per_bin) in solids.iter().zip(classes.iter_mut()) {
-        let padded = s.bbox().inflate(pad_hint);
+        flops += nbins as u64 * FLOPS_PER_BIN_BBOX;
         per_bin.clear();
-        for b in 0..nbins {
-            flops += FLOPS_PER_BIN_BBOX;
-            let bb = inv.hole_bin_box(b);
-            if !bb.intersects(&padded) {
-                per_bin.push(BinClass::Outside);
-                continue;
-            }
-            // Inside needs every corner (and the center, to guard the
-            // degenerate flat bins of 2-D blocks) contained at zero pad;
-            // every solid shape is convex, so the whole bin follows.
-            let mut probes = 1u64;
-            let mut inside = s.contains(bb.center(), 0.0);
-            if inside {
-                'corners: for ci in 0..8 {
-                    let c = [
-                        if ci & 1 == 0 { bb.min[0] } else { bb.max[0] },
-                        if ci & 2 == 0 { bb.min[1] } else { bb.max[1] },
-                        if ci & 4 == 0 { bb.min[2] } else { bb.max[2] },
-                    ];
-                    probes += 1;
-                    if !s.contains(c, 0.0) {
-                        inside = false;
-                        break 'corners;
+        per_bin.resize(nbins, BinClass::Outside);
+        let Some(masks) = inv.hole_slabs(&s.bbox().inflate(pad_hint)) else { continue };
+        let lo = masks.map(|m| m.trailing_zeros() as usize);
+        let hi = masks.map(|m| (u32::BITS - m.leading_zeros()) as usize);
+        for bk in lo[2]..hi[2] {
+            for bj in lo[1]..hi[1] {
+                for bi in lo[0]..hi[0] {
+                    let at = [bi, bj, bk];
+                    if (0..3).any(|d| masks[d] >> at[d] & 1 == 0) {
+                        continue;
                     }
+                    // Inside needs every corner (and the center, to guard the
+                    // degenerate flat bins of 2-D blocks) contained at zero
+                    // pad; every solid shape is convex, so the whole bin
+                    // follows.
+                    let bb = inv.hole_bin_box(at);
+                    let mut probes = 1u64;
+                    let mut inside = s.contains(bb.center(), 0.0);
+                    if inside {
+                        'corners: for ci in 0..8 {
+                            let c = [
+                                if ci & 1 == 0 { bb.min[0] } else { bb.max[0] },
+                                if ci & 2 == 0 { bb.min[1] } else { bb.max[1] },
+                                if ci & 4 == 0 { bb.min[2] } else { bb.max[2] },
+                            ];
+                            probes += 1;
+                            if !s.contains(c, 0.0) {
+                                inside = false;
+                                break 'corners;
+                            }
+                        }
+                    }
+                    flops += probes * FLOPS_PER_SOLID_PROBE;
+                    per_bin[(bk * nb[1] + bj) * nb[0] + bi] =
+                        if inside { BinClass::Inside } else { BinClass::Boundary };
                 }
             }
-            flops += probes * FLOPS_PER_SOLID_PROBE;
-            per_bin.push(if inside { BinClass::Inside } else { BinClass::Boundary });
         }
+        reach.push(inv.hole_reach(lo, hi));
     }
     flops
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::donor::{walk_search, SearchCost, SearchOutcome};
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
@@ -1304,11 +1340,12 @@ mod tests {
         let inv = InverseMap::build(&b);
         let solid = Solid::Ellipsoid { center: [2.0, 2.0, 2.0], radii: [1.3, 1.1, 1.2] };
         let mut classes = Vec::new();
-        assert!(classify_solids_into(&inv, &[solid], 0.1, &mut classes) > 0);
+        assert!(classify_solids_into(&inv, &[solid], 0.1, &mut classes, &mut Vec::new()) > 0);
         let classes = &classes[0];
         let mut counts = [0usize; 3];
         for (bin, cls) in classes.iter().enumerate() {
-            let bb = inv.hole_bin_box(bin);
+            let (i, j, k) = unflatten(bin, inv.hole_nb);
+            let bb = inv.hole_bin_box([i, j, k]);
             counts[match cls {
                 BinClass::Outside => 0,
                 BinClass::Inside => 1,
@@ -1526,5 +1563,201 @@ mod tests {
             o => panic!("{o:?}"),
         }
         assert!(cost.walk_steps <= 2);
+    }
+
+    /// The classification this module shipped before it tested slabs: every
+    /// bin's box against the solid's padded box, then the probes. The oracle
+    /// of [`classify_solids_into`] (and of the cutter's reference).
+    pub(crate) fn classify_solids_reference(
+        inv: &InverseMap,
+        solids: &[Solid],
+        pad_hint: f64,
+        classes: &mut Vec<Vec<BinClass>>,
+    ) -> u64 {
+        let mut flops = 0u64;
+        classes.clear();
+        for s in solids {
+            let padded = s.bbox().inflate(pad_hint);
+            let mut per_bin = Vec::new();
+            for b in 0..inv.hole_bins() {
+                flops += FLOPS_PER_BIN_BBOX;
+                let (i, j, k) = unflatten(b, inv.hole_nb);
+                let bb = inv.hole_bin_box([i, j, k]);
+                if !bb.intersects(&padded) {
+                    per_bin.push(BinClass::Outside);
+                    continue;
+                }
+                let mut probes = 1u64;
+                let mut inside = s.contains(bb.center(), 0.0);
+                if inside {
+                    for ci in 0..8 {
+                        let c = [
+                            if ci & 1 == 0 { bb.min[0] } else { bb.max[0] },
+                            if ci & 2 == 0 { bb.min[1] } else { bb.max[1] },
+                            if ci & 4 == 0 { bb.min[2] } else { bb.max[2] },
+                        ];
+                        probes += 1;
+                        if !s.contains(c, 0.0) {
+                            inside = false;
+                            break;
+                        }
+                    }
+                }
+                flops += probes * FLOPS_PER_SOLID_PROBE;
+                per_bin.push(if inside { BinClass::Inside } else { BinClass::Boundary });
+            }
+            classes.push(per_bin);
+        }
+        flops
+    }
+
+    /// The reach of a solid the way the cutter found it before: a rescan of
+    /// its classes for the index box of the bins not `Outside`.
+    fn hole_reach_reference(inv: &InverseMap, classes: &[BinClass]) -> Option<Aabb> {
+        let (mut lo, mut hi) = ([usize::MAX; 3], [0usize; 3]);
+        for (b, _) in classes.iter().enumerate().filter(|(_, &c)| c != BinClass::Outside) {
+            let (i, j, k) = unflatten(b, inv.hole_nb);
+            for (d, at) in [i, j, k].into_iter().enumerate() {
+                lo[d] = lo[d].min(at);
+                hi[d] = hi[d].max(at + 1);
+            }
+        }
+        (lo[0] != usize::MAX).then(|| inv.hole_reach(lo, hi))
+    }
+
+    /// The maps [`slab_classes_equal_per_bin_classes`] classifies against:
+    /// Cartesian lattices with one bin along `i` (a block far thinner in `x`
+    /// than in `y` and `z`) or along `k` (2-D), every grid of the three
+    /// paper systems whole, and last every block of the store system
+    /// (×0.55) under its 256-rank static partition.
+    fn slab_oracle_maps() -> &'static [InverseMap] {
+        use overset_balance::{fit_np_to_dims_min, static_balance, Partition};
+        use overset_grid::gen::{airfoil, delta_wing, store};
+        static MAPS: std::sync::OnceLock<Vec<InverseMap>> = std::sync::OnceLock::new();
+        MAPS.get_or_init(|| {
+            let fc = FlowConditions::new(0.8, 0.0, 0.0);
+            let mut maps = Vec::new();
+            for d in [Dims::new(3, 9, 9), Dims::new(9, 9, 1)] {
+                let coords = Field3::from_fn(d, |p| [p.i as f64 * 1e-3, p.j as f64, p.k as f64]);
+                let g = CurvilinearGrid::new("thin", coords, GridKind::Background);
+                let m = InverseMap::build(&Block::from_grid(0, &g, d.full_box(), [None; 6], &fc));
+                assert!(m.hole_nb.contains(&1), "{:?}", m.hole_nb);
+                maps.push(m);
+            }
+            for grids in [
+                airfoil::airfoil_system(0.3),
+                delta_wing::delta_wing_system(0.2),
+                store::store_system(0.3),
+            ] {
+                for g in &grids {
+                    let block = Block::from_grid(0, g, g.dims().full_box(), [None; 6], &fc);
+                    maps.push(InverseMap::build(&block));
+                }
+            }
+            let grids = store::store_system(0.55);
+            let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
+            let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+            let min_widths: Vec<[usize; 3]> =
+                grids.iter().map(|g| if g.periodic_i { [2, 1, 1] } else { [1, 1, 1] }).collect();
+            let balanced = static_balance(&sizes, 256).unwrap();
+            let np = fit_np_to_dims_min(&sizes, &dims, &balanced.np, &min_widths).unwrap();
+            let part = Partition::build(&dims, &np);
+            for (rank, a) in part.ranks.iter().enumerate() {
+                let g = &grids[a.grid];
+                let nbrs = part.neighbors_of(rank, g.periodic_i);
+                maps.push(InverseMap::build(&Block::from_grid(a.grid, g, a.boxx, nbrs, &fc)));
+            }
+            maps
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The slab classification against the per-bin one on
+        /// [`slab_oracle_maps`]: every `Solid` kind far from the lattice,
+        /// straddling its edge and inside it, at pads of 0, a typical one, a
+        /// huge one and NaN, solids whose padded box is empty and one that
+        /// is a bin's box exactly. Classes,
+        /// flops and reach boxes must be the reference's, cold and with
+        /// recycled buffers.
+        #[test]
+        fn slab_classes_equal_per_bin_classes(seed in 1u64..(1 << 60), pick in 0usize..1 << 20) {
+            let maps = slab_oracle_maps();
+            // The 256-rank maps are most of the set; the rest are visited as
+            // often as those together.
+            let m = &maps[pick / 2 % if pick % 2 == 0 { maps.len() - 256 } else { maps.len() }];
+            let mut h = seed;
+            let mut rand = || {
+                h = (h ^ (h >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d;
+                (h >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let (lo, ext, diag) = (m.bounds.min, m.bounds.extent(), m.bounds.diagonal());
+            // Two empty boxes — the infinite one, and a small inside-out one
+            // that a slab spans — and one bin's own box: at pad 0 its
+            // neighbours' slabs touch it to the bit.
+            let at = std::array::from_fn(|d| (rand() * m.hole_nb[d] as f64) as usize);
+            let c: [f64; 3] = std::array::from_fn(|d| lo[d] + ext[d] * rand());
+            let inside_out = Aabb::new(
+                std::array::from_fn(|d| c[d] + 0.01 * ext[d]),
+                std::array::from_fn(|d| c[d] - 0.01 * ext[d]),
+            );
+            let mut solids = vec![
+                Solid::Slab { aabb: Aabb::EMPTY },
+                Solid::Slab { aabb: inside_out },
+                Solid::Slab { aabb: m.hole_bin_box(at) },
+            ];
+            for place in 0..3 {
+                for kind in 0..4 {
+                    let size = diag * (0.02 + 0.6 * rand());
+                    let mut c: [f64; 3] = std::array::from_fn(|d| lo[d] + ext[d] * rand());
+                    match place {
+                        0 => c[0] += 10.0 * diag + ext[0],
+                        1 => {
+                            let d = (rand() * 3.0) as usize;
+                            c[d] = if rand() < 0.5 { lo[d] } else { lo[d] + ext[d] };
+                        }
+                        _ => {}
+                    }
+                    let r: [f64; 3] = std::array::from_fn(|_| size * (0.2 + rand()));
+                    let th = 6.0 * rand();
+                    let axes = [[th.cos(), th.sin(), 0.0], [-th.sin(), th.cos(), 0.0], [0.0, 0.0, 1.0]];
+                    solids.push(match kind {
+                        0 => Solid::Ellipsoid { center: c, radii: r },
+                        1 => Solid::Cylinder {
+                            p0: c,
+                            p1: std::array::from_fn(|d| c[d] + axes[0][d] * r[0]),
+                            radius: r[1],
+                        },
+                        2 => Solid::Slab { aabb: Aabb::new(
+                            std::array::from_fn(|d| c[d] - r[d]),
+                            std::array::from_fn(|d| c[d] + r[d]),
+                        ) },
+                        _ => Solid::OrientedSlab { center: c, axes, half: r },
+                    });
+                }
+            }
+            let (mut classes, mut reach) = (Vec::new(), Vec::new());
+            for pad in [0.0, diag * 0.01, diag * 1e6, f64::NAN] {
+                let mut want = Vec::new();
+                let want_flops = classify_solids_reference(m, &solids, pad, &mut want);
+                let want_reach: Vec<Aabb> =
+                    want.iter().filter_map(|c| hole_reach_reference(m, c)).collect();
+                for round in 0..2 {
+                    let flops = classify_solids_into(m, &solids, pad, &mut classes, &mut reach);
+                    let what = format!("pad {pad:e}, hole lattice {:?}, round {round}", m.hole_nb);
+                    proptest::prop_assert_eq!(flops, want_flops, "flops: {}", what);
+                    proptest::prop_assert!(classes == want, "classes: {}", what);
+                    let bits = |b: &[Aabb]| -> Vec<[u64; 6]> {
+                        b.iter().map(|b| {
+                            let [x, y, z] = b.min.map(f64::to_bits);
+                            let [u, v, w] = b.max.map(f64::to_bits);
+                            [x, y, z, u, v, w]
+                        }).collect()
+                    };
+                    proptest::prop_assert_eq!(bits(&reach), bits(&want_reach), "reach: {}", what);
+                }
+            }
+        }
     }
 }

@@ -112,8 +112,7 @@ mod tests {
                 crate::setup::build_block(comm.rank(), &old, &grids, &cum, &fc).unwrap();
             // Tag every owned node with a unique value derived from its
             // global index and grid.
-            let ow = ob.owned_local();
-            for p in ow.iter().collect::<Vec<_>>() {
+            for p in ob.owned_local().iter() {
                 let g = ob.to_global(p);
                 let tag = (ob.grid_id * 1_000_000 + g.i * 1000 + g.j) as f64;
                 ob.q.set_node(p, [tag, tag + 0.1, tag + 0.2, tag + 0.3, tag + 0.4]);

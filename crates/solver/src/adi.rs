@@ -1486,13 +1486,16 @@ pub(crate) mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Whole-grid blocks of ragged sizes (`mm % W != 0`, rows shorter
-        /// than a lane group) with random blanking, open and cyclic.
+        /// than a lane group, so that lane groups cross row ends and the
+        /// last one holds 1 to 3 nodes) with random blanking, open and
+        /// cyclic (a cyclic line of the reference needs 3 unknowns).
         #[test]
         fn sweeps_bit_equal_scalar_reference(
             seed in 1u64..(1 << 60),
-            ni in 5usize..15, nj in 3usize..11, nk in 1usize..7,
+            ni in 1usize..15, nj in 3usize..11, nk in 1usize..7,
             periodic in 0usize..2,
         ) {
+            let ni = if periodic == 1 { ni.max(4) } else { ni };
             let d = Dims::new(ni, nj, if nk < 3 { 1 } else { nk });
             let g = crate::testutil::wavy_grid(d, periodic == 1);
             let fc = FlowConditions::new(0.8, 3.0, 0.0);

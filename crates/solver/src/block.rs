@@ -295,32 +295,14 @@ impl Block {
     }
 
     /// Pack `width` owned layers adjacent to `face` (for halo exchange),
-    /// states only, in deterministic layout order.
-    pub fn pack_face(&self, face: usize, width: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.pack_face_into(face, width, &mut out);
-        out
-    }
-
-    /// [`Self::pack_face`] into a caller-owned (recycled) buffer; the buffer
-    /// is cleared first, so steady-state exchanges allocate nothing.
+    /// states only, in layout order, into a caller-owned (recycled) buffer.
     pub fn pack_face_into(&self, face: usize, width: usize, out: &mut Vec<f64>) {
-        let b = self.layer_box(face, width, false);
-        out.clear();
-        out.reserve(b.count() * NVAR);
-        for p in b.iter() {
-            out.extend_from_slice(self.q.node(p));
-        }
+        self.pack_box_into(self.layer_box(face, width, false), out);
     }
 
     /// Unpack halo layers beyond `face` from a neighbor's packed data.
     pub fn unpack_face(&mut self, face: usize, width: usize, data: &[f64]) {
-        let b = self.layer_box(face, width, true);
-        assert_eq!(data.len(), b.count() * NVAR, "halo size mismatch on face {face}");
-        for (idx, p) in b.iter().enumerate() {
-            let s: [f64; NVAR] = data[idx * NVAR..(idx + 1) * NVAR].try_into().unwrap();
-            self.q.set_node(p, s);
-        }
+        self.unpack_box(self.layer_box(face, width, true), data);
     }
 
     /// Pack the states of an arbitrary local box (layout order).
@@ -330,22 +312,38 @@ impl Block {
         out
     }
 
-    /// [`Self::pack_box`] into a caller-owned (recycled) buffer.
+    /// [`Self::pack_box`] into a caller-owned (recycled) buffer; the buffer
+    /// is cleared first, so steady-state exchanges allocate nothing. Each
+    /// `(j, k)` row of the box is one contiguous run of the interleaved
+    /// state and is copied as one.
     pub fn pack_box_into(&self, b: IndexBox, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(b.count() * NVAR);
-        for p in b.iter() {
-            out.extend_from_slice(self.q.node(p));
+        let (q, run) = (self.q.as_slice(), b.dims().ni * NVAR);
+        for at in self.state_rows(b) {
+            push_run(out, &q[at..at + run]);
         }
     }
 
-    /// Unpack states into an arbitrary local box (layout order).
+    /// Unpack states into an arbitrary local box (layout order), row by row.
     pub fn unpack_box(&mut self, b: IndexBox, data: &[f64]) {
         assert_eq!(data.len(), b.count() * NVAR, "box unpack size mismatch");
-        for (idx, p) in b.iter().enumerate() {
-            let s: [f64; NVAR] = data[idx * NVAR..(idx + 1) * NVAR].try_into().unwrap();
-            self.q.set_node(p, s);
+        let run = b.dims().ni * NVAR;
+        let rows = self.state_rows(b);
+        let q = self.q.as_mut_slice();
+        for (at, src) in rows.zip(data.chunks_exact(run.max(1))) {
+            copy_run(&mut q[at..at + run], src);
         }
+    }
+
+    /// Where each `(j, k)` row of the local box `b` starts in the
+    /// interleaved state, rows in layout order (none for an empty box).
+    fn state_rows(&self, b: IndexBox) -> impl Iterator<Item = usize> {
+        let d = self.local_dims;
+        assert!(b.hi.i <= d.ni && b.hi.j <= d.nj && b.hi.k <= d.nk, "{b:?} outside {d:?}");
+        let (lo, hi) = (b.lo, if b.count() == 0 { b.lo } else { b.hi });
+        (lo.k..hi.k)
+            .flat_map(move |k| (lo.j..hi.j).map(move |j| (lo.i + d.ni * (j + d.nj * k)) * NVAR))
     }
 
     /// The local box of `width` layers at `face`: owned layers (`halo_side
@@ -373,31 +371,25 @@ impl Block {
 
     /// Fill the periodic wrap halo in `i` from this block's own data (only
     /// valid when `self_wrap_i`). The parent O-grid duplicates node `ni-1`
-    /// over node 0, so the period is `ni-1`.
+    /// over node 0, so the period is `ni-1`; it must be at least the halo
+    /// width, so that no ghost mirrors another ghost.
     pub fn fill_self_wrap(&mut self) {
         assert!(self.self_wrap_i);
         let ow = self.owned_local();
-        let ni = self.owned.dims().ni;
-        let period = ni - 1;
-        let h = self.halo[0];
-        for k in ow.lo.k..ow.hi.k {
-            for j in ow.lo.j..ow.hi.j {
-                for layer in 1..=h {
-                    // Ghost left of i=0 mirrors i = period - layer.
-                    let src = Ijk::new(ow.lo.i + period - layer, j, k);
-                    let dst = Ijk::new(ow.lo.i - layer, j, k);
-                    let v = *self.q.node(src);
-                    self.q.set_node(dst, v);
-                    // Ghost right of i=ni-1 mirrors i = layer (past the seam).
-                    let src = Ijk::new(ow.lo.i + layer, j, k);
-                    let dst = Ijk::new(ow.lo.i + period + layer, j, k);
-                    let v = *self.q.node(src);
-                    self.q.set_node(dst, v);
-                }
-                // The duplicated seam node ni-1 must mirror node 0.
-                let v = *self.q.node(Ijk::new(ow.lo.i, j, k));
-                self.q.set_node(Ijk::new(ow.lo.i + period, j, k), v);
-            }
+        let (h, period) = (self.halo[0], self.owned.dims().ni - 1);
+        assert!(period >= h, "a period of {period} nodes wraps onto the halo");
+        let rows = self.state_rows(IndexBox::new(ow.lo, Ijk::new(ow.lo.i + 1, ow.hi.j, ow.hi.k)));
+        let q = self.q.as_mut_slice();
+        for at in rows {
+            // Node 0 of the row, and where node `i` of it lies.
+            let node = |i: usize| at + i * NVAR;
+            // Ghosts left of i = 0 mirror i = period - h .. period, ghosts
+            // right of the seam mirror i = 1 ..= h; the duplicated seam node
+            // mirrors node 0 last (a ghost may read it first when the
+            // period is h).
+            q.copy_within(node(period - h)..node(period), node(0) - h * NVAR);
+            q.copy_within(node(1)..node(h + 1), node(period + 1));
+            q.copy_within(node(0)..node(1), node(period));
         }
     }
 
@@ -419,6 +411,30 @@ impl Block {
     pub fn working_set_bytes(&self) -> f64 {
         let n = self.local_dims.count() as f64;
         n * 8.0 * 26.0
+    }
+}
+
+/// A row of an `i`-face halo: two nodes' states.
+const PAIR: usize = 2 * NVAR;
+
+/// Copy a row run of states into `dst` (same length). A two-node run is a
+/// fixed-size copy, which compiles to a few moves instead of a `memcpy`
+/// call.
+#[inline(always)]
+fn copy_run(dst: &mut [f64], src: &[f64]) {
+    match (<&mut [f64; PAIR]>::try_from(&mut *dst), <&[f64; PAIR]>::try_from(src)) {
+        (Ok(d), Ok(s)) => *d = *s,
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// Append a row run of states to `out` (capacity reserved), as [`copy_run`]
+/// copies it.
+#[inline(always)]
+fn push_run(out: &mut Vec<f64>, src: &[f64]) {
+    match <&[f64; PAIR]>::try_from(src) {
+        Ok(s) => out.extend_from_slice(s),
+        Err(_) => out.extend_from_slice(src),
     }
 }
 
@@ -483,7 +499,8 @@ mod tests {
             let gp = a.to_global(p);
             a.q.set_node(p, [gp.i as f64, gp.j as f64, gp.k as f64, 0.0, 1.0]);
         }
-        let data = a.pack_face(1, HALO);
+        let mut data = Vec::new();
+        a.pack_face_into(1, HALO, &mut data);
         b.unpack_face(0, HALO, &data);
         // b's ghost layer left of its owned region matches a's owned nodes.
         for p in b.layer_box(0, HALO, true).iter() {
@@ -537,6 +554,123 @@ mod tests {
         // Seam duplicate mirrors i = 0.
         let seam = b.q.node(Ijk::new(ow.lo.i + 8, j, 0));
         assert_eq!(seam[0], 0.0);
+    }
+
+    /// The box copies this module shipped before it copied rows: one node
+    /// at a time, in `IndexBox::iter` order. Oracles of the row copies.
+    fn pack_box_per_node(b: &Block, bx: IndexBox) -> Vec<f64> {
+        bx.iter().flat_map(|p| *b.q.node(p)).collect()
+    }
+
+    fn unpack_box_per_node(b: &mut Block, bx: IndexBox, data: &[f64]) {
+        assert_eq!(data.len(), bx.count() * NVAR);
+        for (idx, p) in bx.iter().enumerate() {
+            b.q.set_node(p, data[idx * NVAR..(idx + 1) * NVAR].try_into().unwrap());
+        }
+    }
+
+    /// The periodic wrap fill of the per-node era: per row, layer by layer,
+    /// both ghosts, then the seam node.
+    fn fill_self_wrap_per_node(b: &mut Block) {
+        let ow = b.owned_local();
+        let period = b.owned.dims().ni - 1;
+        for k in ow.lo.k..ow.hi.k {
+            for j in ow.lo.j..ow.hi.j {
+                for layer in 1..=b.halo[0] {
+                    let v = *b.q.node(Ijk::new(ow.lo.i + period - layer, j, k));
+                    b.q.set_node(Ijk::new(ow.lo.i - layer, j, k), v);
+                    let v = *b.q.node(Ijk::new(ow.lo.i + layer, j, k));
+                    b.q.set_node(Ijk::new(ow.lo.i + period + layer, j, k), v);
+                }
+                let v = *b.q.node(Ijk::new(ow.lo.i, j, k));
+                b.q.set_node(Ijk::new(ow.lo.i + period, j, k), v);
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The row copies against the per-node ones on 2-D and 3-D blocks
+        /// with owned `ni` from 1 to 9, placed anywhere in their grid: every
+        /// face at every width up to [`HALO`] and arbitrary (possibly empty)
+        /// boxes inside local storage, packed and unpacked; and the periodic
+        /// wrap fill of whole O-grid blocks. Packed buffers and the state of
+        /// every local node must be bit-equal, and an unpack must leave every
+        /// node outside its box as it was.
+        #[test]
+        fn row_copies_bit_equal_per_node_copies(
+            seed in 1u64..(1 << 60),
+            ni in 1usize..10,
+            three_d in 0usize..2,
+        ) {
+            let mut h = seed;
+            let mut rand = |n: usize| {
+                h = (h ^ (h >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d;
+                (h >> 17) as usize % n
+            };
+            let own = Dims::new(ni, 1 + rand(7), if three_d == 1 { 1 + rand(5) } else { 1 });
+            let gd = Dims::new(
+                own.ni + rand(4),
+                own.nj + rand(4),
+                if three_d == 1 { own.nk + rand(3) } else { 1 },
+            );
+            let lo = Ijk::new(rand(gd.ni - own.ni + 1), rand(gd.nj - own.nj + 1), rand(gd.nk - own.nk + 1));
+            let owned = IndexBox::new(lo, Ijk::new(lo.i + own.ni, lo.j + own.nj, lo.k + own.nk));
+            let mut b = Block::from_grid(0, &test_grid(gd.ni, gd.nj, gd.nk), owned, [None; 6], &fc());
+            let tag = |x: usize| f64::from_bits(seed.wrapping_mul(x as u64 + 1) >> 2);
+            for (x, v) in b.q.as_mut_slice().iter_mut().enumerate() {
+                *v = tag(x);
+            }
+            let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+
+            let ld = b.local_dims;
+            let mut boxes = Vec::new();
+            for face in 0..if b.two_d { 4 } else { 6 } {
+                for width in 1..=HALO {
+                    boxes.push(b.layer_box(face, width, false));
+                    boxes.push(b.layer_box(face, width, true));
+                }
+            }
+            for _ in 0..8 {
+                let (a, c) = (Ijk::new(rand(ld.ni + 1), rand(ld.nj + 1), rand(ld.nk + 1)),
+                    Ijk::new(rand(ld.ni + 1), rand(ld.nj + 1), rand(ld.nk + 1)));
+                boxes.push(IndexBox::new(
+                    Ijk::new(a.i.min(c.i), a.j.min(c.j), a.k.min(c.k)),
+                    Ijk::new(a.i.max(c.i), a.j.max(c.j), a.k.max(c.k)),
+                ));
+            }
+            let mut packed = vec![f64::NAN; 3];
+            for bx in boxes {
+                b.pack_box_into(bx, &mut packed);
+                prop_assert_eq!(bits(&packed), bits(&pack_box_per_node(&b, bx)), "pack {:?}", bx);
+                let data: Vec<f64> = (0..bx.count() * NVAR).map(|x| -tag(x + 7)).collect();
+                let before = b.q.clone();
+                b.unpack_box(bx, &data);
+                let rows = std::mem::replace(&mut b.q, before.clone());
+                unpack_box_per_node(&mut b, bx, &data);
+                prop_assert_eq!(bits(rows.as_slice()), bits(b.q.as_slice()), "unpack {:?}", bx);
+                for p in ld.iter().filter(|&p| !bx.contains(p)) {
+                    prop_assert_eq!(bits(rows.node(p)), bits(before.node(p)), "{:?} outside {:?}", p, bx);
+                }
+            }
+
+            // A whole O-grid block: its period must cover the halo.
+            let od = Dims::new(ni.max(HALO + 1), own.nj, own.nk);
+            let g = crate::testutil::wavy_grid(od, true);
+            let mut o = Block::from_grid(0, &g, od.full_box(), [None; 6], &fc());
+            prop_assert!(o.self_wrap_i);
+            for (x, v) in o.q.as_mut_slice().iter_mut().enumerate() {
+                *v = tag(x);
+            }
+            let before = o.q.clone();
+            o.fill_self_wrap();
+            let rows = std::mem::replace(&mut o.q, before);
+            fill_self_wrap_per_node(&mut o);
+            prop_assert_eq!(bits(rows.as_slice()), bits(o.q.as_slice()), "wrap {:?}", od);
+        }
     }
 
     #[test]

@@ -196,6 +196,57 @@ impl Rows {
     }
 }
 
+/// The `src` offsets of a [`Rows`] box's nodes in storage order, walked
+/// across row ends.
+struct SrcWalk {
+    rows: Rows,
+    /// The next node's place in its row and its row's in its plane, and
+    /// where that row and plane start.
+    i: usize,
+    j: usize,
+    row: usize,
+    plane: usize,
+}
+
+impl SrcWalk {
+    fn new(rows: Rows) -> Self {
+        SrcWalk { rows, i: 0, j: 0, row: rows.src, plane: rows.src }
+    }
+
+    /// The next node's offset.
+    #[inline(always)]
+    fn next(&mut self) -> usize {
+        let s = self.row + self.i;
+        self.i += 1;
+        if self.i == self.rows.ni {
+            self.i = 0;
+            self.j += 1;
+            if self.j == self.rows.nj {
+                self.j = 0;
+                self.plane += self.rows.src_k;
+                self.row = self.plane;
+            } else {
+                self.row += self.rows.src_j;
+            }
+        }
+        s
+    }
+
+    /// The offsets of the next `nv` nodes, one per lane (padding lanes
+    /// replicate node `nv - 1`).
+    #[inline(always)]
+    fn group(&mut self, nv: usize) -> [usize; W] {
+        let mut s = [0; W];
+        for x in &mut s[..nv] {
+            *x = self.next();
+        }
+        for l in nv..W {
+            s[l] = s[nv - 1];
+        }
+        s
+    }
+}
+
 /// Conserved state of `nv` consecutive nodes from the interleaved storage,
 /// one node per lane (padding lanes replicate node `nv - 1`). A full group
 /// moves its first four variables through a register transpose.
@@ -248,6 +299,53 @@ fn gather_velocity<L: Lane4>(vel: &[[f64; 3]], s: usize, nv: usize) -> [L; 3] {
     for l in 0..W {
         for t in 0..3 {
             v[t][l] = vel[l.min(nv - 1)][t];
+        }
+    }
+    [L::from_array(v[0]), L::from_array(v[1]), L::from_array(v[2])]
+}
+
+/// Conserved state of the nodes at storage offsets `s`, one per lane:
+/// [`gather_state`]'s transposed load when they are four consecutive nodes,
+/// lane by lane otherwise.
+#[inline(always)]
+fn gather_state_at<L: Lane4>(q: &[f64], s: [usize; W]) -> [L; NVAR] {
+    if s[W - 1] == s[0] + (W - 1) {
+        return gather_state(q, s[0], W);
+    }
+    let mut out = [L::splat(0.0); NVAR];
+    for (v, o) in out.iter_mut().enumerate() {
+        let mut a = [0.0; W];
+        for (x, &s) in a.iter_mut().zip(&s) {
+            *x = q[s * NVAR + v];
+        }
+        *o = L::from_array(a);
+    }
+    out
+}
+
+/// Metric row of direction `dir` and Jacobian of the nodes at storage
+/// offsets `s`, one per lane.
+#[inline(always)]
+fn gather_metric_at<L: Lane4>(met: &[Metric], dir: usize, s: [usize; W]) -> ([L; 3], L) {
+    let (mut g, mut jac) = ([[0.0; W]; 3], [0.0; W]);
+    for l in 0..W {
+        let m = &met[s[l]];
+        let row = m.grad(dir);
+        for t in 0..3 {
+            g[t][l] = row[t];
+        }
+        jac[l] = m.jac;
+    }
+    ([L::from_array(g[0]), L::from_array(g[1]), L::from_array(g[2])], L::from_array(jac))
+}
+
+/// Grid velocity of the nodes at storage offsets `s`, one per lane.
+#[inline(always)]
+fn gather_velocity_at<L: Lane4>(vel: &[[f64; 3]], s: [usize; W]) -> [L; 3] {
+    let mut v = [[0.0; W]; 3];
+    for l in 0..W {
+        for t in 0..3 {
+            v[t][l] = vel[s[l]][t];
         }
     }
     [L::from_array(v[0]), L::from_array(v[1]), L::from_array(v[2])]
@@ -403,6 +501,11 @@ lane_kernel! {
     /// operation sequence of the scalar `char_frame` + `to_char` pair in the
     /// tests of [`crate::adi`], so results are bit-identical across lanes
     /// and ISAs.
+    ///
+    /// The SoA holds the nodes of `rows` in storage order (`rows`' `dst` is
+    /// its own box), so the kernel walks the flat index `m = 0..mm` in full
+    /// lane groups across row ends, each lane gathering from its own
+    /// storage offset; only the last group is ragged.
     pub fn frames_forward_rows<L>(
         rows: Rows,
         dir: usize,
@@ -419,130 +522,132 @@ lane_kernel! {
         let half = L::splat(0.5);
         let gm1 = L::splat(GAMMA - 1.0);
         let gam = L::splat(GAMMA);
-        let n = rows.ni;
-        for (s0, m0) in rows.starts() {
-            let mut frr = FieldRows::new(&mut *fr, FR_FIELDS, stride, [m0], n);
-            let mut dwr = FieldRows::new(&mut *dw, NVAR, stride, [m0], n);
-            let q = &q[s0 * NVAR..(s0 + n) * NVAR];
-            let (met, vel) = (&met[s0..s0 + n], &vel[s0..s0 + n]);
-            lane_groups!(n, |i, nv| {
-                let ([g0, g1, g2], jac) = gather_metric::<L>(met, dir, i, nv);
-                let [vg0, vg1, vg2] = gather_velocity::<L>(vel, i, nv);
+        let mm = rows.ni * rows.nj * rows.nk;
+        assert!(
+            rows.dst == 0 && rows.dst_j == rows.ni && rows.dst_k == rows.ni * rows.nj,
+            "the frame SoA is not the box's own"
+        );
+        let mut frr = FieldRows::new(&mut *fr, FR_FIELDS, stride, [0], mm);
+        let mut dwr = FieldRows::new(&mut *dw, NVAR, stride, [0], mm);
+        let mut walk = SrcWalk::new(rows);
+        lane_groups!(mm, |i, nv| {
+            let s = walk.group(nv);
+            let ([g0, g1, g2], jac) = gather_metric_at::<L>(met, dir, s);
+            let [vg0, vg1, vg2] = gather_velocity_at::<L>(vel, s);
 
-                // char_frame, lanewise in the scalar operation order.
-                let s0v = g0.mul(jac);
-                let s1 = g1.mul(jac);
-                let s2 = g2.mul(jac);
-                let ssq = s0v.mul(s0v).add(s1.mul(s1)).add(s2.mul(s2)).sqrt();
-                // `f64::max`, as `char_frame` floors it (a NaN yields the floor).
-                let s_norm = ssq.max(L::splat(1e-300));
-                let k0 = s0v.div(s_norm);
-                let k1 = s1.div(s_norm);
-                let k2 = s2.div(s_norm);
-                // Deterministic tangent basis: branch -> per-lane select of
-                // the reference axis, then the identical cross products.
-                let tangent_x = k0.abs().lt(L::splat(0.9));
-                let ax = L::select(tangent_x, one, zero);
-                let ay = L::select(tangent_x, zero, one);
-                let az = zero;
-                let mut t10 = k1.mul(az).sub(k2.mul(ay));
-                let mut t11 = k2.mul(ax).sub(k0.mul(az));
-                let mut t12 = k0.mul(ay).sub(k1.mul(ax));
-                let n1 = t10.mul(t10).add(t11.mul(t11)).add(t12.mul(t12)).sqrt();
-                t10 = t10.div(n1);
-                t11 = t11.div(n1);
-                t12 = t12.div(n1);
-                let t20 = k1.mul(t12).sub(k2.mul(t11));
-                let t21 = k2.mul(t10).sub(k0.mul(t12));
-                let t22 = k0.mul(t11).sub(k1.mul(t10));
+            // char_frame, lanewise in the scalar operation order.
+            let s0v = g0.mul(jac);
+            let s1 = g1.mul(jac);
+            let s2 = g2.mul(jac);
+            let ssq = s0v.mul(s0v).add(s1.mul(s1)).add(s2.mul(s2)).sqrt();
+            // `f64::max`, as `char_frame` floors it (a NaN yields the floor).
+            let s_norm = ssq.max(L::splat(1e-300));
+            let k0 = s0v.div(s_norm);
+            let k1 = s1.div(s_norm);
+            let k2 = s2.div(s_norm);
+            // Deterministic tangent basis: branch -> per-lane select of
+            // the reference axis, then the identical cross products.
+            let tangent_x = k0.abs().lt(L::splat(0.9));
+            let ax = L::select(tangent_x, one, zero);
+            let ay = L::select(tangent_x, zero, one);
+            let az = zero;
+            let mut t10 = k1.mul(az).sub(k2.mul(ay));
+            let mut t11 = k2.mul(ax).sub(k0.mul(az));
+            let mut t12 = k0.mul(ay).sub(k1.mul(ax));
+            let n1 = t10.mul(t10).add(t11.mul(t11)).add(t12.mul(t12)).sqrt();
+            t10 = t10.div(n1);
+            t11 = t11.div(n1);
+            t12 = t12.div(n1);
+            let t20 = k1.mul(t12).sub(k2.mul(t11));
+            let t21 = k2.mul(t10).sub(k0.mul(t12));
+            let t22 = k0.mul(t11).sub(k1.mul(t10));
 
-                // (Macros, not closures: a closure body would be compiled
-                // outside the kernel's `target_feature` scope.)
-                macro_rules! put {
-                    ($f:expr, $x:expr) => {
-                        // SAFETY: the fields are below FR_FIELDS and
-                        // `lane_groups!` keeps i + nv <= n.
-                        unsafe { frr.put($f, 0, i, nv, $x) }
-                    };
-                }
-                macro_rules! get {
-                    ($f:expr) => {
-                        // SAFETY: as for `put!`.
-                        unsafe { frr.get::<L>($f, 0, i, nv) }
-                    };
-                }
-                let (rho, u0, u1, u2, c) = if fresh {
-                    let qn = gather_state::<L>(q, i, nv);
-                    let rho = qn[0];
-                    let u0 = qn[1].div(rho);
-                    let u1 = qn[2].div(rho);
-                    let u2 = qn[3].div(rho);
-                    // sound_speed(q) in the scalar operation order.
-                    let press = pressure_lanes(&qn, one.div(rho));
-                    let carg = gam.mul(press).div(rho);
-                    let c = carg.max(L::splat(1e-12)).sqrt();
-                    put!(FR_RHO, rho);
-                    put!(FR_U, u0);
-                    put!(FR_U + 1, u1);
-                    put!(FR_U + 2, u2);
-                    put!(FR_C, c);
-                    (rho, u0, u1, u2, c)
-                } else {
-                    (get!(FR_RHO), get!(FR_U), get!(FR_U + 1), get!(FR_U + 2), get!(FR_C))
+            // (Macros, not closures: a closure body would be compiled
+            // outside the kernel's `target_feature` scope.)
+            macro_rules! put {
+                ($f:expr, $x:expr) => {
+                    // SAFETY: the fields are below FR_FIELDS and
+                    // `lane_groups!` keeps i + nv <= mm.
+                    unsafe { frr.put($f, 0, i, nv, $x) }
                 };
-                let u_rel_n = s0v
-                    .mul(u0.sub(vg0))
-                    .add(s1.mul(u1.sub(vg1)))
-                    .add(s2.mul(u2.sub(vg2)));
-                let u_tilde = u_rel_n.div(jac);
-                let c_tilde = c.mul(s_norm).div(jac);
-                let sigma = u_tilde.abs().add(c_tilde);
+            }
+            macro_rules! get {
+                ($f:expr) => {
+                    // SAFETY: as for `put!`.
+                    unsafe { frr.get::<L>($f, 0, i, nv) }
+                };
+            }
+            let (rho, u0, u1, u2, c) = if fresh {
+                let qn = gather_state_at::<L>(q, s);
+                let rho = qn[0];
+                let u0 = qn[1].div(rho);
+                let u1 = qn[2].div(rho);
+                let u2 = qn[3].div(rho);
+                // sound_speed(q) in the scalar operation order.
+                let press = pressure_lanes(&qn, one.div(rho));
+                let carg = gam.mul(press).div(rho);
+                let c = carg.max(L::splat(1e-12)).sqrt();
+                put!(FR_RHO, rho);
+                put!(FR_U, u0);
+                put!(FR_U + 1, u1);
+                put!(FR_U + 2, u2);
+                put!(FR_C, c);
+                (rho, u0, u1, u2, c)
+            } else {
+                (get!(FR_RHO), get!(FR_U), get!(FR_U + 1), get!(FR_U + 2), get!(FR_C))
+            };
+            let u_rel_n = s0v
+                .mul(u0.sub(vg0))
+                .add(s1.mul(u1.sub(vg1)))
+                .add(s2.mul(u2.sub(vg2)));
+            let u_tilde = u_rel_n.div(jac);
+            let c_tilde = c.mul(s_norm).div(jac);
+            let sigma = u_tilde.abs().add(c_tilde);
 
-                put!(FR_K, k0);
-                put!(FR_K + 1, k1);
-                put!(FR_K + 2, k2);
-                put!(FR_T1, t10);
-                put!(FR_T1 + 1, t11);
-                put!(FR_T1 + 2, t12);
-                put!(FR_T2, t20);
-                put!(FR_T2 + 1, t21);
-                put!(FR_T2 + 2, t22);
-                put!(FR_LAM, u_tilde);
-                put!(FR_LAM + 1, u_tilde.add(c_tilde));
-                put!(FR_LAM + 2, u_tilde.sub(c_tilde));
-                put!(FR_SIG, sigma);
+            put!(FR_K, k0);
+            put!(FR_K + 1, k1);
+            put!(FR_K + 2, k2);
+            put!(FR_T1, t10);
+            put!(FR_T1 + 1, t11);
+            put!(FR_T1 + 2, t12);
+            put!(FR_T2, t20);
+            put!(FR_T2 + 1, t21);
+            put!(FR_T2 + 2, t22);
+            put!(FR_LAM, u_tilde);
+            put!(FR_LAM + 1, u_tilde.add(c_tilde));
+            put!(FR_LAM + 2, u_tilde.sub(c_tilde));
+            put!(FR_SIG, sigma);
 
-                // to_char, lanewise in the scalar operation order.
-                // SAFETY (the loads and stores of `dwr`): fields below NVAR,
-                // and `lane_groups!` keeps i + nv <= n.
-                let mut w = [zero; NVAR];
-                for (v, x) in w.iter_mut().enumerate() {
-                    *x = unsafe { dwr.get::<L>(v, 0, i, nv) };
-                }
-                let [w0, w1, w2, w3, w4] = w;
-                let d_rho = w0;
-                let du0 = w1.sub(u0.mul(d_rho)).div(rho);
-                let du1 = w2.sub(u1.mul(d_rho)).div(rho);
-                let du2 = w3.sub(u2.mul(d_rho)).div(rho);
-                let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
-                let dp = gm1.mul(
-                    w4.add(ke.mul(d_rho)).sub(u0.mul(w1)).sub(u1.mul(w2)).sub(u2.mul(w3)),
-                );
-                let un = k0.mul(du0).add(k1.mul(du1)).add(k2.mul(du2));
-                let c2 = c.mul(c);
-                let dp_rc = dp.div(rho.mul(c));
-                let w = [
-                    d_rho.sub(dp.div(c2)),
-                    t10.mul(du0).add(t11.mul(du1)).add(t12.mul(du2)),
-                    t20.mul(du0).add(t21.mul(du1)).add(t22.mul(du2)),
-                    un.add(dp_rc),
-                    un.sub(dp_rc),
-                ];
-                for (v, x) in w.into_iter().enumerate() {
-                    unsafe { dwr.put(v, 0, i, nv, x) };
-                }
-            });
-        }
+            // to_char, lanewise in the scalar operation order.
+            // SAFETY (the loads and stores of `dwr`): fields below NVAR,
+            // and `lane_groups!` keeps i + nv <= mm.
+            let mut w = [zero; NVAR];
+            for (v, x) in w.iter_mut().enumerate() {
+                *x = unsafe { dwr.get::<L>(v, 0, i, nv) };
+            }
+            let [w0, w1, w2, w3, w4] = w;
+            let d_rho = w0;
+            let du0 = w1.sub(u0.mul(d_rho)).div(rho);
+            let du1 = w2.sub(u1.mul(d_rho)).div(rho);
+            let du2 = w3.sub(u2.mul(d_rho)).div(rho);
+            let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
+            let dp = gm1.mul(
+                w4.add(ke.mul(d_rho)).sub(u0.mul(w1)).sub(u1.mul(w2)).sub(u2.mul(w3)),
+            );
+            let un = k0.mul(du0).add(k1.mul(du1)).add(k2.mul(du2));
+            let c2 = c.mul(c);
+            let dp_rc = dp.div(rho.mul(c));
+            let w = [
+                d_rho.sub(dp.div(c2)),
+                t10.mul(du0).add(t11.mul(du1)).add(t12.mul(du2)),
+                t20.mul(du0).add(t21.mul(du1)).add(t22.mul(du2)),
+                un.add(dp_rc),
+                un.sub(dp_rc),
+            ];
+            for (v, x) in w.into_iter().enumerate() {
+                unsafe { dwr.put(v, 0, i, nv, x) };
+            }
+        });
     }
 }
 

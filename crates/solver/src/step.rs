@@ -335,21 +335,31 @@ mod tests {
         /// step: 2-D and 3-D, open grids and O-grids (whole, or cut with the
         /// seam on the last piece), inviscid and viscous, with and without
         /// non-finite garbage in holes, the whole grid on one block or cut
-        /// into a chain of pipelined subdomains. State bits on every step,
-        /// and flops and the residual norm of the whole grid (a chain's
-        /// flops summed over its pieces).
+        /// into a chain of pipelined subdomains. Every block owns `own_ni`
+        /// nodes in `i`, so thin blocks put lane groups across row ends —
+        /// but a whole O-grid at least 4 (the reference's cyclic solve needs
+        /// 3 unknowns) and a piece of an `i`-chain at least 2 (a boundary
+        /// condition at an `i` face reads the next node in, which a 1-node
+        /// piece holds only in its halo, a step old).
+        /// State bits on every step, and flops and the residual norm of the
+        /// whole grid (a chain's flops summed over its pieces).
         #[test]
         fn step_bit_equals_reference_step(
             seed in 1u64..(1 << 60),
             kind in 0usize..16,
             parts in 1usize..4,
             split in 0usize..3,
+            own_ni in 1usize..14,
         ) {
             let (three_d, periodic, viscous) = (kind & 1 == 1, kind & 2 == 2, kind & 4 == 4);
             let garbage = kind & 8 == 8;
-            let (ni, nj) = (9 + (seed % 5) as usize, 7 + (seed % 3) as usize);
-            let d = Dims::new(ni, nj, if three_d { 7 } else { 1 });
             let split = if three_d { split } else { split % 2 };
+            let ni = match (split == 0 && parts > 1, periodic) {
+                (true, _) => own_ni.max(2) * parts,
+                (false, false) => own_ni,
+                (false, true) => own_ni.max(4),
+            };
+            let d = Dims::new(ni, 7 + (seed % 3) as usize, if three_d { 7 } else { 1 });
             let g = keyed_grid(d, periodic, viscous);
             let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
             let mut reference = keyed_block(&g, d.full_box(), [None; 6], &fc, seed, garbage);

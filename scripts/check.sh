@@ -26,12 +26,13 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
-echo "== solver bit-equality proptests (kernels vs scalar references, step vs reference step): release, 256 cases each =="
+echo "== solver bit-equality proptests (kernels vs scalar references, step vs reference step, row copies vs per-node copies): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-solver -- bit_equal
 
-echo "== connectivity bit-equality (cutter vs its per-node oracle, candidate lists and sub-bins, one-rank protocol vs serial oracle, map and arena off-paths): release, 256 cases each =="
+echo "== connectivity bit-equality (cutter vs its per-node oracle, slab vs per-bin hole-lattice classes, candidate lists and sub-bins, one-rank protocol vs serial oracle, map and arena off-paths): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-connectivity -- \
     cutter_agrees_with_the_per_node_sweep_on_the_paper_systems \
+    slab_classes_equal_per_bin_classes \
     candidate_lists_hold_every_containing_cell \
     one_rank_protocol_agrees_with_the_serial_oracle_on_the_paper_systems \
     map_and_arena_change_work_never_answers
