@@ -68,9 +68,9 @@ fn critical_rank(cp: &CriticalPath, out: &mut Vec<Finding>) {
     });
 }
 
-/// Connectivity service imbalance — the quantity Algorithm 2 watches.
-/// Primary signal: per-rank `conn/serve` span time. Fallback when conn
-/// spans were filtered out: serviced counts from the last step record.
+/// Connectivity service imbalance — the quantity Algorithm 2 watches —
+/// as per-rank `conn/serve` span time. A run that served no requests has
+/// nothing to balance.
 fn serve_imbalance(input: &AnalysisInput, out: &mut Vec<Finding>) {
     let serve: Vec<f64> = input
         .ranks
@@ -79,23 +79,13 @@ fn serve_imbalance(input: &AnalysisInput, out: &mut Vec<Finding>) {
             r.spans.iter().filter(|s| s.cat == "conn" && s.name == "serve").map(|s| s.dur).sum()
         })
         .collect();
-    let (ratios, what): (Vec<f64>, &str) = if serve.iter().sum::<f64>() > 0.0 {
-        let mean = serve.iter().sum::<f64>() / serve.len() as f64;
-        (serve.iter().map(|&t| t / mean).collect(), "connectivity serve time")
-    } else {
-        let last: Option<Vec<_>> = input.steps.iter().map(|r| r.last()).collect();
-        let Some(last) = last else { return };
-        let serviced: Vec<usize> =
-            last.iter().map(|rec| rec.count(Counter::ConnServiced) as usize).collect();
-        if serviced.is_empty() {
-            return;
-        }
-        if serviced.iter().sum::<usize>() == 0 {
-            return;
-        }
-        let mean = serviced.iter().sum::<usize>() as f64 / serviced.len() as f64;
-        (serviced.iter().map(|&c| c as f64 / mean).collect(), "serviced point count I(p)")
-    };
+    let total: f64 = serve.iter().sum();
+    if total <= 0.0 {
+        return;
+    }
+    let mean = total / serve.len() as f64;
+    let ratios: Vec<f64> = serve.iter().map(|&t| t / mean).collect();
+    let what = "connectivity serve time";
     let mut top = 0;
     for (r, &f) in ratios.iter().enumerate() {
         if f > ratios[top] {
@@ -235,7 +225,7 @@ mod tests {
         ];
         let input = AnalysisInput { source: "test".into(), ranks, steps: Vec::new() };
         let tables = vec![vec![[0.0; NUM_PHASES]]; 4];
-        let cp = from_phase_tables(&[0], &tables, None);
+        let cp = from_phase_tables(&[0], &tables, &[]);
         let waits = classify(&input.ranks);
         let findings = advise(&input, &cp, &waits);
         let grant = findings.iter().find(|f| f.kind == "grant-processor").unwrap();
@@ -252,7 +242,7 @@ mod tests {
             RankSpans { rank: 1, spans: vec![serve_span(0.0, 1.1)] },
         ];
         let input = AnalysisInput { source: "test".into(), ranks, steps: Vec::new() };
-        let cp = from_phase_tables(&[], &[], None);
+        let cp = from_phase_tables(&[], &[], &[]);
         let waits = classify(&input.ranks);
         let findings = advise(&input, &cp, &waits);
         assert!(findings.iter().any(|f| f.kind == "balanced"));

@@ -7,7 +7,7 @@
 //! of critical-path contributors: the ranks that would have to get faster
 //! for the run to get faster (everyone else's time is hidden behind waits).
 
-use crate::input::{phase_index, RankSpans};
+use crate::input::RankSpans;
 use overset_comm::{StepRecord, NUM_PHASES};
 
 /// Critical-path decomposition of one timestep.
@@ -79,7 +79,7 @@ fn argmax(xs: &[f64]) -> usize {
 pub fn from_phase_tables(
     step_ids: &[u64],
     tables: &[Vec<[f64; NUM_PHASES]>],
-    waits: Option<&[Vec<[f64; NUM_PHASES]>]>,
+    waits: &[Vec<[f64; NUM_PHASES]>],
 ) -> CriticalPath {
     let nranks = tables.len();
     let nsteps = tables.iter().map(Vec::len).min().unwrap_or(0).min(step_ids.len());
@@ -90,7 +90,7 @@ pub fn from_phase_tables(
         ..CriticalPath::default()
     };
     let wait_of = |r: usize, s: usize, p: usize| -> f64 {
-        waits.and_then(|w| w.get(r)).and_then(|w| w.get(s)).map(|w| w[p]).unwrap_or(0.0)
+        waits.get(r).and_then(|w| w.get(s)).map_or(0.0, |w| w[p])
     };
     for s in 0..nsteps {
         let mut phase_elapsed = [0.0f64; NUM_PHASES];
@@ -130,11 +130,10 @@ pub fn from_phase_tables(
     cp
 }
 
-/// Critical path from flight-recorder step records (live-run mode — exact
-/// per-step phase deltas, no reconstruction needed). `spans` supplies the
-/// wait states used for argmax attribution; records and span-derived waits
-/// are aligned by step id (`StepRecord::step` equals the index of the
-/// step's `flow` span, and ring eviction only drops records, never spans).
+/// Critical path from flight-recorder step records (exact per-step phase
+/// deltas). `spans` supplies the wait states used for argmax attribution;
+/// records and span-derived waits are aligned by step id
+/// (`StepRecord::step` equals the index of the step's `flow` span).
 pub fn from_step_records(steps: &[Vec<StepRecord>], spans: &[RankSpans]) -> CriticalPath {
     let step_ids: Vec<u64> = match steps.first() {
         Some(r0) => r0.iter().map(|rec| rec.step).collect(),
@@ -158,7 +157,7 @@ pub fn from_step_records(steps: &[Vec<StepRecord>], spans: &[RankSpans]) -> Crit
                 .collect()
         })
         .collect();
-    from_phase_tables(&step_ids, &tables, Some(&waits))
+    from_phase_tables(&step_ids, &tables, &waits)
 }
 
 /// Per-rank per-step per-phase *wait* time (late-sender recv stalls plus
@@ -193,35 +192,6 @@ pub fn wait_tables_from_spans(ranks: &[RankSpans]) -> Vec<Vec<[f64; NUM_PHASES]>
     out
 }
 
-/// Reconstruct per-step phase-time tables from phase spans (trace-file
-/// mode). Driver timesteps start with a `flow` phase, so each `flow` span
-/// opens a new step; phase time before the first `flow` span (initial
-/// connectivity assembly) is outside any step and ignored here.
-pub fn phase_tables_from_spans(ranks: &[RankSpans]) -> (Vec<u64>, Vec<Vec<[f64; NUM_PHASES]>>) {
-    let mut tables: Vec<Vec<[f64; NUM_PHASES]>> = Vec::with_capacity(ranks.len());
-    for r in ranks {
-        let mut phases: Vec<(f64, &str, f64)> = r
-            .spans
-            .iter()
-            .filter(|s| s.cat == "phase")
-            .map(|s| (s.ts, s.name.as_str(), s.dur))
-            .collect();
-        phases.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let mut steps: Vec<[f64; NUM_PHASES]> = Vec::new();
-        for (_, name, dur) in phases {
-            if name == "flow" {
-                steps.push([0.0; NUM_PHASES]);
-            }
-            if let Some(cur) = steps.last_mut() {
-                cur[phase_index(name)] += dur;
-            }
-        }
-        tables.push(steps);
-    }
-    let nsteps = tables.iter().map(Vec::len).min().unwrap_or(0);
-    ((0..nsteps as u64).collect(), tables)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +210,7 @@ mod tests {
             vec![t(1.0, 1.0), t(1.0, 1.0)],
             vec![t(1.0, 5.0), t(1.0, 5.0)],
         ];
-        let cp = from_phase_tables(&[0, 1], &tables, None);
+        let cp = from_phase_tables(&[0, 1], &tables, &[]);
         assert_eq!(cp.steps.len(), 2);
         // Ties on flow go to rank 0; connectivity max is rank 2.
         assert_eq!(cp.steps[0].phase_rank[0], 0);
@@ -252,34 +222,5 @@ mod tests {
         assert!((cp.rank_time[2] - 10.0).abs() < 1e-12);
         assert!((cp.total_elapsed - 12.0).abs() < 1e-12);
         assert_eq!(cp.dominant_phase_of(2), 1);
-    }
-
-    #[test]
-    fn spans_reconstruct_steps_at_flow_boundaries() {
-        use crate::input::{RankSpans, Span};
-        let mk = |cat: &str, name: &str, ts: f64, dur: f64| Span {
-            cat: cat.into(),
-            name: name.into(),
-            ts,
-            dur,
-            args: Vec::new(),
-        };
-        let rank = RankSpans {
-            rank: 0,
-            spans: vec![
-                // Pre-step connectivity (initial assembly): ignored.
-                mk("phase", "connectivity", 0.0, 1.0),
-                mk("phase", "flow", 1.0, 2.0),
-                mk("phase", "connectivity", 3.0, 0.5),
-                mk("phase", "flow", 3.5, 2.0),
-                mk("phase", "connectivity", 5.5, 0.25),
-            ],
-        };
-        let (ids, tables) = phase_tables_from_spans(&[rank]);
-        assert_eq!(ids, vec![0, 1]);
-        assert_eq!(tables[0].len(), 2);
-        assert!((tables[0][0][0] - 2.0).abs() < 1e-12);
-        assert!((tables[0][0][1] - 0.5).abs() < 1e-12);
-        assert!((tables[0][1][1] - 0.25).abs() < 1e-12);
     }
 }

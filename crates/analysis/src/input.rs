@@ -1,13 +1,11 @@
-//! Owned span model and input adapters.
+//! Owned span model and its input adapter.
 //!
-//! The tracer's [`overset_comm::TraceEvent`] uses `&'static str` names — fine in-process,
-//! impossible to materialize from a trace *file*. The analyzer therefore
-//! works on an owned [`Span`] mirror (string category/name, numeric-only
-//! args) with two constructors: straight from a live run's `RankTrace`s, or
-//! re-parsed from the Chrome `trace_event` JSON that `repro --trace` wrote.
+//! The analyzer works on an owned [`Span`] mirror of the tracer's
+//! [`overset_comm::TraceEvent`] (string category/name, numeric-only args),
+//! built from a run's `RankTrace`s — live, or read back from a span-stream
+//! directory — together with its flight-recorder step records.
 
 use overset_comm::{ArgVal, RankTrace, StepRecord, NUM_PHASES};
-use overset_report::{parse, Value};
 
 /// Phase labels in discriminant order (matches `Phase::name()`).
 pub const PHASE_NAMES: [&str; NUM_PHASES] = ["flow", "connectivity", "motion", "balance", "other"];
@@ -47,12 +45,11 @@ pub struct RankSpans {
     pub spans: Vec<Span>,
 }
 
-/// Everything the analyzer consumes. `steps` (flight-recorder records,
-/// rank-major) is present for live runs and empty in trace-file mode, where
-/// per-step structure is reconstructed from phase spans instead.
+/// Everything the analyzer consumes: per-rank spans and the flight-recorder
+/// step records (rank-major), one record per rank per step.
 #[derive(Clone, Debug)]
 pub struct AnalysisInput {
-    /// Human-readable provenance ("table1/quick", a file path, ...).
+    /// Human-readable provenance ("table1/quick", a span directory, ...).
     pub source: String,
     pub ranks: Vec<RankSpans>,
     pub steps: Vec<Vec<StepRecord>>,
@@ -81,23 +78,16 @@ impl AnalysisInput {
                 self.source
             ));
         }
-        let has_steps = self.steps.iter().any(|r| !r.is_empty())
-            || self
-                .ranks
-                .iter()
-                .any(|r| r.spans.iter().any(|s| s.cat == "phase" && s.name == "flow"));
-        if !has_steps {
+        if self.steps.iter().all(Vec::is_empty) {
             return Err(format!(
-                "{}: no completed timesteps in the trace — need step records or at least \
-                 one `flow` phase span to reconstruct per-step structure",
+                "{}: no completed timesteps in the trace — the run recorded no step records",
                 self.source
             ));
         }
         Ok(())
     }
 
-    /// Adapt a live run's traces (and optionally its flight-recorder step
-    /// records) for analysis.
+    /// Adapt a run's traces and flight-recorder step records for analysis.
     pub fn from_run(source: &str, trace: &[RankTrace], steps: Vec<Vec<StepRecord>>) -> Self {
         let ranks = trace
             .iter()
@@ -124,70 +114,8 @@ impl AnalysisInput {
                     .collect(),
             })
             .collect();
-        AnalysisInput { source: source.to_string(), ranks, steps: sanitize_steps(steps) }
+        AnalysisInput { source: source.to_string(), ranks, steps }
     }
-
-    /// Re-parse a Chrome `trace_event` JSON document written by
-    /// [`overset_comm::chrome_trace_json`]. `pid` is the rank; `ts`/`dur`
-    /// come back in microseconds and are converted to virtual seconds.
-    pub fn from_chrome_trace(source: &str, json: &str) -> Result<Self, String> {
-        let doc = parse(json)?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(Value::as_arr)
-            .ok_or("trace file has no traceEvents array")?;
-        let mut ranks: Vec<RankSpans> = Vec::new();
-        for e in events {
-            // Skip metadata ("M") and anything that is not a complete span.
-            if e.get("ph").and_then(Value::as_str) != Some("X") {
-                continue;
-            }
-            let pid =
-                e.get("pid").and_then(Value::as_u64).ok_or("span event missing pid")? as usize;
-            let name = e.get("name").and_then(Value::as_str).ok_or("span event missing name")?;
-            let cat = e.get("cat").and_then(Value::as_str).unwrap_or("");
-            let ts = e.get("ts").and_then(Value::as_f64).ok_or("span event missing ts")? / 1e6;
-            let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0) / 1e6;
-            let args = match e.get("args") {
-                Some(Value::Obj(pairs)) => {
-                    pairs.iter().filter_map(|(k, v)| v.as_f64().map(|x| (k.clone(), x))).collect()
-                }
-                _ => Vec::new(),
-            };
-            while ranks.len() <= pid {
-                let rank = ranks.len();
-                ranks.push(RankSpans { rank, spans: Vec::new() });
-            }
-            ranks[pid].spans.push(Span {
-                cat: cat.to_string(),
-                name: name.to_string(),
-                ts,
-                dur,
-                args,
-            });
-        }
-        Ok(AnalysisInput { source: source.to_string(), ranks, steps: Vec::new() })
-    }
-}
-
-/// Trim per-rank step records to a common length (the flight-recorder ring
-/// can in principle leave ranks with unequal retained windows).
-fn sanitize_steps(steps: Vec<Vec<StepRecord>>) -> Vec<Vec<StepRecord>> {
-    if steps.is_empty() {
-        return steps;
-    }
-    let n = steps.iter().map(Vec::len).min().unwrap_or(0);
-    if n == 0 {
-        return Vec::new();
-    }
-    steps
-        .into_iter()
-        .map(|mut r| {
-            let drop = r.len() - n;
-            r.drain(..drop);
-            r
-        })
-        .collect()
 }
 
 /// Sorted phase intervals of one rank, for attributing arbitrary spans to
@@ -295,29 +223,5 @@ mod tests {
         assert_eq!(iv.phase_at(5.0), 3);
         assert_eq!(iv.phase_at(1.0), 1);
         assert_eq!(iv.phase_at(8.0), 1);
-    }
-
-    #[test]
-    fn chrome_trace_roundtrip() {
-        use overset_comm::{chrome_trace_json, ArgVal, RankTrace, TraceEvent};
-        let trace = vec![RankTrace {
-            rank: 0,
-            events: vec![TraceEvent {
-                cat: "comm",
-                name: "send",
-                ts: 1.0e-3,
-                dur: 2.0e-6,
-                args: vec![("dst", ArgVal::U64(1)), ("bytes", ArgVal::U64(64))],
-            }],
-        }];
-        let json = chrome_trace_json(&trace);
-        let input = AnalysisInput::from_chrome_trace("t", &json).unwrap();
-        assert_eq!(input.nranks(), 1);
-        let s = &input.ranks[0].spans[0];
-        assert_eq!(s.name, "send");
-        assert!((s.ts - 1.0e-3).abs() < 1e-9);
-        assert!((s.dur - 2.0e-6).abs() < 1e-9);
-        assert_eq!(s.arg("dst"), Some(1.0));
-        assert_eq!(s.arg("bytes"), Some(64.0));
     }
 }

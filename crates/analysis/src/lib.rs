@@ -1,9 +1,9 @@
 //! Trace analysis: turn recorded telemetry into an explanation.
 //!
-//! PR 1 taught the runtime to *record* (span traces), PR 2 to *summarize*
-//! (flight recorder, schema-v1 reports). This crate *diagnoses*: given a
-//! run's per-rank spans (live, or re-parsed from a Chrome-trace file) it
-//! computes
+//! The runtime *records* (span traces, flight-recorder step records) and
+//! `overset-report` *summarizes*; this crate *diagnoses*: given a run's
+//! per-rank spans and step records (live, or read back from a span-stream
+//! directory) it computes
 //!
 //! 1. the **critical path** — which rank bounds elapsed virtual time in
 //!    each barrier-separated phase of each step ([`critical_path`]),
@@ -56,16 +56,8 @@ pub struct Analysis {
 
 /// Run the full pipeline on one input.
 pub fn analyze(input: &AnalysisInput) -> Analysis {
-    let mut notes = Vec::new();
-    let critical_path = if !input.steps.is_empty() {
-        notes.push("critical path from flight-recorder step records".to_string());
-        critical_path::from_step_records(&input.steps, &input.ranks)
-    } else {
-        notes.push("critical path reconstructed from phase spans (no step records)".to_string());
-        let (ids, tables) = critical_path::phase_tables_from_spans(&input.ranks);
-        let waits = critical_path::wait_tables_from_spans(&input.ranks);
-        critical_path::from_phase_tables(&ids, &tables, Some(&waits))
-    };
+    let mut notes = vec!["critical path from flight-recorder step records".to_string()];
+    let critical_path = critical_path::from_step_records(&input.steps, &input.ranks);
     let waits = waits::classify(&input.ranks);
     let matrix = matrix::build(&input.ranks);
     if matrix.dropped_sends > 0 {
@@ -308,10 +300,11 @@ const R_KEYS: [&str; NUM_PHASES] = ["r_flow", "r_connectivity", "r_motion", "r_b
 mod tests {
     use super::*;
     use crate::input::RankSpans;
+    use overset_comm::StepRecord;
 
-    /// A minimal but valid n-rank input: one timestep (flow phase span) and
-    /// one barrier per rank, with rank-dependent barrier durations so the
-    /// wait-state table has distinct totals to sort on.
+    /// A minimal but valid n-rank input: one timestep (flow phase span and
+    /// step record) and one barrier per rank, with rank-dependent barrier
+    /// durations so the wait-state table has distinct totals to sort on.
     fn synthetic_input(n: usize) -> AnalysisInput {
         let ranks = (0..n)
             .map(|rank| RankSpans {
@@ -334,7 +327,9 @@ mod tests {
                 ],
             })
             .collect();
-        AnalysisInput { source: format!("synthetic-{n}"), ranks, steps: Vec::new() }
+        let mut rec = StepRecord::ZERO;
+        rec.time[0] = 1.0;
+        AnalysisInput { source: format!("synthetic-{n}"), ranks, steps: vec![vec![rec]; n] }
     }
 
     #[test]

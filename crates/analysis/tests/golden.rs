@@ -118,29 +118,15 @@ fn analysis_document_is_byte_identical_across_runs() {
     assert_eq!(a1.render_text(), a2.render_text());
 }
 
-#[test]
-fn trace_file_mode_reaches_the_same_diagnosis() {
-    // Round-trip through the Chrome-trace exporter (what `repro analyze
-    // <trace.json>` consumes): no step records, phase structure is
-    // reconstructed from spans, and the verdict must not change.
-    let (traces, _) = skewed_run();
-    let json = overset_comm::chrome_trace_json(&traces);
-    let input = AnalysisInput::from_chrome_trace("trace.json", &json).unwrap();
-    let a = analyze(&input);
-    assert_eq!(a.critical_path.ranking[0], SKEWED_RANK);
-    assert_eq!(a.critical_path.steps.len(), STEPS);
-    let grant = a.findings.iter().find(|f| f.kind == "grant-processor").unwrap();
-    assert_eq!(grant.rank, Some(SKEWED_RANK));
-    assert!(a.notes.iter().any(|n| n.contains("reconstructed from phase spans")));
-}
-
 /// Exact golden for the JSON document layout on a minimal input: one rank,
-/// one `flow` phase span, no communication. Pins key order, indentation,
+/// one `flow` phase span and its step record, no communication. Pins key order, indentation,
 /// and number formatting; a layout change is a conscious diff here (and an
 /// `ANALYSIS_SCHEMA_VERSION` review).
 #[test]
 fn analysis_json_matches_golden_bytes() {
     use overset_analysis::Span;
+    let mut rec = StepRecord::ZERO;
+    rec.time[Phase::Flow as usize] = 2.0;
     let input = AnalysisInput {
         source: "golden".into(),
         ranks: vec![overset_analysis::RankSpans {
@@ -153,7 +139,7 @@ fn analysis_json_matches_golden_bytes() {
                 args: Vec::new(),
             }],
         }],
-        steps: Vec::new(),
+        steps: vec![vec![rec]],
     };
     let doc = analyze(&input).to_value().to_json();
     let golden = r#"{
@@ -163,7 +149,7 @@ fn analysis_json_matches_golden_bytes() {
   "nranks": 1,
   "nsteps": 1,
   "notes": [
-    "critical path reconstructed from phase spans (no step records)"
+    "critical path from flight-recorder step records"
   ],
   "critical_path": {
     "total_elapsed": 2,

@@ -11,7 +11,7 @@ use overset_report::parse;
 /// misprediction the disagreement table must flag), with a full alloc
 /// section and two ranks of host phase timings.
 const REPORT: &str = r#"{
-  "schema_version": 2,
+  "schema_version": 3,
   "generator": "overset-report",
   "experiment": "golden",
   "effort": "quick",
@@ -104,9 +104,9 @@ fn host_report_is_deterministic() {
 
 #[test]
 fn structural_errors_are_reported_not_panicked() {
-    let no_cases = parse(r#"{"schema_version": 2}"#).unwrap();
+    let no_cases = parse(r#"{"schema_version": 3}"#).unwrap();
     assert!(render_host_report(&no_cases).unwrap_err().contains("no cases"));
-    let no_host = parse(r#"{"schema_version": 2, "cases": []}"#).unwrap();
+    let no_host = parse(r#"{"schema_version": 3, "cases": []}"#).unwrap();
     assert!(render_host_report(&no_host).unwrap_err().contains("no host section"));
     // A report without per-rank host timings is not the current schema.
     let stripped = REPORT.replace("phase_ms_by_rank", "phase_ms_by_rank_absent");

@@ -1,18 +1,20 @@
-//! `repro analyze` — run the trace analyzer on an experiment, trace file,
-//! or streamed span directory — and `repro analyze-diff` to compare two
+//! `repro analyze` — run the trace analyzer on an experiment or on a
+//! recorded span directory — and `repro analyze-diff` to compare two
 //! analysis documents.
 //!
-//! Three input modes share one pipeline:
+//! Two input modes feed one pipeline the same spans and step records:
 //! - `repro analyze <experiment> [--quick]` re-runs the experiment's
 //!   representative case with tracing enabled (same case `--trace` uses)
 //!   and analyzes the live spans plus flight-recorder step records;
-//! - `repro analyze <trace.json>` re-parses a Chrome `trace_event` file
-//!   written by `repro <exp> --trace <file>` — no step records, per-step
-//!   structure is reconstructed from phase spans;
-//! - `repro analyze <dir>` reads a binary span-stream directory written by
-//!   `repro <exp> --trace-stream <dir>` — step records included. A
-//!   truncated stream (a rank's writer died mid-run) is diagnosed with
-//!   exit 2 naming the gap, per rank.
+//! - `repro analyze <dir>` reads the binary span-stream directory written
+//!   by `repro <exp> --trace-stream <dir>`, which holds exactly those spans
+//!   and step records, so the diagnosis equals the live one. A truncated
+//!   stream (a rank's writer died mid-run) is diagnosed with exit 2 naming
+//!   the gap, per rank.
+//!
+//! Any other target — a Chrome trace file included; it carries no step
+//! records — exits 2. `repro analyze <report.json> --host` renders the
+//! host-cost view of a run report instead.
 //!
 //! Output is the deterministic text report by default, the versioned JSON
 //! analysis document with `--json`; `-o <path>` writes instead of printing.
@@ -80,8 +82,8 @@ fn parse(args: &[String]) -> Result<AnalyzeCli, String> {
 }
 
 fn usage() -> String {
-    "usage: repro analyze <experiment>|<trace.json>|<span-dir>|<report.json> [--quick] [--json] \
-     [--host] [-o <path>]"
+    "usage: repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]\n       \
+     repro analyze <report.json> --host [-o <path>]"
         .to_string()
 }
 
@@ -156,34 +158,16 @@ pub fn run_analyze(args: &[String]) -> i32 {
             );
             return 2;
         }
-        let traces = sd.rank_traces();
-        AnalysisInput::from_run(target, &traces, sd.step_records())
-    } else if std::path::Path::new(target).is_file() {
-        let text = match std::fs::read_to_string(target) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {target}: {e}");
-                return 2;
-            }
-        };
-        if text.trim().is_empty() {
-            eprintln!("{target}: file is empty — expected a Chrome trace_event JSON document");
-            return 2;
-        }
-        match AnalysisInput::from_chrome_trace(target, &text) {
-            Ok(i) => i,
-            Err(e) => {
-                eprintln!("{target}: {e}");
-                return 2;
-            }
-        }
+        AnalysisInput::from_run(target, &sd.rank_traces(), sd.step_records())
     } else if EXPERIMENTS.contains(&target) {
         let effort = if cli.quick { Effort::quick() } else { Effort::full() };
         let effort_name = if cli.quick { "quick" } else { "full" };
         let r = traced_run(target, effort, TraceConfig::enabled());
         AnalysisInput::from_run(&format!("{target}/{effort_name}"), &r.trace, r.step_records)
     } else {
-        eprintln!("{target}: not a trace file, and not an experiment");
+        eprintln!(
+            "{target}: not a span directory or experiment; record with `--trace-stream <dir>`"
+        );
         eprintln!("experiments: {}", EXPERIMENTS.join(" "));
         return 2;
     };
@@ -308,13 +292,11 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_exit_2_with_a_diagnosis() {
-        // Empty trace file.
+        // A file is not an analysis input, empty or a Chrome trace alike.
         let dir = std::env::temp_dir();
         let empty = dir.join("overset_analyze_empty_trace.json");
         std::fs::write(&empty, "").unwrap();
         assert_eq!(run_analyze(&s(&[empty.to_str().unwrap()])), 2);
-
-        // Valid JSON, but no spans at all.
         let no_spans = dir.join("overset_analyze_no_spans.json");
         std::fs::write(&no_spans, "{\"traceEvents\": []}").unwrap();
         assert_eq!(run_analyze(&s(&[no_spans.to_str().unwrap()])), 2);
@@ -342,7 +324,7 @@ mod tests {
         let e = one.validate().unwrap_err();
         assert!(e.contains("single rank"), "{e}");
 
-        // Two ranks, spans, but no completed step (no flow phase, no records).
+        // Two ranks, spans, but no completed step (no step records).
         let no_steps = AnalysisInput {
             source: "no-steps".into(),
             ranks: vec![
@@ -418,6 +400,26 @@ mod tests {
         let sd = overset_comm::read_span_dir(&dir).unwrap();
         assert_eq!(sd.gaps.len(), 1);
         assert!(sd.gaps[0].starts_with("rank 1"), "{}", sd.gaps[0]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Offline analysis is live analysis: `table1 --quick` analysed live and
+    /// from the span directory a `--trace-stream` run of it recorded yields
+    /// the same document, `source` aside.
+    #[test]
+    fn span_dir_analysis_equals_live_analysis() {
+        let effort = Effort::quick();
+        let dir = std::env::temp_dir().join("overset_bench_live_vs_span_dir");
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = dir.to_str().unwrap().to_string();
+        let r = traced_run("table1", effort, TraceConfig::enabled());
+        let mut live = analyze(&AnalysisInput::from_run("table1/quick", &r.trace, r.step_records));
+        live.source = d.clone();
+        traced_run("table1", effort, TraceConfig::enabled().with_stream(&dir));
+        let out = dir.join("analysis.json");
+        let args = [d, "--json".into(), "-o".into(), out.to_str().unwrap().into()];
+        assert_eq!(run_analyze(&args), 0);
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), live.to_value().to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,11 +38,6 @@ pub struct Effort {
     /// sweep's earlier universes in-process to reach its own), so expect
     /// multi-case runs to be severalfold slower than `inproc`.
     pub proc_groups: Option<usize>,
-    /// Test hook (`--inject-alloc <bytes>`): each rank makes one synthetic
-    /// heap allocation of this many bytes per timestep inside the
-    /// connectivity phase. Physics- and virtual-time-neutral; exists so the
-    /// exact alloc gate in `repro compare` can be exercised end to end.
-    pub inject_alloc: usize,
 }
 
 impl Effort {
@@ -54,7 +49,6 @@ impl Effort {
             steps3d: 12,
             max_threads: None,
             proc_groups: None,
-            inject_alloc: 0,
         }
     }
 
@@ -72,7 +66,6 @@ pub(crate) fn tuned(mut cfg: CaseConfig, e: Effort) -> CaseConfig {
         None => TransportConfig::InProcess,
         Some(n) => TransportConfig::process(n),
     };
-    cfg.inject_alloc = e.inject_alloc;
     cfg
 }
 

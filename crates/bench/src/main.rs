@@ -4,14 +4,12 @@
 //! Usage:
 //!   `repro <experiment> [--quick] [--max-threads <N>]
 //!          [--transport inproc|proc[:N]] [--trace <out.json>]
-//!          [--trace-stream <dir>] [--metrics] [--host-profile]
-//!          [--trace-filter <cats>] [--trace-sample <N>]`
-//!   `repro report <experiment> [--quick] [-o <out.json>]
-//!          [--trace-filter <cats>] [--trace-sample <N>]
-//!          [--inject-alloc <bytes>]`
+//!          [--trace-stream <dir>] [--metrics] [--host-profile]`
+//!   `repro report <experiment> [--quick] [--max-threads <N>]
+//!          [--transport inproc|proc[:N]] [-o <out.json>]`
 //!   `repro compare <baseline.json> <new.json>`
-//!   `repro analyze <experiment>|<trace.json>|<span-dir>|<report.json> [--quick]
-//!          [--json] [--host] [-o <path>]`
+//!   `repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]`
+//!   `repro analyze <report.json> --host [-o <path>]`
 //!   `repro analyze-diff <baseline.json> <new.json> [--json] [-o <path>]`
 //!   `repro smoke`
 //!
@@ -42,48 +40,30 @@
 //! axis). `--trace-stream <dir>` streams spans to per-rank binary files in
 //! `<dir>` *as they close* instead of buffering them in memory (consume
 //! with `repro analyze <dir>`; see docs/OBSERVABILITY.md §Streaming sinks).
-//! `--trace-filter` keeps only the named span categories (comma separated,
-//! from `phase comm compute conn solver lb`); `--trace-sample N` keeps
-//! every Nth filter-passing span. `--metrics` prints the aggregated metrics
-//! registry of the same run.
+//! A traced run records every span. `--metrics` prints the aggregated
+//! metrics registry of the same run.
 //!
 //! `report` writes a versioned JSON report (per-step telemetry series,
 //! end-of-run summary, metrics dump, allocation attribution — see
-//! docs/OBSERVABILITY.md); `compare` exits 0 when every value under the
-//! two reports' `cases` is identical (the wall-clock `host` section is not
-//! read), 1 on any difference — printing the first 20 by dotted path — and
-//! 2 on usage/IO errors or a schema-version mismatch.
+//! docs/OBSERVABILITY.md) from untraced runs, and exits 2 naming any
+//! tracing or printing flag it was given; `compare` exits 0 when every
+//! value under the two reports' `cases` is identical (the wall-clock `host`
+//! section is not read), 1 on any difference — printing the first 20 by
+//! dotted path — and 2 on usage/IO errors or a schema-version mismatch.
 //!
 //! `--host-profile` prints a per-phase host wall-clock and allocation table
-//! after an experiment; `--inject-alloc <bytes>` is a test hook that plants
-//! one synthetic allocation per rank per step inside the connectivity phase
-//! so the gate can be exercised end to end.
+//! after an experiment.
 //!
 //! `analyze` runs the trace analyzer (critical path, wait states, comm
 //! matrix, imbalance advisor — see docs/OBSERVABILITY.md §Analysis) on an
-//! experiment's representative case or on a previously written trace file.
+//! experiment's representative case, live, or on the span directory a
+//! `--trace-stream` run recorded.
 
 use overset_bench::amr_experiments::{ablate_grouping, fig12};
 use overset_bench::analyze::{run_analyze, run_analyze_diff};
 use overset_bench::experiments::*;
 use overset_bench::report::{build_report, compare_reports};
 use overset_comm::trace::TraceConfig;
-use overset_comm::CategoryFilter;
-
-/// Build the trace config from validated CLI values. Rejects a zero sample
-/// stride and malformed filter lists with a usage-style message; callers
-/// print it and exit 2.
-fn parse_trace_config(filter: &Option<String>, sample: u32) -> Result<TraceConfig, String> {
-    if sample == 0 {
-        return Err("--trace-sample requires an integer >= 1 (got 0)".to_string());
-    }
-    let mut tc = TraceConfig::enabled();
-    if let Some(csv) = filter {
-        let f = CategoryFilter::parse(csv).map_err(|e| format!("--trace-filter: {e}"))?;
-        tc = tc.with_filter(f);
-    }
-    Ok(tc.with_sampling(sample))
-}
 
 fn run_compare(args: &[String]) -> i32 {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
@@ -105,12 +85,9 @@ struct Cli {
     trace_stream: Option<String>,
     show_metrics: bool,
     out_path: Option<String>,
-    trace_filter: Option<String>,
-    trace_sample: u32,
     max_threads: Option<usize>,
     transport: Option<String>,
     host_profile: bool,
-    inject_alloc: usize,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -121,12 +98,9 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         trace_stream: None,
         show_metrics: false,
         out_path: None,
-        trace_filter: None,
-        trace_sample: 1,
         max_threads: None,
         transport: None,
         host_profile: false,
-        inject_alloc: 0,
     };
     let mut named = false;
     let mut it = args.iter();
@@ -135,10 +109,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--quick" => cli.quick = true,
             "--metrics" => cli.show_metrics = true,
             "--host-profile" => cli.host_profile = true,
-            "--inject-alloc" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => cli.inject_alloc = n,
-                None => return Err("--inject-alloc requires a byte count".to_string()),
-            },
             "--trace" => match it.next() {
                 Some(p) => cli.trace_path = Some(p.clone()),
                 None => return Err("--trace requires an output path".to_string()),
@@ -150,23 +120,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "-o" | "--out" => match it.next() {
                 Some(p) => cli.out_path = Some(p.clone()),
                 None => return Err(format!("{a} requires an output path")),
-            },
-            "--trace-filter" => match it.next() {
-                Some(f) => cli.trace_filter = Some(f.clone()),
-                None => {
-                    return Err(
-                        "--trace-filter requires a category list (e.g. phase,conn)".to_string()
-                    )
-                }
-            },
-            "--trace-sample" => match it.next() {
-                Some(v) => match v.parse::<u32>() {
-                    Ok(n) if n >= 1 => cli.trace_sample = n,
-                    _ => {
-                        return Err(format!("--trace-sample requires an integer >= 1 (got {v:?})"))
-                    }
-                },
-                None => return Err("--trace-sample requires an integer >= 1".to_string()),
             },
             "--transport" => match it.next() {
                 Some(t) => cli.transport = Some(t.clone()),
@@ -198,13 +151,12 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// The effort a command line asks for: quick or full size, plus every
-/// scheduler, transport and test-hook flag.
+/// The effort a command line asks for: quick or full size, plus the
+/// scheduler and transport flags.
 fn effort_from(cli: &Cli) -> Effort {
     let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
     effort.max_threads = cli.max_threads;
     effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
-    effort.inject_alloc = cli.inject_alloc;
     effort
 }
 
@@ -229,23 +181,28 @@ fn exit_usage<T>(r: Result<T, String>) -> T {
     }
 }
 
+/// The first flag on a `report` command line that a report run would
+/// ignore: reports run untraced and print nothing but the document.
+fn unhonoured_report_flag(cli: &Cli) -> Option<&'static str> {
+    [
+        (cli.trace_path.is_some(), "--trace"),
+        (cli.trace_stream.is_some(), "--trace-stream"),
+        (cli.show_metrics, "--metrics"),
+        (cli.host_profile, "--host-profile"),
+    ]
+    .into_iter()
+    .find_map(|(set, flag)| set.then_some(flag))
+}
+
 fn run_report_cmd(args: &[String]) -> i32 {
     let cli = exit_usage(parse_cli(args));
-    if cli.trace_stream.is_some() {
-        eprintln!("report does not support --trace-stream (stream a plain experiment run)");
+    if let Some(flag) = unhonoured_report_flag(&cli) {
+        eprintln!("report does not support {flag} (run the experiment itself with it)");
         return 2;
     }
     let effort = effort_from(&cli);
     let effort_name = if cli.quick { "quick" } else { "full" };
-    // Trace spans are not serialized into the report; tracing here only
-    // proves observability neutrality (the golden tests rely on it), so
-    // leave it off unless a filter was explicitly requested.
-    let trace = if cli.trace_filter.is_some() || cli.trace_sample > 1 {
-        exit_usage(parse_trace_config(&cli.trace_filter, cli.trace_sample))
-    } else {
-        TraceConfig::disabled()
-    };
-    let text = build_report(&cli.which, effort, effort_name, trace).to_json();
+    let text = build_report(&cli.which, effort, effort_name).to_json();
     match &cli.out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, text.as_bytes()) {
@@ -276,8 +233,7 @@ fn main() {
     let cli = exit_usage(parse_cli(&args));
     let effort = effort_from(&cli);
     let which = cli.which.clone();
-    // Validate trace flags before the (long) experiment run, not after.
-    let mut trace_cfg = exit_usage(parse_trace_config(&cli.trace_filter, cli.trace_sample));
+    let mut trace_cfg = TraceConfig::enabled();
     if let Some(dir) = &cli.trace_stream {
         trace_cfg = trace_cfg.with_stream(dir);
     }
@@ -333,7 +289,7 @@ fn main() {
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
                  ablate-cache verify-shapes all\n\
                  or a subcommand: report <experiment> | \
-                 compare <baseline.json> <new.json> | analyze <experiment>|<trace.json> | smoke"
+                 compare <baseline.json> <new.json> | analyze <experiment>|<span-dir> | smoke"
             );
             std::process::exit(2);
         }
@@ -379,30 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_sample_rejects_zero_and_malformed_values() {
-        let e = parse_cli(&s(&["table1", "--trace-sample", "0"])).unwrap_err();
-        assert!(e.contains(">= 1") && e.contains("0"), "{e}");
-        let e = parse_cli(&s(&["table1", "--trace-sample", "abc"])).unwrap_err();
-        assert!(e.contains("abc"), "{e}");
-        let e = parse_cli(&s(&["table1", "--trace-sample", "-3"])).unwrap_err();
-        assert!(e.contains("-3"), "{e}");
-        assert!(parse_cli(&s(&["table1", "--trace-sample"])).is_err());
-        // And the config builder itself guards against a zero stride.
-        assert!(parse_trace_config(&None, 0).is_err());
-        assert!(parse_trace_config(&None, 2).is_ok());
-    }
-
-    #[test]
-    fn trace_filter_rejects_unknown_categories_with_a_clear_error() {
-        let tc = parse_trace_config(&Some("phase,comm".to_string()), 1);
-        assert!(tc.is_ok());
-        let e = parse_trace_config(&Some("phase,bogus".to_string()), 1).unwrap_err();
-        assert!(e.starts_with("--trace-filter:"), "{e}");
-        assert!(e.contains("bogus"), "{e}");
-        assert!(parse_cli(&s(&["table1", "--trace-filter"])).is_err());
-    }
-
-    #[test]
     fn trace_and_trace_stream_are_mutually_exclusive() {
         let c = parse_cli(&s(&["table1", "--trace-stream", "spans.d"])).unwrap();
         assert_eq!(c.trace_stream.as_deref(), Some("spans.d"));
@@ -431,6 +363,25 @@ mod tests {
         assert_eq!(e, "unknown subcommand: bench-host");
         assert_eq!(run_compare(&s(&["a.json", "b.json", "--tol-pct", "5"])), 2);
         assert_eq!(run_compare(&s(&["a.json"])), 2);
+    }
+
+    /// `report` runs untraced and prints only the document, so every
+    /// tracing or printing flag is refused before anything runs.
+    #[test]
+    fn report_rejects_flags_it_does_not_honour() {
+        for flags in [
+            &["--trace", "t.json"][..],
+            &["--trace-stream", "spans.d"],
+            &["--metrics"],
+            &["--host-profile"],
+        ] {
+            let args = s(&[&["table1", "--quick"][..], flags].concat());
+            let cli = parse_cli(&args).unwrap();
+            assert_eq!(unhonoured_report_flag(&cli), Some(flags[0]));
+            assert_eq!(run_report_cmd(&args), 2, "{flags:?}");
+        }
+        let cli = parse_cli(&s(&["table1", "--quick", "-o", "r.json", "--max-threads", "2"]));
+        assert_eq!(unhonoured_report_flag(&cli.unwrap()), None);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::experiments::{tuned, Effort};
 use overflow_d::{
     airfoil_case, delta_wing_case, run_case, store_case, CaseConfig, LbConfig, RunResult,
 };
-use overset_comm::trace::TraceConfig;
 use overset_comm::{MachineModel, NUM_PHASES};
 use overset_report::json::obj;
 use overset_report::{case_report, run_report, Value};
@@ -46,12 +45,11 @@ fn dynamic_store_case(e: Effort) -> CaseConfig {
     c
 }
 
-/// Run the report's cases and assemble the report document. Everything
-/// except the `host` section is virtual-time deterministic.
-pub fn build_report(which: &str, e: Effort, effort_name: &str, trace: TraceConfig) -> Value {
+/// Run the report's cases, untraced, and assemble the report document.
+/// Everything except the `host` section is virtual-time deterministic.
+pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Value {
     let machine = MachineModel::ibm_sp2();
-    let (mut rep_cfg, rep_nodes) = representative_case(which, e);
-    rep_cfg.trace = trace;
+    let (rep_cfg, rep_nodes) = representative_case(which, e);
     let mut runs: Vec<(&str, CaseConfig, usize)> = vec![("representative", rep_cfg, rep_nodes)];
     if !rep_cfg_is_dynamic(which) {
         runs.push(("dynamic-lb", dynamic_store_case(e), DYN_NODES));

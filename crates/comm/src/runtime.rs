@@ -43,7 +43,7 @@
 
 use crate::alloc::{self, AllocTotals, RankAllocCounters};
 use crate::error::OversetError;
-use crate::flight::{FlightRecorder, StepRecord, DEFAULT_STEP_CAPACITY};
+use crate::flight::{FlightRecorder, StepRecord};
 use crate::machine::{MachineModel, WorkClass};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::sched;
@@ -608,8 +608,8 @@ impl Comm {
         }
     }
 
-    /// Per-step records collected so far (oldest retained first).
-    pub fn step_records(&self) -> impl Iterator<Item = &StepRecord> + '_ {
+    /// Per-step records collected so far, oldest first.
+    pub fn step_records(&self) -> &[StepRecord] {
         self.flight.records()
     }
 
@@ -1116,14 +1116,12 @@ impl Comm {
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time into the current bucket
         self.stats.final_clock = self.clock;
-        let (steps, dropped) = self.flight.into_records();
-        let trace = self.tracer.take().map(|t| t.finish(dropped)).unwrap_or_default();
+        let trace = self.tracer.take().map(Tracer::finish).unwrap_or_default();
         FinishedRank {
             stats: self.stats,
             trace,
             metrics: self.metrics,
-            steps,
-            steps_dropped: dropped,
+            steps: self.flight.into_records(),
             host_time: self.host_time,
             alloc: self.alloc_counters.totals(),
         }
@@ -1137,7 +1135,6 @@ struct FinishedRank {
     trace: Vec<TraceEvent>,
     metrics: MetricsRegistry,
     steps: Vec<StepRecord>,
-    steps_dropped: u64,
     host_time: [f64; NUM_PHASES],
     alloc: AllocTotals,
 }
@@ -1152,12 +1149,10 @@ pub struct RankOutput<R> {
     pub trace: Vec<TraceEvent>,
     /// This rank's metrics registry.
     pub metrics: MetricsRegistry,
-    /// Per-timestep telemetry recorded by [`Comm::end_step`], oldest
-    /// retained record first (the ring may have evicted early steps — see
-    /// `steps_dropped`). Empty when the rank body never called `end_step`.
+    /// Per-timestep telemetry recorded by [`Comm::end_step`], one record
+    /// per step, oldest first. Empty when the rank body never called
+    /// `end_step`.
     pub steps: Vec<StepRecord>,
-    /// Step records evicted by the flight-recorder ring bound.
-    pub steps_dropped: u64,
     /// Host wall-clock seconds per phase on this rank. Nondeterministic:
     /// useful for advisory profiling (`repro compare` host notes, `repro
     /// analyze --host`), never bit-compared.
@@ -1177,7 +1172,6 @@ impl<R: Wire> Wire for RankOutput<R> {
         self.trace.encode(buf);
         self.metrics.encode(buf);
         self.steps.encode(buf);
-        self.steps_dropped.encode(buf);
         self.host_time.encode(buf);
         self.alloc.encode(buf);
     }
@@ -1189,7 +1183,6 @@ impl<R: Wire> Wire for RankOutput<R> {
             trace: Vec::decode(r)?,
             metrics: MetricsRegistry::decode(r)?,
             steps: Vec::decode(r)?,
-            steps_dropped: u64::decode(r)?,
             host_time: <[f64; NUM_PHASES]>::decode(r)?,
             alloc: AllocTotals::decode(r)?,
         })
@@ -1212,7 +1205,7 @@ impl<R: Wire> Wire for RankOutput<R> {
 pub struct Universe;
 
 /// Builder for a universe run: rank count, machine model, tracing, the
-/// flight-recorder ring capacity, the scheduler mode
+/// scheduler mode
 /// ([`UniverseBuilder::max_threads`]) and the transport backend
 /// ([`UniverseBuilder::transport`]).
 #[derive(Clone, Debug)]
@@ -1220,7 +1213,6 @@ pub struct UniverseBuilder {
     ranks: usize,
     machine: MachineModel,
     trace: TraceConfig,
-    step_capacity: usize,
     max_threads: Option<usize>,
     transport: TransportConfig,
 }
@@ -1231,7 +1223,6 @@ impl Universe {
             ranks: 1,
             machine: MachineModel::modern(),
             trace: TraceConfig::disabled(),
-            step_capacity: DEFAULT_STEP_CAPACITY,
             max_threads: None,
             transport: TransportConfig::InProcess,
         }
@@ -1251,14 +1242,6 @@ impl UniverseBuilder {
 
     pub fn trace(mut self, cfg: TraceConfig) -> Self {
         self.trace = cfg;
-        self
-    }
-
-    /// Flight-recorder ring capacity: at most this many most-recent
-    /// [`StepRecord`]s are retained per rank (default
-    /// [`DEFAULT_STEP_CAPACITY`]).
-    pub fn step_capacity(mut self, cap: usize) -> Self {
-        self.step_capacity = cap;
         self
     }
 
@@ -1395,7 +1378,6 @@ impl UniverseBuilder {
             std::thread::spawn(move || child_router(&shared, &reader));
         }
         let trace = self.trace;
-        let step_capacity = self.step_capacity;
         let outputs: Mutex<Vec<Option<RankOutput<R>>>> =
             Mutex::new((0..nlocal).map(|_| None).collect());
         {
@@ -1419,7 +1401,7 @@ impl UniverseBuilder {
                     coll_gen: 0,
                     stats: RankStats::new(rank),
                     metrics: MetricsRegistry::new(),
-                    flight: FlightRecorder::new(step_capacity),
+                    flight: FlightRecorder::default(),
                     tracer: trace.enabled.then(|| Tracer::for_rank(&trace, rank)),
                     phase: Phase::Other,
                     phase_start: 0.0,
@@ -1445,7 +1427,6 @@ impl UniverseBuilder {
                             trace: fin.trace,
                             metrics: fin.metrics,
                             steps: fin.steps,
-                            steps_dropped: fin.steps_dropped,
                             host_time: fin.host_time,
                             alloc: fin.alloc,
                         });
@@ -1871,7 +1852,6 @@ mod tests {
         });
         for o in &out {
             assert_eq!(o.steps.len(), 3);
-            assert_eq!(o.steps_dropped, 0);
             for (i, rec) in o.steps.iter().enumerate() {
                 assert_eq!(rec.step, i as u64);
                 // Per-step flow time covers at least the step's own compute
@@ -1894,31 +1874,6 @@ mod tests {
         assert_eq!(out[0].steps[0].count(Counter::CommMsgsFlow), 1);
         assert_eq!(out[0].steps[0].count(Counter::CommBytesFlow), 100);
         assert_eq!(out[1].steps[0].count(Counter::CommMsgsFlow), 0);
-    }
-
-    #[test]
-    fn flight_ring_capacity_via_builder() {
-        let out = Universe::builder().ranks(1).machine(&modern()).step_capacity(2).run(|c| {
-            for _ in 0..5 {
-                c.compute(1.0, WorkClass::Flow);
-                c.end_step();
-            }
-        });
-        assert_eq!(out[0].steps.len(), 2);
-        assert_eq!(out[0].steps_dropped, 3);
-        assert_eq!(out[0].steps[0].step, 3);
-    }
-
-    #[test]
-    fn trace_filter_thins_universe_spans() {
-        let cfg = TraceConfig::enabled()
-            .with_filter(crate::trace::CategoryFilter::parse("phase").unwrap());
-        let out = Universe::builder().ranks(1).machine(&modern()).trace(cfg).run(|c| {
-            let mut ph = c.phase(Phase::Flow);
-            ph.compute(1.0e6, WorkClass::Flow);
-        });
-        assert!(!out[0].trace.is_empty());
-        assert!(out[0].trace.iter().all(|e| e.cat == "phase"), "{:?}", out[0].trace);
     }
 
     #[test]

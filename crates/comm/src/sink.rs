@@ -1,29 +1,29 @@
 //! Streaming telemetry sink: bounded-memory, on-disk span recording.
 //!
-//! The in-memory tracer and flight recorder hold every span and step record
-//! until the run ends — fine for the paper's table sizes, fatal for
-//! full-length table5/6 histories or 1024–4096-rank sweeps. A stream
-//! directory on [`crate::TraceConfig`] instead routes telemetry to a
-//! per-rank binary span file *as spans close*, so peak memory is O(open
-//! spans + one chunk) regardless of run length. The format is compact and
+//! The in-memory tracer holds every span until the run ends — fine for the
+//! paper's table sizes, fatal for full-length table5/6 histories or
+//! 1024–4096-rank sweeps. A stream directory on [`crate::TraceConfig`]
+//! instead routes telemetry to a per-rank binary span file *as spans
+//! close*, so span memory is O(open spans + one chunk) regardless of run
+//! length. Step records go to disk too, one per step boundary, and also
+//! stay in the flight recorder (one small record per step). The format is compact and
 //! versioned, built on the same [`crate::Wire`] encoding discipline the
 //! process transport uses (see docs/TRANSPORT.md). Step records are flushed
 //! at every step boundary, so even a rank killed mid-run leaves a
 //! truncated-but-parseable stream; [`read_span_dir`] recovers the prefix and
 //! reports the gap.
 //!
-//! ## Binary span file layout (schema v3)
+//! ## Binary span file layout (schema v4)
 //!
 //! All integers little-endian, payloads encoded per the `Wire` rules:
 //!
 //! ```text
-//! header:  magic "OSPN" | u32 version (=3) | u32 rank
+//! header:  magic "OSPN" | u32 version (=4) | u32 rank
 //! chunks:  u32 len | body (len bytes) — body = u8 kind + payload
 //!   kind 1: payload = Vec<TraceEvent>   (events, recording order)
 //!   kind 2: payload = StepRecord        (one per step boundary: phase
 //!           times, every counter's delta, per-phase allocation deltas)
-//!   kind 0: payload = (u64 total_events, u64 total_steps,
-//!                      u64 steps_dropped)
+//!   kind 0: payload = (u64 total_events, u64 total_steps)
 //!           — the footer; must be the last chunk
 //! ```
 //!
@@ -46,8 +46,9 @@ use std::path::{Path, PathBuf};
 /// v2: added per-step allocation-record chunks (kind 3) and a fourth footer
 /// field counting them. v3: the step chunk is the whole-vocabulary
 /// [`StepRecord`] with the allocation deltas inside; kind 3 and its footer
-/// field are gone.
-pub const SPAN_SCHEMA_VERSION: u32 = 3;
+/// field are gone. v4: the footer is `(total_events, total_steps)` — the
+/// flight recorder keeps every step, so there is no eviction count.
+pub const SPAN_SCHEMA_VERSION: u32 = 4;
 
 /// Magic prefix of a binary span file.
 pub const SPAN_MAGIC: [u8; 4] = *b"OSPN";
@@ -140,9 +141,9 @@ impl SpanSink {
         self.write_chunk(CHUNK_STEP, &payload);
     }
 
-    pub(crate) fn write_footer(&mut self, steps_dropped: u64) {
+    pub(crate) fn write_footer(&mut self) {
         self.flush_events();
-        let payload = (self.total_events, self.total_steps, steps_dropped).to_wire_bytes();
+        let payload = (self.total_events, self.total_steps).to_wire_bytes();
         self.write_chunk(CHUNK_FOOTER, &payload);
         if let Err(e) = self.file.flush() {
             io_fail(&self.path, "flushing", e);
@@ -162,9 +163,6 @@ pub struct RankStream {
     pub rank: usize,
     pub events: Vec<TraceEvent>,
     pub steps: Vec<StepRecord>,
-    /// Step records evicted by the writer's ring, from the footer (0 when
-    /// the footer is missing).
-    pub steps_dropped: u64,
     pub truncation: Option<String>,
 }
 
@@ -195,15 +193,9 @@ pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
         ));
     }
     let rank = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let mut out = RankStream {
-        rank,
-        events: Vec::new(),
-        steps: Vec::new(),
-        steps_dropped: 0,
-        truncation: None,
-    };
+    let mut out = RankStream { rank, events: Vec::new(), steps: Vec::new(), truncation: None };
     let mut pos = 12usize;
-    let mut footer: Option<(u64, u64, u64)> = None;
+    let mut footer: Option<(u64, u64)> = None;
     while pos < bytes.len() {
         let remaining = bytes.len() - pos;
         if remaining < 4 {
@@ -243,7 +235,7 @@ pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
                     return Ok(out);
                 }
             },
-            CHUNK_FOOTER => match <(u64, u64, u64)>::from_wire_bytes(payload) {
+            CHUNK_FOOTER => match <(u64, u64)>::from_wire_bytes(payload) {
                 Ok(f) => {
                     footer = Some(f);
                     if pos != bytes.len() {
@@ -264,17 +256,15 @@ pub fn read_span_file(path: &Path) -> Result<RankStream, String> {
         }
     }
     match footer {
-        Some((ev, st, dropped)) => {
-            out.steps_dropped = dropped;
-            if ev != out.events.len() as u64 || st != out.steps.len() as u64 {
-                out.truncation = Some(format!(
-                    "footer counts disagree with stream contents \
-                     (footer: {ev} events / {st} steps; read: {} / {})",
-                    out.events.len(),
-                    out.steps.len()
-                ));
-            }
+        Some((ev, st)) if ev != out.events.len() as u64 || st != out.steps.len() as u64 => {
+            out.truncation = Some(format!(
+                "footer counts disagree with stream contents \
+                 (footer: {ev} events / {st} steps; read: {} / {})",
+                out.events.len(),
+                out.steps.len()
+            ));
         }
+        Some(_) => {}
         None if out.truncation.is_none() => {
             out.truncation = Some(format!(
                 "stream ends without a footer (writer died?); recovered {} events and {} steps",

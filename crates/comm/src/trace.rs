@@ -20,119 +20,25 @@ use crate::wire::{intern, Wire, WireError, WireReader};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// The span categories the workspace emits, in the order of their
-/// [`CategoryFilter`] bits.
-pub const CATEGORIES: [&str; 6] = ["phase", "comm", "compute", "conn", "solver", "lb"];
-
-/// Which span categories a tracer records, as a bitmask over
-/// [`CATEGORIES`]. Unknown categories are always recorded (bit 7), so a
-/// filter can never silently hide a span taxonomy extension.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CategoryFilter(u8);
-
-impl Default for CategoryFilter {
-    fn default() -> Self {
-        CategoryFilter::ALL
-    }
-}
-
-impl CategoryFilter {
-    /// Every category (the default).
-    pub const ALL: CategoryFilter = CategoryFilter(0xff);
-
-    /// No known category (unknown ones still pass).
-    pub const NONE: CategoryFilter = CategoryFilter(0x80);
-
-    fn bit(cat: &str) -> Option<u8> {
-        CATEGORIES.iter().position(|&c| c == cat).map(|i| 1u8 << i)
-    }
-
-    /// Enable `cat` on top of `self`.
-    #[must_use]
-    pub fn with(self, cat: &str) -> Self {
-        match Self::bit(cat) {
-            Some(b) => CategoryFilter(self.0 | b),
-            None => self,
-        }
-    }
-
-    /// Does the filter record spans of category `cat`?
-    #[inline]
-    pub fn allows(&self, cat: &str) -> bool {
-        match Self::bit(cat) {
-            Some(b) => self.0 & b != 0,
-            None => true,
-        }
-    }
-
-    /// Parse a comma-separated category list (the CLI's
-    /// `--trace-filter phase,conn`). Empty string means "all".
-    pub fn parse(csv: &str) -> Result<Self, String> {
-        let csv = csv.trim();
-        if csv.is_empty() {
-            return Ok(CategoryFilter::ALL);
-        }
-        let mut f = CategoryFilter::NONE;
-        for part in csv.split(',') {
-            let part = part.trim();
-            if Self::bit(part).is_none() {
-                return Err(format!(
-                    "unknown trace category {part:?}; choose from {}",
-                    CATEGORIES.join(",")
-                ));
-            }
-            f = f.with(part);
-        }
-        Ok(f)
-    }
-}
-
-/// Tracing configuration for a universe: on/off, a category filter, and a
-/// deterministic 1-in-N span sampler. Filtering and sampling only thin the
-/// *recording*; the `Option<Tracer>` `is_some` branch at every
-/// instrumentation point keeps disabled tracing zero-cost.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Tracing configuration for a universe: on/off, and where the spans go.
+/// Enabled tracing records every span; the `Option<Tracer>` `is_some`
+/// branch at every instrumentation point keeps disabled tracing zero-cost.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     pub enabled: bool,
-    /// Categories recorded when enabled (default: all).
-    pub filter: CategoryFilter,
-    /// Record every Nth filter-passing span (1 = record all). Sampling is a
-    /// per-rank modulo counter over the deterministic span stream, so the
-    /// sampled subset is itself deterministic.
-    pub sample_every: u32,
     /// When set, spans and step records stream to one binary span file per
     /// rank in this directory as they close instead of accumulating in
     /// memory; the run's `RankTrace`s come back empty. See [`crate::sink`].
     pub stream: Option<PathBuf>,
 }
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::disabled()
-    }
-}
-
 impl TraceConfig {
     pub fn enabled() -> Self {
-        TraceConfig { enabled: true, filter: CategoryFilter::ALL, sample_every: 1, stream: None }
+        TraceConfig { enabled: true, stream: None }
     }
 
     pub fn disabled() -> Self {
-        TraceConfig { enabled: false, filter: CategoryFilter::ALL, sample_every: 1, stream: None }
-    }
-
-    /// Restrict recording to the given filter.
-    #[must_use]
-    pub fn with_filter(mut self, filter: CategoryFilter) -> Self {
-        self.filter = filter;
-        self
-    }
-
-    /// Record only every `n`-th filter-passing span (`n >= 1`).
-    #[must_use]
-    pub fn with_sampling(mut self, n: u32) -> Self {
-        self.sample_every = n.max(1);
-        self
+        TraceConfig { enabled: false, stream: None }
     }
 
     /// Stream telemetry to per-rank files in `dir` instead of buffering in
@@ -248,41 +154,13 @@ impl Wire for TraceEvent {
 
 /// Per-rank span recorder. With a streaming sink attached, spans route to
 /// disk as they close and `events` stays empty.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
-    filter: CategoryFilter,
-    sample_every: u32,
-    /// Filter-passing spans seen so far (drives the 1-in-N sampler).
-    seen: u64,
     sink: Option<SpanSink>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
-    }
-}
-
 impl Tracer {
-    /// An unfiltered, unsampled recorder.
-    pub fn new() -> Self {
-        Tracer::with_config(TraceConfig::enabled())
-    }
-
-    /// A recorder honoring `cfg`'s category filter and sampling stride.
-    /// Ignores `cfg.stream` (a sink needs a rank); use [`Tracer::for_rank`]
-    /// to honor it.
-    pub fn with_config(cfg: TraceConfig) -> Self {
-        Tracer {
-            events: Vec::new(),
-            filter: cfg.filter,
-            sample_every: cfg.sample_every.max(1),
-            seen: 0,
-            sink: None,
-        }
-    }
-
     /// The recorder for one rank of a universe, opening the streaming sink
     /// when `cfg.stream` is set.
     pub fn for_rank(cfg: &TraceConfig, rank: usize) -> Self {
@@ -291,13 +169,13 @@ impl Tracer {
         // alloc counts, so every tracer-internal allocation (event buffers,
         // sink framing) runs with attribution suspended.
         let _quiet = crate::alloc::suspend();
-        let mut t = Tracer::with_config(cfg.clone());
-        t.sink = cfg.stream.as_ref().map(|dir| SpanSink::create(dir, rank));
-        t
+        Tracer {
+            events: Vec::new(),
+            sink: cfg.stream.as_ref().map(|dir| SpanSink::create(dir, rank)),
+        }
     }
 
-    /// Record a completed span `[ts, ts + dur]`. Spans outside the category
-    /// filter are skipped; of the rest, every `sample_every`-th is kept.
+    /// Record a completed span `[ts, ts + dur]`.
     pub fn complete(
         &mut self,
         cat: &'static str,
@@ -307,14 +185,6 @@ impl Tracer {
         args: Vec<(&'static str, ArgVal)>,
     ) {
         let _quiet = crate::alloc::suspend();
-        if !self.filter.allows(cat) {
-            return;
-        }
-        let keep = self.seen % self.sample_every as u64 == 0;
-        self.seen += 1;
-        if !keep {
-            return;
-        }
         let e = TraceEvent { cat, name, ts, dur: dur.max(0.0), args };
         match &mut self.sink {
             Some(s) => s.push_event(e),
@@ -341,10 +211,10 @@ impl Tracer {
 
     /// Close the recorder: flush and footer the sink (if any), then return
     /// the in-memory events (empty in sink mode).
-    pub fn finish(mut self, steps_dropped: u64) -> Vec<TraceEvent> {
+    pub fn finish(mut self) -> Vec<TraceEvent> {
         let _quiet = crate::alloc::suspend();
         if let Some(s) = &mut self.sink {
-            s.write_footer(steps_dropped);
+            s.write_footer();
         }
         self.events
     }
@@ -465,7 +335,7 @@ mod tests {
 
     #[test]
     fn exporter_produces_complete_events() {
-        let mut t = Tracer::new();
+        let mut t = Tracer::default();
         t.complete("phase", "flow", 0.0, 1.5e-3, vec![("step", ArgVal::U64(0))]);
         t.complete(
             "comm",
@@ -505,7 +375,7 @@ mod tests {
     #[test]
     fn exporter_is_deterministic() {
         let mk = || {
-            let mut t = Tracer::new();
+            let mut t = Tracer::default();
             t.complete("compute", "flow", 0.125, 0.25, vec![("flops", ArgVal::F64(1.0e6))]);
             chrome_trace_json(&[RankTrace { rank: 3, events: t.into_events() }])
         };
@@ -521,56 +391,8 @@ mod tests {
 
     #[test]
     fn negative_durations_are_clamped() {
-        let mut t = Tracer::new();
+        let mut t = Tracer::default();
         t.complete("comm", "recv", 1.0, -0.5, vec![]);
         assert_eq!(t.events()[0].dur, 0.0);
-    }
-
-    #[test]
-    fn category_filter_parses_and_matches() {
-        let f = CategoryFilter::parse("phase,conn").unwrap();
-        assert!(f.allows("phase"));
-        assert!(f.allows("conn"));
-        assert!(!f.allows("comm"));
-        assert!(!f.allows("compute"));
-        // Unknown categories always pass (future taxonomy extensions).
-        assert!(f.allows("somenewcat"));
-        assert!(CategoryFilter::parse("").unwrap().allows("comm"));
-        assert!(CategoryFilter::parse(" phase , lb ").unwrap().allows("lb"));
-        assert!(CategoryFilter::parse("bogus").is_err());
-    }
-
-    #[test]
-    fn tracer_drops_filtered_categories() {
-        let cfg = TraceConfig::enabled().with_filter(CategoryFilter::parse("phase,conn").unwrap());
-        let mut t = Tracer::with_config(cfg);
-        t.complete("phase", "flow", 0.0, 1.0, vec![]);
-        t.complete("comm", "send", 0.1, 0.1, vec![]);
-        t.complete("compute", "flow", 0.2, 0.1, vec![]);
-        t.complete("conn", "serve", 0.3, 0.1, vec![]);
-        let cats: Vec<&str> = t.events().iter().map(|e| e.cat).collect();
-        assert_eq!(cats, vec!["phase", "conn"]);
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth_span() {
-        let mut t = Tracer::with_config(TraceConfig::enabled().with_sampling(3));
-        for i in 0..10 {
-            t.complete("comm", "send", i as f64, 0.1, vec![]);
-        }
-        // Spans 0, 3, 6, 9 survive.
-        let ts: Vec<f64> = t.events().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![0.0, 3.0, 6.0, 9.0]);
-        // Filtered-out spans do not advance the sampling stream.
-        let cfg = TraceConfig::enabled()
-            .with_filter(CategoryFilter::parse("conn").unwrap())
-            .with_sampling(2);
-        let mut t = Tracer::with_config(cfg);
-        for i in 0..4 {
-            t.complete("comm", "send", i as f64, 0.1, vec![]);
-            t.complete("conn", "serve", 10.0 + i as f64, 0.1, vec![]);
-        }
-        let ts: Vec<f64> = t.events().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![10.0, 12.0]);
     }
 }

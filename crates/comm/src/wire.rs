@@ -36,9 +36,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// over the whole `Counter` vocabulary, `allocs`, `alloc_bytes`) and is the
 /// only per-step record `RankOutput` carries; `RankStats` keeps no message
 /// or collective tallies; `MetricsRegistry` is its counter array and its
-/// histogram array, no names on the wire. Primitive encodings are unchanged
-/// throughout. Layouts: docs/TRANSPORT.md.
-pub const WIRE_SCHEMA_VERSION: u32 = 4;
+/// histogram array, no names on the wire. v5: `RankOutput` drops the u64
+/// ring-eviction count after `steps` — the flight recorder keeps every
+/// step. Primitive encodings are unchanged throughout. Layouts:
+/// docs/TRANSPORT.md.
+pub const WIRE_SCHEMA_VERSION: u32 = 5;
 
 /// Decode-side failure. Encoding is infallible.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,6 +1,5 @@
 //! Streaming-sink acceptance tests: the binary span format's golden byte
-//! pin (schema v3), truncation recovery, and full-series recovery from disk
-//! when the in-memory flight ring has evicted records.
+//! pin (schema v4), stream-vs-memory identity, and truncation recovery.
 
 use overset_comm::trace::{TraceConfig, Tracer};
 use overset_comm::{
@@ -18,12 +17,11 @@ fn temp_dir(test: &str) -> PathBuf {
 /// A small traced workload: `steps` timesteps of flow compute, a ring halo
 /// exchange in connectivity with a per-step heap allocation, a barrier per
 /// phase.
-fn run_workload(trace: TraceConfig, steps: usize, step_capacity: usize) -> Vec<RankOutputLite> {
+fn run_workload(trace: TraceConfig, steps: usize) -> Vec<RankOutputLite> {
     Universe::builder()
         .ranks(3)
         .machine(&MachineModel::modern())
         .trace(trace)
-        .step_capacity(step_capacity)
         .run(move |c| {
             for s in 0..steps {
                 {
@@ -46,21 +44,20 @@ fn run_workload(trace: TraceConfig, steps: usize, step_capacity: usize) -> Vec<R
             }
         })
         .into_iter()
-        .map(|o| RankOutputLite { trace: o.trace, steps: o.steps, steps_dropped: o.steps_dropped })
+        .map(|o| RankOutputLite { trace: o.trace, steps: o.steps })
         .collect()
 }
 
 struct RankOutputLite {
     trace: Vec<overset_comm::TraceEvent>,
     steps: Vec<StepRecord>,
-    steps_dropped: u64,
 }
 
 /// Bytes of one step chunk: length prefix, kind, `step`, `clock`, then the
 /// four arrays.
 const STEP_CHUNK_BYTES: usize = 4 + 1 + 8 * (2 + 3 * NUM_PHASES + Counter::COUNT);
 
-/// Golden byte pin of binary span schema v3: one rank-0 stream holding a
+/// Golden byte pin of binary span schema v4: one rank-0 stream holding a
 /// single argless `phase`/`flow` span, one step record carrying a counter
 /// and an allocation delta, and a clean footer, built with the writer and
 /// compared against hand-assembled literal bytes. Any header, framing, or
@@ -68,9 +65,9 @@ const STEP_CHUNK_BYTES: usize = 4 + 1 + 8 * (2 + 3 * NUM_PHASES + Counter::COUNT
 /// `SPAN_SCHEMA_VERSION` bump, not a refresh. The `counts` array is as long
 /// as the `Counter` vocabulary, in its order.
 #[test]
-fn golden_bytes_pin_span_schema_v3() {
+fn golden_bytes_pin_span_schema_v4() {
     const CONN: usize = Phase::Connectivity as usize;
-    let dir = temp_dir("golden_v3");
+    let dir = temp_dir("golden_v4");
     let cfg = TraceConfig::enabled().with_stream(&dir);
     let mut t = Tracer::for_rank(&cfg, 0);
     t.complete("phase", "flow", 0.0, 2.0, Vec::new());
@@ -80,13 +77,13 @@ fn golden_bytes_pin_span_schema_v3() {
     rec.allocs[CONN] = 3;
     rec.alloc_bytes[CONN] = 256;
     t.record_step(&rec);
-    t.finish(0);
+    t.finish();
 
     let two = [0, 0, 0, 0, 0, 0, 0, 0x40]; // 2.0 (IEEE bits)
     let got = std::fs::read(dir.join("rank-00000.spans")).unwrap();
     let mut want: Vec<u8> = Vec::new();
     want.extend(*b"OSPN"); // magic
-    want.extend([3, 0, 0, 0]); // schema version 3
+    want.extend([4, 0, 0, 0]); // schema version 4
     want.extend([0, 0, 0, 0]); // rank 0
     want.extend([58, 0, 0, 0]); // chunk len: 1 kind + 57 payload
     want.push(1); // kind 1: events, flushed ahead of the step that closes
@@ -113,11 +110,10 @@ fn golden_bytes_pin_span_schema_v3() {
     want.extend([0; 8]); // alloc_bytes[flow]
     want.extend([0, 1, 0, 0, 0, 0, 0, 0]); // alloc_bytes[connectivity] = 256
     want.extend([0; 24]); // alloc_bytes[motion..other]
-    want.extend([25, 0, 0, 0]); // chunk len: 1 kind + 24 payload
+    want.extend([17, 0, 0, 0]); // chunk len: 1 kind + 16 payload
     want.push(0); // kind 0: footer
     want.extend([1, 0, 0, 0, 0, 0, 0, 0]); // total events
     want.extend([1, 0, 0, 0, 0, 0, 0, 0]); // total steps
-    want.extend([0; 8]); // steps dropped
     assert_eq!(got, want, "binary span layout drifted without a schema bump");
 
     let back = read_span_file(&dir.join("rank-00000.spans")).unwrap();
@@ -136,8 +132,8 @@ fn golden_bytes_pin_span_schema_v3() {
 #[test]
 fn binary_stream_matches_in_memory_run() {
     let dir = temp_dir("roundtrip");
-    let in_mem = run_workload(TraceConfig::enabled(), 4, 1024);
-    let streamed = run_workload(TraceConfig::enabled().with_stream(&dir), 4, 1024);
+    let in_mem = run_workload(TraceConfig::enabled(), 4);
+    let streamed = run_workload(TraceConfig::enabled().with_stream(&dir), 4);
 
     // Streaming leaves nothing in memory...
     for o in &streamed {
@@ -156,32 +152,6 @@ fn binary_stream_matches_in_memory_run() {
         assert_eq!(mem.steps, streamed.steps);
         assert_eq!(streamed.steps, disk.steps);
         assert!(disk.steps.iter().all(|r| r.allocs[Phase::Connectivity as usize] >= 1));
-        assert_eq!(disk.steps_dropped, 0);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The memory contract that motivates streaming: cap the flight ring far
-/// below the step count, so the in-memory run keeps only a trailing window
-/// — yet the streamed sink recovers the *full* per-step series from disk.
-#[test]
-fn capped_ring_long_run_recovers_full_series_from_disk() {
-    const STEPS: usize = 12;
-    const CAP: usize = 4;
-    let dir = temp_dir("ring_recovery");
-    let outs = run_workload(TraceConfig::enabled().with_stream(&dir), STEPS, CAP);
-
-    for o in &outs {
-        assert_eq!(o.steps.len(), CAP, "ring must cap the in-memory series");
-        assert_eq!(o.steps_dropped as usize, STEPS - CAP);
-    }
-    let sd = read_span_dir(&dir).unwrap();
-    assert_eq!(sd.gaps, Vec::<String>::new());
-    for (disk, mem) in sd.ranks.iter().zip(&outs) {
-        assert_eq!(disk.steps.len(), STEPS, "disk must hold every step");
-        assert_eq!(disk.steps_dropped, mem.steps_dropped, "footer carries ring evictions");
-        // The in-memory window is exactly the tail of the streamed series.
-        assert_eq!(&disk.steps[STEPS - CAP..], &mem.steps[..]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -193,7 +163,7 @@ fn capped_ring_long_run_recovers_full_series_from_disk() {
 fn truncated_streams_recover_prefix_and_name_the_gap() {
     const CONN: usize = Phase::Connectivity as usize;
     let dir = temp_dir("truncation");
-    run_workload(TraceConfig::enabled().with_stream(&dir), 3, 1024);
+    run_workload(TraceConfig::enabled().with_stream(&dir), 3);
     let path = dir.join("rank-00000.spans");
     let full = std::fs::read(&path).unwrap();
     let cut = |bytes: &[u8], name: &str| -> PathBuf {
@@ -207,10 +177,10 @@ fn truncated_streams_recover_prefix_and_name_the_gap() {
     assert_eq!(whole.steps.len(), 3);
     assert!(whole.truncation.is_none());
 
-    // Footer removed (29 = 4-byte length prefix + kind + (u64,u64,u64)
+    // Footer removed (21 = 4-byte length prefix + kind + (u64,u64)
     // payload): a killed writer still leaves every closed step readable,
     // with its allocation deltas — they are part of the step's one chunk.
-    let no_footer = read_span_file(&cut(&full[..full.len() - 29], "no_footer.spans")).unwrap();
+    let no_footer = read_span_file(&cut(&full[..full.len() - 21], "no_footer.spans")).unwrap();
     assert_eq!(no_footer.steps, whole.steps);
     assert!(no_footer.steps.iter().all(|r| r.allocs[CONN] >= 1 && r.alloc_bytes[CONN] >= 64));
     assert_eq!(no_footer.events, whole.events);
@@ -220,13 +190,13 @@ fn truncated_streams_recover_prefix_and_name_the_gap() {
     // Mid-body cut (one byte into the last pre-footer chunk, the last
     // step's record): the wounded chunk is dropped whole, everything before
     // it stays — a dead rank still yields a partial host profile.
-    let mid = read_span_file(&cut(&full[..full.len() - 30], "mid_body.spans")).unwrap();
+    let mid = read_span_file(&cut(&full[..full.len() - 22], "mid_body.spans")).unwrap();
     assert!(mid.truncation.unwrap().contains("inside a chunk body"));
     assert_eq!(mid.steps, whole.steps[..2], "step chunks before the cut must survive");
 
     // Cut one byte into that chunk: same two steps.
     let step_cut =
-        read_span_file(&cut(&full[..full.len() - 29 - STEP_CHUNK_BYTES + 1], "step_cut.spans"))
+        read_span_file(&cut(&full[..full.len() - 21 - STEP_CHUNK_BYTES + 1], "step_cut.spans"))
             .unwrap();
     assert!(step_cut.truncation.unwrap().contains("inside a chunk"));
     assert_eq!(step_cut.steps, whole.steps[..2]);

@@ -113,14 +113,14 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// The exact bytes of the primitive encodings for one value of every
-/// primitive shape — unchanged since schema v1 (the v2, v3 and v4 bumps
+/// primitive shape — unchanged since schema v1 (the v2 to v5 bumps
 /// changed which fields `RankOutput` and its records carry without touching
 /// any primitive encoding; see docs/TRANSPORT.md). These bytes are a *contract* (they
 /// cross process boundaries between independently built binaries);
 /// changing any of them requires a `WIRE_SCHEMA_VERSION` bump.
 #[test]
 fn golden_bytes_pin_primitive_encodings() {
-    assert_eq!(WIRE_SCHEMA_VERSION, 4, "schema bumped: re-pin the golden bytes below");
+    assert_eq!(WIRE_SCHEMA_VERSION, 5, "schema bumped: re-pin the golden bytes below");
 
     // Little-endian fixed-width integers.
     assert_eq!(0x1122u16.to_wire_bytes(), [0x22, 0x11]);

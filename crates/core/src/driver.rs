@@ -78,12 +78,6 @@ pub struct CaseConfig {
     /// times are bit-identical either way; a single-processor run always
     /// runs in-process.
     pub transport: TransportConfig,
-    /// Test hook for the allocation gate: when nonzero, every rank makes
-    /// one synthetic heap allocation of this many bytes per timestep inside
-    /// the connectivity phase. Physics- and virtual-time-neutral; it exists
-    /// so `repro compare` can be proven to fail on an injected host-cost
-    /// regression (`--inject-alloc`).
-    pub inject_alloc: usize,
 }
 
 impl CaseConfig {
@@ -114,7 +108,6 @@ impl CaseConfig {
                 trace: TraceConfig::disabled(),
                 max_threads: None,
                 transport: TransportConfig::InProcess,
-                inject_alloc: 0,
             },
         }
     }
@@ -163,11 +156,6 @@ impl CaseConfigBuilder {
         self
     }
 
-    pub fn inject_alloc(mut self, bytes: usize) -> Self {
-        self.cfg.inject_alloc = bytes;
-        self
-    }
-
     pub fn build(self) -> CaseConfig {
         self.cfg
     }
@@ -206,9 +194,6 @@ pub struct RunResult {
     /// order), one record per timestep. Always collected — the recorder is
     /// as cheap as the metrics registry and physics-neutral.
     pub step_records: Vec<Vec<StepRecord>>,
-    /// Step records evicted by the ring bound, summed over ranks (0 unless
-    /// a run exceeded the recorder capacity).
-    pub steps_dropped: u64,
     /// Host wall-clock seconds per phase, taken as the max over ranks (the
     /// slowest rank bounds real elapsed time). Nondeterministic — reported
     /// in the advisory `host` section of run reports, never bit-compared.
@@ -457,7 +442,6 @@ fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
         trace,
         metrics,
         step_records: outputs.iter().map(|o| o.steps.clone()).collect(),
-        steps_dropped: outputs.iter().map(|o| o.steps_dropped).sum(),
         host_phase_elapsed,
         host_phase_by_rank: outputs.iter().map(|o| o.host_time).collect(),
         alloc_by_rank: outputs.iter().map(|o| o.alloc).collect(),
@@ -672,11 +656,6 @@ fn run_rank(
             }
             conn.step(mine, &solids, &topo, &mut ph);
             svc.note_step();
-            if cfg.inject_alloc > 0 {
-                // Synthetic host-cost regression for gate tests: one extra
-                // heap allocation per step, attributed to this phase.
-                std::hint::black_box(vec![0u8; cfg.inject_alloc]);
-            }
             ph.barrier();
             phase_elapsed[Phase::Connectivity as usize] += ph.now() - t0;
         }

@@ -75,7 +75,9 @@ fn assert_matches_recorded(r: &RunResult, want: &Recorded, what: &str) {
 /// what a rank allocates after its last step (its return value).
 fn assert_records_sum_to_totals(r: &RunResult, what: &str) {
     let records = || r.step_records.iter().flatten();
-    assert_eq!(r.steps_dropped, 0);
+    for (rank, recs) in r.step_records.iter().enumerate() {
+        assert_eq!(recs.len(), r.steps, "{what}: rank {rank} keeps one record a step");
+    }
     for c in Counter::ALL {
         let sum: u64 = records().map(|s| s.count(c)).sum();
         assert_eq!(sum, r.metrics.get(c), "{what}: step series of {} vs run total", c.name());

@@ -242,6 +242,14 @@ mod tests {
         // An improvement is a difference too: the gate asks "did anything
         // deterministic move", not "is it worse".
         assert!(!compare(&new, &base()).unwrap().passed());
+        // One more allocation in a phase is a difference like any counter.
+        let leak = edited(|c| {
+            let Value::Obj(alloc) = field(c, "alloc") else { unreachable!() };
+            let Value::Obj(allocs) = field(alloc, "allocs") else { unreachable!() };
+            *field(allocs, "connectivity") = Value::Num(501.0);
+        });
+        let out = compare(&base(), &leak).unwrap();
+        assert_eq!(paths(&out), ["cases[airfoil/representative].alloc.allocs.connectivity"]);
     }
 
     #[test]
@@ -263,10 +271,10 @@ mod tests {
     fn an_extra_or_missing_key_or_element_fails() {
         let added = edited(|c| {
             let Value::Obj(s) = field(c, "summary") else { unreachable!() };
-            s.push(("steps_dropped".into(), Value::Num(0.0)));
+            s.push(("forwards_total".into(), Value::Num(0.0)));
         });
         let out = compare(&base(), &added).unwrap();
-        assert_eq!(paths(&out), ["cases[airfoil/representative].summary.steps_dropped"]);
+        assert_eq!(paths(&out), ["cases[airfoil/representative].summary.forwards_total"]);
         let out = compare(&added, &base()).unwrap();
         assert_eq!(out.differences[0].describe(), format!("{}: 0 -> <absent>", paths(&out)[0]));
         // A whole section absent on one side is one difference, not a skip.

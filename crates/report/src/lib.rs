@@ -34,7 +34,7 @@ use overset_comm::{Phase, StepRecord, NUM_PHASES};
 
 /// Version of the report document layout. See the module docs for the bump
 /// policy.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Phase order used for per-phase keys (matches the `Phase` discriminants).
 const PHASES: [Phase; NUM_PHASES] =
@@ -138,13 +138,9 @@ fn summary_value(r: &RunResult, series: &[StepSeries]) -> Value {
         ("orphans_last".to_string(), Value::Num(r.orphans_last as f64)),
         ("repartitions".to_string(), Value::Num(r.repartitions as f64)),
         ("cache_hit_rate".to_string(), opt_num(r.metrics.cache_hit_rate())),
-        // Whole-run donor-search effort, read from the metrics counters
-        // (exact even when the flight-recorder ring evicted early steps).
+        // Whole-run donor-search effort, read from the metrics counters.
         ("walk_steps_total".to_string(), Value::Num(r.metrics.get(Counter::ConnWalkSteps) as f64)),
         ("forwards_total".to_string(), Value::Num(r.metrics.get(Counter::ConnForwards) as f64)),
-        // Flight-recorder ring evictions: when > 0 the series covers only
-        // the trailing window of the run.
-        ("steps_dropped".to_string(), Value::Num(r.steps_dropped as f64)),
     ]);
     Value::Obj(pairs)
 }

@@ -92,13 +92,14 @@ echo "== report determinism smoke: two fresh quick reports agree on every value 
     exit 1
 }
 
-echo "== alloc gate smoke: injected allocations must fail the compare, naming the phase =="
-./target/release/repro report table1 --quick --inject-alloc 64 -o "$DIFF_TMP/r3.json" > /dev/null
-INJECT_RC=0
-./target/release/repro compare "$DIFF_TMP/r1.json" "$DIFF_TMP/r3.json" > "$DIFF_TMP/c3.txt" || INJECT_RC=$?
-if [[ "$INJECT_RC" != "1" ]] || ! grep -q "alloc.allocs.connectivity" "$DIFF_TMP/c3.txt"; then
-    echo "alloc gate: --inject-alloc 64 should make compare exit 1 naming" \
-        "alloc.allocs.connectivity (got $INJECT_RC)" >&2
+echo "== streamed analysis smoke: a recorded span dir analyses, a Chrome trace file exits 2 =="
+./target/release/repro table1 --quick --trace-stream "$DIFF_TMP/spans" > /dev/null
+./target/release/repro analyze "$DIFF_TMP/spans" > /dev/null
+./target/release/repro table1 --quick --trace "$DIFF_TMP/t.json" > /dev/null
+CHROME_RC=0
+./target/release/repro analyze "$DIFF_TMP/t.json" > /dev/null 2>&1 || CHROME_RC=$?
+if [[ "$CHROME_RC" != "2" ]]; then
+    echo "analyze: a Chrome trace file is not an analysis input; want exit 2, got $CHROME_RC" >&2
     exit 1
 fi
 
