@@ -9,7 +9,7 @@
 //! mistake waiting for load.
 
 use crate::critical_path::CriticalPath;
-use crate::input::{AnalysisInput, PHASE_NAMES};
+use crate::input::{phase_name, AnalysisInput};
 use crate::waits::WaitStates;
 use overset_balance::service_imbalance;
 use overset_comm::Counter;
@@ -62,7 +62,7 @@ fn critical_rank(cp: &CriticalPath, out: &mut Vec<Finding>) {
         message: format!(
             "rank {top} bounds {:.1}% of critical-path time (dominant phase: {})",
             share * 100.0,
-            PHASE_NAMES[phase]
+            phase_name(phase)
         ),
         data: vec![("share", share), ("time_s", cp.rank_time[top]), ("phase", phase as f64)],
     });

@@ -1,19 +1,22 @@
-//! `repro analyze --host`: the host-cost view of a run report.
+//! `repro analyze <report.json>`: the host-cost view of a run report.
 //!
 //! The other analyses explain *virtual* time — where the simulated machine
-//! spends its seconds. This one explains *host* cost: which phase×rank
-//! cells burn the most wall-clock on the machine actually running the
-//! simulation, where the `MachineModel`'s virtual share disagrees with the
-//! measured host share (a misprediction worth retuning), and what the
-//! deterministic allocation profile looks like per phase and rank.
+//! spends its seconds. This one explains *host* cost: each phase's
+//! wall-clock (max and median over ranks) and the peak heap per case,
+//! which phase×rank cells burn the most wall-clock on the machine actually
+//! running the simulation, where the `MachineModel`'s virtual share
+//! disagrees with the measured host share (a misprediction worth
+//! retuning), and what the deterministic allocation profile looks like per
+//! phase and rank.
 //!
 //! Input is a report document written by `repro report` (not an analysis
-//! document). Rendering is a pure function of
-//! the document, so the output is byte-deterministic and golden-tested;
-//! the *wall-clock numbers inside* the document are machine-dependent, the
-//! allocation numbers are not.
+//! document), whose runs were untraced, so the host numbers carry no
+//! tracer cost. Rendering is a pure function of the document, so the
+//! output is byte-deterministic and golden-tested; the *wall-clock numbers
+//! inside* the document are machine-dependent, the allocation numbers are
+//! not.
 
-use crate::PHASE_NAMES;
+use overset_comm::Phase;
 use overset_report::Value;
 use std::fmt::Write as _;
 
@@ -46,10 +49,46 @@ pub fn render_host_report(doc: &Value) -> Result<String, String> {
 
     let mut out = String::new();
     let _ = writeln!(out, "== Host-cost analysis ==");
+    render_phase_profile(&mut out, cases, host);
     render_hotspots(&mut out, per_rank);
     render_disagreement(&mut out, cases, host);
     render_alloc_profile(&mut out, cases);
     Ok(out)
+}
+
+/// Per case, each phase's host milliseconds — the max over ranks
+/// (`host.phase_ms`) and the median over ranks (`host.phase_ms_by_rank`,
+/// the lower median for an even rank count) — and the peak heap, max over
+/// ranks (`host.alloc_peak_bytes`).
+fn render_phase_profile(out: &mut String, cases: &[Value], host: &Value) {
+    let _ = writeln!(out, "\n-- Host phase ms (max / median over ranks) and peak heap --");
+    let mut wrote = false;
+    for case in cases {
+        let label = case.get("label").and_then(Value::as_str).unwrap_or("?");
+        let Some(max_ms) = host.get("phase_ms").and_then(|p| p.get(label)) else { continue };
+        let ranks = host.get("phase_ms_by_rank").and_then(|p| p.get(label)).and_then(Value::as_arr);
+        wrote = true;
+        let _ = writeln!(out, "  {label:<18} {:<14} {:>12} {:>12}", "phase", "max ms", "median ms");
+        for phase in Phase::ALL {
+            let name = phase.name();
+            let mut ms: Vec<f64> = ranks
+                .into_iter()
+                .flatten()
+                .filter_map(|r| r.get(name).and_then(Value::as_f64))
+                .collect();
+            ms.sort_by(f64::total_cmp);
+            let median = ms.get(ms.len().saturating_sub(1) / 2).copied().unwrap_or(0.0);
+            let max = max_ms.get(name).and_then(Value::as_f64).unwrap_or(0.0);
+            let _ = writeln!(out, "  {:<18} {name:<14} {max:>12.2} {median:>12.2}", "");
+        }
+        if let Some(peak) = host.get("alloc_peak_bytes").and_then(|p| p.get(label)) {
+            let peak = peak.as_f64().unwrap_or(0.0) as u64;
+            let _ = writeln!(out, "  {:<18} peak heap (max over ranks): {peak} bytes", "");
+        }
+    }
+    if !wrote {
+        let _ = writeln!(out, "  (no host phase timings in this report)");
+    }
 }
 
 /// Top-N host phase×rank hotspots across all cases, from the per-rank
@@ -61,8 +100,8 @@ fn render_hotspots(out: &mut String, per_rank: &[(String, Value)]) {
     for (label, ranks) in per_rank {
         let Some(ranks) = ranks.as_arr() else { continue };
         for (rank, phases) in ranks.iter().enumerate() {
-            for (p, name) in PHASE_NAMES.iter().enumerate() {
-                if let Some(ms) = phases.get(name).and_then(Value::as_f64) {
+            for (p, phase) in Phase::ALL.iter().enumerate() {
+                if let Some(ms) = phases.get(phase.name()).and_then(Value::as_f64) {
                     rows.push((ms, label, p, rank.to_string()));
                 }
             }
@@ -81,7 +120,8 @@ fn render_hotspots(out: &mut String, per_rank: &[(String, Value)]) {
     }
     let _ = writeln!(out, "  {:<18} {:<14} {:>5} {:>12}", "case", "phase", "rank", "host ms");
     for (ms, label, p, rank) in rows.iter().take(HOST_TOP_N) {
-        let _ = writeln!(out, "  {:<18} {:<14} {:>5} {:>12.2}", label, PHASE_NAMES[*p], rank, ms);
+        let _ =
+            writeln!(out, "  {:<18} {:<14} {:>5} {:>12.2}", label, Phase::ALL[*p].name(), rank, ms);
     }
 }
 
@@ -97,13 +137,13 @@ fn render_disagreement(out: &mut String, cases: &[Value], host: &Value) {
         let label = case.get("label").and_then(Value::as_str).unwrap_or("?");
         let Some(summary) = case.get("summary") else { continue };
         let Some(hphases) = host.get("phase_ms").and_then(|p| p.get(label)) else { continue };
-        let virt: Vec<f64> = PHASE_NAMES
+        let virt: Vec<f64> = Phase::ALL
             .iter()
-            .map(|n| summary.get(&format!("t_{n}")).and_then(Value::as_f64).unwrap_or(0.0))
+            .map(|p| summary.get(&format!("t_{}", p.name())).and_then(Value::as_f64).unwrap_or(0.0))
             .collect();
-        let hms: Vec<f64> = PHASE_NAMES
+        let hms: Vec<f64> = Phase::ALL
             .iter()
-            .map(|n| hphases.get(n).and_then(Value::as_f64).unwrap_or(0.0))
+            .map(|p| hphases.get(p.name()).and_then(Value::as_f64).unwrap_or(0.0))
             .collect();
         let (vt, ht): (f64, f64) = (virt.iter().sum(), hms.iter().sum());
         // A corrupt or hand-edited report can carry `inf`/`nan` timings
@@ -116,7 +156,8 @@ fn render_disagreement(out: &mut String, cases: &[Value], host: &Value) {
         wrote = true;
         let _ =
             writeln!(out, "  {label:<18} {:<14} {:>10} {:>10}   flag", "phase", "virtual", "host");
-        for (p, name) in PHASE_NAMES.iter().enumerate() {
+        for (p, phase) in Phase::ALL.iter().enumerate() {
+            let name = phase.name();
             let vs = virt[p] / vt;
             let hs = hms[p] / ht;
             let disagree = vs.max(hs) >= SHARE_FLOOR
@@ -147,7 +188,7 @@ fn render_alloc_profile(out: &mut String, cases: &[Value]) {
         };
         wrote = true;
         let _ = writeln!(out, "  {:<18} {:<14} {:>12} {:>16}", label, "phase", "allocs", "bytes");
-        for name in PHASE_NAMES.iter() {
+        for name in Phase::ALL.map(Phase::name) {
             let a = allocs.get(name).and_then(Value::as_f64).unwrap_or(0.0);
             let b = bytes.get(name).and_then(Value::as_f64).unwrap_or(0.0);
             let _ = writeln!(out, "  {:<18} {:<14} {:>12} {:>16}", "", name, a as u64, b as u64);

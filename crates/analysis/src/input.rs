@@ -5,18 +5,20 @@
 //! built from a run's `RankTrace`s — live, or read back from a span-stream
 //! directory — together with its flight-recorder step records.
 
-use overset_comm::{ArgVal, RankTrace, StepRecord, NUM_PHASES};
-
-/// Phase labels in discriminant order (matches `Phase::name()`).
-pub const PHASE_NAMES: [&str; NUM_PHASES] = ["flow", "connectivity", "motion", "balance", "other"];
+use overset_comm::{ArgVal, Phase, RankTrace, StepRecord};
 
 /// Index of the catch-all phase used when a span falls outside every phase
 /// interval (or its phase name is unknown).
-pub const PHASE_OTHER: usize = NUM_PHASES - 1;
+pub const PHASE_OTHER: usize = Phase::Other as usize;
+
+/// Label of phase index `p` (a `Phase` discriminant).
+pub fn phase_name(p: usize) -> &'static str {
+    Phase::ALL[p].name()
+}
 
 /// Map a phase-span name to its discriminant, `PHASE_OTHER` when unknown.
 pub fn phase_index(name: &str) -> usize {
-    PHASE_NAMES.iter().position(|&p| p == name).unwrap_or(PHASE_OTHER)
+    Phase::ALL.iter().position(|p| p.name() == name).unwrap_or(PHASE_OTHER)
 }
 
 /// One completed span, owned and numeric-only (string args are dropped —

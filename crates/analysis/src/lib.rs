@@ -22,7 +22,6 @@
 
 pub mod advisor;
 pub mod critical_path;
-pub mod diff;
 pub mod host;
 pub mod input;
 pub mod matrix;
@@ -30,13 +29,13 @@ pub mod waits;
 
 pub use advisor::{advise, Finding, GRANT_THRESHOLD};
 pub use critical_path::CriticalPath;
-pub use diff::{diff, AnalysisDiff, DIFF_SCHEMA_VERSION};
 pub use host::render_host_report;
-pub use input::{AnalysisInput, RankSpans, Span, PHASE_NAMES};
+pub use input::{AnalysisInput, RankSpans, Span};
 pub use matrix::CommMatrix;
 pub use waits::{Culprit, WaitStates, MAX_CULPRITS};
 
-use overset_comm::NUM_PHASES;
+use input::phase_name;
+use overset_comm::{Phase, NUM_PHASES};
 use overset_report::{json::obj, Value};
 
 /// Version of the analysis document layout.
@@ -81,8 +80,8 @@ pub fn analyze(input: &AnalysisInput) -> Analysis {
 
 fn phase_obj(xs: &[f64; NUM_PHASES]) -> Value {
     let mut pairs: Vec<(&str, Value)> = vec![("total", Value::Num(xs.iter().sum::<f64>()))];
-    for (p, &x) in xs.iter().enumerate() {
-        pairs.push((PHASE_NAMES[p], Value::Num(x)));
+    for (phase, &x) in Phase::ALL.iter().zip(xs) {
+        pairs.push((phase.name(), Value::Num(x)));
     }
     obj(pairs)
 }
@@ -103,17 +102,20 @@ impl Analysis {
             cp.steps
                 .iter()
                 .map(|s| {
-                    let mut pairs: Vec<(&str, Value)> = vec![
-                        ("step", Value::Num(s.step as f64)),
-                        ("elapsed", Value::Num(s.elapsed)),
-                        ("dominant_rank", Value::Num(s.dominant_rank as f64)),
-                        ("dominant_phase", Value::Str(PHASE_NAMES[s.dominant_phase].to_string())),
+                    let mut pairs: Vec<(String, Value)> = vec![
+                        ("step".into(), Value::Num(s.step as f64)),
+                        ("elapsed".into(), Value::Num(s.elapsed)),
+                        ("dominant_rank".into(), Value::Num(s.dominant_rank as f64)),
+                        ("dominant_phase".into(), Value::Str(phase_name(s.dominant_phase).into())),
                     ];
-                    for p in 0..NUM_PHASES {
-                        pairs.push((T_KEYS[p], Value::Num(s.phase_elapsed[p])));
-                        pairs.push((R_KEYS[p], Value::Num(s.phase_rank[p] as f64)));
+                    // `t_<phase>` matches `overset-report`'s keys; `r_<phase>`
+                    // is the rank that set it.
+                    for (p, phase) in Phase::ALL.iter().enumerate() {
+                        let name = phase.name();
+                        pairs.push((format!("t_{name}"), Value::Num(s.phase_elapsed[p])));
+                        pairs.push((format!("r_{name}"), Value::Num(s.phase_rank[p] as f64)));
                     }
-                    obj(pairs)
+                    Value::Obj(pairs)
                 })
                 .collect(),
         );
@@ -137,7 +139,7 @@ impl Analysis {
                                     ("src", Value::Num(c.src as f64)),
                                     (
                                         "sender_phase",
-                                        Value::Str(PHASE_NAMES[c.sender_phase].to_string()),
+                                        Value::Str(phase_name(c.sender_phase).to_string()),
                                     ),
                                     ("seconds", Value::Num(c.seconds)),
                                     ("spans", Value::Num(c.spans as f64)),
@@ -157,10 +159,10 @@ impl Analysis {
                 .collect(),
         );
         let mut per_phase: Vec<(String, Value)> = Vec::new();
-        for (p, pname) in PHASE_NAMES.iter().enumerate() {
+        for (p, phase) in Phase::ALL.iter().enumerate() {
             if self.matrix.phase_active(p) {
                 per_phase.push((
-                    pname.to_string(),
+                    phase.name().to_string(),
                     obj(vec![
                         ("msgs", u64_matrix(&self.matrix.msgs[p])),
                         ("bytes", u64_matrix(&self.matrix.bytes[p])),
@@ -234,7 +236,7 @@ impl Analysis {
                 "  rank {r:>3}: {:.6e} s ({:>5.1}%)  dominant phase: {}\n",
                 cp.rank_time[r],
                 cp.rank_share(r) * 100.0,
-                PHASE_NAMES[cp.dominant_phase_of(r)]
+                phase_name(cp.dominant_phase_of(r))
             ));
         }
         if cp.nranks > 8 {
@@ -271,11 +273,11 @@ impl Analysis {
 
         out.push_str("\n-- comm matrix --\n");
         out.push_str(&matrix::render_heatmap(&self.matrix.total_bytes(), "total bytes"));
-        for (p, pname) in PHASE_NAMES.iter().enumerate() {
+        for (p, phase) in Phase::ALL.iter().enumerate() {
             if self.matrix.phase_active(p) {
                 out.push_str(&matrix::render_heatmap(
                     &self.matrix.bytes[p],
-                    &format!("{pname} bytes"),
+                    &format!("{} bytes", phase.name()),
                 ));
             }
         }
@@ -290,11 +292,6 @@ impl Analysis {
         out
     }
 }
-
-/// Per-phase JSON keys, matching `overset-report`'s `t_<phase>` convention.
-const T_KEYS: [&str; NUM_PHASES] = ["t_flow", "t_connectivity", "t_motion", "t_balance", "t_other"];
-/// Argmax-rank keys parallel to [`T_KEYS`].
-const R_KEYS: [&str; NUM_PHASES] = ["r_flow", "r_connectivity", "r_motion", "r_balance", "r_other"];
 
 #[cfg(test)]
 mod tests {

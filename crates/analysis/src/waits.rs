@@ -103,9 +103,10 @@ pub(crate) fn collective_waits(ranks: &[RankSpans]) -> (CollectiveWaits, (usize,
     (colls, (kmin, kmax))
 }
 
-/// Classify wait states from comm spans. Tolerates filtered traces: with no
-/// `comm` spans everything is zero, with mismatched collective counts only
-/// the common prefix is classified (and a note records the truncation).
+/// Classify wait states from comm spans. A run with no `comm` spans has
+/// all-zero waits; with mismatched collective counts (a hand-written span
+/// directory, never a recorded run) only the common prefix is classified
+/// and a note records the truncation.
 pub fn classify(ranks: &[RankSpans]) -> WaitStates {
     let mut out =
         WaitStates { per_rank: vec![RankWaits::default(); ranks.len()], ..Default::default() };
@@ -134,8 +135,9 @@ pub fn classify(ranks: &[RankSpans]) -> WaitStates {
         for s in &r.spans {
             if s.cat == "comm" && s.name == "recv" {
                 let phase = phase_of[i].phase_at(s.ts);
-                // `stall` is exact; older traces without it fall back to
-                // the span duration, which equals the stall by construction.
+                // `stall` is exact and the tracer always writes it; a recv
+                // span without it (a hand-written span directory) falls back
+                // to the span duration, which equals the stall by construction.
                 let stall = s.arg("stall").unwrap_or(s.dur);
                 out.per_rank[i].late_sender[phase] += stall;
                 out.per_rank[i].late_receiver[phase] += s.arg("idle").unwrap_or(0.0);

@@ -15,17 +15,11 @@ const STEPS: usize = 6;
 /// serviced points), with a ring halo exchange each step — the synthetic
 /// stand-in for one grid's IGBP load concentrating on one processor.
 fn skewed_run() -> (Vec<RankTrace>, Vec<Vec<StepRecord>>) {
-    skewed_run_with(5.0e6)
-}
-
-/// Same workload with the overloaded rank's connectivity flops as a knob,
-/// so tests can produce a before/after pair for `diff`.
-fn skewed_run_with(skew_flops: f64) -> (Vec<RankTrace>, Vec<Vec<StepRecord>>) {
     let outs = Universe::builder()
         .ranks(4)
         .machine(&MachineModel::modern())
         .trace(TraceConfig::enabled())
-        .run(move |c| {
+        .run(|c| {
             for _ in 0..STEPS {
                 {
                     let mut ph = c.phase(Phase::Flow);
@@ -35,11 +29,8 @@ fn skewed_run_with(skew_flops: f64) -> (Vec<RankTrace>, Vec<Vec<StepRecord>>) {
                 {
                     let mut ph = c.phase(Phase::Connectivity);
                     let t0 = ph.now();
-                    let (flops, serviced) = if ph.rank() == SKEWED_RANK {
-                        (skew_flops, 500u64)
-                    } else {
-                        (1.0e6, 100u64)
-                    };
+                    let (flops, serviced) =
+                        if ph.rank() == SKEWED_RANK { (5.0e6, 500u64) } else { (1.0e6, 100u64) };
                     ph.compute(flops, WorkClass::Search);
                     ph.trace_complete("conn", "serve", t0, &[("points", ArgVal::U64(serviced))]);
                     ph.metrics_mut().add(Counter::ConnServiced, serviced);
@@ -239,71 +230,4 @@ fn analysis_json_matches_golden_bytes() {
 }
 "#;
     assert_eq!(doc, golden);
-}
-
-/// Diffing a skewed before/after pair: growing rank 2's connectivity load
-/// must surface as a regressed `late_sender` wait on rank 3 whose culprit
-/// is rank 2's connectivity-phase send, and the rendered diff is pinned
-/// byte-exact (virtual time makes both runs reproducible).
-#[test]
-fn analyze_diff_on_skewed_pair_names_regression_and_culprit() {
-    let (ta, sa) = skewed_run();
-    let (tb, sb) = skewed_run_with(10.0e6);
-    let a = analyze(&AnalysisInput::from_run("before", &ta, sa)).to_value();
-    let b = analyze(&AnalysisInput::from_run("after", &tb, sb)).to_value();
-    let d = overset_analysis::diff(&a, &b).unwrap();
-
-    let reg = d
-        .wait_deltas
-        .iter()
-        .find(|w| w.regressed && w.rank == 3 && w.class == "late_sender")
-        .expect("rank 3's late-sender wait must regress");
-    let culprit = reg.culprit.as_ref().expect("regressed late_sender must carry a culprit");
-    assert_eq!(culprit.src, SKEWED_RANK);
-    assert_eq!(culprit.sender_phase, "connectivity");
-
-    // Byte-exact pin of the rendered diff. A formatting change is a
-    // conscious diff here, not a refresh.
-    let golden = "\
-== analysis diff: before -> after (4 ranks) ==
-
--- critical path --
-total elapsed: 3.006143e-2 s -> 5.733416e-2 s (+90.7%)
-dominant rank: 2 (unchanged)
-phase totals (s):
-  flow         2.751311e-3 -> 2.751311e-3 (+0.0%)
-  connectivity 2.731012e-2 -> 5.458285e-2 (+99.9%)
-
--- wait-state deltas (lost seconds per rank) --
-  rank   2 late_receiver 2.1806e-2 -> 4.9079e-2 (+125.1%)  REGRESSED
-  rank   0 collective    2.1818e-2 -> 4.9091e-2 (+125.0%)  REGRESSED
-  rank   1 collective    2.1818e-2 -> 4.9091e-2 (+125.0%)  REGRESSED
-  rank   3 late_sender   2.1830e-2 -> 4.9103e-2 (+124.9%)  REGRESSED
-          culprit: rank 2 send in connectivity phase (4.9103e-2 s over 6 spans)
-  rank   2 collective    1.2154e-5 -> 1.2154e-5 (-0.0%)
-  rank   0 late_sender   1.2154e-5 -> 1.2154e-5 (-0.0%)
-  rank   1 late_sender   1.2154e-5 -> 1.2154e-5 (-0.0%)
-
--- verdict --
-  4 wait-state regression(s):
-  * rank 2 late_receiver grew +125.1%
-  * rank 0 collective grew +125.0%
-  * rank 1 collective grew +125.0%
-  * rank 3 late_sender grew +124.9% — culprit: rank 2 send in connectivity phase
-";
-    assert_eq!(d.render_text(), golden);
-
-    // The JSON rendering carries the same verdict, machine-readably.
-    let v = d.to_value();
-    assert_eq!(v.get("diff_schema_version").and_then(|x| x.as_u64()), Some(1));
-    let regs: Vec<_> = v
-        .get("wait_deltas")
-        .and_then(|x| x.as_arr())
-        .unwrap()
-        .iter()
-        .filter(|w| {
-            w.get("regressed").map(|r| matches!(r, overset_report::Value::Bool(true))) == Some(true)
-        })
-        .collect();
-    assert_eq!(regs.len(), 4);
 }

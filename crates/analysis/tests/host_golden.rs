@@ -1,4 +1,4 @@
-//! Golden test for the host-cost renderer (`repro analyze --host`): a
+//! Golden test for the host-cost renderer (`repro analyze <report>`): a
 //! synthetic run-report document must render to exactly these bytes. The
 //! renderer is a pure function of the document, so this also pins
 //! byte-determinism.
@@ -56,6 +56,15 @@ const REPORT: &str = r#"{
 
 const EXPECTED: &str = "\
 == Host-cost analysis ==
+
+-- Host phase ms (max / median over ranks) and peak heap --
+  representative     phase                max ms    median ms
+                     flow                 120.50       110.00
+                     connectivity         300.25        95.00
+                     motion                10.00         8.00
+                     balance                5.00         4.00
+                     other                  2.00         1.00
+                     peak heap (max over ranks): 524288 bytes
 
 -- Top 10 host hotspots (phase x rank) --
   case               phase           rank      host ms

@@ -1,70 +1,42 @@
-//! `repro analyze` — run the trace analyzer on an experiment or on a
-//! recorded span directory — and `repro analyze-diff` to compare two
-//! analysis documents.
-//!
-//! Two input modes feed one pipeline the same spans and step records:
+//! `repro analyze` — one subcommand whose view is read off the target:
 //! - `repro analyze <experiment> [--quick]` re-runs the experiment's
-//!   representative case with tracing enabled (same case `--trace` uses)
+//!   representative case with tracing enabled (the case `--trace` uses)
 //!   and analyzes the live spans plus flight-recorder step records;
 //! - `repro analyze <dir>` reads the binary span-stream directory written
 //!   by `repro <exp> --trace-stream <dir>`, which holds exactly those spans
 //!   and step records, so the diagnosis equals the live one. A truncated
 //!   stream (a rank's writer died mid-run) is diagnosed with exit 2 naming
-//!   the gap, per rank.
+//!   the gap, per rank;
+//! - `repro analyze <report.json>` renders the host-cost view of a run
+//!   report written by `repro report` (see `overset_analysis::host`). A
+//!   file that is not a report — a Chrome trace included; it carries no
+//!   step records — exits 2.
 //!
-//! Any other target — a Chrome trace file included; it carries no step
-//! records — exits 2. `repro analyze <report.json> --host` renders the
-//! host-cost view of a run report instead.
-//!
-//! Output is the deterministic text report by default, the versioned JSON
-//! analysis document with `--json`; `-o <path>` writes instead of printing.
-//!
-//! `repro analyze-diff <a.json> <b.json>` diffs two `repro analyze --json`
-//! documents: critical-path and per-phase deltas plus per-rank wait-state
-//! regressions, each regressed late-sender wait attributed to its culprit
-//! sender-side span (see docs/OBSERVABILITY.md §Analysis diffing).
+//! A trace analysis is the deterministic text report by default, the
+//! versioned JSON analysis document with `--json`; the host view is text
+//! only, so `--json` on a file exits 2. `-o <path>` writes instead of
+//! printing.
 
 use crate::experiments::{traced_run, Effort};
+use crate::report::check_representative;
 use overset_analysis::{analyze, AnalysisInput};
 use overset_comm::trace::TraceConfig;
-
-const EXPERIMENTS: [&str; 17] = [
-    "scaling",
-    "table1",
-    "fig5",
-    "table2",
-    "table3",
-    "fig7",
-    "table4",
-    "fig10",
-    "table5",
-    "fig11",
-    "table6",
-    "fig12",
-    "ablate-restart",
-    "ablate-sixdof",
-    "ablate-fo",
-    "ablate-grouping",
-    "ablate-cache",
-];
+use std::path::Path;
 
 struct AnalyzeCli {
     target: Option<String>,
     quick: bool,
     json: bool,
-    host: bool,
     out_path: Option<String>,
 }
 
 fn parse(args: &[String]) -> Result<AnalyzeCli, String> {
-    let mut cli =
-        AnalyzeCli { target: None, quick: false, json: false, host: false, out_path: None };
+    let mut cli = AnalyzeCli { target: None, quick: false, json: false, out_path: None };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => cli.quick = true,
             "--json" => cli.json = true,
-            "--host" => cli.host = true,
             "-o" | "--out" => match it.next() {
                 Some(p) => cli.out_path = Some(p.clone()),
                 None => return Err(format!("{a} requires an output path")),
@@ -75,54 +47,52 @@ fn parse(args: &[String]) -> Result<AnalyzeCli, String> {
         }
     }
     cli.target.is_some().then_some(()).ok_or_else(usage)?;
-    if cli.host && cli.json {
-        return Err("--host renders a text report; it cannot be combined with --json".to_string());
-    }
     Ok(cli)
 }
 
 fn usage() -> String {
     "usage: repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]\n       \
-     repro analyze <report.json> --host [-o <path>]"
+     repro analyze <report.json> [-o <path>]"
         .to_string()
 }
 
-/// `repro analyze --host <report.json>`: render the host-cost view of a
-/// run-report document (top host hotspots, virtual-vs-host disagreement,
-/// allocation profile — see `overset_analysis::host`).
-fn run_analyze_host(target: &str, out_path: &Option<String>) -> i32 {
-    let text = match std::fs::read_to_string(target) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {target}: {e}");
-            return 2;
+/// The analysis input a complete span-stream directory holds.
+fn span_dir_input(dir: &str) -> Result<AnalysisInput, String> {
+    let sd = overset_comm::read_span_dir(Path::new(dir)).map_err(|e| e.to_string())?;
+    if !sd.gaps.is_empty() {
+        let mut e =
+            format!("{dir}: {} of {} rank streams incomplete:", sd.gaps.len(), sd.ranks.len());
+        for g in &sd.gaps {
+            e.push_str(&format!("\n  {g}"));
         }
-    };
-    let doc = match overset_report::json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{target}: not valid JSON: {e}");
-            return 2;
-        }
-    };
-    let rendered = match overset_analysis::render_host_report(&doc) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{target}: {e}");
-            return 2;
-        }
-    };
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rendered.as_bytes()) {
-                eprintln!("failed to write host analysis to {path}: {e}");
-                return 2;
-            }
-            eprintln!("[host analysis: {} bytes -> {path}]", rendered.len());
-        }
-        None => print!("{rendered}"),
+        e.push_str(
+            "\n(a truncated stream means that rank's writer died mid-run; the recovered \
+             prefix is on disk but the analysis would silently understate its work)",
+        );
+        return Err(e);
     }
-    0
+    Ok(AnalysisInput::from_run(dir, &sd.rank_traces(), sd.step_records()))
+}
+
+/// The trace analysis of one input, text or JSON. Degenerate inputs (no
+/// spans, single rank, zero completed steps) get a clean diagnosis here
+/// instead of a panic deeper in the pipeline.
+fn trace_view(input: AnalysisInput, json: bool) -> Result<String, String> {
+    input.validate()?;
+    let a = analyze(&input);
+    Ok(if json { a.to_value().to_json() } else { a.render_text() })
+}
+
+/// The host-cost view of a run-report file (per-phase host ms, peak heap,
+/// hotspots, virtual-vs-host shares, allocation profile).
+fn host_view(path: &str, json: bool) -> Result<String, String> {
+    if json {
+        return Err(format!("{path}: a report's host view is text only; --json is for traces"));
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc =
+        overset_report::json::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
+    overset_analysis::render_host_report(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Entry point for the `analyze` subcommand; returns the process exit code.
@@ -135,52 +105,28 @@ pub fn run_analyze(args: &[String]) -> i32 {
         }
     };
     let target = cli.target.as_deref().unwrap();
-    if cli.host {
-        return run_analyze_host(target, &cli.out_path);
-    }
-
-    let input = if std::path::Path::new(target).is_dir() {
-        let sd = match overset_comm::read_span_dir(std::path::Path::new(target)) {
-            Ok(sd) => sd,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        };
-        if !sd.gaps.is_empty() {
-            eprintln!("{target}: {} of {} rank streams incomplete:", sd.gaps.len(), sd.ranks.len());
-            for g in &sd.gaps {
-                eprintln!("  {g}");
-            }
-            eprintln!(
-                "(a truncated stream means that rank's writer died mid-run; the recovered \
-                       prefix is on disk but the analysis would silently understate its work)"
-            );
+    let path = Path::new(target);
+    let rendered = if path.is_dir() {
+        span_dir_input(target).and_then(|input| trace_view(input, cli.json))
+    } else if path.is_file() {
+        host_view(target, cli.json)
+    } else {
+        let not_a_path = |e| format!("{e}\n(nor is {target} a span directory or a report file)");
+        check_representative(target).map_err(not_a_path).and_then(|()| {
+            let effort = if cli.quick { Effort::quick() } else { Effort::full() };
+            let effort_name = if cli.quick { "quick" } else { "full" };
+            let r = traced_run(target, effort, TraceConfig::enabled());
+            let source = format!("{target}/{effort_name}");
+            trace_view(AnalysisInput::from_run(&source, &r.trace, r.step_records), cli.json)
+        })
+    };
+    let text = match rendered {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{e}");
             return 2;
         }
-        AnalysisInput::from_run(target, &sd.rank_traces(), sd.step_records())
-    } else if EXPERIMENTS.contains(&target) {
-        let effort = if cli.quick { Effort::quick() } else { Effort::full() };
-        let effort_name = if cli.quick { "quick" } else { "full" };
-        let r = traced_run(target, effort, TraceConfig::enabled());
-        AnalysisInput::from_run(&format!("{target}/{effort_name}"), &r.trace, r.step_records)
-    } else {
-        eprintln!(
-            "{target}: not a span directory or experiment; record with `--trace-stream <dir>`"
-        );
-        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
-        return 2;
     };
-
-    // Degenerate inputs (no spans, single rank, zero completed steps) get a
-    // clean diagnosis here instead of a panic deeper in the pipeline.
-    if let Err(e) = input.validate() {
-        eprintln!("{e}");
-        return 2;
-    }
-
-    let a = analyze(&input);
-    let text = if cli.json { a.to_value().to_json() } else { a.render_text() };
     match &cli.out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, text.as_bytes()) {
@@ -188,82 +134,6 @@ pub fn run_analyze(args: &[String]) -> i32 {
                 return 2;
             }
             eprintln!("[analysis: {} bytes -> {path}]", text.len());
-        }
-        None => print!("{text}"),
-    }
-    0
-}
-
-struct DiffCli {
-    a: String,
-    b: String,
-    json: bool,
-    out_path: Option<String>,
-}
-
-fn parse_diff(args: &[String]) -> Result<DiffCli, String> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut json = false;
-    let mut out_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "-o" | "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => return Err(format!("{a} requires an output path")),
-            },
-            other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
-            other => paths.push(other.to_string()),
-        }
-    }
-    if paths.len() != 2 {
-        return Err(
-            "usage: repro analyze-diff <baseline.json> <new.json> [--json] [-o <path>]".to_string()
-        );
-    }
-    let b = paths.pop().unwrap();
-    let a = paths.pop().unwrap();
-    Ok(DiffCli { a, b, json, out_path })
-}
-
-fn load_analysis(path: &str) -> Result<overset_report::Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    overset_report::json::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))
-}
-
-/// Entry point for the `analyze-diff` subcommand; returns the process exit
-/// code (0 = diff rendered, regressions included advisorily; 2 = usage/IO).
-pub fn run_analyze_diff(args: &[String]) -> i32 {
-    let cli = match parse_diff(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let (a, b) = match (load_analysis(&cli.a), load_analysis(&cli.b)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let d = match overset_analysis::diff(&a, &b) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("analyze-diff: {e}");
-            return 2;
-        }
-    };
-    let text = if cli.json { d.to_value().to_json() } else { d.render_text() };
-    match &cli.out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, text.as_bytes()) {
-                eprintln!("failed to write diff to {path}: {e}");
-                return 2;
-            }
-            eprintln!("[diff: {} bytes -> {path}]", text.len());
         }
         None => print!("{text}"),
     }
@@ -292,7 +162,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_exit_2_with_a_diagnosis() {
-        // A file is not an analysis input, empty or a Chrome trace alike.
+        // A file is read as a run report: empty or a Chrome trace, it is none.
         let dir = std::env::temp_dir();
         let empty = dir.join("overset_analyze_empty_trace.json");
         std::fs::write(&empty, "").unwrap();
@@ -303,6 +173,21 @@ mod tests {
 
         let _ = std::fs::remove_file(&empty);
         let _ = std::fs::remove_file(&no_spans);
+    }
+
+    /// A report file gives its host view, as text only.
+    #[test]
+    fn report_file_gives_the_host_view_and_refuses_json() {
+        let dir = std::env::temp_dir();
+        let report = dir.join("overset_analyze_host_view.json");
+        std::fs::write(&report, r#"{"cases": [], "host": {"phase_ms_by_rank": {}}}"#).unwrap();
+        let r = report.to_str().unwrap();
+        let out = dir.join("overset_analyze_host_view.txt");
+        assert_eq!(run_analyze(&s(&[r, "-o", out.to_str().unwrap()])), 0);
+        assert!(std::fs::read_to_string(&out).unwrap().starts_with("== Host-cost analysis =="));
+        assert_eq!(run_analyze(&s(&[r, "--json"])), 2);
+        let _ = std::fs::remove_file(&report);
+        let _ = std::fs::remove_file(&out);
     }
 
     #[test]
@@ -335,33 +220,6 @@ mod tests {
         };
         let e = no_steps.validate().unwrap_err();
         assert!(e.contains("no completed timesteps"), "{e}");
-    }
-
-    #[test]
-    fn diff_flag_parsing() {
-        let c = parse_diff(&s(&["a.json", "b.json", "--json", "-o", "d.json"])).unwrap();
-        assert_eq!(c.a, "a.json");
-        assert_eq!(c.b, "b.json");
-        assert!(c.json);
-        assert_eq!(c.out_path.as_deref(), Some("d.json"));
-        assert!(parse_diff(&s(&[])).is_err());
-        assert!(parse_diff(&s(&["a.json"])).is_err());
-        assert!(parse_diff(&s(&["a", "b", "c"])).is_err());
-        assert!(parse_diff(&s(&["a", "b", "--bogus"])).is_err());
-        assert!(parse_diff(&s(&["a", "b", "-o"])).is_err());
-    }
-
-    #[test]
-    fn analyze_diff_exits_2_on_unreadable_or_malformed_inputs() {
-        let dir = std::env::temp_dir();
-        let missing = dir.join("overset_diff_missing.json");
-        let _ = std::fs::remove_file(&missing);
-        let garbage = dir.join("overset_diff_garbage.json");
-        std::fs::write(&garbage, "not json").unwrap();
-        let g = garbage.to_str().unwrap().to_string();
-        assert_eq!(run_analyze_diff(&[missing.to_str().unwrap().to_string(), g.clone()]), 2);
-        assert_eq!(run_analyze_diff(&[g.clone(), g]), 2);
-        let _ = std::fs::remove_file(&garbage);
     }
 
     #[test]

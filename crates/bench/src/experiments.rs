@@ -10,7 +10,6 @@ use overflow_d::{
     airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
     RunResult,
 };
-use overset_comm::metrics::Counter;
 use overset_comm::trace::TraceConfig;
 use overset_comm::{MachineModel, Phase, TransportConfig};
 
@@ -481,13 +480,15 @@ pub fn verify_shapes(e: Effort) -> i32 {
     i32::from(!shapes.iter().all(Shape::ok))
 }
 
-/// A representative traced run for `--trace` / `--metrics`: the given
-/// experiment family's case at its smallest node count (the same mapping
-/// `repro report` uses, see [`crate::report::representative_case`]), with
-/// the given trace configuration. Deterministic in virtual time, so two
-/// invocations produce byte-identical trace JSON.
+/// A representative traced run for `--trace`, `--trace-stream` and
+/// `repro analyze`: the experiment's representative case (the one `repro
+/// report` runs, see [`crate::report::representative_case`]) with the
+/// given trace configuration. Deterministic in virtual time, so two
+/// invocations produce byte-identical trace JSON. Panics unless
+/// [`crate::report::check_representative`] accepts `which`.
 pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> RunResult {
-    let (mut cfg, nodes) = crate::report::representative_case(which, e);
+    let (mut cfg, nodes) = crate::report::representative_case(which, e)
+        .expect("traced run of an experiment without a representative case");
     cfg.trace = trace;
     run_case(&tuned(cfg, e), nodes, &sp2()).expect("traced run failed")
 }
@@ -549,55 +550,6 @@ pub fn transport_smoke() -> i32 {
         }
         1
     }
-}
-
-/// Print the run's aggregated metrics registry (counters then histograms,
-/// name order).
-pub fn print_metrics(r: &RunResult) {
-    println!("\n== Aggregated metrics ({} ranks) ==", r.nranks);
-    for (name, v) in r.metrics.counters() {
-        println!("  {name:<26} {v:>14}");
-    }
-    let walked = r.metrics.get(Counter::ConnWalkSteps);
-    if walked > 0 {
-        let missed = r.metrics.get(Counter::ConnWalkStepsMiss);
-        let useful = 1.0 - missed as f64 / walked as f64;
-        println!("  {:<26} {useful:>14.4}", "walk steps useful/attempted");
-    }
-    for (name, h) in r.metrics.histograms() {
-        println!(
-            "  {name:<26} n={:<8} mean={:<12.6} min={:<12.6} max={:.6}",
-            h.count,
-            h.mean(),
-            h.min,
-            h.max
-        );
-    }
-}
-
-/// `--host-profile`: print the run's host-cost profile — per-phase host
-/// wall-clock (max and median over ranks) and the per-phase allocation
-/// attribution (counts and bytes summed over ranks, peak heap max over
-/// ranks). The wall-clock columns are machine-dependent; the allocation
-/// columns are deterministic for a fixed configuration.
-pub fn print_host_profile(r: &RunResult) {
-    println!("\n== Host profile ({} ranks) ==", r.nranks);
-    println!(
-        "  {:<14} {:>12} {:>12} {:>14} {:>16}",
-        "phase", "max ms", "median ms", "allocs", "alloc bytes"
-    );
-    for (p, name) in overset_analysis::PHASE_NAMES.iter().enumerate() {
-        let max_ms = r.host_phase_elapsed[p] * 1e3;
-        let mut per_rank: Vec<f64> = r.host_phase_by_rank.iter().map(|t| t[p]).collect();
-        per_rank.sort_by(f64::total_cmp);
-        let median_ms =
-            per_rank.get(per_rank.len().saturating_sub(1) / 2).copied().unwrap_or(0.0) * 1e3;
-        let allocs: u64 = r.alloc_by_rank.iter().map(|a| a.allocs[p]).sum();
-        let bytes: u64 = r.alloc_by_rank.iter().map(|a| a.bytes[p]).sum();
-        println!("  {name:<14} {max_ms:>12.2} {median_ms:>12.2} {allocs:>14} {bytes:>16}");
-    }
-    let peak = r.alloc_by_rank.iter().map(|a| a.peak_bytes).max().unwrap_or(0);
-    println!("  peak heap (max over ranks): {peak} bytes");
 }
 
 /// Ablation A1: nth-level restart on vs off (from-scratch search every

@@ -4,13 +4,12 @@
 //! Usage:
 //!   `repro <experiment> [--quick] [--max-threads <N>]
 //!          [--transport inproc|proc[:N]] [--trace <out.json>]
-//!          [--trace-stream <dir>] [--metrics] [--host-profile]`
+//!          [--trace-stream <dir>]`
 //!   `repro report <experiment> [--quick] [--max-threads <N>]
 //!          [--transport inproc|proc[:N]] [-o <out.json>]`
 //!   `repro compare <baseline.json> <new.json>`
 //!   `repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]`
-//!   `repro analyze <report.json> --host [-o <path>]`
-//!   `repro analyze-diff <baseline.json> <new.json> [--json] [-o <path>]`
+//!   `repro analyze <report.json> [-o <path>]`
 //!   `repro smoke`
 //!
 //! where experiment is one of `table1 fig5 table2 table3 fig7 table4 fig10
@@ -40,29 +39,29 @@
 //! axis). `--trace-stream <dir>` streams spans to per-rank binary files in
 //! `<dir>` *as they close* instead of buffering them in memory (consume
 //! with `repro analyze <dir>`; see docs/OBSERVABILITY.md §Streaming sinks).
-//! A traced run records every span. `--metrics` prints the aggregated
-//! metrics registry of the same run.
+//! A traced run records every span. `fig12` and `ablate-grouping` run
+//! outside the rank runtime and have no representative case: `--trace`,
+//! `--trace-stream`, `report` and `analyze` refuse them with exit 2.
 //!
 //! `report` writes a versioned JSON report (per-step telemetry series,
-//! end-of-run summary, metrics dump, allocation attribution — see
-//! docs/OBSERVABILITY.md) from untraced runs, and exits 2 naming any
-//! tracing or printing flag it was given; `compare` exits 0 when every
+//! end-of-run summary, metrics dump, allocation attribution, host
+//! wall-clock — see docs/OBSERVABILITY.md) from untraced runs, and exits 2
+//! naming any tracing flag it was given; `compare` exits 0 when every
 //! value under the two reports' `cases` is identical (the wall-clock `host`
 //! section is not read), 1 on any difference — printing the first 20 by
 //! dotted path — and 2 on usage/IO errors or a schema-version mismatch.
 //!
-//! `--host-profile` prints a per-phase host wall-clock and allocation table
-//! after an experiment.
-//!
-//! `analyze` runs the trace analyzer (critical path, wait states, comm
-//! matrix, imbalance advisor — see docs/OBSERVABILITY.md §Analysis) on an
-//! experiment's representative case, live, or on the span directory a
-//! `--trace-stream` run recorded.
+//! `analyze` takes its view from the target: an experiment's representative
+//! case, live, or the span directory a `--trace-stream` run recorded gives
+//! the trace analysis (critical path, wait states, comm matrix, imbalance
+//! advisor — see docs/OBSERVABILITY.md §Analysis); a report file gives its
+//! host-cost view (per-phase host ms, peak heap, hotspots, virtual-vs-host
+//! shares, allocation profile).
 
 use overset_bench::amr_experiments::{ablate_grouping, fig12};
-use overset_bench::analyze::{run_analyze, run_analyze_diff};
+use overset_bench::analyze::run_analyze;
 use overset_bench::experiments::*;
-use overset_bench::report::{build_report, compare_reports};
+use overset_bench::report::{build_report, check_representative, compare_reports};
 use overset_comm::trace::TraceConfig;
 
 fn run_compare(args: &[String]) -> i32 {
@@ -83,11 +82,9 @@ struct Cli {
     quick: bool,
     trace_path: Option<String>,
     trace_stream: Option<String>,
-    show_metrics: bool,
     out_path: Option<String>,
     max_threads: Option<usize>,
     transport: Option<String>,
-    host_profile: bool,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -96,19 +93,15 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         quick: false,
         trace_path: None,
         trace_stream: None,
-        show_metrics: false,
         out_path: None,
         max_threads: None,
         transport: None,
-        host_profile: false,
     };
     let mut named = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => cli.quick = true,
-            "--metrics" => cli.show_metrics = true,
-            "--host-profile" => cli.host_profile = true,
             "--trace" => match it.next() {
                 Some(p) => cli.trace_path = Some(p.clone()),
                 None => return Err("--trace requires an output path".to_string()),
@@ -148,6 +141,11 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     no in-memory spans to export)"
             .to_string());
     }
+    // A traced run re-runs the representative case: refuse a name without
+    // one before the experiment itself runs.
+    if cli.trace_path.is_some() || cli.trace_stream.is_some() {
+        check_representative(&cli.which)?;
+    }
     Ok(cli)
 }
 
@@ -184,20 +182,19 @@ fn exit_usage<T>(r: Result<T, String>) -> T {
 /// The first flag on a `report` command line that a report run would
 /// ignore: reports run untraced and print nothing but the document.
 fn unhonoured_report_flag(cli: &Cli) -> Option<&'static str> {
-    [
-        (cli.trace_path.is_some(), "--trace"),
-        (cli.trace_stream.is_some(), "--trace-stream"),
-        (cli.show_metrics, "--metrics"),
-        (cli.host_profile, "--host-profile"),
-    ]
-    .into_iter()
-    .find_map(|(set, flag)| set.then_some(flag))
+    [(cli.trace_path.is_some(), "--trace"), (cli.trace_stream.is_some(), "--trace-stream")]
+        .into_iter()
+        .find_map(|(set, flag)| set.then_some(flag))
 }
 
 fn run_report_cmd(args: &[String]) -> i32 {
     let cli = exit_usage(parse_cli(args));
     if let Some(flag) = unhonoured_report_flag(&cli) {
         eprintln!("report does not support {flag} (run the experiment itself with it)");
+        return 2;
+    }
+    if let Err(e) = check_representative(&cli.which) {
+        eprintln!("{e}");
         return 2;
     }
     let effort = effort_from(&cli);
@@ -222,7 +219,6 @@ fn main() {
         Some("compare") => std::process::exit(run_compare(&args[1..])),
         Some("report") => std::process::exit(run_report_cmd(&args[1..])),
         Some("analyze") => std::process::exit(run_analyze(&args[1..])),
-        Some("analyze-diff") => std::process::exit(run_analyze_diff(&args[1..])),
         // Dispatched before flag parsing: the forked rank-group children of
         // the smoke's process-backed run replay `repro smoke` and must reach
         // the same universe directly.
@@ -231,6 +227,7 @@ fn main() {
     }
 
     let cli = exit_usage(parse_cli(&args));
+    let traced = cli.trace_path.is_some() || cli.trace_stream.is_some();
     let effort = effort_from(&cli);
     let which = cli.which.clone();
     let mut trace_cfg = TraceConfig::enabled();
@@ -289,17 +286,14 @@ fn main() {
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
                  ablate-cache verify-shapes all\n\
                  or a subcommand: report <experiment> | \
-                 compare <baseline.json> <new.json> | analyze <experiment>|<span-dir> | smoke"
+                 compare <baseline.json> <new.json> | analyze <experiment>|<span-dir>|<report.json> | \
+                 smoke"
             );
             std::process::exit(2);
         }
     }
 
-    if cli.trace_path.is_some()
-        || cli.trace_stream.is_some()
-        || cli.show_metrics
-        || cli.host_profile
-    {
+    if traced {
         let r = traced_run(&which, effort, trace_cfg);
         if let Some(path) = &cli.trace_path {
             let json = overset_comm::chrome_trace_json(&r.trace);
@@ -314,12 +308,6 @@ fn main() {
             // Spans went to disk as they closed; the in-memory trace is
             // empty by design. `repro analyze <dir>` consumes the result.
             eprintln!("[span stream: {} ranks -> {dir}]", r.trace.len());
-        }
-        if cli.show_metrics {
-            print_metrics(&r);
-        }
-        if cli.host_profile {
-            print_host_profile(&r);
         }
     }
 
@@ -353,28 +341,46 @@ mod tests {
         }
     }
 
-    /// The compare tolerance, the host-bench repeat count and the
-    /// `bench-host` subcommand are gone too.
+    /// The compare tolerance, the host-bench repeat count, the `bench-host`
+    /// and `analyze-diff` subcommands, the metrics and host-profile dumps
+    /// and `analyze --host` are gone too.
     #[test]
     fn retired_gate_flags_are_unknown() {
-        let e = parse_cli(&s(&["table1", "--repeats", "3"])).unwrap_err();
-        assert_eq!(e, "unknown flag: --repeats");
+        for flag in ["--repeats", "--metrics", "--host-profile"] {
+            let e = parse_cli(&s(&["table1", flag, "--quick"])).unwrap_err();
+            assert_eq!(e, format!("unknown flag: {flag}"));
+        }
         let e = parse_cli(&s(&["bench-host", "table1", "--quick"])).unwrap_err();
         assert_eq!(e, "unknown subcommand: bench-host");
+        let e = parse_cli(&s(&["analyze-diff", "a.json", "b.json"])).unwrap_err();
+        assert_eq!(e, "unknown subcommand: analyze-diff");
         assert_eq!(run_compare(&s(&["a.json", "b.json", "--tol-pct", "5"])), 2);
         assert_eq!(run_compare(&s(&["a.json"])), 2);
+        assert_eq!(run_analyze(&s(&["r.json", "--host"])), 2);
+    }
+
+    /// An experiment without a representative case — `fig12` and
+    /// `ablate-grouping` run outside the rank runtime — or an unknown name
+    /// is refused by `report`, `analyze`, `--trace` and `--trace-stream`
+    /// before anything runs, naming it.
+    #[test]
+    fn experiments_without_a_representative_case_exit_2() {
+        for which in ["nonsense", "fig12", "ablate-grouping"] {
+            assert_eq!(run_report_cmd(&s(&[which, "--quick"])), 2, "{which}");
+            assert_eq!(run_analyze(&s(&[which, "--quick"])), 2, "{which}");
+            for flag in ["--trace", "--trace-stream"] {
+                let e = parse_cli(&s(&[which, flag, "out"])).unwrap_err();
+                assert!(e.starts_with(&format!("{which}: no representative case")), "{e}");
+            }
+        }
+        assert!(parse_cli(&s(&["verify-shapes", "--quick", "--trace", "t.json"])).is_ok());
     }
 
     /// `report` runs untraced and prints only the document, so every
     /// tracing or printing flag is refused before anything runs.
     #[test]
     fn report_rejects_flags_it_does_not_honour() {
-        for flags in [
-            &["--trace", "t.json"][..],
-            &["--trace-stream", "spans.d"],
-            &["--metrics"],
-            &["--host-profile"],
-        ] {
+        for flags in [&["--trace", "t.json"][..], &["--trace-stream", "spans.d"]] {
             let args = s(&[&["table1", "--quick"][..], flags].concat());
             let cli = parse_cli(&args).unwrap();
             assert_eq!(unhonoured_report_flag(&cli), Some(flags[0]));

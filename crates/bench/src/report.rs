@@ -12,22 +12,68 @@ use crate::experiments::{tuned, Effort};
 use overflow_d::{
     airfoil_case, delta_wing_case, run_case, store_case, CaseConfig, LbConfig, RunResult,
 };
-use overset_comm::{MachineModel, NUM_PHASES};
+use overset_comm::{MachineModel, Phase, NUM_PHASES};
 use overset_report::json::obj;
 use overset_report::{case_report, run_report, Value};
 
-/// The experiment family's representative case and node count — the same
-/// mapping `traced_run` uses.
-pub fn representative_case(which: &str, e: Effort) -> (CaseConfig, usize) {
-    let (cfg, nodes) = match which {
-        "table3" | "fig7" => (delta_wing_case(e.scale3d, e.steps3d), 7),
-        "table4" | "fig10" | "table6" | "ablate-sixdof" | "scaling" => {
-            (store_case(e.scale3d, e.steps3d), 16)
-        }
-        "table5" | "fig11" | "ablate-fo" => (dynamic_store_case(e), DYN_NODES),
-        _ => (airfoil_case(e.scale2d, e.steps2d), 6),
+/// The grid system an experiment's representative case runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Family {
+    Airfoil,
+    DeltaWing,
+    Store,
+    DynamicStore,
+}
+
+/// Every experiment with a representative case, and its family. `fig12`
+/// and `ablate-grouping` run Algorithm 3 outside the rank runtime, so they
+/// have none; `verify-shapes` and `all` take the first table's airfoil.
+const REPRESENTATIVE: [(&str, Family); 17] = [
+    ("table1", Family::Airfoil),
+    ("fig5", Family::Airfoil),
+    ("table2", Family::Airfoil),
+    ("table3", Family::DeltaWing),
+    ("fig7", Family::DeltaWing),
+    ("table4", Family::Store),
+    ("fig10", Family::Store),
+    ("table5", Family::DynamicStore),
+    ("fig11", Family::DynamicStore),
+    ("table6", Family::Store),
+    ("scaling", Family::Store),
+    ("ablate-restart", Family::Airfoil),
+    ("ablate-sixdof", Family::Store),
+    ("ablate-fo", Family::DynamicStore),
+    ("ablate-cache", Family::Airfoil),
+    ("verify-shapes", Family::Airfoil),
+    ("all", Family::Airfoil),
+];
+
+fn family(which: &str) -> Option<Family> {
+    REPRESENTATIVE.iter().find(|(name, _)| *name == which).map(|&(_, f)| f)
+}
+
+/// `Err` naming `which` unless it has a representative case — checked by
+/// `report`, `analyze`, `--trace` and `--trace-stream` before anything runs.
+pub fn check_representative(which: &str) -> Result<(), String> {
+    match family(which) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "{which}: no representative case to run; experiments with one: {}",
+            REPRESENTATIVE.map(|(name, _)| name).join(" ")
+        )),
+    }
+}
+
+/// The experiment's representative case and node count — the one
+/// `traced_run` and `repro report` run — or `None` for a name without one.
+pub fn representative_case(which: &str, e: Effort) -> Option<(CaseConfig, usize)> {
+    let (cfg, nodes) = match family(which)? {
+        Family::Airfoil => (airfoil_case(e.scale2d, e.steps2d), 6),
+        Family::DeltaWing => (delta_wing_case(e.scale3d, e.steps3d), 7),
+        Family::Store => (store_case(e.scale3d, e.steps3d), 16),
+        Family::DynamicStore => (dynamic_store_case(e), DYN_NODES),
     };
-    (tuned(cfg, e), nodes)
+    Some((tuned(cfg, e), nodes))
 }
 
 /// Node count for the dynamic-LB store run. Must exceed the store system's
@@ -47,11 +93,13 @@ fn dynamic_store_case(e: Effort) -> CaseConfig {
 
 /// Run the report's cases, untraced, and assemble the report document.
 /// Everything except the `host` section is virtual-time deterministic.
+/// Panics unless [`check_representative`] accepts `which`.
 pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Value {
     let machine = MachineModel::ibm_sp2();
-    let (rep_cfg, rep_nodes) = representative_case(which, e);
+    let (rep_cfg, rep_nodes) = representative_case(which, e)
+        .expect("report of an experiment without a representative case");
     let mut runs: Vec<(&str, CaseConfig, usize)> = vec![("representative", rep_cfg, rep_nodes)];
-    if !rep_cfg_is_dynamic(which) {
+    if family(which) != Some(Family::DynamicStore) {
         runs.push(("dynamic-lb", dynamic_store_case(e), DYN_NODES));
     }
 
@@ -89,16 +137,12 @@ pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Value {
 /// never reads.
 fn host_phase_ms(elapsed: &[f64; NUM_PHASES]) -> Value {
     Value::Obj(
-        overset_analysis::PHASE_NAMES
+        Phase::ALL
             .iter()
-            .zip(elapsed.iter())
-            .map(|(name, &secs)| (name.to_string(), Value::Num(secs * 1e3)))
+            .zip(elapsed)
+            .map(|(phase, &secs)| (phase.name().to_string(), Value::Num(secs * 1e3)))
             .collect(),
     )
-}
-
-fn rep_cfg_is_dynamic(which: &str) -> bool {
-    matches!(which, "table5" | "fig11" | "ablate-fo")
 }
 
 /// Differences printed on FAIL; the rest are counted.

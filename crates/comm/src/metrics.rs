@@ -529,11 +529,13 @@ mod tests {
 
     #[test]
     fn per_phase_names_are_distinct() {
-        use crate::stats::Phase::*;
-        for p in [Flow, Connectivity, Motion, Balance, Other] {
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
             assert_eq!(Counter::msgs_in(p).name(), format!("comm.msgs.{}", p.name()));
             assert_eq!(Counter::bytes_in(p).name(), format!("comm.bytes.{}", p.name()));
         }
+        let phases: std::collections::HashSet<_> = Phase::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(phases.len(), NUM_PHASES);
         let names: std::collections::HashSet<_> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), Counter::COUNT);
         assert!(Counter::ALL.iter().enumerate().all(|(i, &c)| c as usize == i));

@@ -1154,8 +1154,8 @@ pub struct RankOutput<R> {
     /// `end_step`.
     pub steps: Vec<StepRecord>,
     /// Host wall-clock seconds per phase on this rank. Nondeterministic:
-    /// useful for advisory profiling (`repro compare` host notes, `repro
-    /// analyze --host`), never bit-compared.
+    /// useful for advisory profiling (a report's `host` section, which
+    /// `repro analyze <report.json>` renders), never bit-compared.
     pub host_time: [f64; NUM_PHASES],
     /// End-of-run allocation totals for this rank. All fields deterministic
     /// except `peak_bytes` (allocation-order-dependent, advisory only).

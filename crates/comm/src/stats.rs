@@ -18,6 +18,10 @@ pub enum Phase {
 pub const NUM_PHASES: usize = 5;
 
 impl Phase {
+    /// Every phase, in discriminant order: the one list of phases.
+    pub const ALL: [Phase; NUM_PHASES] =
+        [Phase::Flow, Phase::Connectivity, Phase::Motion, Phase::Balance, Phase::Other];
+
     /// Stable lowercase label used by metric names and trace spans.
     pub fn name(self) -> &'static str {
         match self {

@@ -36,10 +36,6 @@ use overset_comm::{Phase, StepRecord, NUM_PHASES};
 /// policy.
 pub const SCHEMA_VERSION: u64 = 3;
 
-/// Phase order used for per-phase keys (matches the `Phase` discriminants).
-const PHASES: [Phase; NUM_PHASES] =
-    [Phase::Flow, Phase::Connectivity, Phase::Motion, Phase::Balance, Phase::Other];
-
 fn phase_key(p: Phase) -> String {
     format!("t_{}", p.name())
 }
@@ -98,7 +94,7 @@ pub fn aggregate_steps(step_records: &[Vec<StepRecord>]) -> Vec<StepSeries> {
 
 fn series_value(s: &StepSeries) -> Value {
     let mut pairs: Vec<(String, Value)> = vec![("step".into(), Value::Num(s.step as f64))];
-    for &p in &PHASES {
+    for p in Phase::ALL {
         pairs.push((phase_key(p), Value::Num(s.phase_elapsed[p as usize])));
     }
     let count = |c: Counter| Value::Num(s.counts[c as usize] as f64);
@@ -126,7 +122,7 @@ fn summary_value(r: &RunResult, series: &[StepSeries]) -> Value {
         ("mflops_per_node".into(), Value::Num(r.mflops_per_node())),
         ("connectivity_fraction".into(), Value::Num(r.connectivity_fraction())),
     ];
-    for &p in &PHASES {
+    for p in Phase::ALL {
         pairs.push((phase_key(p), Value::Num(r.summary.phase_time(p))));
     }
     let f_max_peak = series.iter().map(|s| s.f_max).fold(0.0f64, f64::max).max(r.f_max());
@@ -175,7 +171,7 @@ fn metrics_value(r: &RunResult) -> Value {
 fn per_phase_value(per_phase: &[u64; NUM_PHASES]) -> Value {
     let total: u64 = per_phase.iter().sum();
     let mut pairs: Vec<(String, Value)> = vec![("total".into(), Value::Num(total as f64))];
-    for &p in &PHASES {
+    for p in Phase::ALL {
         pairs.push((p.name().to_string(), Value::Num(per_phase[p as usize] as f64)));
     }
     Value::Obj(pairs)

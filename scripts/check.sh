@@ -64,23 +64,13 @@ fi
 echo "== analyzer smoke test =="
 ./target/release/repro analyze table1 --quick > /dev/null
 
-echo "== analyze-diff smoke: byte-deterministic diff of two quick analyses =="
+echo "== analysis determinism smoke: two quick analysis documents are byte-identical =="
 DIFF_TMP="$(mktemp -d)"
 trap 'rm -rf "$DIFF_TMP"' EXIT
 ./target/release/repro analyze table1 --quick --json -o "$DIFF_TMP/a.json" > /dev/null
 ./target/release/repro analyze table1 --quick --json -o "$DIFF_TMP/b.json" > /dev/null
 cmp "$DIFF_TMP/a.json" "$DIFF_TMP/b.json" || {
     echo "analyze --json: two identical quick runs produced different documents" >&2
-    exit 1
-}
-./target/release/repro analyze-diff "$DIFF_TMP/a.json" "$DIFF_TMP/b.json" > "$DIFF_TMP/d1.txt"
-./target/release/repro analyze-diff "$DIFF_TMP/a.json" "$DIFF_TMP/b.json" > "$DIFF_TMP/d2.txt"
-cmp "$DIFF_TMP/d1.txt" "$DIFF_TMP/d2.txt" || {
-    echo "analyze-diff: output not byte-deterministic" >&2
-    exit 1
-}
-grep -q "no wait-state regressions beyond tolerance" "$DIFF_TMP/d1.txt" || {
-    echo "analyze-diff: self-diff must report no regressions" >&2
     exit 1
 }
 
@@ -103,11 +93,15 @@ if [[ "$CHROME_RC" != "2" ]]; then
     exit 1
 fi
 
-echo "== host report smoke: analyze --host must be byte-deterministic =="
-./target/release/repro analyze "$DIFF_TMP/r1.json" --host -o "$DIFF_TMP/h1.txt" > /dev/null
-./target/release/repro analyze "$DIFF_TMP/r1.json" --host -o "$DIFF_TMP/h2.txt" > /dev/null
+echo "== host view smoke: analyze <report> is byte-deterministic, with median and peak-heap rows =="
+./target/release/repro analyze "$DIFF_TMP/r1.json" -o "$DIFF_TMP/h1.txt" > /dev/null
+./target/release/repro analyze "$DIFF_TMP/r1.json" -o "$DIFF_TMP/h2.txt" > /dev/null
 cmp "$DIFF_TMP/h1.txt" "$DIFF_TMP/h2.txt" || {
-    echo "analyze --host: output not byte-deterministic" >&2
+    echo "analyze <report>: output not byte-deterministic" >&2
+    exit 1
+}
+grep -q "median ms" "$DIFF_TMP/h1.txt" && grep -q "peak heap (max over ranks)" "$DIFF_TMP/h1.txt" || {
+    echo "analyze <report>: host view lacks the per-phase median or peak-heap rows" >&2
     exit 1
 }
 
