@@ -120,43 +120,9 @@ impl AnalysisInput {
     }
 }
 
-/// Sorted phase intervals of one rank, for attributing arbitrary spans to
-/// the phase that contains them.
-pub struct PhaseIntervals {
-    /// `(start, end, phase_idx)` sorted by start.
-    ivals: Vec<(f64, f64, usize)>,
-}
-
-impl PhaseIntervals {
-    pub fn build(spans: &[Span]) -> Self {
-        let mut ivals: Vec<(f64, f64, usize)> = spans
-            .iter()
-            .filter(|s| s.cat == "phase")
-            .map(|s| (s.ts, s.ts + s.dur, phase_index(&s.name)))
-            .collect();
-        // Phase spans are emitted at guard drop (end order); sort by start.
-        ivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.partial_cmp(&b.1).unwrap()));
-        PhaseIntervals { ivals }
-    }
-
-    /// Phase containing virtual time `ts`; `PHASE_OTHER` when none does.
-    /// With nested guards the latest-starting (innermost) interval wins;
-    /// the backward scan is bounded because phase nesting in this codebase
-    /// is at most a few levels deep.
-    pub fn phase_at(&self, ts: f64) -> usize {
-        let i = self.ivals.partition_point(|iv| iv.0 <= ts);
-        for iv in self.ivals[..i].iter().rev().take(8) {
-            if ts <= iv.1 + 1e-12 {
-                return iv.2;
-            }
-        }
-        PHASE_OTHER
-    }
-}
-
-/// Like [`PhaseIntervals`], but additionally tracks which *timestep* each
-/// phase interval belongs to (driver timesteps open with a `flow` phase;
-/// intervals before the first `flow` span carry no step).
+/// Sorted phase intervals of one rank: which phase — and which timestep —
+/// holds a virtual instant. Driver timesteps open with a `flow` phase;
+/// intervals before the first `flow` span carry no step.
 pub struct StepPhaseIntervals {
     /// `(start, end, phase_idx, step)` sorted by start.
     ivals: Vec<(f64, f64, usize, Option<usize>)>,
@@ -169,6 +135,7 @@ impl StepPhaseIntervals {
             .filter(|s| s.cat == "phase")
             .map(|s| (s.ts, s.ts + s.dur, phase_index(&s.name)))
             .collect();
+        // Phase spans are emitted at guard drop (end order); sort by start.
         phases.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.partial_cmp(&b.1).unwrap()));
         let mut step: Option<usize> = None;
         let ivals = phases
@@ -183,16 +150,24 @@ impl StepPhaseIntervals {
         StepPhaseIntervals { ivals }
     }
 
-    /// `(step, phase)` containing virtual time `ts`, if any interval (with
-    /// a step) does. Same innermost-wins rule as [`PhaseIntervals`].
-    pub fn locate(&self, ts: f64) -> Option<(usize, usize)> {
+    /// The interval containing virtual time `ts`. With nested guards the
+    /// latest-starting (innermost) interval wins; the backward scan is
+    /// bounded because phase nesting in this codebase is at most a few
+    /// levels deep.
+    fn containing(&self, ts: f64) -> Option<&(f64, f64, usize, Option<usize>)> {
         let i = self.ivals.partition_point(|iv| iv.0 <= ts);
-        for iv in self.ivals[..i].iter().rev().take(8) {
-            if ts <= iv.1 + 1e-12 {
-                return iv.3.map(|step| (step, iv.2));
-            }
-        }
-        None
+        self.ivals[..i].iter().rev().take(8).find(|iv| ts <= iv.1 + 1e-12)
+    }
+
+    /// Phase containing virtual time `ts`; `PHASE_OTHER` when none does.
+    pub fn phase_at(&self, ts: f64) -> usize {
+        self.containing(ts).map_or(PHASE_OTHER, |iv| iv.2)
+    }
+
+    /// `(step, phase)` containing virtual time `ts`, if an interval with a
+    /// step does.
+    pub fn locate(&self, ts: f64) -> Option<(usize, usize)> {
+        self.containing(ts).and_then(|iv| iv.3.map(|step| (step, iv.2)))
     }
 }
 
@@ -211,7 +186,7 @@ mod tests {
             span("phase", "connectivity", 1.0, 2.0),
             span("comm", "send", 0.5, 0.0),
         ];
-        let iv = PhaseIntervals::build(&spans);
+        let iv = StepPhaseIntervals::build(&spans);
         assert_eq!(iv.phase_at(0.5), 0);
         assert_eq!(iv.phase_at(1.5), 1);
         assert_eq!(iv.phase_at(9.0), PHASE_OTHER);
@@ -221,7 +196,7 @@ mod tests {
     fn nested_phase_intervals_resolve_to_innermost() {
         let spans =
             vec![span("phase", "connectivity", 0.0, 10.0), span("phase", "balance", 4.0, 2.0)];
-        let iv = PhaseIntervals::build(&spans);
+        let iv = StepPhaseIntervals::build(&spans);
         assert_eq!(iv.phase_at(5.0), 3);
         assert_eq!(iv.phase_at(1.0), 1);
         assert_eq!(iv.phase_at(8.0), 1);

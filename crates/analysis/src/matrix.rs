@@ -4,7 +4,7 @@
 //! the sending rank, so the matrix needs no pairing logic: row = sender,
 //! column = `dst`, phase = the phase interval containing the span.
 
-use crate::input::{PhaseIntervals, RankSpans};
+use crate::input::{RankSpans, StepPhaseIntervals};
 use overset_comm::NUM_PHASES;
 
 #[derive(Clone, Debug, Default)]
@@ -55,7 +55,7 @@ pub fn build(ranks: &[RankSpans]) -> CommMatrix {
         dropped_sends: 0,
     };
     for (src, r) in ranks.iter().enumerate() {
-        let intervals = PhaseIntervals::build(&r.spans);
+        let intervals = StepPhaseIntervals::build(&r.spans);
         for s in &r.spans {
             if s.cat != "comm" || s.name != "send" {
                 continue;

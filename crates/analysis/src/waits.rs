@@ -13,7 +13,7 @@
 //!   barrier/allgather span minus the minimum duration over ranks at the
 //!   same index is pure waiting for slower peers.
 
-use crate::input::{PhaseIntervals, RankSpans};
+use crate::input::{RankSpans, StepPhaseIntervals};
 use overset_comm::NUM_PHASES;
 use std::collections::{HashMap, VecDeque};
 
@@ -114,8 +114,8 @@ pub fn classify(ranks: &[RankSpans]) -> WaitStates {
     // Sender-side view for culprit attribution: every rank's send spans,
     // FIFO per (src, dst, tag) channel — the runtime receives from explicit
     // (src, tag) pairs, so the k-th matching recv pairs with the k-th send.
-    let phase_of: Vec<PhaseIntervals> =
-        ranks.iter().map(|r| PhaseIntervals::build(&r.spans)).collect();
+    let phase_of: Vec<StepPhaseIntervals> =
+        ranks.iter().map(|r| StepPhaseIntervals::build(&r.spans)).collect();
     let mut sends: HashMap<(usize, usize, u64), VecDeque<usize>> = HashMap::new();
     for (src, r) in ranks.iter().enumerate() {
         for s in &r.spans {

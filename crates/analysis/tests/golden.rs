@@ -23,14 +23,14 @@ fn skewed_run() -> (Vec<RankTrace>, Vec<Vec<StepRecord>>) {
             for _ in 0..STEPS {
                 {
                     let mut ph = c.phase(Phase::Flow);
-                    ph.compute(1.0e6, WorkClass::Flow);
+                    ph.compute(1_000_000, WorkClass::Flow);
                     ph.barrier();
                 }
                 {
                     let mut ph = c.phase(Phase::Connectivity);
                     let t0 = ph.now();
                     let (flops, serviced) =
-                        if ph.rank() == SKEWED_RANK { (5.0e6, 500u64) } else { (1.0e6, 100u64) };
+                        if ph.rank() == SKEWED_RANK { (5_000_000, 500) } else { (1_000_000, 100) };
                     ph.compute(flops, WorkClass::Search);
                     ph.trace_complete("conn", "serve", t0, &[("points", ArgVal::U64(serviced))]);
                     ph.metrics_mut().add(Counter::ConnServiced, serviced);

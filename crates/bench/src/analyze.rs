@@ -234,7 +234,7 @@ mod tests {
             .run(|c| {
                 for _ in 0..2 {
                     let mut ph = c.phase(Phase::Flow);
-                    ph.compute(1.0e5, overset_comm::WorkClass::Flow);
+                    ph.compute(100_000, overset_comm::WorkClass::Flow);
                     ph.barrier();
                     drop(ph);
                     c.end_step();

@@ -11,7 +11,7 @@ use overflow_d::{
     RunResult,
 };
 use overset_comm::trace::TraceConfig;
-use overset_comm::{MachineModel, Phase, TransportConfig};
+use overset_comm::{MachineModel, Phase, StepRecord, TransportConfig};
 
 /// Global experiment scaling knobs.
 #[derive(Clone, Copy, Debug)]
@@ -113,8 +113,8 @@ pub fn sweep(cfg_for: impl Fn() -> CaseConfig, nodes: &[usize]) -> Vec<PerfRow> 
             row.dcf3d_pct[mi] = 100.0 * r.connectivity_fraction();
             row.time_per_step[mi] = r.time_per_step();
             // Exact per-phase elapsed (max over ranks), not the per-rank mean.
-            row.flow_elapsed[mi] = r.summary.phase_time(Phase::Flow) / r.steps as f64;
-            row.conn_elapsed[mi] = r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
+            row.flow_elapsed[mi] = r.phase_elapsed[Phase::Flow as usize] / r.steps as f64;
+            row.conn_elapsed[mi] = r.phase_elapsed[Phase::Connectivity as usize] / r.steps as f64;
         }
         rows.push(row);
     }
@@ -243,7 +243,7 @@ fn table5_runs(e: Effort, nodes: &[usize]) -> (Vec<RunResult>, Vec<RunResult>) {
 
 /// Connectivity-phase elapsed time per step.
 fn conn_per_step(r: &RunResult) -> f64 {
-    r.summary.phase_time(Phase::Connectivity) / r.steps as f64
+    r.phase_elapsed[Phase::Connectivity as usize] / r.steps as f64
 }
 
 /// Table 5 / Fig. 11: static vs dynamic load balancing on the store case.
@@ -527,17 +527,22 @@ pub fn transport_smoke() -> i32 {
     if proc.state_rms.to_bits() != inproc.state_rms.to_bits() {
         diverged.push(format!("state RMS {} vs {}", proc.state_rms, inproc.state_rms));
     }
-    if proc.wall_time.to_bits() != inproc.wall_time.to_bits() {
-        diverged.push(format!("wall time {} vs {}", proc.wall_time, inproc.wall_time));
+    let (pw, iw) = (proc.summary.wall_time, inproc.summary.wall_time);
+    if pw.to_bits() != iw.to_bits() {
+        diverged.push(format!("wall time {pw} vs {iw}"));
     }
-    for (p, i) in proc.rank_stats.iter().zip(&inproc.rank_stats) {
-        if p.final_clock.to_bits() != i.final_clock.to_bits() {
-            diverged.push(format!("rank {} clock {} vs {}", p.rank, p.final_clock, i.final_clock));
-        }
+    // A run that lost ranks must not pass on the ranks it kept.
+    let (pr, ir) = (proc.step_records.len(), inproc.step_records.len());
+    if pr != ir {
+        diverged.push(format!("{pr} ranks vs {ir}"));
     }
+    // Each step's clock and counts (flops, traffic, search work) per rank.
+    let ledger = |recs: &[StepRecord]| -> Vec<_> {
+        recs.iter().map(|r| (r.clock.to_bits(), r.counts)).collect()
+    };
     for (rank, (p, i)) in proc.step_records.iter().zip(&inproc.step_records).enumerate() {
-        if !p.iter().map(|r| r.counts).eq(i.iter().map(|r| r.counts)) {
-            diverged.push(format!("rank {rank} step counters"));
+        if ledger(p) != ledger(i) {
+            diverged.push(format!("rank {rank} step clocks or counters"));
         }
     }
     if diverged.is_empty() {
@@ -589,13 +594,13 @@ pub fn ablate_sixdof(e: Effort) {
         "  prescribed: {:.3} s/step ({:.1}% DCF3D, motion {:.4} s/step)",
         pres.time_per_step(),
         100.0 * pres.connectivity_fraction(),
-        pres.summary.phase_time(Phase::Motion) / pres.steps as f64
+        pres.phase_elapsed[Phase::Motion as usize] / pres.steps as f64
     );
     println!(
         "  6-DOF     : {:.3} s/step ({:.1}% DCF3D, motion {:.4} s/step)",
         free.time_per_step(),
         100.0 * free.connectivity_fraction(),
-        free.summary.phase_time(Phase::Motion) / free.steps as f64
+        free.phase_elapsed[Phase::Motion as usize] / free.steps as f64
     );
     println!(
         "  cost of computing the free motion: {:+.1}%",
@@ -623,7 +628,7 @@ pub fn ablate_fo(e: Effort) {
             100.0 * r.connectivity_fraction(),
             r.f_max(),
             r.repartitions,
-            r.summary.phase_time(Phase::Flow) / r.steps as f64,
+            r.phase_elapsed[Phase::Flow as usize] / r.steps as f64,
         );
     }
 }

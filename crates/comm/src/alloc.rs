@@ -81,19 +81,8 @@ impl RankAllocCounters {
         }
     }
 
-    /// Deterministic (gateable) part of the counters: per-phase allocation
-    /// counts and byte totals.
-    pub fn snapshot(&self) -> AllocSnapshot {
-        let mut s = AllocSnapshot::default();
-        for p in 0..NUM_PHASES {
-            s.allocs[p] = self.allocs[p].load(Ordering::Relaxed);
-            s.bytes[p] = self.bytes[p].load(Ordering::Relaxed);
-        }
-        s
-    }
-
-    /// Full totals including free counts and the (order-dependent, advisory)
-    /// peak of net attributed bytes.
+    /// The counters so far, including free counts and the (order-dependent,
+    /// advisory) peak of net attributed bytes.
     pub fn totals(&self) -> AllocTotals {
         let mut t = AllocTotals::default();
         for p in 0..NUM_PHASES {
@@ -107,14 +96,9 @@ impl RankAllocCounters {
     }
 }
 
-/// Deterministic per-phase counters used for step differencing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocSnapshot {
-    pub allocs: [u64; NUM_PHASES],
-    pub bytes: [u64; NUM_PHASES],
-}
-
-/// End-of-run allocation totals for one rank, carried in `RankOutput`.
+/// A rank's allocation totals: read at every step boundary (the step
+/// records difference `allocs` and `bytes`) and at the end of the run, when
+/// they travel in `RankOutput`.
 ///
 /// `allocs`/`bytes`/`frees`/`freed_bytes` are deterministic for
 /// deterministic rank code; `peak_bytes` is order-dependent and advisory.
@@ -338,11 +322,11 @@ mod tests {
     fn unattributed_allocations_are_not_counted() {
         clear();
         let c = Arc::new(RankAllocCounters::new());
-        let before = c.snapshot();
+        let before = c.totals();
         let v = vec![0u8; 4096];
         std::hint::black_box(&v);
         drop(v);
-        assert_eq!(c.snapshot(), before);
+        assert_eq!(c.totals(), before);
     }
 
     #[test]
@@ -357,7 +341,7 @@ mod tests {
         clear();
         drop(v);
         drop(w);
-        let s = c.snapshot();
+        let s = c.totals();
         let conn = Phase::Connectivity as usize;
         let flow = Phase::Flow as usize;
         assert!(s.allocs[conn] >= 1, "connectivity alloc missing: {s:?}");
@@ -374,7 +358,7 @@ mod tests {
     fn suspend_guard_skips_counting() {
         let c = Arc::new(RankAllocCounters::new());
         install(&c, Phase::Other);
-        let before = c.snapshot();
+        let before = c.totals();
         {
             let _g = suspend();
             let v = vec![0u8; 512];
@@ -385,12 +369,12 @@ mod tests {
                 std::hint::black_box(&w);
             }
         }
-        let mid = c.snapshot();
+        let mid = c.totals();
         let v = vec![0u8; 64];
         std::hint::black_box(&v);
         clear();
         assert_eq!(mid, before, "suspended allocations were counted");
-        let after = c.snapshot();
+        let after = c.totals();
         assert!(after.allocs[Phase::Other as usize] > mid.allocs[Phase::Other as usize]);
     }
 
@@ -402,14 +386,14 @@ mod tests {
         // Unattributed while swapped out.
         let v = vec![0u8; 256];
         std::hint::black_box(&v);
-        let none = c.snapshot();
+        let none = c.totals();
         assert_eq!(none.allocs[Phase::Motion as usize], 0);
         let empty = swap_ctx(saved);
         let w = vec![0u8; 256];
         std::hint::black_box(&w);
         clear();
         let _ = empty;
-        let s = c.snapshot();
+        let s = c.totals();
         assert!(s.allocs[Phase::Motion as usize] >= 1);
         assert!(s.bytes[Phase::Motion as usize] >= 256);
     }

@@ -35,7 +35,7 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use alloc::{AllocSnapshot, AllocTotals, CountingAlloc, RankAllocCounters};
+pub use alloc::{AllocTotals, CountingAlloc, RankAllocCounters};
 pub use arena::VecPool;
 pub use error::OversetError;
 pub use flight::{FlightRecorder, StepRecord};
@@ -43,7 +43,7 @@ pub use machine::{CacheModel, MachineModel, WorkClass};
 pub use metrics::{Counter, Hist, Histogram, MetricsRegistry};
 pub use runtime::{Comm, Gathered, PhaseGuard, RankOutput, Universe, UniverseBuilder};
 pub use sink::{read_span_dir, read_span_file, RankStream, SpanDir, SPAN_SCHEMA_VERSION};
-pub use stats::{PerfSummary, Phase, RankStats, NUM_PHASES};
+pub use stats::{PerfSummary, Phase, NUM_PHASES};
 pub use trace::{chrome_trace_json, ArgVal, RankTrace, TraceConfig, TraceEvent, Tracer};
 pub use transport::TransportConfig;
 pub use wire::{intern, wire_type_hash, Wire, WireError, WireReader, WIRE_SCHEMA_VERSION};
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::machine::{MachineModel, WorkClass};
     pub use crate::metrics::{Counter, Hist, MetricsRegistry};
     pub use crate::runtime::{Comm, PhaseGuard, RankOutput, Universe, UniverseBuilder};
-    pub use crate::stats::{PerfSummary, Phase, RankStats, NUM_PHASES};
+    pub use crate::stats::{PerfSummary, Phase, NUM_PHASES};
     pub use crate::trace::{chrome_trace_json, ArgVal, RankTrace, TraceConfig, TraceEvent};
     pub use crate::transport::TransportConfig;
     pub use crate::wire::{Wire, WireError, WireReader};

@@ -45,9 +45,9 @@ macro_rules! vocabulary {
 }
 
 vocabulary! {
-    /// Monotonic counters. The per-phase `comm.msgs.*` / `comm.bytes.*` rows
-    /// are in [`Phase`] order so [`Counter::msgs_in`] / [`Counter::bytes_in`]
-    /// are index arithmetic.
+    /// Monotonic counters. The per-phase `comm.msgs.*`, `comm.bytes.*` and
+    /// `flops.*` rows are in [`Phase`] order so [`Counter::msgs_in`],
+    /// [`Counter::bytes_in`] and [`Counter::flops_in`] are index arithmetic.
     Counter {
         /// IGBPs this rank identified and searched donors for, summed over
         /// steps.
@@ -112,6 +112,16 @@ vocabulary! {
         CommBytesBalance = "comm.bytes.balance",
         /// Payload bytes sent outside the four timestep phases.
         CommBytesOther = "comm.bytes.other",
+        /// Flops charged while the flow phase was active.
+        FlopsFlow = "flops.flow",
+        /// Flops charged while the connectivity phase was active.
+        FlopsConnectivity = "flops.connectivity",
+        /// Flops charged while the motion phase was active.
+        FlopsMotion = "flops.motion",
+        /// Flops charged while the balance phase was active.
+        FlopsBalance = "flops.balance",
+        /// Flops charged outside the four timestep phases.
+        FlopsOther = "flops.other",
     }
 }
 
@@ -135,6 +145,11 @@ impl Counter {
     /// Payload bytes sent while `phase` was active.
     pub const fn bytes_in(phase: Phase) -> Counter {
         Counter::ALL[Counter::CommBytesFlow as usize + phase as usize]
+    }
+
+    /// Flops charged while `phase` was active.
+    pub const fn flops_in(phase: Phase) -> Counter {
+        Counter::ALL[Counter::FlopsFlow as usize + phase as usize]
     }
 }
 
@@ -533,6 +548,7 @@ mod tests {
             assert_eq!(p as usize, i);
             assert_eq!(Counter::msgs_in(p).name(), format!("comm.msgs.{}", p.name()));
             assert_eq!(Counter::bytes_in(p).name(), format!("comm.bytes.{}", p.name()));
+            assert_eq!(Counter::flops_in(p).name(), format!("flops.{}", p.name()));
         }
         let phases: std::collections::HashSet<_> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(phases.len(), NUM_PHASES);

@@ -47,7 +47,7 @@ use crate::flight::{FlightRecorder, StepRecord};
 use crate::machine::{MachineModel, WorkClass};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::sched;
-use crate::stats::{Phase, RankStats, NUM_PHASES};
+use crate::stats::{Phase, NUM_PHASES};
 use crate::trace::{ArgVal, TraceConfig, TraceEvent, Tracer};
 use crate::transport::{self, Fabric, ProcLink, ProcRound, TransportConfig};
 use crate::wire::{intern, wire_type_hash, Wire, WireError, WireReader};
@@ -447,8 +447,8 @@ impl<T> Drop for Gathered<T> {
 }
 
 /// Per-rank communicator handle. Created by [`Universe`]; owns the rank's
-/// virtual clock, statistics, metrics registry, optional tracer, and its
-/// view of the shared mailbox/collective state.
+/// virtual clock and phase timers, metrics registry, optional tracer, and
+/// its view of the shared mailbox/collective state.
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -458,7 +458,8 @@ pub struct Comm {
     shared: Arc<Shared>,
     pending: Vec<Envelope>,
     coll_gen: u64,
-    stats: RankStats,
+    /// Virtual seconds spent per phase: the run's one per-phase clock.
+    time: [f64; NUM_PHASES],
     metrics: MetricsRegistry,
     flight: FlightRecorder,
     tracer: Option<Tracer>,
@@ -590,11 +591,11 @@ impl Comm {
         let _quiet = alloc::suspend();
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time, keep the phase
-        let alloc = self.alloc_counters.snapshot();
+        let alloc = self.alloc_counters.totals();
         let rec = self.flight.end_step(StepRecord {
             step: 0,
             clock: self.clock,
-            time: self.stats.time,
+            time: self.time,
             counts: *self.metrics.counts(),
             allocs: alloc.allocs,
             alloc_bytes: alloc.bytes,
@@ -633,7 +634,7 @@ impl Comm {
     /// phases with [`Comm::phase`].
     fn switch_phase(&mut self, phase: Phase) -> Phase {
         let elapsed = self.clock - self.phase_start;
-        self.stats.time[self.phase as usize] += elapsed;
+        self.time[self.phase as usize] += elapsed;
         let host_now = Instant::now();
         self.host_time[self.phase as usize] +=
             host_now.duration_since(self.phase_host_start).as_secs_f64();
@@ -646,13 +647,12 @@ impl Comm {
     }
 
     /// Account `flops` of `class` compute work: advances the virtual clock
-    /// and the flop counters.
-    pub fn compute(&mut self, flops: f64, class: WorkClass) {
-        debug_assert!(flops >= 0.0);
+    /// and the current phase's flop counter.
+    pub fn compute(&mut self, flops: u64, class: WorkClass) {
         let t0 = self.clock;
-        let dt = self.machine.compute_time(flops, class, self.working_set_bytes);
+        let dt = self.machine.compute_time(flops as f64, class, self.working_set_bytes);
         self.clock += dt;
-        self.stats.flops[self.phase as usize] += flops;
+        self.metrics.add(Counter::flops_in(self.phase), flops);
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
             let name = match class {
@@ -660,14 +660,8 @@ impl Comm {
                 WorkClass::Search => "search",
                 WorkClass::Other => "other",
             };
-            t.complete("compute", name, t0, dt, vec![("flops", ArgVal::F64(flops))]);
+            t.complete("compute", name, t0, dt, vec![("flops", ArgVal::F64(flops as f64))]);
         }
-    }
-
-    /// Advance the clock without doing flops (e.g. fixed overheads).
-    pub fn advance(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        self.clock += seconds;
     }
 
     /// The error a blocked rank reports when it was woken because a peer
@@ -1107,19 +1101,19 @@ impl Comm {
         self.allgather(value, 8).iter().sum()
     }
 
-    /// Finalize statistics (closes the open phase) and return them together
-    /// with the recorded trace, the metrics registry, the flight recorder's
-    /// per-step records, the host wall-clock phase times, and the rank's
-    /// allocation telemetry. Closes the streaming sink (flush + footer)
-    /// when one is attached.
-    fn finish(mut self) -> FinishedRank {
+    /// Close the open phase and hand back the rank's output: the body's
+    /// `result`, its phase timers and final clock, the recorded trace, the
+    /// metrics registry, the flight recorder's per-step records, the host
+    /// wall-clock phase times, and the allocation telemetry. Closes the
+    /// streaming sink (flush + footer) when one is attached.
+    fn finish<R>(mut self, result: R) -> RankOutput<R> {
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time into the current bucket
-        self.stats.final_clock = self.clock;
-        let trace = self.tracer.take().map(Tracer::finish).unwrap_or_default();
-        FinishedRank {
-            stats: self.stats,
-            trace,
+        RankOutput {
+            result,
+            time: self.time,
+            clock: self.clock,
+            trace: self.tracer.take().map(Tracer::finish).unwrap_or_default(),
             metrics: self.metrics,
             steps: self.flight.into_records(),
             host_time: self.host_time,
@@ -1128,22 +1122,14 @@ impl Comm {
     }
 }
 
-/// Everything [`Comm::finish`] hands back to `run_ranks` for one rank —
-/// [`RankOutput`] minus the rank body's result.
-struct FinishedRank {
-    stats: RankStats,
-    trace: Vec<TraceEvent>,
-    metrics: MetricsRegistry,
-    steps: Vec<StepRecord>,
-    host_time: [f64; NUM_PHASES],
-    alloc: AllocTotals,
-}
-
 /// Result of one rank's execution under [`Universe`].
 #[derive(Clone, Debug)]
 pub struct RankOutput<R> {
     pub result: R,
-    pub stats: RankStats,
+    /// Virtual seconds this rank spent per phase.
+    pub time: [f64; NUM_PHASES],
+    /// The rank's virtual clock when its body returned.
+    pub clock: f64,
     /// Virtual-time spans recorded on this rank (empty unless the universe
     /// was built with tracing enabled).
     pub trace: Vec<TraceEvent>,
@@ -1162,13 +1148,15 @@ pub struct RankOutput<R> {
     pub alloc: AllocTotals,
 }
 
-// A child process ships each rank's whole output (result, stats, trace,
-// metrics, flight telemetry, host timings, allocation telemetry) back to
-// the parent as one wire value — see docs/TRANSPORT.md for the layout.
+// A child process ships each rank's whole output (result, phase timers and
+// clock, trace, metrics, flight telemetry, host timings, allocation
+// telemetry) back to the parent as one wire value — see docs/TRANSPORT.md
+// for the layout.
 impl<R: Wire> Wire for RankOutput<R> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.result.encode(buf);
-        self.stats.encode(buf);
+        self.time.encode(buf);
+        self.clock.encode(buf);
         self.trace.encode(buf);
         self.metrics.encode(buf);
         self.steps.encode(buf);
@@ -1179,7 +1167,8 @@ impl<R: Wire> Wire for RankOutput<R> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(RankOutput {
             result: R::decode(r)?,
-            stats: RankStats::decode(r)?,
+            time: Wire::decode(r)?,
+            clock: Wire::decode(r)?,
             trace: Vec::decode(r)?,
             metrics: MetricsRegistry::decode(r)?,
             steps: Vec::decode(r)?,
@@ -1399,7 +1388,7 @@ impl UniverseBuilder {
                     shared: Arc::clone(shared_ref),
                     pending: Vec::new(),
                     coll_gen: 0,
-                    stats: RankStats::new(rank),
+                    time: [0.0; NUM_PHASES],
                     metrics: MetricsRegistry::new(),
                     flight: FlightRecorder::default(),
                     tracer: trace.enabled.then(|| Tracer::for_rank(&trace, rank)),
@@ -1420,16 +1409,8 @@ impl UniverseBuilder {
                 match body {
                     Ok(result) => {
                         comm.shared.rank_finished(rank);
-                        let fin = comm.finish();
-                        outputs.lock().expect("outputs poisoned")[rank - lo] = Some(RankOutput {
-                            result,
-                            stats: fin.stats,
-                            trace: fin.trace,
-                            metrics: fin.metrics,
-                            steps: fin.steps,
-                            host_time: fin.host_time,
-                            alloc: fin.alloc,
-                        });
+                        let out = comm.finish(result);
+                        outputs.lock().expect("outputs poisoned")[rank - lo] = Some(out);
                     }
                     Err(payload) => {
                         let phase = comm.panicked_phase.take().unwrap_or_else(|| comm.phase.name());
@@ -1517,8 +1498,8 @@ mod tests {
             send_overhead: 0.0,
         };
         let out = run(1, &m, |c| {
-            c.compute(50.0, WorkClass::Flow);
-            c.compute(50.0, WorkClass::Search);
+            c.compute(50, WorkClass::Flow);
+            c.compute(50, WorkClass::Search);
             c.now()
         });
         assert!((out[0].result - (0.5 + 1.0)).abs() < 1e-12);
@@ -1542,10 +1523,10 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a[0].result, 84.0);
-        assert_eq!(a[0].stats.final_clock.to_bits(), b[0].stats.final_clock.to_bits());
-        assert_eq!(a[1].stats.final_clock.to_bits(), b[1].stats.final_clock.to_bits());
+        assert_eq!(a[0].clock.to_bits(), b[0].clock.to_bits());
+        assert_eq!(a[1].clock.to_bits(), b[1].clock.to_bits());
         // Receiver clock includes transit time.
-        assert!(a[1].stats.final_clock >= m.transit_time(1024));
+        assert!(a[1].clock >= m.transit_time(1024));
     }
 
     #[test]
@@ -1553,7 +1534,7 @@ mod tests {
         let m = modern();
         let out = run(4, &m, |c| {
             // Rank r does r units of work, then a barrier.
-            c.compute(1.0e9 * c.rank() as f64, WorkClass::Flow);
+            c.compute(1_000_000_000 * c.rank() as u64, WorkClass::Flow);
             c.barrier();
             c.now()
         });
@@ -1638,18 +1619,20 @@ mod tests {
         let out = run(1, &m, |c| {
             {
                 let mut ph = c.phase(Phase::Flow);
-                ph.compute(2.0, WorkClass::Flow);
+                ph.compute(2, WorkClass::Flow);
             }
             {
                 let mut ph = c.phase(Phase::Connectivity);
-                ph.compute(3.0, WorkClass::Search);
+                ph.compute(3, WorkClass::Search);
             }
         });
-        let s = &out[0].stats;
-        assert!((s.time[Phase::Flow as usize] - 2.0).abs() < 1e-12);
-        assert!((s.time[Phase::Connectivity as usize] - 3.0).abs() < 1e-12);
-        assert!((s.flops[Phase::Flow as usize] - 2.0).abs() < 1e-12);
-        assert!((s.total_time() - 5.0).abs() < 1e-12);
+        let o = &out[0];
+        assert!((o.time[Phase::Flow as usize] - 2.0).abs() < 1e-12);
+        assert!((o.time[Phase::Connectivity as usize] - 3.0).abs() < 1e-12);
+        assert_eq!(o.metrics.get(Counter::flops_in(Phase::Flow)), 2);
+        assert_eq!(o.metrics.get(Counter::flops_in(Phase::Connectivity)), 3);
+        assert!((o.time.iter().sum::<f64>() - 5.0).abs() < 1e-12);
+        assert_eq!(o.clock, 5.0);
     }
 
     #[test]
@@ -1665,19 +1648,19 @@ mod tests {
         };
         let out = run(1, &m, |c| {
             let mut outer = c.phase(Phase::Flow);
-            outer.compute(1.0, WorkClass::Flow);
+            outer.compute(1, WorkClass::Flow);
             {
                 let mut inner = outer.phase(Phase::Balance);
-                inner.compute(4.0, WorkClass::Other);
+                inner.compute(4, WorkClass::Other);
                 assert_eq!(inner.current_phase(), Phase::Balance);
             }
             // Inner guard restored the outer phase.
             assert_eq!(outer.current_phase(), Phase::Flow);
-            outer.compute(2.0, WorkClass::Flow);
+            outer.compute(2, WorkClass::Flow);
         });
-        let s = &out[0].stats;
-        assert!((s.time[Phase::Flow as usize] - 3.0).abs() < 1e-12);
-        assert!((s.time[Phase::Balance as usize] - 4.0).abs() < 1e-12);
+        let time = &out[0].time;
+        assert!((time[Phase::Flow as usize] - 3.0).abs() < 1e-12);
+        assert!((time[Phase::Balance as usize] - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1731,7 +1714,7 @@ mod tests {
             Universe::builder().ranks(2).machine(&modern()).trace(TraceConfig::enabled()).run(
                 |c| {
                     let mut ph = c.phase(Phase::Flow);
-                    ph.compute(1.0e6, WorkClass::Flow);
+                    ph.compute(1_000_000, WorkClass::Flow);
                     if ph.rank() == 0 {
                         ph.send(1, 9, 7u8, 64);
                     } else {
@@ -1752,7 +1735,7 @@ mod tests {
         }
         // Tracing off: no events.
         let off = run(1, &modern(), |c| {
-            c.compute(1.0, WorkClass::Flow);
+            c.compute(1, WorkClass::Flow);
         });
         assert!(off[0].trace.is_empty());
     }
@@ -1838,7 +1821,7 @@ mod tests {
             for step in 0..3u64 {
                 {
                     let mut ph = c.phase(Phase::Flow);
-                    ph.compute((step + 1) as f64, WorkClass::Flow);
+                    ph.compute(step + 1, WorkClass::Flow);
                     if ph.rank() == 0 {
                         ph.send(1, step, (), 100);
                     } else {
@@ -1850,7 +1833,7 @@ mod tests {
                 c.end_step();
             }
         });
-        for o in &out {
+        for (rank, o) in out.iter().enumerate() {
             assert_eq!(o.steps.len(), 3);
             for (i, rec) in o.steps.iter().enumerate() {
                 assert_eq!(rec.step, i as u64);
@@ -1858,15 +1841,14 @@ mod tests {
                 // (plus comm/barrier time, which also accrues to the phase).
                 assert!(
                     rec.time[Phase::Flow as usize] >= (i + 1) as f64,
-                    "rank {} step {i}: {:?}",
-                    o.stats.rank,
+                    "rank {rank} step {i}: {:?}",
                     rec.time
                 );
                 assert_eq!(rec.count(Counter::ConnServiced), 10 * (i as u64 + 1));
             }
             // The per-step deltas partition the rank's cumulative phase time.
             let flow_sum: f64 = o.steps.iter().map(|r| r.time[Phase::Flow as usize]).sum();
-            let total_flow = o.stats.time[Phase::Flow as usize];
+            let total_flow = o.time[Phase::Flow as usize];
             assert!((flow_sum - total_flow).abs() < 1e-12 * total_flow.max(1.0));
             // Clocks are the rank clock at each boundary, nondecreasing.
             assert!(o.steps.windows(2).all(|w| w[0].clock <= w[1].clock));
@@ -1916,10 +1898,10 @@ mod tests {
         let m = MachineModel::ibm_sp2();
         let out = run(1, &m, |c| {
             c.set_working_set(1.0); // tiny: fast cache factor
-            c.compute(1.0e6, WorkClass::Flow);
+            c.compute(1_000_000, WorkClass::Flow);
             let t_small = c.now();
             c.set_working_set(1e9); // huge: memory bound
-            c.compute(1.0e6, WorkClass::Flow);
+            c.compute(1_000_000, WorkClass::Flow);
             (t_small, c.now() - t_small)
         });
         let (t_small, t_large) = out[0].result;
@@ -1936,17 +1918,17 @@ mod tests {
         for step in 0..4u64 {
             {
                 let mut ph = c.phase(Phase::Flow);
-                ph.compute(1.0e6 * (1.0 + me as f64), WorkClass::Flow);
+                ph.compute(1_000_000 * (1 + me as u64), WorkClass::Flow);
                 let right = (me + 1) % n;
                 let left = (me + n - 1) % n;
                 ph.send(right, 100 + step, me as f64 * 1.5 + step as f64, 256 + 32 * me);
                 let v = ph.recv::<f64>(left, 100 + step);
-                ph.compute(v.abs() * 10.0, WorkClass::Search);
+                ph.compute((v.abs() * 10.0) as u64, WorkClass::Search);
             }
             {
                 let mut ph = c.phase(Phase::Connectivity);
                 let maxv = ph.allreduce_max(me as f64 * 0.25 + step as f64);
-                ph.compute(maxv * 1.0e3, WorkClass::Other);
+                ph.compute((maxv * 1.0e3) as u64, WorkClass::Other);
             }
             c.end_step();
         }
@@ -1959,14 +1941,13 @@ mod tests {
         let m = MachineModel::ibm_sp2();
         let one_to_one = Universe::builder().ranks(16).machine(&m).run(mixed_workload);
         let mn = Universe::builder().ranks(16).machine(&m).max_threads(4).run(mixed_workload);
-        for (a, b) in one_to_one.iter().zip(&mn) {
+        for (rank, (a, b)) in one_to_one.iter().zip(&mn).enumerate() {
             assert_eq!(
                 a.result.to_bits(),
                 b.result.to_bits(),
-                "rank {} clock differs between scheduler modes",
-                a.stats.rank
+                "rank {rank} clock differs between scheduler modes"
             );
-            assert_eq!(a.stats.final_clock.to_bits(), b.stats.final_clock.to_bits());
+            assert_eq!(a.clock.to_bits(), b.clock.to_bits());
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.steps.len(), b.steps.len());
         }

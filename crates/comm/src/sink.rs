@@ -13,12 +13,12 @@
 //! truncated-but-parseable stream; [`read_span_dir`] recovers the prefix and
 //! reports the gap.
 //!
-//! ## Binary span file layout (schema v4)
+//! ## Binary span file layout (schema v5)
 //!
 //! All integers little-endian, payloads encoded per the `Wire` rules:
 //!
 //! ```text
-//! header:  magic "OSPN" | u32 version (=4) | u32 rank
+//! header:  magic "OSPN" | u32 version (=5) | u32 rank
 //! chunks:  u32 len | body (len bytes) — body = u8 kind + payload
 //!   kind 1: payload = Vec<TraceEvent>   (events, recording order)
 //!   kind 2: payload = StepRecord        (one per step boundary: phase
@@ -47,8 +47,9 @@ use std::path::{Path, PathBuf};
 /// field counting them. v3: the step chunk is the whole-vocabulary
 /// [`StepRecord`] with the allocation deltas inside; kind 3 and its footer
 /// field are gone. v4: the footer is `(total_events, total_steps)` — the
-/// flight recorder keeps every step, so there is no eviction count.
-pub const SPAN_SCHEMA_VERSION: u32 = 4;
+/// flight recorder keeps every step, so there is no eviction count. v5: the
+/// step record's counter array gains the five `flops.*` rows.
+pub const SPAN_SCHEMA_VERSION: u32 = 5;
 
 /// Magic prefix of a binary span file.
 pub const SPAN_MAGIC: [u8; 4] = *b"OSPN";

@@ -1,8 +1,8 @@
 //! Per-rank and aggregated performance statistics: the quantities the
 //! paper's tables report (Mflops/node, parallel speedup, % time in DCF3D).
 
-use crate::metrics::{traffic, Counts};
-use crate::wire::{Wire, WireError, WireReader};
+use crate::metrics::{traffic, Counter, Counts};
+use crate::runtime::RankOutput;
 
 /// Execution phases matching the three-step OVERFLOW-D1 timestep loop (plus
 /// balancing and a catch-all).
@@ -34,60 +34,18 @@ impl Phase {
     }
 }
 
-/// Statistics accumulated by one rank over a run.
-#[derive(Clone, Debug)]
-pub struct RankStats {
-    pub rank: usize,
-    /// Virtual seconds spent per phase.
-    pub time: [f64; NUM_PHASES],
-    /// Flops performed per phase.
-    pub flops: [f64; NUM_PHASES],
-    /// Final virtual clock value.
-    pub final_clock: f64,
-}
-
-impl RankStats {
-    pub fn new(rank: usize) -> Self {
-        RankStats { rank, time: [0.0; NUM_PHASES], flops: [0.0; NUM_PHASES], final_clock: 0.0 }
-    }
-
-    pub fn total_time(&self) -> f64 {
-        self.time.iter().sum()
-    }
-}
-
-// Rank statistics travel back from child processes to the parent, so the
-// whole record is a wire type. Field order is fixed by the schema version.
-impl Wire for RankStats {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.rank.encode(buf);
-        self.time.encode(buf);
-        self.flops.encode(buf);
-        self.final_clock.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RankStats {
-            rank: usize::decode(r)?,
-            time: <[f64; NUM_PHASES]>::decode(r)?,
-            flops: <[f64; NUM_PHASES]>::decode(r)?,
-            final_clock: f64::decode(r)?,
-        })
-    }
-}
-
-/// Aggregated view over all ranks of a run: the table-row quantities.
+/// Aggregated view over all ranks of a run: the table-row quantities. Times
+/// are the ranks' phase timers, everything else their merged counters.
 #[derive(Clone, Debug)]
 pub struct PerfSummary {
     pub nranks: usize,
     /// Wall (virtual) time of the run: max over ranks of the final clock.
     pub wall_time: f64,
-    /// Sum over ranks of per-phase time.
-    pub time: [f64; NUM_PHASES],
     /// Max over ranks of per-phase time. Phases are barrier-separated, so
-    /// this is the exact per-phase elapsed (wall) time.
+    /// this is the exact per-phase elapsed (wall) time — the quantity the
+    /// per-module speedup tables report.
     pub phase_elapsed: [f64; NUM_PHASES],
-    /// Sum over ranks of per-phase flops.
+    /// Flops per phase, all ranks.
     pub flops: [f64; NUM_PHASES],
     /// Messages / payload bytes sent, all ranks and phases.
     pub msgs: u64,
@@ -95,38 +53,25 @@ pub struct PerfSummary {
 }
 
 impl PerfSummary {
-    /// Fold the ranks' statistics; the traffic totals are read off `counts`,
-    /// the run's merged counter array.
-    pub fn from_ranks(stats: &[RankStats], counts: &Counts) -> Self {
+    /// Fold the ranks' phase timers and final clocks; flops and traffic are
+    /// read off `counts`, the run's merged counter array.
+    pub fn from_outputs<R>(outputs: &[RankOutput<R>], counts: &Counts) -> Self {
         let (msgs, bytes) = traffic(counts);
         let mut s = PerfSummary {
-            nranks: stats.len(),
+            nranks: outputs.len(),
             wall_time: 0.0,
-            time: [0.0; NUM_PHASES],
             phase_elapsed: [0.0; NUM_PHASES],
-            flops: [0.0; NUM_PHASES],
+            flops: Phase::ALL.map(|p| counts[Counter::flops_in(p) as usize] as f64),
             msgs,
             bytes,
         };
-        for r in stats {
-            s.wall_time = s.wall_time.max(r.final_clock);
-            for p in 0..NUM_PHASES {
-                s.time[p] += r.time[p];
-                s.phase_elapsed[p] = s.phase_elapsed[p].max(r.time[p]);
-                s.flops[p] += r.flops[p];
+        for o in outputs {
+            s.wall_time = s.wall_time.max(o.clock);
+            for (max, &t) in s.phase_elapsed.iter_mut().zip(&o.time) {
+                *max = max.max(t);
             }
         }
         s
-    }
-
-    /// Fraction of total (summed) time spent in the connectivity solution —
-    /// the "% time in DCF3D" column of the paper's tables.
-    pub fn connectivity_fraction(&self) -> f64 {
-        let total: f64 = self.time.iter().sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.time[Phase::Connectivity as usize] / total
     }
 
     /// Average Mflops per node: total flops / wall time / nodes / 1e6.
@@ -136,53 +81,53 @@ impl PerfSummary {
         }
         self.flops.iter().sum::<f64>() / self.wall_time / self.nranks as f64 / 1.0e6
     }
-
-    /// Exact per-phase elapsed (wall) time: the max over ranks of the
-    /// phase's virtual time. Phases are barrier-separated, so the slowest
-    /// rank sets the elapsed time. This is the quantity the per-module
-    /// speedup tables report.
-    pub fn phase_time(&self, p: Phase) -> f64 {
-        self.phase_elapsed[p as usize]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Counter;
+    use crate::metrics::MetricsRegistry;
 
-    fn mk(rank: usize, flow: f64, conn: f64, flops: f64) -> RankStats {
-        let mut s = RankStats::new(rank);
-        s.time[Phase::Flow as usize] = flow;
-        s.time[Phase::Connectivity as usize] = conn;
-        s.flops[Phase::Flow as usize] = flops;
-        s.final_clock = flow + conn;
-        s
+    fn mk(flow: f64, conn: f64) -> RankOutput<()> {
+        let mut time = [0.0; NUM_PHASES];
+        time[Phase::Flow as usize] = flow;
+        time[Phase::Connectivity as usize] = conn;
+        RankOutput {
+            result: (),
+            time,
+            clock: flow + conn,
+            trace: Vec::new(),
+            metrics: MetricsRegistry::new(),
+            steps: Vec::new(),
+            host_time: [0.0; NUM_PHASES],
+            alloc: Default::default(),
+        }
     }
 
     #[test]
     fn summary_aggregates() {
-        let ranks = vec![mk(0, 8.0, 2.0, 100.0e6), mk(1, 6.0, 4.0, 80.0e6)];
+        let ranks = vec![mk(8.0, 2.0), mk(6.0, 4.0)];
         let mut counts = [0; Counter::COUNT];
         counts[Counter::CommMsgsFlow as usize] = 3;
         counts[Counter::CommMsgsBalance as usize] = 4;
         counts[Counter::CommBytesOther as usize] = 512;
-        let s = PerfSummary::from_ranks(&ranks, &counts);
+        counts[Counter::FlopsFlow as usize] = 180_000_000;
+        let s = PerfSummary::from_outputs(&ranks, &counts);
         assert_eq!((s.msgs, s.bytes), (7, 512));
         assert_eq!(s.nranks, 2);
         assert_eq!(s.wall_time, 10.0);
-        assert!((s.connectivity_fraction() - 6.0 / 20.0).abs() < 1e-12);
+        assert_eq!(s.flops[Phase::Flow as usize], 180.0e6);
         // 180 Mflop over 10 s over 2 nodes = 9 Mflops/node.
         assert!((s.mflops_per_node() - 9.0).abs() < 1e-12);
         // Elapsed is the max over ranks, not the mean.
-        assert!((s.phase_time(Phase::Flow) - 8.0).abs() < 1e-12);
-        assert!((s.phase_time(Phase::Connectivity) - 4.0).abs() < 1e-12);
+        assert_eq!(s.phase_elapsed[Phase::Flow as usize], 8.0);
+        assert_eq!(s.phase_elapsed[Phase::Connectivity as usize], 4.0);
     }
 
     #[test]
     fn empty_phase_fraction_is_zero() {
-        let s = PerfSummary::from_ranks(&[RankStats::new(0)], &[0; Counter::COUNT]);
-        assert_eq!(s.connectivity_fraction(), 0.0);
+        let s = PerfSummary::from_outputs(&[mk(0.0, 0.0)], &[0; Counter::COUNT]);
+        assert_eq!(s.phase_elapsed, [0.0; NUM_PHASES]);
         assert_eq!(s.mflops_per_node(), 0.0);
     }
 }

@@ -34,13 +34,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// end-of-run allocation attribution. v4: one step record, one tally —
 /// `StepRecord` is `step`, `clock`, then its four arrays (`time`, `counts`
 /// over the whole `Counter` vocabulary, `allocs`, `alloc_bytes`) and is the
-/// only per-step record `RankOutput` carries; `RankStats` keeps no message
-/// or collective tallies; `MetricsRegistry` is its counter array and its
-/// histogram array, no names on the wire. v5: `RankOutput` drops the u64
-/// ring-eviction count after `steps` — the flight recorder keeps every
-/// step. Primitive encodings are unchanged throughout. Layouts:
+/// only per-step record `RankOutput` carries; the per-rank statistics keep
+/// no message or collective tallies; `MetricsRegistry` is its counter array
+/// and its histogram array, no names on the wire. v5: `RankOutput` drops the
+/// u64 ring-eviction count after `steps` — the flight recorder keeps every
+/// step. v6: one clock ledger — `RankOutput` carries the rank's phase
+/// timers and final clock after `result` in place of the statistics record
+/// (flops are `flops.*` counters now), and the counter array holds those
+/// five more rows. Primitive encodings are unchanged throughout. Layouts:
 /// docs/TRANSPORT.md.
-pub const WIRE_SCHEMA_VERSION: u32 = 5;
+pub const WIRE_SCHEMA_VERSION: u32 = 6;
 
 /// Decode-side failure. Encoding is infallible.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -40,7 +40,7 @@ fn scenario(b: UniverseBuilder, extra: bool) -> Vec<RankOutput<u64>> {
         for _ in 0..STEPS {
             {
                 let mut ph = c.phase(Phase::Flow);
-                ph.compute(5.0e4, WorkClass::Flow);
+                ph.compute(50_000, WorkClass::Flow);
                 ph.barrier();
             }
             {

@@ -25,8 +25,7 @@ proptest! {
             let w = std::sync::Arc::clone(&work);
             Universe::builder().ranks(nranks).machine(&machine()).run(move |c| {
                 let me = c.rank();
-                let flops = w[me % w.len()] as f64;
-                c.compute(flops, WorkClass::Flow);
+                c.compute(w[me % w.len()], WorkClass::Flow);
                 let next = (me + 1) % c.size();
                 let prev = (me + c.size() - 1) % c.size();
                 c.send(next, 1, me as u64, bytes);
@@ -83,11 +82,11 @@ proptest! {
     /// make a run finish earlier.
     #[test]
     fn virtual_time_monotone_in_work(
-        flops in 1.0e6f64..1.0e8,
-        extra in 1.0e5f64..1.0e8,
+        flops in 1_000_000u64..100_000_000,
+        extra in 100_000u64..100_000_000,
         bytes in 1usize..1_000_000,
     ) {
-        let t = |f: f64, by: usize| {
+        let t = |f: u64, by: usize| {
             let out = Universe::builder().ranks(2).machine(&machine()).run(move |c| {
                 if c.rank() == 0 {
                     c.compute(f, WorkClass::Flow);

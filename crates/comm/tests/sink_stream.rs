@@ -26,7 +26,7 @@ fn run_workload(trace: TraceConfig, steps: usize) -> Vec<RankOutputLite> {
             for s in 0..steps {
                 {
                     let mut ph = c.phase(Phase::Flow);
-                    ph.compute(1.0e5 * (1 + s % 3) as f64, WorkClass::Flow);
+                    ph.compute(100_000 * (1 + s % 3) as u64, WorkClass::Flow);
                     let t0 = ph.now();
                     ph.trace_complete("conn", "mark", t0, &[("step", ArgVal::U64(s as u64))]);
                     ph.barrier();
@@ -57,7 +57,7 @@ struct RankOutputLite {
 /// four arrays.
 const STEP_CHUNK_BYTES: usize = 4 + 1 + 8 * (2 + 3 * NUM_PHASES + Counter::COUNT);
 
-/// Golden byte pin of binary span schema v4: one rank-0 stream holding a
+/// Golden byte pin of binary span schema v5: one rank-0 stream holding a
 /// single argless `phase`/`flow` span, one step record carrying a counter
 /// and an allocation delta, and a clean footer, built with the writer and
 /// compared against hand-assembled literal bytes. Any header, framing, or
@@ -65,9 +65,9 @@ const STEP_CHUNK_BYTES: usize = 4 + 1 + 8 * (2 + 3 * NUM_PHASES + Counter::COUNT
 /// `SPAN_SCHEMA_VERSION` bump, not a refresh. The `counts` array is as long
 /// as the `Counter` vocabulary, in its order.
 #[test]
-fn golden_bytes_pin_span_schema_v4() {
+fn golden_bytes_pin_span_schema_v5() {
     const CONN: usize = Phase::Connectivity as usize;
-    let dir = temp_dir("golden_v4");
+    let dir = temp_dir("golden_v5");
     let cfg = TraceConfig::enabled().with_stream(&dir);
     let mut t = Tracer::for_rank(&cfg, 0);
     t.complete("phase", "flow", 0.0, 2.0, Vec::new());
@@ -83,7 +83,7 @@ fn golden_bytes_pin_span_schema_v4() {
     let got = std::fs::read(dir.join("rank-00000.spans")).unwrap();
     let mut want: Vec<u8> = Vec::new();
     want.extend(*b"OSPN"); // magic
-    want.extend([4, 0, 0, 0]); // schema version 4
+    want.extend([5, 0, 0, 0]); // schema version 5
     want.extend([0, 0, 0, 0]); // rank 0
     want.extend([58, 0, 0, 0]); // chunk len: 1 kind + 57 payload
     want.push(1); // kind 1: events, flushed ahead of the step that closes

@@ -75,7 +75,7 @@ fn ordering_and_tag_matching_proc() {
     for (a, b) in out.iter().zip(&reference) {
         assert_eq!(a.result.2.to_bits(), b.result.2.to_bits(), "clock diverged across backends");
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.stats.final_clock.to_bits(), b.stats.final_clock.to_bits());
+        assert_eq!(a.clock.to_bits(), b.clock.to_bits());
     }
 }
 
@@ -87,7 +87,7 @@ type CollectiveRound = (Vec<usize>, f64, usize, f64);
 
 fn scenario_collectives(b: UniverseBuilder) -> Vec<RankOutput<CollectiveRound>> {
     b.run(|c| {
-        c.compute(1.0e6 * (c.rank() + 1) as f64, overset_comm::WorkClass::Flow);
+        c.compute(1_000_000 * (c.rank() + 1) as u64, overset_comm::WorkClass::Flow);
         let gathered = c.allgather(c.rank() * 3, 8).to_vec();
         let m = c.allreduce_max(c.rank() as f64 * 1.5);
         let s = c.allreduce_sum_usize(c.rank());
@@ -374,7 +374,7 @@ fn killed_child_leaves_truncated_but_parseable_stream() {
             for s in 0..4 {
                 {
                     let mut ph = c.phase(Phase::Flow);
-                    ph.compute(1.0e5, WorkClass::Flow);
+                    ph.compute(100_000, WorkClass::Flow);
                 }
                 c.end_step();
                 if s == 1 && c.rank() == 3 {
@@ -418,7 +418,7 @@ fn mixed_workload_is_bit_identical_across_backends() {
         let n = c.size();
         let mut acc = 0u64;
         for step in 0..3 {
-            c.compute(5.0e5 * ((me + step) % 3 + 1) as f64, overset_comm::WorkClass::Flow);
+            c.compute(500_000 * ((me + step) % 3 + 1) as u64, overset_comm::WorkClass::Flow);
             let dst = (me + 1) % n;
             let src = (me + n - 1) % n;
             c.send(dst, step as u64, (me * 100 + step) as u64, 256);
@@ -445,11 +445,7 @@ fn mixed_workload_is_bit_identical_across_backends() {
         assert_eq!(pa.result.1.to_bits(), aa.result.1.to_bits(), "rank {r} reduced clock");
         assert_eq!(pa.metrics, aa.metrics, "rank {r} registry proc vs 1:1");
         assert_eq!(aa.metrics, ba.metrics, "rank {r} registry 1:1 vs M:N");
-        assert_eq!(
-            pa.stats.final_clock.to_bits(),
-            aa.stats.final_clock.to_bits(),
-            "rank {r} final clock"
-        );
+        assert_eq!(pa.clock.to_bits(), aa.clock.to_bits(), "rank {r} final clock");
     }
 }
 

@@ -120,7 +120,7 @@ proptest! {
 /// changing any of them requires a `WIRE_SCHEMA_VERSION` bump.
 #[test]
 fn golden_bytes_pin_primitive_encodings() {
-    assert_eq!(WIRE_SCHEMA_VERSION, 5, "schema bumped: re-pin the golden bytes below");
+    assert_eq!(WIRE_SCHEMA_VERSION, 6, "schema bumped: re-pin the golden bytes below");
 
     // Little-endian fixed-width integers.
     assert_eq!(0x1122u16.to_wire_bytes(), [0x22, 0x11]);

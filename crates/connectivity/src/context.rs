@@ -180,7 +180,7 @@ impl Connectivity {
             let t_map = comm.now();
             let flops: u64 =
                 blocks.iter_mut().map(|rb| rb.slot.refresh(&rb.block, comm.metrics_mut())).sum();
-            comm.compute(flops as f64, WorkClass::Search);
+            comm.compute(flops, WorkClass::Search);
             comm.trace_complete("conn", "invmap_build", t_map, &[]);
         }
         let t_cut = comm.now();
@@ -194,7 +194,7 @@ impl Connectivity {
                 rb.cache.clear();
             }
         }
-        comm.compute(hole_flops as f64, WorkClass::Search);
+        comm.compute(hole_flops, WorkClass::Search);
         comm.trace_complete("conn", "hole_cut", t_cut, &[]);
         connect_distributed(blocks, topo, comm, &mut self.arena);
         // Last block's list first: the cutter takes them back in block

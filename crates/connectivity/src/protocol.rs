@@ -706,7 +706,7 @@ fn serve(
         };
         answers.push((pt.id, ans));
     }
-    comm.compute(service_flops as f64, WorkClass::Search);
+    comm.compute(service_flops, WorkClass::Search);
     let m = comm.metrics_mut();
     m.add(Counter::ConnWalkSteps, steps);
     m.add(Counter::ConnWalkStepsMiss, miss_steps);

@@ -13,15 +13,15 @@ pub fn airfoil_case(scale: f64, steps: usize) -> CaseConfig {
     // most often governed by stability conditions of the flow solver"):
     // the near-wall cell size shrinks with resolution, so dt scales down.
     fc.dt = 0.004 / scale.max(1.0);
-    CaseConfig::builder(
+    let mut cfg = CaseConfig::new(
         format!("oscillating-airfoil(x{scale})"),
         airfoil::airfoil_system(scale),
         airfoil::airfoil_search_order(),
         fc,
-    )
-    .motions(vec![BodyMotion::prescribed(vec![0], Prescribed::paper_airfoil_pitch())])
-    .steps(steps)
-    .build()
+    );
+    cfg.motions = vec![BodyMotion::prescribed(vec![0], Prescribed::paper_airfoil_pitch())];
+    cfg.steps = steps;
+    cfg
 }
 
 /// Section 4.2: descending delta wing. Four grids (~1M points at full
@@ -31,15 +31,15 @@ pub fn delta_wing_case(scale: f64, steps: usize) -> CaseConfig {
     let mut fc = FlowConditions::new(0.3, 0.0, 1.0e6);
     fc.dt = 0.02;
     let descent = Prescribed::descent(0.064, 1.0);
-    CaseConfig::builder(
+    let mut cfg = CaseConfig::new(
         format!("descending-delta-wing(x{scale})"),
         delta_wing::delta_wing_system(scale),
         delta_wing::delta_wing_search_order(),
         fc,
-    )
-    .motions(vec![BodyMotion::prescribed(vec![0, 1, 2], descent)])
-    .steps(steps)
-    .build()
+    );
+    cfg.motions = vec![BodyMotion::prescribed(vec![0, 1, 2], descent)];
+    cfg.steps = steps;
+    cfg
 }
 
 /// Section 4.3: finned-store separation from a wing/pylon at M∞ = 1.6.
@@ -56,15 +56,15 @@ pub fn store_case(scale: f64, steps: usize) -> CaseConfig {
             store::STORE_CARRIAGE[2],
         ]),
     )];
-    CaseConfig::builder(
+    let mut cfg = CaseConfig::new(
         format!("finned-store-separation(x{scale})"),
         store::store_system(scale),
         store::store_search_order(),
         fc,
-    )
-    .motions(motions)
-    .steps(steps)
-    .build()
+    );
+    cfg.motions = motions;
+    cfg.steps = steps;
+    cfg
 }
 
 /// The store-separation case with *computed* (6-DOF) store motion instead

@@ -156,7 +156,7 @@ impl SolverComm for MpSolverComm<'_> {
     }
 
     fn compute(&mut self, flops: u64) {
-        self.comm.compute(flops as f64, WorkClass::Flow);
+        self.comm.compute(flops, WorkClass::Flow);
     }
 
     fn now(&self) -> f64 {

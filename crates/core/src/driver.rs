@@ -13,8 +13,8 @@ use overset_comm::metrics::{Counter, Hist};
 use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
 use overset_comm::{
     AllocTotals, Comm, MachineModel, MetricsRegistry, OversetError, PerfSummary, Phase, RankOutput,
-    RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader,
-    WorkClass, NUM_PHASES,
+    StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader, WorkClass,
+    NUM_PHASES,
 };
 use overset_connectivity::{cut_holes_and_find_fringe, ConnArena, Connectivity, RankBlock};
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
@@ -85,79 +85,30 @@ impl CaseConfig {
         self.grids.iter().map(|g| g.num_points()).sum()
     }
 
-    /// Start building a case from its required geometry and flow inputs;
-    /// every runtime toggle (tracing, thread bound, transport backend, load
-    /// balancing) has a default and a setter.
-    pub fn builder(
+    /// A case from its required geometry and flow inputs: no moving body,
+    /// one step, static balancing, the restart cache on, no tracing, one
+    /// thread per rank, in-process transport. Every field is public; set the
+    /// others on the result.
+    pub fn new(
         name: impl Into<String>,
         grids: Vec<CurvilinearGrid>,
         search_order: Vec<Vec<usize>>,
         fc: FlowConditions,
-    ) -> CaseConfigBuilder {
-        CaseConfigBuilder {
-            cfg: CaseConfig {
-                name: name.into(),
-                grids,
-                search_order,
-                motions: Vec::new(),
-                fc,
-                steps: 1,
-                lb: LbConfig::static_only(),
-                collect_state: false,
-                restart: true,
-                trace: TraceConfig::disabled(),
-                max_threads: None,
-                transport: TransportConfig::InProcess,
-            },
+    ) -> CaseConfig {
+        CaseConfig {
+            name: name.into(),
+            grids,
+            search_order,
+            motions: Vec::new(),
+            fc,
+            steps: 1,
+            lb: LbConfig::static_only(),
+            collect_state: false,
+            restart: true,
+            trace: TraceConfig::disabled(),
+            max_threads: None,
+            transport: TransportConfig::InProcess,
         }
-    }
-}
-
-/// Builder for [`CaseConfig`]: geometry comes in through
-/// [`CaseConfig::builder`], toggles through the setters below.
-#[derive(Clone)]
-pub struct CaseConfigBuilder {
-    cfg: CaseConfig,
-}
-
-impl CaseConfigBuilder {
-    pub fn motions(mut self, motions: Vec<BodyMotion>) -> Self {
-        self.cfg.motions = motions;
-        self
-    }
-
-    pub fn steps(mut self, steps: usize) -> Self {
-        self.cfg.steps = steps;
-        self
-    }
-
-    pub fn lb(mut self, lb: LbConfig) -> Self {
-        self.cfg.lb = lb;
-        self
-    }
-
-    pub fn collect_state(mut self, on: bool) -> Self {
-        self.cfg.collect_state = on;
-        self
-    }
-
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.cfg.trace = trace;
-        self
-    }
-
-    pub fn max_threads(mut self, n: Option<usize>) -> Self {
-        self.cfg.max_threads = n;
-        self
-    }
-
-    pub fn transport(mut self, t: TransportConfig) -> Self {
-        self.cfg.transport = t;
-        self
-    }
-
-    pub fn build(self) -> CaseConfig {
-        self.cfg
     }
 }
 
@@ -172,10 +123,11 @@ pub struct RunResult {
     pub steps: usize,
     pub total_points: usize,
     pub summary: PerfSummary,
-    /// Elapsed (virtual) time per phase, summed over steps; phases are
-    /// barrier-separated so this is exact, not an average.
+    /// Elapsed (virtual) time per phase: [`PerfSummary::phase_elapsed`].
+    /// Phases are barrier-separated, so this is exact, not an average, and
+    /// the phases add up to the run's wall time (`other` holds the start-up
+    /// barrier).
     pub phase_elapsed: [f64; NUM_PHASES],
-    pub wall_time: f64,
     /// IGBPs owned per rank at the last step.
     pub igbps_last: usize,
     /// Search-request points serviced per rank at the last step: I(p).
@@ -183,7 +135,6 @@ pub struct RunResult {
     pub orphans_last: usize,
     pub repartitions: usize,
     pub np_final: Vec<usize>,
-    pub rank_stats: Vec<RankStats>,
     /// Per-rank virtual-time spans (empty unless [`CaseConfig::trace`] was
     /// enabled). Feed to [`overset_comm::chrome_trace_json`].
     pub trace: Vec<RankTrace>,
@@ -230,9 +181,11 @@ pub struct AllocRecord {
 type NodeState = (usize, Ijk, [f64; 5]);
 
 impl RunResult {
-    /// The paper's "% time in DCF3D" (connectivity elapsed over total).
+    /// The paper's "% time in DCF3D": connectivity's share of the four
+    /// timestep phases (flow, connectivity, motion, balance), start-up left
+    /// out.
     pub fn connectivity_fraction(&self) -> f64 {
-        let total: f64 = self.phase_elapsed.iter().sum();
+        let total: f64 = self.phase_elapsed[..Phase::Other as usize].iter().sum();
         if total == 0.0 {
             0.0
         } else {
@@ -247,7 +200,7 @@ impl RunResult {
 
     /// Time per timestep (virtual seconds).
     pub fn time_per_step(&self) -> f64 {
-        self.wall_time / self.steps as f64
+        self.summary.wall_time / self.steps as f64
     }
 
     /// Measured donor-search service imbalance f(p) = I(p)/mean.
@@ -258,7 +211,6 @@ impl RunResult {
 
 /// Per-rank return value of the rank body.
 struct RankReturn {
-    phase_elapsed: [f64; NUM_PHASES],
     state_sum_sq: f64,
     state_count: usize,
     states: Vec<NodeState>,
@@ -270,7 +222,6 @@ struct RankReturn {
 // indices per cell. Field order is the wire schema.
 impl Wire for RankReturn {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.phase_elapsed.encode(out);
         self.state_sum_sq.encode(out);
         self.state_count.encode(out);
         (self.states.len() as u64).encode(out);
@@ -285,7 +236,6 @@ impl Wire for RankReturn {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let phase_elapsed = <[f64; NUM_PHASES]>::decode(r)?;
         let state_sum_sq = f64::decode(r)?;
         let state_count = usize::decode(r)?;
         let n = r.len_prefix()?;
@@ -295,13 +245,7 @@ impl Wire for RankReturn {
             let cell = Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?);
             states.push((grid, cell, <[f64; 5]>::decode(r)?));
         }
-        Ok(RankReturn {
-            phase_elapsed,
-            state_sum_sq,
-            state_count,
-            states,
-            np_final: Vec::<usize>::decode(r)?,
-        })
+        Ok(RankReturn { state_sum_sq, state_count, states, np_final: Vec::<usize>::decode(r)? })
     }
 }
 
@@ -394,15 +338,14 @@ fn own_block(
 }
 
 /// Fold the ranks' outputs into the run's result. Replicated quantities
-/// (phase times, repartition count, final partition) are read off rank 0,
-/// the last step's census off each rank's last step record.
+/// (repartition count, final partition) are read off rank 0, the last
+/// step's census off each rank's last step record.
 fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
-    let rank_stats: Vec<RankStats> = outputs.iter().map(|o| o.stats.clone()).collect();
     let mut metrics = MetricsRegistry::new();
     for o in outputs {
         metrics.merge_from(&o.metrics);
     }
-    let summary = PerfSummary::from_ranks(&rank_stats, metrics.counts());
+    let summary = PerfSummary::from_outputs(outputs, metrics.counts());
     let last = |c: Counter| outputs.iter().map(move |o| o.steps.last().map_or(0, |r| r.count(c)));
     let trace: Vec<RankTrace> = if cfg.trace.enabled {
         outputs
@@ -431,14 +374,12 @@ fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
         state_rms: (sum_sq / count.max(1) as f64).sqrt(),
         steps: cfg.steps,
         total_points: cfg.total_points(),
-        phase_elapsed: r0.phase_elapsed,
-        wall_time: summary.wall_time,
+        phase_elapsed: summary.phase_elapsed,
         igbps_last: last(Counter::ConnIgbps).sum::<u64>() as usize,
         serviced_last: last(Counter::ConnServiced).map(|n| n as usize).collect(),
         orphans_last: last(Counter::ConnOrphans).sum::<u64>() as usize,
         repartitions: outputs[0].metrics.get(Counter::LbRepartitions) as usize,
         np_final: r0.np_final.clone(),
-        rank_stats,
         trace,
         metrics,
         step_records: outputs.iter().map(|o| o.steps.clone()).collect(),
@@ -573,7 +514,6 @@ fn run_rank(
     let mut line_pool: VecPool<f64> = VecPool::new();
 
     let mut last_step_transform: Vec<Option<RigidTransform>> = vec![None; ngrids];
-    let mut phase_elapsed = [0.0f64; NUM_PHASES];
     // I(p) over the current balance window, read from the metrics registry
     // (the single source of truth for service load).
     let mut svc = ServiceWindow::begin(comm.metrics());
@@ -585,7 +525,6 @@ fn run_rank(
         // ---- Phase 1: flow solve -------------------------------------
         {
             let mut ph = comm.phase(Phase::Flow);
-            let t0 = ph.now();
             let mut mp = MpSolverComm {
                 comm: &mut ph,
                 halo_pool: &mut halo_pool,
@@ -595,13 +534,11 @@ fn run_rank(
                 step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut rb.scratch);
             }
             ph.barrier();
-            phase_elapsed[Phase::Flow as usize] += ph.now() - t0;
         }
 
         // ---- Phase 2: grid motion ------------------------------------
         {
             let mut ph = comm.phase(Phase::Motion);
-            let t0 = ph.now();
             for body in motions.iter_mut() {
                 // 6-DOF bodies: integrate aerodynamic loads over this rank's
                 // wall patches of the body's grids, then allreduce. Every rank
@@ -612,7 +549,7 @@ fn run_rank(
                     for rb in mine.iter().filter(|rb| body.grids.contains(&rb.block.grid_id)) {
                         let flops =
                             add_wall_loads(&rb.block, body.moment_reference(), &fc, &mut local);
-                        ph.compute(flops as f64, WorkClass::Other);
+                        ph.compute(flops, WorkClass::Other);
                     }
                     let [fx, fy, fz] = local.force;
                     let [mx, my, mz] = local.moment;
@@ -632,18 +569,16 @@ fn run_rank(
                 for rb in mine.iter_mut().filter(|rb| body.grids.contains(&rb.block.grid_id)) {
                     rb.note_motion(&t);
                     let bc_flops = move_block(&mut rb.block, &mut rb.wall, &t, &fc);
-                    ph.compute(bc_flops as f64, WorkClass::Other);
+                    ph.compute(bc_flops, WorkClass::Other);
                 }
-                ph.compute(500.0, WorkClass::Other);
+                ph.compute(500, WorkClass::Other);
             }
             ph.barrier();
-            phase_elapsed[Phase::Motion as usize] += ph.now() - t0;
         }
 
         // ---- Phase 3: domain connectivity ----------------------------
         {
             let mut ph = comm.phase(Phase::Connectivity);
-            let t0 = ph.now();
             {
                 let mut mp = MpSolverComm {
                     comm: &mut ph,
@@ -657,7 +592,6 @@ fn run_rank(
             conn.step(mine, &solids, &topo, &mut ph);
             svc.note_step();
             ph.barrier();
-            phase_elapsed[Phase::Connectivity as usize] += ph.now() - t0;
         }
 
         // ---- Phase 4: dynamic load balance check (Algorithm 2) -------
@@ -710,7 +644,7 @@ fn run_rank(
                 // live field points.
                 let (_, hole_flops) =
                     cut_holes_and_find_fringe(block, &solids, None, &mut ConnArena::new());
-                ph.compute(hole_flops as f64, WorkClass::Search);
+                ph.compute(hole_flops, WorkClass::Search);
                 // Restore the ALE grid velocities of a moving grid (the
                 // rebuilt block is at the current pose with zero velocity).
                 if let Some(t) = &last_step_transform[block.grid_id] {
@@ -726,7 +660,6 @@ fn run_rank(
             }
             svc.reset(ph.metrics());
             ph.barrier();
-            phase_elapsed[Phase::Balance as usize] += ph.now() - t0;
         }
 
         // Close the step for the flight recorder (reads counters only —
@@ -737,5 +670,5 @@ fn run_rank(
     let _ph = comm.phase(Phase::Other);
     let (state_sum_sq, state_count, states) =
         checksum(mine.iter().map(|rb| &rb.block), cfg.collect_state);
-    RankReturn { phase_elapsed, state_sum_sq, state_count, states, np_final: partition.np.clone() }
+    RankReturn { state_sum_sq, state_count, states, np_final: partition.np.clone() }
 }

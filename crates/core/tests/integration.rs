@@ -15,7 +15,7 @@ fn airfoil_runs_clean_on_many_rank_counts() {
         let r = run_case(&cfg, nranks, &modern()).unwrap();
         assert_eq!(r.orphans_last, 0, "orphans at {nranks} ranks");
         assert!(r.state_rms.is_finite() && r.state_rms > 0.0);
-        assert!(r.wall_time > 0.0);
+        assert!(r.summary.wall_time > 0.0);
         assert!(r.igbps_last > 0);
     }
 }
@@ -171,7 +171,7 @@ fn serial_collect_state_returns_every_field_node() {
 fn virtual_time_is_deterministic() {
     let a = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp2()).unwrap();
     let b = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp2()).unwrap();
-    assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
+    assert_eq!(a.summary.wall_time.to_bits(), b.summary.wall_time.to_bits());
     assert_eq!(a.state_rms.to_bits(), b.state_rms.to_bits());
     assert_eq!(a.serviced_last, b.serviced_last);
 }
@@ -180,7 +180,7 @@ fn virtual_time_is_deterministic() {
 fn faster_machine_is_faster_same_physics() {
     let sp2 = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp2()).unwrap();
     let sp = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp()).unwrap();
-    assert!(sp.wall_time < sp2.wall_time);
+    assert!(sp.summary.wall_time < sp2.summary.wall_time);
     assert_eq!(sp.state_rms.to_bits(), sp2.state_rms.to_bits());
 }
 

@@ -25,6 +25,10 @@
 //! moved by a few ulps, differences of later absolute times). Every donor
 //! is the one the chain picked — where cells apart hold a point the chain
 //! still picks — so state bits, orphans and IGBPs are untouched.
+//!
+//! The `other` clock is the start-up barrier. The runtime's phase timers
+//! always held it; since they are the run's only per-phase clock it is
+//! recorded here too, and the five phase clocks add up to the wall clock.
 
 use overflow_d::{airfoil_case, run_case, store_case, LbConfig, RunResult};
 use overset_comm::{Counter, MachineModel, Phase, TransportConfig, NUM_PHASES};
@@ -33,8 +37,10 @@ use overset_comm::{Counter, MachineModel, Phase, TransportConfig, NUM_PHASES};
 struct Recorded {
     state_rms: u64,
     wall_time: u64,
-    /// Flow, connectivity, motion (balance and other are zero).
+    /// Flow, connectivity, motion (balance is zero).
     phase_elapsed: [u64; 3],
+    /// Other: the start-up barrier.
+    other: u64,
     orphans_last: usize,
     igbps_last: usize,
 }
@@ -44,6 +50,7 @@ const AIRFOIL_6: Recorded = Recorded {
     state_rms: 0x400339a7d5334b83,
     wall_time: 0x3f6d939a53698e2e,
     phase_elapsed: [0x3f68893c827a86e1, 0x3f4198522b3df2fe, 0x3f12f58a29019ac8],
+    other: 0x3ed939e9aefb6dae,
     orphans_last: 0,
     igbps_last: 192,
 };
@@ -53,26 +60,31 @@ const STORE_18: Recorded = Recorded {
     state_rms: 0x400bc3623698b3d2,
     wall_time: 0x3f9ef2d570b1e822,
     phase_elapsed: [0x3f72573f818ccdda, 0x3f9a42adcc8b87a1, 0x3f17b3d81eb752e0],
+    other: 0x3ee51f5d23adc052,
     orphans_last: 0,
     igbps_last: 7394,
 };
 
 fn assert_matches_recorded(r: &RunResult, want: &Recorded, what: &str) {
     assert_eq!(r.state_rms.to_bits(), want.state_rms, "{what}: state {}", r.state_rms);
-    assert_eq!(r.wall_time.to_bits(), want.wall_time, "{what}: virtual time {}", r.wall_time);
+    let wall = r.summary.wall_time;
+    assert_eq!(wall.to_bits(), want.wall_time, "{what}: virtual time {wall}");
     for (p, (got, want)) in r.phase_elapsed.iter().zip(want.phase_elapsed).enumerate() {
         assert_eq!(got.to_bits(), want, "{what}: phase {p} time {got}");
     }
-    assert!(r.phase_elapsed[3..].iter().all(|&t| t == 0.0), "{what}: balance/other time");
+    assert_eq!(r.phase_elapsed[Phase::Balance as usize], 0.0, "{what}: balance time");
+    let other = r.phase_elapsed[Phase::Other as usize];
+    assert_eq!(other.to_bits(), want.other, "{what}: other time {other}");
     assert_eq!(r.orphans_last, want.orphans_last, "{what}: orphan census");
     assert_eq!(r.igbps_last, want.igbps_last, "{what}: fringe census");
     assert_records_sum_to_totals(r, what);
 }
 
-/// One tally: what the step records add up to is what the run's registry and
-/// allocation counters hold. The recorder's running totals start at zero, so
-/// whatever set-up counted before step 0 is step 0's; `other` alone keeps
-/// what a rank allocates after its last step (its return value).
+/// One tally: what the step records add up to is what the run's registry,
+/// flop totals and allocation counters hold, and the phase times add up to
+/// the wall clock. The recorder's running totals start at zero, so whatever
+/// set-up counted before step 0 is step 0's; `other` alone keeps what a rank
+/// allocates after its last step (its return value).
 fn assert_records_sum_to_totals(r: &RunResult, what: &str) {
     let records = || r.step_records.iter().flatten();
     for (rank, recs) in r.step_records.iter().enumerate() {
@@ -82,6 +94,13 @@ fn assert_records_sum_to_totals(r: &RunResult, what: &str) {
         let sum: u64 = records().map(|s| s.count(c)).sum();
         assert_eq!(sum, r.metrics.get(c), "{what}: step series of {} vs run total", c.name());
     }
+    for p in Phase::ALL {
+        let flops: u64 = records().map(|s| s.count(Counter::flops_in(p))).sum();
+        assert_eq!(flops as f64, r.summary.flops[p as usize], "{what}: {} flops", p.name());
+    }
+    let phases: f64 = r.phase_elapsed.iter().sum();
+    let wall = r.summary.wall_time;
+    assert!((phases - wall).abs() <= 1e-12 * wall, "{what}: phases {phases} vs wall {wall}");
     for p in 0..NUM_PHASES {
         let steps = (
             records().map(|s| s.allocs[p]).sum::<u64>(),

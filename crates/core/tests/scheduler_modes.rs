@@ -15,22 +15,18 @@ fn assert_scheduler_modes_agree(nranks: usize, workers: usize) {
     let one_to_one = run_case(&cfg, nranks, &machine).expect("1:1 run failed");
     cfg.max_threads = Some(workers);
     let mn = run_case(&cfg, nranks, &machine).expect("M:N run failed");
-    assert_eq!(one_to_one.wall_time.to_bits(), mn.wall_time.to_bits());
+    assert_eq!(one_to_one.summary.wall_time.to_bits(), mn.summary.wall_time.to_bits());
     assert_eq!(one_to_one.state_rms.to_bits(), mn.state_rms.to_bits());
     assert_eq!(one_to_one.serviced_last, mn.serviced_last);
     assert_eq!(one_to_one.orphans_last, mn.orphans_last);
     assert_eq!(one_to_one.np_final, mn.np_final);
-    for (a, b) in one_to_one.rank_stats.iter().zip(&mn.rank_stats) {
-        assert_eq!(
-            a.final_clock.to_bits(),
-            b.final_clock.to_bits(),
-            "rank {} clock differs between scheduler modes",
-            a.rank
-        );
-    }
-    // Every rank's every counter, step by step (messages, bytes and
-    // collectives among them).
+    // Every rank's clock and every counter, step by step (flops, messages,
+    // bytes and collectives among them).
     for (rank, (a, b)) in one_to_one.step_records.iter().zip(&mn.step_records).enumerate() {
+        assert!(
+            a.iter().map(|r| r.clock.to_bits()).eq(b.iter().map(|r| r.clock.to_bits())),
+            "rank {rank} clock differs between scheduler modes"
+        );
         assert!(
             a.iter().map(|r| r.counts).eq(b.iter().map(|r| r.counts)),
             "rank {rank} counters differ between scheduler modes"
@@ -65,8 +61,8 @@ fn store_case_512_virtual_ranks_on_8_threads() {
     cfg.max_threads = Some(8);
     let r = run_case(&cfg, 512, &machine).expect("512-rank M:N run failed");
     assert_eq!(r.nranks, 512);
-    assert_eq!(r.rank_stats.len(), 512);
-    assert!(r.wall_time > 0.0);
+    assert_eq!(r.step_records.len(), 512);
+    assert!(r.summary.wall_time > 0.0);
     assert!(r.state_rms.is_finite() && r.state_rms > 0.0);
 }
 

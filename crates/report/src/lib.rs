@@ -117,13 +117,13 @@ fn series_value(s: &StepSeries) -> Value {
 
 fn summary_value(r: &RunResult, series: &[StepSeries]) -> Value {
     let mut pairs: Vec<(String, Value)> = vec![
-        ("wall_time".into(), Value::Num(r.wall_time)),
+        ("wall_time".into(), Value::Num(r.summary.wall_time)),
         ("time_per_step".into(), Value::Num(r.time_per_step())),
         ("mflops_per_node".into(), Value::Num(r.mflops_per_node())),
         ("connectivity_fraction".into(), Value::Num(r.connectivity_fraction())),
     ];
     for p in Phase::ALL {
-        pairs.push((phase_key(p), Value::Num(r.summary.phase_time(p))));
+        pairs.push((phase_key(p), Value::Num(r.phase_elapsed[p as usize])));
     }
     let f_max_peak = series.iter().map(|s| s.f_max).fold(0.0f64, f64::max).max(r.f_max());
     pairs.extend([

@@ -8,9 +8,10 @@
 # wall-clock `host` section is not compared. Exit codes: 0 identical,
 # 1 a difference, 2 usage/IO error.
 #
-#   BENCH_UPDATE=1  rewrite the baseline instead of comparing (use when a
-#                   PR intentionally moves a deterministic value; commit
-#                   the result with the change)
+#   BENCH_UPDATE=1  rewrite the baseline instead of failing (use when a PR
+#                   intentionally moves a deterministic value; commit the
+#                   result with the change). The differing paths are printed
+#                   first, so the re-baseline's log says what moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,19 +26,17 @@ if [[ ! -f "$BASELINE" ]]; then
     exit 0
 fi
 
-if [[ "${BENCH_UPDATE:-0}" == "1" ]]; then
-    echo "== bench gate: rewriting baseline $BASELINE (BENCH_UPDATE=1) =="
-    ./target/release/repro report table1 --quick -o "$BASELINE"
-    echo "Baseline updated; commit $BASELINE with the change that moved it."
-    exit 0
-fi
-
 NEW="$(mktemp /tmp/BENCH_quick.XXXXXX.json)"
 trap 'rm -f "$NEW"' EXIT
 echo "== bench gate: quick report vs $BASELINE (exact) =="
 ./target/release/repro report table1 --quick -o "$NEW"
 RC=0
 ./target/release/repro compare "$BASELINE" "$NEW" || RC=$?
+if [[ "${BENCH_UPDATE:-0}" == "1" ]]; then
+    cp "$NEW" "$BASELINE"
+    echo "Baseline $BASELINE rewritten (BENCH_UPDATE=1); commit it with the change that moved it."
+    exit 0
+fi
 if [[ "$RC" == "1" ]]; then
     echo "intentional? \`BENCH_UPDATE=1 scripts/bench_gate.sh\` and commit $BASELINE with the change"
 fi
