@@ -73,6 +73,7 @@ pub struct AdaptiveScheme {
     near_scratch: Scratch,
     pub bricks: Vec<Brick>,
     pub blocks: Vec<Block>,
+    /// One flow workspace per processor group, shared by its bricks.
     scratches: Vec<Scratch>,
     pub grouping: Grouping,
     /// O(1) Cartesian locates performed in the last connectivity pass.
@@ -99,8 +100,9 @@ impl AdaptiveScheme {
                 cfg.offbody.max_level,
             ),
         );
-        let (blocks, scratches) = build_brick_blocks(&cfg, &bricks, None);
+        let blocks = build_brick_blocks(&cfg, &bricks, None);
         let grouping = regroup(&cfg, &bricks);
+        let scratches = grouping.members.iter().map(|_| Scratch::default()).collect();
         AdaptiveScheme {
             cfg,
             body_center,
@@ -123,41 +125,22 @@ impl AdaptiveScheme {
         step_block(&mut self.near, &fc, None, &mut SerialComm, &mut self.near_scratch);
 
         // Off-body: one thread per group (the paper's coarse-grain
-        // level); blocks within a group run sequentially on that node.
-        let members: Vec<Vec<usize>> = self.grouping.members.clone();
-        let mut slots: Vec<Option<(Block, Scratch)>> =
-            self.blocks.drain(..).zip(self.scratches.drain(..)).map(Some).collect();
-        let mut per_group: Vec<Vec<(usize, Block, Scratch)>> = members
-            .iter()
-            .map(|m| {
-                m.iter()
-                    .map(|&bi| {
-                        let (b, s) = slots[bi].take().expect("brick in one group");
-                        (bi, b, s)
-                    })
-                    .collect()
-            })
-            .collect();
+        // level); blocks within a group run one after the other on that
+        // node, through the group's workspace.
+        let mut per_group: Vec<Vec<&mut Block>> =
+            self.grouping.members.iter().map(|_| Vec::new()).collect();
+        for (block, &g) in self.blocks.iter_mut().zip(&self.grouping.group_of_grid) {
+            per_group[g].push(block);
+        }
         std::thread::scope(|s| {
-            for group in per_group.iter_mut() {
-                s.spawn(|| {
-                    for (_, block, scratch) in group.iter_mut() {
+            for (group, scratch) in per_group.into_iter().zip(self.scratches.iter_mut()) {
+                s.spawn(move || {
+                    for block in group {
                         step_block(block, &fc, None, &mut SerialComm, scratch);
                     }
                 });
             }
         });
-        let n = slots.len();
-        let mut blocks: Vec<Option<Block>> = (0..n).map(|_| None).collect();
-        let mut scratches: Vec<Option<Scratch>> = (0..n).map(|_| None).collect();
-        for group in per_group {
-            for (bi, b, s) in group {
-                blocks[bi] = Some(b);
-                scratches[bi] = Some(s);
-            }
-        }
-        self.blocks = blocks.into_iter().map(|b| b.unwrap()).collect();
-        self.scratches = scratches.into_iter().map(|s| s.unwrap()).collect();
 
         self.connectivity();
     }
@@ -289,10 +272,8 @@ impl AdaptiveScheme {
         let fs = self.cfg.fc.freestream();
         let (new_bricks, new_states, stats) =
             adapt_cycle(&self.cfg.offbody, &self.bricks, &states, &oracle, fs);
-        let (blocks, scratches) = build_brick_blocks(&self.cfg, &new_bricks, Some(&new_states));
+        self.blocks = build_brick_blocks(&self.cfg, &new_bricks, Some(&new_states));
         self.bricks = new_bricks;
-        self.blocks = blocks;
-        self.scratches = scratches;
         self.grouping = regroup(&self.cfg, &self.bricks);
         self.connectivity();
         stats
@@ -347,10 +328,9 @@ fn build_brick_blocks(
     cfg: &SchemeConfig,
     bricks: &[Brick],
     states: Option<&[StateField]>,
-) -> (Vec<Block>, Vec<Scratch>) {
+) -> Vec<Block> {
     let domain = cfg.offbody.domain;
     let mut blocks = Vec::with_capacity(bricks.len());
-    let mut scratches = Vec::with_capacity(bricks.len());
     for (bi, brick) in bricks.iter().enumerate() {
         let mut g = brick.grid.to_curvilinear(format!("brick-{bi}"));
         // Faces on the domain boundary are far-field; interior faces are
@@ -382,10 +362,9 @@ fn build_brick_blocks(
                 block.q.set_node(l, *s.node(p));
             }
         }
-        scratches.push(Scratch::for_block(&block));
         blocks.push(block);
     }
-    (blocks, scratches)
+    blocks
 }
 
 fn regroup(cfg: &SchemeConfig, bricks: &[Brick]) -> Grouping {
@@ -414,6 +393,18 @@ mod tests {
         assert!(r.level_hist.len() >= 2, "hist {:?}", r.level_hist);
         assert!(r.nearbody_points > 0);
         assert!(r.group_imbalance >= 1.0);
+    }
+
+    #[test]
+    fn a_group_steps_its_bricks_through_one_workspace() {
+        let mut s = small_scheme();
+        let groups = s.grouping.members.len();
+        assert!(groups < s.blocks.len(), "{groups} groups of {} bricks", s.blocks.len());
+        assert_eq!(s.scratches.len(), groups);
+        s.step();
+        s.move_and_adapt(&RigidTransform::translation([1.0, 0.0, 0.0]));
+        s.step();
+        assert_eq!(s.scratches.len(), groups, "{} bricks", s.blocks.len());
     }
 
     #[test]

@@ -515,6 +515,26 @@ fn serial_connectivity(c: &mut Criterion) {
     }
 }
 
+/// The set-up layer: the 16 whole-grid blocks of the store ×0.55 system
+/// through `build_block` (what the `store_serial` workload builds before its
+/// first step), and one whole 3-D block's metric refresh — the finest
+/// background grid's, the largest of them — which the motion phase runs on
+/// every moving block every step.
+fn setup_kernels(c: &mut Criterion) {
+    let cfg = store_case(0.55, 1);
+    let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+    let whole = Partition::build(&dims, &vec![1; dims.len()]);
+    let unmoved = vec![RigidTransform::IDENTITY; dims.len()];
+    let build = |g: usize| build_block(g, &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+    c.bench_function("setup/build_blocks_store_serial", |b| {
+        b.iter(|| (0..dims.len()).map(build).collect::<Vec<_>>())
+    });
+    let bg_fine = cfg.grids.iter().position(|g| g.name == "bg-fine").unwrap();
+    let (mut block, _) = build(bg_fine);
+    assert!(!block.two_d);
+    c.bench_function("grid/metrics_into_bg_fine", |b| b.iter(|| block.recompute_metrics()));
+}
+
 fn balance_kernels(c: &mut Criterion) {
     let sizes: Vec<usize> = (0..16).map(|i| 20_000 + i * 3_137).collect();
     c.bench_function("balance/static_algorithm1_16_grids", |b| {
@@ -608,6 +628,7 @@ criterion_group!(
     connectivity_kernels,
     inverse_map_kernels,
     serial_connectivity,
+    setup_kernels,
     balance_kernels,
     comm_kernels,
     distributed_connectivity

@@ -1,9 +1,9 @@
 //! What a rank keeps between timesteps, and the DCF3D step itself.
 //!
-//! A rank owns a list of [`RankBlock`]s — each a block with its flow-solver
-//! companions, its inverse map and the map's lifecycle ([`MapSlot`]) and its
-//! restart donor cache — and one [`Connectivity`] (the [`ConnArena`] with
-//! the lane ISA). [`Connectivity::step`] is the paper's per-timestep
+//! A rank owns a list of [`RankBlock`]s — each a block with its wall
+//! geometry, its inverse map and the map's lifecycle ([`MapSlot`]) and its
+//! restart donor cache — one [`Connectivity`] (the [`ConnArena`] with the
+//! lane ISA) and one flow workspace for all of its blocks. [`Connectivity::step`] is the paper's per-timestep
 //! sequence over that list: map refresh → hole cut / IGBP identification →
 //! donor search and interpolation. It charges its work to the caller's
 //! [`Comm`] and emits the `conn.*` counters and `conn/*` spans; the driver
@@ -17,7 +17,7 @@ use overset_comm::metrics::Counter;
 use overset_comm::{Comm, MetricsRegistry, WorkClass};
 use overset_grid::curvilinear::Solid;
 use overset_grid::{Ijk, RigidTransform};
-use overset_solver::{select_isa, Block, Scratch, WallGeometry};
+use overset_solver::{select_isa, Block, WallGeometry};
 
 /// One block's inverse map and its lifecycle: built lazily, kept across
 /// steps, brought up to date only after the block moved, dropped when the
@@ -93,8 +93,9 @@ impl MapSlot {
 }
 
 /// One block of a rank and everything the rank keeps for it between
-/// steps. The flow solver's per-block companions ride along so that a rank
-/// is one list, not five.
+/// steps, so that a rank is one list, not four. The flow workspace is not
+/// among them: blocks are stepped one after the other, and the rank keeps
+/// one for all of them.
 pub struct RankBlock {
     /// The block's id in the partition: its subdomain. Search hierarchies
     /// resolve to ids, donor caches and the routing table name blocks by id.
@@ -102,8 +103,6 @@ pub struct RankBlock {
     pub block: Block,
     /// Wall geometry, when the block's grid has a wall (turbulence model).
     pub wall: Option<WallGeometry>,
-    /// The flow solver's scratch for this block.
-    pub scratch: Scratch,
     pub(crate) slot: MapSlot,
     pub(crate) cache: DonorCache,
     /// This step's IGBPs, between the hole cut and the end of the search.
@@ -119,7 +118,6 @@ impl RankBlock {
     pub fn new(id: usize, block: Block, wall: Option<WallGeometry>) -> Self {
         RankBlock {
             id,
-            scratch: Scratch::for_block(&block),
             block,
             wall,
             slot: MapSlot::default(),
@@ -147,7 +145,6 @@ impl RankBlock {
     ) {
         self.block = block;
         self.wall = wall;
-        self.scratch = Scratch::for_block(&self.block);
         self.slot.invalidate();
         self.cache.remap_blocks(owner);
     }

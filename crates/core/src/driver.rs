@@ -22,7 +22,7 @@ use overset_grid::transform::RigidTransform;
 use overset_grid::{Dims, Ijk};
 use overset_motion::{BodyMotion, Loads};
 use overset_solver::bc::apply_bcs;
-use overset_solver::{step_block, Blank, Block, FlowConditions, SolverComm, WallGeometry};
+use overset_solver::{step_block, Blank, Block, FlowConditions, Scratch, SolverComm, WallGeometry};
 
 /// Load-balance configuration: the user-specified factor `f_o` and how often
 /// the dynamic scheme checks the measured service loads (Algorithm 2's
@@ -512,6 +512,9 @@ fn run_rank(
     // connectivity arena: kept for the whole run.
     let mut halo_pool: VecPool<f64> = VecPool::new();
     let mut line_pool: VecPool<f64> = VecPool::new();
+    // One flow workspace for every block of the rank, which it steps one
+    // after the other: it grows to the largest.
+    let mut scratch = Scratch::default();
 
     let mut last_step_transform: Vec<Option<RigidTransform>> = vec![None; ngrids];
     // I(p) over the current balance window, read from the metrics registry
@@ -531,7 +534,7 @@ fn run_rank(
                 line_pool: &mut line_pool,
             };
             for rb in mine.iter_mut() {
-                step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut rb.scratch);
+                step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut scratch);
             }
             ph.barrier();
         }
@@ -637,6 +640,11 @@ fn run_rank(
                         Ijk::new(cell.i.min(d.ni - 1), cell.j.min(d.nj - 1), cell.k.min(d.nk - 1));
                     partition.owner_of(grid, clamped)
                 });
+                // The rank's block changed size. Kept, the workspace would
+                // hold the old block's surplus for the rest of the run (store
+                // ×0.55 on 18 ranks: +8 MiB peak RSS); the next step grows
+                // one for the new block.
+                scratch = Scratch::default();
                 let block = &mut rb.block;
                 ph.set_working_set(block.working_set_bytes());
                 // Restore blanking on the new block immediately: the next

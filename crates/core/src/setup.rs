@@ -6,6 +6,7 @@ use overset_balance::Partition;
 use overset_comm::OversetError;
 use overset_connectivity::Topology;
 use overset_grid::curvilinear::{BcKind, CurvilinearGrid, Face};
+use overset_grid::field::NVAR;
 use overset_grid::transform::RigidTransform;
 use overset_solver::bc::apply_bcs;
 use overset_solver::conditions::conservatives;
@@ -79,11 +80,8 @@ pub fn build_block(
         )));
     }
     let neighbors = partition.neighbors_of(rank, grid.periodic_i);
-    let mut block = Block::from_grid(a.grid, grid, a.boxx, neighbors, fc);
     let t = &cumulative[a.grid];
-    if !t.is_identity() {
-        block.set_geometry_transform(t);
-    }
+    let mut block = Block::from_grid_posed(a.grid, grid, a.boxx, neighbors, fc, t);
     let wall = match grid.patch_on(Face::JMin) {
         Some(BcKind::Wall { .. }) => {
             let mut w = WallGeometry::from_grid(grid, a.boxx);
@@ -120,21 +118,25 @@ fn apply_boundary_layer_profile(
     let q_inf = fc.freestream();
     let u_inf = [q_inf[1] / q_inf[0], q_inf[2] / q_inf[0], q_inf[3] / q_inf[0]];
     let p_inf = overset_solver::conditions::pressure(&q_inf);
-    let dims = block.local_dims;
-    for p in dims.iter().collect::<Vec<_>>() {
-        // Wall point of this node's (i, k) column (clamped into the owned
-        // column range for halo nodes).
-        let gi = p.i.saturating_sub(block.halo[0]).min(w.ni - 1);
-        let gk = p.k.saturating_sub(block.halo[2]).min(w.nk - 1);
-        let wp = w.wall_xyz[gi + w.ni * gk];
-        // Column-local layer thickness: the profile must not depend on the
-        // domain decomposition (a rank-averaged δ would).
-        let delta = (0.08 * w.delta_col[gi + w.ni * gk]).max(1e-12);
-        let x = block.coords[p];
-        let d = ((x[0] - wp[0]).powi(2) + (x[1] - wp[1]).powi(2) + (x[2] - wp[2]).powi(2)).sqrt();
-        let f = (d / delta).tanh();
-        let vel = [u_inf[0] * f, u_inf[1] * f, u_inf[2] * f];
-        block.q.set_node(p, conservatives(&[q_inf[0], vel[0], vel[1], vel[2], p_inf]));
+    let ni = block.local_dims.ni;
+    let rows = block.coords.as_slice().chunks_exact(ni);
+    let rows = rows.zip(block.q.as_mut_slice().chunks_exact_mut(ni * NVAR));
+    for (r, (x, q)) in rows.enumerate() {
+        // The row's k; its nodes' wall points lie in the row of (i, k)
+        // columns (clamped into the owned column range for halo nodes).
+        let gk = (r / block.local_dims.nj).saturating_sub(block.halo[2]).min(w.nk - 1);
+        for (i, (x, q)) in x.iter().zip(q.chunks_exact_mut(NVAR)).enumerate() {
+            let col = i.saturating_sub(block.halo[0]).min(w.ni - 1) + w.ni * gk;
+            let wp = w.wall_xyz[col];
+            // Column-local layer thickness: the profile must not depend on
+            // the domain decomposition (a rank-averaged δ would).
+            let delta = (0.08 * w.delta_col[col]).max(1e-12);
+            let d =
+                ((x[0] - wp[0]).powi(2) + (x[1] - wp[1]).powi(2) + (x[2] - wp[2]).powi(2)).sqrt();
+            let f = (d / delta).tanh();
+            let vel = [u_inf[0] * f, u_inf[1] * f, u_inf[2] * f];
+            q.copy_from_slice(&conservatives(&[q_inf[0], vel[0], vel[1], vel[2], p_inf]));
+        }
     }
 }
 
@@ -200,6 +202,39 @@ mod tests {
         assert!(bb.center()[0] > 4.0, "block not translated: {:?}", bb.center());
         let w = wall.unwrap();
         assert!(w.wall_xyz.iter().all(|p| p[0] > 3.0));
+    }
+
+    /// The inert-metric fallback of `Block::recompute_metrics` fires on no
+    /// node of the store ×0.55 system (serial, P = 18, P = 256) or of the
+    /// airfoil ×1.0 system (serial, P = 6): every halo node past a physical
+    /// edge is extrapolated, and no grid collapses a face onto itself.
+    #[test]
+    fn no_block_of_the_benchmark_systems_needs_the_inert_metric() {
+        use crate::driver::grid_min_widths;
+        use overset_balance::fit_np_to_dims_min;
+        for (cfg, ranks) in [
+            (crate::store_case(0.55, 1), &[1, 18, 256][..]),
+            (crate::airfoil_case(1.0, 1), &[1, 6]),
+        ] {
+            let sizes: Vec<usize> = cfg.grids.iter().map(|g| g.num_points()).collect();
+            let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
+            let unmoved = vec![RigidTransform::IDENTITY; dims.len()];
+            for &p in ranks {
+                let np = if p == 1 {
+                    vec![1; dims.len()]
+                } else {
+                    let np = overset_balance::static_balance(&sizes, p).unwrap().np;
+                    fit_np_to_dims_min(&sizes, &dims, &np, &grid_min_widths(&cfg.grids)).unwrap()
+                };
+                let partition = Partition::build(&dims, &np);
+                for b in 0..partition.nranks() {
+                    let (mut block, _) =
+                        build_block(b, &partition, &cfg.grids, &unmoved, &cfg.fc).unwrap();
+                    let inert = block.recompute_metrics();
+                    assert_eq!(inert, 0, "{} on {p}: block {b}", cfg.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! solver, connectivity, motion, driver.
 
 use overflow_d::{airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, LbConfig};
-use overset_comm::MachineModel;
+use overset_comm::{MachineModel, Phase};
 
 fn modern() -> MachineModel {
     MachineModel::modern()
@@ -54,6 +54,26 @@ fn parallel_matches_serial_physics() {
             ser.state_rms
         );
     }
+}
+
+/// A rank steps all of its blocks through one flow workspace. In a serial
+/// run of the store system (16 whole grids on one rank) the bytes the flow
+/// phase allocates and keeps are the largest block's workspace — 37.5
+/// doubles per node of the largest grid; 48 bound it — and not the sum over
+/// the blocks, 3.4 times as much here (127 per node of the largest grid).
+#[test]
+fn a_serial_rank_keeps_one_flow_workspace() {
+    let cfg = store_case(0.3, 2);
+    let r = run_case_serial(&cfg, &modern()).unwrap();
+    let flow = &r.alloc_by_rank[0];
+    let live = flow.bytes[Phase::Flow as usize] - flow.freed_bytes[Phase::Flow as usize];
+    let largest = cfg.grids.iter().map(|g| g.num_points()).max().unwrap();
+    let per_node = live as f64 / (8 * largest) as f64;
+    let summed = live as f64 / (8 * cfg.total_points()) as f64;
+    assert!(
+        per_node <= 48.0,
+        "{live} B live: {per_node:.1} doubles per node of the largest block, {summed:.1} of all"
+    );
 }
 
 /// A single-processor run counts its orphans where it reports them: the last

@@ -40,6 +40,12 @@ impl<T: Clone> Field3<T> {
 }
 
 impl<T> Field3<T> {
+    /// The field of `dims` over `data`, given in `i`-fastest layout.
+    pub fn from_vec(dims: Dims, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), dims.count(), "{} values for {dims:?}", data.len());
+        Self { dims, data }
+    }
+
     #[inline]
     pub fn dims(&self) -> Dims {
         self.dims

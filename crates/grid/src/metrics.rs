@@ -25,6 +25,10 @@ pub struct Metric {
 }
 
 impl Metric {
+    /// Zero gradients and a unit Jacobian: what [`metrics_into`] leaves at a
+    /// node whose coordinates give no finite Jacobian.
+    pub const INERT: Metric = Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 };
+
     pub fn grad(&self, dir: usize) -> [f64; 3] {
         match dir {
             0 => self.xi,
@@ -96,40 +100,109 @@ pub fn metric_at(g: &CurvilinearGrid, p: Ijk) -> Metric {
     metric_from_derivs(coord_deriv(g, p, 0), coord_deriv(g, p, 1), coord_deriv(g, p, 2))
 }
 
+/// How a row of nodes differences its coordinates along `j` or `k`: the
+/// same for every node of the row, so decided once per row.
+#[derive(Clone, Copy)]
+enum RowDiff {
+    /// A flat axis (one node): the unit out-of-plane vector.
+    Flat,
+    /// `x[at + up] - x[at - down]`: one-sided at an end (one offset is 0).
+    Sided { up: usize, down: usize },
+    /// `(x[at + s] - x[at - s]) / 2`.
+    Central(usize),
+}
+
+impl RowDiff {
+    /// The difference at coordinate `c` of an axis of `n` nodes, stride `s`.
+    fn at(c: usize, n: usize, s: usize) -> RowDiff {
+        if n == 1 {
+            RowDiff::Flat
+        } else if c == 0 {
+            RowDiff::Sided { up: s, down: 0 }
+        } else if c == n - 1 {
+            RowDiff::Sided { up: 0, down: s }
+        } else {
+            RowDiff::Central(s)
+        }
+    }
+
+    #[inline(always)]
+    fn eval(self, x: &[[f64; 3]], at: usize) -> [f64; 3] {
+        match self {
+            RowDiff::Flat => [0.0, 0.0, 1.0],
+            RowDiff::Sided { up, down } => sub(x[at + up], x[at - down]),
+            RowDiff::Central(s) => scale(sub(x[at + s], x[at - s]), 0.5),
+        }
+    }
+}
+
 /// Metric terms at every node of a non-periodic coordinate field, written
 /// over `out` (same dimensions): node for node what [`metric_at`] returns on
 /// a grid of these coordinates, to the bit — the same differences in the
-/// same order, read through strides instead of a per-node index closure, so
-/// a moved block refreshes its metrics without copying its coordinates.
-pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) {
+/// same order — except that a node whose Jacobian is not finite gets
+/// [`Metric::INERT`]. Returns how many nodes did. The `j` and `k`
+/// differences are chosen once per row and the `i` ends peeled off it, so
+/// the row's interior runs without a branch.
+pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) -> usize {
     let d = coords.dims();
     assert_eq!(out.dims(), d, "metric field of another block");
     let x = coords.as_slice();
-    let n = [d.ni, d.nj, d.nk];
-    let stride = [1, d.ni, d.ni * d.nj];
-    // One-sided at the ends, central inside, the unit normal on a flat axis.
-    let deriv = |at: usize, c: usize, dir: usize| -> [f64; 3] {
-        let (n, s) = (n[dir], stride[dir]);
-        if n == 1 {
-            [0.0, 0.0, 1.0]
-        } else if c == 0 {
-            sub(x[at + s], x[at])
-        } else if c == n - 1 {
-            sub(x[at], x[at - s])
-        } else {
-            scale(sub(x[at + s], x[at - s]), 0.5)
-        }
-    };
-    let mut at = 0;
     let m = out.as_mut_slice();
+    let mut inert = 0;
     for k in 0..d.nk {
+        let dk = RowDiff::at(k, d.nk, d.ni * d.nj);
         for j in 0..d.nj {
-            for i in 0..d.ni {
-                m[at] = metric_from_derivs(deriv(at, i, 0), deriv(at, j, 1), deriv(at, k, 2));
-                at += 1;
-            }
+            let dj = RowDiff::at(j, d.nj, d.ni);
+            let row = d.ni * (j + d.nj * k);
+            inert += match (dj, dk) {
+                (RowDiff::Central(sj), RowDiff::Central(sk)) => metric_row(x, m, row, d.ni, |at| {
+                    (
+                        scale(sub(x[at + sj], x[at - sj]), 0.5),
+                        scale(sub(x[at + sk], x[at - sk]), 0.5),
+                    )
+                }),
+                (RowDiff::Central(sj), RowDiff::Flat) => metric_row(x, m, row, d.ni, |at| {
+                    (scale(sub(x[at + sj], x[at - sj]), 0.5), [0.0, 0.0, 1.0])
+                }),
+                _ => metric_row(x, m, row, d.ni, |at| (dj.eval(x, at), dk.eval(x, at))),
+            };
         }
     }
+    inert
+}
+
+/// The metrics of the row of `ni` nodes starting at `row`, `eta_zeta`
+/// giving a node's `j` and `k` differences; returns the number of nodes
+/// left [`Metric::INERT`].
+#[inline(always)]
+fn metric_row(
+    x: &[[f64; 3]],
+    m: &mut [Metric],
+    row: usize,
+    ni: usize,
+    eta_zeta: impl Fn(usize) -> ([f64; 3], [f64; 3]),
+) -> usize {
+    let mut inert = 0;
+    let mut put = |at: usize, x_xi: [f64; 3]| {
+        let (x_eta, x_zeta) = eta_zeta(at);
+        let mut metric = metric_from_derivs(x_xi, x_eta, x_zeta);
+        if !metric.jac.is_finite() {
+            metric = Metric::INERT;
+            inert += 1;
+        }
+        m[at] = metric;
+    };
+    if ni == 1 {
+        put(row, [0.0, 0.0, 1.0]);
+        return inert;
+    }
+    let last = row + ni - 1;
+    put(row, sub(x[row + 1], x[row]));
+    for at in row + 1..last {
+        put(at, scale(sub(x[at + 1], x[at - 1]), 0.5));
+    }
+    put(last, sub(x[last], x[last - 1]));
+    inert
 }
 
 /// Metric terms from the coordinate derivatives along ξ, η, ζ.
@@ -142,8 +215,9 @@ fn metric_from_derivs(x_xi: [f64; 3], x_eta: [f64; 3], x_zeta: [f64; 3]) -> Metr
         x_eta[0] * x_zeta[1] - x_eta[1] * x_zeta[0],
     ];
     let jac = x_xi[0] * cx[0] + x_xi[1] * cx[1] + x_xi[2] * cx[2];
-    // Degenerate nodes (e.g. clamped halo geometry at a physical boundary)
-    // yield J = 0; report NaN so callers can detect and handle it.
+    // Degenerate nodes (coincident neighbours, a single-node axis other
+    // than the flat ζ of a 2-D grid) yield J = 0; report NaN so callers can
+    // detect and handle it.
     if jac == 0.0 {
         let nan = f64::NAN;
         return Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: nan };

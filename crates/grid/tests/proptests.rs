@@ -4,7 +4,7 @@
 use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
 use overset_grid::decomp::lattice_split;
 use overset_grid::field::Field3;
-use overset_grid::metrics::{compute_metrics, total_volume};
+use overset_grid::metrics::{compute_metrics, metric_at, metrics_into, total_volume, Metric};
 use overset_grid::transform::{Quat, RigidTransform};
 use overset_grid::{Aabb, Dims};
 use proptest::prelude::*;
@@ -125,5 +125,78 @@ proptest! {
         }
         // Inflation is monotone.
         prop_assert!(a.inflate(0.5).contains(a.min));
+    }
+}
+
+/// A random curvilinear field of `d` from `seed`: a sheared, stretched box
+/// whose every node is jittered by up to a fifth of a cell — or, with
+/// `wrap`, the halo-wrapped coordinates of a self-wrapping O-grid block: an
+/// annulus of period `d.ni - 5` (its grid's node `ni - 1` duplicates node 0)
+/// whose `i` runs two nodes past the seam on either side, every wrapped
+/// node a bit-exact copy of the node it mirrors.
+fn random_field(d: Dims, seed: u64, wrap: bool) -> Field3<[f64; 3]> {
+    let jitter = |n: [usize; 3], c: u64| {
+        let mut h =
+            seed ^ ((n[0] as u64) << 40) ^ ((n[1] as u64) << 20) ^ (n[2] as u64) ^ (c << 58);
+        h = (h ^ (h >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h = (h ^ (h >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        0.2 * ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
+    };
+    Field3::from_fn(d, |p| {
+        let (j, k) = (p.j as f64, p.k as f64);
+        if wrap {
+            let period = d.ni - 5;
+            let i = (p.i as isize - 2).rem_euclid(period as isize) as usize;
+            let th = -2.0 * std::f64::consts::PI * i as f64 / period as f64;
+            let n = [i, p.j, p.k];
+            let r = 1.0 + 0.3 * (j + jitter(n, 0));
+            [r * th.cos(), r * th.sin(), 0.2 * (k + jitter(n, 1))]
+        } else {
+            let n = [p.i, p.j, p.k];
+            let (i, j, k) = (p.i as f64 + jitter(n, 0), j + jitter(n, 1), k + jitter(n, 2));
+            [0.2 * i + 0.05 * j, 0.1 * j * (1.0 + 0.1 * j) + 0.03 * k, 0.3 * k + 0.02 * i]
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `metrics_into` (row-hoisted) equals `metric_at` (per node, through
+    /// the grid's index closure) on every node to the bit, `Metric::INERT`
+    /// standing in for a non-finite Jacobian on both sides, and counts those
+    /// nodes: random 3-D and 2-D (`nk = 1`) fields with 1–4 nodes along an
+    /// axis as often as more, and the halo-wrapped coordinates of a
+    /// self-wrapping O-grid block.
+    #[test]
+    fn row_metrics_bit_equal_per_node_metrics(
+        seed in 1u64..(1 << 60),
+        n in prop::array::uniform3(0usize..12),
+        shape in 0usize..3,
+    ) {
+        let axis = |x: usize| if x < 6 { 1 + x % 4 } else { x - 1 };
+        let d = match shape {
+            0 => Dims::new(axis(n[0]), axis(n[1]), axis(n[2])),
+            1 => Dims::new(axis(n[0]), axis(n[1]), 1),
+            _ => Dims::new(8 + n[0], 2 + n[1] % 6, 1 + n[2] % 5),
+        };
+        let coords = random_field(d, seed, shape == 2);
+        let mut got = Field3::new(d, Metric::INERT);
+        let inert = metrics_into(&coords, &mut got);
+        let grid = CurvilinearGrid::new("random", coords, GridKind::NearBody);
+        let mut want_inert = 0;
+        for p in d.iter() {
+            let mut want = metric_at(&grid, p);
+            if !want.jac.is_finite() {
+                want = Metric::INERT;
+                want_inert += 1;
+            }
+            let bits = |m: &Metric| {
+                let v = [m.xi, m.eta, m.zeta, [m.jac; 3]];
+                v.map(|t| t.map(f64::to_bits))
+            };
+            prop_assert_eq!(bits(&got[p]), bits(&want), "{:?} of {:?}", p, d);
+        }
+        prop_assert_eq!(inert, want_inert);
     }
 }

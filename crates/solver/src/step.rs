@@ -10,7 +10,10 @@ use crate::rhs::compute_residual;
 use crate::turbulence::{compute_mu_t, WallGeometry};
 use overset_grid::field::NVAR;
 
-/// Reusable scratch for stepping (avoids per-step allocation).
+/// Reusable scratch for stepping (avoids per-step allocation). One serves
+/// any number of blocks stepped one after the other: a rank keeps one for
+/// all of its blocks, and its buffers grow to the largest.
+#[derive(Default)]
 pub struct Scratch {
     /// The flow workspace — the increment from residual to update, the
     /// residual's node cache, the line sweeps' buffers — plus the kernel ISA
@@ -22,7 +25,7 @@ impl Scratch {
     /// Scratch for stepping `block`; its buffers are sized by the first
     /// step.
     pub fn for_block(_block: &Block) -> Scratch {
-        Scratch { sweep: SweepScratch::default() }
+        Scratch::default()
     }
 }
 

@@ -26,8 +26,11 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
-echo "== solver bit-equality proptests (kernels vs scalar references, step vs reference step, row copies vs per-node copies): release, 256 cases each =="
+echo "== solver bit-equality proptests (kernels vs scalar references, step vs reference step, row copies vs per-node copies, block construction vs its per-node reference): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-solver -- bit_equal
+
+echo "== grid bit-equality proptest (row-hoisted metrics vs per-node metric_at): release, 256 cases =="
+PROPTEST_CASES=256 cargo test -q --release -p overset-grid -- bit_equal
 
 echo "== connectivity bit-equality (cutter vs its per-node oracle, slab vs per-bin hole-lattice classes, candidate lists and sub-bins, one-rank protocol vs serial oracle, map and arena off-paths): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-connectivity -- \
