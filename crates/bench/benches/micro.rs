@@ -19,7 +19,7 @@ use overset_grid::gen::airfoil::{airfoil_system, near_grid};
 use overset_grid::gen::store::{store_system, STORE_CARRIAGE};
 use overset_grid::{Dims, Ijk, IndexBox, RigidTransform};
 use overset_motion::Loads;
-use overset_solver::adi::{implicit_sweeps, SweepScratch};
+use overset_solver::adi::implicit_sweeps;
 use overset_solver::kernels::{frames_forward_rows, from_char_lanes, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
 use overset_solver::{
@@ -66,7 +66,7 @@ fn solver_kernels(c: &mut Criterion) {
     perturbed(&mut block3);
 
     for (suffix, isa) in [("", select_isa()), ("_scalar", Isa::Scalar)] {
-        let mut ws = SweepScratch::new(isa);
+        let mut ws = Scratch::new(isa);
         c.bench_function(&format!("rhs/compute_residual_2d{suffix}"), |b| {
             b.iter(|| compute_residual(&block2, &fc(), &mut ws))
         });
@@ -223,7 +223,7 @@ fn solver_step(c: &mut Criterion) {
                 let (block, wall) =
                     build_block(whole.start[g], &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
                 let mut scratch = Scratch::for_block(&block);
-                scratch.sweep.isa = isa;
+                scratch.isa = isa;
                 let q0 = block.q.clone();
                 (block, wall, scratch, q0)
             })

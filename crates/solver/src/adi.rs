@@ -26,7 +26,8 @@
 use crate::block::{Blank, Block};
 use crate::conditions::{sound_speed, FlowConditions};
 use crate::kernels::{
-    self, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, E_FIELDS, FR_LAM, NCLASS, NVW,
+    self, Cyclic, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, E_FIELDS, FR_LAM, FWD_CARRIES,
+    NCLASS, NVW,
 };
 use crate::lanes::{select_isa, Isa, W};
 use overset_grid::field::NVAR;
@@ -96,9 +97,10 @@ impl SolverComm for SerialComm {
     }
 }
 
-/// Does the block have an *implicit-coupled* neighbor along `dir`?
-/// Periodic wrap links are excluded: the implicit operator treats O-grid
-/// lines as open (the wrap coupling stays explicit through the halo), the
+/// Does the block have an *implicit-coupled* neighbor along `dir`, a link of
+/// the line-solve pipeline? Periodic wrap links are excluded: an O-grid's
+/// `i`-lines are solved as cyclic systems whose seam coupling the rank
+/// chain carries in its corner parameters, not over the wrap link — the
 /// same in serial and parallel.
 pub fn implicit_neighbor(block: &Block, dir: usize, downstream: bool) -> Option<usize> {
     let face = 2 * dir + usize::from(downstream);
@@ -112,20 +114,22 @@ pub fn implicit_neighbor(block: &Block, dir: usize, downstream: bool) -> Option<
 }
 
 /// The per-rank flow workspace: the runtime-selected kernel [`Isa`] plus
-/// every O(block) buffer the flow phase needs. The residual's node cache
-/// and the sweeps' frame SoA share `fr` — the residual is done with it
-/// before the sweeps start — so the node pass costs no memory of its own.
-/// Owned per rank by [`crate::step::Scratch`]; buffers grow to the largest
-/// block seen and are then recycled. What a steady-state step still
+/// every O(block) buffer the flow phase needs — the increment from residual
+/// to update, the residual's node cache, the line sweeps' buffers. One
+/// serves any number of blocks stepped one after the other: a rank keeps one
+/// for all of its blocks, and its buffers grow to the largest block seen and
+/// are then recycled. The residual's node cache and the sweeps' frame SoA
+/// share `fr` — the residual is done with it before the sweeps start — so
+/// the node pass costs no memory of its own. What a steady-state step still
 /// allocates is bounded per rank and independent of the block size: line
 /// buffers that outgrow the ones the rank's pool holds.
-pub struct SweepScratch {
+pub struct Scratch {
     /// Kernel instruction set, chosen once per run by runtime feature
-    /// detection (see [`crate::lanes::select_isa`]). The scalar and SIMD
-    /// paths run the same lane-batched code and produce bit-identical
-    /// results.
+    /// detection (see [`crate::lanes::select_isa`]) until a test or bench
+    /// sets `Isa::Scalar`. The scalar and SIMD paths run the same
+    /// lane-batched code and produce bit-identical results.
     pub isa: Isa,
-    /// The increment ([`SweepScratch::increment`]) and the frame SoA (see
+    /// The increment ([`Scratch::increment`]) and the frame SoA (see
     /// `kernels::FR_*`), both over the owned nodes in storage order.
     dw: Vec<f64>,
     fr: Vec<f64>,
@@ -149,7 +153,7 @@ pub struct SweepScratch {
     x0: Vec<[f64; NVAR]>,
 }
 
-impl SweepScratch {
+impl Scratch {
     pub fn new(isa: Isa) -> Self {
         Self {
             isa,
@@ -167,6 +171,12 @@ impl SweepScratch {
             fact: Vec::new(),
             x0: Vec::new(),
         }
+    }
+
+    /// Scratch for stepping `block`; its buffers are sized by the first
+    /// step.
+    pub fn for_block(_block: &Block) -> Scratch {
+        Scratch::default()
     }
 
     /// The increment of `block`: left by the residual as Δt·R, solved in
@@ -193,7 +203,7 @@ impl SweepScratch {
     }
 }
 
-impl Default for SweepScratch {
+impl Default for Scratch {
     fn default() -> Self {
         Self::new(select_isa())
     }
@@ -376,201 +386,35 @@ fn edge_lanes(
 /// kernels in [`crate::kernels`]. Every direction's forward transform, line
 /// solve and back transform work on that SoA: groups of four neighbouring
 /// `j`- or `k`-lines in place, the others through a transposed group buffer.
-/// Returns estimated flops.
+/// Returns estimated flops: [`FLOPS_PER_NODE_PER_DIR`] per node of an open
+/// line, twice that per unknown of a cyclic one.
 pub fn implicit_sweeps(
     block: &Block,
     fc: &FlowConditions,
     comm: &mut impl SolverComm,
-    ws: &mut SweepScratch,
+    ws: &mut Scratch,
 ) -> u64 {
-    let dt = fc.dt;
-    let isa = ws.isa;
     let mut flops = 0u64;
     let t0 = comm.now();
     let (rows, mm) = prepare_frames(block, ws);
 
     for (d, &dir) in block.active_dirs().iter().enumerate() {
         let ln = forward_stage(block, dir, d == 0, rows, mm, ws);
-        let (n, nlines) = (ln.n, ln.nlines);
-        let upstream = implicit_neighbor(block, dir, false);
-        let downstream = implicit_neighbor(block, dir, true);
-
-        // Periodic O-grid lines in `i` are solved with the *cyclic*
-        // (Sherman–Morrison) algorithm — the seam coupling must be implicit:
-        // the smallest azimuthal cells sit right at the wrap, and leaving
-        // them explicitly coupled blows up at fine resolution.
-        let periodic = dir == 0 && periodic_in_i(block);
-        if periodic {
-            flops += periodic_sweep_i(block, dt, comm, &ln, mm, ws);
-        } else {
-            // Forward elimination (5 independent tridiagonal systems per
-            // line), *wavefront pipelined*: lines are processed in chunks;
-            // each chunk's boundary carries are exchanged as soon as the
-            // chunk is eliminated, so downstream ranks work on earlier chunks
-            // while this rank eliminates later ones (the standard
-            // pipelined-Thomas overlap). Within each chunk, lines are
-            // eliminated in lane groups of up to `W` — one SIMD lane per
-            // line, each lane running the exact scalar recurrence.
-            let nchunks = if upstream.is_some() || downstream.is_some() {
-                PIPELINE_CHUNKS.min(nlines.max(1))
-            } else {
-                1
-            };
-            let chunk_bounds = |ch: usize| -> (usize, usize) {
-                let lo = nlines * ch / nchunks;
-                let hi = nlines * (ch + 1) / nchunks;
-                (lo, hi)
-            };
-            let (gstride, cstride) = (n * NVAR * W, n * NCLASS * W);
-            let ngroups: usize = (0..nchunks)
-                .map(|ch| {
-                    let (lo, hi) = chunk_bounds(ch);
-                    (hi - lo).div_ceil(W)
-                })
-                .sum();
-            ensure_len(&mut ws.d, ngroups * gstride);
-            ensure_len(&mut ws.cp, ngroups * cstride);
-            ensure_len(&mut ws.eig, n * E_FIELDS * W);
-
-            let mut g = 0usize;
-            for ch in 0..nchunks {
-                let (clo, chi) = chunk_bounds(ch);
-                let chunk_lines = chi - clo;
-                let carries_in: Option<Vec<f64>> =
-                    upstream.map(|_| comm.recv_line(block, dir, true, chunk_lines * 2 * NVAR));
-                let mut carries_out = line_buf(comm, downstream.is_some(), chunk_lines * 2 * NVAR);
-                let mut gb = clo;
-                while gb < chi {
-                    let gl = (chi - gb).min(W);
-                    let (goff, coff) = (g * gstride, g * cstride);
-                    g += 1;
-                    let edge = edge_lanes(&ln, &ws.edge, &ws.fr, mm, gb, gl, n);
-                    let (eig, e_at, d, d_at) = match ln.in_place(gb, gl, mm) {
-                        Some((e_at, d_at)) => (&ws.fr[..], e_at, &mut ws.dw[..], d_at),
-                        None => {
-                            let d = &mut ws.d[goff..goff + gstride];
-                            pack_group(isa, &ln, mm, &ws.fr, &ws.dw, gb, gl, n, &mut ws.eig, d);
-                            let (e_at, d_at) = (LaneRows::packed(E_FIELDS), LaneRows::packed(NVAR));
-                            (&ws.eig[..], e_at, d, d_at)
-                        }
-                    };
-                    let mut ccp = [0.0f64; NVW];
-                    let mut cdp = [0.0f64; NVW];
-                    if let Some(ci) = &carries_in {
-                        for l in 0..W {
-                            let base = (gb + l.min(gl - 1) - clo) * 2 * NVAR;
-                            for v in 0..NVAR {
-                                ccp[v * W + l] = ci[base + v];
-                                cdp[v * W + l] = ci[base + NVAR + v];
-                            }
-                        }
-                    }
-                    kernels::sweep_forward_group(
-                        isa,
-                        dt,
-                        n,
-                        eig,
-                        e_at,
-                        &edge,
-                        d,
-                        d_at,
-                        &mut ws.cp[coff..coff + cstride],
-                        &mut ccp,
-                        &mut cdp,
-                        carries_in.is_some(),
-                    );
-                    if downstream.is_some() {
-                        for l in 0..gl {
-                            for v in 0..NVAR {
-                                carries_out.push(ccp[v * W + l]);
-                            }
-                            for v in 0..NVAR {
-                                carries_out.push(cdp[v * W + l]);
-                            }
-                        }
-                    }
-                    gb += gl;
-                }
-                if let Some(ci) = carries_in {
-                    comm.recycle_buf(ci);
-                }
-                // Charge this chunk's transform + elimination work before its
-                // carry message is stamped.
-                comm.compute((n * chunk_lines) as u64 * (FLOPS_PER_NODE_PER_DIR * 7 / 10));
-                if downstream.is_some() {
-                    comm.send_line(block, dir, true, carries_out);
-                }
-            }
-
-            // Back substitution, pipelined the same way (upstream direction).
-            let mut g = 0usize;
-            for ch in 0..nchunks {
-                let (clo, chi) = chunk_bounds(ch);
-                let chunk_lines = chi - clo;
-                let x_down: Option<Vec<f64>> =
-                    downstream.map(|_| comm.recv_line(block, dir, false, chunk_lines * NVAR));
-                let mut firsts = line_buf(comm, upstream.is_some(), chunk_lines * NVAR);
-                let mut gb = clo;
-                while gb < chi {
-                    let gl = (chi - gb).min(W);
-                    let (goff, coff) = (g * gstride, g * cstride);
-                    g += 1;
-                    let seed: Option<[f64; NVW]> = x_down.as_ref().map(|xd| {
-                        let mut s = [0.0f64; NVW];
-                        for l in 0..W {
-                            let base = (gb + l.min(gl - 1) - clo) * NVAR;
-                            for v in 0..NVAR {
-                                s[v * W + l] = xd[base + v];
-                            }
-                        }
-                        s
-                    });
-                    let in_place = ln.in_place(gb, gl, mm);
-                    let (d, d_at) = match in_place {
-                        Some((_, d_at)) => (&mut ws.dw[..], d_at),
-                        None => (&mut ws.d[goff..goff + gstride], LaneRows::packed(NVAR)),
-                    };
-                    kernels::sweep_backward_group(
-                        isa,
-                        n,
-                        &ws.cp[coff..coff + cstride],
-                        d,
-                        d_at,
-                        seed.as_ref(),
-                    );
-                    if upstream.is_some() {
-                        for l in 0..gl {
-                            for v in 0..NVAR {
-                                firsts.push(d[d_at.at(0, v) + l]);
-                            }
-                        }
-                    }
-                    if in_place.is_none() {
-                        let d = &ws.d[goff..goff + gstride];
-                        unpack_group(isa, &ln, mm, &mut ws.dw, gb, gl, n, d);
-                    }
-                    gb += gl;
-                }
-                if let Some(xd) = x_down {
-                    comm.recycle_buf(xd);
-                }
-                comm.compute((n * chunk_lines) as u64 * (FLOPS_PER_NODE_PER_DIR * 2 / 10));
-                if upstream.is_some() {
-                    comm.send_line(block, dir, false, firsts);
-                }
-            }
-        }
+        let sw = Sweep::new(block, dir, ln);
+        solve(block, fc.dt, comm, &sw, mm, ws);
 
         // Transform back to conservative increments (lane-batched).
-        kernels::from_char_lanes(isa, mm, mm, &ws.fr, &mut ws.dw);
+        kernels::from_char_lanes(ws.isa, mm, mm, &ws.fr, &mut ws.dw);
 
-        if !periodic {
-            let rest = (n * nlines) as u64
-                * (FLOPS_PER_NODE_PER_DIR
-                    - FLOPS_PER_NODE_PER_DIR * 7 / 10
-                    - FLOPS_PER_NODE_PER_DIR * 2 / 10);
-            comm.compute(rest);
-            flops += (n * nlines) as u64 * FLOPS_PER_NODE_PER_DIR;
+        let nodes = (sw.n * ln.nlines) as u64;
+        if sw.cyclic.is_some() {
+            flops += nodes * FLOPS_PER_NODE_PER_DIR * 2;
+        } else {
+            let rest = FLOPS_PER_NODE_PER_DIR
+                - FLOPS_PER_NODE_PER_DIR * 7 / 10
+                - FLOPS_PER_NODE_PER_DIR * 2 / 10;
+            comm.compute(nodes * rest);
+            flops += nodes * FLOPS_PER_NODE_PER_DIR;
         }
     }
 
@@ -581,7 +425,7 @@ pub fn implicit_sweeps(
 /// Size the frame SoA for the block's `mm` owned nodes and write its
 /// identity masks (sign bit set on blanked nodes: their rows are solved as
 /// `x = 0`). Returns the owned nodes' rows (storage → SoA) and `mm`.
-fn prepare_frames(block: &Block, ws: &mut SweepScratch) -> (Rows, usize) {
+fn prepare_frames(block: &Block, ws: &mut Scratch) -> (Rows, usize) {
     let ow = block.owned_local();
     let mm = ow.count();
     assert!(ws.dw.len() >= NVAR * mm, "the increment of the block is not loaded");
@@ -608,7 +452,7 @@ fn forward_stage(
     fresh: bool,
     rows: Rows,
     mm: usize,
-    ws: &mut SweepScratch,
+    ws: &mut Scratch,
 ) -> Lines {
     let ln = Lines::new(block, dir);
     kernels::frames_forward_rows(
@@ -633,316 +477,373 @@ fn forward_stage(
     ln
 }
 
-/// Is the block part of an O-grid that wraps periodically in `i`?
-fn periodic_in_i(block: &Block) -> bool {
-    block.periodic_i_grid
+/// One direction's line solve on this rank: its lines, the unknowns per
+/// line — the owned extent, less the duplicated seam node on the rank that
+/// owns the end of a cyclic chain — its pipeline neighbours and the chunks
+/// its lines are pipelined in.
+struct Sweep {
+    dir: usize,
+    ln: Lines,
+    n: usize,
+    up: bool,
+    down: bool,
+    nchunks: usize,
+    /// Cyclic lines only: whether this rank owns the chain's first row and
+    /// its last one.
+    cyclic: Option<(bool, bool)>,
 }
 
-/// Cyclic (periodic) implicit solve along `i` for an O-grid block, via the
-/// Sherman–Morrison splitting. The duplicated seam node (global `ni-1`) is
-/// excluded from the solve and set equal to node 0's solution afterwards.
-///
-/// Distributed form over the open rank chain: forward/backward pipelined
-/// elimination of *two* right-hand sides per characteristic field (the
-/// physical RHS `y` and the rank-one correction column `z`), then a third
-/// short sweep broadcasting the per-line correction factor.
-fn periodic_sweep_i(
+impl Sweep {
+    fn new(block: &Block, dir: usize, ln: Lines) -> Sweep {
+        // Periodic O-grid lines in `i` are solved with the *cyclic*
+        // (Sherman–Morrison) algorithm — the seam coupling must be implicit:
+        // the smallest azimuthal cells sit right at the wrap, and leaving
+        // them explicitly coupled blows up at fine resolution.
+        let ends = (block.owned.lo.i == 0, block.owned.hi.i == block.grid_dims.ni);
+        let cyclic = (dir == 0 && block.periodic_i_grid).then_some(ends);
+        // The duplicated seam node is left out of the cyclic system.
+        let n = ln.n - usize::from(matches!(cyclic, Some((_, true))));
+        assert!(n >= 1, "a line segment without unknowns");
+        let up = implicit_neighbor(block, dir, false).is_some();
+        let down = implicit_neighbor(block, dir, true).is_some();
+        let nchunks = if up || down { PIPELINE_CHUNKS.min(ln.nlines.max(1)) } else { 1 };
+        Sweep { dir, ln, n, up, down, nchunks, cyclic }
+    }
+
+    /// Lines `lo..hi` of chunk `ch`.
+    fn chunk(&self, ch: usize) -> (usize, usize) {
+        let nl = self.ln.nlines;
+        (nl * ch / self.nchunks, nl * (ch + 1) / self.nchunks)
+    }
+
+    /// The number of lane groups in the chunks before `ch`.
+    fn groups_before(&self, ch: usize) -> usize {
+        (0..ch)
+            .map(|c| {
+                let (lo, hi) = self.chunk(c);
+                (hi - lo).div_ceil(W)
+            })
+            .sum()
+    }
+
+    /// The lane groups of chunk `ch`: `(g, gb, gl)`, the group's index in
+    /// the group buffers, its first line and its number of lines.
+    fn groups(&self, ch: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let ((lo, hi), g0) = (self.chunk(ch), self.groups_before(ch));
+        (lo..hi).step_by(W).enumerate().map(move |(i, gb)| (g0 + i, gb, (hi - gb).min(W)))
+    }
+
+    /// A group's share of the packed buffers: `d` and `cp`/`z`.
+    fn strides(&self) -> (usize, usize) {
+        (self.n * NVAR * W, self.n * NCLASS * W)
+    }
+
+    /// Where a group's operator rows and RHS are eliminated in place, if
+    /// they are; cyclic groups always go through the packed buffers.
+    fn in_place(&self, gb: usize, gl: usize, mm: usize) -> Option<(LaneRows, LaneRows)> {
+        if self.cyclic.is_some() {
+            None
+        } else {
+            self.ln.in_place(gb, gl, mm)
+        }
+    }
+}
+
+/// The line solve of one direction, characteristic RHS in `ws.dw` to
+/// characteristic solution in place: forward elimination and back
+/// substitution, pipelined along the rank chain, and on cyclic lines the
+/// Sherman–Morrison correction. A cyclic line is an open one with a second
+/// right-hand side (the correction column `z`), two corner rows and wider
+/// carries, so both kinds run through the same passes and kernels.
+fn solve(
     block: &Block,
     dt: f64,
     comm: &mut impl SolverComm,
-    ln: &Lines,
-    stride: usize,
-    ws: &mut SweepScratch,
-) -> u64 {
-    const DIR: usize = 0;
-    let isa = ws.isa;
-    let nlines = ln.nlines;
-    let is_first = block.owned.lo.i == 0;
-    let is_last = block.owned.hi.i == block.grid_dims.ni;
-    // Exclude the duplicated seam node from the cyclic system.
-    let n = if is_last { ln.n - 1 } else { ln.n };
-    assert!(n >= 1);
-    let upstream = implicit_neighbor(block, DIR, false);
-    let downstream = implicit_neighbor(block, DIR, true);
+    sw: &Sweep,
+    mm: usize,
+    ws: &mut Scratch,
+) {
+    eliminate(block, dt, comm, sw, mm, ws);
+    substitute(block, comm, sw, mm, ws);
+    if sw.cyclic.is_some() {
+        correct(block, comm, sw, mm, ws);
+    }
+}
 
-    let nchunks = if upstream.is_some() || downstream.is_some() {
-        PIPELINE_CHUNKS.min(nlines.max(1))
-    } else {
-        1
-    };
-    let chunk_bounds =
-        |ch: usize| -> (usize, usize) { (nlines * ch / nchunks, nlines * (ch + 1) / nchunks) };
-
-    // Lane-transposed per-row storage (group-major, padded to `W` lanes):
-    // the physical RHS y per field, the normalized super-diagonals and the
-    // rank-one correction column z per eigenvalue class.
-    let (gstride, cstride) = (n * NVAR * W, n * NCLASS * W);
-    let ngroups: usize = (0..nchunks)
-        .map(|ch| {
-            let (lo, hi) = chunk_bounds(ch);
-            (hi - lo).div_ceil(W)
-        })
-        .sum();
-    ensure_len(&mut ws.d, ngroups * gstride);
-    ensure_len(&mut ws.cp, ngroups * cstride);
-    ensure_len(&mut ws.z, ngroups * cstride);
-    ensure_len(&mut ws.eig, n * E_FIELDS * W);
-    // Per-line S-M parameters (alpha, gamma per variable), valid on every
-    // rank after the forward pass (carried down the chain).
-    ws.alpha.clear();
-    ws.alpha.resize(nlines, [0.0f64; NVAR]);
-    ws.gamma.clear();
-    ws.gamma.resize(nlines, [0.0f64; NVAR]);
-
-    // ---- Forward elimination of y and z -------------------------------
-    let mut g = 0usize;
-    for ch in 0..nchunks {
-        let (clo, chi) = chunk_bounds(ch);
-        let chunk_lines = chi - clo;
-        // Carry layout per line: cp[5], y[5], z[5], alpha[5], gamma[5].
-        let carries_in: Option<Vec<f64>> =
-            upstream.map(|_| comm.recv_line(block, DIR, true, chunk_lines * 5 * NVAR));
-        if let Some(ci) = &carries_in {
-            for li in clo..chi {
-                let base = (li - clo) * 5 * NVAR;
-                ws.alpha[li].copy_from_slice(&ci[base + 3 * NVAR..base + 4 * NVAR]);
-                ws.gamma[li].copy_from_slice(&ci[base + 4 * NVAR..base + 5 * NVAR]);
+/// Lane-interleave the carries of lines `first..first + gl` of a chunk
+/// (padding lanes replicate the last line) from a line message holding
+/// `width` values per field and line: the first `rows.len()` of them.
+fn carry_lanes(msg: &[f64], width: usize, first: usize, gl: usize, rows: &mut [[f64; NVW]]) {
+    for l in 0..W {
+        let base = (first + l.min(gl - 1)) * width * NVAR;
+        for (k, row) in rows.iter_mut().enumerate() {
+            for v in 0..NVAR {
+                row[v * W + l] = msg[base + k * NVAR + v];
             }
         }
-        let mut carries_out = line_buf(comm, downstream.is_some(), chunk_lines * 5 * NVAR);
-        let mut gb = clo;
-        while gb < chi {
-            let gl = (chi - gb).min(W);
+    }
+}
+
+/// Append the lane-interleaved carries of a group's `gl` lines to a line
+/// message, line by line.
+fn push_carries(rows: &[[f64; NVW]], gl: usize, msg: &mut Vec<f64>) {
+    for l in 0..gl {
+        for row in rows {
+            msg.extend((0..NVAR).map(|v| row[v * W + l]));
+        }
+    }
+}
+
+/// Forward elimination (5 independent tridiagonal systems per line),
+/// *wavefront pipelined*: lines are processed in chunks; each chunk's
+/// boundary carries are exchanged as soon as the chunk is eliminated, so
+/// downstream ranks work on earlier chunks while this rank eliminates later
+/// ones (the standard pipelined-Thomas overlap). Within each chunk, lines
+/// are eliminated in lane groups of up to `W` — one SIMD lane per line,
+/// each lane running the exact scalar recurrence. A line's carry is
+/// `[cp, d]`, on a cyclic line `[cp, d, z, α, γ]` ([`FWD_CARRIES`]).
+fn eliminate(
+    block: &Block,
+    dt: f64,
+    comm: &mut impl SolverComm,
+    sw: &Sweep,
+    mm: usize,
+    ws: &mut Scratch,
+) {
+    let (isa, ln, n) = (ws.isa, &sw.ln, sw.n);
+    let (gstride, cstride) = sw.strides();
+    let ngroups = sw.groups_before(sw.nchunks);
+    ensure_len(&mut ws.d, ngroups * gstride);
+    ensure_len(&mut ws.cp, ngroups * cstride);
+    ensure_len(&mut ws.eig, n * E_FIELDS * W);
+    let (width, per_node) = if sw.cyclic.is_some() {
+        ensure_len(&mut ws.z, ngroups * cstride);
+        // Per-line corner parameters, which the correction pass reads.
+        ws.alpha.clear();
+        ws.alpha.resize(ln.nlines, [0.0; NVAR]);
+        ws.gamma.clear();
+        ws.gamma.resize(ln.nlines, [0.0; NVAR]);
+        (FWD_CARRIES, FLOPS_PER_NODE_PER_DIR)
+    } else {
+        (2, FLOPS_PER_NODE_PER_DIR * 7 / 10)
+    };
+    for ch in 0..sw.nchunks {
+        let (lo, hi) = sw.chunk(ch);
+        let len = (hi - lo) * width * NVAR;
+        let carries_in = sw.up.then(|| comm.recv_line(block, sw.dir, true, len));
+        let mut carries_out = line_buf(comm, sw.down, len);
+        for (g, gb, gl) in sw.groups(ch) {
             let (goff, coff) = (g * gstride, g * cstride);
-            g += 1;
-            let edge = edge_lanes(ln, &ws.edge, &ws.fr, stride, gb, gl, n);
-            let d = &mut ws.d[goff..goff + gstride];
-            pack_group(isa, ln, stride, &ws.fr, &ws.dw, gb, gl, n, &mut ws.eig, d);
-            let mut ccp = [0.0f64; NVW];
-            let mut cy = [0.0f64; NVW];
-            let mut cz = [0.0f64; NVW];
-            let mut al = [0.0f64; NVW];
-            let mut ga = [0.0f64; NVW];
-            for l in 0..W {
-                let li = gb + l.min(gl - 1);
-                for v in 0..NVAR {
-                    al[v * W + l] = ws.alpha[li][v];
-                    ga[v * W + l] = ws.gamma[li][v];
+            let edge = edge_lanes(ln, &ws.edge, &ws.fr, mm, gb, gl, n);
+            let (eig, e_at, d, d_at) = match sw.in_place(gb, gl, mm) {
+                Some((e_at, d_at)) => (&ws.fr[..], e_at, &mut ws.dw[..], d_at),
+                None => {
+                    let d = &mut ws.d[goff..goff + gstride];
+                    pack_group(isa, ln, mm, &ws.fr, &ws.dw, gb, gl, n, &mut ws.eig, d);
+                    let (e_at, d_at) = (LaneRows::packed(E_FIELDS), LaneRows::packed(NVAR));
+                    (&ws.eig[..], e_at, d, d_at)
                 }
-                if let Some(ci) = &carries_in {
-                    let base = (li - clo) * 5 * NVAR;
-                    for v in 0..NVAR {
-                        ccp[v * W + l] = ci[base + v];
-                        cy[v * W + l] = ci[base + NVAR + v];
-                        cz[v * W + l] = ci[base + 2 * NVAR + v];
-                    }
-                }
+            };
+            let mut carry = [[0.0; NVW]; FWD_CARRIES];
+            if let Some(ci) = &carries_in {
+                carry_lanes(ci, width, gb - lo, gl, &mut carry[..width]);
             }
-            kernels::periodic_forward_group(
+            let cyclic = sw.cyclic.map(|(first, last)| Cyclic {
+                z: &mut ws.z[coff..coff + cstride],
+                first,
+                last,
+            });
+            kernels::sweep_forward_group(
                 isa,
                 dt,
                 n,
-                &ws.eig,
-                LaneRows::packed(E_FIELDS),
+                eig,
+                e_at,
                 &edge,
-                &mut ws.d[goff..goff + gstride],
-                &mut ws.z[coff..coff + cstride],
+                d,
+                d_at,
                 &mut ws.cp[coff..coff + cstride],
-                &mut al,
-                &mut ga,
-                &mut ccp,
-                &mut cy,
-                &mut cz,
+                &mut carry,
                 carries_in.is_some(),
-                is_first,
-                is_last,
+                cyclic,
             );
-            for l in 0..gl {
-                let li = gb + l;
-                for v in 0..NVAR {
-                    ws.alpha[li][v] = al[v * W + l];
-                    ws.gamma[li][v] = ga[v * W + l];
-                }
-            }
-            if downstream.is_some() {
+            if sw.cyclic.is_some() {
+                let [.., al, ga] = &carry;
                 for l in 0..gl {
-                    let li = gb + l;
                     for v in 0..NVAR {
-                        carries_out.push(ccp[v * W + l]);
+                        ws.alpha[gb + l][v] = al[v * W + l];
+                        ws.gamma[gb + l][v] = ga[v * W + l];
                     }
-                    for v in 0..NVAR {
-                        carries_out.push(cy[v * W + l]);
-                    }
-                    for v in 0..NVAR {
-                        carries_out.push(cz[v * W + l]);
-                    }
-                    carries_out.extend_from_slice(&ws.alpha[li]);
-                    carries_out.extend_from_slice(&ws.gamma[li]);
                 }
             }
-            gb += gl;
+            if sw.down {
+                push_carries(&carry[..width], gl, &mut carries_out);
+            }
         }
         if let Some(ci) = carries_in {
             comm.recycle_buf(ci);
         }
-        comm.compute((n * chunk_lines) as u64 * FLOPS_PER_NODE_PER_DIR);
-        if downstream.is_some() {
-            comm.send_line(block, DIR, true, carries_out);
+        // Charge this chunk's transform + elimination work before its
+        // carry message is stamped.
+        comm.compute(((hi - lo) * n) as u64 * per_node);
+        if sw.down {
+            comm.send_line(block, sw.dir, true, carries_out);
         }
     }
+}
 
-    // ---- Back substitution of y and z ---------------------------------
-    // Per-line end values (y_last, z_last per var) travel upstream.
-    ws.y_last.clear();
-    ws.y_last.resize(nlines, [0.0f64; NVAR]);
-    ws.z_last.clear();
-    ws.z_last.resize(nlines, [0.0f64; NVAR]);
-    let mut g = 0usize;
-    for ch in 0..nchunks {
-        let (clo, chi) = chunk_bounds(ch);
-        let chunk_lines = chi - clo;
-        // Carry layout per line: y_next[5], z_next[5], y_last[5], z_last[5].
-        let x_down: Option<Vec<f64>> =
-            downstream.map(|_| comm.recv_line(block, DIR, false, chunk_lines * 4 * NVAR));
-        let mut ups = line_buf(comm, upstream.is_some(), chunk_lines * 4 * NVAR);
-        let mut gb = clo;
-        while gb < chi {
-            let gl = (chi - gb).min(W);
+/// Back substitution, pipelined the same way in the upstream direction. A
+/// line's carry is its first unknowns `[x]`; a cyclic line's is
+/// `[y, z, y_last, z_last]`, the chain's last solved row riding along for
+/// the correction pass. Open groups eliminated out of place are scattered
+/// back to `ws.dw` here, cyclic ones after their correction.
+fn substitute(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, ws: &mut Scratch) {
+    let (isa, ln, n) = (ws.isa, &sw.ln, sw.n);
+    let (gstride, cstride) = sw.strides();
+    let (width, per_node) = if sw.cyclic.is_some() {
+        ws.y_last.clear();
+        ws.y_last.resize(ln.nlines, [0.0; NVAR]);
+        ws.z_last.clear();
+        ws.z_last.resize(ln.nlines, [0.0; NVAR]);
+        (4, FLOPS_PER_NODE_PER_DIR / 3)
+    } else {
+        (1, FLOPS_PER_NODE_PER_DIR * 2 / 10)
+    };
+    for ch in 0..sw.nchunks {
+        let (lo, hi) = sw.chunk(ch);
+        let len = (hi - lo) * width * NVAR;
+        let x_down = sw.down.then(|| comm.recv_line(block, sw.dir, false, len));
+        let mut ups = line_buf(comm, sw.up, len);
+        for (g, gb, gl) in sw.groups(ch) {
             let (goff, coff) = (g * gstride, g * cstride);
-            g += 1;
-            let seed: Option<([f64; NVW], [f64; NVW])> = x_down.as_ref().map(|xd| {
-                let mut sy = [0.0f64; NVW];
-                let mut sz = [0.0f64; NVW];
-                for l in 0..W {
-                    let base = (gb + l.min(gl - 1) - clo) * 4 * NVAR;
-                    for v in 0..NVAR {
-                        sy[v * W + l] = xd[base + v];
-                        sz[v * W + l] = xd[base + NVAR + v];
-                    }
-                }
-                (sy, sz)
-            });
-            kernels::periodic_backward_group(
+            let mut seed = [[0.0; NVW]; 2];
+            if let Some(xd) = &x_down {
+                let k = 1 + usize::from(sw.cyclic.is_some());
+                carry_lanes(xd, width, gb - lo, gl, &mut seed[..k]);
+            }
+            let in_place = sw.in_place(gb, gl, mm);
+            let (d, d_at) = match in_place {
+                Some((_, d_at)) => (&mut ws.dw[..], d_at),
+                None => (&mut ws.d[goff..goff + gstride], LaneRows::packed(NVAR)),
+            };
+            kernels::sweep_backward_group(
                 isa,
                 n,
                 &ws.cp[coff..coff + cstride],
-                &mut ws.d[goff..goff + gstride],
-                &mut ws.z[coff..coff + cstride],
-                seed.as_ref().map(|(sy, sz)| (sy, sz)),
+                d,
+                d_at,
+                sw.cyclic.map(|_| &mut ws.z[coff..coff + cstride]),
+                x_down.as_ref().map(|_| &seed),
             );
             for l in 0..gl {
-                let li = gb + l;
+                if sw.up {
+                    ups.extend((0..NVAR).map(|v| d[d_at.at(0, v) + l]));
+                }
+                if sw.cyclic.is_none() {
+                    continue;
+                }
+                let (li, z) = (gb + l, &ws.z[coff..coff + cstride]);
                 if let Some(xd) = &x_down {
-                    let base = (li - clo) * 4 * NVAR;
+                    let base = (li - lo) * width * NVAR;
                     ws.y_last[li].copy_from_slice(&xd[base + 2 * NVAR..base + 3 * NVAR]);
                     ws.z_last[li].copy_from_slice(&xd[base + 3 * NVAR..base + 4 * NVAR]);
                 } else {
                     // This rank owns the end of the chain: the last solved row.
                     for (v, &e) in CLASS.iter().enumerate() {
-                        ws.y_last[li][v] = ws.d[goff + ((n - 1) * NVAR + v) * W + l];
-                        ws.z_last[li][v] = ws.z[coff + ((n - 1) * NCLASS + e) * W + l];
+                        ws.y_last[li][v] = d[d_at.at(n - 1, v) + l];
+                        ws.z_last[li][v] = z[((n - 1) * NCLASS + e) * W + l];
                     }
                 }
-                if upstream.is_some() {
-                    for v in 0..NVAR {
-                        ups.push(ws.d[goff + v * W + l]);
-                    }
-                    for &e in &CLASS {
-                        ups.push(ws.z[coff + e * W + l]);
-                    }
+                if sw.up {
+                    ups.extend(CLASS.iter().map(|&e| z[e * W + l]));
                     ups.extend_from_slice(&ws.y_last[li]);
                     ups.extend_from_slice(&ws.z_last[li]);
                 }
             }
-            gb += gl;
+            if in_place.is_none() && sw.cyclic.is_none() {
+                let d = &ws.d[goff..goff + gstride];
+                unpack_group(isa, ln, mm, &mut ws.dw, gb, gl, n, d);
+            }
         }
         if let Some(xd) = x_down {
             comm.recycle_buf(xd);
         }
-        comm.compute((n * chunk_lines) as u64 * (FLOPS_PER_NODE_PER_DIR / 3));
-        if upstream.is_some() {
-            comm.send_line(block, DIR, false, ups);
+        comm.compute(((hi - lo) * n) as u64 * per_node);
+        if sw.up {
+            comm.send_line(block, sw.dir, false, ups);
         }
     }
+}
 
-    // ---- Correction sweep ----------------------------------------------
-    // First rank computes fact and x0 per line/var; everyone applies
-    // x = y - fact z; the last rank also fixes the duplicated seam node.
-    let mut g = 0usize;
-    for ch in 0..nchunks {
-        let (clo, chi) = chunk_bounds(ch);
-        let chunk_lines = chi - clo;
+/// The Sherman–Morrison correction of cyclic lines, a third short pass down
+/// the chain: the rank owning the chain's first row computes per line and
+/// field the factor `fact` and the solution `x0` of row 0, every rank
+/// applies `x = y − fact·z` and passes `[fact, x0]` on, and the rank owning
+/// the last row sets the duplicated seam node to `x0`.
+fn correct(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, ws: &mut Scratch) {
+    let (isa, ln, n) = (ws.isa, &sw.ln, sw.n);
+    let (gstride, cstride) = sw.strides();
+    let (first, last) = sw.cyclic.expect("a cyclic sweep");
+    for ch in 0..sw.nchunks {
+        let (lo, hi) = sw.chunk(ch);
+        let lines = hi - lo;
         ws.fact.clear();
-        ws.fact.resize(chunk_lines, [0.0f64; NVAR]);
+        ws.fact.resize(lines, [0.0; NVAR]);
         ws.x0.clear();
-        ws.x0.resize(chunk_lines, [0.0f64; NVAR]);
-        if is_first {
-            for li in clo..chi {
-                let group = g + (li - clo) / W;
-                let (goff, coff) = (group * gstride, group * cstride);
-                let lane = (li - clo) % W;
-                for (v, &e) in CLASS.iter().enumerate() {
-                    let y0 = ws.d[goff + v * W + lane];
-                    let z0 = ws.z[coff + e * W + lane];
-                    let gam = ws.gamma[li][v];
-                    let al = ws.alpha[li][v];
-                    let denom = 1.0 + z0 + al * ws.z_last[li][v] / gam;
-                    let f = (y0 + al * ws.y_last[li][v] / gam) / denom;
-                    ws.fact[li - clo][v] = f;
-                    ws.x0[li - clo][v] = y0 - f * z0;
-                }
-            }
-        } else {
-            let data = comm.recv_line(block, DIR, true, chunk_lines * 2 * NVAR);
-            for l in 0..chunk_lines {
-                ws.fact[l].copy_from_slice(&data[l * 2 * NVAR..l * 2 * NVAR + NVAR]);
-                ws.x0[l].copy_from_slice(&data[l * 2 * NVAR + NVAR..(l + 1) * 2 * NVAR]);
+        ws.x0.resize(lines, [0.0; NVAR]);
+        if !first {
+            let data = comm.recv_line(block, sw.dir, true, lines * 2 * NVAR);
+            for (l, rec) in data.chunks_exact(2 * NVAR).enumerate() {
+                ws.fact[l].copy_from_slice(&rec[..NVAR]);
+                ws.x0[l].copy_from_slice(&rec[NVAR..]);
             }
             comm.recycle_buf(data);
         }
-        let mut gb = clo;
-        while gb < chi {
-            let gl = (chi - gb).min(W);
+        for (g, gb, gl) in sw.groups(ch) {
             let (goff, coff) = (g * gstride, g * cstride);
-            g += 1;
-            let mut factl = [0.0f64; NVW];
-            for l in 0..W {
-                let li = gb + l.min(gl - 1);
-                for v in 0..NVAR {
-                    factl[v * W + l] = ws.fact[li - clo][v];
-                }
-            }
-            kernels::periodic_correct_group(
-                isa,
-                n,
-                &factl,
-                &mut ws.d[goff..goff + gstride],
-                &ws.z[coff..coff + cstride],
-            );
-            unpack_group(isa, ln, stride, &mut ws.dw, gb, gl, n, &ws.d[goff..goff + gstride]);
-            if is_last {
-                // Duplicated seam node mirrors node 0's solution.
-                for li in gb..gb + gl {
-                    let m = ln.m0(li) + n * ln.mstep;
-                    for (v, &x) in ws.x0[li - clo].iter().enumerate() {
-                        ws.dw[v * stride + m] = x;
+            let (y, z) = (&mut ws.d[goff..goff + gstride], &ws.z[coff..coff + cstride]);
+            if first {
+                for l in 0..gl {
+                    let li = gb + l;
+                    for (v, &e) in CLASS.iter().enumerate() {
+                        let (y0, z0) = (y[v * W + l], z[e * W + l]);
+                        let (al, gam) = (ws.alpha[li][v], ws.gamma[li][v]);
+                        let denom = 1.0 + z0 + al * ws.z_last[li][v] / gam;
+                        let f = (y0 + al * ws.y_last[li][v] / gam) / denom;
+                        ws.fact[li - lo][v] = f;
+                        ws.x0[li - lo][v] = y0 - f * z0;
                     }
                 }
             }
-            gb += gl;
-        }
-        comm.compute((n * chunk_lines) as u64 * 4);
-        if downstream.is_some() {
-            let mut out = line_buf(comm, true, chunk_lines * 2 * NVAR);
-            for l in 0..chunk_lines {
-                out.extend_from_slice(&ws.fact[l]);
-                out.extend_from_slice(&ws.x0[l]);
+            let mut factl = [0.0; NVW];
+            for l in 0..W {
+                let li = gb + l.min(gl - 1);
+                for v in 0..NVAR {
+                    factl[v * W + l] = ws.fact[li - lo][v];
+                }
             }
-            comm.send_line(block, DIR, true, out);
+            kernels::periodic_correct_group(isa, n, &factl, y, z);
+            unpack_group(isa, ln, mm, &mut ws.dw, gb, gl, n, y);
+            if last {
+                // Duplicated seam node mirrors node 0's solution.
+                for li in gb..gb + gl {
+                    let m = ln.m0(li) + n * ln.mstep;
+                    for (v, &x) in ws.x0[li - lo].iter().enumerate() {
+                        ws.dw[v * mm + m] = x;
+                    }
+                }
+            }
+        }
+        comm.compute((n * lines) as u64 * 4);
+        if sw.down {
+            let mut out = line_buf(comm, true, lines * 2 * NVAR);
+            for (f, x) in ws.fact.iter().zip(&ws.x0) {
+                out.extend_from_slice(f);
+                out.extend_from_slice(x);
+            }
+            comm.send_line(block, sw.dir, true, out);
         }
     }
-
-    (n * nlines) as u64 * FLOPS_PER_NODE_PER_DIR * 2
 }
 
 fn other_dirs(dir: usize) -> (usize, usize) {
@@ -962,7 +863,7 @@ pub(crate) mod tests {
     use overset_grid::index::{Dims, Ijk};
 
     /// Copy the owned nodes of `dq` into the increment, or back.
-    fn load(b: &Block, dq: &StateField, ws: &mut SweepScratch) {
+    fn load(b: &Block, dq: &StateField, ws: &mut Scratch) {
         let (ow, inc) = (b.owned_local(), ws.increment(b));
         for (t, p) in ow.iter().enumerate() {
             for (v, &x) in dq.node(p).iter().enumerate() {
@@ -971,24 +872,26 @@ pub(crate) mod tests {
         }
     }
 
-    fn store(b: &Block, ws: &mut SweepScratch, dq: &mut StateField) {
+    fn store(b: &Block, ws: &mut Scratch, dq: &mut StateField) {
         let (ow, inc) = (b.owned_local(), ws.increment(b));
         for (t, p) in ow.iter().enumerate() {
             dq.set_node(p, std::array::from_fn(|v| inc[v * ow.count() + t]));
         }
     }
 
-    /// [`implicit_sweeps`] on the owned nodes of an interleaved `dq`.
+    /// [`implicit_sweeps`] on the owned nodes of an interleaved `dq`;
+    /// returns its flop estimate.
     fn sweep_field(
         b: &Block,
         fc: &FlowConditions,
         dq: &mut StateField,
         comm: &mut impl SolverComm,
-        ws: &mut SweepScratch,
-    ) {
+        ws: &mut Scratch,
+    ) -> u64 {
         load(b, dq, ws);
-        implicit_sweeps(b, fc, comm, ws);
+        let flops = implicit_sweeps(b, fc, comm, ws);
         store(b, ws, dq);
+        flops
     }
 
     // ---- scalar reference forms of the pointwise kernels ---------------------
@@ -1173,7 +1076,7 @@ pub(crate) mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let b = uniform_block(7, &fc);
         let mut dq = StateField::new(b.local_dims);
-        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut Scratch::default());
         for v in dq.as_slice() {
             assert!(v.abs() < 1e-15);
         }
@@ -1186,7 +1089,7 @@ pub(crate) mod tests {
         let mut dq = StateField::new(b.local_dims);
         let c = Ijk::new(3, 3, 3);
         dq.set_node(c, [1.0, 0.0, 0.0, 0.0, 0.0]);
-        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut Scratch::default());
         let v = dq.node(c)[0];
         assert!(v > 0.0 && v < 1.0, "center update {v}");
     }
@@ -1200,7 +1103,7 @@ pub(crate) mod tests {
         let mut dq = StateField::new(b.local_dims);
         dq.set_node(hole, [5.0; 5]); // must be zeroed by the identity row
         dq.set_node(Ijk::new(4, 3, 3), [1.0, 0.0, 0.0, 0.0, 0.0]);
-        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+        sweep_field(&b, &fc, &mut dq, &mut SerialComm, &mut Scratch::default());
         assert_eq!(*dq.node(hole), [0.0; 5]);
         assert!(dq.node(Ijk::new(4, 3, 3))[0] != 0.0);
     }
@@ -1272,8 +1175,8 @@ pub(crate) mod tests {
                 frames.push(char_frame(&b, Ijk::new(ow.lo.i + c, lj, lk), 0));
             }
         }
-        let mut ws = SweepScratch::default();
-        let unload = |ws: &mut SweepScratch| {
+        let mut ws = Scratch::default();
+        let unload = |ws: &mut Scratch| {
             let mut out = StateField::new(b.local_dims);
             store(&b, ws, &mut out);
             out
@@ -1282,7 +1185,7 @@ pub(crate) mod tests {
         let (rows, mm) = prepare_frames(&b, &mut ws);
         let ln = forward_stage(&b, 0, true, rows, mm, &mut ws);
         let rhs_char = unload(&mut ws);
-        periodic_sweep_i(&b, fc.dt, &mut SerialComm, &ln, mm, &mut ws);
+        solve(&b, fc.dt, &mut SerialComm, &Sweep::new(&b, 0, ln), mm, &mut ws);
         let dq = unload(&mut ws);
 
         // Verify A x = rhs for each line and variable, with A the cyclic
@@ -1328,7 +1231,7 @@ pub(crate) mod tests {
         let run = |fc: &FlowConditions| -> f64 {
             let mut dq = StateField::new(b.local_dims);
             dq.set_node(c, [1.0, 0.0, 0.0, 0.0, 0.0]);
-            sweep_field(&b, fc, &mut dq, &mut SerialComm, &mut SweepScratch::default());
+            sweep_field(&b, fc, &mut dq, &mut SerialComm, &mut Scratch::default());
             dq.node(c)[0]
         };
         fc.dt = 0.05;
@@ -1502,11 +1405,25 @@ pub(crate) mod tests {
             let (b, dq0) = keyed_block(&g, d.full_box(), [None; 6], seed);
             let mut want = dq0.clone();
             sweeps_reference(&b, &fc, &mut want);
+            // F per node of an open line, 2F per unknown of a cyclic one.
+            let want_flops: u64 = b
+                .active_dirs()
+                .iter()
+                .map(|&dir| {
+                    let (n, lines) = (d.get(dir) as u64, (d.count() / d.get(dir)) as u64);
+                    let f = FLOPS_PER_NODE_PER_DIR;
+                    if dir == 0 && periodic == 1 { 2 * f * (n - 1) * lines } else { f * n * lines }
+                })
+                .sum();
             for isa in [Isa::Scalar, select_isa()] {
                 let mut got = dq0.clone();
-                sweep_field(&b, &fc, &mut got, &mut SerialComm, &mut SweepScratch::new(isa));
+                let mut ws = Scratch::new(isa);
+                let flops = sweep_field(&b, &fc, &mut got, &mut SerialComm, &mut ws);
+                prop_assert_eq!(flops, want_flops, "{:?} dims {:?}: flop estimate", isa, d);
                 for p in b.local_dims.iter() {
-                    prop_assert_eq!(bits(&got, p), bits(&want, p), "{:?} at {:?} dims {:?}", isa, p, d);
+                    prop_assert_eq!(
+                        bits(&got, p), bits(&want, p), "{:?} at {:?} dims {:?}", isa, p, d
+                    );
                 }
             }
         }
@@ -1514,15 +1431,19 @@ pub(crate) mod tests {
         /// The same grids cut into a chain of 2–3 subdomains along one
         /// direction, each swept on its own thread with the carries going
         /// through channels: pipelined segments (and the distributed cyclic
-        /// solve) must reproduce the whole-grid reference bit for bit.
+        /// solve) must reproduce the whole-grid reference bit for bit, and
+        /// every rank must keep the line-solve ledger of [`line_ledger`].
+        /// Pieces are at least 2 nodes wide, the thinnest a periodic grid's
+        /// `i`-piece may be: a 2-wide seam piece solves a single unknown.
         #[test]
         fn pipelined_chains_bit_equal_scalar_reference(
             seed in 1u64..(1 << 60),
-            ni in 9usize..16, nj in 7usize..12, nk in 1usize..10,
+            ni in 4usize..16, nj in 7usize..12, nk in 1usize..10,
             split in 0usize..3, parts in 2usize..4, periodic in 0usize..2,
         ) {
             let d = Dims::new(ni, nj, if nk < 7 { 1 } else { nk });
             let split = if d.nk == 1 { split % 2 } else { split };
+            let parts = parts.min(d.get(split) / 2);
             let g = crate::testutil::wavy_grid(d, periodic == 1);
             let fc = FlowConditions::new(0.8, 3.0, 0.0);
             let (whole, dq0) = keyed_block(&g, d.full_box(), [None; 6], seed);
@@ -1534,14 +1455,33 @@ pub(crate) mod tests {
                 .map(|(owned, neighbor)| keyed_block(&g, owned, neighbor, seed))
                 .collect();
             let isa = if seed % 2 == 0 { Isa::Scalar } else { select_isa() };
-            std::thread::scope(|s| {
-                for ((b, dq), comm) in blocks.iter_mut().zip(chain(parts)) {
-                    s.spawn(move || {
-                        let mut comm = comm;
-                        sweep_field(b, &fc, dq, &mut comm, &mut SweepScratch::new(isa));
-                    });
-                }
+            let ledgers: Vec<Vec<Entry>> = std::thread::scope(|s| {
+                let runs: Vec<_> = blocks
+                    .iter_mut()
+                    .zip(chain(parts))
+                    .map(|((b, dq), mut comm)| {
+                        s.spawn(move || {
+                            sweep_field(b, &fc, dq, &mut comm, &mut Scratch::new(isa));
+                            comm.ledger
+                        })
+                    })
+                    .collect();
+                runs.into_iter().map(|r| r.join().unwrap()).collect()
             });
+            for ((b, _), ledger) in blocks.iter().zip(&ledgers) {
+                let mut rest = &ledger[..];
+                for (dir, want, total) in line_ledger(b) {
+                    let what = format!("split {split} x{parts}: owned {:?} dir {dir}", b.owned);
+                    prop_assert!(rest.len() >= want.len(), "{}: ledger ends early", what);
+                    let (got, tail) = rest.split_at(want.len());
+                    prop_assert_eq!(got, &want[..], "{}", what);
+                    let charged: u64 =
+                        got.iter().map(|e| if let Entry::Charge(f) = e { *f } else { 0 }).sum();
+                    prop_assert_eq!(charged, total, "{}: charges", what);
+                    rest = tail;
+                }
+                prop_assert!(rest.is_empty(), "owned {:?}: entries past the last sweep", b.owned);
+            }
             for (b, dq) in &blocks {
                 for p in b.owned_local().iter() {
                     let gp = whole.to_local(b.to_global(p));
@@ -1554,15 +1494,71 @@ pub(crate) mod tests {
         }
     }
 
+    /// One entry of a rank's line-solve ledger: a carry message sent, or a
+    /// compute charge.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) enum Entry {
+        Send { dir: usize, downstream: bool, len: usize },
+        Charge(u64),
+    }
+
+    /// The ledger [`implicit_sweeps`] must keep on `b`, per active
+    /// direction, with the sum of its charges: F per unknown on open lines,
+    /// F + F/3 + 4 on cyclic ones (F = [`FLOPS_PER_NODE_PER_DIR`]). Per pass
+    /// and chunk, the chunk's charge and then — toward a pipeline neighbour —
+    /// its carry message, of a fixed width per line: open lines eliminate
+    /// (7/10 F, `[cp, d]`) and substitute (2/10 F, `[x]`), then charge the
+    /// rest of F in one lump; cyclic lines eliminate (F, `[cp, d, z, α,
+    /// γ]`), substitute (F/3, `[y, z, y_last, z_last]`) and correct (4,
+    /// `[fact, x0]`).
+    fn line_ledger(b: &Block) -> Vec<(usize, Vec<Entry>, u64)> {
+        const F: u64 = FLOPS_PER_NODE_PER_DIR;
+        let od = b.owned.dims();
+        let mut out = Vec::new();
+        for &dir in b.active_dirs() {
+            let lines = od.count() / od.get(dir);
+            let cyclic = dir == 0 && b.periodic_i_grid;
+            let n = od.get(dir) - usize::from(cyclic && b.owned.hi.i == b.grid_dims.ni);
+            let up = implicit_neighbor(b, dir, false).is_some();
+            let down = implicit_neighbor(b, dir, true).is_some();
+            let nchunks = if up || down { PIPELINE_CHUNKS.min(lines) } else { 1 };
+            // (flops per unknown, values per line and field, toward downstream)
+            let passes: &[(u64, usize, bool)] = if cyclic {
+                &[(F, 5, true), (F / 3, 4, false), (4, 2, true)]
+            } else {
+                &[(F * 7 / 10, 2, true), (F * 2 / 10, 1, false)]
+            };
+            let mut want = Vec::new();
+            for &(per_node, width, downstream) in passes {
+                for ch in 0..nchunks {
+                    let chunk = lines * (ch + 1) / nchunks - lines * ch / nchunks;
+                    want.push(Entry::Charge(per_node * (n * chunk) as u64));
+                    if (downstream && down) || (!downstream && up) {
+                        want.push(Entry::Send { dir, downstream, len: chunk * width * NVAR });
+                    }
+                }
+            }
+            if !cyclic {
+                let staged: u64 = passes.iter().map(|p| p.0).sum();
+                want.push(Entry::Charge((F - staged) * (n * lines) as u64));
+            }
+            let per_node = if cyclic { F + F / 3 + 4 } else { F };
+            out.push((dir, want, per_node * (n * lines) as u64));
+        }
+        out
+    }
+
     /// Line-solve links of one subdomain in a chain, over channels (index
     /// 0: the upstream neighbour, 1: the downstream one), with a small
-    /// buffer pool so the recycling hooks are exercised. Halos are left as
+    /// buffer pool so the recycling hooks are exercised, and the ledger of
+    /// every carry message sent and every compute charge. Halos are left as
     /// they are.
     #[derive(Default)]
     pub(crate) struct ChanComm {
         tx: [Option<Sender<Vec<f64>>>; 2],
         rx: [Option<Receiver<Vec<f64>>>; 2],
         pool: Vec<Vec<f64>>,
+        pub(crate) ledger: Vec<Entry>,
     }
 
     /// The links of a chain of `parts` subdomains, one channel each way
@@ -1582,7 +1578,8 @@ pub(crate) mod tests {
 
     impl SolverComm for ChanComm {
         fn exchange_halo(&mut self, _: &mut Block) {}
-        fn send_line(&mut self, _: &Block, _: usize, downstream: bool, data: Vec<f64>) {
+        fn send_line(&mut self, _: &Block, dir: usize, downstream: bool, data: Vec<f64>) {
+            self.ledger.push(Entry::Send { dir, downstream, len: data.len() });
             let tx = &self.tx[usize::from(downstream)];
             tx.as_ref().expect("send toward a missing neighbor").send(data).unwrap();
         }
@@ -1599,6 +1596,9 @@ pub(crate) mod tests {
         }
         fn recycle_buf(&mut self, buf: Vec<f64>) {
             self.pool.push(buf);
+        }
+        fn compute(&mut self, flops: u64) {
+            self.ledger.push(Entry::Charge(flops));
         }
     }
 }

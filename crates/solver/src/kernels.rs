@@ -12,9 +12,11 @@
 //!
 //! The *row* kernels (the residual's passes, the sweeps' pointwise
 //! transforms) walk rows of nodes, four consecutive nodes per lane group.
-//! The *sweep group* kernels ([`sweep_forward_group`] and friends) are what
-//! [`crate::adi::implicit_sweeps`] drives — including the Sherman–Morrison
-//! periodic variant and the pipelined chunk carries. They address a group's
+//! The *sweep group* kernels ([`sweep_forward_group`],
+//! [`sweep_backward_group`]) are what [`crate::adi::implicit_sweeps`] drives,
+//! pipelined chunk carries included; a [`Cyclic`] part adds the
+//! Sherman–Morrison correction column of an O-grid's `i`-lines, which
+//! [`periodic_correct_group`] then applies. They address a group's
 //! rows through a [`LaneRows`]: in place in the SoA when the group's four
 //! lines are neighbours in memory, in a group buffer filled by
 //! [`pack_lines`] otherwise. Both kinds check the extent of what they will
@@ -1250,19 +1252,40 @@ unsafe fn operator<L: Lane4>(
     }
 }
 
+/// Values carried per line and field from one rank's segment of a line to
+/// the next one's by the forward pass, in the order of its messages: the
+/// super-diagonal `cp` and the RHS `d` on every line, then — on cyclic
+/// lines only — the correction column `z` and the corner parameters α, γ.
+pub const FWD_CARRIES: usize = 5;
+
+/// The cyclic part of a lane group's line solve (the Sherman–Morrison
+/// `i`-sweep of an O-grid): the rank-one correction column `z`, solved as a
+/// second right-hand side beside `d`, and the chain ends this rank owns.
+/// `z` depends on the operator only and so is kept per eigenvalue class,
+/// packed like `cp`.
+pub struct Cyclic<'a> {
+    pub z: &'a mut [f64],
+    /// This rank owns the chain's first row (the corner parameters α, γ are
+    /// set there) / its last row (which couples back to row 0 through them).
+    pub first: bool,
+    pub last: bool,
+}
+
 lane_kernel! {
-    /// Forward-eliminate one lane group of an *open* implicit sweep: up to
-    /// [`W`] lines over `n` nodes, `NVAR` independent systems per line, the
-    /// fields of one eigenvalue class sharing their coefficients and
-    /// super-diagonals (the scalar recurrence computes them identically).
+    /// Forward-eliminate one lane group of an implicit sweep: up to [`W`]
+    /// lines over `n` nodes, `NVAR` independent systems per line, the fields
+    /// of one eigenvalue class sharing their coefficients and super-diagonals
+    /// (the scalar recurrence computes them identically).
     ///
     /// `eig` holds the operator rows ([`E_FIELDS`] fields: the class
     /// eigenvalues, the spectral radius, the identity mask — sign bit set on
     /// blanked rows) at `e_at`, `edge` the frames just outside the lines.
     /// `d` is the characteristic RHS in/out at `d_at`; `cp` receives the
-    /// normalized super-diagonals, one per class (packed layout).
-    /// `carry_cp`/`carry_dp` (per field) enter holding the upstream pipeline
-    /// carry when `have_carry` and leave holding this group's last-row carry.
+    /// normalized super-diagonals, one per class (packed layout). `carry`
+    /// (per field, [`FWD_CARRIES`] rows) enters holding the upstream pipeline
+    /// carry when `have_carry` — zero otherwise — and leaves holding this
+    /// group's last-row carry. A `cyclic` group also eliminates its `z`
+    /// column and closes the corner rows of the chain ends it owns.
     pub fn sweep_forward_group<L>(
         dt: f64,
         n: usize,
@@ -1272,35 +1295,65 @@ lane_kernel! {
         d: &mut [f64],
         d_at: LaneRows,
         cp: &mut [f64],
-        carry_cp: &mut [f64; NVW],
-        carry_dp: &mut [f64; NVW],
+        carry: &mut [[f64; NVW]; FWD_CARRIES],
         have_carry: bool,
+        cyclic: Option<Cyclic<'_>>,
     ) {
+        let mut cyclic = cyclic;
         let zero = L::splat(0.0);
         let cp_at = LaneRows::packed(NCLASS);
         e_at.check(n, E_FIELDS, eig.len());
         d_at.check(n, NVAR, d.len());
         cp_at.check(n, NCLASS, cp.len());
-        let mut pcp: [L; NCLASS] = [zero; NCLASS];
+        if let Some(cy) = &cyclic {
+            cp_at.check(n, NCLASS, cy.z.len());
+        }
+        let [c_cp, c_d, c_z, c_al, c_ga] = carry;
+        let [mut pcp, mut pz, mut al, mut ga] = [[zero; NCLASS]; 4];
         let mut pdp: [L; NVAR] = [zero; NVAR];
         for e in 0..NCLASS {
-            pcp[e] = L::load(&carry_cp[CLASS_FIELD[e] * W..]);
+            let f = CLASS_FIELD[e] * W;
+            pcp[e] = L::load(&c_cp[f..]);
+            pz[e] = L::load(&c_z[f..]);
+            al[e] = L::load(&c_al[f..]);
+            ga[e] = L::load(&c_ga[f..]);
         }
         for v in 0..NVAR {
-            pdp[v] = L::load(&carry_dp[v * W..]);
+            pdp[v] = L::load(&c_d[v * W..]);
         }
         for c in 0..n {
             let first = c == 0 && !have_carry;
             // SAFETY (`operator` and every `load_at`/`store_at` below):
             // rows below `n`, fields below those just checked.
             let (ident, abc) = unsafe { operator::<L>(dt, n, eig, e_at, edge, c) };
-            // bp = b - a·cp₋, cp = c/bp — the scalar Thomas step.
             let mut bp = [zero; NCLASS];
             for e in 0..NCLASS {
-                let (a, b, cc) = abc[e];
+                let (a, mut b, cc) = abc[e];
+                // The cyclic system's corner rows, and the row's entry `u` of
+                // the rank-one column.
+                let mut u = zero;
+                if let Some(cy) = &cyclic {
+                    if cy.first && c == 0 {
+                        ga[e] = b.neg();
+                        al[e] = a;
+                        b = b.sub(ga[e]);
+                        u = ga[e];
+                    }
+                    if cy.last && c == n - 1 {
+                        // Coupling of the last row back to node 0 through the
+                        // duplicated seam node's frame.
+                        b = b.sub(al[e].mul(cc).div(ga[e]));
+                        u = cc;
+                    }
+                }
+                // bp = b - a·cp₋, cp = c/bp — the scalar Thomas step.
                 bp[e] = if first { b } else { b.sub(a.mul(pcp[e])) };
                 pcp[e] = cc.div(bp[e]);
                 unsafe { store_at(pcp[e], cp, cp_at.at(c, e)) };
+                if let Some(cy) = &mut cyclic {
+                    pz[e] = if first { u } else { u.sub(a.mul(pz[e])) }.div(bp[e]);
+                    unsafe { store_at(pz[e], cy.z, cp_at.at(c, e)) };
+                }
             }
             for v in 0..NVAR {
                 let e = CLASS[v];
@@ -1311,38 +1364,62 @@ lane_kernel! {
             }
         }
         for v in 0..NVAR {
-            pcp[CLASS[v]].store(&mut carry_cp[v * W..]);
-            pdp[v].store(&mut carry_dp[v * W..]);
+            let (e, f) = (CLASS[v], v * W);
+            pcp[e].store(&mut c_cp[f..]);
+            pdp[v].store(&mut c_d[f..]);
+            pz[e].store(&mut c_z[f..]);
+            al[e].store(&mut c_al[f..]);
+            ga[e].store(&mut c_ga[f..]);
         }
     }
 }
 
 lane_kernel! {
-    /// Back-substitute one lane group of an open sweep (`d` at `d_at`, `cp`
-    /// packed per class). `seed` is the downstream rank's first unknowns
-    /// (lane-interleaved), `None` when this group owns the end of its lines.
+    /// Back-substitute one lane group (`d` at `d_at`, `cp` packed per class)
+    /// and, on cyclic lines, its correction column `z` (packed per class).
+    /// `seed` is the downstream rank's first unknowns (lane-interleaved per
+    /// field: `x`, then `z` on cyclic lines), `None` when this group owns the
+    /// end of its lines.
     pub fn sweep_backward_group<L>(
         n: usize,
         cp: &[f64],
         d: &mut [f64],
         d_at: LaneRows,
-        seed: Option<&[f64; NVW]>,
+        z: Option<&mut [f64]>,
+        seed: Option<&[[f64; NVW]; 2]>,
     ) {
+        let mut z = z;
         let cp_at = LaneRows::packed(NCLASS);
         d_at.check(n, NVAR, d.len());
         cp_at.check(n, NCLASS, cp.len());
+        if let Some(z) = &z {
+            cp_at.check(n, NCLASS, z.len());
+        }
         // SAFETY (every `load_at`/`store_at` below): rows below `n`, fields
         // below those just checked.
         let mut next: [L; NVAR] = [L::splat(0.0); NVAR];
+        let mut nz: [L; NCLASS] = [L::splat(0.0); NCLASS];
         for v in 0..NVAR {
             let row = d_at.at(n - 1, v);
             let mut x = unsafe { load_at::<L>(d, row) };
-            if let Some(xd) = seed {
+            if let Some([xd, _]) = seed {
                 let cpv = unsafe { load_at::<L>(cp, cp_at.at(n - 1, CLASS[v])) };
                 x = x.sub(cpv.mul(L::load(&xd[v * W..])));
                 unsafe { store_at(x, d, row) };
             }
             next[v] = x;
+        }
+        if let Some(z) = &mut z {
+            for e in 0..NCLASS {
+                let row = cp_at.at(n - 1, e);
+                let mut zv = unsafe { load_at::<L>(z, row) };
+                if let Some([_, zd]) = seed {
+                    let cpv = unsafe { load_at::<L>(cp, row) };
+                    zv = zv.sub(cpv.mul(L::load(&zd[CLASS_FIELD[e] * W..])));
+                    unsafe { store_at(zv, z, row) };
+                }
+                nz[e] = zv;
+            }
         }
         for c in (0..n.saturating_sub(1)).rev() {
             let mut cpe = [L::splat(0.0); NCLASS];
@@ -1355,165 +1432,13 @@ lane_kernel! {
                 unsafe { store_at(x, d, row) };
                 *nx = x;
             }
-        }
-    }
-}
-
-lane_kernel! {
-    /// Forward-eliminate one lane group of the *cyclic* (Sherman–Morrison)
-    /// `i`-sweep: two right-hand sides per system (`y` physical, per field;
-    /// `z` the rank-one correction column, which depends on the operator
-    /// only and so is kept per eigenvalue class, like `cp`) plus the per-line
-    /// corner parameters `alpha`/`gamma` (set at the first row of the chain,
-    /// consumed at the last). Operator rows and edge frames as in
-    /// [`sweep_forward_group`], everything else packed; carries and corner
-    /// parameters per field. Flags mirror the scalar code:
-    /// `is_first`/`is_last` say whether this rank owns the chain ends.
-    pub fn periodic_forward_group<L>(
-        dt: f64,
-        n: usize,
-        eig: &[f64],
-        e_at: LaneRows,
-        edge: &[f64; EDGE_LEN],
-        y: &mut [f64],
-        z: &mut [f64],
-        cp: &mut [f64],
-        alpha: &mut [f64; NVW],
-        gamma: &mut [f64; NVW],
-        carry_cp: &mut [f64; NVW],
-        carry_y: &mut [f64; NVW],
-        carry_z: &mut [f64; NVW],
-        have_carry: bool,
-        is_first: bool,
-        is_last: bool,
-    ) {
-        let zero = L::splat(0.0);
-        let (y_at, e3_at) = (LaneRows::packed(NVAR), LaneRows::packed(NCLASS));
-        e_at.check(n, E_FIELDS, eig.len());
-        y_at.check(n, NVAR, y.len());
-        e3_at.check(n, NCLASS, z.len().min(cp.len()));
-        let mut pcp: [L; NCLASS] = [zero; NCLASS];
-        let mut pz: [L; NCLASS] = [zero; NCLASS];
-        let mut al: [L; NCLASS] = [zero; NCLASS];
-        let mut ga: [L; NCLASS] = [zero; NCLASS];
-        let mut py: [L; NVAR] = [zero; NVAR];
-        for e in 0..NCLASS {
-            let f = CLASS_FIELD[e] * W;
-            pcp[e] = L::load(&carry_cp[f..]);
-            pz[e] = L::load(&carry_z[f..]);
-            al[e] = L::load(&alpha[f..]);
-            ga[e] = L::load(&gamma[f..]);
-        }
-        for v in 0..NVAR {
-            py[v] = L::load(&carry_y[v * W..]);
-        }
-        for c in 0..n {
-            let first = c == 0 && !have_carry;
-            // SAFETY (`operator` and every `load_at`/`store_at` below):
-            // rows below `n`, fields below those just checked.
-            let (ident, abc) = unsafe { operator::<L>(dt, n, eig, e_at, edge, c) };
-            let mut bp = [zero; NCLASS];
-            for e in 0..NCLASS {
-                let (a, mut b, cc) = abc[e];
-                let mut u_rhs = zero;
-                if is_first && c == 0 {
-                    // Corner entries of the cyclic system.
-                    ga[e] = b.neg();
-                    al[e] = a;
-                    b = b.sub(ga[e]);
-                    u_rhs = ga[e];
+            if let Some(z) = &mut z {
+                for (e, nx) in nz.iter_mut().enumerate() {
+                    let row = cp_at.at(c, e);
+                    let zv = unsafe { load_at::<L>(z, row) }.sub(cpe[e].mul(*nx));
+                    unsafe { store_at(zv, z, row) };
+                    *nx = zv;
                 }
-                if is_last && c == n - 1 {
-                    // Coupling of the last row back to node 0 through the
-                    // duplicated seam node's frame.
-                    let beta = cc;
-                    b = b.sub(al[e].mul(beta).div(ga[e]));
-                    u_rhs = beta;
-                }
-                let (bpe, znum) = if first {
-                    (b, u_rhs)
-                } else {
-                    (b.sub(a.mul(pcp[e])), u_rhs.sub(a.mul(pz[e])))
-                };
-                bp[e] = bpe;
-                pcp[e] = cc.div(bpe);
-                pz[e] = znum.div(bpe);
-                unsafe {
-                    store_at(pcp[e], cp, e3_at.at(c, e));
-                    store_at(pz[e], z, e3_at.at(c, e));
-                }
-            }
-            for v in 0..NVAR {
-                let e = CLASS[v];
-                let yv = L::select(ident, zero, unsafe { load_at::<L>(y, y_at.at(c, v)) });
-                py[v] = if first { yv } else { yv.sub(abc[e].0.mul(py[v])) }.div(bp[e]);
-                unsafe { store_at(py[v], y, y_at.at(c, v)) };
-            }
-        }
-        for v in 0..NVAR {
-            let (e, f) = (CLASS[v], v * W);
-            pcp[e].store(&mut carry_cp[f..]);
-            py[v].store(&mut carry_y[f..]);
-            pz[e].store(&mut carry_z[f..]);
-            al[e].store(&mut alpha[f..]);
-            ga[e].store(&mut gamma[f..]);
-        }
-    }
-}
-
-lane_kernel! {
-    /// Back-substitute one lane group of the cyclic sweep: the physical RHS
-    /// `y` (per field) and the correction column `z` (per eigenvalue class).
-    /// `seed` holds the downstream rank's first unknowns for both (`y_next`,
-    /// `z_next`, per field).
-    pub fn periodic_backward_group<L>(
-        n: usize,
-        cp: &[f64],
-        y: &mut [f64],
-        z: &mut [f64],
-        seed: Option<(&[f64; NVW], &[f64; NVW])>,
-    ) {
-        let (y_at, e3_at) = (LaneRows::packed(NVAR), LaneRows::packed(NCLASS));
-        y_at.check(n, NVAR, y.len());
-        e3_at.check(n, NCLASS, z.len().min(cp.len()));
-        // SAFETY (every `load_at`/`store_at` below): rows below `n`, fields
-        // below those just checked.
-        let mut ny: [L; NVAR] = [L::splat(0.0); NVAR];
-        let mut nz: [L; NCLASS] = [L::splat(0.0); NCLASS];
-        for e in 0..NCLASS {
-            let row = e3_at.at(n - 1, e);
-            let mut zv = unsafe { load_at::<L>(z, row) };
-            if let Some((_, znext)) = seed {
-                let cpv = unsafe { load_at::<L>(cp, row) };
-                zv = zv.sub(cpv.mul(L::load(&znext[CLASS_FIELD[e] * W..])));
-                unsafe { store_at(zv, z, row) };
-            }
-            nz[e] = zv;
-        }
-        for v in 0..NVAR {
-            let row = y_at.at(n - 1, v);
-            let mut yv = unsafe { load_at::<L>(y, row) };
-            if let Some((ynext, _)) = seed {
-                let cpv = unsafe { load_at::<L>(cp, e3_at.at(n - 1, CLASS[v])) };
-                yv = yv.sub(cpv.mul(L::load(&ynext[v * W..])));
-                unsafe { store_at(yv, y, row) };
-            }
-            ny[v] = yv;
-        }
-        for c in (0..n.saturating_sub(1)).rev() {
-            let mut cpe = [L::splat(0.0); NCLASS];
-            for e in 0..NCLASS {
-                let row = e3_at.at(c, e);
-                cpe[e] = unsafe { load_at::<L>(cp, row) };
-                let zv = unsafe { load_at::<L>(z, row) }.sub(cpe[e].mul(nz[e]));
-                unsafe { store_at(zv, z, row) };
-                nz[e] = zv;
-            }
-            for v in 0..NVAR {
-                let row = y_at.at(c, v);
-                let yv = unsafe { load_at::<L>(y, row) }.sub(cpe[CLASS[v]].mul(ny[v]));
-                unsafe { store_at(yv, y, row) };
-                ny[v] = yv;
             }
         }
     }

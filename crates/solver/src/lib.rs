@@ -28,11 +28,11 @@ mod testutil;
 mod tridiag;
 pub mod turbulence;
 
-pub use adi::{SerialComm, SolverComm, SweepScratch};
+pub use adi::{Scratch, SerialComm, SolverComm};
 pub use block::{Blank, Block, HALO};
 pub use conditions::{FlowConditions, GAMMA};
 #[cfg(target_arch = "x86_64")]
 pub use lanes::AvxLanes;
 pub use lanes::{select_isa, Isa, Lane4, ScalarLanes, W};
-pub use step::{step_block, Scratch, StepReport};
+pub use step::{step_block, StepReport};
 pub use turbulence::WallGeometry;

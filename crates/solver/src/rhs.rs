@@ -22,7 +22,7 @@
 //! bit-equality tests), so the result is bit-identical to evaluating every
 //! stencil from scratch.
 
-use crate::adi::SweepScratch;
+use crate::adi::Scratch;
 use crate::block::{Blank, Block};
 use crate::conditions::FlowConditions;
 use crate::kernels::{self, Rows, RC_FIELDS};
@@ -72,7 +72,7 @@ fn sweep_box(block: &Block) -> Option<IndexBox> {
 }
 
 /// Assemble the residual R over the block's computable nodes into the
-/// sweeps' increment ([`SweepScratch::increment`]), which leaves holding
+/// sweeps' increment ([`Scratch::increment`]), which leaves holding
 /// Δt·R on field nodes (R already divided by J) and zero elsewhere. Returns
 /// the modelled flops and the L2 norm of R over the owned field nodes
 /// (diagnostic).
@@ -82,7 +82,7 @@ fn sweep_box(block: &Block) -> Option<IndexBox> {
 /// neighbours along `i`, a ring of five rows along a `j` or `k` pencil,
 /// three rows along η for the thin layer. The node cache stays in the
 /// first cache levels whatever the block size.
-pub fn compute_residual(block: &Block, fc: &FlowConditions, ws: &mut SweepScratch) -> (u64, f64) {
+pub fn compute_residual(block: &Block, fc: &FlowConditions, ws: &mut Scratch) -> (u64, f64) {
     let ow = block.owned_local();
     let (ld, od) = (block.local_dims, ow.dims());
     let ib = block.iblank.as_slice();
@@ -456,7 +456,7 @@ mod tests {
     /// The increment the residual leaves (Δt·R on the owned nodes, zero
     /// elsewhere) as an interleaved field over the block, with the flops and
     /// the L2 norm of R.
-    fn residual(b: &Block, fc: &FlowConditions, ws: &mut SweepScratch) -> (StateField, u64, f64) {
+    fn residual(b: &Block, fc: &FlowConditions, ws: &mut Scratch) -> (StateField, u64, f64) {
         let (flops, l2) = compute_residual(b, fc, ws);
         let (ow, inc) = (b.owned_local(), ws.increment(b));
         let mut out = StateField::new(b.local_dims);
@@ -467,7 +467,7 @@ mod tests {
     }
 
     fn l2(b: &Block, fc: &FlowConditions) -> f64 {
-        compute_residual(b, fc, &mut SweepScratch::default()).1
+        compute_residual(b, fc, &mut Scratch::default()).1
     }
 
     #[test]
@@ -512,7 +512,7 @@ mod tests {
         let mut q = *b.q.node(c);
         q[4] *= 1.2;
         b.q.set_node(c, q);
-        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut Scratch::default());
         // Neighbours see incoming momentum flux (divergence of p at center).
         let right = res.node(Ijk::new(5, 4, 4));
         let left = res.node(Ijk::new(3, 4, 4));
@@ -532,7 +532,7 @@ mod tests {
         b.iblank[f] = Blank::Fringe;
         // Put garbage in the hole: must not contaminate its own residual.
         b.q.set_node(c, [1.0, 9.0, 9.0, 9.0, 99.0]);
-        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut Scratch::default());
         assert_eq!(*res.node(c), [0.0; 5]);
         assert_eq!(*res.node(f), [0.0; 5]);
     }
@@ -576,7 +576,7 @@ mod tests {
             let prim = [1.0, u, 0.0, 0.0, 1.0 / GAMMA];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
         }
-        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut Scratch::default());
         // Above the inflection u is concave (u'' < 0) so du/dt < 0; below,
         // convex so du/dt > 0.
         let above = res.node(Ijk::new(6, 8, 6));
@@ -675,7 +675,7 @@ mod tests {
         let want_flops = reference::compute_residual(b, &fc, &mut want);
         let want_l2 = reference::residual_l2(b, &want);
         for isa in [Isa::Scalar, select_isa()] {
-            let mut ws = SweepScratch::new(isa);
+            let mut ws = Scratch::new(isa);
             ws.increment(b).fill(7.0); // stale values must be overwritten
             let (got, flops, l2) = residual(b, &fc, &mut ws);
             prop_assert_eq!(flops, want_flops, "{} {:?}: flops", what, isa);
@@ -740,7 +740,7 @@ mod tests {
             }
         }
         assert_matches_reference(&b, "shielded hole").unwrap();
-        let (res, _, _) = residual(&b, &fc, &mut SweepScratch::default());
+        let (res, _, _) = residual(&b, &fc, &mut Scratch::default());
         assert!(res.as_slice().iter().all(|x| x.is_finite()));
         assert!(res.node(Ijk::new(6, 4, 4)).iter().any(|&x| x != 0.0));
     }

@@ -1,7 +1,7 @@
 //! One implicit timestep on a block: the OVERFLOW phase of the OVERFLOW-D1
 //! loop.
 
-use crate::adi::{implicit_sweeps, SolverComm, SweepScratch};
+use crate::adi::{implicit_sweeps, Scratch, SolverComm};
 use crate::bc::apply_bcs;
 use crate::block::{Blank, Block};
 use crate::conditions::FlowConditions;
@@ -9,25 +9,6 @@ use crate::kernels::Rows;
 use crate::rhs::compute_residual;
 use crate::turbulence::{compute_mu_t, WallGeometry};
 use overset_grid::field::NVAR;
-
-/// Reusable scratch for stepping (avoids per-step allocation). One serves
-/// any number of blocks stepped one after the other: a rank keeps one for
-/// all of its blocks, and its buffers grow to the largest.
-#[derive(Default)]
-pub struct Scratch {
-    /// The flow workspace — the increment from residual to update, the
-    /// residual's node cache, the line sweeps' buffers — plus the kernel ISA
-    /// (`sweep.isa`: the host's, until a test or bench sets `Isa::Scalar`).
-    pub sweep: SweepScratch,
-}
-
-impl Scratch {
-    /// Scratch for stepping `block`; its buffers are sized by the first
-    /// step.
-    pub fn for_block(_block: &Block) -> Scratch {
-        Scratch::default()
-    }
-}
 
 /// Outcome of one step.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -49,9 +30,11 @@ pub struct StepReport {
 ///
 /// Each stage's work is charged through [`SolverComm::compute`] as it
 /// completes, so a message-passing communicator stamps the pipelined carries
-/// with the right clocks; a serial caller charges the returned
-/// [`StepReport::flops`] in one lump instead (the 5-flop/node update is
-/// charged per stage only and is not part of that total).
+/// with the right clocks. The returned [`StepReport::flops`] is an estimate
+/// that tests and the benchmark's solver probe read, not what the clock is
+/// charged: the 5-flop/node update is not part of it, and with F =
+/// [`crate::adi::FLOPS_PER_NODE_PER_DIR`] a cyclic line's sweep books 2F per
+/// node where its charges come to F + F/3 + 4 (DESIGN.md §6).
 pub fn step_block(
     block: &mut Block,
     fc: &FlowConditions,
@@ -71,18 +54,18 @@ pub fn step_block(
     }
 
     let t0 = comm.now();
-    let (res_flops, residual) = compute_residual(block, fc, &mut scratch.sweep);
+    let (res_flops, residual) = compute_residual(block, fc, scratch);
     comm.compute(res_flops);
     flops += res_flops;
     comm.trace_span("solver", "residual", t0);
 
     // The sweeps charge their own work as they go.
-    flops += implicit_sweeps(block, fc, comm, &mut scratch.sweep);
+    flops += implicit_sweeps(block, fc, comm, scratch);
 
     // Update field nodes.
     let ow = block.owned_local();
     let (mm, ni) = (ow.count(), ow.dims().ni);
-    let dq = scratch.sweep.increment(block);
+    let dq = scratch.increment(block);
     let ib = block.iblank.as_slice();
     let mut update_flops = 0u64;
     for (s0, t0) in Rows::new(ow, block.local_dims.full_box(), ow).starts() {
@@ -383,7 +366,7 @@ mod tests {
                     .iter()
                     .map(|b| {
                         let mut s = Scratch::for_block(b);
-                        s.sweep.isa = isa;
+                        s.isa = isa;
                         s
                     })
                     .collect();

@@ -3,7 +3,7 @@
 use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
 use overset_grid::field::Field3;
 use overset_grid::Dims;
-use overset_solver::adi::{implicit_sweeps, SerialComm, SweepScratch};
+use overset_solver::adi::{implicit_sweeps, Scratch, SerialComm};
 use overset_solver::conditions::{
     conservatives, enforce_positivity, pressure, primitives, FlowConditions,
 };
@@ -53,7 +53,7 @@ proptest! {
             s ^= s << 17;
             (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        let mut ws = SweepScratch::default();
+        let mut ws = Scratch::default();
         let dq0: Vec<f64> = ws.increment(&b).iter().map(|_| draw()).collect();
         let mut results: Vec<Vec<u64>> = Vec::new();
         for isa in isas() {
@@ -79,7 +79,7 @@ proptest! {
     ) {
         let fc = FlowConditions::new(mach, alpha, 0.0);
         let b = wavy_block(7, amp, &fc);
-        let (_, l2) = compute_residual(&b, &fc, &mut SweepScratch::default());
+        let (_, l2) = compute_residual(&b, &fc, &mut Scratch::default());
         prop_assert!(l2 < 1e-9, "res {}", l2);
     }
 
@@ -132,7 +132,7 @@ proptest! {
         fc.dt = dt;
         let b = wavy_block(7, 0.03, &fc);
         // The impulse at owned node (ci, cj, ck) of the whole-grid block.
-        let mut ws = SweepScratch::default();
+        let mut ws = Scratch::default();
         let (n3, at) = (b.owned_count(), ci + 7 * (cj + 7 * ck));
         let dq = ws.increment(&b);
         for (v, x) in [1.0, 0.5, -0.2, 0.1, 2.0].into_iter().enumerate() {

@@ -26,7 +26,7 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
-echo "== solver bit-equality proptests (kernels vs scalar references, step vs reference step, row copies vs per-node copies, block construction vs its per-node reference): release, 256 cases each =="
+echo "== solver bit-equality proptests (kernels vs scalar references, pipelined chains vs the whole grid with their carry messages and compute charges, step vs reference step, row copies vs per-node copies, block construction vs its per-node reference): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-solver -- bit_equal
 
 echo "== grid bit-equality proptest (row-hoisted metrics vs per-node metric_at): release, 256 cases =="
