@@ -156,7 +156,8 @@ impl AdaptiveScheme {
         // Gather fringe lists per brick block.
         let mut fringes: Vec<Vec<Igbp>> = Vec::with_capacity(self.blocks.len());
         for b in self.blocks.iter_mut() {
-            let (igbps, _) = cut_holes_and_find_fringe(b, &solids, None, &mut arena);
+            let mut igbps = Vec::new();
+            cut_holes_and_find_fringe(b, &solids, None, &mut arena, &mut igbps);
             fringes.push(igbps);
         }
 
@@ -192,7 +193,8 @@ impl AdaptiveScheme {
         }
 
         // Near-body outer fringe ← bricks (O(1) locates).
-        let (near_igbps, _) = cut_holes_and_find_fringe(&mut self.near, &[], None, &mut arena);
+        let mut near_igbps = Vec::new();
+        cut_holes_and_find_fringe(&mut self.near, &[], None, &mut arena, &mut near_igbps);
         for ig in &near_igbps {
             self.cartesian_locates += 1;
             if let Some(d) = locate_any(&self.bricks, ig.xyz, None) {

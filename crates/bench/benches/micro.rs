@@ -336,7 +336,17 @@ fn connectivity_kernels(c: &mut Criterion) {
     c.bench_function("holes/cut_and_fringe_5k_nodes", |b| {
         b.iter_batched(
             || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
-            |mut blk| cut_holes_and_find_fringe(&mut blk, &solids, None, &mut ConnArena::new()),
+            |mut blk| {
+                let mut igbps = Vec::new();
+                cut_holes_and_find_fringe(
+                    &mut blk,
+                    &solids,
+                    None,
+                    &mut ConnArena::new(),
+                    &mut igbps,
+                );
+                igbps
+            },
             BatchSize::LargeInput,
         )
     });
@@ -348,7 +358,15 @@ fn connectivity_kernels(c: &mut Criterion) {
         b.iter_batched(
             || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
             |mut blk| {
-                cut_holes_and_find_fringe(&mut blk, &solids, Some(&inv), &mut ConnArena::new())
+                let mut igbps = Vec::new();
+                cut_holes_and_find_fringe(
+                    &mut blk,
+                    &solids,
+                    Some(&inv),
+                    &mut ConnArena::new(),
+                    &mut igbps,
+                );
+                igbps
             },
             BatchSize::LargeInput,
         )

@@ -18,7 +18,6 @@
 //! asserts exactly this.
 
 use crate::donor::{BatchQuery, SearchCost, SearchOutcome};
-use crate::holes::Igbp;
 use crate::inverse_map::BinClass;
 use crate::protocol::{Answer, BestReply, Pending, ReqPoint};
 use overset_comm::VecPool;
@@ -28,9 +27,9 @@ use overset_solver::Isa;
 use std::sync::Arc;
 
 /// Reusable scratch for one rank's connectivity work (distributed protocol
-/// and hole cutting). Construction allocates nothing;
-/// buffers grow to their working-set high-water mark within the first step
-/// or two and are cleared — never shrunk — between steps.
+/// and hole cutting). Construction allocates nothing; scratch collections
+/// are cleared, never shrunk, between steps, and the message-buffer pools
+/// keep at most one step's working set.
 #[derive(Default)]
 pub struct ConnArena {
     /// Lane ISA carrying the batched donor-search and containment kernels.
@@ -51,8 +50,10 @@ pub struct ConnArena {
     pub(crate) cand_pool: Vec<usize>,
     /// IGBP indices that exhausted every candidate.
     pub(crate) orphaned: Vec<usize>,
-    /// Per-destination-block request buffers (outer vec sized to the block
-    /// count of the partition).
+    /// Per-destination-block request lists (outer vec sized to the block
+    /// count of the partition). A list is taken from `req_pool` at its
+    /// round's count and leaves its slot with the send, so between rounds
+    /// every slot is empty and holds no capacity.
     pub(crate) outgoing: Vec<Vec<ReqPoint>>,
     /// Blocks of other ranks this rank sent requests to in the current
     /// round.
@@ -60,8 +61,9 @@ pub struct ConnArena {
     /// Per round, parallel to `pending`: the donor from the most preferred
     /// candidate block that found one.
     pub(crate) best: Vec<BestReply>,
-    /// Recycled request buffers: received request vectors are parked here
-    /// and reused for the next round's outgoing sends.
+    /// Recycled request buffers: request vectors home from their round
+    /// trip are parked here and reused for later rounds' sends. What a
+    /// step leaves idle goes at its end.
     pub(crate) req_pool: VecPool<ReqPoint>,
     /// Recycled answer buffers, symmetric to `req_pool`.
     pub(crate) ans_pool: VecPool<(u32, Answer)>,
@@ -85,9 +87,6 @@ pub struct ConnArena {
     /// Where the masked cutter's solids reach: per solid, the box of its
     /// hole-lattice bins not classified `Outside`.
     pub(crate) reach_boxes: Vec<Aabb>,
-    /// Recycled IGBP lists (the hole cutter takes one, the caller recycles
-    /// it after connectivity consumes it).
-    pub(crate) igbp_pool: VecPool<Igbp>,
 
     /// Batched donor-search scratch.
     pub(crate) walk: WalkScratch,
@@ -117,27 +116,16 @@ impl ConnArena {
         ConnArena { short_bound: Some(rounds), ..Self::default() }
     }
 
-    /// Return an IGBP list (obtained from the hole cutter) to the arena so
-    /// its capacity is reused next step.
-    pub fn recycle_igbps(&mut self, igbps: Vec<Igbp>) {
-        self.igbp_pool.put(igbps);
-    }
-
     /// Reset the distributed-protocol scratch for a new step. Capacities
-    /// survive; the outer `outgoing` vector is (re)sized to `nblocks`.
+    /// survive; the outer `outgoing` vector is (re)sized to `nblocks` empty
+    /// slots.
     pub(crate) fn begin_protocol(&mut self, nblocks: usize) {
         self.pending.clear();
         self.next_pending.clear();
         self.cand_pool.clear();
         self.orphaned.clear();
         self.sent_to.clear();
-        if self.outgoing.len() == nblocks {
-            for v in &mut self.outgoing {
-                v.clear();
-            }
-        } else {
-            self.outgoing.clear();
-            self.outgoing.resize_with(nblocks, Vec::new);
-        }
+        self.outgoing.clear();
+        self.outgoing.resize_with(nblocks, Vec::new);
     }
 }

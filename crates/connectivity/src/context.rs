@@ -105,7 +105,8 @@ pub struct RankBlock {
     pub wall: Option<WallGeometry>,
     pub(crate) slot: MapSlot,
     pub(crate) cache: DonorCache,
-    /// This step's IGBPs, between the hole cut and the end of the search.
+    /// This step's IGBPs, refilled by every hole cut (the list keeps its
+    /// capacity between steps).
     pub(crate) igbps: Vec<Igbp>,
     /// This step's routing entry of the block.
     pub(crate) route: RankRoute,
@@ -183,10 +184,13 @@ impl Connectivity {
         let t_cut = comm.now();
         let mut hole_flops = 0u64;
         for rb in blocks.iter_mut() {
-            let (igbps, flops) =
-                cut_holes_and_find_fringe(&mut rb.block, solids, rb.slot.map(), &mut self.arena);
-            rb.igbps = igbps;
-            hole_flops += flops;
+            hole_flops += cut_holes_and_find_fringe(
+                &mut rb.block,
+                solids,
+                rb.slot.map(),
+                &mut self.arena,
+                &mut rb.igbps,
+            );
             if !self.restart {
                 rb.cache.clear();
             }
@@ -194,11 +198,6 @@ impl Connectivity {
         comm.compute(hole_flops, WorkClass::Search);
         comm.trace_complete("conn", "hole_cut", t_cut, &[]);
         connect_distributed(blocks, topo, comm, &mut self.arena);
-        // Last block's list first: the cutter takes them back in block
-        // order, so every block keeps the list it grew.
-        for rb in blocks.iter_mut().rev() {
-            self.arena.recycle_igbps(std::mem::take(&mut rb.igbps));
-        }
     }
 }
 
@@ -438,5 +437,64 @@ mod tests {
             assert!(30 * fallbacks <= serviced, "{name}: {fallbacks} of {serviced} to the chain");
             assert_eq!(fallbacks > 0, name != "airfoil", "{name}: {fallbacks} chain fallbacks");
         }
+    }
+
+    /// A rank keeps the search buffers of one step's working set: over
+    /// twelve steps of the store ×0.3, statically partitioned over 18 ranks
+    /// and dropping a rigid step before each (the driver's motion →
+    /// connectivity order), the request and answer buffers parked on all
+    /// ranks after the last step take no more bytes than after the third.
+    /// (Pools that hand any parked buffer to any sender, which then grows
+    /// it, ratchet up every step instead.)
+    #[test]
+    fn the_search_buffers_stop_growing() {
+        use crate::serial::tests::tagged_solids;
+        use overset_balance::{fit_np_to_dims_min, static_balance, Partition};
+        use overset_comm::{MachineModel, Universe};
+        use overset_grid::gen::store;
+        let (nranks, steps) = (18, 12);
+        let grids = store::store_system(0.3);
+        let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
+        let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+        let min_widths: Vec<[usize; 3]> =
+            grids.iter().map(|g| if g.periodic_i { [2, 1, 1] } else { [1, 1, 1] }).collect();
+        let np = static_balance(&sizes, nranks).unwrap().np;
+        let part =
+            Partition::build(&dims, &fit_np_to_dims_min(&sizes, &dims, &np, &min_widths).unwrap());
+        let topo = Topology {
+            blocks_of_grid: (0..grids.len()).map(|g| part.ranks_of_grid(g)).collect(),
+            rank_of_block: (0..nranks).collect(),
+            search_order: store::store_search_order(),
+        };
+        let drop = RigidTransform::translation([0.0, 0.0, -0.004])
+            .then(&RigidTransform::rotation_about(store::STORE_CARRIAGE, [0.0, 1.0, 0.0], 1e-3));
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        let out = Universe::builder().ranks(nranks).machine(&MachineModel::modern()).run(|comm| {
+            let a = &part.ranks[comm.rank()];
+            let nbrs = part.neighbors_of(comm.rank(), grids[a.grid].periodic_i);
+            let block = Block::from_grid(a.grid, &grids[a.grid], a.boxx, nbrs, &fc);
+            let mut mine = vec![RankBlock::new(comm.rank(), block, None)];
+            let mut solids = tagged_solids(&grids);
+            let mut conn = Connectivity::new(true);
+            (0..steps)
+                .map(|_| {
+                    for (g, s) in solids.iter_mut() {
+                        if store::STORE_GRID_IDS.contains(g) {
+                            *s = s.transformed(&drop);
+                        }
+                    }
+                    if store::STORE_GRID_IDS.contains(&mine[0].block.grid_id) {
+                        mine[0].block.apply_motion(&drop, 0.01);
+                        mine[0].note_motion(&drop);
+                    }
+                    conn.step(&mut mine, &solids, &topo, comm);
+                    let ConnArena { req_pool, ans_pool, .. } = &conn.arena;
+                    (req_pool.parked_bytes() + ans_pool.parked_bytes()) as u64
+                })
+                .collect::<Vec<u64>>()
+        });
+        let total: Vec<u64> = (0..steps).map(|n| out.iter().map(|o| o.result[n]).sum()).collect();
+        assert!(total[2] > 0, "no search traffic: {total:?}");
+        assert!(total[steps - 1] <= total[2], "parked search bytes grew, per step: {total:?}");
     }
 }

@@ -58,9 +58,9 @@ pub struct Igbp {
 /// per solid and node plus one per node, or with a map the node's bin
 /// lookup. The virtual clock keeps the full sweep; the host does not.
 ///
-/// The returned IGBP list, in storage order, comes from the arena's pool
-/// (hand it back with [`ConnArena::recycle_igbps`] once connectivity has
-/// consumed it); a fresh arena gives the same answer with cold buffers.
+/// The block's IGBPs replace the contents of `igbps`, in storage order;
+/// the caller keeps the list, and its capacity, between cuts. A fresh arena
+/// gives the same answer with cold buffers. Returns the flop charge.
 ///
 /// An inverse map with a non-identity pose is ignored here: solid masks
 /// are classified in the map's *lattice* frame, and re-deriving them
@@ -73,12 +73,13 @@ pub fn cut_holes_and_find_fringe(
     solids: &[(usize, Solid)],
     inv: Option<&InverseMap>,
     arena: &mut ConnArena,
-) -> (Vec<Igbp>, u64) {
+    igbps: &mut Vec<Igbp>,
+) -> u64 {
     let inv = inv.filter(|m| m.pose_is_identity());
     let ow = block.owned_local();
     let d = block.local_dims;
     let isa = arena.isa;
-    let ConnArena { foreign_solids, solid_boxes, bin_classes, reach_boxes, igbp_pool, .. } = arena;
+    let ConnArena { foreign_solids, solid_boxes, bin_classes, reach_boxes, .. } = arena;
 
     foreign_solids.clear();
     foreign_solids.extend(solids.iter().filter(|(g, _)| *g != block.grid_id).map(|(_, s)| *s));
@@ -177,7 +178,7 @@ pub fn cut_holes_and_find_fringe(
     // pass. (A node turned fringe here is no hole to the nodes after it.)
     let (coords, iblank) = (block.coords.as_slice(), block.iblank.as_mut_slice());
     let (sj, sk) = (d.ni, d.ni * d.nj);
-    let mut igbps = igbp_pool.take();
+    igbps.clear();
     for k in ow.lo.k..ow.hi.k {
         let (k_lo, k_hi) = (!block.two_d && k > 0, !block.two_d && k + 1 < d.nk);
         for j in ow.lo.j..ow.hi.j {
@@ -203,7 +204,7 @@ pub fn cut_holes_and_find_fringe(
             }
         }
     }
-    (igbps, flops)
+    flops
 }
 
 /// Is `x` in some box of `reach` (`hull`: their union)? A NaN coordinate is
@@ -352,7 +353,10 @@ mod tests {
         solids: &[(usize, Solid)],
         inv: Option<&InverseMap>,
     ) -> (Vec<Igbp>, u64) {
-        cut_holes_and_find_fringe(block, solids, inv, &mut ConnArena::new())
+        let mut igbps = Vec::new();
+        let flops =
+            cut_holes_and_find_fringe(block, solids, inv, &mut ConnArena::new(), &mut igbps);
+        (igbps, flops)
     }
 
     fn bg_block(n: usize, outer_overset: bool) -> Block {
@@ -738,6 +742,7 @@ mod tests {
             RigidTransform::rotation_about([0.25, 0.0, 0.0], [0.0, 0.0, 1.0], f64::to_radians(0.1));
         let isa = overset_solver::select_isa();
         let mut arena = ConnArena { isa, ..ConnArena::default() };
+        let mut got = Vec::new();
         let (mut posed, mut masked, mut cut_nodes) = (0usize, 0usize, 0usize);
         for (name, grids, movers, step) in [
             ("store", store::store_system(0.3), &store::STORE_GRID_IDS[..], &drop),
@@ -774,8 +779,8 @@ mod tests {
                         masked += usize::from(inv.is_some_and(|m| m.pose_is_identity()));
                         let (want, want_flops) = cut_holes_reference(block, &solids, inv, isa);
                         let want_iblank = block.iblank.as_slice().to_vec();
-                        let (got, got_flops) =
-                            cut_holes_and_find_fringe(block, &solids, inv, &mut arena);
+                        let got_flops =
+                            cut_holes_and_find_fringe(block, &solids, inv, &mut arena, &mut got);
                         let what = format!(
                             "{name} step {n}, block {b} of grid {g}, map {}",
                             inv.map_or("none", |m| if m.pose_is_identity() {
@@ -793,7 +798,6 @@ mod tests {
                         assert_eq!(got_flops, want_flops, "{what}: flops");
                         let holes = want_iblank.iter().filter(|&&b| b == Blank::Hole).count();
                         cut_nodes += holes;
-                        arena.recycle_igbps(got);
                     }
                 }
             }

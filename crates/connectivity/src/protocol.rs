@@ -468,9 +468,31 @@ pub fn connect_distributed(
             pending.len()
         );
 
-        // Build per-destination request lists: every candidate of a pending
-        // point's level gets the request, identified by the point's slot in
-        // `pending`.
+        // Count the requests per destination block: every candidate of a
+        // pending point's level gets one. This rank's count row stays its
+        // own: the collective gets a shared handle to it and every rank
+        // reads the columns of its blocks, `all_counts[src][block]`, from
+        // the gathered rows, so nothing is copied and steady-state rounds
+        // allocate no count storage. Refilling the row in place is sound
+        // because the allreduce that opened this round completed only after
+        // every rank had dropped its view of the previous round's rows.
+        let row = count_row.get_or_insert_with(Default::default);
+        let counts = Arc::get_mut(row).expect("a view of last round's counts is still alive");
+        counts.clear();
+        counts.resize(outgoing.len(), 0);
+        for p in pending.iter() {
+            for &dst in p.candidates(cand_pool) {
+                counts[dst] += 1;
+            }
+            requests += u64::from(p.cand_len);
+        }
+        // Then build the lists, each in a buffer of its count, identifying
+        // a request by the point's slot in `pending`.
+        for (out, &n) in outgoing.iter_mut().zip(counts.iter()) {
+            if n > 0 {
+                *out = req_pool.take(n as usize);
+            }
+        }
         for (slot, p) in pending.iter().enumerate() {
             let ig = &blocks[p.blk as usize].igbps[p.igbp];
             for &dst in p.candidates(cand_pool) {
@@ -481,28 +503,17 @@ pub fn connect_distributed(
                     relaxed: p.relaxed,
                 });
             }
-            requests += u64::from(p.cand_len);
         }
-        // This rank's count row stays its own: the collective gets a shared
-        // handle to it and every rank reads the columns of its blocks,
-        // `all_counts[src][block]`, from the gathered rows, so nothing is
-        // copied and steady-state rounds allocate no count storage.
-        // Refilling the row in place is sound because the allreduce that
-        // opened this round completed only after every rank had dropped its
-        // view of the previous round's rows.
-        let row = count_row.get_or_insert_with(Default::default);
-        let counts = Arc::get_mut(row).expect("a view of last round's counts is still alive");
-        counts.clear();
-        counts.extend(outgoing.iter().map(|v| v.len() as u32));
         let all_counts = comm.allgather(Arc::clone(row), 4 * outgoing.len());
 
         // Send the requests for other ranks' blocks. Each request carries
-        // an empty reply buffer from the requester's answer pool, and the
-        // servicer sends both buffers back with the reply — every vector
-        // makes a full round trip home, so pool balance is independent of
-        // how asymmetric the request traffic is (a rank that only *asks*
-        // would otherwise bleed its buffers to the ranks that *serve*,
-        // reallocating every round).
+        // an empty reply buffer of its length from the requester's answer
+        // pool, and the servicer sends both buffers back with the reply —
+        // every vector makes a full round trip home, so pool balance is
+        // independent of how asymmetric the request traffic is (a rank that
+        // only *asks* would otherwise bleed its buffers to the ranks that
+        // *serve*, reallocating every round). The list leaves its slot with
+        // the send: a block this rank stops asking holds no capacity.
         let tag_req = TAG_BASE + 2 * round as u64;
         let tag_rep = tag_req + 1;
         sent_to.clear();
@@ -511,9 +522,8 @@ pub fn connect_distributed(
                 continue;
             }
             let nbytes = out.len() * REQ_POINT_BYTES;
-            let pts = std::mem::replace(out, req_pool.take());
-            let reply_buf: Vec<(u32, Answer)> = ans_pool.take();
-            comm.send(topo.rank_of_block[dst], tag_req, (pts, reply_buf), nbytes);
+            let reply_buf: Vec<(u32, Answer)> = ans_pool.take(out.len());
+            comm.send(topo.rank_of_block[dst], tag_req, (std::mem::take(out), reply_buf), nbytes);
             sent_to.push(dst);
         }
 
@@ -533,7 +543,7 @@ pub fn connect_distributed(
                 let t_serve = comm.now();
                 let local = siblings && src == me;
                 let (mut pts, mut answers): (Vec<ReqPoint>, Vec<(u32, Answer)>) = if local {
-                    (std::mem::take(&mut outgoing[rb.id]), ans_pool.take())
+                    (std::mem::take(&mut outgoing[rb.id]), ans_pool.take(n_in))
                 } else {
                     comm.recv(src, tag_req)
                 };
@@ -610,6 +620,8 @@ pub fn connect_distributed(
         std::mem::swap(pending, next_pending);
         round += 1;
     }
+    req_pool.end_step();
+    ans_pool.end_step();
 
     for rb in blocks.iter_mut() {
         for &(node, value) in rb.writes.iter() {
@@ -940,7 +952,7 @@ mod tests {
         arena: &mut ConnArena,
     ) -> MetricsRegistry {
         let cutter = &mut ConnArena::new();
-        rb.igbps = crate::holes::cut_holes_and_find_fringe(&mut rb.block, solids, None, cutter).0;
+        crate::holes::cut_holes_and_find_fringe(&mut rb.block, solids, None, cutter, &mut rb.igbps);
         tally(comm, |comm| connect_distributed(std::slice::from_mut(rb), topo, comm, arena))
     }
 
@@ -1293,17 +1305,16 @@ mod tests {
             if map {
                 rb.slot.refresh(&rb.block, comm.metrics_mut());
             }
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(
+            crate::holes::cut_holes_and_find_fringe(
                 &mut rb.block,
                 &solids,
                 rb.slot.map(),
                 &mut arena,
+                &mut rb.igbps,
             );
-            rb.igbps = igbps;
             let s = tally(comm, |comm| {
                 connect_distributed(std::slice::from_mut(&mut rb), &topo(), comm, &mut arena)
             });
-            arena.recycle_igbps(std::mem::take(&mut rb.igbps));
             let (igbps, orphans) = (s.get(Counter::ConnIgbps), s.get(Counter::ConnOrphans));
             census.extend([igbps, igbps - orphans, orphans]);
             stats.push(s);

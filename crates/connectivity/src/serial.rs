@@ -103,7 +103,11 @@ pub fn connect_serial(
     let igbps_per_grid: Vec<Vec<Igbp>> = blocks
         .iter_mut()
         .enumerate()
-        .map(|(g, b)| cut_holes_and_find_fringe(b, solids, map_of(g), arena).0)
+        .map(|(g, b)| {
+            let mut igbps = Vec::new();
+            cut_holes_and_find_fringe(b, solids, map_of(g), arena, &mut igbps);
+            igbps
+        })
         .collect();
 
     // Donor-grid bounding boxes for cheap rejection.
@@ -199,9 +203,6 @@ pub fn connect_serial(
     }
     for (g, node, value) in writes {
         blocks[g].q.set_node(node, value);
-    }
-    for igbps in igbps_per_grid {
-        arena.recycle_igbps(igbps);
     }
     stats
 }

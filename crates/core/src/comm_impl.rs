@@ -3,6 +3,7 @@
 //! line-solve carries, over the virtual-time rank runtime.
 
 use overset_comm::{Comm, VecPool, WorkClass};
+use overset_grid::field::NVAR;
 use overset_grid::index::{Ijk, IndexBox};
 use overset_solver::adi::implicit_neighbor;
 use overset_solver::{Block, SolverComm, HALO};
@@ -13,11 +14,12 @@ const TAG_LINE: u64 = 200; // + dir*2 + (0 = forward, 1 = backward)
 
 /// Solver communication over the rank runtime. The halo pool recycles
 /// received exchange buffers into the next pack and the line pool does the
-/// same for the pipelined line-solve carries, so steady-state halo
-/// exchanges and sweeps perform no transient allocations (sends and
-/// receives are symmetric across a face link, keeping the pools balanced).
-/// The two are kept apart because their buffers differ in size: a halo pack
-/// handed a parked carry buffer would have to grow it.
+/// same for the pipelined line-solve carries; each send takes a buffer of
+/// its message's length (`VecPool::take`). Sends and receives are symmetric
+/// across a face link, so the halo pool stays balanced; a line chain's end
+/// ranks are not (the cyclic sweep's first rank sends two passes and gets
+/// one back), and the driver's `end_step` lets their surplus go. The two
+/// are kept apart because their sizes differ.
 pub struct MpSolverComm<'a> {
     pub comm: &'a mut Comm,
     pub halo_pool: &'a mut VecPool<f64>,
@@ -85,17 +87,15 @@ impl SolverComm for MpSolverComm<'_> {
         // Send everything first (asynchronous sends), then receive.
         for face in 0..6 {
             let Some(nb) = block.neighbor[face] else { continue };
-            if is_wrap_face(block, face) {
-                let mut data = self.halo_pool.take();
-                block.pack_box_into(wrap_pack_box(block, face), &mut data);
-                let bytes = data.len() * 8;
-                self.comm.send(nb, TAG_WRAP + face as u64, data, bytes);
+            let (tag, pack) = if is_wrap_face(block, face) {
+                (TAG_WRAP, wrap_pack_box(block, face))
             } else {
-                let mut data = self.halo_pool.take();
-                block.pack_face_into(face, HALO, &mut data);
-                let bytes = data.len() * 8;
-                self.comm.send(nb, TAG_HALO + face as u64, data, bytes);
-            }
+                (TAG_HALO, block.layer_box(face, HALO, false))
+            };
+            let mut data = self.halo_pool.take(pack.count() * NVAR);
+            block.pack_box_into(pack, &mut data);
+            let bytes = data.len() * 8;
+            self.comm.send(nb, tag + face as u64, data, bytes);
         }
         for face in 0..6 {
             let Some(nb) = block.neighbor[face] else { continue };
@@ -147,8 +147,8 @@ impl SolverComm for MpSolverComm<'_> {
         data
     }
 
-    fn take_buf(&mut self) -> Vec<f64> {
-        self.line_pool.take()
+    fn take_buf(&mut self, len: usize) -> Vec<f64> {
+        self.line_pool.take(len)
     }
 
     fn recycle_buf(&mut self, buf: Vec<f64>) {

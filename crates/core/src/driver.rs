@@ -508,8 +508,8 @@ fn run_rank(
     let mut conn = Connectivity::new(cfg.restart);
     let mut topo = build_topology(&partition, &cfg.search_order, comm.size())
         .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-    // Recycled halo-exchange and line-solve buffers, same lifecycle as the
-    // connectivity arena: kept for the whole run.
+    // Recycled halo-exchange and line-solve buffers; each step's end lets
+    // go of what the step left idle.
     let mut halo_pool: VecPool<f64> = VecPool::new();
     let mut line_pool: VecPool<f64> = VecPool::new();
     // One flow workspace for every block of the rank, which it steps one
@@ -650,8 +650,13 @@ fn run_rank(
                 // Restore blanking on the new block immediately: the next
                 // flow step must not treat redistributed hole values as
                 // live field points.
-                let (_, hole_flops) =
-                    cut_holes_and_find_fringe(block, &solids, None, &mut ConnArena::new());
+                let hole_flops = cut_holes_and_find_fringe(
+                    block,
+                    &solids,
+                    None,
+                    &mut ConnArena::new(),
+                    &mut Vec::new(),
+                );
                 ph.compute(hole_flops, WorkClass::Search);
                 // Restore the ALE grid velocities of a moving grid (the
                 // rebuilt block is at the current pose with zero velocity).
@@ -670,6 +675,8 @@ fn run_rank(
             ph.barrier();
         }
 
+        halo_pool.end_step();
+        line_pool.end_step();
         // Close the step for the flight recorder (reads counters only —
         // physics- and timing-neutral).
         comm.end_step();

@@ -57,11 +57,12 @@ pub trait SolverComm {
     /// Receive pipelined line-solve data of length `len`.
     fn recv_line(&mut self, block: &Block, dir: usize, from_upstream: bool, len: usize)
         -> Vec<f64>;
-    /// An empty buffer for line-solve data about to be sent. The
-    /// message-passing runtime hands back buffers it received earlier
-    /// ([`SolverComm::recycle_buf`]), so steady-state sweeps allocate none.
-    fn take_buf(&mut self) -> Vec<f64> {
-        Vec::new()
+    /// An empty buffer with room for the `len` line-solve values about to
+    /// be sent. The message-passing runtime hands back the smallest buffer
+    /// it received earlier ([`SolverComm::recycle_buf`]) that holds them,
+    /// and a fresh one when none does.
+    fn take_buf(&mut self, len: usize) -> Vec<f64> {
+        Vec::with_capacity(len)
     }
     /// Return a consumed [`SolverComm::recv_line`] buffer for reuse.
     fn recycle_buf(&mut self, _buf: Vec<f64>) {}
@@ -122,7 +123,8 @@ pub fn implicit_neighbor(block: &Block, dir: usize, downstream: bool) -> Option<
 /// share `fr` — the residual is done with it before the sweeps start — so
 /// the node pass costs no memory of its own. What a steady-state step still
 /// allocates is bounded per rank and independent of the block size: line
-/// buffers that outgrow the ones the rank's pool holds.
+/// carries the rank's pool holds no buffer for (a cyclic chain's first rank
+/// sends two passes and gets one back: one carry per chunk).
 pub struct Scratch {
     /// Kernel instruction set, chosen once per run by runtime feature
     /// detection (see [`crate::lanes::select_isa`]) until a test or bench
@@ -218,12 +220,11 @@ fn ensure_len(v: &mut Vec<f64>, len: usize) {
 /// A recycled buffer with room for `len` line-solve values when this rank
 /// has a neighbor to `send` them to; an unallocated placeholder otherwise.
 fn line_buf(comm: &mut impl SolverComm, send: bool, len: usize) -> Vec<f64> {
-    if !send {
-        return Vec::new();
+    if send {
+        comm.take_buf(len)
+    } else {
+        Vec::new()
     }
-    let mut buf = comm.take_buf();
-    buf.reserve(len);
-    buf
 }
 
 /// Eigenvalues and spectral radius of the node just outside a line's owned
@@ -1549,15 +1550,13 @@ pub(crate) mod tests {
     }
 
     /// Line-solve links of one subdomain in a chain, over channels (index
-    /// 0: the upstream neighbour, 1: the downstream one), with a small
-    /// buffer pool so the recycling hooks are exercised, and the ledger of
-    /// every carry message sent and every compute charge. Halos are left as
-    /// they are.
+    /// 0: the upstream neighbour, 1: the downstream one), with the ledger
+    /// of every carry message sent and every compute charge. Halos are left
+    /// as they are.
     #[derive(Default)]
     pub(crate) struct ChanComm {
         tx: [Option<Sender<Vec<f64>>>; 2],
         rx: [Option<Receiver<Vec<f64>>>; 2],
-        pool: Vec<Vec<f64>>,
         pub(crate) ledger: Vec<Entry>,
     }
 
@@ -1588,14 +1587,6 @@ pub(crate) mod tests {
             let data = rx.as_ref().expect("receive from a missing neighbor").recv().unwrap();
             assert_eq!(data.len(), len);
             data
-        }
-        fn take_buf(&mut self) -> Vec<f64> {
-            let mut b = self.pool.pop().unwrap_or_default();
-            b.clear();
-            b
-        }
-        fn recycle_buf(&mut self, buf: Vec<f64>) {
-            self.pool.push(buf);
         }
         fn compute(&mut self, flops: u64) {
             self.ledger.push(Entry::Charge(flops));

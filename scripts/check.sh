@@ -40,6 +40,9 @@ PROPTEST_CASES=256 cargo test -q --release -p overset-connectivity -- \
     one_rank_protocol_agrees_with_the_serial_oracle_on_the_paper_systems \
     map_and_arena_change_work_never_answers
 
+echo "== message buffers fit their messages: the request and answer pools stop growing over twelve moving store steps on 18 ranks: release =="
+cargo test -q --release -p overset-connectivity -- the_search_buffers_stop_growing
+
 echo "== golden trace schema + determinism =="
 cargo test -q -p overflow-d --test observability
 
