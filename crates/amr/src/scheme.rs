@@ -165,13 +165,14 @@ impl AdaptiveScheme {
         let mut updates: Vec<(usize, Ijk, [f64; NVAR])> = Vec::new();
         for (bi, igbps) in fringes.iter().enumerate() {
             for ig in igbps {
+                let xyz = ig.xyz(&self.blocks[bi]);
                 // Prefer the near-body grid for points it covers (finer
                 // resolution near the body), else the finest other brick.
                 let mut resolved = None;
-                if near_bbox(&self.cfg, self.body_center).contains(ig.xyz) {
+                if near_bbox(&self.cfg, self.body_center).contains(xyz) {
                     let mut cost = SearchCost::default();
                     if let SearchOutcome::Found(d) =
-                        walk_search(&self.near, ig.xyz, center_start(&self.near), &mut cost)
+                        walk_search(&self.near, xyz, center_start(&self.near), &mut cost)
                     {
                         resolved = Some(interpolate(&self.near, &d));
                     }
@@ -179,12 +180,12 @@ impl AdaptiveScheme {
                 }
                 if resolved.is_none() {
                     self.cartesian_locates += 1;
-                    if let Some(d) = locate_any(&self.bricks, ig.xyz, Some(bi)) {
+                    if let Some(d) = locate_any(&self.bricks, xyz, Some(bi)) {
                         resolved = Some(self.interp_brick(&d));
                     }
                 }
                 if let Some(q) = resolved {
-                    updates.push((bi, ig.node, q));
+                    updates.push((bi, ig.node(), q));
                 }
             }
         }
@@ -197,9 +198,9 @@ impl AdaptiveScheme {
         cut_holes_and_find_fringe(&mut self.near, &[], None, &mut arena, &mut near_igbps);
         for ig in &near_igbps {
             self.cartesian_locates += 1;
-            if let Some(d) = locate_any(&self.bricks, ig.xyz, None) {
+            if let Some(d) = locate_any(&self.bricks, ig.xyz(&self.near), None) {
                 let q = self.interp_brick(&d);
-                self.near.q.set_node(ig.node, q);
+                self.near.q.set_node(ig.node(), q);
             }
         }
     }

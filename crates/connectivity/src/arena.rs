@@ -1,14 +1,25 @@
 //! Per-rank connectivity arena: step-scoped scratch that is reset, not
 //! freed.
 //!
-//! Every collection the connectivity phase allocates per step — pending-walk
-//! queues, flattened candidate lists, per-destination request buffers,
-//! reply slots, the hole cutter's solid boxes — lives here and keeps its capacity
+//! Every collection the connectivity phase allocates per step — the pending
+//! list, flattened candidate lists, per-destination request buffers, reply
+//! slots, the hole cutter's solid boxes — lives here and keeps its capacity
 //! across steps (the deferred q-writes stay with their block, on its
 //! `RankBlock`). The driver owns one [`ConnArena`] per rank
 //! for the whole run; steady-state connectivity steps then perform
 //! near-zero transient allocations, which the exact alloc gate in
 //! `repro compare` pins (docs/OBSERVABILITY.md, "Arena allocation").
+//!
+//! The records are as small as what they hold. A node or cell is one packed
+//! word, a count or list position a `u32`: a pending point takes 32 bytes
+//! and a round's best reply 56, and there is one pending list, compacted in
+//! place as points resolve. The pending and best lists are sized once per
+//! step from the rank's IGBP count, which bounds both, so no round grows
+//! them (see `make_room`); and the service walks its batch `WALK_SLICE`
+//! points at a time, so the walk scratch stays under 43 KiB whatever the
+//! batch. On the store ×0.55 after 12 steps the donor search kept 723 bytes
+//! per IGBP on one rank and 904 on 18, inverse maps aside; it keeps 253 and
+//! 392 (EXPERIMENTS.md, *Donor-search records that fit*).
 //!
 //! The arena changes nothing about *what* the protocol computes: the same
 //! code path runs whether the arena is fresh (allocating on first use) or
@@ -40,16 +51,13 @@ pub struct ConnArena {
     pub isa: Isa,
 
     // -- distributed protocol scratch --
-    /// Unresolved IGBPs in the current round.
+    /// Unresolved IGBPs in the current round; the reply-collection pass
+    /// compacts the ones still open to its front.
     pub(crate) pending: Vec<Pending>,
-    /// Keepers of the reply-collection pass (swapped into `pending`).
-    pub(crate) next_pending: Vec<Pending>,
-    /// Flattened candidate-rank storage: every `Pending` holds a
+    /// Flattened candidate-block storage: every `Pending` holds a
     /// (start, len) range into this pool instead of its own vector. This
     /// removes the per-IGBP allocation that dominated the old profile.
-    pub(crate) cand_pool: Vec<usize>,
-    /// IGBP indices that exhausted every candidate.
-    pub(crate) orphaned: Vec<usize>,
+    pub(crate) cand_pool: Vec<u32>,
     /// Per-destination-block request lists (outer vec sized to the block
     /// count of the partition). A list is taken from `req_pool` at its
     /// round's count and leaves its slot with the send, so between rounds
@@ -92,7 +100,12 @@ pub struct ConnArena {
     pub(crate) walk: WalkScratch,
 }
 
-/// Scratch of one service batch's lane-lockstep donor search.
+/// Points the service walks at once: the length of [`WalkScratch`]'s lists.
+/// Walk outcomes and costs do not depend on how a batch is sliced.
+pub(crate) const WALK_SLICE: usize = 256;
+
+/// Scratch of the lane-lockstep donor search over one slice of a service
+/// batch.
 #[derive(Default)]
 pub(crate) struct WalkScratch {
     /// Pending query points.
@@ -116,16 +129,58 @@ impl ConnArena {
         ConnArena { short_bound: Some(rounds), ..Self::default() }
     }
 
-    /// Reset the distributed-protocol scratch for a new step. Capacities
-    /// survive; the outer `outgoing` vector is (re)sized to `nblocks` empty
-    /// slots.
-    pub(crate) fn begin_protocol(&mut self, nblocks: usize) {
-        self.pending.clear();
-        self.next_pending.clear();
+    /// Reset the distributed-protocol scratch for a new step of `igbps`
+    /// fringe points on this rank. Capacities survive; the pending and best
+    /// lists grow, once, when they cannot hold every point; the outer
+    /// `outgoing` vector is (re)sized to `nblocks` empty slots.
+    pub(crate) fn begin_protocol(&mut self, nblocks: usize, igbps: usize) {
+        make_room(&mut self.pending, igbps);
+        make_room(&mut self.best, igbps);
         self.cand_pool.clear();
-        self.orphaned.clear();
         self.sent_to.clear();
         self.outgoing.clear();
         self.outgoing.resize_with(nblocks, Vec::new);
+    }
+
+    /// Bytes the arena holds: capacity × record size over its lists and
+    /// the buffers its pools park.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let WalkScratch { queries, outcomes, costs } = &self.walk;
+        bytes(&self.pending)
+            + bytes(&self.cand_pool)
+            + bytes(&self.outgoing)
+            + self.outgoing.iter().map(bytes).sum::<usize>()
+            + bytes(&self.sent_to)
+            + bytes(&self.best)
+            + self.req_pool.parked_bytes()
+            + self.ans_pool.parked_bytes()
+            + self.count_row.as_ref().map_or(0, |row| bytes(row))
+            + bytes(&self.foreign_solids)
+            + bytes(&self.solid_boxes)
+            + bytes(&self.bin_classes)
+            + self.bin_classes.iter().map(bytes).sum::<usize>()
+            + bytes(&self.reach_boxes)
+            + bytes(queries)
+            + bytes(outcomes)
+            + bytes(costs)
+    }
+}
+
+/// Bytes `v` holds: capacity × record size.
+#[cfg(test)]
+pub(crate) fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Empty `v` and make room for `n` records in it. A list too short is freed
+/// and allocated again at `n` and an eighth: it neither doubles nor copies,
+/// and a fringe that creeps up by a few points a step as a body moves does
+/// not reallocate it every step.
+pub(crate) fn make_room<T>(v: &mut Vec<T>, n: usize) {
+    v.clear();
+    if v.capacity() < n {
+        *v = Vec::new();
+        v.reserve_exact(n + n / 8);
     }
 }

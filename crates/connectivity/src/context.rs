@@ -10,6 +10,7 @@
 //! only tells a block when it moved or was rebuilt.
 
 use crate::arena::ConnArena;
+use crate::donor::PackedIjk;
 use crate::holes::{cut_holes_and_find_fringe, Igbp};
 use crate::inverse_map::{InverseMap, FLOPS_PER_INCR_UPDATE};
 use crate::protocol::{connect_distributed, DonorCache, RankRoute, Topology};
@@ -110,8 +111,9 @@ pub struct RankBlock {
     pub(crate) igbps: Vec<Igbp>,
     /// This step's routing entry of the block.
     pub(crate) route: RankRoute,
-    /// Interpolated fringe values, applied when the search is over.
-    pub(crate) writes: Vec<(Ijk, [f64; 5])>,
+    /// Interpolated fringe values, applied when the search is over: 48
+    /// bytes each, sized per step from the IGBP count.
+    pub(crate) writes: Vec<(PackedIjk, [f64; 5])>,
 }
 
 impl RankBlock {
@@ -132,6 +134,14 @@ impl RankBlock {
     /// The block moved by `t`.
     pub fn note_motion(&mut self, t: &RigidTransform) {
         self.slot.note_motion(t);
+    }
+
+    /// Bytes the block keeps for the donor search: its donor cache, IGBP
+    /// list and deferred writes, capacity × record size.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::arena::bytes;
+        self.cache.heap_bytes() + bytes(&self.igbps) + bytes(&self.writes)
     }
 
     /// The partition changed and the block was rebuilt over another region:
@@ -371,14 +381,15 @@ mod tests {
                         "{name} {n}: iblank"
                     );
                     let ours = |node: &Ijk| -> Option<DonorId> {
-                        let &(block, d) = rb.cache.map.get(node)?;
+                        let &(block, d) = rb.cache.map.get(&PackedIjk::new(*node))?;
                         assert_eq!(block, d.grid, "a grid is one block here");
-                        Some((d.grid, [d.cell.i, d.cell.j, d.cell.k], d.relaxed))
+                        let c = d.cell.ijk();
+                        Some((d.grid as usize, [c.i, c.j, c.k], d.relaxed))
                     };
                     let theirs = |node: &Ijk| -> Option<DonorId> {
-                        let d = cache.map.get(&(g, *node))?;
-                        let c = blocks[d.grid].to_global(d.cell);
-                        Some((d.grid, [c.i, c.j, c.k], d.relaxed))
+                        let d = cache.map.get(&(g, PackedIjk::new(*node)))?;
+                        let c = blocks[d.grid as usize].to_global(d.cell.ijk());
+                        Some((d.grid as usize, [c.i, c.j, c.k], d.relaxed))
                     };
                     for node in b.local_dims.iter() {
                         let same_value = rb.block.q.node(node).map(f64::to_bits)
@@ -439,41 +450,51 @@ mod tests {
         }
     }
 
-    /// A rank keeps the search buffers of one step's working set: over
-    /// twelve steps of the store ×0.3, statically partitioned over 18 ranks
-    /// and dropping a rigid step before each (the driver's motion →
-    /// connectivity order), the request and answer buffers parked on all
-    /// ranks after the last step take no more bytes than after the third.
-    /// (Pools that hand any parked buffer to any sender, which then grows
-    /// it, ratchet up every step instead.)
-    #[test]
-    fn the_search_buffers_stop_growing() {
-        use crate::serial::tests::tagged_solids;
+    /// The store ×0.3 over `steps` steps, each after a rigid drop of the
+    /// store grids (the driver's motion → connectivity order), on `nranks`
+    /// ranks: one rank holding every grid whole, or the grids statically
+    /// partitioned. Per step, per rank, what `probe` reads of the rank's
+    /// connectivity state after the step.
+    fn store_drop<T: overset_comm::Wire + Send>(
+        nranks: usize,
+        steps: usize,
+        probe: impl Fn(&Connectivity, &[RankBlock]) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        use crate::serial::tests::{painted_whole_blocks, tagged_solids};
         use overset_balance::{fit_np_to_dims_min, static_balance, Partition};
         use overset_comm::{MachineModel, Universe};
         use overset_grid::gen::store;
-        let (nranks, steps) = (18, 12);
         let grids = store::store_system(0.3);
         let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
         let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
         let min_widths: Vec<[usize; 3]> =
             grids.iter().map(|g| if g.periodic_i { [2, 1, 1] } else { [1, 1, 1] }).collect();
-        let np = static_balance(&sizes, nranks).unwrap().np;
+        let whole = nranks == 1;
+        let np =
+            if whole { vec![1; grids.len()] } else { static_balance(&sizes, nranks).unwrap().np };
         let part =
             Partition::build(&dims, &fit_np_to_dims_min(&sizes, &dims, &np, &min_widths).unwrap());
         let topo = Topology {
             blocks_of_grid: (0..grids.len()).map(|g| part.ranks_of_grid(g)).collect(),
-            rank_of_block: (0..nranks).collect(),
+            rank_of_block: if whole { vec![0; grids.len()] } else { (0..nranks).collect() },
             search_order: store::store_search_order(),
         };
         let drop = RigidTransform::translation([0.0, 0.0, -0.004])
             .then(&RigidTransform::rotation_about(store::STORE_CARRIAGE, [0.0, 1.0, 0.0], 1e-3));
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let out = Universe::builder().ranks(nranks).machine(&MachineModel::modern()).run(|comm| {
-            let a = &part.ranks[comm.rank()];
-            let nbrs = part.neighbors_of(comm.rank(), grids[a.grid].periodic_i);
-            let block = Block::from_grid(a.grid, &grids[a.grid], a.boxx, nbrs, &fc);
-            let mut mine = vec![RankBlock::new(comm.rank(), block, None)];
+            let mut mine: Vec<RankBlock> = if whole {
+                painted_whole_blocks(&grids)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(g, b)| RankBlock::new(g, b, None))
+                    .collect()
+            } else {
+                let a = &part.ranks[comm.rank()];
+                let nbrs = part.neighbors_of(comm.rank(), grids[a.grid].periodic_i);
+                let block = Block::from_grid(a.grid, &grids[a.grid], a.boxx, nbrs, &fc);
+                vec![RankBlock::new(comm.rank(), block, None)]
+            };
             let mut solids = tagged_solids(&grids);
             let mut conn = Connectivity::new(true);
             (0..steps)
@@ -483,18 +504,63 @@ mod tests {
                             *s = s.transformed(&drop);
                         }
                     }
-                    if store::STORE_GRID_IDS.contains(&mine[0].block.grid_id) {
-                        mine[0].block.apply_motion(&drop, 0.01);
-                        mine[0].note_motion(&drop);
+                    for rb in mine.iter_mut() {
+                        if store::STORE_GRID_IDS.contains(&rb.block.grid_id) {
+                            rb.block.apply_motion(&drop, 0.01);
+                            rb.note_motion(&drop);
+                        }
                     }
                     conn.step(&mut mine, &solids, &topo, comm);
-                    let ConnArena { req_pool, ans_pool, .. } = &conn.arena;
-                    (req_pool.parked_bytes() + ans_pool.parked_bytes()) as u64
+                    probe(&conn, &mine)
                 })
-                .collect::<Vec<u64>>()
+                .collect::<Vec<T>>()
         });
-        let total: Vec<u64> = (0..steps).map(|n| out.iter().map(|o| o.result[n]).sum()).collect();
+        let mut ranks: Vec<_> = out.into_iter().map(|o| o.result.into_iter()).collect();
+        (0..steps).map(|_| ranks.iter_mut().map(|r| r.next().unwrap()).collect()).collect()
+    }
+
+    /// A rank keeps the search buffers of one step's working set: over
+    /// twelve steps of the store ×0.3 on 18 ranks, the request and answer
+    /// buffers parked on all ranks after the last step take no more bytes
+    /// than after the third. (Pools that hand any parked buffer to any
+    /// sender, which then grows it, ratchet up every step instead.)
+    #[test]
+    fn the_search_buffers_stop_growing() {
+        let steps = 12;
+        let parked = store_drop(18, steps, |conn, _| {
+            let ConnArena { req_pool, ans_pool, .. } = &conn.arena;
+            req_pool.parked_bytes() + ans_pool.parked_bytes()
+        });
+        let total: Vec<usize> = parked.iter().map(|ranks| ranks.iter().sum()).collect();
         assert!(total[2] > 0, "no search traffic: {total:?}");
         assert!(total[steps - 1] <= total[2], "parked search bytes grew, per step: {total:?}");
+    }
+
+    /// What the donor search keeps per fringe point — the arena's lists and
+    /// pools, the donor caches, the IGBP lists and the deferred writes,
+    /// capacity × record size, inverse maps aside — stays within a bound on
+    /// every step of the store ×0.3: 280 bytes per IGBP on one rank holding
+    /// every grid, 440 on 18 ranks, whose message pools hold about 135 of
+    /// it. (Records naming nodes by `Ijk`, a second pending list and lists
+    /// grown by doubling took 540–670 and 710–880 here.)
+    #[test]
+    fn donor_search_bookkeeping_fits_its_fringe_points() {
+        for (nranks, bound) in [(1, 280), (18, 440)] {
+            let per_step = store_drop(nranks, 8, |conn, mine| {
+                let held: usize = mine.iter().map(RankBlock::heap_bytes).sum();
+                let igbps: usize = mine.iter().map(|rb| rb.igbps.len()).sum();
+                (conn.arena.heap_bytes() + held, igbps)
+            });
+            let per_igbp: Vec<usize> = (per_step.iter())
+                .map(|ranks| {
+                    let bytes: usize = ranks.iter().map(|r| r.0).sum();
+                    bytes / ranks.iter().map(|r| r.1).sum::<usize>().max(1)
+                })
+                .collect();
+            assert!(
+                per_igbp.iter().all(|&b| b <= bound),
+                "{nranks} rank(s): bytes per IGBP per step {per_igbp:?}, bound {bound}"
+            );
+        }
     }
 }

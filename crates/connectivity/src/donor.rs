@@ -31,20 +31,69 @@ pub struct Donor {
     pub loc: [f64; 3],
 }
 
+/// A node or cell index in one word, 21 bits per axis (`i` lowest), for the
+/// records the donor search keeps per fringe point: an [`Ijk`] takes three
+/// words, four as `Option<Ijk>`. [`PackedIjk::NONE`] names no index; every
+/// packed index leaves the top bit clear, and it sets it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PackedIjk(u64);
+
+impl PackedIjk {
+    const BITS: u32 = 21;
+    /// The largest index an axis holds.
+    pub(crate) const MAX_AXIS: usize = (1 << Self::BITS) - 1;
+    /// No index.
+    pub(crate) const NONE: PackedIjk = PackedIjk(u64::MAX);
+
+    /// `c` packed, or `None` when an axis is past [`PackedIjk::MAX_AXIS`].
+    pub(crate) fn try_new(c: Ijk) -> Option<Self> {
+        let fits = c.i <= Self::MAX_AXIS && c.j <= Self::MAX_AXIS && c.k <= Self::MAX_AXIS;
+        let word = c.i as u64 | (c.j as u64) << Self::BITS | (c.k as u64) << (2 * Self::BITS);
+        fits.then_some(PackedIjk(word))
+    }
+
+    /// `c` packed. Panics, naming the index, when an axis does not fit.
+    pub(crate) fn new(c: Ijk) -> Self {
+        Self::try_new(c)
+            .unwrap_or_else(|| panic!("index {c:?} does not fit in {} bits per axis", Self::BITS))
+    }
+
+    /// The index, `None` for [`PackedIjk::NONE`].
+    pub(crate) fn get(self) -> Option<Ijk> {
+        (self != Self::NONE).then(|| self.ijk())
+    }
+
+    /// The index of a packed word that is not [`PackedIjk::NONE`].
+    pub(crate) fn ijk(self) -> Ijk {
+        debug_assert!(self != Self::NONE, "unpacking the empty index");
+        let axis = |shift: u32| (self.0 >> shift) as usize & Self::MAX_AXIS;
+        Ijk::new(axis(0), axis(Self::BITS), axis(2 * Self::BITS))
+    }
+}
+
+impl std::fmt::Debug for PackedIjk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.get() {
+            Some(c) => c.fmt(f),
+            None => f.write_str("NONE"),
+        }
+    }
+}
+
 /// What nth-level restart remembers of a resolved fringe point, in both the
 /// serial and the per-rank cache: where its donor was found and under which
 /// acceptance. The next step's warm start searches from `cell` with the same
 /// `relaxed` flag, so a donor whose stencil touches holes is found again
 /// from its own cell instead of failing a strict search and re-walking the
-/// whole hierarchy.
+/// whole hierarchy. 16 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CachedDonor {
-    pub grid: usize,
+pub(crate) struct CachedDonor {
     /// Donor cell in the indices the owning cache searches by: local to the
     /// whole-grid block (serial), global donor-grid indices (distributed).
-    pub cell: Ijk,
+    pub(crate) cell: PackedIjk,
+    pub(crate) grid: u32,
     /// Found by the relaxed last-resort pass.
-    pub relaxed: bool,
+    pub(crate) relaxed: bool,
 }
 
 /// Outcome of a local donor search.
@@ -921,6 +970,31 @@ mod tests {
         let g = CurvilinearGrid::new("c", coords, GridKind::Background);
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         Block::from_grid(0, &g, d.full_box(), [None; 6], &fc)
+    }
+
+    /// Every axis at 0 and at 2²¹ − 1, in all eight combinations, comes back
+    /// as it went in, and none of them is the empty index.
+    #[test]
+    fn packed_indices_round_trip_at_the_axis_edges() {
+        let m = PackedIjk::MAX_AXIS;
+        assert_eq!(m, (1 << 21) - 1);
+        for corner in 0..8 {
+            let axis = |bit: usize| if corner >> bit & 1 == 1 { m } else { 0 };
+            let c = Ijk::new(axis(0), axis(1), axis(2));
+            let p = PackedIjk::new(c);
+            assert_eq!((p.ijk(), p.get()), (c, Some(c)), "{c:?}");
+            assert_ne!(p, PackedIjk::NONE, "{c:?}");
+        }
+        assert_eq!(PackedIjk::NONE.get(), None);
+        // Every packed index leaves the top bit clear; `NONE` sets it.
+        assert_eq!(PackedIjk::new(Ijk::new(m, m, m)).0, u64::MAX >> 1);
+        assert_eq!(std::mem::size_of::<CachedDonor>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "index (3,2097152,5) does not fit in 21 bits per axis")]
+    fn an_index_past_21_bits_panics_naming_it() {
+        PackedIjk::new(Ijk::new(3, 1 << 21, 5));
     }
 
     fn annulus_block(nth: usize, nr: usize) -> Block {

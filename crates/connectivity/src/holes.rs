@@ -8,6 +8,7 @@
 //! interpolation each step.
 
 use crate::arena::ConnArena;
+use crate::donor::PackedIjk;
 use crate::inverse_map::{classify_solids_into, BinClass, InverseMap};
 use crate::kernels::containment_lanes;
 use overset_grid::curvilinear::{BcKind, Solid};
@@ -29,11 +30,31 @@ pub const FLOPS_PER_NODE_BBOX: u64 = 4;
 /// Flops per detailed containment test (nodes inside a solid's box).
 pub const FLOPS_PER_DETAILED_TEST: u64 = 25;
 
-/// One IGBP on a block: the local node plus its physical position.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Igbp {
-    pub node: Ijk,
-    pub xyz: [f64; 3],
+/// One IGBP on a block: its local node, in one packed word. Its position is
+/// the block's coordinate there, read when the search needs it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Igbp(PackedIjk);
+
+impl Igbp {
+    /// The IGBP at local node `node`.
+    pub(crate) fn new(node: Ijk) -> Self {
+        Igbp(PackedIjk::new(node))
+    }
+
+    /// The local node.
+    pub fn node(self) -> Ijk {
+        self.0.ijk()
+    }
+
+    /// The physical position on `block`, the block the IGBP was found on.
+    pub fn xyz(self, block: &Block) -> [f64; 3] {
+        block.coords[self.node()]
+    }
+
+    /// The packed node: the donor cache's key.
+    pub(crate) fn packed(self) -> PackedIjk {
+        self.0
+    }
 }
 
 /// Re-cut holes and identify fringe points on a block against the solids of
@@ -176,7 +197,7 @@ pub fn cut_holes_and_find_fringe(
     // Hole fringe — field nodes with a hole neighbour (6-connectivity,
     // in-plane for 2-D blocks) — and the IGBPs, every fringe node, in one
     // pass. (A node turned fringe here is no hole to the nodes after it.)
-    let (coords, iblank) = (block.coords.as_slice(), block.iblank.as_mut_slice());
+    let iblank = block.iblank.as_mut_slice();
     let (sj, sk) = (d.ni, d.ni * d.nj);
     igbps.clear();
     for k in ow.lo.k..ow.hi.k {
@@ -199,7 +220,7 @@ pub fn cut_holes_and_find_fringe(
                     }
                 }
                 if iblank[o] == Blank::Fringe {
-                    igbps.push(Igbp { node: Ijk::new(i, j, k), xyz: coords[o] });
+                    igbps.push(Igbp::new(Ijk::new(i, j, k)));
                 }
             }
         }
@@ -389,7 +410,7 @@ mod tests {
         assert!(!igbps.is_empty());
         // Every fringe node touches a hole.
         for ig in &igbps {
-            let p = ig.node;
+            let p = ig.node();
             let mut touches = false;
             for dir in 0..2 {
                 for d in [-1isize, 1] {
@@ -680,7 +701,7 @@ mod tests {
         let mut igbps = Vec::new();
         for p in ow.iter() {
             if block.iblank[p] == Blank::Fringe {
-                igbps.push(Igbp { node: p, xyz: block.coords[p] });
+                igbps.push(Igbp::new(p));
             }
         }
         (igbps, flops)
@@ -791,10 +812,7 @@ mod tests {
                         );
                         assert!(block.iblank.as_slice() == want_iblank, "{what}: blanking");
                         assert_eq!(got.len(), want.len(), "{what}: IGBPs");
-                        for (a, w) in got.iter().zip(&want) {
-                            let bits = |ig: &Igbp| ig.xyz.map(f64::to_bits);
-                            assert!(a.node == w.node && bits(a) == bits(w), "{what}: {a:?} {w:?}");
-                        }
+                        assert!(got == want, "{what}: IGBPs");
                         assert_eq!(got_flops, want_flops, "{what}: flops");
                         let holes = want_iblank.iter().filter(|&&b| b == Blank::Hole).count();
                         cut_nodes += holes;

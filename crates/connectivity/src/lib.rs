@@ -40,8 +40,7 @@ mod serial;
 pub use arena::ConnArena;
 pub use context::{Connectivity, MapSlot, RankBlock};
 pub use donor::{
-    walk_search, walk_search_batch, walk_search_isa, BatchQuery, CachedDonor, Donor, SearchCost,
-    SearchOutcome,
+    walk_search, walk_search_batch, walk_search_isa, BatchQuery, Donor, SearchCost, SearchOutcome,
 };
 pub use holes::{cut_holes_and_find_fringe, Igbp};
 pub use interp::{interpolate, weights};

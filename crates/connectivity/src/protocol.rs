@@ -37,10 +37,11 @@
 //! `round_bound` rounds whatever the rank count; passing the bound is a
 //! bug and aborts the run.
 
-use crate::arena::{ConnArena, WalkScratch};
+use crate::arena::{make_room, ConnArena, WalkScratch, WALK_SLICE};
 use crate::context::RankBlock;
-use crate::donor::{center_start, walk_search_batch, BatchQuery, CachedDonor, SearchOutcome};
-use crate::holes::Igbp;
+use crate::donor::{
+    center_start, walk_search_batch, BatchQuery, CachedDonor, PackedIjk, SearchOutcome,
+};
 use crate::interp::{interpolate, FLOPS_PER_INTERP};
 use crate::inverse_map::{occupancy_admits_posed, InverseMap, OCC_ALL, OCC_WORDS};
 use overset_comm::metrics::Counter;
@@ -76,32 +77,35 @@ impl Topology {
 }
 
 /// Per-block donor cache for nth-level restart: fringe node → (donor block,
-/// its donor, the cell in *global* donor-grid indices).
+/// its donor, the cell in *global* donor-grid indices). An entry is 32
+/// bytes: the packed node, the block as `u32` and a `CachedDonor` — an
+/// `Ijk` key and `usize` fields took 72.
 #[derive(Clone, Debug, Default)]
 pub struct DonorCache {
-    pub(crate) map: HashMap<Ijk, (usize, CachedDonor), BuildHasherDefault<NodeHasher>>,
+    pub(crate) map: HashMap<PackedIjk, (u32, CachedDonor), BuildHasherDefault<NodeHasher>>,
 }
 
-/// The donor cache's hash of a node: one rotate, xor and multiply per index
-/// (the "Fx" step), deterministic and a few cycles — the keys are a block's
-/// own node indices, nothing an adversary picks, so SipHash's
-/// flood resistance buys nothing here. No answer depends on the map's
-/// iteration order: the protocol only looks entries up.
+/// The donor cache's hash of a packed node: one multiply (the "Fx" step),
+/// rotated so that the product's well-mixed high bits pick the bucket —
+/// its low bits see only the node's `i`. Deterministic and a few cycles:
+/// the keys are a block's own node indices, nothing an adversary picks, so
+/// SipHash's flood resistance buys nothing here. No answer depends on the
+/// map's iteration order: the protocol only looks entries up.
 #[derive(Default)]
 pub(crate) struct NodeHasher(u64);
 
 impl Hasher for NodeHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_usize(b.into());
+            self.write_u64(b.into());
         }
     }
 }
@@ -122,17 +126,26 @@ impl DonorCache {
     /// cheaper than re-searching everything from scratch.
     pub fn remap_blocks(&mut self, owner: impl Fn(usize, Ijk) -> usize) {
         for (block, donor) in self.map.values_mut() {
-            *block = owner(donor.grid, donor.cell);
+            *block = owner(donor.grid as usize, donor.cell.ijk()) as u32;
         }
+    }
+
+    /// Bytes the cache holds: capacity × entry size.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.map.capacity() * std::mem::size_of::<(PackedIjk, (u32, CachedDonor))>()
     }
 }
 
+/// One search request: 40 bytes in memory, [`REQ_POINT_BYTES`] on the
+/// modelled wire.
 #[derive(Clone, Copy)]
 pub(crate) struct ReqPoint {
     id: u32,
     xyz: [f64; 3],
-    /// Warm-start hint: donor cell in global donor-grid indices.
-    hint: Option<Ijk>,
+    /// Warm-start hint: donor cell in global donor-grid indices, or
+    /// [`PackedIjk::NONE`].
+    hint: PackedIjk,
     /// Last-resort pass: accept donors whose stencil touches holes.
     relaxed: bool,
 }
@@ -149,15 +162,18 @@ fn encode_ijk(c: Ijk, out: &mut Vec<u8>) {
     c.k.encode(out);
 }
 
-fn decode_ijk(r: &mut WireReader<'_>) -> Result<Ijk, WireError> {
-    Ok(Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?))
+/// A cell off the wire, packed; one an axis of which does not fit is
+/// rejected as `what`.
+fn decode_cell(r: &mut WireReader<'_>, what: &'static str) -> Result<PackedIjk, WireError> {
+    let c = Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?);
+    PackedIjk::try_new(c).ok_or(WireError::Invalid(what))
 }
 
 impl Wire for ReqPoint {
     fn encode(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
         self.xyz.encode(out);
-        match self.hint {
+        match self.hint.get() {
             None => out.push(0),
             Some(c) => {
                 out.push(1);
@@ -171,8 +187,8 @@ impl Wire for ReqPoint {
         let id = u32::decode(r)?;
         let xyz = <[f64; 3]>::decode(r)?;
         let hint = match r.u8()? {
-            0 => None,
-            1 => Some(decode_ijk(r)?),
+            0 => PackedIjk::NONE,
+            1 => decode_cell(r, "ReqPoint hint past 21 bits per axis")?,
             _ => return Err(WireError::Invalid("ReqPoint hint discriminant")),
         };
         let relaxed = bool::decode(r)?;
@@ -180,30 +196,45 @@ impl Wire for ReqPoint {
     }
 }
 
+/// A block's answer to one request: the interpolated value and the donor
+/// cell in global donor-grid indices, or a miss, whose cell is
+/// [`PackedIjk::NONE`]. 48 bytes in memory, [`ANSWER_BYTES`] on the
+/// modelled wire.
 #[derive(Clone, Copy)]
-pub(crate) enum Answer {
-    Found { value: [f64; 5], cell_global: Ijk },
-    Miss,
+pub(crate) struct Answer {
+    value: [f64; 5],
+    cell: PackedIjk,
+}
+
+impl Answer {
+    const MISS: Answer = Answer { value: [0.0; 5], cell: PackedIjk::NONE };
+
+    fn is_miss(&self) -> bool {
+        self.cell == PackedIjk::NONE
+    }
 }
 
 const ANSWER_BYTES: usize = 68;
 
 impl Wire for Answer {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Answer::Found { value, cell_global } => {
+        match self.cell.get() {
+            Some(cell) => {
                 out.push(0);
-                value.encode(out);
-                encode_ijk(*cell_global, out);
+                self.value.encode(out);
+                encode_ijk(cell, out);
             }
-            Answer::Miss => out.push(1),
+            None => out.push(1),
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(Answer::Found { value: <[f64; 5]>::decode(r)?, cell_global: decode_ijk(r)? }),
-            1 => Ok(Answer::Miss),
+            0 => {
+                let value = <[f64; 5]>::decode(r)?;
+                Ok(Answer { value, cell: decode_cell(r, "Answer cell past 21 bits per axis")? })
+            }
+            1 => Ok(Answer::MISS),
             _ => Err(WireError::Invalid("Answer discriminant")),
         }
     }
@@ -287,42 +318,48 @@ impl Wire for RankRoute {
     }
 }
 
-/// Pending state of one unresolved IGBP during the round loop. `Copy`, and
-/// candidate blocks live as a range into the arena's flat `cand_pool` — the
-/// per-IGBP candidate vector was the dominant per-step allocation.
+/// Pending state of one unresolved IGBP during the round loop: 32 bytes.
+/// `Copy`, and candidate blocks live as a range into the arena's flat
+/// `cand_pool` — the per-IGBP candidate vector was the dominant per-step
+/// allocation.
 #[derive(Clone, Copy)]
 pub(crate) struct Pending {
     /// The IGBP: its index in the list of the asking block, …
-    igbp: usize,
+    igbp: u32,
     /// … and that block's index among this rank's blocks.
     blk: u32,
     /// Index into the search hierarchy of the asking block's grid
-    /// (usize::MAX when trying the cached donor first).
-    level: usize,
+    /// ([`CACHED`] when trying the cached donor first).
+    level: u32,
     /// Start of this IGBP's candidate blocks in the arena `cand_pool`: the
     /// blocks of the level that admit the point, in order of preference.
     cand_start: u32,
     /// Number of candidate blocks in the range; every one is asked in the
     /// same round.
     cand_len: u32,
-    hint: Option<Ijk>,
+    /// The cached donor cell, [`PackedIjk::NONE`] past the cached level.
+    hint: PackedIjk,
     /// Second sweep through the hierarchy with relaxed donor acceptance.
     relaxed: bool,
 }
 
+/// A pending point's level while it asks its cached donor: the one before
+/// the hierarchy's first.
+const CACHED: u32 = u32::MAX;
+
 impl Pending {
     /// The candidate blocks of the current level, most preferred first.
-    fn candidates<'a>(&self, cand_pool: &'a [usize]) -> &'a [usize] {
+    fn candidates<'a>(&self, cand_pool: &'a [u32]) -> &'a [u32] {
         &cand_pool[self.cand_start as usize..][..self.cand_len as usize]
     }
 }
 
 /// Best reply to a pending request so far in a round: the position of the
 /// answering block among the request's candidates and its answer, or
-/// [`NO_DONOR`] while every reply was a `Miss`.
+/// [`NO_DONOR`] while every reply was a miss.
 pub(crate) type BestReply = (u32, Answer);
 
-const NO_DONOR: BestReply = (u32::MAX, Answer::Miss);
+const NO_DONOR: BestReply = (u32::MAX, Answer::MISS);
 
 /// Rounds within which the search is quiescent by construction: one for the
 /// cached donors, then one per level of the longest hierarchy, strict and
@@ -385,17 +422,21 @@ pub fn connect_distributed(
     debug_assert!(blocks.iter().zip(blocks[0].id..).all(|(rb, id)| rb.id == id));
     debug_assert!(!siblings || comm.size() == 1, "one routing entry travels per rank");
     let igbps: usize = blocks.iter().map(|rb| rb.igbps.len()).sum();
+    // The records name IGBPs and blocks by `u32`.
+    assert!(
+        u32::try_from(igbps.max(topo.rank_of_block.len())).is_ok(),
+        "rank {me}: {igbps} IGBPs on {} blocks overflow the search records",
+        topo.rank_of_block.len()
+    );
     let t_conn = comm.now();
-    arena.begin_protocol(topo.rank_of_block.len());
+    arena.begin_protocol(topo.rank_of_block.len(), igbps);
     let isa = arena.isa;
     let bound = round_bound(topo);
     #[cfg(test)]
     let bound = arena.short_bound.unwrap_or(bound);
     let ConnArena {
         pending,
-        next_pending,
         cand_pool,
-        orphaned,
         outgoing,
         sent_to,
         best,
@@ -414,31 +455,34 @@ pub fn connect_distributed(
     //    two boxes coincide and routing is exactly the legacy behavior.
     for rb in blocks.iter_mut() {
         rb.route = RankRoute::of(&rb.block, rb.slot.map());
-        rb.writes.clear();
+        make_room(&mut rb.writes, rb.igbps.len());
     }
     let routes = comm.allgather(blocks[0].route, ROUTE_BYTES);
     let routing = Routing { topo, me, remote: &routes };
 
     // 2. Seed pending requests: cached donors first, hierarchy otherwise.
+    let mut orphans = 0u64;
     for (blk, rb) in blocks.iter().enumerate() {
         for (idx, ig) in rb.igbps.iter().enumerate() {
             let mut p = Pending {
-                igbp: idx,
+                igbp: idx as u32,
                 blk: blk as u32,
-                level: usize::MAX,
+                level: CACHED,
                 cand_start: cand_pool.len() as u32,
                 cand_len: 0,
-                hint: None,
+                hint: PackedIjk::NONE,
                 relaxed: false,
             };
-            if let Some(&(block, CachedDonor { cell, relaxed, .. })) = rb.cache.map.get(&ig.node) {
+            if let Some(&(block, CachedDonor { cell, relaxed, .. })) =
+                rb.cache.map.get(&ig.packed())
+            {
                 cand_pool.push(block);
                 p.cand_len = 1;
-                p.hint = Some(cell);
+                p.hint = cell;
                 p.relaxed = relaxed;
-            } else if !next_level(&mut p, cand_pool, ig, &routing, blocks) {
+            } else if !next_level(&mut p, cand_pool, ig.xyz(&rb.block), &routing, blocks) {
                 // No block of any grid admits the point: an orphan at once.
-                orphaned.push(idx);
+                orphans += 1;
                 continue;
             }
             pending.push(p);
@@ -482,7 +526,7 @@ pub fn connect_distributed(
         counts.resize(outgoing.len(), 0);
         for p in pending.iter() {
             for &dst in p.candidates(cand_pool) {
-                counts[dst] += 1;
+                counts[dst as usize] += 1;
             }
             requests += u64::from(p.cand_len);
         }
@@ -494,11 +538,12 @@ pub fn connect_distributed(
             }
         }
         for (slot, p) in pending.iter().enumerate() {
-            let ig = &blocks[p.blk as usize].igbps[p.igbp];
+            let rb = &blocks[p.blk as usize];
+            let xyz = rb.igbps[p.igbp as usize].xyz(&rb.block);
             for &dst in p.candidates(cand_pool) {
-                outgoing[dst].push(ReqPoint {
+                outgoing[dst as usize].push(ReqPoint {
                     id: slot as u32,
-                    xyz: ig.xyz,
+                    xyz,
                     hint: p.hint,
                     relaxed: p.relaxed,
                 });
@@ -531,7 +576,9 @@ pub fn connect_distributed(
         // order (deterministic): its own in place, the others' as they
         // arrive. Of the donors a level's candidates find, each pending
         // point keeps the one from its most preferred candidate — the donor
-        // that asking them one after the other would have taken.
+        // that asking them one after the other would have taken. (`best`
+        // has had room for every IGBP of the rank since the step began:
+        // no round grows it.)
         best.clear();
         best.resize(pending.len(), NO_DONOR);
         for (src, counts) in all_counts.iter().enumerate() {
@@ -552,7 +599,7 @@ pub fn connect_distributed(
                 if local {
                     // (The request list is let go: a rank that holds a whole
                     // system would keep every request of it resident.)
-                    keep_best(rb.id, &answers, pending, cand_pool, best);
+                    keep_best(rb.id as u32, &answers, pending, cand_pool, best);
                     ans_pool.put(answers);
                 } else {
                     // Hand both buffers back to their owner (the request
@@ -577,47 +624,48 @@ pub fn connect_distributed(
             let (reqv, answers): (Vec<ReqPoint>, Vec<(u32, Answer)>) =
                 comm.recv(topo.rank_of_block[dst], tag_rep);
             req_pool.put(reqv);
-            keep_best(dst, &answers, pending, cand_pool, best);
+            keep_best(dst as u32, &answers, pending, cand_pool, best);
             ans_pool.put(answers);
         }
-        next_pending.clear();
-        for (&(mut p), &(pos, ans)) in pending.iter().zip(best.iter()) {
+        // Resolve the round: the points still open move up to the front of
+        // the list, in order, and the list ends after them.
+        let mut open = 0;
+        for slot in 0..pending.len() {
+            let (mut p, (pos, ans)) = (pending[slot], best[slot]);
             let rb = &mut blocks[p.blk as usize];
-            let ig = rb.igbps[p.igbp];
-            match ans {
-                Answer::Found { value, cell_global } => {
-                    if p.level == usize::MAX {
-                        comm.metrics_mut().inc(Counter::ConnCacheHit);
-                    }
-                    let from = p.candidates(cand_pool)[pos as usize];
-                    rb.writes.push((ig.node, value));
-                    let donor = CachedDonor {
-                        grid: topo.grid_of_block(from),
-                        cell: cell_global,
-                        relaxed: p.relaxed,
-                    };
-                    rb.cache.map.insert(ig.node, (from, donor));
-                    relaxed_donors += u64::from(p.relaxed);
+            let ig = rb.igbps[p.igbp as usize];
+            if !ans.is_miss() {
+                if p.level == CACHED {
+                    comm.metrics_mut().inc(Counter::ConnCacheHit);
                 }
-                Answer::Miss => {
-                    // The whole level missed: on to the next one that admits
-                    // the point; after the strict hierarchy is exhausted,
-                    // sweep it once more with relaxed donor acceptance
-                    // before giving up.
-                    if p.level == usize::MAX {
-                        comm.metrics_mut().inc(Counter::ConnCacheMiss);
-                    }
-                    p.hint = None;
-                    if next_level(&mut p, cand_pool, &ig, &routing, blocks) {
-                        next_pending.push(p);
-                    } else {
-                        orphaned.push(p.igbp);
-                        blocks[p.blk as usize].cache.map.remove(&ig.node);
-                    }
-                }
+                let from = p.candidates(cand_pool)[pos as usize];
+                rb.writes.push((ig.packed(), ans.value));
+                let donor = CachedDonor {
+                    cell: ans.cell,
+                    grid: topo.grid_of_block(from as usize) as u32,
+                    relaxed: p.relaxed,
+                };
+                rb.cache.map.insert(ig.packed(), (from, donor));
+                relaxed_donors += u64::from(p.relaxed);
+                continue;
+            }
+            // The whole level missed: on to the next one that admits the
+            // point; after the strict hierarchy is exhausted, sweep it once
+            // more with relaxed donor acceptance before giving up.
+            if p.level == CACHED {
+                comm.metrics_mut().inc(Counter::ConnCacheMiss);
+            }
+            p.hint = PackedIjk::NONE;
+            let xyz = ig.xyz(&rb.block);
+            if next_level(&mut p, cand_pool, xyz, &routing, blocks) {
+                pending[open] = p;
+                open += 1;
+            } else {
+                orphans += 1;
+                blocks[p.blk as usize].cache.map.remove(&ig.packed());
             }
         }
-        std::mem::swap(pending, next_pending);
+        pending.truncate(open);
         round += 1;
     }
     req_pool.end_step();
@@ -625,13 +673,13 @@ pub fn connect_distributed(
 
     for rb in blocks.iter_mut() {
         for &(node, value) in rb.writes.iter() {
-            rb.block.q.set_node(node, value);
+            rb.block.q.set_node(node.ijk(), value);
         }
     }
 
     let m = comm.metrics_mut();
     m.add(Counter::ConnIgbps, igbps as u64);
-    m.add(Counter::ConnOrphans, orphaned.len() as u64);
+    m.add(Counter::ConnOrphans, orphans);
     m.add(Counter::ConnDonorsRelaxed, relaxed_donors);
     m.add(Counter::ConnRounds, round as u64);
     m.add(Counter::ConnForwards, requests - first_requests);
@@ -648,10 +696,11 @@ pub fn connect_distributed(
 /// counters.
 ///
 /// A cold request the fine occupancy mask of the block's map rejects is
-/// answered `Miss` at once; the rest, compacted to the front of `pts`, walk.
-/// Lane-lockstep donor search over that batch: up to W pending points walk
-/// side by side, one SIMD lane each. Outcomes and per-point costs are
-/// bit-identical to searching the points one at a time with the scalar code.
+/// answered with a miss at once; the rest, compacted to the front of `pts`,
+/// walk, [`WALK_SLICE`] at a time. Lane-lockstep donor search over each
+/// slice: up to W pending points walk side by side, one SIMD lane each.
+/// Outcomes and per-point costs are bit-identical to searching the points
+/// one at a time with the scalar code.
 fn serve(
     rb: &RankBlock,
     isa: Isa,
@@ -666,57 +715,62 @@ fn serve(
     let mut service_flops = 0u64;
     let (mut steps, mut miss_steps, mut rejects) = (0u64, 0u64, 0u64);
     let (mut tested, mut fallbacks) = (0u64, 0u64);
-    // (Scratch is sized for the whole batch, walked or not, so that it
-    // stops growing on the cold step, when the batches are largest.)
-    let WalkScratch { queries, outcomes, costs } = walk;
-    queries.clear();
-    queries.reserve(n_in);
-    outcomes.clear();
-    outcomes.reserve(n_in);
-    costs.clear();
-    costs.reserve(n_in);
+    // Cold searches: no walk when no cell can hold the point (posed
+    // lookups charge for the inverse transform).
+    let mut walking = 0;
     for i in 0..n_in {
         let pt = pts[i];
-        let start = match (pt.hint, inv) {
-            // Warm restart hint beats everything.
-            (Some(gc), _) => clamp_to_local_cell(block, gc),
-            // Cold search: no walk when no cell can hold the point, else
-            // the O(1) inverse-map seed near the target (posed lookups
-            // charge for the inverse transform).
-            (None, Some(m)) => {
-                service_flops += m.query_flops();
-                if !m.admits(pt.xyz) {
-                    rejects += 1;
-                    answers.push((pt.id, Answer::Miss));
-                    continue;
-                }
-                service_flops += m.query_flops();
-                m.query(pt.xyz)
+        if let (None, Some(m)) = (pt.hint.get(), inv) {
+            service_flops += m.query_flops();
+            if !m.admits(pt.xyz) {
+                rejects += 1;
+                answers.push((pt.id, Answer::MISS));
+                continue;
             }
-            // Legacy cold start from the block center.
-            (None, None) => center_start(block),
-        };
-        pts[queries.len()] = pt;
-        queries.push(BatchQuery { xyz: pt.xyz, start, relaxed: pt.relaxed });
+        }
+        pts[walking] = pt;
+        walking += 1;
     }
-    walk_search_batch(block, inv, queries, isa, outcomes, costs);
-    for (pt, (out, cost)) in pts.iter().zip(outcomes.iter().zip(costs.iter())) {
-        steps += cost.walk_steps;
-        tested += cost.candidates;
-        fallbacks += cost.fallbacks;
-        service_flops += cost.flops();
-        let ans = match out {
-            SearchOutcome::Found(d) => {
-                let value = interpolate(block, d);
-                service_flops += FLOPS_PER_INTERP;
-                Answer::Found { value, cell_global: block.to_global(d.cell) }
-            }
-            _ => {
-                miss_steps += cost.walk_steps;
-                Answer::Miss
-            }
-        };
-        answers.push((pt.id, ans));
+    let WalkScratch { queries, outcomes, costs } = walk;
+    let longest = walking.min(WALK_SLICE);
+    make_room(queries, longest);
+    make_room(outcomes, longest);
+    make_room(costs, longest);
+    for slice in pts[..walking].chunks(WALK_SLICE) {
+        queries.clear();
+        queries.extend(slice.iter().map(|pt| {
+            let start = match (pt.hint.get(), inv) {
+                // Warm restart hint beats everything.
+                (Some(gc), _) => clamp_to_local_cell(block, gc),
+                // Cold search: the O(1) inverse-map seed near the target.
+                (None, Some(m)) => {
+                    service_flops += m.query_flops();
+                    m.query(pt.xyz)
+                }
+                // Legacy cold start from the block center.
+                (None, None) => center_start(block),
+            };
+            BatchQuery { xyz: pt.xyz, start, relaxed: pt.relaxed }
+        }));
+        walk_search_batch(block, inv, queries, isa, outcomes, costs);
+        for (pt, (out, cost)) in slice.iter().zip(outcomes.iter().zip(costs.iter())) {
+            steps += cost.walk_steps;
+            tested += cost.candidates;
+            fallbacks += cost.fallbacks;
+            service_flops += cost.flops();
+            let ans = match out {
+                SearchOutcome::Found(d) => {
+                    service_flops += FLOPS_PER_INTERP;
+                    let cell = PackedIjk::new(block.to_global(d.cell));
+                    Answer { value: interpolate(block, d), cell }
+                }
+                _ => {
+                    miss_steps += cost.walk_steps;
+                    Answer::MISS
+                }
+            };
+            answers.push((pt.id, ans));
+        }
     }
     comm.compute(service_flops, WorkClass::Search);
     let m = comm.metrics_mut();
@@ -731,14 +785,14 @@ fn serve(
 /// replaces the one kept so far when `from` stands earlier among the
 /// request's candidates.
 fn keep_best(
-    from: usize,
+    from: u32,
     answers: &[(u32, Answer)],
     pending: &[Pending],
-    cand_pool: &[usize],
+    cand_pool: &[u32],
     best: &mut [BestReply],
 ) {
     for &(id, a) in answers {
-        if matches!(a, Answer::Miss) {
+        if a.is_miss() {
             continue;
         }
         let asked = pending[id as usize].candidates(cand_pool);
@@ -756,13 +810,13 @@ fn keep_best(
 /// `false` when the relaxed sweep is exhausted too: the point is an orphan.
 fn next_level(
     p: &mut Pending,
-    cand_pool: &mut Vec<usize>,
-    ig: &Igbp,
+    cand_pool: &mut Vec<u32>,
+    xyz: [f64; 3],
     routing: &Routing<'_>,
     mine: &[RankBlock],
 ) -> bool {
     let levels = &routing.topo.search_order[mine[p.blk as usize].block.grid_id];
-    let mut level = p.level.wrapping_add(1);
+    let mut level = p.level.wrapping_add(1) as usize;
     loop {
         if level >= levels.len() {
             if p.relaxed {
@@ -773,10 +827,10 @@ fn next_level(
             continue;
         }
         p.cand_start = cand_pool.len() as u32;
-        push_candidates(cand_pool, ig, &routing.topo.blocks_of_grid[levels[level]], routing, mine);
+        push_candidates(cand_pool, xyz, &routing.topo.blocks_of_grid[levels[level]], routing, mine);
         p.cand_len = cand_pool.len() as u32 - p.cand_start;
         if p.cand_len > 0 {
-            p.level = level;
+            p.level = level as u32;
             return true;
         }
         level += 1;
@@ -791,17 +845,18 @@ fn next_level(
 /// ordering makes the first candidate almost always the owner, and it is
 /// the order of preference among several donors found in one round.
 fn push_candidates(
-    cand_pool: &mut Vec<usize>,
-    ig: &Igbp,
+    cand_pool: &mut Vec<u32>,
+    xyz: [f64; 3],
     blocks: &std::ops::Range<usize>,
     routing: &Routing<'_>,
     mine: &[RankBlock],
 ) {
     let start = cand_pool.len();
-    cand_pool.extend(blocks.clone().filter(|&b| routing.route(b, mine).admits(ig.xyz)));
-    let dist2 = |b: usize| -> f64 {
-        let c = routing.route(b, mine).world.center();
-        (c[0] - ig.xyz[0]).powi(2) + (c[1] - ig.xyz[1]).powi(2) + (c[2] - ig.xyz[2]).powi(2)
+    let admitting = blocks.clone().filter(|&b| routing.route(b, mine).admits(xyz));
+    cand_pool.extend(admitting.map(|b| b as u32));
+    let dist2 = |b: u32| -> f64 {
+        let c = routing.route(b as usize, mine).world.center();
+        (c[0] - xyz[0]).powi(2) + (c[1] - xyz[1]).powi(2) + (c[2] - xyz[2]).powi(2)
     };
     // Strict total order (distance, then block id), so the unstable sort is
     // deterministic and allocation-free.
@@ -856,6 +911,7 @@ fn clamp_to_local_cell(block: &Block, global_cell: Ijk) -> Ijk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::holes::Igbp;
     use overset_comm::{MachineModel, MetricsRegistry, Universe};
     use overset_grid::curvilinear::{
         BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind, Solid,
@@ -974,8 +1030,8 @@ mod tests {
             // Verify resolved fringe values against the analytic field.
             let mut max_err = 0.0f64;
             for ig in &rb.igbps {
-                let q = rb.block.q.node(ig.node);
-                let expect = 1.0 + ig.xyz[0] + 2.0 * ig.xyz[1];
+                let (q, [x, y, _]) = (rb.block.q.node(ig.node()), ig.xyz(&rb.block));
+                let expect = 1.0 + x + 2.0 * y;
                 max_err = max_err.max((q[0] - expect).abs());
             }
             (stats, max_err)
@@ -1073,8 +1129,8 @@ mod tests {
                 }
                 solve(&mut rb, &holed_stencil_solids(), &topo, comm, &mut ConnArena::new());
                 let held = rb.cache.map.iter().filter(|(_, (_, donor))| donor.relaxed);
-                let mut held: Vec<_> =
-                    held.map(|(n, &(b, d))| ([n.i, n.j], b, [d.cell.i, d.cell.j])).collect();
+                let held = held.map(|(n, &(b, d))| (n.ijk(), b as usize, d.cell.ijk()));
+                let mut held: Vec<_> = held.map(|(n, b, c)| ([n.i, n.j], b, [c.i, c.j])).collect();
                 held.sort_unstable();
                 relaxed.push(held);
             }
@@ -1101,9 +1157,9 @@ mod tests {
             oracle.push(s.relaxed_donors);
         }
         let oracle_donor = |node: [usize; 2]| {
-            let d = cache.map[&(0, Ijk::new(node[0], node[1], 0))];
-            let cell = blocks[d.grid].to_global(d.cell);
-            (d.grid, [cell.i, cell.j], d.relaxed)
+            let d = cache.map[&(0, PackedIjk::new(Ijk::new(node[0], node[1], 0)))];
+            let cell = blocks[d.grid as usize].to_global(d.cell.ijk());
+            (d.grid as usize, [cell.i, cell.j], d.relaxed)
         };
 
         // Cold: the same points held relaxed, all on the left block.
@@ -1142,10 +1198,14 @@ mod tests {
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(move |comm| {
             let mut rb = rank_block(comm.rank(), &fc);
             let node = Ijk::new(0, 0, 0);
-            rb.igbps = if comm.rank() == 0 { vec![Igbp { node, xyz }] } else { vec![] };
+            rb.igbps = if comm.rank() == 0 { vec![Igbp::new(node)] } else { vec![] };
+            // (Rank 0's block serves no request here: the node may stand
+            // anywhere.)
+            rb.block.coords[node] = xyz;
             let arena = &mut ConnArena::new();
             connect_distributed(std::slice::from_mut(&mut rb), &topo, comm, arena);
-            let donor_rank = rb.cache.map.get(&node).map(|&(block, _)| block);
+            let donor_rank =
+                rb.cache.map.get(&PackedIjk::new(node)).map(|&(block, _)| block as usize);
             let m = comm.metrics();
             (m.get(Counter::ConnRounds), donor_rank, m.get(Counter::ConnForwards))
         });
@@ -1325,8 +1385,9 @@ mod tests {
             .cache
             .map
             .iter()
-            .map(|(n, &(r, CachedDonor { grid: g, cell: c, relaxed }))| {
-                [n.i, n.j, n.k, r, g, c.i, c.j, c.k, relaxed as usize]
+            .map(|(n, &(r, CachedDonor { cell, grid, relaxed }))| {
+                let (n, c) = (n.ijk(), cell.ijk());
+                [n.i, n.j, n.k, r as usize, grid as usize, c.i, c.j, c.k, relaxed as usize]
             })
             .collect();
         donors.sort_unstable();
@@ -1453,16 +1514,32 @@ mod tests {
         assert!(out[2].result.get(serviced) > 0);
     }
 
+    /// The per-point records of the search, in bytes: a node or cell is one
+    /// word, counts and list positions `u32`.
+    #[test]
+    fn search_records_are_as_small_as_what_they_hold() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Igbp>(), 8);
+        assert_eq!(size_of::<Pending>(), 32);
+        assert_eq!(size_of::<ReqPoint>(), 40);
+        assert_eq!(size_of::<Answer>(), 48);
+        assert_eq!(size_of::<BestReply>(), 56);
+        assert_eq!(size_of::<(PackedIjk, (u32, CachedDonor))>(), 32, "donor-cache entry");
+        assert_eq!(size_of::<(PackedIjk, [f64; 5])>(), 48, "deferred write");
+    }
+
     #[test]
     fn protocol_messages_roundtrip_on_the_wire() {
+        let edge = PackedIjk::new(Ijk::new(PackedIjk::MAX_AXIS, 0, PackedIjk::MAX_AXIS));
         let reqs = [
-            ReqPoint { id: 7, xyz: [1.5, -2.25, 1e300], hint: None, relaxed: false },
+            ReqPoint { id: 7, xyz: [1.5, -2.25, 1e300], hint: PackedIjk::NONE, relaxed: false },
             ReqPoint {
                 id: u32::MAX,
                 xyz: [0.0, -0.0, f64::NAN],
-                hint: Some(Ijk::new(3, 0, 9)),
+                hint: PackedIjk::new(Ijk::new(3, 0, 9)),
                 relaxed: true,
             },
+            ReqPoint { id: 0, xyz: [1.0; 3], hint: edge, relaxed: false },
         ];
         for r in reqs {
             let back = ReqPoint::from_wire_bytes(&r.to_wire_bytes()).unwrap();
@@ -1472,23 +1549,57 @@ mod tests {
             assert_eq!(back.relaxed, r.relaxed);
         }
         let answers = [
-            Answer::Found { value: [1.0, 2.0, 3.0, 4.0, 5.0], cell_global: Ijk::new(1, 2, 3) },
-            Answer::Miss,
+            Answer { value: [1.0, 2.0, 3.0, 4.0, 5.0], cell: PackedIjk::new(Ijk::new(1, 2, 3)) },
+            Answer { value: [-1.0; 5], cell: edge },
+            Answer::MISS,
         ];
         for a in answers {
             let back = Answer::from_wire_bytes(&a.to_wire_bytes()).unwrap();
-            match (a, back) {
-                (
-                    Answer::Found { value: v1, cell_global: c1 },
-                    Answer::Found { value: v2, cell_global: c2 },
-                ) => {
-                    assert_eq!(v1.map(f64::to_bits), v2.map(f64::to_bits));
-                    assert_eq!(c1, c2);
-                }
-                (Answer::Miss, Answer::Miss) => {}
-                _ => panic!("variant changed across the wire"),
+            assert_eq!(back.cell, a.cell);
+            if !a.is_miss() {
+                assert_eq!(back.value.map(f64::to_bits), a.value.map(f64::to_bits));
             }
         }
+        // The encodings, byte for byte: a request is its id, point, hint
+        // flag, hint as three u64 and relaxed flag; a found answer its flag,
+        // five values and cell; a miss its flag alone. Little-endian.
+        let req = ReqPoint {
+            id: 7,
+            xyz: [1.5, -2.25, 0.0],
+            hint: PackedIjk::new(Ijk::new(PackedIjk::MAX_AXIS, 0, 9)),
+            relaxed: true,
+        };
+        #[rustfmt::skip]
+        let req_bytes: [u8; 54] = [
+            7, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0xf8, 0x3f,
+            0, 0, 0, 0, 0, 0, 0x02, 0xc0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            1,
+            0xff, 0xff, 0x1f, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            9, 0, 0, 0, 0, 0, 0, 0,
+            1,
+        ];
+        assert_eq!(req.to_wire_bytes(), req_bytes);
+        #[rustfmt::skip]
+        let found_bytes: [u8; 65] = [
+            0,
+            0, 0, 0, 0, 0, 0, 0xf0, 0x3f,
+            0, 0, 0, 0, 0, 0, 0, 0x40,
+            0, 0, 0, 0, 0, 0, 0x08, 0x40,
+            0, 0, 0, 0, 0, 0, 0x10, 0x40,
+            0, 0, 0, 0, 0, 0, 0x14, 0x40,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            3, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(answers[0].to_wire_bytes(), found_bytes);
+        assert_eq!(Answer::MISS.to_wire_bytes(), [1]);
+        // A cell past 21 bits per axis is refused, not misread.
+        let mut past = found_bytes;
+        past[41..49].copy_from_slice(&(1u64 << 21).to_le_bytes());
+        assert!(Answer::from_wire_bytes(&past).is_err());
         // The routing entry travels as the tuple of flat arrays it always
         // was: boxes as min then max, the pose flattened, the mask words.
         let pose = RigidTransform::translation([0.5, -1.0, 2.0]);

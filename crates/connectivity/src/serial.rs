@@ -6,20 +6,22 @@
 
 use crate::arena::ConnArena;
 use crate::context::MapSlot;
-use crate::donor::{center_start, walk_search_isa, CachedDonor, Donor, SearchCost, SearchOutcome};
+use crate::donor::{
+    center_start, walk_search_isa, CachedDonor, Donor, PackedIjk, SearchCost, SearchOutcome,
+};
 use crate::holes::{cut_holes_and_find_fringe, Igbp};
 use crate::interp::interpolate;
 use overset_grid::curvilinear::Solid;
-use overset_grid::index::Ijk;
 use overset_grid::Aabb;
 use overset_solver::Block;
 use std::collections::HashMap;
 
-/// Donor cache for nth-level restart, serial form: per (grid, fringe node) →
-/// its donor, the cell in that grid's local indices.
+/// Donor cache for nth-level restart, serial form: per (grid, packed fringe
+/// node) → its donor, the cell in that grid's local indices. The same
+/// record as the per-rank [`crate::DonorCache`]'s.
 #[derive(Clone, Debug, Default)]
 pub struct SerialCache {
-    pub(crate) map: HashMap<(usize, Ijk), CachedDonor>,
+    pub(crate) map: HashMap<(usize, PackedIjk), CachedDonor>,
 }
 
 impl SerialCache {
@@ -129,17 +131,18 @@ pub fn connect_serial(
         let igbps = &igbps_per_grid[g];
         stats.igbps += igbps.len();
         for ig in igbps.iter() {
-            let key = (g, ig.node);
+            let (key, xyz) = ((g, ig.packed()), ig.xyz(&blocks[g]));
             // Donor grid, donor, and whether the relaxed pass found it.
             let mut found: Option<(usize, Donor, bool)> = None;
 
             // Warm start at the cached donor, under the acceptance it was
             // cached with.
-            if let Some(&CachedDonor { grid: dg, cell, relaxed }) = cache.map.get(&key) {
+            if let Some(&CachedDonor { cell, grid, relaxed }) = cache.map.get(&key) {
+                let (dg, cell) = (grid as usize, cell.ijk());
                 let mut cost = SearchCost::default();
                 stats.warm_attempts += 1;
                 let out =
-                    walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, relaxed, isa, map_of(dg));
+                    walk_search_isa(&blocks[dg], xyz, cell, &mut cost, relaxed, isa, map_of(dg));
                 stats.charge(&cost, &out);
                 if let SearchOutcome::Found(d) = out {
                     stats.warm_hits += 1;
@@ -154,23 +157,23 @@ pub fn connect_serial(
                     break;
                 }
                 for &dg in &search_order[g] {
-                    if !bboxes[dg].contains(ig.xyz) {
+                    if !bboxes[dg].contains(xyz) {
                         continue;
                     }
                     let start = match map_of(dg) {
                         Some(m) => {
-                            if !m.admits(ig.xyz) {
+                            if !m.admits(xyz) {
                                 stats.prefilter_rejects += 1;
                                 continue;
                             }
-                            m.query(ig.xyz)
+                            m.query(xyz)
                         }
                         None => center_start(&blocks[dg]),
                     };
                     let mut cost = SearchCost::default();
                     let out = walk_search_isa(
                         &blocks[dg],
-                        ig.xyz,
+                        xyz,
                         start,
                         &mut cost,
                         relaxed,
@@ -188,8 +191,10 @@ pub fn connect_serial(
             match found {
                 Some((dg, d, relaxed)) => {
                     let value = interpolate(&blocks[dg], &d);
-                    writes.push((g, ig.node, value));
-                    cache.map.insert(key, CachedDonor { grid: dg, cell: d.cell, relaxed });
+                    writes.push((g, ig.node(), value));
+                    let donor =
+                        CachedDonor { cell: PackedIjk::new(d.cell), grid: dg as u32, relaxed };
+                    cache.map.insert(key, donor);
                     stats.resolved += 1;
                     stats.relaxed_donors += u64::from(relaxed);
                 }
@@ -214,7 +219,7 @@ pub(crate) mod tests {
     use overset_comm::MetricsRegistry;
     use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind};
     use overset_grid::field::Field3;
-    use overset_grid::index::Dims;
+    use overset_grid::index::{Dims, Ijk};
     use overset_grid::RigidTransform;
     use overset_solver::{Blank, FlowConditions};
 
@@ -461,16 +466,16 @@ pub(crate) mod tests {
     type Answers = std::collections::BTreeMap<(usize, [usize; 3]), (Option<DonorId>, [u64; 5])>;
     type DonorId = (usize, [usize; 3], bool);
 
-    fn answers(leg: &Leg, asked: &std::collections::HashSet<(usize, Ijk)>) -> Answers {
-        let donor = |key: &(usize, Ijk)| -> Option<DonorId> {
+    fn answers(leg: &Leg, asked: &std::collections::HashSet<(usize, PackedIjk)>) -> Answers {
+        let donor = |key: &(usize, PackedIjk)| -> Option<DonorId> {
             let d = leg.cache.map.get(key)?;
-            let c = leg.blocks[d.grid].to_global(d.cell);
-            Some((d.grid, [c.i, c.j, c.k], d.relaxed))
+            let c = leg.blocks[d.grid as usize].to_global(d.cell.ijk());
+            Some((d.grid as usize, [c.i, c.j, c.k], d.relaxed))
         };
         asked
             .iter()
             .map(|key| {
-                let &(g, n) = key;
+                let (g, n) = (key.0, key.1.ijk());
                 ((g, [n.i, n.j, n.k]), (donor(key), leg.blocks[g].q.node(n).map(f64::to_bits)))
             })
             .collect()
@@ -540,7 +545,9 @@ pub(crate) mod tests {
                     for (g, b) in plain.blocks.iter().enumerate() {
                         let ow = b.owned_local();
                         asked.extend(
-                            ow.iter().filter(|&p| b.iblank[p] == Blank::Fringe).map(|p| (g, p)),
+                            ow.iter()
+                                .filter(|&p| b.iblank[p] == Blank::Fringe)
+                                .map(|p| (g, PackedIjk::new(p))),
                         );
                     }
                     asked.extend(plain.cache.map.keys().copied());

@@ -43,6 +43,9 @@ PROPTEST_CASES=256 cargo test -q --release -p overset-connectivity -- \
 echo "== message buffers fit their messages: the request and answer pools stop growing over twelve moving store steps on 18 ranks: release =="
 cargo test -q --release -p overset-connectivity -- the_search_buffers_stop_growing
 
+echo "== donor-search records fit: bytes per IGBP (arena, donor caches, IGBP lists, deferred writes) within bound on every store step, 1 rank and 18: release =="
+cargo test -q --release -p overset-connectivity -- donor_search_bookkeeping_fits_its_fringe_points
+
 echo "== golden trace schema + determinism =="
 cargo test -q -p overflow-d --test observability
 
