@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use overflow_d::driver::grid_min_widths;
 use overflow_d::setup::{build_block, build_topology};
-use overflow_d::{airfoil_case, store_case};
+use overflow_d::{airfoil_case, run_case_serial, store_case};
 use overset_balance::{
     fit_np_to_dims_min, group_grids, static_balance, AdjacencyMatrix, Partition,
 };
@@ -390,6 +390,31 @@ fn inverse_map_kernels(c: &mut Criterion) {
         c.bench_function(&format!("invmap/{name}"), |b| b.iter(|| InverseMap::build(&blk)));
     }
 
+    // The layer above one map: the 16 whole-grid maps the `store_serial`
+    // cold step builds, and the 256 subdomain maps of `store_ranks`, whose
+    // blocks of ~500 cells pay every per-build fixed cost.
+    let sizes: Vec<usize> = store.iter().map(|g| g.num_points()).collect();
+    let dims: Vec<Dims> = store.iter().map(|g| g.dims()).collect();
+    for (name, np) in [
+        ("build_store_055_all", vec![1; store.len()]),
+        ("build_store_055_p256", {
+            let balanced = static_balance(&sizes, 256).unwrap();
+            fit_np_to_dims_min(&sizes, &dims, &balanced.np, &grid_min_widths(&store)).unwrap()
+        }),
+    ] {
+        let part = Partition::build(&dims, &np);
+        let blocks: Vec<Block> = (0..part.ranks.len())
+            .map(|rank| {
+                let a = part.ranks[rank];
+                let g = &store[a.grid];
+                Block::from_grid(a.grid, g, a.boxx, part.neighbors_of(rank, g.periodic_i), &fc())
+            })
+            .collect();
+        c.bench_function(&format!("invmap/{name}"), |b| {
+            b.iter(|| blocks.iter().map(InverseMap::build).collect::<Vec<_>>())
+        });
+    }
+
     let inv = InverseMap::build(&block);
     c.bench_function("invmap/query", |b| b.iter(|| inv.query([0.9, 0.35, 0.0])));
 
@@ -535,11 +560,16 @@ fn serial_connectivity(c: &mut Criterion) {
 
 /// The set-up layer: the 16 whole-grid blocks of the store ×0.55 system
 /// through `build_block` (what the `store_serial` workload builds before its
-/// first step), and one whole 3-D block's metric refresh — the finest
-/// background grid's, the largest of them — which the motion phase runs on
-/// every moving block every step.
+/// first step), the whole cold step of that workload (one `run_case_serial`
+/// step: blocks, maps, the cold donor search, one flow step), and one whole
+/// 3-D block's metric refresh — the finest background grid's, the largest of
+/// them — which the motion phase runs on every moving block every step.
 fn setup_kernels(c: &mut Criterion) {
     let cfg = store_case(0.55, 1);
+    let machine = MachineModel::ibm_sp2();
+    c.bench_function("setup/cold_step_store_serial", |b| {
+        b.iter(|| run_case_serial(&cfg, &machine).unwrap())
+    });
     let dims: Vec<Dims> = cfg.grids.iter().map(|g| g.dims()).collect();
     let whole = Partition::build(&dims, &vec![1; dims.len()]);
     let unmoved = vec![RigidTransform::IDENTITY; dims.len()];

@@ -47,7 +47,7 @@ use crate::inverse_map::{occupancy_admits_posed, InverseMap, OCC_ALL, OCC_WORDS}
 use overset_comm::metrics::Counter;
 use overset_comm::trace::ArgVal;
 use overset_comm::{Comm, Wire, WireError, WireReader, WorkClass};
-use overset_grid::index::{Ijk, IndexBox};
+use overset_grid::index::Ijk;
 use overset_grid::{Aabb, RigidTransform};
 use overset_solver::{Block, Isa};
 use std::collections::HashMap;
@@ -870,24 +870,39 @@ fn push_candidates(
 /// nodes, and the halo carries real neighbor geometry). Without the halo
 /// layer, points in boundary cells of stretched grids would be routed
 /// nowhere.
+///
+/// The rows of nodes are read two nodes (six coordinates) at a time, into
+/// six running minima and maxima that vector lanes can keep; min and max
+/// are exact in any order (but for a zero's sign, which the inflation
+/// removes).
 pub fn owned_bbox(block: &Block) -> Aabb {
-    let mut bb = Aabb::EMPTY;
     let ow = block.owned_local();
-    let grown = IndexBox::new(
-        Ijk::new(
-            ow.lo.i.saturating_sub(1),
-            ow.lo.j.saturating_sub(1),
-            ow.lo.k.saturating_sub(usize::from(block.halo[2] > 0)),
-        ),
-        Ijk::new(
-            (ow.hi.i + 1).min(block.local_dims.ni),
-            (ow.hi.j + 1).min(block.local_dims.nj),
-            (ow.hi.k + usize::from(block.halo[2] > 0)).min(block.local_dims.nk),
-        ),
-    );
-    for p in grown.iter() {
-        bb.include(block.coords[p]);
+    let ld = block.local_dims;
+    let k_halo = usize::from(block.halo[2] > 0);
+    let (i0, i1) = (ow.lo.i.saturating_sub(1), (ow.hi.i + 1).min(ld.ni));
+    let coords = block.coords.as_slice();
+    let (mut lo, mut hi) = ([f64::INFINITY; 6], [f64::NEG_INFINITY; 6]);
+    for k in ow.lo.k.saturating_sub(k_halo)..(ow.hi.k + k_halo).min(ld.nk) {
+        for j in ow.lo.j.saturating_sub(1)..(ow.hi.j + 1).min(ld.nj) {
+            let row = ld.ni * (j + ld.nj * k);
+            let pairs = coords[row + i0..row + i1].as_flattened().chunks_exact(6);
+            let odd = pairs.remainder();
+            for pair in pairs {
+                for t in 0..6 {
+                    lo[t] = lo[t].min(pair[t]);
+                    hi[t] = hi[t].max(pair[t]);
+                }
+            }
+            for (t, &x) in odd.iter().enumerate() {
+                lo[t] = lo[t].min(x);
+                hi[t] = hi[t].max(x);
+            }
+        }
     }
+    let bb = Aabb::new(
+        std::array::from_fn(|d| lo[d].min(lo[d + 3])),
+        std::array::from_fn(|d| hi[d].max(hi[d + 3])),
+    );
     bb.inflate(1e-9 * bb.diagonal().max(1.0))
 }
 

@@ -237,6 +237,102 @@ mod tests {
         }
     }
 
+    /// Why a non-periodic grid may still be cut one node wide in `i`
+    /// (DESIGN.md §6): the census of raising `grid_min_widths`' non-periodic
+    /// minimum to 2 along `i`, over eight systems (store ×0.3, ×0.55, ×1.0;
+    /// airfoil ×0.5, ×1.0; delta wing ×0.1, ×0.2, ×0.4) at every P from 1 to
+    /// 256. A pair *re-partitions* when the repaired counts or the boxes
+    /// differ, or only one of the two is feasible. It also counts the pairs
+    /// whose partition today holds a one-node-wide piece of a non-periodic
+    /// grid on an `i` face with a physical boundary condition (one that
+    /// reads the node inside it: far field, wall, symmetry, extrapolation,
+    /// axis) — all on the far-field faces of backgrounds, none in a pair
+    /// the benchmark runs — and names three pairs that would move.
+    #[test]
+    fn raising_the_non_periodic_minimum_width_would_re_partition_the_census() {
+        use crate::driver::grid_min_widths;
+        use overset_balance::{fit_np_to_dims_min, static_balance};
+        use overset_grid::curvilinear::Face;
+        use overset_grid::gen::{delta_wing, store};
+        use overset_grid::{BcKind, GridKind};
+        let systems = [
+            ("store 0.3", store::store_system(0.3)),
+            ("store 0.55", store::store_system(0.55)),
+            ("store 1.0", store::store_system(1.0)),
+            ("airfoil 0.5", airfoil_system(0.5)),
+            ("airfoil 1.0", airfoil_system(1.0)),
+            ("delta 0.1", delta_wing::delta_wing_system(0.1)),
+            ("delta 0.2", delta_wing::delta_wing_system(0.2)),
+            ("delta 0.4", delta_wing::delta_wing_system(0.4)),
+        ];
+        let (mut pairs, mut moved, mut one_wide) = (0, Vec::new(), Vec::new());
+        for (name, grids) in &systems {
+            let sizes: Vec<usize> = grids.iter().map(|g| g.num_points()).collect();
+            let dims: Vec<Dims> = grids.iter().map(|g| g.dims()).collect();
+            let today = grid_min_widths(grids);
+            let two: Vec<[usize; 3]> = today.iter().map(|w| [2, w[1], w[2]]).collect();
+            let physical = |g: &CurvilinearGrid, face| {
+                let kind = g.patch_on(face);
+                kind.is_some_and(|k| !matches!(k, BcKind::OversetOuter | BcKind::PeriodicI))
+            };
+            for p in 1..=256 {
+                pairs += 1;
+                let Ok(balanced) = static_balance(&sizes, p) else { continue };
+                let fit = |widths: &[[usize; 3]]| {
+                    let np = fit_np_to_dims_min(&sizes, &dims, &balanced.np, widths).ok()?;
+                    let part = Partition::build(&dims, &np);
+                    Some((np, part.ranks.iter().map(|r| r.boxx).collect::<Vec<_>>(), part))
+                };
+                let (now, raised) = (fit(&today), fit(&two));
+                let key = |f: &Option<(Vec<usize>, Vec<_>, Partition)>| {
+                    f.as_ref().map(|(np, boxes, _)| (np.clone(), boxes.clone()))
+                };
+                if key(&now) != key(&raised) {
+                    moved.push((*name, p));
+                }
+                let Some((_, _, part)) = now else { continue };
+                let thin_on_face: Vec<_> = part
+                    .ranks
+                    .iter()
+                    .filter_map(|r| {
+                        let g = &grids[r.grid];
+                        let (lo, hi) = (r.boxx.lo.i, r.boxx.hi.i);
+                        let face = if lo == 0 { Face::IMin } else { Face::IMax };
+                        let on_face = lo == 0 || hi == g.dims().ni;
+                        (!g.periodic_i && hi - lo == 1 && on_face && physical(g, face))
+                            .then(|| (g.kind, g.patch_on(face)))
+                    })
+                    .collect();
+                // Every such piece lies on the far-field face of a background.
+                let far = (GridKind::Background, Some(BcKind::Farfield));
+                assert!(thin_on_face.iter().all(|&k| k == far), "{name} on {p}: {thin_on_face:?}");
+                if !thin_on_face.is_empty() {
+                    one_wide.push((*name, p));
+                }
+            }
+        }
+        assert_eq!(pairs, 2048);
+        for pair in [("delta 0.4", 64), ("delta 0.1", 256), ("store 0.3", 256)] {
+            assert!(moved.contains(&pair), "{pair:?} should re-partition");
+        }
+        // The benchmark's pairs hold no such piece.
+        for pair in [("store 0.55", 18), ("store 0.55", 256), ("airfoil 1.0", 6)] {
+            assert!(!one_wide.contains(&pair), "{pair:?} cuts a physical i face one wide");
+        }
+        let per =
+            |list: &[(&str, usize)], name: &str| list.iter().filter(|(n, _)| *n == name).count();
+        let census: Vec<(usize, usize)> =
+            systems.iter().map(|(n, _)| (per(&moved, n), per(&one_wide, n))).collect();
+        // Per system: (re-partitioned pairs, pairs with a one-wide piece on
+        // a physical `i` face today).
+        let want = [(134, 38), (67, 14), (33, 0), (43, 39), (6, 6), (103, 91), (110, 95), (38, 35)];
+        assert_eq!(
+            (moved.len(), one_wide.len(), census),
+            (534, 318, want.to_vec()),
+            "re-partitioned pairs, pairs with a one-wide physical i piece, and both per system"
+        );
+    }
+
     #[test]
     fn invalid_setups_are_reported_not_panicked() {
         let grids = airfoil_system(0.15);

@@ -144,10 +144,30 @@ impl RowDiff {
 /// differences are chosen once per row and the `i` ends peeled off it, so
 /// the row's interior runs without a branch.
 pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) -> usize {
-    let d = coords.dims();
-    assert_eq!(out.dims(), d, "metric field of another block");
-    let x = coords.as_slice();
+    assert_eq!(out.dims(), coords.dims(), "metric field of another block");
     let m = out.as_mut_slice();
+    metric_rows(coords, |at, metric| m[at] = metric)
+}
+
+/// [`metrics_into`] into a new field: each node's terms written once, as
+/// they are computed, with no fill before them. Returns the field and how
+/// many nodes got [`Metric::INERT`].
+pub fn metrics_of(coords: &Field3<[f64; 3]>) -> (MetricField, usize) {
+    let mut m = Vec::with_capacity(coords.dims().count());
+    let inert = metric_rows(coords, |at, metric| {
+        debug_assert_eq!(at, m.len(), "metric rows out of storage order");
+        m.push(metric);
+    });
+    (Field3::from_vec(coords.dims(), m), inert)
+}
+
+/// Compute every node's metric terms, row by row in storage order, and hand
+/// each with its offset to `put`; returns how many nodes got
+/// [`Metric::INERT`].
+#[inline(always)]
+fn metric_rows(coords: &Field3<[f64; 3]>, mut put: impl FnMut(usize, Metric)) -> usize {
+    let d = coords.dims();
+    let x = coords.as_slice();
     let mut inert = 0;
     for k in 0..d.nk {
         let dk = RowDiff::at(k, d.nk, d.ni * d.nj);
@@ -155,53 +175,55 @@ pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) -> usize {
             let dj = RowDiff::at(j, d.nj, d.ni);
             let row = d.ni * (j + d.nj * k);
             inert += match (dj, dk) {
-                (RowDiff::Central(sj), RowDiff::Central(sk)) => metric_row(x, m, row, d.ni, |at| {
-                    (
-                        scale(sub(x[at + sj], x[at - sj]), 0.5),
-                        scale(sub(x[at + sk], x[at - sk]), 0.5),
-                    )
-                }),
-                (RowDiff::Central(sj), RowDiff::Flat) => metric_row(x, m, row, d.ni, |at| {
+                (RowDiff::Central(sj), RowDiff::Central(sk)) => {
+                    metric_row(x, &mut put, row, d.ni, |at| {
+                        (
+                            scale(sub(x[at + sj], x[at - sj]), 0.5),
+                            scale(sub(x[at + sk], x[at - sk]), 0.5),
+                        )
+                    })
+                }
+                (RowDiff::Central(sj), RowDiff::Flat) => metric_row(x, &mut put, row, d.ni, |at| {
                     (scale(sub(x[at + sj], x[at - sj]), 0.5), [0.0, 0.0, 1.0])
                 }),
-                _ => metric_row(x, m, row, d.ni, |at| (dj.eval(x, at), dk.eval(x, at))),
+                _ => metric_row(x, &mut put, row, d.ni, |at| (dj.eval(x, at), dk.eval(x, at))),
             };
         }
     }
     inert
 }
 
-/// The metrics of the row of `ni` nodes starting at `row`, `eta_zeta`
-/// giving a node's `j` and `k` differences; returns the number of nodes
-/// left [`Metric::INERT`].
+/// The metrics of the row of `ni` nodes starting at `row`, in storage
+/// order, each handed to `put`, `eta_zeta` giving a node's `j` and `k`
+/// differences; returns the number of nodes given [`Metric::INERT`].
 #[inline(always)]
 fn metric_row(
     x: &[[f64; 3]],
-    m: &mut [Metric],
+    put: &mut impl FnMut(usize, Metric),
     row: usize,
     ni: usize,
     eta_zeta: impl Fn(usize) -> ([f64; 3], [f64; 3]),
 ) -> usize {
     let mut inert = 0;
-    let mut put = |at: usize, x_xi: [f64; 3]| {
+    let mut node = |at: usize, x_xi: [f64; 3]| {
         let (x_eta, x_zeta) = eta_zeta(at);
         let mut metric = metric_from_derivs(x_xi, x_eta, x_zeta);
         if !metric.jac.is_finite() {
             metric = Metric::INERT;
             inert += 1;
         }
-        m[at] = metric;
+        put(at, metric);
     };
     if ni == 1 {
-        put(row, [0.0, 0.0, 1.0]);
+        node(row, [0.0, 0.0, 1.0]);
         return inert;
     }
     let last = row + ni - 1;
-    put(row, sub(x[row + 1], x[row]));
+    node(row, sub(x[row + 1], x[row]));
     for at in row + 1..last {
-        put(at, scale(sub(x[at + 1], x[at - 1]), 0.5));
+        node(at, scale(sub(x[at + 1], x[at - 1]), 0.5));
     }
-    put(last, sub(x[last], x[last - 1]));
+    node(last, sub(x[last], x[last - 1]));
     inert
 }
 

@@ -4,7 +4,9 @@
 use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
 use overset_grid::decomp::lattice_split;
 use overset_grid::field::Field3;
-use overset_grid::metrics::{compute_metrics, metric_at, metrics_into, total_volume, Metric};
+use overset_grid::metrics::{
+    compute_metrics, metric_at, metrics_into, metrics_of, total_volume, Metric,
+};
 use overset_grid::transform::{Quat, RigidTransform};
 use overset_grid::{Aabb, Dims};
 use proptest::prelude::*;
@@ -163,11 +165,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `metrics_into` (row-hoisted) equals `metric_at` (per node, through
-    /// the grid's index closure) on every node to the bit, `Metric::INERT`
-    /// standing in for a non-finite Jacobian on both sides, and counts those
-    /// nodes: random 3-D and 2-D (`nk = 1`) fields with 1–4 nodes along an
-    /// axis as often as more, and the halo-wrapped coordinates of a
-    /// self-wrapping O-grid block.
+    /// the grid's index closure) on every node to the bit, and `metrics_of`
+    /// equals `metrics_into`, `Metric::INERT` standing in for a non-finite
+    /// Jacobian on both sides, and counts those nodes: random 3-D and 2-D
+    /// (`nk = 1`) fields with 1–4 nodes along an axis as often as more, and
+    /// the halo-wrapped coordinates of a self-wrapping O-grid block.
     #[test]
     fn row_metrics_bit_equal_per_node_metrics(
         seed in 1u64..(1 << 60),
@@ -183,6 +185,13 @@ proptest! {
         let coords = random_field(d, seed, shape == 2);
         let mut got = Field3::new(d, Metric::INERT);
         let inert = metrics_into(&coords, &mut got);
+        // The one-write construction is the same rows into a new field.
+        let (fresh, fresh_inert) = metrics_of(&coords);
+        let field_bits = |f: &Field3<Metric>| -> Vec<u64> {
+            let terms = f.as_slice().iter().flat_map(|m| [m.xi, m.eta, m.zeta, [m.jac; 3]]);
+            terms.flatten().map(f64::to_bits).collect()
+        };
+        prop_assert!(field_bits(&fresh) == field_bits(&got) && fresh_inert == inert);
         let grid = CurvilinearGrid::new("random", coords, GridKind::NearBody);
         let mut want_inert = 0;
         for p in d.iter() {

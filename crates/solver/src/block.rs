@@ -10,7 +10,7 @@ use crate::conditions::FlowConditions;
 use overset_grid::curvilinear::{BcKind, CurvilinearGrid, Face};
 use overset_grid::field::{Field3, StateField, NVAR};
 use overset_grid::index::{Dims, Ijk, IndexBox};
-use overset_grid::metrics::{metrics_into, Metric, MetricField};
+use overset_grid::metrics::{metrics_into, metrics_of, MetricField};
 use overset_grid::transform::RigidTransform;
 
 /// Halo width (2 layers: enough for the 4th-difference dissipation stencil).
@@ -109,6 +109,9 @@ impl Block {
             }
         }
         let wrap = grid.periodic_i;
+        // Each field is written once: the metrics as they are computed, the
+        // state by the freestream fill over zeroed (untouched) pages.
+        let (metrics, _) = metrics_of(&coords);
 
         let mut block = Block {
             grid_id,
@@ -116,7 +119,7 @@ impl Block {
             grid_dims: gd,
             local_dims,
             halo,
-            metrics: Field3::new(local_dims, Metric::INERT),
+            metrics,
             q: StateField::new(local_dims),
             iblank: Field3::new(local_dims, Blank::Field),
             grid_vel: Field3::new(local_dims, [0.0; 3]),
@@ -131,7 +134,6 @@ impl Block {
             coords,
         };
         block.q.fill_uniform(fc.freestream());
-        block.recompute_metrics();
         block
     }
 
@@ -221,8 +223,9 @@ impl Block {
     }
 
     /// Recompute metric terms from current coordinates (after grid motion);
-    /// returns how many nodes got [`Metric::INERT`] for want of a finite
-    /// Jacobian.
+    /// returns how many nodes got
+    /// [`Metric::INERT`](overset_grid::metrics::Metric::INERT) for want of a
+    /// finite Jacobian.
     pub fn recompute_metrics(&mut self) -> usize {
         // Periodicity is irrelevant here: halo layers carry real wrapped
         // geometry, so one-sided differences never straddle the seam. Halo
@@ -471,6 +474,7 @@ fn push_run(out: &mut Vec<f64>, src: &[f64]) {
 mod tests {
     use super::*;
     use overset_grid::curvilinear::GridKind;
+    use overset_grid::metrics::Metric;
 
     fn test_grid(ni: usize, nj: usize, nk: usize) -> CurvilinearGrid {
         let d = Dims::new(ni, nj, nk);

@@ -29,12 +29,13 @@ cargo test -q
 echo "== solver bit-equality proptests (kernels vs scalar references, pipelined chains vs the whole grid with their carry messages and compute charges, step vs reference step, row copies vs per-node copies, block construction vs its per-node reference): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-solver -- bit_equal
 
-echo "== grid bit-equality proptest (row-hoisted metrics vs per-node metric_at): release, 256 cases =="
+echo "== grid bit-equality proptest (row-hoisted metrics and their one-write construction vs per-node metric_at): release, 256 cases =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-grid -- bit_equal
 
-echo "== connectivity bit-equality (cutter vs its per-node oracle, slab vs per-bin hole-lattice classes, candidate lists and sub-bins, one-rank protocol vs serial oracle, map and arena off-paths): release, 256 cases each =="
+echo "== connectivity bit-equality (cutter vs its per-node oracle, slab vs per-bin hole-lattice classes, inverse-map build vs its frozen oracle on random blocks, candidate lists and sub-bins, one-rank protocol vs serial oracle, map and arena off-paths): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-connectivity -- \
     cutter_agrees_with_the_per_node_sweep_on_the_paper_systems \
+    random_blocks_build_the_reference_map \
     slab_classes_equal_per_bin_classes \
     candidate_lists_hold_every_containing_cell \
     one_rank_protocol_agrees_with_the_serial_oracle_on_the_paper_systems \
