@@ -11,7 +11,7 @@ use overflow_d::{
     RunResult,
 };
 use overset_comm::trace::TraceConfig;
-use overset_comm::{MachineModel, Phase, StepRecord, TransportConfig};
+use overset_comm::{MachineModel, Phase};
 
 /// Global experiment scaling knobs.
 #[derive(Clone, Copy, Debug)]
@@ -29,26 +29,11 @@ pub struct Effort {
     /// the ranks onto `n` workers (M:N mode). Virtual times are bit-identical
     /// either way, so every table is unaffected — this only caps host load.
     pub max_threads: Option<usize>,
-    /// Process-transport group count (`--transport proc[:N]`). `None`
-    /// (default, `--transport inproc`): ranks as threads in this process.
-    /// `Some(n)`: ranks split across `n` forked rank-group processes.
-    /// Virtual times are bit-identical either way (`repro smoke` proves it).
-    /// Sweeps pay quadratic replay cost (each forked child re-runs the
-    /// sweep's earlier universes in-process to reach its own), so expect
-    /// multi-case runs to be severalfold slower than `inproc`.
-    pub proc_groups: Option<usize>,
 }
 
 impl Effort {
     pub fn full() -> Self {
-        Effort {
-            scale3d: 1.0,
-            scale2d: 1.0,
-            steps2d: 20,
-            steps3d: 12,
-            max_threads: None,
-            proc_groups: None,
-        }
+        Effort { scale3d: 1.0, scale2d: 1.0, steps2d: 20, steps3d: 12, max_threads: None }
     }
 
     /// Reduced effort for CI / quick runs.
@@ -57,14 +42,10 @@ impl Effort {
     }
 }
 
-/// Apply the effort's scheduler bound and transport to a case config — the
-/// single place CLI flags become configuration.
+/// Apply the effort's scheduler bound to a case config — the single place
+/// CLI flags become configuration.
 pub(crate) fn tuned(mut cfg: CaseConfig, e: Effort) -> CaseConfig {
     cfg.max_threads = e.max_threads;
-    cfg.transport = match e.proc_groups {
-        None => TransportConfig::InProcess,
-        Some(n) => TransportConfig::process(n),
-    };
     cfg
 }
 
@@ -491,70 +472,6 @@ pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> RunResult {
         .expect("traced run of an experiment without a representative case");
     cfg.trace = trace;
     run_case(&tuned(cfg, e), nodes, &sp2()).expect("traced run failed")
-}
-
-/// `repro smoke`: prove the transport-determinism contract from the CLI.
-/// Runs the store case once over the multi-process backend (two forked
-/// rank-group processes) and once in-process, then compares physics, global
-/// clock and every rank's clocks and per-step counters bit for bit.
-/// Exit 0 on bit-equality, 1 on divergence or a failed run.
-///
-/// The process-backed run goes first: its forked children re-execute
-/// `repro smoke` and must reach the process-backed `establish` without
-/// replaying the in-process reference run.
-pub fn transport_smoke() -> i32 {
-    let machine = sp2();
-    let nranks = 16; // the store system has 16 grids; each needs a processor
-    let mut cfg = store_case(0.3, 3);
-    cfg.transport = TransportConfig::process(2);
-    let proc = match run_case(&cfg, nranks, &machine) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("transport smoke: process-transport run failed: {e}");
-            return 1;
-        }
-    };
-    cfg.transport = TransportConfig::InProcess;
-    let inproc = match run_case(&cfg, nranks, &machine) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("transport smoke: in-process run failed: {e}");
-            return 1;
-        }
-    };
-
-    let mut diverged: Vec<String> = Vec::new();
-    if proc.state_rms.to_bits() != inproc.state_rms.to_bits() {
-        diverged.push(format!("state RMS {} vs {}", proc.state_rms, inproc.state_rms));
-    }
-    let (pw, iw) = (proc.summary.wall_time, inproc.summary.wall_time);
-    if pw.to_bits() != iw.to_bits() {
-        diverged.push(format!("wall time {pw} vs {iw}"));
-    }
-    // A run that lost ranks must not pass on the ranks it kept.
-    let (pr, ir) = (proc.step_records.len(), inproc.step_records.len());
-    if pr != ir {
-        diverged.push(format!("{pr} ranks vs {ir}"));
-    }
-    // Each step's clock and counts (flops, traffic, search work) per rank.
-    let ledger = |recs: &[StepRecord]| -> Vec<_> {
-        recs.iter().map(|r| (r.clock.to_bits(), r.counts)).collect()
-    };
-    for (rank, (p, i)) in proc.step_records.iter().zip(&inproc.step_records).enumerate() {
-        if ledger(p) != ledger(i) {
-            diverged.push(format!("rank {rank} step clocks or counters"));
-        }
-    }
-    if diverged.is_empty() {
-        println!("transport smoke: bit-equal (store case, {nranks} ranks, proc:2 vs inproc)");
-        0
-    } else {
-        println!("transport smoke: DIVERGED");
-        for d in &diverged {
-            eprintln!("  {d}");
-        }
-        1
-    }
 }
 
 /// Ablation A1: nth-level restart on vs off (from-scratch search every

@@ -2,15 +2,12 @@
 //! run reports, and gate perf regressions.
 //!
 //! Usage:
-//!   `repro <experiment> [--quick] [--max-threads <N>]
-//!          [--transport inproc|proc[:N]] [--trace <out.json>]
+//!   `repro <experiment> [--quick] [--max-threads <N>] [--trace <out.json>]
 //!          [--trace-stream <dir>]`
-//!   `repro report <experiment> [--quick] [--max-threads <N>]
-//!          [--transport inproc|proc[:N]] [-o <out.json>]`
+//!   `repro report <experiment> [--quick] [--max-threads <N>] [-o <out.json>]`
 //!   `repro compare <baseline.json> <new.json>`
 //!   `repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]`
 //!   `repro analyze <report.json> [-o <path>]`
-//!   `repro smoke`
 //!
 //! where experiment is one of `table1 fig5 table2 table3 fig7 table4 fig10
 //! table5 fig11 table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo
@@ -26,12 +23,6 @@
 //! mode). All virtual-time results are bit-identical to the default
 //! rank-per-thread mode; the flag exists so large rank counts — notably the
 //! `scaling` experiment's 1024-rank rows — run on ordinary hosts.
-//!
-//! `--transport proc[:N]` runs each case's ranks split across N forked
-//! rank-group processes speaking the versioned wire protocol, instead of as
-//! threads of this process (`inproc`, the default). Results are bit-identical
-//! either way; `repro smoke` proves exactly that on the store case and exits
-//! nonzero on any divergence (see docs/TRANSPORT.md).
 //!
 //! `--trace` re-runs the experiment's representative case with event
 //! tracing enabled and writes a Chrome `trace_event` JSON (load it in
@@ -84,7 +75,6 @@ struct Cli {
     trace_stream: Option<String>,
     out_path: Option<String>,
     max_threads: Option<usize>,
-    transport: Option<String>,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -95,7 +85,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         trace_stream: None,
         out_path: None,
         max_threads: None,
-        transport: None,
     };
     let mut named = false;
     let mut it = args.iter();
@@ -113,14 +102,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "-o" | "--out" => match it.next() {
                 Some(p) => cli.out_path = Some(p.clone()),
                 None => return Err(format!("{a} requires an output path")),
-            },
-            "--transport" => match it.next() {
-                Some(t) => cli.transport = Some(t.clone()),
-                None => {
-                    return Err(
-                        "--transport requires a backend (inproc, proc or proc:N)".to_string()
-                    )
-                }
             },
             "--max-threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cli.max_threads = Some(n),
@@ -150,22 +131,11 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
 }
 
 /// The effort a command line asks for: quick or full size, plus the
-/// scheduler and transport flags.
+/// scheduler flag.
 fn effort_from(cli: &Cli) -> Effort {
     let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
     effort.max_threads = cli.max_threads;
-    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
     effort
-}
-
-/// Validate `--transport` and map it onto the effort's process-group knob.
-fn parse_transport_flag(flag: &Option<String>) -> Result<Option<usize>, String> {
-    let Some(s) = flag.as_deref() else { return Ok(None) };
-    match overset_comm::TransportConfig::parse(s) {
-        Ok(overset_comm::TransportConfig::InProcess) => Ok(None),
-        Ok(overset_comm::TransportConfig::Process { processes, .. }) => Ok(Some(processes)),
-        Err(e) => Err(format!("--transport: {e}")),
-    }
 }
 
 /// Print a flag error and exit 2 — shared by every `Result`-returning parser.
@@ -219,10 +189,6 @@ fn main() {
         Some("compare") => std::process::exit(run_compare(&args[1..])),
         Some("report") => std::process::exit(run_report_cmd(&args[1..])),
         Some("analyze") => std::process::exit(run_analyze(&args[1..])),
-        // Dispatched before flag parsing: the forked rank-group children of
-        // the smoke's process-backed run replay `repro smoke` and must reach
-        // the same universe directly.
-        Some("smoke") => std::process::exit(transport_smoke()),
         _ => {}
     }
 
@@ -286,8 +252,7 @@ fn main() {
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
                  ablate-cache verify-shapes all\n\
                  or a subcommand: report <experiment> | \
-                 compare <baseline.json> <new.json> | analyze <experiment>|<span-dir>|<report.json> | \
-                 smoke"
+                 compare <baseline.json> <new.json> | analyze <experiment>|<span-dir>|<report.json>"
             );
             std::process::exit(2);
         }
@@ -388,13 +353,5 @@ mod tests {
         }
         let cli = parse_cli(&s(&["table1", "--quick", "-o", "r.json", "--max-threads", "2"]));
         assert_eq!(unhonoured_report_flag(&cli.unwrap()), None);
-    }
-
-    #[test]
-    fn transport_flag_maps_to_proc_groups() {
-        assert_eq!(parse_transport_flag(&None).unwrap(), None);
-        assert_eq!(parse_transport_flag(&Some("inproc".into())).unwrap(), None);
-        assert_eq!(parse_transport_flag(&Some("proc:3".into())).unwrap(), Some(3));
-        assert!(parse_transport_flag(&Some("carrier-pigeon".into())).is_err());
     }
 }

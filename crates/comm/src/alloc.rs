@@ -14,9 +14,6 @@
 //! - the M:N scheduler saves/restores the full context across every coroutine
 //!   switch (`sched::run_coro`), so a rank resumed on the same worker thread
 //!   after another rank ran there still charges its own counters.
-//! - the process transport runs `run_ranks` inside each child, so child-side
-//!   counters are attributed identically and travel back to the parent inside
-//!   `RankOutput` on `Done`.
 //!
 //! ## Determinism contract
 //!
@@ -34,12 +31,10 @@
 //!   with thread interleaving. Peaks are surfaced as advisory data in the
 //!   report's `host` section and are never gated.
 //!
-//! Counts may legitimately differ between transports or scheduler modes
-//! (different code paths run); only same-configuration run-to-run equality is
-//! guaranteed.
+//! Counts may legitimately differ between scheduler modes (different code
+//! paths run); only same-configuration run-to-run equality is guaranteed.
 
 use crate::stats::{Phase, NUM_PHASES};
-use crate::wire::{Wire, WireError, WireReader};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::ptr;
@@ -50,8 +45,8 @@ use std::sync::Arc;
 /// between the rank's `Comm` and the thread-local allocator context.
 ///
 /// All counters use relaxed atomics: a rank executes on exactly one OS
-/// thread at a time (1:1 threads, M:N pinned coroutines, or a child
-/// process), so there is no cross-thread contention on a single instance —
+/// thread at a time (1:1 threads or M:N pinned coroutines), so there is no
+/// cross-thread contention on a single instance —
 /// atomics only make the unsynchronized read from `Comm::finish` defined.
 #[derive(Debug)]
 pub struct RankAllocCounters {
@@ -117,25 +112,6 @@ impl AllocTotals {
     }
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
-    }
-}
-
-impl Wire for AllocTotals {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.allocs.encode(out);
-        self.bytes.encode(out);
-        self.frees.encode(out);
-        self.freed_bytes.encode(out);
-        self.peak_bytes.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(AllocTotals {
-            allocs: Wire::decode(r)?,
-            bytes: Wire::decode(r)?,
-            frees: Wire::decode(r)?,
-            freed_bytes: Wire::decode(r)?,
-            peak_bytes: Wire::decode(r)?,
-        })
     }
 }
 
@@ -410,18 +386,5 @@ mod tests {
         for raw in [NUM_PHASES as u8, 7, 100, 200, u8::MAX] {
             assert_eq!(phase_slot(raw), Phase::Other as usize);
         }
-    }
-
-    #[test]
-    fn alloc_totals_wire_round_trip() {
-        let tot = AllocTotals {
-            allocs: [1; NUM_PHASES],
-            bytes: [2; NUM_PHASES],
-            frees: [3; NUM_PHASES],
-            freed_bytes: [4; NUM_PHASES],
-            peak_bytes: 99,
-        };
-        let bytes = tot.to_wire_bytes();
-        assert_eq!(AllocTotals::from_wire_bytes(&bytes).unwrap(), tot);
     }
 }

@@ -6,7 +6,6 @@
 //! remain only for internal invariant violations (e.g. a rank index that
 //! was validated before the run).
 
-use crate::wire::{intern, Wire, WireError, WireReader};
 use std::fmt;
 
 /// Errors surfaced by the runtime, the case setup and the benchmark tools.
@@ -14,15 +13,10 @@ use std::fmt;
 pub enum OversetError {
     /// `recv` matched a message whose payload is not the requested type.
     TypeMismatch { rank: usize, src: usize, tag: u64, expected: &'static str },
-    /// A message arrived over a process transport but its bytes failed to
-    /// decode as the requested type.
-    WireDecode { rank: usize, src: usize, tag: u64, detail: String },
     /// A receive could never complete: every sender hung up.
     Disconnected { rank: usize, src: usize, tag: u64 },
     /// Ranks contributed different types to one collective round.
     CollectiveMismatch { rank: usize, expected: &'static str },
-    /// A message was addressed to a rank outside the universe.
-    InvalidRank { rank: usize, dst: usize, size: usize },
     /// A rank's body panicked during the run; peers were unblocked and the
     /// universe shut down. `phase` names the statistics phase the rank was
     /// in when it panicked.
@@ -45,10 +39,6 @@ impl fmt::Display for OversetError {
                 f,
                 "rank {rank}: type mismatch receiving tag {tag} from rank {src} (expected {expected})"
             ),
-            OversetError::WireDecode { rank, src, tag, detail } => write!(
-                f,
-                "rank {rank}: wire decode failed for tag {tag} from rank {src}: {detail}"
-            ),
             OversetError::Disconnected { rank, src, tag } => write!(
                 f,
                 "rank {rank}: all senders disconnected while waiting for tag {tag} from rank {src}"
@@ -57,9 +47,6 @@ impl fmt::Display for OversetError {
                 f,
                 "rank {rank}: mixed payload types in collective (expected {expected})"
             ),
-            OversetError::InvalidRank { rank, dst, size } => {
-                write!(f, "rank {rank}: send to rank {dst} of a {size}-rank universe")
-            }
             OversetError::RankPanicked { rank, phase, message } => {
                 write!(f, "rank {rank} panicked in phase {phase}: {message}")
             }
@@ -82,115 +69,6 @@ impl From<std::io::Error> for OversetError {
     }
 }
 
-// Errors cross process boundaries (rank programs may return
-// `Result<_, OversetError>`, and the parent relays child failures), so the
-// error type itself is a wire type. `&'static str` fields are re-interned
-// on decode.
-impl Wire for OversetError {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OversetError::TypeMismatch { rank, src, tag, expected } => {
-                buf.push(0);
-                rank.encode(buf);
-                src.encode(buf);
-                tag.encode(buf);
-                expected.to_string().encode(buf);
-            }
-            OversetError::WireDecode { rank, src, tag, detail } => {
-                buf.push(1);
-                rank.encode(buf);
-                src.encode(buf);
-                tag.encode(buf);
-                detail.encode(buf);
-            }
-            OversetError::Disconnected { rank, src, tag } => {
-                buf.push(2);
-                rank.encode(buf);
-                src.encode(buf);
-                tag.encode(buf);
-            }
-            OversetError::CollectiveMismatch { rank, expected } => {
-                buf.push(3);
-                rank.encode(buf);
-                expected.to_string().encode(buf);
-            }
-            OversetError::InvalidRank { rank, dst, size } => {
-                buf.push(4);
-                rank.encode(buf);
-                dst.encode(buf);
-                size.encode(buf);
-            }
-            OversetError::RankPanicked { rank, phase, message } => {
-                buf.push(5);
-                rank.encode(buf);
-                phase.to_string().encode(buf);
-                message.encode(buf);
-            }
-            OversetError::AbortedByPeer { rank, failed_rank } => {
-                buf.push(6);
-                rank.encode(buf);
-                failed_rank.encode(buf);
-            }
-            OversetError::Setup(msg) => {
-                buf.push(7);
-                msg.encode(buf);
-            }
-            OversetError::Config(msg) => {
-                buf.push(8);
-                msg.encode(buf);
-            }
-            OversetError::Io(msg) => {
-                buf.push(9);
-                msg.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => OversetError::TypeMismatch {
-                rank: usize::decode(r)?,
-                src: usize::decode(r)?,
-                tag: u64::decode(r)?,
-                expected: intern(&String::decode(r)?),
-            },
-            1 => OversetError::WireDecode {
-                rank: usize::decode(r)?,
-                src: usize::decode(r)?,
-                tag: u64::decode(r)?,
-                detail: String::decode(r)?,
-            },
-            2 => OversetError::Disconnected {
-                rank: usize::decode(r)?,
-                src: usize::decode(r)?,
-                tag: u64::decode(r)?,
-            },
-            3 => OversetError::CollectiveMismatch {
-                rank: usize::decode(r)?,
-                expected: intern(&String::decode(r)?),
-            },
-            4 => OversetError::InvalidRank {
-                rank: usize::decode(r)?,
-                dst: usize::decode(r)?,
-                size: usize::decode(r)?,
-            },
-            5 => OversetError::RankPanicked {
-                rank: usize::decode(r)?,
-                phase: intern(&String::decode(r)?),
-                message: String::decode(r)?,
-            },
-            6 => OversetError::AbortedByPeer {
-                rank: usize::decode(r)?,
-                failed_rank: usize::decode(r)?,
-            },
-            7 => OversetError::Setup(String::decode(r)?),
-            8 => OversetError::Config(String::decode(r)?),
-            9 => OversetError::Io(String::decode(r)?),
-            _ => return Err(WireError::Invalid("OversetError discriminant")),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,26 +80,6 @@ mod tests {
         assert!(s.contains("rank 3") && s.contains("tag 42") && s.contains("f64"));
         let e = OversetError::Setup("no grids".into());
         assert!(e.to_string().contains("no grids"));
-    }
-
-    #[test]
-    fn wire_roundtrip_every_variant() {
-        let variants = vec![
-            OversetError::TypeMismatch { rank: 1, src: 2, tag: 3, expected: "f64" },
-            OversetError::WireDecode { rank: 1, src: 2, tag: 3, detail: "bad".into() },
-            OversetError::Disconnected { rank: 1, src: 2, tag: 3 },
-            OversetError::CollectiveMismatch { rank: 4, expected: "u64" },
-            OversetError::InvalidRank { rank: 0, dst: 9, size: 4 },
-            OversetError::RankPanicked { rank: 2, phase: "flow", message: "boom".into() },
-            OversetError::AbortedByPeer { rank: 1, failed_rank: 2 },
-            OversetError::Setup("s".into()),
-            OversetError::Config("c".into()),
-            OversetError::Io("i".into()),
-        ];
-        for e in variants {
-            let back = OversetError::from_wire_bytes(&e.to_wire_bytes()).unwrap();
-            assert_eq!(back, e);
-        }
     }
 
     #[test]

@@ -64,8 +64,7 @@ impl StepRecord {
     }
 }
 
-// Step records ride home from child processes inside `RankOutput` and fill
-// the binary sink's step chunks: the fields in order.
+// Step records fill the binary sink's step chunks: the fields in order.
 impl Wire for StepRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.step.encode(buf);

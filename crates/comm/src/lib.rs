@@ -13,11 +13,11 @@
 //! [`metrics::MetricsRegistry`] and (optionally) a [`trace::Tracer`] whose
 //! spans export to Chrome `trace_event` JSON — see docs/OBSERVABILITY.md.
 //!
-//! The runtime is transport-agnostic: the same rank program runs on the
-//! in-process backend (threads/coroutines sharing mailboxes) or on the
-//! process backend (rank groups in forked OS processes speaking a versioned
-//! wire format over Unix sockets) with bit-identical virtual time — see
-//! docs/TRANSPORT.md and [`transport::TransportConfig`].
+//! Ranks run as one OS thread each or as coroutines multiplexed onto a few
+//! worker threads ([`UniverseBuilder::max_threads`]), with bit-identical
+//! virtual time. Message payloads move between ranks as values; [`Wire`]
+//! gives bytes only to what the binary span file stores (docs/OBSERVABILITY.md,
+//! *Streaming sinks*).
 //!
 //! See DESIGN.md §2 for the substitution argument.
 
@@ -32,7 +32,6 @@ mod sched;
 pub mod sink;
 pub mod stats;
 pub mod trace;
-pub mod transport;
 pub mod wire;
 
 pub use alloc::{AllocTotals, CountingAlloc, RankAllocCounters};
@@ -45,8 +44,7 @@ pub use runtime::{Comm, Gathered, PhaseGuard, RankOutput, Universe, UniverseBuil
 pub use sink::{read_span_dir, read_span_file, RankStream, SpanDir, SPAN_SCHEMA_VERSION};
 pub use stats::{PerfSummary, Phase, NUM_PHASES};
 pub use trace::{chrome_trace_json, ArgVal, RankTrace, TraceConfig, TraceEvent, Tracer};
-pub use transport::TransportConfig;
-pub use wire::{intern, wire_type_hash, Wire, WireError, WireReader, WIRE_SCHEMA_VERSION};
+pub use wire::{intern, Wire, WireError, WireReader};
 
 /// One-stop imports for writing a rank program:
 /// `use overset_comm::prelude::*;`.
@@ -59,6 +57,4 @@ pub mod prelude {
     pub use crate::runtime::{Comm, PhaseGuard, RankOutput, Universe, UniverseBuilder};
     pub use crate::stats::{PerfSummary, Phase, NUM_PHASES};
     pub use crate::trace::{chrome_trace_json, ArgVal, RankTrace, TraceConfig, TraceEvent};
-    pub use crate::transport::TransportConfig;
-    pub use crate::wire::{Wire, WireError, WireReader};
 }

@@ -10,7 +10,6 @@
 //! service-load input `I(p)` from [`Counter::ConnServiced`].
 
 use crate::stats::{Phase, NUM_PHASES};
-use crate::wire::{Wire, WireError, WireReader};
 
 /// One closed list per metric kind: variant, dotted name, doc. `ALL` is the
 /// declaration order, which is also the array and wire order.
@@ -388,59 +387,9 @@ impl MetricsRegistry {
     }
 }
 
-// Dense bucket-count encoding: count/sum/min/max then the fixed grid.
-impl Wire for Histogram {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.count.encode(buf);
-        self.sum.encode(buf);
-        self.min.encode(buf);
-        self.max.encode(buf);
-        self.counts.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Histogram {
-            count: Wire::decode(r)?,
-            sum: Wire::decode(r)?,
-            min: Wire::decode(r)?,
-            max: Wire::decode(r)?,
-            counts: Wire::decode(r)?,
-        })
-    }
-}
-
-// Registries return from child processes inside `RankOutput`: the two
-// arrays, in vocabulary order.
-impl Wire for MetricsRegistry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.counts.encode(buf);
-        self.hists.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(MetricsRegistry { counts: Wire::decode(r)?, hists: Wire::decode(r)? })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_wire_roundtrip() {
-        let mut m = MetricsRegistry::new();
-        m.add(Counter::ConnServiced, 42);
-        m.add(Counter::ConnOrphans, 7);
-        m.observe(Hist::LbFRatio, 0.5);
-        m.observe(Hist::LbFRatio, 123.456);
-        m.observe(Hist::CommRecvStall, 1.0e-9);
-        let back = MetricsRegistry::from_wire_bytes(&m.to_wire_bytes()).unwrap();
-        assert_eq!(back.get(Counter::ConnServiced), 42);
-        assert_eq!(back.get(Counter::ConnOrphans), 7);
-        let (ha, hb) = (m.histogram("lb.f_ratio").unwrap(), back.histogram("lb.f_ratio").unwrap());
-        assert_eq!(ha, hb);
-        assert_eq!(back.histogram("comm.recv.stall_s").unwrap().sum.to_bits(), 1.0e-9f64.to_bits());
-    }
 
     #[test]
     fn counters_accumulate() {

@@ -49,24 +49,12 @@ use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::sched;
 use crate::stats::{Phase, NUM_PHASES};
 use crate::trace::{ArgVal, TraceConfig, TraceEvent, Tracer};
-use crate::transport::{self, Fabric, ProcLink, ProcRound, TransportConfig};
-use crate::wire::{intern, wire_type_hash, Wire, WireError, WireReader};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// How a message's value travels: in-process messages hand the boxed value
-/// across directly; messages that crossed a process boundary arrive as wire
-/// bytes plus the sender's type hash, decoded lazily at the receive site
-/// (where `T` is known).
-enum Payload {
-    Local(Box<dyn Any + Send>),
-    Remote { type_hash: u64, encoded: Vec<u8> },
-}
 
 struct Envelope {
     src: usize,
@@ -76,7 +64,8 @@ struct Envelope {
     /// Logical payload size, carried so the receiver's trace span can report
     /// the same `bytes` the sender charged.
     bytes: usize,
-    payload: Payload,
+    /// The sent value, downcast to `T` at the receive site.
+    payload: Box<dyn Any + Send>,
 }
 
 /// Marker published in place of a gathered vector when ranks contributed
@@ -135,7 +124,6 @@ struct FailureInfo {
 /// rendezvous, the failure latch, per-rank completion flags, and (in M:N
 /// mode) the scheduler's wakeup fabric.
 struct Shared {
-    size: usize,
     mailboxes: Vec<Mailbox>,
     coll: Collective,
     /// Raised (with release ordering) after `failure` is recorded; every
@@ -147,15 +135,11 @@ struct Shared {
     finished: Vec<AtomicBool>,
     /// Present in M:N mode only.
     mn: Option<Arc<sched::MnShared>>,
-    /// Present in multi-process child mode only: the link to the parent
-    /// router, shared with the socket-reader thread.
-    proc: Option<Arc<ProcLink>>,
 }
 
 impl Shared {
-    fn new(size: usize, mn: Option<Arc<sched::MnShared>>, proc: Option<Arc<ProcLink>>) -> Shared {
+    fn new(size: usize, mn: Option<Arc<sched::MnShared>>) -> Shared {
         Shared {
-            size,
             mailboxes: (0..size)
                 .map(|_| Mailbox {
                     m: Mutex::new(MailboxInner { queue: VecDeque::new(), waiting: false }),
@@ -167,7 +151,6 @@ impl Shared {
             failure: Mutex::new(None),
             finished: (0..size).map(|_| AtomicBool::new(false)).collect(),
             mn,
-            proc,
         }
     }
 
@@ -215,31 +198,14 @@ impl Shared {
     /// Record a rank-body panic and unblock every peer. First failure wins:
     /// later failures (typically peers panicking on `AbortedByPeer` inside
     /// `recv`/`allgather` wrappers) are dropped, since the wake-all has
-    /// already run. In child mode the failure is echoed to the parent
-    /// router so the other rank groups shut down too.
+    /// already run.
     fn rank_failed(&self, rank: usize, phase: &'static str, message: String) {
-        self.rank_failed_with(rank, phase, message, true);
-    }
-
-    /// A failure learned *from* the parent router (a peer group's panic, or
-    /// the router disappearing): latch and unblock without echoing an Abort
-    /// frame back.
-    fn rank_failed_remote(&self, rank: usize, phase: &'static str, message: String) {
-        self.rank_failed_with(rank, phase, message, false);
-    }
-
-    fn rank_failed_with(&self, rank: usize, phase: &'static str, message: String, echo: bool) {
         {
             let mut slot = self.failure.lock().expect("failure mutex poisoned");
             if slot.is_some() {
                 return;
             }
-            *slot = Some(FailureInfo { rank, phase, message: message.clone() });
-        }
-        if echo {
-            if let Some(link) = &self.proc {
-                link.send_abort(rank, phase, &message);
-            }
+            *slot = Some(FailureInfo { rank, phase, message });
         }
         self.aborted.store(true, Ordering::Release);
         for (r, mb) in self.mailboxes.iter().enumerate() {
@@ -254,30 +220,11 @@ impl Shared {
             inner.waiters.clear();
             self.wake(&self.coll.cv, None);
         }
-        if let Some(link) = &self.proc {
-            // Ranks parked on a process-backed collective round.
-            link.coll.lock().expect("proc collective poisoned").waiters.clear();
-            self.wake(&link.collcv, None);
-        }
     }
 
     /// Rank `rank`'s body returned normally: mark it and wake any peer
-    /// currently parked in a receive, so waits on this rank fail fast. In
-    /// child mode the completion is announced to the parent router, which
-    /// relays it to the other rank groups.
+    /// currently parked in a receive, so waits on this rank fail fast.
     fn rank_finished(&self, rank: usize) {
-        if let Some(link) = &self.proc {
-            link.send_finish(rank);
-        }
-        self.rank_finished_notify(rank);
-    }
-
-    /// A remote rank's completion relayed by the parent router.
-    fn rank_finished_remote(&self, rank: usize) {
-        self.rank_finished_notify(rank);
-    }
-
-    fn rank_finished_notify(&self, rank: usize) {
         self.finished[rank].store(true, Ordering::Release);
         for (r, mb) in self.mailboxes.iter().enumerate() {
             if r == rank {
@@ -300,78 +247,6 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
             Ok(s) => *s,
             Err(_) => "non-string panic payload".to_string(),
         },
-    }
-}
-
-/// Child-mode socket reader: drains frames from the parent router into the
-/// local mailboxes, collective rounds and failure machinery. Runs on a
-/// detached thread — it blocks in `read` between frames, and the child's
-/// deliberate `exit(0)` after its rank group completes tears it down.
-fn child_router(shared: &Shared, sock: &UnixStream) {
-    let link = shared.proc.as_ref().expect("child router without a proc link");
-    loop {
-        let frame = match transport::read_frame(sock) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => {
-                // The parent died (or closed our socket) mid-run: without
-                // the router no cross-group traffic can complete, so abort
-                // the local ranks instead of hanging them.
-                link.parent_gone.store(true, Ordering::SeqCst);
-                if !shared.aborted.load(Ordering::Acquire) {
-                    shared.rank_failed_remote(
-                        link.lo,
-                        "other",
-                        "parent router process disconnected".to_string(),
-                    );
-                }
-                return;
-            }
-        };
-        match frame {
-            transport::Frame::Data { dst, src, tag, arrival, bytes, type_hash, payload } => {
-                if dst >= shared.size {
-                    continue;
-                }
-                let env = Envelope {
-                    src,
-                    tag,
-                    arrival,
-                    bytes,
-                    payload: Payload::Remote { type_hash, encoded: payload },
-                };
-                let mb = &shared.mailboxes[dst];
-                let mut inner = mb.m.lock().expect("mailbox poisoned");
-                inner.queue.push_back(env);
-                if inner.waiting {
-                    inner.waiting = false;
-                    shared.wake(&mb.cv, Some(dst));
-                }
-            }
-            transport::Frame::CollResult { round, round_clock, poison, blobs } => {
-                let mut inner = link.coll.lock().expect("proc collective poisoned");
-                inner.rounds.insert(
-                    round,
-                    ProcRound {
-                        round_clock,
-                        poison,
-                        blobs,
-                        decoded: None,
-                        readers_left: link.hi - link.lo,
-                    },
-                );
-                let waiters = std::mem::take(&mut inner.waiters);
-                drop(inner);
-                shared.wake(&link.collcv, waiters);
-            }
-            transport::Frame::Finish { rank } if rank < shared.size => {
-                shared.rank_finished_remote(rank);
-            }
-            transport::Frame::Abort { rank, phase, message } => {
-                shared.rank_failed_remote(rank, intern(&phase), message);
-            }
-            // Hello/Coll/Done/Bye only ever travel child -> parent.
-            _ => {}
-        }
     }
 }
 
@@ -416,12 +291,11 @@ impl Collective {
 /// A collective's result: the contributions of every rank, in rank order,
 /// as a read-only view that derefs to `[T]`.
 ///
-/// The buffer behind the view is shared, not copied: on the in-process
-/// fabric every rank views the one vector the last arriver published; on
-/// the process fabric each rank group decodes the round once and its ranks
-/// view that vector. It is freed when the last view of it drops. Whichever
-/// rank that is depends on host timing, so the free is excluded from
-/// allocation attribution exactly as the buffer's allocation is.
+/// The buffer behind the view is shared, not copied: every rank views the
+/// one vector the last arriver published. It is freed when the last view of
+/// it drops. Whichever rank that is depends on host timing, so the free is
+/// excluded from allocation attribution exactly as the buffer's allocation
+/// is.
 ///
 /// A contribution that is itself a shared handle (an `Arc`) comes back to
 /// unique ownership once every rank has dropped its view — guaranteed once
@@ -679,22 +553,13 @@ impl Comm {
 
     /// Send `payload` (logical size `bytes`) to `dst` with a message `tag`.
     /// Non-blocking (asynchronous send, as DCF3D's search requests are).
-    ///
-    /// The payload must be a [`Wire`] type: the in-process backend still
-    /// hands the value across directly, but the bound guarantees every
-    /// protocol message has a byte representation, so the same program runs
-    /// unchanged on the multi-process backend.
-    pub fn send<T: Wire + Send + 'static>(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        payload: T,
-        bytes: usize,
-    ) {
+    /// The value itself moves to the receiver; `bytes` is what the machine
+    /// model charges for it.
+    pub fn send<T: Send + 'static>(&mut self, dst: usize, tag: u64, payload: T, bytes: usize) {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        // Delivery machinery (envelope boxing, mailbox growth, socket
-        // buffers) allocates in host-timing-dependent patterns — exclude it
-        // from attribution so per-phase alloc counts stay deterministic.
+        // Delivery machinery (envelope boxing, mailbox growth) allocates in
+        // host-timing-dependent patterns — exclude it from attribution so
+        // per-phase alloc counts stay deterministic.
         let _quiet = alloc::suspend();
         let t0 = self.clock;
         self.clock += self.machine.send_overhead;
@@ -715,30 +580,7 @@ impl Comm {
                 ],
             );
         }
-        if let Some(link) = &self.shared.proc {
-            if dst < link.lo || dst >= link.hi {
-                // Cross-process: encode and hand to the parent router. The
-                // arrival stamp was computed above from local virtual state,
-                // so timing is identical to the in-process delivery path.
-                link.send_data(
-                    dst,
-                    self.rank,
-                    tag,
-                    arrival,
-                    bytes,
-                    wire_type_hash::<T>(),
-                    payload.to_wire_bytes(),
-                );
-                return;
-            }
-        }
-        let env = Envelope {
-            src: self.rank,
-            tag,
-            arrival,
-            bytes,
-            payload: Payload::Local(Box::new(payload)),
-        };
+        let env = Envelope { src: self.rank, tag, arrival, bytes, payload: Box::new(payload) };
         let mb = &self.shared.mailboxes[dst];
         let mut inner = mb.m.lock().expect("mailbox poisoned");
         inner.queue.push_back(env);
@@ -754,21 +596,17 @@ impl Comm {
     /// Convenience wrapper over [`Comm::try_recv`] that treats failure as
     /// an internal protocol invariant violation (panics). Fallible callers
     /// use `try_recv`.
-    pub fn recv<T: Wire + Send + 'static>(&mut self, src: usize, tag: u64) -> T {
+    pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> T {
         self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Blocking receive of a message of type `T` from `src` with `tag`,
-    /// surfacing type mismatches, wire-decode failures, finished senders
-    /// and peer failures as [`OversetError`].
-    pub fn try_recv<T: Wire + Send + 'static>(
-        &mut self,
-        src: usize,
-        tag: u64,
-    ) -> Result<T, OversetError> {
-        // Out-of-order buffering in `take_matching` (and payload decode on
-        // the process transport) allocates depending on arrival interleaving
-        // — runtime machinery, excluded from attribution.
+    /// surfacing type mismatches, finished senders and peer failures as
+    /// [`OversetError`].
+    pub fn try_recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> Result<T, OversetError> {
+        // Out-of-order buffering in `take_matching` allocates depending on
+        // arrival interleaving — runtime machinery, excluded from
+        // attribution.
         let _quiet = alloc::suspend();
         let t0 = self.clock;
         let env = self.take_matching(src, tag)?;
@@ -794,33 +632,12 @@ impl Comm {
                 ],
             );
         }
-        match env.payload {
-            Payload::Local(b) => match b.downcast::<T>() {
-                Ok(v) => Ok(*v),
-                Err(_) => Err(OversetError::TypeMismatch {
-                    rank: self.rank,
-                    src,
-                    tag,
-                    expected: std::any::type_name::<T>(),
-                }),
-            },
-            Payload::Remote { type_hash, encoded } => {
-                if type_hash != wire_type_hash::<T>() {
-                    return Err(OversetError::TypeMismatch {
-                        rank: self.rank,
-                        src,
-                        tag,
-                        expected: std::any::type_name::<T>(),
-                    });
-                }
-                T::from_wire_bytes(&encoded).map_err(|e| OversetError::WireDecode {
-                    rank: self.rank,
-                    src,
-                    tag,
-                    detail: e.to_string(),
-                })
-            }
-        }
+        env.payload.downcast::<T>().map(|v| *v).map_err(|_| OversetError::TypeMismatch {
+            rank: self.rank,
+            src,
+            tag,
+            expected: std::any::type_name::<T>(),
+        })
     }
 
     fn take_matching(&mut self, src: usize, tag: u64) -> Result<Envelope, OversetError> {
@@ -876,22 +693,18 @@ impl Comm {
 
     /// All-gather: every rank contributes `value` (logical size `bytes`) and
     /// receives a view of all contributions indexed by rank. The
-    /// contributions are moved, never copied: every rank of a process reads
-    /// the same buffer (see [`Gathered`]).
+    /// contributions are moved, never copied: every rank reads the same
+    /// buffer (see [`Gathered`]).
     ///
     /// Convenience wrapper over [`Comm::try_allgather`] that treats failure
     /// as an internal protocol invariant violation (panics).
-    pub fn allgather<T: Wire + Send + Sync + 'static>(
-        &mut self,
-        value: T,
-        bytes: usize,
-    ) -> Gathered<T> {
+    pub fn allgather<T: Send + Sync + 'static>(&mut self, value: T, bytes: usize) -> Gathered<T> {
         self.try_allgather(value, bytes).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// All-gather surfacing mixed-type collectives and peer failures as
     /// [`OversetError`].
-    pub fn try_allgather<T: Wire + Send + Sync + 'static>(
+    pub fn try_allgather<T: Send + Sync + 'static>(
         &mut self,
         value: T,
         bytes: usize,
@@ -899,7 +712,7 @@ impl Comm {
         self.allgather_inner("allgather", value, bytes)
     }
 
-    fn allgather_inner<T: Wire + Send + Sync + 'static>(
+    fn allgather_inner<T: Send + Sync + 'static>(
         &mut self,
         span_name: &'static str,
         value: T,
@@ -909,15 +722,9 @@ impl Comm {
         // iterations run) depend on host timing — excluded from attribution.
         let _quiet = alloc::suspend();
         let t0 = self.clock;
-        // Rendezvous through whichever fabric carries collectives, then
-        // apply the backend-independent virtual-time tail. The round clock
-        // is the max over contributing clocks — an order-independent fold,
-        // so it is bit-identical across backends.
-        let (result, round_clock) = if self.shared.proc.is_some() {
-            self.proc_allgather(value)?
-        } else {
-            self.local_allgather(value)?
-        };
+        // The round clock is the max over contributing clocks — an
+        // order-independent fold, so it is bit-identical across schedulers.
+        let (result, round_clock) = self.rendezvous(value)?;
         self.clock = round_clock + self.machine.collective_time(self.size, bytes * self.size);
         self.metrics.inc(Counter::CommCollectives);
         if let Some(t) = &mut self.tracer {
@@ -933,10 +740,10 @@ impl Comm {
         Ok(result)
     }
 
-    /// In-process collective: rendezvous through the shared [`Collective`];
-    /// the last arriver gathers and publishes. Returns a view of the
-    /// published contributions (rank order) plus the round clock.
-    fn local_allgather<T: Send + Sync + 'static>(
+    /// Collective rendezvous through the shared [`Collective`]: the last
+    /// arriver gathers and publishes. Returns a view of the published
+    /// contributions (rank order) plus the round clock.
+    fn rendezvous<T: Send + Sync + 'static>(
         &mut self,
         value: T,
     ) -> Result<(Gathered<T>, f64), OversetError> {
@@ -1018,74 +825,6 @@ impl Comm {
         }
     }
 
-    /// Process-backed collective: ship this rank's contribution to the
-    /// parent router and wait for the aggregated round. The first local
-    /// rank to reach the result decodes every rank's blob, once for the
-    /// whole process; its siblings share the decoded vector. Round numbers
-    /// are each rank's private collective counter — every rank executes the
-    /// same collective sequence, so counter values agree globally without
-    /// coordination.
-    fn proc_allgather<T: Wire + Send + Sync + 'static>(
-        &mut self,
-        value: T,
-    ) -> Result<(Gathered<T>, f64), OversetError> {
-        let round = self.coll_gen;
-        self.coll_gen += 1;
-        let shared = Arc::clone(&self.shared);
-        let link = shared.proc.as_ref().expect("proc_allgather without a proc link");
-        link.send_coll(round, self.rank, self.clock, wire_type_hash::<T>(), value.to_wire_bytes());
-        let mut inner = link.coll.lock().expect("proc collective poisoned");
-        loop {
-            if shared.aborted.load(Ordering::Acquire) {
-                return Err(self.abort_error());
-            }
-            if let Some(r) = inner.rounds.get_mut(&round) {
-                let round_clock = r.round_clock;
-                let mismatch = OversetError::CollectiveMismatch {
-                    rank: self.rank,
-                    expected: std::any::type_name::<T>(),
-                };
-                // Decode under the lock: siblings arriving meanwhile would
-                // only wait for this very vector.
-                let decoded = if r.poison {
-                    Err(mismatch)
-                } else if let Some(shared) = &r.decoded {
-                    Arc::clone(shared).downcast::<Vec<T>>().map_err(|_| mismatch)
-                } else {
-                    let decode = |(src, blob): (usize, &Vec<u8>)| {
-                        T::from_wire_bytes(blob).map_err(|e| OversetError::WireDecode {
-                            rank: self.rank,
-                            src,
-                            tag: round,
-                            detail: format!("collective round {round}: {e}"),
-                        })
-                    };
-                    let out: Result<Vec<T>, _> = r.blobs.iter().enumerate().map(decode).collect();
-                    out.map(|v| {
-                        let v = Arc::new(v);
-                        r.decoded = Some(Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
-                        r.blobs = Vec::new();
-                        v
-                    })
-                };
-                r.readers_left -= 1;
-                if r.readers_left == 0 {
-                    inner.rounds.remove(&round);
-                }
-                return decoded.map(|v| (Gathered(Some(v)), round_clock));
-            }
-            inner.waiters.push(self.rank);
-            inner = shared.park(&link.coll, &link.collcv, inner, "proc collective poisoned", |g| {
-                eprintln!(
-                    "[overset-comm watchdog] rank {} stuck in process-backed \
-                     collective round {round} (resolved rounds: {:?})",
-                    self.rank,
-                    g.rounds.keys().collect::<Vec<_>>()
-                );
-            });
-        }
-    }
-
     /// All-reduce max over f64.
     pub fn allreduce_max(&mut self, value: f64) -> f64 {
         self.allgather(value, 8).iter().copied().fold(f64::NEG_INFINITY, f64::max)
@@ -1148,36 +887,6 @@ pub struct RankOutput<R> {
     pub alloc: AllocTotals,
 }
 
-// A child process ships each rank's whole output (result, phase timers and
-// clock, trace, metrics, flight telemetry, host timings, allocation
-// telemetry) back to the parent as one wire value — see docs/TRANSPORT.md
-// for the layout.
-impl<R: Wire> Wire for RankOutput<R> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.result.encode(buf);
-        self.time.encode(buf);
-        self.clock.encode(buf);
-        self.trace.encode(buf);
-        self.metrics.encode(buf);
-        self.steps.encode(buf);
-        self.host_time.encode(buf);
-        self.alloc.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RankOutput {
-            result: R::decode(r)?,
-            time: Wire::decode(r)?,
-            clock: Wire::decode(r)?,
-            trace: Vec::decode(r)?,
-            metrics: MetricsRegistry::decode(r)?,
-            steps: Vec::decode(r)?,
-            host_time: <[f64; NUM_PHASES]>::decode(r)?,
-            alloc: AllocTotals::decode(r)?,
-        })
-    }
-}
-
 /// The simulated parallel machine. Configure one with
 /// [`Universe::builder`]:
 ///
@@ -1193,17 +902,14 @@ impl<R: Wire> Wire for RankOutput<R> {
 /// ```
 pub struct Universe;
 
-/// Builder for a universe run: rank count, machine model, tracing, the
-/// scheduler mode
-/// ([`UniverseBuilder::max_threads`]) and the transport backend
-/// ([`UniverseBuilder::transport`]).
+/// Builder for a universe run: rank count, machine model, tracing and the
+/// scheduler mode ([`UniverseBuilder::max_threads`]).
 #[derive(Clone, Debug)]
 pub struct UniverseBuilder {
     ranks: usize,
     machine: MachineModel,
     trace: TraceConfig,
     max_threads: Option<usize>,
-    transport: TransportConfig,
 }
 
 impl Universe {
@@ -1213,7 +919,6 @@ impl Universe {
             machine: MachineModel::modern(),
             trace: TraceConfig::disabled(),
             max_threads: None,
-            transport: TransportConfig::InProcess,
         }
     }
 }
@@ -1250,23 +955,13 @@ impl UniverseBuilder {
         self
     }
 
-    /// Select the transport backend (default
-    /// [`TransportConfig::InProcess`]). With a process transport, `run`
-    /// forks rank-group processes and this process routes frames between
-    /// them; virtual times, statistics and metrics are bit-identical to an
-    /// in-process run of the same configuration. See [`crate::transport`].
-    pub fn transport(mut self, t: TransportConfig) -> Self {
-        self.transport = t;
-        self
-    }
-
     /// Run `f` on every rank. Returns per-rank outputs in rank order. A
     /// panic in any rank body is re-raised here with the failing rank,
     /// phase and message (see [`UniverseBuilder::try_run`] to handle it as
     /// an error instead).
     pub fn run<R, F>(self, f: F) -> Vec<RankOutput<R>>
     where
-        R: Wire + Send,
+        R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
         self.try_run(f).unwrap_or_else(|e| panic!("{e}"))
@@ -1277,70 +972,16 @@ impl UniverseBuilder {
     /// statistics phase it was in. Peers blocked in communication are
     /// unblocked (their calls return [`OversetError::AbortedByPeer`], which
     /// the panicking wrappers re-raise) so the universe shuts down instead
-    /// of hanging. On a process transport, a rank-group process that dies
-    /// without a clean goodbye (killed, `exit` mid-run) surfaces as
-    /// `RankPanicked` too, with its surviving peer groups aborted.
-    ///
-    /// With a process transport this call is also where the current process
-    /// may discover it *is* one of the rank-group children: it then runs
-    /// only its rank subrange, ships the outputs back over its socket and
-    /// exits — code after this call never runs in a child.
+    /// of hanging.
     pub fn try_run<R, F>(self, f: F) -> Result<Vec<RankOutput<R>>, OversetError>
     where
-        R: Wire + Send,
+        R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
         let nranks = self.ranks;
         assert!(nranks >= 1);
-        match self.transport.establish(nranks)? {
-            Fabric::Local => self.run_ranks(&f, 0, nranks, None),
-            Fabric::Child(cf) => {
-                if cf.nranks != nranks {
-                    return Err(OversetError::Setup(format!(
-                        "process transport: parent established {} ranks but this child's \
-                         universe asks for {nranks}",
-                        cf.nranks
-                    )));
-                }
-                let (link, reader) = cf.split()?;
-                let lo = link.lo;
-                let result =
-                    self.run_ranks(&f, link.lo, link.hi, Some((Arc::clone(&link), reader)));
-                if let Ok(outputs) = &result {
-                    for (i, out) in outputs.iter().enumerate() {
-                        link.send_done(lo + i, out.to_wire_bytes());
-                    }
-                }
-                // A failure was already echoed to the parent as an Abort
-                // frame by the failing rank, so the Err branch has nothing
-                // left to report.
-                link.send_bye();
-                // This process replayed the program only to execute this
-                // rank group; nothing after the universe may run twice.
-                std::process::exit(0);
-            }
-            Fabric::Parent(pf) => pf.run::<R>(),
-        }
-    }
-
-    /// Execute ranks `lo..hi` of a `self.ranks`-rank universe in this
-    /// process; `proc` carries the parent link and the socket to drain in
-    /// child mode. The in-process backend is the `(0, nranks, None)` case.
-    fn run_ranks<R, F>(
-        self,
-        f: &F,
-        lo: usize,
-        hi: usize,
-        proc: Option<(Arc<ProcLink>, UnixStream)>,
-    ) -> Result<Vec<RankOutput<R>>, OversetError>
-    where
-        R: Wire + Send,
-        F: Fn(&mut Comm) -> R + Send + Sync,
-    {
-        let nranks = self.ranks;
-        let nlocal = hi - lo;
         let use_mn = match self.max_threads {
-            Some(n) if n < nlocal => {
+            Some(n) if n < nranks => {
                 if sched::MN_AVAILABLE {
                     true
                 } else {
@@ -1354,21 +995,11 @@ impl UniverseBuilder {
             _ => false,
         };
         let mn = use_mn.then(|| Arc::new(sched::MnShared::new(self.max_threads.unwrap())));
-        let machine = Arc::new(self.machine.clone());
-        let (link, reader) = match proc {
-            Some((link, reader)) => (Some(link), Some(reader)),
-            None => (None, None),
-        };
-        let shared = Arc::new(Shared::new(nranks, mn, link));
-        if let Some(reader) = reader {
-            // Detached on purpose: it blocks in `read` between frames and
-            // is torn down by the child's deliberate exit.
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || child_router(&shared, &reader));
-        }
+        let machine = Arc::new(self.machine);
+        let shared = Arc::new(Shared::new(nranks, mn));
         let trace = self.trace;
         let outputs: Mutex<Vec<Option<RankOutput<R>>>> =
-            Mutex::new((0..nlocal).map(|_| None).collect());
+            Mutex::new((0..nranks).map(|_| None).collect());
         {
             let outputs = &outputs;
             let shared_ref = &shared;
@@ -1376,7 +1007,7 @@ impl UniverseBuilder {
             // One rank's whole life: build its Comm, run the body under
             // catch_unwind, then either publish the output or record the
             // failure and abort the universe. Runs on an OS thread (1:1) or
-            // a coroutine (M:N). `rank` is always the global rank id.
+            // a coroutine (M:N).
             let rank_main = move |rank: usize| {
                 let alloc_counters = Arc::new(RankAllocCounters::new());
                 let mut comm = Comm {
@@ -1410,7 +1041,7 @@ impl UniverseBuilder {
                     Ok(result) => {
                         comm.shared.rank_finished(rank);
                         let out = comm.finish(result);
-                        outputs.lock().expect("outputs poisoned")[rank - lo] = Some(out);
+                        outputs.lock().expect("outputs poisoned")[rank] = Some(out);
                     }
                     Err(payload) => {
                         let phase = comm.panicked_phase.take().unwrap_or_else(|| comm.phase.name());
@@ -1424,7 +1055,7 @@ impl UniverseBuilder {
                 std::thread::scope(|s| {
                     let mut per_worker: Vec<Vec<sched::Coro>> =
                         (0..nworkers).map(|_| Vec::new()).collect();
-                    for rank in lo..hi {
+                    for rank in 0..nranks {
                         // The task borrows `rank_main`'s captures, which all
                         // outlive this scope; the workers (and with them
                         // every coroutine) join before the scope exits, so
@@ -1442,14 +1073,14 @@ impl UniverseBuilder {
             } else {
                 std::thread::scope(|s| {
                     let handles: Vec<_> =
-                        (lo..hi).map(|rank| s.spawn(move || rank_main(rank))).collect();
-                    for (i, h) in handles.into_iter().enumerate() {
+                        (0..nranks).map(|rank| s.spawn(move || rank_main(rank))).collect();
+                    for (rank, h) in handles.into_iter().enumerate() {
                         if h.join().is_err() {
                             // Body panics are caught inside rank_main;
                             // reaching here means the runtime itself
                             // panicked on this rank's thread.
                             shared.rank_failed(
-                                lo + i,
+                                rank,
                                 "other",
                                 "rank thread panicked outside the rank body".to_string(),
                             );
@@ -1480,7 +1111,7 @@ mod tests {
 
     fn run<R, F>(nranks: usize, machine: &MachineModel, f: F) -> Vec<RankOutput<R>>
     where
-        R: Wire + Send,
+        R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
         Universe::builder().ranks(nranks).machine(machine).run(f)

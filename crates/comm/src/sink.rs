@@ -6,9 +6,9 @@
 //! instead routes telemetry to a per-rank binary span file *as spans
 //! close*, so span memory is O(open spans + one chunk) regardless of run
 //! length. Step records go to disk too, one per step boundary, and also
-//! stay in the flight recorder (one small record per step). The format is compact and
-//! versioned, built on the same [`crate::Wire`] encoding discipline the
-//! process transport uses (see docs/TRANSPORT.md). Step records are flushed
+//! stay in the flight recorder (one small record per step). The format is
+//! compact and versioned, built on the [`crate::Wire`] encoding (see
+//! docs/OBSERVABILITY.md, *Streaming sinks*). Step records are flushed
 //! at every step boundary, so even a rank killed mid-run leaves a
 //! truncated-but-parseable stream; [`read_span_dir`] recovers the prefix and
 //! reports the gap.

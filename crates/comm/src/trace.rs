@@ -122,7 +122,7 @@ impl Wire for ArgVal {
     }
 }
 
-// Trace events travel back from child processes; cat/name/arg-keys come
+// Trace events fill the binary sink's event chunks; cat/name/arg-keys come
 // from a fixed span taxonomy and are re-interned on decode.
 impl Wire for TraceEvent {
     fn encode(&self, buf: &mut Vec<u8>) {

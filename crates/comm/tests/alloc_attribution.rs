@@ -1,8 +1,8 @@
 //! Allocation-attribution conformance: heap allocations made by rank code
-//! must land on the allocating rank and the phase it was in — across the
-//! 1:1 thread backend, the M:N coroutine scheduler (a yield mid-phase must
-//! not leak the attribution to whichever rank runs next on the worker),
-//! and the process transport (child-group counters merged on `Done`).
+//! must land on the allocating rank and the phase it was in — under the
+//! 1:1 thread scheduler and the M:N coroutine scheduler (a yield mid-phase
+//! must not leak the attribution to whichever rank runs next on the
+//! worker).
 //!
 //! The technique is differential: run a workload twice, identical except
 //! that rank 1 makes two known extra allocations per step inside the
@@ -11,9 +11,7 @@
 //! two runs must differ by *exactly* those allocations and nothing else.
 
 use overset_comm::runtime::UniverseBuilder;
-use overset_comm::{
-    MachineModel, Phase, RankOutput, TransportConfig, Universe, WorkClass, NUM_PHASES,
-};
+use overset_comm::{MachineModel, Phase, RankOutput, Universe, WorkClass, NUM_PHASES};
 
 const NRANKS: usize = 4;
 const STEPS: usize = 3;
@@ -26,10 +24,6 @@ fn base() -> UniverseBuilder {
 
 fn mn() -> UniverseBuilder {
     base().max_threads(2)
-}
-
-fn proc(test: &str) -> UniverseBuilder {
-    base().transport(TransportConfig::process_for_test(2, test))
 }
 
 /// The workload: per step, a flow compute + barrier, then a connectivity
@@ -112,15 +106,6 @@ fn connectivity_allocs_attribute_to_rank_and_phase_inproc() {
 #[test]
 fn attribution_survives_mn_coroutine_switches() {
     assert_exact_delta(&scenario(mn(), false), &scenario(mn(), true));
-}
-
-/// Child processes count their own ranks' allocations; the counters ride
-/// the `Done` wire message back to the parent intact.
-#[test]
-fn attribution_merges_from_proc_children() {
-    let b = scenario(proc("attribution_merges_from_proc_children"), false);
-    let e = scenario(proc("attribution_merges_from_proc_children"), true);
-    assert_exact_delta(&b, &e);
 }
 
 /// The bit-gate contract: for a fixed configuration, two identical runs

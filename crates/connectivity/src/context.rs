@@ -455,7 +455,7 @@ mod tests {
     /// ranks: one rank holding every grid whole, or the grids statically
     /// partitioned. Per step, per rank, what `probe` reads of the rank's
     /// connectivity state after the step.
-    fn store_drop<T: overset_comm::Wire + Send>(
+    fn store_drop<T: Send>(
         nranks: usize,
         steps: usize,
         probe: impl Fn(&Connectivity, &[RankBlock]) -> T + Sync,

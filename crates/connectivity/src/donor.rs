@@ -45,17 +45,11 @@ impl PackedIjk {
     /// No index.
     pub(crate) const NONE: PackedIjk = PackedIjk(u64::MAX);
 
-    /// `c` packed, or `None` when an axis is past [`PackedIjk::MAX_AXIS`].
-    pub(crate) fn try_new(c: Ijk) -> Option<Self> {
-        let fits = c.i <= Self::MAX_AXIS && c.j <= Self::MAX_AXIS && c.k <= Self::MAX_AXIS;
-        let word = c.i as u64 | (c.j as u64) << Self::BITS | (c.k as u64) << (2 * Self::BITS);
-        fits.then_some(PackedIjk(word))
-    }
-
     /// `c` packed. Panics, naming the index, when an axis does not fit.
     pub(crate) fn new(c: Ijk) -> Self {
-        Self::try_new(c)
-            .unwrap_or_else(|| panic!("index {c:?} does not fit in {} bits per axis", Self::BITS))
+        let fits = c.i <= Self::MAX_AXIS && c.j <= Self::MAX_AXIS && c.k <= Self::MAX_AXIS;
+        assert!(fits, "index {c:?} does not fit in {} bits per axis", Self::BITS);
+        PackedIjk(c.i as u64 | (c.j as u64) << Self::BITS | (c.k as u64) << (2 * Self::BITS))
     }
 
     /// The index, `None` for [`PackedIjk::NONE`].

@@ -46,7 +46,7 @@ use crate::interp::{interpolate, FLOPS_PER_INTERP};
 use crate::inverse_map::{occupancy_admits_posed, InverseMap, OCC_ALL, OCC_WORDS};
 use overset_comm::metrics::Counter;
 use overset_comm::trace::ArgVal;
-use overset_comm::{Comm, Wire, WireError, WireReader, WorkClass};
+use overset_comm::{Comm, WorkClass};
 use overset_grid::index::Ijk;
 use overset_grid::{Aabb, RigidTransform};
 use overset_solver::{Block, Isa};
@@ -152,50 +152,6 @@ pub(crate) struct ReqPoint {
 
 const REQ_POINT_BYTES: usize = 44;
 
-// `Ijk` lives in the grid crate, which does not depend on overset-comm, so
-// it cannot implement `Wire` itself; the protocol encodes it inline as
-// three indices. These impls define the on-the-wire schema of the search
-// protocol — field order is part of the format (docs/TRANSPORT.md).
-fn encode_ijk(c: Ijk, out: &mut Vec<u8>) {
-    c.i.encode(out);
-    c.j.encode(out);
-    c.k.encode(out);
-}
-
-/// A cell off the wire, packed; one an axis of which does not fit is
-/// rejected as `what`.
-fn decode_cell(r: &mut WireReader<'_>, what: &'static str) -> Result<PackedIjk, WireError> {
-    let c = Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?);
-    PackedIjk::try_new(c).ok_or(WireError::Invalid(what))
-}
-
-impl Wire for ReqPoint {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.xyz.encode(out);
-        match self.hint.get() {
-            None => out.push(0),
-            Some(c) => {
-                out.push(1);
-                encode_ijk(c, out);
-            }
-        }
-        self.relaxed.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let id = u32::decode(r)?;
-        let xyz = <[f64; 3]>::decode(r)?;
-        let hint = match r.u8()? {
-            0 => PackedIjk::NONE,
-            1 => decode_cell(r, "ReqPoint hint past 21 bits per axis")?,
-            _ => return Err(WireError::Invalid("ReqPoint hint discriminant")),
-        };
-        let relaxed = bool::decode(r)?;
-        Ok(ReqPoint { id, xyz, hint, relaxed })
-    }
-}
-
 /// A block's answer to one request: the interpolated value and the donor
 /// cell in global donor-grid indices, or a miss, whose cell is
 /// [`PackedIjk::NONE`]. 48 bytes in memory, [`ANSWER_BYTES`] on the
@@ -215,30 +171,6 @@ impl Answer {
 }
 
 const ANSWER_BYTES: usize = 68;
-
-impl Wire for Answer {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self.cell.get() {
-            Some(cell) => {
-                out.push(0);
-                self.value.encode(out);
-                encode_ijk(cell, out);
-            }
-            None => out.push(1),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => {
-                let value = <[f64; 5]>::decode(r)?;
-                Ok(Answer { value, cell: decode_cell(r, "Answer cell past 21 bits per axis")? })
-            }
-            1 => Ok(Answer::MISS),
-            _ => Err(WireError::Invalid("Answer discriminant")),
-        }
-    }
-}
 
 /// One block's entry in the routing broadcast: the world-frame box requests
 /// are routed by, the lattice box its occupancy bits were marked in, and the
@@ -289,34 +221,9 @@ impl RankRoute {
     }
 }
 
-/// Wire size of one routing broadcast entry: world box + lattice box
+/// Modelled size of one routing broadcast entry: world box + lattice box
 /// (6 f64 each), flattened inverse pose (10 f64), occupancy words.
 const ROUTE_BYTES: usize = 48 + 48 + 80 + 8 * OCC_WORDS;
-
-// `Aabb` and `RigidTransform` are grid-crate types like `Ijk`: encoded
-// inline, boxes as min then max, the pose flattened.
-impl Wire for RankRoute {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for bb in [&self.world, &self.lat] {
-            bb.min.encode(out);
-            bb.max.encode(out);
-        }
-        self.inv_pose.to_flat().encode(out);
-        self.occ.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut aabb = || -> Result<Aabb, WireError> {
-            Ok(Aabb::new(<[f64; 3]>::decode(r)?, <[f64; 3]>::decode(r)?))
-        };
-        Ok(RankRoute {
-            world: aabb()?,
-            lat: aabb()?,
-            inv_pose: RigidTransform::from_flat(<[f64; 10]>::decode(r)?),
-            occ: <[u64; OCC_WORDS]>::decode(r)?,
-        })
-    }
-}
 
 /// Pending state of one unresolved IGBP during the round loop: 32 bytes.
 /// `Copy`, and candidate blocks live as a range into the arena's flat
@@ -1541,102 +1448,5 @@ mod tests {
         assert_eq!(size_of::<BestReply>(), 56);
         assert_eq!(size_of::<(PackedIjk, (u32, CachedDonor))>(), 32, "donor-cache entry");
         assert_eq!(size_of::<(PackedIjk, [f64; 5])>(), 48, "deferred write");
-    }
-
-    #[test]
-    fn protocol_messages_roundtrip_on_the_wire() {
-        let edge = PackedIjk::new(Ijk::new(PackedIjk::MAX_AXIS, 0, PackedIjk::MAX_AXIS));
-        let reqs = [
-            ReqPoint { id: 7, xyz: [1.5, -2.25, 1e300], hint: PackedIjk::NONE, relaxed: false },
-            ReqPoint {
-                id: u32::MAX,
-                xyz: [0.0, -0.0, f64::NAN],
-                hint: PackedIjk::new(Ijk::new(3, 0, 9)),
-                relaxed: true,
-            },
-            ReqPoint { id: 0, xyz: [1.0; 3], hint: edge, relaxed: false },
-        ];
-        for r in reqs {
-            let back = ReqPoint::from_wire_bytes(&r.to_wire_bytes()).unwrap();
-            assert_eq!(back.id, r.id);
-            assert_eq!(back.xyz.map(f64::to_bits), r.xyz.map(f64::to_bits));
-            assert_eq!(back.hint, r.hint);
-            assert_eq!(back.relaxed, r.relaxed);
-        }
-        let answers = [
-            Answer { value: [1.0, 2.0, 3.0, 4.0, 5.0], cell: PackedIjk::new(Ijk::new(1, 2, 3)) },
-            Answer { value: [-1.0; 5], cell: edge },
-            Answer::MISS,
-        ];
-        for a in answers {
-            let back = Answer::from_wire_bytes(&a.to_wire_bytes()).unwrap();
-            assert_eq!(back.cell, a.cell);
-            if !a.is_miss() {
-                assert_eq!(back.value.map(f64::to_bits), a.value.map(f64::to_bits));
-            }
-        }
-        // The encodings, byte for byte: a request is its id, point, hint
-        // flag, hint as three u64 and relaxed flag; a found answer its flag,
-        // five values and cell; a miss its flag alone. Little-endian.
-        let req = ReqPoint {
-            id: 7,
-            xyz: [1.5, -2.25, 0.0],
-            hint: PackedIjk::new(Ijk::new(PackedIjk::MAX_AXIS, 0, 9)),
-            relaxed: true,
-        };
-        #[rustfmt::skip]
-        let req_bytes: [u8; 54] = [
-            7, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0xf8, 0x3f,
-            0, 0, 0, 0, 0, 0, 0x02, 0xc0,
-            0, 0, 0, 0, 0, 0, 0, 0,
-            1,
-            0xff, 0xff, 0x1f, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 0,
-            9, 0, 0, 0, 0, 0, 0, 0,
-            1,
-        ];
-        assert_eq!(req.to_wire_bytes(), req_bytes);
-        #[rustfmt::skip]
-        let found_bytes: [u8; 65] = [
-            0,
-            0, 0, 0, 0, 0, 0, 0xf0, 0x3f,
-            0, 0, 0, 0, 0, 0, 0, 0x40,
-            0, 0, 0, 0, 0, 0, 0x08, 0x40,
-            0, 0, 0, 0, 0, 0, 0x10, 0x40,
-            0, 0, 0, 0, 0, 0, 0x14, 0x40,
-            1, 0, 0, 0, 0, 0, 0, 0,
-            2, 0, 0, 0, 0, 0, 0, 0,
-            3, 0, 0, 0, 0, 0, 0, 0,
-        ];
-        assert_eq!(answers[0].to_wire_bytes(), found_bytes);
-        assert_eq!(Answer::MISS.to_wire_bytes(), [1]);
-        // A cell past 21 bits per axis is refused, not misread.
-        let mut past = found_bytes;
-        past[41..49].copy_from_slice(&(1u64 << 21).to_le_bytes());
-        assert!(Answer::from_wire_bytes(&past).is_err());
-        // The routing entry travels as the tuple of flat arrays it always
-        // was: boxes as min then max, the pose flattened, the mask words.
-        let pose = RigidTransform::translation([0.5, -1.0, 2.0]);
-        let route = RankRoute {
-            world: Aabb::new([0.0, 1.0, 2.0], [3.0, 4.0, 5.0]),
-            lat: Aabb::new([-1.0, -2.0, -3.0], [1.5, 2.5, 3.5]),
-            inv_pose: pose,
-            occ: std::array::from_fn(|w| 0x0123_4567_89ab_cdef_u64.rotate_left(w as u32)),
-        };
-        let tuple = (
-            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-            [-1.0, -2.0, -3.0, 1.5, 2.5, 3.5],
-            pose.to_flat(),
-            route.occ,
-        );
-        let bytes = route.to_wire_bytes();
-        assert_eq!(bytes, tuple.to_wire_bytes());
-        assert_eq!(bytes.len(), ROUTE_BYTES);
-        let back = RankRoute::from_wire_bytes(&bytes).unwrap();
-        assert_eq!((back.world, back.lat, back.occ), (route.world, route.lat, route.occ));
-        assert_eq!(back.inv_pose.to_flat(), pose.to_flat());
-        // Corrupt discriminants are rejected, not misread.
-        assert!(Answer::from_wire_bytes(&[9]).is_err());
     }
 }

@@ -13,8 +13,7 @@ use overset_comm::metrics::{Counter, Hist};
 use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
 use overset_comm::{
     AllocTotals, Comm, MachineModel, MetricsRegistry, OversetError, PerfSummary, Phase, RankOutput,
-    StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader, WorkClass,
-    NUM_PHASES,
+    StepRecord, Universe, VecPool, WorkClass, NUM_PHASES,
 };
 use overset_connectivity::{cut_holes_and_find_fringe, ConnArena, Connectivity, RankBlock};
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
@@ -73,11 +72,6 @@ pub struct CaseConfig {
     /// required for rank counts far beyond the host's cores. Virtual times
     /// are bit-identical either way.
     pub max_threads: Option<usize>,
-    /// Communication backend for the parallel run: in-process mailboxes
-    /// (default) or rank-group OS processes over Unix sockets. Virtual
-    /// times are bit-identical either way; a single-processor run always
-    /// runs in-process.
-    pub transport: TransportConfig,
 }
 
 impl CaseConfig {
@@ -87,8 +81,7 @@ impl CaseConfig {
 
     /// A case from its required geometry and flow inputs: no moving body,
     /// one step, static balancing, the restart cache on, no tracing, one
-    /// thread per rank, in-process transport. Every field is public; set the
-    /// others on the result.
+    /// thread per rank. Every field is public; set the others on the result.
     pub fn new(
         name: impl Into<String>,
         grids: Vec<CurvilinearGrid>,
@@ -107,7 +100,6 @@ impl CaseConfig {
             restart: true,
             trace: TraceConfig::disabled(),
             max_threads: None,
-            transport: TransportConfig::InProcess,
         }
     }
 }
@@ -217,38 +209,6 @@ struct RankReturn {
     np_final: Vec<usize>,
 }
 
-// On a process transport each rank's return value crosses a socket; `Ijk`
-// is foreign to the comm crate, so the states are encoded inline as three
-// indices per cell. Field order is the wire schema.
-impl Wire for RankReturn {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.state_sum_sq.encode(out);
-        self.state_count.encode(out);
-        (self.states.len() as u64).encode(out);
-        for (grid, cell, q) in &self.states {
-            grid.encode(out);
-            cell.i.encode(out);
-            cell.j.encode(out);
-            cell.k.encode(out);
-            q.encode(out);
-        }
-        self.np_final.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let state_sum_sq = f64::decode(r)?;
-        let state_count = usize::decode(r)?;
-        let n = r.len_prefix()?;
-        let mut states = Vec::with_capacity(n.min(r.remaining().max(16)));
-        for _ in 0..n {
-            let grid = usize::decode(r)?;
-            let cell = Ijk::new(usize::decode(r)?, usize::decode(r)?, usize::decode(r)?);
-            states.push((grid, cell, <[f64; 5]>::decode(r)?));
-        }
-        Ok(RankReturn { state_sum_sq, state_count, states, np_final: Vec::<usize>::decode(r)? })
-    }
-}
-
 /// Minimum subdomain widths per grid for partition-count repair: a periodic
 /// O-grid needs every `i`-piece to keep at least 2 nodes, because the seam
 /// piece drops the duplicated wrap node from its cyclic solve.
@@ -283,11 +243,7 @@ pub fn run_case(
     // repartition reuse the same (already validated) hierarchy.
     build_topology(&base_partition, &cfg.search_order, nranks)?;
 
-    let mut builder = Universe::builder()
-        .ranks(nranks)
-        .machine(machine)
-        .trace(cfg.trace.clone())
-        .transport(cfg.transport.clone());
+    let mut builder = Universe::builder().ranks(nranks).machine(machine).trace(cfg.trace.clone());
     if let Some(n) = cfg.max_threads {
         builder = builder.max_threads(n);
     }

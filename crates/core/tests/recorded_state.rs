@@ -1,6 +1,6 @@
 //! Recorded values the driver must keep reproducing: final state, every
 //! virtual clock and the fringe / orphan census of two runs — on rank
-//! threads, under the M:N scheduler and across the process transport — and
+//! threads and under the M:N scheduler — and
 //! the steady-state allocation floor the per-rank arena and pools hold.
 //!
 //! The state bits are those recorded before the flow phase's data path
@@ -31,7 +31,7 @@
 //! recorded here too, and the five phase clocks add up to the wall clock.
 
 use overflow_d::{airfoil_case, run_case, store_case, LbConfig, RunResult};
-use overset_comm::{Counter, MachineModel, Phase, TransportConfig, NUM_PHASES};
+use overset_comm::{Counter, MachineModel, Phase, NUM_PHASES};
 
 /// Final state and virtual clocks of one run, as IEEE bit patterns.
 struct Recorded {
@@ -124,15 +124,15 @@ fn last_step_allocs(r: &RunResult, phase: Phase) -> u64 {
     r.alloc_records.iter().filter_map(|recs| recs.last()).map(|a| a.allocs[phase as usize]).sum()
 }
 
-/// Run `cfg` on rank threads, under the M:N scheduler and across the
-/// process transport against the recorded values.
+/// Run `cfg` on rank threads and under the M:N scheduler against the
+/// recorded values.
 fn assert_all_modes_match_recorded(
     cfg: overflow_d::CaseConfig,
     nranks: usize,
     want: &Recorded,
     test_name: &str,
 ) {
-    let [_, threads, mn] = run_all_modes(cfg, nranks, test_name, |r, what| {
+    let [threads, mn] = run_all_modes(cfg, nranks, test_name, |r, what| {
         assert_matches_recorded(r, want, what);
     });
     // Arenas and pools belong to ranks, not threads: what a rank allocates
@@ -146,27 +146,21 @@ fn assert_all_modes_match_recorded(
     }
 }
 
-/// Run `cfg` across the process transport, on rank threads and under the
-/// M:N scheduler, handing each result to `check` as it arrives.
+/// Run `cfg` on rank threads and under the M:N scheduler, handing each
+/// result to `check` as it arrives.
 fn run_all_modes(
     mut cfg: overflow_d::CaseConfig,
     nranks: usize,
     test_name: &str,
     check: impl Fn(&RunResult, &str),
-) -> [RunResult; 3] {
+) -> [RunResult; 2] {
     let machine = MachineModel::modern();
-    // The process transport goes first: its children replay this test from
-    // the top, so anything before it would be run once more per child.
-    cfg.transport = TransportConfig::process_for_test(2, test_name);
-    let proc = run_case(&cfg, nranks, &machine).unwrap();
-    check(&proc, &format!("{test_name} proc"));
-    cfg.transport = TransportConfig::InProcess;
     let threads = run_case(&cfg, nranks, &machine).unwrap();
     check(&threads, &format!("{test_name} threads"));
     cfg.max_threads = Some(2);
     let mn = run_case(&cfg, nranks, &machine).unwrap();
     check(&mn, &format!("{test_name} m:n"));
-    [proc, threads, mn]
+    [threads, mn]
 }
 
 #[test]
@@ -212,8 +206,7 @@ fn store_18_ranks_step_records_sum_to_totals_across_a_repartition() {
     let counts = |r: &RunResult| -> Vec<_> {
         r.step_records.iter().flatten().map(|s| (s.clock.to_bits(), s.counts)).collect()
     };
-    assert_eq!(counts(&runs[0]), counts(&runs[1]), "proc vs threads");
-    assert_eq!(counts(&runs[1]), counts(&runs[2]), "threads vs m:n");
+    assert_eq!(counts(&runs[0]), counts(&runs[1]), "threads vs m:n");
 }
 
 /// The quick airfoil case on 12 SP2 nodes (`repro table1 --quick`'s 12-node

@@ -7,19 +7,33 @@ use overflow_d::{run_case, store_case};
 use overset_comm::{MachineModel, OversetError};
 
 /// The store-separation case (x0.3, 2 steps) run 1:1 and M:N on `workers`
-/// threads must agree on every virtual-time observable and on the physics
-/// checksum, not just complete.
+/// threads must agree on every virtual-time observable, every counter and
+/// histogram, and the final state node for node, not just complete.
 fn assert_scheduler_modes_agree(nranks: usize, workers: usize) {
     let machine = MachineModel::ibm_sp2();
     let mut cfg = store_case(0.3, 2);
+    cfg.collect_state = true;
     let one_to_one = run_case(&cfg, nranks, &machine).expect("1:1 run failed");
     cfg.max_threads = Some(workers);
     let mn = run_case(&cfg, nranks, &machine).expect("M:N run failed");
     assert_eq!(one_to_one.summary.wall_time.to_bits(), mn.summary.wall_time.to_bits());
+    assert_eq!(
+        one_to_one.phase_elapsed.map(f64::to_bits),
+        mn.phase_elapsed.map(f64::to_bits),
+        "phase times differ between scheduler modes"
+    );
+    assert_eq!(one_to_one.metrics, mn.metrics, "merged registries differ");
     assert_eq!(one_to_one.state_rms.to_bits(), mn.state_rms.to_bits());
+    assert_eq!(one_to_one.igbps_last, mn.igbps_last);
     assert_eq!(one_to_one.serviced_last, mn.serviced_last);
     assert_eq!(one_to_one.orphans_last, mn.orphans_last);
     assert_eq!(one_to_one.np_final, mn.np_final);
+    // The full final state, to the last bit.
+    let bits = |r: &overflow_d::RunResult| -> Vec<_> {
+        r.states.iter().map(|(g, c, q)| (*g, *c, q.map(f64::to_bits))).collect()
+    };
+    assert!(!one_to_one.states.is_empty(), "collect_state gathered no nodes");
+    assert!(bits(&one_to_one) == bits(&mn), "final state differs between scheduler modes");
     // Every rank's clock and every counter, step by step (flops, messages,
     // bytes and collectives among them).
     for (rank, (a, b)) in one_to_one.step_records.iter().zip(&mn.step_records).enumerate() {

@@ -132,32 +132,6 @@ impl RigidTransform {
         self == &Self::IDENTITY
     }
 
-    /// Flatten to 10 floats (quat w/x/y/z, pivot, translation) for wire
-    /// transport. Exact: `from_flat(t.to_flat())` is bit-identical to `t`.
-    pub fn to_flat(&self) -> [f64; 10] {
-        [
-            self.rotation.w,
-            self.rotation.x,
-            self.rotation.y,
-            self.rotation.z,
-            self.pivot[0],
-            self.pivot[1],
-            self.pivot[2],
-            self.translation[0],
-            self.translation[1],
-            self.translation[2],
-        ]
-    }
-
-    /// Inverse of [`RigidTransform::to_flat`].
-    pub fn from_flat(f: [f64; 10]) -> RigidTransform {
-        RigidTransform {
-            rotation: Quat { w: f[0], x: f[1], y: f[2], z: f[3] },
-            pivot: [f[4], f[5], f[6]],
-            translation: [f[7], f[8], f[9]],
-        }
-    }
-
     /// Largest displacement this transform produces over the corners of
     /// `bb`. Rigid maps are affine, so the maximum over a box is attained
     /// at a corner; this bounds the motion of every point inside.
