@@ -20,8 +20,6 @@ use overset_grid::field::{StateField, NVAR};
 use overset_grid::gen::revolution::ellipsoid_shell;
 use overset_grid::transform::RigidTransform;
 use overset_grid::{Aabb, Ijk};
-#[cfg(test)]
-use overset_solver::Blank;
 use overset_solver::{step_block, Block, FlowConditions, Scratch, SerialComm};
 
 /// Configuration of the adaptive scheme demo (an X-38-like blunt body).
@@ -80,6 +78,8 @@ pub struct AdaptiveScheme {
     pub cartesian_locates: u64,
     /// Traditional donor searches in the last pass (near-body donors).
     pub curvilinear_searches: u64,
+    /// Steps taken, for naming the step that leaves a node non-physical.
+    steps: usize,
 }
 
 impl AdaptiveScheme {
@@ -115,14 +115,20 @@ impl AdaptiveScheme {
             grouping,
             cartesian_locates: 0,
             curvilinear_searches: 0,
+            steps: 0,
         }
     }
 
     /// Advance one step: group-parallel flow solve, then connectivity.
+    /// Panics at the first node the solve leaves non-physical, naming the
+    /// step, the grid (0 for the near body, `b + 1` for brick `b`) and the
+    /// node.
     pub fn step(&mut self) {
-        let fc = self.cfg.fc;
+        let (fc, step) = (self.cfg.fc, self.steps);
+        self.steps += 1;
         // Near-body solve (its own processor group in the full scheme).
-        step_block(&mut self.near, &fc, None, &mut SerialComm, &mut self.near_scratch);
+        step_block(&mut self.near, &fc, None, &mut SerialComm, &mut self.near_scratch)
+            .assert_physical(step, 0);
 
         // Off-body: one thread per group (the paper's coarse-grain
         // level); blocks within a group run one after the other on that
@@ -133,13 +139,18 @@ impl AdaptiveScheme {
             per_group[g].push(block);
         }
         std::thread::scope(|s| {
+            let mut runs = Vec::new();
             for (group, scratch) in per_group.into_iter().zip(self.scratches.iter_mut()) {
-                s.spawn(move || {
+                runs.push(s.spawn(move || {
                     for block in group {
-                        step_block(block, &fc, None, &mut SerialComm, scratch);
+                        step_block(block, &fc, None, &mut SerialComm, scratch)
+                            .assert_physical(step, block.grid_id + 1);
                     }
-                });
+                }));
             }
+            // The first failing group's own panic, message and all.
+            runs.into_iter()
+                .for_each(|r| r.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         });
 
         self.connectivity();
@@ -232,7 +243,10 @@ impl AdaptiveScheme {
     pub fn move_and_adapt(&mut self, t: &RigidTransform) -> AdaptStats {
         self.body_center = t.apply(self.body_center);
         self.body_solid = self.body_solid.transformed(t);
+        // A regrid of a body at rest before and after the jump: the grid
+        // moves, but its nodes keep no ALE velocity.
         self.near.apply_motion(t, self.cfg.fc.dt);
+        self.near.grid_vel.fill([0.0; 3]);
 
         // Error indicator: pressure variation within the region.
         let states: Vec<StateField> = self
@@ -379,6 +393,7 @@ fn regroup(cfg: &SchemeConfig, bricks: &[Brick]) -> Grouping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overset_solver::Blank;
 
     fn small_scheme() -> AdaptiveScheme {
         let mut cfg = SchemeConfig::x38_like(3);

@@ -490,7 +490,8 @@ fn run_rank(
                 line_pool: &mut line_pool,
             };
             for rb in mine.iter_mut() {
-                step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut scratch);
+                step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut scratch)
+                    .assert_physical(step, rb.block.grid_id);
             }
             ph.barrier();
         }

@@ -166,6 +166,64 @@ fn a_motion_naming_a_missing_grid_is_an_error_from_both_drivers() {
     }
 }
 
+/// The message of the flow-phase abort a run must end in.
+fn flow_abort(r: Result<overflow_d::RunResult, overset_comm::OversetError>) -> String {
+    match r {
+        Err(overset_comm::OversetError::RankPanicked { phase: "flow", message, .. }) => message,
+        other => panic!("expected a flow-phase abort, got {other:?}"),
+    }
+}
+
+/// The first non-physical node stops the run from the flow phase, naming
+/// step, grid, cell and variable. The airfoil's O-grid and background
+/// (~440 nodes, one grid per rank), with the O-grid whirled about its
+/// quarter chord at up to tens of a∞: only its rank goes non-physical, so
+/// first-failure-wins has one candidate, and threads and M:N agree.
+#[test]
+fn a_non_physical_node_aborts_the_flow_phase_naming_its_cell() {
+    use overset_motion::{BodyMotion, Prescribed};
+    let mut cfg = airfoil_case(0.1, 6);
+    cfg.grids.remove(1);
+    cfg.search_order = vec![vec![1], vec![0]];
+    let (pivot, axis) = ([0.25, 0.0, 0.0], [0.0, 0.0, 1.0]);
+    let whirl = Prescribed::PitchOscillation { alpha0: 0.1, omega: 2000.0, pivot, axis, time: 0.0 };
+    cfg.motions = vec![BodyMotion::prescribed(vec![0], whirl)];
+    let threads = run_case(&cfg, 2, &modern());
+    cfg.max_threads = Some(1);
+    let mn = run_case(&cfg, 2, &modern());
+    assert_eq!(threads.as_ref().err(), mn.as_ref().err());
+    let message = flow_abort(threads);
+    assert!(message.starts_with("non-physical state at step "), "{message}");
+    assert!(message.contains(", grid 0, cell ("), "{message}");
+    assert!(message.contains("): ρ = ") || message.contains("): p = "), "{message}");
+}
+
+/// Airfoil ×1.0 collapses at its blunt trailing edge: the trailing-edge
+/// seam node of the O-grid ((264, 0, 0) is its duplicate) goes to negative
+/// density at step 37 (0-based).
+#[test]
+#[ignore = "release build, ~1 s; run by scripts/check.sh"]
+fn airfoil_full_scale_aborts_at_its_trailing_edge() {
+    let message = flow_abort(run_case_serial(&airfoil_case(1.0, 40), &modern()));
+    assert!(
+        message.starts_with("non-physical state at step 37, grid 0, cell (0,0,0): ρ = -2.48"),
+        "{message}"
+    );
+}
+
+/// Store ×0.55 on today's prescribed ejection, which descends at 1.5 a∞ by
+/// step 22 (ROADMAP item 2(a)): the old trajectory aborts loudly, at step
+/// 22 on grid 4, instead of drifting on.
+#[test]
+#[ignore = "release build, ~3 s; run by scripts/check.sh"]
+fn store_old_trajectory_aborts_loudly() {
+    let message = flow_abort(run_case_serial(&store_case(0.55, 24), &modern()));
+    assert!(
+        message.starts_with("non-physical state at step 22, grid 4, cell (3,1,1): p = -1.59"),
+        "{message}"
+    );
+}
+
 #[test]
 fn serial_collect_state_returns_every_field_node() {
     let mut cfg = airfoil_case(0.3, 3);

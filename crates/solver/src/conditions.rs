@@ -82,35 +82,6 @@ pub fn conservatives(w: &[f64; NVAR]) -> [f64; NVAR] {
     [rho, rho * u, rho * v, rho * ww, p / (GAMMA - 1.0) + 0.5 * rho * (u * u + v * v + ww * ww)]
 }
 
-/// Positivity floors for density and pressure: transonic impulsive starts
-/// can momentarily drive near-wall states negative; production codes clamp
-/// them rather than crash. Returns true when the state was clamped.
-pub fn enforce_positivity(q: &mut [f64; NVAR]) -> bool {
-    const RHO_MIN: f64 = 1e-6;
-    const P_MIN: f64 = 1e-7;
-    let mut clamped = false;
-    if !q[0].is_finite() || q[0] < RHO_MIN {
-        q[0] = q[0].max(RHO_MIN);
-        if !q[0].is_finite() {
-            q[0] = RHO_MIN;
-        }
-        clamped = true;
-    }
-    for v in q.iter_mut().skip(1) {
-        if !v.is_finite() {
-            *v = 0.0;
-            clamped = true;
-        }
-    }
-    let p = pressure(q);
-    if p < P_MIN {
-        let ke = 0.5 * (q[1] * q[1] + q[2] * q[2] + q[3] * q[3]) / q[0];
-        q[4] = P_MIN / (GAMMA - 1.0) + ke;
-        clamped = true;
-    }
-    clamped
-}
-
 /// Sutherland constant over T∞ (sea level).
 pub const SUTHERLAND_S: f64 = 110.4 / 288.15;
 

@@ -4,7 +4,7 @@
 use crate::adi::{implicit_sweeps, Scratch, SolverComm};
 use crate::bc::apply_bcs;
 use crate::block::{Blank, Block};
-use crate::conditions::FlowConditions;
+use crate::conditions::{pressure, FlowConditions};
 use crate::kernels::Rows;
 use crate::rhs::compute_residual;
 use crate::turbulence::{compute_mu_t, WallGeometry};
@@ -17,6 +17,19 @@ pub struct StepReport {
     pub flops: u64,
     /// L2 norm of the explicit residual before the update (diagnostic).
     pub residual: f64,
+    /// The first updated node, in storage order, that is non-finite or has
+    /// ρ ≤ 0 or p ≤ 0: its global index, `"ρ"` or `"p"`, and that value.
+    pub nonphysical: Option<(overset_grid::Ijk, &'static str, f64)>,
+}
+
+impl StepReport {
+    /// Panics, naming `step`, `grid` and the node, if the step left one
+    /// non-physical (DESIGN.md §6).
+    pub fn assert_physical(&self, step: usize, grid: usize) {
+        if let Some((p, var, x)) = self.nonphysical {
+            panic!("non-physical state at step {step}, grid {grid}, cell {p:?}: {var} = {x:e}");
+        }
+    }
 }
 
 /// Advance the block one implicit timestep:
@@ -25,7 +38,8 @@ pub struct StepReport {
 /// 2. turbulence model (when active),
 /// 3. explicit residual, left as Δt·R in the sweeps' increment,
 /// 4. factored implicit sweeps (pipelined across subdomains), in place,
-/// 5. state update on field nodes,
+/// 5. state update on field nodes, checked for non-physical values
+///    ([`StepReport::nonphysical`]),
 /// 6. physical boundary conditions.
 ///
 /// Each stage's work is charged through [`SolverComm::compute`] as it
@@ -68,6 +82,7 @@ pub fn step_block(
     let dq = scratch.increment(block);
     let ib = block.iblank.as_slice();
     let mut update_flops = 0u64;
+    let mut bad = None;
     for (s0, t0) in Rows::new(ow, block.local_dims.full_box(), ow).starts() {
         let row = block.q.as_mut_slice()[s0 * NVAR..(s0 + ni) * NVAR].chunks_exact_mut(NVAR);
         for (i, (q, &b)) in row.zip(&ib[s0..s0 + ni]).enumerate() {
@@ -78,15 +93,25 @@ pub fn step_block(
             for (v, x) in q.iter_mut().enumerate() {
                 *x += dq[v * mm + t0 + i];
             }
-            // Positivity floors keep impulsive-start transients from crashing.
-            crate::conditions::enforce_positivity(q.try_into().expect("a node holds NVAR values"));
+            if bad.is_none() {
+                bad = first_nonphysical((&*q).try_into().expect("a node holds NVAR values"))
+                    .map(|(var, x)| (s0 + i, var, x));
+            }
         }
     }
     comm.compute(update_flops);
+    let nonphysical = bad.map(|(s, v, x)| (block.to_global(block.local_dims.unoffset(s)), v, x));
 
     let bc_flops = apply_bcs(block, fc);
     comm.compute(bc_flops);
-    StepReport { flops: flops + bc_flops, residual }
+    StepReport { flops: flops + bc_flops, residual, nonphysical }
+}
+
+/// What makes a node non-physical, and its value: ρ if it is non-finite or
+/// ≤ 0, else p if it is. A non-finite momentum or energy makes p
+/// non-finite, so two values cover all five.
+fn first_nonphysical(q: &[f64; NVAR]) -> Option<(&'static str, f64)> {
+    [("ρ", q[0]), ("p", pressure(q))].into_iter().find(|&(_, x)| x <= 0.0 || !x.is_finite())
 }
 
 #[cfg(test)]
@@ -180,6 +205,22 @@ mod tests {
         assert_eq!(*b.q.node(f), imposed, "fringe overwritten by solver");
     }
 
+    #[test]
+    fn a_negative_density_is_reported_at_its_node() {
+        // A zero time step makes the update the identity, so the one node
+        // set non-physical is the only one there is.
+        let mut fc = FlowConditions::new(0.8, 0.0, 0.0);
+        fc.dt = 0.0;
+        let mut b = free_block(9, &fc);
+        let bad = Ijk::new(4, 4, 0);
+        b.q.set_node(bad, crate::conditions::conservatives(&[-0.5, 0.8, 0.0, 0.0, 0.7]));
+        let mut s = Scratch::for_block(&b);
+        let r = step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
+        assert_eq!(r.nonphysical, Some((b.to_global(bad), "ρ", -0.5)));
+        let healthy = step_block(&mut free_block(9, &fc), &fc, None, &mut SerialComm, &mut s);
+        assert_eq!(healthy.nonphysical, None);
+    }
+
     // ---- step_block vs the composition of the scalar references ----------
 
     use crate::adi::tests::{chain, chain_pieces, keyed, sweeps_reference};
@@ -211,17 +252,19 @@ mod tests {
                 (n * lines) as u64 * SWEEP_FLOPS
             };
         }
+        let mut nonphysical = None;
         for p in b.owned_local().iter() {
             if b.iblank[p] == Blank::Field {
                 let q = b.q.node_mut(p);
                 for (x, d) in q.iter_mut().zip(dq.node(p)) {
                     *x += d;
                 }
-                crate::conditions::enforce_positivity(q);
+                nonphysical = nonphysical.or(first_nonphysical(q).map(|(v, x)| (p, v, x)));
             }
         }
+        let nonphysical = nonphysical.map(|(p, v, x)| (b.to_global(p), v, x));
         flops += apply_bcs(b, fc);
-        StepReport { flops, residual }
+        StepReport { flops, residual, nonphysical }
     }
 
     /// A smooth grid with a wall, a far field and extrapolated faces.
@@ -327,8 +370,9 @@ mod tests {
         /// 3 unknowns) and a piece of an `i`-chain at least 2 (a boundary
         /// condition at an `i` face reads the next node in, which a 1-node
         /// piece holds only in its halo, a step old).
-        /// State bits on every step, and flops and the residual norm of the
-        /// whole grid (a chain's flops summed over its pieces).
+        /// State bits on every step, the first non-physical node, and flops
+        /// and the residual norm of the whole grid (a chain's flops summed
+        /// over its pieces).
         #[test]
         fn step_bit_equals_reference_step(
             seed in 1u64..(1 << 60),
@@ -396,6 +440,21 @@ mod tests {
                         let (got, want) = (reports[0].residual, want_report.residual);
                         prop_assert!(same(got, want), "{}: residual {:e} vs {:e}", what, got, want);
                     }
+                    // Each piece reports its own first; the grid's is the
+                    // least of them in storage order.
+                    let got = reports
+                        .iter()
+                        .filter_map(|r| r.nonphysical)
+                        .min_by_key(|&(p, ..)| (p.k, p.j, p.i));
+                    let agree = match (got, want_report.nonphysical) {
+                        (Some((p, v, x)), Some((q, w, y))) => p == q && v == w && same(x, y),
+                        (got, want) => got.is_none() && want.is_none(),
+                    };
+                    prop_assert!(
+                        agree,
+                        "{}: first non-physical node {:?} vs {:?}",
+                        what, got, want_report.nonphysical
+                    );
                     for b in &blocks {
                         for p in b.owned_local().iter() {
                             let w = want_q.node(reference.to_local(b.to_global(p)));

@@ -4,9 +4,7 @@ use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
 use overset_grid::field::Field3;
 use overset_grid::Dims;
 use overset_solver::adi::{implicit_sweeps, Scratch, SerialComm};
-use overset_solver::conditions::{
-    conservatives, enforce_positivity, pressure, primitives, FlowConditions,
-};
+use overset_solver::conditions::{conservatives, pressure, primitives, FlowConditions};
 use overset_solver::rhs::compute_residual;
 use overset_solver::{select_isa, Block, Isa};
 use proptest::prelude::*;
@@ -97,27 +95,6 @@ proptest! {
         prop_assert!((back[0] - rho).abs() < 1e-10);
         prop_assert!((back[4] - p).abs() < 1e-9);
         prop_assert!((pressure(&q) - p).abs() < 1e-9);
-    }
-
-    /// Positivity enforcement: output always has positive density and
-    /// pressure, and physical states pass through untouched.
-    #[test]
-    fn positivity_floor_properties(
-        rho in -1.0f64..5.0,
-        u in -10.0f64..10.0,
-        e in -5.0f64..20.0,
-    ) {
-        let mut q = [rho, rho * u, 0.0, 0.0, e];
-        enforce_positivity(&mut q);
-        prop_assert!(q[0] > 0.0);
-        prop_assert!(pressure(&q) > 0.0);
-        prop_assert!(q.iter().all(|x| x.is_finite()));
-        // Healthy states are untouched.
-        let mut healthy = conservatives(&[1.0, 0.5, 0.1, 0.0, 0.7]);
-        let orig = healthy;
-        let clamped = enforce_positivity(&mut healthy);
-        prop_assert!(!clamped);
-        prop_assert_eq!(healthy, orig);
     }
 
     /// The implicit operator is a contraction on impulses: the update stays

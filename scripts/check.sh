@@ -53,6 +53,11 @@ cargo test -q -p overflow-d --test observability
 echo "== M:N scheduler: 512 virtual ranks on 8 OS threads; 128 ranks 1:1 vs M:N; 256-rank donor search quiesces =="
 cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 
+echo "== known blow-ups abort where they start (no positivity floors): airfoil x1.0 at step 37 on its trailing-edge seam node, the store's old ejection trajectory at step 22 on grid 4: release =="
+cargo test -q --release -p overflow-d --test integration -- --ignored \
+    airfoil_full_scale_aborts_at_its_trailing_edge \
+    store_old_trajectory_aborts_loudly
+
 echo "== criterion microbenches compile =="
 cargo bench --no-run
 
