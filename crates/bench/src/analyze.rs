@@ -15,12 +15,13 @@
 //! A trace analysis is the deterministic text report by default, the
 //! versioned JSON analysis document with `--json`; the host view is text
 //! only, so `--json` on a file exits 2. `-o <path>` writes instead of
-//! printing.
+//! printing. A live run that fails returns its error.
 
 use crate::experiments::{traced_run, Effort};
 use crate::report::check_representative;
 use overset_analysis::{analyze, AnalysisInput};
 use overset_comm::trace::TraceConfig;
+use overset_comm::OversetError;
 use std::path::Path;
 
 struct AnalyzeCli {
@@ -95,13 +96,14 @@ fn host_view(path: &str, json: bool) -> Result<String, String> {
     overset_analysis::render_host_report(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Entry point for the `analyze` subcommand; returns the process exit code.
-pub fn run_analyze(args: &[String]) -> i32 {
+/// Entry point for the `analyze` subcommand; returns the process exit code,
+/// or the error of the live run when it failed.
+pub fn run_analyze(args: &[String]) -> Result<i32, OversetError> {
     let cli = match parse(args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            return Ok(2);
         }
     };
     let target = cli.target.as_deref().unwrap();
@@ -110,34 +112,33 @@ pub fn run_analyze(args: &[String]) -> i32 {
         span_dir_input(target).and_then(|input| trace_view(input, cli.json))
     } else if path.is_file() {
         host_view(target, cli.json)
+    } else if let Err(e) = check_representative(target) {
+        Err(format!("{e}\n(nor is {target} a span directory or a report file)"))
     } else {
-        let not_a_path = |e| format!("{e}\n(nor is {target} a span directory or a report file)");
-        check_representative(target).map_err(not_a_path).and_then(|()| {
-            let effort = if cli.quick { Effort::quick() } else { Effort::full() };
-            let effort_name = if cli.quick { "quick" } else { "full" };
-            let r = traced_run(target, effort, TraceConfig::enabled());
-            let source = format!("{target}/{effort_name}");
-            trace_view(AnalysisInput::from_run(&source, &r.trace, r.step_records), cli.json)
-        })
+        let effort = if cli.quick { Effort::quick() } else { Effort::full() };
+        let effort_name = if cli.quick { "quick" } else { "full" };
+        let r = traced_run(target, effort, TraceConfig::enabled())?;
+        let source = format!("{target}/{effort_name}");
+        trace_view(AnalysisInput::from_run(&source, &r.trace, r.step_records), cli.json)
     };
     let text = match rendered {
         Ok(text) => text,
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            return Ok(2);
         }
     };
     match &cli.out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, text.as_bytes()) {
                 eprintln!("failed to write analysis to {path}: {e}");
-                return 2;
+                return Ok(2);
             }
             eprintln!("[analysis: {} bytes -> {path}]", text.len());
         }
         None => print!("{text}"),
     }
-    0
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -166,10 +167,10 @@ mod tests {
         let dir = std::env::temp_dir();
         let empty = dir.join("overset_analyze_empty_trace.json");
         std::fs::write(&empty, "").unwrap();
-        assert_eq!(run_analyze(&s(&[empty.to_str().unwrap()])), 2);
+        assert_eq!(run_analyze(&s(&[empty.to_str().unwrap()])), Ok(2));
         let no_spans = dir.join("overset_analyze_no_spans.json");
         std::fs::write(&no_spans, "{\"traceEvents\": []}").unwrap();
-        assert_eq!(run_analyze(&s(&[no_spans.to_str().unwrap()])), 2);
+        assert_eq!(run_analyze(&s(&[no_spans.to_str().unwrap()])), Ok(2));
 
         let _ = std::fs::remove_file(&empty);
         let _ = std::fs::remove_file(&no_spans);
@@ -183,9 +184,9 @@ mod tests {
         std::fs::write(&report, r#"{"cases": [], "host": {"phase_ms_by_rank": {}}}"#).unwrap();
         let r = report.to_str().unwrap();
         let out = dir.join("overset_analyze_host_view.txt");
-        assert_eq!(run_analyze(&s(&[r, "-o", out.to_str().unwrap()])), 0);
+        assert_eq!(run_analyze(&s(&[r, "-o", out.to_str().unwrap()])), Ok(0));
         assert!(std::fs::read_to_string(&out).unwrap().starts_with("== Host-cost analysis =="));
-        assert_eq!(run_analyze(&s(&[r, "--json"])), 2);
+        assert_eq!(run_analyze(&s(&[r, "--json"])), Ok(2));
         let _ = std::fs::remove_file(&report);
         let _ = std::fs::remove_file(&out);
     }
@@ -244,7 +245,7 @@ mod tests {
         let out = dir.join("analysis.txt");
         assert_eq!(
             run_analyze(&[d.clone(), "-o".into(), out.to_str().unwrap().into()]),
-            0,
+            Ok(0),
             "complete span dir must analyze cleanly"
         );
         assert!(std::fs::read_to_string(&out).unwrap().contains("critical path"));
@@ -254,7 +255,7 @@ mod tests {
         let victim = dir.join("rank-00001.spans");
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() - 7]).unwrap();
-        assert_eq!(run_analyze(&[d]), 2);
+        assert_eq!(run_analyze(&[d]), Ok(2));
         let sd = overset_comm::read_span_dir(&dir).unwrap();
         assert_eq!(sd.gaps.len(), 1);
         assert!(sd.gaps[0].starts_with("rank 1"), "{}", sd.gaps[0]);
@@ -270,13 +271,13 @@ mod tests {
         let dir = std::env::temp_dir().join("overset_bench_live_vs_span_dir");
         let _ = std::fs::remove_dir_all(&dir);
         let d = dir.to_str().unwrap().to_string();
-        let r = traced_run("table1", effort, TraceConfig::enabled());
+        let r = traced_run("table1", effort, TraceConfig::enabled()).unwrap();
         let mut live = analyze(&AnalysisInput::from_run("table1/quick", &r.trace, r.step_records));
         live.source = d.clone();
-        traced_run("table1", effort, TraceConfig::enabled().with_stream(&dir));
+        traced_run("table1", effort, TraceConfig::enabled().with_stream(&dir)).unwrap();
         let out = dir.join("analysis.json");
         let args = [d, "--json".into(), "-o".into(), out.to_str().unwrap().into()];
-        assert_eq!(run_analyze(&args), 0);
+        assert_eq!(run_analyze(&args), Ok(0));
         assert_eq!(std::fs::read_to_string(&out).unwrap(), live.to_value().to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -285,7 +286,7 @@ mod tests {
     fn quick_experiment_analysis_is_deterministic_and_names_a_rank() {
         let effort = Effort::quick();
         let run = || {
-            let r = traced_run("table1", effort, TraceConfig::enabled());
+            let r = traced_run("table1", effort, TraceConfig::enabled()).unwrap();
             let input = AnalysisInput::from_run("table1/quick", &r.trace, r.step_records);
             analyze(&input)
         };

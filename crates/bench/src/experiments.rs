@@ -5,13 +5,16 @@
 //! §2); the *shapes* — who wins, by what factor, where the curves bend —
 //! are the reproduction targets. EXPERIMENTS.md records paper-vs-measured
 //! values for every run.
+//!
+//! A run that fails ends its experiment: the runners return its
+//! [`OversetError`] for `repro` to print and exit 1 on.
 
 use overflow_d::{
     airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
     RunResult,
 };
 use overset_comm::trace::TraceConfig;
-use overset_comm::{MachineModel, Phase};
+use overset_comm::{MachineModel, OversetError, Phase};
 
 /// Global experiment scaling knobs.
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +74,12 @@ pub struct PerfRow {
     pub conn_elapsed: [f64; 2],
 }
 
-/// Run a case across node counts on both machines.
-pub fn sweep(cfg_for: impl Fn() -> CaseConfig, nodes: &[usize]) -> Vec<PerfRow> {
+/// Run a case across node counts on both machines; the first failed run
+/// ends the sweep with its error.
+pub fn sweep(
+    cfg_for: impl Fn() -> CaseConfig,
+    nodes: &[usize],
+) -> Result<Vec<PerfRow>, OversetError> {
     let machines = [sp2(), sp()];
     let mut rows = Vec::with_capacity(nodes.len());
     for &n in nodes {
@@ -88,7 +95,7 @@ pub fn sweep(cfg_for: impl Fn() -> CaseConfig, nodes: &[usize]) -> Vec<PerfRow> 
         };
         for (mi, m) in machines.iter().enumerate() {
             let cfg = cfg_for();
-            let r = run_case(&cfg, n, m).unwrap();
+            let r = run_case(&cfg, n, m)?;
             row.points_per_node = r.total_points / n;
             row.mflops_per_node[mi] = r.mflops_per_node();
             row.dcf3d_pct[mi] = 100.0 * r.connectivity_fraction();
@@ -106,7 +113,7 @@ pub fn sweep(cfg_for: impl Fn() -> CaseConfig, nodes: &[usize]) -> Vec<PerfRow> 
             row.speedup[mi] = t0 / row.time_per_step[mi];
         }
     }
-    rows
+    Ok(rows)
 }
 
 pub fn print_perf_table(title: &str, rows: &[PerfRow]) {
@@ -153,7 +160,7 @@ pub fn print_module_speedups(title: &str, rows: &[PerfRow]) {
 }
 
 /// Table 1 / Fig. 5: the 2-D oscillating airfoil.
-pub fn table1(e: Effort) -> Vec<PerfRow> {
+pub fn table1(e: Effort) -> Result<Vec<PerfRow>, OversetError> {
     sweep(|| tuned(airfoil_case(e.scale2d, e.steps2d), e), &[6, 9, 12, 18, 24])
 }
 
@@ -166,7 +173,7 @@ pub fn table1(e: Effort) -> Vec<PerfRow> {
 /// preserved, at half the paper's points-per-node — because a 4× refinement
 /// of the transonic case exceeds the robustness envelope of the simplified
 /// shock-capturing scheme (see EXPERIMENTS.md).
-pub fn table2(e: Effort) {
+pub fn table2(e: Effort) -> Result<(), OversetError> {
     println!("\n== Table 2: 2D oscillating airfoil scaling study ==");
     println!(
         "{:>22} {:>8} {:>12} | {:>10} {:>10} | {:>9} {:>9}",
@@ -183,7 +190,7 @@ pub fn table2(e: Effort) {
         let mut ppn = 0usize;
         for (mi, m) in [sp2(), sp()].iter().enumerate() {
             let cfg = tuned(airfoil_case(scale, e.steps2d), e);
-            let r = run_case(&cfg, nodes, m).unwrap();
+            let r = run_case(&cfg, nodes, m)?;
             t[mi] = r.time_per_step();
             pct[mi] = 100.0 * r.connectivity_fraction();
             ppn = r.total_points / nodes;
@@ -193,33 +200,37 @@ pub fn table2(e: Effort) {
             name, nodes, ppn, t[0], t[1], pct[0], pct[1]
         );
     }
+    Ok(())
 }
 
 /// Table 3 / Fig. 7: the descending delta wing.
-pub fn table3(e: Effort) -> Vec<PerfRow> {
+pub fn table3(e: Effort) -> Result<Vec<PerfRow>, OversetError> {
     sweep(|| tuned(delta_wing_case(e.scale3d, e.steps3d), e), &[7, 12, 26, 55])
 }
 
 /// Table 4 / Fig. 10: the finned-store separation (static balancing).
-pub fn table4(e: Effort) -> Vec<PerfRow> {
+pub fn table4(e: Effort) -> Result<Vec<PerfRow>, OversetError> {
     sweep(|| tuned(store_case(e.scale3d, e.steps3d), e), &[16, 18, 22, 28, 35, 42, 52, 61])
 }
 
 /// The store case at each of `nodes` on the SP2 with dynamic load balancing
 /// (f_o = 3, checked every 6 steps) and with static balancing only, in node
 /// order: (dynamic, static).
-fn table5_runs(e: Effort, nodes: &[usize]) -> (Vec<RunResult>, Vec<RunResult>) {
+fn table5_runs(
+    e: Effort,
+    nodes: &[usize],
+) -> Result<(Vec<RunResult>, Vec<RunResult>), OversetError> {
     let steps = (2 * e.steps3d).max(16);
     let mut dyn_rows: Vec<RunResult> = Vec::new();
     let mut stat_rows: Vec<RunResult> = Vec::new();
     for &n in nodes {
         let mut cfg = tuned(store_case(e.scale3d, steps), e);
         cfg.lb = LbConfig::dynamic(3.0, 6);
-        dyn_rows.push(run_case(&cfg, n, &sp2()).unwrap());
+        dyn_rows.push(run_case(&cfg, n, &sp2())?);
         let cfg = tuned(store_case(e.scale3d, steps), e);
-        stat_rows.push(run_case(&cfg, n, &sp2()).unwrap());
+        stat_rows.push(run_case(&cfg, n, &sp2())?);
     }
-    (dyn_rows, stat_rows)
+    Ok((dyn_rows, stat_rows))
 }
 
 /// Connectivity-phase elapsed time per step.
@@ -233,7 +244,7 @@ fn conn_per_step(r: &RunResult) -> f64 {
 /// chose f_o = 5 to shave it; our synthetic store system tops out at
 /// f(p) ≈ 4.5, so the equivalent threshold is f_o = 3 (same ~70% of the
 /// observed maximum).
-pub fn table5(e: Effort) {
+pub fn table5(e: Effort) -> Result<(), OversetError> {
     println!("\n== Table 5: DCF3D with dynamic load balance (store case, SP2, f_o = 3) ==");
     println!(
         "{:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10} | {:>7}",
@@ -247,7 +258,7 @@ pub fn table5(e: Effort) {
         "repart"
     );
     let nodes = [16usize, 18, 28, 52];
-    let (dyn_rows, stat_rows) = table5_runs(e, &nodes);
+    let (dyn_rows, stat_rows) = table5_runs(e, &nodes)?;
     for (i, &n) in nodes.iter().enumerate() {
         let (d, s) = (&dyn_rows[i], &stat_rows[i]);
         println!(
@@ -267,6 +278,7 @@ pub fn table5(e: Effort) {
         nodes[nodes.len() - 1],
         dyn_rows[nodes.len() - 1].np_final
     );
+    Ok(())
 }
 
 /// One row of Table 6: the store case on `nodes` nodes of [SP2, SP].
@@ -278,29 +290,28 @@ struct YmpRow {
 }
 
 /// The Y-MP reference time per step and the rows of Table 6.
-fn table6_rows(e: Effort) -> (f64, Vec<YmpRow>) {
-    let ymp = run_case_serial(&store_case(e.scale3d, e.steps3d.min(6)), &MachineModel::cray_ymp())
-        .unwrap();
+fn table6_rows(e: Effort) -> Result<(f64, Vec<YmpRow>), OversetError> {
+    let ymp = run_case_serial(&store_case(e.scale3d, e.steps3d.min(6)), &MachineModel::cray_ymp())?;
     let t_ymp = ymp.time_per_step();
     let rows = [18usize, 28, 42, 61]
         .iter()
         .map(|&nodes| {
             let mut row = YmpRow { nodes, overall: [0.0; 2], dcf3d_pct: [0.0; 2] };
             for (mi, m) in [sp2(), sp()].iter().enumerate() {
-                let r = run_case(&tuned(store_case(e.scale3d, e.steps3d), e), nodes, m).unwrap();
+                let r = run_case(&tuned(store_case(e.scale3d, e.steps3d), e), nodes, m)?;
                 row.overall[mi] = t_ymp / r.time_per_step();
                 row.dcf3d_pct[mi] = 100.0 * r.connectivity_fraction();
             }
-            row
+            Ok(row)
         })
-        .collect();
-    (t_ymp, rows)
+        .collect::<Result<_, OversetError>>()?;
+    Ok((t_ymp, rows))
 }
 
 /// Table 6: wallclock speedup vs single-processor Cray Y-MP ("YMP units").
-pub fn table6(e: Effort) {
+pub fn table6(e: Effort) -> Result<(), OversetError> {
     println!("\n== Table 6: wallclock speedup vs Cray Y-MP (store case) ==");
-    let (t_ymp, rows) = table6_rows(e);
+    let (t_ymp, rows) = table6_rows(e)?;
     println!("  (Y-MP reference: {:.3} virtual s/step)", t_ymp);
     println!(
         "{:>6} | {:>10} {:>10} | {:>10} {:>10}",
@@ -316,6 +327,7 @@ pub fn table6(e: Effort) {
             r.overall[1] / r.nodes as f64
         );
     }
+    Ok(())
 }
 
 /// One shape of DESIGN.md §4, checked.
@@ -392,14 +404,14 @@ pub fn table1_shapes(rows: &[PerfRow]) -> Vec<Shape> {
 
 /// `repro verify-shapes`: the paper's shapes (DESIGN.md §4) as named verdict
 /// lines. Returns the exit code: 1 on any FAIL or unexpected pass of an
-/// XFAIL, else 0.
-pub fn verify_shapes(e: Effort) -> i32 {
+/// XFAIL, else 0; or the error of a run that failed.
+pub fn verify_shapes(e: Effort) -> Result<i32, OversetError> {
     println!("\n== Paper shapes (DESIGN.md §4) ==");
-    let rows1 = table1(e);
+    let rows1 = table1(e)?;
     let mut shapes = table1_shapes(&rows1);
 
     // The store case's Table-4 row at 18 nodes is Table 6's first row.
-    let (_, rows6) = table6_rows(e);
+    let (_, rows6) = table6_rows(e)?;
     let (air, store) = (rows1.iter().find(|r| r.nodes == 18).unwrap(), &rows6[0]);
     shapes.push(Shape::new(
         "SHAPE-T4-PCT-ABOVE-T1",
@@ -410,7 +422,7 @@ pub fn verify_shapes(e: Effort) -> i32 {
         ),
     ));
 
-    let (dynamic, stat) = table5_runs(e, &[16, 52]);
+    let (dynamic, stat) = table5_runs(e, &[16, 52])?;
     let comb = |rows: &[RunResult]| rows[0].time_per_step() / rows[1].time_per_step();
     let dcf = |rows: &[RunResult]| conn_per_step(&rows[0]) / conn_per_step(&rows[1]);
     shapes.push(Shape::new(
@@ -458,7 +470,7 @@ pub fn verify_shapes(e: Effort) -> i32 {
     for s in &shapes {
         println!("  {}: {} ({})", s.name, s.verdict(), s.detail);
     }
-    i32::from(!shapes.iter().all(Shape::ok))
+    Ok(i32::from(!shapes.iter().all(Shape::ok)))
 }
 
 /// A representative traced run for `--trace`, `--trace-stream` and
@@ -467,22 +479,22 @@ pub fn verify_shapes(e: Effort) -> i32 {
 /// given trace configuration. Deterministic in virtual time, so two
 /// invocations produce byte-identical trace JSON. Panics unless
 /// [`crate::report::check_representative`] accepts `which`.
-pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> RunResult {
+pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> Result<RunResult, OversetError> {
     let (mut cfg, nodes) = crate::report::representative_case(which, e)
         .expect("traced run of an experiment without a representative case");
     cfg.trace = trace;
-    run_case(&tuned(cfg, e), nodes, &sp2()).expect("traced run failed")
+    run_case(&tuned(cfg, e), nodes, &sp2())
 }
 
 /// Ablation A1: nth-level restart on vs off (from-scratch search every
 /// step). Barszcz found restart "yields a considerable reduction in the
 /// time spent in the connectivity solution".
-pub fn ablate_restart(e: Effort) {
+pub fn ablate_restart(e: Effort) -> Result<(), OversetError> {
     println!("\n== Ablation: nth-level restart (airfoil, SP2, 12 nodes) ==");
     let mut cfg = tuned(airfoil_case(e.scale2d, e.steps2d), e);
-    let with = run_case(&cfg, 12, &sp2()).unwrap();
+    let with = run_case(&cfg, 12, &sp2())?;
     cfg.restart = false;
-    let without = run_case(&cfg, 12, &sp2()).unwrap();
+    let without = run_case(&cfg, 12, &sp2())?;
     println!(
         "  restart ON : connectivity {:.4} s/step ({:.1}% of total)",
         conn_per_step(&with),
@@ -497,16 +509,17 @@ pub fn ablate_restart(e: Effort) {
         "  restart speedup of the connectivity solution: {:.1}x",
         conn_per_step(&without) / conn_per_step(&with)
     );
+    Ok(())
 }
 
 /// Ablation: prescribed vs 6-DOF-computed store motion — the paper: "the
 /// free motion can be computed with negligible change in the parallel
 /// performance of the code".
-pub fn ablate_sixdof(e: Effort) {
+pub fn ablate_sixdof(e: Effort) -> Result<(), OversetError> {
     println!("\n== Ablation: prescribed vs 6-DOF store motion (SP2, 28 nodes) ==");
-    let pres = run_case(&tuned(store_case(e.scale3d, e.steps3d), e), 28, &sp2()).unwrap();
-    let free = run_case(&tuned(overflow_d::store_case_sixdof(e.scale3d, e.steps3d), e), 28, &sp2())
-        .unwrap();
+    let pres = run_case(&tuned(store_case(e.scale3d, e.steps3d), e), 28, &sp2())?;
+    let free =
+        run_case(&tuned(overflow_d::store_case_sixdof(e.scale3d, e.steps3d), e), 28, &sp2())?;
     println!(
         "  prescribed: {:.3} s/step ({:.1}% DCF3D, motion {:.4} s/step)",
         pres.time_per_step(),
@@ -523,10 +536,11 @@ pub fn ablate_sixdof(e: Effort) {
         "  cost of computing the free motion: {:+.1}%",
         100.0 * (free.time_per_step() / pres.time_per_step() - 1.0)
     );
+    Ok(())
 }
 
 /// Ablation A2: f_o sweep on the store case.
-pub fn ablate_fo(e: Effort) {
+pub fn ablate_fo(e: Effort) -> Result<(), OversetError> {
     println!("\n== Ablation: f_o sweep (store case, SP2, 28 nodes) ==");
     println!(
         "{:>8} | {:>10} {:>10} {:>10} | {:>7} | {:>8}",
@@ -537,7 +551,7 @@ pub fn ablate_fo(e: Effort) {
         if fo.is_finite() {
             cfg.lb = LbConfig::dynamic(fo, 4);
         }
-        let r = run_case(&cfg, 28, &sp2()).unwrap();
+        let r = run_case(&cfg, 28, &sp2())?;
         println!(
             "{:>8} | {:>10.3} {:>9.1}% {:>10.2} | {:>7} | {:>8.3}",
             if fo.is_finite() { format!("{fo:.0}") } else { "inf".into() },
@@ -548,15 +562,17 @@ pub fn ablate_fo(e: Effort) {
             r.phase_elapsed[Phase::Flow as usize] / r.steps as f64,
         );
     }
+    Ok(())
 }
 
 /// `scaling`: virtual-rank scaling far past the paper's node counts (and
 /// past the host's cores), possible because the M:N scheduler multiplexes
 /// the ranks onto a bounded worker pool. Sweeps the store case over
-/// P ∈ {16, 64, 256, 1024} on a handful of OS threads; rows whose processor
-/// count exceeds what the grid system can feasibly absorb are reported as
-/// such rather than aborting the sweep.
-pub fn scaling(e: Effort) {
+/// P ∈ {16, 64, 256, 1024} on a handful of OS threads. A row whose
+/// processor count the grid system cannot absorb (Algorithm 1, the
+/// partition repair or the hierarchy check cannot place P ranks, so no rank
+/// ran) is reported as such; a run that fails ends the sweep with its error.
+pub fn scaling(e: Effort) -> Result<(), OversetError> {
     let workers = e.max_threads.unwrap_or(8);
     println!("\n== Scaling: store case on an M:N scheduler ({workers} OS threads) ==");
     println!(
@@ -584,26 +600,27 @@ pub fn scaling(e: Effort) {
                     r.mflops_per_node(),
                 );
             }
-            Err(err) => println!("{:>6} {:>12} | infeasible at this scale: {err}", n, "-"),
+            Err(err @ (OversetError::Config(_) | OversetError::Setup(_))) => {
+                println!("{:>6} {:>12} | infeasible at this scale: {err}", n, "-")
+            }
+            Err(err) => return Err(err),
         }
     }
+    Ok(())
 }
 
 /// Ablation A4: cache model on/off (explains the paper's super-scalar
 /// speedups).
-pub fn ablate_cache(e: Effort) {
+pub fn ablate_cache(e: Effort) -> Result<(), OversetError> {
     println!("\n== Ablation: cache performance model (airfoil, SP2) ==");
     println!("{:>6} | {:>12} {:>12}", "Nodes", "Mf/n cache", "Mf/n flat");
     for &n in &[6usize, 12, 24, 48] {
-        let with = run_case(&tuned(airfoil_case(e.scale2d, e.steps2d), e), n, &sp2()).unwrap();
-        let flat = run_case(
-            &tuned(airfoil_case(e.scale2d, e.steps2d), e),
-            n,
-            &sp2().without_cache_model(),
-        )
-        .unwrap();
+        let cfg = tuned(airfoil_case(e.scale2d, e.steps2d), e);
+        let with = run_case(&cfg, n, &sp2())?;
+        let flat = run_case(&cfg, n, &sp2().without_cache_model())?;
         println!("{:>6} | {:>12.1} {:>12.1}", n, with.mflops_per_node(), flat.mflops_per_node());
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -614,10 +631,54 @@ mod tests {
     /// the airfoil curves fails tier-1, not only `scripts/check.sh`.
     #[test]
     fn table1_shapes_hold_at_quick_effort() {
-        let shapes = table1_shapes(&table1(Effort::quick()));
+        let shapes = table1_shapes(&table1(Effort::quick()).unwrap());
         assert_eq!(shapes.len(), 2);
         for s in &shapes {
             assert!(s.ok() && !s.expected_fail, "{}: {} ({})", s.name, s.verdict(), s.detail);
+        }
+    }
+
+    /// The airfoil's O-grid and background, one grid per rank on 2 ranks,
+    /// the O-grid whirled about its quarter chord: it goes non-physical at
+    /// step 1 (`overflow-d`'s
+    /// `a_non_physical_node_aborts_the_flow_phase_naming_its_cell`).
+    fn whirled_airfoil() -> CaseConfig {
+        use overset_motion::{BodyMotion, Prescribed};
+        let mut cfg = airfoil_case(0.1, 6);
+        cfg.grids.remove(1);
+        cfg.search_order = vec![vec![1], vec![0]];
+        let (pivot, axis) = ([0.25, 0.0, 0.0], [0.0, 0.0, 1.0]);
+        let whirl =
+            Prescribed::PitchOscillation { alpha0: 0.1, omega: 2000.0, pivot, axis, time: 0.0 };
+        cfg.motions = vec![BodyMotion::prescribed(vec![0], whirl)];
+        cfg
+    }
+
+    /// A sweep whose run aborts returns that run's error instead of
+    /// panicking.
+    #[test]
+    fn a_sweep_returns_the_error_of_a_run_that_aborts() {
+        let err = sweep(whirled_airfoil, &[2]).map(|_| ()).unwrap_err();
+        assert!(matches!(err, OversetError::RankPanicked { phase: "flow", .. }), "{err}");
+        assert_eq!(run_case(&whirled_airfoil(), 2, &sp2()).err(), Some(err));
+    }
+
+    /// Full-effort Table 5's first run, as `repro table5` makes it (store
+    /// ×1.0, 16 ranks, dynamic balance with f_o = 3 checked every 6 steps,
+    /// 24 steps), aborts in its flow phase with one error: twice under
+    /// threads and once under M:N.
+    #[test]
+    #[ignore = "release build, ~20 s; run by scripts/check.sh"]
+    fn full_effort_table5_aborts_naming_one_rank() {
+        let errors = [None, None, Some(2)].map(|max_threads| {
+            table5_runs(Effort { max_threads, ..Effort::full() }, &[16]).map(|_| ()).unwrap_err()
+        });
+        // Grids 5 and 8 both go non-physical at step 17; rank 5 is named.
+        let message =
+            "non-physical state at step 17, grid 5, cell (31,15,1): p = -1.5906539402944616e-2";
+        let want = OversetError::RankPanicked { rank: 5, phase: "flow", message: message.into() };
+        for err in errors {
+            assert_eq!(err, want, "{err}");
         }
     }
 }

@@ -13,6 +13,12 @@
 //! table5 fig11 table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo
 //! ablate-grouping ablate-cache verify-shapes all`.
 //!
+//! `repro <experiment>` exits 0 on success, 1 on a failed run or a FAIL,
+//! and 2 on a usage error. A failed run ends the command with one line on
+//! stderr, `error: <the run's error>`, e.g. `error: rank 5 panicked in
+//! phase flow: non-physical state at step 17, ...`; `report` and `analyze`
+//! exit the same way when a run fails.
+//!
 //! `verify-shapes` checks the shapes the reproduction targets (DESIGN.md §4)
 //! and prints one named verdict line each — PASS, FAIL, or XFAIL for the one
 //! recorded as not reproducing; it exits 1 on any FAIL and on the
@@ -54,6 +60,7 @@ use overset_bench::analyze::run_analyze;
 use overset_bench::experiments::*;
 use overset_bench::report::{build_report, check_representative, compare_reports};
 use overset_comm::trace::TraceConfig;
+use overset_comm::OversetError;
 
 fn run_compare(args: &[String]) -> i32 {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
@@ -157,42 +164,50 @@ fn unhonoured_report_flag(cli: &Cli) -> Option<&'static str> {
         .find_map(|(set, flag)| set.then_some(flag))
 }
 
-fn run_report_cmd(args: &[String]) -> i32 {
+fn run_report_cmd(args: &[String]) -> Result<i32, OversetError> {
     let cli = exit_usage(parse_cli(args));
     if let Some(flag) = unhonoured_report_flag(&cli) {
         eprintln!("report does not support {flag} (run the experiment itself with it)");
-        return 2;
+        return Ok(2);
     }
     if let Err(e) = check_representative(&cli.which) {
         eprintln!("{e}");
-        return 2;
+        return Ok(2);
     }
     let effort = effort_from(&cli);
     let effort_name = if cli.quick { "quick" } else { "full" };
-    let text = build_report(&cli.which, effort, effort_name).to_json();
+    let text = build_report(&cli.which, effort, effort_name)?.to_json();
     match &cli.out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, text.as_bytes()) {
                 eprintln!("failed to write report to {path}: {e}");
-                return 2;
+                return Ok(2);
             }
             eprintln!("[report: {} bytes -> {path}]", text.len());
         }
         None => println!("{text}"),
     }
-    0
+    Ok(0)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("compare") => std::process::exit(run_compare(&args[1..])),
-        Some("report") => std::process::exit(run_report_cmd(&args[1..])),
-        Some("analyze") => std::process::exit(run_analyze(&args[1..])),
-        _ => {}
-    }
+    let outcome = match args.first().map(String::as_str) {
+        Some("compare") => Ok(run_compare(&args[1..])),
+        Some("report") => run_report_cmd(&args[1..]),
+        Some("analyze") => run_analyze(&args[1..]),
+        _ => run_experiment(&args),
+    };
+    std::process::exit(outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        1
+    }));
+}
 
-    let cli = exit_usage(parse_cli(&args));
+/// `repro <experiment>`, plus the traced re-run its flags ask for; returns
+/// the exit code, or the error of the first run that failed.
+fn run_experiment(args: &[String]) -> Result<i32, OversetError> {
+    let cli = exit_usage(parse_cli(args));
     let traced = cli.trace_path.is_some() || cli.trace_stream.is_some();
     let effort = effort_from(&cli);
     let which = cli.which.clone();
@@ -203,47 +218,47 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     match which.as_str() {
-        "table1" => print_perf_table("Table 1: 2D oscillating airfoil", &table1(effort)),
-        "fig5" => print_module_speedups("Fig. 5: 2D oscillating airfoil", &table1(effort)),
-        "table2" => table2(effort),
-        "table3" => print_perf_table("Table 3: descending delta wing", &table3(effort)),
-        "fig7" => print_module_speedups("Fig. 7: descending delta wing", &table3(effort)),
-        "table4" => print_perf_table("Table 4: finned-store separation", &table4(effort)),
-        "fig10" => print_module_speedups("Fig. 10: finned-store separation", &table4(effort)),
-        "table5" | "fig11" => table5(effort),
-        "table6" => table6(effort),
+        "table1" => print_perf_table("Table 1: 2D oscillating airfoil", &table1(effort)?),
+        "fig5" => print_module_speedups("Fig. 5: 2D oscillating airfoil", &table1(effort)?),
+        "table2" => table2(effort)?,
+        "table3" => print_perf_table("Table 3: descending delta wing", &table3(effort)?),
+        "fig7" => print_module_speedups("Fig. 7: descending delta wing", &table3(effort)?),
+        "table4" => print_perf_table("Table 4: finned-store separation", &table4(effort)?),
+        "fig10" => print_module_speedups("Fig. 10: finned-store separation", &table4(effort)?),
+        "table5" | "fig11" => table5(effort)?,
+        "table6" => table6(effort)?,
         "fig12" => fig12(4),
-        "scaling" => scaling(effort),
-        "ablate-restart" => ablate_restart(effort),
-        "ablate-sixdof" => ablate_sixdof(effort),
-        "ablate-fo" => ablate_fo(effort),
+        "scaling" => scaling(effort)?,
+        "ablate-restart" => ablate_restart(effort)?,
+        "ablate-sixdof" => ablate_sixdof(effort)?,
+        "ablate-fo" => ablate_fo(effort)?,
         "ablate-grouping" => ablate_grouping(),
-        "ablate-cache" => ablate_cache(effort),
+        "ablate-cache" => ablate_cache(effort)?,
         "verify-shapes" => {
-            let rc = verify_shapes(effort);
+            let rc = verify_shapes(effort)?;
             if rc != 0 {
-                std::process::exit(rc);
+                return Ok(rc);
             }
         }
         "all" => {
-            let rows1 = table1(effort);
+            let rows1 = table1(effort)?;
             print_perf_table("Table 1: 2D oscillating airfoil", &rows1);
             print_module_speedups("Fig. 5: 2D oscillating airfoil", &rows1);
-            table2(effort);
-            let rows3 = table3(effort);
+            table2(effort)?;
+            let rows3 = table3(effort)?;
             print_perf_table("Table 3: descending delta wing", &rows3);
             print_module_speedups("Fig. 7: descending delta wing", &rows3);
-            let rows4 = table4(effort);
+            let rows4 = table4(effort)?;
             print_perf_table("Table 4: finned-store separation", &rows4);
             print_module_speedups("Fig. 10: finned-store separation", &rows4);
-            table5(effort);
-            table6(effort);
+            table5(effort)?;
+            table6(effort)?;
             fig12(4);
-            ablate_restart(effort);
-            ablate_sixdof(effort);
-            ablate_fo(effort);
+            ablate_restart(effort)?;
+            ablate_sixdof(effort)?;
+            ablate_fo(effort)?;
             ablate_grouping();
-            ablate_cache(effort);
+            ablate_cache(effort)?;
         }
         other => {
             eprintln!("unknown experiment: {other}");
@@ -254,17 +269,17 @@ fn main() {
                  or a subcommand: report <experiment> | \
                  compare <baseline.json> <new.json> | analyze <experiment>|<span-dir>|<report.json>"
             );
-            std::process::exit(2);
+            return Ok(2);
         }
     }
 
     if traced {
-        let r = traced_run(&which, effort, trace_cfg);
+        let r = traced_run(&which, effort, trace_cfg)?;
         if let Some(path) = &cli.trace_path {
             let json = overset_comm::chrome_trace_json(&r.trace);
             if let Err(e) = std::fs::write(path, &json) {
                 eprintln!("failed to write trace to {path}: {e}");
-                std::process::exit(1);
+                return Ok(1);
             }
             let events: usize = r.trace.iter().map(|t| t.events.len()).sum();
             eprintln!("[trace: {events} events over {} ranks -> {path}]", r.trace.len());
@@ -277,6 +292,7 @@ fn main() {
     }
 
     eprintln!("\n[{which} completed in {:?}]", t0.elapsed());
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -321,7 +337,7 @@ mod tests {
         assert_eq!(e, "unknown subcommand: analyze-diff");
         assert_eq!(run_compare(&s(&["a.json", "b.json", "--tol-pct", "5"])), 2);
         assert_eq!(run_compare(&s(&["a.json"])), 2);
-        assert_eq!(run_analyze(&s(&["r.json", "--host"])), 2);
+        assert_eq!(run_analyze(&s(&["r.json", "--host"])), Ok(2));
     }
 
     /// An experiment without a representative case — `fig12` and
@@ -331,8 +347,8 @@ mod tests {
     #[test]
     fn experiments_without_a_representative_case_exit_2() {
         for which in ["nonsense", "fig12", "ablate-grouping"] {
-            assert_eq!(run_report_cmd(&s(&[which, "--quick"])), 2, "{which}");
-            assert_eq!(run_analyze(&s(&[which, "--quick"])), 2, "{which}");
+            assert_eq!(run_report_cmd(&s(&[which, "--quick"])), Ok(2), "{which}");
+            assert_eq!(run_analyze(&s(&[which, "--quick"])), Ok(2), "{which}");
             for flag in ["--trace", "--trace-stream"] {
                 let e = parse_cli(&s(&[which, flag, "out"])).unwrap_err();
                 assert!(e.starts_with(&format!("{which}: no representative case")), "{e}");
@@ -349,7 +365,7 @@ mod tests {
             let args = s(&[&["table1", "--quick"][..], flags].concat());
             let cli = parse_cli(&args).unwrap();
             assert_eq!(unhonoured_report_flag(&cli), Some(flags[0]));
-            assert_eq!(run_report_cmd(&args), 2, "{flags:?}");
+            assert_eq!(run_report_cmd(&args), Ok(2), "{flags:?}");
         }
         let cli = parse_cli(&s(&["table1", "--quick", "-o", "r.json", "--max-threads", "2"]));
         assert_eq!(unhonoured_report_flag(&cli.unwrap()), None);

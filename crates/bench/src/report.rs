@@ -12,7 +12,7 @@ use crate::experiments::{tuned, Effort};
 use overflow_d::{
     airfoil_case, delta_wing_case, run_case, store_case, CaseConfig, LbConfig, RunResult,
 };
-use overset_comm::{MachineModel, Phase, NUM_PHASES};
+use overset_comm::{MachineModel, OversetError, Phase, NUM_PHASES};
 use overset_report::json::obj;
 use overset_report::{case_report, run_report, Value};
 
@@ -91,10 +91,11 @@ fn dynamic_store_case(e: Effort) -> CaseConfig {
     c
 }
 
-/// Run the report's cases, untraced, and assemble the report document.
-/// Everything except the `host` section is virtual-time deterministic.
-/// Panics unless [`check_representative`] accepts `which`.
-pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Value {
+/// Run the report's cases, untraced, and assemble the report document, or
+/// return the error of a run that failed. Everything except the `host`
+/// section is virtual-time deterministic. Panics unless
+/// [`check_representative`] accepts `which`.
+pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Result<Value, OversetError> {
     let machine = MachineModel::ibm_sp2();
     let (rep_cfg, rep_nodes) = representative_case(which, e)
         .expect("report of an experiment without a representative case");
@@ -111,7 +112,7 @@ pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Value {
     let t_total = std::time::Instant::now();
     for (label, cfg, nodes) in runs {
         let t0 = std::time::Instant::now();
-        let r: RunResult = run_case(&cfg, nodes, &machine).expect("report case run failed");
+        let r: RunResult = run_case(&cfg, nodes, &machine)?;
         host_cases.push((label.to_string(), Value::Num(t0.elapsed().as_secs_f64())));
         host_phases.push((label.to_string(), host_phase_ms(&r.host_phase_elapsed)));
         host_by_rank.push((
@@ -129,7 +130,7 @@ pub fn build_report(which: &str, e: Effort, effort_name: &str) -> Value {
         ("alloc_peak_bytes", Value::Obj(alloc_peaks)),
         ("total_seconds", Value::Num(t_total.elapsed().as_secs_f64())),
     ]);
-    run_report(which, effort_name, cases, Some(host))
+    Ok(run_report(which, effort_name, cases, Some(host)))
 }
 
 /// Host wall-clock milliseconds per phase — the runtime's `Instant`-based

@@ -29,12 +29,16 @@
 //! wall-clock thread scheduling — and bit-identical between the two
 //! scheduler modes for the same configuration.
 //!
-//! Failure handling: a panic in a rank body is caught on that rank, every
-//! peer blocked in a communication call is woken and unblocked with
-//! [`OversetError::AbortedByPeer`], and the run returns
-//! [`OversetError::RankPanicked`] naming the failing rank and the
-//! statistics phase it was in ([`UniverseBuilder::try_run`] surfaces it as
-//! an error; [`UniverseBuilder::run`] re-raises it).
+//! Failure handling: each operation has one form, and a protocol violation
+//! (a type mismatch, a receive from a rank that has finished, a mixed-type
+//! collective) panics where it is found. A panic in a rank body is caught
+//! on that rank. The first one to arrive wakes every peer blocked in a
+//! communication call, and each woken peer unwinds without a word: no panic
+//! report, nothing recorded. The run returns [`OversetError::RankPanicked`]
+//! naming the lowest-numbered rank that failed on its own and the
+//! statistics phase it was in, whatever the host's timing
+//! ([`UniverseBuilder::try_run`] surfaces it as an error;
+//! [`UniverseBuilder::run`] re-raises it).
 //!
 //! Observability: every rank carries a [`MetricsRegistry`] (always on;
 //! counters are cheap) and an optional virtual-time [`Tracer`]
@@ -71,6 +75,17 @@ struct Envelope {
 /// Marker published in place of a gathered vector when ranks contributed
 /// mixed types to one collective round.
 struct CollPoison;
+
+/// Unwind payload of a rank woken because a peer failed. Raised with
+/// `resume_unwind`, so the panic hook does not report it, and `rank_main`
+/// records nothing for it.
+struct PeerFailed;
+
+/// Leave the rank body silently: a peer has failed and the universe is
+/// shutting down. The caller holds no runtime lock.
+fn unwind_for_peer() -> ! {
+    std::panic::resume_unwind(Box::new(PeerFailed))
+}
 
 /// Deadlock watchdog period: set `OVERSET_COMM_WATCHDOG=<seconds>` to make
 /// every blocking wait (point-to-point recv, collective rendezvous, idle
@@ -113,7 +128,7 @@ struct Mailbox {
     cv: Condvar,
 }
 
-/// What the first failing rank recorded before the universe was aborted.
+/// The lowest-ranked failure recorded so far.
 struct FailureInfo {
     rank: usize,
     phase: &'static str,
@@ -131,7 +146,7 @@ struct Shared {
     aborted: AtomicBool,
     failure: Mutex<Option<FailureInfo>>,
     /// Set when a rank's body returns normally, so a peer still waiting on
-    /// it gets [`OversetError::Disconnected`] instead of hanging.
+    /// it panics instead of hanging.
     finished: Vec<AtomicBool>,
     /// Present in M:N mode only.
     mn: Option<Arc<sched::MnShared>>,
@@ -195,17 +210,20 @@ impl Shared {
         }
     }
 
-    /// Record a rank-body panic and unblock every peer. First failure wins:
-    /// later failures (typically peers panicking on `AbortedByPeer` inside
-    /// `recv`/`allgather` wrappers) are dropped, since the wake-all has
-    /// already run.
+    /// Record a rank-body panic. The lowest-ranked failure is kept, so the
+    /// error does not depend on which rank panicked first in host time; the
+    /// first failure to arrive also aborts the universe and wakes every
+    /// peer, once.
     fn rank_failed(&self, rank: usize, phase: &'static str, message: String) {
         {
             let mut slot = self.failure.lock().expect("failure mutex poisoned");
-            if slot.is_some() {
+            let first = slot.is_none();
+            if slot.as_ref().is_none_or(|f| rank < f.rank) {
+                *slot = Some(FailureInfo { rank, phase, message });
+            }
+            if !first {
                 return;
             }
-            *slot = Some(FailureInfo { rank, phase, message });
         }
         self.aborted.store(true, Ordering::Release);
         for (r, mb) in self.mailboxes.iter().enumerate() {
@@ -538,19 +556,6 @@ impl Comm {
         }
     }
 
-    /// The error a blocked rank reports when it was woken because a peer
-    /// panicked.
-    fn abort_error(&self) -> OversetError {
-        let failed_rank = self
-            .shared
-            .failure
-            .lock()
-            .expect("failure mutex poisoned")
-            .as_ref()
-            .map_or(self.rank, |f| f.rank);
-        OversetError::AbortedByPeer { rank: self.rank, failed_rank }
-    }
-
     /// Send `payload` (logical size `bytes`) to `dst` with a message `tag`.
     /// Non-blocking (asynchronous send, as DCF3D's search requests are).
     /// The value itself moves to the receiver; `bytes` is what the machine
@@ -593,23 +598,16 @@ impl Comm {
     /// Blocking receive of a message of type `T` from `src` with `tag`.
     /// Advances the clock to at least the message arrival time.
     ///
-    /// Convenience wrapper over [`Comm::try_recv`] that treats failure as
-    /// an internal protocol invariant violation (panics). Fallible callers
-    /// use `try_recv`.
+    /// Panics if the matched message is not a `T`, or if `src` has finished
+    /// without sending it: a protocol violation, reported by the run as
+    /// [`OversetError::RankPanicked`].
     pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> T {
-        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Blocking receive of a message of type `T` from `src` with `tag`,
-    /// surfacing type mismatches, finished senders and peer failures as
-    /// [`OversetError`].
-    pub fn try_recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> Result<T, OversetError> {
         // Out-of-order buffering in `take_matching` allocates depending on
         // arrival interleaving — runtime machinery, excluded from
         // attribution.
         let _quiet = alloc::suspend();
         let t0 = self.clock;
-        let env = self.take_matching(src, tag)?;
+        let env = self.take_matching(src, tag);
         let stall = (env.arrival - self.clock).max(0.0);
         // Time the fully-arrived message sat buffered before this receive —
         // the Scalasca-style "late receiver" complement of `stall`.
@@ -632,20 +630,22 @@ impl Comm {
                 ],
             );
         }
-        env.payload.downcast::<T>().map(|v| *v).map_err(|_| OversetError::TypeMismatch {
-            rank: self.rank,
-            src,
-            tag,
-            expected: std::any::type_name::<T>(),
-        })
+        match env.payload.downcast::<T>() {
+            Ok(v) => *v,
+            Err(_) => panic!(
+                "rank {}: type mismatch receiving tag {tag} from rank {src} (expected {})",
+                self.rank,
+                std::any::type_name::<T>()
+            ),
+        }
     }
 
-    fn take_matching(&mut self, src: usize, tag: u64) -> Result<Envelope, OversetError> {
+    fn take_matching(&mut self, src: usize, tag: u64) -> Envelope {
         if let Some(pos) = self.pending.iter().position(|e| e.src == src && e.tag == tag) {
             // Order-preserving removal: multiple buffered messages with the
             // same (src, tag) must be consumed FIFO (e.g. pipelined line
             // chunks).
-            return Ok(self.pending.remove(pos));
+            return self.pending.remove(pos);
         }
         let shared = Arc::clone(&self.shared);
         let mb = &shared.mailboxes[self.rank];
@@ -663,13 +663,20 @@ impl Comm {
                 self.pending.push(env);
             }
             if let Some(env) = found {
-                return Ok(env);
+                return env;
             }
+            // Unwind only after releasing the mailbox: a lock dropped while
+            // unwinding is poisoned for every sender.
             if shared.aborted.load(Ordering::Acquire) {
-                return Err(self.abort_error());
+                drop(inner);
+                unwind_for_peer();
             }
             if shared.finished[src].load(Ordering::Acquire) {
-                return Err(OversetError::Disconnected { rank: self.rank, src, tag });
+                drop(inner);
+                panic!(
+                    "rank {}: all senders disconnected while waiting for tag {tag} from rank {src}",
+                    self.rank
+                );
             }
             // A deliverer (or abort/finish) wakes this rank.
             inner.waiting = true;
@@ -688,7 +695,7 @@ impl Comm {
     /// Synchronize all ranks: everyone leaves with the same clock (round max
     /// plus the collective cost).
     pub fn barrier(&mut self) {
-        self.allgather_inner("barrier", 0u8, 8).unwrap_or_else(|e| panic!("{e}"));
+        self.allgather_inner("barrier", 0u8, 8);
     }
 
     /// All-gather: every rank contributes `value` (logical size `bytes`) and
@@ -696,19 +703,10 @@ impl Comm {
     /// contributions are moved, never copied: every rank reads the same
     /// buffer (see [`Gathered`]).
     ///
-    /// Convenience wrapper over [`Comm::try_allgather`] that treats failure
-    /// as an internal protocol invariant violation (panics).
+    /// Panics on every rank if the ranks contributed different types to the
+    /// round: a protocol violation, reported by the run as
+    /// [`OversetError::RankPanicked`].
     pub fn allgather<T: Send + Sync + 'static>(&mut self, value: T, bytes: usize) -> Gathered<T> {
-        self.try_allgather(value, bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// All-gather surfacing mixed-type collectives and peer failures as
-    /// [`OversetError`].
-    pub fn try_allgather<T: Send + Sync + 'static>(
-        &mut self,
-        value: T,
-        bytes: usize,
-    ) -> Result<Gathered<T>, OversetError> {
         self.allgather_inner("allgather", value, bytes)
     }
 
@@ -717,14 +715,14 @@ impl Comm {
         span_name: &'static str,
         value: T,
         bytes: usize,
-    ) -> Result<Gathered<T>, OversetError> {
+    ) -> Gathered<T> {
         // Rendezvous buffers (which rank gathers, how many wait-loop
         // iterations run) depend on host timing — excluded from attribution.
         let _quiet = alloc::suspend();
         let t0 = self.clock;
         // The round clock is the max over contributing clocks — an
         // order-independent fold, so it is bit-identical across schedulers.
-        let (result, round_clock) = self.rendezvous(value)?;
+        let (result, round_clock) = self.rendezvous(value);
         self.clock = round_clock + self.machine.collective_time(self.size, bytes * self.size);
         self.metrics.inc(Counter::CommCollectives);
         if let Some(t) = &mut self.tracer {
@@ -737,16 +735,13 @@ impl Comm {
                 vec![("bytes", ArgVal::U64(bytes as u64))],
             );
         }
-        Ok(result)
+        result
     }
 
     /// Collective rendezvous through the shared [`Collective`]: the last
     /// arriver gathers and publishes. Returns a view of the published
     /// contributions (rank order) plus the round clock.
-    fn rendezvous<T: Send + Sync + 'static>(
-        &mut self,
-        value: T,
-    ) -> Result<(Gathered<T>, f64), OversetError> {
+    fn rendezvous<T: Send + Sync + 'static>(&mut self, value: T) -> (Gathered<T>, f64) {
         let gen = self.coll_gen;
         self.coll_gen += 1;
         let shared = Arc::clone(&self.shared);
@@ -755,7 +750,8 @@ impl Comm {
         // Wait for our round to open (previous round fully consumed).
         while inner.generation != gen {
             if shared.aborted.load(Ordering::Acquire) {
-                return Err(self.abort_error());
+                drop(inner);
+                unwind_for_peer();
             }
             inner.waiters.push(self.rank);
             inner = shared.park(&coll.m, &coll.cv, inner, "collective mutex poisoned", |g| {
@@ -790,9 +786,12 @@ impl Comm {
             inner.max_clock = f64::NEG_INFINITY;
             shared.wake(&coll.cv, inner.waiters.drain(..));
         } else {
+            // A published round is read even after an abort, so every rank
+            // of a mixed-type round fails on its own.
             while inner.published.is_none() || inner.generation != gen {
                 if shared.aborted.load(Ordering::Acquire) {
-                    return Err(self.abort_error());
+                    drop(inner);
+                    unwind_for_peer();
                 }
                 inner.waiters.push(self.rank);
                 inner = shared.park(&coll.m, &coll.cv, inner, "collective mutex poisoned", |g| {
@@ -817,11 +816,12 @@ impl Comm {
         }
         drop(inner);
         match arc.downcast::<Vec<T>>() {
-            Ok(v) => Ok((Gathered(Some(v)), round_clock)),
-            Err(_) => Err(OversetError::CollectiveMismatch {
-                rank: self.rank,
-                expected: std::any::type_name::<T>(),
-            }),
+            Ok(v) => (Gathered(Some(v)), round_clock),
+            Err(_) => panic!(
+                "rank {}: mixed payload types in collective (expected {})",
+                self.rank,
+                std::any::type_name::<T>()
+            ),
         }
     }
 
@@ -968,11 +968,10 @@ impl UniverseBuilder {
     }
 
     /// Run `f` on every rank, surfacing a rank-body panic as
-    /// [`OversetError::RankPanicked`] naming the failing rank and the
-    /// statistics phase it was in. Peers blocked in communication are
-    /// unblocked (their calls return [`OversetError::AbortedByPeer`], which
-    /// the panicking wrappers re-raise) so the universe shuts down instead
-    /// of hanging.
+    /// [`OversetError::RankPanicked`] naming the lowest-numbered rank that
+    /// panicked and the statistics phase it was in. Peers blocked in
+    /// communication are woken and unwind silently, so the universe shuts
+    /// down instead of hanging.
     pub fn try_run<R, F>(self, f: F) -> Result<Vec<RankOutput<R>>, OversetError>
     where
         R: Send,
@@ -1005,9 +1004,9 @@ impl UniverseBuilder {
             let shared_ref = &shared;
             let machine_ref = &machine;
             // One rank's whole life: build its Comm, run the body under
-            // catch_unwind, then either publish the output or record the
-            // failure and abort the universe. Runs on an OS thread (1:1) or
-            // a coroutine (M:N).
+            // catch_unwind, then publish the output, record the failure and
+            // abort the universe, or (woken by a peer's failure) do nothing.
+            // Runs on an OS thread (1:1) or a coroutine (M:N).
             let rank_main = move |rank: usize| {
                 let alloc_counters = Arc::new(RankAllocCounters::new());
                 let mut comm = Comm {
@@ -1043,6 +1042,7 @@ impl UniverseBuilder {
                         let out = comm.finish(result);
                         outputs.lock().expect("outputs poisoned")[rank] = Some(out);
                     }
+                    Err(payload) if payload.is::<PeerFailed>() => {}
                     Err(payload) => {
                         let phase = comm.panicked_phase.take().unwrap_or_else(|| comm.phase.name());
                         shared_ref.rank_failed(rank, phase, panic_message(payload));
@@ -1489,39 +1489,46 @@ mod tests {
         assert_eq!(out[1].steps[0].count(Counter::CommMsgsFlow), 0);
     }
 
-    #[test]
-    fn try_recv_type_mismatch_is_an_error() {
-        let out = run(2, &modern(), |c| {
-            if c.rank() == 0 {
-                c.send(1, 5, 1.25f64, 8);
-                Ok(())
-            } else {
-                c.try_recv::<u32>(0, 5).map(|_| ())
-            }
-        });
-        assert!(out[0].result.is_ok());
-        match &out[1].result {
-            Err(OversetError::TypeMismatch { rank: 1, src: 0, tag: 5, .. }) => {}
-            other => panic!("expected TypeMismatch, got {other:?}"),
+    /// The run's error: the failure `try_run` reports.
+    fn failure<R: Send>(
+        b: UniverseBuilder,
+        f: impl Fn(&mut Comm) -> R + Send + Sync,
+    ) -> OversetError {
+        match b.try_run(f) {
+            Ok(_) => panic!("the run succeeded"),
+            Err(e) => e,
         }
     }
 
+    fn panicked(rank: usize, message: &str) -> OversetError {
+        OversetError::RankPanicked { rank, phase: "other", message: message.to_string() }
+    }
+
     #[test]
-    fn mixed_type_collective_is_an_error_on_every_rank() {
-        let out = run(2, &modern(), |c| {
+    fn recv_type_mismatch_is_an_error() {
+        let err = failure(Universe::builder().ranks(2), |c| {
             if c.rank() == 0 {
-                c.try_allgather(1u32, 4).map(|_| ())
+                c.send(1, 5, 1.25f64, 8);
             } else {
-                c.try_allgather(1.5f64, 8).map(|_| ())
+                c.recv::<u32>(0, 5);
             }
         });
-        for o in &out {
-            assert!(
-                matches!(o.result, Err(OversetError::CollectiveMismatch { .. })),
-                "expected CollectiveMismatch, got {:?}",
-                o.result
-            );
-        }
+        let message = "rank 1: type mismatch receiving tag 5 from rank 0 (expected u32)";
+        assert_eq!(err, panicked(1, message));
+    }
+
+    /// Every rank of a mixed-type round fails on its own, so the lowest one
+    /// is named.
+    #[test]
+    fn mixed_type_collective_is_an_error_on_every_rank() {
+        let err = failure(Universe::builder().ranks(2), |c| {
+            if c.rank() == 0 {
+                drop(c.allgather(1u32, 4));
+            } else {
+                drop(c.allgather(1.5f64, 8));
+            }
+        });
+        assert_eq!(err, panicked(0, "rank 0: mixed payload types in collective (expected u32)"));
     }
 
     #[test]
@@ -1646,38 +1653,47 @@ mod tests {
 
     #[test]
     fn rank_panic_unblocks_point_to_point_waits() {
-        let err = Universe::builder().ranks(4).machine(&modern()).try_run(|c| {
+        let err = failure(Universe::builder().ranks(4), |c| {
             match c.rank() {
                 0 => panic!("early exit"),
                 // Rank 1 waits for a message rank 0 will never send.
                 1 => {
-                    let _ = c.try_recv::<u8>(0, 42);
+                    c.recv::<u8>(0, 42);
                 }
                 _ => {}
             }
         });
-        match err {
-            Err(OversetError::RankPanicked { rank: 0, message, .. }) => {
-                assert!(message.contains("early exit"), "message: {message}");
-            }
-            other => panic!("expected RankPanicked for rank 0, got {other:?}"),
-        }
+        assert_eq!(err, panicked(0, "early exit"));
     }
 
     #[test]
     fn recv_from_finished_rank_errors() {
-        let out = run(2, &modern(), |c| {
-            if c.rank() == 0 {
-                // Finish immediately without sending anything.
-                Ok(())
-            } else {
-                c.try_recv::<u8>(0, 9).map(|_| ())
+        let err = failure(Universe::builder().ranks(2), |c| {
+            // Rank 0 finishes immediately without sending anything.
+            if c.rank() == 1 {
+                c.recv::<u8>(0, 9);
             }
         });
-        assert!(out[0].result.is_ok());
-        match &out[1].result {
-            Err(OversetError::Disconnected { rank: 1, src: 0, tag: 9 }) => {}
-            other => panic!("expected Disconnected, got {other:?}"),
+        let message = "rank 1: all senders disconnected while waiting for tag 9 from rank 0";
+        assert_eq!(err, panicked(1, message));
+    }
+
+    /// Two ranks fail on their own after the same barrier while the rest
+    /// block in a collective: the lower one is named, whichever panicked
+    /// first in host time, under either scheduler.
+    #[test]
+    fn the_lowest_failing_rank_is_named() {
+        for b in [Universe::builder(), Universe::builder().max_threads(2)] {
+            for _ in 0..20 {
+                let err = failure(b.clone().ranks(8), |c| {
+                    c.barrier();
+                    if c.rank() == 3 || c.rank() == 6 {
+                        panic!("rank {} fails", c.rank());
+                    }
+                    c.barrier();
+                });
+                assert_eq!(err, panicked(3, "rank 3 fails"));
+            }
         }
     }
 }

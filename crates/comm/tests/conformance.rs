@@ -1,6 +1,7 @@
 //! Scheduler conformance: both schedulers must implement the same protocol
-//! semantics — FIFO per (src, tag) channel, tag matching, disconnect and
-//! type-mismatch errors, deterministic collectives, abort-on-peer-panic.
+//! semantics — FIFO per (src, tag) channel, tag matching, disconnect,
+//! type-mismatch and mixed-collective failures, deterministic collectives,
+//! abort-on-peer-panic.
 //!
 //! Each scenario is written once against `UniverseBuilder` and run with one
 //! OS thread per rank and with M:N coroutines on two workers. Bit-identical
@@ -146,70 +147,76 @@ fn collective_result_is_one_buffer() {
 // Error semantics: type mismatch, disconnected sender, collective mismatch
 // ---------------------------------------------------------------------------
 
-/// Rank 0 sends a `u64` to rank 2, which asks for an `f64`; rank 2 must see
-/// `TypeMismatch` under either scheduler.
-fn scenario_type_mismatch(b: UniverseBuilder) -> Vec<RankOutput<u8>> {
-    b.run(|c| {
-        let mut marker = 0u8;
+/// The run's error under `b`: the failure `try_run` reports.
+fn failure<R: Send>(
+    b: UniverseBuilder,
+    f: impl Fn(&mut overset_comm::Comm) -> R + Send + Sync,
+) -> OversetError {
+    match b.try_run(f) {
+        Ok(_) => panic!("the run succeeded"),
+        Err(e) => e,
+    }
+}
+
+fn panicked(rank: usize, message: &str) -> OversetError {
+    OversetError::RankPanicked { rank, phase: "other", message: message.to_string() }
+}
+
+/// Rank 0 sends a `u64` to rank 2, which asks for an `f64`: rank 2 panics
+/// naming the receive, and its peers, blocked in the barrier, unwind.
+fn scenario_type_mismatch(b: UniverseBuilder) -> OversetError {
+    failure(b, |c| {
         if c.rank() == 0 {
             c.send(2, 5, 42u64, 8);
         } else if c.rank() == 2 {
-            marker = match c.try_recv::<f64>(0, 5) {
-                Err(OversetError::TypeMismatch { rank: 2, src: 0, tag: 5, .. }) => 1,
-                other => panic!("expected TypeMismatch, got {other:?}"),
-            };
+            c.recv::<f64>(0, 5);
         }
         c.barrier();
-        marker
     })
 }
 
 #[test]
 fn type_mismatch() {
-    assert_eq!(scenario_type_mismatch(base())[2].result, 1);
-    assert_eq!(scenario_type_mismatch(mn())[2].result, 1);
+    let want = panicked(2, "rank 2: type mismatch receiving tag 5 from rank 0 (expected f64)");
+    assert_eq!(scenario_type_mismatch(base()), want);
+    assert_eq!(scenario_type_mismatch(mn()), want);
 }
 
-/// Rank 2 finishes without sending; rank 0's receive from it must fail with
-/// `Disconnected` instead of hanging.
-fn scenario_disconnected(b: UniverseBuilder) -> Vec<RankOutput<u8>> {
-    b.run(|c| {
+/// Rank 2 finishes without sending; rank 0's receive from it panics instead
+/// of hanging.
+fn scenario_disconnected(b: UniverseBuilder) -> OversetError {
+    failure(b, |c| {
         if c.rank() == 0 {
-            match c.try_recv::<u64>(2, 77) {
-                Err(OversetError::Disconnected { rank: 0, src: 2, tag: 77 }) => 1,
-                other => panic!("expected Disconnected, got {other:?}"),
-            }
-        } else {
-            0
+            c.recv::<u64>(2, 77);
         }
     })
 }
 
 #[test]
 fn disconnected() {
-    assert_eq!(scenario_disconnected(base())[0].result, 1);
-    assert_eq!(scenario_disconnected(mn())[0].result, 1);
+    let want = panicked(0, "rank 0: all senders disconnected while waiting for tag 77 from rank 2");
+    assert_eq!(scenario_disconnected(base()), want);
+    assert_eq!(scenario_disconnected(mn()), want);
 }
 
-/// Rank 0 contributes a different type to the round than everyone else:
-/// every rank must see `CollectiveMismatch`: the last arriver poisons the
-/// round instead of publishing it.
-fn scenario_collective_mismatch(b: UniverseBuilder) -> Vec<RankOutput<u8>> {
-    b.run(|c| {
-        let ok = if c.rank() == 0 {
-            matches!(c.try_allgather(1u32, 4), Err(OversetError::CollectiveMismatch { .. }))
+/// Rank 0 contributes a different type to the round than everyone else.
+/// The last arriver poisons the round instead of publishing it, every rank
+/// panics on its own, and the lowest, rank 0, is named.
+fn scenario_collective_mismatch(b: UniverseBuilder) -> OversetError {
+    failure(b, |c| {
+        if c.rank() == 0 {
+            drop(c.allgather(1u32, 4));
         } else {
-            matches!(c.try_allgather(1u64, 8), Err(OversetError::CollectiveMismatch { .. }))
-        };
-        u8::from(ok)
+            drop(c.allgather(1u64, 8));
+        }
     })
 }
 
 #[test]
 fn collective_mismatch() {
-    for o in [scenario_collective_mismatch(base()), scenario_collective_mismatch(mn())].concat() {
-        assert_eq!(o.result, 1);
-    }
+    let want = panicked(0, "rank 0: mixed payload types in collective (expected u32)");
+    assert_eq!(scenario_collective_mismatch(base()), want);
+    assert_eq!(scenario_collective_mismatch(mn()), want);
 }
 
 // ---------------------------------------------------------------------------

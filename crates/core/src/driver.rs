@@ -220,9 +220,10 @@ pub fn grid_min_widths(grids: &[CurvilinearGrid]) -> Vec<[usize; 3]> {
 ///
 /// Configuration errors (an infeasible partition, a malformed search
 /// hierarchy) are reported before any rank thread spawns. A panic inside a
-/// rank body (an internal invariant violation, not bad input) surfaces as
-/// [`OversetError::RankPanicked`] naming the rank and phase, with every
-/// peer unblocked — never a hang or an opaque scope abort.
+/// rank body (a non-physical node, an internal invariant violation) surfaces
+/// as [`OversetError::RankPanicked`] naming the lowest failing rank and its
+/// phase, with every peer unblocked — never a hang or an opaque scope
+/// abort.
 pub fn run_case(
     cfg: &CaseConfig,
     nranks: usize,
@@ -489,11 +490,21 @@ fn run_rank(
                 halo_pool: &mut halo_pool,
                 line_pool: &mut line_pool,
             };
+            let mut failed = None;
             for rb in mine.iter_mut() {
-                step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut scratch)
-                    .assert_physical(step, rb.block.grid_id);
+                let report =
+                    step_block(&mut rb.block, &fc, rb.wall.as_ref(), &mut mp, &mut scratch);
+                if failed.is_none() && report.nonphysical.is_some() {
+                    failed = Some((report, rb.block.grid_id));
+                }
             }
+            // Checked after the barrier, so every rank that went
+            // non-physical in this step fails on its own and the run names
+            // the lowest failing block (DESIGN.md §6).
             ph.barrier();
+            if let Some((report, grid)) = failed {
+                report.assert_physical(step, grid);
+            }
         }
 
         // ---- Phase 2: grid motion ------------------------------------

@@ -53,10 +53,12 @@ cargo test -q -p overflow-d --test observability
 echo "== M:N scheduler: 512 virtual ranks on 8 OS threads; 128 ranks 1:1 vs M:N; 256-rank donor search quiesces =="
 cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 
-echo "== known blow-ups abort where they start (no positivity floors): airfoil x1.0 at step 37 on its trailing-edge seam node, the store's old ejection trajectory at step 22 on grid 4: release =="
+echo "== known blow-ups abort where they start (no positivity floors): airfoil x1.0 at step 37 on its trailing-edge seam node, the store's old ejection trajectory at step 22 on grid 4, full-effort Table 5's first run naming rank 5 at step 17 under threads and M:N: release =="
 cargo test -q --release -p overflow-d --test integration -- --ignored \
     airfoil_full_scale_aborts_at_its_trailing_edge \
     store_old_trajectory_aborts_loudly
+cargo test -q --release -p overset-bench --lib -- --ignored \
+    full_effort_table5_aborts_naming_one_rank
 
 echo "== criterion microbenches compile =="
 cargo bench --no-run
