@@ -244,9 +244,10 @@ impl AdaptiveScheme {
         self.body_center = t.apply(self.body_center);
         self.body_solid = self.body_solid.transformed(t);
         // A regrid of a body at rest before and after the jump: the grid
-        // moves, but its nodes keep no ALE velocity.
+        // moves, but its nodes keep no ALE velocity (the block drops the
+        // field, which reads as zero).
         self.near.apply_motion(t, self.cfg.fc.dt);
-        self.near.grid_vel.fill([0.0; 3]);
+        self.near.grid_vel = None;
 
         // Error indicator: pressure variation within the region.
         let states: Vec<StateField> = self

@@ -103,7 +103,7 @@ fn solver_kernels(c: &mut Criterion) {
                         dir == 0,
                         block3.q.as_slice(),
                         block3.metrics.as_slice(),
-                        block3.grid_vel.as_slice(),
+                        block3.grid_vel.as_ref().map(|v| v.as_slice()),
                         mm,
                         &mut dw,
                         &mut fr,
@@ -166,7 +166,7 @@ fn thin_block_kernels(c: &mut Criterion) {
                             dir == 0,
                             block.q.as_slice(),
                             block.metrics.as_slice(),
-                            block.grid_vel.as_slice(),
+                            block.grid_vel.as_ref().map(|v| v.as_slice()),
                             mm,
                             &mut dw,
                             &mut fr,

@@ -202,11 +202,12 @@ impl Shared {
     }
 
     /// Wake ranks parked by [`Shared::park`]: everything waiting on `cv`
-    /// (1:1), and each of `ranks` through the scheduler (M:N).
+    /// (1:1), or each of `ranks` through the scheduler (M:N, where no rank
+    /// waits on a condvar and a notify would be a wasted syscall).
     fn wake(&self, cv: &Condvar, ranks: impl IntoIterator<Item = usize>) {
-        cv.notify_all();
-        if let Some(mn) = &self.mn {
-            ranks.into_iter().for_each(|r| mn.wake(r));
+        match &self.mn {
+            Some(mn) => ranks.into_iter().for_each(|r| mn.wake(r)),
+            None => cv.notify_all(),
         }
     }
 
@@ -1609,6 +1610,47 @@ mod tests {
         for o in &out {
             assert_eq!(o.result, expect);
             assert_eq!(o.steps.len(), 1);
+        }
+    }
+
+    /// Lost-wake-up stress for the workers' `parked` flag: 64 ranks ping-pong
+    /// with a partner on another worker, then meet at a barrier, for 2 000
+    /// rounds, on 2 and on 4 workers. A wake that skipped its notify while
+    /// the worker went to sleep would hang the run, so each run must finish
+    /// within a deadline, with clocks bit-equal to the 1:1 run's.
+    #[test]
+    fn mn_wakes_are_never_lost_across_workers() {
+        fn rounds(c: &mut Comm) -> f64 {
+            let partner = c.rank() ^ 1;
+            for round in 0..2_000u64 {
+                if c.rank() % 2 == 0 {
+                    c.send(partner, round, round, 8);
+                    assert_eq!(c.recv::<u64>(partner, round), round + 1);
+                } else {
+                    let v = c.recv::<u64>(partner, round);
+                    c.send(partner, round, v + 1, 8);
+                }
+                c.barrier();
+            }
+            c.now()
+        }
+        let clocks = |workers: Option<usize>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let b = Universe::builder().ranks(64).machine(&MachineModel::ibm_sp2());
+                let b = match workers {
+                    Some(n) => b.max_threads(n),
+                    None => b,
+                };
+                let out = b.run(rounds);
+                tx.send(out.iter().map(|o| o.clock.to_bits()).collect::<Vec<_>>()).unwrap();
+            });
+            rx.recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("{workers:?} workers: no result in 120 s, a lost wake"))
+        };
+        let one_to_one = clocks(None);
+        for workers in [2, 4] {
+            assert_eq!(clocks(Some(workers)), one_to_one, "{workers} workers");
         }
     }
 

@@ -224,8 +224,17 @@ unsafe fn run_coro(coro: *mut Coro) {
 
 // ---- worker pool --------------------------------------------------------
 
+/// A worker's wake queue. `parked` is true while the worker waits on `cv`;
+/// it is set before the wait and cleared by the drain (or by the first
+/// waker, which then notifies), both under the mutex, so a wake never makes
+/// a futex call unless the worker sleeps, and is never lost when it does.
+struct InboxInner {
+    ranks: Vec<usize>,
+    parked: bool,
+}
+
 struct Inbox {
-    q: Mutex<Vec<usize>>,
+    q: Mutex<InboxInner>,
     cv: Condvar,
 }
 
@@ -245,7 +254,10 @@ impl MnShared {
         assert!(nworkers >= 1);
         MnShared {
             inboxes: (0..nworkers)
-                .map(|_| Inbox { q: Mutex::new(Vec::new()), cv: Condvar::new() })
+                .map(|_| Inbox {
+                    q: Mutex::new(InboxInner { ranks: Vec::new(), parked: false }),
+                    cv: Condvar::new(),
+                })
                 .collect(),
             nworkers,
         }
@@ -255,11 +267,15 @@ impl MnShared {
         self.nworkers
     }
 
-    /// Make rank `rank` runnable again on its owning worker.
+    /// Make rank `rank` runnable again on its owning worker, notifying the
+    /// worker only if it is parked on its inbox.
     pub(crate) fn wake(&self, rank: usize) {
         let ib = &self.inboxes[rank % self.nworkers];
-        ib.q.lock().expect("inbox poisoned").push(rank);
-        ib.cv.notify_one();
+        let mut q = ib.q.lock().expect("inbox poisoned");
+        q.ranks.push(rank);
+        if std::mem::take(&mut q.parked) {
+            ib.cv.notify_one();
+        }
     }
 }
 
@@ -301,13 +317,15 @@ pub(crate) fn worker_loop(
         let ib = &shared.inboxes[widx];
         let mut q = ib.q.lock().expect("inbox poisoned");
         loop {
-            if !q.is_empty() {
-                ready.extend(q.drain(..).map(|r| {
+            if !q.ranks.is_empty() {
+                q.parked = false;
+                ready.extend(q.ranks.drain(..).map(|r| {
                     debug_assert_eq!(r % nw, widx, "rank {r} woken on wrong worker");
                     r / nw
                 }));
                 break;
             }
+            q.parked = true;
             match watchdog {
                 None => q = ib.cv.wait(q).expect("inbox poisoned"),
                 Some(period) => {

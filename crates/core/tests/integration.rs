@@ -178,7 +178,8 @@ fn flow_abort(r: Result<overflow_d::RunResult, overset_comm::OversetError>) -> S
 /// step, grid, cell and variable. The airfoil's O-grid and background
 /// (~440 nodes, one grid per rank), with the O-grid whirled about its
 /// quarter chord at up to tens of a∞: only its rank goes non-physical, so
-/// first-failure-wins has one candidate, and threads and M:N agree.
+/// it is the lowest failing rank the runtime names, and threads and M:N
+/// agree.
 #[test]
 fn a_non_physical_node_aborts_the_flow_phase_naming_its_cell() {
     use overset_motion::{BodyMotion, Prescribed};

@@ -26,7 +26,7 @@
 use crate::block::{Blank, Block};
 use crate::conditions::{sound_speed, FlowConditions};
 use crate::kernels::{
-    self, Cyclic, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, E_FIELDS, FR_LAM, FWD_CARRIES,
+    self, Cyclic, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, E_FIELDS, FR_OP, FWD_CARRIES,
     NCLASS, NVW,
 };
 use crate::lanes::{select_isa, Isa, W};
@@ -227,9 +227,9 @@ fn line_buf(comm: &mut impl SolverComm, send: bool, len: usize) -> Vec<f64> {
     }
 }
 
-/// Eigenvalues and spectral radius of the node just outside a line's owned
-/// range (`[Ũ, Ũ + c̃, Ũ − c̃, σ]`): all the implicit rows need of a
-/// neighbor's frame.
+/// The J-scaled contravariant speed and sound speed `[Ũ, c̃]` of the node
+/// just outside a line's owned range: all the implicit rows need of a
+/// neighbor's frame (its eigenvalues and spectral radius follow from them).
 type EdgeRow = [f64; EDGE_FIELDS];
 
 /// The edge row of the characteristic frame at storage offset `s`, in the
@@ -244,11 +244,9 @@ fn edge_row(block: &Block, s: usize, dir: usize) -> EdgeRow {
     let rho = q[0];
     let u = [q[1] / rho, q[2] / rho, q[3] / rho];
     let c = sound_speed(q);
-    let vg = block.grid_vel.as_slice()[s];
+    let vg = block.grid_vel.as_ref().map_or([0.0; 3], |v| v.as_slice()[s]);
     let u_rel_n = sv[0] * (u[0] - vg[0]) + sv[1] * (u[1] - vg[1]) + sv[2] * (u[2] - vg[2]);
-    let u_tilde = u_rel_n / jac;
-    let c_tilde = c * s_norm / jac;
-    [u_tilde, u_tilde + c_tilde, u_tilde - c_tilde, u_tilde.abs() + c_tilde]
+    [u_rel_n / jac, c * s_norm / jac]
 }
 
 /// Where the implicit lines of one direction live: line `li` starts at SoA
@@ -313,7 +311,7 @@ impl Lines {
         let contiguous = gl == W && (1..W).all(|l| m0[l] == m0[0] + l);
         contiguous.then(|| {
             let at = |base| LaneRows { base, row: self.mstep, field: mm };
-            (at(FR_LAM * mm + m0[0]), at(m0[0]))
+            (at(FR_OP * mm + m0[0]), at(m0[0]))
         })
     }
 }
@@ -336,7 +334,7 @@ fn pack_group(
     d: &mut [f64],
 ) {
     let m0 = ln.group(gb, gl);
-    kernels::pack_lines(isa, &fr[FR_LAM * mm..], mm, m0, ln.mstep, n, E_FIELDS, eig);
+    kernels::pack_lines(isa, &fr[FR_OP * mm..], mm, m0, ln.mstep, n, E_FIELDS, eig);
     kernels::pack_lines(isa, dw, mm, m0, ln.mstep, n, NVAR, d);
 }
 
@@ -375,7 +373,7 @@ fn edge_lanes(
         for f in 0..EDGE_FIELDS {
             out[f * W + l] = edge[2 * li][f];
             out[(EDGE_FIELDS + f) * W + l] =
-                if n == ln.n { edge[2 * li + 1][f] } else { fr[(FR_LAM + f) * mm + seam] };
+                if n == ln.n { edge[2 * li + 1][f] } else { fr[(FR_OP + f) * mm + seam] };
         }
     }
     out
@@ -463,7 +461,7 @@ fn forward_stage(
         fresh,
         block.q.as_slice(),
         block.metrics.as_slice(),
-        block.grid_vel.as_slice(),
+        block.grid_vel.as_ref().map(|v| v.as_slice()),
         mm,
         &mut ws.dw,
         &mut ws.fr,
@@ -938,7 +936,7 @@ pub(crate) mod tests {
         let rho = q[0];
         let u = [q[1] / rho, q[2] / rho, q[3] / rho];
         let c = sound_speed(q);
-        let vg = block.grid_vel[p];
+        let vg = block.grid_vel_at(p);
         let u_rel_n = s[0] * (u[0] - vg[0]) + s[1] * (u[1] - vg[1]) + s[2] * (u[2] - vg[2]);
         let u_tilde = u_rel_n / jac;
         let c_tilde = c * s_norm / jac;
@@ -1032,6 +1030,17 @@ pub(crate) mod tests {
         let coords = Field3::from_fn(d, |p| [p.i as f64 * 0.2, p.j as f64 * 0.2, p.k as f64 * 0.2]);
         let g = CurvilinearGrid::new("u", coords, GridKind::Background);
         Block::from_grid(0, &g, d.full_box(), [None; 6], fc)
+    }
+
+    /// The frame SoA keeps 14 doubles per owned node (k, t1, ρ, u, c, Ũ, c̃
+    /// and the identity mask): what it can rebuild exactly is not stored.
+    #[test]
+    fn the_frame_soa_holds_fourteen_doubles_per_owned_node() {
+        let fc = FlowConditions::new(0.8, 5.0, 0.0);
+        let mut b = uniform_block(8, &fc);
+        let mut ws = Scratch::for_block(&b);
+        crate::step::step_block(&mut b, &fc, None, &mut SerialComm, &mut ws);
+        assert_eq!(ws.fr.len(), 14 * b.owned_count());
     }
 
     #[test]
@@ -1324,7 +1333,8 @@ pub(crate) mod tests {
     }
 
     /// The block of `owned` with state, grid velocity, blanking and the
-    /// increment all keyed by global node. Returns the block and `dq`.
+    /// increment all keyed by global node. Half of the seeds give the block
+    /// no grid velocity, which reads as zero. Returns the block and `dq`.
     fn keyed_block(
         g: &CurvilinearGrid,
         owned: IndexBox,
@@ -1333,6 +1343,9 @@ pub(crate) mod tests {
     ) -> (Block, StateField) {
         let fc = FlowConditions::new(0.8, 3.0, 0.0);
         let mut b = Block::from_grid(0, g, owned, neighbor, &fc);
+        if keyed(seed, [-1; 3], 20) < 0.5 {
+            b.grid_vel = Some(Field3::new(b.local_dims, [0.0; 3]));
+        }
         let mut dq = StateField::new(b.local_dims);
         let period = g.dims().ni as isize - 1;
         for p in b.local_dims.iter() {
@@ -1347,7 +1360,9 @@ pub(crate) mod tests {
             let r = |salt: u64| keyed(seed, gl, salt);
             let prim = [0.6 + r(1), r(2) - 0.5, r(3) - 0.5, r(4) - 0.5, 0.4 + 0.8 * r(5)];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
-            b.grid_vel[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
+            if let Some(v) = &mut b.grid_vel {
+                v[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
+            }
             b.iblank[p] = match (r(9) * 10.0) as usize {
                 0 => Blank::Hole,
                 1 => Blank::Fringe,

@@ -56,7 +56,7 @@ fn apply_at(
             let qi = *block.q.node(inner);
             let rho = qi[0];
             let p_wall = pressure(&qi); // zero normal pressure gradient
-            let vg = block.grid_vel[p];
+            let vg = block.grid_vel_at(p);
             let vel = if viscous {
                 // No-slip relative to the (possibly moving) wall.
                 vg
@@ -256,9 +256,7 @@ mod tests {
     fn moving_wall_takes_grid_velocity() {
         let fc = FlowConditions::new(0.8, 0.0, 1.0e6);
         let mut b = wall_block(true);
-        for v in b.grid_vel.as_mut_slice() {
-            *v = [0.3, 0.1, 0.0];
-        }
+        b.grid_vel = Some(Field3::new(b.local_dims, [0.3, 0.1, 0.0]));
         apply_bcs(&mut b, &fc);
         let ow = b.owned_local();
         let q = b.q.node(Ijk::new(2, ow.lo.j, 0));

@@ -48,10 +48,14 @@ pub struct Block {
     pub q: StateField,
     /// Node blanking (local).
     pub iblank: Field3<Blank>,
-    /// Grid velocity at nodes (for moving grids), local.
-    pub grid_vel: Field3<[f64; 3]>,
-    /// Turbulent eddy viscosity at nodes (Baldwin–Lomax), local.
-    pub mu_t: Field3<f64>,
+    /// Grid velocity at nodes (the ALE fluxes of a moving grid), local:
+    /// absent until the block first moves ([`Block::apply_motion`],
+    /// [`Block::set_grid_velocity_from`]); an absent field reads as zero.
+    pub grid_vel: Option<Field3<[f64; 3]>>,
+    /// Turbulent eddy viscosity at nodes (Baldwin–Lomax), local: absent
+    /// until the model first runs ([`crate::turbulence::compute_mu_t`]); an
+    /// absent field reads as zero.
+    pub mu_t: Option<Field3<f64>>,
     /// Interface neighbor rank per face (IMin, IMax, JMin, JMax, KMin, KMax);
     /// `None` at physical boundaries.
     pub neighbor: [Option<usize>; 6],
@@ -88,7 +92,8 @@ impl Block {
     /// [`Block::from_grid`] with the grid moved by `pose`, the cumulative
     /// motion of a grid stored at its t = 0 pose (blocks rebuilt after a
     /// repartition): the coordinates are moved before the metrics are
-    /// computed, once. Grid velocities are zero.
+    /// computed, once. The block has no grid velocity and no eddy viscosity
+    /// yet: both read as zero.
     pub fn from_grid_posed(
         grid_id: usize,
         grid: &CurvilinearGrid,
@@ -122,8 +127,8 @@ impl Block {
             metrics,
             q: StateField::new(local_dims),
             iblank: Field3::new(local_dims, Blank::Field),
-            grid_vel: Field3::new(local_dims, [0.0; 3]),
-            mu_t: Field3::new(local_dims, 0.0),
+            grid_vel: None,
+            mu_t: None,
             neighbor,
             periodic_i_grid: wrap,
             self_wrap_i: wrap && owned.dims().ni == gd.ni,
@@ -238,12 +243,25 @@ impl Block {
         metrics_into(&self.coords, &mut self.metrics)
     }
 
+    /// Grid velocity of local node `p`: zero on a block that has not moved.
+    #[inline]
+    pub fn grid_vel_at(&self, p: Ijk) -> [f64; 3] {
+        self.grid_vel.as_ref().map_or([0.0; 3], |v| v[p])
+    }
+
+    /// Eddy viscosity of local node `p`: zero before the model first runs.
+    #[inline]
+    pub fn mu_t_at(&self, p: Ijk) -> f64 {
+        self.mu_t.as_ref().map_or(0.0, |m| m[p])
+    }
+
     /// Apply a rigid motion to the block geometry (and set grid velocities
-    /// for the ALE fluxes), then refresh metrics.
+    /// for the ALE fluxes, the field created on the first motion), then
+    /// refresh metrics.
     pub fn apply_motion(&mut self, t: &RigidTransform, dt: f64) {
-        for (p, v) in
-            self.coords.as_mut_slice().iter_mut().zip(self.grid_vel.as_mut_slice().iter_mut())
-        {
+        let dims = self.local_dims;
+        let vel = self.grid_vel.get_or_insert_with(|| Field3::new(dims, [0.0; 3]));
+        for (p, v) in self.coords.as_mut_slice().iter_mut().zip(vel.as_mut_slice()) {
             let old = *p;
             *p = t.apply(old);
             *v = [(p[0] - old[0]) / dt, (p[1] - old[1]) / dt, (p[2] - old[2]) / dt];
@@ -257,7 +275,9 @@ impl Block {
     /// blocks are rebuilt at the current pose but must keep the ALE state.
     pub fn set_grid_velocity_from(&mut self, t: &RigidTransform, dt: f64) {
         let inv = t.inverse();
-        for (x, v) in self.coords.as_slice().iter().zip(self.grid_vel.as_mut_slice().iter_mut()) {
+        let dims = self.local_dims;
+        let vel = self.grid_vel.get_or_insert_with(|| Field3::new(dims, [0.0; 3]));
+        for (x, v) in self.coords.as_slice().iter().zip(vel.as_mut_slice()) {
             let old = inv.apply(*x);
             *v = [(x[0] - old[0]) / dt, (x[1] - old[1]) / dt, (x[2] - old[2]) / dt];
         }
@@ -375,8 +395,9 @@ impl Block {
     /// doubles per local node — state (5), metrics (10), coordinates (3),
     /// grid velocity (3) and a residual array (5) — the input of the
     /// virtual machine's cache term. A model constant, not a measure of this
-    /// program's buffers: the host keeps the increment in its own layout,
-    /// and changing host scratch must not move the virtual clocks.
+    /// program's buffers: the host keeps the increment in its own layout and
+    /// stores no grid velocity on a grid that never moved, and changing host
+    /// storage must not move the virtual clocks.
     pub fn working_set_bytes(&self) -> f64 {
         let n = self.local_dims.count() as f64;
         n * 8.0 * 26.0
@@ -715,8 +736,40 @@ mod tests {
         b.apply_motion(&t, 0.1);
         let after = b.coords[Ijk::new(3, 3, 0)];
         assert!((after[0] - before[0] - 0.3).abs() < 1e-12);
-        let v = b.grid_vel[Ijk::new(3, 3, 0)];
+        let v = b.grid_vel_at(Ijk::new(3, 3, 0));
         assert!((v[0] - 3.0).abs() < 1e-12);
+    }
+
+    /// Bytes per local node of each field the block stores.
+    fn stored_bytes_per_node(b: &Block) -> usize {
+        fn bytes<T>(f: &Field3<T>) -> usize {
+            std::mem::size_of_val(f.as_slice())
+        }
+        let (vel, mu_t) = (b.grid_vel.as_ref().map_or(0, bytes), b.mu_t.as_ref().map_or(0, bytes));
+        let fields = bytes(&b.coords) + bytes(&b.metrics) + bytes(&b.iblank) + vel + mu_t;
+        (fields + std::mem::size_of_val(b.q.as_slice())) / b.local_dims.count()
+    }
+
+    /// A block stores coordinates, metrics, state and blanking (145 bytes
+    /// per local node); its grid velocity comes with its first motion and
+    /// its eddy viscosity with the model's first pass, and both read as
+    /// zero before.
+    #[test]
+    fn a_block_stores_only_the_fields_its_grid_uses() {
+        let g = test_grid(12, 10, 8);
+        let owned = IndexBox::new(Ijk::new(2, 0, 1), Ijk::new(9, 6, 5));
+        let mut b = Block::from_grid(0, &g, owned, [None; 6], &fc());
+        assert_eq!(stored_bytes_per_node(&b), 24 + 80 + 40 + 1);
+        let p = Ijk::new(3, 2, 1);
+        assert_eq!((b.grid_vel_at(p), b.mu_t_at(p)), ([0.0; 3], 0.0));
+        b.apply_motion(&RigidTransform::IDENTITY, 0.1);
+        assert_eq!(stored_bytes_per_node(&b), 145 + 24);
+        let wall = crate::turbulence::WallGeometry::from_grid(&g, owned);
+        crate::turbulence::compute_mu_t(&mut b, &wall);
+        assert_eq!(stored_bytes_per_node(&b), 145 + 24 + 8);
+        b.apply_motion(&RigidTransform::IDENTITY, 0.1);
+        crate::turbulence::compute_mu_t(&mut b, &wall);
+        assert_eq!(stored_bytes_per_node(&b), 177, "fields are made once");
     }
 
     /// The metrics the block shipped before it computed them in place: a

@@ -77,22 +77,21 @@ macro_rules! lane_kernel {
 
 /// SoA field offsets of the cached characteristic frames (`fr` arrays,
 /// layout `fr[field * stride + m]` for node index `m`): metric normal `k`,
-/// tangents `t1`/`t2`, density, velocity, sound speed, the signed
-/// eigenvalues of the three eigenvalue classes, the spectral radius, and the
-/// identity mask of the implicit rows (sign bit set on blanked nodes).
-/// Density, velocity, sound speed and the mask do not depend on the
-/// direction.
+/// tangent `t1`, density, velocity, sound speed, then the operator rows of
+/// the implicit sweeps ([`FR_OP`]..). Density, velocity, sound speed and the
+/// identity mask do not depend on the direction. 14 fields in all: the
+/// second tangent t2 = k × t1, the class eigenvalues and the spectral radius
+/// are exact functions of these and are formed where they are read, in the
+/// operation order of the scalar `char_frame` reference.
 pub const FR_K: usize = 0;
 pub const FR_T1: usize = 3;
-pub const FR_T2: usize = 6;
-pub const FR_RHO: usize = 9;
-pub const FR_U: usize = 10;
-pub const FR_C: usize = 13;
-pub const FR_LAM: usize = 14;
-pub const FR_SIG: usize = FR_LAM + E_SIG;
-pub const FR_IDM: usize = FR_LAM + E_IDM;
+pub const FR_RHO: usize = 6;
+pub const FR_U: usize = 7;
+pub const FR_C: usize = 10;
+pub const FR_OP: usize = 11;
+pub const FR_IDM: usize = FR_OP + E_IDM;
 /// Number of SoA frame fields.
-pub const FR_FIELDS: usize = FR_LAM + E_FIELDS;
+pub const FR_FIELDS: usize = FR_OP + E_FIELDS;
 
 /// The eigenvalue classes of the characteristic fields: Ũ (entropy and the
 /// two shears), Ũ + c̃, Ũ − c̃. Fields of a class share their implicit
@@ -103,14 +102,16 @@ pub const CLASS: [usize; NVAR] = [0, 0, 0, 1, 2];
 pub const CLASS_FIELD: [usize; NCLASS] = [0, 3, 4];
 
 /// The fields of one row of an implicit operator, in frame-SoA order from
-/// [`FR_LAM`] on: the class eigenvalues, the spectral radius, the identity
-/// mask.
-pub const E_SIG: usize = NCLASS;
-pub const E_IDM: usize = NCLASS + 1;
-pub const E_FIELDS: usize = NCLASS + 2;
+/// [`FR_OP`] on: the J-scaled contravariant speed Ũ and sound speed c̃ (the
+/// class eigenvalues are Ũ, Ũ + c̃, Ũ − c̃ and the spectral radius |Ũ| + c̃),
+/// and the identity mask (sign bit set on blanked nodes).
+pub const E_UT: usize = 0;
+pub const E_CT: usize = 1;
+pub const E_IDM: usize = 2;
+pub const E_FIELDS: usize = 3;
 /// The two frames just outside a group's lines (rows `-1` and `n`), lane
-/// interleaved: eigenvalues and spectral radius of each, `[lo, hi]`.
-pub const EDGE_FIELDS: usize = E_SIG + 1;
+/// interleaved: Ũ and c̃ of each, `[lo, hi]`.
+pub const EDGE_FIELDS: usize = E_IDM;
 pub const EDGE_LEN: usize = 2 * EDGE_FIELDS * W;
 
 /// SoA field offsets of the residual's per-direction node cache: pressure,
@@ -293,9 +294,18 @@ fn gather_metric<L: Lane4>(met: &[Metric], dir: usize, s: usize, nv: usize) -> (
     ([L::from_array(g[0]), L::from_array(g[1]), L::from_array(g[2])], L::from_array(jac))
 }
 
-/// Grid velocity of `nv` consecutive nodes, one node per lane.
+/// The cross product `a × b`, lanewise: how the frame kernels form both
+/// tangents.
 #[inline(always)]
-fn gather_velocity<L: Lane4>(vel: &[[f64; 3]], s: usize, nv: usize) -> [L; 3] {
+fn cross<L: Lane4>([a0, a1, a2]: [L; 3], [b0, b1, b2]: [L; 3]) -> [L; 3] {
+    [a1.mul(b2).sub(a2.mul(b1)), a2.mul(b0).sub(a0.mul(b2)), a0.mul(b1).sub(a1.mul(b0))]
+}
+
+/// Grid velocity of `nv` consecutive nodes, one node per lane; zero where
+/// the block has no velocity field.
+#[inline(always)]
+fn gather_velocity<L: Lane4>(vel: Option<&[[f64; 3]]>, s: usize, nv: usize) -> [L; 3] {
+    let Some(vel) = vel else { return [L::splat(0.0); 3] };
     let vel = &vel[s..s + nv];
     let mut v = [[0.0; W]; 3];
     for l in 0..W {
@@ -341,9 +351,11 @@ fn gather_metric_at<L: Lane4>(met: &[Metric], dir: usize, s: [usize; W]) -> ([L;
     ([L::from_array(g[0]), L::from_array(g[1]), L::from_array(g[2])], L::from_array(jac))
 }
 
-/// Grid velocity of the nodes at storage offsets `s`, one per lane.
+/// Grid velocity of the nodes at storage offsets `s`, one per lane; zero
+/// where the block has no velocity field.
 #[inline(always)]
-fn gather_velocity_at<L: Lane4>(vel: &[[f64; 3]], s: [usize; W]) -> [L; 3] {
+fn gather_velocity_at<L: Lane4>(vel: Option<&[[f64; 3]]>, s: [usize; W]) -> [L; 3] {
+    let Some(vel) = vel else { return [L::splat(0.0); 3] };
     let mut v = [[0.0; W]; 3];
     for l in 0..W {
         for t in 0..3 {
@@ -494,7 +506,8 @@ lane_kernel! {
     /// Pointwise characteristic frames + forward transform over the owned
     /// nodes in storage order: for every node of `rows` compute the local
     /// characteristic frame of direction `dir` straight from the block
-    /// arrays (`q` interleaved state, `met`, `vel`) and transform the
+    /// arrays (`q` interleaved state, `met`, `vel` — `None` on a block that
+    /// has not moved, zero velocity) and transform the
     /// conservative RHS `dw` (five fields × `stride`, in place) to
     /// characteristic variables. The frame is written to the SoA `fr`
     /// ([`FR_K`]..). Density, velocity and sound speed are computed only
@@ -514,7 +527,7 @@ lane_kernel! {
         fresh: bool,
         q: &[f64],
         met: &[Metric],
-        vel: &[[f64; 3]],
+        vel: Option<&[[f64; 3]]>,
         stride: usize,
         dw: &mut [f64],
         fr: &mut [f64],
@@ -550,19 +563,11 @@ lane_kernel! {
             // Deterministic tangent basis: branch -> per-lane select of
             // the reference axis, then the identical cross products.
             let tangent_x = k0.abs().lt(L::splat(0.9));
-            let ax = L::select(tangent_x, one, zero);
-            let ay = L::select(tangent_x, zero, one);
-            let az = zero;
-            let mut t10 = k1.mul(az).sub(k2.mul(ay));
-            let mut t11 = k2.mul(ax).sub(k0.mul(az));
-            let mut t12 = k0.mul(ay).sub(k1.mul(ax));
+            let a = [L::select(tangent_x, one, zero), L::select(tangent_x, zero, one), zero];
+            let [t10, t11, t12] = cross([k0, k1, k2], a);
             let n1 = t10.mul(t10).add(t11.mul(t11)).add(t12.mul(t12)).sqrt();
-            t10 = t10.div(n1);
-            t11 = t11.div(n1);
-            t12 = t12.div(n1);
-            let t20 = k1.mul(t12).sub(k2.mul(t11));
-            let t21 = k2.mul(t10).sub(k0.mul(t12));
-            let t22 = k0.mul(t11).sub(k1.mul(t10));
+            let (t10, t11, t12) = (t10.div(n1), t11.div(n1), t12.div(n1));
+            let [t20, t21, t22] = cross([k0, k1, k2], [t10, t11, t12]);
 
             // (Macros, not closures: a closure body would be compiled
             // outside the kernel's `target_feature` scope.)
@@ -602,23 +607,14 @@ lane_kernel! {
                 .mul(u0.sub(vg0))
                 .add(s1.mul(u1.sub(vg1)))
                 .add(s2.mul(u2.sub(vg2)));
-            let u_tilde = u_rel_n.div(jac);
-            let c_tilde = c.mul(s_norm).div(jac);
-            let sigma = u_tilde.abs().add(c_tilde);
-
             put!(FR_K, k0);
             put!(FR_K + 1, k1);
             put!(FR_K + 2, k2);
             put!(FR_T1, t10);
             put!(FR_T1 + 1, t11);
             put!(FR_T1 + 2, t12);
-            put!(FR_T2, t20);
-            put!(FR_T2 + 1, t21);
-            put!(FR_T2 + 2, t22);
-            put!(FR_LAM, u_tilde);
-            put!(FR_LAM + 1, u_tilde.add(c_tilde));
-            put!(FR_LAM + 2, u_tilde.sub(c_tilde));
-            put!(FR_SIG, sigma);
+            put!(FR_OP + E_UT, u_rel_n.div(jac));
+            put!(FR_OP + E_CT, c.mul(s_norm).div(jac));
 
             // to_char, lanewise in the scalar operation order.
             // SAFETY (the loads and stores of `dwr`): fields below NVAR,
@@ -657,9 +653,9 @@ lane_kernel! {
     /// Pointwise inverse characteristic transform (`from_char`) over the
     /// first `mm` nodes of the SoA: `dw` enters holding the characteristic
     /// solution (five fields × `stride`) and leaves holding conservative
-    /// increments, using the frame SoA written by [`frames_forward_rows`].
-    /// Scalar operation order per lane, so results are bit-identical across
-    /// ISAs.
+    /// increments, using the frame SoA written by [`frames_forward_rows`]
+    /// and forming t2 = k × t1 as that kernel did. Scalar operation order
+    /// per lane, so results are bit-identical across ISAs.
     pub fn from_char_lanes<L>(
         mm: usize,
         stride: usize,
@@ -684,9 +680,7 @@ lane_kernel! {
             let t10 = get!(FR_T1);
             let t11 = get!(FR_T1 + 1);
             let t12 = get!(FR_T1 + 2);
-            let t20 = get!(FR_T2);
-            let t21 = get!(FR_T2 + 1);
-            let t22 = get!(FR_T2 + 2);
+            let [t20, t21, t22] = cross([k0, k1, k2], [t10, t11, t12]);
             let rho = get!(FR_RHO);
             let u0 = get!(FR_U);
             let u1 = get!(FR_U + 1);
@@ -729,7 +723,8 @@ lane_kernel! {
     /// pressure, the scaled spectral radius σ̂ = |Û_rel| + c|Ŝ|, the
     /// contravariant ALE flux F̂ of direction `dir`, the conserved state and
     /// the blanking masks ([`RC_P`], [`RC_SIG`], [`RC_F`].., [`RC_Q`]..,
-    /// [`RC_FIELD`], [`RC_LIVE`]). Each lane runs the exact operation
+    /// [`RC_FIELD`], [`RC_LIVE`]); `vel` is `None` on a block that has not
+    /// moved (zero velocity). Each lane runs the exact operation
     /// sequence of the scalar `pressure` / `spectral_radius` / `hat_flux`
     /// reference in [`crate::rhs`].
     pub fn flux_node_row<L>(
@@ -740,7 +735,7 @@ lane_kernel! {
         q: &[f64],
         ib: &[Blank],
         met: &[Metric],
-        vel: &[[f64; 3]],
+        vel: Option<&[[f64; 3]]>,
         stride: usize,
         cache: &mut [f64],
     ) {
@@ -748,7 +743,7 @@ lane_kernel! {
         let gam = L::splat(GAMMA);
         let mut out = FieldRows::new(cache, RC_FIELDS, stride, [m0], n);
         let (q, ib) = (&q[s0 * NVAR..(s0 + n) * NVAR], &ib[s0..s0 + n]);
-        let (met, vel) = (&met[s0..s0 + n], &vel[s0..s0 + n]);
+        let (met, vel) = (&met[s0..s0 + n], vel.map(|v| &v[s0..s0 + n]));
         lane_groups!(n, |i, nv| {
             let qn = gather_state::<L>(q, i, nv);
             let ([g0, g1, g2], jac) = gather_metric::<L>(met, dir, i, nv);
@@ -897,9 +892,10 @@ lane_kernel! {
     /// Thin-layer node pass over a row of `n` nodes (block storage offsets
     /// `s0..`, node-cache positions `m0..`): the Jacobian and the field mask
     /// and, when `viscous`, velocity, kinetic energy, a² = γp/ρ, the
-    /// Sutherland viscosity, Ŝ = J∇η and the eddy viscosity ([`VC_U`]..),
-    /// in the operation order of the scalar `viscous_face_flux` reference
-    /// (`powf` stays the libm call, per lane).
+    /// Sutherland viscosity, Ŝ = J∇η and the eddy viscosity ([`VC_U`]..;
+    /// zero where `mu_t` is `None`, before the model first runs), in the
+    /// operation order of the scalar `viscous_face_flux` reference (`powf`
+    /// stays the libm call, per lane).
     pub fn viscous_node_row<L>(
         n: usize,
         s0: usize,
@@ -908,7 +904,7 @@ lane_kernel! {
         q: &[f64],
         ib: &[Blank],
         met: &[Metric],
-        mu_t: &[f64],
+        mu_t: Option<&[f64]>,
         stride: usize,
         cache: &mut [f64],
     ) {
@@ -918,7 +914,7 @@ lane_kernel! {
         let gam = L::splat(GAMMA);
         let mut out = FieldRows::new(cache, VC_FIELDS, stride, [m0], n);
         let (q, ib) = (&q[s0 * NVAR..(s0 + n) * NVAR], &ib[s0..s0 + n]);
-        let (met, mu_t) = (&met[s0..s0 + n], &mu_t[s0..s0 + n]);
+        let (met, mu_t) = (&met[s0..s0 + n], mu_t.map(|m| &m[s0..s0 + n]));
         lane_groups!(n, |i, nv| {
             macro_rules! put {
                 ($f:expr, $x:expr) => {
@@ -953,7 +949,10 @@ lane_kernel! {
                 put!(VC_S, e0.mul(jac));
                 put!(VC_S + 1, e1.mul(jac));
                 put!(VC_S + 2, e2.mul(jac));
-                put!(VC_MUT, L::load_n(&mu_t[i..], nv));
+                put!(VC_MUT, match mu_t {
+                    Some(m) => L::load_n(&m[i..], nv),
+                    None => L::splat(0.0),
+                });
             }
         });
     }
@@ -1214,6 +1213,20 @@ fn coeffs<L: Lane4>(dt: L, tbd: L, lam_m: L, sig_m: L, sig_0: L, lam_p: L, sig_p
     (a, b, cc)
 }
 
+/// The class eigenvalues (Ũ, Ũ + c̃, Ũ − c̃) and the spectral radius
+/// |Ũ| + c̃ of the operator row whose field 0 is at `a[o]`, its fields `f`
+/// apart, in the operation order of the scalar `char_frame` reference.
+///
+/// # Safety
+///
+/// The lanes of the row's fields [`E_UT`] and [`E_CT`] lie inside `a`.
+#[inline(always)]
+unsafe fn eigenvalues<L: Lane4>(a: &[f64], o: usize, f: usize) -> ([L; NCLASS], L) {
+    // SAFETY: by the caller's contract.
+    let (ut, ct) = unsafe { (load_at::<L>(a, o + E_UT * f), load_at::<L>(a, o + E_CT * f)) };
+    ([ut, ut.add(ct), ut.sub(ct)], ut.abs().add(ct))
+}
+
 /// Row `c` of a group's implicit operator: the identity mask and, per
 /// eigenvalue class, `(a, b, c)`, blanked rows blended to `(0, 1, 0)`.
 ///
@@ -1238,14 +1251,13 @@ unsafe fn operator<L: Lane4>(
     // SAFETY: rows `c - 1..=c + 1` are checked rows of `eig` or the edge
     // frames, whose `EDGE_FIELDS` fields lie inside `edge`.
     unsafe {
-        let sig_m = load_at::<L>(mb, mo + E_SIG * mf);
-        let sig_0 = load_at::<L>(eig, e_at.at(c, E_SIG));
-        let sig_p = load_at::<L>(pb, po + E_SIG * pf);
+        let (lam_m, sig_m) = eigenvalues::<L>(mb, mo, mf);
+        let (_, sig_0) = eigenvalues::<L>(eig, e_at.at(c, 0), e_at.field);
+        let (lam_p, sig_p) = eigenvalues::<L>(pb, po, pf);
         let ident = load_at::<L>(eig, e_at.at(c, E_IDM));
         let mut abc = [(zero, one, zero); NCLASS];
         for (e, x) in abc.iter_mut().enumerate() {
-            let (lam_m, lam_p) = (load_at::<L>(mb, mo + e * mf), load_at::<L>(pb, po + e * pf));
-            let (a, b, cc) = coeffs(dtv, tbd, lam_m, sig_m, sig_0, lam_p, sig_p);
+            let (a, b, cc) = coeffs(dtv, tbd, lam_m[e], sig_m, sig_0, lam_p[e], sig_p);
             *x = (L::select(ident, zero, a), L::select(ident, one, b), L::select(ident, zero, cc));
         }
         (ident, abc)
@@ -1277,9 +1289,9 @@ lane_kernel! {
     /// of one eigenvalue class sharing their coefficients and super-diagonals
     /// (the scalar recurrence computes them identically).
     ///
-    /// `eig` holds the operator rows ([`E_FIELDS`] fields: the class
-    /// eigenvalues, the spectral radius, the identity mask — sign bit set on
-    /// blanked rows) at `e_at`, `edge` the frames just outside the lines.
+    /// `eig` holds the operator rows ([`E_FIELDS`] fields: Ũ, c̃ and the
+    /// identity mask — sign bit set on blanked rows) at `e_at`, `edge` the
+    /// frames just outside the lines.
     /// `d` is the characteristic RHS in/out at `d_at`; `cp` receives the
     /// normalized super-diagonals, one per class (packed layout). `carry`
     /// (per field, [`FWD_CARRIES`] rows) enters holding the upstream pipeline

@@ -95,7 +95,8 @@ pub fn compute_residual(block: &Block, fc: &FlowConditions, ws: &mut Scratch) ->
         return (0, 0.0);
     };
     let viscous = block.viscous && fc.viscous_coefficient() > 0.0;
-    let (q, met, vel) = (block.q.as_slice(), block.metrics.as_slice(), block.grid_vel.as_slice());
+    let (q, met) = (block.q.as_slice(), block.metrics.as_slice());
+    let vel = block.grid_vel.as_ref().map(|v| v.as_slice());
     let (isa, mm, n) = (ws.isa, ow.count(), sweep.dims().ni);
     // The widest cache: five rows of `n + 4` nodes.
     const _: () = assert!(kernels::VC_FIELDS <= RC_FIELDS);
@@ -164,7 +165,7 @@ pub fn compute_residual(block: &Block, fc: &FlowConditions, ws: &mut Scratch) ->
     // through a ring of three rows along η.
     let (stride, slot) = (3 * n, |c: usize| (c % 3) * n);
     let (lo, hi) = (sweep.lo.get(ETA), sweep.hi.get(ETA));
-    let (coef, mu_t) = (fc.viscous_coefficient(), block.mu_t.as_slice());
+    let (coef, mu_t) = (fc.viscous_coefficient(), block.mu_t.as_ref().map(|m| m.as_slice()));
     let (mut nodes, mut sum) = (0u64, 0.0f64);
     for p0 in pencils(ETA) {
         let row = |c: usize| {
@@ -245,7 +246,7 @@ pub(crate) mod reference {
         let s = [g[0] * jac, g[1] * jac, g[2] * jac]; // Ŝ = J ∇ξ
         let inv_rho = 1.0 / q[0];
         let u = [q[1] * inv_rho, q[2] * inv_rho, q[3] * inv_rho];
-        let vg = block.grid_vel[p];
+        let vg = block.grid_vel_at(p);
         let p_stat = pressure(q);
         let u_s = s[0] * u[0] + s[1] * u[1] + s[2] * u[2];
         let ug_s = s[0] * vg[0] + s[1] * vg[1] + s[2] * vg[2];
@@ -269,7 +270,7 @@ pub(crate) mod reference {
         let s = [g[0] * jac, g[1] * jac, g[2] * jac];
         let s_norm = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt();
         let inv_rho = 1.0 / q[0];
-        let vg = block.grid_vel[p];
+        let vg = block.grid_vel_at(p);
         let u_rel = s[0] * (q[1] * inv_rho - vg[0])
             + s[1] * (q[2] * inv_rho - vg[1])
             + s[2] * (q[3] * inv_rho - vg[2]);
@@ -415,7 +416,7 @@ pub(crate) mod reference {
         let s_du = s[0] * du[0] + s[1] * du[1] + s[2] * du[2];
 
         let mu_l = 0.5 * (sutherland_viscosity(qa) + sutherland_viscosity(qb));
-        let mu_t = 0.5 * (block.mu_t[p] + block.mu_t[p1]);
+        let mu_t = 0.5 * (block.mu_t_at(p) + block.mu_t_at(p1));
         let mu = mu_l + mu_t;
         let coef = fc.viscous_coefficient();
 
@@ -543,9 +544,7 @@ mod tests {
         // the pressure terms, which are constant: residual ~ 0.
         let fc = FlowConditions::new(0.5, 0.0, 0.0);
         let mut b = uniform_block(8, &fc);
-        for v in b.grid_vel.as_mut_slice() {
-            *v = [0.5, 0.0, 0.0];
-        }
+        b.grid_vel = Some(Field3::new(b.local_dims, [0.5, 0.0, 0.0]));
         assert!(l2(&b, &fc) < 1e-13);
     }
 
@@ -610,7 +609,9 @@ mod tests {
     /// edge, physical faces elsewhere; random state, grid velocity and eddy
     /// viscosity on every local node including the halo; holes and fringes
     /// scattered everywhere, the storage edges included, with non-finite
-    /// garbage in some holes.
+    /// garbage in some holes. Half of the seeds give the block no grid
+    /// velocity, half no eddy viscosity: the absent field reads as zero, and
+    /// its values are drawn all the same, so the other fields do not change.
     fn random_block(seed: u64, three_d: bool, periodic: bool, viscous: bool) -> Block {
         let mut r = Rand(seed | 1);
         let fc = FlowConditions::new(0.8, 2.0, 1.0e4);
@@ -638,6 +639,12 @@ mod tests {
             neighbor[2 * dir + 1] = (b < n || wrap).then_some(2);
         }
         let mut b = Block::from_grid(0, &g, IndexBox::new(lo, hi), neighbor, &fc);
+        if crate::adi::tests::keyed(seed, [-1; 3], 20) < 0.5 {
+            b.grid_vel = Some(Field3::new(b.local_dims, [0.0; 3]));
+        }
+        if crate::adi::tests::keyed(seed, [-1; 3], 21) < 0.5 {
+            b.mu_t = Some(Field3::new(b.local_dims, 0.0));
+        }
         for p in b.local_dims.iter() {
             let prim = [
                 0.5 + r.next(),
@@ -647,9 +654,14 @@ mod tests {
                 0.3 + 0.9 * r.next(),
             ];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
-            b.grid_vel[p] =
-                [0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5)];
-            b.mu_t[p] = if r.below(3) == 0 { 0.0 } else { 40.0 * r.next() };
+            let vg = [0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5)];
+            let mu_t = if r.below(3) == 0 { 0.0 } else { 40.0 * r.next() };
+            if let Some(v) = &mut b.grid_vel {
+                v[p] = vg;
+            }
+            if let Some(m) = &mut b.mu_t {
+                m[p] = mu_t;
+            }
             b.iblank[p] = match r.below(12) {
                 0 => Blank::Hole,
                 1 | 2 => Blank::Fringe,

@@ -285,7 +285,9 @@ mod tests {
     /// The block of `owned` in `g`: state, grid velocity, eddy viscosity
     /// and blanking keyed by global node, so that every subdomain agrees
     /// with the whole grid, halos included. One node in twelve is a hole;
-    /// with `garbage`, half of the holes hold non-finite values.
+    /// with `garbage`, half of the holes hold non-finite values. Half of the
+    /// seeds give the block no grid velocity, half no eddy viscosity: the
+    /// absent field reads as zero.
     fn keyed_block(
         g: &CurvilinearGrid,
         owned: IndexBox,
@@ -295,6 +297,12 @@ mod tests {
         garbage: bool,
     ) -> Block {
         let mut b = Block::from_grid(0, g, owned, neighbor, fc);
+        if keyed(seed, [-1; 3], 20) < 0.5 {
+            b.grid_vel = Some(Field3::new(b.local_dims, [0.0; 3]));
+        }
+        if keyed(seed, [-1; 3], 21) < 0.5 {
+            b.mu_t = Some(Field3::new(b.local_dims, 0.0));
+        }
         let period = g.dims().ni as isize - 1;
         for p in b.local_dims.iter() {
             let mut gl =
@@ -305,8 +313,12 @@ mod tests {
             let r = |salt: u64| keyed(seed, gl, salt);
             let prim = [0.6 + r(1), r(2) - 0.5, r(3) - 0.5, r(4) - 0.5, 0.4 + 0.8 * r(5)];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
-            b.grid_vel[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
-            b.mu_t[p] = if r(10) < 0.3 { 0.0 } else { 40.0 * r(11) };
+            if let Some(v) = &mut b.grid_vel {
+                v[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
+            }
+            if let Some(m) = &mut b.mu_t {
+                m[p] = if r(10) < 0.3 { 0.0 } else { 40.0 * r(11) };
+            }
             b.iblank[p] = match (r(9) * 12.0) as usize {
                 0 => Blank::Hole,
                 1 | 2 => Blank::Fringe,

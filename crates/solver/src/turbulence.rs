@@ -18,6 +18,7 @@
 //! note.
 
 use crate::block::{Blank, Block};
+use overset_grid::field::Field3;
 use overset_grid::index::Ijk;
 
 /// Kármán constant.
@@ -127,14 +128,16 @@ fn offset(p: Ijk, dir: usize, d: isize) -> Ijk {
     q
 }
 
-/// Evaluate the model over the block's owned nodes, filling `block.mu_t`.
-/// Returns estimated flops.
+/// Evaluate the model over the block's owned nodes, filling `block.mu_t`
+/// (created, zero, on the first pass; halo nodes keep zero). Returns
+/// estimated flops.
 pub fn compute_mu_t(block: &mut Block, wall: &WallGeometry) -> u64 {
     let ow = block.owned_local();
+    let mut mu_t = block.mu_t.take().unwrap_or_else(|| Field3::new(block.local_dims, 0.0));
     let mut nodes = 0u64;
     for p in ow.iter() {
         if block.iblank[p] != Blank::Field {
-            block.mu_t[p] = 0.0;
+            mu_t[p] = 0.0;
             continue;
         }
         nodes += 1;
@@ -144,8 +147,9 @@ pub fn compute_mu_t(block: &mut Block, wall: &WallGeometry) -> u64 {
         let l = (KAPPA * d).min(C_OUTER * wall.delta_at(gi, gk));
         let w = vorticity_magnitude(block, p);
         let rho = block.q.node(p)[0];
-        block.mu_t[p] = (rho * l * l * w).min(MU_T_MAX);
+        mu_t[p] = (rho * l * l * w).min(MU_T_MAX);
     }
+    block.mu_t = Some(mu_t);
     nodes * FLOPS_PER_NODE
 }
 
@@ -181,7 +185,7 @@ mod tests {
         let (mut b, w) = flat_plate_block(9);
         compute_mu_t(&mut b, &w);
         for p in b.owned_local().iter() {
-            assert_eq!(b.mu_t[p], 0.0);
+            assert_eq!(b.mu_t_at(p), 0.0);
         }
     }
 
@@ -195,8 +199,8 @@ mod tests {
         }
         compute_mu_t(&mut b, &w);
         let ow = b.owned_local();
-        let near = b.mu_t[Ijk::new(5, ow.lo.j + 1, 0)];
-        let far = b.mu_t[Ijk::new(5, ow.lo.j + 4, 0)];
+        let near = b.mu_t_at(Ijk::new(5, ow.lo.j + 1, 0));
+        let far = b.mu_t_at(Ijk::new(5, ow.lo.j + 4, 0));
         assert!(near > 0.0);
         assert!(far > near, "mu_t should grow with wall distance: {near} vs {far}");
         // Within the inner layer: mu_t = (kappa d)^2 |omega| with d = 0.1.
@@ -213,7 +217,7 @@ mod tests {
         }
         compute_mu_t(&mut b, &w);
         let ow = b.owned_local();
-        let top = b.mu_t[Ijk::new(5, ow.hi.j - 2, 0)];
+        let top = b.mu_t_at(Ijk::new(5, ow.hi.j - 2, 0));
         // l capped at C_OUTER * delta = 0.085.
         let cap = (C_OUTER * w.delta).powi(2);
         assert!(top <= cap * 1.01, "top {top} cap {cap}");
@@ -241,6 +245,6 @@ mod tests {
         let hole = Ijk::new(4, 4, 0);
         b.iblank[hole] = Blank::Hole;
         compute_mu_t(&mut b, &w);
-        assert_eq!(b.mu_t[hole], 0.0);
+        assert_eq!(b.mu_t_at(hole), 0.0);
     }
 }

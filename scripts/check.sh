@@ -53,6 +53,9 @@ cargo test -q -p overflow-d --test observability
 echo "== M:N scheduler: 512 virtual ranks on 8 OS threads; 128 ranks 1:1 vs M:N; 256-rank donor search quiesces =="
 cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 
+echo "== M:N wakes are never lost: 64 ranks, 2 000 cross-worker ping-pong + barrier rounds on 2 and 4 workers, clocks bit-equal to 1:1: release =="
+cargo test -q --release -p overset-comm --lib -- mn_wakes_are_never_lost_across_workers
+
 echo "== known blow-ups abort where they start (no positivity floors): airfoil x1.0 at step 37 on its trailing-edge seam node, the store's old ejection trajectory at step 22 on grid 4, full-effort Table 5's first run naming rank 5 at step 17 under threads and M:N: release =="
 cargo test -q --release -p overflow-d --test integration -- --ignored \
     airfoil_full_scale_aborts_at_its_trailing_edge \
