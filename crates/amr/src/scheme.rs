@@ -91,7 +91,7 @@ impl AdaptiveScheme {
             radii: [cfg.body_radii[0] * 0.93, cfg.body_radii[1] * 0.93, cfg.body_radii[2] * 0.93],
         };
         let near = Block::from_grid(0, &near_grid, near_grid.dims().full_box(), [None; 6], &cfg.fc);
-        let near_scratch = Scratch::for_block(&near);
+        let near_scratch = Scratch::default();
 
         let bricks = generate(
             &cfg.offbody,

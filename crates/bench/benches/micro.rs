@@ -104,6 +104,7 @@ fn solver_kernels(c: &mut Criterion) {
                         block3.q.as_slice(),
                         block3.metrics.as_slice(),
                         block3.grid_vel.as_ref().map(|v| v.as_slice()),
+                        block3.iblank.as_slice(),
                         mm,
                         &mut dw,
                         &mut fr,
@@ -167,6 +168,7 @@ fn thin_block_kernels(c: &mut Criterion) {
                             block.q.as_slice(),
                             block.metrics.as_slice(),
                             block.grid_vel.as_ref().map(|v| v.as_slice()),
+                            block.iblank.as_slice(),
                             mm,
                             &mut dw,
                             &mut fr,
@@ -222,8 +224,7 @@ fn solver_step(c: &mut Criterion) {
             .map(|g| {
                 let (block, wall) =
                     build_block(whole.start[g], &whole, &cfg.grids, &unmoved, &cfg.fc).unwrap();
-                let mut scratch = Scratch::for_block(&block);
-                scratch.isa = isa;
+                let scratch = Scratch::new(isa);
                 let q0 = block.q.clone();
                 (block, wall, scratch, q0)
             })

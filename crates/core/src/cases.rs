@@ -111,12 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn igbp_ratios_in_paper_band() {
-        // The paper reports IGBP/gridpoint ratios of ~44e-3 (airfoil),
-        // ~33e-3 (delta wing), ~66e-3 (store). Exact values depend on the
-        // synthetic geometry; the store case must exceed the others.
-        // (Full measurement happens in integration tests; here we sanity
-        // check the search orders reference valid grids.)
+    fn search_orders_name_valid_grids() {
+        // Every grid has a search order, which names other grids of its
+        // system only. (How the IGBP / gridpoint ratios compare with the
+        // paper's is ROADMAP item 5(c); nothing here measures them.)
         for cfg in [airfoil_case(0.2, 1), delta_wing_case(0.1, 1), store_case(0.1, 1)] {
             assert_eq!(cfg.search_order.len(), cfg.grids.len());
             for (g, list) in cfg.search_order.iter().enumerate() {

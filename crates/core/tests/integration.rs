@@ -58,9 +58,10 @@ fn parallel_matches_serial_physics() {
 
 /// A rank steps all of its blocks through one flow workspace. In a serial
 /// run of the store system (16 whole grids on one rank) the bytes the flow
-/// phase allocates and keeps are the largest block's workspace — 37.5
-/// doubles per node of the largest grid; 48 bound it — and not the sum over
-/// the blocks, 3.4 times as much here (127 per node of the largest grid).
+/// phase allocates and keeps are the largest block's workspace — 24.5
+/// doubles per node of the largest grid, every lane group solved in place;
+/// 27 bound it, a margin below the 3 doubles per node one more
+/// class-per-field buffer would add — and not the sum over the blocks.
 #[test]
 fn a_serial_rank_keeps_one_flow_workspace() {
     let cfg = store_case(0.3, 2);
@@ -71,7 +72,7 @@ fn a_serial_rank_keeps_one_flow_workspace() {
     let per_node = live as f64 / (8 * largest) as f64;
     let summed = live as f64 / (8 * cfg.total_points()) as f64;
     assert!(
-        per_node <= 48.0,
+        per_node <= 27.0,
         "{live} B live: {per_node:.1} doubles per node of the largest block, {summed:.1} of all"
     );
 }
@@ -104,7 +105,7 @@ fn serial_orphans_are_counted_where_they_are_reported() {
 /// is split 3 x 3 x 1 with a face between j = 9 and j = 10, and nothing ever
 /// writes a halo node's `iblank`: the cutter blanks owned nodes only, so the
 /// subdomain below the face sees `Field` where its neighbour holds a hole
-/// and promotes no fringe (ROADMAP item 9a). When a fix makes the counts
+/// and promotes no fringe (ROADMAP item 4(a)). When a fix makes the counts
 /// agree this test fails: delete the `known_gap` row.
 #[test]
 fn igbp_census_is_independent_of_rank_count() {

@@ -23,11 +23,10 @@
 //! maintained across subdomains and the update is independent of the
 //! processor count — the N-rank result is bit-identical to the serial one.
 
-use crate::block::{Blank, Block};
+use crate::block::Block;
 use crate::conditions::{sound_speed, FlowConditions};
 use crate::kernels::{
-    self, Cyclic, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, E_FIELDS, FR_OP, FWD_CARRIES,
-    NCLASS, NVW,
+    self, Cyclic, LaneRows, Rows, CLASS, EDGE_FIELDS, EDGE_LEN, FR_OP, FWD_CARRIES, NCLASS, NVW,
 };
 use crate::lanes::{select_isa, Isa, W};
 use overset_grid::field::NVAR;
@@ -124,7 +123,10 @@ pub fn implicit_neighbor(block: &Block, dir: usize, downstream: bool) -> Option<
 /// the node pass costs no memory of its own. What a steady-state step still
 /// allocates is bounded per rank and independent of the block size: line
 /// carries the rank's pool holds no buffer for (a cyclic chain's first rank
-/// sends two passes and gets one back: one carry per chunk).
+/// sends two passes and gets one back: one carry per chunk). Every lane group
+/// is solved in place, and the super-diagonals take the places of the
+/// operator rows in `fr`, so past the increment and the frames the sweeps
+/// keep only the cyclic correction column and per-line rows.
 pub struct Scratch {
     /// Kernel instruction set, chosen once per run by runtime feature
     /// detection (see [`crate::lanes::select_isa`]) until a test or bench
@@ -137,14 +139,9 @@ pub struct Scratch {
     fr: Vec<f64>,
     /// Per-line edge rows (`c = -1` and `c = n`), two per line.
     edge: Vec<EdgeRow>,
-    /// Lane-transposed operator rows of the group being eliminated, when its
-    /// lines are not neighbours in memory.
-    eig: Vec<f64>,
-    /// Group-major lane-transposed RHS (groups eliminated out of place),
-    /// normalized super-diagonals, and the Sherman–Morrison correction
-    /// column (every group padded to [`W`] lanes).
-    d: Vec<f64>,
-    cp: Vec<f64>,
+    /// The Sherman–Morrison correction column of a cyclic sweep: [`NCLASS`]
+    /// fields over the owned nodes, laid out like the increment; empty until
+    /// the rank sweeps a periodic-`i` block.
     z: Vec<f64>,
     /// Per-line cyclic corner parameters and chain-end values.
     alpha: Vec<[f64; NVAR]>,
@@ -162,9 +159,6 @@ impl Scratch {
             dw: Vec::new(),
             fr: Vec::new(),
             edge: Vec::new(),
-            eig: Vec::new(),
-            d: Vec::new(),
-            cp: Vec::new(),
             z: Vec::new(),
             alpha: Vec::new(),
             gamma: Vec::new(),
@@ -175,8 +169,9 @@ impl Scratch {
         }
     }
 
-    /// Scratch for stepping `block`; its buffers are sized by the first
-    /// step.
+    /// Scratch for stepping `block`: [`Scratch::default`], whose buffers
+    /// the first step sizes. Kept for the benchmark's solver probe, which
+    /// builds its workspaces this way.
     pub fn for_block(_block: &Block) -> Scratch {
         Scratch::default()
     }
@@ -296,61 +291,11 @@ impl Lines {
         self.s_base + (li % self.n1) * self.s[0] + (li / self.n1) * self.s[1]
     }
 
-    /// SoA start index of each lane's line in the group `gb..gb + gl`
-    /// (padding lanes replicate the last real line).
-    #[inline]
-    fn group(&self, gb: usize, gl: usize) -> [usize; W] {
-        std::array::from_fn(|l| self.m0(gb + l.min(gl - 1)))
+    /// Where the lines `gb..gb + gl` of a lane group sit in an SoA over
+    /// the `mm` owned nodes; padding lanes repeat the last line.
+    fn group(&self, gb: usize, gl: usize, mm: usize) -> LaneRows {
+        LaneRows::new(std::array::from_fn(|l| self.m0(gb + l.min(gl - 1))), self.mstep, mm)
     }
-
-    /// Where a group's operator rows and increment are eliminated in place
-    /// in the SoA (`mm` nodes): when its four lines are neighbours in
-    /// memory. `None` sends the group through the transposed buffers.
-    fn in_place(&self, gb: usize, gl: usize, mm: usize) -> Option<(LaneRows, LaneRows)> {
-        let m0 = self.group(gb, gl);
-        let contiguous = gl == W && (1..W).all(|l| m0[l] == m0[0] + l);
-        contiguous.then(|| {
-            let at = |base| LaneRows { base, row: self.mstep, field: mm };
-            (at(FR_OP * mm + m0[0]), at(m0[0]))
-        })
-    }
-}
-
-/// Transpose one lane group of lines that are not neighbours in memory into
-/// the group buffers: its `n` operator rows (from `fr`) into `eig` and its
-/// characteristic RHS (from `dw`) into `d`. Padding lanes of a ragged group
-/// replicate its last line (their output is never read).
-#[allow(clippy::too_many_arguments)]
-fn pack_group(
-    isa: Isa,
-    ln: &Lines,
-    mm: usize,
-    fr: &[f64],
-    dw: &[f64],
-    gb: usize,
-    gl: usize,
-    n: usize,
-    eig: &mut [f64],
-    d: &mut [f64],
-) {
-    let m0 = ln.group(gb, gl);
-    kernels::pack_lines(isa, &fr[FR_OP * mm..], mm, m0, ln.mstep, n, E_FIELDS, eig);
-    kernels::pack_lines(isa, dw, mm, m0, ln.mstep, n, NVAR, d);
-}
-
-/// Scatter the solved rows of one transposed lane group back into `dw`.
-#[allow(clippy::too_many_arguments)]
-fn unpack_group(
-    isa: Isa,
-    ln: &Lines,
-    mm: usize,
-    dw: &mut [f64],
-    gb: usize,
-    gl: usize,
-    n: usize,
-    d: &[f64],
-) {
-    kernels::unpack_lines(isa, d, NVAR, ln.group(gb, gl), gl, ln.mstep, n, mm, dw);
 }
 
 /// The edge frames of a lane group, lane-interleaved (`kernels::EDGE_LEN`):
@@ -383,9 +328,7 @@ fn edge_lanes(
 /// `ws.increment(block)`, which enters holding `Δt·R` in conservative
 /// variables, batching up to [`W`] lines per SIMD lane group through the
 /// kernels in [`crate::kernels`]. Every direction's forward transform, line
-/// solve and back transform work on that SoA: groups of four neighbouring
-/// `j`- or `k`-lines in place, the others through a transposed group buffer.
-/// Returns estimated flops: [`FLOPS_PER_NODE_PER_DIR`] per node of an open
+/// solve and back transform work in place on that SoA. Returns estimated flops: [`FLOPS_PER_NODE_PER_DIR`] per node of an open
 /// line, twice that per unknown of a cyclic one.
 pub fn implicit_sweeps(
     block: &Block,
@@ -421,23 +364,14 @@ pub fn implicit_sweeps(
     flops
 }
 
-/// Size the frame SoA for the block's `mm` owned nodes and write its
-/// identity masks (sign bit set on blanked nodes: their rows are solved as
-/// `x = 0`). Returns the owned nodes' rows (storage → SoA) and `mm`.
+/// Size the frame SoA for the block's `mm` owned nodes. Returns the owned
+/// nodes' rows (storage → SoA) and `mm`.
 fn prepare_frames(block: &Block, ws: &mut Scratch) -> (Rows, usize) {
     let ow = block.owned_local();
     let mm = ow.count();
     assert!(ws.dw.len() >= NVAR * mm, "the increment of the block is not loaded");
     ensure_len(&mut ws.fr, kernels::FR_FIELDS * mm);
-    let rows = Rows::new(ow, block.local_dims.full_box(), ow);
-    let ib = block.iblank.as_slice();
-    let idm = &mut ws.fr[kernels::FR_IDM * mm..][..mm];
-    for (s0, m0) in rows.starts() {
-        for (x, &b) in idm[m0..m0 + rows.ni].iter_mut().zip(&ib[s0..s0 + rows.ni]) {
-            *x = if b != Blank::Field { -0.0 } else { 0.0 };
-        }
-    }
-    (rows, mm)
+    (Rows::new(ow, block.local_dims.full_box(), ow), mm)
 }
 
 /// Lane-batched frame computation + forward transform (`ws.dw` → char) of
@@ -462,6 +396,7 @@ fn forward_stage(
         block.q.as_slice(),
         block.metrics.as_slice(),
         block.grid_vel.as_ref().map(|v| v.as_slice()),
+        block.iblank.as_slice(),
         mm,
         &mut ws.dw,
         &mut ws.fr,
@@ -515,36 +450,11 @@ impl Sweep {
         (nl * ch / self.nchunks, nl * (ch + 1) / self.nchunks)
     }
 
-    /// The number of lane groups in the chunks before `ch`.
-    fn groups_before(&self, ch: usize) -> usize {
-        (0..ch)
-            .map(|c| {
-                let (lo, hi) = self.chunk(c);
-                (hi - lo).div_ceil(W)
-            })
-            .sum()
-    }
-
-    /// The lane groups of chunk `ch`: `(g, gb, gl)`, the group's index in
-    /// the group buffers, its first line and its number of lines.
-    fn groups(&self, ch: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-        let ((lo, hi), g0) = (self.chunk(ch), self.groups_before(ch));
-        (lo..hi).step_by(W).enumerate().map(move |(i, gb)| (g0 + i, gb, (hi - gb).min(W)))
-    }
-
-    /// A group's share of the packed buffers: `d` and `cp`/`z`.
-    fn strides(&self) -> (usize, usize) {
-        (self.n * NVAR * W, self.n * NCLASS * W)
-    }
-
-    /// Where a group's operator rows and RHS are eliminated in place, if
-    /// they are; cyclic groups always go through the packed buffers.
-    fn in_place(&self, gb: usize, gl: usize, mm: usize) -> Option<(LaneRows, LaneRows)> {
-        if self.cyclic.is_some() {
-            None
-        } else {
-            self.ln.in_place(gb, gl, mm)
-        }
+    /// The lane groups of chunk `ch`: `(gb, gl)`, the group's first line
+    /// and its number of lines.
+    fn groups(&self, ch: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (lo, hi) = self.chunk(ch);
+        (lo..hi).step_by(W).map(move |gb| (gb, (hi - gb).min(W)))
     }
 }
 
@@ -598,8 +508,8 @@ fn push_carries(rows: &[[f64; NVW]], gl: usize, msg: &mut Vec<f64>) {
 /// boundary carries are exchanged as soon as the chunk is eliminated, so
 /// downstream ranks work on earlier chunks while this rank eliminates later
 /// ones (the standard pipelined-Thomas overlap). Within each chunk, lines
-/// are eliminated in lane groups of up to `W` — one SIMD lane per line,
-/// each lane running the exact scalar recurrence. A line's carry is
+/// are eliminated in place in lane groups of up to `W` — one SIMD lane per
+/// line, each lane running the exact scalar recurrence. A line's carry is
 /// `[cp, d]`, on a cyclic line `[cp, d, z, α, γ]` ([`FWD_CARRIES`]).
 fn eliminate(
     block: &Block,
@@ -610,13 +520,8 @@ fn eliminate(
     ws: &mut Scratch,
 ) {
     let (isa, ln, n) = (ws.isa, &sw.ln, sw.n);
-    let (gstride, cstride) = sw.strides();
-    let ngroups = sw.groups_before(sw.nchunks);
-    ensure_len(&mut ws.d, ngroups * gstride);
-    ensure_len(&mut ws.cp, ngroups * cstride);
-    ensure_len(&mut ws.eig, n * E_FIELDS * W);
     let (width, per_node) = if sw.cyclic.is_some() {
-        ensure_len(&mut ws.z, ngroups * cstride);
+        ensure_len(&mut ws.z, NCLASS * mm);
         // Per-line corner parameters, which the correction pass reads.
         ws.alpha.clear();
         ws.alpha.resize(ln.nlines, [0.0; NVAR]);
@@ -631,37 +536,21 @@ fn eliminate(
         let len = (hi - lo) * width * NVAR;
         let carries_in = sw.up.then(|| comm.recv_line(block, sw.dir, true, len));
         let mut carries_out = line_buf(comm, sw.down, len);
-        for (g, gb, gl) in sw.groups(ch) {
-            let (goff, coff) = (g * gstride, g * cstride);
+        for (gb, gl) in sw.groups(ch) {
             let edge = edge_lanes(ln, &ws.edge, &ws.fr, mm, gb, gl, n);
-            let (eig, e_at, d, d_at) = match sw.in_place(gb, gl, mm) {
-                Some((e_at, d_at)) => (&ws.fr[..], e_at, &mut ws.dw[..], d_at),
-                None => {
-                    let d = &mut ws.d[goff..goff + gstride];
-                    pack_group(isa, ln, mm, &ws.fr, &ws.dw, gb, gl, n, &mut ws.eig, d);
-                    let (e_at, d_at) = (LaneRows::packed(E_FIELDS), LaneRows::packed(NVAR));
-                    (&ws.eig[..], e_at, d, d_at)
-                }
-            };
             let mut carry = [[0.0; NVW]; FWD_CARRIES];
             if let Some(ci) = &carries_in {
                 carry_lanes(ci, width, gb - lo, gl, &mut carry[..width]);
             }
-            let cyclic = sw.cyclic.map(|(first, last)| Cyclic {
-                z: &mut ws.z[coff..coff + cstride],
-                first,
-                last,
-            });
+            let cyclic = sw.cyclic.map(|(first, last)| Cyclic { z: &mut ws.z, first, last });
             kernels::sweep_forward_group(
                 isa,
                 dt,
                 n,
-                eig,
-                e_at,
+                ln.group(gb, gl, mm),
+                &mut ws.fr[FR_OP * mm..],
                 &edge,
-                d,
-                d_at,
-                &mut ws.cp[coff..coff + cstride],
+                &mut ws.dw,
                 &mut carry,
                 carries_in.is_some(),
                 cyclic,
@@ -694,11 +583,9 @@ fn eliminate(
 /// Back substitution, pipelined the same way in the upstream direction. A
 /// line's carry is its first unknowns `[x]`; a cyclic line's is
 /// `[y, z, y_last, z_last]`, the chain's last solved row riding along for
-/// the correction pass. Open groups eliminated out of place are scattered
-/// back to `ws.dw` here, cyclic ones after their correction.
+/// the correction pass.
 fn substitute(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, ws: &mut Scratch) {
     let (isa, ln, n) = (ws.isa, &sw.ln, sw.n);
-    let (gstride, cstride) = sw.strides();
     let (width, per_node) = if sw.cyclic.is_some() {
         ws.y_last.clear();
         ws.y_last.resize(ln.nlines, [0.0; NVAR]);
@@ -713,35 +600,31 @@ fn substitute(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, 
         let len = (hi - lo) * width * NVAR;
         let x_down = sw.down.then(|| comm.recv_line(block, sw.dir, false, len));
         let mut ups = line_buf(comm, sw.up, len);
-        for (g, gb, gl) in sw.groups(ch) {
-            let (goff, coff) = (g * gstride, g * cstride);
+        for (gb, gl) in sw.groups(ch) {
             let mut seed = [[0.0; NVW]; 2];
             if let Some(xd) = &x_down {
                 let k = 1 + usize::from(sw.cyclic.is_some());
                 carry_lanes(xd, width, gb - lo, gl, &mut seed[..k]);
             }
-            let in_place = sw.in_place(gb, gl, mm);
-            let (d, d_at) = match in_place {
-                Some((_, d_at)) => (&mut ws.dw[..], d_at),
-                None => (&mut ws.d[goff..goff + gstride], LaneRows::packed(NVAR)),
-            };
+            let at = ln.group(gb, gl, mm);
             kernels::sweep_backward_group(
                 isa,
                 n,
-                &ws.cp[coff..coff + cstride],
-                d,
-                d_at,
-                sw.cyclic.map(|_| &mut ws.z[coff..coff + cstride]),
+                at,
+                &ws.fr[FR_OP * mm..],
+                &mut ws.dw,
+                sw.cyclic.map(|_| &mut ws.z[..]),
                 x_down.as_ref().map(|_| &seed),
             );
+            let (d, z) = (&ws.dw, &ws.z);
             for l in 0..gl {
                 if sw.up {
-                    ups.extend((0..NVAR).map(|v| d[d_at.at(0, v) + l]));
+                    ups.extend((0..NVAR).map(|v| d[at.index(l, 0, v)]));
                 }
                 if sw.cyclic.is_none() {
                     continue;
                 }
-                let (li, z) = (gb + l, &ws.z[coff..coff + cstride]);
+                let li = gb + l;
                 if let Some(xd) = &x_down {
                     let base = (li - lo) * width * NVAR;
                     ws.y_last[li].copy_from_slice(&xd[base + 2 * NVAR..base + 3 * NVAR]);
@@ -749,19 +632,15 @@ fn substitute(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, 
                 } else {
                     // This rank owns the end of the chain: the last solved row.
                     for (v, &e) in CLASS.iter().enumerate() {
-                        ws.y_last[li][v] = d[d_at.at(n - 1, v) + l];
-                        ws.z_last[li][v] = z[((n - 1) * NCLASS + e) * W + l];
+                        ws.y_last[li][v] = d[at.index(l, n - 1, v)];
+                        ws.z_last[li][v] = z[at.index(l, n - 1, e)];
                     }
                 }
                 if sw.up {
-                    ups.extend(CLASS.iter().map(|&e| z[e * W + l]));
+                    ups.extend(CLASS.iter().map(|&e| z[at.index(l, 0, e)]));
                     ups.extend_from_slice(&ws.y_last[li]);
                     ups.extend_from_slice(&ws.z_last[li]);
                 }
-            }
-            if in_place.is_none() && sw.cyclic.is_none() {
-                let d = &ws.d[goff..goff + gstride];
-                unpack_group(isa, ln, mm, &mut ws.dw, gb, gl, n, d);
             }
         }
         if let Some(xd) = x_down {
@@ -781,7 +660,6 @@ fn substitute(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, 
 /// the last row sets the duplicated seam node to `x0`.
 fn correct(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, ws: &mut Scratch) {
     let (isa, ln, n) = (ws.isa, &sw.ln, sw.n);
-    let (gstride, cstride) = sw.strides();
     let (first, last) = sw.cyclic.expect("a cyclic sweep");
     for ch in 0..sw.nchunks {
         let (lo, hi) = sw.chunk(ch);
@@ -798,14 +676,14 @@ fn correct(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, ws:
             }
             comm.recycle_buf(data);
         }
-        for (g, gb, gl) in sw.groups(ch) {
-            let (goff, coff) = (g * gstride, g * cstride);
-            let (y, z) = (&mut ws.d[goff..goff + gstride], &ws.z[coff..coff + cstride]);
+        for (gb, gl) in sw.groups(ch) {
+            let at = ln.group(gb, gl, mm);
             if first {
+                let (y, z) = (&ws.dw, &ws.z);
                 for l in 0..gl {
                     let li = gb + l;
                     for (v, &e) in CLASS.iter().enumerate() {
-                        let (y0, z0) = (y[v * W + l], z[e * W + l]);
+                        let (y0, z0) = (y[at.index(l, 0, v)], z[at.index(l, 0, e)]);
                         let (al, gam) = (ws.alpha[li][v], ws.gamma[li][v]);
                         let denom = 1.0 + z0 + al * ws.z_last[li][v] / gam;
                         let f = (y0 + al * ws.y_last[li][v] / gam) / denom;
@@ -821,14 +699,12 @@ fn correct(block: &Block, comm: &mut impl SolverComm, sw: &Sweep, mm: usize, ws:
                     factl[v * W + l] = ws.fact[li - lo][v];
                 }
             }
-            kernels::periodic_correct_group(isa, n, &factl, y, z);
-            unpack_group(isa, ln, mm, &mut ws.dw, gb, gl, n, y);
+            kernels::periodic_correct_group(isa, n, at, &factl, &mut ws.dw, &ws.z);
             if last {
                 // Duplicated seam node mirrors node 0's solution.
-                for li in gb..gb + gl {
-                    let m = ln.m0(li) + n * ln.mstep;
-                    for (v, &x) in ws.x0[li - lo].iter().enumerate() {
-                        ws.dw[v * mm + m] = x;
+                for l in 0..gl {
+                    for (v, &x) in ws.x0[gb + l - lo].iter().enumerate() {
+                        ws.dw[at.index(l, n, v)] = x;
                     }
                 }
             }
@@ -856,6 +732,7 @@ fn other_dirs(dir: usize) -> (usize, usize) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::block::Blank;
     use crate::conditions::GAMMA;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
     use overset_grid::field::{Field3, StateField};
@@ -1038,7 +915,7 @@ pub(crate) mod tests {
     fn the_frame_soa_holds_fourteen_doubles_per_owned_node() {
         let fc = FlowConditions::new(0.8, 5.0, 0.0);
         let mut b = uniform_block(8, &fc);
-        let mut ws = Scratch::for_block(&b);
+        let mut ws = Scratch::default();
         crate::step::step_block(&mut b, &fc, None, &mut SerialComm, &mut ws);
         assert_eq!(ws.fr.len(), 14 * b.owned_count());
     }
@@ -1399,6 +1276,71 @@ pub(crate) mod tests {
             neighbor
         };
         pieces.into_iter().enumerate().map(|(r, owned)| (owned, link(r))).collect()
+    }
+
+    /// Everything a workspace holds, in doubles (capacities, not lengths).
+    fn held(ws: &Scratch) -> usize {
+        let rows = |v: &Vec<[f64; NVAR]>| v.capacity() * NVAR;
+        ws.dw.capacity()
+            + ws.fr.capacity()
+            + ws.z.capacity()
+            + ws.edge.capacity() * EDGE_FIELDS
+            + [&ws.alpha, &ws.gamma, &ws.y_last, &ws.z_last, &ws.fact, &ws.x0]
+                .into_iter()
+                .map(rows)
+                .sum::<usize>()
+    }
+
+    /// Past the increment and the frames, a stepped workspace holds the
+    /// correction column of a cyclic sweep and per-line rows only — no
+    /// buffer per lane group, and no super-diagonals of its own (they take
+    /// the operator rows' places in the frames). Thin 2-D grids, one open
+    /// and one periodic in `i`, cut into a 3-piece chain along `i`: the
+    /// `i`-lines are pipelined in 8 chunks of 2 or 3 lines, so every chunk
+    /// is one ragged lane group, and each piece's `j`-lines are 3 or 4.
+    #[test]
+    fn a_stepped_workspace_holds_no_group_buffers() {
+        let fc = FlowConditions::new(0.8, 3.0, 0.0);
+        let d = Dims::new(10, 20, 1);
+        for periodic in [false, true] {
+            let g = crate::testutil::wavy_grid(d, periodic);
+            let mut blocks: Vec<Block> = chain_pieces(d, periodic, 0, 3)
+                .into_iter()
+                .map(|(owned, neighbor)| keyed_block(&g, owned, neighbor, 7).0)
+                .collect();
+            let spaces: Vec<Scratch> = std::thread::scope(|s| {
+                let runs: Vec<_> = blocks
+                    .iter_mut()
+                    .zip(chain(3))
+                    .map(|(b, mut comm)| {
+                        s.spawn(move || {
+                            let mut ws = Scratch::default();
+                            for _ in 0..2 {
+                                crate::step::step_block(b, &fc, None, &mut comm, &mut ws);
+                            }
+                            ws
+                        })
+                    })
+                    .collect();
+                runs.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            for (b, ws) in blocks.iter().zip(&spaces) {
+                let (mm, od) = (b.owned_count(), b.owned.dims());
+                let lines = b.active_dirs().iter().map(|&dir| mm / od.get(dir)).max().unwrap();
+                // Two edge rows per line; on a cyclic sweep also the corner
+                // parameters, the chain-end values and the correction's
+                // factor and row-0 solution.
+                let per_line = lines * (2 * EDGE_FIELDS + if periodic { 6 * NVAR } else { 0 });
+                let z = if periodic { NCLASS * mm } else { 0 };
+                let bound = ws.dw.capacity() + ws.fr.capacity() + z + per_line;
+                assert!(
+                    held(ws) <= bound,
+                    "periodic {periodic}, owned {:?}: {} doubles held, bound {bound}",
+                    b.owned,
+                    held(ws)
+                );
+            }
+        }
     }
 
     proptest! {

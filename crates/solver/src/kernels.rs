@@ -16,11 +16,11 @@
 //! [`sweep_backward_group`]) are what [`crate::adi::implicit_sweeps`] drives,
 //! pipelined chunk carries included; a [`Cyclic`] part adds the
 //! Sherman–Morrison correction column of an O-grid's `i`-lines, which
-//! [`periodic_correct_group`] then applies. They address a group's
-//! rows through a [`LaneRows`]: in place in the SoA when the group's four
-//! lines are neighbours in memory, in a group buffer filled by
-//! [`pack_lines`] otherwise. Both kinds check the extent of what they will
-//! touch once and then load and store full lane groups unchecked.
+//! [`periodic_correct_group`] then applies. They solve every group in place
+//! in the SoA, addressing its lines through a [`LaneRows`]: whole lane
+//! groups where the four lines are neighbours in memory, lane by lane
+//! otherwise. Both kinds check the extent of what they will touch once and
+//! then load and store unchecked.
 
 use crate::adi::BETA;
 use crate::block::Blank;
@@ -78,11 +78,14 @@ macro_rules! lane_kernel {
 /// SoA field offsets of the cached characteristic frames (`fr` arrays,
 /// layout `fr[field * stride + m]` for node index `m`): metric normal `k`,
 /// tangent `t1`, density, velocity, sound speed, then the operator rows of
-/// the implicit sweeps ([`FR_OP`]..). Density, velocity, sound speed and the
-/// identity mask do not depend on the direction. 14 fields in all: the
-/// second tangent t2 = k × t1, the class eigenvalues and the spectral radius
-/// are exact functions of these and are formed where they are read, in the
-/// operation order of the scalar `char_frame` reference.
+/// the implicit sweeps ([`FR_OP`]..), which the forward elimination
+/// overwrites with its normalized super-diagonals as it reads them (one
+/// field per eigenvalue class, the back substitution's only input past the
+/// increment). Density, velocity and sound speed do not depend on the
+/// direction. 14 fields in all: the second tangent t2 = k × t1, the class
+/// eigenvalues and the spectral radius are exact functions of these and are
+/// formed where they are read, in the operation order of the scalar
+/// `char_frame` reference.
 pub const FR_K: usize = 0;
 pub const FR_T1: usize = 3;
 pub const FR_RHO: usize = 6;
@@ -100,6 +103,8 @@ pub const NCLASS: usize = 3;
 pub const CLASS: [usize; NVAR] = [0, 0, 0, 1, 2];
 /// A field of each class (where a class value travels in per-field data).
 pub const CLASS_FIELD: [usize; NCLASS] = [0, 3, 4];
+// The super-diagonals of the classes take the operator rows' places.
+const _: () = assert!(NCLASS == E_FIELDS);
 
 /// The fields of one row of an implicit operator, in frame-SoA order from
 /// [`FR_OP`] on: the J-scaled contravariant speed Ũ and sound speed c̃ (the
@@ -510,9 +515,11 @@ lane_kernel! {
     /// has not moved, zero velocity) and transform the
     /// conservative RHS `dw` (five fields × `stride`, in place) to
     /// characteristic variables. The frame is written to the SoA `fr`
-    /// ([`FR_K`]..). Density, velocity and sound speed are computed only
-    /// when `fresh`; otherwise they are read back from `fr`, where the
-    /// block's first direction left them. Each lane performs exactly the
+    /// ([`FR_K`]..), with the identity mask of the blanking `ib` (sign bit
+    /// set on blanked nodes: their rows are solved as `x = 0`). Density,
+    /// velocity and sound speed are computed only when `fresh`; otherwise
+    /// they are read back from `fr`, where the block's first direction left
+    /// them. Each lane performs exactly the
     /// operation sequence of the scalar `char_frame` + `to_char` pair in the
     /// tests of [`crate::adi`], so results are bit-identical across lanes
     /// and ISAs.
@@ -528,6 +535,7 @@ lane_kernel! {
         q: &[f64],
         met: &[Metric],
         vel: Option<&[[f64; 3]]>,
+        ib: &[Blank],
         stride: usize,
         dw: &mut [f64],
         fr: &mut [f64],
@@ -615,6 +623,11 @@ lane_kernel! {
             put!(FR_T1 + 2, t12);
             put!(FR_OP + E_UT, u_rel_n.div(jac));
             put!(FR_OP + E_CT, c.mul(s_norm).div(jac));
+            let mut blanked = [false; W];
+            for (b, &s) in blanked.iter_mut().zip(&s) {
+                *b = ib[s] != Blank::Field;
+            }
+            put!(FR_IDM, L::mask(blanked));
 
             // to_char, lanewise in the scalar operation order.
             // SAFETY (the loads and stores of `dwr`): fields below NVAR,
@@ -1068,137 +1081,83 @@ lane_kernel! {
     }
 }
 
-lane_kernel! {
-    /// Gather `rows` rows of `fields` fields of four lines into the
-    /// group-major lane layout [`LaneRows::packed`]: line `l`'s field `f` at
-    /// row `c` is `src[f * fstride + m0[l] + c * mstep]`. Lines along `i`
-    /// (`mstep == 1`) move four rows at a time through a register transpose.
-    pub fn pack_lines<L>(
-        src: &[f64],
-        fstride: usize,
-        m0: [usize; W],
-        mstep: usize,
-        rows: usize,
-        fields: usize,
-        dst: &mut [f64],
-    ) {
-        let mut c = 0;
-        if mstep == 1 {
-            while c + W <= rows {
-                for f in 0..fields {
-                    let at = f * fstride + c;
-                    let t = L::transpose([
-                        L::load(&src[at + m0[0]..]),
-                        L::load(&src[at + m0[1]..]),
-                        L::load(&src[at + m0[2]..]),
-                        L::load(&src[at + m0[3]..]),
-                    ]);
-                    for (k, x) in t.iter().enumerate() {
-                        x.store(&mut dst[((c + k) * fields + f) * W..]);
-                    }
-                }
-                c += W;
-            }
-        }
-        for c in c..rows {
-            for f in 0..fields {
-                for (l, &ml) in m0.iter().enumerate() {
-                    dst[(c * fields + f) * W + l] = src[f * fstride + ml + c * mstep];
-                }
-            }
-        }
-    }
-}
-
-lane_kernel! {
-    /// The inverse of [`pack_lines`] for the first `gl` lanes.
-    pub fn unpack_lines<L>(
-        src: &[f64],
-        fields: usize,
-        m0: [usize; W],
-        gl: usize,
-        mstep: usize,
-        rows: usize,
-        fstride: usize,
-        dst: &mut [f64],
-    ) {
-        let mut c = 0;
-        if mstep == 1 {
-            while c + W <= rows {
-                for f in 0..fields {
-                    let at = (c * fields + f) * W;
-                    let row = fields * W;
-                    let t = L::transpose([
-                        L::load(&src[at..]),
-                        L::load(&src[at + row..]),
-                        L::load(&src[at + 2 * row..]),
-                        L::load(&src[at + 3 * row..]),
-                    ]);
-                    for l in 0..gl {
-                        t[l].store(&mut dst[f * fstride + m0[l] + c..]);
-                    }
-                }
-                c += W;
-            }
-        }
-        for c in c..rows {
-            for f in 0..fields {
-                for l in 0..gl {
-                    dst[f * fstride + m0[l] + c * mstep] = src[(c * fields + f) * W + l];
-                }
-            }
-        }
-    }
-}
-
-/// Where a lane group's values sit in a flat array: row `c`, field `f` at
-/// `base + c * row + f * field`, the [`W`] lanes contiguous from there.
-/// Four `j`- or `k`-lines that are neighbours in memory are addressed in
-/// place in the SoA (`row` = the lines' node step, `field` = the SoA field
-/// stride); other groups are transposed into a [`LaneRows::packed`] buffer
-/// first.
+/// Where a lane group's lines sit in a field-major SoA over the owned nodes
+/// (the increment, the frame SoA's operator rows, the super-diagonals and
+/// the correction column all share this layout): lane `l`'s row `c` of field
+/// `f` at `f * field + at[l] + c * row`. Four lines that are neighbours in
+/// memory (`k`-lines, and `j`-lines but where a group crosses a row end)
+/// load and store whole lane groups; the others gather and scatter lane by
+/// lane: `i`-lines, a row apart, and a chunk's ragged last group, whose
+/// padding lanes repeat its last line's offset. A padding lane computes what
+/// its line's lane computes, so its stores change nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct LaneRows {
-    pub base: usize,
-    pub row: usize,
-    pub field: usize,
+    at: [usize; W],
+    row: usize,
+    field: usize,
+    contiguous: bool,
 }
 
 impl LaneRows {
-    /// The group-major layout of `fields` fields: `(c * fields + f) * W + l`.
-    pub const fn packed(fields: usize) -> LaneRows {
-        LaneRows { base: 0, row: fields * W, field: W }
+    /// The lines starting at `at`, `row` apart from node to node, in an SoA
+    /// of field stride `field`.
+    pub fn new(at: [usize; W], row: usize, field: usize) -> LaneRows {
+        let contiguous = (1..W).all(|l| at[l] == at[0] + l);
+        LaneRows { at, row, field, contiguous }
     }
 
+    /// Lane `l`'s index of row `c`, field `f`.
     #[inline(always)]
-    pub fn at(self, c: usize, f: usize) -> usize {
-        self.base + c * self.row + f * self.field
+    pub fn index(self, l: usize, c: usize, f: usize) -> usize {
+        f * self.field + self.at[l] + c * self.row
     }
 
-    /// Check that the lanes of rows `0..n`, fields `0..fields`, lie inside
-    /// an array of `len` values (the last one is the farthest).
+    /// Check that rows `0..n`, fields `0..fields` of every lane lie inside
+    /// an array of `len` values (the farthest lane's last one is the
+    /// farthest).
     fn check(self, n: usize, fields: usize, len: usize) {
-        assert!(n == 0 || self.at(n - 1, fields - 1) + W <= len, "lane rows outside");
+        let far = self.at.into_iter().max().unwrap_or(0);
+        assert!(
+            n == 0 || far + (n - 1) * self.row + (fields - 1) * self.field < len,
+            "lane rows outside"
+        );
     }
-}
 
-/// Row `r - 1` of a group's operator, `r` in `0..=n + 1`: the array, the
-/// offset of its field 0, and its field stride. Rows `-1` and `n` are the
-/// edge frames.
-#[inline(always)]
-fn operator_row<'a>(
-    eig: &'a [f64],
-    e_at: LaneRows,
-    edge: &'a [f64; EDGE_LEN],
-    n: usize,
-    r: usize,
-) -> (&'a [f64], usize, usize) {
-    if r == 0 {
-        (edge, 0, W)
-    } else if r == n + 1 {
-        (edge, EDGE_FIELDS * W, W)
-    } else {
-        (eig, e_at.at(r - 1, 0), e_at.field)
+    /// Row `c` of field `f`, one line per lane.
+    ///
+    /// # Safety
+    ///
+    /// `c` and `f` are below the rows and fields [`Self::check`]ed against
+    /// `a`'s length.
+    #[inline(always)]
+    unsafe fn get<L: Lane4>(self, a: &[f64], c: usize, f: usize) -> L {
+        let (at, o) = (self.at, f * self.field + c * self.row);
+        // SAFETY: in bounds by the caller's contract.
+        unsafe {
+            if self.contiguous {
+                load_at(a, at[0] + o)
+            } else {
+                L::gather(a, [at[0] + o, at[1] + o, at[2] + o, at[3] + o])
+            }
+        }
+    }
+
+    /// Store `x` to row `c` of field `f`, one line per lane.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::get`].
+    #[inline(always)]
+    unsafe fn put<L: Lane4>(self, x: L, a: &mut [f64], c: usize, f: usize) {
+        let (at, o) = (self.at, f * self.field + c * self.row);
+        // SAFETY: in bounds by the caller's contract.
+        unsafe {
+            if self.contiguous {
+                store_at(x, a, at[0] + o)
+            } else {
+                x.scatter(a, [at[0] + o, at[1] + o, at[2] + o, at[3] + o])
+            }
+        }
     }
 }
 
@@ -1214,54 +1173,29 @@ fn coeffs<L: Lane4>(dt: L, tbd: L, lam_m: L, sig_m: L, sig_0: L, lam_p: L, sig_p
 }
 
 /// The class eigenvalues (Ũ, Ũ + c̃, Ũ − c̃) and the spectral radius
-/// |Ũ| + c̃ of the operator row whose field 0 is at `a[o]`, its fields `f`
-/// apart, in the operation order of the scalar `char_frame` reference.
+/// |Ũ| + c̃ of operator row `r - 1` of a lane group, `r` in `0..=n + 1`:
+/// rows `-1` and `n` are the edge frames. Operation order of the scalar
+/// `char_frame` reference.
 ///
 /// # Safety
 ///
-/// The lanes of the row's fields [`E_UT`] and [`E_CT`] lie inside `a`.
+/// Rows `0..n`, fields [`E_UT`] and [`E_CT`] of `op` at `at` are checked.
 #[inline(always)]
-unsafe fn eigenvalues<L: Lane4>(a: &[f64], o: usize, f: usize) -> ([L; NCLASS], L) {
-    // SAFETY: by the caller's contract.
-    let (ut, ct) = unsafe { (load_at::<L>(a, o + E_UT * f), load_at::<L>(a, o + E_CT * f)) };
-    ([ut, ut.add(ct), ut.sub(ct)], ut.abs().add(ct))
-}
-
-/// Row `c` of a group's implicit operator: the identity mask and, per
-/// eigenvalue class, `(a, b, c)`, blanked rows blended to `(0, 1, 0)`.
-///
-/// # Safety
-///
-/// Rows `0..n`, fields `0..E_FIELDS` of `eig` at `e_at` lie inside `eig`
-/// ([`LaneRows::check`]); `c < n`.
-#[inline(always)]
-unsafe fn operator<L: Lane4>(
-    dt: f64,
-    n: usize,
-    eig: &[f64],
-    e_at: LaneRows,
+unsafe fn eigen_row<L: Lane4>(
+    op: &[f64],
+    at: LaneRows,
     edge: &[f64; EDGE_LEN],
-    c: usize,
-) -> (L, [(L, L, L); NCLASS]) {
-    let (zero, one) = (L::splat(0.0), L::splat(1.0));
-    // 2.0 * BETA * dt with scalar left-associated rounding.
-    let (dtv, tbd) = (L::splat(dt), L::splat(2.0 * BETA * dt));
-    let (mb, mo, mf) = operator_row(eig, e_at, edge, n, c);
-    let (pb, po, pf) = operator_row(eig, e_at, edge, n, c + 2);
-    // SAFETY: rows `c - 1..=c + 1` are checked rows of `eig` or the edge
-    // frames, whose `EDGE_FIELDS` fields lie inside `edge`.
-    unsafe {
-        let (lam_m, sig_m) = eigenvalues::<L>(mb, mo, mf);
-        let (_, sig_0) = eigenvalues::<L>(eig, e_at.at(c, 0), e_at.field);
-        let (lam_p, sig_p) = eigenvalues::<L>(pb, po, pf);
-        let ident = load_at::<L>(eig, e_at.at(c, E_IDM));
-        let mut abc = [(zero, one, zero); NCLASS];
-        for (e, x) in abc.iter_mut().enumerate() {
-            let (a, b, cc) = coeffs(dtv, tbd, lam_m[e], sig_m, sig_0, lam_p[e], sig_p);
-            *x = (L::select(ident, zero, a), L::select(ident, one, b), L::select(ident, zero, cc));
-        }
-        (ident, abc)
-    }
+    n: usize,
+    r: usize,
+) -> ([L; NCLASS], L) {
+    let (ut, ct) = if r == 0 || r == n + 1 {
+        let e = if r == 0 { edge } else { &edge[EDGE_FIELDS * W..] };
+        (L::load(&e[E_UT * W..]), L::load(&e[E_CT * W..]))
+    } else {
+        // SAFETY: by the caller's contract.
+        unsafe { (at.get::<L>(op, r - 1, E_UT), at.get::<L>(op, r - 1, E_CT)) }
+    };
+    ([ut, ut.add(ct), ut.sub(ct)], ut.abs().add(ct))
 }
 
 /// Values carried per line and field from one rank's segment of a line to
@@ -1274,7 +1208,7 @@ pub const FWD_CARRIES: usize = 5;
 /// `i`-sweep of an O-grid): the rank-one correction column `z`, solved as a
 /// second right-hand side beside `d`, and the chain ends this rank owns.
 /// `z` depends on the operator only and so is kept per eigenvalue class,
-/// packed like `cp`.
+/// laid out like `cp`.
 pub struct Cyclic<'a> {
     pub z: &'a mut [f64],
     /// This rank owns the chain's first row (the corner parameters α, γ are
@@ -1284,16 +1218,18 @@ pub struct Cyclic<'a> {
 }
 
 lane_kernel! {
-    /// Forward-eliminate one lane group of an implicit sweep: up to [`W`]
-    /// lines over `n` nodes, `NVAR` independent systems per line, the fields
-    /// of one eigenvalue class sharing their coefficients and super-diagonals
-    /// (the scalar recurrence computes them identically).
+    /// Forward-eliminate one lane group of an implicit sweep in place: up to
+    /// [`W`] lines of `n` nodes at `at`, `NVAR` independent systems per
+    /// line, the fields of one eigenvalue class sharing their coefficients
+    /// and super-diagonals (the scalar recurrence computes them
+    /// identically).
     ///
-    /// `eig` holds the operator rows ([`E_FIELDS`] fields: Ũ, c̃ and the
-    /// identity mask — sign bit set on blanked rows) at `e_at`, `edge` the
-    /// frames just outside the lines.
-    /// `d` is the characteristic RHS in/out at `d_at`; `cp` receives the
-    /// normalized super-diagonals, one per class (packed layout). `carry`
+    /// `op` enters holding the operator rows ([`E_FIELDS`] fields: Ũ, c̃
+    /// and the identity mask — sign bit set on blanked rows) and leaves
+    /// holding the normalized super-diagonals, class `e` in field `e`: row
+    /// `c`'s are stored once its operator has been read. `edge` holds the
+    /// frames just outside the lines. `d` is the characteristic RHS in/out.
+    /// `carry`
     /// (per field, [`FWD_CARRIES`] rows) enters holding the upstream pipeline
     /// carry when `have_carry` — zero otherwise — and leaves holding this
     /// group's last-row carry. A `cyclic` group also eliminates its `z`
@@ -1301,24 +1237,22 @@ lane_kernel! {
     pub fn sweep_forward_group<L>(
         dt: f64,
         n: usize,
-        eig: &[f64],
-        e_at: LaneRows,
+        at: LaneRows,
+        op: &mut [f64],
         edge: &[f64; EDGE_LEN],
         d: &mut [f64],
-        d_at: LaneRows,
-        cp: &mut [f64],
         carry: &mut [[f64; NVW]; FWD_CARRIES],
         have_carry: bool,
         cyclic: Option<Cyclic<'_>>,
     ) {
         let mut cyclic = cyclic;
-        let zero = L::splat(0.0);
-        let cp_at = LaneRows::packed(NCLASS);
-        e_at.check(n, E_FIELDS, eig.len());
-        d_at.check(n, NVAR, d.len());
-        cp_at.check(n, NCLASS, cp.len());
+        let (zero, one) = (L::splat(0.0), L::splat(1.0));
+        // 2.0 * BETA * dt with scalar left-associated rounding.
+        let (dtv, tbd) = (L::splat(dt), L::splat(2.0 * BETA * dt));
+        at.check(n, E_FIELDS, op.len());
+        at.check(n, NVAR, d.len());
         if let Some(cy) = &cyclic {
-            cp_at.check(n, NCLASS, cy.z.len());
+            at.check(n, NCLASS, cy.z.len());
         }
         let [c_cp, c_d, c_z, c_al, c_ga] = carry;
         let [mut pcp, mut pz, mut al, mut ga] = [[zero; NCLASS]; 4];
@@ -1333,11 +1267,23 @@ lane_kernel! {
         for v in 0..NVAR {
             pdp[v] = L::load(&c_d[v * W..]);
         }
+        // SAFETY (every `eigen_row` and lane-row access below): rows below
+        // `n`, fields below those just checked. Each operator row's
+        // eigenvalues are formed once and rolled along, so row `c` is read
+        // before its super-diagonals overwrite it.
+        let (mut lo, mut mid) =
+            unsafe { (eigen_row::<L>(op, at, edge, n, 0), eigen_row::<L>(op, at, edge, n, 1)) };
         for c in 0..n {
             let first = c == 0 && !have_carry;
-            // SAFETY (`operator` and every `load_at`/`store_at` below):
-            // rows below `n`, fields below those just checked.
-            let (ident, abc) = unsafe { operator::<L>(dt, n, eig, e_at, edge, c) };
+            let hi = unsafe { eigen_row::<L>(op, at, edge, n, c + 2) };
+            // Row `c` of the operator, blanked rows blended to (0, 1, 0).
+            let ident = unsafe { at.get::<L>(op, c, E_IDM) };
+            let mut abc = [(zero, one, zero); NCLASS];
+            for (e, x) in abc.iter_mut().enumerate() {
+                let (a, b, cc) = coeffs(dtv, tbd, lo.0[e], lo.1, mid.1, hi.0[e], hi.1);
+                *x = (L::select(ident, zero, a), L::select(ident, one, b), L::select(ident, zero, cc));
+            }
+            (lo, mid) = (mid, hi);
             let mut bp = [zero; NCLASS];
             for e in 0..NCLASS {
                 let (a, mut b, cc) = abc[e];
@@ -1361,18 +1307,18 @@ lane_kernel! {
                 // bp = b - a·cp₋, cp = c/bp — the scalar Thomas step.
                 bp[e] = if first { b } else { b.sub(a.mul(pcp[e])) };
                 pcp[e] = cc.div(bp[e]);
-                unsafe { store_at(pcp[e], cp, cp_at.at(c, e)) };
+                unsafe { at.put(pcp[e], op, c, e) };
                 if let Some(cy) = &mut cyclic {
                     pz[e] = if first { u } else { u.sub(a.mul(pz[e])) }.div(bp[e]);
-                    unsafe { store_at(pz[e], cy.z, cp_at.at(c, e)) };
+                    unsafe { at.put(pz[e], cy.z, c, e) };
                 }
             }
             for v in 0..NVAR {
                 let e = CLASS[v];
-                let dv = L::select(ident, zero, unsafe { load_at::<L>(d, d_at.at(c, v)) });
+                let dv = L::select(ident, zero, unsafe { at.get::<L>(d, c, v) });
                 // dp = (d - a·dp₋)/bp, or d/b on the first row.
                 pdp[v] = if first { dv } else { dv.sub(abc[e].0.mul(pdp[v])) }.div(bp[e]);
-                unsafe { store_at(pdp[v], d, d_at.at(c, v)) };
+                unsafe { at.put(pdp[v], d, c, v) };
             }
         }
         for v in 0..NVAR {
@@ -1387,48 +1333,46 @@ lane_kernel! {
 }
 
 lane_kernel! {
-    /// Back-substitute one lane group (`d` at `d_at`, `cp` packed per class)
-    /// and, on cyclic lines, its correction column `z` (packed per class).
-    /// `seed` is the downstream rank's first unknowns (lane-interleaved per
-    /// field: `x`, then `z` on cyclic lines), `None` when this group owns the
-    /// end of its lines.
+    /// Back-substitute one lane group in place (`d` at `at`, with the
+    /// super-diagonals `cp` that [`sweep_forward_group`] left) and,
+    /// on cyclic lines, its correction column `z` (a field per class, like
+    /// `cp`). `seed` is the downstream rank's first unknowns
+    /// (lane-interleaved per field: `x`, then `z` on cyclic lines), `None`
+    /// when this group owns the end of its lines.
     pub fn sweep_backward_group<L>(
         n: usize,
+        at: LaneRows,
         cp: &[f64],
         d: &mut [f64],
-        d_at: LaneRows,
         z: Option<&mut [f64]>,
         seed: Option<&[[f64; NVW]; 2]>,
     ) {
         let mut z = z;
-        let cp_at = LaneRows::packed(NCLASS);
-        d_at.check(n, NVAR, d.len());
-        cp_at.check(n, NCLASS, cp.len());
+        at.check(n, NVAR, d.len());
+        at.check(n, NCLASS, cp.len());
         if let Some(z) = &z {
-            cp_at.check(n, NCLASS, z.len());
+            at.check(n, NCLASS, z.len());
         }
-        // SAFETY (every `load_at`/`store_at` below): rows below `n`, fields
-        // below those just checked.
+        // SAFETY (every lane-row access below): rows below `n`, fields below
+        // those just checked.
         let mut next: [L; NVAR] = [L::splat(0.0); NVAR];
         let mut nz: [L; NCLASS] = [L::splat(0.0); NCLASS];
         for v in 0..NVAR {
-            let row = d_at.at(n - 1, v);
-            let mut x = unsafe { load_at::<L>(d, row) };
+            let mut x = unsafe { at.get::<L>(d, n - 1, v) };
             if let Some([xd, _]) = seed {
-                let cpv = unsafe { load_at::<L>(cp, cp_at.at(n - 1, CLASS[v])) };
+                let cpv = unsafe { at.get::<L>(cp, n - 1, CLASS[v]) };
                 x = x.sub(cpv.mul(L::load(&xd[v * W..])));
-                unsafe { store_at(x, d, row) };
+                unsafe { at.put(x, d, n - 1, v) };
             }
             next[v] = x;
         }
         if let Some(z) = &mut z {
             for e in 0..NCLASS {
-                let row = cp_at.at(n - 1, e);
-                let mut zv = unsafe { load_at::<L>(z, row) };
+                let mut zv = unsafe { at.get::<L>(z, n - 1, e) };
                 if let Some([_, zd]) = seed {
-                    let cpv = unsafe { load_at::<L>(cp, row) };
+                    let cpv = unsafe { at.get::<L>(cp, n - 1, e) };
                     zv = zv.sub(cpv.mul(L::load(&zd[CLASS_FIELD[e] * W..])));
-                    unsafe { store_at(zv, z, row) };
+                    unsafe { at.put(zv, z, n - 1, e) };
                 }
                 nz[e] = zv;
             }
@@ -1436,19 +1380,17 @@ lane_kernel! {
         for c in (0..n.saturating_sub(1)).rev() {
             let mut cpe = [L::splat(0.0); NCLASS];
             for (e, x) in cpe.iter_mut().enumerate() {
-                *x = unsafe { load_at::<L>(cp, cp_at.at(c, e)) };
+                *x = unsafe { at.get::<L>(cp, c, e) };
             }
             for (v, nx) in next.iter_mut().enumerate() {
-                let row = d_at.at(c, v);
-                let x = unsafe { load_at::<L>(d, row) }.sub(cpe[CLASS[v]].mul(*nx));
-                unsafe { store_at(x, d, row) };
+                let x = unsafe { at.get::<L>(d, c, v) }.sub(cpe[CLASS[v]].mul(*nx));
+                unsafe { at.put(x, d, c, v) };
                 *nx = x;
             }
             if let Some(z) = &mut z {
                 for (e, nx) in nz.iter_mut().enumerate() {
-                    let row = cp_at.at(c, e);
-                    let zv = unsafe { load_at::<L>(z, row) }.sub(cpe[e].mul(*nx));
-                    unsafe { store_at(zv, z, row) };
+                    let zv = unsafe { at.get::<L>(z, c, e) }.sub(cpe[e].mul(*nx));
+                    unsafe { at.put(zv, z, c, e) };
                     *nx = zv;
                 }
             }
@@ -1457,28 +1399,28 @@ lane_kernel! {
 }
 
 lane_kernel! {
-    /// Apply the Sherman–Morrison correction `y ← y − fact·z` to one lane
-    /// group (`fact` is constant per line and field; `z` per class).
+    /// Apply the Sherman–Morrison correction `y ← y − fact·z` in place to
+    /// one lane group at `at` (`fact` is constant per line and field; `z`
+    /// per class).
     pub fn periodic_correct_group<L>(
         n: usize,
+        at: LaneRows,
         fact: &[f64; NVW],
         y: &mut [f64],
         z: &[f64],
     ) {
-        let (y_at, z_at) = (LaneRows::packed(NVAR), LaneRows::packed(NCLASS));
-        y_at.check(n, NVAR, y.len());
-        z_at.check(n, NCLASS, z.len());
+        at.check(n, NVAR, y.len());
+        at.check(n, NCLASS, z.len());
         let mut fv: [L; NVAR] = [L::splat(0.0); NVAR];
         for v in 0..NVAR {
             fv[v] = L::load(&fact[v * W..]);
         }
         for c in 0..n {
             for (v, &f) in fv.iter().enumerate() {
-                let (row, zrow) = (y_at.at(c, v), z_at.at(c, CLASS[v]));
                 // SAFETY: rows below `n`, fields below those just checked.
                 unsafe {
-                    let yv = load_at::<L>(y, row).sub(f.mul(load_at::<L>(z, zrow)));
-                    store_at(yv, y, row);
+                    let yv = at.get::<L>(y, c, v).sub(f.mul(at.get::<L>(z, c, CLASS[v])));
+                    at.put(yv, y, c, v);
                 }
             }
         }

@@ -124,6 +124,38 @@ pub trait Lane4: Copy {
             }
         }
     }
+    /// Lane `l` from `src[idx[l]]`: the lanes of lines that are not
+    /// neighbours in memory.
+    ///
+    /// # Safety
+    ///
+    /// Every index is below `src.len()`.
+    #[inline(always)]
+    unsafe fn gather(src: &[f64], idx: [usize; W]) -> Self {
+        // SAFETY: in bounds by the caller's contract.
+        unsafe {
+            Self::from_array([
+                *src.get_unchecked(idx[0]),
+                *src.get_unchecked(idx[1]),
+                *src.get_unchecked(idx[2]),
+                *src.get_unchecked(idx[3]),
+            ])
+        }
+    }
+    /// Lane `l` to `dst[idx[l]]`, in lane order: of lanes that share an
+    /// index, the last one stays.
+    ///
+    /// # Safety
+    ///
+    /// Every index is below `dst.len()`.
+    #[inline(always)]
+    unsafe fn scatter(self, dst: &mut [f64], idx: [usize; W]) {
+        let a = self.to_array();
+        for (&i, x) in idx.iter().zip(a) {
+            // SAFETY: in bounds by the caller's contract.
+            unsafe { *dst.get_unchecked_mut(i) = x };
+        }
+    }
     /// Build a select mask from per-lane booleans (sign bit set when true).
     fn mask(flags: [bool; W]) -> Self {
         let mut m = [0.0f64; W];
@@ -400,6 +432,19 @@ mod tests {
         let mut out = [9.0; W];
         ScalarLanes(a).store_n(&mut out, 3);
         assert_eq!(out, [a[0], a[1], a[2], 9.0]);
+    }
+
+    #[test]
+    fn gather_and_scatter_follow_their_indices() {
+        let src: Vec<f64> = (0..12).map(f64::from).collect();
+        let idx = [9, 1, 5, 5];
+        // SAFETY: every index is below 12.
+        let x = unsafe { ScalarLanes::gather(&src, idx) };
+        assert_eq!(x.to_array(), [9.0, 1.0, 5.0, 5.0]);
+        let mut dst = [0.0; 12];
+        // SAFETY: as above.
+        unsafe { ScalarLanes([1.0, 2.0, 3.0, 4.0]).scatter(&mut dst, idx) };
+        assert_eq!((dst[9], dst[1], dst[5], dst[0]), (1.0, 2.0, 4.0, 0.0), "the last lane stays");
     }
 
     #[test]

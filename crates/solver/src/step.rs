@@ -137,7 +137,7 @@ mod tests {
     fn freestream_is_a_fixed_point() {
         let fc = FlowConditions::new(0.8, 2.0, 0.0);
         let mut b = free_block(9, &fc);
-        let mut s = Scratch::for_block(&b);
+        let mut s = Scratch::default();
         for _ in 0..5 {
             let r = step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
             assert!(r.residual < 1e-12, "residual {}", r.residual);
@@ -160,7 +160,7 @@ mod tests {
         let mut q = *b.q.node(c);
         q[4] *= 1.3;
         b.q.set_node(c, q);
-        let mut s = Scratch::for_block(&b);
+        let mut s = Scratch::default();
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..30 {
@@ -182,8 +182,8 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let mut small = free_block(8, &fc);
         let mut big = free_block(16, &fc);
-        let mut ss = Scratch::for_block(&small);
-        let mut sb = Scratch::for_block(&big);
+        let mut ss = Scratch::default();
+        let mut sb = Scratch::default();
         let rs = step_block(&mut small, &fc, None, &mut SerialComm, &mut ss);
         let rb = step_block(&mut big, &fc, None, &mut SerialComm, &mut sb);
         assert!(rs.flops > 0);
@@ -200,7 +200,7 @@ mod tests {
         b.iblank[f] = Blank::Fringe;
         let imposed = [1.1, 0.5, 0.0, 0.0, 2.0];
         b.q.set_node(f, imposed);
-        let mut s = Scratch::for_block(&b);
+        let mut s = Scratch::default();
         step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
         assert_eq!(*b.q.node(f), imposed, "fringe overwritten by solver");
     }
@@ -214,7 +214,7 @@ mod tests {
         let mut b = free_block(9, &fc);
         let bad = Ijk::new(4, 4, 0);
         b.q.set_node(bad, crate::conditions::conservatives(&[-0.5, 0.8, 0.0, 0.0, 0.7]));
-        let mut s = Scratch::for_block(&b);
+        let mut s = Scratch::default();
         let r = step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
         assert_eq!(r.nonphysical, Some((b.to_global(bad), "ρ", -0.5)));
         let healthy = step_block(&mut free_block(9, &fc), &fc, None, &mut SerialComm, &mut s);
@@ -418,14 +418,7 @@ mod tests {
                     .into_iter()
                     .map(|(owned, neighbor)| keyed_block(&g, owned, neighbor, &fc, seed, garbage))
                     .collect();
-                let mut scratch: Vec<Scratch> = blocks
-                    .iter()
-                    .map(|b| {
-                        let mut s = Scratch::for_block(b);
-                        s.isa = isa;
-                        s
-                    })
-                    .collect();
+                let mut scratch: Vec<Scratch> = blocks.iter().map(|_| Scratch::new(isa)).collect();
                 for (step, (want_report, want_q)) in want.iter().enumerate() {
                     let reports: Vec<StepReport> = if parts == 1 {
                         let (b, s) = (&mut blocks[0], &mut scratch[0]);

@@ -51,7 +51,7 @@ fn advect_error(n: usize, t_end: f64, dt: f64) -> f64 {
     let mut fc = FlowConditions::new(MACH, 0.0, 0.0);
     fc.dt = dt;
     let mut b = vortex_block(n, 5.0);
-    let mut s = Scratch::for_block(&b);
+    let mut s = Scratch::default();
     let steps = (t_end / dt).round() as usize;
     for _ in 0..steps {
         step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
@@ -96,7 +96,7 @@ fn vortex_preserves_total_mass_in_interior() {
     let mut fc = FlowConditions::new(MACH, 0.0, 0.0);
     fc.dt = 0.01;
     let mut b = vortex_block(65, 5.0);
-    let mut s = Scratch::for_block(&b);
+    let mut s = Scratch::default();
     let mass = |b: &Block| -> f64 {
         let mut m = 0.0;
         for p in b.owned_local().iter() {

@@ -47,6 +47,10 @@ cargo test -q --release -p overset-connectivity -- the_search_buffers_stop_growi
 echo "== donor-search records fit: bytes per IGBP (arena, donor caches, IGBP lists, deferred writes) within bound on every store step, 1 rank and 18: release =="
 cargo test -q --release -p overset-connectivity -- donor_search_bookkeeping_fits_its_fringe_points
 
+echo "== flow workspace fits its block: every lane group solved in place (no group buffers; a cyclic block adds its correction column), one serial rank's flow heap per node of the largest grid within bound: release =="
+cargo test -q --release -p overset-solver --lib -- a_stepped_workspace_holds_no_group_buffers
+cargo test -q --release -p overflow-d --test integration -- a_serial_rank_keeps_one_flow_workspace
+
 echo "== golden trace schema + determinism =="
 cargo test -q -p overflow-d --test observability
 
