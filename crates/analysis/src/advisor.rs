@@ -76,7 +76,7 @@ fn serve_imbalance(input: &AnalysisInput, out: &mut Vec<Finding>) {
         .ranks
         .iter()
         .map(|r| {
-            r.spans.iter().filter(|s| s.cat == "conn" && s.name == "serve").map(|s| s.dur).sum()
+            r.events.iter().filter(|s| s.cat == "conn" && s.name == "serve").map(|s| s.dur).sum()
         })
         .collect();
     let total: f64 = serve.iter().sum();
@@ -207,26 +207,21 @@ fn repartition_effects(input: &AnalysisInput, cp: &CriticalPath, out: &mut Vec<F
 mod tests {
     use super::*;
     use crate::critical_path::from_phase_tables;
-    use crate::input::{RankSpans, Span};
     use crate::waits::classify;
-    use overset_comm::NUM_PHASES;
+    use overset_comm::{RankTrace, TraceEvent, NUM_PHASES};
 
-    fn serve_span(ts: f64, dur: f64) -> Span {
-        Span { cat: "conn".into(), name: "serve".into(), ts, dur, args: Vec::new() }
+    fn serve(rank: usize, dur: f64) -> RankTrace {
+        let serve = TraceEvent { cat: "conn", name: "serve", ts: 0.0, dur, args: Vec::new() };
+        RankTrace { rank, events: vec![serve] }
     }
 
     #[test]
     fn skewed_serve_time_recommends_granting_a_processor() {
-        let ranks = vec![
-            RankSpans { rank: 0, spans: vec![serve_span(0.0, 1.0)] },
-            RankSpans { rank: 1, spans: vec![serve_span(0.0, 1.0)] },
-            RankSpans { rank: 2, spans: vec![serve_span(0.0, 6.0)] },
-            RankSpans { rank: 3, spans: vec![serve_span(0.0, 1.0)] },
-        ];
-        let input = AnalysisInput { source: "test".into(), ranks, steps: Vec::new() };
+        let ranks = [serve(0, 1.0), serve(1, 1.0), serve(2, 6.0), serve(3, 1.0)];
+        let input = AnalysisInput { source: "test".into(), ranks: &ranks, steps: Vec::new() };
         let tables = vec![vec![[0.0; NUM_PHASES]]; 4];
         let cp = from_phase_tables(&[0], &tables, &[]);
-        let waits = classify(&input.ranks);
+        let waits = classify(input.ranks);
         let findings = advise(&input, &cp, &waits);
         let grant = findings.iter().find(|f| f.kind == "grant-processor").unwrap();
         assert_eq!(grant.rank, Some(2));
@@ -237,13 +232,10 @@ mod tests {
 
     #[test]
     fn balanced_serve_time_reports_no_move() {
-        let ranks = vec![
-            RankSpans { rank: 0, spans: vec![serve_span(0.0, 1.0)] },
-            RankSpans { rank: 1, spans: vec![serve_span(0.0, 1.1)] },
-        ];
-        let input = AnalysisInput { source: "test".into(), ranks, steps: Vec::new() };
+        let ranks = [serve(0, 1.0), serve(1, 1.1)];
+        let input = AnalysisInput { source: "test".into(), ranks: &ranks, steps: Vec::new() };
         let cp = from_phase_tables(&[], &[], &[]);
-        let waits = classify(&input.ranks);
+        let waits = classify(input.ranks);
         let findings = advise(&input, &cp, &waits);
         assert!(findings.iter().any(|f| f.kind == "balanced"));
         assert!(!findings.iter().any(|f| f.kind == "grant-processor"));

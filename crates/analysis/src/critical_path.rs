@@ -7,8 +7,7 @@
 //! of critical-path contributors: the ranks that would have to get faster
 //! for the run to get faster (everyone else's time is hidden behind waits).
 
-use crate::input::RankSpans;
-use overset_comm::{StepRecord, NUM_PHASES};
+use overset_comm::{RankTrace, StepRecord, NUM_PHASES};
 
 /// Critical-path decomposition of one timestep.
 #[derive(Clone, Debug)]
@@ -134,7 +133,7 @@ pub fn from_phase_tables(
 /// deltas). `spans` supplies the wait states used for argmax attribution;
 /// records and span-derived waits are aligned by step id
 /// (`StepRecord::step` equals the index of the step's `flow` span).
-pub fn from_step_records(steps: &[Vec<StepRecord>], spans: &[RankSpans]) -> CriticalPath {
+pub fn from_step_records(steps: &[Vec<StepRecord>], spans: &[RankTrace]) -> CriticalPath {
     let step_ids: Vec<u64> = match steps.first() {
         Some(r0) => r0.iter().map(|rec| rec.step).collect(),
         None => Vec::new(),
@@ -164,13 +163,13 @@ pub fn from_step_records(steps: &[Vec<StepRecord>], spans: &[RankSpans]) -> Crit
 /// wait-at-collective), located by the step/phase interval containing each
 /// comm span. Step indices are span-step numbers (k-th `flow` span = step
 /// k); spans outside any step are dropped.
-pub fn wait_tables_from_spans(ranks: &[RankSpans]) -> Vec<Vec<[f64; NUM_PHASES]>> {
+pub fn wait_tables_from_spans(ranks: &[RankTrace]) -> Vec<Vec<[f64; NUM_PHASES]>> {
     use crate::input::StepPhaseIntervals;
     let (colls, _) = crate::waits::collective_waits(ranks);
     let mut out: Vec<Vec<[f64; NUM_PHASES]>> = Vec::with_capacity(ranks.len());
     for (i, r) in ranks.iter().enumerate() {
-        let intervals = StepPhaseIntervals::build(&r.spans);
-        let nsteps = r.spans.iter().filter(|s| s.cat == "phase" && s.name == "flow").count();
+        let intervals = StepPhaseIntervals::build(&r.events);
+        let nsteps = r.events.iter().filter(|s| s.cat == "phase" && s.name == "flow").count();
         let mut tab = vec![[0.0f64; NUM_PHASES]; nsteps];
         let mut add = |ts: f64, wait: f64| {
             if let Some((step, phase)) = intervals.locate(ts) {
@@ -179,7 +178,7 @@ pub fn wait_tables_from_spans(ranks: &[RankSpans]) -> Vec<Vec<[f64; NUM_PHASES]>
                 }
             }
         };
-        for s in &r.spans {
+        for s in &r.events {
             if s.cat == "comm" && s.name == "recv" {
                 add(s.ts, s.arg("stall").unwrap_or(s.dur));
             }

@@ -1,11 +1,11 @@
-//! Owned span model and its input adapter.
+//! The analyzer's input and the phase intervals every pass locates spans in.
 //!
-//! The analyzer works on an owned [`Span`] mirror of the tracer's
-//! [`overset_comm::TraceEvent`] (string category/name, numeric-only args),
-//! built from a run's `RankTrace`s — live, or read back from a span-stream
-//! directory — together with its flight-recorder step records.
+//! The analyzer reads the recorder's own types: a run's
+//! [`RankTrace`]s, borrowed, and its flight-recorder step records. Span
+//! arguments are read through [`TraceEvent::arg`], which sees numeric
+//! arguments only.
 
-use overset_comm::{ArgVal, Phase, RankTrace, StepRecord};
+use overset_comm::{Phase, RankTrace, StepRecord, TraceEvent};
 
 /// Index of the catch-all phase used when a span falls outside every phase
 /// interval (or its phase name is unknown).
@@ -21,43 +21,18 @@ pub fn phase_index(name: &str) -> usize {
     Phase::ALL.iter().position(|p| p.name() == name).unwrap_or(PHASE_OTHER)
 }
 
-/// One completed span, owned and numeric-only (string args are dropped —
-/// nothing the analyzer computes reads them).
+/// Everything the analyzer consumes: a run's per-rank traces, as the
+/// recorder returned them, and its flight-recorder step records
+/// (rank-major), one record per rank per step.
 #[derive(Clone, Debug)]
-pub struct Span {
-    pub cat: String,
-    pub name: String,
-    /// Start, virtual seconds.
-    pub ts: f64,
-    /// Duration, virtual seconds.
-    pub dur: f64,
-    pub args: Vec<(String, f64)>,
-}
-
-impl Span {
-    pub fn arg(&self, key: &str) -> Option<f64> {
-        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-}
-
-/// All spans recorded on one rank, in recording order.
-#[derive(Clone, Debug)]
-pub struct RankSpans {
-    pub rank: usize,
-    pub spans: Vec<Span>,
-}
-
-/// Everything the analyzer consumes: per-rank spans and the flight-recorder
-/// step records (rank-major), one record per rank per step.
-#[derive(Clone, Debug)]
-pub struct AnalysisInput {
-    /// Human-readable provenance ("table1/quick", a span directory, ...).
+pub struct AnalysisInput<'a> {
+    /// Human-readable provenance ("table1/quick", ...).
     pub source: String,
-    pub ranks: Vec<RankSpans>,
+    pub ranks: &'a [RankTrace],
     pub steps: Vec<Vec<StepRecord>>,
 }
 
-impl AnalysisInput {
+impl<'a> AnalysisInput<'a> {
     pub fn nranks(&self) -> usize {
         self.ranks.len()
     }
@@ -67,7 +42,7 @@ impl AnalysisInput {
     /// turn the error into a clean exit instead of a panic or a
     /// divide-by-zero further down the pipeline.
     pub fn validate(&self) -> Result<(), String> {
-        if self.ranks.iter().all(|r| r.spans.is_empty()) {
+        if self.ranks.iter().all(|r| r.events.is_empty()) {
             return Err(format!(
                 "{}: trace contains no spans — nothing to analyze (was tracing enabled?)",
                 self.source
@@ -89,34 +64,9 @@ impl AnalysisInput {
         Ok(())
     }
 
-    /// Adapt a run's traces and flight-recorder step records for analysis.
-    pub fn from_run(source: &str, trace: &[RankTrace], steps: Vec<Vec<StepRecord>>) -> Self {
-        let ranks = trace
-            .iter()
-            .map(|rt| RankSpans {
-                rank: rt.rank,
-                spans: rt
-                    .events
-                    .iter()
-                    .map(|e| Span {
-                        cat: e.cat.to_string(),
-                        name: e.name.to_string(),
-                        ts: e.ts,
-                        dur: e.dur,
-                        args: e
-                            .args
-                            .iter()
-                            .filter_map(|(k, v)| match v {
-                                ArgVal::U64(n) => Some((k.to_string(), *n as f64)),
-                                ArgVal::F64(x) => Some((k.to_string(), *x)),
-                                ArgVal::Str(_) => None,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        AnalysisInput { source: source.to_string(), ranks, steps }
+    /// The input of a run's traces and flight-recorder step records.
+    pub fn from_run(source: &str, trace: &'a [RankTrace], steps: Vec<Vec<StepRecord>>) -> Self {
+        AnalysisInput { source: source.to_string(), ranks: trace, steps }
     }
 }
 
@@ -129,11 +79,11 @@ pub struct StepPhaseIntervals {
 }
 
 impl StepPhaseIntervals {
-    pub fn build(spans: &[Span]) -> Self {
+    pub fn build(spans: &[TraceEvent]) -> Self {
         let mut phases: Vec<(f64, f64, usize)> = spans
             .iter()
             .filter(|s| s.cat == "phase")
-            .map(|s| (s.ts, s.ts + s.dur, phase_index(&s.name)))
+            .map(|s| (s.ts, s.ts + s.dur, phase_index(s.name)))
             .collect();
         // Phase spans are emitted at guard drop (end order); sort by start.
         phases.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.partial_cmp(&b.1).unwrap()));
@@ -175,8 +125,8 @@ impl StepPhaseIntervals {
 mod tests {
     use super::*;
 
-    fn span(cat: &str, name: &str, ts: f64, dur: f64) -> Span {
-        Span { cat: cat.into(), name: name.into(), ts, dur, args: Vec::new() }
+    fn span(cat: &'static str, name: &'static str, ts: f64, dur: f64) -> TraceEvent {
+        TraceEvent { cat, name, ts, dur, args: Vec::new() }
     }
 
     #[test]

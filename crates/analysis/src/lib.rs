@@ -2,8 +2,8 @@
 //!
 //! The runtime *records* (span traces, flight-recorder step records) and
 //! `overset-report` *summarizes*; this crate *diagnoses*: given a run's
-//! per-rank spans and step records (live, or read back from a span-stream
-//! directory) it computes
+//! per-rank spans and step records, as the recorder returned them, it
+//! computes
 //!
 //! 1. the **critical path** — which rank bounds elapsed virtual time in
 //!    each barrier-separated phase of each step ([`critical_path`]),
@@ -30,7 +30,7 @@ pub mod waits;
 pub use advisor::{advise, Finding, GRANT_THRESHOLD};
 pub use critical_path::CriticalPath;
 pub use host::render_host_report;
-pub use input::{AnalysisInput, RankSpans, Span};
+pub use input::AnalysisInput;
 pub use matrix::CommMatrix;
 pub use waits::{Culprit, WaitStates, MAX_CULPRITS};
 
@@ -56,9 +56,9 @@ pub struct Analysis {
 /// Run the full pipeline on one input.
 pub fn analyze(input: &AnalysisInput) -> Analysis {
     let mut notes = vec!["critical path from flight-recorder step records".to_string()];
-    let critical_path = critical_path::from_step_records(&input.steps, &input.ranks);
-    let waits = waits::classify(&input.ranks);
-    let matrix = matrix::build(&input.ranks);
+    let critical_path = critical_path::from_step_records(&input.steps, input.ranks);
+    let waits = waits::classify(input.ranks);
+    let matrix = matrix::build(input.ranks);
     if matrix.dropped_sends > 0 {
         notes.push(format!(
             "{} send spans had an out-of-range dst and were ignored",
@@ -296,49 +296,42 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::RankSpans;
-    use overset_comm::StepRecord;
+    use overset_comm::{RankTrace, StepRecord, TraceEvent};
 
-    /// A minimal but valid n-rank input: one timestep (flow phase span and
-    /// step record) and one barrier per rank, with rank-dependent barrier
+    /// The traces of a minimal but valid n-rank run: one timestep (flow
+    /// phase span) and one barrier per rank, with rank-dependent barrier
     /// durations so the wait-state table has distinct totals to sort on.
-    fn synthetic_input(n: usize) -> AnalysisInput {
-        let ranks = (0..n)
-            .map(|rank| RankSpans {
+    fn synthetic_traces(n: usize) -> Vec<RankTrace> {
+        let span = |cat, name, ts, dur| TraceEvent { cat, name, ts, dur, args: Vec::new() };
+        (0..n)
+            .map(|rank| RankTrace {
                 rank,
-                spans: vec![
-                    Span {
-                        cat: "phase".into(),
-                        name: "flow".into(),
-                        ts: 0.0,
-                        dur: 1.0,
-                        args: Vec::new(),
-                    },
-                    Span {
-                        cat: "comm".into(),
-                        name: "barrier".into(),
-                        ts: 1.0,
-                        dur: 0.1 * (n - rank) as f64,
-                        args: Vec::new(),
-                    },
+                events: vec![
+                    span("phase", "flow", 0.0, 1.0),
+                    span("comm", "barrier", 1.0, 0.1 * (n - rank) as f64),
                 ],
             })
-            .collect();
+            .collect()
+    }
+
+    /// `traces` with one step record per rank.
+    fn synthetic_input(traces: &[RankTrace]) -> AnalysisInput<'_> {
         let mut rec = StepRecord::ZERO;
         rec.time[0] = 1.0;
-        AnalysisInput { source: format!("synthetic-{n}"), ranks, steps: vec![vec![rec]; n] }
+        let steps = vec![vec![rec]; traces.len()];
+        AnalysisInput::from_run(&format!("synthetic-{}", traces.len()), traces, steps)
     }
 
     #[test]
     fn wait_state_table_is_full_at_16_ranks_and_capped_above() {
-        let small = analyze(&synthetic_input(16));
+        let small = analyze(&synthetic_input(&synthetic_traces(16)));
         let txt = small.render_text();
         assert!(!txt.contains("more ranks (sorted"), "{txt}");
         for r in 0..16 {
             assert!(txt.contains(&format!("  {r:>4}   ")), "rank {r} missing:\n{txt}");
         }
 
-        let big = analyze(&synthetic_input(20));
+        let big = analyze(&synthetic_input(&synthetic_traces(20)));
         let txt = big.render_text();
         assert!(txt.contains("... 4 more ranks (sorted by total lost time)"), "{txt}");
         // Collective wait = own span duration minus the rank-minimum, so
@@ -348,6 +341,6 @@ mod tests {
 
     #[test]
     fn validate_accepts_the_synthetic_input() {
-        assert!(synthetic_input(4).validate().is_ok());
+        assert!(synthetic_input(&synthetic_traces(4)).validate().is_ok());
     }
 }

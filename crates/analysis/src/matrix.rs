@@ -4,8 +4,8 @@
 //! the sending rank, so the matrix needs no pairing logic: row = sender,
 //! column = `dst`, phase = the phase interval containing the span.
 
-use crate::input::{RankSpans, StepPhaseIntervals};
-use overset_comm::NUM_PHASES;
+use crate::input::StepPhaseIntervals;
+use overset_comm::{RankTrace, NUM_PHASES};
 
 #[derive(Clone, Debug, Default)]
 pub struct CommMatrix {
@@ -46,7 +46,7 @@ impl CommMatrix {
     }
 }
 
-pub fn build(ranks: &[RankSpans]) -> CommMatrix {
+pub fn build(ranks: &[RankTrace]) -> CommMatrix {
     let n = ranks.len();
     let mut m = CommMatrix {
         nranks: n,
@@ -55,8 +55,8 @@ pub fn build(ranks: &[RankSpans]) -> CommMatrix {
         dropped_sends: 0,
     };
     for (src, r) in ranks.iter().enumerate() {
-        let intervals = StepPhaseIntervals::build(&r.spans);
-        for s in &r.spans {
+        let intervals = StepPhaseIntervals::build(&r.events);
+        for s in &r.events {
             if s.cat != "comm" || s.name != "send" {
                 continue;
             }
@@ -130,35 +130,30 @@ fn render_cells(m: &[Vec<u64>], label: &str, bucket: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::Span;
+    use overset_comm::{ArgVal, TraceEvent};
 
-    fn send(ts: f64, dst: f64, bytes: f64) -> Span {
-        Span {
-            cat: "comm".into(),
-            name: "send".into(),
-            ts,
-            dur: 0.0,
-            args: vec![("dst".into(), dst), ("bytes".into(), bytes)],
-        }
+    fn send(ts: f64, dst: u64, bytes: u64) -> TraceEvent {
+        let args = vec![("dst", ArgVal::U64(dst)), ("bytes", ArgVal::U64(bytes))];
+        TraceEvent { cat: "comm", name: "send", ts, dur: 0.0, args }
     }
 
-    fn phase(name: &str, ts: f64, dur: f64) -> Span {
-        Span { cat: "phase".into(), name: name.into(), ts, dur, args: Vec::new() }
+    fn phase(name: &'static str, ts: f64, dur: f64) -> TraceEvent {
+        TraceEvent { cat: "phase", name, ts, dur, args: Vec::new() }
     }
 
     #[test]
     fn sends_land_in_the_containing_phase_cell() {
-        let r0 = RankSpans {
+        let r0 = RankTrace {
             rank: 0,
-            spans: vec![
+            events: vec![
                 phase("flow", 0.0, 1.0),
                 phase("connectivity", 1.0, 1.0),
-                send(0.5, 1.0, 100.0),
-                send(1.5, 1.0, 40.0),
-                send(1.6, 7.0, 8.0), // dst out of range: dropped
+                send(0.5, 1, 100),
+                send(1.5, 1, 40),
+                send(1.6, 7, 8), // dst out of range: dropped
             ],
         };
-        let r1 = RankSpans { rank: 1, spans: vec![] };
+        let r1 = RankTrace { rank: 1, events: vec![] };
         let m = build(&[r0, r1]);
         assert_eq!(m.msgs[0][0][1], 1);
         assert_eq!(m.bytes[0][0][1], 100);

@@ -13,8 +13,8 @@
 //!   barrier/allgather span minus the minimum duration over ranks at the
 //!   same index is pure waiting for slower peers.
 
-use crate::input::{RankSpans, StepPhaseIntervals};
-use overset_comm::NUM_PHASES;
+use crate::input::StepPhaseIntervals;
+use overset_comm::{RankTrace, NUM_PHASES};
 use std::collections::{HashMap, VecDeque};
 
 /// One sender-side source of a victim rank's late-sender time: the rank
@@ -75,14 +75,14 @@ pub(crate) type CollectiveWaits = Vec<Vec<(f64, f64)>>;
 /// rank's span duration minus the minimum duration over ranks at the same
 /// index. Only the common prefix of collective counts is covered; the
 /// second return is `(kmin, kmax)` so callers can report truncation.
-pub(crate) fn collective_waits(ranks: &[RankSpans]) -> (CollectiveWaits, (usize, usize)) {
+pub(crate) fn collective_waits(ranks: &[RankTrace]) -> (CollectiveWaits, (usize, usize)) {
     let mut colls: Vec<Vec<(f64, f64)>> = ranks
         .iter()
         .map(|r| {
             let mut c: Vec<(f64, f64)> = r
-                .spans
+                .events
                 .iter()
-                .filter(|s| s.cat == "comm" && is_collective(&s.name))
+                .filter(|s| s.cat == "comm" && is_collective(s.name))
                 .map(|s| (s.ts, s.dur))
                 .collect();
             c.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
@@ -104,10 +104,10 @@ pub(crate) fn collective_waits(ranks: &[RankSpans]) -> (CollectiveWaits, (usize,
 }
 
 /// Classify wait states from comm spans. A run with no `comm` spans has
-/// all-zero waits; with mismatched collective counts (a hand-written span
-/// directory, never a recorded run) only the common prefix is classified
-/// and a note records the truncation.
-pub fn classify(ranks: &[RankSpans]) -> WaitStates {
+/// all-zero waits; with mismatched collective counts (a hand-built trace,
+/// never a recorded run) only the common prefix is classified and a note
+/// records the truncation.
+pub fn classify(ranks: &[RankTrace]) -> WaitStates {
     let mut out =
         WaitStates { per_rank: vec![RankWaits::default(); ranks.len()], ..Default::default() };
     let (colls, (kmin, kmax)) = collective_waits(ranks);
@@ -115,10 +115,10 @@ pub fn classify(ranks: &[RankSpans]) -> WaitStates {
     // FIFO per (src, dst, tag) channel — the runtime receives from explicit
     // (src, tag) pairs, so the k-th matching recv pairs with the k-th send.
     let phase_of: Vec<StepPhaseIntervals> =
-        ranks.iter().map(|r| StepPhaseIntervals::build(&r.spans)).collect();
+        ranks.iter().map(|r| StepPhaseIntervals::build(&r.events)).collect();
     let mut sends: HashMap<(usize, usize, u64), VecDeque<usize>> = HashMap::new();
     for (src, r) in ranks.iter().enumerate() {
-        for s in &r.spans {
+        for s in &r.events {
             if s.cat == "comm" && s.name == "send" {
                 if let (Some(dst), Some(tag)) = (s.arg("dst"), s.arg("tag")) {
                     sends
@@ -132,11 +132,11 @@ pub fn classify(ranks: &[RankSpans]) -> WaitStates {
     for (i, r) in ranks.iter().enumerate() {
         // (sender rank, sender phase) -> (late-sender seconds, stalled recvs).
         let mut culprits: HashMap<(usize, usize), (f64, u64)> = HashMap::new();
-        for s in &r.spans {
+        for s in &r.events {
             if s.cat == "comm" && s.name == "recv" {
                 let phase = phase_of[i].phase_at(s.ts);
                 // `stall` is exact and the tracer always writes it; a recv
-                // span without it (a hand-written span directory) falls back
+                // span without it (a hand-built trace) falls back
                 // to the span duration, which equals the stall by construction.
                 let stall = s.arg("stall").unwrap_or(s.dur);
                 out.per_rank[i].late_sender[phase] += stall;
@@ -194,32 +194,33 @@ pub fn classify(ranks: &[RankSpans]) -> WaitStates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::Span;
+    use overset_comm::{ArgVal, TraceEvent};
 
-    fn span(cat: &str, name: &str, ts: f64, dur: f64, args: Vec<(&str, f64)>) -> Span {
-        Span {
-            cat: cat.into(),
-            name: name.into(),
-            ts,
-            dur,
-            args: args.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        }
+    fn span(
+        cat: &'static str,
+        name: &'static str,
+        ts: f64,
+        dur: f64,
+        args: Vec<(&'static str, f64)>,
+    ) -> TraceEvent {
+        let args = args.into_iter().map(|(k, v)| (k, ArgVal::F64(v))).collect();
+        TraceEvent { cat, name, ts, dur, args }
     }
 
     #[test]
     fn classifies_late_sender_and_collective_waits_per_phase() {
         // Rank 0 is fast: it waits 3s at the barrier. Rank 1 is slow: its
         // recv stalls 0.5s (late sender), barrier costs the base 1s.
-        let r0 = RankSpans {
+        let r0 = RankTrace {
             rank: 0,
-            spans: vec![
+            events: vec![
                 span("phase", "flow", 0.0, 5.0, vec![]),
                 span("comm", "barrier", 1.0, 4.0, vec![]),
             ],
         };
-        let r1 = RankSpans {
+        let r1 = RankTrace {
             rank: 1,
-            spans: vec![
+            events: vec![
                 span("phase", "flow", 0.0, 5.0, vec![]),
                 span("comm", "recv", 0.5, 0.5, vec![("stall", 0.5), ("idle", 0.0)]),
                 span("comm", "barrier", 4.0, 1.0, vec![]),
@@ -236,14 +237,14 @@ mod tests {
 
     #[test]
     fn mismatched_collective_counts_degrade_with_note() {
-        let r0 = RankSpans {
+        let r0 = RankTrace {
             rank: 0,
-            spans: vec![
+            events: vec![
                 span("comm", "barrier", 0.0, 2.0, vec![]),
                 span("comm", "barrier", 2.0, 1.0, vec![]),
             ],
         };
-        let r1 = RankSpans { rank: 1, spans: vec![span("comm", "barrier", 1.0, 1.0, vec![])] };
+        let r1 = RankTrace { rank: 1, events: vec![span("comm", "barrier", 1.0, 1.0, vec![])] };
         let w = classify(&[r0, r1]);
         assert_eq!(w.notes.len(), 1);
         assert!(w.notes[0].contains("1..2"));

@@ -115,16 +115,16 @@ fn analysis_document_is_byte_identical_across_runs() {
 /// `ANALYSIS_SCHEMA_VERSION` review).
 #[test]
 fn analysis_json_matches_golden_bytes() {
-    use overset_analysis::Span;
+    use overset_comm::TraceEvent;
     let mut rec = StepRecord::ZERO;
     rec.time[Phase::Flow as usize] = 2.0;
     let input = AnalysisInput {
         source: "golden".into(),
-        ranks: vec![overset_analysis::RankSpans {
+        ranks: &[RankTrace {
             rank: 0,
-            spans: vec![Span {
-                cat: "phase".into(),
-                name: "flow".into(),
+            events: vec![TraceEvent {
+                cat: "phase",
+                name: "flow",
                 ts: 0.0,
                 dur: 2.0,
                 args: Vec::new(),

@@ -1,16 +1,13 @@
 //! `repro analyze` — one subcommand whose view is read off the target:
 //! - `repro analyze <experiment> [--quick]` re-runs the experiment's
 //!   representative case with tracing enabled (the case `--trace` uses)
-//!   and analyzes the live spans plus flight-recorder step records;
-//! - `repro analyze <dir>` reads the binary span-stream directory written
-//!   by `repro <exp> --trace-stream <dir>`, which holds exactly those spans
-//!   and step records, so the diagnosis equals the live one. A truncated
-//!   stream (a rank's writer died mid-run) is diagnosed with exit 2 naming
-//!   the gap, per rank;
+//!   and analyzes its spans plus flight-recorder step records;
 //! - `repro analyze <report.json>` renders the host-cost view of a run
 //!   report written by `repro report` (see `overset_analysis::host`). A
 //!   file that is not a report — a Chrome trace included; it carries no
 //!   step records — exits 2.
+//!
+//! Any other target, a directory included, is no run and exits 2.
 //!
 //! A trace analysis is the deterministic text report by default, the
 //! versioned JSON analysis document with `--json`; the host view is text
@@ -20,7 +17,6 @@
 use crate::experiments::{traced_run, Effort};
 use crate::report::check_representative;
 use overset_analysis::{analyze, AnalysisInput};
-use overset_comm::trace::TraceConfig;
 use overset_comm::OversetError;
 use std::path::Path;
 
@@ -52,27 +48,9 @@ fn parse(args: &[String]) -> Result<AnalyzeCli, String> {
 }
 
 fn usage() -> String {
-    "usage: repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]\n       \
+    "usage: repro analyze <experiment> [--quick] [--json] [-o <path>]\n       \
      repro analyze <report.json> [-o <path>]"
         .to_string()
-}
-
-/// The analysis input a complete span-stream directory holds.
-fn span_dir_input(dir: &str) -> Result<AnalysisInput, String> {
-    let sd = overset_comm::read_span_dir(Path::new(dir)).map_err(|e| e.to_string())?;
-    if !sd.gaps.is_empty() {
-        let mut e =
-            format!("{dir}: {} of {} rank streams incomplete:", sd.gaps.len(), sd.ranks.len());
-        for g in &sd.gaps {
-            e.push_str(&format!("\n  {g}"));
-        }
-        e.push_str(
-            "\n(a truncated stream means that rank's writer died mid-run; the recovered \
-             prefix is on disk but the analysis would silently understate its work)",
-        );
-        return Err(e);
-    }
-    Ok(AnalysisInput::from_run(dir, &sd.rank_traces(), sd.step_records()))
 }
 
 /// The trace analysis of one input, text or JSON. Degenerate inputs (no
@@ -107,17 +85,14 @@ pub fn run_analyze(args: &[String]) -> Result<i32, OversetError> {
         }
     };
     let target = cli.target.as_deref().unwrap();
-    let path = Path::new(target);
-    let rendered = if path.is_dir() {
-        span_dir_input(target).and_then(|input| trace_view(input, cli.json))
-    } else if path.is_file() {
+    let rendered = if Path::new(target).is_file() {
         host_view(target, cli.json)
     } else if let Err(e) = check_representative(target) {
-        Err(format!("{e}\n(nor is {target} a span directory or a report file)"))
+        Err(format!("{e}\n(nor is {target} a report file)"))
     } else {
         let effort = if cli.quick { Effort::quick() } else { Effort::full() };
         let effort_name = if cli.quick { "quick" } else { "full" };
-        let r = traced_run(target, effort, TraceConfig::enabled())?;
+        let r = traced_run(target, effort)?;
         let source = format!("{target}/{effort_name}");
         trace_view(AnalysisInput::from_run(&source, &r.trace, r.step_records), cli.json)
     };
@@ -171,6 +146,8 @@ mod tests {
         let no_spans = dir.join("overset_analyze_no_spans.json");
         std::fs::write(&no_spans, "{\"traceEvents\": []}").unwrap();
         assert_eq!(run_analyze(&s(&[no_spans.to_str().unwrap()])), Ok(2));
+        // A directory is no run, whatever it holds.
+        assert_eq!(run_analyze(&s(&[dir.to_str().unwrap()])), Ok(2));
 
         let _ = std::fs::remove_file(&empty);
         let _ = std::fs::remove_file(&no_spans);
@@ -193,100 +170,27 @@ mod tests {
 
     #[test]
     fn single_rank_and_zero_step_inputs_are_rejected_by_validate() {
-        use overset_analysis::{RankSpans, Span};
-        let span = |cat: &str, name: &str| Span {
-            cat: cat.into(),
-            name: name.into(),
-            ts: 0.0,
-            dur: 1.0,
-            args: Vec::new(),
+        use overset_comm::{RankTrace, TraceEvent};
+        let trace = |rank: usize, name: &'static str| RankTrace {
+            rank,
+            events: vec![TraceEvent { cat: "phase", name, ts: 0.0, dur: 1.0, args: Vec::new() }],
         };
         // Single rank: spans exist but the pairwise analyses are undefined.
-        let one = AnalysisInput {
-            source: "one-rank".into(),
-            ranks: vec![RankSpans { rank: 0, spans: vec![span("phase", "flow")] }],
-            steps: Vec::new(),
-        };
-        let e = one.validate().unwrap_err();
+        let one = [trace(0, "flow")];
+        let e = AnalysisInput::from_run("one-rank", &one, Vec::new()).validate().unwrap_err();
         assert!(e.contains("single rank"), "{e}");
 
         // Two ranks, spans, but no completed step (no step records).
-        let no_steps = AnalysisInput {
-            source: "no-steps".into(),
-            ranks: vec![
-                RankSpans { rank: 0, spans: vec![span("phase", "connectivity")] },
-                RankSpans { rank: 1, spans: vec![span("phase", "connectivity")] },
-            ],
-            steps: Vec::new(),
-        };
-        let e = no_steps.validate().unwrap_err();
+        let two = [trace(0, "connectivity"), trace(1, "connectivity")];
+        let e = AnalysisInput::from_run("no-steps", &two, Vec::new()).validate().unwrap_err();
         assert!(e.contains("no completed timesteps"), "{e}");
-    }
-
-    #[test]
-    fn span_dir_mode_analyzes_complete_streams_and_rejects_truncated_ones() {
-        use overset_comm::{MachineModel, Phase, Universe};
-        let dir = std::env::temp_dir().join("overset_bench_span_dir_mode");
-        let _ = std::fs::remove_dir_all(&dir);
-        Universe::builder()
-            .ranks(2)
-            .machine(&MachineModel::modern())
-            .trace(TraceConfig::enabled().with_stream(&dir))
-            .run(|c| {
-                for _ in 0..2 {
-                    let mut ph = c.phase(Phase::Flow);
-                    ph.compute(100_000, overset_comm::WorkClass::Flow);
-                    ph.barrier();
-                    drop(ph);
-                    c.end_step();
-                }
-            });
-        let d = dir.to_str().unwrap().to_string();
-        let out = dir.join("analysis.txt");
-        assert_eq!(
-            run_analyze(&[d.clone(), "-o".into(), out.to_str().unwrap().into()]),
-            Ok(0),
-            "complete span dir must analyze cleanly"
-        );
-        assert!(std::fs::read_to_string(&out).unwrap().contains("critical path"));
-
-        // Chop the tail off rank 1's stream: the recovered prefix parses,
-        // but analyze must refuse with exit 2 and name the gap.
-        let victim = dir.join("rank-00001.spans");
-        let bytes = std::fs::read(&victim).unwrap();
-        std::fs::write(&victim, &bytes[..bytes.len() - 7]).unwrap();
-        assert_eq!(run_analyze(&[d]), Ok(2));
-        let sd = overset_comm::read_span_dir(&dir).unwrap();
-        assert_eq!(sd.gaps.len(), 1);
-        assert!(sd.gaps[0].starts_with("rank 1"), "{}", sd.gaps[0]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Offline analysis is live analysis: `table1 --quick` analysed live and
-    /// from the span directory a `--trace-stream` run of it recorded yields
-    /// the same document, `source` aside.
-    #[test]
-    fn span_dir_analysis_equals_live_analysis() {
-        let effort = Effort::quick();
-        let dir = std::env::temp_dir().join("overset_bench_live_vs_span_dir");
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().unwrap().to_string();
-        let r = traced_run("table1", effort, TraceConfig::enabled()).unwrap();
-        let mut live = analyze(&AnalysisInput::from_run("table1/quick", &r.trace, r.step_records));
-        live.source = d.clone();
-        traced_run("table1", effort, TraceConfig::enabled().with_stream(&dir)).unwrap();
-        let out = dir.join("analysis.json");
-        let args = [d, "--json".into(), "-o".into(), out.to_str().unwrap().into()];
-        assert_eq!(run_analyze(&args), Ok(0));
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), live.to_value().to_json());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn quick_experiment_analysis_is_deterministic_and_names_a_rank() {
         let effort = Effort::quick();
         let run = || {
-            let r = traced_run("table1", effort, TraceConfig::enabled()).unwrap();
+            let r = traced_run("table1", effort).unwrap();
             let input = AnalysisInput::from_run("table1/quick", &r.trace, r.step_records);
             analyze(&input)
         };

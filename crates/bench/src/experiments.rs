@@ -473,16 +473,16 @@ pub fn verify_shapes(e: Effort) -> Result<i32, OversetError> {
     Ok(i32::from(!shapes.iter().all(Shape::ok)))
 }
 
-/// A representative traced run for `--trace`, `--trace-stream` and
-/// `repro analyze`: the experiment's representative case (the one `repro
-/// report` runs, see [`crate::report::representative_case`]) with the
-/// given trace configuration. Deterministic in virtual time, so two
-/// invocations produce byte-identical trace JSON. Panics unless
-/// [`crate::report::check_representative`] accepts `which`.
-pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> Result<RunResult, OversetError> {
+/// A representative traced run for `--trace` and `repro analyze`: the
+/// experiment's representative case (the one `repro report` runs, see
+/// [`crate::report::representative_case`]) with tracing enabled.
+/// Deterministic in virtual time, so two invocations produce byte-identical
+/// trace JSON. Panics unless [`crate::report::check_representative`]
+/// accepts `which`.
+pub fn traced_run(which: &str, e: Effort) -> Result<RunResult, OversetError> {
     let (mut cfg, nodes) = crate::report::representative_case(which, e)
         .expect("traced run of an experiment without a representative case");
-    cfg.trace = trace;
+    cfg.trace = TraceConfig::enabled();
     run_case(&tuned(cfg, e), nodes, &sp2())
 }
 

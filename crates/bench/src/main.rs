@@ -2,11 +2,10 @@
 //! run reports, and gate perf regressions.
 //!
 //! Usage:
-//!   `repro <experiment> [--quick] [--max-threads <N>] [--trace <out.json>]
-//!          [--trace-stream <dir>]`
+//!   `repro <experiment> [--quick] [--max-threads <N>] [--trace <out.json>]`
 //!   `repro report <experiment> [--quick] [--max-threads <N>] [-o <out.json>]`
 //!   `repro compare <baseline.json> <new.json>`
-//!   `repro analyze <experiment>|<span-dir> [--quick] [--json] [-o <path>]`
+//!   `repro analyze <experiment> [--quick] [--json] [-o <path>]`
 //!   `repro analyze <report.json> [-o <path>]`
 //!
 //! where experiment is one of `table1 fig5 table2 table3 fig7 table4 fig10
@@ -33,33 +32,29 @@
 //! `--trace` re-runs the experiment's representative case with event
 //! tracing enabled and writes a Chrome `trace_event` JSON (load it in
 //! `chrome://tracing` or Perfetto; one "process" per rank, virtual-time
-//! axis). `--trace-stream <dir>` streams spans to per-rank binary files in
-//! `<dir>` *as they close* instead of buffering them in memory (consume
-//! with `repro analyze <dir>`; see docs/OBSERVABILITY.md §Streaming sinks).
-//! A traced run records every span. `fig12` and `ablate-grouping` run
-//! outside the rank runtime and have no representative case: `--trace`,
-//! `--trace-stream`, `report` and `analyze` refuse them with exit 2.
+//! axis). A traced run records every span, in memory. `fig12` and
+//! `ablate-grouping` run outside the rank runtime and have no
+//! representative case: `--trace`, `report` and `analyze` refuse them with
+//! exit 2.
 //!
 //! `report` writes a versioned JSON report (per-step telemetry series,
 //! end-of-run summary, metrics dump, allocation attribution, host
 //! wall-clock — see docs/OBSERVABILITY.md) from untraced runs, and exits 2
-//! naming any tracing flag it was given; `compare` exits 0 when every
+//! when given `--trace`; `compare` exits 0 when every
 //! value under the two reports' `cases` is identical (the wall-clock `host`
 //! section is not read), 1 on any difference — printing the first 20 by
 //! dotted path — and 2 on usage/IO errors or a schema-version mismatch.
 //!
 //! `analyze` takes its view from the target: an experiment's representative
-//! case, live, or the span directory a `--trace-stream` run recorded gives
-//! the trace analysis (critical path, wait states, comm matrix, imbalance
-//! advisor — see docs/OBSERVABILITY.md §Analysis); a report file gives its
-//! host-cost view (per-phase host ms, peak heap, hotspots, virtual-vs-host
-//! shares, allocation profile).
+//! case, run traced, gives the trace analysis (critical path, wait states,
+//! comm matrix, imbalance advisor — see docs/OBSERVABILITY.md §Analysis); a
+//! report file gives its host-cost view (per-phase host ms, peak heap,
+//! hotspots, virtual-vs-host shares, allocation profile).
 
 use overset_bench::amr_experiments::{ablate_grouping, fig12};
 use overset_bench::analyze::run_analyze;
 use overset_bench::experiments::*;
 use overset_bench::report::{build_report, check_representative, compare_reports};
-use overset_comm::trace::TraceConfig;
 use overset_comm::OversetError;
 
 fn run_compare(args: &[String]) -> i32 {
@@ -79,7 +74,6 @@ struct Cli {
     which: String,
     quick: bool,
     trace_path: Option<String>,
-    trace_stream: Option<String>,
     out_path: Option<String>,
     max_threads: Option<usize>,
 }
@@ -89,7 +83,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         which: "all".to_string(),
         quick: false,
         trace_path: None,
-        trace_stream: None,
         out_path: None,
         max_threads: None,
     };
@@ -101,10 +94,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--trace" => match it.next() {
                 Some(p) => cli.trace_path = Some(p.clone()),
                 None => return Err("--trace requires an output path".to_string()),
-            },
-            "--trace-stream" => match it.next() {
-                Some(d) => cli.trace_stream = Some(d.clone()),
-                None => return Err("--trace-stream requires an output directory".to_string()),
             },
             "-o" | "--out" => match it.next() {
                 Some(p) => cli.out_path = Some(p.clone()),
@@ -124,14 +113,9 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
         }
     }
-    if cli.trace_path.is_some() && cli.trace_stream.is_some() {
-        return Err("--trace and --trace-stream are mutually exclusive (a streamed run keeps \
-                    no in-memory spans to export)"
-            .to_string());
-    }
     // A traced run re-runs the representative case: refuse a name without
     // one before the experiment itself runs.
-    if cli.trace_path.is_some() || cli.trace_stream.is_some() {
+    if cli.trace_path.is_some() {
         check_representative(&cli.which)?;
     }
     Ok(cli)
@@ -156,18 +140,11 @@ fn exit_usage<T>(r: Result<T, String>) -> T {
     }
 }
 
-/// The first flag on a `report` command line that a report run would
-/// ignore: reports run untraced and print nothing but the document.
-fn unhonoured_report_flag(cli: &Cli) -> Option<&'static str> {
-    [(cli.trace_path.is_some(), "--trace"), (cli.trace_stream.is_some(), "--trace-stream")]
-        .into_iter()
-        .find_map(|(set, flag)| set.then_some(flag))
-}
-
 fn run_report_cmd(args: &[String]) -> Result<i32, OversetError> {
     let cli = exit_usage(parse_cli(args));
-    if let Some(flag) = unhonoured_report_flag(&cli) {
-        eprintln!("report does not support {flag} (run the experiment itself with it)");
+    // Reports run untraced and print nothing but the document.
+    if cli.trace_path.is_some() {
+        eprintln!("report does not support --trace (run the experiment itself with it)");
         return Ok(2);
     }
     if let Err(e) = check_representative(&cli.which) {
@@ -208,13 +185,8 @@ fn main() {
 /// the exit code, or the error of the first run that failed.
 fn run_experiment(args: &[String]) -> Result<i32, OversetError> {
     let cli = exit_usage(parse_cli(args));
-    let traced = cli.trace_path.is_some() || cli.trace_stream.is_some();
     let effort = effort_from(&cli);
     let which = cli.which.clone();
-    let mut trace_cfg = TraceConfig::enabled();
-    if let Some(dir) = &cli.trace_stream {
-        trace_cfg = trace_cfg.with_stream(dir);
-    }
 
     let t0 = std::time::Instant::now();
     match which.as_str() {
@@ -267,28 +239,21 @@ fn run_experiment(args: &[String]) -> Result<i32, OversetError> {
                  table6 fig12 scaling ablate-restart ablate-sixdof ablate-fo ablate-grouping \
                  ablate-cache verify-shapes all\n\
                  or a subcommand: report <experiment> | \
-                 compare <baseline.json> <new.json> | analyze <experiment>|<span-dir>|<report.json>"
+                 compare <baseline.json> <new.json> | analyze <experiment>|<report.json>"
             );
             return Ok(2);
         }
     }
 
-    if traced {
-        let r = traced_run(&which, effort, trace_cfg)?;
-        if let Some(path) = &cli.trace_path {
-            let json = overset_comm::chrome_trace_json(&r.trace);
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("failed to write trace to {path}: {e}");
-                return Ok(1);
-            }
-            let events: usize = r.trace.iter().map(|t| t.events.len()).sum();
-            eprintln!("[trace: {events} events over {} ranks -> {path}]", r.trace.len());
+    if let Some(path) = &cli.trace_path {
+        let r = traced_run(&which, effort)?;
+        let json = overset_comm::chrome_trace_json(&r.trace);
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("failed to write trace to {path}: {e}");
+            return Ok(1);
         }
-        if let Some(dir) = &cli.trace_stream {
-            // Spans went to disk as they closed; the in-memory trace is
-            // empty by design. `repro analyze <dir>` consumes the result.
-            eprintln!("[span stream: {} ranks -> {dir}]", r.trace.len());
-        }
+        let events: usize = r.trace.iter().map(|t| t.events.len()).sum();
+        eprintln!("[trace: {events} events over {} ranks -> {path}]", r.trace.len());
     }
 
     eprintln!("\n[{which} completed in {:?}]", t0.elapsed());
@@ -303,13 +268,15 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// `--trace-stream` is an unknown flag, with or without `--trace`.
     #[test]
-    fn trace_and_trace_stream_are_mutually_exclusive() {
-        let c = parse_cli(&s(&["table1", "--trace-stream", "spans.d"])).unwrap();
-        assert_eq!(c.trace_stream.as_deref(), Some("spans.d"));
-        let e = parse_cli(&s(&["table1", "--trace", "t.json", "--trace-stream", "d"])).unwrap_err();
-        assert!(e.contains("mutually exclusive"), "{e}");
-        assert!(parse_cli(&s(&["table1", "--trace-stream"])).is_err());
+    fn trace_stream_is_an_unknown_flag() {
+        for args in [
+            &["table1", "--trace-stream", "d"][..],
+            &["table1", "--trace", "t", "--trace-stream", "d"],
+        ] {
+            assert_eq!(parse_cli(&s(args)).unwrap_err(), "unknown flag: --trace-stream");
+        }
     }
 
     /// The retired feature flags (and a flag the restart switch never had)
@@ -342,32 +309,25 @@ mod tests {
 
     /// An experiment without a representative case — `fig12` and
     /// `ablate-grouping` run outside the rank runtime — or an unknown name
-    /// is refused by `report`, `analyze`, `--trace` and `--trace-stream`
-    /// before anything runs, naming it.
+    /// is refused by `report`, `analyze` and `--trace` before anything runs,
+    /// naming it.
     #[test]
     fn experiments_without_a_representative_case_exit_2() {
         for which in ["nonsense", "fig12", "ablate-grouping"] {
             assert_eq!(run_report_cmd(&s(&[which, "--quick"])), Ok(2), "{which}");
             assert_eq!(run_analyze(&s(&[which, "--quick"])), Ok(2), "{which}");
-            for flag in ["--trace", "--trace-stream"] {
-                let e = parse_cli(&s(&[which, flag, "out"])).unwrap_err();
-                assert!(e.starts_with(&format!("{which}: no representative case")), "{e}");
-            }
+            let e = parse_cli(&s(&[which, "--trace", "out"])).unwrap_err();
+            assert!(e.starts_with(&format!("{which}: no representative case")), "{e}");
         }
         assert!(parse_cli(&s(&["verify-shapes", "--quick", "--trace", "t.json"])).is_ok());
     }
 
-    /// `report` runs untraced and prints only the document, so every
-    /// tracing or printing flag is refused before anything runs.
+    /// `report` runs untraced and prints only the document, so `--trace`
+    /// is refused before anything runs.
     #[test]
     fn report_rejects_flags_it_does_not_honour() {
-        for flags in [&["--trace", "t.json"][..], &["--trace-stream", "spans.d"]] {
-            let args = s(&[&["table1", "--quick"][..], flags].concat());
-            let cli = parse_cli(&args).unwrap();
-            assert_eq!(unhonoured_report_flag(&cli), Some(flags[0]));
-            assert_eq!(run_report_cmd(&args), Ok(2), "{flags:?}");
-        }
+        assert_eq!(run_report_cmd(&s(&["table1", "--quick", "--trace", "t.json"])), Ok(2));
         let cli = parse_cli(&s(&["table1", "--quick", "-o", "r.json", "--max-threads", "2"]));
-        assert_eq!(unhonoured_report_flag(&cli.unwrap()), None);
+        assert!(cli.unwrap().trace_path.is_none());
     }
 }

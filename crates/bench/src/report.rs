@@ -53,7 +53,7 @@ fn family(which: &str) -> Option<Family> {
 }
 
 /// `Err` naming `which` unless it has a representative case — checked by
-/// `report`, `analyze`, `--trace` and `--trace-stream` before anything runs.
+/// `report`, `analyze` and `--trace` before anything runs.
 pub fn check_representative(which: &str) -> Result<(), String> {
     match family(which) {
         Some(_) => Ok(()),

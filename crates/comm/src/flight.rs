@@ -21,7 +21,6 @@
 
 use crate::metrics::{cache_hit_rate, Counter, Counts};
 use crate::stats::NUM_PHASES;
-use crate::wire::{Wire, WireError, WireReader};
 
 /// Telemetry of one timestep on one rank: what the step added to each of the
 /// rank's running totals — phase times, every [`Counter`], allocations.
@@ -64,29 +63,6 @@ impl StepRecord {
     }
 }
 
-// Step records fill the binary sink's step chunks: the fields in order.
-impl Wire for StepRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.step.encode(buf);
-        self.clock.encode(buf);
-        self.time.encode(buf);
-        self.counts.encode(buf);
-        self.allocs.encode(buf);
-        self.alloc_bytes.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StepRecord {
-            step: Wire::decode(r)?,
-            clock: Wire::decode(r)?,
-            time: Wire::decode(r)?,
-            counts: Wire::decode(r)?,
-            allocs: Wire::decode(r)?,
-            alloc_bytes: Wire::decode(r)?,
-        })
-    }
-}
-
 /// `now - prev`, slot by slot.
 fn delta<T: Copy + std::ops::Sub<Output = T>, const N: usize>(now: [T; N], prev: [T; N]) -> [T; N] {
     std::array::from_fn(|i| now[i] - prev[i])
@@ -108,20 +84,18 @@ impl Default for FlightRecorder {
 
 impl FlightRecorder {
     /// Close the current step. `totals` holds the rank's running totals
-    /// (its `step` is ignored); the record appended and returned is
-    /// `totals` minus the totals at the previous boundary.
-    pub fn end_step(&mut self, totals: StepRecord) -> StepRecord {
-        let rec = StepRecord {
+    /// (its `step` is ignored); the record appended is `totals` minus the
+    /// totals at the previous boundary.
+    pub fn end_step(&mut self, totals: StepRecord) {
+        self.records.push(StepRecord {
             step: self.records.len() as u64,
             clock: totals.clock,
             time: delta(totals.time, self.prev.time),
             counts: delta(totals.counts, self.prev.counts),
             allocs: delta(totals.allocs, self.prev.allocs),
             alloc_bytes: delta(totals.alloc_bytes, self.prev.alloc_bytes),
-        };
+        });
         self.prev = totals;
-        self.records.push(rec);
-        rec
     }
 
     /// Records so far, oldest first.
@@ -213,16 +187,5 @@ mod tests {
         let recs = fr.records();
         assert_eq!(recs[0].cache_hit_rate(), None);
         assert_eq!(recs[1].cache_hit_rate(), Some(0.75));
-    }
-
-    #[test]
-    fn step_record_wire_is_its_arrays_in_order() {
-        let mut rec = totals(2.0, 3, 300);
-        rec.step = 7;
-        rec.allocs[CONN] = 5;
-        rec.alloc_bytes[CONN] = 640;
-        let bytes = rec.to_wire_bytes();
-        assert_eq!(bytes.len(), 8 * (2 + 3 * NUM_PHASES + Counter::COUNT));
-        assert_eq!(StepRecord::from_wire_bytes(&bytes).unwrap(), rec);
     }
 }

@@ -15,9 +15,9 @@
 //!
 //! Ranks run as one OS thread each or as coroutines multiplexed onto a few
 //! worker threads ([`UniverseBuilder::max_threads`]), with bit-identical
-//! virtual time. Message payloads move between ranks as values; [`Wire`]
-//! gives bytes only to what the binary span file stores (docs/OBSERVABILITY.md,
-//! *Streaming sinks*).
+//! virtual time. Message payloads move between ranks as values, and a
+//! traced run's spans stay in memory until the run returns them: nothing
+//! in this crate has a byte encoding.
 //!
 //! See DESIGN.md §2 for the substitution argument.
 
@@ -29,10 +29,8 @@ pub mod machine;
 pub mod metrics;
 pub mod runtime;
 mod sched;
-pub mod sink;
 pub mod stats;
 pub mod trace;
-pub mod wire;
 
 pub use alloc::{AllocTotals, CountingAlloc, RankAllocCounters};
 pub use arena::VecPool;
@@ -41,10 +39,8 @@ pub use flight::{FlightRecorder, StepRecord};
 pub use machine::{CacheModel, MachineModel, WorkClass};
 pub use metrics::{Counter, Hist, Histogram, MetricsRegistry};
 pub use runtime::{Comm, Gathered, PhaseGuard, RankOutput, Universe, UniverseBuilder};
-pub use sink::{read_span_dir, read_span_file, RankStream, SpanDir, SPAN_SCHEMA_VERSION};
 pub use stats::{PerfSummary, Phase, NUM_PHASES};
 pub use trace::{chrome_trace_json, ArgVal, RankTrace, TraceConfig, TraceEvent, Tracer};
-pub use wire::{intern, Wire, WireError, WireReader};
 
 /// One-stop imports for writing a rank program:
 /// `use overset_comm::prelude::*;`.

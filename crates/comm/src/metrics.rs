@@ -12,7 +12,7 @@
 use crate::stats::{Phase, NUM_PHASES};
 
 /// One closed list per metric kind: variant, dotted name, doc. `ALL` is the
-/// declaration order, which is also the array and wire order.
+/// declaration order, which is also the array order.
 macro_rules! vocabulary {
     ($(#[$enum_meta:meta])* $kind:ident { $($(#[$meta:meta])* $variant:ident = $name:literal,)* }) => {
         $(#[$enum_meta])*

@@ -480,12 +480,12 @@ impl Comm {
     /// progress. This affects wall-clock interleaving only, never virtual
     /// time.
     pub fn end_step(&mut self) {
-        // Recorder/sink bookkeeping is runtime overhead, not rank work.
+        // Recorder bookkeeping is runtime overhead, not rank work.
         let _quiet = alloc::suspend();
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time, keep the phase
         let alloc = self.alloc_counters.totals();
-        let rec = self.flight.end_step(StepRecord {
+        self.flight.end_step(StepRecord {
             step: 0,
             clock: self.clock,
             time: self.time,
@@ -493,9 +493,6 @@ impl Comm {
             allocs: alloc.allocs,
             alloc_bytes: alloc.bytes,
         });
-        if let Some(t) = &mut self.tracer {
-            t.record_step(&rec);
-        }
         if let Some(mn) = &self.shared.mn {
             mn.wake(self.rank);
             sched::mn_yield();
@@ -844,8 +841,7 @@ impl Comm {
     /// Close the open phase and hand back the rank's output: the body's
     /// `result`, its phase timers and final clock, the recorded trace, the
     /// metrics registry, the flight recorder's per-step records, the host
-    /// wall-clock phase times, and the allocation telemetry. Closes the
-    /// streaming sink (flush + footer) when one is attached.
+    /// wall-clock phase times, and the allocation telemetry.
     fn finish<R>(mut self, result: R) -> RankOutput<R> {
         let phase = self.phase;
         self.switch_phase(phase); // flush elapsed time into the current bucket
@@ -853,7 +849,7 @@ impl Comm {
             result,
             time: self.time,
             clock: self.clock,
-            trace: self.tracer.take().map(Tracer::finish).unwrap_or_default(),
+            trace: self.tracer.take().map(Tracer::into_events).unwrap_or_default(),
             metrics: self.metrics,
             steps: self.flight.into_records(),
             host_time: self.host_time,
@@ -1022,7 +1018,7 @@ impl UniverseBuilder {
                     time: [0.0; NUM_PHASES],
                     metrics: MetricsRegistry::new(),
                     flight: FlightRecorder::default(),
-                    tracer: trace.enabled.then(|| Tracer::for_rank(&trace, rank)),
+                    tracer: trace.enabled.then(Tracer::default),
                     phase: Phase::Other,
                     phase_start: 0.0,
                     host_time: [0.0; NUM_PHASES],

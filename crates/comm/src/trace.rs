@@ -14,39 +14,23 @@
 //! (donor-search serve rounds), `solver` (halo/sweep stages), `lb`
 //! (repartition). See docs/OBSERVABILITY.md.
 
-use crate::flight::StepRecord;
-use crate::sink::SpanSink;
-use crate::wire::{intern, Wire, WireError, WireReader};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-/// Tracing configuration for a universe: on/off, and where the spans go.
-/// Enabled tracing records every span; the `Option<Tracer>` `is_some`
-/// branch at every instrumentation point keeps disabled tracing zero-cost.
+/// Tracing configuration for a universe: on or off. Enabled tracing records
+/// every span in memory; the `Option<Tracer>` `is_some` branch at every
+/// instrumentation point keeps disabled tracing zero-cost.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     pub enabled: bool,
-    /// When set, spans and step records stream to one binary span file per
-    /// rank in this directory as they close instead of accumulating in
-    /// memory; the run's `RankTrace`s come back empty. See [`crate::sink`].
-    pub stream: Option<PathBuf>,
 }
 
 impl TraceConfig {
     pub fn enabled() -> Self {
-        TraceConfig { enabled: true, stream: None }
+        TraceConfig { enabled: true }
     }
 
     pub fn disabled() -> Self {
-        TraceConfig { enabled: false, stream: None }
-    }
-
-    /// Stream telemetry to per-rank files in `dir` instead of buffering in
-    /// memory.
-    #[must_use]
-    pub fn with_stream(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.stream = Some(dir.into());
-        self
+        TraceConfig { enabled: false }
     }
 }
 
@@ -94,87 +78,25 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgVal)>,
 }
 
-impl Wire for ArgVal {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ArgVal::U64(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            ArgVal::F64(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-            ArgVal::Str(s) => {
-                buf.push(2);
-                s.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ArgVal::U64(u64::decode(r)?),
-            1 => ArgVal::F64(f64::decode(r)?),
-            2 => ArgVal::Str(String::decode(r)?),
-            _ => return Err(WireError::Invalid("ArgVal discriminant")),
+impl TraceEvent {
+    /// Numeric argument `key` as `f64`; `None` when the span has no
+    /// numeric argument of that name (string arguments included).
+    pub fn arg(&self, key: &str) -> Option<f64> {
+        self.args.iter().find_map(|(k, v)| match v {
+            ArgVal::U64(n) if *k == key => Some(*n as f64),
+            ArgVal::F64(x) if *k == key => Some(*x),
+            _ => None,
         })
     }
 }
 
-// Trace events fill the binary sink's event chunks; cat/name/arg-keys come
-// from a fixed span taxonomy and are re-interned on decode.
-impl Wire for TraceEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cat.to_string().encode(buf);
-        self.name.to_string().encode(buf);
-        self.ts.encode(buf);
-        self.dur.encode(buf);
-        buf.extend_from_slice(&(self.args.len() as u64).to_le_bytes());
-        for (k, v) in &self.args {
-            k.to_string().encode(buf);
-            v.encode(buf);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let cat = intern(&String::decode(r)?);
-        let name = intern(&String::decode(r)?);
-        let ts = f64::decode(r)?;
-        let dur = f64::decode(r)?;
-        let nargs = r.len_prefix()?;
-        let mut args = Vec::with_capacity(nargs.min(64));
-        for _ in 0..nargs {
-            let k = intern(&String::decode(r)?);
-            args.push((k, ArgVal::decode(r)?));
-        }
-        Ok(TraceEvent { cat, name, ts, dur, args })
-    }
-}
-
-/// Per-rank span recorder. With a streaming sink attached, spans route to
-/// disk as they close and `events` stays empty.
+/// Per-rank span recorder: every closed span, in memory, in close order.
 #[derive(Debug, Default)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
-    sink: Option<SpanSink>,
 }
 
 impl Tracer {
-    /// The recorder for one rank of a universe, opening the streaming sink
-    /// when `cfg.stream` is set.
-    pub fn for_rank(cfg: &TraceConfig, rank: usize) -> Self {
-        // Observability must be allocation-invisible: a traced run and an
-        // untraced run of the same case must report identical per-phase
-        // alloc counts, so every tracer-internal allocation (event buffers,
-        // sink framing) runs with attribution suspended.
-        let _quiet = crate::alloc::suspend();
-        Tracer {
-            events: Vec::new(),
-            sink: cfg.stream.as_ref().map(|dir| SpanSink::create(dir, rank)),
-        }
-    }
-
     /// Record a completed span `[ts, ts + dur]`.
     pub fn complete(
         &mut self,
@@ -184,21 +106,11 @@ impl Tracer {
         dur: f64,
         args: Vec<(&'static str, ArgVal)>,
     ) {
+        // Observability must be allocation-invisible: a traced run and an
+        // untraced run of the same case must report identical per-phase
+        // alloc counts, so the event buffer grows with attribution suspended.
         let _quiet = crate::alloc::suspend();
-        let e = TraceEvent { cat, name, ts, dur: dur.max(0.0), args };
-        match &mut self.sink {
-            Some(s) => s.push_event(e),
-            None => self.events.push(e),
-        }
-    }
-
-    /// Forward one closed step record to the streaming sink (no-op without
-    /// one — in-memory runs return steps via the flight recorder).
-    pub fn record_step(&mut self, rec: &StepRecord) {
-        let _quiet = crate::alloc::suspend();
-        if let Some(s) = &mut self.sink {
-            s.push_step(rec);
-        }
+        self.events.push(TraceEvent { cat, name, ts, dur: dur.max(0.0), args });
     }
 
     pub fn events(&self) -> &[TraceEvent] {
@@ -206,16 +118,6 @@ impl Tracer {
     }
 
     pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
-    /// Close the recorder: flush and footer the sink (if any), then return
-    /// the in-memory events (empty in sink mode).
-    pub fn finish(mut self) -> Vec<TraceEvent> {
-        let _quiet = crate::alloc::suspend();
-        if let Some(s) = &mut self.sink {
-            s.write_footer();
-        }
         self.events
     }
 }
@@ -353,23 +255,6 @@ mod tests {
         assert!(json.contains("\"dur\":1500.000"));
         assert!(json.contains("\"dst\":1"));
         assert!(json.ends_with("}\n"));
-    }
-
-    #[test]
-    fn trace_event_wire_roundtrip() {
-        let e = TraceEvent {
-            cat: "comm",
-            name: "send",
-            ts: 1.25,
-            dur: 0.5,
-            args: vec![
-                ("dst", ArgVal::U64(3)),
-                ("stall", ArgVal::F64(-0.0)),
-                ("note", ArgVal::Str("hé".into())),
-            ],
-        };
-        let back = TraceEvent::from_wire_bytes(&e.to_wire_bytes()).unwrap();
-        assert_eq!(back, e);
     }
 
     #[test]

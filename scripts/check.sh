@@ -106,16 +106,24 @@ echo "== report determinism smoke: two fresh quick reports agree on every value 
     exit 1
 }
 
-echo "== streamed analysis smoke: a recorded span dir analyses, a Chrome trace file exits 2 =="
-./target/release/repro table1 --quick --trace-stream "$DIFF_TMP/spans" > /dev/null
-./target/release/repro analyze "$DIFF_TMP/spans" > /dev/null
+echo "== analysis input smoke: a Chrome trace file, a directory and --trace-stream exit 2 =="
+expect_exit_2() { # what the command should refuse, then the command
+    local what="$1" rc=0
+    shift
+    "$@" > /dev/null 2>&1 || rc=$?
+    if [[ "$rc" != "2" ]]; then
+        echo "$what; want exit 2, got $rc" >&2
+        exit 1
+    fi
+}
 ./target/release/repro table1 --quick --trace "$DIFF_TMP/t.json" > /dev/null
-CHROME_RC=0
-./target/release/repro analyze "$DIFF_TMP/t.json" > /dev/null 2>&1 || CHROME_RC=$?
-if [[ "$CHROME_RC" != "2" ]]; then
-    echo "analyze: a Chrome trace file is not an analysis input; want exit 2, got $CHROME_RC" >&2
-    exit 1
-fi
+expect_exit_2 "analyze: a Chrome trace file is not an analysis input" \
+    ./target/release/repro analyze "$DIFF_TMP/t.json"
+mkdir "$DIFF_TMP/spans"
+expect_exit_2 "analyze: a directory is not an analysis input" \
+    ./target/release/repro analyze "$DIFF_TMP/spans"
+expect_exit_2 "spans stay in memory: --trace-stream is an unknown flag" \
+    ./target/release/repro table1 --quick --trace-stream "$DIFF_TMP/spans"
 
 echo "== host view smoke: analyze <report> is byte-deterministic, with median and peak-heap rows =="
 ./target/release/repro analyze "$DIFF_TMP/r1.json" -o "$DIFF_TMP/h1.txt" > /dev/null
