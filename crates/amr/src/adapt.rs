@@ -9,8 +9,9 @@
 //! systems to the refined grids as well as re-distribution of data after
 //! the adapt cycle".
 
-use crate::connect::{donor_weights, locate_any};
+use crate::connect::locate_any;
 use crate::offbody::{generate, level_histogram, Brick, OffBodyConfig};
+use overset_connectivity::{weights, Donor};
 use overset_grid::field::{StateField, NVAR};
 use overset_grid::Aabb;
 
@@ -62,7 +63,7 @@ pub fn adapt_cycle(
             match locate_any(bricks, x, None) {
                 Some(d) => {
                     transferred += 1;
-                    let w = donor_weights(&d);
+                    let w = weights(&Donor { cell: d.cell, loc: d.loc }, false);
                     let od = bricks[d.brick].grid.dims;
                     let mut q = [0.0f64; NVAR];
                     for (ci, wi) in w.iter().enumerate() {

@@ -19,57 +19,20 @@ pub struct BrickDonor {
     pub loc: [f64; 3],
 }
 
-/// Locate the donor for a point among bricks, preferring the *finest* brick
-/// containing it (ties by index). Linear scan over candidate bricks is
-/// avoided with the caller-provided candidate list (e.g. neighbors of the
-/// requesting brick); `locate_any` scans everything (setup / tests).
-pub fn locate_among(
-    bricks: &[Brick],
-    candidates: &[usize],
-    x: [f64; 3],
-    exclude: Option<usize>,
-) -> Option<BrickDonor> {
+/// Locate the donor for a point among all bricks, preferring the *finest*
+/// brick containing it (ties: the lowest index); `exclude` skips the
+/// requesting brick.
+pub fn locate_any(bricks: &[Brick], x: [f64; 3], exclude: Option<usize>) -> Option<BrickDonor> {
     let mut best: Option<(usize, BrickDonor)> = None;
-    for &bi in candidates {
-        if Some(bi) == exclude {
+    for (bi, b) in bricks.iter().enumerate() {
+        if Some(bi) == exclude || best.as_ref().is_some_and(|(lvl, _)| b.level <= *lvl) {
             continue;
         }
-        let b = &bricks[bi];
         if let Some((cell, loc)) = b.grid.locate(x) {
-            let better = match &best {
-                None => true,
-                Some((lvl, _)) => b.level > *lvl,
-            };
-            if better {
-                best = Some((b.level, BrickDonor { brick: bi, cell, loc }));
-            }
+            best = Some((b.level, BrickDonor { brick: bi, cell, loc }));
         }
     }
     best.map(|(_, d)| d)
-}
-
-/// Scan all bricks (setup-time convenience).
-pub fn locate_any(bricks: &[Brick], x: [f64; 3], exclude: Option<usize>) -> Option<BrickDonor> {
-    let all: Vec<usize> = (0..bricks.len()).collect();
-    locate_among(bricks, &all, x, exclude)
-}
-
-/// Trilinear interpolation weights for a brick donor (uniform Cartesian:
-/// exactly the unit-cube weights).
-pub fn donor_weights(d: &BrickDonor) -> [f64; 8] {
-    let [ti, tj, tk] = d.loc;
-    let mut w = [0.0f64; 8];
-    for dk in 0..2 {
-        for dj in 0..2 {
-            for di in 0..2 {
-                let wi = if di == 0 { 1.0 - ti } else { ti };
-                let wj = if dj == 0 { 1.0 - tj } else { tj };
-                let wk = if dk == 0 { 1.0 - tk } else { tk };
-                w[di + 2 * dj + 4 * dk] = wi * wj * wk;
-            }
-        }
-    }
-    w
 }
 
 /// Brick adjacency: two bricks are connected when their (slightly inflated)
@@ -98,6 +61,7 @@ pub fn build_adjacency(bricks: &[Brick]) -> overset_balance::AdjacencyMatrix {
 mod tests {
     use super::*;
     use crate::offbody::{generate, proximity_oracle, OffBodyConfig};
+    use overset_connectivity::{weights, Donor};
     use overset_grid::Aabb;
 
     fn system() -> Vec<Brick> {
@@ -138,12 +102,31 @@ mod tests {
         }
     }
 
+    /// The weights of a located brick donor partition unity and place the
+    /// point: its cell's corners, weighted, sum back to it.
     #[test]
     fn weights_partition_unity() {
-        let d =
-            BrickDonor { brick: 0, cell: overset_grid::Ijk::new(1, 1, 1), loc: [0.3, 0.8, 0.5] };
-        let w = donor_weights(&d);
+        let bricks = system();
+        let x = [0.6, -1.3, 2.2];
+        let d = locate_any(&bricks, x, None).expect("point inside domain");
+        let w = weights(&Donor { cell: d.cell, loc: d.loc }, false);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-14);
+        let grid = &bricks[d.brick].grid;
+        let mut placed = [0.0f64; 3];
+        for (c, wc) in w.iter().enumerate() {
+            let corner = overset_grid::Ijk::new(
+                d.cell.i + (c & 1),
+                d.cell.j + ((c >> 1) & 1),
+                d.cell.k + ((c >> 2) & 1),
+            );
+            let xc = grid.xyz(corner);
+            for a in 0..3 {
+                placed[a] += wc * xc[a];
+            }
+        }
+        for a in 0..3 {
+            assert!((placed[a] - x[a]).abs() < 1e-12, "{placed:?} vs {x:?}");
+        }
     }
 
     #[test]

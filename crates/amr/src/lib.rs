@@ -19,6 +19,6 @@ pub mod offbody;
 pub mod scheme;
 
 pub use adapt::{adapt_cycle, AdaptStats};
-pub use connect::{build_adjacency, locate_among, locate_any, BrickDonor};
+pub use connect::{build_adjacency, locate_any, BrickDonor};
 pub use offbody::{generate, level_histogram, proximity_oracle, Brick, OffBodyConfig};
 pub use scheme::{AdaptiveScheme, SchemeConfig, SchemeReport};

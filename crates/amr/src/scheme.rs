@@ -8,12 +8,13 @@
 //! the traditional donor search.
 
 use crate::adapt::{adapt_cycle, AdaptStats};
-use crate::connect::{build_adjacency, donor_weights, locate_any, FLOPS_PER_LOCATE};
+use crate::connect::{build_adjacency, locate_any, FLOPS_PER_LOCATE};
 use crate::offbody::{generate, level_histogram, Brick, OffBodyConfig};
 use overset_balance::{group_grids, Grouping};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, interpolate, walk_search, ConnArena, Igbp, SearchCost, SearchOutcome,
+    cut_holes_and_find_fringe, interpolate, walk_search, weights, ConnArena, Donor, Igbp,
+    SearchCost, SearchOutcome,
 };
 use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, Solid};
 use overset_grid::field::{StateField, NVAR};
@@ -217,7 +218,7 @@ impl AdaptiveScheme {
     }
 
     fn interp_brick(&self, d: &crate::connect::BrickDonor) -> [f64; NVAR] {
-        let w = donor_weights(d);
+        let w = weights(&Donor { cell: d.cell, loc: d.loc }, false);
         let block = &self.blocks[d.brick];
         let mut q = [0.0f64; NVAR];
         for (ci, wi) in w.iter().enumerate() {

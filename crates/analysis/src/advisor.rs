@@ -206,12 +206,19 @@ fn repartition_effects(input: &AnalysisInput, cp: &CriticalPath, out: &mut Vec<F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::critical_path::from_phase_tables;
+    use crate::critical_path::from_step_records;
     use crate::waits::classify;
-    use overset_comm::{RankTrace, TraceEvent, NUM_PHASES};
+    use overset_comm::{Phase, RankTrace, StepRecord, TraceEvent};
 
     fn serve(rank: usize, dur: f64) -> RankTrace {
-        let serve = TraceEvent { cat: "conn", name: "serve", ts: 0.0, dur, args: Vec::new() };
+        let serve = TraceEvent {
+            cat: "conn",
+            name: "serve",
+            ts: 0.0,
+            dur,
+            phase: Phase::Connectivity,
+            args: Vec::new(),
+        };
         RankTrace { rank, events: vec![serve] }
     }
 
@@ -219,9 +226,8 @@ mod tests {
     fn skewed_serve_time_recommends_granting_a_processor() {
         let ranks = [serve(0, 1.0), serve(1, 1.0), serve(2, 6.0), serve(3, 1.0)];
         let input = AnalysisInput { source: "test".into(), ranks: &ranks, steps: Vec::new() };
-        let tables = vec![vec![[0.0; NUM_PHASES]]; 4];
-        let cp = from_phase_tables(&[0], &tables, &[]);
-        let waits = classify(input.ranks);
+        let cp = from_step_records(&vec![vec![StepRecord::ZERO]; 4]);
+        let waits = classify(input.ranks, &input.steps);
         let findings = advise(&input, &cp, &waits);
         let grant = findings.iter().find(|f| f.kind == "grant-processor").unwrap();
         assert_eq!(grant.rank, Some(2));
@@ -234,8 +240,8 @@ mod tests {
     fn balanced_serve_time_reports_no_move() {
         let ranks = [serve(0, 1.0), serve(1, 1.1)];
         let input = AnalysisInput { source: "test".into(), ranks: &ranks, steps: Vec::new() };
-        let cp = from_phase_tables(&[], &[], &[]);
-        let waits = classify(input.ranks);
+        let cp = from_step_records(&[]);
+        let waits = classify(input.ranks, &input.steps);
         let findings = advise(&input, &cp, &waits);
         assert!(findings.iter().any(|f| f.kind == "balanced"));
         assert!(!findings.iter().any(|f| f.kind == "grant-processor"));

@@ -7,7 +7,7 @@
 //! of critical-path contributors: the ranks that would have to get faster
 //! for the run to get faster (everyone else's time is hidden behind waits).
 
-use overset_comm::{RankTrace, StepRecord, NUM_PHASES};
+use overset_comm::{StepRecord, Wait, NUM_PHASES};
 
 /// Critical-path decomposition of one timestep.
 #[derive(Clone, Debug)]
@@ -66,39 +66,35 @@ fn argmax(xs: &[f64]) -> usize {
     best
 }
 
-/// Core computation over rank-major per-step phase-time tables
-/// (`tables[rank][step][phase]`).
+/// Critical path from flight-recorder step records (`steps[rank][step]`,
+/// exact per-step phase deltas).
 ///
-/// Phase time on every rank *includes* time spent blocked at the phase's
-/// barrier — phases end synchronized, so raw durations are nearly equal
-/// across ranks and say nothing about who bounds them. The argmax is
-/// therefore taken over **work** = time − wait (per-step wait-state tables
-/// from [`wait_tables_from_spans`]); the phase *elapsed* stays the raw
+/// Phase time on every rank *includes* time spent waiting — phases end at a
+/// barrier, so raw durations are nearly equal across ranks and say nothing
+/// about who bounds them. The argmax is therefore taken over **work**: the
+/// phase's time less the late-sender and collective waits the runtime
+/// recorded in the same step record. The phase *elapsed* stays the raw
 /// max-over-ranks, which is the true wall contribution.
-pub fn from_phase_tables(
-    step_ids: &[u64],
-    tables: &[Vec<[f64; NUM_PHASES]>],
-    waits: &[Vec<[f64; NUM_PHASES]>],
-) -> CriticalPath {
-    let nranks = tables.len();
-    let nsteps = tables.iter().map(Vec::len).min().unwrap_or(0).min(step_ids.len());
+pub fn from_step_records(steps: &[Vec<StepRecord>]) -> CriticalPath {
+    let nranks = steps.len();
+    let nsteps = steps.iter().map(Vec::len).min().unwrap_or(0);
     let mut cp = CriticalPath {
         nranks,
         rank_time: vec![0.0; nranks],
         rank_phase_time: vec![[0.0; NUM_PHASES]; nranks],
         ..CriticalPath::default()
     };
-    let wait_of = |r: usize, s: usize, p: usize| -> f64 {
-        waits.get(r).and_then(|w| w.get(s)).map_or(0.0, |w| w[p])
-    };
     for s in 0..nsteps {
         let mut phase_elapsed = [0.0f64; NUM_PHASES];
         let mut phase_rank = [0usize; NUM_PHASES];
         let mut phase_work = [f64::NEG_INFINITY; NUM_PHASES];
-        for (r, table) in tables.iter().enumerate() {
+        for (r, recs) in steps.iter().enumerate() {
+            let rec = &recs[s];
             for p in 0..NUM_PHASES {
-                phase_elapsed[p] = phase_elapsed[p].max(table[s][p]);
-                let work = (table[s][p] - wait_of(r, s, p)).max(0.0);
+                phase_elapsed[p] = phase_elapsed[p].max(rec.time[p]);
+                let lost =
+                    rec.wait[Wait::LateSender as usize][p] + rec.wait[Wait::Collective as usize][p];
+                let work = (rec.time[p] - lost).max(0.0);
                 // Strict `>` keeps the lowest rank on ties (deterministic).
                 if work > phase_work[p] {
                     phase_work[p] = work;
@@ -113,7 +109,7 @@ pub fn from_phase_tables(
         }
         let dominant_phase = argmax(&phase_elapsed);
         cp.steps.push(StepCritical {
-            step: step_ids[s],
+            step: steps[0][s].step,
             elapsed,
             phase_elapsed,
             phase_rank,
@@ -129,87 +125,26 @@ pub fn from_phase_tables(
     cp
 }
 
-/// Critical path from flight-recorder step records (exact per-step phase
-/// deltas). `spans` supplies the wait states used for argmax attribution;
-/// records and span-derived waits are aligned by step id
-/// (`StepRecord::step` equals the index of the step's `flow` span).
-pub fn from_step_records(steps: &[Vec<StepRecord>], spans: &[RankTrace]) -> CriticalPath {
-    let step_ids: Vec<u64> = match steps.first() {
-        Some(r0) => r0.iter().map(|rec| rec.step).collect(),
-        None => Vec::new(),
-    };
-    let tables: Vec<Vec<[f64; NUM_PHASES]>> =
-        steps.iter().map(|r| r.iter().map(|rec| rec.time).collect()).collect();
-    let span_waits = wait_tables_from_spans(spans);
-    let waits: Vec<Vec<[f64; NUM_PHASES]>> = steps
-        .iter()
-        .enumerate()
-        .map(|(r, recs)| {
-            recs.iter()
-                .map(|rec| {
-                    span_waits
-                        .get(r)
-                        .and_then(|w| w.get(rec.step as usize))
-                        .copied()
-                        .unwrap_or([0.0; NUM_PHASES])
-                })
-                .collect()
-        })
-        .collect();
-    from_phase_tables(&step_ids, &tables, &waits)
-}
-
-/// Per-rank per-step per-phase *wait* time (late-sender recv stalls plus
-/// wait-at-collective), located by the step/phase interval containing each
-/// comm span. Step indices are span-step numbers (k-th `flow` span = step
-/// k); spans outside any step are dropped.
-pub fn wait_tables_from_spans(ranks: &[RankTrace]) -> Vec<Vec<[f64; NUM_PHASES]>> {
-    use crate::input::StepPhaseIntervals;
-    let (colls, _) = crate::waits::collective_waits(ranks);
-    let mut out: Vec<Vec<[f64; NUM_PHASES]>> = Vec::with_capacity(ranks.len());
-    for (i, r) in ranks.iter().enumerate() {
-        let intervals = StepPhaseIntervals::build(&r.events);
-        let nsteps = r.events.iter().filter(|s| s.cat == "phase" && s.name == "flow").count();
-        let mut tab = vec![[0.0f64; NUM_PHASES]; nsteps];
-        let mut add = |ts: f64, wait: f64| {
-            if let Some((step, phase)) = intervals.locate(ts) {
-                if step < tab.len() {
-                    tab[step][phase] += wait;
-                }
-            }
-        };
-        for s in &r.events {
-            if s.cat == "comm" && s.name == "recv" {
-                add(s.ts, s.arg("stall").unwrap_or(s.dur));
-            }
-        }
-        for &(ts, wait) in &colls[i] {
-            add(ts, wait);
-        }
-        out.push(tab);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overset_comm::Phase;
 
     #[test]
     fn argmax_rank_and_ranking_are_deterministic() {
         // 2 steps, 3 ranks; rank 2 dominates connectivity (phase 1).
-        let t = |f: f64, c: f64| {
-            let mut a = [0.0; NUM_PHASES];
-            a[0] = f;
-            a[1] = c;
-            a
+        let t = |step: u64, f: f64, c: f64| {
+            let mut rec = StepRecord { step, ..StepRecord::ZERO };
+            rec.time[0] = f;
+            rec.time[1] = c;
+            rec
         };
-        let tables = vec![
-            vec![t(1.0, 1.0), t(1.0, 1.0)],
-            vec![t(1.0, 1.0), t(1.0, 1.0)],
-            vec![t(1.0, 5.0), t(1.0, 5.0)],
+        let steps = vec![
+            vec![t(0, 1.0, 1.0), t(1, 1.0, 1.0)],
+            vec![t(0, 1.0, 1.0), t(1, 1.0, 1.0)],
+            vec![t(0, 1.0, 5.0), t(1, 1.0, 5.0)],
         ];
-        let cp = from_phase_tables(&[0, 1], &tables, &[]);
+        let cp = from_step_records(&steps);
         assert_eq!(cp.steps.len(), 2);
         // Ties on flow go to rank 0; connectivity max is rank 2.
         assert_eq!(cp.steps[0].phase_rank[0], 0);
@@ -221,5 +156,25 @@ mod tests {
         assert!((cp.rank_time[2] - 10.0).abs() < 1e-12);
         assert!((cp.total_elapsed - 12.0).abs() < 1e-12);
         assert_eq!(cp.dominant_phase_of(2), 1);
+    }
+
+    /// The rank that waits is not the rank that works: rank 0's longer
+    /// flow time is all late-sender and collective wait, so rank 1 bounds
+    /// the phase; late-receiver time is no loss and changes nothing.
+    #[test]
+    fn the_argmax_is_over_time_less_recorded_waits() {
+        let flow = Phase::Flow as usize;
+        let rec = |time: f64, late_sender: f64, collective: f64, late_receiver: f64| {
+            let mut r = StepRecord::ZERO;
+            r.time[flow] = time;
+            r.wait[Wait::LateSender as usize][flow] = late_sender;
+            r.wait[Wait::Collective as usize][flow] = collective;
+            r.wait[Wait::LateReceiver as usize][flow] = late_receiver;
+            vec![r]
+        };
+        let cp = from_step_records(&[rec(4.0, 1.0, 2.0, 0.0), rec(3.0, 0.0, 0.0, 3.0)]);
+        assert_eq!(cp.steps[0].phase_rank[flow], 1);
+        assert_eq!(cp.steps[0].phase_elapsed[flow], 4.0);
+        assert_eq!(cp.ranking, vec![1, 0]);
     }
 }

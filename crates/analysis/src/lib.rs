@@ -14,6 +14,12 @@
 //! 4. **advisor findings** — the moves the paper's Algorithm 2 would make,
 //!    and whether past repartitions paid off ([`advisor`]).
 //!
+//! Nothing here works out again which phase or step something belongs to:
+//! the runtime recorded each wait in its step record's phase column and
+//! each span with its phase. The critical path and the wait tables read
+//! the step records alone; culprits, the comm matrix and the serve-time
+//! imbalance read spans.
+//!
 //! Everything derives from virtual-time data, so the rendered document —
 //! JSON ([`Analysis::to_value`], schema below) or text
 //! ([`Analysis::render_text`]) — is byte-identical across runs and
@@ -49,24 +55,17 @@ pub struct Analysis {
     pub waits: WaitStates,
     pub matrix: CommMatrix,
     pub findings: Vec<Finding>,
-    /// Provenance and degradation notes (also includes `waits.notes`).
+    /// Provenance notes.
     pub notes: Vec<String>,
 }
 
 /// Run the full pipeline on one input.
 pub fn analyze(input: &AnalysisInput) -> Analysis {
-    let mut notes = vec!["critical path from flight-recorder step records".to_string()];
-    let critical_path = critical_path::from_step_records(&input.steps, input.ranks);
-    let waits = waits::classify(input.ranks);
+    let notes = vec!["critical path from flight-recorder step records".to_string()];
+    let critical_path = critical_path::from_step_records(&input.steps);
+    let waits = waits::classify(input.ranks, &input.steps);
     let matrix = matrix::build(input.ranks);
-    if matrix.dropped_sends > 0 {
-        notes.push(format!(
-            "{} send spans had an out-of-range dst and were ignored",
-            matrix.dropped_sends
-        ));
-    }
     let findings = advise(input, &critical_path, &waits);
-    notes.extend(waits.notes.iter().cloned());
     Analysis {
         source: input.source.clone(),
         nranks: input.nranks(),
@@ -296,30 +295,35 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overset_comm::{RankTrace, StepRecord, TraceEvent};
+    use overset_comm::{RankTrace, StepRecord, TraceEvent, Wait};
 
-    /// The traces of a minimal but valid n-rank run: one timestep (flow
-    /// phase span) and one barrier per rank, with rank-dependent barrier
-    /// durations so the wait-state table has distinct totals to sort on.
+    /// The traces of a minimal but valid n-rank run: one `flow` phase span
+    /// per rank.
     fn synthetic_traces(n: usize) -> Vec<RankTrace> {
-        let span = |cat, name, ts, dur| TraceEvent { cat, name, ts, dur, args: Vec::new() };
-        (0..n)
-            .map(|rank| RankTrace {
-                rank,
-                events: vec![
-                    span("phase", "flow", 0.0, 1.0),
-                    span("comm", "barrier", 1.0, 0.1 * (n - rank) as f64),
-                ],
-            })
-            .collect()
+        let flow = TraceEvent {
+            cat: "phase",
+            name: "flow",
+            ts: 0.0,
+            dur: 1.0,
+            phase: Phase::Flow,
+            args: Vec::new(),
+        };
+        (0..n).map(|rank| RankTrace { rank, events: vec![flow.clone()] }).collect()
     }
 
-    /// `traces` with one step record per rank.
+    /// `traces` with one step record per rank, whose collective waits fall
+    /// with the rank so the wait-state table has distinct totals to sort on.
     fn synthetic_input(traces: &[RankTrace]) -> AnalysisInput<'_> {
-        let mut rec = StepRecord::ZERO;
-        rec.time[0] = 1.0;
-        let steps = vec![vec![rec]; traces.len()];
-        AnalysisInput::from_run(&format!("synthetic-{}", traces.len()), traces, steps)
+        let n = traces.len();
+        let steps = (0..n)
+            .map(|rank| {
+                let mut rec = StepRecord::ZERO;
+                rec.time[0] = 1.0;
+                rec.wait[Wait::Collective as usize][0] = 0.1 * (n - 1 - rank) as f64;
+                vec![rec]
+            })
+            .collect();
+        AnalysisInput::from_run(&format!("synthetic-{n}"), traces, steps)
     }
 
     #[test]
@@ -334,8 +338,7 @@ mod tests {
         let big = analyze(&synthetic_input(&synthetic_traces(20)));
         let txt = big.render_text();
         assert!(txt.contains("... 4 more ranks (sorted by total lost time)"), "{txt}");
-        // Collective wait = own span duration minus the rank-minimum, so
-        // rank 0 (longest barrier span) waited most and must survive the cut.
+        // Rank 0 waited most and must survive the cut.
         assert!(txt.contains("  0   "), "{txt}");
     }
 

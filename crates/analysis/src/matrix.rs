@@ -2,9 +2,9 @@
 //!
 //! Each `comm/send` span carries `dst` and `bytes` args and is recorded on
 //! the sending rank, so the matrix needs no pairing logic: row = sender,
-//! column = `dst`, phase = the phase interval containing the span.
+//! column = `dst`, phase = the span's own phase.
 
-use crate::input::StepPhaseIntervals;
+use crate::input::arg;
 use overset_comm::{RankTrace, NUM_PHASES};
 
 #[derive(Clone, Debug, Default)]
@@ -14,8 +14,6 @@ pub struct CommMatrix {
     pub msgs: Vec<Vec<Vec<u64>>>,
     /// `bytes[phase][src][dst]`.
     pub bytes: Vec<Vec<Vec<u64>>>,
-    /// Sends whose `dst` fell outside `0..nranks` (malformed trace).
-    pub dropped_sends: u64,
 }
 
 impl CommMatrix {
@@ -52,21 +50,12 @@ pub fn build(ranks: &[RankTrace]) -> CommMatrix {
         nranks: n,
         msgs: vec![vec![vec![0; n]; n]; NUM_PHASES],
         bytes: vec![vec![vec![0; n]; n]; NUM_PHASES],
-        dropped_sends: 0,
     };
     for (src, r) in ranks.iter().enumerate() {
-        let intervals = StepPhaseIntervals::build(&r.events);
-        for s in &r.events {
-            if s.cat != "comm" || s.name != "send" {
-                continue;
-            }
-            let Some(dst) = s.arg("dst").map(|d| d as usize).filter(|&d| d < n) else {
-                m.dropped_sends += 1;
-                continue;
-            };
-            let phase = intervals.phase_at(s.ts);
+        for s in r.events.iter().filter(|s| s.cat == "comm" && s.name == "send") {
+            let (phase, dst) = (s.phase as usize, arg(s, "dst") as usize);
             m.msgs[phase][src][dst] += 1;
-            m.bytes[phase][src][dst] += s.arg("bytes").unwrap_or(0.0) as u64;
+            m.bytes[phase][src][dst] += arg(s, "bytes") as u64;
         }
     }
     m
@@ -130,28 +119,18 @@ fn render_cells(m: &[Vec<u64>], label: &str, bucket: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overset_comm::{ArgVal, TraceEvent};
+    use overset_comm::{ArgVal, Phase, TraceEvent};
 
-    fn send(ts: f64, dst: u64, bytes: u64) -> TraceEvent {
+    fn send(phase: Phase, dst: u64, bytes: u64) -> TraceEvent {
         let args = vec![("dst", ArgVal::U64(dst)), ("bytes", ArgVal::U64(bytes))];
-        TraceEvent { cat: "comm", name: "send", ts, dur: 0.0, args }
-    }
-
-    fn phase(name: &'static str, ts: f64, dur: f64) -> TraceEvent {
-        TraceEvent { cat: "phase", name, ts, dur, args: Vec::new() }
+        TraceEvent { cat: "comm", name: "send", ts: 0.0, dur: 0.0, phase, args }
     }
 
     #[test]
     fn sends_land_in_the_containing_phase_cell() {
         let r0 = RankTrace {
             rank: 0,
-            events: vec![
-                phase("flow", 0.0, 1.0),
-                phase("connectivity", 1.0, 1.0),
-                send(0.5, 1, 100),
-                send(1.5, 1, 40),
-                send(1.6, 7, 8), // dst out of range: dropped
-            ],
+            events: vec![send(Phase::Flow, 1, 100), send(Phase::Connectivity, 1, 40)],
         };
         let r1 = RankTrace { rank: 1, events: vec![] };
         let m = build(&[r0, r1]);
@@ -159,7 +138,6 @@ mod tests {
         assert_eq!(m.bytes[0][0][1], 100);
         assert_eq!(m.msgs[1][0][1], 1);
         assert_eq!(m.bytes[1][0][1], 40);
-        assert_eq!(m.dropped_sends, 1);
         assert!(m.phase_active(0) && m.phase_active(1) && !m.phase_active(2));
         assert_eq!(m.total_bytes()[0][1], 140);
         let txt = render_heatmap(&m.total_bytes(), "bytes");

@@ -170,18 +170,19 @@ mod tests {
 
     #[test]
     fn single_rank_and_zero_step_inputs_are_rejected_by_validate() {
-        use overset_comm::{RankTrace, TraceEvent};
-        let trace = |rank: usize, name: &'static str| RankTrace {
+        use overset_comm::{Phase, RankTrace, TraceEvent};
+        let trace = |rank: usize, name: &'static str, phase: Phase| RankTrace {
             rank,
-            events: vec![TraceEvent { cat: "phase", name, ts: 0.0, dur: 1.0, args: Vec::new() }],
+            events: vec![TraceEvent { cat: "phase", name, ts: 0.0, dur: 1.0, phase, args: vec![] }],
         };
         // Single rank: spans exist but the pairwise analyses are undefined.
-        let one = [trace(0, "flow")];
+        let one = [trace(0, "flow", Phase::Flow)];
         let e = AnalysisInput::from_run("one-rank", &one, Vec::new()).validate().unwrap_err();
         assert!(e.contains("single rank"), "{e}");
 
         // Two ranks, spans, but no completed step (no step records).
-        let two = [trace(0, "connectivity"), trace(1, "connectivity")];
+        let conn = Phase::Connectivity;
+        let two = [trace(0, "connectivity", conn), trace(1, "connectivity", conn)];
         let e = AnalysisInput::from_run("no-steps", &two, Vec::new()).validate().unwrap_err();
         assert!(e.contains("no completed timesteps"), "{e}");
     }

@@ -6,8 +6,8 @@
 //! (the metrics registry, [`crate::PerfSummary`]) cannot show that, so every
 //! rank also keeps a [`FlightRecorder`]: at each step boundary the driver
 //! calls [`crate::Comm::end_step`], which reads the rank's running totals
-//! (phase times, the registry's counter array, the allocation counters) and
-//! appends one [`StepRecord`] of what the step added to each.
+//! (phase times, waits, the registry's counter array, the allocation
+//! counters) and appends one [`StepRecord`] of what the step added to each.
 //!
 //! The recorder is always on (one struct of plain numbers per step), reads
 //! only state that already exists, and never touches the virtual clock —
@@ -16,14 +16,33 @@
 //! [`crate::RankOutput::steps`]; `overset-report` aggregates them into the
 //! run-level time series the `BENCH_*.json` reports serialize.
 //!
-//! Every step is kept: a record is ~350 B, so even a thousand-step run
-//! holds well under a megabyte per rank.
+//! Every step is kept: a record is 512 B (`size_of::<StepRecord>()` on
+//! x86-64), so even a thousand-step run holds about half a megabyte per rank.
 
 use crate::metrics::{cache_hit_rate, Counter, Counts};
 use crate::stats::NUM_PHASES;
 
+/// The wait states a [`StepRecord`] splits per phase, in the order of
+/// [`StepRecord::wait`]'s rows. The runtime charges each where it happens,
+/// to the phase the rank is in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// A receive posted before its message arrived: the clock jumps to the
+    /// arrival.
+    LateSender = 0,
+    /// A message that sat fully arrived before its receive was posted:
+    /// buffered, costing the receiver no time.
+    LateReceiver = 1,
+    /// Time in a collective before the last rank arrived.
+    Collective = 2,
+}
+
+/// The number of [`Wait`] states: the rows of [`StepRecord::wait`].
+pub const NUM_WAITS: usize = 3;
+
 /// Telemetry of one timestep on one rank: what the step added to each of the
-/// rank's running totals — phase times, every [`Counter`], allocations.
+/// rank's running totals — phase times, waits, every [`Counter`],
+/// allocations.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StepRecord {
     /// Step index (0-based).
@@ -32,6 +51,11 @@ pub struct StepRecord {
     pub clock: f64,
     /// Virtual seconds spent per phase during this step.
     pub time: [f64; NUM_PHASES],
+    /// Virtual seconds waited during this step, per [`Wait`] and phase
+    /// (`wait[Wait::Collective as usize][Phase::Flow as usize]`).
+    /// Late-sender and collective waits are part of their phase's `time`;
+    /// late-receiver time costs no clock.
+    pub wait: [[f64; NUM_PHASES]; NUM_WAITS],
     /// This step's increment of every counter, indexed by `Counter as usize`.
     pub counts: Counts,
     /// Heap allocations made during this step, per phase.
@@ -46,6 +70,7 @@ impl StepRecord {
         step: 0,
         clock: 0.0,
         time: [0.0; NUM_PHASES],
+        wait: [[0.0; NUM_PHASES]; NUM_WAITS],
         counts: [0; Counter::COUNT],
         allocs: [0; NUM_PHASES],
         alloc_bytes: [0; NUM_PHASES],
@@ -91,6 +116,7 @@ impl FlightRecorder {
             step: self.records.len() as u64,
             clock: totals.clock,
             time: delta(totals.time, self.prev.time),
+            wait: std::array::from_fn(|w| delta(totals.wait[w], self.prev.wait[w])),
             counts: delta(totals.counts, self.prev.counts),
             allocs: delta(totals.allocs, self.prev.allocs),
             alloc_bytes: delta(totals.alloc_bytes, self.prev.alloc_bytes),
@@ -174,6 +200,31 @@ mod tests {
         assert_eq!(recs[2].alloc_bytes[CONN], 300);
         assert_eq!(recs[3].allocs[CONN], 13);
         assert_eq!(recs[3].alloc_bytes[CONN], 400);
+    }
+
+    /// Waits are differenced like phase times, wait state by wait state.
+    #[test]
+    fn wait_records_are_per_step_deltas() {
+        const COLL: usize = Wait::Collective as usize;
+        const LATE: usize = Wait::LateSender as usize;
+        let mut fr = FlightRecorder::default();
+        let mut t = StepRecord::ZERO;
+        t.wait[COLL][FLOW] = 1.5;
+        fr.end_step(t);
+        t.wait[COLL][FLOW] = 2.0;
+        t.wait[LATE][CONN] = 0.25;
+        fr.end_step(t);
+        let recs = fr.records();
+        assert_eq!(recs[0].wait[COLL][FLOW], 1.5);
+        assert_eq!(recs[1].wait[COLL][FLOW], 0.5);
+        assert_eq!(recs[1].wait[LATE][CONN], 0.25);
+        assert_eq!(recs[0].wait[Wait::LateReceiver as usize], [0.0; NUM_PHASES]);
+    }
+
+    /// The size the module doc quotes.
+    #[test]
+    fn a_step_record_is_512_bytes() {
+        assert_eq!(std::mem::size_of::<StepRecord>(), 512);
     }
 
     #[test]

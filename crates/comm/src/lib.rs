@@ -35,7 +35,7 @@ pub mod trace;
 pub use alloc::{AllocTotals, CountingAlloc, RankAllocCounters};
 pub use arena::VecPool;
 pub use error::OversetError;
-pub use flight::{FlightRecorder, StepRecord};
+pub use flight::{FlightRecorder, StepRecord, Wait, NUM_WAITS};
 pub use machine::{CacheModel, MachineModel, WorkClass};
 pub use metrics::{Counter, Hist, Histogram, MetricsRegistry};
 pub use runtime::{Comm, Gathered, PhaseGuard, RankOutput, Universe, UniverseBuilder};
@@ -47,7 +47,7 @@ pub use trace::{chrome_trace_json, ArgVal, RankTrace, TraceConfig, TraceEvent, T
 pub mod prelude {
     pub use crate::alloc::AllocTotals;
     pub use crate::error::OversetError;
-    pub use crate::flight::StepRecord;
+    pub use crate::flight::{StepRecord, Wait};
     pub use crate::machine::{MachineModel, WorkClass};
     pub use crate::metrics::{Counter, Hist, MetricsRegistry};
     pub use crate::runtime::{Comm, PhaseGuard, RankOutput, Universe, UniverseBuilder};

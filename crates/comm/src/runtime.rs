@@ -47,7 +47,7 @@
 
 use crate::alloc::{self, AllocTotals, RankAllocCounters};
 use crate::error::OversetError;
-use crate::flight::{FlightRecorder, StepRecord};
+use crate::flight::{FlightRecorder, StepRecord, Wait, NUM_WAITS};
 use crate::machine::{MachineModel, WorkClass};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::sched;
@@ -353,6 +353,9 @@ pub struct Comm {
     coll_gen: u64,
     /// Virtual seconds spent per phase: the run's one per-phase clock.
     time: [f64; NUM_PHASES],
+    /// Virtual seconds waited per [`Wait`] and phase, charged where each
+    /// wait happens: the one ledger of who waited, when.
+    wait: [[f64; NUM_PHASES]; NUM_WAITS],
     metrics: MetricsRegistry,
     flight: FlightRecorder,
     tracer: Option<Tracer>,
@@ -408,7 +411,7 @@ impl Drop for PhaseGuard<'_> {
         let dur = self.comm.clock - start;
         self.comm.switch_phase(self.prev);
         if let Some(t) = &mut self.comm.tracer {
-            t.complete("phase", ended.name(), start, dur, Vec::new());
+            t.complete("phase", ended.name(), start, dur, ended, Vec::new());
         }
     }
 }
@@ -460,7 +463,7 @@ impl Comm {
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
             let dur = self.clock - start;
-            t.complete(cat, name, start, dur, args.to_vec());
+            t.complete(cat, name, start, dur, self.phase, args.to_vec());
         }
     }
 
@@ -471,7 +474,8 @@ impl Comm {
 
     /// Close the current timestep for the flight recorder: flushes the open
     /// phase's elapsed time and appends one [`StepRecord`] of per-step
-    /// deltas (phase times, every counter of the registry, allocations).
+    /// deltas (phase times, waits, every counter of the registry,
+    /// allocations).
     /// Reads only existing state — never advances the virtual clock, so
     /// recording is physics- and timing-neutral.
     ///
@@ -489,6 +493,7 @@ impl Comm {
             step: 0,
             clock: self.clock,
             time: self.time,
+            wait: self.wait,
             counts: *self.metrics.counts(),
             allocs: alloc.allocs,
             alloc_bytes: alloc.bytes,
@@ -550,7 +555,8 @@ impl Comm {
                 WorkClass::Search => "search",
                 WorkClass::Other => "other",
             };
-            t.complete("compute", name, t0, dt, vec![("flops", ArgVal::F64(flops as f64))]);
+            let flops = vec![("flops", ArgVal::F64(flops as f64))];
+            t.complete("compute", name, t0, dt, self.phase, flops);
         }
     }
 
@@ -576,6 +582,7 @@ impl Comm {
                 "send",
                 t0,
                 self.machine.send_overhead,
+                self.phase,
                 vec![
                     ("dst", ArgVal::U64(dst as u64)),
                     ("tag", ArgVal::U64(tag)),
@@ -612,6 +619,9 @@ impl Comm {
         let idle = (self.clock - env.arrival).max(0.0);
         self.clock = self.clock.max(env.arrival);
         self.metrics.observe(Hist::CommRecvStall, stall);
+        let phase = self.phase as usize;
+        self.wait[Wait::LateSender as usize][phase] += stall;
+        self.wait[Wait::LateReceiver as usize][phase] += idle;
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
             t.complete(
@@ -619,6 +629,7 @@ impl Comm {
                 "recv",
                 t0,
                 self.clock - t0,
+                self.phase,
                 vec![
                     ("src", ArgVal::U64(src as u64)),
                     ("tag", ArgVal::U64(tag)),
@@ -723,15 +734,17 @@ impl Comm {
         let (result, round_clock) = self.rendezvous(value);
         self.clock = round_clock + self.machine.collective_time(self.size, bytes * self.size);
         self.metrics.inc(Counter::CommCollectives);
+        // The wait is this rank's time in the collective less the last
+        // arriver's, which spent only the collective cost in it. Written as
+        // that difference, it is bit for bit the span duration less the
+        // minimum span duration over the ranks.
+        let dur = self.clock - t0;
+        self.wait[Wait::Collective as usize][self.phase as usize] +=
+            dur - (self.clock - round_clock);
         if let Some(t) = &mut self.tracer {
             let _quiet = alloc::suspend();
-            t.complete(
-                "comm",
-                span_name,
-                t0,
-                self.clock - t0,
-                vec![("bytes", ArgVal::U64(bytes as u64))],
-            );
+            let bytes = vec![("bytes", ArgVal::U64(bytes as u64))];
+            t.complete("comm", span_name, t0, dur, self.phase, bytes);
         }
         result
     }
@@ -821,16 +834,6 @@ impl Comm {
                 std::any::type_name::<T>()
             ),
         }
-    }
-
-    /// All-reduce max over f64.
-    pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        self.allgather(value, 8).iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// All-reduce sum over f64.
-    pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        self.allgather(value, 8).iter().sum()
     }
 
     /// All-reduce sum over usize.
@@ -1016,6 +1019,7 @@ impl UniverseBuilder {
                     pending: Vec::new(),
                     coll_gen: 0,
                     time: [0.0; NUM_PHASES],
+                    wait: [[0.0; NUM_PHASES]; NUM_WAITS],
                     metrics: MetricsRegistry::new(),
                     flight: FlightRecorder::default(),
                     tracer: trace.enabled.then(Tracer::default),
@@ -1204,8 +1208,8 @@ mod tests {
     fn allreduce_ops() {
         let out = run(4, &modern(), |c| {
             (
-                c.allreduce_max(c.rank() as f64),
-                c.allreduce_sum(1.5),
+                c.allgather(c.rank() as f64, 8).iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                c.allgather(1.5, 8).iter().sum::<f64>(),
                 c.allreduce_sum_usize(c.rank()),
             )
         });
@@ -1562,7 +1566,8 @@ mod tests {
             }
             {
                 let mut ph = c.phase(Phase::Connectivity);
-                let maxv = ph.allreduce_max(me as f64 * 0.25 + step as f64);
+                let all = ph.allgather(me as f64 * 0.25 + step as f64, 8);
+                let maxv = all.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 ph.compute((maxv * 1.0e3) as u64, WorkClass::Other);
             }
             c.end_step();

@@ -14,6 +14,7 @@
 //! (donor-search serve rounds), `solver` (halo/sweep stages), `lb`
 //! (repartition). See docs/OBSERVABILITY.md.
 
+use crate::stats::Phase;
 use std::fmt::Write as _;
 
 /// Tracing configuration for a universe: on or off. Enabled tracing records
@@ -75,6 +76,10 @@ pub struct TraceEvent {
     pub ts: f64,
     /// Duration, virtual seconds (>= 0).
     pub dur: f64,
+    /// The phase the rank was in when it recorded the span; a `phase` span
+    /// carries the phase it covers. Not exported: the Chrome JSON places a
+    /// span by its timestamps.
+    pub phase: Phase,
     pub args: Vec<(&'static str, ArgVal)>,
 }
 
@@ -97,20 +102,21 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Record a completed span `[ts, ts + dur]`.
+    /// Record a completed span `[ts, ts + dur]` of `phase`.
     pub fn complete(
         &mut self,
         cat: &'static str,
         name: &'static str,
         ts: f64,
         dur: f64,
+        phase: Phase,
         args: Vec<(&'static str, ArgVal)>,
     ) {
         // Observability must be allocation-invisible: a traced run and an
         // untraced run of the same case must report identical per-phase
         // alloc counts, so the event buffer grows with attribution suspended.
         let _quiet = crate::alloc::suspend();
-        self.events.push(TraceEvent { cat, name, ts, dur: dur.max(0.0), args });
+        self.events.push(TraceEvent { cat, name, ts, dur: dur.max(0.0), phase, args });
     }
 
     pub fn events(&self) -> &[TraceEvent] {
@@ -238,12 +244,13 @@ mod tests {
     #[test]
     fn exporter_produces_complete_events() {
         let mut t = Tracer::default();
-        t.complete("phase", "flow", 0.0, 1.5e-3, vec![("step", ArgVal::U64(0))]);
+        t.complete("phase", "flow", 0.0, 1.5e-3, Phase::Flow, vec![("step", ArgVal::U64(0))]);
         t.complete(
             "comm",
             "send",
             2.0e-3,
             1.0e-6,
+            Phase::Flow,
             vec![("dst", 1usize.into()), ("bytes", 512usize.into())],
         );
         let json = chrome_trace_json(&[RankTrace { rank: 0, events: t.into_events() }]);
@@ -261,7 +268,8 @@ mod tests {
     fn exporter_is_deterministic() {
         let mk = || {
             let mut t = Tracer::default();
-            t.complete("compute", "flow", 0.125, 0.25, vec![("flops", ArgVal::F64(1.0e6))]);
+            let flops = vec![("flops", ArgVal::F64(1.0e6))];
+            t.complete("compute", "flow", 0.125, 0.25, Phase::Flow, flops);
             chrome_trace_json(&[RankTrace { rank: 3, events: t.into_events() }])
         };
         assert_eq!(mk(), mk());
@@ -277,7 +285,7 @@ mod tests {
     #[test]
     fn negative_durations_are_clamped() {
         let mut t = Tracer::default();
-        t.complete("comm", "recv", 1.0, -0.5, vec![]);
+        t.complete("comm", "recv", 1.0, -0.5, Phase::Other, vec![]);
         assert_eq!(t.events()[0].dur, 0.0);
     }
 }

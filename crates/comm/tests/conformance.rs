@@ -69,7 +69,8 @@ fn scenario_collectives(b: UniverseBuilder) -> Vec<RankOutput<CollectiveRound>> 
     b.run(|c| {
         c.compute(1_000_000 * (c.rank() + 1) as u64, overset_comm::WorkClass::Flow);
         let gathered = c.allgather(c.rank() * 3, 8).to_vec();
-        let m = c.allreduce_max(c.rank() as f64 * 1.5);
+        let m =
+            c.allgather(c.rank() as f64 * 1.5, 8).iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let s = c.allreduce_sum_usize(c.rank());
         c.barrier();
         (gathered, m, s, c.now())

@@ -1,12 +1,13 @@
 //! Golden byte-identical test for the Chrome `trace_event` exporter.
 //!
 //! The workspace promises byte-deterministic trace JSON (same run → same
-//! bytes), and downstream tools — `repro analyze`'s file mode, external
-//! Perfetto pipelines — parse the exact layout. This test pins the full
+//! bytes), and downstream tools — Perfetto and scripts over the exported
+//! file — parse the exact layout. A span's `phase` is not exported. This test pins the full
 //! output for a fixed two-rank trace, so any formatting change to the
 //! exporter is a conscious diff of this file, not a silent drift.
 
 use overset_comm::trace::{chrome_trace_json, ArgVal, RankTrace, TraceEvent};
+use overset_comm::Phase;
 
 fn fixed_two_rank_trace() -> Vec<RankTrace> {
     let rank0 = vec![
@@ -15,6 +16,7 @@ fn fixed_two_rank_trace() -> Vec<RankTrace> {
             name: "flow",
             ts: 0.0,
             dur: 1.5e-3,
+            phase: Phase::Flow,
             args: vec![("step", ArgVal::U64(0))],
         },
         TraceEvent {
@@ -22,6 +24,7 @@ fn fixed_two_rank_trace() -> Vec<RankTrace> {
             name: "send",
             ts: 2.0e-3,
             dur: 1.0e-6,
+            phase: Phase::Flow,
             args: vec![
                 ("dst", ArgVal::U64(1)),
                 ("tag", ArgVal::U64(7)),
@@ -34,6 +37,7 @@ fn fixed_two_rank_trace() -> Vec<RankTrace> {
         name: "recv",
         ts: 0.0,
         dur: 2.5e-3,
+        phase: Phase::Flow,
         args: vec![
             ("src", ArgVal::U64(0)),
             ("tag", ArgVal::U64(7)),

@@ -4,8 +4,8 @@
 
 use overflow_d::{airfoil_case, run_case, store_case, CaseConfig, LbConfig};
 use overset_comm::metrics::Counter;
-use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
-use overset_comm::{chrome_trace_json, MachineModel, Phase};
+use overset_comm::trace::{ArgVal, RankTrace, TraceConfig, TraceEvent};
+use overset_comm::{chrome_trace_json, MachineModel, Phase, Wait, NUM_PHASES, NUM_WAITS};
 
 fn traced_airfoil() -> overflow_d::RunResult {
     let mut cfg = airfoil_case(0.3, 3);
@@ -180,6 +180,61 @@ fn disabled_tracing_is_invisible() {
             assert!(r.host_phase_elapsed.iter().sum::<f64>() > 0.0, "host time must tick");
         }
     }
+}
+
+/// The waits in the step records are the waits the spans show, each in the
+/// phase the runtime charged it to. Per rank and phase, the recorded
+/// late-sender and late-receiver seconds equal the `recv` spans' `stall`
+/// and `idle` args summed, and the collective seconds equal each
+/// collective span's duration less the shortest duration over the ranks at
+/// the same collective — every rank's k-th collective is the same one.
+/// Store ×0.3 on 18 ranks under the dynamic balancer, so a repartition's
+/// waits are among them.
+#[test]
+fn step_record_waits_equal_the_span_waits() {
+    let mut cfg = store_case(0.3, 6);
+    cfg.lb = LbConfig::dynamic(1.5, 2);
+    cfg.trace = TraceConfig::enabled();
+    let r = run_case(&cfg, 18, &MachineModel::ibm_sp2()).unwrap();
+    assert!(r.repartitions >= 1, "no repartition to compare");
+    let collectives: Vec<Vec<&TraceEvent>> = r
+        .trace
+        .iter()
+        .map(|t| {
+            let is_coll =
+                |e: &&TraceEvent| e.cat == "comm" && (e.name == "barrier" || e.name == "allgather");
+            let mut c: Vec<&TraceEvent> = t.events.iter().filter(is_coll).collect();
+            c.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+            c
+        })
+        .collect();
+    let ncoll = collectives[0].len();
+    assert!(collectives.iter().all(|c| c.len() == ncoll), "ranks ran different collectives");
+    let shortest: Vec<f64> = (0..ncoll)
+        .map(|k| collectives.iter().map(|c| c[k].dur).fold(f64::INFINITY, f64::min))
+        .collect();
+    let mut waited = [0.0f64; NUM_WAITS];
+    for (rank, (t, recs)) in r.trace.iter().zip(&r.step_records).enumerate() {
+        let mut spans = [[0.0f64; NUM_PHASES]; NUM_WAITS];
+        for e in t.events.iter().filter(|e| e.cat == "comm" && e.name == "recv") {
+            spans[Wait::LateSender as usize][e.phase as usize] += e.arg("stall").unwrap();
+            spans[Wait::LateReceiver as usize][e.phase as usize] += e.arg("idle").unwrap();
+        }
+        for (e, min) in collectives[rank].iter().zip(&shortest) {
+            spans[Wait::Collective as usize][e.phase as usize] += e.dur - min;
+        }
+        for (w, per_phase) in spans.iter().enumerate() {
+            for (p, &span) in per_phase.iter().enumerate() {
+                let ledger: f64 = recs.iter().map(|rec| rec.wait[w][p]).sum();
+                assert!(
+                    (ledger - span).abs() <= 1e-12 * ledger.abs().max(span.abs()),
+                    "rank {rank}, wait {w}, phase {p}: step records {ledger:e}, spans {span:e}"
+                );
+                waited[w] += ledger;
+            }
+        }
+    }
+    assert!(waited.iter().all(|&w| w > 0.0), "a wait state never occurred: {waited:?}");
 }
 
 /// The aggregated registry reflects the run: donor-search service counts,

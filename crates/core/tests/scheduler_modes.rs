@@ -4,7 +4,7 @@
 //! hangs.
 
 use overflow_d::{run_case, store_case};
-use overset_comm::{MachineModel, OversetError};
+use overset_comm::{MachineModel, OversetError, StepRecord};
 
 /// The store-separation case (x0.3, 2 steps) run 1:1 and M:N on `workers`
 /// threads must agree on every virtual-time observable, every counter and
@@ -34,12 +34,23 @@ fn assert_scheduler_modes_agree(nranks: usize, workers: usize) {
     };
     assert!(!one_to_one.states.is_empty(), "collect_state gathered no nodes");
     assert!(bits(&one_to_one) == bits(&mn), "final state differs between scheduler modes");
-    // Every rank's clock and every counter, step by step (flops, messages,
-    // bytes and collectives among them).
+    // Every rank's clock, phase times, waits and counters, step by step
+    // (flops, messages, bytes and collectives among them).
+    let wait_bits = |r: &StepRecord| r.wait.map(|w| w.map(f64::to_bits));
     for (rank, (a, b)) in one_to_one.step_records.iter().zip(&mn.step_records).enumerate() {
         assert!(
             a.iter().map(|r| r.clock.to_bits()).eq(b.iter().map(|r| r.clock.to_bits())),
             "rank {rank} clock differs between scheduler modes"
+        );
+        assert!(
+            a.iter()
+                .map(|r| r.time.map(f64::to_bits))
+                .eq(b.iter().map(|r| r.time.map(f64::to_bits))),
+            "rank {rank} phase times differ between scheduler modes"
+        );
+        assert!(
+            a.iter().map(wait_bits).eq(b.iter().map(wait_bits)),
+            "rank {rank} waits differ between scheduler modes"
         );
         assert!(
             a.iter().map(|r| r.counts).eq(b.iter().map(|r| r.counts)),

@@ -85,18 +85,24 @@ if ! benchmark/run.sh --smoke > /dev/null; then
     echo "benchmark/run.sh --smoke: a workload check failed (advisory)" >&2
 fi
 
+# table1 is 6 ranks; table5 is 18, with a repartition and the wait table
+# capped at 16 rows.
 echo "== analyzer smoke test =="
-./target/release/repro analyze table1 --quick > /dev/null
+for exp in table1 table5; do
+    ./target/release/repro analyze "$exp" --quick > /dev/null
+done
 
 echo "== analysis determinism smoke: two quick analysis documents are byte-identical =="
 DIFF_TMP="$(mktemp -d)"
 trap 'rm -rf "$DIFF_TMP"' EXIT
-./target/release/repro analyze table1 --quick --json -o "$DIFF_TMP/a.json" > /dev/null
-./target/release/repro analyze table1 --quick --json -o "$DIFF_TMP/b.json" > /dev/null
-cmp "$DIFF_TMP/a.json" "$DIFF_TMP/b.json" || {
-    echo "analyze --json: two identical quick runs produced different documents" >&2
-    exit 1
-}
+for exp in table1 table5; do
+    ./target/release/repro analyze "$exp" --quick --json -o "$DIFF_TMP/a.json" > /dev/null
+    ./target/release/repro analyze "$exp" --quick --json -o "$DIFF_TMP/b.json" > /dev/null
+    cmp "$DIFF_TMP/a.json" "$DIFF_TMP/b.json" || {
+        echo "analyze $exp --json: two identical quick runs produced different documents" >&2
+        exit 1
+    }
+done
 
 echo "== report determinism smoke: two fresh quick reports agree on every value under cases =="
 ./target/release/repro report table1 --quick -o "$DIFF_TMP/r1.json" > /dev/null
