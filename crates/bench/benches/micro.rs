@@ -20,7 +20,7 @@ use overset_grid::gen::store::{store_system, STORE_CARRIAGE};
 use overset_grid::{Dims, Ijk, IndexBox, RigidTransform};
 use overset_motion::Loads;
 use overset_solver::adi::implicit_sweeps;
-use overset_solver::kernels::{frames_forward_rows, from_char_lanes, Rows, FR_FIELDS};
+use overset_solver::kernels::{frames_forward_rows, from_char_lanes, update_rows, Rows, FR_FIELDS};
 use overset_solver::rhs::compute_residual;
 use overset_solver::{
     select_isa, step_block, Block, FlowConditions, Isa, Scratch, SerialComm, HALO, W,
@@ -102,8 +102,8 @@ fn solver_kernels(c: &mut Criterion) {
                         dir,
                         dir == 0,
                         block3.q.as_slice(),
-                        block3.metrics.as_slice(),
-                        block3.grid_vel.as_ref().map(|v| v.as_slice()),
+                        &block3.metrics,
+                        block3.grid_vel.as_ref(),
                         block3.iblank.as_slice(),
                         mm,
                         &mut dw,
@@ -113,6 +113,38 @@ fn solver_kernels(c: &mut Criterion) {
                 }
             })
         });
+        // The step's epilogue over the same nodes: the last direction's
+        // back transform fused with the state update and its check. The
+        // state it updates is restored, untimed, before each one.
+        frames_forward_rows(
+            isa,
+            rows,
+            2,
+            true,
+            block3.q.as_slice(),
+            &block3.metrics,
+            block3.grid_vel.as_ref(),
+            block3.iblank.as_slice(),
+            mm,
+            &mut dw,
+            &mut fr,
+        );
+        let q0 = block3.q.clone();
+        c.bench_function(&format!("adi/update_epilogue{suffix}"), |b| {
+            b.iter_custom(|iters| {
+                let mut t = Duration::ZERO;
+                for _ in 0..iters {
+                    block3.q.as_mut_slice().copy_from_slice(q0.as_slice());
+                    let (ib, q) = (block3.iblank.as_slice(), block3.q.as_mut_slice());
+                    let t0 = Instant::now();
+                    let (updated, bad) = update_rows(isa, rows, mm, &fr, &dw, ib, q);
+                    t += t0.elapsed();
+                    assert!(updated > 0 && bad.is_none());
+                }
+                t
+            })
+        });
+        block3.q = q0;
     }
 }
 
@@ -166,8 +198,8 @@ fn thin_block_kernels(c: &mut Criterion) {
                             dir,
                             dir == 0,
                             block.q.as_slice(),
-                            block.metrics.as_slice(),
-                            block.grid_vel.as_ref().map(|v| v.as_slice()),
+                            &block.metrics,
+                            block.grid_vel.as_ref(),
                             block.iblank.as_slice(),
                             mm,
                             &mut dw,
@@ -564,7 +596,10 @@ fn serial_connectivity(c: &mut Criterion) {
 /// first step), the whole cold step of that workload (one `run_case_serial`
 /// step: blocks, maps, the cold donor search, one flow step), and one whole
 /// 3-D block's metric refresh — the finest background grid's, the largest of
-/// them — which the motion phase runs on every moving block every step.
+/// them — which the motion phase runs on every moving block every step; and
+/// that motion on the store's first moving grid, whole: one ejection step
+/// out and one back per iteration, each moving every node, setting its grid
+/// velocity and refreshing the metrics.
 fn setup_kernels(c: &mut Criterion) {
     let cfg = store_case(0.55, 1);
     let machine = MachineModel::ibm_sp2();
@@ -582,6 +617,15 @@ fn setup_kernels(c: &mut Criterion) {
     let (mut block, _) = build(bg_fine);
     assert!(!block.two_d);
     c.bench_function("grid/metrics_into_bg_fine", |b| b.iter(|| block.recompute_metrics()));
+    let (mut store, _) = build(cfg.motions[0].grids[0]);
+    let out = cfg.motions[0].motion.clone().step(cfg.fc.dt, &Loads::ZERO);
+    let back = out.inverse();
+    c.bench_function("motion/apply_motion_store_grid", |b| {
+        b.iter(|| {
+            store.apply_motion(&out, cfg.fc.dt);
+            store.apply_motion(&back, cfg.fc.dt)
+        })
+    });
 }
 
 fn balance_kernels(c: &mut Criterion) {

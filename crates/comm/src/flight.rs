@@ -129,9 +129,12 @@ impl FlightRecorder {
         &self.records
     }
 
-    /// Consume the recorder, returning its records oldest-first.
+    /// Consume the recorder, returning its records oldest-first, their
+    /// buffer shrunk to fit: a run's records are kept past the run.
     pub fn into_records(self) -> Vec<StepRecord> {
-        self.records
+        let mut records = self.records;
+        records.shrink_to_fit();
+        records
     }
 }
 

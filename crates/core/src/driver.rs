@@ -254,7 +254,7 @@ pub fn run_case(
         let mut mine = [own_block(cfg, &base_partition, &start, comm.rank())];
         run_rank(cfg, &sizes, &dims, base_partition.clone(), &mut mine, comm)
     })?;
-    Ok(assemble(cfg, &outputs))
+    Ok(assemble(cfg, outputs))
 }
 
 /// Run a case on one processor holding every grid whole — the Cray Y-MP
@@ -277,7 +277,7 @@ pub fn run_case_serial(
             (0..dims.len()).map(|grid| own_block(cfg, &whole, &start, grid)).collect();
         run_rank(cfg, &sizes, &dims, whole.clone(), &mut mine, comm)
     })?;
-    Ok(assemble(cfg, &outputs))
+    Ok(assemble(cfg, outputs))
 }
 
 /// Block `id` of `partition` with its grid at pose `cumulative`, nothing
@@ -294,32 +294,24 @@ fn own_block(
     RankBlock::new(id, block, wall)
 }
 
-/// Fold the ranks' outputs into the run's result. Replicated quantities
-/// (repartition count, final partition) are read off rank 0, the last
-/// step's census off each rank's last step record.
-fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
+/// Fold the ranks' outputs into the run's result, moving each rank's step
+/// records and spans into it. Replicated quantities (repartition count,
+/// final partition) are read off rank 0, the last step's census off each
+/// rank's last step record.
+fn assemble(cfg: &CaseConfig, mut outputs: Vec<RankOutput<RankReturn>>) -> RunResult {
     let mut metrics = MetricsRegistry::new();
-    for o in outputs {
+    for o in &outputs {
         metrics.merge_from(&o.metrics);
     }
-    let summary = PerfSummary::from_outputs(outputs, metrics.counts());
+    let summary = PerfSummary::from_outputs(&outputs, metrics.counts());
     let last = |c: Counter| outputs.iter().map(move |o| o.steps.last().map_or(0, |r| r.count(c)));
-    let trace: Vec<RankTrace> = if cfg.trace.enabled {
-        outputs
-            .iter()
-            .enumerate()
-            .map(|(rank, o)| RankTrace { rank, events: o.trace.clone() })
-            .collect()
-    } else {
-        Vec::new()
-    };
     let sum_sq: f64 = outputs.iter().map(|o| o.result.state_sum_sq).sum();
     let count: usize = outputs.iter().map(|o| o.result.state_count).sum();
     let r0 = &outputs[0].result;
     // Per-phase host wall-clock elapsed: max over ranks, since the slowest
     // rank bounds real time the way the barrier does in virtual time.
     let mut host_phase_elapsed = [0.0f64; NUM_PHASES];
-    for o in outputs {
+    for o in &outputs {
         for (max, &x) in host_phase_elapsed.iter_mut().zip(o.host_time.iter()) {
             *max = max.max(x);
         }
@@ -337,12 +329,6 @@ fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
         orphans_last: last(Counter::ConnOrphans).sum::<u64>() as usize,
         repartitions: outputs[0].metrics.get(Counter::LbRepartitions) as usize,
         np_final: r0.np_final.clone(),
-        trace,
-        metrics,
-        step_records: outputs.iter().map(|o| o.steps.clone()).collect(),
-        host_phase_elapsed,
-        host_phase_by_rank: outputs.iter().map(|o| o.host_time).collect(),
-        alloc_by_rank: outputs.iter().map(|o| o.alloc).collect(),
         alloc_records: outputs
             .iter()
             .map(|o| {
@@ -352,6 +338,18 @@ fn assemble(cfg: &CaseConfig, outputs: &[RankOutput<RankReturn>]) -> RunResult {
                     .collect()
             })
             .collect(),
+        // Moved, not copied: a traced run's spans are most of its memory.
+        trace: if cfg.trace.enabled {
+            let events = outputs.iter_mut().map(|o| std::mem::take(&mut o.trace));
+            events.enumerate().map(|(rank, events)| RankTrace { rank, events }).collect()
+        } else {
+            Vec::new()
+        },
+        metrics,
+        step_records: outputs.iter_mut().map(|o| std::mem::take(&mut o.steps)).collect(),
+        host_phase_elapsed,
+        host_phase_by_rank: outputs.iter().map(|o| o.host_time).collect(),
+        alloc_by_rank: outputs.iter().map(|o| o.alloc).collect(),
         summary,
     }
 }
@@ -395,20 +393,22 @@ fn add_wall_loads(block: &Block, refp: [f64; 3], fc: &FlowConditions, acc: &mut 
 /// Move a block and its wall geometry by one body-step transform, then
 /// re-apply the wall BCs with the *new* grid velocity: the wall state must
 /// move with the wall, otherwise the stale no-slip velocity acts as an
-/// impulsive slip over the tiny wall cells. Returns the BC flops.
+/// impulsive slip over the tiny wall cells. Returns the BC flops and how
+/// many nodes the motion left without a finite Jacobian (none, unless `t`
+/// is not finite).
 fn move_block(
     block: &mut Block,
     wall: &mut Option<WallGeometry>,
     t: &RigidTransform,
     fc: &FlowConditions,
-) -> u64 {
-    block.apply_motion(t, fc.dt);
+) -> (u64, usize) {
+    let inert = block.apply_motion(t, fc.dt);
     if let Some(w) = wall {
         for p in &mut w.wall_xyz {
             *p = t.apply(*p);
         }
     }
-    apply_bcs(block, fc)
+    (apply_bcs(block, fc), inert)
 }
 
 /// Physics checksum over the blocks' owned field nodes: (Σ q², node count)
@@ -510,6 +510,7 @@ fn run_rank(
         // ---- Phase 2: grid motion ------------------------------------
         {
             let mut ph = comm.phase(Phase::Motion);
+            let mut failed = None;
             for body in motions.iter_mut() {
                 // 6-DOF bodies: integrate aerodynamic loads over this rank's
                 // wall patches of the body's grids, then allreduce. Every rank
@@ -539,12 +540,23 @@ fn run_rank(
                 }
                 for rb in mine.iter_mut().filter(|rb| body.grids.contains(&rb.block.grid_id)) {
                     rb.note_motion(&t);
-                    let bc_flops = move_block(&mut rb.block, &mut rb.wall, &t, &fc);
+                    let (bc_flops, inert) = move_block(&mut rb.block, &mut rb.wall, &t, &fc);
                     ph.compute(bc_flops, WorkClass::Other);
+                    if failed.is_none() && inert > 0 {
+                        failed = Some((rb.block.grid_id, inert));
+                    }
                 }
                 ph.compute(500, WorkClass::Other);
             }
+            // A non-finite motion leaves its grid with zero metrics: frozen,
+            // finite, and silently wrong. Checked after the barrier, as the
+            // flow phase checks its state, so the run names the lowest rank.
             ph.barrier();
+            if let Some((grid, inert)) = failed {
+                panic!(
+                    "non-finite motion at step {step}, grid {grid}: {inert} nodes without a finite Jacobian"
+                );
+            }
         }
 
         // ---- Phase 3: domain connectivity ----------------------------

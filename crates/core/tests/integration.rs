@@ -167,6 +167,32 @@ fn a_motion_naming_a_missing_grid_is_an_error_from_both_drivers() {
     }
 }
 
+/// A motion with a non-finite part stops the run from the motion phase
+/// instead of freezing the moved grid on zero metrics: the airfoil's
+/// background grid translated by NaN on 4 ranks, where it is not rank 0's.
+/// Every rank holding a piece of it fails; the runtime names the lowest,
+/// the same under threads and M:N.
+#[test]
+fn a_non_finite_motion_aborts_the_motion_phase_naming_its_grid() {
+    use overset_comm::OversetError;
+    use overset_motion::{BodyMotion, Prescribed};
+    let mut cfg = airfoil_case(0.3, 3);
+    let nan = Prescribed::ConstantVelocity { velocity: [f64::NAN, 0.0, 0.0], time: 0.0 };
+    cfg.motions = vec![BodyMotion::prescribed(vec![2], nan)];
+    let threads = run_case(&cfg, 4, &modern());
+    cfg.max_threads = Some(1);
+    let mn = run_case(&cfg, 4, &modern());
+    assert_eq!(threads.as_ref().err(), mn.as_ref().err());
+    match threads {
+        Err(OversetError::RankPanicked { rank, phase: "motion", message }) => {
+            assert!(rank > 0, "rank 0 holds none of grid 2");
+            assert!(message.starts_with("non-finite motion at step 0, grid 2: "), "{message}");
+            assert!(message.ends_with(" nodes without a finite Jacobian"), "{message}");
+        }
+        other => panic!("expected a motion-phase abort, got {other:?}"),
+    }
+}
+
 /// The message of the flow-phase abort a run must end in.
 fn flow_abort(r: Result<overflow_d::RunResult, overset_comm::OversetError>) -> String {
     match r {

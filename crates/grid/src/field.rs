@@ -87,6 +87,87 @@ impl<T> IndexMut<Ijk> for Field3<T> {
     }
 }
 
+/// A field of `N` doubles per node stored field-major: one contiguous
+/// `i`-fastest array per component, component `c` of the node at storage
+/// offset `s` at `c * count + s`. Four consecutive nodes of a component are
+/// one vector load; a node's `N` values are `N` loads a component apart.
+#[derive(Clone, PartialEq, Debug)]
+pub struct SoaField<const N: usize> {
+    dims: Dims,
+    data: Vec<f64>,
+}
+
+impl<const N: usize> SoaField<N> {
+    /// Every node at `fill`.
+    pub fn new(dims: Dims, fill: [f64; N]) -> Self {
+        let n = dims.count();
+        let mut data = Vec::with_capacity(N * n);
+        for x in fill {
+            data.resize(data.len() + n, x);
+        }
+        Self { dims, data }
+    }
+
+    /// Every node at zero, on freshly zeroed pages: a large field costs no
+    /// memory until its values are written.
+    pub fn zeroed(dims: Dims) -> Self {
+        Self { dims, data: vec![0.0; N * dims.count()] }
+    }
+
+    #[inline]
+    pub fn dims(&self) -> Dims {
+        self.dims
+    }
+
+    /// Every component, one after the other.
+    #[inline]
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Component `c` of every node, in storage order.
+    #[inline]
+    pub fn component(&self, c: usize) -> &[f64] {
+        let n = self.dims.count();
+        &self.data[c * n..(c + 1) * n]
+    }
+
+    /// The `N` components, each writable on its own.
+    pub fn components_mut(&mut self) -> [&mut [f64]; N] {
+        let n = self.dims.count().max(1);
+        let mut parts = self.data.chunks_exact_mut(n);
+        std::array::from_fn(|_| parts.next().unwrap_or_default())
+    }
+
+    /// The values of the node at storage offset `s`.
+    #[inline]
+    pub fn at(&self, s: usize) -> [f64; N] {
+        let n = self.dims.count();
+        std::array::from_fn(|c| self.data[c * n + s])
+    }
+
+    /// Set the values of the node at storage offset `s`.
+    #[inline]
+    pub fn set(&mut self, s: usize, x: [f64; N]) {
+        let n = self.dims.count();
+        for (c, x) in x.into_iter().enumerate() {
+            self.data[c * n + s] = x;
+        }
+    }
+
+    /// The values of node `p`.
+    #[inline]
+    pub fn node(&self, p: Ijk) -> [f64; N] {
+        self.at(self.dims.offset(p))
+    }
+
+    /// Set the values of node `p`.
+    #[inline]
+    pub fn set_node(&mut self, p: Ijk, x: [f64; N]) {
+        self.set(self.dims.offset(p), x)
+    }
+}
+
 /// Number of conserved variables per node (ρ, ρu, ρv, ρw, e).
 pub const NVAR: usize = 5;
 

@@ -209,7 +209,7 @@ mod tests {
         let m = crate::metrics::compute_metrics(&g);
         let mut neg = 0;
         for p in g.dims().iter() {
-            if m[p].jac <= 0.0 {
+            if m.metric(p).jac <= 0.0 {
                 neg += 1;
             }
         }

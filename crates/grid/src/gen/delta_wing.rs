@@ -151,7 +151,7 @@ mod tests {
     fn metrics_valid_on_all_grids() {
         for g in delta_wing_system(0.2) {
             let m = compute_metrics(&g);
-            let signs: Vec<bool> = g.dims().iter().map(|p| m[p].jac > 0.0).collect();
+            let signs: Vec<bool> = g.dims().iter().map(|p| m.metric(p).jac > 0.0).collect();
             assert!(
                 signs.iter().all(|&s| s == signs[0]),
                 "{}: inconsistent cell orientation",

@@ -188,7 +188,7 @@ mod tests {
         );
         let m = compute_metrics(&g);
         for p in g.dims().iter() {
-            assert!(m[p].jac > 0.0, "J <= 0 at {p:?}");
+            assert!(m.metric(p).jac > 0.0, "J <= 0 at {p:?}");
         }
     }
 
@@ -212,10 +212,10 @@ mod tests {
         let g = ellipsoid_shell("e", 21, 6, 11, [0.0; 3], [1.0, 1.0, 0.2], 3.0, false);
         let m = compute_metrics(&g);
         for p in g.dims().iter() {
-            assert!(m[p].jac.abs() > 0.0);
+            assert!(m.metric(p).jac.abs() > 0.0);
         }
         // Orientation must be consistent across the grid.
-        let signs: Vec<bool> = g.dims().iter().map(|p| m[p].jac > 0.0).collect();
+        let signs: Vec<bool> = g.dims().iter().map(|p| m.metric(p).jac > 0.0).collect();
         assert!(signs.iter().all(|&s| s == signs[0]), "mixed orientation");
     }
 

@@ -32,7 +32,7 @@ pub use bbox::Aabb;
 pub use cartesian::CartesianGrid;
 pub use curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, GridKind};
 pub use decomp::{lattice_feasible_min, prime_factors, Subdomain};
-pub use field::{Field3, StateField};
+pub use field::{Field3, SoaField, StateField};
 pub use index::{Dims, Ijk, IndexBox};
 pub use transform::RigidTransform;
 

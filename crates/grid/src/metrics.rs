@@ -8,7 +8,7 @@
 //! (2-D) grids get `∂/∂ζ = ẑ`, reducing to the planar transformation.
 
 use crate::curvilinear::CurvilinearGrid;
-use crate::field::Field3;
+use crate::field::{Field3, SoaField};
 use crate::index::Ijk;
 
 /// Metric data at one node.
@@ -36,10 +36,71 @@ impl Metric {
             _ => self.zeta,
         }
     }
+
+    /// The terms as the [`MetricField`] components: `∇ξ`, `∇η`, `∇ζ`, `J`.
+    #[inline]
+    pub fn components(&self) -> [f64; METRIC_COMPONENTS] {
+        let [a, b, c] = [self.xi, self.eta, self.zeta];
+        [a[0], a[1], a[2], b[0], b[1], b[2], c[0], c[1], c[2], self.jac]
+    }
+
+    /// The metric of its [`MetricField`] components.
+    #[inline]
+    pub fn from_components(m: [f64; METRIC_COMPONENTS]) -> Metric {
+        Metric {
+            xi: [m[0], m[1], m[2]],
+            eta: [m[3], m[4], m[5]],
+            zeta: [m[6], m[7], m[8]],
+            jac: m[JAC],
+        }
+    }
 }
 
-/// Metric field over a grid.
-pub type MetricField = Field3<Metric>;
+/// Doubles per node of a [`MetricField`].
+pub const METRIC_COMPONENTS: usize = 10;
+/// The Jacobian's component; component `3 * dir + t` is the `t`-th
+/// Cartesian entry of the gradient of computational coordinate `dir`.
+pub const JAC: usize = 9;
+
+/// Metric field over a grid, field-major: one array per term, so four
+/// consecutive nodes' `∂ξ/∂x` (or `J`) are one vector load. [`Metric`] is
+/// the value [`MetricField::metric`] hands a reader of one node.
+pub type MetricField = SoaField<METRIC_COMPONENTS>;
+
+impl MetricField {
+    /// The metric of node `p`.
+    #[inline]
+    pub fn metric(&self, p: Ijk) -> Metric {
+        Metric::from_components(self.node(p))
+    }
+
+    /// The metric of the node at storage offset `s`.
+    #[inline]
+    pub fn metric_at(&self, s: usize) -> Metric {
+        Metric::from_components(self.at(s))
+    }
+
+    /// `∇` of computational coordinate `dir` at the node at storage offset
+    /// `s`: three loads, not ten.
+    #[inline]
+    pub fn grad_at(&self, s: usize, dir: usize) -> [f64; 3] {
+        let n = self.dims().count();
+        let g = &self.as_slice()[3 * dir * n..];
+        [g[s], g[n + s], g[2 * n + s]]
+    }
+
+    /// `∇` of computational coordinate `dir` at node `p`.
+    #[inline]
+    pub fn grad(&self, p: Ijk, dir: usize) -> [f64; 3] {
+        self.grad_at(self.dims().offset(p), dir)
+    }
+
+    /// The Jacobian of every node, in storage order.
+    #[inline]
+    pub fn jac(&self) -> &[f64] {
+        self.component(JAC)
+    }
+}
 
 #[inline]
 fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
@@ -88,11 +149,14 @@ fn coord_deriv(g: &CurvilinearGrid, p: Ijk, dir: usize) -> [f64; 3] {
 /// right-handed, untangled grid; a non-positive Jacobian indicates a tangled
 /// or degenerate cell (asserted in debug builds).
 pub fn compute_metrics(g: &CurvilinearGrid) -> MetricField {
-    Field3::from_fn(g.dims(), |p| {
+    let d = g.dims();
+    let mut out = MetricField::zeroed(d);
+    for (s, p) in d.iter().enumerate() {
         let m = metric_at(g, p);
         debug_assert!(m.jac.abs() > 0.0, "degenerate metric at {p:?}");
-        m
-    })
+        out.set(s, m.components());
+    }
+    out
 }
 
 /// Metric terms at a single node.
@@ -145,20 +209,21 @@ impl RowDiff {
 /// the row's interior runs without a branch.
 pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) -> usize {
     assert_eq!(out.dims(), coords.dims(), "metric field of another block");
-    let m = out.as_mut_slice();
-    metric_rows(coords, |at, metric| m[at] = metric)
+    let mut terms = out.components_mut();
+    metric_rows(coords, |at, metric| {
+        for (t, x) in terms.iter_mut().zip(metric.components()) {
+            t[at] = x;
+        }
+    })
 }
 
-/// [`metrics_into`] into a new field: each node's terms written once, as
-/// they are computed, with no fill before them. Returns the field and how
-/// many nodes got [`Metric::INERT`].
+/// [`metrics_into`] into a new field on zeroed pages: each term written
+/// once, as it is computed. Returns the field and how many nodes got
+/// [`Metric::INERT`].
 pub fn metrics_of(coords: &Field3<[f64; 3]>) -> (MetricField, usize) {
-    let mut m = Vec::with_capacity(coords.dims().count());
-    let inert = metric_rows(coords, |at, metric| {
-        debug_assert_eq!(at, m.len(), "metric rows out of storage order");
-        m.push(metric);
-    });
-    (Field3::from_vec(coords.dims(), m), inert)
+    let mut m = MetricField::zeroed(coords.dims());
+    let inert = metrics_into(coords, &mut m);
+    (m, inert)
 }
 
 /// Compute every node's metric terms, row by row in storage order, and hand
@@ -273,7 +338,7 @@ fn metric_from_derivs(x_xi: [f64; 3], x_eta: [f64; 3], x_zeta: [f64; 3]) -> Metr
 
 /// Total physical volume represented by the grid (sum of nodal Jacobians).
 pub fn total_volume(metrics: &MetricField) -> f64 {
-    metrics.as_slice().iter().map(|m| m.jac).sum()
+    metrics.jac().iter().sum()
 }
 
 #[cfg(test)]
@@ -294,7 +359,7 @@ mod tests {
         let g = cartesian_grid(5, h);
         let m = compute_metrics(&g);
         for p in g.dims().iter() {
-            let mm = m[p];
+            let mm = m.metric(p);
             assert!((mm.jac - h * h * h).abs() < 1e-12);
             assert!((mm.xi[0] - 1.0 / h).abs() < 1e-12);
             assert!(mm.xi[1].abs() < 1e-12 && mm.xi[2].abs() < 1e-12);
@@ -312,8 +377,8 @@ mod tests {
         let g = CurvilinearGrid::new("stretch", coords, GridKind::Background);
         let m = compute_metrics(&g);
         for p in d.iter() {
-            assert!((m[p].jac - 2.0 * h * h * h).abs() < 1e-12);
-            assert!((m[p].xi[0] - 0.5 / h).abs() < 1e-12);
+            assert!((m.metric(p).jac - 2.0 * h * h * h).abs() < 1e-12);
+            assert!((m.metric(p).xi[0] - 0.5 / h).abs() < 1e-12);
         }
     }
 
@@ -325,8 +390,8 @@ mod tests {
         let g = CurvilinearGrid::new("2d", coords, GridKind::Background);
         let m = compute_metrics(&g);
         for p in d.iter() {
-            assert!((m[p].jac - h * h).abs() < 1e-12);
-            assert!((m[p].zeta[2] - 1.0).abs() < 1e-12);
+            assert!((m.metric(p).jac - h * h).abs() < 1e-12);
+            assert!((m.metric(p).zeta[2] - 1.0).abs() < 1e-12);
         }
     }
 
@@ -359,14 +424,14 @@ mod tests {
         let m = compute_metrics(&g);
         // Jacobian at the seam (i = 0) should match the interior value at the
         // same radius, not a one-sided artifact.
-        let seam = m[Ijk::new(0, 2, 0)].jac;
-        let interior = m[Ijk::new(10, 2, 0)].jac;
+        let seam = m.metric(Ijk::new(0, 2, 0)).jac;
+        let interior = m.metric(Ijk::new(10, 2, 0)).jac;
         assert!(
             (seam - interior).abs() < 1e-6 * interior.abs(),
             "seam {seam} vs interior {interior}"
         );
         for p in d.iter() {
-            assert!(m[p].jac > 0.0, "negative jacobian at {p:?}");
+            assert!(m.metric(p).jac > 0.0, "negative jacobian at {p:?}");
         }
     }
 }

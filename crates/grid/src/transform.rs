@@ -49,7 +49,9 @@ impl Quat {
         }
     }
 
-    /// Rotate a vector.
+    /// Rotate a vector. Inlined: the grid-motion loops call it once per
+    /// node.
+    #[inline]
     pub fn rotate(&self, v: [f64; 3]) -> [f64; 3] {
         // v' = v + 2*q_v x (q_v x v + w*v)
         let q = [self.x, self.y, self.z];
@@ -110,6 +112,9 @@ impl RigidTransform {
         RigidTransform { rotation: Quat::IDENTITY, pivot: [0.0; 3], translation: t }
     }
 
+    /// The transformed point. Inlined across crates: block motion, grid
+    /// velocities and connectivity's posed lookups call it once per point.
+    #[inline]
     pub fn apply(&self, p: [f64; 3]) -> [f64; 3] {
         let rel = [p[0] - self.pivot[0], p[1] - self.pivot[1], p[2] - self.pivot[2]];
         let r = self.rotation.rotate(rel);

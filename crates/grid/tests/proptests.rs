@@ -5,7 +5,8 @@ use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
 use overset_grid::decomp::lattice_split;
 use overset_grid::field::Field3;
 use overset_grid::metrics::{
-    compute_metrics, metric_at, metrics_into, metrics_of, total_volume, Metric,
+    compute_metrics, metric_at, metrics_into, metrics_of, total_volume, Metric, MetricField,
+    METRIC_COMPONENTS,
 };
 use overset_grid::transform::{Quat, RigidTransform};
 use overset_grid::{Aabb, Dims};
@@ -164,12 +165,15 @@ fn random_field(d: Dims, seed: u64, wrap: bool) -> Field3<[f64; 3]> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `metrics_into` (row-hoisted) equals `metric_at` (per node, through
-    /// the grid's index closure) on every node to the bit, and `metrics_of`
-    /// equals `metrics_into`, `Metric::INERT` standing in for a non-finite
-    /// Jacobian on both sides, and counts those nodes: random 3-D and 2-D
-    /// (`nk = 1`) fields with 1–4 nodes along an axis as often as more, and
-    /// the halo-wrapped coordinates of a self-wrapping O-grid block.
+    /// `metrics_into` (row-hoisted, field-major) equals `metric_at` (per
+    /// node, through the grid's index closure) on every node to the bit —
+    /// term `c` of the node at storage offset `s` at `c * count + s` of the
+    /// field's one array, and read back through `MetricField::metric` — and
+    /// `metrics_of` equals `metrics_into`, `Metric::INERT` standing in for a
+    /// non-finite Jacobian on both sides, and counts those nodes: random 3-D
+    /// and 2-D (`nk = 1`) fields with 1–4 nodes along an axis as often as
+    /// more, and the halo-wrapped coordinates of a self-wrapping O-grid
+    /// block.
     #[test]
     fn row_metrics_bit_equal_per_node_metrics(
         seed in 1u64..(1 << 60),
@@ -183,15 +187,15 @@ proptest! {
             _ => Dims::new(8 + n[0], 2 + n[1] % 6, 1 + n[2] % 5),
         };
         let coords = random_field(d, seed, shape == 2);
-        let mut got = Field3::new(d, Metric::INERT);
+        let mut got = MetricField::new(d, [f64::NAN; METRIC_COMPONENTS]);
         let inert = metrics_into(&coords, &mut got);
         // The one-write construction is the same rows into a new field.
         let (fresh, fresh_inert) = metrics_of(&coords);
-        let field_bits = |f: &Field3<Metric>| -> Vec<u64> {
-            let terms = f.as_slice().iter().flat_map(|m| [m.xi, m.eta, m.zeta, [m.jac; 3]]);
-            terms.flatten().map(f64::to_bits).collect()
+        let field_bits = |f: &MetricField| -> Vec<u64> {
+            f.as_slice().iter().map(|x| x.to_bits()).collect()
         };
         prop_assert!(field_bits(&fresh) == field_bits(&got) && fresh_inert == inert);
+        prop_assert_eq!(got.as_slice().len(), METRIC_COMPONENTS * d.count());
         let grid = CurvilinearGrid::new("random", coords, GridKind::NearBody);
         let mut want_inert = 0;
         for p in d.iter() {
@@ -204,7 +208,12 @@ proptest! {
                 let v = [m.xi, m.eta, m.zeta, [m.jac; 3]];
                 v.map(|t| t.map(f64::to_bits))
             };
-            prop_assert_eq!(bits(&got[p]), bits(&want), "{:?} of {:?}", p, d);
+            prop_assert_eq!(bits(&got.metric(p)), bits(&want), "{:?} of {:?}", p, d);
+            let s = d.offset(p);
+            for (c, x) in want.components().into_iter().enumerate() {
+                let term = got.as_slice()[c * d.count() + s];
+                prop_assert_eq!(term.to_bits(), x.to_bits(), "term {} of {:?}", c, p);
+            }
         }
         prop_assert_eq!(inert, want_inert);
     }

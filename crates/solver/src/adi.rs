@@ -177,13 +177,20 @@ impl Scratch {
     }
 
     /// The increment of `block`: left by the residual as Δt·R, solved in
-    /// place by [`implicit_sweeps`], read by the update. SoA over the owned
+    /// place by [`implicit_sweeps`] (in a step, `sweep_directions`, whose
+    /// last direction's solution the update transforms back). SoA over the owned
     /// nodes in storage order — variable `v` of the `t`-th owned node at
     /// `v * n + t`, `n` the owned node count.
     pub fn increment(&mut self, block: &Block) -> &mut [f64] {
         let len = NVAR * block.owned_count();
         ensure_len(&mut self.dw, len);
         &mut self.dw[..len]
+    }
+
+    /// The frames and the characteristic solution of the last direction
+    /// [`sweep_directions`] swept, over the `mm` owned nodes of its block.
+    pub(crate) fn last_solution(&self, mm: usize) -> (&[f64], &[f64]) {
+        (&self.fr[..kernels::FR_FIELDS * mm], &self.dw[..NVAR * mm])
     }
 
     /// The residual's buffers: a node cache of `len` doubles in the frame
@@ -231,15 +238,13 @@ type EdgeRow = [f64; EDGE_FIELDS];
 /// operation order of the frame kernel.
 fn edge_row(block: &Block, s: usize, dir: usize) -> EdgeRow {
     let q = kernels::node_at(block.q.as_slice(), s);
-    let m = block.metrics.as_slice()[s];
-    let g = m.grad(dir);
-    let jac = m.jac;
+    let (g, jac) = (block.metrics.grad_at(s, dir), block.metrics.jac()[s]);
     let sv = [g[0] * jac, g[1] * jac, g[2] * jac];
     let s_norm = (sv[0] * sv[0] + sv[1] * sv[1] + sv[2] * sv[2]).sqrt().max(1e-300);
     let rho = q[0];
     let u = [q[1] / rho, q[2] / rho, q[3] / rho];
     let c = sound_speed(q);
-    let vg = block.grid_vel.as_ref().map_or([0.0; 3], |v| v.as_slice()[s]);
+    let vg = block.grid_vel.as_ref().map_or([0.0; 3], |v| v.at(s));
     let u_rel_n = sv[0] * (u[0] - vg[0]) + sv[1] * (u[1] - vg[1]) + sv[2] * (u[2] - vg[2]);
     [u_rel_n / jac, c * s_norm / jac]
 }
@@ -326,11 +331,31 @@ fn edge_lanes(
 
 /// Perform the factored characteristic sweeps in place on the increment
 /// `ws.increment(block)`, which enters holding `Δt·R` in conservative
-/// variables, batching up to [`W`] lines per SIMD lane group through the
-/// kernels in [`crate::kernels`]. Every direction's forward transform, line
-/// solve and back transform work in place on that SoA. Returns estimated flops: [`FLOPS_PER_NODE_PER_DIR`] per node of an open
-/// line, twice that per unknown of a cyclic one.
+/// variables and leaves holding Δq, batching up to [`W`] lines per SIMD
+/// lane group through the kernels in [`crate::kernels`]. Every direction's
+/// forward transform, line solve and back transform work in place on that
+/// SoA. Returns estimated flops: [`FLOPS_PER_NODE_PER_DIR`] per node of an
+/// open line, twice that per unknown of a cyclic one. (A timestep takes
+/// `sweep_directions` instead, and fuses the last back transform into its
+/// state update.)
 pub fn implicit_sweeps(
+    block: &Block,
+    fc: &FlowConditions,
+    comm: &mut impl SolverComm,
+    ws: &mut Scratch,
+) -> u64 {
+    let flops = sweep_directions(block, fc, comm, ws);
+    let mm = block.owned_count();
+    kernels::from_char_lanes(ws.isa, mm, mm, &ws.fr, &mut ws.dw);
+    flops
+}
+
+/// [`implicit_sweeps`] but for the last active direction's back transform:
+/// the increment leaves holding that direction's characteristic solution,
+/// and [`Scratch::last_solution`] hands it out with its frames, for
+/// [`kernels::update_rows`] to transform back as it updates the state. The
+/// same work is charged, in the same order.
+pub(crate) fn sweep_directions(
     block: &Block,
     fc: &FlowConditions,
     comm: &mut impl SolverComm,
@@ -339,14 +364,18 @@ pub fn implicit_sweeps(
     let mut flops = 0u64;
     let t0 = comm.now();
     let (rows, mm) = prepare_frames(block, ws);
+    let dirs = block.active_dirs();
 
-    for (d, &dir) in block.active_dirs().iter().enumerate() {
+    for (d, &dir) in dirs.iter().enumerate() {
         let ln = forward_stage(block, dir, d == 0, rows, mm, ws);
         let sw = Sweep::new(block, dir, ln);
         solve(block, fc.dt, comm, &sw, mm, ws);
 
-        // Transform back to conservative increments (lane-batched).
-        kernels::from_char_lanes(ws.isa, mm, mm, &ws.fr, &mut ws.dw);
+        // Transform back to conservative increments (lane-batched), but for
+        // the last direction.
+        if d + 1 < dirs.len() {
+            kernels::from_char_lanes(ws.isa, mm, mm, &ws.fr, &mut ws.dw);
+        }
 
         let nodes = (sw.n * ln.nlines) as u64;
         if sw.cyclic.is_some() {
@@ -394,8 +423,8 @@ fn forward_stage(
         dir,
         fresh,
         block.q.as_slice(),
-        block.metrics.as_slice(),
-        block.grid_vel.as_ref().map(|v| v.as_slice()),
+        &block.metrics,
+        block.grid_vel.as_ref(),
         block.iblank.as_slice(),
         mm,
         &mut ws.dw,
@@ -735,7 +764,7 @@ pub(crate) mod tests {
     use crate::block::Blank;
     use crate::conditions::GAMMA;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
-    use overset_grid::field::{Field3, StateField};
+    use overset_grid::field::{Field3, SoaField, StateField};
     use overset_grid::index::{Dims, Ijk};
 
     /// Copy the owned nodes of `dq` into the increment, or back.
@@ -794,7 +823,7 @@ pub(crate) mod tests {
 
     fn char_frame(block: &Block, p: Ijk, dir: usize) -> CharFrame {
         let q = block.q.node(p);
-        let m = block.metrics[p];
+        let m = block.metrics.metric(p);
         let g = m.grad(dir);
         let jac = m.jac;
         let s = [g[0] * jac, g[1] * jac, g[2] * jac];
@@ -877,6 +906,21 @@ pub(crate) mod tests {
                 + f.rho * (f.u[0] * du[0] + f.u[1] * du[1] + f.u[2] * du[2])
                 + dp / (GAMMA - 1.0),
         ]
+    }
+
+    /// [`from_char`] at owned node `t` of a frame SoA over `mm` nodes
+    /// ([`kernels::FR_K`]..), the second tangent formed as the kernels form
+    /// it.
+    pub(crate) fn from_char_at(fr: &[f64], mm: usize, t: usize, w: &[f64; NVAR]) -> [f64; NVAR] {
+        use kernels::{FR_C, FR_K, FR_RHO, FR_T1, FR_U};
+        let at = |f: usize| fr[f * mm + t];
+        let k = [at(FR_K), at(FR_K + 1), at(FR_K + 2)];
+        let t1 = [at(FR_T1), at(FR_T1 + 1), at(FR_T1 + 2)];
+        let t2 =
+            [k[1] * t1[2] - k[2] * t1[1], k[2] * t1[0] - k[0] * t1[2], k[0] * t1[1] - k[1] * t1[0]];
+        let (rho, u, c) = (at(FR_RHO), [at(FR_U), at(FR_U + 1), at(FR_U + 2)], at(FR_C));
+        let f = CharFrame { k, t1, t2, rho, u, c, lam: [0.0; NVAR], sigma: 0.0 };
+        from_char(&f, w)
     }
 
     /// Tridiagonal row for characteristic variable `v` at a node, from the
@@ -1221,7 +1265,7 @@ pub(crate) mod tests {
         let fc = FlowConditions::new(0.8, 3.0, 0.0);
         let mut b = Block::from_grid(0, g, owned, neighbor, &fc);
         if keyed(seed, [-1; 3], 20) < 0.5 {
-            b.grid_vel = Some(Field3::new(b.local_dims, [0.0; 3]));
+            b.grid_vel = Some(SoaField::new(b.local_dims, [0.0; 3]));
         }
         let mut dq = StateField::new(b.local_dims);
         let period = g.dims().ni as isize - 1;
@@ -1238,7 +1282,7 @@ pub(crate) mod tests {
             let prim = [0.6 + r(1), r(2) - 0.5, r(3) - 0.5, r(4) - 0.5, 0.4 + 0.8 * r(5)];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
             if let Some(v) = &mut b.grid_vel {
-                v[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
+                v.set_node(p, [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)]);
             }
             b.iblank[p] = match (r(9) * 10.0) as usize {
                 0 => Blank::Hole,

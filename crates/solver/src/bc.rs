@@ -64,8 +64,7 @@ fn apply_at(
                 // Slip: remove the wall-normal component of the relative
                 // velocity. The wall normal is ∇η (or the face direction's
                 // metric gradient), normalized.
-                let m = block.metrics[p];
-                let g = m.grad(dir);
+                let g = block.metrics.grad(p, dir);
                 let n2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2];
                 let inv = if n2 > 0.0 { 1.0 / n2.sqrt() } else { 0.0 };
                 let nh = [g[0] * inv, g[1] * inv, g[2] * inv];
@@ -78,8 +77,7 @@ fn apply_at(
         BcKind::Symmetry => {
             // Mirror: copy interior with reflected normal velocity.
             let qi = *block.q.node(inner);
-            let m = block.metrics[p];
-            let g = m.grad(dir);
+            let g = block.metrics.grad(p, dir);
             let n2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2];
             let inv = if n2 > 0.0 { 1.0 / n2.sqrt() } else { 0.0 };
             let nh = [g[0] * inv, g[1] * inv, g[2] * inv];
@@ -111,8 +109,7 @@ fn characteristic_farfield(
 ) -> [f64; NVAR] {
     // Outward unit normal: the face-direction metric gradient, oriented
     // away from the interior.
-    let m = block.metrics[p];
-    let g = m.grad(dir);
+    let g = block.metrics.grad(p, dir);
     let n2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2];
     if n2 <= 0.0 {
         return fc.freestream();
@@ -208,7 +205,7 @@ mod tests {
     use super::*;
     use crate::block::Block;
     use overset_grid::curvilinear::{BoundaryPatch, CurvilinearGrid, Face, GridKind};
-    use overset_grid::field::Field3;
+    use overset_grid::field::{Field3, SoaField};
     use overset_grid::index::Dims;
 
     fn wall_block(viscous: bool) -> Block {
@@ -256,7 +253,7 @@ mod tests {
     fn moving_wall_takes_grid_velocity() {
         let fc = FlowConditions::new(0.8, 0.0, 1.0e6);
         let mut b = wall_block(true);
-        b.grid_vel = Some(Field3::new(b.local_dims, [0.3, 0.1, 0.0]));
+        b.grid_vel = Some(SoaField::new(b.local_dims, [0.3, 0.1, 0.0]));
         apply_bcs(&mut b, &fc);
         let ow = b.owned_local();
         let q = b.q.node(Ijk::new(2, ow.lo.j, 0));

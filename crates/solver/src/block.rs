@@ -8,7 +8,7 @@
 
 use crate::conditions::FlowConditions;
 use overset_grid::curvilinear::{BcKind, CurvilinearGrid, Face};
-use overset_grid::field::{Field3, StateField, NVAR};
+use overset_grid::field::{Field3, SoaField, StateField, NVAR};
 use overset_grid::index::{Dims, Ijk, IndexBox};
 use overset_grid::metrics::{metrics_into, metrics_of, MetricField};
 use overset_grid::transform::RigidTransform;
@@ -40,18 +40,21 @@ pub struct Block {
     pub local_dims: Dims,
     /// Halo width per direction (0 for degenerate 2-D direction).
     pub halo: [usize; 3],
-    /// Node coordinates (local, including halo where geometry exists).
+    /// Node coordinates (local, including halo where geometry exists),
+    /// interleaved: a node's point is one read for motion and donor walks.
     pub coords: Field3<[f64; 3]>,
-    /// Metric terms (local).
+    /// Metric terms (local), field-major: the flow kernels load four
+    /// consecutive nodes' term with one vector load.
     pub metrics: MetricField,
     /// Conserved state (local).
     pub q: StateField,
     /// Node blanking (local).
     pub iblank: Field3<Blank>,
-    /// Grid velocity at nodes (the ALE fluxes of a moving grid), local:
-    /// absent until the block first moves ([`Block::apply_motion`],
-    /// [`Block::set_grid_velocity_from`]); an absent field reads as zero.
-    pub grid_vel: Option<Field3<[f64; 3]>>,
+    /// Grid velocity at nodes (the ALE fluxes of a moving grid), local and
+    /// field-major like the metrics: absent until the block first moves
+    /// ([`Block::apply_motion`], [`Block::set_grid_velocity_from`]); an
+    /// absent field reads as zero.
+    pub grid_vel: Option<SoaField<3>>,
     /// Turbulent eddy viscosity at nodes (Baldwin–Lomax), local: absent
     /// until the model first runs ([`crate::turbulence::compute_mu_t`]); an
     /// absent field reads as zero.
@@ -246,7 +249,7 @@ impl Block {
     /// Grid velocity of local node `p`: zero on a block that has not moved.
     #[inline]
     pub fn grid_vel_at(&self, p: Ijk) -> [f64; 3] {
-        self.grid_vel.as_ref().map_or([0.0; 3], |v| v[p])
+        self.grid_vel.as_ref().map_or([0.0; 3], |v| v.node(p))
     }
 
     /// Eddy viscosity of local node `p`: zero before the model first runs.
@@ -257,16 +260,20 @@ impl Block {
 
     /// Apply a rigid motion to the block geometry (and set grid velocities
     /// for the ALE fluxes, the field created on the first motion), then
-    /// refresh metrics.
-    pub fn apply_motion(&mut self, t: &RigidTransform, dt: f64) {
+    /// refresh metrics. Returns how many nodes were left without a finite
+    /// Jacobian ([`Block::recompute_metrics`]): on a paper grid none, unless
+    /// `t` itself is not finite.
+    pub fn apply_motion(&mut self, t: &RigidTransform, dt: f64) -> usize {
         let dims = self.local_dims;
-        let vel = self.grid_vel.get_or_insert_with(|| Field3::new(dims, [0.0; 3]));
-        for (p, v) in self.coords.as_mut_slice().iter_mut().zip(vel.as_mut_slice()) {
+        let vel = self.grid_vel.get_or_insert_with(|| SoaField::zeroed(dims));
+        let [vx, vy, vz] = vel.components_mut();
+        let v = vx.iter_mut().zip(vy.iter_mut()).zip(vz.iter_mut());
+        for (p, ((vx, vy), vz)) in self.coords.as_mut_slice().iter_mut().zip(v) {
             let old = *p;
             *p = t.apply(old);
-            *v = [(p[0] - old[0]) / dt, (p[1] - old[1]) / dt, (p[2] - old[2]) / dt];
+            (*vx, *vy, *vz) = ((p[0] - old[0]) / dt, (p[1] - old[1]) / dt, (p[2] - old[2]) / dt);
         }
-        self.recompute_metrics();
+        self.recompute_metrics()
     }
 
     /// Set grid velocities consistent with `t` having been the last motion
@@ -276,10 +283,12 @@ impl Block {
     pub fn set_grid_velocity_from(&mut self, t: &RigidTransform, dt: f64) {
         let inv = t.inverse();
         let dims = self.local_dims;
-        let vel = self.grid_vel.get_or_insert_with(|| Field3::new(dims, [0.0; 3]));
-        for (x, v) in self.coords.as_slice().iter().zip(vel.as_mut_slice()) {
+        let vel = self.grid_vel.get_or_insert_with(|| SoaField::zeroed(dims));
+        let [vx, vy, vz] = vel.components_mut();
+        let v = vx.iter_mut().zip(vy.iter_mut()).zip(vz.iter_mut());
+        for (x, ((vx, vy), vz)) in self.coords.as_slice().iter().zip(v) {
             let old = inv.apply(*x);
-            *v = [(x[0] - old[0]) / dt, (x[1] - old[1]) / dt, (x[2] - old[2]) / dt];
+            (*vx, *vy, *vz) = ((x[0] - old[0]) / dt, (x[1] - old[1]) / dt, (x[2] - old[2]) / dt);
         }
     }
 
@@ -740,13 +749,67 @@ mod tests {
         assert!((v[0] - 3.0).abs() < 1e-12);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `apply_motion` against a per-node `RigidTransform::apply`: the
+        /// coordinates and the field-major grid velocity of every local node
+        /// to the bit, over two motions (the first creates the velocity
+        /// field, the second overwrites it), with `set_grid_velocity_from`
+        /// after them; 2-D and 3-D pieces of open grids and O-grids. A
+        /// motion with a non-finite part leaves every node inert and says
+        /// so.
+        #[test]
+        fn apply_motion_bit_equals_per_node_transform(seed in 1u64..(1 << 60), kind in 0usize..4) {
+            let (three_d, periodic) = (kind & 1 == 1, kind & 2 == 2);
+            let mut h = seed;
+            let mut rand = |n: usize| {
+                h = (h ^ (h >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d;
+                (h >> 17) as usize % n
+            };
+            let gd = Dims::new(4 + rand(9), 2 + rand(7), if three_d { 2 + rand(6) } else { 1 });
+            let lo = Ijk::new(rand(gd.ni - 1), rand(gd.nj - 1), rand(gd.nk));
+            let hi = Ijk::new(lo.i + 1 + rand(gd.ni - lo.i), lo.j + 1 + rand(gd.nj - lo.j), gd.nk);
+            let g = crate::testutil::wavy_grid(gd, periodic);
+            let mut b = Block::from_grid(0, &g, IndexBox::new(lo, hi), [None; 6], &fc());
+            let mut x = || 0.1 * (rand(2001) as f64 - 1000.0) / 1000.0;
+            let dt = 0.01 + x().abs();
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for _ in 0..2 {
+                let t = RigidTransform::translation([x(), x(), x()])
+                    .then(&RigidTransform::rotation_about([x(), x(), 0.0], [x(), 0.5, 1.0], x()));
+                let old: Vec<[f64; 3]> = b.coords.as_slice().to_vec();
+                prop_assert_eq!(b.apply_motion(&t, dt), 0);
+                let vel = b.grid_vel.as_ref().expect("a moved block has a velocity field");
+                for (s, o) in old.iter().enumerate() {
+                    let new = t.apply(*o);
+                    let v = [(new[0] - o[0]) / dt, (new[1] - o[1]) / dt, (new[2] - o[2]) / dt];
+                    prop_assert_eq!(bits(&b.coords.as_slice()[s]), bits(&new), "node {}", s);
+                    prop_assert_eq!(bits(&vel.at(s)), bits(&v), "velocity of node {}", s);
+                }
+                b.set_grid_velocity_from(&t, dt);
+                let (inv, vel) = (t.inverse(), b.grid_vel.as_ref().unwrap());
+                for (s, x) in b.coords.as_slice().iter().enumerate() {
+                    let o = inv.apply(*x);
+                    let v = [(x[0] - o[0]) / dt, (x[1] - o[1]) / dt, (x[2] - o[2]) / dt];
+                    prop_assert_eq!(bits(&vel.at(s)), bits(&v), "restored velocity of node {}", s);
+                }
+            }
+            let nan = RigidTransform::translation([f64::NAN, 0.0, 0.0]);
+            prop_assert_eq!(b.apply_motion(&nan, dt), b.local_dims.count());
+        }
+    }
+
     /// Bytes per local node of each field the block stores.
     fn stored_bytes_per_node(b: &Block) -> usize {
         fn bytes<T>(f: &Field3<T>) -> usize {
             std::mem::size_of_val(f.as_slice())
         }
-        let (vel, mu_t) = (b.grid_vel.as_ref().map_or(0, bytes), b.mu_t.as_ref().map_or(0, bytes));
-        let fields = bytes(&b.coords) + bytes(&b.metrics) + bytes(&b.iblank) + vel + mu_t;
+        fn soa<const N: usize>(f: &SoaField<N>) -> usize {
+            std::mem::size_of_val(f.as_slice())
+        }
+        let (vel, mu_t) = (b.grid_vel.as_ref().map_or(0, soa), b.mu_t.as_ref().map_or(0, bytes));
+        let fields = bytes(&b.coords) + soa(&b.metrics) + bytes(&b.iblank) + vel + mu_t;
         (fields + std::mem::size_of_val(b.q.as_slice())) / b.local_dims.count()
     }
 
@@ -774,27 +837,31 @@ mod tests {
 
     /// The metrics the block shipped before it computed them in place: a
     /// grid over a copy of the local coordinates, [`metric_at`] node by node.
-    fn metrics_by_the_oracle(coords: &Field3<[f64; 3]>) -> MetricField {
+    fn metrics_by_the_oracle(coords: &Field3<[f64; 3]>) -> Vec<Metric> {
         use overset_grid::metrics::metric_at;
         let tmp = CurvilinearGrid::new("block", coords.clone(), GridKind::NearBody);
-        Field3::from_fn(coords.dims(), |p| {
-            let m = metric_at(&tmp, p);
-            if m.jac.is_finite() {
-                m
-            } else {
-                Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 }
-            }
-        })
+        let d = coords.dims();
+        d.iter()
+            .map(|p| {
+                let m = metric_at(&tmp, p);
+                if m.jac.is_finite() {
+                    m
+                } else {
+                    Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 }
+                }
+            })
+            .collect()
     }
 
     /// Every metric term's bits, node by node.
     fn metric_bits(m: &MetricField) -> Vec<u64> {
-        let terms = m.as_slice().iter();
-        terms
-            .flat_map(|m| [m.xi, m.eta, m.zeta, [m.jac, 0.0, 0.0]])
-            .flatten()
-            .map(f64::to_bits)
-            .collect()
+        let d = m.dims();
+        (0..d.count()).flat_map(|s| m.metric_at(s).components()).map(f64::to_bits).collect()
+    }
+
+    /// The oracle's terms' bits, node by node.
+    fn oracle_bits(m: &[Metric]) -> Vec<u64> {
+        m.iter().flat_map(Metric::components).map(f64::to_bits).collect()
     }
 
     /// The parent-grid node a local index mirrors plus the per-direction
@@ -925,7 +992,7 @@ mod tests {
             let what = format!("{gd:?} owned {owned:?} periodic {periodic} posed {posed}");
             let bits = |c: &Field3<[f64; 3]>| c.as_slice().iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert!(bits(&b.coords) == bits(&want), "coordinates: {}", what);
-            prop_assert!(metric_bits(&b.metrics) == metric_bits(&metrics_by_the_oracle(&want)), "metrics: {}", what);
+            prop_assert!(metric_bits(&b.metrics) == oracle_bits(&metrics_by_the_oracle(&want)), "metrics: {}", what);
         }
     }
 
@@ -951,10 +1018,10 @@ mod tests {
                 for owned in [d.full_box(), IndexBox::new(lo, hi)] {
                     let mut b = Block::from_grid(0, g, owned, [None; 6], &fc());
                     let oracle = metrics_by_the_oracle(&b.coords);
-                    assert!(metric_bits(&b.metrics) == metric_bits(&oracle), "{}", g.name);
+                    assert!(metric_bits(&b.metrics) == oracle_bits(&oracle), "{}", g.name);
                     b.apply_motion(&motion, 0.01);
                     let oracle = metrics_by_the_oracle(&b.coords);
-                    assert!(metric_bits(&b.metrics) == metric_bits(&oracle), "{} moved", g.name);
+                    assert!(metric_bits(&b.metrics) == oracle_bits(&oracle), "{} moved", g.name);
                     checked += 1;
                 }
             }

@@ -27,9 +27,9 @@ use crate::block::Blank;
 use crate::conditions::{GAMMA, PRANDTL, PRANDTL_T};
 use crate::lanes::{Lane4, W};
 use crate::rhs::{K2, K4};
-use overset_grid::field::NVAR;
+use overset_grid::field::{SoaField, NVAR};
 use overset_grid::index::{Dims, IndexBox};
-use overset_grid::metrics::Metric;
+use overset_grid::metrics::{MetricField, JAC, METRIC_COMPONENTS};
 
 /// Lane-interleaved footprint of one node row (`NVAR` variables × `W` lanes).
 pub const NVW: usize = NVAR * W;
@@ -190,6 +190,29 @@ impl Rows {
         Rows { ni: sd.ni, nj: sd.nj, nk: sd.nk, src, src_j, src_k, dst, dst_j, dst_k }
     }
 
+    /// Number of nodes in the box.
+    #[inline]
+    pub fn count(self) -> usize {
+        self.ni * self.nj * self.nk
+    }
+
+    /// The `src` offset of the box's `t`-th node in storage order.
+    #[inline]
+    pub fn src_of(self, t: usize) -> usize {
+        let (i, r) = (t % self.ni, t / self.ni);
+        self.src + i + (r % self.nj) * self.src_j + (r / self.nj) * self.src_k
+    }
+
+    /// One past the largest `src` offset of the box (0 for an empty box):
+    /// the `src` offsets only grow in storage order.
+    #[inline]
+    pub fn src_end(self) -> usize {
+        match self.count() {
+            0 => 0,
+            n => self.src_of(n - 1) + 1,
+        }
+    }
+
     /// `(src, dst)` offsets of every row start.
     #[inline(always)]
     pub fn starts(self) -> impl Iterator<Item = (usize, usize)> {
@@ -282,21 +305,59 @@ fn gather_state<L: Lane4>(q: &[f64], s: usize, nv: usize) -> [L; NVAR] {
     out
 }
 
-/// Metric row of direction `dir` and Jacobian of `nv` consecutive nodes,
-/// one node per lane.
+/// The rows of a row kernel's nodes in a field-major metric field.
+fn metric_rows(met: &MetricField, s0: usize, n: usize) -> FieldRows<&[f64], 1> {
+    FieldRows::new(met.as_slice(), METRIC_COMPONENTS, met.dims().count(), [s0], n)
+}
+
+/// The rows of a row kernel's nodes in a field-major grid velocity.
+fn velocity_rows(vel: Option<&SoaField<3>>, s0: usize, n: usize) -> Option<FieldRows<&[f64], 1>> {
+    vel.map(|v| FieldRows::new(v.as_slice(), 3, v.dims().count(), [s0], n))
+}
+
+/// Metric row of direction `dir` and Jacobian of nodes `i..i + nv` of a
+/// row, one node per lane: a vector load per term.
+///
+/// # Safety
+///
+/// `i + nv` at most the row length given to [`metric_rows`], `1 <= nv <= W`.
 #[inline(always)]
-fn gather_metric<L: Lane4>(met: &[Metric], dir: usize, s: usize, nv: usize) -> ([L; 3], L) {
-    let met = &met[s..s + nv];
-    let (mut g, mut jac) = ([[0.0; W]; 3], [0.0; W]);
-    for l in 0..W {
-        let m = &met[l.min(nv - 1)];
-        let row = m.grad(dir);
-        for t in 0..3 {
-            g[t][l] = row[t];
-        }
-        jac[l] = m.jac;
+unsafe fn metric_lanes<L: Lane4>(
+    met: &FieldRows<&[f64], 1>,
+    dir: usize,
+    i: usize,
+    nv: usize,
+) -> ([L; 3], L) {
+    // SAFETY: the terms are below METRIC_COMPONENTS; the rest is the
+    // caller's contract.
+    unsafe {
+        let g0 = met.get::<L>(3 * dir, 0, i, nv);
+        let g1 = met.get::<L>(3 * dir + 1, 0, i, nv);
+        let g2 = met.get::<L>(3 * dir + 2, 0, i, nv);
+        ([g0, g1, g2], met.get::<L>(JAC, 0, i, nv))
     }
-    ([L::from_array(g[0]), L::from_array(g[1]), L::from_array(g[2])], L::from_array(jac))
+}
+
+/// Grid velocity of nodes `i..i + nv` of a row, one node per lane; zero
+/// where the block has no velocity field.
+///
+/// # Safety
+///
+/// As for [`metric_lanes`].
+#[inline(always)]
+unsafe fn velocity_lanes<L: Lane4>(
+    vel: &Option<FieldRows<&[f64], 1>>,
+    i: usize,
+    nv: usize,
+) -> [L; 3] {
+    match vel {
+        // SAFETY: the components are below 3; the rest is the caller's
+        // contract.
+        Some(v) => unsafe {
+            [v.get::<L>(0, 0, i, nv), v.get::<L>(1, 0, i, nv), v.get::<L>(2, 0, i, nv)]
+        },
+        None => [L::splat(0.0); 3],
+    }
 }
 
 /// The cross product `a × b`, lanewise: how the frame kernels form both
@@ -304,21 +365,6 @@ fn gather_metric<L: Lane4>(met: &[Metric], dir: usize, s: usize, nv: usize) -> (
 #[inline(always)]
 fn cross<L: Lane4>([a0, a1, a2]: [L; 3], [b0, b1, b2]: [L; 3]) -> [L; 3] {
     [a1.mul(b2).sub(a2.mul(b1)), a2.mul(b0).sub(a0.mul(b2)), a0.mul(b1).sub(a1.mul(b0))]
-}
-
-/// Grid velocity of `nv` consecutive nodes, one node per lane; zero where
-/// the block has no velocity field.
-#[inline(always)]
-fn gather_velocity<L: Lane4>(vel: Option<&[[f64; 3]]>, s: usize, nv: usize) -> [L; 3] {
-    let Some(vel) = vel else { return [L::splat(0.0); 3] };
-    let vel = &vel[s..s + nv];
-    let mut v = [[0.0; W]; 3];
-    for l in 0..W {
-        for t in 0..3 {
-            v[t][l] = vel[l.min(nv - 1)][t];
-        }
-    }
-    [L::from_array(v[0]), L::from_array(v[1]), L::from_array(v[2])]
 }
 
 /// Conserved state of the nodes at storage offsets `s`, one per lane:
@@ -340,34 +386,64 @@ fn gather_state_at<L: Lane4>(q: &[f64], s: [usize; W]) -> [L; NVAR] {
     out
 }
 
+/// Component `c` of the nodes at storage offsets `s`, one per lane, from a
+/// field-major array of `n` values per component: one vector load when the
+/// four nodes are consecutive, lane by lane otherwise.
+///
+/// # Safety
+///
+/// `(c + 1) * n <= a.len()` and every offset below `n`.
+#[inline(always)]
+unsafe fn component_at<L: Lane4>(a: &[f64], n: usize, c: usize, s: [usize; W]) -> L {
+    let at = s.map(|s| c * n + s);
+    // SAFETY: by the caller's contract.
+    unsafe {
+        if s[W - 1] == s[0] + (W - 1) {
+            load_at(a, at[0])
+        } else {
+            L::gather(a, at)
+        }
+    }
+}
+
 /// Metric row of direction `dir` and Jacobian of the nodes at storage
 /// offsets `s`, one per lane.
+///
+/// # Safety
+///
+/// Every offset below the field's node count.
 #[inline(always)]
-fn gather_metric_at<L: Lane4>(met: &[Metric], dir: usize, s: [usize; W]) -> ([L; 3], L) {
-    let (mut g, mut jac) = ([[0.0; W]; 3], [0.0; W]);
-    for l in 0..W {
-        let m = &met[s[l]];
-        let row = m.grad(dir);
-        for t in 0..3 {
-            g[t][l] = row[t];
-        }
-        jac[l] = m.jac;
+unsafe fn metric_at<L: Lane4>(met: &MetricField, dir: usize, s: [usize; W]) -> ([L; 3], L) {
+    let (a, n) = (met.as_slice(), met.dims().count());
+    // SAFETY: the terms are below METRIC_COMPONENTS; the offsets are the
+    // caller's contract.
+    unsafe {
+        let g0 = component_at::<L>(a, n, 3 * dir, s);
+        let g1 = component_at::<L>(a, n, 3 * dir + 1, s);
+        let g2 = component_at::<L>(a, n, 3 * dir + 2, s);
+        ([g0, g1, g2], component_at::<L>(a, n, JAC, s))
     }
-    ([L::from_array(g[0]), L::from_array(g[1]), L::from_array(g[2])], L::from_array(jac))
 }
 
 /// Grid velocity of the nodes at storage offsets `s`, one per lane; zero
 /// where the block has no velocity field.
+///
+/// # Safety
+///
+/// Every offset below the field's node count.
 #[inline(always)]
-fn gather_velocity_at<L: Lane4>(vel: Option<&[[f64; 3]]>, s: [usize; W]) -> [L; 3] {
+unsafe fn velocity_at<L: Lane4>(vel: Option<&SoaField<3>>, s: [usize; W]) -> [L; 3] {
     let Some(vel) = vel else { return [L::splat(0.0); 3] };
-    let mut v = [[0.0; W]; 3];
-    for l in 0..W {
-        for t in 0..3 {
-            v[t][l] = vel[s[l]][t];
-        }
+    let (a, n) = (vel.as_slice(), vel.dims().count());
+    // SAFETY: the components are below 3; the offsets are the caller's
+    // contract.
+    unsafe {
+        [
+            component_at::<L>(a, n, 0, s),
+            component_at::<L>(a, n, 1, s),
+            component_at::<L>(a, n, 2, s),
+        ]
     }
-    [L::from_array(v[0]), L::from_array(v[1]), L::from_array(v[2])]
 }
 
 /// Sign-bit masks of `nv` consecutive nodes: field nodes, and nodes that are
@@ -533,8 +609,8 @@ lane_kernel! {
         dir: usize,
         fresh: bool,
         q: &[f64],
-        met: &[Metric],
-        vel: Option<&[[f64; 3]]>,
+        met: &MetricField,
+        vel: Option<&SoaField<3>>,
         ib: &[Blank],
         stride: usize,
         dw: &mut [f64],
@@ -545,18 +621,22 @@ lane_kernel! {
         let half = L::splat(0.5);
         let gm1 = L::splat(GAMMA - 1.0);
         let gam = L::splat(GAMMA);
-        let mm = rows.ni * rows.nj * rows.nk;
+        let mm = rows.count();
         assert!(
             rows.dst == 0 && rows.dst_j == rows.ni && rows.dst_k == rows.ni * rows.nj,
             "the frame SoA is not the box's own"
         );
+        let end = rows.src_end();
+        assert!(end <= met.dims().count(), "rows outside the metrics");
+        assert!(vel.is_none_or(|v| end <= v.dims().count()), "rows outside the velocity");
         let mut frr = FieldRows::new(&mut *fr, FR_FIELDS, stride, [0], mm);
         let mut dwr = FieldRows::new(&mut *dw, NVAR, stride, [0], mm);
         let mut walk = SrcWalk::new(rows);
         lane_groups!(mm, |i, nv| {
             let s = walk.group(nv);
-            let ([g0, g1, g2], jac) = gather_metric_at::<L>(met, dir, s);
-            let [vg0, vg1, vg2] = gather_velocity_at::<L>(vel, s);
+            // SAFETY: the walk's offsets are below `end`, checked above.
+            let ([g0, g1, g2], jac) = unsafe { metric_at::<L>(met, dir, s) };
+            let [vg0, vg1, vg2] = unsafe { velocity_at::<L>(vel, s) };
 
             // char_frame, lanewise in the scalar operation order.
             let s0v = g0.mul(jac);
@@ -730,6 +810,156 @@ lane_kernel! {
     }
 }
 
+/// Store `x` (one variable per input, one node per lane) as the interleaved
+/// state of the first `nv` nodes at storage offsets `s`: four consecutive
+/// nodes through [`gather_state`]'s register transpose, lane by lane
+/// otherwise (a padding lane is never stored).
+///
+/// # Safety
+///
+/// `(s[l] + 1) * NVAR <= q.len()` for every lane below `nv`.
+#[inline(always)]
+unsafe fn scatter_state<L: Lane4>(x: [L; NVAR], q: &mut [f64], s: [usize; W], nv: usize) {
+    let q4 = x[4].to_array();
+    // SAFETY (every store below): in bounds by the caller's contract; a
+    // node's first four variables are one vector store, its fifth follows
+    // them.
+    unsafe {
+        if nv == W && s[W - 1] == s[0] + (W - 1) {
+            let rows = L::transpose([x[0], x[1], x[2], x[3]]);
+            for (l, row) in rows.into_iter().enumerate() {
+                store_at(row, q, (s[0] + l) * NVAR);
+                *q.get_unchecked_mut((s[0] + l) * NVAR + 4) = q4[l];
+            }
+            return;
+        }
+        let vars = [x[0].to_array(), x[1].to_array(), x[2].to_array(), x[3].to_array(), q4];
+        for (l, &s) in s[..nv].iter().enumerate() {
+            for (v, var) in vars.iter().enumerate() {
+                *q.get_unchecked_mut(s * NVAR + v) = var[l];
+            }
+        }
+    }
+}
+
+lane_kernel! {
+    /// The state update, fused with the last active direction's inverse
+    /// characteristic transform: `dw` holds that direction's characteristic
+    /// solution (five fields × `stride`) and `fr` its frames, as
+    /// [`from_char_lanes`] reads them; every field node of `rows` (blanking
+    /// `ib`) gets `q += Δq` in the interleaved state `q`, other nodes keep
+    /// their bits. Walks the owned nodes in storage order in full lane
+    /// groups across row ends, as [`frames_forward_rows`] does, and leaves
+    /// `dw` as it found it. Returns the number of field nodes updated and
+    /// the SoA index of the first lane group with an updated node that is
+    /// non-finite or has ρ ≤ 0 or p ≤ 0 (the predicate of the scalar
+    /// `first_nonphysical`, which re-reads that group for the report). Each
+    /// lane runs the scalar `from_char`, `+=` and `pressure` operation
+    /// sequence, so the state is bit-identical across lanes and ISAs.
+    ///
+    /// The one pass over the updated state: where per-step reductions over
+    /// it (minimum ρ and p, maximum |q|) belong.
+    pub fn update_rows<L>(
+        rows: Rows,
+        stride: usize,
+        fr: &[f64],
+        dw: &[f64],
+        ib: &[Blank],
+        q: &mut [f64],
+    ) -> (u64, Option<usize>) {
+        let (zero, one, half) = (L::splat(0.0), L::splat(1.0), L::splat(0.5));
+        let (inf, gm1) = (L::splat(f64::INFINITY), L::splat(GAMMA - 1.0));
+        let mm = rows.count();
+        assert!(
+            rows.dst == 0 && rows.dst_j == rows.ni && rows.dst_k == rows.ni * rows.nj,
+            "the frame SoA is not the box's own"
+        );
+        let end = rows.src_end();
+        assert!(end <= ib.len() && end * NVAR <= q.len(), "rows outside the block");
+        let fr = FieldRows::new(fr, FR_FIELDS, stride, [0], mm);
+        let dw = FieldRows::new(dw, NVAR, stride, [0], mm);
+        let mut walk = SrcWalk::new(rows);
+        let (mut updated, mut first_bad) = (0u64, None);
+        lane_groups!(mm, |m, nv| {
+            let s = walk.group(nv);
+            macro_rules! get {
+                ($f:expr) => {
+                    // SAFETY: the fields are below FR_FIELDS and
+                    // `lane_groups!` keeps m + nv <= mm.
+                    unsafe { fr.get::<L>($f, 0, m, nv) }
+                };
+            }
+            // from_char, lanewise in the scalar operation order.
+            let k0 = get!(FR_K);
+            let k1 = get!(FR_K + 1);
+            let k2 = get!(FR_K + 2);
+            let t10 = get!(FR_T1);
+            let t11 = get!(FR_T1 + 1);
+            let t12 = get!(FR_T1 + 2);
+            let [t20, t21, t22] = cross([k0, k1, k2], [t10, t11, t12]);
+            let rho = get!(FR_RHO);
+            let u0 = get!(FR_U);
+            let u1 = get!(FR_U + 1);
+            let u2 = get!(FR_U + 2);
+            let c = get!(FR_C);
+            let mut w = [zero; NVAR];
+            for (v, x) in w.iter_mut().enumerate() {
+                // SAFETY: v < NVAR and `lane_groups!` keeps m + nv <= mm.
+                *x = unsafe { dw.get::<L>(v, 0, m, nv) };
+            }
+            let [w0, w1, w2, w3, w4] = w;
+            let dp = half.mul(rho).mul(c).mul(w3.sub(w4));
+            let un = half.mul(w3.add(w4));
+            let d_rho = w0.add(dp.div(c.mul(c)));
+            let du0 = t10.mul(w1).add(t20.mul(w2)).add(k0.mul(un));
+            let du1 = t11.mul(w1).add(t21.mul(w2)).add(k1.mul(un));
+            let du2 = t12.mul(w1).add(t22.mul(w2)).add(k2.mul(un));
+            let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
+            let dq = [
+                d_rho,
+                u0.mul(d_rho).add(rho.mul(du0)),
+                u1.mul(d_rho).add(rho.mul(du1)),
+                u2.mul(d_rho).add(rho.mul(du2)),
+                ke.mul(d_rho)
+                    .add(rho.mul(u0.mul(du0).add(u1.mul(du1)).add(u2.mul(du2))))
+                    .add(dp.div(gm1)),
+            ];
+
+            // q += Δq on field nodes; the others are stored back unchanged.
+            let old = gather_state_at::<L>(q, s);
+            let mut is_field = [false; W];
+            for (f, &s) in is_field.iter_mut().zip(&s) {
+                // SAFETY: the walk's offsets are below `end`, checked above.
+                *f = unsafe { *ib.get_unchecked(s) } == Blank::Field;
+            }
+            let field = L::mask(is_field);
+            let mut new = old;
+            for (x, (o, d)) in new.iter_mut().zip(old.into_iter().zip(dq)) {
+                *x = L::select(field, o.add(d), o);
+            }
+            // SAFETY: as for `ib`.
+            unsafe { scatter_state(new, q, s, nv) };
+
+            // first_nonphysical's predicate: 0 < ρ < ∞ and 0 < p < ∞ (a NaN
+            // fails every comparison).
+            let p = pressure_lanes(&new, one.div(new[0]));
+            macro_rules! finite_pos {
+                ($x:expr) => {
+                    L::select(zero.lt($x), $x.lt(inf), zero)
+                };
+            }
+            let ok = L::select(finite_pos!(new[0]), finite_pos!(p), zero);
+            let lanes = (1u32 << nv) - 1;
+            let fields = field.signs() & lanes;
+            updated += u64::from(fields.count_ones());
+            if first_bad.is_none() && fields & !ok.signs() != 0 {
+                first_bad = Some(m);
+            }
+        });
+        (updated, first_bad)
+    }
+}
+
 lane_kernel! {
     /// Residual node pass of one direction over a row of `n` nodes (block
     /// storage offsets `s0..`, node-cache positions `m0..`): the static
@@ -747,8 +977,8 @@ lane_kernel! {
         dir: usize,
         q: &[f64],
         ib: &[Blank],
-        met: &[Metric],
-        vel: Option<&[[f64; 3]]>,
+        met: &MetricField,
+        vel: Option<&SoaField<3>>,
         stride: usize,
         cache: &mut [f64],
     ) {
@@ -756,11 +986,12 @@ lane_kernel! {
         let gam = L::splat(GAMMA);
         let mut out = FieldRows::new(cache, RC_FIELDS, stride, [m0], n);
         let (q, ib) = (&q[s0 * NVAR..(s0 + n) * NVAR], &ib[s0..s0 + n]);
-        let (met, vel) = (&met[s0..s0 + n], vel.map(|v| &v[s0..s0 + n]));
+        let (met, vel) = (metric_rows(met, s0, n), velocity_rows(vel, s0, n));
         lane_groups!(n, |i, nv| {
             let qn = gather_state::<L>(q, i, nv);
-            let ([g0, g1, g2], jac) = gather_metric::<L>(met, dir, i, nv);
-            let [vg0, vg1, vg2] = gather_velocity::<L>(vel, i, nv);
+            // SAFETY: `lane_groups!` keeps i + nv <= n.
+            let ([g0, g1, g2], jac) = unsafe { metric_lanes::<L>(&met, dir, i, nv) };
+            let [vg0, vg1, vg2] = unsafe { velocity_lanes::<L>(&vel, i, nv) };
             // Ŝ = J ∇ξ.
             let s0v = g0.mul(jac);
             let s1 = g1.mul(jac);
@@ -916,7 +1147,7 @@ lane_kernel! {
         viscous: bool,
         q: &[f64],
         ib: &[Blank],
-        met: &[Metric],
+        met: &MetricField,
         mu_t: Option<&[f64]>,
         stride: usize,
         cache: &mut [f64],
@@ -927,7 +1158,7 @@ lane_kernel! {
         let gam = L::splat(GAMMA);
         let mut out = FieldRows::new(cache, VC_FIELDS, stride, [m0], n);
         let (q, ib) = (&q[s0 * NVAR..(s0 + n) * NVAR], &ib[s0..s0 + n]);
-        let (met, mu_t) = (&met[s0..s0 + n], mu_t.map(|m| &m[s0..s0 + n]));
+        let (met, mu_t) = (metric_rows(met, s0, n), mu_t.map(|m| &m[s0..s0 + n]));
         lane_groups!(n, |i, nv| {
             macro_rules! put {
                 ($f:expr, $x:expr) => {
@@ -936,7 +1167,8 @@ lane_kernel! {
                     unsafe { out.put(($f), 0, i, nv, $x) }
                 };
             }
-            let ([e0, e1, e2], jac) = gather_metric::<L>(met, 1, i, nv);
+            // SAFETY: `lane_groups!` keeps i + nv <= n.
+            let ([e0, e1, e2], jac) = unsafe { metric_lanes::<L>(&met, 1, i, nv) };
             put!(VC_J, jac);
             put!(VC_FIELD, blank_masks::<L>(ib, i, nv).0);
             if viscous {

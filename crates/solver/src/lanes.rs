@@ -96,6 +96,9 @@ pub trait Lane4: Copy {
     /// The 4 × 4 transpose: lane `l` of output `r` is lane `r` of input `l`
     /// (data movement only, exact).
     fn transpose(rows: [Self; W]) -> [Self; W];
+    /// The lanes' sign bits, lane `l`'s in bit `l`: a mask read out of the
+    /// lanes (no arithmetic).
+    fn signs(self) -> u32;
     fn to_array(self) -> [f64; W];
     fn from_array(a: [f64; W]) -> Self {
         Self::load(&a)
@@ -259,6 +262,11 @@ impl Lane4 for ScalarLanes {
         ]
     }
     #[inline(always)]
+    fn signs(self) -> u32 {
+        let bit = |l: usize| ((self.0[l].to_bits() >> 63) as u32) << l;
+        bit(0) | bit(1) | bit(2) | bit(3)
+    }
+    #[inline(always)]
     fn to_array(self) -> [f64; W] {
         self.0
     }
@@ -363,6 +371,10 @@ mod avx {
             }
         }
         #[inline(always)]
+        fn signs(self) -> u32 {
+            unsafe { _mm256_movemask_pd(self.0) as u32 }
+        }
+        #[inline(always)]
         fn to_array(self) -> [f64; W] {
             let mut out = [0.0; W];
             self.store(&mut out);
@@ -404,6 +416,8 @@ mod tests {
             L::load_n(&a, 2).to_array(),
             L::select(x.lt(y), x, y).to_array(),
             L::select(x.le(y), y, x).to_array(),
+            [x.signs(), x.lt(y).signs(), L::splat(-0.0).signs(), L::splat(f64::NAN).neg().signs()]
+                .map(f64::from),
         ]
     }
 
@@ -429,6 +443,7 @@ mod tests {
             assert_eq!(got[9][l].to_bits(), b[l].to_bits(), "NaN on the left loses");
             assert_eq!(got[10][l].to_bits(), a[l.min(1)].to_bits());
         }
+        assert_eq!(got[13], [2.0, 10.0, 15.0, 15.0], "sign bits, lane l in bit l");
         let mut out = [9.0; W];
         ScalarLanes(a).store_n(&mut out, 3);
         assert_eq!(out, [a[0], a[1], a[2], 9.0]);

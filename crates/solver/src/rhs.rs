@@ -95,8 +95,7 @@ pub fn compute_residual(block: &Block, fc: &FlowConditions, ws: &mut Scratch) ->
         return (0, 0.0);
     };
     let viscous = block.viscous && fc.viscous_coefficient() > 0.0;
-    let (q, met) = (block.q.as_slice(), block.metrics.as_slice());
-    let vel = block.grid_vel.as_ref().map(|v| v.as_slice());
+    let (q, met, vel) = (block.q.as_slice(), &block.metrics, block.grid_vel.as_ref());
     let (isa, mm, n) = (ws.isa, ow.count(), sweep.dims().ni);
     // The widest cache: five rows of `n + 4` nodes.
     const _: () = assert!(kernels::VC_FIELDS <= RC_FIELDS);
@@ -240,7 +239,7 @@ pub(crate) mod reference {
     #[inline]
     fn hat_flux(block: &Block, p: Ijk, dir: usize) -> [f64; NVAR] {
         let q = block.q.node(p);
-        let m = block.metrics[p];
+        let m = block.metrics.metric(p);
         let g = m.grad(dir);
         let jac = m.jac;
         let s = [g[0] * jac, g[1] * jac, g[2] * jac]; // Ŝ = J ∇ξ
@@ -264,7 +263,7 @@ pub(crate) mod reference {
     #[inline]
     pub fn spectral_radius(block: &Block, p: Ijk, dir: usize) -> f64 {
         let q = block.q.node(p);
-        let m = block.metrics[p];
+        let m = block.metrics.metric(p);
         let g = m.grad(dir);
         let jac = m.jac;
         let s = [g[0] * jac, g[1] * jac, g[2] * jac];
@@ -299,7 +298,7 @@ pub(crate) mod reference {
                 continue;
             }
             nodes += 1;
-            let jac = block.metrics[p].jac;
+            let jac = block.metrics.metric(p).jac;
             let inv_j = 1.0 / jac;
             let mut r = [0.0f64; NVAR];
 
@@ -400,7 +399,7 @@ pub(crate) mod reference {
         }
         let p1 = offset(p, DIR, side);
         let (qa, qb) = (block.q.node(p), block.q.node(p1));
-        let (ma, mb) = (block.metrics[p], block.metrics[p1]);
+        let (ma, mb) = (block.metrics.metric(p), block.metrics.metric(p1));
         // Face-averaged Ŝ and J.
         let s = [
             0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
@@ -444,7 +443,7 @@ mod tests {
     use super::*;
     use crate::conditions::GAMMA;
     use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
-    use overset_grid::field::{Field3, StateField, NVAR};
+    use overset_grid::field::{Field3, SoaField, StateField, NVAR};
     use overset_grid::index::{Dims, Ijk};
 
     fn uniform_block(n: usize, fc: &FlowConditions) -> Block {
@@ -544,7 +543,7 @@ mod tests {
         // the pressure terms, which are constant: residual ~ 0.
         let fc = FlowConditions::new(0.5, 0.0, 0.0);
         let mut b = uniform_block(8, &fc);
-        b.grid_vel = Some(Field3::new(b.local_dims, [0.5, 0.0, 0.0]));
+        b.grid_vel = Some(SoaField::new(b.local_dims, [0.5, 0.0, 0.0]));
         assert!(l2(&b, &fc) < 1e-13);
     }
 
@@ -640,7 +639,7 @@ mod tests {
         }
         let mut b = Block::from_grid(0, &g, IndexBox::new(lo, hi), neighbor, &fc);
         if crate::adi::tests::keyed(seed, [-1; 3], 20) < 0.5 {
-            b.grid_vel = Some(Field3::new(b.local_dims, [0.0; 3]));
+            b.grid_vel = Some(SoaField::new(b.local_dims, [0.0; 3]));
         }
         if crate::adi::tests::keyed(seed, [-1; 3], 21) < 0.5 {
             b.mu_t = Some(Field3::new(b.local_dims, 0.0));
@@ -657,7 +656,7 @@ mod tests {
             let vg = [0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5), 0.2 * (r.next() - 0.5)];
             let mu_t = if r.below(3) == 0 { 0.0 } else { 40.0 * r.next() };
             if let Some(v) = &mut b.grid_vel {
-                v[p] = vg;
+                v.set_node(p, vg);
             }
             if let Some(m) = &mut b.mu_t {
                 m[p] = mu_t;

@@ -1,14 +1,16 @@
 //! One implicit timestep on a block: the OVERFLOW phase of the OVERFLOW-D1
 //! loop.
 
-use crate::adi::{implicit_sweeps, Scratch, SolverComm};
+use crate::adi::{sweep_directions, Scratch, SolverComm};
 use crate::bc::apply_bcs;
 use crate::block::{Blank, Block};
 use crate::conditions::{pressure, FlowConditions};
-use crate::kernels::Rows;
+use crate::kernels::{self, Rows};
+use crate::lanes::{Isa, W};
 use crate::rhs::compute_residual;
 use crate::turbulence::{compute_mu_t, WallGeometry};
 use overset_grid::field::NVAR;
+use overset_grid::Ijk;
 
 /// Outcome of one step.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,7 +40,8 @@ impl StepReport {
 /// 2. turbulence model (when active),
 /// 3. explicit residual, left as Δt·R in the sweeps' increment,
 /// 4. factored implicit sweeps (pipelined across subdomains), in place,
-/// 5. state update on field nodes, checked for non-physical values
+/// 5. state update on field nodes, fused with the last direction's back
+///    transform and checked for non-physical values
 ///    ([`StepReport::nonphysical`]),
 /// 6. physical boundary conditions.
 ///
@@ -73,38 +76,45 @@ pub fn step_block(
     flops += res_flops;
     comm.trace_span("solver", "residual", t0);
 
-    // The sweeps charge their own work as they go.
-    flops += implicit_sweeps(block, fc, comm, scratch);
-
-    // Update field nodes.
-    let ow = block.owned_local();
-    let (mm, ni) = (ow.count(), ow.dims().ni);
-    let dq = scratch.increment(block);
-    let ib = block.iblank.as_slice();
-    let mut update_flops = 0u64;
-    let mut bad = None;
-    for (s0, t0) in Rows::new(ow, block.local_dims.full_box(), ow).starts() {
-        let row = block.q.as_mut_slice()[s0 * NVAR..(s0 + ni) * NVAR].chunks_exact_mut(NVAR);
-        for (i, (q, &b)) in row.zip(&ib[s0..s0 + ni]).enumerate() {
-            if b != Blank::Field {
-                continue;
-            }
-            update_flops += NVAR as u64;
-            for (v, x) in q.iter_mut().enumerate() {
-                *x += dq[v * mm + t0 + i];
-            }
-            if bad.is_none() {
-                bad = first_nonphysical((&*q).try_into().expect("a node holds NVAR values"))
-                    .map(|(var, x)| (s0 + i, var, x));
-            }
-        }
-    }
+    // The sweeps charge their own work as they go; the last direction's
+    // back transform is the update's.
+    flops += sweep_directions(block, fc, comm, scratch);
+    let mm = block.owned_count();
+    let (fr, dw) = scratch.last_solution(mm);
+    let (update_flops, nonphysical) = update_state(block, scratch.isa, fr, dw);
     comm.compute(update_flops);
-    let nonphysical = bad.map(|(s, v, x)| (block.to_global(block.local_dims.unoffset(s)), v, x));
 
     let bc_flops = apply_bcs(block, fc);
     comm.compute(bc_flops);
     StepReport { flops: flops + bc_flops, residual, nonphysical }
+}
+
+/// The state update of a step through [`kernels::update_rows`]: Δq of the
+/// last swept direction's characteristic solution `dw` and frames `fr`
+/// (SoA over the owned nodes) added to every field node. Returns the
+/// update's flops, 5 per field node, and the first updated node in storage
+/// order that is non-physical, found by [`first_nonphysical`] in the lane
+/// group the kernel flagged.
+fn update_state(
+    block: &mut Block,
+    isa: Isa,
+    fr: &[f64],
+    dw: &[f64],
+) -> (u64, Option<(Ijk, &'static str, f64)>) {
+    let ow = block.owned_local();
+    let (mm, rows) = (ow.count(), Rows::new(ow, block.local_dims.full_box(), ow));
+    let (ib, q) = (block.iblank.as_slice(), block.q.as_mut_slice());
+    let (updated, flagged) = kernels::update_rows(isa, rows, mm, fr, dw, ib, q);
+    let nonphysical = flagged.map(|m| {
+        let (ib, q) = (block.iblank.as_slice(), block.q.as_slice());
+        let (s, var, x) = (m..mm.min(m + W))
+            .map(|t| rows.src_of(t))
+            .filter(|&s| ib[s] == Blank::Field)
+            .find_map(|s| first_nonphysical(kernels::node_at(q, s)).map(|(v, x)| (s, v, x)))
+            .expect("the flagged lane group holds a non-physical node");
+        (block.to_global(block.local_dims.unoffset(s)), var, x)
+    });
+    (NVAR as u64 * updated, nonphysical)
 }
 
 /// What makes a node non-physical, and its value: ρ if it is non-finite or
@@ -119,7 +129,7 @@ mod tests {
     use super::*;
     use crate::adi::SerialComm;
     use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind};
-    use overset_grid::field::Field3;
+    use overset_grid::field::{Field3, SoaField};
     use overset_grid::index::{Dims, Ijk};
 
     fn free_block(n: usize, fc: &FlowConditions) -> Block {
@@ -223,7 +233,7 @@ mod tests {
 
     // ---- step_block vs the composition of the scalar references ----------
 
-    use crate::adi::tests::{chain, chain_pieces, keyed, sweeps_reference};
+    use crate::adi::tests::{chain, chain_pieces, from_char_at, keyed, sweeps_reference};
     use crate::adi::FLOPS_PER_NODE_PER_DIR as SWEEP_FLOPS;
     use crate::lanes::{select_isa, Isa};
     use crate::rhs::reference;
@@ -298,7 +308,7 @@ mod tests {
     ) -> Block {
         let mut b = Block::from_grid(0, g, owned, neighbor, fc);
         if keyed(seed, [-1; 3], 20) < 0.5 {
-            b.grid_vel = Some(Field3::new(b.local_dims, [0.0; 3]));
+            b.grid_vel = Some(SoaField::new(b.local_dims, [0.0; 3]));
         }
         if keyed(seed, [-1; 3], 21) < 0.5 {
             b.mu_t = Some(Field3::new(b.local_dims, 0.0));
@@ -314,7 +324,7 @@ mod tests {
             let prim = [0.6 + r(1), r(2) - 0.5, r(3) - 0.5, r(4) - 0.5, 0.4 + 0.8 * r(5)];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
             if let Some(v) = &mut b.grid_vel {
-                v[p] = [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)];
+                v.set_node(p, [0.2 * (r(6) - 0.5), 0.2 * (r(7) - 0.5), 0.2 * (r(8) - 0.5)]);
             }
             if let Some(m) = &mut b.mu_t {
                 m[p] = if r(10) < 0.3 { 0.0 } else { 40.0 * r(11) };
@@ -359,6 +369,112 @@ mod tests {
                     let g = Ijk::new(gl[0] as usize, gl[1] as usize, gl[2] as usize);
                     b.q.set_node(p, *global.node(g));
                 }
+            }
+        }
+    }
+
+    /// The update of the per-node era, the oracle of [`update_state`]: the
+    /// owned nodes in storage order, Δq of each by the scalar `from_char` of
+    /// the frame SoA `fr` and the characteristic solution `dw`, added on
+    /// field nodes, the first that leaves one non-physical recorded.
+    fn update_reference(
+        b: &mut Block,
+        fr: &[f64],
+        dw: &[f64],
+    ) -> (u64, Option<(Ijk, &'static str, f64)>) {
+        let ow = b.owned_local();
+        let mm = ow.count();
+        let (mut flops, mut bad) = (0, None);
+        for (t, p) in ow.iter().enumerate() {
+            if b.iblank[p] != Blank::Field {
+                continue;
+            }
+            let dq = from_char_at(fr, mm, t, &std::array::from_fn(|v| dw[v * mm + t]));
+            let q = b.q.node_mut(p);
+            for (x, d) in q.iter_mut().zip(dq) {
+                *x += d;
+            }
+            flops += NVAR as u64;
+            let found = first_nonphysical(q);
+            bad = bad.or(found.map(|(v, x)| (b.to_global(p), v, x)));
+        }
+        (flops, bad)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused update kernel against [`update_reference`], on both
+        /// ISAs: random 2-D and 3-D pieces of a grid (rows of 1 to 10 owned
+        /// nodes, so lane groups cross row ends and end ragged), holes and
+        /// fringes anywhere, random frames and characteristic solutions. A
+        /// NaN, ±∞, ρ ≤ 0 or p ≤ 0 is put into the state or the solution of
+        /// any node, and on half of the seeds into the last owned node (the
+        /// ragged tail's). The state of every local node, the flops and the
+        /// first non-physical node must be identical, to the bit.
+        #[test]
+        fn update_kernel_bit_equals_scalar_update(
+            seed in 1u64..(1 << 60),
+            three_d in 0usize..2,
+            own_ni in 1usize..11,
+        ) {
+            let mut h = seed;
+            let mut r = move || {
+                h = (h ^ (h >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d;
+                (h >> 11) as f64 / (1u64 << 53) as f64
+            };
+            // A uniform draw `x` in [0, 1) as one of `n` choices.
+            let below = |n: usize, x: f64| (x * n as f64) as usize;
+            let nk = if three_d == 1 { 1 + below(4, r()) } else { 1 };
+            let d = Dims::new(own_ni + below(3, r()), 1 + below(6, r()), nk);
+            let lo = Ijk::new(below(d.ni - own_ni + 1, r()), 0, 0);
+            let owned = IndexBox::new(lo, Ijk::new(lo.i + own_ni, d.nj, d.nk));
+            let fc = FlowConditions::new(0.8, 2.0, 0.0);
+            let mut b = Block::from_grid(0, &crate::testutil::wavy_grid(d, false), owned, [None; 6], &fc);
+            let junk = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 0.0];
+            let mm = b.owned_count();
+            let last = b.to_local(Ijk::new(owned.hi.i - 1, owned.hi.j - 1, owned.hi.k - 1));
+            let tail = r() < 0.5;
+            for p in b.local_dims.iter() {
+                let prim = [0.6 + r(), r() - 0.5, r() - 0.5, r() - 0.5, 0.4 + 0.8 * r()];
+                let mut q = crate::conditions::conservatives(&prim);
+                if r() < 0.1 || (tail && p == last) {
+                    // ρ or the energy (p ≤ 0 for -0.5 and 0) of this node.
+                    q[if r() < 0.5 { 0 } else { 4 }] = junk[below(junk.len(), r())];
+                }
+                b.q.set_node(p, q);
+                b.iblank[p] = match below(8, r()) {
+                    0 => Blank::Hole,
+                    1 => Blank::Fringe,
+                    _ => Blank::Field,
+                };
+            }
+            let mut fr: Vec<f64> = (0..kernels::FR_FIELDS * mm).map(|_| r() - 0.5).collect();
+            for t in 0..mm {
+                fr[kernels::FR_RHO * mm + t] = 0.5 + r();
+                fr[kernels::FR_C * mm + t] = 0.5 + r();
+            }
+            let mut dw: Vec<f64> = (0..NVAR * mm).map(|_| 1e-3 * (r() - 0.5)).collect();
+            for t in 0..mm {
+                if r() < 0.05 {
+                    dw[below(NVAR, r()) * mm + t] = junk[below(3, r())];
+                }
+            }
+            let q0 = b.q.clone();
+            let (want_flops, want_bad) = update_reference(&mut b, &fr, &dw);
+            let want = std::mem::replace(&mut b.q, q0.clone());
+            for isa in [Isa::Scalar, select_isa()] {
+                b.q = q0.clone();
+                let (flops, bad) = update_state(&mut b, isa, &fr, &dw);
+                let what = format!("{isa:?} owned {owned:?} of {d:?}");
+                prop_assert_eq!(flops, want_flops, "{}: flops", what);
+                let agree = match (bad, want_bad) {
+                    (Some((p, v, x)), Some((q, w, y))) => p == q && v == w && x.to_bits() == y.to_bits(),
+                    (got, want) => got.is_none() && want.is_none(),
+                };
+                prop_assert!(agree, "{}: first non-physical node {:?} vs {:?}", what, bad, want_bad);
+                let bits = |q: &StateField| q.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert!(bits(&b.q) == bits(&want), "{}: state bits", what);
             }
         }
     }

@@ -52,7 +52,7 @@ pub fn vorticity_magnitude(block: &Block, p: Ijk) -> f64 {
             (qb[2] / qb[0] - qa[2] / qa[0]) * scale,
             (qb[3] / qb[0] - qa[3] / qa[0]) * scale,
         ];
-        let g = block.metrics[p].grad(dir);
+        let g = block.metrics.grad(p, dir);
         for comp in 0..3 {
             for m in 0..3 {
                 grad_u[comp][m] += g[m] * du[comp];

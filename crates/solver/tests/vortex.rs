@@ -100,7 +100,7 @@ fn vortex_preserves_total_mass_in_interior() {
     let mass = |b: &Block| -> f64 {
         let mut m = 0.0;
         for p in b.owned_local().iter() {
-            m += b.q.node(p)[0] * b.metrics[p].jac;
+            m += b.q.node(p)[0] * b.metrics.metric(p).jac;
         }
         m
     };

@@ -26,10 +26,10 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
-echo "== solver bit-equality proptests (kernels vs scalar references, pipelined chains vs the whole grid with their carry messages and compute charges, step vs reference step, row copies vs per-node copies, block construction vs its per-node reference): release, 256 cases each =="
+echo "== solver bit-equality proptests (kernels vs scalar references, pipelined chains vs the whole grid with their carry messages and compute charges, step vs reference step, the fused update kernel vs the scalar update with non-physical lanes, row copies vs per-node copies, block construction vs its per-node reference, apply_motion vs per-node transforms): release, 256 cases each =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-solver -- bit_equal
 
-echo "== grid bit-equality proptest (row-hoisted metrics and their one-write construction vs per-node metric_at): release, 256 cases =="
+echo "== grid bit-equality proptest (row-hoisted field-major metrics and their one-write construction vs per-node metric_at, term by term): release, 256 cases =="
 PROPTEST_CASES=256 cargo test -q --release -p overset-grid -- bit_equal
 
 echo "== connectivity bit-equality (cutter vs its per-node oracle, slab vs per-bin hole-lattice classes, inverse-map build vs its frozen oracle on random blocks, candidate lists and sub-bins, one-rank protocol vs serial oracle, map and arena off-paths): release, 256 cases each =="
