@@ -145,7 +145,7 @@ impl AdaptiveScheme {
                 runs.push(s.spawn(move || {
                     for block in group {
                         step_block(block, &fc, None, &mut SerialComm, scratch)
-                            .assert_physical(step, block.grid_id + 1);
+                            .assert_physical(step, block.grid_id);
                     }
                 }));
             }
@@ -241,13 +241,21 @@ impl AdaptiveScheme {
 
     /// Move the body and run an adapt cycle (refine toward the new position,
     /// coarsen behind, plus the solution-error indicator). Returns stats.
+    /// Panics, naming the near body's grid 0, if the motion leaves a node
+    /// of it without a finite Jacobian (a motion that is not finite), as
+    /// the driver's motion phase does.
     pub fn move_and_adapt(&mut self, t: &RigidTransform) -> AdaptStats {
         self.body_center = t.apply(self.body_center);
         self.body_solid = self.body_solid.transformed(t);
         // A regrid of a body at rest before and after the jump: the grid
         // moves, but its nodes keep no ALE velocity (the block drops the
         // field, which reads as zero).
-        self.near.apply_motion(t, self.cfg.fc.dt);
+        let singular = self.near.apply_motion(t, self.cfg.fc.dt);
+        assert!(
+            singular == 0,
+            "non-finite motion at step {}, grid 0: {singular} nodes without a finite Jacobian",
+            self.steps
+        );
         self.near.grid_vel = None;
 
         // Error indicator: pressure variation within the region.
@@ -373,7 +381,8 @@ fn build_brick_blocks(
                 }
             })
             .collect();
-        let mut block = Block::from_grid(bi, &g, g.dims().full_box(), [None; 6], &cfg.fc);
+        // Grid `bi + 1`: the near body is grid 0.
+        let mut block = Block::from_grid(bi + 1, &g, g.dims().full_box(), [None; 6], &cfg.fc);
         if let Some(all) = states {
             let s = &all[bi];
             for p in s.dims().iter() {
@@ -465,6 +474,17 @@ mod tests {
             .collect();
         let cm = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(cm > 0.3, "fine bricks did not follow the body: cm = {cm}");
+    }
+
+    /// A jump that is not finite stops the scheme where it moves the near
+    /// body, naming its grid, instead of leaving it on non-finite metrics
+    /// until the next update's check.
+    #[test]
+    #[should_panic(expected = "non-finite motion at step 1, grid 0: ")]
+    fn a_non_finite_jump_panics_naming_the_near_body() {
+        let mut s = small_scheme();
+        s.step();
+        s.move_and_adapt(&RigidTransform::translation([f64::NAN, 0.0, 0.0]));
     }
 
     #[test]

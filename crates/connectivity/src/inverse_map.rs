@@ -2495,8 +2495,10 @@ pub(crate) mod tests {
     /// A random block for [`random_blocks_build_the_reference_map`]: `shape`
     /// 0 a stretched and sheared 3-D box, 1 the same in 2-D, 2 a shell (3-D)
     /// or ring (2-D, `k` of one node) that wraps onto itself in `i`, seam
-    /// column and all. Axes of `n[d]` nodes (2: one cell, a sliver), the
-    /// owned box the whole grid or, for the open shapes, a piece of it.
+    /// column and all. Axes of `n[d]` nodes (2: one cell, a sliver), but a
+    /// wrapping `i` of at least 4 (3 cells): with fewer, the nodes either
+    /// side of one coincide and it has no finite Jacobian. The owned box is
+    /// the whole grid or, for the open shapes, a piece of it.
     fn random_block(shape: usize, n: [usize; 3], seed: u64, piece: bool) -> Block {
         let mut h = seed | 1;
         let mut rand = || {
@@ -2504,7 +2506,8 @@ pub(crate) mod tests {
             (h >> 11) as f64 / (1u64 << 53) as f64
         };
         let two_d = shape == 1 || (shape == 2 && rand() < 0.5);
-        let d = Dims::new(n[0], n[1], if two_d { 1 } else { n[2] });
+        let ni = if shape == 2 { n[0].max(4) } else { n[0] };
+        let d = Dims::new(ni, n[1], if two_d { 1 } else { n[2] });
         // Per axis a geometric stretch, and shears of `x` along `j` and `k`.
         let (growth, spacing) = ([0; 3].map(|_| 0.6 + 1.2 * rand()), [0; 3].map(|_| 0.01 + rand()));
         let shear = [2.0 * rand() - 1.0, 2.0 * rand() - 1.0];

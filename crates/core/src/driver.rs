@@ -281,8 +281,10 @@ pub fn run_case_serial(
 }
 
 /// Block `id` of `partition` with its grid at pose `cumulative`, nothing
-/// cached for it. Inputs were validated before the rank threads spawned: a
-/// failure here is an internal invariant violation, not bad input.
+/// cached for it. The partition and hierarchy were validated before the rank
+/// threads spawned; the geometry and the initial boundary states are checked
+/// here, block by block, so no rank computes metrics it does not own. A
+/// failure panics, naming the grid and the node (DESIGN.md §6).
 fn own_block(
     cfg: &CaseConfig,
     partition: &Partition,
@@ -393,22 +395,32 @@ fn add_wall_loads(block: &Block, refp: [f64; 3], fc: &FlowConditions, acc: &mut 
 /// Move a block and its wall geometry by one body-step transform, then
 /// re-apply the wall BCs with the *new* grid velocity: the wall state must
 /// move with the wall, otherwise the stale no-slip velocity acts as an
-/// impulsive slip over the tiny wall cells. Returns the BC flops and how
-/// many nodes the motion left without a finite Jacobian (none, unless `t`
-/// is not finite).
+/// impulsive slip over the tiny wall cells. Returns the BC flops and, if
+/// the moved block must not be stepped, why: nodes the motion left without
+/// a finite Jacobian (none, unless `t` is not finite), else the first node
+/// the BCs set non-physical.
 fn move_block(
     block: &mut Block,
     wall: &mut Option<WallGeometry>,
     t: &RigidTransform,
     fc: &FlowConditions,
-) -> (u64, usize) {
-    let inert = block.apply_motion(t, fc.dt);
+    step: usize,
+) -> (u64, Option<String>) {
+    let singular = block.apply_motion(t, fc.dt);
     if let Some(w) = wall {
         for p in &mut w.wall_xyz {
             *p = t.apply(*p);
         }
     }
-    (apply_bcs(block, fc), inert)
+    let (flops, set) = apply_bcs(block, fc);
+    let grid = block.grid_id;
+    let fault = match singular {
+        0 => set.map(|n| n.message(step, grid)),
+        n => Some(format!(
+            "non-finite motion at step {step}, grid {grid}: {n} nodes without a finite Jacobian"
+        )),
+    };
+    (flops, fault)
 }
 
 /// Physics checksum over the blocks' owned field nodes: (Σ q², node count)
@@ -540,22 +552,18 @@ fn run_rank(
                 }
                 for rb in mine.iter_mut().filter(|rb| body.grids.contains(&rb.block.grid_id)) {
                     rb.note_motion(&t);
-                    let (bc_flops, inert) = move_block(&mut rb.block, &mut rb.wall, &t, &fc);
+                    let (bc_flops, fault) = move_block(&mut rb.block, &mut rb.wall, &t, &fc, step);
                     ph.compute(bc_flops, WorkClass::Other);
-                    if failed.is_none() && inert > 0 {
-                        failed = Some((rb.block.grid_id, inert));
-                    }
+                    failed = failed.or(fault);
                 }
                 ph.compute(500, WorkClass::Other);
             }
-            // A non-finite motion leaves its grid with zero metrics: frozen,
-            // finite, and silently wrong. Checked after the barrier, as the
+            // A non-finite motion leaves its grid with non-finite metrics,
+            // which no stencil may read. Checked after the barrier, as the
             // flow phase checks its state, so the run names the lowest rank.
             ph.barrier();
-            if let Some((grid, inert)) = failed {
-                panic!(
-                    "non-finite motion at step {step}, grid {grid}: {inert} nodes without a finite Jacobian"
-                );
+            if let Some(message) = failed {
+                panic!("{message}");
             }
         }
 

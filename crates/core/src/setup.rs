@@ -50,7 +50,9 @@ pub fn build_topology(
 }
 
 /// Build this rank's block (and wall geometry when its grid has a JMin
-/// wall), applying the cumulative motion transform of the grid.
+/// wall), applying the cumulative motion transform of the grid. Fails,
+/// naming the grid and the node, on a node without a finite Jacobian and on
+/// a node the boundary conditions set non-physical.
 pub fn build_block(
     rank: usize,
     partition: &Partition,
@@ -81,7 +83,9 @@ pub fn build_block(
     }
     let neighbors = partition.neighbors_of(rank, grid.periodic_i);
     let t = &cumulative[a.grid];
-    let mut block = Block::from_grid_posed(a.grid, grid, a.boxx, neighbors, fc, t);
+    let refused = |why: String| OversetError::Setup(format!("grid {}: {why}", a.grid));
+    let mut block =
+        Block::from_grid_posed(a.grid, grid, a.boxx, neighbors, fc, t).map_err(&refused)?;
     let wall = match grid.patch_on(Face::JMin) {
         Some(BcKind::Wall { .. }) => {
             let mut w = WallGeometry::from_grid(grid, a.boxx);
@@ -102,7 +106,9 @@ pub fn build_block(
     if wall.is_some() {
         apply_boundary_layer_profile(&mut block, &wall, fc);
     }
-    apply_bcs(&mut block, fc);
+    if let (_, Some(n)) = apply_bcs(&mut block, fc) {
+        return Err(refused(format!("non-physical initial state, {n}")));
+    }
     Ok((block, wall))
 }
 
@@ -204,12 +210,13 @@ mod tests {
         assert!(w.wall_xyz.iter().all(|p| p[0] > 3.0));
     }
 
-    /// The inert-metric fallback of `Block::recompute_metrics` fires on no
-    /// node of the store ×0.55 system (serial, P = 18, P = 256) or of the
-    /// airfoil ×1.0 system (serial, P = 6): every halo node past a physical
-    /// edge is extrapolated, and no grid collapses a face onto itself.
+    /// Every block of the store ×0.55 system (serial, P = 18, P = 256) and
+    /// of the airfoil ×1.0 system (serial, P = 6) builds: every halo node
+    /// past a physical edge is extrapolated, no grid collapses a face onto
+    /// itself, and the boundary conditions set every boundary node
+    /// physical.
     #[test]
-    fn no_block_of_the_benchmark_systems_needs_the_inert_metric() {
+    fn the_blocks_of_the_benchmark_systems_build() {
         use crate::driver::grid_min_widths;
         use overset_balance::fit_np_to_dims_min;
         for (cfg, ranks) in [
@@ -228,10 +235,10 @@ mod tests {
                 };
                 let partition = Partition::build(&dims, &np);
                 for b in 0..partition.nranks() {
-                    let (mut block, _) =
-                        build_block(b, &partition, &cfg.grids, &unmoved, &cfg.fc).unwrap();
-                    let inert = block.recompute_metrics();
-                    assert_eq!(inert, 0, "{} on {p}: block {b}", cfg.name);
+                    let built = build_block(b, &partition, &cfg.grids, &unmoved, &cfg.fc);
+                    if let Err(e) = built {
+                        panic!("{} on {p}: block {b}: {e}", cfg.name);
+                    }
                 }
             }
         }

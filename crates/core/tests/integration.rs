@@ -193,6 +193,36 @@ fn a_non_finite_motion_aborts_the_motion_phase_naming_its_grid() {
     }
 }
 
+/// A grid whose nodes coincide is refused where its blocks are built, not
+/// run on metrics without a finite Jacobian: the airfoil's background grid
+/// with node (5,4,0) moved onto (3,4,0), which leaves node (4,4,0) no
+/// difference along `i`. Both drivers fail with one error naming the grid
+/// and the node; threads and M:N agree.
+#[test]
+fn a_grid_with_coincident_nodes_is_refused_naming_the_node() {
+    use overset_comm::OversetError;
+    use overset_grid::Ijk;
+    let mut cfg = airfoil_case(0.3, 2);
+    let coords = &mut cfg.grids[2].coords;
+    coords[Ijk::new(5, 4, 0)] = coords[Ijk::new(3, 4, 0)];
+    let serial = run_case_serial(&cfg, &modern());
+    let threads = run_case(&cfg, 4, &modern());
+    cfg.max_threads = Some(1);
+    let mn = run_case(&cfg, 4, &modern());
+    assert_eq!(threads.as_ref().err(), mn.as_ref().err());
+    for (driver, r) in [("serial", serial), ("parallel", threads)] {
+        match r {
+            Err(OversetError::RankPanicked { phase: "other", message, .. }) => assert!(
+                message.contains(
+                    "grid 2: 1 nodes without a finite Jacobian, the first at cell (4,4,0)"
+                ),
+                "{driver}: {message}"
+            ),
+            other => panic!("{driver}: expected a refused grid, got {other:?}"),
+        }
+    }
+}
+
 /// The message of the flow-phase abort a run must end in.
 fn flow_abort(r: Result<overflow_d::RunResult, overset_comm::OversetError>) -> String {
     match r {

@@ -39,15 +39,6 @@ impl Face {
     pub fn is_min(&self) -> bool {
         matches!(self, Face::IMin | Face::JMin | Face::KMin)
     }
-
-    /// Node index along the face normal for a grid of the given dims.
-    pub fn layer_index(&self, dims: Dims) -> usize {
-        if self.is_min() {
-            0
-        } else {
-            dims.get(self.dir()) - 1
-        }
-    }
 }
 
 /// Physical boundary-condition kinds applied at grid faces.
@@ -377,15 +368,6 @@ mod tests {
             }
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn face_layer_indices() {
-        let d = Dims::new(5, 6, 7);
-        assert_eq!(Face::IMin.layer_index(d), 0);
-        assert_eq!(Face::IMax.layer_index(d), 4);
-        assert_eq!(Face::KMax.layer_index(d), 6);
-        assert_eq!(Face::JMax.dir(), 1);
     }
 
     #[test]

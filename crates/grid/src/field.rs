@@ -1,6 +1,6 @@
 //! Dense 3-D fields over structured-grid index spaces.
 
-use crate::index::{Dims, Ijk, IndexBox};
+use crate::index::{Dims, Ijk};
 use std::ops::{Index, IndexMut};
 
 /// A dense 3-D field of `T` in `i`-fastest layout.
@@ -29,13 +29,6 @@ impl<T: Clone> Field3<T> {
 
     pub fn fill(&mut self, v: T) {
         self.data.fill(v);
-    }
-
-    /// Extract the sub-field covered by `b` into a new contiguous field.
-    pub fn extract(&self, b: IndexBox) -> Field3<T> {
-        Field3::from_fn(b.dims(), |p| {
-            self[Ijk::new(p.i + b.lo.i, p.j + b.lo.j, p.k + b.lo.k)].clone()
-        })
     }
 }
 
@@ -247,17 +240,6 @@ mod tests {
         assert_eq!(f[Ijk::new(2, 3, 1)], 132);
         assert_eq!(*f.get(Ijk::new(0, 0, 0)).unwrap(), 0);
         assert!(f.get(Ijk::new(3, 0, 0)).is_none());
-    }
-
-    #[test]
-    fn field_extract_subbox() {
-        let d = Dims::new(5, 5, 5);
-        let f = Field3::from_fn(d, |p| p.i + p.j + p.k);
-        let b = IndexBox::new(Ijk::new(1, 2, 3), Ijk::new(4, 4, 5));
-        let sub = f.extract(b);
-        assert_eq!(sub.dims(), Dims::new(3, 2, 2));
-        assert_eq!(sub[Ijk::new(0, 0, 0)], 6);
-        assert_eq!(sub[Ijk::new(2, 1, 1)], 3 + 3 + 4);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::bbox::Aabb;
 use crate::curvilinear::{CurvilinearGrid, Solid};
 use crate::gen::revolution::{background_box, ellipsoid_shell, shell_of_revolution};
-use std::f64::consts::PI;
 
 /// Scale a node count (keeps a floor so tiny scales still yield valid grids).
 fn sc(n: usize, scale: f64) -> usize {
@@ -95,16 +94,6 @@ pub fn delta_wing_search_order() -> Vec<Vec<usize>> {
     ]
 }
 
-/// The wing descends slowly: M = 0.064 straight down in the body frame.
-pub fn descent_velocity(freestream_sound_speed: f64) -> [f64; 3] {
-    [0.0, 0.0, -0.064 * freestream_sound_speed]
-}
-
-/// Sanity helper used by tests: angular positions should cover the azimuth.
-pub fn full_circle() -> f64 {
-    2.0 * PI
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,12 +147,5 @@ mod tests {
                 g.name
             );
         }
-    }
-
-    #[test]
-    fn descent_is_slow() {
-        let v = descent_velocity(1.0);
-        assert!((v[2] + 0.064).abs() < 1e-12);
-        assert!((full_circle() - 2.0 * PI).abs() < 1e-15);
     }
 }

@@ -40,16 +40,6 @@ impl Ijk {
             _ => self.k = v,
         }
     }
-
-    /// Offset by a signed displacement, clamping at zero.
-    #[inline]
-    pub fn offset_clamped(&self, di: isize, dj: isize, dk: isize, dims: Dims) -> Ijk {
-        let clamp = |v: usize, d: isize, n: usize| -> usize {
-            let w = v as isize + d;
-            w.clamp(0, n as isize - 1) as usize
-        };
-        Ijk::new(clamp(self.i, di, dims.ni), clamp(self.j, dj, dims.nj), clamp(self.k, dk, dims.nk))
-    }
 }
 
 impl fmt::Debug for Ijk {
@@ -292,13 +282,5 @@ mod tests {
         let slab = IndexBox::new(Ijk::new(0, 0, 0), Ijk::new(16, 2, 2));
         assert_eq!(cube.count(), slab.count());
         assert!(cube.surface_area() < slab.surface_area());
-    }
-
-    #[test]
-    fn offset_clamped_stays_in_bounds() {
-        let d = Dims::new(4, 4, 4);
-        let p = Ijk::new(0, 3, 2);
-        let q = p.offset_clamped(-2, 5, 0, d);
-        assert_eq!(q, Ijk::new(0, 3, 2));
     }
 }

@@ -35,6 +35,3 @@ pub use decomp::{lattice_feasible_min, prime_factors, Subdomain};
 pub use field::{Field3, SoaField, StateField};
 pub use index::{Dims, Ijk, IndexBox};
 pub use transform::RigidTransform;
-
-/// Identifier of a component grid within an overset system.
-pub type GridId = usize;

@@ -25,18 +25,6 @@ pub struct Metric {
 }
 
 impl Metric {
-    /// Zero gradients and a unit Jacobian: what [`metrics_into`] leaves at a
-    /// node whose coordinates give no finite Jacobian.
-    pub const INERT: Metric = Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 };
-
-    pub fn grad(&self, dir: usize) -> [f64; 3] {
-        match dir {
-            0 => self.xi,
-            1 => self.eta,
-            _ => self.zeta,
-        }
-    }
-
     /// The terms as the [`MetricField`] components: `∇ξ`, `∇η`, `∇ζ`, `J`.
     #[inline]
     pub fn components(&self) -> [f64; METRIC_COMPONENTS] {
@@ -203,8 +191,9 @@ impl RowDiff {
 /// Metric terms at every node of a non-periodic coordinate field, written
 /// over `out` (same dimensions): node for node what [`metric_at`] returns on
 /// a grid of these coordinates, to the bit — the same differences in the
-/// same order — except that a node whose Jacobian is not finite gets
-/// [`Metric::INERT`]. Returns how many nodes did. The `j` and `k`
+/// same order. Returns how many nodes have no finite Jacobian (coincident
+/// nodes, an axis of one node, non-finite coordinates): their terms are
+/// stored as computed, for the caller to refuse. The `j` and `k`
 /// differences are chosen once per row and the `i` ends peeled off it, so
 /// the row's interior runs without a branch.
 pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) -> usize {
@@ -218,28 +207,28 @@ pub fn metrics_into(coords: &Field3<[f64; 3]>, out: &mut MetricField) -> usize {
 }
 
 /// [`metrics_into`] into a new field on zeroed pages: each term written
-/// once, as it is computed. Returns the field and how many nodes got
-/// [`Metric::INERT`].
+/// once, as it is computed. Returns the field and how many nodes have no
+/// finite Jacobian.
 pub fn metrics_of(coords: &Field3<[f64; 3]>) -> (MetricField, usize) {
     let mut m = MetricField::zeroed(coords.dims());
-    let inert = metrics_into(coords, &mut m);
-    (m, inert)
+    let singular = metrics_into(coords, &mut m);
+    (m, singular)
 }
 
 /// Compute every node's metric terms, row by row in storage order, and hand
-/// each with its offset to `put`; returns how many nodes got
-/// [`Metric::INERT`].
+/// each with its offset to `put`; returns how many nodes have no finite
+/// Jacobian.
 #[inline(always)]
 fn metric_rows(coords: &Field3<[f64; 3]>, mut put: impl FnMut(usize, Metric)) -> usize {
     let d = coords.dims();
     let x = coords.as_slice();
-    let mut inert = 0;
+    let mut singular = 0;
     for k in 0..d.nk {
         let dk = RowDiff::at(k, d.nk, d.ni * d.nj);
         for j in 0..d.nj {
             let dj = RowDiff::at(j, d.nj, d.ni);
             let row = d.ni * (j + d.nj * k);
-            inert += match (dj, dk) {
+            singular += match (dj, dk) {
                 (RowDiff::Central(sj), RowDiff::Central(sk)) => {
                     metric_row(x, &mut put, row, d.ni, |at| {
                         (
@@ -255,12 +244,12 @@ fn metric_rows(coords: &Field3<[f64; 3]>, mut put: impl FnMut(usize, Metric)) ->
             };
         }
     }
-    inert
+    singular
 }
 
 /// The metrics of the row of `ni` nodes starting at `row`, in storage
 /// order, each handed to `put`, `eta_zeta` giving a node's `j` and `k`
-/// differences; returns the number of nodes given [`Metric::INERT`].
+/// differences; returns how many of them have no finite Jacobian.
 #[inline(always)]
 fn metric_row(
     x: &[[f64; 3]],
@@ -269,19 +258,16 @@ fn metric_row(
     ni: usize,
     eta_zeta: impl Fn(usize) -> ([f64; 3], [f64; 3]),
 ) -> usize {
-    let mut inert = 0;
+    let mut singular = 0;
     let mut node = |at: usize, x_xi: [f64; 3]| {
         let (x_eta, x_zeta) = eta_zeta(at);
-        let mut metric = metric_from_derivs(x_xi, x_eta, x_zeta);
-        if !metric.jac.is_finite() {
-            metric = Metric::INERT;
-            inert += 1;
-        }
+        let metric = metric_from_derivs(x_xi, x_eta, x_zeta);
+        singular += usize::from(!metric.jac.is_finite());
         put(at, metric);
     };
     if ni == 1 {
         node(row, [0.0, 0.0, 1.0]);
-        return inert;
+        return singular;
     }
     let last = row + ni - 1;
     node(row, sub(x[row + 1], x[row]));
@@ -289,7 +275,7 @@ fn metric_row(
         node(at, scale(sub(x[at + 1], x[at - 1]), 0.5));
     }
     node(last, sub(x[last], x[last - 1]));
-    inert
+    singular
 }
 
 /// Metric terms from the coordinate derivatives along ξ, η, ζ.

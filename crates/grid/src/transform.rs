@@ -66,24 +66,6 @@ impl Quat {
             v[2] + self.w * t[2] + q[0] * t[1] - q[1] * t[0],
         ]
     }
-
-    /// Quaternion derivative for body angular velocity `omega` (world frame):
-    /// `q_dot = 0.5 * omega_quat * q`.
-    pub fn derivative(&self, omega: [f64; 3]) -> Quat {
-        let oq = Quat { w: 0.0, x: omega[0], y: omega[1], z: omega[2] };
-        let d = oq.mul(self);
-        Quat { w: 0.5 * d.w, x: 0.5 * d.x, y: 0.5 * d.y, z: 0.5 * d.z }
-    }
-
-    /// 3x3 rotation matrix (rows).
-    pub fn to_matrix(&self) -> [[f64; 3]; 3] {
-        let (w, x, y, z) = (self.w, self.x, self.y, self.z);
-        [
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ]
-    }
 }
 
 /// A rigid transform: rotate about `pivot`, then translate.
@@ -123,14 +105,6 @@ impl RigidTransform {
             self.pivot[1] + r[1] + self.translation[1],
             self.pivot[2] + r[2] + self.translation[2],
         ]
-    }
-
-    /// Velocity of a material point under this per-step transform applied over
-    /// `dt` (small-motion approximation: `(x' - x)/dt`). Used for moving-wall
-    /// boundary conditions.
-    pub fn point_velocity(&self, p: [f64; 3], dt: f64) -> [f64; 3] {
-        let q = self.apply(p);
-        [(q[0] - p[0]) / dt, (q[1] - p[1]) / dt, (q[2] - p[2]) / dt]
     }
 
     pub fn is_identity(&self) -> bool {
@@ -218,10 +192,16 @@ mod tests {
         assert!((c.w - d.w).abs() < 1e-12 && (c.z - d.z).abs() < 1e-12);
     }
 
+    /// `rotate` against the rotation matrix of the unit quaternion.
     #[test]
     fn quat_matrix_matches_rotate() {
         let q = Quat::from_axis_angle([1.0, 2.0, 3.0], 0.7);
-        let m = q.to_matrix();
+        let (w, x, y, z) = (q.w, q.x, q.y, q.z);
+        let m = [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ];
         let v = [0.3, -0.8, 0.5];
         let mv = [
             m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
@@ -316,12 +296,5 @@ mod tests {
         assert!(!RigidTransform::translation([1e-3, 0.0, 0.0]).is_negligible_for(&bb));
         let rot = RigidTransform::rotation_about([0.5, 1.0, 1.5], [0.0, 0.0, 1.0], 0.01);
         assert!(!rot.is_negligible_for(&bb));
-    }
-
-    #[test]
-    fn point_velocity_of_pure_translation() {
-        let t = RigidTransform::translation([0.2, 0.0, 0.0]);
-        let v = t.point_velocity([5.0, 5.0, 5.0], 0.1);
-        assert!(close(v, [2.0, 0.0, 0.0], 1e-12));
     }
 }

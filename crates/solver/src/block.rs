@@ -81,7 +81,8 @@ pub struct Block {
 impl Block {
     /// Build a block for `owned` within `grid`, initialized to freestream.
     /// `neighbor[f]` gives the rank owning the adjacent subdomain across
-    /// face `f`, if any.
+    /// face `f`, if any. Panics, naming the grid and the node, if a node of
+    /// the block has no finite Jacobian ([`Block::from_grid_posed`]).
     pub fn from_grid(
         grid_id: usize,
         grid: &CurvilinearGrid,
@@ -90,13 +91,18 @@ impl Block {
         fc: &FlowConditions,
     ) -> Block {
         Self::from_grid_posed(grid_id, grid, owned, neighbor, fc, &RigidTransform::IDENTITY)
+            .unwrap_or_else(|s| panic!("grid {grid_id}: {s}"))
     }
 
     /// [`Block::from_grid`] with the grid moved by `pose`, the cumulative
     /// motion of a grid stored at its t = 0 pose (blocks rebuilt after a
     /// repartition): the coordinates are moved before the metrics are
     /// computed, once. The block has no grid velocity and no eddy viscosity
-    /// yet: both read as zero.
+    /// yet: both read as zero. Fails if a local node has no finite Jacobian
+    /// (coincident nodes, an `i` or `j` axis of one node, non-finite
+    /// coordinates), saying how many and which comes first in storage
+    /// order, by its global index (a halo node past a grid edge lies
+    /// outside the grid's range).
     pub fn from_grid_posed(
         grid_id: usize,
         grid: &CurvilinearGrid,
@@ -104,7 +110,7 @@ impl Block {
         neighbor: [Option<usize>; 6],
         fc: &FlowConditions,
         pose: &RigidTransform,
-    ) -> Block {
+    ) -> Result<Block, String> {
         let gd = grid.dims();
         let two_d = gd.is_two_d();
         let halo = [HALO, HALO, if two_d { 0 } else { HALO }];
@@ -119,7 +125,16 @@ impl Block {
         let wrap = grid.periodic_i;
         // Each field is written once: the metrics as they are computed, the
         // state by the freestream fill over zeroed (untouched) pages.
-        let (metrics, _) = metrics_of(&coords);
+        let (metrics, singular) = metrics_of(&coords);
+        if singular > 0 {
+            let s = metrics.jac().iter().position(|j| !j.is_finite()).expect("a singular node");
+            let at = local_dims.unoffset(s);
+            let [i, j, k] =
+                [0, 1, 2].map(|d| (at.get(d) + owned.lo.get(d)) as isize - halo[d] as isize);
+            return Err(format!(
+                "{singular} nodes without a finite Jacobian, the first at cell ({i},{j},{k})"
+            ));
+        }
 
         let mut block = Block {
             grid_id,
@@ -142,7 +157,7 @@ impl Block {
             coords,
         };
         block.q.fill_uniform(fc.freestream());
-        block
+        Ok(block)
     }
 
     fn face_bcs(grid: &CurvilinearGrid, owned: IndexBox) -> [Option<BcKind>; 6] {
@@ -231,18 +246,15 @@ impl Block {
     }
 
     /// Recompute metric terms from current coordinates (after grid motion);
-    /// returns how many nodes got
-    /// [`Metric::INERT`](overset_grid::metrics::Metric::INERT) for want of a
-    /// finite Jacobian.
+    /// returns how many nodes have no finite Jacobian, their terms stored
+    /// as computed: a caller with a non-zero count must not step the block.
     pub fn recompute_metrics(&mut self) -> usize {
         // Periodicity is irrelevant here: halo layers carry real wrapped
         // geometry, so one-sided differences never straddle the seam. Halo
         // nodes past a physical boundary are extrapolated, not clamped, so
-        // they difference like their boundary node. A zero Jacobian comes
-        // only from the grid's own geometry: nodes that coincide (an axis
-        // or a face collapsed to a line or a point), an `i` or `j` axis of
-        // one node, whose halo repeats it, or non-finite coordinates. The
-        // paper systems have none (`overflow_d::setup`'s tests count them).
+        // they difference like their boundary node. A block built from its
+        // grid has a finite Jacobian everywhere ([`Block::from_grid_posed`]), so a motion
+        // leaves a node without one only if the motion is not finite.
         metrics_into(&self.coords, &mut self.metrics)
     }
 
@@ -657,7 +669,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The row copies against the per-node ones on 2-D and 3-D blocks
-        /// with owned `ni` from 1 to 9, placed anywhere in their grid: every
+        /// with owned `ni` from 1 to 9, placed anywhere in their grid (at
+        /// least 2 nodes along `i` and `j`): every
         /// face at every width up to [`HALO`] and arbitrary (possibly empty)
         /// boxes inside local storage, packed and unpacked; and the periodic
         /// wrap fill of whole O-grid blocks. Packed buffers and the state of
@@ -675,9 +688,10 @@ mod tests {
                 (h >> 17) as usize % n
             };
             let own = Dims::new(ni, 1 + rand(7), if three_d == 1 { 1 + rand(5) } else { 1 });
+            // A grid one node wide in `i` or `j` has no finite Jacobian.
             let gd = Dims::new(
-                own.ni + rand(4),
-                own.nj + rand(4),
+                (own.ni + rand(4)).max(2),
+                (own.nj + rand(4)).max(2),
                 if three_d == 1 { own.nk + rand(3) } else { 1 },
             );
             let lo = Ijk::new(rand(gd.ni - own.ni + 1), rand(gd.nj - own.nj + 1), rand(gd.nk - own.nk + 1));
@@ -720,8 +734,10 @@ mod tests {
                 }
             }
 
-            // A whole O-grid block: its period must cover the halo.
-            let od = Dims::new(ni.max(HALO + 1), own.nj, own.nk);
+            // A whole O-grid block: its period must cover the halo, and for a
+            // finite Jacobian span 3 nodes (with 2, the nodes either side of
+            // one coincide) and the grid 2 along `j`.
+            let od = Dims::new(ni.max(4), own.nj.max(2), own.nk);
             let g = crate::testutil::wavy_grid(od, true);
             let mut o = Block::from_grid(0, &g, od.full_box(), [None; 6], &fc());
             prop_assert!(o.self_wrap_i);
@@ -757,8 +773,8 @@ mod tests {
         /// to the bit, over two motions (the first creates the velocity
         /// field, the second overwrites it), with `set_grid_velocity_from`
         /// after them; 2-D and 3-D pieces of open grids and O-grids. A
-        /// motion with a non-finite part leaves every node inert and says
-        /// so.
+        /// motion with a non-finite part leaves no node a finite Jacobian
+        /// and says so.
         #[test]
         fn apply_motion_bit_equals_per_node_transform(seed in 1u64..(1 << 60), kind in 0usize..4) {
             let (three_d, periodic) = (kind & 1 == 1, kind & 2 == 2);
@@ -840,17 +856,7 @@ mod tests {
     fn metrics_by_the_oracle(coords: &Field3<[f64; 3]>) -> Vec<Metric> {
         use overset_grid::metrics::metric_at;
         let tmp = CurvilinearGrid::new("block", coords.clone(), GridKind::NearBody);
-        let d = coords.dims();
-        d.iter()
-            .map(|p| {
-                let m = metric_at(&tmp, p);
-                if m.jac.is_finite() {
-                    m
-                } else {
-                    Metric { xi: [0.0; 3], eta: [0.0; 3], zeta: [0.0; 3], jac: 1.0 }
-                }
-            })
-            .collect()
+        coords.dims().iter().map(|p| metric_at(&tmp, p)).collect()
     }
 
     /// Every metric term's bits, node by node.
@@ -953,7 +959,9 @@ mod tests {
         /// O-grids; whole (an O-grid block then wraps onto itself) or cut
         /// anywhere (a piece at a physical edge extrapolates its halo, a
         /// piece of an O-grid reads across the seam or not); at the grid's
-        /// pose or moved by a rigid motion.
+        /// pose or moved by a rigid motion. A grid of one node along `j`
+        /// gives no node a finite Jacobian: the block is refused, naming
+        /// the oracle's count and its first such node.
         #[test]
         fn from_grid_bit_equals_per_node_reference(seed in 1u64..(1 << 60), kind in 0usize..8) {
             let (three_d, periodic, posed) = (kind & 1 == 1, kind & 2 == 2, kind & 4 == 4);
@@ -982,17 +990,32 @@ mod tests {
                 RigidTransform::IDENTITY
             };
             let g = crate::testutil::wavy_grid(gd, periodic);
-            let b = Block::from_grid_posed(0, &g, owned, [None; 6], &fc(), &pose);
-            let mut want = coords_per_node(&g, owned, b.halo);
+            let halo = [HALO, HALO, if gd.is_two_d() { 0 } else { HALO }];
+            let mut want = coords_per_node(&g, owned, halo);
             if posed {
                 for x in want.as_mut_slice() {
                     *x = pose.apply(*x);
                 }
             }
             let what = format!("{gd:?} owned {owned:?} periodic {periodic} posed {posed}");
+            let oracle = metrics_by_the_oracle(&want);
+            let singular: Vec<usize> = (0..oracle.len()).filter(|&s| !oracle[s].jac.is_finite()).collect();
+            let b = match Block::from_grid_posed(0, &g, owned, [None; 6], &fc(), &pose) {
+                Ok(b) => b,
+                Err(e) => {
+                    prop_assert!(!singular.is_empty(), "refused: {}: {}", what, e);
+                    let at = want.dims().unoffset(singular[0]);
+                    let [i, j, k] = [0, 1, 2].map(|d| (at.get(d) + owned.lo.get(d)) as isize - halo[d] as isize);
+                    let n = singular.len();
+                    prop_assert_eq!(e, format!("{n} nodes without a finite Jacobian, the first at cell ({i},{j},{k})"), "{}", what);
+                    return Ok(());
+                }
+            };
+            prop_assert!(singular.is_empty(), "built with {} singular nodes: {}", singular.len(), what);
+            prop_assert_eq!(b.halo, halo, "{}", what);
             let bits = |c: &Field3<[f64; 3]>| c.as_slice().iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert!(bits(&b.coords) == bits(&want), "coordinates: {}", what);
-            prop_assert!(metric_bits(&b.metrics) == oracle_bits(&metrics_by_the_oracle(&want)), "metrics: {}", what);
+            prop_assert!(metric_bits(&b.metrics) == oracle_bits(&oracle), "metrics: {}", what);
         }
     }
 

@@ -65,7 +65,7 @@ pub fn pressure(q: &[f64; NVAR]) -> f64 {
 /// Sound speed from a conserved state.
 #[inline]
 pub fn sound_speed(q: &[f64; NVAR]) -> f64 {
-    (GAMMA * pressure(q) / q[0]).max(1e-12).sqrt()
+    (GAMMA * pressure(q) / q[0]).sqrt()
 }
 
 /// Primitive variables `[ρ, u, v, w, p]` from a conserved state.
@@ -89,7 +89,7 @@ pub const SUTHERLAND_S: f64 = 110.4 / 288.15;
 /// temperature `T = γ p / ρ` normalized so `T∞ = 1` (a∞-based scaling).
 #[inline]
 pub fn sutherland_viscosity(q: &[f64; NVAR]) -> f64 {
-    let t = (GAMMA * pressure(q) / q[0]).max(1e-12);
+    let t = GAMMA * pressure(q) / q[0];
     const S: f64 = SUTHERLAND_S;
     t.powf(1.5) * (1.0 + S) / (t + S)
 }

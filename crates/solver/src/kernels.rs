@@ -681,7 +681,7 @@ lane_kernel! {
                 // sound_speed(q) in the scalar operation order.
                 let press = pressure_lanes(&qn, one.div(rho));
                 let carg = gam.mul(press).div(rho);
-                let c = carg.max(L::splat(1e-12)).sqrt();
+                let c = carg.sqrt();
                 put!(FR_RHO, rho);
                 put!(FR_U, u0);
                 put!(FR_U + 1, u1);
@@ -1011,7 +1011,7 @@ lane_kernel! {
                 .mul(u0.sub(vg0))
                 .add(s1.mul(u1.sub(vg1)))
                 .add(s2.mul(u2.sub(vg2)));
-            let c = gam.mul(p).div(qn[0]).max(L::splat(1e-12)).sqrt();
+            let c = gam.mul(p).div(qn[0]).sqrt();
             let sigma = u_rel_sr.abs().add(c.mul(s_norm));
             let (field, live) = blank_masks::<L>(ib, i, nv);
 
@@ -1039,7 +1039,7 @@ lane_kernel! {
 }
 
 lane_kernel! {
-    /// JST pressure switch ν = |p₊ − 2p + p₋| / max(p₊ + 2p + p₋, 10⁻¹²)
+    /// JST pressure switch ν = |p₊ − 2p + p₋| / (p₊ + 2p + p₋)
     /// over a row of `n` nodes of the node cache: node `i`'s pressures at
     /// `at[0] + i` (behind), `at[1] + i` (its own), `at[2] + i` (ahead); its
     /// ν lands at `at[1] + i`.
@@ -1054,7 +1054,7 @@ lane_kernel! {
                 let pc = rows.get::<L>(RC_P, 1, i, nv);
                 let pp = rows.get::<L>(RC_P, 2, i, nv);
                 let num = pp.sub(two.mul(pc)).add(pm);
-                let den = pp.add(two.mul(pc)).add(pm).max(L::splat(1e-12));
+                let den = pp.add(two.mul(pc)).add(pm);
                 rows.put(RC_NU, 1, i, nv, num.div(den).abs());
             }
         });
@@ -1178,13 +1178,12 @@ lane_kernel! {
                 let u2 = qn[3].div(qn[0]);
                 let ke = half.mul(u0.mul(u0).add(u1.mul(u1)).add(u2.mul(u2)));
                 let a2 = gam.mul(pressure_lanes(&qn, one.div(qn[0]))).div(qn[0]);
-                let t = a2.max(L::splat(1e-12));
-                let mut t15 = t.to_array();
+                let mut t15 = a2.to_array();
                 for x in t15.iter_mut() {
                     *x = x.powf(1.5);
                 }
                 let t15 = L::from_array(t15);
-                let mu_l = t15.mul(L::splat(1.0 + SUTHERLAND_S)).div(t.add(L::splat(SUTHERLAND_S)));
+                let mu_l = t15.mul(L::splat(1.0 + SUTHERLAND_S)).div(a2.add(L::splat(SUTHERLAND_S)));
                 put!(VC_U, u0);
                 put!(VC_U + 1, u1);
                 put!(VC_U + 2, u2);

@@ -2,7 +2,7 @@
 //! loop.
 
 use crate::adi::{sweep_directions, Scratch, SolverComm};
-use crate::bc::apply_bcs;
+use crate::bc::{apply_bcs, bc_name};
 use crate::block::{Blank, Block};
 use crate::conditions::{pressure, FlowConditions};
 use crate::kernels::{self, Rows};
@@ -10,7 +10,8 @@ use crate::lanes::{Isa, W};
 use crate::rhs::compute_residual;
 use crate::turbulence::{compute_mu_t, WallGeometry};
 use overset_grid::field::NVAR;
-use overset_grid::Ijk;
+use overset_grid::{BcKind, Ijk};
+use std::fmt;
 
 /// Outcome of one step.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,18 +20,47 @@ pub struct StepReport {
     pub flops: u64,
     /// L2 norm of the explicit residual before the update (diagnostic).
     pub residual: f64,
-    /// The first updated node, in storage order, that is non-finite or has
-    /// ρ ≤ 0 or p ≤ 0: its global index, `"ρ"` or `"p"`, and that value.
-    pub nonphysical: Option<(overset_grid::Ijk, &'static str, f64)>,
+    /// The first updated node, in storage order, left non-physical; if
+    /// there is none, the first node the boundary conditions set so.
+    pub nonphysical: Option<Nonphysical>,
 }
 
 impl StepReport {
     /// Panics, naming `step`, `grid` and the node, if the step left one
     /// non-physical (DESIGN.md §6).
     pub fn assert_physical(&self, step: usize, grid: usize) {
-        if let Some((p, var, x)) = self.nonphysical {
-            panic!("non-physical state at step {step}, grid {grid}, cell {p:?}: {var} = {x:e}");
+        if let Some(n) = self.nonphysical {
+            panic!("{}", n.message(step, grid));
         }
+    }
+}
+
+/// A node that is not a physical state: ρ or p non-finite or ≤ 0, or, for
+/// a node the far-field BC sets, a boundary sound speed `c_b` ≤ 0.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Nonphysical {
+    /// The node's global index.
+    pub node: Ijk,
+    /// What is wrong with it: `"ρ"`, `"p"` or `"c_b"`.
+    pub var: &'static str,
+    /// That quantity's value.
+    pub value: f64,
+    /// The face (0..6, as [`Block::face_bc`]) and the BC that set the node;
+    /// `None` for a node the update left so.
+    pub set_by: Option<(usize, BcKind)>,
+}
+
+impl Nonphysical {
+    /// The abort message naming `step`, `grid` and the node.
+    pub fn message(&self, step: usize, grid: usize) -> String {
+        format!("non-physical state at step {step}, grid {grid}, {self}")
+    }
+}
+
+impl fmt::Display for Nonphysical {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let by = self.set_by.map(|(_, kind)| format!(" set by the {} BC", bc_name(kind)));
+        write!(f, "cell {:?}{}: {} = {:e}", self.node, by.unwrap_or_default(), self.var, self.value)
     }
 }
 
@@ -43,7 +73,7 @@ impl StepReport {
 /// 5. state update on field nodes, fused with the last direction's back
 ///    transform and checked for non-physical values
 ///    ([`StepReport::nonphysical`]),
-/// 6. physical boundary conditions.
+/// 6. physical boundary conditions, each node checked as it is set.
 ///
 /// Each stage's work is charged through [`SolverComm::compute`] as it
 /// completes, so a message-passing communicator stamps the pipelined carries
@@ -81,11 +111,13 @@ pub fn step_block(
     flops += sweep_directions(block, fc, comm, scratch);
     let mm = block.owned_count();
     let (fr, dw) = scratch.last_solution(mm);
-    let (update_flops, nonphysical) = update_state(block, scratch.isa, fr, dw);
+    let (update_flops, updated) = update_state(block, scratch.isa, fr, dw);
     comm.compute(update_flops);
 
-    let bc_flops = apply_bcs(block, fc);
+    let (bc_flops, set) = apply_bcs(block, fc);
     comm.compute(bc_flops);
+    let nonphysical =
+        updated.map(|(node, var, value)| Nonphysical { node, var, value, set_by: None }).or(set);
     StepReport { flops: flops + bc_flops, residual, nonphysical }
 }
 
@@ -120,7 +152,7 @@ fn update_state(
 /// What makes a node non-physical, and its value: ρ if it is non-finite or
 /// ≤ 0, else p if it is. A non-finite momentum or energy makes p
 /// non-finite, so two values cover all five.
-fn first_nonphysical(q: &[f64; NVAR]) -> Option<(&'static str, f64)> {
+pub(crate) fn first_nonphysical(q: &[f64; NVAR]) -> Option<(&'static str, f64)> {
     [("ρ", q[0]), ("p", pressure(q))].into_iter().find(|&(_, x)| x <= 0.0 || !x.is_finite())
 }
 
@@ -218,15 +250,18 @@ mod tests {
     #[test]
     fn a_negative_density_is_reported_at_its_node() {
         // A zero time step makes the update the identity, so the one node
-        // set non-physical is the only one there is.
+        // set non-physical is the only one there is. Its p < 0 too keeps
+        // γp/ρ, and so every stencil that reads it, finite: a NaN sound
+        // speed would spread through the implicit solve, Δt = 0 or not.
         let mut fc = FlowConditions::new(0.8, 0.0, 0.0);
         fc.dt = 0.0;
         let mut b = free_block(9, &fc);
         let bad = Ijk::new(4, 4, 0);
-        b.q.set_node(bad, crate::conditions::conservatives(&[-0.5, 0.8, 0.0, 0.0, 0.7]));
+        b.q.set_node(bad, crate::conditions::conservatives(&[-0.5, 0.8, 0.0, 0.0, -0.7]));
         let mut s = Scratch::default();
         let r = step_block(&mut b, &fc, None, &mut SerialComm, &mut s);
-        assert_eq!(r.nonphysical, Some((b.to_global(bad), "ρ", -0.5)));
+        let want = Nonphysical { node: b.to_global(bad), var: "ρ", value: -0.5, set_by: None };
+        assert_eq!(r.nonphysical, Some(want));
         let healthy = step_block(&mut free_block(9, &fc), &fc, None, &mut SerialComm, &mut s);
         assert_eq!(healthy.nonphysical, None);
     }
@@ -237,13 +272,14 @@ mod tests {
     use crate::adi::FLOPS_PER_NODE_PER_DIR as SWEEP_FLOPS;
     use crate::lanes::{select_isa, Isa};
     use crate::rhs::reference;
+    use crate::testutil::same_bits as same;
     use overset_grid::field::StateField;
     use overset_grid::index::IndexBox;
     use proptest::prelude::*;
 
     /// One timestep of a whole-grid block through the scalar references:
     /// the per-node residual and its L2 norm, the Δt scaling, the
-    /// line-by-line sweeps, the update and the BCs.
+    /// line-by-line sweeps, the update and the BCs, each checked.
     fn reference_step(b: &mut Block, fc: &FlowConditions) -> StepReport {
         SerialComm.exchange_halo(b);
         let mut dq = StateField::new(b.local_dims);
@@ -272,9 +308,15 @@ mod tests {
                 nonphysical = nonphysical.or(first_nonphysical(q).map(|(v, x)| (p, v, x)));
             }
         }
-        let nonphysical = nonphysical.map(|(p, v, x)| (b.to_global(p), v, x));
-        flops += apply_bcs(b, fc);
-        StepReport { flops, residual, nonphysical }
+        let nonphysical = nonphysical.map(|(p, var, value)| Nonphysical {
+            node: b.to_global(p),
+            var,
+            value,
+            set_by: None,
+        });
+        let (bc_flops, set) = apply_bcs(b, fc);
+        flops += bc_flops;
+        StepReport { flops, residual, nonphysical: nonphysical.or(set) }
     }
 
     /// A smooth grid with a wall, a far field and extrapolated faces.
@@ -426,7 +468,8 @@ mod tests {
             // A uniform draw `x` in [0, 1) as one of `n` choices.
             let below = |n: usize, x: f64| (x * n as f64) as usize;
             let nk = if three_d == 1 { 1 + below(4, r()) } else { 1 };
-            let d = Dims::new(own_ni + below(3, r()), 1 + below(6, r()), nk);
+            // A grid one node wide in `i` or `j` has no finite Jacobian.
+            let d = Dims::new((own_ni + below(3, r())).max(2), (1 + below(6, r())).max(2), nk);
             let lo = Ijk::new(below(d.ni - own_ni + 1, r()), 0, 0);
             let owned = IndexBox::new(lo, Ijk::new(lo.i + own_ni, d.nj, d.nk));
             let fc = FlowConditions::new(0.8, 2.0, 0.0);
@@ -479,12 +522,6 @@ mod tests {
         }
     }
 
-    /// Equal bits, signed zeros included; two NaNs count as equal (their
-    /// payloads are not pinned).
-    fn same(a: f64, b: f64) -> bool {
-        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -494,13 +531,15 @@ mod tests {
         /// non-finite garbage in holes, the whole grid on one block or cut
         /// into a chain of pipelined subdomains. Every block owns `own_ni`
         /// nodes in `i`, so thin blocks put lane groups across row ends —
-        /// but a whole O-grid at least 4 (the reference's cyclic solve needs
-        /// 3 unknowns) and a piece of an `i`-chain at least 2 (a boundary
+        /// but a whole open grid at least 2 (one node along `i` gives no
+        /// finite Jacobian), a whole O-grid at least 4 (the reference's
+        /// cyclic solve needs 3 unknowns) and a piece of an `i`-chain at
+        /// least 2 (a boundary
         /// condition at an `i` face reads the next node in, which a 1-node
         /// piece holds only in its halo, a step old).
-        /// State bits on every step, the first non-physical node, and flops
-        /// and the residual norm of the whole grid (a chain's flops summed
-        /// over its pieces).
+        /// State bits on every step, the first non-physical node (updated,
+        /// or else set by a BC), and flops and the residual norm of the
+        /// whole grid (a chain's flops summed over its pieces).
         #[test]
         fn step_bit_equals_reference_step(
             seed in 1u64..(1 << 60),
@@ -514,7 +553,7 @@ mod tests {
             let split = if three_d { split } else { split % 2 };
             let ni = match (split == 0 && parts > 1, periodic) {
                 (true, _) => own_ni.max(2) * parts,
-                (false, false) => own_ni,
+                (false, false) => own_ni.max(2),
                 (false, true) => own_ni.max(4),
             };
             let d = Dims::new(ni, 7 + (seed % 3) as usize, if three_d { 7 } else { 1 });
@@ -562,13 +601,17 @@ mod tests {
                         prop_assert!(same(got, want), "{}: residual {:e} vs {:e}", what, got, want);
                     }
                     // Each piece reports its own first; the grid's is the
-                    // least of them in storage order.
-                    let got = reports
-                        .iter()
-                        .filter_map(|r| r.nonphysical)
-                        .min_by_key(|&(p, ..)| (p.k, p.j, p.i));
+                    // least of them: an updated node before a BC-set one,
+                    // BC-set nodes face by face, each in storage order.
+                    let got = reports.iter().filter_map(|r| r.nonphysical).min_by_key(|n| {
+                        let p = n.node;
+                        (n.set_by.map(|(face, _)| face), p.k, p.j, p.i)
+                    });
                     let agree = match (got, want_report.nonphysical) {
-                        (Some((p, v, x)), Some((q, w, y))) => p == q && v == w && same(x, y),
+                        (Some(g), Some(w)) => {
+                            (g.node, g.var, g.set_by) == (w.node, w.var, w.set_by)
+                                && same(g.value, w.value)
+                        }
                         (got, want) => got.is_none() && want.is_none(),
                     };
                     prop_assert!(

@@ -26,3 +26,14 @@ pub fn wavy_grid(d: Dims, periodic: bool) -> CurvilinearGrid {
     g.periodic_i = periodic;
     g
 }
+
+/// Equal bits, signed zeros and NaN payloads included, but not a NaN's
+/// sign. Which operand's NaN a binary operation passes on is the machine's
+/// choice (x86: the first), and the register allocator may commute a sum
+/// or a product; `abs` makes positive NaNs where arithmetic makes negative
+/// ones. So the sign of a NaN made from NaNs of both signs is not the
+/// program's to pin.
+pub fn same_bits(a: f64, b: f64) -> bool {
+    const SIGN: u64 = 1 << 63;
+    a.to_bits() == b.to_bits() || (a.is_nan() && a.to_bits() | SIGN == b.to_bits() | SIGN)
+}

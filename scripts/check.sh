@@ -10,6 +10,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustfmt check =="
 cargo fmt --all -- --check
 
+echo "== no state floors and no inert metrics: a non-physical or singular node aborts where it is made =="
+# A floor on a state quantity (ρ, p, γp/ρ, the JST denominator) swallows
+# NaN and hides the node the run should stop on (DESIGN.md §6); so would a
+# fallback metric for a node without a finite Jacobian.
+if grep -rnE '\.max\(1e-(8|10|12)\)|splat\(1e-12\)' crates/solver/src \
+    || grep -rn 'Metric::INERT' crates/; then
+    echo "a state floor or Metric::INERT is back (above)" >&2
+    exit 1
+fi
+
 echo "== rustdoc (deny warnings): no intra-doc link left dangling =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
@@ -60,7 +70,7 @@ cargo test -q --release -p overflow-d --test scheduler_modes -- --ignored
 echo "== M:N wakes are never lost: 64 ranks, 2 000 cross-worker ping-pong + barrier rounds on 2 and 4 workers, clocks bit-equal to 1:1: release =="
 cargo test -q --release -p overset-comm --lib -- mn_wakes_are_never_lost_across_workers
 
-echo "== known blow-ups abort where they start (no positivity floors): airfoil x1.0 at step 37 on its trailing-edge seam node, the store's old ejection trajectory at step 22 on grid 4, full-effort Table 5's first run naming rank 5 at step 17 under threads and M:N: release =="
+echo "== known blow-ups abort where they start (no state floors, every updated and every BC-set node checked): airfoil x1.0 at step 37 on its trailing-edge seam node, the store's old ejection trajectory at step 22 on grid 4, full-effort Table 5's first run naming rank 5 at step 17 under threads and M:N: release =="
 cargo test -q --release -p overflow-d --test integration -- --ignored \
     airfoil_full_scale_aborts_at_its_trailing_edge \
     store_old_trajectory_aborts_loudly
